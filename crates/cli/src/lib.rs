@@ -3000,6 +3000,26 @@ mod tests {
         std::fs::write(&cache_path, b"RPXCgarbage").unwrap();
         map_with_cache(&out_b);
         assert!(std::fs::read(&cache_path).unwrap().len() > 12);
+
+        // So is a cache from before the FM stream's version 2, while a
+        // prebuilt `--index` of that age is a typed error that says so.
+        let mut old = rebuilt;
+        let fm_at = old.windows(4).position(|w| w == b"RPFM").unwrap();
+        old[fm_at + 4] = 1;
+        std::fs::write(&cache_path, &old).unwrap();
+        map_with_cache(&out_b);
+        assert_eq!(std::fs::read(&cache_path).unwrap()[fm_at + 4], 2);
+        let index_path = dir.join("old.rpx");
+        std::fs::write(&index_path, &old[12..]).unwrap();
+        let err = load_reference_set(&MapOptions {
+            index: Some(index_path.to_string_lossy().into_owned()),
+            ..MapOptions::default()
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, ReputeError::InputParse(m) if m.contains("version 1") && m.contains("repute index")),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -24,14 +24,25 @@ use crate::oss::OssParams;
 pub const MAX_EXTRA: usize = 16;
 
 /// One column of the table: seeds ending at a fixed read position.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Column {
-    /// `entries[i]` is the interval of the seed of length `s_min + i`;
-    /// lengths beyond the stored entries have zero occurrences unless the
+    /// The column's slots start here in [`FreqTable::entries`]; slot `i`
+    /// is the interval of the seed of length `s_min + i`.
+    first: u32,
+    /// Slots filled. Lengths beyond them have zero occurrences unless the
     /// column was capped (`capped == true`), in which case the deepest
     /// entry approximates them.
-    entries: Vec<Interval>,
+    len: u32,
     capped: bool,
+}
+
+/// A column still being extended by [`FreqTable::build`].
+struct Live {
+    /// The column's seeds end here.
+    end: usize,
+    /// Extensions the column may take before it is cut off.
+    depth: usize,
+    interval: Interval,
 }
 
 /// Precomputed seed frequencies for one read.
@@ -54,6 +65,8 @@ struct Column {
 #[derive(Debug, Clone)]
 pub struct FreqTable {
     columns: Vec<Column>,
+    /// Every column's intervals, column after column.
+    entries: Vec<Interval>,
     read_len: usize,
     params: OssParams,
     extend_ops: u64,
@@ -69,6 +82,11 @@ impl FreqTable {
     /// exploration-space optimisation; the DP-table shrinkage is the
     /// memory half.
     ///
+    /// All live columns advance in lockstep, one base per round, so the
+    /// rank lookups of a round are independent of each other and overlap
+    /// in the pipeline; each column still takes exactly the extensions it
+    /// would take alone.
+    ///
     /// # Panics
     ///
     /// Panics if the read is shorter than `s_min` or contains codes
@@ -80,49 +98,51 @@ impl FreqTable {
             n >= s_min,
             "read length {n} shorter than minimum seed length {s_min}"
         );
+        let mut columns = vec![Column::default(); n - s_min + 1];
+        let mut live = Vec::with_capacity(columns.len());
+        let mut slots = 0usize;
+        for end in s_min..=n {
+            // A dead column is never probed and keeps no slots; a live
+            // one can reach at least `s_min`.
+            if let Some(depth_limit) = params.max_seed_len_at(end, n) {
+                let depth = depth_limit.min(s_min + MAX_EXTRA);
+                columns[end - s_min].first = slots as u32;
+                slots += depth + 1 - s_min;
+                live.push(Live {
+                    end,
+                    depth,
+                    interval: fm.full_interval(),
+                });
+            }
+        }
+        let mut entries = vec![fm.full_interval(); slots];
         let mut extend_ops = 0u64;
-        let mut columns = Vec::with_capacity(n - s_min + 1);
-        for p in s_min..=n {
-            let Some(depth_limit) = params.max_seed_len_at(p, n) else {
-                columns.push(Column::default()); // dead column: never probed
-                continue;
-            };
-            let depth = depth_limit.min(s_min + MAX_EXTRA);
-            let mut entries = Vec::new();
-            let mut interval = fm.full_interval();
-            let mut d = p;
-            // First s_min extensions establish the shortest seed.
-            let mut alive = true;
-            while d > p - s_min {
-                d -= 1;
-                interval = fm.extend_left(interval, read[d]);
-                extend_ops += 1;
-                if interval.is_empty() {
-                    alive = false;
-                    break;
+        // A round extends every live column by one base, to length `len`.
+        // The first `s_min` rounds establish the shortest seed; after
+        // that a column keeps extending while occurrences remain and its
+        // depth bound is not reached, and is capped when it reaches the
+        // bound alive short of the read's start.
+        let mut len = 0;
+        while !live.is_empty() {
+            len += 1;
+            extend_ops += live.len() as u64;
+            live.retain_mut(|col| {
+                col.interval = fm.extend_left(col.interval, read[col.end - len]);
+                if col.interval.is_empty() {
+                    return false;
                 }
-            }
-            let mut capped = false;
-            if alive {
-                entries.push(interval);
-                // Keep extending while occurrences remain, the seed can
-                // still grow, and the depth bound is not reached.
-                let floor = p - depth;
-                while d > floor {
-                    d -= 1;
-                    interval = fm.extend_left(interval, read[d]);
-                    extend_ops += 1;
-                    if interval.is_empty() {
-                        break;
-                    }
-                    entries.push(interval);
+                let column = &mut columns[col.end - s_min];
+                if len >= s_min {
+                    entries[(column.first + column.len) as usize] = col.interval;
+                    column.len += 1;
                 }
-                capped = d == floor && !interval.is_empty() && floor > 0;
-            }
-            columns.push(Column { entries, capped });
+                column.capped = len == col.depth && col.end > len;
+                len < col.depth
+            });
         }
         FreqTable {
             columns,
+            entries,
             read_len: n,
             params: *params,
             extend_ops,
@@ -192,19 +212,17 @@ impl FreqTable {
             "seed length {len} below the table's minimum {s_min}"
         );
         let column = &self.columns[end - s_min];
-        match column.entries.get(len - s_min) {
+        let filled = &self.entries[column.first as usize..][..column.len as usize];
+        match filled.get(len - s_min) {
             Some(&iv) => Some(iv),
-            None if column.capped => column.entries.last().copied(),
+            None if column.capped => filled.last().copied(),
             None => None,
         }
     }
 
     /// Approximate heap footprint of the table in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|c| c.entries.len() * std::mem::size_of::<Interval>())
-            .sum::<usize>()
+        self.entries.len() * std::mem::size_of::<Interval>()
             + self.columns.len() * std::mem::size_of::<Column>()
     }
 }

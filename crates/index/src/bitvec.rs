@@ -46,6 +46,22 @@ impl RankBitVec {
             }
             len += 1;
         }
+        RankBitVec::from_words(words, len)
+    }
+
+    /// Builds a bit vector of `len` bits from its storage words (bit `i`
+    /// is bit `i % 64` of word `i / 64`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not exactly `len.div_ceil(64)` words or a bit
+    /// at or past `len` is set.
+    pub fn from_words(words: Vec<u64>, len: usize) -> RankBitVec {
+        assert_eq!(words.len(), len.div_ceil(WORD_BITS), "word count");
+        assert!(
+            len.is_multiple_of(WORD_BITS) || words[len / WORD_BITS] >> (len % WORD_BITS) == 0,
+            "bit set past the end"
+        );
         let mut block_ranks = Vec::with_capacity(words.len() / WORDS_PER_BLOCK + 1);
         let mut running = 0u32;
         for (i, w) in words.iter().enumerate() {
@@ -60,6 +76,11 @@ impl RankBitVec {
             len,
             ones: running as usize,
         }
+    }
+
+    /// The storage words, as [`RankBitVec::from_words`] takes them.
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Number of bits.

@@ -6,12 +6,16 @@
 //! sampled suffix array. Left extension ([`FmIndex::extend_left`]) is the
 //! primitive the DP filtration reuses incrementally ("used FM-Index
 //! backward search in an efficient way to reduce memory accesses", §II-B).
+//!
+//! The BWT is held as 2-bit symbols in cache-line blocks, each carrying
+//! its own rank counts, so one rank reads one line (DESIGN.md §16).
 
 use repute_genome::DnaSeq;
 
 use crate::bitvec::RankBitVec;
-use crate::bwt::{self, SENTINEL};
 use crate::suffix_array::SuffixArray;
+
+mod stream;
 
 /// A half-open range of rows in the Burrows–Wheeler matrix.
 ///
@@ -40,34 +44,19 @@ impl Interval {
     }
 }
 
-/// Configures FM-Index sampling rates; see [`FmIndex::builder`].
+/// Configures the suffix-array sampling rate; see [`FmIndex::builder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FmBuilder {
-    occ_sample: usize,
     sa_sample: usize,
 }
 
 impl Default for FmBuilder {
     fn default() -> Self {
-        FmBuilder {
-            occ_sample: 128,
-            sa_sample: 32,
-        }
+        FmBuilder { sa_sample: 32 }
     }
 }
 
 impl FmBuilder {
-    /// Sets the Occ checkpoint spacing (rows between rank checkpoints).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows == 0`.
-    pub fn occ_sample(mut self, rows: usize) -> FmBuilder {
-        assert!(rows > 0, "occ sample rate must be positive");
-        self.occ_sample = rows;
-        self
-    }
-
     /// Sets the suffix-array sampling rate (text positions between samples).
     ///
     /// Larger rates shrink the index (the footprint reduction the paper's
@@ -91,9 +80,9 @@ impl FmBuilder {
 /// Memory footprint of an [`FmIndex`], in bytes per component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FmFootprint {
-    /// BWT symbol storage.
+    /// BWT symbol storage (48 bytes of every rank block).
     pub bwt_bytes: usize,
-    /// Occ rank checkpoints.
+    /// Occ rank counts (16 bytes of every rank block).
     pub occ_bytes: usize,
     /// Sampled suffix-array entries.
     pub sa_bytes: usize,
@@ -105,6 +94,79 @@ impl FmFootprint {
     /// Total bytes across all components.
     pub fn total(&self) -> usize {
         self.bwt_bytes + self.occ_bytes + self.sa_bytes + self.mark_bytes
+    }
+}
+
+/// BWT rows per 64-bit word of 2-bit symbols.
+const WORD_ROWS: usize = 32;
+/// Words per half block; the rank counts are anchored between the halves.
+const HALF_WORDS: usize = 3;
+/// BWT rows per rank block.
+const BLOCK_ROWS: usize = 2 * HALF_WORDS * WORD_ROWS;
+/// The low bit of every 2-bit field.
+const FIELD_LOW: u64 = 0x5555_5555_5555_5555;
+
+/// Bit `i` of the field-low bits set iff symbol `i` of `word` is `code`.
+#[inline(always)]
+fn matches(word: u64, code: u8) -> u64 {
+    let diff = word ^ (u64::from(code) * FIELD_LOW);
+    !(diff | diff >> 1) & FIELD_LOW
+}
+
+/// Sums the 2-bit fields of `fields`; the total must stay below 256.
+#[inline(always)]
+fn sum_fields(fields: u64) -> u32 {
+    const NIBBLES: u64 = 0x3333_3333_3333_3333;
+    let nibbles = (fields & NIBBLES) + ((fields >> 2) & NIBBLES);
+    let bytes = (nibbles + (nibbles >> 4)) & 0x0f0f_0f0f_0f0f_0f0f;
+    (bytes.wrapping_mul(0x0101_0101_0101_0101) >> 56) as u32
+}
+
+/// One cache line of the BWT: 192 two-bit symbols and the number of
+/// times each base occurs before the block's *middle* row, so a rank
+/// scans at most the three words between the middle and the queried row.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Block {
+    counts: [u32; 4],
+    words: [u64; 2 * HALF_WORDS],
+}
+
+impl Block {
+    /// Stored symbols equal to `code` before row `offset` of this block,
+    /// counted from the start of the BWT. Branch-free: the word masks
+    /// come from `offset` by arithmetic, so no trip count depends on it.
+    #[inline(always)]
+    fn rank(&self, code: u8, offset: usize) -> u32 {
+        let (lower, upper) = self.words.split_at(HALF_WORDS);
+        let above = offset >= BLOCK_ROWS / 2;
+        // Above the middle the rows `middle..offset` are added; below it
+        // the rows `offset..middle` (the complement mask) are taken off.
+        let (half, rows, complement) = if above {
+            (upper, offset - BLOCK_ROWS / 2, 0)
+        } else {
+            (lower, offset, u64::MAX)
+        };
+        let mut fields = 0u64;
+        for (j, &word) in half.iter().enumerate() {
+            let k = rows.saturating_sub(j * WORD_ROWS).min(WORD_ROWS);
+            // The low `2k` bits; the double shift keeps `k = 32` in range.
+            let prefix = ((1u64 << k) << k).wrapping_sub(1);
+            fields += matches(word, code) & (prefix ^ complement);
+        }
+        let middle = self.counts[usize::from(code)];
+        let scanned = sum_fields(fields);
+        if above {
+            middle + scanned
+        } else {
+            middle - scanned
+        }
+    }
+
+    /// The 2-bit symbol stored at row `offset` of this block.
+    #[inline(always)]
+    fn symbol(&self, offset: usize) -> u8 {
+        ((self.words[offset / WORD_ROWS] >> (2 * (offset % WORD_ROWS))) & 3) as u8
     }
 }
 
@@ -132,14 +194,16 @@ impl FmFootprint {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FmIndex {
-    bwt: Vec<u8>,
-    /// `first[s]` = number of symbols lexicographically smaller than `s`
-    /// (internal alphabet: sentinel `0`, bases `1..=4`).
-    first: [u32; 5],
-    /// Rank checkpoints: counts of each *base* symbol before every
-    /// `occ_sample`-th row.
-    occ_checkpoints: Vec<[u32; 4]>,
-    occ_sample: usize,
+    /// The BWT, `text_len + 1` rows, with one block more than full ones
+    /// so that the row one past the end has a block too. The sentinel is
+    /// stored as `A` (as is the padding after the last row, which no
+    /// rank reaches past the counts that already include it).
+    blocks: Vec<Block>,
+    /// The row holding the sentinel, taken back out of every `A` rank.
+    sentinel_row: u32,
+    /// `first[c]` = number of BWT symbols (sentinel included)
+    /// lexicographically smaller than base `c`.
+    first: [u32; 4],
     /// Marks BWT rows whose suffix position is sampled.
     sampled_rows: RankBitVec,
     /// Suffix positions for marked rows, in row order.
@@ -149,13 +213,12 @@ pub struct FmIndex {
 }
 
 impl FmIndex {
-    /// Builds an index with default sampling (Occ every 128 rows, SA every
-    /// 32 positions).
+    /// Builds an index with default sampling (SA every 32 positions).
     pub fn build(reference: &DnaSeq) -> FmIndex {
         FmBuilder::default().build(reference)
     }
 
-    /// Starts a builder to customise sampling rates.
+    /// Starts a builder to customise the sampling rate.
     pub fn builder() -> FmBuilder {
         FmBuilder::default()
     }
@@ -163,55 +226,90 @@ impl FmIndex {
     fn build_with(reference: &DnaSeq, config: FmBuilder) -> FmIndex {
         let codes = reference.to_codes();
         let sa = SuffixArray::from_codes(&codes);
-        let bwt = bwt::transform_with_sa(&codes, &sa);
-        let n_rows = bwt.symbols.len();
-
-        // Symbol counts -> `first` array.
-        let mut counts = [0u32; 5];
-        for &s in &bwt.symbols {
-            counts[s as usize] += 1;
+        let n_rows = codes.len() + 1;
+        let mut symbols = vec![0u64; n_rows.div_ceil(WORD_ROWS)];
+        let mut marks = vec![0u64; n_rows.div_ceil(64)];
+        let mut sa_samples = Vec::with_capacity(codes.len() / config.sa_sample + 1);
+        let mut put = |row: usize, code: u8| {
+            symbols[row / WORD_ROWS] |= u64::from(code) << (2 * (row % WORD_ROWS));
+        };
+        // Row 0 is the sentinel suffix: its BWT symbol is the last text
+        // base (the sentinel itself for the empty text) and it is never
+        // sampled. A text position p is sampled iff p % sa_sample == 0,
+        // which always includes p = 0 so every LF walk terminates.
+        let mut sentinel_row = 0;
+        if let Some(&last) = codes.last() {
+            put(0, last);
         }
-        let mut first = [0u32; 5];
-        let mut sum = 0u32;
-        for s in 0..5 {
-            first[s] = sum;
-            sum += counts[s];
-        }
-
-        // Occ checkpoints.
-        let mut occ_checkpoints = Vec::with_capacity(n_rows / config.occ_sample + 1);
-        let mut running = [0u32; 4];
-        for (row, &s) in bwt.symbols.iter().enumerate() {
-            if row % config.occ_sample == 0 {
-                occ_checkpoints.push(running);
-            }
-            if s != SENTINEL {
-                running[(s - 1) as usize] += 1;
-            }
-        }
-
-        // Sampled SA: row 0 is the sentinel suffix (conceptual position
-        // `text_len`), never sampled. A text position p is sampled iff
-        // p % sa_sample == 0, which always includes p = 0 so every LF walk
-        // terminates.
-        let mut row_positions: Vec<Option<u32>> = vec![None; n_rows];
         for (i, &p) in sa.positions().iter().enumerate() {
+            let row = i + 1;
+            match p.checked_sub(1) {
+                Some(before) => put(row, codes[before as usize]),
+                None => sentinel_row = row,
+            }
             if (p as usize).is_multiple_of(config.sa_sample) {
-                row_positions[i + 1] = Some(p);
+                marks[row / 64] |= 1 << (row % 64);
+                sa_samples.push(p);
             }
         }
-        let sampled_rows = RankBitVec::from_bits(row_positions.iter().map(|p| p.is_some()));
-        let sa_samples: Vec<u32> = row_positions.into_iter().flatten().collect();
-
-        FmIndex {
-            bwt: bwt.symbols,
-            first,
-            occ_checkpoints,
-            occ_sample: config.occ_sample,
+        let sampled_rows = RankBitVec::from_words(marks, n_rows);
+        FmIndex::from_parts(
+            codes.len(),
+            sentinel_row as u32,
+            &symbols,
             sampled_rows,
             sa_samples,
-            sa_sample: config.sa_sample,
-            text_len: codes.len(),
+            config.sa_sample,
+        )
+    }
+
+    /// Lays `symbols` (2-bit codes, 32 per word, the sentinel as `A`)
+    /// out in blocks and counts them — the one place rank counts come
+    /// from, for a fresh build and a loaded stream alike.
+    fn from_parts(
+        text_len: usize,
+        sentinel_row: u32,
+        symbols: &[u64],
+        sampled_rows: RankBitVec,
+        sa_samples: Vec<u32>,
+        sa_sample: usize,
+    ) -> FmIndex {
+        let n_rows = text_len + 1;
+        let mut blocks = vec![
+            Block {
+                counts: [0; 4],
+                words: [0; 2 * HALF_WORDS],
+            };
+            n_rows / BLOCK_ROWS + 1
+        ];
+        let mut running = [0u32; 4];
+        let mut words = symbols.iter().copied();
+        for block in &mut blocks {
+            for j in 0..2 * HALF_WORDS {
+                if j == HALF_WORDS {
+                    block.counts = running;
+                }
+                let word = words.next().unwrap_or(0);
+                block.words[j] = word;
+                for (code, count) in running.iter_mut().enumerate() {
+                    *count += matches(word, code as u8).count_ones();
+                }
+            }
+        }
+        // Not bases: the sentinel and the padding of the last block.
+        running[0] -= (blocks.len() * BLOCK_ROWS - text_len) as u32;
+        let mut first = [1u32; 4];
+        for code in 1..4 {
+            first[code] = first[code - 1] + running[code - 1];
+        }
+        FmIndex {
+            blocks,
+            sentinel_row,
+            first,
+            sampled_rows,
+            sa_samples,
+            sa_sample,
+            text_len,
         }
     }
 
@@ -224,25 +322,16 @@ impl FmIndex {
     pub fn full_interval(&self) -> Interval {
         Interval {
             lo: 0,
-            hi: self.bwt.len() as u32,
+            hi: self.text_len as u32 + 1,
         }
     }
 
-    /// Rank of base `code` among BWT rows strictly before `row`.
-    #[inline]
-    fn occ(&self, code: u8, row: u32) -> u32 {
-        let row = row as usize;
-        // `row == bwt.len()` (interval upper bound) can land one past the
-        // last checkpoint; clamp and scan the remainder.
-        let checkpoint = (row / self.occ_sample).min(self.occ_checkpoints.len() - 1);
-        let mut count = self.occ_checkpoints[checkpoint][code as usize];
-        let symbol = code + 1;
-        for &s in &self.bwt[checkpoint * self.occ_sample..row] {
-            if s == symbol {
-                count += 1;
-            }
-        }
-        count
+    /// Rank of base `code` among the BWT rows strictly before `row`, read
+    /// from `block`, which must be the block of `row`.
+    #[inline(always)]
+    fn occ_in(&self, block: &Block, code: u8, row: u32) -> u32 {
+        let stored = block.rank(code, row as usize % BLOCK_ROWS);
+        stored - u32::from(code == 0 && row > self.sentinel_row)
     }
 
     /// Extends a match interval one base to the left.
@@ -257,13 +346,25 @@ impl FmIndex {
     pub fn extend_left(&self, interval: Interval, code: u8) -> Interval {
         assert!(code <= 3, "base code {code} out of range");
         assert!(
-            interval.hi as usize <= self.bwt.len() && interval.lo <= interval.hi,
+            interval.hi as usize <= self.text_len + 1 && interval.lo <= interval.hi,
             "interval {interval:?} out of range"
         );
-        let base = self.first[(code + 1) as usize];
+        let base = self.first[usize::from(code)];
+        let (lo_at, hi_at) = (
+            interval.lo as usize / BLOCK_ROWS,
+            interval.hi as usize / BLOCK_ROWS,
+        );
+        let lo_block = &self.blocks[lo_at];
+        // A narrow interval — every one past the first few extensions of
+        // a seed — has both ends in one block: one line, one lookup.
+        let hi_block = if hi_at == lo_at {
+            lo_block
+        } else {
+            &self.blocks[hi_at]
+        };
         Interval {
-            lo: base + self.occ(code, interval.lo),
-            hi: base + self.occ(code, interval.hi),
+            lo: base + self.occ_in(lo_block, code, interval.lo),
+            hi: base + self.occ_in(hi_block, code, interval.hi),
         }
     }
 
@@ -295,15 +396,16 @@ impl FmIndex {
         self.interval(pattern).map_or(0, Interval::width)
     }
 
-    /// One LF-mapping step: the row of the suffix one position to the left.
+    /// One LF-mapping step: the row of the suffix one position to the
+    /// left, its symbol and its rank read from the same block.
     #[inline]
     fn lf(&self, row: u32) -> u32 {
-        let s = self.bwt[row as usize];
-        if s == SENTINEL {
-            0
-        } else {
-            self.first[s as usize] + self.occ(s - 1, row)
+        if row == self.sentinel_row {
+            return 0;
         }
+        let block = &self.blocks[row as usize / BLOCK_ROWS];
+        let code = block.symbol(row as usize % BLOCK_ROWS);
+        self.first[usize::from(code)] + self.occ_in(block, code, row)
     }
 
     /// Recovers the text position of a single BWT row via the sampled SA.
@@ -314,7 +416,7 @@ impl FmIndex {
     /// or out of range.
     pub fn position_of_row(&self, row: u32) -> u32 {
         assert!(
-            row > 0 && (row as usize) < self.bwt.len(),
+            row > 0 && row as usize <= self.text_len,
             "row {row} has no text position"
         );
         let mut row = row;
@@ -349,151 +451,11 @@ impl FmIndex {
         out
     }
 
-    /// Serialises the index to a binary stream (the `repute` CLI's
-    /// prebuilt-index format). Only the BWT and the suffix-array samples —
-    /// the expensive-to-rebuild parts — are stored; rank checkpoints are
-    /// reconstructed on load.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `out` (a `&mut` writer is accepted).
-    pub fn write_to<W: std::io::Write>(&self, mut out: W) -> std::io::Result<()> {
-        out.write_all(b"RPFM")?;
-        out.write_all(&1u16.to_le_bytes())?;
-        out.write_all(&(self.occ_sample as u32).to_le_bytes())?;
-        out.write_all(&(self.sa_sample as u32).to_le_bytes())?;
-        out.write_all(&(self.text_len as u64).to_le_bytes())?;
-        out.write_all(&(self.bwt.len() as u64).to_le_bytes())?;
-        out.write_all(&self.bwt)?;
-        let marked: Vec<u32> = (0..self.bwt.len())
-            .filter(|&row| self.sampled_rows.get(row))
-            .map(|row| row as u32)
-            .collect();
-        out.write_all(&(marked.len() as u64).to_le_bytes())?;
-        for row in &marked {
-            out.write_all(&row.to_le_bytes())?;
-        }
-        for sample in &self.sa_samples {
-            out.write_all(&sample.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Deserialises an index written by [`FmIndex::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`std::io::ErrorKind::InvalidData`] on a bad magic,
-    /// version, or inconsistent payload, and propagates I/O errors from
-    /// `input` (a `&mut` reader is accepted).
-    pub fn read_from<R: std::io::Read>(mut input: R) -> std::io::Result<FmIndex> {
-        fn bad(msg: impl Into<String>) -> std::io::Error {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
-        }
-        let mut magic = [0u8; 4];
-        input.read_exact(&mut magic)?;
-        if &magic != b"RPFM" {
-            return Err(bad("not an FM-Index stream (bad magic)"));
-        }
-        let mut b2 = [0u8; 2];
-        input.read_exact(&mut b2)?;
-        if u16::from_le_bytes(b2) != 1 {
-            return Err(bad("unsupported FM-Index format version"));
-        }
-        let mut b4 = [0u8; 4];
-        let mut b8 = [0u8; 8];
-        input.read_exact(&mut b4)?;
-        let occ_sample = u32::from_le_bytes(b4) as usize;
-        input.read_exact(&mut b4)?;
-        let sa_sample = u32::from_le_bytes(b4) as usize;
-        if occ_sample == 0 || sa_sample == 0 {
-            return Err(bad("zero sampling rate"));
-        }
-        input.read_exact(&mut b8)?;
-        let text_len = u64::from_le_bytes(b8) as usize;
-        input.read_exact(&mut b8)?;
-        let bwt_len = u64::from_le_bytes(b8) as usize;
-        if bwt_len != text_len + 1 {
-            return Err(bad(format!(
-                "BWT length {bwt_len} does not match text length {text_len}"
-            )));
-        }
-        let mut bwt = vec![0u8; bwt_len];
-        input.read_exact(&mut bwt)?;
-        if bwt.iter().any(|&s| s > 4) {
-            return Err(bad("BWT symbol out of range"));
-        }
-        if bwt.iter().filter(|&&s| s == SENTINEL).count() != 1 {
-            return Err(bad("BWT must contain exactly one sentinel"));
-        }
-        input.read_exact(&mut b8)?;
-        let marked_count = u64::from_le_bytes(b8) as usize;
-        if marked_count > bwt_len {
-            return Err(bad("more SA samples than BWT rows"));
-        }
-        let mut marked = vec![0u32; marked_count];
-        for slot in &mut marked {
-            input.read_exact(&mut b4)?;
-            *slot = u32::from_le_bytes(b4);
-        }
-        if marked.windows(2).any(|w| w[0] >= w[1])
-            || marked.last().is_some_and(|&r| r as usize >= bwt_len)
-        {
-            return Err(bad("sampled rows must be strictly increasing and in range"));
-        }
-        let mut sa_samples = vec![0u32; marked_count];
-        for slot in &mut sa_samples {
-            input.read_exact(&mut b4)?;
-            *slot = u32::from_le_bytes(b4);
-        }
-
-        // Rebuild the derived structures (cheap linear passes).
-        let mut counts = [0u32; 5];
-        for &s in &bwt {
-            counts[s as usize] += 1;
-        }
-        let mut first = [0u32; 5];
-        let mut sum = 0u32;
-        for s in 0..5 {
-            first[s] = sum;
-            sum += counts[s];
-        }
-        let mut occ_checkpoints = Vec::with_capacity(bwt_len / occ_sample + 1);
-        let mut running = [0u32; 4];
-        for (row, &s) in bwt.iter().enumerate() {
-            if row % occ_sample == 0 {
-                occ_checkpoints.push(running);
-            }
-            if s != SENTINEL {
-                running[(s - 1) as usize] += 1;
-            }
-        }
-        let mut marked_iter = marked.iter().peekable();
-        let sampled_rows = RankBitVec::from_bits((0..bwt_len).map(|row| {
-            if marked_iter.peek() == Some(&&(row as u32)) {
-                marked_iter.next();
-                true
-            } else {
-                false
-            }
-        }));
-        Ok(FmIndex {
-            bwt,
-            first,
-            occ_checkpoints,
-            occ_sample,
-            sampled_rows,
-            sa_samples,
-            sa_sample,
-            text_len,
-        })
-    }
-
     /// Reports the index's memory footprint per component.
     pub fn footprint(&self) -> FmFootprint {
         FmFootprint {
-            bwt_bytes: self.bwt.len(),
-            occ_bytes: self.occ_checkpoints.len() * std::mem::size_of::<[u32; 4]>(),
+            bwt_bytes: self.blocks.len() * std::mem::size_of::<[u64; 2 * HALF_WORDS]>(),
+            occ_bytes: self.blocks.len() * std::mem::size_of::<[u32; 4]>(),
             sa_bytes: self.sa_samples.len() * 4,
             mark_bytes: self.sampled_rows.heap_bytes(),
         }
@@ -611,18 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn occ_sampling_rates_agree() {
-        let reference = ReferenceBuilder::new(3000).seed(10).build();
-        let codes = reference.to_codes();
-        let coarse = FmIndex::builder().occ_sample(512).build(&reference);
-        let fine = FmIndex::builder().occ_sample(1).build(&reference);
-        for start in (0..2900).step_by(97) {
-            let pattern = &codes[start..start + 14];
-            assert_eq!(coarse.count(pattern), fine.count(pattern));
-        }
-    }
-
-    #[test]
     fn footprint_shrinks_with_sparser_sa_sampling() {
         let reference = ReferenceBuilder::new(20_000).seed(11).build();
         let dense = FmIndex::builder().sa_sample(1).build(&reference);
@@ -653,10 +603,7 @@ mod tests {
     fn serialisation_round_trips_and_answers_identically() {
         let reference = ReferenceBuilder::new(30_000).seed(88).build();
         let codes = reference.to_codes();
-        let fm = FmIndex::builder()
-            .sa_sample(8)
-            .occ_sample(64)
-            .build(&reference);
+        let fm = FmIndex::builder().sa_sample(8).build(&reference);
         let mut buf = Vec::new();
         fm.write_to(&mut buf).unwrap();
         let back = FmIndex::read_from(buf.as_slice()).unwrap();
