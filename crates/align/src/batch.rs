@@ -21,7 +21,7 @@
 //!
 //! Both kernels replicate the scalar recurrences bit for bit — the same
 //! column order, the same Ukkonen band (shared across lanes, since the
-//! band of [`crate::block::band_blocks`] depends only on the column and
+//! band of `block::band_blocks` depends only on the column and
 //! the error budget), the same work accounting — so every lane's
 //! `(Option<Verification>, VerifyCost)` is identical to what
 //! [`crate::verify_with`] returns for that window alone. The scalar

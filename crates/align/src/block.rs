@@ -171,7 +171,7 @@ pub(crate) fn band_blocks(blocks: usize, k: usize, column: usize) -> usize {
 ///
 /// Returns the minimum distance ≤ `max_distance` over all text end
 /// positions, with the leftmost end achieving it, or `None`. The scan is
-/// banded (Ukkonen cutoff, see [`band_blocks`]): at column `c` only
+/// banded (Ukkonen cutoff, see `band_blocks`): at column `c` only
 /// blocks covering pattern rows ≤ `c + max_distance` are advanced, which
 /// skips most of the early columns' lower blocks for realistic
 /// `read ≫ 64, δ ≪ 64` verification calls without changing any result.

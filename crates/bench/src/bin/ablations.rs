@@ -187,7 +187,7 @@ fn main() {
     );
     println!("{}", "-".repeat(66));
     {
-        use repute_core::{map_on_platform, ReputeConfig, ReputeMapper};
+        use repute_core::{map_on_platform_with_metrics, ReputeConfig, ReputeMapper};
         use repute_hetsim::{profiles, Platform};
         use std::sync::Arc;
         let reads = w.read_seqs(100);
@@ -205,7 +205,7 @@ fn main() {
                     profiles::cortex_a53_cluster().scaled(f),
                 ],
             );
-            let run = map_on_platform(
+            let (run, _) = map_on_platform_with_metrics(
                 &mapper,
                 &platform,
                 &platform.even_shares(reads.len()),

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use repute_bench::workload::{s_min_for, Scale, Workload};
-use repute_core::{map_scheduled, map_scheduled_with_faults, ReputeConfig, ReputeMapper, Schedule};
+use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule};
 use repute_genome::DnaSeq;
 use repute_hetsim::{profiles, FaultPlan, Platform};
 
@@ -63,6 +63,16 @@ fn main() {
     let mapper = ReputeMapper::new(Arc::clone(&w.indexed), config);
     let platform = quad_platform();
     let mut failures = 0u32;
+    let run_with = |schedule: &Schedule, host_threads, faults: &FaultPlan, max_retries| {
+        let executor = Executor {
+            host_threads,
+            faults: faults.clone(),
+            max_retries,
+            ..Executor::new(schedule.clone())
+        };
+        executor.run(&mapper, &platform, &reads)
+    };
+    let no_faults = FaultPlan::new();
 
     // [1] Output invariance across fault plans, schedules, and threads.
     println!(
@@ -75,8 +85,8 @@ fn main() {
     );
     println!("{}", "-".repeat(74));
     for (sched_name, schedule) in schedules(&platform, reads.len()) {
-        let (clean, clean_metrics) = map_scheduled(&mapper, &platform, &schedule, 1, &reads)
-            .expect("fault-free baseline failed");
+        let (clean, clean_metrics) =
+            run_with(&schedule, 1, &no_faults, MAX_RETRIES).expect("fault-free baseline failed");
         let gold = mappings_of(&clean);
         let horizon = clean.simulated_seconds.max(1e-6);
         let mut plans: Vec<(String, FaultPlan)> = vec![
@@ -110,15 +120,7 @@ fn main() {
         }
         for (plan_name, plan) in &plans {
             for host_threads in [1usize, 4] {
-                let (run, metrics) = match map_scheduled_with_faults(
-                    &mapper,
-                    &platform,
-                    &schedule,
-                    host_threads,
-                    plan,
-                    MAX_RETRIES,
-                    &reads,
-                ) {
+                let (run, metrics) = match run_with(&schedule, host_threads, plan, MAX_RETRIES) {
                     Ok(out) => out,
                     Err(e) => {
                         eprintln!("FAIL: {plan_name} × {sched_name} ht={host_threads}: {e}");
@@ -153,7 +155,7 @@ fn main() {
     // the makespan grow while the output stays put.
     println!("\n[2] graceful degradation (kill k devices at t=0)");
     for (sched_name, schedule) in schedules(&platform, reads.len()) {
-        let (clean, _) = map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
+        let (clean, _) = run_with(&schedule, 1, &no_faults, MAX_RETRIES).unwrap();
         let gold = mappings_of(&clean);
         let mut prev = 0.0f64;
         println!("  {sched_name}:");
@@ -163,16 +165,7 @@ fn main() {
             for dev in (DEVICES - k)..DEVICES {
                 plan = plan.loss(dev, 0.0);
             }
-            let (run, _) = map_scheduled_with_faults(
-                &mapper,
-                &platform,
-                &schedule,
-                1,
-                &plan,
-                MAX_RETRIES,
-                &reads,
-            )
-            .expect("a survivor remains");
+            let (run, _) = run_with(&schedule, 1, &plan, MAX_RETRIES).expect("a survivor remains");
             let migrated: u64 = run.fault_counters.iter().map(|c| c.migrated_batches).sum();
             let same = mappings_of(&run) == gold;
             println!(
@@ -204,16 +197,7 @@ fn main() {
     println!("\n[3] retry accounting (storm within max_retries={MAX_RETRIES})");
     let schedule = Schedule::Static(platform.even_shares(reads.len()));
     let storm = FaultPlan::parse("transient:d0@0,transient:d1@0x2,transient:d2@0").unwrap();
-    let (run, _) = map_scheduled_with_faults(
-        &mapper,
-        &platform,
-        &schedule,
-        1,
-        &storm,
-        MAX_RETRIES,
-        &reads,
-    )
-    .expect("storm within budget");
+    let (run, _) = run_with(&schedule, 1, &storm, MAX_RETRIES).expect("storm within budget");
     let faults: u64 = run.fault_counters.iter().map(|c| c.faults).sum();
     let retries: u64 = run.fault_counters.iter().map(|c| c.retries).sum();
     let migrated: u64 = run.fault_counters.iter().map(|c| c.migrated_batches).sum();
@@ -229,7 +213,7 @@ fn main() {
     for dev in 0..DEVICES {
         all_dead = all_dead.loss(dev, 0.0);
     }
-    match map_scheduled_with_faults(&mapper, &platform, &schedule, 1, &all_dead, 0, &reads) {
+    match run_with(&schedule, 1, &all_dead, 0) {
         Err(e) => match e.unmapped_range() {
             Some(range) if range == (0..reads.len()) => {
                 println!("  {e}");

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use repute_bench::workload::{Scale, Workload};
-use repute_core::{map_on_platform, ReputeConfig, ReputeMapper};
+use repute_core::{map_on_platform_with_metrics, ReputeConfig, ReputeMapper};
 use repute_hetsim::{profiles, Share};
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
                 items: per_gpu,
             },
         ];
-        let run = map_on_platform(&mapper, &platform, &shares, &reads)
+        let (run, _) = map_on_platform_with_metrics(&mapper, &platform, &shares, &reads)
             .expect("share arithmetic covers all reads");
         let bottleneck = run
             .device_runs

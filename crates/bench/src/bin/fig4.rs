@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use repute_bench::workload::{Scale, Workload};
-use repute_core::{map_on_platform, ReputeConfig, ReputeMapper};
+use repute_core::{map_on_platform_with_metrics, ReputeConfig, ReputeMapper};
 use repute_hetsim::{profiles, Share};
 
 fn main() {
@@ -49,7 +49,7 @@ fn main() {
             Arc::clone(&w.indexed),
             ReputeConfig::new(4, s_min).expect("valid paper parameters"),
         );
-        let run = map_on_platform(&mapper, &platform, &shares, &reads)
+        let (run, _) = map_on_platform_with_metrics(&mapper, &platform, &shares, &reads)
             .expect("share arithmetic covers all reads");
         let candidates: u64 = run.outputs.iter().map(|o| o.candidates).sum();
         println!(

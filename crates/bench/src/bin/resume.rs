@@ -25,9 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use repute_bench::workload::{s_min_for, Scale, Workload};
-use repute_core::{
-    map_resumable, map_scheduled, ReputeConfig, ReputeError, ReputeMapper, RunFingerprint, Schedule,
-};
+use repute_core::{Executor, ReputeConfig, ReputeError, ReputeMapper, RunFingerprint, Schedule};
 use repute_genome::fasta::{write_fasta, FastaRecord};
 use repute_genome::fastq::write_fastq;
 use repute_genome::reads::ReadSimulator;
@@ -144,24 +142,15 @@ fn main() {
         ("dynamic".into(), Schedule::Dynamic { batch: 0 }),
     ];
     for (sched_name, schedule) in &schedules {
+        let executor = Executor::new(schedule.clone());
         let gold_path = dir.join(format!("gold-{sched_name}.rpj"));
         clear_journal(&gold_path);
-        let gold = map_resumable(
-            &mapper,
-            &platform,
-            schedule,
-            0,
-            &FaultPlan::new(),
-            &gold_path,
-            fingerprint,
-            1,
-            &reads,
-        )
-        .expect("uninterrupted journaled run");
-        let (plain, plain_metrics) =
-            map_scheduled(&mapper, &platform, schedule, 0, &reads).expect("plain run");
+        let gold = executor
+            .run_journaled(&mapper, &platform, &reads, &gold_path, fingerprint, 1)
+            .expect("uninterrupted journaled run");
+        let (plain, plain_metrics) = executor.run(&mapper, &platform, &reads).expect("plain run");
         if gold.run.outputs != plain.outputs || gold.metrics != plain_metrics {
-            eprintln!("FAIL: {sched_name}: journaled run differs from map_scheduled");
+            eprintln!("FAIL: {sched_name}: journaled run differs from the plain run");
             failures += 1;
         }
         let gold_report = normalized_report(&gold.run, &platform, &gold.metrics);
@@ -175,17 +164,11 @@ fn main() {
             let crash_t = frac * makespan;
             let path = dir.join(format!("crash-{sched_name}-{trial}.rpj"));
             clear_journal(&path);
-            let crashed = map_resumable(
-                &mapper,
-                &platform,
-                schedule,
-                0,
-                &FaultPlan::new().host_crash(crash_t),
-                &path,
-                fingerprint,
-                1,
-                &reads,
-            );
+            let crashing = Executor {
+                faults: FaultPlan::new().host_crash(crash_t),
+                ..executor.clone()
+            };
+            let crashed = crashing.run_journaled(&mapper, &platform, &reads, &path, fingerprint, 1);
             let committed = match crashed {
                 Err(ReputeError::Interrupted { committed, .. }) => committed,
                 Err(e) => {
@@ -202,24 +185,15 @@ fn main() {
                     continue;
                 }
             };
-            let resumed = match map_resumable(
-                &mapper,
-                &platform,
-                schedule,
-                0,
-                &FaultPlan::new(),
-                &path,
-                fingerprint,
-                1,
-                &reads,
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("FAIL: {sched_name} trial {trial}: resume failed: {e}");
-                    failures += 1;
-                    continue;
-                }
-            };
+            let resumed =
+                match executor.run_journaled(&mapper, &platform, &reads, &path, fingerprint, 1) {
+                    Ok(r) => r,
+                    Err(e) => {
+                        eprintln!("FAIL: {sched_name} trial {trial}: resume failed: {e}");
+                        failures += 1;
+                        continue;
+                    }
+                };
             let identical = resumed.run.outputs == gold.run.outputs
                 && resumed.metrics == gold.metrics
                 && resumed.run.simulated_seconds == gold.run.simulated_seconds

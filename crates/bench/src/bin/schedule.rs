@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use repute_bench::workload::{s_min_for, Scale, Workload};
-use repute_core::{map_scheduled, ReputeConfig, ReputeMapper, Schedule, AUTO_HOST_THREADS};
+use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule, AUTO_HOST_THREADS};
 use repute_genome::DnaSeq;
 use repute_hetsim::{profiles, Platform};
 use repute_mappers::Mapper;
@@ -44,7 +44,12 @@ fn run(
     host_threads: usize,
     reads: &[DnaSeq],
 ) -> repute_core::MappingRun {
-    map_scheduled(mapper, platform, schedule, host_threads, reads)
+    let executor = Executor {
+        host_threads,
+        ..Executor::new(schedule.clone())
+    };
+    executor
+        .run(mapper, platform, reads)
         .expect("schedule bench run failed")
         .0
 }

@@ -34,17 +34,21 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
+use repute_bench::gate::{self, fail, Gate, Mode};
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::DnaSeq;
 use repute_hetsim::profiles;
 use repute_mappers::multiref::ReferenceSet;
-use repute_obs::json::{field, parse_json, JsonObject, JsonValue};
+use repute_obs::json::JsonObject;
 use repute_serve::{JobEnvelope, JobResponse, JobStatus, ServeHarness, ServeOptions};
 
-/// Schema identifier of the hardening baseline document.
-const SCHEMA: &str = "repute-bench-serve-hardening";
-/// Schema version; bump on any key change and regenerate the baseline.
-const VERSION: u64 = 1;
+const GATE: Gate = Gate {
+    binary: "serve_hardening",
+    schema: "repute-bench-serve-hardening",
+    version: 1,
+    noun: "hardening",
+    smoke: Some("hardening"),
+};
 /// Fresh gated metrics may exceed the committed baseline by at most
 /// this factor before the check fails.
 const REGRESSION_FACTOR: f64 = 1.2;
@@ -59,11 +63,6 @@ const JOBS_PER_TENANT: usize = 3;
 const EDGE_BUDGET: u64 = (READS_PER_JOB * 2) as u64;
 
 const TENANTS: [&str; 3] = ["acme", "lab", "edge"];
-
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(1);
-}
 
 fn reference() -> DnaSeq {
     ReferenceBuilder::new(REF_LEN).seed(9901).build()
@@ -413,8 +412,8 @@ fn run_smoke() -> SmokeResult {
 
 fn render_document(r: &SmokeResult) -> String {
     let mut doc = JsonObject::new();
-    doc.str_field("schema", SCHEMA);
-    doc.u64_field("version", VERSION);
+    doc.str_field("schema", GATE.schema);
+    doc.u64_field("version", GATE.version);
     doc.u64_field("reference_len", REF_LEN as u64);
     doc.u64_field("jobs", (TENANTS.len() * JOBS_PER_TENANT + 1) as u64);
     doc.u64_field("batches", r.batches);
@@ -443,56 +442,17 @@ const GATED: [&str; 3] = [
 
 /// Validates the committed document; returns the gated metrics.
 fn validate_document(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let doc = parse_json(text).ok_or("not valid JSON")?;
-    let fields = doc.as_obj().ok_or("top level is not an object")?;
-    let schema = field(fields, "schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing string field \"schema\"")?;
-    if schema != SCHEMA {
-        return Err(format!("schema is {schema:?}, expected {SCHEMA:?}"));
-    }
-    let version = field(fields, "version")
-        .and_then(JsonValue::as_u64)
-        .ok_or("missing integer field \"version\"")?;
-    if version != VERSION {
-        return Err(format!("schema version is {version}, expected {VERSION}"));
-    }
-    for required in ["jobs", "batches", "compactions"] {
-        if field(fields, required)
-            .and_then(JsonValue::as_u64)
-            .is_none()
-        {
-            return Err(format!("missing integer field {required:?}"));
-        }
-    }
-    if field(fields, "compaction_ratio")
-        .and_then(JsonValue::as_f64)
-        .is_none()
-    {
-        return Err("missing numeric field \"compaction_ratio\"".to_string());
-    }
-    let mut out = Vec::new();
-    for key in GATED {
-        let value = field(fields, key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("missing numeric field {key:?}"))?;
-        out.push((key.to_string(), value));
-    }
-    Ok(out)
+    let fields = GATE.header(text)?;
+    gate::require(
+        &fields,
+        &["jobs", "batches", "compactions"],
+        &["compaction_ratio"],
+    )?;
+    gate::gated(&fields, &GATED)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match args.as_slice() {
-        [] => None,
-        [mode, path] if mode == "--write" || mode == "--check" => {
-            Some((mode.as_str(), path.as_str()))
-        }
-        _ => {
-            eprintln!("usage: serve_hardening [--write <path> | --check <path>]");
-            std::process::exit(1);
-        }
-    };
+    let mode = GATE.mode();
     println!("Serve hardening ablation — EDF, quotas, journal compaction, crash/resume");
     println!(
         "pinned scale: {REF_LEN} bp reference, {} tenants × {JOBS_PER_TENANT} jobs × \
@@ -511,30 +471,13 @@ fn main() {
     println!("smoke OK");
 
     let Some((mode, path)) = mode else { return };
-    if mode == "--write" {
-        let text = render_document(&result);
-        if let Err(err) = validate_document(&text) {
-            fail(&format!(
-                "freshly written document fails its own schema: {err}"
-            ));
-        }
-        if std::fs::write(path, &text).is_err() {
-            fail(&format!("cannot write {path}"));
-        }
-        println!("wrote hardening baseline to {path}");
+    if mode == Mode::Write {
+        GATE.write(&path, &render_document(&result), validate_document);
         return;
     }
 
     // --check: schema-validate and gate the deterministic metrics.
-    let committed = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => fail(&format!("cannot read {path}: {err}")),
-    };
-    let committed = match validate_document(&committed) {
-        Ok(metrics) => metrics,
-        Err(err) => fail(&format!("{path} violates the hardening schema: {err}")),
-    };
-    println!("schema OK: {} gated metric(s)", committed.len());
+    let committed = GATE.read(&path, validate_document);
     let fresh = [
         ("simulated_seconds", result.simulated_seconds),
         ("journal_control_bytes", result.journal_control_bytes as f64),
@@ -543,28 +486,5 @@ fn main() {
             result.journal_compacted_bytes as f64,
         ),
     ];
-    let mut regressed = false;
-    for (key, committed_value) in &committed {
-        let Some((_, fresh_value)) = fresh.iter().find(|(k, _)| k == key) else {
-            continue;
-        };
-        let limit = committed_value * REGRESSION_FACTOR;
-        let verdict = if *fresh_value > limit {
-            regressed = true;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {key:<24} committed {committed_value:.9} | fresh {fresh_value:.9} | \
-             limit {limit:.9} [{verdict}]"
-        );
-    }
-    if regressed {
-        fail(&format!(
-            "hardening regression beyond {REGRESSION_FACTOR}x; \
-             refresh intentional changes with --write"
-        ));
-    }
-    println!("hardening trajectory gate OK");
+    GATE.check_regressions(&committed, &fresh, REGRESSION_FACTOR, 24, "hardening");
 }

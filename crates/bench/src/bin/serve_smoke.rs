@@ -29,19 +29,23 @@
 
 use std::time::Instant;
 
+use repute_bench::gate::{self, fail, Gate, Mode};
 use repute_genome::fasta::{write_fasta, FastaRecord};
 use repute_genome::fastq::{write_fastq, FastqRecord};
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::DnaSeq;
 use repute_hetsim::profiles;
 use repute_mappers::multiref::ReferenceSet;
-use repute_obs::json::{field, parse_json, JsonObject, JsonValue};
+use repute_obs::json::JsonObject;
 use repute_serve::{JobEnvelope, JobStatus, ServeHarness, ServeLimits, ServeOptions};
 
-/// Schema identifier of the service baseline document.
-const SCHEMA: &str = "repute-bench-serve";
-/// Schema version; bump on any key change and regenerate the baseline.
-const VERSION: u64 = 1;
+const GATE: Gate = Gate {
+    binary: "serve_smoke",
+    schema: "repute-bench-serve",
+    version: 1,
+    noun: "service",
+    smoke: Some("service"),
+};
 /// Fresh gated metrics may exceed the committed baseline by at most
 /// this factor before the check fails.
 const REGRESSION_FACTOR: f64 = 1.2;
@@ -57,11 +61,6 @@ const JOBS_PER_TENANT: usize = 3;
 const MAX_READS_PER_JOB: usize = 16;
 
 const TENANTS: [&str; 3] = ["acme", "lab", "edge"];
-
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(1);
-}
 
 fn reference() -> DnaSeq {
     ReferenceBuilder::new(REF_LEN).seed(9401).build()
@@ -292,8 +291,8 @@ fn run_smoke() -> SmokeResult {
 fn render_document(r: &SmokeResult) -> String {
     let jobs = (TENANTS.len() * JOBS_PER_TENANT) as u64;
     let mut doc = JsonObject::new();
-    doc.str_field("schema", SCHEMA);
-    doc.u64_field("version", VERSION);
+    doc.str_field("schema", GATE.schema);
+    doc.u64_field("version", GATE.version);
     doc.u64_field("reference_len", REF_LEN as u64);
     doc.u64_field("jobs", jobs);
     doc.u64_field("batches", r.batches);
@@ -320,62 +319,21 @@ const GATED: [&str; 4] = ["simulated_seconds", "job_p50_s", "job_p90_s", "job_p9
 
 /// Validates the committed document; returns the gated metrics.
 fn validate_document(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let doc = parse_json(text).ok_or("not valid JSON")?;
-    let fields = doc.as_obj().ok_or("top level is not an object")?;
-    let schema = field(fields, "schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing string field \"schema\"")?;
-    if schema != SCHEMA {
-        return Err(format!("schema is {schema:?}, expected {SCHEMA:?}"));
-    }
-    let version = field(fields, "version")
-        .and_then(JsonValue::as_u64)
-        .ok_or("missing integer field \"version\"")?;
-    if version != VERSION {
-        return Err(format!("schema version is {version}, expected {VERSION}"));
-    }
-    for required in ["jobs", "batches", "queue_depth_high_water"] {
-        if field(fields, required)
-            .and_then(JsonValue::as_u64)
-            .is_none()
-        {
-            return Err(format!("missing integer field {required:?}"));
-        }
-    }
-    for required in [
-        "cold_index_build_s",
-        "cached_index_load_s",
-        "amortized_index_s_per_job",
-    ] {
-        if field(fields, required)
-            .and_then(JsonValue::as_f64)
-            .is_none()
-        {
-            return Err(format!("missing numeric field {required:?}"));
-        }
-    }
-    let mut out = Vec::new();
-    for key in GATED {
-        let value = field(fields, key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("missing numeric field {key:?}"))?;
-        out.push((key.to_string(), value));
-    }
-    Ok(out)
+    let fields = GATE.header(text)?;
+    gate::require(
+        &fields,
+        &["jobs", "batches", "queue_depth_high_water"],
+        &[
+            "cold_index_build_s",
+            "cached_index_load_s",
+            "amortized_index_s_per_job",
+        ],
+    )?;
+    gate::gated(&fields, &GATED)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match args.as_slice() {
-        [] => None,
-        [mode, path] if mode == "--write" || mode == "--check" => {
-            Some((mode.as_str(), path.as_str()))
-        }
-        _ => {
-            eprintln!("usage: serve_smoke [--write <path> | --check <path>]");
-            std::process::exit(1);
-        }
-    };
+    let mode = GATE.mode();
     println!("Serve smoke ablation — daemon vs batch byte-identity, admission, accounting");
     println!(
         "pinned scale: {REF_LEN} bp reference, {} tenants × {JOBS_PER_TENANT} jobs × \
@@ -400,58 +358,18 @@ fn main() {
     println!("smoke OK");
 
     let Some((mode, path)) = mode else { return };
-    if mode == "--write" {
-        let text = render_document(&result);
-        if let Err(err) = validate_document(&text) {
-            fail(&format!(
-                "freshly written document fails its own schema: {err}"
-            ));
-        }
-        if std::fs::write(path, &text).is_err() {
-            fail(&format!("cannot write {path}"));
-        }
-        println!("wrote service baseline to {path}");
+    if mode == Mode::Write {
+        GATE.write(&path, &render_document(&result), validate_document);
         return;
     }
 
     // --check: schema-validate and gate the deterministic metrics.
-    let committed = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => fail(&format!("cannot read {path}: {err}")),
-    };
-    let committed = match validate_document(&committed) {
-        Ok(metrics) => metrics,
-        Err(err) => fail(&format!("{path} violates the service schema: {err}")),
-    };
-    println!("schema OK: {} gated metric(s)", committed.len());
+    let committed = GATE.read(&path, validate_document);
     let fresh = [
         ("simulated_seconds", result.simulated_seconds),
         ("job_p50_s", result.job_latency.1),
         ("job_p90_s", result.job_latency.2),
         ("job_p99_s", result.job_latency.3),
     ];
-    let mut regressed = false;
-    for (key, committed_value) in &committed {
-        let Some((_, fresh_value)) = fresh.iter().find(|(k, _)| k == key) else {
-            continue;
-        };
-        let limit = committed_value * REGRESSION_FACTOR;
-        let verdict = if *fresh_value > limit {
-            regressed = true;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {key:<20} committed {committed_value:.9} | fresh {fresh_value:.9} | \
-             limit {limit:.9} [{verdict}]"
-        );
-    }
-    if regressed {
-        fail(&format!(
-            "service latency regression beyond {REGRESSION_FACTOR}x; \
-             refresh intentional changes with --write"
-        ));
-    }
-    println!("service trajectory gate OK");
+    GATE.check_regressions(&committed, &fresh, REGRESSION_FACTOR, 20, "service latency");
 }

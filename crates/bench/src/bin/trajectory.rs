@@ -22,16 +22,20 @@
 
 use std::sync::Arc;
 
+use repute_bench::gate::{Gate, Mode};
 use repute_bench::workload::{s_min_for, Scale, Workload};
-use repute_core::{map_scheduled, ReputeConfig, ReputeMapper, Schedule, AUTO_HOST_THREADS};
+use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule};
 use repute_hetsim::profiles;
-use repute_obs::json::{field, parse_json, JsonObject, JsonValue};
+use repute_obs::json::{field, JsonObject, JsonValue};
 use repute_obs::StageLatency;
 
-/// Schema identifier of the trajectory document.
-const SCHEMA: &str = "repute-bench-trajectory";
-/// Schema version; bump on any key change and regenerate the baseline.
-const VERSION: u64 = 1;
+const GATE: Gate = Gate {
+    binary: "trajectory",
+    schema: "repute-bench-trajectory",
+    version: 1,
+    noun: "trajectory",
+    smoke: None,
+};
 /// Fresh simulated seconds may exceed the committed baseline by at most
 /// this factor before the check fails.
 const REGRESSION_FACTOR: f64 = 1.2;
@@ -79,9 +83,9 @@ fn measure() -> Vec<CellMeasurement> {
                 ReputeConfig::new(delta, s_min_for(read_len, delta)).expect("valid config");
             let mapper = ReputeMapper::new(Arc::clone(&w.indexed), config);
             let schedule = Schedule::Static(platform.even_shares(reads.len()));
-            let (run, metrics) =
-                map_scheduled(&mapper, &platform, &schedule, AUTO_HOST_THREADS, &reads)
-                    .expect("trajectory cell run failed");
+            let (run, metrics) = Executor::new(schedule)
+                .run(&mapper, &platform, &reads)
+                .expect("trajectory cell run failed");
             let report = run.report(&platform, &metrics);
             CellMeasurement {
                 label: format!("n={read_len} d={delta}"),
@@ -124,8 +128,8 @@ fn render_document(cells: &[CellMeasurement]) -> String {
     scale_obj.u64_field("reference_len", scale.reference_len as u64);
     scale_obj.u64_field("reads_per_set", scale.reads_per_set as u64);
     let mut doc = JsonObject::new();
-    doc.str_field("schema", SCHEMA);
-    doc.u64_field("version", VERSION);
+    doc.str_field("schema", GATE.schema);
+    doc.u64_field("version", GATE.version);
     doc.raw_field("scale", &scale_obj.finish());
     doc.raw_field("cells", &format!("[{}]", cell_objects.join(",")));
     let mut text = doc.finish();
@@ -136,20 +140,7 @@ fn render_document(cells: &[CellMeasurement]) -> String {
 /// Validates the committed document's shape; returns the cells keyed by
 /// label, or the first schema violation.
 fn validate_document(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let doc = parse_json(text).ok_or("not valid JSON")?;
-    let fields = doc.as_obj().ok_or("top level is not an object")?;
-    let schema = field(fields, "schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing string field \"schema\"")?;
-    if schema != SCHEMA {
-        return Err(format!("schema is {schema:?}, expected {SCHEMA:?}"));
-    }
-    let version = field(fields, "version")
-        .and_then(JsonValue::as_u64)
-        .ok_or("missing integer field \"version\"")?;
-    if version != VERSION {
-        return Err(format!("schema version is {version}, expected {VERSION}"));
-    }
+    let fields = &GATE.header(text)?;
     field(fields, "scale")
         .and_then(JsonValue::as_obj)
         .ok_or("missing object field \"scale\"")?;
@@ -195,15 +186,11 @@ fn validate_document(text: &str) -> Result<Vec<(String, f64)>, String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mode, path) = match args.as_slice() {
-        [mode, path] if mode == "--write" || mode == "--check" => (mode.as_str(), path.as_str()),
-        _ => {
-            eprintln!("usage: trajectory --write <path> | --check <path>");
-            std::process::exit(1);
-        }
-    };
-    println!("Benchmark trajectory — schema {SCHEMA} v{VERSION}");
+    let (mode, path) = GATE.mode().expect("a mode is required");
+    println!(
+        "Benchmark trajectory — schema {} v{}",
+        GATE.schema, GATE.version
+    );
     let scale = trajectory_scale();
     println!(
         "pinned scale: {} bp reference, {} reads/set ({} cells)",
@@ -227,36 +214,14 @@ fn main() {
         );
     }
 
-    if mode == "--write" {
-        let text = render_document(&fresh);
-        if let Err(err) = validate_document(&text) {
-            eprintln!("BUG: freshly written document fails its own schema: {err}");
-            std::process::exit(1);
-        }
-        if let Err(err) = std::fs::write(path, &text) {
-            eprintln!("cannot write {path}: {err}");
-            std::process::exit(1);
-        }
-        println!("wrote baseline to {path}");
+    if mode == Mode::Write {
+        GATE.write(&path, &render_document(&fresh), validate_document);
         return;
     }
 
     // --check: schema-validate the committed baseline, then gate on
     // simulated-seconds regressions.
-    let committed = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("cannot read {path}: {err}");
-            std::process::exit(1);
-        }
-    };
-    let committed = match validate_document(&committed) {
-        Ok(cells) => cells,
-        Err(err) => {
-            eprintln!("FAIL: {path} violates the trajectory schema: {err}");
-            std::process::exit(1);
-        }
-    };
+    let committed = GATE.read(&path, validate_document);
     println!("schema OK: {} committed cell(s)", committed.len());
     let mut failures = 0u32;
     for c in &fresh {

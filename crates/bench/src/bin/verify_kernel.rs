@@ -33,18 +33,22 @@ use std::time::Instant;
 
 use repute_align::block::{search_full, BlockMasks, BlockWork};
 use repute_align::{BatchVerifier, ReadMasks, LANES};
+use repute_bench::gate::{self, Gate, Mode};
 use repute_bench::workload::{s_min_for, Scale, Workload};
-use repute_core::{map_scheduled, ReputeConfig, ReputeMapper, Schedule};
+use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule};
 use repute_genome::synth::ReferenceBuilder;
 use repute_hetsim::profiles;
 use repute_mappers::{gem::GemLike, hobbes3::Hobbes3Like, razers3::Razers3Like, Mapper};
-use repute_obs::json::{field, parse_json, JsonObject, JsonValue};
+use repute_obs::json::{field, JsonObject, JsonValue};
 use repute_obs::MapMetrics;
 
-/// Schema identifier of the kernel-benchmark document.
-const SCHEMA: &str = "repute-bench-verify-kernel";
-/// Schema version; bump on any key change and regenerate the baseline.
-const VERSION: u64 = 1;
+const GATE: Gate = Gate {
+    binary: "verify_kernel",
+    schema: "repute-bench-verify-kernel",
+    version: 1,
+    noun: "verify-kernel",
+    smoke: None,
+};
 /// The committed baseline must record at least this speedup — the
 /// acceptance bar of the batch-kernel change itself.
 const MIN_COMMITTED_SPEEDUP: f64 = 2.0;
@@ -255,9 +259,13 @@ fn grid_digest() -> u64 {
                 Schedule::Static(platform.even_shares(reads.len())),
                 Schedule::Dynamic { batch: 0 },
             ] {
-                let (run, metrics) =
-                    map_scheduled(&mapper, &platform, &schedule, host_threads, &reads)
-                        .expect("grid cell run failed");
+                let executor = Executor {
+                    host_threads,
+                    ..Executor::new(schedule)
+                };
+                let (run, metrics) = executor
+                    .run(&mapper, &platform, &reads)
+                    .expect("grid cell run failed");
                 fold_outputs(&mut h, &run.outputs, &metrics);
                 fold(&mut h, run.simulated_seconds.to_bits());
             }
@@ -309,8 +317,8 @@ fn render_document(k: &KernelMeasurement, digest: u64) -> String {
     corpus.u64_field("delta", u64::from(CORPUS_DELTA));
     corpus.u64_field("candidates", k.candidates);
     let mut doc = JsonObject::new();
-    doc.str_field("schema", SCHEMA);
-    doc.u64_field("version", VERSION);
+    doc.str_field("schema", GATE.schema);
+    doc.u64_field("version", GATE.version);
     doc.raw_field("corpus", &corpus.finish());
     doc.f64_field("baseline_seconds", k.baseline_seconds);
     doc.f64_field("batch_seconds", k.batch_seconds);
@@ -332,31 +340,15 @@ struct Committed {
 }
 
 fn validate_document(text: &str) -> Result<Committed, String> {
-    let doc = parse_json(text).ok_or("not valid JSON")?;
-    let fields = doc.as_obj().ok_or("top level is not an object")?;
-    let schema = field(fields, "schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing string field \"schema\"")?;
-    if schema != SCHEMA {
-        return Err(format!("schema is {schema:?}, expected {SCHEMA:?}"));
-    }
-    let version = field(fields, "version")
-        .and_then(JsonValue::as_u64)
-        .ok_or("missing integer field \"version\"")?;
-    if version != VERSION {
-        return Err(format!("schema version is {version}, expected {VERSION}"));
-    }
+    let fields = &GATE.header(text)?;
     field(fields, "corpus")
         .and_then(JsonValue::as_obj)
         .ok_or("missing object field \"corpus\"")?;
-    for required in ["baseline_seconds", "batch_seconds", "speedup"] {
-        if field(fields, required)
-            .and_then(JsonValue::as_f64)
-            .is_none()
-        {
-            return Err(format!("missing numeric field {required:?}"));
-        }
-    }
+    gate::require(
+        fields,
+        &[],
+        &["baseline_seconds", "batch_seconds", "speedup"],
+    )?;
     let speedup = field(fields, "speedup")
         .and_then(JsonValue::as_f64)
         .unwrap_or(0.0);
@@ -384,14 +376,11 @@ fn main() {
         println!("grid-digest: {:016x}", grid_digest());
         return;
     }
-    let (mode, path) = match args.as_slice() {
-        [mode, path] if mode == "--write" || mode == "--check" => (mode.as_str(), path.as_str()),
-        _ => {
-            eprintln!("usage: verify_kernel --write <path> | --check <path>");
-            std::process::exit(1);
-        }
-    };
-    println!("Verification kernel benchmark — schema {SCHEMA} v{VERSION}");
+    let (mode, path) = GATE.mode().expect("a mode is required");
+    println!(
+        "Verification kernel benchmark — schema {} v{}",
+        GATE.schema, GATE.version
+    );
     println!(
         "pinned corpus: {} reads × {} windows, read lens {:?}, δ={}",
         READS_PER_LEN * READ_LENS.len(),
@@ -423,7 +412,7 @@ fn main() {
     }
     println!("grid invariance OK: batch and scalar pipelines agree bit for bit");
 
-    if mode == "--write" {
+    if mode == Mode::Write {
         if k.speedup < MIN_COMMITTED_SPEEDUP {
             eprintln!(
                 "FAIL: measured speedup {:.2}× is below the {MIN_COMMITTED_SPEEDUP:.1}× \
@@ -432,34 +421,11 @@ fn main() {
             );
             std::process::exit(1);
         }
-        let text = render_document(&k, batch_digest);
-        if let Err(err) = validate_document(&text) {
-            eprintln!("BUG: freshly written document fails its own schema: {err}");
-            std::process::exit(1);
-        }
-        if let Err(err) = std::fs::write(path, &text) {
-            eprintln!("cannot write {path}: {err}");
-            std::process::exit(1);
-        }
-        println!("wrote baseline to {path}");
+        GATE.write(&path, &render_document(&k, batch_digest), validate_document);
         return;
     }
 
-    // --check
-    let committed = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("cannot read {path}: {err}");
-            std::process::exit(1);
-        }
-    };
-    let committed = match validate_document(&committed) {
-        Ok(c) => c,
-        Err(err) => {
-            eprintln!("FAIL: {path} violates the verify-kernel schema: {err}");
-            std::process::exit(1);
-        }
-    };
+    let committed = GATE.read(&path, validate_document);
     let mut failures = 0u32;
     if committed.speedup < MIN_COMMITTED_SPEEDUP {
         eprintln!(

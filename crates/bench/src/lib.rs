@@ -19,5 +19,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod harness;
 pub mod workload;

@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use repute_core::journal::Fnv64;
 use repute_core::{
-    map_resumable_traced, map_scheduled_with_faults_traced, write_atomic, ReputeConfig,
-    ReputeMapper, RunFingerprint, Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
+    write_atomic, Executor, MappingRun, ReputeConfig, ReputeMapper, RunFingerprint, Schedule,
+    ScheduleMode, DEFAULT_MAX_RETRIES,
 };
 use repute_genome::DnaSeq;
 
@@ -885,6 +885,108 @@ fn write_sam_output(path: Option<&str>, sam: &[u8]) -> Result<(), ReputeError> {
     }
 }
 
+/// A run's SAM, assembled in memory and committed in one atomic rename
+/// so an interrupted run never leaves a torn output file behind, with
+/// the counts `repute map` reports.
+struct SamAssembly<'a> {
+    set: &'a ReferenceSet,
+    names: Vec<&'a str>,
+    out: Vec<u8>,
+    reads_mapped: usize,
+    total_mappings: usize,
+    per_read: Vec<Vec<repute_mappers::Mapping>>,
+}
+
+impl<'a> SamAssembly<'a> {
+    /// Starts the SAM with the header of `set`'s records.
+    fn new(set: &'a ReferenceSet) -> Result<SamAssembly<'a>, ReputeError> {
+        let header: Vec<(&str, usize)> = set
+            .records()
+            .iter()
+            .map(|(n, l)| (n.as_str(), *l))
+            .collect();
+        let mut out: Vec<u8> = Vec::new();
+        sam::write_header_multi(&mut out, &header)?;
+        Ok(SamAssembly {
+            set,
+            names: header.iter().map(|(n, _)| *n).collect(),
+            out,
+            reads_mapped: 0,
+            total_mappings: 0,
+            per_read: Vec::new(),
+        })
+    }
+
+    /// Appends one read's record(s): `raw` mappings on the concatenated
+    /// index are resolved to the named records first; `first` carries
+    /// the CIGAR of the first of them under `--cigar`.
+    fn push(
+        &mut self,
+        id: &str,
+        seq: &DnaSeq,
+        raw: &[repute_mappers::Mapping],
+        first: Option<&repute_core::CigarMapping>,
+    ) -> Result<(), ReputeError> {
+        let resolved = self.set.resolve_mappings(seq.len(), raw);
+        if !resolved.is_empty() {
+            self.reads_mapped += 1;
+            self.total_mappings += resolved.len();
+        }
+        self.per_read.push(
+            resolved
+                .iter()
+                .map(|r| repute_mappers::Mapping {
+                    position: r.position,
+                    strand: r.strand,
+                    distance: r.distance,
+                })
+                .collect(),
+        );
+        let cigar = first.map(|d| &d.cigar);
+        sam::write_resolved_record(&mut self.out, &self.names, id, seq, &resolved, cigar)?;
+        Ok(())
+    }
+
+    /// Prints the mapping statistics; returns
+    /// `(reads_mapped, mappings_reported)`.
+    fn print_stats(&self) -> (usize, usize) {
+        let stats =
+            repute_eval::stats::MappingStats::collect(self.per_read.iter().map(|v| v.as_slice()));
+        eprint!("{stats}");
+        (self.reads_mapped, self.total_mappings)
+    }
+}
+
+/// Loads a FASTQ file whole: read ids and sequences, in file order.
+fn load_reads(path: &str) -> Result<(Vec<String>, Vec<DnaSeq>), ReputeError> {
+    let path = Path::new(path);
+    let file = File::open(path).map_err(|e| ReputeError::io_at(path, e))?;
+    let mut ids = Vec::new();
+    let mut reads = Vec::new();
+    for record in FastqReader::new(BufReader::new(file)) {
+        let record = record?;
+        ids.push(record.id);
+        reads.push(record.seq);
+    }
+    Ok((ids, reads))
+}
+
+/// Prints the §III-D style time/energy summary of a simulated run.
+fn print_simulated_summary(
+    platform: &repute_hetsim::Platform,
+    config: &ReputeConfig,
+    run: &MappingRun,
+) {
+    eprintln!(
+        "simulated on {} ({} schedule): {:.3} s | {:.1} W avg | {:.3} J above idle",
+        platform.name(),
+        config.schedule(),
+        run.simulated_seconds,
+        run.energy.average_power_w,
+        run.energy.energy_j
+    );
+}
+
 /// Runs `repute map`, writing SAM to the configured output.
 ///
 /// Returns `(reads_mapped, mappings_reported)`.
@@ -908,32 +1010,19 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
     timer.start("load");
     let set = load_reference_set(opts)?;
     timer.stop();
-    let names: Vec<&str> = set.records().iter().map(|(n, _)| n.as_str()).collect();
-    let header: Vec<(&str, usize)> = set
-        .records()
-        .iter()
-        .map(|(n, l)| (n.as_str(), *l))
-        .collect();
     let config = build_config(opts)?;
     let repute = ReputeMapper::new(Arc::clone(set.indexed()), config);
     let baseline = build_baseline(opts, &set);
 
     let reads_path = Path::new(&opts.reads);
     let reads_file = File::open(reads_path).map_err(|e| ReputeError::io_at(reads_path, e))?;
-    // SAM is assembled in memory and committed in one atomic rename so
-    // an interrupted run never leaves a torn output file behind.
-    let mut out: Vec<u8> = Vec::new();
-    sam::write_header_multi(&mut out, &header)?;
-
-    let mut reads_mapped = 0usize;
-    let mut total_mappings = 0usize;
-    let mut per_read_for_stats: Vec<Vec<repute_mappers::Mapping>> = Vec::new();
+    let mut sam = SamAssembly::new(&set)?;
     let mut per_read_metrics: Vec<MapMetrics> = Vec::new();
     timer.start("map");
     for record in FastqReader::new(BufReader::new(reads_file)) {
         let record = record?;
         let mut read_metrics = MapMetrics::new();
-        let (raw, cigar) = if opts.cigar {
+        let (raw, first) = if opts.cigar {
             // The CIGAR path only backfills the coarse counters
             // observable from its output (the traceback re-runs the
             // kernel internally, so full metering would double-count).
@@ -941,8 +1030,7 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
             read_metrics.candidates_merged += out.candidates;
             read_metrics.hits += out.mappings.len() as u64;
             let raw: Vec<_> = detailed.iter().map(|d| d.mapping).collect();
-            let cigar = detailed.into_iter().next().map(|d| d.cigar);
-            (raw, cigar)
+            (raw, detailed.into_iter().next())
         } else {
             let mappings = match &baseline {
                 Some(mapper) => {
@@ -971,35 +1059,11 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
             );
         }
         per_read_metrics.push(read_metrics);
-        let resolved = set.resolve_mappings(record.seq.len(), &raw);
-        if !resolved.is_empty() {
-            reads_mapped += 1;
-            total_mappings += resolved.len();
-        }
-        per_read_for_stats.push(
-            resolved
-                .iter()
-                .map(|r| repute_mappers::Mapping {
-                    position: r.position,
-                    strand: r.strand,
-                    distance: r.distance,
-                })
-                .collect(),
-        );
-        sam::write_resolved_record(
-            &mut out,
-            &names,
-            &record.id,
-            &record.seq,
-            &resolved,
-            cigar.as_ref(),
-        )?;
+        sam.push(&record.id, &record.seq, &raw, first.as_ref())?;
     }
-    write_sam_output(opts.output.as_deref(), &out)?;
+    write_sam_output(opts.output.as_deref(), &sam.out)?;
     timer.stop();
-    let stats =
-        repute_eval::stats::MappingStats::collect(per_read_for_stats.iter().map(|v| v.as_slice()));
-    eprint!("{stats}");
+    let counts = sam.print_stats();
 
     let sim = match &opts.platform {
         Some(platform_name) => {
@@ -1025,7 +1089,7 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
         )?;
         eprintln!("wrote telemetry to {path:?} (inspect with `repute stats`)");
     }
-    Ok((reads_mapped, total_mappings))
+    Ok(counts)
 }
 
 /// Resolves a `--platform` name to its simulated device profile.
@@ -1125,15 +1189,7 @@ fn run_map_checkpointed(opts: &MapOptions) -> Result<(usize, usize), ReputeError
     let mut timer = StageTimer::new();
     timer.start("load");
     let set = load_reference_set(opts)?;
-    let reads_path = Path::new(&opts.reads);
-    let reads_file = File::open(reads_path).map_err(|e| ReputeError::io_at(reads_path, e))?;
-    let mut ids: Vec<String> = Vec::new();
-    let mut reads: Vec<DnaSeq> = Vec::new();
-    for record in FastqReader::new(BufReader::new(reads_file)) {
-        let record = record?;
-        ids.push(record.id);
-        reads.push(record.seq);
-    }
+    let (ids, reads) = load_reads(&opts.reads)?;
     timer.stop();
 
     let config = build_config(opts)?;
@@ -1165,47 +1221,27 @@ fn run_map_checkpointed(opts: &MapOptions) -> Result<(usize, usize), ReputeError
     }
 
     timer.start("map");
-    let threads = config.host_threads();
-    let tracing = opts.trace_out.is_some();
-    let outcome = match baseline.as_deref() {
-        Some(mapper) => map_resumable_traced(
-            &mapper,
-            &platform,
-            &schedule,
-            threads,
-            &plan,
-            journal_path,
-            fingerprint,
-            opts.checkpoint_every,
-            tracing,
-            &reads,
-        )?,
-        None => map_resumable_traced(
-            &repute,
-            &platform,
-            &schedule,
-            threads,
-            &plan,
-            journal_path,
-            fingerprint,
-            opts.checkpoint_every,
-            tracing,
-            &reads,
-        )?,
+    let mapper: &dyn Mapper = baseline.as_deref().unwrap_or(&repute);
+    let executor = Executor {
+        host_threads: config.host_threads(),
+        faults: plan,
+        tracing: opts.trace_out.is_some(),
+        ..Executor::new(schedule)
     };
+    let outcome = executor.run_journaled(
+        &mapper,
+        &platform,
+        &reads,
+        journal_path,
+        fingerprint,
+        opts.checkpoint_every,
+    )?;
     timer.stop();
     if let Some(path) = &opts.trace_out {
         write_trace_file(path, &platform, &outcome.run.trace)?;
         eprintln!("wrote span trace to {path:?} (open in chrome://tracing, or `repute trace`)");
     }
-    eprintln!(
-        "simulated on {} ({} schedule): {:.3} s | {:.1} W avg | {:.3} J above idle",
-        platform.name(),
-        config.schedule(),
-        outcome.run.simulated_seconds,
-        outcome.run.energy.average_power_w,
-        outcome.run.energy.energy_j
-    );
+    print_simulated_summary(&platform, config, &outcome.run);
     if outcome.resumed_batches > 0 {
         eprintln!(
             "resumed from checkpoint: {}/{} batch(es) replayed from the journal",
@@ -1214,40 +1250,13 @@ fn run_map_checkpointed(opts: &MapOptions) -> Result<(usize, usize), ReputeError
     }
 
     // Assemble the SAM exactly as the streaming path would have: the
-    // resumable executor returns outputs in read order.
-    let names: Vec<&str> = set.records().iter().map(|(n, _)| n.as_str()).collect();
-    let header: Vec<(&str, usize)> = set
-        .records()
-        .iter()
-        .map(|(n, l)| (n.as_str(), *l))
-        .collect();
-    let mut out: Vec<u8> = Vec::new();
-    sam::write_header_multi(&mut out, &header)?;
-    let mut reads_mapped = 0usize;
-    let mut total_mappings = 0usize;
-    let mut per_read_for_stats: Vec<Vec<repute_mappers::Mapping>> = Vec::new();
+    // executor returns outputs in read order.
+    let mut sam = SamAssembly::new(&set)?;
     for ((id, seq), mapped) in ids.iter().zip(&reads).zip(&outcome.run.outputs) {
-        let resolved = set.resolve_mappings(seq.len(), &mapped.mappings);
-        if !resolved.is_empty() {
-            reads_mapped += 1;
-            total_mappings += resolved.len();
-        }
-        per_read_for_stats.push(
-            resolved
-                .iter()
-                .map(|r| repute_mappers::Mapping {
-                    position: r.position,
-                    strand: r.strand,
-                    distance: r.distance,
-                })
-                .collect(),
-        );
-        sam::write_resolved_record(&mut out, &names, id, seq, &resolved, None)?;
+        sam.push(id, seq, &mapped.mappings, None)?;
     }
-    write_sam_output(opts.output.as_deref(), &out)?;
-    let stats =
-        repute_eval::stats::MappingStats::collect(per_read_for_stats.iter().map(|v| v.as_slice()));
-    eprint!("{stats}");
+    write_sam_output(opts.output.as_deref(), &sam.out)?;
+    let counts = sam.print_stats();
 
     let mut report = outcome.run.report(&platform, &outcome.metrics);
     report.resumed_batches = outcome.resumed_batches as u64;
@@ -1264,7 +1273,7 @@ fn run_map_checkpointed(opts: &MapOptions) -> Result<(usize, usize), ReputeError
         )?;
         eprintln!("wrote telemetry to {path:?} (inspect with `repute stats`)");
     }
-    Ok((reads_mapped, total_mappings))
+    Ok(counts)
 }
 
 /// Re-runs the mapping through the heterogeneous platform simulator,
@@ -1278,57 +1287,28 @@ fn simulate_platform(
 ) -> Result<(RunReport, Vec<MapMetrics>), ReputeError> {
     let platform = platform_by_name(platform_name)?;
     // Reload the reads (the SAM pass consumed the reader).
-    let reads_path = Path::new(&opts.reads);
-    let reads_file = File::open(reads_path).map_err(|e| ReputeError::io_at(reads_path, e))?;
-    let mut reads = Vec::new();
-    for record in FastqReader::new(BufReader::new(reads_file)) {
-        reads.push(record?.seq);
-    }
+    let (_, reads) = load_reads(&opts.reads)?;
     // The schedule and host-thread cap travel in the mapper's config
     // (`--schedule` / `--host-threads`); output is identical across
     // schedules, only the simulated timeline differs. A `--fault-plan`
     // routes through the fault-aware executor: whenever at least one
     // device survives, the mapping output is still bit-identical.
     let config = repute.config();
-    let schedule = Schedule::for_config(config, &platform, reads.len());
-    let plan = parse_fault_plan(opts)?;
-    let threads = config.host_threads();
-    let tracing = opts.trace_out.is_some();
-    let (run, metrics) = match baseline {
-        Some(mapper) => map_scheduled_with_faults_traced(
-            &mapper,
-            &platform,
-            &schedule,
-            threads,
-            &plan,
-            config.max_retries(),
-            tracing,
-            &reads,
-        )?,
-        None => map_scheduled_with_faults_traced(
-            repute,
-            &platform,
-            &schedule,
-            threads,
-            &plan,
-            config.max_retries(),
-            tracing,
-            &reads,
-        )?,
+    let mapper: &dyn Mapper = baseline.unwrap_or(repute);
+    let executor = Executor {
+        host_threads: config.host_threads(),
+        faults: parse_fault_plan(opts)?,
+        max_retries: config.max_retries(),
+        tracing: opts.trace_out.is_some(),
+        ..Executor::new(Schedule::for_config(config, &platform, reads.len()))
     };
+    let (run, metrics) = executor.run(&mapper, &platform, &reads)?;
     if let Some(path) = &opts.trace_out {
         write_trace_file(path, &platform, &run.trace)?;
         eprintln!("wrote span trace to {path:?} (open in chrome://tracing, or `repute trace`)");
     }
-    eprintln!(
-        "simulated on {} ({} schedule): {:.3} s | {:.1} W avg | {:.3} J above idle",
-        platform.name(),
-        config.schedule(),
-        run.simulated_seconds,
-        run.energy.average_power_w,
-        run.energy.energy_j
-    );
-    if !plan.is_empty() {
+    print_simulated_summary(&platform, config, &run);
+    if !executor.faults.is_empty() {
         let faults: u64 = run.fault_counters.iter().map(|c| c.faults).sum();
         let retries: u64 = run.fault_counters.iter().map(|c| c.retries).sum();
         let migrated: u64 = run.fault_counters.iter().map(|c| c.migrated_batches).sum();
@@ -3675,6 +3655,61 @@ mod tests {
         assert_eq!(err.exit_code(), 6, "{err}");
         assert!(matches!(err, ReputeError::ResumeMismatch(_)));
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One read's output (40 M locations × 12 bytes) exceeds the GTX
+    /// 590's quarter-RAM cap: a configuration error under every way of
+    /// simulating, where the static planner used to panic.
+    #[test]
+    fn a_read_too_big_for_a_device_exits_with_a_configuration_error() {
+        let dir = std::env::temp_dir().join("repute-cli-too-big-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let dir_s = dir.to_string_lossy().into_owned();
+        run_simulate(&SimulateOptions {
+            out_dir: dir_s.clone(),
+            length: 30_000,
+            reads: 6,
+            read_len: 100,
+            seed: 41,
+            profile: "err012100".into(),
+        })
+        .unwrap();
+        for (i, extra) in [
+            "",
+            "--schedule dynamic",
+            "--fault-plan transient:d0@0",
+            "--schedule dynamic --fault-plan loss:d1@0",
+            "--checkpoint CKPT",
+            "--checkpoint CKPT --schedule dynamic",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let checkpointed = extra.contains("--checkpoint");
+            let extra = extra.replace("CKPT", &format!("{dir_s}/ckpt.rpj"));
+            let opts = parse_map_args(
+                format!(
+                    "--reference {dir_s}/reference.fa --reads {dir_s}/reads.fq \
+                     --platform system1 --max-locations 40000000 \
+                     --output {dir_s}/out{i}.sam {extra}"
+                )
+                .split_whitespace()
+                .map(String::from),
+            )
+            .unwrap();
+            let err = run_map(&opts).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{extra:?}: {err}");
+            assert!(
+                err.to_string().contains("invalid launch distribution"),
+                "{extra:?}: {err}"
+            );
+            if checkpointed {
+                // Planning fails before anything is written.
+                assert!(!dir.join(format!("out{i}.sam")).exists(), "{extra:?}");
+                assert!(!dir.join("ckpt.rpj").exists(), "{extra:?}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

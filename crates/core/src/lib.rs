@@ -14,11 +14,13 @@
 //!    bit-vector kernel of [`repute_align`], reporting the *first-n*
 //!    locations per read (the OpenCL 1.2 fixed-output restriction, §III).
 //!
-//! The [`multi_device`] module launches the mapping kernel task-parallel
-//! across the devices of a simulated platform
-//! ([`repute_hetsim::Platform`]), with the workload distribution under
-//! user control — the experiment behind the paper's Fig. 3 — and batches
-//! chunked so no device buffer exceeds a quarter of device RAM.
+//! An [`Executor`] launches the mapping kernel task-parallel across the
+//! devices of a simulated platform ([`repute_hetsim::Platform`]), with
+//! the workload distribution under user control — the experiment behind
+//! the paper's Fig. 3 — and batches chunked so no device buffer exceeds a
+//! quarter of device RAM. The same executor injects device faults and,
+//! through [`Executor::run_journaled`], survives host crashes; see the
+//! [`executor`] module for its three stages.
 //!
 //! # Example
 //!
@@ -46,20 +48,19 @@
 
 mod config;
 mod error;
+pub mod executor;
 pub mod journal;
 mod mapper;
-pub mod multi_device;
+mod mapping_run;
 mod paired;
-mod resumable;
 
 pub use config::{ReputeConfig, ScheduleMode, DEFAULT_MAX_RETRIES};
 pub use error::ReputeError;
+pub use executor::{
+    balanced_shares, map_on_platform_with_metrics, Executor, ResumableRun, Schedule,
+    AUTO_HOST_THREADS,
+};
 pub use journal::{write_atomic, RunFingerprint, RunJournal};
 pub use mapper::{CigarMapping, ReputeMapper};
-pub use multi_device::{
-    balanced_shares, map_on_platform, map_on_platform_with_metrics, map_scheduled,
-    map_scheduled_on_subset_traced, map_scheduled_traced, map_scheduled_with_faults,
-    map_scheduled_with_faults_traced, BatchPlan, MappingRun, Schedule, AUTO_HOST_THREADS,
-};
+pub use mapping_run::MappingRun;
 pub use paired::{PairMapping, PairOutcome, PairedMapper};
-pub use resumable::{map_resumable, map_resumable_traced, ResumableRun};

@@ -10,13 +10,22 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use repute_core::{map_scheduled, map_scheduled_with_faults, ReputeConfig, ReputeMapper, Schedule};
+use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule};
 use repute_genome::reads::ReadSimulator;
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::DnaSeq;
 use repute_hetsim::{profiles, FaultPlan, Platform};
 
 const DEVICES: usize = 4;
+
+/// The executor under test: `schedule` on `host_threads` host threads,
+/// everything else at its default.
+fn executor(schedule: &Schedule, host_threads: usize) -> Executor {
+    Executor {
+        host_threads,
+        ..Executor::new(schedule.clone())
+    }
+}
 
 fn setup() -> (ReputeMapper, Vec<DnaSeq>, Platform) {
     let reference = ReferenceBuilder::new(40_000).seed(401).build();
@@ -63,20 +72,16 @@ proptest! {
             Schedule::Static(platform.even_shares(reads.len()))
         };
         let (baseline, baseline_metrics) =
-            map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
+            executor(&schedule, 1).run(&mapper, &platform, &reads).unwrap();
         let plan = FaultPlan::random(seed, DEVICES, horizon);
         let mut runs = Vec::new();
         for host_threads in [1usize, 4] {
-            let (run, metrics) = map_scheduled_with_faults(
-                &mapper,
-                &platform,
-                &schedule,
-                host_threads,
-                &plan,
+            let faulted = Executor {
+                faults: plan.clone(),
                 max_retries,
-                &reads,
-            )
-            .unwrap();
+                ..executor(&schedule, host_threads)
+            };
+            let (run, metrics) = faulted.run(&mapper, &platform, &reads).unwrap();
             prop_assert_eq!(run.outputs.len(), baseline.outputs.len());
             for (a, b) in run.outputs.iter().zip(&baseline.outputs) {
                 prop_assert_eq!(&a.mappings, &b.mappings);

@@ -2,7 +2,7 @@
 //! retry semantics, and the typed all-devices-dead partial failure.
 //!
 //! The executor's contract: whenever at least one device survives a
-//! [`FaultPlan`], `map_scheduled_with_faults` returns output hits and
+//! [`FaultPlan`], `Executor::run` returns output hits and
 //! per-read metrics bit-identical to the fault-free run of the same
 //! schedule — faults may change simulated time, timelines and energy,
 //! never mapping results. This suite is always-on and seeded with the
@@ -11,10 +11,7 @@
 
 use std::sync::Arc;
 
-use repute_core::{
-    map_scheduled, map_scheduled_with_faults, ReputeConfig, ReputeMapper, Schedule,
-    AUTO_HOST_THREADS,
-};
+use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule, AUTO_HOST_THREADS};
 use repute_genome::reads::ReadSimulator;
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::DnaSeq;
@@ -33,6 +30,15 @@ fn setup() -> (ReputeMapper, Vec<DnaSeq>) {
     let indexed = Arc::new(repute_mappers::IndexedReference::build(reference));
     let mapper = ReputeMapper::new(indexed, ReputeConfig::new(3, 15).unwrap());
     (mapper, reads)
+}
+
+/// The executor under test: `schedule` on `host_threads` host threads,
+/// everything else at its default.
+fn executor(schedule: &Schedule, host_threads: usize) -> Executor {
+    Executor {
+        host_threads,
+        ..Executor::new(schedule.clone())
+    }
 }
 
 /// Four identical CPUs: any device can absorb any batch, so failover
@@ -79,22 +85,20 @@ fn random_fault_plans_preserve_output_with_a_survivor() {
     let (mapper, reads) = setup();
     let platform = quad_platform();
     for schedule in schedules(&platform, reads.len()) {
-        let (baseline, baseline_metrics) =
-            map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
+        let (baseline, baseline_metrics) = executor(&schedule, 1)
+            .run(&mapper, &platform, &reads)
+            .unwrap();
         for seed in 0..12u64 {
             // Horizon around the fault-free makespan so faults actually
             // land mid-run rather than all before or after it.
             let plan = FaultPlan::random(seed, 4, baseline.simulated_seconds.max(1e-6));
             for host_threads in [1usize, 4] {
-                let (run, metrics) = map_scheduled_with_faults(
-                    &mapper,
-                    &platform,
-                    &schedule,
-                    host_threads,
-                    &plan,
-                    2,
-                    &reads,
-                )
+                let (run, metrics) = Executor {
+                    faults: plan.clone(),
+                    max_retries: 2,
+                    ..executor(&schedule, host_threads)
+                }
+                .run(&mapper, &platform, &reads)
                 .unwrap_or_else(|e| {
                     panic!("seed {seed} threads {host_threads}: {e} (plan {plan:?})")
                 });
@@ -142,13 +146,19 @@ fn single_device_loss_migrates_batches_and_preserves_output() {
         vec![tiny("t0"), tiny("t1"), tiny("t2"), tiny("t3")],
     );
     let schedule = Schedule::Static(platform.even_shares(reads.len()));
-    let (baseline, baseline_metrics) =
-        map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
+    let (baseline, baseline_metrics) = executor(&schedule, 1)
+        .run(&mapper, &platform, &reads)
+        .unwrap();
     // Kill device 2 just after its first batch starts: the in-flight
     // launch completes, everything after it fails over.
     let plan = FaultPlan::new().loss(2, 1e-9);
-    let (run, metrics) =
-        map_scheduled_with_faults(&mapper, &platform, &schedule, 1, &plan, 2, &reads).unwrap();
+    let (run, metrics) = Executor {
+        faults: plan.clone(),
+        max_retries: 2,
+        ..executor(&schedule, 1)
+    }
+    .run(&mapper, &platform, &reads)
+    .unwrap();
     assert_same_outputs(
         &run.outputs,
         &baseline.outputs,
@@ -191,11 +201,17 @@ fn transient_faults_retry_without_changing_output() {
     let (mapper, reads) = setup();
     let platform = quad_platform();
     for schedule in schedules(&platform, reads.len()) {
-        let (baseline, baseline_metrics) =
-            map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
+        let (baseline, baseline_metrics) = executor(&schedule, 1)
+            .run(&mapper, &platform, &reads)
+            .unwrap();
         let plan = FaultPlan::parse("transient:d0@0,transient:d1@0x2,transient:d3@0").unwrap();
-        let (run, metrics) =
-            map_scheduled_with_faults(&mapper, &platform, &schedule, 1, &plan, 3, &reads).unwrap();
+        let (run, metrics) = Executor {
+            faults: plan.clone(),
+            max_retries: 3,
+            ..executor(&schedule, 1)
+        }
+        .run(&mapper, &platform, &reads)
+        .unwrap();
         assert_same_outputs(
             &run.outputs,
             &baseline.outputs,
@@ -231,11 +247,17 @@ fn zero_retry_budget_escalates_to_failover() {
     let (mapper, reads) = setup();
     let platform = quad_platform();
     let schedule = Schedule::Static(platform.even_shares(reads.len()));
-    let (baseline, baseline_metrics) =
-        map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
+    let (baseline, baseline_metrics) = executor(&schedule, 1)
+        .run(&mapper, &platform, &reads)
+        .unwrap();
     let plan = FaultPlan::new().transient(1, 0.0);
-    let (run, metrics) =
-        map_scheduled_with_faults(&mapper, &platform, &schedule, 1, &plan, 0, &reads).unwrap();
+    let (run, metrics) = Executor {
+        faults: plan.clone(),
+        max_retries: 0,
+        ..executor(&schedule, 1)
+    }
+    .run(&mapper, &platform, &reads)
+    .unwrap();
     assert_same_outputs(
         &run.outputs,
         &baseline.outputs,
@@ -267,8 +289,13 @@ fn all_devices_lost_returns_typed_partial_failure() {
         .loss(2, 0.0)
         .loss(3, 0.0);
     for schedule in schedules(&platform, reads.len()) {
-        let err = map_scheduled_with_faults(&mapper, &platform, &schedule, 1, &plan, 2, &reads)
-            .expect_err("no device survives");
+        let err = Executor {
+            faults: plan.clone(),
+            max_retries: 2,
+            ..executor(&schedule, 1)
+        }
+        .run(&mapper, &platform, &reads)
+        .expect_err("no device survives");
         let range = err
             .unmapped_range()
             .unwrap_or_else(|| panic!("expected AllDevicesLost, got {:?}", err.kind()));
@@ -284,33 +311,36 @@ fn sole_device_loss_names_the_tail_range() {
     let (mapper, reads) = setup();
     let solo = Platform::new("solo", 1.0, vec![profiles::intel_i7_2600()]);
     let schedule = Schedule::Dynamic { batch: 4 };
-    let (baseline, _) = map_scheduled(&mapper, &solo, &schedule, 1, &reads).unwrap();
+    let (baseline, _) = executor(&schedule, 1).run(&mapper, &solo, &reads).unwrap();
     let plan = FaultPlan::new().loss(0, baseline.simulated_seconds / 2.0);
-    let err = map_scheduled_with_faults(&mapper, &solo, &schedule, 1, &plan, 2, &reads)
-        .expect_err("the only device dies");
+    let err = Executor {
+        faults: plan.clone(),
+        max_retries: 2,
+        ..executor(&schedule, 1)
+    }
+    .run(&mapper, &solo, &reads)
+    .expect_err("the only device dies");
     let range = err.unmapped_range().expect("typed partial failure");
     assert!(range.start > 0, "early batches completed before the loss");
     assert_eq!(range.end, reads.len());
 }
 
-/// An empty plan is the identity: bit-identical to `map_scheduled`,
+/// An empty plan is the identity: bit-identical to the default executor,
 /// including simulated time and zeroed counters.
 #[test]
 fn empty_plan_is_identity() {
     let (mapper, reads) = setup();
     let platform = quad_platform();
     for schedule in schedules(&platform, reads.len()) {
-        let (a, am) = map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
-        let (b, bm) = map_scheduled_with_faults(
-            &mapper,
-            &platform,
-            &schedule,
-            1,
-            &FaultPlan::new(),
-            2,
-            &reads,
-        )
-        .unwrap();
+        let (a, am) = executor(&schedule, 1)
+            .run(&mapper, &platform, &reads)
+            .unwrap();
+        let explicit = Executor {
+            faults: FaultPlan::new(),
+            max_retries: 2,
+            ..executor(&schedule, 1)
+        };
+        let (b, bm) = explicit.run(&mapper, &platform, &reads).unwrap();
         assert_same_outputs(&b.outputs, &a.outputs, &bm, &am, "identity");
         assert_eq!(b.simulated_seconds, a.simulated_seconds);
         assert_eq!(b.timelines, a.timelines);
@@ -325,11 +355,17 @@ fn degradation_changes_time_not_output() {
     let (mapper, reads) = setup();
     let platform = quad_platform();
     let schedule = Schedule::Dynamic { batch: 3 };
-    let (baseline, baseline_metrics) =
-        map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
+    let (baseline, baseline_metrics) = executor(&schedule, 1)
+        .run(&mapper, &platform, &reads)
+        .unwrap();
     let plan = FaultPlan::new().degrade(0, 0.0, 0.25);
-    let (run, metrics) =
-        map_scheduled_with_faults(&mapper, &platform, &schedule, 1, &plan, 2, &reads).unwrap();
+    let (run, metrics) = Executor {
+        faults: plan.clone(),
+        max_retries: 2,
+        ..executor(&schedule, 1)
+    }
+    .run(&mapper, &platform, &reads)
+    .unwrap();
     assert_same_outputs(
         &run.outputs,
         &baseline.outputs,
@@ -355,15 +391,12 @@ fn plan_with_unknown_device_is_rejected() {
     let (mapper, reads) = setup();
     let platform = quad_platform();
     let plan = FaultPlan::new().loss(9, 0.0);
-    let err = map_scheduled_with_faults(
-        &mapper,
-        &platform,
-        &Schedule::Dynamic { batch: 0 },
-        1,
-        &plan,
-        2,
-        &reads,
-    )
+    let err = Executor {
+        faults: plan.clone(),
+        max_retries: 2,
+        ..executor(&Schedule::Dynamic { batch: 0 }, 1)
+    }
+    .run(&mapper, &platform, &reads)
     .expect_err("device 9 does not exist");
     assert_eq!(err.kind(), &LaunchErrorKind::InvalidDistribution);
     assert!(err.to_string().contains("device 9"), "{err}");
@@ -378,18 +411,20 @@ fn faulted_replay_is_deterministic_across_host_threads() {
     for schedule in schedules(&platform, reads.len()) {
         let plan = FaultPlan::random(7, 4, 0.5);
         assert!(!plan.events().is_empty(), "seed 7 must produce a plan");
-        let (a, _) =
-            map_scheduled_with_faults(&mapper, &platform, &schedule, 1, &plan, 2, &reads).unwrap();
+        let (a, _) = Executor {
+            faults: plan.clone(),
+            max_retries: 2,
+            ..executor(&schedule, 1)
+        }
+        .run(&mapper, &platform, &reads)
+        .unwrap();
         for host_threads in [4usize, AUTO_HOST_THREADS] {
-            let (b, _) = map_scheduled_with_faults(
-                &mapper,
-                &platform,
-                &schedule,
-                host_threads,
-                &plan,
-                2,
-                &reads,
-            )
+            let (b, _) = Executor {
+                faults: plan.clone(),
+                max_retries: 2,
+                ..executor(&schedule, host_threads)
+            }
+            .run(&mapper, &platform, &reads)
             .unwrap();
             assert_eq!(a.simulated_seconds, b.simulated_seconds);
             assert_eq!(a.timelines, b.timelines);

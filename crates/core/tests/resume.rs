@@ -1,7 +1,7 @@
 //! Checkpoint/resume: the crash-safe executor's contract.
 //!
-//! `map_resumable` must produce outputs, per-read metrics, timelines and
-//! simulated time **bit-identical** to `map_scheduled` — on a fresh run,
+//! `Executor::run_journaled` must produce outputs, per-read metrics,
+//! timelines and simulated time **bit-identical** to `Executor::run` — on a fresh run,
 //! and after any number of simulated host crashes — while corrupted or
 //! mismatched journals surface as typed [`ReputeError`] variants, never
 //! panics. The process-kill variant (real `SIGKILL` against the CLI)
@@ -13,10 +13,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use repute_core::journal::{self, RunFingerprint};
-use repute_core::{
-    map_resumable, map_scheduled, ReputeConfig, ReputeError, ReputeMapper, Schedule,
-    AUTO_HOST_THREADS,
-};
+use repute_core::{Executor, ReputeConfig, ReputeError, ReputeMapper, Schedule, AUTO_HOST_THREADS};
 use repute_genome::reads::ReadSimulator;
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::DnaSeq;
@@ -34,6 +31,15 @@ fn setup() -> (ReputeMapper, Vec<DnaSeq>) {
     let indexed = Arc::new(repute_mappers::IndexedReference::build(reference));
     let mapper = ReputeMapper::new(indexed, ReputeConfig::new(3, 15).unwrap());
     (mapper, reads)
+}
+
+/// The executor under test: `schedule` on `host_threads` host threads,
+/// everything else at its default.
+fn executor(schedule: &Schedule, host_threads: usize) -> Executor {
+    Executor {
+        host_threads,
+        ..Executor::new(schedule.clone())
+    }
 }
 
 fn quad_platform() -> Platform {
@@ -77,28 +83,20 @@ fn fp() -> RunFingerprint {
     RunFingerprint::new(0x1234, 0x5678)
 }
 
-/// A fresh journaled run is bit-identical to `map_scheduled` (wall clock
+/// A fresh journaled run is bit-identical to the plain run (wall clock
 /// aside) on both schedules, and leaves a complete manifest behind.
 #[test]
-fn fresh_run_matches_map_scheduled() {
+fn fresh_run_matches_the_plain_run() {
     let (mapper, reads) = setup();
     let platform = quad_platform();
     for (idx, schedule) in schedules(&platform, reads.len()).into_iter().enumerate() {
-        let (baseline, baseline_metrics) =
-            map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
+        let (baseline, baseline_metrics) = executor(&schedule, 1)
+            .run(&mapper, &platform, &reads)
+            .unwrap();
         let path = journal_path(&format!("fresh-{idx}"));
-        let outcome = map_resumable(
-            &mapper,
-            &platform,
-            &schedule,
-            1,
-            &FaultPlan::new(),
-            &path,
-            fp(),
-            1,
-            &reads,
-        )
-        .unwrap();
+        let outcome = executor(&schedule, 1)
+            .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+            .unwrap();
         assert_eq!(outcome.resumed_batches, 0);
         assert!(outcome.total_batches > 0);
         assert_eq!(outcome.run.outputs, baseline.outputs);
@@ -120,24 +118,19 @@ fn crash_then_resume_is_bit_identical() {
     let (mapper, reads) = setup();
     let platform = quad_platform();
     for (idx, schedule) in schedules(&platform, reads.len()).into_iter().enumerate() {
-        let (baseline, baseline_metrics) =
-            map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
+        let (baseline, baseline_metrics) = executor(&schedule, 1)
+            .run(&mapper, &platform, &reads)
+            .unwrap();
         let makespan = baseline.simulated_seconds;
         assert!(makespan > 0.0);
         for (k, frac) in [0.1, 0.3, 0.5, 0.7, 0.9].into_iter().enumerate() {
             let path = journal_path(&format!("crash-{idx}-{k}"));
             let crash_plan = FaultPlan::new().host_crash(makespan * frac);
-            let err = map_resumable(
-                &mapper,
-                &platform,
-                &schedule,
-                1,
-                &crash_plan,
-                &path,
-                fp(),
-                1,
-                &reads,
-            )
+            let err = Executor {
+                faults: crash_plan.clone(),
+                ..executor(&schedule, 1)
+            }
+            .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
             .expect_err("the crash must interrupt the run");
             let ReputeError::Interrupted {
                 committed, total, ..
@@ -149,18 +142,9 @@ fn crash_then_resume_is_bit_identical() {
             assert_eq!(err.exit_code(), 8);
 
             // Resume without the crash event: completes bit-identically.
-            let outcome = map_resumable(
-                &mapper,
-                &platform,
-                &schedule,
-                AUTO_HOST_THREADS,
-                &FaultPlan::new(),
-                &path,
-                fp(),
-                1,
-                &reads,
-            )
-            .unwrap();
+            let outcome = executor(&schedule, AUTO_HOST_THREADS)
+                .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+                .unwrap();
             assert_eq!(outcome.resumed_batches, *committed);
             assert_eq!(outcome.total_batches, *total);
             assert_eq!(outcome.run.outputs, baseline.outputs, "frac {frac}");
@@ -180,22 +164,18 @@ fn repeated_crashes_make_monotone_progress() {
     let (mapper, reads) = setup();
     let platform = quad_platform();
     let schedule = Schedule::Dynamic { batch: 4 };
-    let (baseline, _) = map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
+    let (baseline, _) = executor(&schedule, 1)
+        .run(&mapper, &platform, &reads)
+        .unwrap();
     let path = journal_path("repeated");
     let mut last_committed = 0usize;
     for frac in [0.2, 0.5, 0.8] {
         let plan = FaultPlan::new().host_crash(baseline.simulated_seconds * frac);
-        let err = map_resumable(
-            &mapper,
-            &platform,
-            &schedule,
-            1,
-            &plan,
-            &path,
-            fp(),
-            1,
-            &reads,
-        )
+        let err = Executor {
+            faults: plan.clone(),
+            ..executor(&schedule, 1)
+        }
+        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
         .expect_err("crash");
         let ReputeError::Interrupted { committed, .. } = err else {
             panic!("expected Interrupted");
@@ -207,18 +187,9 @@ fn repeated_crashes_make_monotone_progress() {
         last_committed = committed;
     }
     assert!(last_committed > 0, "late crashes must have journaled work");
-    let outcome = map_resumable(
-        &mapper,
-        &platform,
-        &schedule,
-        1,
-        &FaultPlan::new(),
-        &path,
-        fp(),
-        1,
-        &reads,
-    )
-    .unwrap();
+    let outcome = executor(&schedule, 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .unwrap();
     assert_eq!(outcome.resumed_batches, last_committed);
     assert_eq!(outcome.run.outputs, baseline.outputs);
     cleanup(&path);
@@ -232,33 +203,20 @@ fn work_identity_holds_on_resumed_runs() {
     let (mapper, reads) = setup();
     let platform = quad_platform();
     let schedule = Schedule::Dynamic { batch: 4 };
-    let (baseline, _) = map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
+    let (baseline, _) = executor(&schedule, 1)
+        .run(&mapper, &platform, &reads)
+        .unwrap();
     let path = journal_path("identity");
     let plan = FaultPlan::new().host_crash(baseline.simulated_seconds * 0.5);
-    let _ = map_resumable(
-        &mapper,
-        &platform,
-        &schedule,
-        1,
-        &plan,
-        &path,
-        fp(),
-        1,
-        &reads,
-    )
+    let _ = Executor {
+        faults: plan.clone(),
+        ..executor(&schedule, 1)
+    }
+    .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
     .expect_err("crash");
-    let outcome = map_resumable(
-        &mapper,
-        &platform,
-        &schedule,
-        1,
-        &FaultPlan::new(),
-        &path,
-        fp(),
-        1,
-        &reads,
-    )
-    .unwrap();
+    let outcome = executor(&schedule, 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .unwrap();
     assert!(outcome.resumed_batches > 0, "something must replay");
     for (i, (out, m)) in outcome.run.outputs.iter().zip(&outcome.metrics).enumerate() {
         assert_eq!(
@@ -278,34 +236,16 @@ fn mismatched_fingerprint_is_refused() {
     let platform = quad_platform();
     let schedule = Schedule::Dynamic { batch: 4 };
     let path = journal_path("mismatch");
-    map_resumable(
-        &mapper,
-        &platform,
-        &schedule,
-        1,
-        &FaultPlan::new(),
-        &path,
-        fp(),
-        1,
-        &reads,
-    )
-    .unwrap();
+    executor(&schedule, 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .unwrap();
     for other in [
         RunFingerprint::new(0x9999, 0x5678), // different config
         RunFingerprint::new(0x1234, 0x9999), // different workload
     ] {
-        let err = map_resumable(
-            &mapper,
-            &platform,
-            &schedule,
-            1,
-            &FaultPlan::new(),
-            &path,
-            other,
-            1,
-            &reads,
-        )
-        .expect_err("the journal belongs to a different run");
+        let err = executor(&schedule, 1)
+            .run_journaled(&mapper, &platform, &reads, &path, other, 1)
+            .expect_err("the journal belongs to a different run");
         assert!(
             matches!(err, ReputeError::ResumeMismatch(_)),
             "expected ResumeMismatch, got {err:?}"
@@ -313,18 +253,9 @@ fn mismatched_fingerprint_is_refused() {
         assert_eq!(err.exit_code(), 6);
     }
     // A schedule change shifts the shape hash — also a mismatch.
-    let err = map_resumable(
-        &mapper,
-        &platform,
-        &Schedule::Dynamic { batch: 7 },
-        1,
-        &FaultPlan::new(),
-        &path,
-        fp(),
-        1,
-        &reads,
-    )
-    .expect_err("different batch decomposition");
+    let err = executor(&Schedule::Dynamic { batch: 7 }, 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .expect_err("different batch decomposition");
     assert!(matches!(err, ReputeError::ResumeMismatch(_)), "{err:?}");
     cleanup(&path);
 }
@@ -337,34 +268,16 @@ fn corruption_below_watermark_is_refused() {
     let platform = quad_platform();
     let schedule = Schedule::Dynamic { batch: 4 };
     let path = journal_path("corrupt");
-    map_resumable(
-        &mapper,
-        &platform,
-        &schedule,
-        1,
-        &FaultPlan::new(),
-        &path,
-        fp(),
-        1,
-        &reads,
-    )
-    .unwrap();
+    executor(&schedule, 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .unwrap();
     let mut bytes = fs::read(&path).unwrap();
     let flip_at = journal::JOURNAL_HEADER_LEN + 10;
     bytes[flip_at] ^= 0x40;
     fs::write(&path, &bytes).unwrap();
-    let err = map_resumable(
-        &mapper,
-        &platform,
-        &schedule,
-        1,
-        &FaultPlan::new(),
-        &path,
-        fp(),
-        1,
-        &reads,
-    )
-    .expect_err("a durable record was corrupted");
+    let err = executor(&schedule, 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .expect_err("a durable record was corrupted");
     assert!(
         matches!(err, ReputeError::JournalCorrupt(_)),
         "expected JournalCorrupt, got {err:?}"
@@ -380,38 +293,24 @@ fn torn_tail_is_truncated_and_resume_completes() {
     let (mapper, reads) = setup();
     let platform = quad_platform();
     let schedule = Schedule::Dynamic { batch: 4 };
-    let (baseline, baseline_metrics) =
-        map_scheduled(&mapper, &platform, &schedule, 1, &reads).unwrap();
+    let (baseline, baseline_metrics) = executor(&schedule, 1)
+        .run(&mapper, &platform, &reads)
+        .unwrap();
     let path = journal_path("torn");
     let plan = FaultPlan::new().host_crash(baseline.simulated_seconds * 0.5);
-    let _ = map_resumable(
-        &mapper,
-        &platform,
-        &schedule,
-        1,
-        &plan,
-        &path,
-        fp(),
-        1,
-        &reads,
-    )
+    let _ = Executor {
+        faults: plan.clone(),
+        ..executor(&schedule, 1)
+    }
+    .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
     .expect_err("crash");
     // Simulate dying mid-append: garbage half-frame at the tail.
     let mut f = OpenOptions::new().append(true).open(&path).unwrap();
     f.write_all(&[0x55; 23]).unwrap();
     drop(f);
-    let outcome = map_resumable(
-        &mapper,
-        &platform,
-        &schedule,
-        1,
-        &FaultPlan::new(),
-        &path,
-        fp(),
-        1,
-        &reads,
-    )
-    .unwrap();
+    let outcome = executor(&schedule, 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .unwrap();
     assert_eq!(outcome.run.outputs, baseline.outputs);
     assert_eq!(outcome.metrics, baseline_metrics);
     cleanup(&path);
@@ -425,17 +324,11 @@ fn device_faults_are_rejected_in_checkpointed_runs() {
     let platform = quad_platform();
     let path = journal_path("devfault");
     let plan = FaultPlan::new().loss(1, 0.5);
-    let err = map_resumable(
-        &mapper,
-        &platform,
-        &Schedule::Dynamic { batch: 4 },
-        1,
-        &plan,
-        &path,
-        fp(),
-        1,
-        &reads,
-    )
+    let err = Executor {
+        faults: plan.clone(),
+        ..executor(&Schedule::Dynamic { batch: 4 }, 1)
+    }
+    .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
     .expect_err("device faults are not resumable");
     assert!(matches!(err, ReputeError::Config(_)), "{err:?}");
     assert_eq!(err.exit_code(), 2);
@@ -451,30 +344,12 @@ fn completed_journal_resume_is_idempotent() {
     let platform = quad_platform();
     let schedule = Schedule::Dynamic { batch: 4 };
     let path = journal_path("idempotent");
-    let first = map_resumable(
-        &mapper,
-        &platform,
-        &schedule,
-        1,
-        &FaultPlan::new(),
-        &path,
-        fp(),
-        1,
-        &reads,
-    )
-    .unwrap();
-    let second = map_resumable(
-        &mapper,
-        &platform,
-        &schedule,
-        1,
-        &FaultPlan::new(),
-        &path,
-        fp(),
-        1,
-        &reads,
-    )
-    .unwrap();
+    let first = executor(&schedule, 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .unwrap();
+    let second = executor(&schedule, 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .unwrap();
     assert_eq!(second.resumed_batches, second.total_batches);
     assert_eq!(second.run.outputs, first.run.outputs);
     assert_eq!(second.metrics, first.metrics);
@@ -489,18 +364,9 @@ fn empty_read_set_completes_with_empty_journal() {
     let (mapper, _) = setup();
     let platform = quad_platform();
     let path = journal_path("empty");
-    let outcome = map_resumable(
-        &mapper,
-        &platform,
-        &Schedule::Dynamic { batch: 4 },
-        1,
-        &FaultPlan::new(),
-        &path,
-        fp(),
-        1,
-        &[],
-    )
-    .unwrap();
+    let outcome = executor(&Schedule::Dynamic { batch: 4 }, 1)
+        .run_journaled(&mapper, &platform, &[], &path, fp(), 1)
+        .unwrap();
     assert_eq!(outcome.total_batches, 0);
     assert!(outcome.run.outputs.is_empty());
     let manifest = fs::read_to_string(journal::manifest_path(&path)).unwrap();

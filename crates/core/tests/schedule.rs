@@ -8,8 +8,7 @@
 use std::sync::Arc;
 
 use repute_core::{
-    map_on_platform_with_metrics, map_scheduled, ReputeConfig, ReputeMapper, Schedule,
-    AUTO_HOST_THREADS,
+    map_on_platform_with_metrics, Executor, ReputeConfig, ReputeMapper, Schedule, AUTO_HOST_THREADS,
 };
 use repute_genome::reads::ReadSimulator;
 use repute_genome::synth::ReferenceBuilder;
@@ -28,6 +27,15 @@ fn setup() -> (ReputeMapper, Vec<DnaSeq>) {
     let indexed = Arc::new(repute_mappers::IndexedReference::build(reference));
     let mapper = ReputeMapper::new(indexed, ReputeConfig::new(3, 15).unwrap());
     (mapper, reads)
+}
+
+/// The executor under test: `schedule` on `host_threads` host threads,
+/// everything else at its default.
+fn executor(schedule: &Schedule, host_threads: usize) -> Executor {
+    Executor {
+        host_threads,
+        ..Executor::new(schedule.clone())
+    }
 }
 
 /// Two identical devices whose quarter-RAM output cap is 4 reads: a
@@ -75,14 +83,9 @@ fn multi_batch_threaded_shares_preserve_read_and_metrics_order() {
         },
     ];
     for host_threads in [1usize, 2, AUTO_HOST_THREADS] {
-        let (run, metrics) = map_scheduled(
-            &mapper,
-            &platform,
-            &Schedule::Static(shares.clone()),
-            host_threads,
-            &reads,
-        )
-        .unwrap();
+        let (run, metrics) = executor(&Schedule::Static(shares.clone()), host_threads)
+            .run(&mapper, &platform, &reads)
+            .unwrap();
         // Each share was split into ≥ 3 quarter-RAM batches.
         for events in &run.timelines {
             assert!(
@@ -117,14 +120,9 @@ fn dynamic_schedule_on_tiny_devices_matches_single_device_rerun() {
     )
     .unwrap();
     for (batch, host_threads) in [(0usize, AUTO_HOST_THREADS), (1, 2), (5, 1)] {
-        let (run, metrics) = map_scheduled(
-            &mapper,
-            &platform,
-            &Schedule::Dynamic { batch },
-            host_threads,
-            &reads,
-        )
-        .unwrap();
+        let (run, metrics) = executor(&Schedule::Dynamic { batch }, host_threads)
+            .run(&mapper, &platform, &reads)
+            .unwrap();
         // The quarter-RAM cap bounds every dynamic batch too.
         for events in &run.timelines {
             for e in events {
@@ -144,14 +142,9 @@ fn empty_read_set_is_a_valid_empty_run_in_both_modes() {
     let platform = tiny_platform(&mapper);
     let (static_run, m1) =
         map_on_platform_with_metrics(&mapper, &platform, &[], &[]).expect("empty static run");
-    let (dynamic_run, m2) = map_scheduled(
-        &mapper,
-        &platform,
-        &Schedule::Dynamic { batch: 0 },
-        AUTO_HOST_THREADS,
-        &[],
-    )
-    .expect("empty dynamic run");
+    let (dynamic_run, m2) = executor(&Schedule::Dynamic { batch: 0 }, AUTO_HOST_THREADS)
+        .run(&mapper, &platform, &[])
+        .expect("empty dynamic run");
     for run in [&static_run, &dynamic_run] {
         assert!(run.outputs.is_empty());
         assert_eq!(run.simulated_seconds, 0.0);

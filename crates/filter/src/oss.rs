@@ -228,7 +228,7 @@ impl SelectionOutcome {
     /// Records the DP-side work into a per-read metric record: the cells
     /// the solver filled and the seeds it chose. The FM extensions in
     /// `stats.extend_ops` are deliberately *not* added here — they belong
-    /// to the [`FreqTable`](crate::freq::FreqTable) that performed them
+    /// to the [`FreqTable`] that performed them
     /// (see [`crate::freq::FreqTable::record_metrics`]), and counting them
     /// in both places would double-book the filtration stage.
     pub fn record_metrics(&self, metrics: &mut repute_obs::MapMetrics) {

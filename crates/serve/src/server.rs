@@ -42,8 +42,8 @@ use std::sync::Arc;
 
 use repute_core::journal::Fnv64;
 use repute_core::{
-    map_scheduled_on_subset_traced, write_atomic, MappingRun, ReputeConfig, ReputeError,
-    ReputeMapper, RunFingerprint, Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
+    write_atomic, Executor, MappingRun, ReputeConfig, ReputeError, ReputeMapper, RunFingerprint,
+    Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
 };
 use repute_eval::sam;
 use repute_genome::DnaSeq;
@@ -822,17 +822,15 @@ impl ServeCore {
             let run = loop {
                 let schedule =
                     Schedule::for_config(&config, &self.sub_platform(&subset), reads.len());
-                match map_scheduled_on_subset_traced(
-                    &mapper,
-                    &self.platform,
-                    &subset,
-                    &schedule,
-                    threads,
-                    &plan,
-                    self.options.max_retries,
+                let executor = Executor {
+                    host_threads: threads,
+                    faults: plan.clone(),
+                    max_retries: self.options.max_retries,
+                    subset: Some(subset.clone()),
                     tracing,
-                    &reads,
-                ) {
+                    ..Executor::new(schedule)
+                };
+                match executor.run(&mapper, &self.platform, &reads) {
                     Ok((run, _metrics)) => break Some(run),
                     Err(e) if matches!(e.kind(), LaunchErrorKind::AllDevicesLost { .. }) => {
                         // The whole subset died mid-run: retire it and

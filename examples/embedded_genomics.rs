@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use repute_core::{map_on_platform, ReputeConfig, ReputeMapper};
+use repute_core::{map_on_platform_with_metrics, ReputeConfig, ReputeMapper};
 use repute_eval::sam;
 use repute_genome::reads::{ErrorProfile, ReadSimulator};
 use repute_genome::synth::ReferenceBuilder;
@@ -36,13 +36,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workstation = profiles::system1_cpu_only();
     let hikey = profiles::system2_hikey970();
 
-    let w_run = map_on_platform(
+    let (w_run, _) = map_on_platform_with_metrics(
         &mapper,
         &workstation,
         &workstation.single_device_share(0, reads.len()),
         &reads,
     )?;
-    let h_run = map_on_platform(&mapper, &hikey, &hikey.even_shares(reads.len()), &reads)?;
+    let (h_run, _) =
+        map_on_platform_with_metrics(&mapper, &hikey, &hikey.even_shares(reads.len()), &reads)?;
 
     println!(
         "\n{:<26} | {:>10} | {:>8} | {:>10}",

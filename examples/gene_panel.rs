@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use repute_core::{map_on_platform, ReputeConfig, ReputeMapper};
+use repute_core::{map_on_platform_with_metrics, ReputeConfig, ReputeMapper};
 use repute_eval::coverage::CoverageMap;
 use repute_genome::reads::{ErrorProfile, ReadSimulator};
 use repute_genome::synth::ReferenceBuilder;
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let platform = profiles::system2_hikey970();
     println!("mapping {} reads on {}…", reads.len(), platform.name());
-    let run = map_on_platform(
+    let (run, _) = map_on_platform_with_metrics(
         &mapper,
         &platform,
         &platform.even_shares(reads.len()),

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use repute_core::{map_on_platform, ReputeConfig, ReputeMapper};
+use repute_core::{map_on_platform_with_metrics, ReputeConfig, ReputeMapper};
 use repute_genome::reads::{ErrorProfile, ReadSimulator};
 use repute_genome::synth::ReferenceBuilder;
 use repute_hetsim::{profiles, Share};
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 items: per_gpu,
             },
         ];
-        let run = map_on_platform(&mapper, &platform, &shares, &reads)?;
+        let (run, _) = map_on_platform_with_metrics(&mapper, &platform, &shares, &reads)?;
         println!(
             "{:<28} | {:>10.4} | {:>8.1} | {:>10.3}",
             format!("{cpu}/{per_gpu}/{per_gpu}"),
@@ -76,7 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Per-device utilisation at the balanced split: the task-parallel
     // barrier means non-bottleneck devices idle.
-    let run = map_on_platform(&mapper, &platform, &platform.even_shares(total), &reads)?;
+    let (run, _) =
+        map_on_platform_with_metrics(&mapper, &platform, &platform.even_shares(total), &reads)?;
     println!("\nutilisation at the throughput-proportional split:");
     let shadow = repute_hetsim::PlatformRun::<()> {
         outputs: vec![],

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use repute_core::{map_on_platform, ReputeConfig, ReputeMapper};
+use repute_core::{map_on_platform_with_metrics, ReputeConfig, ReputeMapper};
 use repute_eval::accuracy::{all_locations_accuracy, any_best_accuracy};
 use repute_eval::sam;
 use repute_genome::reads::{ErrorProfile, ReadSimulator};
@@ -96,7 +96,7 @@ fn platform_run_equals_serial_run_and_produces_sam() {
     );
     let reads: Vec<_> = sim_reads.iter().map(|r| r.seq.clone()).collect();
     let platform = profiles::system1();
-    let run = map_on_platform(
+    let (run, _) = map_on_platform_with_metrics(
         &mapper,
         &platform,
         &platform.even_shares(reads.len()),

@@ -1,0 +1,481 @@
+//! The executor's byte contract, pinned.
+//!
+//! One fixed workload runs through every executor configuration the
+//! shipped programs can reach — schedule × fault plan × host threads ×
+//! device subset, plus journaled runs straight through and across a
+//! simulated host crash — and each cell is reduced to an FNV-64 over
+//! everything a run leaves behind: per-read outputs and metrics, the
+//! run report as `--metrics-out` writes it (wall clock zeroed), device
+//! attribution, the Chrome trace, and for journaled runs the journal
+//! and manifest bytes. The digests were generated at the commit before
+//! the executors were merged into one and must only change with a
+//! deliberate change to what a run reports.
+//!
+//! On a mismatch the test prints the whole computed table in source
+//! form, so a deliberate change is one copy-paste.
+
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use repute_core::journal::{manifest_path, Fnv64, RunFingerprint};
+use repute_core::{
+    Executor, MappingRun, ReputeConfig, ReputeError, ReputeMapper, ResumableRun, Schedule,
+};
+use repute_genome::reads::ReadSimulator;
+use repute_genome::synth::ReferenceBuilder;
+use repute_genome::{DnaSeq, Strand};
+use repute_hetsim::{profiles, DeviceKind, DeviceProfile, FaultPlan, LaunchError, Platform};
+use repute_mappers::{IndexedReference, Mapper};
+use repute_obs::trace::{device_pid, write_chrome_trace, SCHEDULER_PID};
+use repute_obs::MapMetrics;
+
+// ---------------------------------------------------------------------
+// The two calls under contract.
+// ---------------------------------------------------------------------
+
+#[derive(Clone, Copy)]
+struct Cell<'a> {
+    platform: &'a Platform,
+    subset: &'a [usize],
+    schedule: &'a Schedule,
+    host_threads: usize,
+    faults: &'a FaultPlan,
+    max_retries: usize,
+    tracing: bool,
+}
+
+impl Cell<'_> {
+    fn executor(&self) -> Executor {
+        Executor {
+            host_threads: self.host_threads,
+            faults: self.faults.clone(),
+            max_retries: self.max_retries,
+            subset: Some(self.subset.to_vec()),
+            tracing: self.tracing,
+            ..Executor::new(self.schedule.clone())
+        }
+    }
+}
+
+fn run(
+    cell: &Cell<'_>,
+    mapper: &ReputeMapper,
+    reads: &[DnaSeq],
+) -> Result<(MappingRun, Vec<MapMetrics>), LaunchError> {
+    cell.executor().run(mapper, cell.platform, reads)
+}
+
+fn run_journaled(
+    cell: &Cell<'_>,
+    mapper: &ReputeMapper,
+    reads: &[DnaSeq],
+    journal: &Path,
+) -> Result<ResumableRun, ReputeError> {
+    let executor = Executor {
+        subset: None,
+        ..cell.executor()
+    };
+    let fingerprint = RunFingerprint::new(0xC0FF_EE00, 0x5EED_0001);
+    executor.run_journaled(mapper, cell.platform, reads, journal, fingerprint, 2)
+}
+
+// ---------------------------------------------------------------------
+// Workload and grid.
+// ---------------------------------------------------------------------
+
+/// ≈40 kbp, 48 reads, the heaviest read repeated over the last
+/// quarter so batches carry visibly different work and the first batch
+/// is never the last to finish.
+fn workload() -> (ReputeMapper, Vec<DnaSeq>) {
+    let reference = ReferenceBuilder::new(40_000).seed(1401).build();
+    let mut reads: Vec<DnaSeq> = ReadSimulator::new(100, 48)
+        .seed(1402)
+        .simulate(&reference)
+        .into_iter()
+        .map(|r| r.seq)
+        .collect();
+    let indexed = Arc::new(IndexedReference::build(reference));
+    let mapper = ReputeMapper::new(indexed, ReputeConfig::new(3, 15).expect("valid"));
+    let heaviest = reads
+        .iter()
+        .max_by_key(|r| mapper.map_read(r).work)
+        .expect("48 reads")
+        .clone();
+    for read in &mut reads[36..] {
+        *read = heaviest.clone();
+    }
+    (mapper, reads)
+}
+
+/// Three unequal devices whose quarter-RAM output caps are 5, 3 and 4
+/// reads: every static share needs several batches.
+fn tiny_platform(mapper: &ReputeMapper) -> Platform {
+    let bytes_per_read = mapper.max_locations() * 12;
+    let device = |name: &str, kind, throughput, cap_reads: usize| {
+        DeviceProfile::new(
+            name,
+            kind,
+            2,
+            throughput,
+            bytes_per_read * 4 * cap_reads,
+            5.0,
+        )
+    };
+    Platform::new(
+        "tiny-trio",
+        2.0,
+        vec![
+            device("tiny-cpu", DeviceKind::Cpu, 2e7, 5),
+            device("tiny-gpu0", DeviceKind::Gpu, 1e7, 3),
+            device("tiny-gpu1", DeviceKind::Gpu, 1.5e7, 4),
+        ],
+    )
+}
+
+fn sub_platform(platform: &Platform, subset: &[usize]) -> Platform {
+    Platform::new(
+        platform.name(),
+        platform.idle_power_w(),
+        subset
+            .iter()
+            .map(|&d| platform.devices()[d].clone())
+            .collect(),
+    )
+}
+
+/// (name, on the tiny platform, schedule builder). Static shares name
+/// subset-local devices, so they are built against the sub-platform.
+type ScheduleOf = fn(&Platform, usize) -> Schedule;
+const SCHEDULES: [(&str, bool, ScheduleOf); 4] = [
+    ("static-even", false, |p, n| {
+        Schedule::Static(p.even_shares(n))
+    }),
+    ("static-tiny", true, |p, n| {
+        Schedule::Static(p.even_shares(n))
+    }),
+    ("dynamic-auto", false, |_, _| Schedule::Dynamic { batch: 0 }),
+    ("dynamic-7", false, |_, _| Schedule::Dynamic { batch: 7 }),
+];
+
+const SUBSETS: [(&str, &[usize]); 2] = [("full", &[0, 1, 2]), ("sub02", &[0, 2])];
+
+/// (name, plan given the fault-free makespan, retry budget). Device 2 is
+/// in both subsets; the zero-budget transient kills device 0.
+fn fault_plans(makespan: f64) -> [(&'static str, FaultPlan, usize); 4] {
+    [
+        ("none", FaultPlan::new(), 3),
+        ("transient", FaultPlan::new().transient(2, 0.0), 3),
+        ("loss", FaultPlan::new().loss(2, makespan * 0.4), 3),
+        ("no-retries", FaultPlan::new().transient(0, 0.0), 0),
+    ]
+}
+
+// ---------------------------------------------------------------------
+// Digests.
+// ---------------------------------------------------------------------
+
+fn digest_results(h: &mut Fnv64, run: &MappingRun, metrics: &[MapMetrics], platform: &Platform) {
+    for out in &run.outputs {
+        h.write_u64(out.mappings.len() as u64);
+        for m in &out.mappings {
+            h.write_u64(u64::from(m.position));
+            h.write_u64(u64::from(m.strand == Strand::Reverse));
+            h.write_u64(u64::from(m.distance));
+        }
+        h.write_u64(out.work);
+        h.write_u64(out.candidates);
+    }
+    for (i, m) in metrics.iter().enumerate() {
+        h.write(m.to_json_line(i as u64).as_bytes());
+    }
+    let mut report = run.report(platform, metrics);
+    report.wall_seconds = 0.0;
+    let mut lines = Vec::new();
+    report
+        .write_json_lines(&mut lines)
+        .expect("in-memory write");
+    h.write(&lines);
+    h.write_u64(run.simulated_seconds.to_bits());
+    for dr in &run.device_runs {
+        h.write_u64(dr.device as u64);
+        h.write_u64(dr.items as u64);
+        h.write_u64(dr.work);
+        h.write_u64(dr.simulated_seconds.to_bits());
+    }
+    for c in &run.fault_counters {
+        h.write_u64(c.faults);
+        h.write_u64(c.retries);
+        h.write_u64(c.migrated_batches);
+    }
+    h.write_u64(run.lost_devices.len() as u64);
+    for &d in &run.lost_devices {
+        h.write_u64(d as u64);
+    }
+}
+
+fn digest_trace(h: &mut Fnv64, run: &MappingRun, platform: &Platform) {
+    let mut processes = vec![(SCHEDULER_PID, "scheduler".to_string())];
+    for (i, device) in platform.devices().iter().enumerate() {
+        processes.push((device_pid(i), device.name().to_string()));
+    }
+    h.write(write_chrome_trace(&processes, &run.trace).as_bytes());
+}
+
+fn digest_run(
+    outcome: &Result<(MappingRun, Vec<MapMetrics>), LaunchError>,
+    platform: &Platform,
+) -> u64 {
+    let mut h = Fnv64::new();
+    match outcome {
+        Ok((run, metrics)) => {
+            digest_results(&mut h, run, metrics, platform);
+            digest_trace(&mut h, run, platform);
+        }
+        Err(e) => h.write(e.to_string().as_bytes()),
+    }
+    h.finish()
+}
+
+/// Compares against the committed table as a whole; a mismatch prints
+/// the computed table in source form.
+fn assert_pinned(name: &str, computed: &[(String, u64)], pinned: &[(&str, u64)]) {
+    let same = computed.len() == pinned.len()
+        && computed
+            .iter()
+            .zip(pinned)
+            .all(|((cn, cd), (pn, pd))| cn == pn && cd == pd);
+    if !same {
+        let mut table = format!("const {name}: &[(&str, u64)] = &[\n");
+        for (cell, digest) in computed {
+            table.push_str(&format!("    (\"{cell}\", 0x{digest:016x}),\n"));
+        }
+        table.push_str("];");
+        for ((cn, cd), (pn, pd)) in computed.iter().zip(pinned) {
+            if cn != pn || cd != pd {
+                eprintln!("first difference: {cn} 0x{cd:016x} vs pinned {pn} 0x{pd:016x}");
+                break;
+            }
+        }
+        panic!("executor contract changed; computed table:\n{table}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tests.
+// ---------------------------------------------------------------------
+
+#[test]
+fn scheduled_grid_is_byte_pinned() {
+    let (mapper, reads) = workload();
+    let system1 = profiles::system1();
+    let tiny = tiny_platform(&mapper);
+    let mut computed = Vec::new();
+    for (sched_name, on_tiny, schedule_of) in SCHEDULES {
+        let platform = if on_tiny { &tiny } else { &system1 };
+        for (subset_name, subset) in SUBSETS {
+            let schedule = schedule_of(&sub_platform(platform, subset), reads.len());
+            let none = FaultPlan::new();
+            let clean = Cell {
+                platform,
+                subset,
+                schedule: &schedule,
+                host_threads: 1,
+                faults: &none,
+                max_retries: 3,
+                tracing: false,
+            };
+            let (clean_run, _) = run(&clean, &mapper, &reads).expect("fault-free");
+            for (fault_name, faults, max_retries) in fault_plans(clean_run.simulated_seconds) {
+                let name = format!("{sched_name}/{fault_name}/{subset_name}");
+                let cell = |host_threads, tracing| Cell {
+                    host_threads,
+                    faults: &faults,
+                    max_retries,
+                    tracing,
+                    ..clean
+                };
+                let one = run(&cell(1, true), &mapper, &reads);
+                let three = run(&cell(3, true), &mapper, &reads);
+                let digest = digest_run(&one, platform);
+                assert_eq!(
+                    digest,
+                    digest_run(&three, platform),
+                    "{name}: host threads changed the run"
+                );
+                // Tracing is observation only: the untraced run differs
+                // by its empty span list and nothing else.
+                if let (Ok((traced, metrics)), Ok((plain, plain_metrics))) =
+                    (&one, &run(&cell(3, false), &mapper, &reads))
+                {
+                    assert!(plain.trace.is_empty(), "{name}: untraced run built spans");
+                    let (mut a, mut b) = (Fnv64::new(), Fnv64::new());
+                    digest_results(&mut a, traced, metrics, platform);
+                    digest_results(&mut b, plain, plain_metrics, platform);
+                    assert_eq!(a.finish(), b.finish(), "{name}: tracing changed the run");
+                }
+                computed.push((name, digest));
+            }
+        }
+    }
+    assert_pinned("SCHEDULED", &computed, SCHEDULED);
+}
+
+/// A journal path of this test's own under the system temp dir.
+struct TempJournal(PathBuf);
+
+impl TempJournal {
+    fn new(tag: &str) -> TempJournal {
+        let journal = TempJournal(std::env::temp_dir().join(format!(
+            "repute-contract-{}-{tag}.journal",
+            std::process::id()
+        )));
+        journal.remove();
+        journal
+    }
+
+    fn remove(&self) {
+        let _ = std::fs::remove_file(&self.0);
+        let _ = std::fs::remove_file(manifest_path(&self.0));
+    }
+}
+
+impl Drop for TempJournal {
+    fn drop(&mut self) {
+        self.remove();
+    }
+}
+
+fn digest_journaled(
+    outcome: &Result<ResumableRun, ReputeError>,
+    platform: &Platform,
+    journal: &Path,
+) -> u64 {
+    let mut h = Fnv64::new();
+    match outcome {
+        Ok(done) => {
+            digest_results(&mut h, &done.run, &done.metrics, platform);
+            digest_trace(&mut h, &done.run, platform);
+            h.write_u64(done.resumed_batches as u64);
+            h.write_u64(done.total_batches as u64);
+        }
+        Err(e) => h.write(e.to_string().as_bytes()),
+    }
+    h.write(&std::fs::read(journal).expect("journal exists"));
+    h.write(&std::fs::read(manifest_path(journal)).expect("manifest exists"));
+    h.finish()
+}
+
+#[test]
+fn journaled_runs_are_byte_pinned() {
+    let (mapper, reads) = workload();
+    let system1 = profiles::system1();
+    let tiny = tiny_platform(&mapper);
+    let full: &[usize] = &[0, 1, 2];
+    let mut computed = Vec::new();
+    for (sched_name, on_tiny, schedule_of) in SCHEDULES {
+        let platform = if on_tiny { &tiny } else { &system1 };
+        let schedule = schedule_of(platform, reads.len());
+        let mut per_thread_count = Vec::new();
+        for host_threads in [1usize, 3] {
+            let journal = TempJournal::new(&format!("{sched_name}-{host_threads}"));
+            let none = FaultPlan::new();
+            let clean = Cell {
+                platform,
+                subset: full,
+                schedule: &schedule,
+                host_threads,
+                faults: &none,
+                max_retries: 3,
+                tracing: true,
+            };
+            let straight = run_journaled(&clean, &mapper, &reads, &journal.0);
+            // Batch 0 is the first launch of the first timeline under
+            // every schedule; crashing as it completes leaves it (and
+            // whatever else has finished by then) committed.
+            let first_done =
+                straight.as_ref().expect("straight run").run.timelines[0][0].end_seconds;
+            let mut digests = vec![digest_journaled(&straight, platform, &journal.0)];
+
+            journal.remove();
+            let crash = FaultPlan::new().host_crash(first_done);
+            let crashing = Cell {
+                faults: &crash,
+                ..clean
+            };
+            let crashed = run_journaled(&crashing, &mapper, &reads, &journal.0);
+            assert!(
+                matches!(crashed, Err(ReputeError::Interrupted { .. })),
+                "{sched_name}: the crash must interrupt the run"
+            );
+            digests.push(digest_journaled(&crashed, platform, &journal.0));
+            let resumed = run_journaled(&clean, &mapper, &reads, &journal.0);
+            assert!(
+                resumed.as_ref().expect("resume").resumed_batches > 0,
+                "{sched_name}: the resume must replay journaled batches"
+            );
+            digests.push(digest_journaled(&resumed, platform, &journal.0));
+            per_thread_count.push(digests);
+        }
+        assert_eq!(
+            per_thread_count[0], per_thread_count[1],
+            "{sched_name}: host threads changed a journaled run"
+        );
+        for (step, digest) in ["straight", "crashed", "resumed"]
+            .iter()
+            .zip(&per_thread_count[0])
+        {
+            computed.push((format!("{sched_name}/{step}"), *digest));
+        }
+    }
+    assert_pinned("JOURNALED", &computed, JOURNALED);
+}
+
+const SCHEDULED: &[(&str, u64)] = &[
+    ("static-even/none/full", 0x5c910fdb42480c29),
+    ("static-even/transient/full", 0xeebce2bf3930ec01),
+    ("static-even/loss/full", 0x23d4d2115fdd99a2),
+    ("static-even/no-retries/full", 0x6606a1203fe836ee),
+    ("static-even/none/sub02", 0xb92ee8c693dce19e),
+    ("static-even/transient/sub02", 0x9ca391af08c2f40c),
+    ("static-even/loss/sub02", 0x30a9b0ccbec0fb1d),
+    ("static-even/no-retries/sub02", 0xbbb778ba53014846),
+    ("static-tiny/none/full", 0x853645513d90f632),
+    ("static-tiny/transient/full", 0x4563a52aca74d4c5),
+    ("static-tiny/loss/full", 0x06dfafdf42e5f9fc),
+    ("static-tiny/no-retries/full", 0x7a8b007aaa2d7e11),
+    ("static-tiny/none/sub02", 0x95ca6be6f8adbc41),
+    ("static-tiny/transient/sub02", 0x66a81316c861b885),
+    ("static-tiny/loss/sub02", 0x7b60d4112ab06674),
+    ("static-tiny/no-retries/sub02", 0x896b88fa132eab95),
+    ("dynamic-auto/none/full", 0xb529300889e66595),
+    ("dynamic-auto/transient/full", 0xf87ae95810e92269),
+    ("dynamic-auto/loss/full", 0x43b977a419d96ad1),
+    ("dynamic-auto/no-retries/full", 0x6012d78686cd2274),
+    ("dynamic-auto/none/sub02", 0x69c21dfc533d921a),
+    ("dynamic-auto/transient/sub02", 0xcac631eda2c33b29),
+    ("dynamic-auto/loss/sub02", 0xa2143110105a56ca),
+    ("dynamic-auto/no-retries/sub02", 0x9e2561073e253211),
+    ("dynamic-7/none/full", 0xde1a1c684e8343a7),
+    ("dynamic-7/transient/full", 0x234df40299f10715),
+    ("dynamic-7/loss/full", 0xe0d6266cce7d565b),
+    ("dynamic-7/no-retries/full", 0x3cbcbe277b040962),
+    ("dynamic-7/none/sub02", 0xcf8b33973f889adb),
+    ("dynamic-7/transient/sub02", 0xf7379edfff76a4f4),
+    ("dynamic-7/loss/sub02", 0xf408dce0512c159b),
+    ("dynamic-7/no-retries/sub02", 0xaa0d39859c233565),
+];
+
+const JOURNALED: &[(&str, u64)] = &[
+    ("static-even/straight", 0xaa30a69e818fcce7),
+    ("static-even/crashed", 0xf55df261d1661f46),
+    ("static-even/resumed", 0xe3007861c75d691a),
+    ("static-tiny/straight", 0xe1a3371da476fc3d),
+    ("static-tiny/crashed", 0x3723102dd9db52a9),
+    ("static-tiny/resumed", 0xf5c3892dec07c862),
+    ("dynamic-auto/straight", 0x57c896874ae6109b),
+    ("dynamic-auto/crashed", 0xc3dc9d6a5721174a),
+    ("dynamic-auto/resumed", 0xd0c92fbf7aec9565),
+    ("dynamic-7/straight", 0xd6921b6fc96fcfc7),
+    ("dynamic-7/crashed", 0x9252b62a4fccecf2),
+    ("dynamic-7/resumed", 0x4e058cc49eae2fab),
+];

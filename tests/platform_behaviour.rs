@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use repute_core::{map_on_platform, ReputeConfig, ReputeMapper};
+use repute_core::{map_on_platform_with_metrics, ReputeConfig, ReputeMapper};
 use repute_genome::reads::ReadSimulator;
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::DnaSeq;
@@ -45,7 +45,8 @@ fn results_are_invariant_under_distribution() {
     ];
     let baseline: Vec<_> = reads.iter().map(|r| mapper.map_read(r).mappings).collect();
     for shares in distributions {
-        let run = map_on_platform(&mapper, &platform, &shares, &reads).expect("valid shares");
+        let (run, _) = map_on_platform_with_metrics(&mapper, &platform, &shares, &reads)
+            .expect("valid shares");
         let got: Vec<_> = run.outputs.iter().map(|o| o.mappings.clone()).collect();
         assert_eq!(got, baseline, "distribution changed the mapping results");
     }
@@ -71,8 +72,9 @@ fn fig3_shape_cpu_only_and_gpu_only_are_both_slower_than_a_split() {
                 items: per_gpu,
             },
         ];
-        map_on_platform(&mapper, &platform, &shares, &reads)
+        map_on_platform_with_metrics(&mapper, &platform, &shares, &reads)
             .expect("valid shares")
+            .0
             .simulated_seconds
     };
     let cpu_only = time_for(0);
@@ -89,22 +91,23 @@ fn table4_shape_heterogeneous_draws_more_power_hikey_uses_less_energy() {
     let sys1_all = profiles::system1();
     let sys2 = profiles::system2_hikey970();
 
-    let cpu = map_on_platform(
+    let (cpu, _) = map_on_platform_with_metrics(
         &mapper,
         &sys1_cpu,
         &sys1_cpu.single_device_share(0, reads.len()),
         &reads,
     )
     .expect("valid");
-    let all = map_on_platform(
+    let (all, _) = map_on_platform_with_metrics(
         &mapper,
         &sys1_all,
         &sys1_all.even_shares(reads.len()),
         &reads,
     )
     .expect("valid");
-    let hikey =
-        map_on_platform(&mapper, &sys2, &sys2.even_shares(reads.len()), &reads).expect("valid");
+    let (hikey, _) =
+        map_on_platform_with_metrics(&mapper, &sys2, &sys2.even_shares(reads.len()), &reads)
+            .expect("valid");
 
     // §IV: REPUTE-all uses more power but less time than REPUTE-cpu.
     assert!(all.energy.average_power_w > cpu.energy.average_power_w);
@@ -121,7 +124,7 @@ fn work_conservation_across_devices() {
     let (mapper, reads) = workload();
     let platform = profiles::system1();
     let serial: u64 = reads.iter().map(|r| mapper.map_read(r).work).sum();
-    let run = map_on_platform(
+    let (run, _) = map_on_platform_with_metrics(
         &mapper,
         &platform,
         &platform.even_shares(reads.len()),
