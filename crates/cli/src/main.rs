@@ -7,76 +7,49 @@
 
 use std::process::ExitCode;
 
-use repute_cli::ReputeError;
+use repute_cli::{ParseArgsError, ReputeError};
 
 /// Exit code of malformed command lines (the configuration class).
 const EXIT_USAGE: u8 = 2;
 
-fn fail(err: &ReputeError) -> ExitCode {
-    eprintln!("error: {err}");
-    ExitCode::from(err.exit_code())
-}
-
-fn usage_error(err: &repute_cli::ParseArgsError) -> ExitCode {
-    eprintln!("{err}");
-    ExitCode::from(EXIT_USAGE)
+/// The one parse → run → exit-code path of every subcommand.
+fn dispatch<O>(
+    parsed: Result<O, ParseArgsError>,
+    run: impl FnOnce(&O) -> Result<(), ReputeError>,
+) -> ExitCode {
+    let opts = match parsed {
+        Ok(opts) => opts,
+        Err(err) => {
+            eprintln!("{err}");
+            return ExitCode::from(EXIT_USAGE);
+        }
+    };
+    match run(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(err) => {
+            eprintln!("error: {err}");
+            ExitCode::from(err.exit_code())
+        }
+    }
 }
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("map") => match repute_cli::parse_map_args(args) {
-            Ok(opts) => match repute_cli::run_map(&opts) {
-                Ok((reads, mappings)) => {
-                    eprintln!("done: {reads} reads mapped, {mappings} locations reported");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(&e),
-            },
-            Err(e) => usage_error(&e),
-        },
-        Some("index") => match repute_cli::parse_index_args(args) {
-            Ok(opts) => match repute_cli::run_index(&opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            },
-            Err(e) => usage_error(&e),
-        },
-        Some("simulate") => match repute_cli::parse_simulate_args(args) {
-            Ok(opts) => match repute_cli::run_simulate(&opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            },
-            Err(e) => usage_error(&e),
-        },
-        Some("serve") => match repute_cli::parse_serve_args(args) {
-            Ok(opts) => match repute_cli::run_serve(&opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            },
-            Err(e) => usage_error(&e),
-        },
-        Some("submit") => match repute_cli::parse_submit_args(args) {
-            Ok(opts) => match repute_cli::run_submit(&opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            },
-            Err(e) => usage_error(&e),
-        },
-        Some("stats") => match repute_cli::parse_stats_args(args) {
-            Ok(opts) => match repute_cli::run_stats(&opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            },
-            Err(e) => usage_error(&e),
-        },
-        Some("trace") => match repute_cli::parse_trace_args(args) {
-            Ok(opts) => match repute_cli::run_trace(&opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            },
-            Err(e) => usage_error(&e),
-        },
+        Some("map") => dispatch(repute_cli::parse_map_args(args), |opts| {
+            let (reads, mappings) = repute_cli::run_map(opts)?;
+            eprintln!("done: {reads} reads mapped, {mappings} locations reported");
+            Ok(())
+        }),
+        Some("index") => dispatch(repute_cli::parse_index_args(args), repute_cli::run_index),
+        Some("simulate") => dispatch(
+            repute_cli::parse_simulate_args(args),
+            repute_cli::run_simulate,
+        ),
+        Some("serve") => dispatch(repute_cli::parse_serve_args(args), repute_cli::run_serve),
+        Some("submit") => dispatch(repute_cli::parse_submit_args(args), repute_cli::run_submit),
+        Some("stats") => dispatch(repute_cli::parse_stats_args(args), repute_cli::run_stats),
+        Some("trace") => dispatch(repute_cli::parse_trace_args(args), repute_cli::run_trace),
         Some("--help") | Some("-h") | None => {
             println!("{}", repute_cli::USAGE);
             ExitCode::SUCCESS

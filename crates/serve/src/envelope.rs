@@ -20,18 +20,22 @@
 //! after the window slides, or as a different tenant.
 
 use std::str::FromStr;
+use std::sync::Arc;
 
-use repute_core::ReputeError;
+use repute_core::{ReputeConfig, ReputeError, ReputeMapper};
 use repute_genome::DnaSeq;
+use repute_mappers::{
+    bwamem::BwaMemLike, coral::CoralLike, gem::GemLike, hobbes3::Hobbes3Like, razers3::Razers3Like,
+    yara::YaraLike, IndexedReference, Mapper,
+};
 use repute_obs::json::{field, parse_json, JsonObject, JsonValue};
 use repute_prefilter::PrefilterMode;
 
 /// Tenant a job belongs to when the envelope names none.
 pub const DEFAULT_TENANT: &str = "default";
 
-/// Which mapping strategy a job requests (mirrors the CLI's mapper
-/// choices; the serve crate keeps its own copy so the daemon does not
-/// depend on the command-line crate).
+/// Which mapping strategy a job requests (the command-line crate
+/// re-exports this as its `MapperChoice`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MapperKind {
     /// The REPUTE mapper (default).
@@ -90,6 +94,29 @@ impl MapperKind {
             6 => MapperKind::BwaMem,
             _ => return None,
         })
+    }
+
+    /// Instantiates this kind of mapper over a shared FM-index; the
+    /// baselines take δ, `S_min` and the location limit from `config`.
+    pub fn build(self, indexed: Arc<IndexedReference>, config: ReputeConfig) -> Box<dyn Mapper> {
+        let (delta, limit) = (config.delta(), config.max_locations());
+        match self {
+            MapperKind::Repute => Box::new(ReputeMapper::new(indexed, config)),
+            MapperKind::Coral => Box::new(
+                CoralLike::new(indexed, delta)
+                    .with_s_min(config.s_min())
+                    .with_max_locations(limit),
+            ),
+            MapperKind::Razers3 => {
+                Box::new(Razers3Like::new(indexed, delta).with_max_locations(limit))
+            }
+            MapperKind::Hobbes3 => {
+                Box::new(Hobbes3Like::new(indexed, delta).with_max_locations(limit))
+            }
+            MapperKind::Yara => Box::new(YaraLike::new(indexed, delta).with_max_locations(limit)),
+            MapperKind::Gem => Box::new(GemLike::new(indexed, delta).with_max_locations(limit)),
+            MapperKind::BwaMem => Box::new(BwaMemLike::new(indexed).with_max_locations(limit)),
+        }
     }
 }
 

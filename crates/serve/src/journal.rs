@@ -207,6 +207,17 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(raw))
     }
 
+    /// Reads an item count. Every item takes at least `min_item_bytes`
+    /// of payload, so a count the remaining bytes cannot hold is
+    /// corruption — refused here, before anything is allocated for it.
+    fn count(&mut self, min_item_bytes: usize) -> Result<usize, ReputeError> {
+        let n = self.u32()? as usize;
+        if n > (self.bytes.len() - self.at) / min_item_bytes {
+            return Err(corrupt("record count exceeds the payload"));
+        }
+        Ok(n)
+    }
+
     fn string(&mut self) -> Result<String, ReputeError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -259,7 +270,7 @@ fn decode_accepted(cur: &mut Cursor<'_>) -> Result<JobSpec, ReputeError> {
         .ok_or_else(|| corrupt("unknown mapper code in accepted record"))?;
     let id = cur.string()?;
     let tenant = cur.string()?;
-    let n_reads = cur.u32()? as usize;
+    let n_reads = cur.count(8)?; // id + sequence, length-prefixed
     let mut read_ids = Vec::with_capacity(n_reads);
     let mut reads = Vec::with_capacity(n_reads);
     for _ in 0..n_reads {
@@ -324,14 +335,14 @@ fn encode_batch(record: &BatchRecord) -> Vec<u8> {
 fn decode_batch(cur: &mut Cursor<'_>) -> Result<BatchRecord, ReputeError> {
     let batch = cur.u64()?;
     let completion_s = f64::from_bits(cur.u64()?);
-    let n_jobs = cur.u32()? as usize;
+    let n_jobs = cur.count(12)?; // seq + read count
     let mut jobs = Vec::with_capacity(n_jobs);
     for _ in 0..n_jobs {
         let seq = cur.u64()?;
-        let n_reads = cur.u32()? as usize;
+        let n_reads = cur.count(4)?; // mapping count
         let mut mappings = Vec::with_capacity(n_reads);
         for _ in 0..n_reads {
-            let n = cur.u32()? as usize;
+            let n = cur.count(9)?; // position + strand + distance
             let mut per_read = Vec::with_capacity(n);
             for _ in 0..n {
                 let position = cur.u32()?;
@@ -351,12 +362,12 @@ fn decode_batch(cur: &mut Cursor<'_>) -> Result<BatchRecord, ReputeError> {
         }
         jobs.push(JobResult { seq, mappings });
     }
-    let n_lost = cur.u32()? as usize;
+    let n_lost = cur.count(4)?;
     let mut lost = Vec::with_capacity(n_lost);
     for _ in 0..n_lost {
         lost.push(cur.u32()?);
     }
-    let n_prov = cur.u32()? as usize;
+    let n_prov = cur.count(28)?; // device + three counters
     let mut provenance = Vec::with_capacity(n_prov);
     for _ in 0..n_prov {
         provenance.push(DeviceProvenance {
@@ -387,7 +398,7 @@ fn encode_shed(record: &ShedRecord) -> Vec<u8> {
 
 fn decode_shed(cur: &mut Cursor<'_>) -> Result<ShedRecord, ReputeError> {
     let at_s = f64::from_bits(cur.u64()?);
-    let n = cur.u32()? as usize;
+    let n = cur.count(8)?;
     let mut seqs = Vec::with_capacity(n);
     for _ in 0..n {
         seqs.push(cur.u64()?);
@@ -433,13 +444,13 @@ fn decode_state(cur: &mut Cursor<'_>) -> Result<StateRecord, ReputeError> {
     let completed = cur.u64()?;
     let replayed = cur.u64()?;
     let shed = cur.u64()?;
-    let n_served = cur.u32()? as usize;
+    let n_served = cur.count(12)?; // tenant + service
     let mut served = Vec::with_capacity(n_served);
     for _ in 0..n_served {
         let tenant = cur.string()?;
         served.push((tenant, f64::from_bits(cur.u64()?)));
     }
-    let n_quota = cur.u32()? as usize;
+    let n_quota = cur.count(28)?; // seq + tenant + time + reads
     let mut quota = Vec::with_capacity(n_quota);
     for _ in 0..n_quota {
         let seq = cur.u64()?;
@@ -448,7 +459,7 @@ fn decode_state(cur: &mut Cursor<'_>) -> Result<StateRecord, ReputeError> {
         let reads = cur.u64()?;
         quota.push((seq, tenant, at, reads));
     }
-    let n_health = cur.u32()? as usize;
+    let n_health = cur.count(13)?; // device + code + faults
     let mut health = Vec::with_capacity(n_health);
     for _ in 0..n_health {
         let device = cur.u32()?;
@@ -897,6 +908,61 @@ mod tests {
         std::fs::write(&path, &bytes).expect("write");
         let err = JobJournal::open(&path, &fp()).expect_err("late state");
         assert!(matches!(err, ReputeError::JournalCorrupt { .. }));
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    /// A count forced to `u32::MAX` in an otherwise intact, CRC-valid
+    /// frame is corruption, not a request for that much memory — with
+    /// the rest of the record behind it or (the 21- and 29-byte frames
+    /// that used to abort `--resume`) as the payload's last field.
+    #[test]
+    fn oversized_counts_are_refused_before_allocating() {
+        let dir = std::env::temp_dir().join(format!("serve-jnl-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("counts.jnl");
+        let shed = ShedRecord {
+            at_s: 1.0,
+            seqs: vec![3, 4],
+        };
+        // Each record kind with the offset and honest value of every
+        // count field in its payload.
+        type Counts = &'static [(usize, u32)];
+        let cases: [(&str, Vec<u8>, Counts); 4] = [
+            ("accepted", encode_accepted(&job(1)), &[(45, 2)]),
+            (
+                "batch",
+                encode_batch(&batch(0)),
+                &[(17, 1), (29, 2), (33, 1), (46, 0), (50, 1), (58, 1)],
+            ),
+            ("shed", encode_shed(&shed), &[(9, 2)]),
+            (
+                "state",
+                encode_state(&state()),
+                &[(57, 2), (93, 1), (129, 3)],
+            ),
+        ];
+        for (kind, payload, counts) in cases {
+            for &(at, honest) in counts {
+                assert_eq!(
+                    payload[at..at + 4],
+                    honest.to_le_bytes(),
+                    "{kind}: no count at {at}"
+                );
+                let mut forged = payload.clone();
+                forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                for payload in [&forged[..], &forged[..at + 4]] {
+                    let mut bytes = header_bytes(&fp());
+                    put_frame(&mut bytes, payload);
+                    std::fs::write(&path, &bytes).expect("write");
+                    let err = JobJournal::open(&path, &fp()).expect_err("forged count");
+                    assert!(
+                        matches!(err, ReputeError::JournalCorrupt { .. }),
+                        "{kind} count at {at}: {err}"
+                    );
+                    assert_eq!(err.exit_code(), 5);
+                }
+            }
+        }
         std::fs::remove_file(&path).expect("cleanup");
     }
 }

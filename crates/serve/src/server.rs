@@ -42,17 +42,14 @@ use std::sync::Arc;
 
 use repute_core::journal::Fnv64;
 use repute_core::{
-    write_atomic, Executor, MappingRun, ReputeConfig, ReputeError, ReputeMapper, RunFingerprint,
-    Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
+    write_atomic, Executor, MappingRun, ReputeConfig, ReputeError, RunFingerprint, Schedule,
+    ScheduleMode, DEFAULT_MAX_RETRIES,
 };
 use repute_eval::sam;
 use repute_genome::DnaSeq;
 use repute_hetsim::{DeviceHealth, FaultKind, FaultPlan, HealthState, LaunchErrorKind, Platform};
 use repute_mappers::multiref::ReferenceSet;
-use repute_mappers::{
-    bwamem::BwaMemLike, coral::CoralLike, gem::GemLike, hobbes3::Hobbes3Like, razers3::Razers3Like,
-    yara::YaraLike, Mapper, Mapping,
-};
+use repute_mappers::Mapping;
 use repute_obs::json::JsonObject;
 use repute_obs::trace::{device_pid, write_chrome_trace, SCHEDULER_PID};
 use repute_obs::{Samples, SloReport, SloTracker, Span};
@@ -805,7 +802,7 @@ impl ServeCore {
             let reads: Vec<DnaSeq> = jobs.iter().flat_map(|j| j.reads.iter().cloned()).collect();
             let config = self.batch_config(key)?;
             let threads = config.host_threads();
-            let mapper = self.build_mapper(key, config);
+            let mapper = key.mapper.build(Arc::clone(self.set.indexed()), config);
             let mapper = mapper.as_ref();
             let plan = self.options.fault_plan.rebased(start);
             // The planned subset, pruned of devices an earlier group's
@@ -1231,37 +1228,6 @@ impl ServeCore {
             .with_schedule(self.options.schedule)
             .with_host_threads(self.options.host_threads)
             .with_max_retries(self.options.max_retries))
-    }
-
-    /// Instantiates the mapper a batch's configuration key selects;
-    /// every kind shares the one `Arc`-held FM-index.
-    fn build_mapper(&self, key: ConfigKey, config: ReputeConfig) -> Box<dyn Mapper> {
-        use crate::envelope::MapperKind;
-        let indexed = Arc::clone(self.set.indexed());
-        let max_locations = self.options.max_locations;
-        match key.mapper {
-            MapperKind::Repute => Box::new(ReputeMapper::new(indexed, config)),
-            MapperKind::Coral => Box::new(
-                CoralLike::new(indexed, key.delta)
-                    .with_s_min(self.options.s_min)
-                    .with_max_locations(max_locations),
-            ),
-            MapperKind::Razers3 => {
-                Box::new(Razers3Like::new(indexed, key.delta).with_max_locations(max_locations))
-            }
-            MapperKind::Hobbes3 => {
-                Box::new(Hobbes3Like::new(indexed, key.delta).with_max_locations(max_locations))
-            }
-            MapperKind::Yara => {
-                Box::new(YaraLike::new(indexed, key.delta).with_max_locations(max_locations))
-            }
-            MapperKind::Gem => {
-                Box::new(GemLike::new(indexed, key.delta).with_max_locations(max_locations))
-            }
-            MapperKind::BwaMem => {
-                Box::new(BwaMemLike::new(indexed).with_max_locations(max_locations))
-            }
-        }
     }
 
     /// Monotone service counters.
