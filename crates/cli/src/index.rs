@@ -2,12 +2,13 @@
 //! its reference: FASTA, a prebuilt index, or the `RPXC` index cache.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::path::Path;
 
 use repute_core::journal::Fnv64;
 use repute_core::{write_atomic, ReputeError};
 use repute_genome::fasta::{read_fasta, AmbiguityPolicy};
+use repute_genome::wire::{put_u64, read_run, Reader};
 use repute_mappers::multiref::ReferenceSet;
 
 use crate::args::{Cursor, ParseArgsError};
@@ -181,12 +182,13 @@ pub(crate) fn load_reference_set(
         let path = Path::new(index_path);
         let file = File::open(path).map_err(|e| ReputeError::io_at(path, e))?;
         eprintln!("loading prebuilt index {index_path:?}…");
-        return ReferenceSet::read_from(BufReader::new(file)).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::InvalidData {
+        // A file that decodes to nonsense and one that ends early are
+        // both bad input, not a failing disk.
+        return ReferenceSet::read_from(BufReader::new(file)).map_err(|e| match e.kind() {
+            ErrorKind::InvalidData | ErrorKind::UnexpectedEof => {
                 ReputeError::InputParse(format!("index {index_path:?}: {e}"))
-            } else {
-                ReputeError::io_at(path, e)
             }
+            _ => ReputeError::io_at(path, e),
         });
     }
     let path = Path::new(reference);
@@ -230,24 +232,21 @@ fn index_cache_fingerprint(source: &[u8]) -> u64 {
 /// Any mismatch, corruption, or absence returns `None`: a stale cache is
 /// never an error, just a rebuild.
 fn try_load_index_cache(cache: &str, source: &[u8]) -> Option<ReferenceSet> {
-    let bytes = std::fs::read(cache).ok()?;
-    if bytes.len() < 12 || &bytes[..4] != INDEX_CACHE_MAGIC {
+    let mut input = BufReader::new(File::open(cache).ok()?);
+    let head = read_run(&mut input, 12).ok()?;
+    let mut r = Reader::new(&head);
+    if r.bytes(4).ok()? != INDEX_CACHE_MAGIC || r.u64().ok()? != index_cache_fingerprint(source) {
         return None;
     }
-    let stored = u64::from_le_bytes(bytes[4..12].try_into().ok()?);
-    if stored != index_cache_fingerprint(source) {
-        return None;
-    }
-    ReferenceSet::read_from(&bytes[12..]).ok()
+    ReferenceSet::read_from(input).ok()
 }
 
 /// Atomically writes `set` to the cache path, stamped with the
 /// fingerprint of the reference bytes it was built from.
 fn save_index_cache(cache: &str, source: &[u8], set: &ReferenceSet) -> Result<(), ReputeError> {
     let cache_path = Path::new(cache);
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(INDEX_CACHE_MAGIC);
-    bytes.extend_from_slice(&index_cache_fingerprint(source).to_le_bytes());
+    let mut bytes = INDEX_CACHE_MAGIC.to_vec();
+    put_u64(&mut bytes, index_cache_fingerprint(source));
     set.write_to(&mut bytes)
         .map_err(|e| ReputeError::io_at(cache_path, e))?;
     write_atomic(cache_path, &bytes)
@@ -426,6 +425,21 @@ mod tests {
         std::fs::write(&cache_path, b"RPXCgarbage").unwrap();
         map_with_cache(&out_b);
         assert!(std::fs::read(&cache_path).unwrap().len() > 12);
+
+        // So is a cache with the right prefix and a forged record count
+        // (it used to abort asking for 137 GB): same SAM as the rebuild
+        // that has just run cold.
+        let cold = std::fs::read(&out_b).unwrap();
+        let mut forged = b"RPXC".to_vec();
+        put_u64(
+            &mut forged,
+            index_cache_fingerprint(&std::fs::read(&ref_path).unwrap()),
+        );
+        forged.extend_from_slice(b"RPST\x01\x00\xFF\xFF\xFF\xFF");
+        std::fs::write(&cache_path, &forged).unwrap();
+        map_with_cache(&out_b);
+        assert_eq!(std::fs::read(&out_b).unwrap(), cold);
+        assert!(std::fs::read(&cache_path).unwrap().len() > forged.len());
 
         // So is a cache from before the FM stream's version 2, while a
         // prebuilt `--index` of that age is a typed error that says so.

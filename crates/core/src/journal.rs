@@ -21,13 +21,15 @@
 //! ([`MapOutput`]) plus the full per-read [`MapMetrics`] record — enough
 //! to replay the batch without re-executing it, bit-identically.
 //!
-//! CRC32 (IEEE) and FNV-1a are implemented in-repo: the workspace is
-//! hermetic and adds no dependencies.
+//! The framing itself — header, frames, checksums, the bounded reader,
+//! the append handle — is [`repute_genome::wire`]; this module owns the
+//! record layout and the recovery policy.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::fs::{self, File};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use repute_genome::wire::{self, put_u32, put_u64, FrameLog, Reader, WireError};
 use repute_genome::Strand;
 use repute_mappers::{MapOutput, Mapping};
 use repute_obs::MapMetrics;
@@ -38,81 +40,9 @@ use crate::error::ReputeError;
 pub const JOURNAL_MAGIC: [u8; 8] = *b"RPJRNL01";
 
 /// Fixed journal header length: magic + three fingerprint words + CRC32.
-pub const JOURNAL_HEADER_LEN: usize = 8 + 3 * 8 + 4;
+pub const JOURNAL_HEADER_LEN: usize = wire::HEADER_LEN;
 
-/// Sanity cap on a single record's payload (a batch of reads never comes
-/// close; anything larger is a corrupt length prefix).
-const MAX_RECORD_BYTES: u32 = 1 << 28;
-
-// ---------------------------------------------------------------------
-// Checksums and fingerprints (in-repo, dependency-free).
-// ---------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC32 (IEEE 802.3 polynomial, reflected) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// FNV-1a 64-bit streaming hasher — the fingerprint currency.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Fnv64 {
-        Fnv64::new()
-    }
-}
-
-impl Fnv64 {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds raw bytes into the hash.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    }
-
-    /// Folds one little-endian word into the hash.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+pub use repute_genome::wire::{crc32, Fnv64};
 
 /// The identity of a run, for refusing mismatched resumes.
 ///
@@ -152,6 +82,25 @@ impl RunFingerprint {
             "{:016x}.{:016x}.{:016x}",
             self.config, self.workload, self.shape
         )
+    }
+
+    /// The 36-byte journal header carrying this fingerprint behind
+    /// `magic` (both journals open with one).
+    pub fn header(&self, magic: &[u8; 8]) -> Vec<u8> {
+        let mut header = Vec::with_capacity(wire::HEADER_LEN);
+        wire::put_header(&mut header, magic, [self.config, self.workload, self.shape]);
+        header
+    }
+
+    /// The fingerprint in the journal header at the start of `bytes`,
+    /// or why [`wire::parse_header`] refused it.
+    pub fn from_header(bytes: &[u8], magic: &[u8; 8]) -> Result<RunFingerprint, WireError> {
+        let [config, workload, shape] = wire::parse_header(bytes, magic)?;
+        Ok(RunFingerprint {
+            config,
+            workload,
+            shape,
+        })
     }
 }
 
@@ -201,97 +150,7 @@ pub struct BatchRecord {
     pub metrics: Vec<MapMetrics>,
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let s = self.take(4)?;
-        Some(u32::from_le_bytes(s.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let s = self.take(8)?;
-        Some(u64::from_le_bytes(s.try_into().expect("8 bytes")))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-fn metrics_to_words(m: &MapMetrics) -> [u64; 13] {
-    [
-        m.seeds_selected,
-        m.fm_extend_ops,
-        m.fm_locate_ops,
-        m.candidates_raw,
-        m.candidates_merged,
-        m.dp_cells,
-        m.prefilter_tested,
-        m.prefilter_rejected,
-        m.prefilter_false_accepts,
-        m.prefilter_words,
-        m.verifications,
-        m.word_updates,
-        m.hits,
-    ]
-}
-
-fn metrics_from_words(w: [u64; 13]) -> MapMetrics {
-    MapMetrics {
-        seeds_selected: w[0],
-        fm_extend_ops: w[1],
-        fm_locate_ops: w[2],
-        candidates_raw: w[3],
-        candidates_merged: w[4],
-        dp_cells: w[5],
-        prefilter_tested: w[6],
-        prefilter_rejected: w[7],
-        prefilter_false_accepts: w[8],
-        prefilter_words: w[9],
-        verifications: w[10],
-        word_updates: w[11],
-        hits: w[12],
-    }
-}
-
-/// Encodes one batch record as a framed journal entry:
-/// `[payload_len: u32][payload][crc32(payload): u32]`, all little-endian.
-///
-/// # Panics
-///
-/// Panics if `outputs`/`metrics` lengths disagree with `hi − lo` — that
-/// is an executor bug, not an I/O condition.
-pub fn encode_record(record: &BatchRecord) -> Vec<u8> {
+fn encode_payload(record: &BatchRecord) -> Vec<u8> {
     let reads = (record.hi - record.lo) as usize;
     assert_eq!(record.outputs.len(), reads, "outputs must cover the batch");
     assert_eq!(record.metrics.len(), reads, "metrics must cover the batch");
@@ -311,54 +170,56 @@ pub fn encode_record(record: &BatchRecord) -> Vec<u8> {
         }
         put_u64(&mut payload, out.work);
         put_u64(&mut payload, out.candidates);
-        for word in metrics_to_words(m) {
+        // The thirteen counters, in `MapMetrics::fields` order.
+        for (_, word) in m.fields() {
             put_u64(&mut payload, word);
         }
     }
+    payload
+}
+
+/// Encodes one batch record as a framed journal entry:
+/// `[payload_len: u32][payload][crc32(payload): u32]`, all little-endian.
+///
+/// # Panics
+///
+/// Panics if `outputs`/`metrics` lengths disagree with `hi − lo` — that
+/// is an executor bug, not an I/O condition.
+pub fn encode_record(record: &BatchRecord) -> Vec<u8> {
+    let payload = encode_payload(record);
     let mut framed = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut framed, payload.len() as u32);
-    let crc = crc32(&payload);
-    framed.extend_from_slice(&payload);
-    put_u32(&mut framed, crc);
+    wire::put_frame(&mut framed, &payload);
     framed
 }
 
-fn decode_payload(payload: &[u8]) -> Option<BatchRecord> {
+fn decode_payload(payload: &[u8]) -> Result<BatchRecord, WireError> {
     let mut r = Reader::new(payload);
     let index = r.u32()?;
     let lo = r.u64()?;
     let hi = r.u64()?;
-    if hi < lo {
-        return None;
-    }
-    let reads = usize::try_from(hi - lo).ok()?;
-    // Each read needs at least 4 + 16 + 13·8 bytes — reject corrupt
-    // ranges before allocating.
-    if reads > payload.len() / 124 + 1 {
-        return None;
-    }
+    let span = hi
+        .checked_sub(lo)
+        .ok_or(WireError::Invalid("batch range ends before it starts"))?;
+    // Per read: mapping count, work, candidates, thirteen metric words.
+    let reads = r.bounded(span, 4 + 16 + 13 * 8)?;
     let mut outputs = Vec::with_capacity(reads);
     let mut metrics = Vec::with_capacity(reads);
     for _ in 0..reads {
-        let n_mappings = r.u32()? as usize;
-        if n_mappings > (payload.len() - r.pos) / 9 {
-            return None;
-        }
-        let mut mappings = Vec::with_capacity(n_mappings);
-        for _ in 0..n_mappings {
+        // A mapping is position + distance + strand: nine bytes.
+        let mappings = r.items(9, |r| {
             let position = r.u32()?;
             let distance = r.u32()?;
             let strand = match r.u8()? {
                 0 => Strand::Forward,
                 1 => Strand::Reverse,
-                _ => return None,
+                _ => return Err(WireError::Invalid("unknown strand code")),
             };
-            mappings.push(Mapping {
+            Ok(Mapping {
                 position,
                 strand,
                 distance,
-            });
-        }
+            })
+        })?;
         let work = r.u64()?;
         let candidates = r.u64()?;
         outputs.push(MapOutput {
@@ -366,16 +227,14 @@ fn decode_payload(payload: &[u8]) -> Option<BatchRecord> {
             work,
             candidates,
         });
-        let mut words = [0u64; 13];
-        for w in &mut words {
-            *w = r.u64()?;
+        let mut m = MapMetrics::new();
+        for (name, _) in m.fields() {
+            m.set_field(name, r.u64()?);
         }
-        metrics.push(metrics_from_words(words));
+        metrics.push(m);
     }
-    if !r.done() {
-        return None; // trailing garbage inside a CRC-valid frame
-    }
-    Some(BatchRecord {
+    r.finish()?; // trailing garbage inside a CRC-valid frame
+    Ok(BatchRecord {
         index,
         lo,
         hi,
@@ -390,30 +249,15 @@ fn decode_payload(payload: &[u8]) -> Option<BatchRecord> {
 /// recovery primitive: everything past the returned offset is dropped.
 pub fn decode_records(bytes: &[u8]) -> (Vec<BatchRecord>, usize) {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while let Some(len_bytes) = bytes.get(pos..pos + 4) {
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes"));
-        if len > MAX_RECORD_BYTES {
-            break;
-        }
-        let len = len as usize;
-        let Some(payload) = bytes.get(pos + 4..pos + 4 + len) else {
-            break;
-        };
-        let Some(crc_bytes) = bytes.get(pos + 4 + len..pos + 8 + len) else {
-            break;
-        };
-        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(payload) != stored_crc {
-            break;
-        }
-        let Some(record) = decode_payload(payload) else {
+    let mut consumed = 0;
+    for payload in wire::frames(bytes).0 {
+        let Ok(record) = decode_payload(payload) else {
             break;
         };
         records.push(record);
-        pos += 8 + len;
+        consumed += wire::frame_len(payload);
     }
-    (records, pos)
+    (records, consumed)
 }
 
 // ---------------------------------------------------------------------
@@ -462,46 +306,26 @@ impl Manifest {
         if stored != computed {
             return Err(format!("manifest crc {stored} != computed {computed}"));
         }
-        let mut fingerprint = None;
-        let mut batches = None;
-        let mut records = None;
-        let mut complete = None;
-        for line in body.lines() {
-            if let Some(v) = line.strip_prefix("fingerprint ") {
-                fingerprint = Some(v.trim().to_string());
-            } else if let Some(v) = line.strip_prefix("batches ") {
-                batches = v.trim().parse::<u64>().ok();
-            } else if let Some(v) = line.strip_prefix("records ") {
-                records = v.trim().parse::<u64>().ok();
-            } else if let Some(v) = line.strip_prefix("complete ") {
-                complete = Some(v.trim() == "1");
-            }
-        }
+        // The body is CRC-checked and holds each key once.
+        let field = |key: &str| body.lines().find_map(|line| line.strip_prefix(key));
+        let number = |key: &str| field(key).and_then(|v| v.trim().parse::<u64>().ok());
         Ok(Manifest {
-            fingerprint: fingerprint.ok_or("missing fingerprint")?,
-            batches: batches.ok_or("missing batches")?,
-            records: records.ok_or("missing records")?,
-            complete: complete.ok_or("missing complete flag")?,
+            fingerprint: field("fingerprint ")
+                .ok_or("missing fingerprint")?
+                .trim()
+                .to_string(),
+            batches: number("batches ").ok_or("missing batches")?,
+            records: number("records ").ok_or("missing records")?,
+            complete: field("complete ").ok_or("missing complete flag")?.trim() == "1",
         })
     }
-}
-
-fn encode_header(fp: &RunFingerprint) -> [u8; JOURNAL_HEADER_LEN] {
-    let mut header = [0u8; JOURNAL_HEADER_LEN];
-    header[..8].copy_from_slice(&JOURNAL_MAGIC);
-    header[8..16].copy_from_slice(&fp.config.to_le_bytes());
-    header[16..24].copy_from_slice(&fp.workload.to_le_bytes());
-    header[24..32].copy_from_slice(&fp.shape.to_le_bytes());
-    let crc = crc32(&header[8..32]);
-    header[32..36].copy_from_slice(&crc.to_le_bytes());
-    header
 }
 
 /// An open run journal: an append handle plus the durable-record count.
 #[derive(Debug)]
 pub struct RunJournal {
     path: PathBuf,
-    file: File,
+    log: FrameLog,
     fingerprint: RunFingerprint,
     records: u64,
 }
@@ -541,127 +365,68 @@ impl RunJournal {
             }
         }
         let watermark = manifest.as_ref().map_or(0, |m| m.records);
-
-        if !path.exists() {
-            if watermark > 0 {
-                return Err(ReputeError::JournalCorrupt(format!(
-                    "manifest promises {watermark} durable record(s) but the journal file \
-                     {} is missing",
-                    path.display()
-                )));
-            }
-            let mut file = File::create(path).map_err(io_err)?;
-            file.write_all(&encode_header(fingerprint))
-                .map_err(io_err)?;
-            file.sync_data().map_err(io_err)?;
-            return Ok((
-                RunJournal {
-                    path: path.to_path_buf(),
-                    file,
-                    fingerprint: *fingerprint,
-                    records: 0,
-                },
-                Vec::new(),
-            ));
-        }
-
-        let mut bytes = Vec::new();
-        File::open(path)
-            .map_err(io_err)?
-            .read_to_end(&mut bytes)
-            .map_err(io_err)?;
-
-        if bytes.len() < JOURNAL_HEADER_LEN {
-            if watermark > 0 {
-                return Err(ReputeError::JournalCorrupt(format!(
-                    "journal {} is shorter than its header but the manifest promises \
-                     {watermark} record(s)",
-                    path.display()
-                )));
-            }
-            // A crash during the very first header write: start over.
-            let mut file = File::create(path).map_err(io_err)?;
-            file.write_all(&encode_header(fingerprint))
-                .map_err(io_err)?;
-            file.sync_data().map_err(io_err)?;
-            return Ok((
-                RunJournal {
-                    path: path.to_path_buf(),
-                    file,
-                    fingerprint: *fingerprint,
-                    records: 0,
-                },
-                Vec::new(),
-            ));
-        }
-
-        if bytes[..8] != JOURNAL_MAGIC {
-            return Err(ReputeError::JournalCorrupt(format!(
-                "{} is not a repute journal (bad magic)",
-                path.display()
-            )));
-        }
-        let stored_crc = u32::from_le_bytes(bytes[32..36].try_into().expect("4 bytes"));
-        if crc32(&bytes[8..32]) != stored_crc {
-            return Err(ReputeError::JournalCorrupt(format!(
-                "journal {} header failed its checksum",
-                path.display()
-            )));
-        }
-        let stored = RunFingerprint {
-            config: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-            workload: u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")),
-            shape: u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes")),
+        let corrupt = |what: String| {
+            ReputeError::JournalCorrupt(format!("journal {}: {what}", path.display()))
         };
-        if stored != *fingerprint {
-            return Err(ReputeError::ResumeMismatch(format!(
-                "journal was written by run {} but this run is {} \
-                 (different config, inputs, or schedule)",
-                stored.render(),
-                fingerprint.render()
-            )));
-        }
 
-        let (records, consumed) = decode_records(&bytes[JOURNAL_HEADER_LEN..]);
-        if (records.len() as u64) < watermark {
-            return Err(ReputeError::JournalCorrupt(format!(
-                "journal {} holds {} intact record(s) but the manifest promises {watermark} — \
-                 a durable record was corrupted",
-                path.display(),
-                records.len()
-            )));
-        }
-        for (i, record) in records.iter().enumerate() {
-            if record.index as usize != i {
-                return Err(ReputeError::JournalCorrupt(format!(
-                    "journal record {i} carries batch index {} — records must form a \
-                     batch-order prefix",
-                    record.index
-                )));
+        let bytes = match fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(io_err(e)),
+        };
+        let (log, replayed) = match RunFingerprint::from_header(&bytes, &JOURNAL_MAGIC) {
+            // No file yet, or a crash during the very first header
+            // write: start over — unless records were promised.
+            Err(WireError::Truncated) if watermark == 0 => {
+                let header = fingerprint.header(&JOURNAL_MAGIC);
+                (FrameLog::create(path, &header).map_err(io_err)?, Vec::new())
             }
-        }
-
-        let durable_len = (JOURNAL_HEADER_LEN + consumed) as u64;
-        let file = OpenOptions::new().write(true).open(path).map_err(io_err)?;
-        if durable_len < bytes.len() as u64 {
-            // Torn tail: drop the partial frame.
-            file.set_len(durable_len).map_err(io_err)?;
-            file.sync_data().map_err(io_err)?;
-        }
-        let mut journal = RunJournal {
+            Err(WireError::Truncated) => {
+                return Err(corrupt(format!(
+                    "missing or shorter than its header, but the manifest promises \
+                     {watermark} durable record(s)"
+                )))
+            }
+            Err(e) => return Err(corrupt(format!("header: {e}"))),
+            Ok(stored) if stored != *fingerprint => {
+                return Err(ReputeError::ResumeMismatch(format!(
+                    "journal was written by run {} but this run is {} \
+                     (different config, inputs, or schedule)",
+                    stored.render(),
+                    fingerprint.render()
+                )))
+            }
+            Ok(_) => {
+                let (records, consumed) = decode_records(&bytes[JOURNAL_HEADER_LEN..]);
+                if (records.len() as u64) < watermark {
+                    return Err(corrupt(format!(
+                        "holds {} intact record(s) but the manifest promises {watermark} — \
+                         a durable record was corrupted",
+                        records.len()
+                    )));
+                }
+                for (i, record) in records.iter().enumerate() {
+                    if record.index as usize != i {
+                        return Err(corrupt(format!(
+                            "record {i} carries batch index {} — records must form a \
+                             batch-order prefix",
+                            record.index
+                        )));
+                    }
+                }
+                // Whatever follows the intact records is a torn tail (the
+                // watermark check has ruled out promised data): dropped.
+                let durable_len = (JOURNAL_HEADER_LEN + consumed) as u64;
+                (FrameLog::open(path, durable_len).map_err(io_err)?, records)
+            }
+        };
+        let journal = RunJournal {
             path: path.to_path_buf(),
-            file,
+            log,
             fingerprint: *fingerprint,
-            records: records.len() as u64,
+            records: replayed.len() as u64,
         };
-        {
-            use std::io::Seek;
-            journal
-                .file
-                .seek(std::io::SeekFrom::Start(durable_len))
-                .map_err(io_err)?;
-        }
-        Ok((journal, records))
+        Ok((journal, replayed))
     }
 
     fn load_manifest(path: &Path) -> Result<Option<Manifest>, ReputeError> {
@@ -669,13 +434,16 @@ impl RunJournal {
         if !mpath.exists() {
             return Ok(None);
         }
-        let text = fs::read_to_string(&mpath).map_err(|e| ReputeError::io_at(&mpath, e))?;
-        Manifest::parse(&text).map(Some).map_err(|reason| {
-            ReputeError::JournalCorrupt(format!(
-                "manifest {} is malformed: {reason}",
-                mpath.display()
-            ))
-        })
+        let bytes = fs::read(&mpath).map_err(|e| ReputeError::io_at(&mpath, e))?;
+        // Damage that breaks the UTF-8 also breaks the CRC line's match.
+        Manifest::parse(&String::from_utf8_lossy(&bytes))
+            .map(Some)
+            .map_err(|reason| {
+                ReputeError::JournalCorrupt(format!(
+                    "manifest {} is malformed: {reason}",
+                    mpath.display()
+                ))
+            })
     }
 
     /// Number of durable records currently journaled.
@@ -690,10 +458,9 @@ impl RunJournal {
     ///
     /// [`ReputeError::Io`] on write or sync failure.
     pub fn append(&mut self, record: &BatchRecord) -> Result<(), ReputeError> {
-        let framed = encode_record(record);
-        let io_err = |e| ReputeError::io_at(&self.path, e);
-        self.file.write_all(&framed).map_err(io_err)?;
-        self.file.sync_data().map_err(io_err)?;
+        self.log
+            .append(&encode_payload(record))
+            .map_err(|e| ReputeError::io_at(&self.path, e))?;
         self.records += 1;
         Ok(())
     }
@@ -713,6 +480,7 @@ impl RunJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
 
     fn sample_record(index: u32, lo: u64, reads: usize) -> BatchRecord {
         let outputs: Vec<MapOutput> = (0..reads)

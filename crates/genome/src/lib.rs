@@ -10,7 +10,9 @@
 //!   chromosome 21 used throughout the evaluation,
 //! * [`reads`] — a read simulator with per-platform error profiles, the
 //!   stand-in for the NCBI read sets (`ERR012100_1`, `SRR826460_1`) used in
-//!   the paper.
+//!   the paper,
+//! * [`wire`] — how every on-disk format of the workspace is framed,
+//!   checksummed and bounded.
 //!
 //! # Example
 //!
@@ -39,6 +41,7 @@ pub mod iupac;
 pub mod reads;
 pub mod rng;
 pub mod synth;
+pub mod wire;
 
 pub use alphabet::{Base, Strand};
 pub use error::GenomeError;

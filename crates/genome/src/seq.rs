@@ -7,6 +7,7 @@ use std::str::FromStr;
 
 use crate::alphabet::Base;
 use crate::error::GenomeError;
+use crate::wire::{read_run, Reader};
 
 const BASES_PER_WORD: usize = 32;
 
@@ -212,20 +213,21 @@ impl DnaSeq {
     /// the stream is truncated or the header is implausible, and
     /// propagates I/O errors from `input` (a `&mut` reader is accepted).
     pub fn read_packed<R: std::io::Read>(mut input: R) -> std::io::Result<DnaSeq> {
-        let mut buf8 = [0u8; 8];
-        input.read_exact(&mut buf8)?;
-        let len = u64::from_le_bytes(buf8) as usize;
-        if len > (u32::MAX as usize) * 4 {
+        let len = Reader::new(&read_run(&mut input, 8)?).u64()?;
+        if len > u64::from(u32::MAX) * 4 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("implausible packed sequence length {len}"),
             ));
         }
-        let word_count = len.div_ceil(BASES_PER_WORD);
-        let mut words = Vec::with_capacity(word_count);
-        for _ in 0..word_count {
-            input.read_exact(&mut buf8)?;
-            words.push(u64::from_le_bytes(buf8));
+        // In pieces: the reference is never held a second time as bytes.
+        let mut words = Vec::new();
+        let len = len as usize;
+        let mut left = len.div_ceil(BASES_PER_WORD);
+        while left > 0 {
+            let piece = left.min(1 << 13);
+            words.extend(Reader::new(&read_run(&mut input, 8 * piece as u64)?).u64s(piece)?);
+            left -= piece;
         }
         Ok(DnaSeq { words, len })
     }

@@ -7,13 +7,16 @@
 //! rows.div_ceil(32) x u64   BWT, 2 bits a row, sentinel and padding as A
 //! rows.div_ceil(64) x u64   bit r set iff row r carries an SA sample
 //! samples x u32             text positions of the marked rows, in row order
-//! u64                       FNV-1a 64 of every byte above
+//! u64                       standard FNV-1a 64 of every byte above
 //! ```
 //!
-//! All little-endian. Rank counts are not stored: they are recomputed
-//! from the symbols on load, never trusted from a file.
+//! All little-endian, read through `repute_genome::wire`. Rank counts
+//! are not stored: they are recomputed from the symbols on load, never
+//! trusted from a file.
 
 use std::io::{Error, ErrorKind, Read, Write};
+
+use repute_genome::wire::{put_u32, put_u64, read_run, Fnv64, Reader};
 
 use super::{FmIndex, WORD_ROWS};
 use crate::bitvec::RankBitVec;
@@ -22,13 +25,6 @@ use crate::bitvec::RankBitVec;
 const STREAM_VERSION: u16 = 2;
 /// Bytes before the BWT words.
 const HEADER_LEN: usize = 42;
-
-/// FNV-1a 64 of `bytes`, the stream's trailer.
-fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
-        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 impl FmIndex {
     /// Serialises the index to a binary stream (the `repute` CLI's
@@ -43,10 +39,10 @@ impl FmIndex {
         let mut bytes = Vec::with_capacity(HEADER_LEN + n_rows / 2 + self.sa_samples.len() * 4);
         bytes.extend_from_slice(b"RPFM");
         bytes.extend_from_slice(&STREAM_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(self.sa_sample as u32).to_le_bytes());
+        put_u32(&mut bytes, self.sa_sample as u32);
         let sentinel_row = self.sentinel_row as usize;
         for field in [self.text_len, n_rows, sentinel_row, self.sa_samples.len()] {
-            bytes.extend_from_slice(&(field as u64).to_le_bytes());
+            put_u64(&mut bytes, field as u64);
         }
         bytes.extend(
             symbols
@@ -60,7 +56,9 @@ impl FmIndex {
                 .flat_map(|w| w.to_le_bytes()),
         );
         bytes.extend(self.sa_samples.iter().flat_map(|p| p.to_le_bytes()));
-        bytes.extend_from_slice(&fnv64(&bytes).to_le_bytes());
+        let mut trailer = Fnv64::standard();
+        trailer.write(&bytes);
+        put_u64(&mut bytes, trailer.finish());
         out.write_all(&bytes)
     }
 
@@ -75,22 +73,23 @@ impl FmIndex {
         fn bad(msg: impl Into<String>) -> Error {
             Error::new(ErrorKind::InvalidData, msg.into())
         }
-        let mut bytes = vec![0u8; HEADER_LEN];
-        input.read_exact(&mut bytes[..6])?;
-        if &bytes[..4] != b"RPFM" {
+        let mut trailer = Fnv64::standard();
+        let head = read_run(&mut input, HEADER_LEN as u64)?;
+        trailer.write(&head);
+        let mut r = Reader::new(&head);
+        if r.bytes(4)? != b"RPFM" {
             return Err(bad("not an FM-Index stream (bad magic)"));
         }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+        let version = r.u16()?;
         if version != STREAM_VERSION {
             return Err(bad(format!(
                 "FM-Index stream version {version} is not supported (this build reads \
                  version {STREAM_VERSION}); rebuild the index with `repute index`"
             )));
         }
-        input.read_exact(&mut bytes[6..])?;
-        let sa_sample = u32::from_le_bytes(bytes[6..10].try_into().expect("4 bytes")) as usize;
-        let [text_len, n_rows, sentinel_row, sample_count] = [10, 18, 26, 34]
-            .map(|at| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")));
+        let sa_sample = r.u32()? as usize;
+        let [text_len, n_rows, sentinel_row, sample_count] =
+            [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         if sa_sample == 0 {
             return Err(bad("zero sampling rate"));
         }
@@ -106,31 +105,22 @@ impl FmIndex {
             return Err(bad("more SA samples than BWT rows"));
         }
         let n_rows = n_rows as usize;
-        // Payload and trailer in one read. The buffer grows only as bytes
-        // arrive, so a corrupt length cannot force a huge allocation.
-        let marks_at = HEADER_LEN + 8 * n_rows.div_ceil(WORD_ROWS);
-        let samples_at = marks_at + 8 * n_rows.div_ceil(64);
-        let hash_at = samples_at + 4 * sample_count as usize;
-        let rest = (hash_at + 8 - HEADER_LEN) as u64;
-        if input.take(rest).read_to_end(&mut bytes)? as u64 != rest {
-            return Err(Error::new(
-                ErrorKind::UnexpectedEof,
-                "FM-Index stream ends early",
-            ));
-        }
-        let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8 bytes"));
-        if word(&bytes[hash_at..]) != fnv64(&bytes[..hash_at]) {
+        let sample_count = sample_count as usize;
+        // Payload and trailer in one read, freed before the index is
+        // laid out.
+        let symbol_words = n_rows.div_ceil(WORD_ROWS);
+        let mark_words = n_rows.div_ceil(64);
+        let payload_len = 8 * (symbol_words + mark_words) + 4 * sample_count;
+        let body = read_run(&mut input, payload_len as u64 + 8)?;
+        trailer.write(&body[..payload_len]);
+        let mut r = Reader::new(&body);
+        let symbols = r.u64s(symbol_words)?;
+        let marks = r.u64s(mark_words)?;
+        let sa_samples = r.u32s(sample_count)?;
+        if r.u64()? != trailer.finish() {
             return Err(bad("FM-Index stream checksum mismatch"));
         }
-        let words = |bytes: &[u8]| -> Vec<u64> { bytes.chunks_exact(8).map(word).collect() };
-        let symbols = words(&bytes[HEADER_LEN..marks_at]);
-        let marks = words(&bytes[marks_at..samples_at]);
-        let sample = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("4 bytes"));
-        let sa_samples: Vec<u32> = bytes[samples_at..hash_at]
-            .chunks_exact(4)
-            .map(sample)
-            .collect();
-        drop(bytes);
+        drop(body);
 
         // The sentinel and the padding after the last row are stored as A.
         let stored = |row: usize| symbols[row / WORD_ROWS] >> (2 * (row % WORD_ROWS));
@@ -143,7 +133,7 @@ impl FmIndex {
             return Err(bad("sampled rows must be strictly increasing and in range"));
         }
         let marked: u64 = marks.iter().map(|w| u64::from(w.count_ones())).sum();
-        if marked != sample_count || sa_samples.iter().any(|&p| p as usize >= n_rows - 1) {
+        if marked != sample_count as u64 || sa_samples.iter().any(|&p| p as usize >= n_rows - 1) {
             return Err(bad("SA samples do not match the sampled rows or the text"));
         }
         Ok(FmIndex::from_parts(

@@ -37,6 +37,9 @@ pub struct QGramIndex {
 }
 
 impl QGramIndex {
+    /// Largest `q` [`QGramIndex::build`] accepts.
+    pub const MAX_Q: usize = MAX_Q;
+
     /// Builds the index of all `q`-grams of `reference`.
     ///
     /// # Panics

@@ -1,5 +1,6 @@
 //! The mapper interface shared by every baseline and by REPUTE itself.
 
+use repute_genome::wire::{read_run, Reader, WireError};
 use repute_genome::{DnaSeq, Strand};
 
 /// One reported mapping location.
@@ -138,26 +139,22 @@ impl IndexedReference {
     /// version, or payload mismatch, and propagates I/O errors from
     /// `input` (a `&mut` reader is accepted).
     pub fn read_from<R: std::io::Read>(mut input: R) -> std::io::Result<IndexedReference> {
-        fn bad(msg: &str) -> std::io::Error {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+        let head = read_run(&mut input, 10)?;
+        let mut r = Reader::new(&head);
+        if r.bytes(4)? != b"RPIX" {
+            return Err(WireError::Invalid("not a repute index stream (bad magic)").into());
         }
-        let mut magic = [0u8; 4];
-        input.read_exact(&mut magic)?;
-        if &magic != b"RPIX" {
-            return Err(bad("not a repute index stream (bad magic)"));
+        if r.u16()? != 1 {
+            return Err(WireError::Invalid("unsupported index format version").into());
         }
-        let mut b2 = [0u8; 2];
-        input.read_exact(&mut b2)?;
-        if u16::from_le_bytes(b2) != 1 {
-            return Err(bad("unsupported index format version"));
+        let q = r.u32()? as usize;
+        if !(1..=repute_index::QGramIndex::MAX_Q).contains(&q) {
+            return Err(WireError::Invalid("q-gram length out of range").into());
         }
-        let mut b4 = [0u8; 4];
-        input.read_exact(&mut b4)?;
-        let q = u32::from_le_bytes(b4) as usize;
         let seq = DnaSeq::read_packed(&mut input)?;
         let fm = repute_index::FmIndex::read_from(&mut input)?;
         if fm.text_len() != seq.len() {
-            return Err(bad("FM-Index does not match the stored sequence"));
+            return Err(WireError::Invalid("FM-Index does not match the stored sequence").into());
         }
         let codes = seq.to_codes();
         let qgram = repute_index::QGramIndex::build(&seq, q);

@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use repute_genome::wire::{read_run, Reader, WireError};
 use repute_genome::{DnaSeq, Strand};
 
 use crate::common::{IndexedReference, Mapping};
@@ -103,7 +104,7 @@ impl ReferenceSet {
     /// Translates a global position into `(record index, local position)`,
     /// or `None` past the end of the concatenation.
     pub fn resolve(&self, position: u32) -> Option<(usize, u32)> {
-        if position >= *self.offsets.last().expect("non-empty offsets") {
+        if position >= *self.offsets.last()? {
             return None;
         }
         // partition_point gives the first offset > position.
@@ -171,45 +172,42 @@ impl ReferenceSet {
     /// Returns [`std::io::ErrorKind::InvalidData`] on a bad magic,
     /// version, or payload mismatch, and propagates I/O errors.
     pub fn read_from<R: std::io::Read>(mut input: R) -> std::io::Result<ReferenceSet> {
-        fn bad(msg: &str) -> std::io::Error {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+        let head = read_run(&mut input, 10)?;
+        let mut r = Reader::new(&head);
+        if r.bytes(4)? != b"RPST" {
+            return Err(WireError::Invalid("not a reference-set stream (bad magic)").into());
         }
-        let mut magic = [0u8; 4];
-        input.read_exact(&mut magic)?;
-        if &magic != b"RPST" {
-            return Err(bad("not a reference-set stream (bad magic)"));
+        if r.u16()? != 1 {
+            return Err(WireError::Invalid("unsupported reference-set format version").into());
         }
-        let mut b2 = [0u8; 2];
-        input.read_exact(&mut b2)?;
-        if u16::from_le_bytes(b2) != 1 {
-            return Err(bad("unsupported reference-set format version"));
-        }
-        let mut b4 = [0u8; 4];
-        let mut b8 = [0u8; 8];
-        input.read_exact(&mut b4)?;
-        let count = u32::from_le_bytes(b4) as usize;
+        let count = r.u32()?;
         if count == 0 {
-            return Err(bad("reference set has no records"));
+            return Err(WireError::Invalid("reference set has no records").into());
         }
-        let mut records = Vec::with_capacity(count);
-        let mut offsets = Vec::with_capacity(count + 1);
-        let mut cursor = 0u64;
+        // Not sized from `count`: both grow as records really arrive.
+        let mut records = Vec::new();
+        let mut offsets = Vec::new();
+        let mut cursor = 0u32;
         for _ in 0..count {
-            input.read_exact(&mut b4)?;
-            let name_len = u32::from_le_bytes(b4) as usize;
-            let mut name = vec![0u8; name_len];
-            input.read_exact(&mut name)?;
-            let name = String::from_utf8(name).map_err(|_| bad("record name is not UTF-8"))?;
-            input.read_exact(&mut b8)?;
-            let len = u64::from_le_bytes(b8) as usize;
-            offsets.push(cursor as u32);
-            cursor += len as u64;
-            records.push((name, len));
+            // [name_len u32][name][len u64], the name's length first.
+            let mut record = read_run(&mut input, 4)?;
+            let name_len = Reader::new(&record).u32()?;
+            record.extend(read_run(&mut input, u64::from(name_len) + 8)?);
+            let mut r = Reader::new(&record);
+            let (name, len) = (r.string()?, r.u64()?);
+            offsets.push(cursor);
+            cursor = u32::try_from(len)
+                .ok()
+                .and_then(|len| cursor.checked_add(len))
+                .ok_or(WireError::Invalid("reference set exceeds u32 positions"))?;
+            records.push((name, len as usize));
         }
-        offsets.push(cursor as u32);
+        offsets.push(cursor);
         let indexed = IndexedReference::read_from(&mut input)?;
-        if indexed.len() as u64 != cursor {
-            return Err(bad("record table does not match the indexed sequence"));
+        if indexed.len() != cursor as usize {
+            return Err(
+                WireError::Invalid("record table does not match the indexed sequence").into(),
+            );
         }
         Ok(ReferenceSet {
             indexed: Arc::new(indexed),

@@ -1,9 +1,9 @@
 //! Crash-safe job journal for the daemon.
 //!
 //! The journal is the daemon's only durable state. Three record kinds
-//! are appended, each wrapped in a CRC-framed record (`[len u32]
-//! [payload][crc32]`, all little-endian, same framing as the checkpoint
-//! journal in `repute_core::journal`):
+//! are appended, each one frame of the codec in `repute_genome::wire`
+//! (`[len u32][payload][crc32]`, the framing the checkpoint journal in
+//! `repute_core::journal` uses too):
 //!
 //! * **Accepted** — written the moment a job passes admission, before
 //!   any response is sent. Carries everything needed to re-execute the
@@ -49,12 +49,13 @@
 //! header whose [`RunFingerprint`] does not match the running server as
 //! [`ReputeError::ResumeMismatch`] (same policy as checkpoint resume).
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use repute_core::journal::{crc32, RunFingerprint};
+use repute_core::journal::RunFingerprint;
 use repute_core::{write_atomic, ReputeError};
+use repute_genome::wire::{
+    self, put_frame, put_str, put_u32, put_u64, FrameLog, Reader, Stop, WireError,
+};
 use repute_genome::{DnaSeq, Strand};
 use repute_mappers::Mapping;
 
@@ -163,69 +164,7 @@ pub struct Recovered {
     pub shed: Vec<ShedRecord>,
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ReputeError> {
-        if self.at + n > self.bytes.len() {
-            return Err(corrupt("record payload truncated"));
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ReputeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ReputeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ReputeError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    /// Reads an item count. Every item takes at least `min_item_bytes`
-    /// of payload, so a count the remaining bytes cannot hold is
-    /// corruption — refused here, before anything is allocated for it.
-    fn count(&mut self, min_item_bytes: usize) -> Result<usize, ReputeError> {
-        let n = self.u32()? as usize;
-        if n > (self.bytes.len() - self.at) / min_item_bytes {
-            return Err(corrupt("record count exceeds the payload"));
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self) -> Result<String, ReputeError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("record string is not UTF-8"))
-    }
-}
-
-fn corrupt(detail: &str) -> ReputeError {
+fn corrupt(detail: impl std::fmt::Display) -> ReputeError {
     ReputeError::JournalCorrupt(detail.to_string())
 }
 
@@ -254,33 +193,38 @@ fn encode_accepted(job: &JobSpec) -> Vec<u8> {
     out
 }
 
-fn decode_accepted(cur: &mut Cursor<'_>) -> Result<JobSpec, ReputeError> {
+fn decode_accepted(cur: &mut Reader<'_>) -> Result<JobSpec, WireError> {
     let seq = cur.u64()?;
     let arrival_s = f64::from_bits(cur.u64()?);
     let deadline_s = match cur.u8()? {
         0 => None,
         1 => Some(f64::from_bits(cur.u64()?)),
-        _ => return Err(corrupt("unknown deadline flag in accepted record")),
+        _ => {
+            return Err(WireError::Invalid(
+                "unknown deadline flag in accepted record",
+            ))
+        }
     };
     let priority = cur.u32()?;
     let delta = cur.u32()?;
-    let prefilter = prefilter_from_code(cur.u8()?)
-        .ok_or_else(|| corrupt("unknown prefilter code in accepted record"))?;
+    let prefilter = prefilter_from_code(cur.u8()?).ok_or(WireError::Invalid(
+        "unknown prefilter code in accepted record",
+    ))?;
     let mapper = MapperKind::from_code(cur.u8()?)
-        .ok_or_else(|| corrupt("unknown mapper code in accepted record"))?;
+        .ok_or(WireError::Invalid("unknown mapper code in accepted record"))?;
     let id = cur.string()?;
     let tenant = cur.string()?;
-    let n_reads = cur.count(8)?; // id + sequence, length-prefixed
-    let mut read_ids = Vec::with_capacity(n_reads);
-    let mut reads = Vec::with_capacity(n_reads);
-    for _ in 0..n_reads {
-        read_ids.push(cur.string()?);
-        let text = cur.string()?;
-        reads.push(
-            text.parse::<DnaSeq>()
-                .map_err(|_| corrupt("invalid read sequence in accepted record"))?,
-        );
-    }
+    // Per read: id + sequence, length-prefixed.
+    let (read_ids, reads) = cur
+        .items(8, |cur| {
+            let id = cur.string()?;
+            let seq = cur.string()?.parse::<DnaSeq>();
+            let seq =
+                seq.map_err(|_| WireError::Invalid("invalid read sequence in accepted record"))?;
+            Ok((id, seq))
+        })?
+        .into_iter()
+        .unzip();
     Ok(JobSpec {
         seq,
         id,
@@ -332,51 +276,40 @@ fn encode_batch(record: &BatchRecord) -> Vec<u8> {
     out
 }
 
-fn decode_batch(cur: &mut Cursor<'_>) -> Result<BatchRecord, ReputeError> {
+fn decode_batch(cur: &mut Reader<'_>) -> Result<BatchRecord, WireError> {
     let batch = cur.u64()?;
     let completion_s = f64::from_bits(cur.u64()?);
-    let n_jobs = cur.count(12)?; // seq + read count
-    let mut jobs = Vec::with_capacity(n_jobs);
-    for _ in 0..n_jobs {
+    // The `items` minimum is the smallest encoding of one item: a job
+    // is seq + read count, a read its mapping count, a mapping position
+    // + strand + distance, a provenance row device + three counters.
+    let mapping = |cur: &mut Reader<'_>| {
+        let position = cur.u32()?;
+        let strand = match cur.u8()? {
+            0 => Strand::Forward,
+            1 => Strand::Reverse,
+            _ => return Err(WireError::Invalid("unknown strand code in batch record")),
+        };
+        let distance = cur.u32()?;
+        Ok(Mapping {
+            position,
+            strand,
+            distance,
+        })
+    };
+    let jobs = cur.items(12, |cur| {
         let seq = cur.u64()?;
-        let n_reads = cur.count(4)?; // mapping count
-        let mut mappings = Vec::with_capacity(n_reads);
-        for _ in 0..n_reads {
-            let n = cur.count(9)?; // position + strand + distance
-            let mut per_read = Vec::with_capacity(n);
-            for _ in 0..n {
-                let position = cur.u32()?;
-                let strand = match cur.u8()? {
-                    0 => Strand::Forward,
-                    1 => Strand::Reverse,
-                    _ => return Err(corrupt("unknown strand code in batch record")),
-                };
-                let distance = cur.u32()?;
-                per_read.push(Mapping {
-                    position,
-                    strand,
-                    distance,
-                });
-            }
-            mappings.push(per_read);
-        }
-        jobs.push(JobResult { seq, mappings });
-    }
-    let n_lost = cur.count(4)?;
-    let mut lost = Vec::with_capacity(n_lost);
-    for _ in 0..n_lost {
-        lost.push(cur.u32()?);
-    }
-    let n_prov = cur.count(28)?; // device + three counters
-    let mut provenance = Vec::with_capacity(n_prov);
-    for _ in 0..n_prov {
-        provenance.push(DeviceProvenance {
+        let mappings = cur.items(4, |cur| cur.items(9, mapping))?;
+        Ok(JobResult { seq, mappings })
+    })?;
+    let lost = cur.items(4, Reader::u32)?;
+    let provenance = cur.items(28, |cur| {
+        Ok(DeviceProvenance {
             device: cur.u32()?,
             faults: cur.u64()?,
             retries: cur.u64()?,
             migrated: cur.u64()?,
-        });
-    }
+        })
+    })?;
     Ok(BatchRecord {
         batch,
         jobs,
@@ -396,13 +329,9 @@ fn encode_shed(record: &ShedRecord) -> Vec<u8> {
     out
 }
 
-fn decode_shed(cur: &mut Cursor<'_>) -> Result<ShedRecord, ReputeError> {
+fn decode_shed(cur: &mut Reader<'_>) -> Result<ShedRecord, WireError> {
     let at_s = f64::from_bits(cur.u64()?);
-    let n = cur.count(8)?;
-    let mut seqs = Vec::with_capacity(n);
-    for _ in 0..n {
-        seqs.push(cur.u64()?);
-    }
+    let seqs = cur.items(8, Reader::u64)?;
     Ok(ShedRecord { at_s, seqs })
 }
 
@@ -436,7 +365,7 @@ fn encode_state(state: &StateRecord) -> Vec<u8> {
     out
 }
 
-fn decode_state(cur: &mut Cursor<'_>) -> Result<StateRecord, ReputeError> {
+fn decode_state(cur: &mut Reader<'_>) -> Result<StateRecord, WireError> {
     let sim_clock = f64::from_bits(cur.u64()?);
     let next_seq = cur.u64()?;
     let batches = cur.u64()?;
@@ -444,29 +373,15 @@ fn decode_state(cur: &mut Cursor<'_>) -> Result<StateRecord, ReputeError> {
     let completed = cur.u64()?;
     let replayed = cur.u64()?;
     let shed = cur.u64()?;
-    let n_served = cur.count(12)?; // tenant + service
-    let mut served = Vec::with_capacity(n_served);
-    for _ in 0..n_served {
-        let tenant = cur.string()?;
-        served.push((tenant, f64::from_bits(cur.u64()?)));
-    }
-    let n_quota = cur.count(28)?; // seq + tenant + time + reads
-    let mut quota = Vec::with_capacity(n_quota);
-    for _ in 0..n_quota {
+    // Minimum item sizes: tenant + service; seq + tenant + time +
+    // reads; device + code + faults.
+    let served = cur.items(12, |cur| Ok((cur.string()?, f64::from_bits(cur.u64()?))))?;
+    let quota = cur.items(28, |cur| {
         let seq = cur.u64()?;
         let tenant = cur.string()?;
-        let at = f64::from_bits(cur.u64()?);
-        let reads = cur.u64()?;
-        quota.push((seq, tenant, at, reads));
-    }
-    let n_health = cur.count(13)?; // device + code + faults
-    let mut health = Vec::with_capacity(n_health);
-    for _ in 0..n_health {
-        let device = cur.u32()?;
-        let code = cur.u8()?;
-        let faults = cur.u64()?;
-        health.push((device, code, faults));
-    }
+        Ok((seq, tenant, f64::from_bits(cur.u64()?), cur.u64()?))
+    })?;
+    let health = cur.items(13, |cur| Ok((cur.u32()?, cur.u8()?, cur.u64()?)))?;
     Ok(StateRecord {
         sim_clock,
         next_seq,
@@ -481,27 +396,10 @@ fn decode_state(cur: &mut Cursor<'_>) -> Result<StateRecord, ReputeError> {
     })
 }
 
-fn header_bytes(fingerprint: &RunFingerprint) -> Vec<u8> {
-    let mut header = Vec::with_capacity(36);
-    header.extend_from_slice(JOURNAL_MAGIC);
-    put_u64(&mut header, fingerprint.config);
-    put_u64(&mut header, fingerprint.workload);
-    put_u64(&mut header, fingerprint.shape);
-    let crc = crc32(&header[8..]);
-    put_u32(&mut header, crc);
-    header
-}
-
-fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    put_u32(out, payload.len() as u32);
-    out.extend_from_slice(payload);
-    put_u32(out, crc32(payload));
-}
-
 /// Append-only journal of accepted jobs and committed batches.
 #[derive(Debug)]
 pub struct JobJournal {
-    file: File,
+    log: FrameLog,
     path: PathBuf,
 }
 
@@ -509,18 +407,10 @@ impl JobJournal {
     /// Creates a fresh journal at `path`, writing the header (magic +
     /// fingerprint + header CRC). An existing file is truncated.
     pub fn create(path: &Path, fingerprint: &RunFingerprint) -> Result<JobJournal, ReputeError> {
-        let header = header_bytes(fingerprint);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| ReputeError::io_at(path, e))?;
-        file.write_all(&header)
-            .and_then(|()| file.sync_all())
+        let log = FrameLog::create(path, &fingerprint.header(JOURNAL_MAGIC))
             .map_err(|e| ReputeError::io_at(path, e))?;
         Ok(JobJournal {
-            file,
+            log,
             path: path.to_path_buf(),
         })
     }
@@ -534,31 +424,9 @@ impl JobJournal {
         fingerprint: &RunFingerprint,
     ) -> Result<(JobJournal, Recovered), ReputeError> {
         let io = |e: std::io::Error| ReputeError::io_at(path, e);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(io)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(io)?;
-        if bytes.len() < 36 || &bytes[..8] != JOURNAL_MAGIC {
-            return Err(corrupt("journal header missing or wrong magic"));
-        }
-        if crc32(&bytes[8..32]) != u32::from_le_bytes([bytes[32], bytes[33], bytes[34], bytes[35]])
-        {
-            return Err(corrupt("journal header CRC mismatch"));
-        }
-        let mut words = [0u64; 3];
-        for (i, w) in words.iter_mut().enumerate() {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(&bytes[8 + i * 8..16 + i * 8]);
-            *w = u64::from_le_bytes(raw);
-        }
-        let found = RunFingerprint {
-            config: words[0],
-            workload: words[1],
-            shape: words[2],
-        };
+        let bytes = std::fs::read(path).map_err(io)?;
+        let found = RunFingerprint::from_header(&bytes, JOURNAL_MAGIC)
+            .map_err(|e| corrupt(format_args!("journal header: {e}")))?;
         if found != *fingerprint {
             return Err(ReputeError::ResumeMismatch(format!(
                 "serve journal was written by run {} but this server is {} \
@@ -569,62 +437,35 @@ impl JobJournal {
         }
 
         let mut recovered = Recovered::default();
-        let mut at = 36usize;
-        let mut intact_end = at;
-        while at < bytes.len() {
-            // Frame = [len][payload][crc]; anything short of that at the
-            // end of the file is a torn tail.
-            if at + 4 > bytes.len() {
-                break;
-            }
-            let len = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
-                as usize;
-            let payload_at = at + 4;
-            let crc_at = payload_at + len;
-            if crc_at + 4 > bytes.len() {
-                break;
-            }
-            let payload = &bytes[payload_at..crc_at];
-            let stored = u32::from_le_bytes([
-                bytes[crc_at],
-                bytes[crc_at + 1],
-                bytes[crc_at + 2],
-                bytes[crc_at + 3],
-            ]);
-            if crc32(payload) != stored {
-                if crc_at + 4 == bytes.len() {
-                    break; // torn final frame: crash mid-append
-                }
-                return Err(corrupt("record CRC mismatch before end of journal"));
-            }
-            let mut cur = Cursor {
-                bytes: payload,
-                at: 0,
+        let (payloads, stop) = wire::frames(&bytes[wire::HEADER_LEN..]);
+        let mut durable_len = wire::HEADER_LEN;
+        for payload in payloads {
+            let first = durable_len == wire::HEADER_LEN;
+            let mut cur = Reader::new(payload);
+            let decoded = match cur.u8() {
+                Ok(TAG_ACCEPTED) => decode_accepted(&mut cur).map(|j| recovered.accepted.push(j)),
+                Ok(TAG_BATCH_DONE) => decode_batch(&mut cur).map(|b| recovered.batches.push(b)),
+                Ok(TAG_SHED) => decode_shed(&mut cur).map(|s| recovered.shed.push(s)),
+                // Only compaction writes state frames, always as the
+                // first frame of the rewritten file.
+                Ok(TAG_STATE) if first => decode_state(&mut cur).map(|s| recovered.state = Some(s)),
+                Ok(TAG_STATE) => Err(WireError::Invalid("state record after the first frame")),
+                Ok(_) => Err(WireError::Invalid("unknown record tag")),
+                Err(e) => Err(e),
             };
-            match cur.u8()? {
-                TAG_ACCEPTED => recovered.accepted.push(decode_accepted(&mut cur)?),
-                TAG_BATCH_DONE => recovered.batches.push(decode_batch(&mut cur)?),
-                TAG_SHED => recovered.shed.push(decode_shed(&mut cur)?),
-                TAG_STATE => {
-                    // Only compaction writes state frames, always as the
-                    // first frame of the rewritten file.
-                    if intact_end != 36 {
-                        return Err(corrupt("state record after the first frame"));
-                    }
-                    recovered.state = Some(decode_state(&mut cur)?);
-                }
-                _ => return Err(corrupt("unknown record tag")),
-            }
-            at = crc_at + 4;
-            intact_end = at;
+            decoded.map_err(|e| corrupt(format_args!("record: {e}")))?;
+            durable_len += wire::frame_len(payload);
         }
-        if intact_end < bytes.len() {
-            file.set_len(intact_end as u64).map_err(io)?;
+        // A frame cut short, or a CRC-broken frame that ends the file,
+        // is the append a crash interrupted: dropped. A CRC break with
+        // more behind it is damage to data that was durable.
+        if stop == Stop::CrcBreak {
+            return Err(corrupt("record CRC mismatch before end of journal"));
         }
-        file.seek(SeekFrom::End(0)).map_err(io)?;
+        let log = FrameLog::open(path, durable_len as u64).map_err(io)?;
         Ok((
             JobJournal {
-                file,
+                log,
                 path: path.to_path_buf(),
             },
             recovered,
@@ -632,11 +473,8 @@ impl JobJournal {
     }
 
     fn append(&mut self, payload: &[u8]) -> Result<(), ReputeError> {
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        put_frame(&mut frame, payload);
-        self.file
-            .write_all(&frame)
-            .and_then(|()| self.file.sync_data())
+        self.log
+            .append(payload)
             .map_err(|e| ReputeError::io_at(&self.path, e))
     }
 
@@ -674,7 +512,7 @@ impl JobJournal {
         state: &StateRecord,
         live: &[&JobSpec],
     ) -> Result<(), ReputeError> {
-        let mut bytes = header_bytes(fingerprint);
+        let mut bytes = fingerprint.header(JOURNAL_MAGIC);
         put_frame(&mut bytes, &encode_state(state));
         for job in live {
             put_frame(&mut bytes, &encode_accepted(job));
@@ -682,14 +520,8 @@ impl JobJournal {
         write_atomic(&self.path, &bytes)?;
         // The old handle still points at the unlinked pre-compaction
         // inode; reopen so appends land in the compacted file.
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.path)
+        self.log = FrameLog::open(&self.path, bytes.len() as u64)
             .map_err(|e| ReputeError::io_at(&self.path, e))?;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| ReputeError::io_at(&self.path, e))?;
-        self.file = file;
         Ok(())
     }
 
@@ -700,9 +532,8 @@ impl JobJournal {
     ///
     /// [`ReputeError::Io`] when the metadata read fails.
     pub fn size_bytes(&self) -> Result<u64, ReputeError> {
-        self.file
-            .metadata()
-            .map(|m| m.len())
+        self.log
+            .size_bytes()
             .map_err(|e| ReputeError::io_at(&self.path, e))
     }
 }
@@ -902,7 +733,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("serve-jnl-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("late_state.jnl");
-        let mut bytes = header_bytes(&fp());
+        let mut bytes = fp().header(JOURNAL_MAGIC);
         put_frame(&mut bytes, &encode_accepted(&job(0)));
         put_frame(&mut bytes, &encode_state(&state()));
         std::fs::write(&path, &bytes).expect("write");
@@ -951,7 +782,7 @@ mod tests {
                 let mut forged = payload.clone();
                 forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
                 for payload in [&forged[..], &forged[..at + 4]] {
-                    let mut bytes = header_bytes(&fp());
+                    let mut bytes = fp().header(JOURNAL_MAGIC);
                     put_frame(&mut bytes, payload);
                     std::fs::write(&path, &bytes).expect("write");
                     let err = JobJournal::open(&path, &fp()).expect_err("forged count");
