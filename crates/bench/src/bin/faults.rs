@@ -19,50 +19,25 @@
 //!    `AllDevicesLost` error naming the full unmapped read range, not a
 //!    panic or silent truncation.
 
-use std::sync::Arc;
+use repute_bench::gate::Checks;
+use repute_bench::scenario::{
+    both_schedules, mappings_of, quad_platform, Ablation, ABLATION_CELL, QUAD_DEVICES as DEVICES,
+};
+use repute_bench::workload::Scale;
+use repute_core::{Executor, Schedule};
+use repute_hetsim::FaultPlan;
 
-use repute_bench::workload::{s_min_for, Scale, Workload};
-use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule};
-use repute_genome::DnaSeq;
-use repute_hetsim::{profiles, FaultPlan, Platform};
-
-const DEVICES: usize = 4;
 const MAX_RETRIES: usize = 2;
-
-fn quad_platform() -> Platform {
-    Platform::new(
-        "quad-cpu",
-        1.0,
-        (0..DEVICES).map(|_| profiles::intel_i7_2600()).collect(),
-    )
-}
-
-fn mappings_of(run: &repute_core::MappingRun) -> Vec<Vec<repute_mappers::Mapping>> {
-    run.outputs.iter().map(|o| o.mappings.clone()).collect()
-}
-
-fn schedules(platform: &Platform, items: usize) -> Vec<(String, Schedule)> {
-    vec![
-        (
-            "static".into(),
-            Schedule::Static(platform.even_shares(items)),
-        ),
-        ("dynamic".into(), Schedule::Dynamic { batch: 0 }),
-    ]
-}
 
 fn main() {
     let scale = Scale::from_env();
     println!("Fault ablation — output invariance and graceful degradation");
     println!("{}", scale.describe());
     println!("generating workload…");
-    let w = Workload::generate(scale);
-    let (n, delta) = (100usize, 5u32);
-    let reads: Vec<DnaSeq> = w.read_seqs(n);
-    let config = ReputeConfig::new(delta, s_min_for(n, delta)).expect("valid config");
-    let mapper = ReputeMapper::new(Arc::clone(&w.indexed), config);
+    let Ablation { reads, mapper, .. } = Ablation::generate(scale);
+    let (n, delta) = ABLATION_CELL;
     let platform = quad_platform();
-    let mut failures = 0u32;
+    let mut checks = Checks::default();
     let run_with = |schedule: &Schedule, host_threads, faults: &FaultPlan, max_retries| {
         let executor = Executor {
             host_threads,
@@ -84,7 +59,7 @@ fn main() {
         "plan × schedule", "faults", "sim T(s)", "retries", "output"
     );
     println!("{}", "-".repeat(74));
-    for (sched_name, schedule) in schedules(&platform, reads.len()) {
+    for (sched_name, schedule) in both_schedules(&platform, reads.len()) {
         let (clean, clean_metrics) =
             run_with(&schedule, 1, &no_faults, MAX_RETRIES).expect("fault-free baseline failed");
         let gold = mappings_of(&clean);
@@ -123,8 +98,9 @@ fn main() {
                 let (run, metrics) = match run_with(&schedule, host_threads, plan, MAX_RETRIES) {
                     Ok(out) => out,
                     Err(e) => {
-                        eprintln!("FAIL: {plan_name} × {sched_name} ht={host_threads}: {e}");
-                        failures += 1;
+                        checks.fail(&format!(
+                            "{plan_name} × {sched_name} ht={host_threads}: {e}"
+                        ));
                         continue;
                     }
                 };
@@ -142,10 +118,9 @@ fn main() {
                     );
                 }
                 if !same {
-                    eprintln!(
-                        "FAIL: {plan_name} × {sched_name} ht={host_threads} changed the output"
-                    );
-                    failures += 1;
+                    checks.fail(&format!(
+                        "{plan_name} × {sched_name} ht={host_threads} changed the output"
+                    ));
                 }
             }
         }
@@ -154,7 +129,7 @@ fn main() {
     // [2] Graceful degradation: kill k of 4 devices at t = 0 and watch
     // the makespan grow while the output stays put.
     println!("\n[2] graceful degradation (kill k devices at t=0)");
-    for (sched_name, schedule) in schedules(&platform, reads.len()) {
+    for (sched_name, schedule) in both_schedules(&platform, reads.len()) {
         let (clean, _) = run_with(&schedule, 1, &no_faults, MAX_RETRIES).unwrap();
         let gold = mappings_of(&clean);
         let mut prev = 0.0f64;
@@ -181,12 +156,14 @@ fn main() {
                 }
             );
             if !same {
-                eprintln!("FAIL: {sched_name} with {k} dead devices changed the output");
-                failures += 1;
+                checks.fail(&format!(
+                    "{sched_name} with {k} dead devices changed the output"
+                ));
             }
             if run.simulated_seconds + 1e-12 < prev {
-                eprintln!("FAIL: {sched_name}: makespan shrank when killing more devices");
-                failures += 1;
+                checks.fail(&format!(
+                    "{sched_name}: makespan shrank when killing more devices"
+                ));
             }
             prev = run.simulated_seconds;
         }
@@ -203,8 +180,7 @@ fn main() {
     let migrated: u64 = run.fault_counters.iter().map(|c| c.migrated_batches).sum();
     println!("  {faults} strike(s) | {retries} retried | {migrated} migrated");
     if faults != 4 || retries != 4 || migrated != 0 {
-        eprintln!("FAIL: expected 4 strikes / 4 retries / 0 migrations");
-        failures += 1;
+        checks.fail("expected 4 strikes / 4 retries / 0 migrations");
     }
 
     // [4] All devices dead: a typed error naming the unmapped range.
@@ -219,23 +195,17 @@ fn main() {
                 println!("  {e}");
             }
             Some(range) => {
-                eprintln!("FAIL: wrong unmapped range {range:?}");
-                failures += 1;
+                checks.fail(&format!("wrong unmapped range {range:?}"));
             }
             None => {
-                eprintln!("FAIL: untyped error {e}");
-                failures += 1;
+                checks.fail(&format!("untyped error {e}"));
             }
         },
         Ok(_) => {
-            eprintln!("FAIL: mapping succeeded with every device dead");
-            failures += 1;
+            checks.fail("mapping succeeded with every device dead");
         }
     }
 
-    if failures > 0 {
-        eprintln!("\n{failures} check(s) failed");
-        std::process::exit(1);
-    }
+    checks.finish("");
     println!("\nall fault ablation checks passed");
 }

@@ -16,9 +16,11 @@
 
 use std::sync::Arc;
 
+use repute_bench::gate::Checks;
 use repute_bench::harness::{gold_standard, match_tolerance, run_cell, AccuracyMethod};
-use repute_bench::workload::{s_min_for, Scale, Workload};
-use repute_core::{ReputeConfig, ReputeMapper};
+use repute_bench::scenario::{Ablation, ABLATION_CELL};
+use repute_bench::workload::Scale;
+use repute_core::ReputeMapper;
 use repute_hetsim::profiles;
 use repute_obs::MapMetrics;
 use repute_prefilter::{PrefilterMode, ShdFilter};
@@ -68,13 +70,16 @@ fn main() {
     println!("Pre-alignment filter ablation — SHD + q-gram bins");
     println!("{}", scale.describe());
     println!("generating workload…");
-    let w = Workload::generate(scale);
-    let (n, delta) = (100usize, 5u32);
-    let reads = w.read_seqs(n);
+    let Ablation {
+        workload: w,
+        reads,
+        config: base,
+        ..
+    } = Ablation::generate(scale);
+    let (n, delta) = ABLATION_CELL;
     let gold = gold_standard(&w.indexed, delta, &reads);
     let platform = profiles::system1_cpu_only();
     let shares = platform.single_device_share(0, reads.len());
-    let base = ReputeConfig::new(delta, s_min_for(n, delta)).expect("valid config");
 
     println!("\n[1] mode sweep (n={n}, δ={delta}, {} reads)", reads.len());
     println!(
@@ -82,7 +87,7 @@ fn main() {
         "mode", "word upd", "filter words", "tested", "rejected", "false acc", "sim T(s)"
     );
     println!("{}", "-".repeat(88));
-    let mut failures = 0u32;
+    let mut checks = Checks::default();
     let mut baseline: Option<(Vec<Vec<repute_mappers::Mapping>>, u64)> = None;
     let mut both_word_updates = None;
     for mode in PrefilterMode::ALL {
@@ -115,8 +120,9 @@ fn main() {
             None => baseline = Some((outcome.outputs.clone(), totals.word_updates)),
             Some((gold_outputs, _)) => {
                 if &outcome.outputs != gold_outputs {
-                    eprintln!("FAIL: mode {mode} changed mapping output (false negatives!)");
-                    failures += 1;
+                    checks.fail(&format!(
+                        "mode {mode} changed mapping output (false negatives!)"
+                    ));
                 }
             }
         }
@@ -128,8 +134,7 @@ fn main() {
     let both_words = both_word_updates.expect("mode sweep ran");
     println!("\n[2] verification saving: word_updates {none_words} (none) → {both_words} (both)");
     if both_words >= none_words {
-        eprintln!("FAIL: --prefilter both did not reduce Myers word updates");
-        failures += 1;
+        checks.fail("--prefilter both did not reduce Myers word updates");
     } else {
         println!(
             "saved {:.1}% of Myers word updates",
@@ -140,13 +145,9 @@ fn main() {
     let (rejected, negatives) = corpus_shd_rejections();
     println!("\n[3] adversarial corpus: SHD rejected {rejected}/{negatives} unverifiable entries");
     if rejected == 0 {
-        eprintln!("FAIL: SHD rejection rate on the adversarial corpus is 0 — filter is a no-op");
-        failures += 1;
+        checks.fail("SHD rejection rate on the adversarial corpus is 0 — filter is a no-op");
     }
 
-    if failures > 0 {
-        eprintln!("\n{failures} check(s) failed");
-        std::process::exit(1);
-    }
+    checks.finish("");
     println!("\nall prefilter ablation checks passed");
 }

@@ -21,59 +21,22 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::Arc;
 use std::time::Duration;
 
-use repute_bench::workload::{s_min_for, Scale, Workload};
-use repute_core::{Executor, ReputeConfig, ReputeError, ReputeMapper, RunFingerprint, Schedule};
+use repute_bench::gate::{fail, Checks};
+use repute_bench::scenario::{both_schedules, quad_platform, scratch_dir, Ablation};
+use repute_bench::workload::Scale;
+use repute_core::{Executor, ReputeError, RunFingerprint};
 use repute_genome::fasta::{write_fasta, FastaRecord};
 use repute_genome::fastq::write_fastq;
 use repute_genome::reads::ReadSimulator;
+use repute_genome::rng::StdRng;
 use repute_genome::synth::ReferenceBuilder;
-use repute_genome::DnaSeq;
-use repute_hetsim::{profiles, FaultPlan, Platform};
+use repute_hetsim::{FaultPlan, Platform};
 
-const DEVICES: usize = 4;
 const CRASH_POINTS: usize = 5;
 const KILL_TRIALS: usize = 3;
 const MAX_ATTEMPTS: usize = 60;
-
-fn quad_platform() -> Platform {
-    Platform::new(
-        "quad-cpu",
-        1.0,
-        (0..DEVICES).map(|_| profiles::intel_i7_2600()).collect(),
-    )
-}
-
-/// Deterministic xorshift64* stream for crash fractions and kill delays.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-fn work_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join("repute-bench-resume");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create work dir");
-    dir
-}
 
 fn clear_journal(path: &Path) {
     std::fs::remove_file(path).ok();
@@ -119,30 +82,19 @@ fn main() {
     println!("Crash/resume ablation — journaled runs are bit-identical");
     println!("{}", scale.describe());
     println!("seed {seed}");
-    let dir = work_dir();
-    let mut failures = 0u32;
+    let dir = scratch_dir("resume");
+    let mut checks = Checks::default();
 
     // ------------------------------------------------------------------
     // [1] Seeded simulated crash points, in-process, both schedules.
     // ------------------------------------------------------------------
     println!("\n[1] seeded crash points ({CRASH_POINTS} per schedule, in-process)");
-    let w = Workload::generate(scale);
-    let (n, delta) = (100usize, 5u32);
-    let reads: Vec<DnaSeq> = w.read_seqs(n);
-    let config = ReputeConfig::new(delta, s_min_for(n, delta)).expect("valid config");
-    let mapper = ReputeMapper::new(Arc::clone(&w.indexed), config);
+    let Ablation { reads, mapper, .. } = Ablation::generate(scale);
     let platform = quad_platform();
     let fingerprint = RunFingerprint::new(0xBE7C_0001, 0xD0_C0DE);
-    let mut rng = Rng::new(seed);
-    let schedules: Vec<(String, Schedule)> = vec![
-        (
-            "static".into(),
-            Schedule::Static(platform.even_shares(reads.len())),
-        ),
-        ("dynamic".into(), Schedule::Dynamic { batch: 0 }),
-    ];
-    for (sched_name, schedule) in &schedules {
-        let executor = Executor::new(schedule.clone());
+    let mut rng = StdRng::seed_from_u64(seed);
+    for (sched_name, schedule) in both_schedules(&platform, reads.len()) {
+        let executor = Executor::new(schedule);
         let gold_path = dir.join(format!("gold-{sched_name}.rpj"));
         clear_journal(&gold_path);
         let gold = executor
@@ -150,8 +102,9 @@ fn main() {
             .expect("uninterrupted journaled run");
         let (plain, plain_metrics) = executor.run(&mapper, &platform, &reads).expect("plain run");
         if gold.run.outputs != plain.outputs || gold.metrics != plain_metrics {
-            eprintln!("FAIL: {sched_name}: journaled run differs from the plain run");
-            failures += 1;
+            checks.fail(&format!(
+                "{sched_name}: journaled run differs from the plain run"
+            ));
         }
         let gold_report = normalized_report(&gold.run, &platform, &gold.metrics);
         let makespan = gold.run.simulated_seconds;
@@ -160,7 +113,7 @@ fn main() {
             gold.total_batches, makespan
         );
         for trial in 0..CRASH_POINTS {
-            let frac = 0.05 + 0.90 * rng.next_f64();
+            let frac = 0.05 + 0.90 * rng.gen::<f64>();
             let crash_t = frac * makespan;
             let path = dir.join(format!("crash-{sched_name}-{trial}.rpj"));
             clear_journal(&path);
@@ -172,16 +125,14 @@ fn main() {
             let committed = match crashed {
                 Err(ReputeError::Interrupted { committed, .. }) => committed,
                 Err(e) => {
-                    eprintln!("FAIL: {sched_name} trial {trial}: unexpected error {e}");
-                    failures += 1;
+                    checks.fail(&format!("{sched_name} trial {trial}: unexpected error {e}"));
                     continue;
                 }
                 Ok(_) => {
-                    eprintln!(
-                        "FAIL: {sched_name} trial {trial}: crash at {crash_t:.6} s \
+                    checks.fail(&format!(
+                        "{sched_name} trial {trial}: crash at {crash_t:.6} s \
                          did not interrupt"
-                    );
-                    failures += 1;
+                    ));
                     continue;
                 }
             };
@@ -189,8 +140,7 @@ fn main() {
                 match executor.run_journaled(&mapper, &platform, &reads, &path, fingerprint, 1) {
                     Ok(r) => r,
                     Err(e) => {
-                        eprintln!("FAIL: {sched_name} trial {trial}: resume failed: {e}");
-                        failures += 1;
+                        checks.fail(&format!("{sched_name} trial {trial}: resume failed: {e}"));
                         continue;
                     }
                 };
@@ -211,15 +161,13 @@ fn main() {
                 }
             );
             if !identical {
-                eprintln!("FAIL: {sched_name} trial {trial}: resumed run differs");
-                failures += 1;
+                checks.fail(&format!("{sched_name} trial {trial}: resumed run differs"));
             }
             if resumed.resumed_batches != committed {
-                eprintln!(
-                    "FAIL: {sched_name} trial {trial}: replayed {} != committed {committed}",
+                checks.fail(&format!(
+                    "{sched_name} trial {trial}: replayed {} != committed {committed}",
                     resumed.resumed_batches
-                );
-                failures += 1;
+                ));
             }
         }
     }
@@ -228,13 +176,7 @@ fn main() {
     // [2] SIGKILL a child `repute map --checkpoint` at seeded delays.
     // ------------------------------------------------------------------
     println!("\n[2] child-process SIGKILL trials ({KILL_TRIALS} seeded)");
-    let repute = match repute_binary() {
-        Ok(path) => path,
-        Err(msg) => {
-            eprintln!("FAIL: {msg}");
-            std::process::exit(1);
-        }
-    };
+    let repute = repute_binary().unwrap_or_else(|msg| fail(&msg));
     let ref_len = scale.reference_len.min(150_000);
     let read_count = scale.reads_per_set.min(300);
     let reference = ReferenceBuilder::new(ref_len).seed(seed ^ 0xFA57).build();
@@ -282,8 +224,7 @@ fn main() {
         .status()
         .expect("spawn reference run");
     if !status.success() {
-        eprintln!("FAIL: reference CLI run exited with {status}");
-        std::process::exit(1);
+        fail(&format!("reference CLI run exited with {status}"));
     }
     let gold_sam = std::fs::read(&ref_sam).expect("read reference SAM");
     let gold_telemetry =
@@ -323,8 +264,7 @@ fn main() {
                     break;
                 }
                 Some(status) => {
-                    eprintln!("FAIL: trial {trial}: child exited with {status}");
-                    failures += 1;
+                    checks.fail(&format!("trial {trial}: child exited with {status}"));
                     finished = true;
                     break;
                 }
@@ -336,20 +276,23 @@ fn main() {
             }
         }
         if !finished {
-            eprintln!("FAIL: trial {trial}: did not finish within {MAX_ATTEMPTS} attempts");
-            failures += 1;
+            checks.fail(&format!(
+                "trial {trial}: did not finish within {MAX_ATTEMPTS} attempts"
+            ));
             continue;
         }
         let killed_sam = std::fs::read(&sam).expect("read resumed SAM");
         if killed_sam != gold_sam {
-            eprintln!("FAIL: trial {trial}: resumed SAM differs from the reference run");
-            failures += 1;
+            checks.fail(&format!(
+                "trial {trial}: resumed SAM differs from the reference run"
+            ));
         }
         let killed_telemetry =
             deterministic_telemetry(&std::fs::read_to_string(&jsonl).expect("read telemetry"));
         if killed_telemetry != gold_telemetry {
-            eprintln!("FAIL: trial {trial}: deterministic telemetry records differ");
-            failures += 1;
+            checks.fail(&format!(
+                "trial {trial}: deterministic telemetry records differ"
+            ));
         }
     }
 
@@ -367,23 +310,20 @@ fn main() {
         Command::new(&repute).args(&args).output().expect("run cli")
     };
     let expect_code =
-        |what: &str, out: &std::process::Output, code: i32, failures: &mut u32| match out
+        |what: &str, out: &std::process::Output, code: i32, checks: &mut Checks| match out
             .status
             .code()
         {
             Some(c) if c == code => println!("  {what}: exit {c} (expected)"),
-            other => {
-                eprintln!(
-                    "FAIL: {what}: expected exit {code}, got {other:?}\n{}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                *failures += 1;
-            }
+            other => checks.fail(&format!(
+                "{what}: expected exit {code}, got {other:?}\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            )),
         };
 
     // Exit 2: a crash event without a journal to crash into.
     let out = run_cli(&["--fault-plan", "crash:@0.001"]);
-    expect_code("crash plan without --checkpoint", &out, 2, &mut failures);
+    expect_code("crash plan without --checkpoint", &out, 2, &mut checks);
 
     // Exit 8: a simulated host crash interrupts the checkpointed run.
     let journal_s = journal.display().to_string();
@@ -393,26 +333,24 @@ fn main() {
         "--fault-plan",
         "crash:@0.0000001",
     ]);
-    expect_code("simulated host crash", &out, 8, &mut failures);
+    expect_code("simulated host crash", &out, 8, &mut checks);
 
     // Exit 0: the resume completes and matches the reference SAM.
     let out = run_cli(&["--checkpoint", &journal_s, "--resume"]);
-    expect_code("resume to completion", &out, 0, &mut failures);
+    expect_code("resume to completion", &out, 0, &mut checks);
     match std::fs::read(&sam) {
         Ok(bytes) if bytes == gold_sam => println!("  resumed SAM matches the reference run"),
         Ok(_) => {
-            eprintln!("FAIL: resumed SAM differs from the reference run");
-            failures += 1;
+            checks.fail("resumed SAM differs from the reference run");
         }
         Err(e) => {
-            eprintln!("FAIL: resumed SAM missing: {e}");
-            failures += 1;
+            checks.fail(&format!("resumed SAM missing: {e}"));
         }
     }
 
     // Exit 6: resuming under a different configuration is refused.
     let out = run_cli(&["--checkpoint", &journal_s, "--resume", "--s-min", "14"]);
-    expect_code("mismatched resume", &out, 6, &mut failures);
+    expect_code("mismatched resume", &out, 6, &mut checks);
 
     // Exit 5: a corrupted journal is refused (flip one byte inside the
     // first committed record, below the manifest watermark).
@@ -421,16 +359,15 @@ fn main() {
         bytes[46] ^= 0x40;
         std::fs::write(&journal, bytes).expect("write corrupted journal");
         let out = run_cli(&["--checkpoint", &journal_s, "--resume"]);
-        expect_code("corrupted journal", &out, 5, &mut failures);
+        expect_code("corrupted journal", &out, 5, &mut checks);
     } else {
-        eprintln!("FAIL: journal too short to corrupt ({} bytes)", bytes.len());
-        failures += 1;
+        checks.fail(&format!(
+            "journal too short to corrupt ({} bytes)",
+            bytes.len()
+        ));
     }
 
-    if failures > 0 {
-        eprintln!("\n{failures} check(s) failed");
-        std::process::exit(1);
-    }
+    checks.finish("");
     println!("\nall crash/resume checks passed");
 }
 

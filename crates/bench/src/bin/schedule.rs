@@ -18,24 +18,13 @@
 //!    runners: the simulated schedule is core-count-independent, but
 //!    wall clock obviously is not.
 
-use std::sync::Arc;
-
-use repute_bench::workload::{s_min_for, Scale, Workload};
-use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule, AUTO_HOST_THREADS};
+use repute_bench::gate::Checks;
+use repute_bench::scenario::{mappings_of, quad_platform, Ablation, ABLATION_CELL};
+use repute_bench::workload::Scale;
+use repute_core::{Executor, ReputeMapper, Schedule, AUTO_HOST_THREADS};
 use repute_genome::DnaSeq;
 use repute_hetsim::{profiles, Platform};
 use repute_mappers::Mapper;
-
-/// Four identical CPU devices: the simplest platform on which even
-/// static shares pin a skewed read set to one device while greedy batch
-/// pulling spreads it, and on which share threads map 1:1 to host cores.
-fn quad_platform() -> Platform {
-    Platform::new(
-        "quad-cpu",
-        1.0,
-        (0..4).map(|_| profiles::intel_i7_2600()).collect(),
-    )
-}
 
 fn run(
     mapper: &ReputeMapper,
@@ -54,22 +43,15 @@ fn run(
         .0
 }
 
-fn mappings_of(run: &repute_core::MappingRun) -> Vec<Vec<repute_mappers::Mapping>> {
-    run.outputs.iter().map(|o| o.mappings.clone()).collect()
-}
-
 fn main() {
     let scale = Scale::from_env();
     println!("Schedule ablation — static shares vs dynamic batch pulling");
     println!("{}", scale.describe());
     println!("generating workload…");
-    let w = Workload::generate(scale);
-    let (n, delta) = (100usize, 5u32);
-    let reads = w.read_seqs(n);
-    let config = ReputeConfig::new(delta, s_min_for(n, delta)).expect("valid config");
-    let mapper = ReputeMapper::new(Arc::clone(&w.indexed), config);
+    let Ablation { reads, mapper, .. } = Ablation::generate(scale);
+    let (n, delta) = ABLATION_CELL;
     let platform = quad_platform();
-    let mut failures = 0u32;
+    let mut checks = Checks::default();
 
     // [1] Output invariance across schedules and host-thread counts.
     println!(
@@ -125,8 +107,7 @@ fn main() {
             if same { "same" } else { "DIFFERS" }
         );
         if !same {
-            eprintln!("FAIL: {name} changed the mapping output");
-            failures += 1;
+            checks.fail(&format!("{name} changed the mapping output"));
         }
     }
 
@@ -148,8 +129,7 @@ fn main() {
         per_read_work[light]
     );
     if per_read_work[heavy] <= per_read_work[light] {
-        eprintln!("FAIL: workload has no per-read work skew to exploit");
-        failures += 1;
+        checks.fail("workload has no per-read work skew to exploit");
     }
     let static_run = run(
         &mapper,
@@ -172,12 +152,10 @@ fn main() {
         (dynamic_run.simulated_seconds / static_run.simulated_seconds - 1.0) * 100.0
     );
     if dynamic_run.simulated_seconds > static_run.simulated_seconds {
-        eprintln!("FAIL: dynamic schedule is slower than static even shares on a skewed workload");
-        failures += 1;
+        checks.fail("dynamic schedule is slower than static even shares on a skewed workload");
     }
     if mappings_of(&dynamic_run) != mappings_of(&static_run) {
-        eprintln!("FAIL: schedules disagree on the skewed workload's mappings");
-        failures += 1;
+        checks.fail("schedules disagree on the skewed workload's mappings");
     }
 
     // [3] Wall-clock speedup of the threaded executor over a sequential
@@ -202,14 +180,12 @@ fn main() {
             "sequential host: {sequential:.4} s | threaded: {threaded:.4} s | speedup {speedup:.2}×"
         );
         if speedup < 1.5 {
-            eprintln!("FAIL: threaded executor speedup {speedup:.2}× is below 1.5×");
-            failures += 1;
+            checks.fail(&format!(
+                "threaded executor speedup {speedup:.2}× is below 1.5×"
+            ));
         }
     }
 
-    if failures > 0 {
-        eprintln!("\n{failures} check(s) failed");
-        std::process::exit(1);
-    }
+    checks.finish("");
     println!("\nall schedule ablation checks passed");
 }

@@ -34,11 +34,13 @@
 
 use std::collections::HashMap;
 
-use repute_bench::gate::{self, fail, Gate, Mode};
-use repute_genome::synth::ReferenceBuilder;
+use repute_bench::gate::Value::{Gated, Informational, Integer};
+use repute_bench::gate::{fail, or_fail, Gate};
+use repute_bench::scenario::{
+    self, sam_by_id, tenant_jobs, ServeReference, SERVE_REF_LEN as REF_LEN, TENANTS,
+};
 use repute_genome::DnaSeq;
-use repute_hetsim::{profiles, FaultPlan};
-use repute_obs::json::JsonObject;
+use repute_hetsim::FaultPlan;
 use repute_serve::{JobEnvelope, JobResponse, JobStatus, ServeHarness, ServeOptions};
 
 const GATE: Gate = Gate {
@@ -48,13 +50,7 @@ const GATE: Gate = Gate {
     noun: "fault",
     smoke: Some("fault-tolerance"),
 };
-/// Fresh gated metrics may exceed the committed baseline by at most
-/// this factor before the check fails.
-const REGRESSION_FACTOR: f64 = 1.2;
 
-/// Pinned smoke scale (deterministic; environment overrides are
-/// ignored so the committed baseline stays comparable).
-const REF_LEN: usize = 60_000;
 const READS_PER_JOB: usize = 1;
 const JOBS_PER_TENANT: usize = 6;
 /// `system1` ships one CPU and two GPUs.
@@ -62,16 +58,6 @@ const DEVICES: usize = 3;
 /// Strikes mid-workload: the pinned workload spans ~1.8e-3 simulated
 /// seconds, so a 1e-4 fault lands after the first batches launch.
 const LOSS_AT_S: f64 = 1.0e-4;
-
-const TENANTS: [&str; 3] = ["acme", "lab", "edge"];
-
-fn reference() -> DnaSeq {
-    ReferenceBuilder::new(REF_LEN).seed(9901).build()
-}
-
-fn reference_set() -> repute_mappers::multiref::ReferenceSet {
-    repute_mappers::multiref::ReferenceSet::build(vec![("chrH".to_string(), reference())])
-}
 
 fn options() -> ServeOptions {
     ServeOptions {
@@ -86,28 +72,13 @@ fn options() -> ServeOptions {
 /// independent batches on disjoint device subsets beats serializing
 /// full-fleet batches.
 fn plain_jobs(reference: &DnaSeq) -> Vec<JobEnvelope> {
-    let mut jobs = Vec::new();
-    for (t, tenant) in TENANTS.iter().enumerate() {
-        for j in 0..JOBS_PER_TENANT {
-            let index = t * JOBS_PER_TENANT + j;
-            let reads: Vec<(String, DnaSeq)> = (0..READS_PER_JOB)
-                .map(|i| {
-                    let start = 1_000 + (index * 3_000 + i * 700) % 50_000;
-                    (
-                        format!("{tenant}-{j}-r{i}"),
-                        reference.subseq(start..start + 100),
-                    )
-                })
-                .collect();
-            let delta = [3u32, 4, 5, 6, 7, 8][index % 6];
-            jobs.push(
-                JobEnvelope::new(format!("{tenant}-{j}"), reads)
-                    .with_tenant(*tenant)
-                    .with_delta(delta),
-            );
-        }
-    }
-    jobs
+    tenant_jobs(
+        reference,
+        JOBS_PER_TENANT,
+        READS_PER_JOB,
+        |job, read| 1_000 + (job * 3_000 + read * 700) % 50_000,
+        |job| [3u32, 4, 5, 6, 7, 8][job % 6],
+    )
 }
 
 /// The plain workload plus a last-submitted `lab` deadline job — the
@@ -130,42 +101,23 @@ fn deadline_jobs(reference: &DnaSeq) -> Vec<JobEnvelope> {
     jobs
 }
 
-fn submit_all(harness: &mut ServeHarness, jobs: &[JobEnvelope]) {
-    for job in jobs {
-        match harness.submit(job.clone()) {
-            Ok(None) => {}
-            Ok(Some(refusal)) => fail(&format!("unexpected refusal: {refusal:?}")),
-            Err(e) => fail(&format!("submit {:?}: {e}", job.id)),
-        }
+/// Submits every job; none may be refused.
+fn submit_accepted(harness: &mut ServeHarness, jobs: &[JobEnvelope]) {
+    if let Some(refusal) = scenario::submit_all(harness, jobs).0.first() {
+        fail(&format!("unexpected refusal: {refusal:?}"));
     }
-}
-
-fn sam_by_id(responses: &[JobResponse]) -> HashMap<String, String> {
-    responses
-        .iter()
-        .map(|r| {
-            (
-                r.id.clone(),
-                r.sam
-                    .clone()
-                    .unwrap_or_else(|| fail("completed job without SAM")),
-            )
-        })
-        .collect()
 }
 
 /// Runs `jobs` to completion under `opts`; returns the drained harness
 /// and its responses.
-fn run_workload(jobs: &[JobEnvelope], opts: ServeOptions) -> (ServeHarness, Vec<JobResponse>) {
-    let mut harness = match ServeHarness::new(reference_set(), profiles::system1(), opts) {
-        Ok(harness) => harness,
-        Err(e) => fail(&format!("harness construction: {e}")),
-    };
-    submit_all(&mut harness, jobs);
-    let responses = match harness.drain() {
-        Ok(responses) => responses,
-        Err(e) => fail(&format!("drain: {e}")),
-    };
+fn run_workload(
+    reference: &ServeReference,
+    jobs: &[JobEnvelope],
+    opts: ServeOptions,
+) -> (ServeHarness, Vec<JobResponse>) {
+    let mut harness = scenario::harness(reference.set(), opts, "harness construction");
+    submit_accepted(&mut harness, jobs);
+    let responses = or_fail(harness.drain(), "drain");
     (harness, responses)
 }
 
@@ -201,14 +153,16 @@ fn lab_hit_rate(harness: &ServeHarness) -> f64 {
 
 fn run_smoke() -> SmokeResult {
     // --- 1. Concurrency ablation: serialized PR 9 path vs concurrent.
-    let plain = plain_jobs(&reference());
+    let served = ServeReference::new("chrH", 9901);
+    let reference = &served.seq;
+    let plain = plain_jobs(reference);
     let serial_opts = ServeOptions {
         concurrent_batches: false,
         ..options()
     };
-    let (serial, serial_responses) = run_workload(&plain, serial_opts);
+    let (serial, serial_responses) = run_workload(&served, &plain, serial_opts);
     let serial_seconds = serial.core().simulated_seconds();
-    let (concurrent, concurrent_responses) = run_workload(&plain, options());
+    let (concurrent, concurrent_responses) = run_workload(&served, &plain, options());
     let concurrent_seconds = concurrent.core().simulated_seconds();
     let serial_sam = sam_by_id(&serial_responses);
     let concurrent_sam = sam_by_id(&concurrent_responses);
@@ -231,7 +185,7 @@ fn run_smoke() -> SmokeResult {
     // --- 2. Degradation curve: k = 0, 1, 2 devices lost mid-run, on
     // the workload carrying the deadline job (k = 0 is the fault-free
     // SAM baseline the degraded fleets must reproduce byte-for-byte).
-    let with_deadline = deadline_jobs(&reference());
+    let with_deadline = deadline_jobs(reference);
     let mut degraded_seconds = [0.0; DEVICES];
     let mut hit_rates = [0.0; DEVICES];
     let mut baseline_sam: Option<HashMap<String, String>> = None;
@@ -240,7 +194,7 @@ fn run_smoke() -> SmokeResult {
             fault_plan: loss_plan(k),
             ..options()
         };
-        let (harness, responses) = run_workload(&with_deadline, opts);
+        let (harness, responses) = run_workload(&served, &with_deadline, opts);
         for r in &responses {
             if r.status != JobStatus::Ok {
                 fail(&format!(
@@ -289,31 +243,20 @@ fn run_smoke() -> SmokeResult {
         concurrent_batches: false,
         ..options()
     };
-    let mut shedding = match ServeHarness::new(reference_set(), profiles::system1(), shed_opts) {
-        Ok(harness) => harness,
-        Err(e) => fail(&format!("shedding harness: {e}")),
-    };
-    let reference = reference();
     let urgent_reads: Vec<(String, DnaSeq)> =
         vec![("shed-u-r".to_string(), reference.subseq(5_000..5_100))];
     let late_reads: Vec<(String, DnaSeq)> =
         vec![("shed-l-r".to_string(), reference.subseq(9_000..9_100))];
-    submit_all(
-        &mut shedding,
-        &[
-            JobEnvelope::new("shed-urgent", urgent_reads)
-                .with_tenant("acme")
-                .with_deadline(1.0e-12),
-            JobEnvelope::new("shed-late", late_reads)
-                .with_tenant("lab")
-                .with_delta(3)
-                .with_deadline(1.0e-9),
-        ],
-    );
-    let responses = match shedding.drain() {
-        Ok(responses) => responses,
-        Err(e) => fail(&format!("shedding drain: {e}")),
-    };
+    let shed_jobs = [
+        JobEnvelope::new("shed-urgent", urgent_reads)
+            .with_tenant("acme")
+            .with_deadline(1.0e-12),
+        JobEnvelope::new("shed-late", late_reads)
+            .with_tenant("lab")
+            .with_delta(3)
+            .with_deadline(1.0e-9),
+    ];
+    let (shedding, responses) = run_workload(&served, &shed_jobs, shed_opts);
     let late = responses
         .iter()
         .find(|r| r.id == "shed-late")
@@ -336,10 +279,6 @@ fn run_smoke() -> SmokeResult {
         fault_plan: FaultPlan::new().correlated(&[0, 1, 2], 1.0e-9),
         ..options()
     };
-    let mut doomed = match ServeHarness::new(reference_set(), profiles::system1(), doomed_opts) {
-        Ok(harness) => harness,
-        Err(e) => fail(&format!("doomed harness: {e}")),
-    };
     // Four distinct configuration groups: the first round launches at
     // most three (one per live device), so at least one job is still
     // queued when the whole fleet dies.
@@ -359,11 +298,7 @@ fn run_smoke() -> SmokeResult {
             .with_delta(*delta)
         })
         .collect();
-    submit_all(&mut doomed, &doomed_jobs);
-    let responses = match doomed.drain() {
-        Ok(responses) => responses,
-        Err(e) => fail(&format!("doomed drain: {e}")),
-    };
+    let (doomed, responses) = run_workload(&served, &doomed_jobs, doomed_opts);
     let unavailable = responses
         .iter()
         .filter(|r| r.status == JobStatus::ServiceUnavailable)
@@ -385,61 +320,6 @@ fn run_smoke() -> SmokeResult {
     }
 }
 
-fn render_document(r: &SmokeResult) -> String {
-    let mut doc = JsonObject::new();
-    doc.str_field("schema", GATE.schema);
-    doc.u64_field("version", GATE.version);
-    doc.u64_field("reference_len", REF_LEN as u64);
-    doc.u64_field("jobs", (TENANTS.len() * JOBS_PER_TENANT + 1) as u64);
-    doc.u64_field("devices", DEVICES as u64);
-    // Gated: deterministic simulated time on the serialized PR 9 path,
-    // the concurrent path, and the degraded fleets.
-    doc.f64_field("simulated_seconds_serial", r.serial_seconds);
-    doc.f64_field("simulated_seconds_concurrent", r.concurrent_seconds);
-    doc.f64_field("degraded_seconds_1lost", r.degraded_seconds[1]);
-    doc.f64_field("degraded_seconds_2lost", r.degraded_seconds[2]);
-    // Informational: the fault-free point of the degradation curve
-    // (CPU-only can beat the full fleet here — small batches waste the
-    // lone-GPU subsets concurrent rounds hand out), the speedup, and
-    // the deadline hit-rate curve.
-    doc.f64_field("degraded_seconds_0lost", r.degraded_seconds[0]);
-    doc.f64_field(
-        "concurrency_speedup",
-        r.serial_seconds / r.concurrent_seconds,
-    );
-    doc.f64_field("deadline_hit_rate_0lost", r.hit_rates[0]);
-    doc.f64_field("deadline_hit_rate_1lost", r.hit_rates[1]);
-    doc.f64_field("deadline_hit_rate_2lost", r.hit_rates[2]);
-    let mut text = doc.finish();
-    text.push('\n');
-    text
-}
-
-/// The gated (deterministic) metric keys.
-const GATED: [&str; 4] = [
-    "simulated_seconds_serial",
-    "simulated_seconds_concurrent",
-    "degraded_seconds_1lost",
-    "degraded_seconds_2lost",
-];
-
-/// Validates the committed document; returns the gated metrics.
-fn validate_document(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let fields = GATE.header(text)?;
-    gate::require(
-        &fields,
-        &["jobs", "devices"],
-        &[
-            "degraded_seconds_0lost",
-            "concurrency_speedup",
-            "deadline_hit_rate_0lost",
-            "deadline_hit_rate_1lost",
-            "deadline_hit_rate_2lost",
-        ],
-    )?;
-    gate::gated(&fields, &GATED)
-}
-
 fn main() {
     let mode = GATE.mode();
     println!("Serve fault-tolerance ablation — degradation curve, concurrency, shedding, drain");
@@ -448,22 +328,34 @@ fn main() {
          {READS_PER_JOB} reads (+1 deadline job), {DEVICES} simulated devices",
         TENANTS.len()
     );
-    let result = run_smoke();
+    let r = run_smoke();
     println!("smoke OK");
 
-    let Some((mode, path)) = mode else { return };
-    if mode == Mode::Write {
-        GATE.write(&path, &render_document(&result), validate_document);
-        return;
-    }
-
-    // --check: schema-validate and gate the deterministic metrics.
-    let committed = GATE.read(&path, validate_document);
-    let fresh = [
-        ("simulated_seconds_serial", result.serial_seconds),
-        ("simulated_seconds_concurrent", result.concurrent_seconds),
-        ("degraded_seconds_1lost", result.degraded_seconds[1]),
-        ("degraded_seconds_2lost", result.degraded_seconds[2]),
+    // Gated: deterministic simulated time on the serialized PR 9 path,
+    // the concurrent path, and the degraded fleets. Informational: the
+    // fault-free point of the degradation curve (CPU-only can beat the
+    // full fleet here — small batches waste the lone-GPU subsets
+    // concurrent rounds hand out), the speedup, and the deadline
+    // hit-rate curve.
+    let speedup = r.serial_seconds / r.concurrent_seconds;
+    let fields = [
+        (
+            "jobs",
+            Integer((TENANTS.len() * JOBS_PER_TENANT + 1) as u64),
+        ),
+        ("devices", Integer(DEVICES as u64)),
+        ("simulated_seconds_serial", Gated(r.serial_seconds)),
+        ("simulated_seconds_concurrent", Gated(r.concurrent_seconds)),
+        ("degraded_seconds_1lost", Gated(r.degraded_seconds[1])),
+        ("degraded_seconds_2lost", Gated(r.degraded_seconds[2])),
+        (
+            "degraded_seconds_0lost",
+            Informational(r.degraded_seconds[0]),
+        ),
+        ("concurrency_speedup", Informational(speedup)),
+        ("deadline_hit_rate_0lost", Informational(r.hit_rates[0])),
+        ("deadline_hit_rate_1lost", Informational(r.hit_rates[1])),
+        ("deadline_hit_rate_2lost", Informational(r.hit_rates[2])),
     ];
-    GATE.check_regressions(&committed, &fresh, REGRESSION_FACTOR, 28, "fault-tolerance");
+    GATE.finish(mode, &fields, "fault-tolerance");
 }

@@ -31,16 +31,16 @@
 //!   committed document, and fail (exit 1) when any gated metric
 //!   exceeds its committed value by more than 20%.
 
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use repute_bench::gate::{self, fail, Gate, Mode};
-use repute_genome::synth::ReferenceBuilder;
+use repute_bench::gate::Value::{Gated, Informational, Integer};
+use repute_bench::gate::{fail, or_fail, Gate};
+use repute_bench::scenario::{
+    self, journaled_harness, sam_by_id, submit_all, ServeReference, SERVE_REF_LEN as REF_LEN,
+    SMOKE_JOBS_PER_TENANT as JOBS_PER_TENANT, SMOKE_READS_PER_JOB as READS_PER_JOB, TENANTS,
+};
 use repute_genome::DnaSeq;
-use repute_hetsim::profiles;
-use repute_mappers::multiref::ReferenceSet;
-use repute_obs::json::JsonObject;
-use repute_serve::{JobEnvelope, JobResponse, JobStatus, ServeHarness, ServeOptions};
+use repute_serve::{JobEnvelope, JobStatus, ServeOptions};
 
 const GATE: Gate = Gate {
     binary: "serve_hardening",
@@ -49,28 +49,10 @@ const GATE: Gate = Gate {
     noun: "hardening",
     smoke: Some("hardening"),
 };
-/// Fresh gated metrics may exceed the committed baseline by at most
-/// this factor before the check fails.
-const REGRESSION_FACTOR: f64 = 1.2;
 
-/// Pinned smoke scale (deterministic; environment overrides are
-/// ignored so the committed baseline stays comparable).
-const REF_LEN: usize = 60_000;
-const READS_PER_JOB: usize = 4;
-const JOBS_PER_TENANT: usize = 3;
 /// Sliding-window read budget pinned on tenant `edge`: two jobs fit,
 /// the third must be refused.
 const EDGE_BUDGET: u64 = (READS_PER_JOB * 2) as u64;
-
-const TENANTS: [&str; 3] = ["acme", "lab", "edge"];
-
-fn reference() -> DnaSeq {
-    ReferenceBuilder::new(REF_LEN).seed(9901).build()
-}
-
-fn reference_set() -> ReferenceSet {
-    ReferenceSet::build(vec![("chrH".to_string(), reference())])
-}
 
 fn hardened_options() -> ServeOptions {
     ServeOptions {
@@ -80,31 +62,12 @@ fn hardened_options() -> ServeOptions {
     }
 }
 
-/// 3 tenants × 3 jobs, alternating δ ∈ {3, 5}; the very last submission
-/// is a `lab` job with a unique δ = 4 and a tight deadline — under
-/// plain fair queuing it would run late (lab has no weight boost and it
-/// arrives last), under EDF it must seed the first batch.
+/// The shared 3 × 3 smoke jobs; the very last submission is a `lab` job
+/// with a unique δ = 4 and a tight deadline — under plain fair queuing
+/// it would run late (lab has no weight boost and it arrives last),
+/// under EDF it must seed the first batch.
 fn smoke_jobs(reference: &DnaSeq) -> Vec<JobEnvelope> {
-    let mut jobs = Vec::new();
-    for (t, tenant) in TENANTS.iter().enumerate() {
-        for j in 0..JOBS_PER_TENANT {
-            let reads: Vec<(String, DnaSeq)> = (0..READS_PER_JOB)
-                .map(|i| {
-                    let start = 1_000 + (t * JOBS_PER_TENANT + j) * 5_000 + i * 700;
-                    (
-                        format!("{tenant}-{j}-r{i}"),
-                        reference.subseq(start..start + 100),
-                    )
-                })
-                .collect();
-            let delta = if (t + j) % 2 == 0 { 3 } else { 5 };
-            jobs.push(
-                JobEnvelope::new(format!("{tenant}-{j}"), reads)
-                    .with_tenant(*tenant)
-                    .with_delta(delta),
-            );
-        }
-    }
+    let mut jobs = scenario::smoke_jobs(reference);
     let urgent_reads: Vec<(String, DnaSeq)> = (0..READS_PER_JOB)
         .map(|i| {
             let start = 48_000 + i * 700;
@@ -121,50 +84,12 @@ fn smoke_jobs(reference: &DnaSeq) -> Vec<JobEnvelope> {
     jobs
 }
 
-/// Submits every job, recording inline refusals; returns (refusals,
-/// accepted ids in submission order).
-fn submit_all(harness: &mut ServeHarness, jobs: &[JobEnvelope]) -> (Vec<JobResponse>, Vec<String>) {
-    let mut refusals = Vec::new();
-    let mut accepted = Vec::new();
-    for job in jobs {
-        match harness.submit(job.clone()) {
-            Ok(None) => accepted.push(job.id.clone()),
-            Ok(Some(refusal)) => refusals.push(refusal),
-            Err(e) => fail(&format!("submit {:?}: {e}", job.id)),
-        }
-    }
-    (refusals, accepted)
-}
-
-fn sam_by_id(responses: &[JobResponse]) -> HashMap<String, String> {
-    responses
-        .iter()
-        .map(|r| {
-            (
-                r.id.clone(),
-                r.sam
-                    .clone()
-                    .unwrap_or_else(|| fail("completed job without SAM")),
-            )
-        })
-        .collect()
-}
-
 struct SmokeResult {
     simulated_seconds: f64,
     batches: u64,
     compactions: u64,
     journal_control_bytes: u64,
     journal_compacted_bytes: u64,
-}
-
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join("repute-serve-hardening");
-    std::fs::remove_dir_all(&dir).ok();
-    if std::fs::create_dir_all(&dir).is_err() {
-        fail("cannot create the hardening scratch directory");
-    }
-    dir
 }
 
 fn journal_size(path: &Path) -> u64 {
@@ -175,16 +100,14 @@ fn journal_size(path: &Path) -> u64 {
 }
 
 fn run_smoke() -> SmokeResult {
-    let dir = scratch_dir();
-    let jobs = smoke_jobs(&reference());
+    let dir = scenario::scratch_dir("hardening");
+    let reference = ServeReference::new("chrH", 9901);
+    let jobs = smoke_jobs(&reference.seq);
     let submitted = jobs.len() as u64;
 
     // --- 1. EDF + quota semantics on the hardened harness. -----------
     let mut hardened =
-        match ServeHarness::new(reference_set(), profiles::system1(), hardened_options()) {
-            Ok(harness) => harness,
-            Err(e) => fail(&format!("harness construction: {e}")),
-        };
+        scenario::harness(reference.set(), hardened_options(), "harness construction");
     let (refusals, accepted) = submit_all(&mut hardened, &jobs);
     if refusals.len() != 1 || refusals[0].status != JobStatus::QuotaExceeded {
         fail(&format!(
@@ -203,10 +126,7 @@ fn run_smoke() -> SmokeResult {
         refusals[0].id,
         refusals[0].reason.as_deref().unwrap_or("?")
     );
-    let responses = match hardened.drain() {
-        Ok(responses) => responses,
-        Err(e) => fail(&format!("hardened drain: {e}")),
-    };
+    let responses = or_fail(hardened.drain(), "hardened drain");
     if responses.len() != accepted.len() {
         fail(&format!(
             "{} responses for {} accepted jobs",
@@ -249,24 +169,18 @@ fn run_smoke() -> SmokeResult {
 
     // Scheduling policy must never leak into mapping output: per-job
     // SAM byte-identical to a default-options run of the same jobs.
-    let mut plain = match ServeHarness::new(
-        reference_set(),
-        profiles::system1(),
+    let mut plain = scenario::harness(
+        reference.set(),
         ServeOptions::default(),
-    ) {
-        Ok(harness) => harness,
-        Err(e) => fail(&format!("plain harness construction: {e}")),
-    };
+        "plain harness construction",
+    );
     for job in jobs.iter().filter(|j| accepted.contains(&j.id)) {
         match plain.submit(job.clone()) {
             Ok(None) => {}
             other => fail(&format!("plain submit {:?}: {other:?}", job.id)),
         }
     }
-    let plain_sam = match plain.drain() {
-        Ok(responses) => sam_by_id(&responses),
-        Err(e) => fail(&format!("plain drain: {e}")),
-    };
+    let plain_sam = sam_by_id(&or_fail(plain.drain(), "plain drain"));
     let hardened_sam = sam_by_id(&responses);
     for (id, sam) in &hardened_sam {
         if plain_sam.get(id) != Some(sam) {
@@ -282,39 +196,29 @@ fn run_smoke() -> SmokeResult {
 
     // --- 2. Compaction ablation: bounded journal vs append-only. ------
     let control_path = dir.join("control.journal");
-    let (mut control, _) = match ServeHarness::with_journal(
-        reference_set(),
-        profiles::system1(),
+    let (mut control, _) = journaled_harness(
+        reference.set(),
         hardened_options(),
         &control_path,
         false,
-    ) {
-        Ok(pair) => pair,
-        Err(e) => fail(&format!("control journal: {e}")),
-    };
+        "control journal",
+    );
     submit_all(&mut control, &jobs);
-    if let Err(e) = control.drain() {
-        fail(&format!("control drain: {e}"));
-    }
+    or_fail(control.drain(), "control drain");
     let journal_control_bytes = journal_size(&control_path);
 
     let compact_path = dir.join("compact.journal");
     let mut compacting_options = hardened_options();
     compacting_options.journal_compact_threshold = 1;
-    let (mut compacting, _) = match ServeHarness::with_journal(
-        reference_set(),
-        profiles::system1(),
+    let (mut compacting, _) = journaled_harness(
+        reference.set(),
         compacting_options.clone(),
         &compact_path,
         false,
-    ) {
-        Ok(pair) => pair,
-        Err(e) => fail(&format!("compacting journal: {e}")),
-    };
+        "compacting journal",
+    );
     submit_all(&mut compacting, &jobs);
-    if let Err(e) = compacting.drain() {
-        fail(&format!("compacting drain: {e}"));
-    }
+    or_fail(compacting.drain(), "compacting drain");
     let compactions = compacting.counters().compactions;
     if compactions == 0 {
         fail("threshold 1 must compact at least once per committed batch");
@@ -336,45 +240,30 @@ fn run_smoke() -> SmokeResult {
 
     // --- 3. Crash + resume from a compacted journal. ------------------
     let crash_path = dir.join("crash.journal");
-    let (mut doomed, _) = match ServeHarness::with_journal(
-        reference_set(),
-        profiles::system1(),
+    let (mut doomed, _) = journaled_harness(
+        reference.set(),
         compacting_options.clone(),
         &crash_path,
         false,
-    ) {
-        Ok(pair) => pair,
-        Err(e) => fail(&format!("crash journal: {e}")),
-    };
+        "crash journal",
+    );
     submit_all(&mut doomed, &jobs);
-    let committed = match doomed.run_batch() {
-        Ok(responses) => responses,
-        Err(e) => fail(&format!("first batch: {e}")),
-    };
+    let committed = or_fail(doomed.run_batch(), "first batch");
     if doomed.counters().compactions == 0 {
         fail("the first commit must trigger a compaction at threshold 1");
     }
-    let lost = match doomed.crash_mid_batch() {
-        Ok(ids) => ids,
-        Err(e) => fail(&format!("doomed batch: {e}")),
-    };
-    let (mut resumed, replayed) = match ServeHarness::with_journal(
-        reference_set(),
-        profiles::system1(),
+    let lost = or_fail(doomed.crash_mid_batch(), "doomed batch");
+    let (mut resumed, replayed) = journaled_harness(
+        reference.set(),
         compacting_options,
         &crash_path,
         true,
-    ) {
-        Ok(pair) => pair,
-        Err(e) => fail(&format!("resume from compacted journal: {e}")),
-    };
+        "resume from compacted journal",
+    );
     if !replayed.is_empty() {
         fail("a compacted journal has no committed batches to replay");
     }
-    let reexecuted = match resumed.drain() {
-        Ok(responses) => responses,
-        Err(e) => fail(&format!("resumed drain: {e}")),
-    };
+    let reexecuted = or_fail(resumed.drain(), "resumed drain");
     for id in &lost {
         if !reexecuted.iter().any(|r| &r.id == id) {
             fail(&format!("lost job {id:?} was not re-executed after resume"));
@@ -410,47 +299,6 @@ fn run_smoke() -> SmokeResult {
     }
 }
 
-fn render_document(r: &SmokeResult) -> String {
-    let mut doc = JsonObject::new();
-    doc.str_field("schema", GATE.schema);
-    doc.u64_field("version", GATE.version);
-    doc.u64_field("reference_len", REF_LEN as u64);
-    doc.u64_field("jobs", (TENANTS.len() * JOBS_PER_TENANT + 1) as u64);
-    doc.u64_field("batches", r.batches);
-    doc.u64_field("compactions", r.compactions);
-    // Gated: deterministic simulated time and journal footprints.
-    doc.f64_field("simulated_seconds", r.simulated_seconds);
-    doc.f64_field("journal_control_bytes", r.journal_control_bytes as f64);
-    doc.f64_field("journal_compacted_bytes", r.journal_compacted_bytes as f64);
-    // Informational: how much of the append-only journal compaction
-    // reclaims on this workload.
-    doc.f64_field(
-        "compaction_ratio",
-        r.journal_compacted_bytes as f64 / r.journal_control_bytes as f64,
-    );
-    let mut text = doc.finish();
-    text.push('\n');
-    text
-}
-
-/// The gated (deterministic) metric keys.
-const GATED: [&str; 3] = [
-    "simulated_seconds",
-    "journal_control_bytes",
-    "journal_compacted_bytes",
-];
-
-/// Validates the committed document; returns the gated metrics.
-fn validate_document(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let fields = GATE.header(text)?;
-    gate::require(
-        &fields,
-        &["jobs", "batches", "compactions"],
-        &["compaction_ratio"],
-    )?;
-    gate::gated(&fields, &GATED)
-}
-
 fn main() {
     let mode = GATE.mode();
     println!("Serve hardening ablation — EDF, quotas, journal compaction, crash/resume");
@@ -470,21 +318,24 @@ fn main() {
     );
     println!("smoke OK");
 
-    let Some((mode, path)) = mode else { return };
-    if mode == Mode::Write {
-        GATE.write(&path, &render_document(&result), validate_document);
-        return;
-    }
-
-    // --check: schema-validate and gate the deterministic metrics.
-    let committed = GATE.read(&path, validate_document);
-    let fresh = [
-        ("simulated_seconds", result.simulated_seconds),
-        ("journal_control_bytes", result.journal_control_bytes as f64),
+    // Gated: deterministic simulated time and journal footprints.
+    // Informational: how much of the append-only journal compaction
+    // reclaims on this workload.
+    let (control, compacted) = (
+        result.journal_control_bytes as f64,
+        result.journal_compacted_bytes as f64,
+    );
+    let fields = [
         (
-            "journal_compacted_bytes",
-            result.journal_compacted_bytes as f64,
+            "jobs",
+            Integer((TENANTS.len() * JOBS_PER_TENANT + 1) as u64),
         ),
+        ("batches", Integer(result.batches)),
+        ("compactions", Integer(result.compactions)),
+        ("simulated_seconds", Gated(result.simulated_seconds)),
+        ("journal_control_bytes", Gated(control)),
+        ("journal_compacted_bytes", Gated(compacted)),
+        ("compaction_ratio", Informational(compacted / control)),
     ];
-    GATE.check_regressions(&committed, &fresh, REGRESSION_FACTOR, 24, "hardening");
+    GATE.finish(mode, &fields, "hardening");
 }

@@ -5,7 +5,7 @@
 //!
 //! The smoke section (always runs, nonzero exit on any failure):
 //!
-//! 1. Spins up an in-process [`ServeHarness`], submits 9 jobs from 3
+//! 1. Spins up an in-process [`repute_serve::ServeHarness`], submits 9 jobs from 3
 //!    tenants (mixed per-job δ overrides) **plus one oversized job that
 //!    must be `REJECTED`**, and drains gracefully.
 //! 2. For every completed job, runs batch `repute map` (the CLI library
@@ -29,15 +29,17 @@
 
 use std::time::Instant;
 
-use repute_bench::gate::{self, fail, Gate, Mode};
+use repute_bench::gate::Value::{Gated, Informational, Integer};
+use repute_bench::gate::{fail, or_fail, Gate};
+use repute_bench::scenario::{
+    self, smoke_jobs, submit_all, ServeReference, SERVE_REF_LEN as REF_LEN,
+    SMOKE_JOBS_PER_TENANT as JOBS_PER_TENANT, SMOKE_READS_PER_JOB as READS_PER_JOB, TENANTS,
+};
 use repute_genome::fasta::{write_fasta, FastaRecord};
 use repute_genome::fastq::{write_fastq, FastqRecord};
-use repute_genome::synth::ReferenceBuilder;
 use repute_genome::DnaSeq;
-use repute_hetsim::profiles;
 use repute_mappers::multiref::ReferenceSet;
-use repute_obs::json::JsonObject;
-use repute_serve::{JobEnvelope, JobStatus, ServeHarness, ServeLimits, ServeOptions};
+use repute_serve::{JobEnvelope, JobStatus, ServeLimits, ServeOptions};
 
 const GATE: Gate = Gate {
     binary: "serve_smoke",
@@ -46,25 +48,9 @@ const GATE: Gate = Gate {
     noun: "service",
     smoke: Some("service"),
 };
-/// Fresh gated metrics may exceed the committed baseline by at most
-/// this factor before the check fails.
-const REGRESSION_FACTOR: f64 = 1.2;
 
-/// Pinned smoke scale (environment overrides are ignored so the
-/// committed baseline stays comparable).
-const REF_LEN: usize = 60_000;
-/// Reads per normal job.
-const READS_PER_JOB: usize = 4;
-/// Jobs per tenant (3 tenants).
-const JOBS_PER_TENANT: usize = 3;
 /// Server-pinned per-job read limit; the oversized job exceeds it.
 const MAX_READS_PER_JOB: usize = 16;
-
-const TENANTS: [&str; 3] = ["acme", "lab", "edge"];
-
-fn reference() -> DnaSeq {
-    ReferenceBuilder::new(REF_LEN).seed(9401).build()
-}
 
 fn serve_options() -> ServeOptions {
     ServeOptions {
@@ -75,32 +61,6 @@ fn serve_options() -> ServeOptions {
         tenant_weights: vec![("acme".to_string(), 2.0), ("lab".to_string(), 1.0)],
         ..ServeOptions::default()
     }
-}
-
-/// The 9 normal jobs: 3 tenants × 3 jobs, alternating δ ∈ {3, 5}
-/// overrides so the coalescer must split batches by configuration.
-fn smoke_jobs(reference: &DnaSeq) -> Vec<JobEnvelope> {
-    let mut jobs = Vec::new();
-    for (t, tenant) in TENANTS.iter().enumerate() {
-        for j in 0..JOBS_PER_TENANT {
-            let reads: Vec<(String, DnaSeq)> = (0..READS_PER_JOB)
-                .map(|i| {
-                    let start = 1_000 + (t * JOBS_PER_TENANT + j) * 5_000 + i * 700;
-                    (
-                        format!("{tenant}-{j}-r{i}"),
-                        reference.subseq(start..start + 100),
-                    )
-                })
-                .collect();
-            let delta = if (t + j) % 2 == 0 { 3 } else { 5 };
-            jobs.push(
-                JobEnvelope::new(format!("{tenant}-{j}"), reads)
-                    .with_tenant(*tenant)
-                    .with_delta(delta),
-            );
-        }
-    }
-    jobs
 }
 
 /// One read too many for the server's pinned limit.
@@ -124,14 +84,12 @@ struct SmokeResult {
 }
 
 fn run_smoke() -> SmokeResult {
-    let reference = reference();
-    let dir = std::env::temp_dir().join("repute-serve-smoke");
-    if std::fs::create_dir_all(&dir).is_err() {
-        fail("cannot create the smoke scratch directory");
-    }
+    let reference = ServeReference::new("chrS", 9401);
+    let dir = scenario::scratch_dir("smoke");
     let ref_path = dir.join("reference.fa");
     let mut fa = Vec::new();
-    if write_fasta(&mut fa, &[FastaRecord::new("chrS", reference.clone())], 70).is_err() {
+    let record = FastaRecord::new(reference.name, reference.seq.clone());
+    if write_fasta(&mut fa, &[record], 70).is_err() {
         fail("cannot render the reference FASTA");
     }
     if std::fs::write(&ref_path, &fa).is_err() {
@@ -141,7 +99,7 @@ fn run_smoke() -> SmokeResult {
     // Cold index build versus cached load: what `--index-cache` (and a
     // long-lived daemon) amortizes away.
     let started = Instant::now();
-    let set = ReferenceSet::build(vec![("chrS".to_string(), reference.clone())]);
+    let set = reference.set();
     let cold_index_build_s = started.elapsed().as_secs_f64();
     let mut serialized = Vec::new();
     if set.write_to(&mut serialized).is_err() {
@@ -153,25 +111,18 @@ fn run_smoke() -> SmokeResult {
     }
     let cached_index_load_s = started.elapsed().as_secs_f64();
 
-    let mut harness = match ServeHarness::new(set, profiles::system1(), serve_options()) {
-        Ok(harness) => harness,
-        Err(e) => fail(&format!("harness construction: {e}")),
-    };
+    let mut harness = scenario::harness(set, serve_options(), "harness construction");
 
     // Submit: 9 normal jobs + 1 oversized (must be REJECTED inline).
-    let jobs = smoke_jobs(&reference);
+    let jobs = smoke_jobs(&reference.seq);
     let submitted = jobs.len() + 1;
-    for job in &jobs {
-        match harness.submit(job.clone()) {
-            Ok(None) => {}
-            Ok(Some(refusal)) => fail(&format!(
-                "job {:?} refused: {:?}",
-                refusal.id, refusal.reason
-            )),
-            Err(e) => fail(&format!("submit: {e}")),
-        }
+    if let Some(refusal) = submit_all(&mut harness, &jobs).0.first() {
+        fail(&format!(
+            "job {:?} refused: {:?}",
+            refusal.id, refusal.reason
+        ));
     }
-    match harness.submit(oversized_job(&reference)) {
+    match harness.submit(oversized_job(&reference.seq)) {
         Ok(Some(refusal)) if refusal.status == JobStatus::Rejected => {
             println!(
                 "  oversized job rejected as specified: {}",
@@ -183,10 +134,7 @@ fn run_smoke() -> SmokeResult {
     }
 
     // Graceful drain, then the byte-identity check per job.
-    let responses = match harness.drain() {
-        Ok(responses) => responses,
-        Err(e) => fail(&format!("drain: {e}")),
-    };
+    let responses = or_fail(harness.drain(), "drain");
     if responses.len() != jobs.len() {
         fail(&format!(
             "{} responses for {} accepted jobs",
@@ -288,50 +236,6 @@ fn run_smoke() -> SmokeResult {
     }
 }
 
-fn render_document(r: &SmokeResult) -> String {
-    let jobs = (TENANTS.len() * JOBS_PER_TENANT) as u64;
-    let mut doc = JsonObject::new();
-    doc.str_field("schema", GATE.schema);
-    doc.u64_field("version", GATE.version);
-    doc.u64_field("reference_len", REF_LEN as u64);
-    doc.u64_field("jobs", jobs);
-    doc.u64_field("batches", r.batches);
-    doc.u64_field("queue_depth_high_water", r.queue_high_water);
-    // Gated: deterministic simulated service metrics.
-    doc.f64_field("simulated_seconds", r.simulated_seconds);
-    doc.f64_field("job_p50_s", r.job_latency.1);
-    doc.f64_field("job_p90_s", r.job_latency.2);
-    doc.f64_field("job_p99_s", r.job_latency.3);
-    // Informational: wall-clock index costs (machine-dependent).
-    doc.f64_field("cold_index_build_s", r.cold_index_build_s);
-    doc.f64_field("cached_index_load_s", r.cached_index_load_s);
-    doc.f64_field(
-        "amortized_index_s_per_job",
-        r.cold_index_build_s / jobs as f64,
-    );
-    let mut text = doc.finish();
-    text.push('\n');
-    text
-}
-
-/// The gated (deterministic) metric keys.
-const GATED: [&str; 4] = ["simulated_seconds", "job_p50_s", "job_p90_s", "job_p99_s"];
-
-/// Validates the committed document; returns the gated metrics.
-fn validate_document(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let fields = GATE.header(text)?;
-    gate::require(
-        &fields,
-        &["jobs", "batches", "queue_depth_high_water"],
-        &[
-            "cold_index_build_s",
-            "cached_index_load_s",
-            "amortized_index_s_per_job",
-        ],
-    )?;
-    gate::gated(&fields, &GATED)
-}
-
 fn main() {
     let mode = GATE.mode();
     println!("Serve smoke ablation — daemon vs batch byte-identity, admission, accounting");
@@ -341,6 +245,8 @@ fn main() {
         TENANTS.len()
     );
     let result = run_smoke();
+    let jobs = (TENANTS.len() * JOBS_PER_TENANT) as u64;
+    let amortized_index_s_per_job = result.cold_index_build_s / jobs as f64;
     println!(
         "  {} batch(es) | simulated {:.6} s | queue high-water {}",
         result.batches, result.simulated_seconds, result.queue_high_water
@@ -351,25 +257,32 @@ fn main() {
     );
     println!(
         "  index cost: cold build {:.4} s, cached load {:.4} s, amortized {:.5} s/job",
-        result.cold_index_build_s,
-        result.cached_index_load_s,
-        result.cold_index_build_s / (TENANTS.len() * JOBS_PER_TENANT) as f64
+        result.cold_index_build_s, result.cached_index_load_s, amortized_index_s_per_job
     );
     println!("smoke OK");
 
-    let Some((mode, path)) = mode else { return };
-    if mode == Mode::Write {
-        GATE.write(&path, &render_document(&result), validate_document);
-        return;
-    }
-
-    // --check: schema-validate and gate the deterministic metrics.
-    let committed = GATE.read(&path, validate_document);
-    let fresh = [
-        ("simulated_seconds", result.simulated_seconds),
-        ("job_p50_s", result.job_latency.1),
-        ("job_p90_s", result.job_latency.2),
-        ("job_p99_s", result.job_latency.3),
+    // Gated: the deterministic simulated service metrics. Informational:
+    // wall-clock index costs (machine-dependent).
+    let fields = [
+        ("jobs", Integer(jobs)),
+        ("batches", Integer(result.batches)),
+        ("queue_depth_high_water", Integer(result.queue_high_water)),
+        ("simulated_seconds", Gated(result.simulated_seconds)),
+        ("job_p50_s", Gated(result.job_latency.1)),
+        ("job_p90_s", Gated(result.job_latency.2)),
+        ("job_p99_s", Gated(result.job_latency.3)),
+        (
+            "cold_index_build_s",
+            Informational(result.cold_index_build_s),
+        ),
+        (
+            "cached_index_load_s",
+            Informational(result.cached_index_load_s),
+        ),
+        (
+            "amortized_index_s_per_job",
+            Informational(amortized_index_s_per_job),
+        ),
     ];
-    GATE.check_regressions(&committed, &fresh, REGRESSION_FACTOR, 20, "service latency");
+    GATE.finish(mode, &fields, "service latency");
 }

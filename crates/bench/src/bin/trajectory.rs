@@ -11,7 +11,7 @@
 //!   cell's fresh simulated seconds exceed the committed baseline by more
 //!   than 20%** — the regression gate CI runs on every push.
 //!
-//! The trajectory scale is pinned (60 kbp reference, 40 reads/set) and
+//! The trajectory scale is pinned ([`Scale::tiny`]: 60 kbp reference, 40 reads/set) and
 //! deliberately ignores the `REPUTE_REF_LEN`/`REPUTE_READS` environment
 //! overrides: the committed numbers are only comparable when every run
 //! maps the identical workload. Simulated seconds are a deterministic
@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use repute_bench::gate::{Gate, Mode};
+use repute_bench::gate::{Checks, Gate, Mode, REGRESSION_FACTOR};
 use repute_bench::workload::{s_min_for, Scale, Workload};
 use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule};
 use repute_hetsim::profiles;
@@ -36,18 +36,6 @@ const GATE: Gate = Gate {
     noun: "trajectory",
     smoke: None,
 };
-/// Fresh simulated seconds may exceed the committed baseline by at most
-/// this factor before the check fails.
-const REGRESSION_FACTOR: f64 = 1.2;
-
-/// The pinned trajectory scale (environment overrides are ignored; see
-/// the module docs).
-fn trajectory_scale() -> Scale {
-    Scale {
-        reference_len: 60_000,
-        reads_per_set: 40,
-    }
-}
 
 /// The `(read_len, δ)` cells the trajectory tracks: the corners and
 /// center of the paper grid — enough to catch regressions in both read
@@ -73,7 +61,7 @@ fn stage_key(stage: &str) -> String {
 }
 
 fn measure() -> Vec<CellMeasurement> {
-    let w = Workload::generate(trajectory_scale());
+    let w = Workload::generate(Scale::tiny());
     let platform = profiles::system1();
     CELLS
         .iter()
@@ -123,7 +111,7 @@ fn render_document(cells: &[CellMeasurement]) -> String {
             obj.finish()
         })
         .collect();
-    let scale = trajectory_scale();
+    let scale = Scale::tiny();
     let mut scale_obj = JsonObject::new();
     scale_obj.u64_field("reference_len", scale.reference_len as u64);
     scale_obj.u64_field("reads_per_set", scale.reads_per_set as u64);
@@ -191,7 +179,7 @@ fn main() {
         "Benchmark trajectory — schema {} v{}",
         GATE.schema, GATE.version
     );
-    let scale = trajectory_scale();
+    let scale = Scale::tiny();
     println!(
         "pinned scale: {} bp reference, {} reads/set ({} cells)",
         scale.reference_len,
@@ -223,11 +211,10 @@ fn main() {
     // simulated-seconds regressions.
     let committed = GATE.read(&path, validate_document);
     println!("schema OK: {} committed cell(s)", committed.len());
-    let mut failures = 0u32;
+    let mut checks = Checks::default();
     for c in &fresh {
         let Some((_, baseline)) = committed.iter().find(|(label, _)| *label == c.label) else {
-            eprintln!("FAIL: committed baseline has no cell {:?}", c.label);
-            failures += 1;
+            checks.fail(&format!("committed baseline has no cell {:?}", c.label));
             continue;
         };
         let ratio = if *baseline > 0.0 {
@@ -243,18 +230,14 @@ fn main() {
             (ratio - 1.0) * 100.0
         );
         if ratio > REGRESSION_FACTOR {
-            eprintln!(
-                "FAIL: cell {:?} regressed {:.1}% in simulated seconds (gate: {:.0}%)",
+            checks.fail(&format!(
+                "cell {:?} regressed {:.1}% in simulated seconds (gate: {:.0}%)",
                 c.label,
                 (ratio - 1.0) * 100.0,
                 (REGRESSION_FACTOR - 1.0) * 100.0
-            );
-            failures += 1;
+            ));
         }
     }
-    if failures > 0 {
-        eprintln!("\n{failures} trajectory check(s) failed");
-        std::process::exit(1);
-    }
+    checks.finish("trajectory ");
     println!("\nall trajectory checks passed");
 }

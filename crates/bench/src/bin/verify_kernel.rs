@@ -8,8 +8,9 @@
 //! asserting along the way that both paths report bit-identical hit
 //! streams. A second stage checks
 //! full-pipeline invariance: the whole mapper grid is digested twice —
-//! in-process (batch path) and in a `REPUTE_SCALAR_VERIFY=1` child
-//! process (scalar path) — and the digests must agree.
+//! over the indexed reference as built (batch path) and over a copy
+//! marked [`IndexedReference::with_scalar_verify`] (scalar path) — and
+//! the digests must agree.
 //!
 //! Modes:
 //!
@@ -21,8 +22,6 @@
 //!   [`MIN_COMMITTED_SPEEDUP`], disagrees with the fresh deterministic
 //!   word total or grid digest, or the fresh speedup falls below
 //!   [`MIN_FRESH_SPEEDUP`] (the looser floor absorbs CI machine noise).
-//! * `--grid-digest` — internal: print the grid digest and exit (the
-//!   child-process half of the invariance check).
 //!
 //! The corpus scale is pinned and ignores the `REPUTE_*` environment
 //! overrides: committed numbers are only comparable when every run
@@ -33,12 +32,15 @@ use std::time::Instant;
 
 use repute_align::block::{search_full, BlockMasks, BlockWork};
 use repute_align::{BatchVerifier, ReadMasks, LANES};
-use repute_bench::gate::{self, Gate, Mode};
+use repute_bench::gate::{self, fail, Checks, Gate, Mode};
 use repute_bench::workload::{s_min_for, Scale, Workload};
 use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule};
 use repute_genome::synth::ReferenceBuilder;
+use repute_genome::wire::Fnv64;
 use repute_hetsim::profiles;
-use repute_mappers::{gem::GemLike, hobbes3::Hobbes3Like, razers3::Razers3Like, Mapper};
+use repute_mappers::{
+    gem::GemLike, hobbes3::Hobbes3Like, razers3::Razers3Like, IndexedReference, Mapper,
+};
 use repute_obs::json::{field, JsonObject, JsonValue};
 use repute_obs::MapMetrics;
 
@@ -107,25 +109,17 @@ fn build_corpus() -> (Vec<u8>, Vec<CorpusRead>) {
     (codes, reads)
 }
 
-/// FNV-1a fold of one u64 into the running digest.
-fn fold(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// Folds a hit (or miss) into the digest. Only the alignment result is
 /// folded — the two stages deliberately report different work totals
 /// (that reduction is half the point), which are compared separately.
-fn fold_hit(h: &mut u64, hit: Option<(u32, usize)>) {
+fn fold_hit(h: &mut Fnv64, hit: Option<(u32, usize)>) {
     match hit {
         Some((distance, end)) => {
-            fold(h, 1);
-            fold(h, u64::from(distance));
-            fold(h, end as u64);
+            h.write_u64(1);
+            h.write_u64(u64::from(distance));
+            h.write_u64(end as u64);
         }
-        None => fold(h, 0),
+        None => h.write_u64(0),
     }
 }
 
@@ -133,7 +127,7 @@ fn fold_hit(h: &mut u64, hit: Option<(u32, usize)>) {
 /// this kernel generation — the unbanded blocked kernel, with pattern
 /// masks and working memory rebuilt for every candidate.
 fn baseline_pass(codes: &[u8], corpus: &[CorpusRead]) -> (u64, u64) {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = Fnv64::standard();
     let mut words = 0u64;
     for cr in corpus {
         for &(s, e) in &cr.windows {
@@ -144,14 +138,14 @@ fn baseline_pass(codes: &[u8], corpus: &[CorpusRead]) -> (u64, u64) {
             fold_hit(&mut digest, hit.map(|h| (h.distance, h.end)));
         }
     }
-    (digest, words)
+    (digest.finish(), words)
 }
 
 /// One full batch pass: the current verification stage — banded
 /// kernels, masks hoisted per read, windows verified [`LANES`] at a
 /// time through the SWAR lanes on reused arenas.
 fn batch_pass(codes: &[u8], corpus: &[CorpusRead], verifier: &mut BatchVerifier) -> (u64, u64) {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = Fnv64::standard();
     let mut words = 0u64;
     let mut results = Vec::with_capacity(LANES);
     let mut lanes: Vec<&[u8]> = Vec::with_capacity(LANES);
@@ -168,7 +162,7 @@ fn batch_pass(codes: &[u8], corpus: &[CorpusRead], verifier: &mut BatchVerifier)
             }
         }
     }
-    (digest, words)
+    (digest.finish(), words)
 }
 
 /// Kernel-stage measurement: hit-identity assertion plus best-of-ROUNDS
@@ -224,20 +218,20 @@ fn measure_kernel() -> KernelMeasurement {
 
 /// Digests a mapping run: every mapping triple, every metric counter,
 /// and the work totals, folded in read order.
-fn fold_outputs(h: &mut u64, outputs: &[repute_mappers::MapOutput], metrics: &[MapMetrics]) {
+fn fold_outputs(h: &mut Fnv64, outputs: &[repute_mappers::MapOutput], metrics: &[MapMetrics]) {
     for out in outputs {
-        fold(h, out.mappings.len() as u64);
+        h.write_u64(out.mappings.len() as u64);
         for m in &out.mappings {
-            fold(h, u64::from(m.position));
-            fold(h, u64::from(m.distance));
-            fold(h, u64::from(m.strand == repute_genome::Strand::Reverse));
+            h.write_u64(u64::from(m.position));
+            h.write_u64(u64::from(m.distance));
+            h.write_u64(u64::from(m.strand == repute_genome::Strand::Reverse));
         }
-        fold(h, out.work);
-        fold(h, out.candidates);
+        h.write_u64(out.work);
+        h.write_u64(out.candidates);
     }
     for m in metrics {
         for (_, v) in m.fields() {
-            fold(h, v);
+            h.write_u64(v);
         }
     }
 }
@@ -245,15 +239,15 @@ fn fold_outputs(h: &mut u64, outputs: &[repute_mappers::MapOutput], metrics: &[M
 /// The full-pipeline grid digest: REPUTE across schedules and host
 /// thread counts, plus the engine-sharing baseline mappers per read.
 /// Any batch/scalar divergence anywhere in mapping output or work
-/// accounting changes this value.
-fn grid_digest() -> u64 {
-    let w = Workload::generate(Scale::tiny());
+/// accounting changes this value. Every mapper takes its verification
+/// engine from `indexed`, which stands in for the workload's own index.
+fn grid_digest(w: &Workload, indexed: &Arc<IndexedReference>) -> u64 {
     let platform = profiles::system1();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv64::standard();
     for &(read_len, delta) in &[(100usize, 3u32), (150, 5)] {
         let reads = w.read_seqs(read_len);
         let config = ReputeConfig::new(delta, s_min_for(read_len, delta)).expect("valid config");
-        let mapper = ReputeMapper::new(Arc::clone(&w.indexed), config);
+        let mapper = ReputeMapper::new(Arc::clone(indexed), config);
         for host_threads in [1usize, 4] {
             for schedule in [
                 Schedule::Static(platform.even_shares(reads.len())),
@@ -267,14 +261,14 @@ fn grid_digest() -> u64 {
                     .run(&mapper, &platform, &reads)
                     .expect("grid cell run failed");
                 fold_outputs(&mut h, &run.outputs, &metrics);
-                fold(&mut h, run.simulated_seconds.to_bits());
+                h.write_u64(run.simulated_seconds.to_bits());
             }
         }
         // Baseline mappers share VerifyEngine; digest their raw
         // per-read outputs and telemetry.
-        let gem = GemLike::new(Arc::clone(&w.indexed), delta);
-        let razers = Razers3Like::new(Arc::clone(&w.indexed), delta);
-        let hobbes = Hobbes3Like::new(Arc::clone(&w.indexed), delta);
+        let gem = GemLike::new(Arc::clone(indexed), delta);
+        let razers = Razers3Like::new(Arc::clone(indexed), delta);
+        let hobbes = Hobbes3Like::new(Arc::clone(indexed), delta);
         let baselines: [&dyn Mapper; 3] = [&gem, &razers, &hobbes];
         for mapper in baselines {
             for read in &reads {
@@ -284,29 +278,7 @@ fn grid_digest() -> u64 {
             }
         }
     }
-    h
-}
-
-/// Runs the grid in a child process with `REPUTE_SCALAR_VERIFY=1` and
-/// returns its digest (the env switch is latched at engine
-/// construction, so the scalar pipeline needs its own process).
-fn scalar_grid_digest() -> u64 {
-    let exe = std::env::current_exe().expect("own executable path");
-    let output = std::process::Command::new(exe)
-        .arg("--grid-digest")
-        .env("REPUTE_SCALAR_VERIFY", "1")
-        .output()
-        .expect("spawn scalar grid child");
-    assert!(
-        output.status.success(),
-        "scalar grid child failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let text = String::from_utf8_lossy(&output.stdout);
-    text.lines()
-        .find_map(|l| l.strip_prefix("grid-digest: "))
-        .and_then(|v| u64::from_str_radix(v.trim(), 16).ok())
-        .expect("child printed no digest")
+    h.finish()
 }
 
 fn render_document(k: &KernelMeasurement, digest: u64) -> String {
@@ -371,11 +343,6 @@ fn validate_document(text: &str) -> Result<Committed, String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() == 1 && args[0] == "--grid-digest" {
-        println!("grid-digest: {:016x}", grid_digest());
-        return;
-    }
     let (mode, path) = GATE.mode().expect("a mode is required");
     println!(
         "Verification kernel benchmark — schema {} v{}",
@@ -400,77 +367,69 @@ fn main() {
         k.batch_words,
         100.0 * k.batch_words as f64 / k.baseline_words as f64
     );
+    let w = Workload::generate(Scale::tiny());
     println!("digesting mapper grid (batch path, in process)…");
-    let batch_digest = grid_digest();
+    let batch_digest = grid_digest(&w, &w.indexed);
     println!("  grid-digest: {batch_digest:016x}");
-    println!("digesting mapper grid (scalar path, child process)…");
-    let scalar_digest = scalar_grid_digest();
+    println!("digesting mapper grid (scalar path, in process)…");
+    let scalar = IndexedReference::clone(&w.indexed).with_scalar_verify();
+    let scalar_digest = grid_digest(&w, &Arc::new(scalar));
     println!("  grid-digest: {scalar_digest:016x}");
     if batch_digest != scalar_digest {
-        eprintln!("FAIL: batch and scalar pipelines produced different grids");
-        std::process::exit(1);
+        fail("batch and scalar pipelines produced different grids");
     }
     println!("grid invariance OK: batch and scalar pipelines agree bit for bit");
 
     if mode == Mode::Write {
         if k.speedup < MIN_COMMITTED_SPEEDUP {
-            eprintln!(
-                "FAIL: measured speedup {:.2}× is below the {MIN_COMMITTED_SPEEDUP:.1}× \
+            fail(&format!(
+                "measured speedup {:.2}× is below the {MIN_COMMITTED_SPEEDUP:.1}× \
                  bar for a committed baseline",
                 k.speedup
-            );
-            std::process::exit(1);
+            ));
         }
         GATE.write(&path, &render_document(&k, batch_digest), validate_document);
         return;
     }
 
     let committed = GATE.read(&path, validate_document);
-    let mut failures = 0u32;
+    let mut checks = Checks::default();
     if committed.speedup < MIN_COMMITTED_SPEEDUP {
-        eprintln!(
-            "FAIL: committed speedup {:.2}× is below the {MIN_COMMITTED_SPEEDUP:.1}× bar",
+        checks.fail(&format!(
+            "committed speedup {:.2}× is below the {MIN_COMMITTED_SPEEDUP:.1}× bar",
             committed.speedup
-        );
-        failures += 1;
+        ));
     }
     if committed.baseline_words != k.baseline_words {
-        eprintln!(
-            "FAIL: fresh baseline word total {} != committed {} (corpus or kernel \
+        checks.fail(&format!(
+            "fresh baseline word total {} != committed {} (corpus or kernel \
              drift — regenerate with --write)",
             k.baseline_words, committed.baseline_words
-        );
-        failures += 1;
+        ));
     }
     if committed.batch_words != k.batch_words {
-        eprintln!(
-            "FAIL: fresh batch word total {} != committed {} (band or accounting \
+        checks.fail(&format!(
+            "fresh batch word total {} != committed {} (band or accounting \
              drift — regenerate with --write)",
             k.batch_words, committed.batch_words
-        );
-        failures += 1;
+        ));
     }
     let fresh_digest = format!("{batch_digest:016x}");
     if committed.grid_digest != fresh_digest {
-        eprintln!(
-            "FAIL: fresh grid digest {fresh_digest} != committed {} (mapping output \
+        checks.fail(&format!(
+            "fresh grid digest {fresh_digest} != committed {} (mapping output \
              changed — regenerate with --write)",
             committed.grid_digest
-        );
-        failures += 1;
+        ));
     }
     if k.speedup < MIN_FRESH_SPEEDUP {
-        eprintln!(
-            "FAIL: fresh speedup {:.2}× fell below the {MIN_FRESH_SPEEDUP:.1}× floor \
+        checks.fail(&format!(
+            "fresh speedup {:.2}× fell below the {MIN_FRESH_SPEEDUP:.1}× floor \
              (committed: {:.2}×)",
             k.speedup, committed.speedup
-        );
-        failures += 1;
+        ));
     }
-    if failures > 0 {
-        eprintln!("\n{failures} verify-kernel check(s) failed");
-        std::process::exit(1);
-    }
+    checks.finish("verify-kernel ");
     println!(
         "\nall verify-kernel checks passed (committed {:.2}×, fresh {:.2}×)",
         committed.speedup, k.speedup

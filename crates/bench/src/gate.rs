@@ -5,11 +5,17 @@
 //! (and checks it against its own schema before it lands on disk) or
 //! reads the committed one, validates it, and compares. What is shared
 //! lives here — argument parsing, the `schema`/`version` header,
-//! read-or-exit, write-then-self-validate, and the "fresh over committed
-//! beyond a factor" loop; each binary keeps its measurement, its
-//! document body and its list of gated fields. Every failure exits 1.
+//! read-or-exit, write-then-self-validate, the one regression factor and
+//! the "fresh over committed beyond it" loop; each binary keeps its
+//! measurement and its document body. A flat document states its fields
+//! once, as [`Field`]s, and [`Gate::finish`] derives the rendering, the
+//! schema check and the comparison from that list. Every failure exits 1.
 
-use repute_obs::json::{field, parse_json, JsonValue};
+use repute_obs::json::{field, parse_json, JsonObject, JsonValue};
+
+/// A fresh gated metric may exceed its committed value by at most this
+/// factor before `--check` fails.
+pub const REGRESSION_FACTOR: f64 = 1.2;
 
 /// The fields of a parsed JSON object, keys in source order.
 pub type Fields = Vec<(String, JsonValue)>;
@@ -43,10 +49,52 @@ pub struct Gate {
     pub smoke: Option<&'static str>,
 }
 
+/// How `--check` treats one value of a flat document.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// A count: must be present as a non-negative integer.
+    Integer(u64),
+    /// Machine-dependent or derived: must be present as a number, never
+    /// compared.
+    Informational(f64),
+    /// Deterministic: fresh may exceed committed by at most
+    /// [`REGRESSION_FACTOR`].
+    Gated(f64),
+}
+
+/// One `key: value` of a flat document, in document order.
+pub type Field = (&'static str, Value);
+
 /// Prints `FAIL: <msg>` and exits 1.
 pub fn fail(msg: &str) -> ! {
     eprintln!("FAIL: {msg}");
     std::process::exit(1);
+}
+
+/// The failed checks of a binary that reports every failure before it
+/// exits, where [`fail`] stops at the first.
+#[derive(Debug, Default)]
+pub struct Checks(u32);
+
+impl Checks {
+    /// Prints `FAIL: <msg>` and counts it.
+    pub fn fail(&mut self, msg: &str) {
+        eprintln!("FAIL: {msg}");
+        self.0 += 1;
+    }
+
+    /// Exits 1 with `<n> <what>check(s) failed` when any check failed.
+    pub fn finish(self, what: &str) {
+        if self.0 > 0 {
+            eprintln!("\n{} {what}check(s) failed", self.0);
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The value of `result`, or `FAIL: <what>: <error>` and exit 1.
+pub fn or_fail<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) -> T {
+    result.unwrap_or_else(|err| fail(&format!("{what}: {err}")))
 }
 
 impl Gate {
@@ -136,25 +184,39 @@ impl Gate {
         }
     }
 
-    /// The regression gate of a smoke binary: every `fresh` metric that
-    /// the committed document also holds may exceed its committed value
-    /// by at most `factor`. Prints one line per metric (keys padded to
-    /// `width`) and exits 1 naming `subject` when any regressed.
-    pub fn check_regressions(
-        &self,
-        committed: &[(String, f64)],
-        fresh: &[(&str, f64)],
-        factor: f64,
-        width: usize,
-        subject: &str,
-    ) {
+    /// The tail of a serve smoke binary, whose document is flat: nothing
+    /// for a run without arguments, `--write` of the pinned reference
+    /// length and then `fields` in order, or `--check` of the committed
+    /// document against them — every gated value may exceed its
+    /// committed one by at most [`REGRESSION_FACTOR`]. Prints one line
+    /// per gated metric and exits 1 naming `subject` when any regressed.
+    pub fn finish(&self, mode: Option<(Mode, String)>, fields: &[Field], subject: &str) {
+        let Some((mode, path)) = mode else { return };
+        let validate = |text: &str| self.validate_flat(fields, text);
+        if mode == Mode::Write {
+            let mut doc = JsonObject::new();
+            doc.str_field("schema", self.schema);
+            doc.u64_field("version", self.version);
+            doc.u64_field("reference_len", crate::scenario::SERVE_REF_LEN as u64);
+            for &(key, value) in fields {
+                match value {
+                    Value::Integer(v) => doc.u64_field(key, v),
+                    Value::Informational(v) | Value::Gated(v) => doc.f64_field(key, v),
+                };
+            }
+            return self.write(&path, &(doc.finish() + "\n"), validate);
+        }
+        let committed = self.read(&path, validate);
         println!("schema OK: {} gated metric(s)", committed.len());
+        let width = committed
+            .iter()
+            .map(|gated| gated.0.len())
+            .max()
+            .unwrap_or(0);
+        let width = width.next_multiple_of(4);
         let mut regressed = false;
-        for (key, committed_value) in committed {
-            let Some((_, fresh_value)) = fresh.iter().find(|(k, _)| k == key) else {
-                continue;
-            };
-            let limit = committed_value * factor;
+        for (key, committed_value, fresh_value) in &committed {
+            let limit = committed_value * REGRESSION_FACTOR;
             let verdict = if *fresh_value > limit {
                 regressed = true;
                 "REGRESSED"
@@ -168,11 +230,41 @@ impl Gate {
         }
         if regressed {
             fail(&format!(
-                "{subject} regression beyond {factor}x; \
+                "{subject} regression beyond {REGRESSION_FACTOR}x; \
                  refresh intentional changes with --write"
             ));
         }
         println!("{} trajectory gate OK", self.smoke.unwrap_or(self.noun));
+    }
+
+    /// Checks `text` against the header and the kinds of `fields` —
+    /// integers, then informational numbers, then gated ones — and
+    /// returns `(key, committed, fresh)` per gated field.
+    fn validate_flat(
+        &self,
+        fields: &[Field],
+        text: &str,
+    ) -> Result<Vec<(&'static str, f64, f64)>, String> {
+        let committed = self.header(text)?;
+        let keys = |kind: fn(&Value) -> bool| -> Vec<&str> {
+            let of_kind = fields.iter().filter(|(_, value)| kind(value));
+            of_kind.map(|&(key, _)| key).collect()
+        };
+        require(
+            &committed,
+            &keys(|v| matches!(v, Value::Integer(_))),
+            &keys(|v| matches!(v, Value::Informational(_))),
+        )?;
+        let mut gated = Vec::new();
+        for &(key, value) in fields {
+            if let Value::Gated(fresh) = value {
+                let committed = field(&committed, key)
+                    .and_then(JsonValue::as_f64)
+                    .ok_or(format!("missing numeric field {key:?}"))?;
+                gated.push((key, committed, fresh));
+            }
+        }
+        Ok(gated)
     }
 }
 
@@ -194,20 +286,4 @@ pub fn require(fields: &Fields, integers: &[&str], numbers: &[&str]) -> Result<(
         }
     }
     Ok(())
-}
-
-/// The gated metrics of a document, in `keys` order.
-///
-/// # Errors
-///
-/// Names the first key that is not a numeric field.
-pub fn gated(fields: &Fields, keys: &[&str]) -> Result<Vec<(String, f64)>, String> {
-    keys.iter()
-        .map(|key| {
-            field(fields, key)
-                .and_then(JsonValue::as_f64)
-                .map(|value| (key.to_string(), value))
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        })
-        .collect()
 }

@@ -21,4 +21,6 @@
 
 pub mod gate;
 pub mod harness;
+pub mod paper;
+pub mod scenario;
 pub mod workload;

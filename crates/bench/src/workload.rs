@@ -23,21 +23,26 @@ pub struct Scale {
 
 impl Scale {
     /// The default benchmark scale, overridable via the `REPUTE_REF_LEN`
-    /// and `REPUTE_READS` environment variables.
+    /// and `REPUTE_READS` environment variables. A variable that is set
+    /// but is not a positive integer prints one line and exits 1: a typo
+    /// must not turn a one-second run into the default forty-second one.
     pub fn from_env() -> Scale {
-        let parse = |name: &str, default: usize| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
+        let setting = |name: &str, default: usize| {
+            let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+            parse_setting(name, value.as_deref(), default).unwrap_or_else(|err| {
+                eprintln!("{err}");
+                std::process::exit(1);
+            })
         };
         Scale {
-            reference_len: parse("REPUTE_REF_LEN", DEFAULT_REF_LEN),
-            reads_per_set: parse("REPUTE_READS", DEFAULT_READS),
+            reference_len: setting("REPUTE_REF_LEN", DEFAULT_REF_LEN),
+            reads_per_set: setting("REPUTE_READS", DEFAULT_READS),
         }
     }
 
-    /// A small scale for unit tests.
+    /// A small scale for unit tests, and the pinned scale of the
+    /// `trajectory` and `verify_kernel` baselines (`BENCH_pr6.json`,
+    /// `BENCH_pr8.json`): changing it means regenerating both.
     pub fn tiny() -> Scale {
         Scale {
             reference_len: 60_000,
@@ -52,6 +57,16 @@ impl Scale {
             self.reference_len as f64 / 1e6,
             self.reads_per_set
         )
+    }
+}
+
+/// One scale variable: `default` when unset, its value when a positive
+/// integer, otherwise a message naming the variable and the value.
+fn parse_setting(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value.map(|v| (v, v.parse())) {
+        None => Ok(default),
+        Some((_, Ok(n))) if n > 0 => Ok(n),
+        Some((v, _)) => Err(format!("{name}={v:?} is not a positive integer")),
     }
 }
 
@@ -260,6 +275,17 @@ mod tests {
     fn unknown_read_length_rejected() {
         let w = Workload::generate(Scale::tiny());
         let _ = w.reads(75);
+    }
+
+    #[test]
+    fn a_set_but_unusable_scale_variable_is_an_error() {
+        assert_eq!(parse_setting("REPUTE_READS", None, 1_500), Ok(1_500));
+        assert_eq!(parse_setting("REPUTE_READS", Some("60"), 1_500), Ok(60));
+        for bad in ["6o", "0", "", "-3", " 60"] {
+            let err = parse_setting("REPUTE_READS", Some(bad), 1_500).unwrap_err();
+            assert!(err.contains("REPUTE_READS") && err.contains(bad), "{err}");
+            assert_eq!(err.lines().count(), 1);
+        }
     }
 
     #[test]

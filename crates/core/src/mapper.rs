@@ -5,7 +5,7 @@ use std::sync::Arc;
 use repute_filter::freq::FreqTable;
 use repute_filter::oss::OssSolver;
 use repute_genome::DnaSeq;
-use repute_mappers::{CandidateSet, IndexedReference, MapOutput, Mapper, VerifyEngine};
+use repute_mappers::{CandidateSet, IndexedReference, MapOutput, Mapper};
 use repute_obs::MapMetrics;
 use repute_prefilter::{Chain, PrefilterMode, QgramBins, QgramFilter, ShdFilter};
 
@@ -99,7 +99,7 @@ impl Mapper for ReputeMapper {
         let shd = ShdFilter::new();
         let qgram = QgramFilter::new(self.prefilter_bins());
         let chain;
-        let engine = VerifyEngine::new(self.indexed.codes(), self.config.delta());
+        let engine = self.indexed.verify_engine(self.config.delta());
         let engine = match self.config.prefilter() {
             PrefilterMode::None => engine,
             PrefilterMode::Shd => engine.with_prefilter(&shd),

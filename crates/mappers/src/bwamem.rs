@@ -13,7 +13,7 @@ use repute_genome::DnaSeq;
 use repute_index::BiFmIndex;
 
 use crate::common::{IndexedReference, MapOutput, Mapper, Mapping};
-use crate::engine::{strand_codes, CandidateSet, VerifyEngine, EXTEND_COST, LOCATE_COST};
+use crate::engine::{strand_codes, CandidateSet, EXTEND_COST, LOCATE_COST};
 
 /// Rank-query pairs per bidirectional extension step (four left
 /// extensions probe the width of every symbol).
@@ -87,7 +87,7 @@ impl Mapper for BwaMemLike {
 
     fn map_read(&self, read: &DnaSeq) -> MapOutput {
         let budget = Self::internal_budget(read.len());
-        let engine = VerifyEngine::new(self.indexed.codes(), budget);
+        let engine = self.indexed.verify_engine(budget);
         let mut out = MapOutput::default();
         let mut all: Vec<Mapping> = Vec::new();
         for (strand, codes) in strand_codes(read) {

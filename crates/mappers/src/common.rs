@@ -3,6 +3,8 @@
 use repute_genome::wire::{read_run, Reader, WireError};
 use repute_genome::{DnaSeq, Strand};
 
+use crate::engine::VerifyEngine;
+
 /// One reported mapping location.
 ///
 /// REPUTE "gives the mapping positions, edit distance and strand for each
@@ -45,6 +47,7 @@ pub struct IndexedReference {
     fm: repute_index::FmIndex,
     qgram: repute_index::QGramIndex,
     prefilter_bins: repute_prefilter::QgramBins,
+    scalar_verify: bool,
 }
 
 impl IndexedReference {
@@ -75,7 +78,29 @@ impl IndexedReference {
             fm,
             qgram,
             prefilter_bins,
+            scalar_verify: false,
         }
+    }
+
+    /// The verification engine of every mapper over this reference:
+    /// error budget δ, no pre-alignment filter, the batch SWAR kernels.
+    pub fn verify_engine(&self, delta: u32) -> VerifyEngine<'_> {
+        let engine = VerifyEngine::new(&self.codes, delta);
+        if self.scalar_verify {
+            engine.with_scalar_path()
+        } else {
+            engine
+        }
+    }
+
+    /// Makes [`IndexedReference::verify_engine`] hand out the scalar
+    /// per-candidate oracle path instead of the batch kernels, so a
+    /// whole mapper grid can be run against the oracle in process
+    /// (`verify_kernel`, the engine differential test). Never set by
+    /// the `repute` binary and not serialised.
+    pub fn with_scalar_verify(mut self) -> IndexedReference {
+        self.scalar_verify = true;
+        self
     }
 
     /// The reference sequence.
@@ -165,6 +190,7 @@ impl IndexedReference {
             fm,
             qgram,
             prefilter_bins,
+            scalar_verify: false,
         })
     }
 }

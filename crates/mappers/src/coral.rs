@@ -17,7 +17,7 @@ use repute_filter::segmented::SegmentedSelector;
 use repute_genome::DnaSeq;
 
 use crate::common::{IndexedReference, MapOutput, Mapper};
-use crate::engine::{strand_codes, CandidateSet, VerifyEngine, EXTEND_COST, LOCATE_COST};
+use crate::engine::{strand_codes, CandidateSet, EXTEND_COST, LOCATE_COST};
 
 /// Cap on located occurrences per seed (pathological repeats only).
 const PER_SEED_LOCATE_CAP: usize = 20_000;
@@ -103,7 +103,7 @@ impl Mapper for CoralLike {
 
     fn map_read(&self, read: &DnaSeq) -> MapOutput {
         let fm = self.indexed.fm();
-        let engine = VerifyEngine::new(self.indexed.codes(), self.delta);
+        let engine = self.indexed.verify_engine(self.delta);
         let selector = SegmentedSelector::new(self.delta, self.s_min).threshold(self.threshold);
         let mut out = MapOutput::default();
         for (strand, codes) in strand_codes(read) {

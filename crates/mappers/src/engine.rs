@@ -15,18 +15,6 @@ use repute_prefilter::{Candidate, PreFilter, Verdict};
 
 use crate::common::Mapping;
 
-/// `true` when `REPUTE_SCALAR_VERIFY` is set (to anything but `0` or
-/// empty): engines then run the scalar per-candidate verification path
-/// instead of the batch SWAR kernels. The two paths are bit-identical
-/// by construction; the switch exists so benchmarks and differential
-/// tests can compare full pipelines.
-fn scalar_verify_env() -> bool {
-    static SCALAR: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *SCALAR.get_or_init(|| {
-        std::env::var_os("REPUTE_SCALAR_VERIFY").is_some_and(|v| !v.is_empty() && v != "0")
-    })
-}
-
 /// Work units charged per FM-Index left-extension: two rank queries, each
 /// a checkpoint load plus a BWT scan — cache-missing, memory-bound work,
 /// far heavier than one register-resident bit-vector update.
@@ -117,20 +105,19 @@ pub struct VerifyEngine<'a> {
 impl<'a> VerifyEngine<'a> {
     /// Creates an engine over the reference's 2-bit codes with error
     /// budget δ and no pre-alignment filter. Verification runs the
-    /// batch SWAR kernels unless the `REPUTE_SCALAR_VERIFY` environment
-    /// variable (or [`VerifyEngine::with_scalar_path`]) selects the
-    /// scalar oracle path.
+    /// batch SWAR kernels unless [`VerifyEngine::with_scalar_path`]
+    /// selects the scalar oracle path.
     pub fn new(reference: &'a [u8], delta: u32) -> VerifyEngine<'a> {
         VerifyEngine {
             reference,
             delta,
             prefilter: None,
-            scalar: scalar_verify_env(),
+            scalar: false,
         }
     }
 
-    /// Forces the scalar per-candidate verification path, regardless of
-    /// the environment. Output and metrics are bit-identical to the
+    /// Forces the scalar per-candidate verification path. Output and
+    /// metrics are bit-identical to the
     /// batch path — this switch exists for differential tests and for
     /// benchmarking the batch kernels against their oracle.
     pub fn with_scalar_path(mut self) -> VerifyEngine<'a> {
@@ -580,6 +567,17 @@ mod tests {
                 }
             }
         }
+        // The same switch one level up: a reference marked scalar hands
+        // every mapper the oracle engine, and whole mappers agree.
+        use crate::{razers3::Razers3Like, IndexedReference, Mapper};
+        let batch = IndexedReference::build(reference.clone());
+        let scalar = batch.clone().with_scalar_verify();
+        assert!(!batch.verify_engine(4).scalar && scalar.verify_engine(4).scalar);
+        let read = reference.subseq(5000..5100);
+        let out_b = Razers3Like::new(std::sync::Arc::new(batch), 4).map_read(&read);
+        let out_s = Razers3Like::new(std::sync::Arc::new(scalar), 4).map_read(&read);
+        assert!(!out_b.mappings.is_empty());
+        assert_eq!(out_b, out_s);
     }
 
     #[test]

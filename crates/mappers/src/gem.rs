@@ -15,7 +15,7 @@ use repute_filter::greedy::GreedySelector;
 use repute_genome::DnaSeq;
 
 use crate::common::{IndexedReference, MapOutput, Mapper, Mapping};
-use crate::engine::{strand_codes, CandidateSet, VerifyEngine, EXTEND_COST, LOCATE_COST};
+use crate::engine::{strand_codes, CandidateSet, EXTEND_COST, LOCATE_COST};
 
 /// Adaptive frequency threshold at which a seed stops growing.
 const ADAPTIVE_THRESHOLD: u32 = 20;
@@ -84,7 +84,7 @@ impl Mapper for GemLike {
 
     fn map_read(&self, read: &DnaSeq) -> MapOutput {
         let fm = self.indexed.fm();
-        let engine = VerifyEngine::new(self.indexed.codes(), self.delta);
+        let engine = self.indexed.verify_engine(self.delta);
         let selector = GreedySelector::new(self.delta, self.s_min).threshold(ADAPTIVE_THRESHOLD);
         let mut out = MapOutput::default();
         let mut all: Vec<Mapping> = Vec::new();

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use repute_genome::DnaSeq;
 
 use crate::common::{IndexedReference, MapOutput, Mapper};
-use crate::engine::{strand_codes, CandidateSet, VerifyEngine};
+use crate::engine::{strand_codes, CandidateSet};
 
 /// The Hobbes3-style all-mapper.
 ///
@@ -129,7 +129,7 @@ impl Mapper for Hobbes3Like {
     fn map_read(&self, read: &DnaSeq) -> MapOutput {
         let qgram = self.indexed.qgram();
         let q = qgram.q();
-        let engine = VerifyEngine::new(self.indexed.codes(), self.delta);
+        let engine = self.indexed.verify_engine(self.delta);
         let mut out = MapOutput::default();
         for (strand, codes) in strand_codes(read) {
             if codes.len() < (self.delta as usize + 1) * q {

@@ -17,7 +17,7 @@ use repute_genome::DnaSeq;
 use repute_index::QGramIndex;
 
 use crate::common::{IndexedReference, MapOutput, Mapper};
-use crate::engine::{strand_codes, VerifyEngine};
+use crate::engine::strand_codes;
 
 /// The RazerS3-style full-sensitivity all-mapper.
 ///
@@ -104,7 +104,7 @@ impl Mapper for Razers3Like {
     fn map_read(&self, read: &DnaSeq) -> MapOutput {
         let qgram = &self.swift;
         let q = qgram.q();
-        let engine = VerifyEngine::new(self.indexed.codes(), self.delta);
+        let engine = self.indexed.verify_engine(self.delta);
         let band = self.band_width();
         let mut out = MapOutput::default();
         for (strand, codes) in strand_codes(read) {

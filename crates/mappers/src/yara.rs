@@ -20,7 +20,7 @@ use repute_genome::DnaSeq;
 use repute_index::{FmIndex, Interval};
 
 use crate::common::{IndexedReference, MapOutput, Mapper, Mapping};
-use crate::engine::{strand_codes, CandidateSet, VerifyEngine, EXTEND_COST, LOCATE_COST};
+use crate::engine::{strand_codes, CandidateSet, EXTEND_COST, LOCATE_COST};
 
 /// Cap on located occurrences per seed interval.
 const PER_INTERVAL_LOCATE_CAP: usize = 2_000;
@@ -140,7 +140,7 @@ impl Mapper for YaraLike {
 
     fn map_read(&self, read: &DnaSeq) -> MapOutput {
         let fm = self.indexed.fm();
-        let engine = VerifyEngine::new(self.indexed.codes(), self.delta);
+        let engine = self.indexed.verify_engine(self.delta);
         // ⌈(δ+1)/2⌉ pieces, each allowed one mismatch, cover δ errors.
         let pieces = (self.delta as usize + 2) / 2;
         let mut out = MapOutput::default();

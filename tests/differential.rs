@@ -19,32 +19,39 @@ use repute_genome::{DnaSeq, Strand};
 use repute_mappers::{
     coral::CoralLike, hobbes3::Hobbes3Like, razers3::Razers3Like, IndexedReference, Mapper,
 };
+use repute_prefilter::PrefilterMode;
 
-/// All end positions (exclusive) where `read` aligns semi-globally within
-/// `delta`, collapsed to clusters of nearby ends. Each cluster keeps its
-/// full `(first_end, last_end)` range: a repeat with a short period chains
-/// many qualifying ends together, and a mapper may legitimately report any
-/// occurrence inside the chain, not just its final end.
-fn oracle_ends(read: &[u8], reference: &[u8], delta: u32) -> Vec<(usize, usize, u32)> {
+/// The semi-global edit distance of `read` ending at every reference
+/// position `1..=len` (index `j - 1` holds the end-exclusive position
+/// `j`): the last DP row, which every error budget thresholds.
+fn end_distances(read: &[u8], reference: &[u8]) -> Vec<u32> {
     let m = read.len();
     let mut prev: Vec<u32> = (0..=m as u32).collect();
     let mut cur = vec![0u32; m + 1];
-    let mut hits: Vec<(usize, u32)> = Vec::new();
+    let mut ends = Vec::with_capacity(reference.len());
     for j in 1..=reference.len() {
         cur[0] = 0;
         for i in 1..=m {
             let sub = prev[i - 1] + u32::from(read[i - 1] != reference[j - 1]);
             cur[i] = sub.min(prev[i] + 1).min(cur[i - 1] + 1);
         }
-        if cur[m] <= delta {
-            hits.push((j, cur[m]));
-        }
+        ends.push(cur[m]);
         std::mem::swap(&mut prev, &mut cur);
     }
+    ends
+}
+
+/// All end positions (exclusive) within `delta`, collapsed to clusters
+/// of nearby ends. Each cluster keeps its full `(first_end, last_end)`
+/// range: a repeat with a short period chains many qualifying ends
+/// together, and a mapper may legitimately report any occurrence inside
+/// the chain, not just its final end.
+fn oracle_ends(ends: &[u32], delta: u32) -> Vec<(usize, usize, u32)> {
     // Collapse runs of nearby ends (one alignment produces a plateau of
     // qualifying ends) into `(first, last, best distance)` ranges.
     let mut clusters: Vec<(usize, usize, u32)> = Vec::new();
-    for (end, dist) in hits {
+    for (j, &dist) in ends.iter().enumerate().filter(|&(_, &dist)| dist <= delta) {
+        let end = j + 1;
         match clusters.last_mut() {
             Some((_, last_end, best)) if end - *last_end <= 2 * delta as usize + 2 => {
                 if dist < *best {
@@ -58,22 +65,44 @@ fn oracle_ends(read: &[u8], reference: &[u8], delta: u32) -> Vec<(usize, usize, 
     clusters
 }
 
+/// The brute-force scan of one read, both strands; an [`Oracle`] per
+/// error budget is a threshold over it.
+struct Scan {
+    strands: [(Strand, Vec<u32>); 2],
+}
+
+impl Scan {
+    fn new(read: &DnaSeq, reference: &[u8]) -> Scan {
+        let reverse = read.reverse_complement();
+        Scan {
+            strands: [
+                (Strand::Forward, end_distances(&read.to_codes(), reference)),
+                (
+                    Strand::Reverse,
+                    end_distances(&reverse.to_codes(), reference),
+                ),
+            ],
+        }
+    }
+
+    fn oracle(&self, delta: u32) -> Oracle {
+        let mut hits = Vec::new();
+        for (strand, ends) in &self.strands {
+            for (first, last, dist) in oracle_ends(ends, delta) {
+                hits.push((*strand, first, last, dist));
+            }
+        }
+        Oracle { hits }
+    }
+}
+
 struct Oracle {
     /// `(strand, first end, last end, best distance)` per hit cluster.
     hits: Vec<(Strand, usize, usize, u32)>,
 }
 
 fn oracle(read: &DnaSeq, reference: &[u8], delta: u32) -> Oracle {
-    let mut hits = Vec::new();
-    for (strand, codes) in [
-        (Strand::Forward, read.to_codes()),
-        (Strand::Reverse, read.reverse_complement().to_codes()),
-    ] {
-        for (first, last, dist) in oracle_ends(&codes, reference, delta) {
-            hits.push((strand, first, last, dist));
-        }
-    }
-    Oracle { hits }
+    Scan::new(read, reference).oracle(delta)
 }
 
 fn workload() -> (Arc<IndexedReference>, Vec<repute_genome::reads::SimRead>) {
@@ -156,38 +185,65 @@ fn no_mapper_invents_locations() {
 
 #[test]
 fn full_sensitivity_mappers_find_every_oracle_cluster() {
+    // The accuracy pin: all-locations recall against the brute-force
+    // oracle is 100% at every paper δ, and for REPUTE under every
+    // pre-alignment filter — so kernel and filtration work cannot trade
+    // sensitivity for speed unnoticed.
     let (indexed, reads) = workload();
-    let delta = 3u32;
-    // Unlimited output slots so the caps cannot hide a cluster.
-    let mappers: Vec<Box<dyn Mapper>> = vec![
-        Box::new(Razers3Like::new(Arc::clone(&indexed), delta).with_max_locations(100_000)),
-        Box::new(Hobbes3Like::new(Arc::clone(&indexed), delta).with_max_locations(100_000)),
-        Box::new(CoralLike::new(Arc::clone(&indexed), delta).with_max_locations(100_000)),
-        Box::new(ReputeMapper::new(
-            Arc::clone(&indexed),
-            ReputeConfig::new(delta, 12)
+    let scans: Vec<Scan> = reads
+        .iter()
+        .map(|read| Scan::new(&read.seq, indexed.codes()))
+        .collect();
+    for delta in 3u32..=7 {
+        // The largest S_min that leaves δ+1 seeds in a 90 bp read, 12 at most.
+        let s_min = (90 / (delta as usize + 1)).min(12);
+        // Unlimited output slots so the caps cannot hide a cluster.
+        let mut mappers: Vec<(String, Box<dyn Mapper>)> = vec![
+            (
+                "RazerS3".into(),
+                Box::new(Razers3Like::new(Arc::clone(&indexed), delta).with_max_locations(100_000)),
+            ),
+            (
+                "Hobbes3".into(),
+                Box::new(Hobbes3Like::new(Arc::clone(&indexed), delta).with_max_locations(100_000)),
+            ),
+            (
+                "CORAL".into(),
+                Box::new(
+                    CoralLike::new(Arc::clone(&indexed), delta)
+                        .with_s_min(s_min)
+                        .with_max_locations(100_000),
+                ),
+            ),
+        ];
+        for mode in PrefilterMode::ALL {
+            let config = ReputeConfig::new(delta, s_min)
                 .expect("valid")
-                .with_max_locations(100_000),
-        )),
-    ];
-    let slack = 2 * delta as usize + 2;
-    for read in &reads {
-        let oracle = oracle(&read.seq, indexed.codes(), delta);
-        for mapper in &mappers {
-            let mappings = mapper.map_read(&read.seq).mappings;
-            for &(strand, first, last, dist) in &oracle.hits {
-                let found = mappings.iter().any(|m| {
-                    let end = m.position as usize + read.seq.len();
-                    m.strand == strand && end + slack >= first && end <= last + slack
-                });
-                assert!(
-                    found,
-                    "{} missed oracle hit (strand {strand}, ends {first}..={last}, \
-                     distance {dist}) for read {}; reported {} mappings",
-                    mapper.name(),
-                    read.id,
-                    mappings.len()
-                );
+                .with_max_locations(100_000)
+                .with_prefilter(mode);
+            mappers.push((
+                format!("REPUTE --prefilter {mode}"),
+                Box::new(ReputeMapper::new(Arc::clone(&indexed), config)),
+            ));
+        }
+        let slack = 2 * delta as usize + 2;
+        for (read, scan) in reads.iter().zip(&scans) {
+            let oracle = scan.oracle(delta);
+            for (name, mapper) in &mappers {
+                let mappings = mapper.map_read(&read.seq).mappings;
+                for &(strand, first, last, dist) in &oracle.hits {
+                    let found = mappings.iter().any(|m| {
+                        let end = m.position as usize + read.seq.len();
+                        m.strand == strand && end + slack >= first && end <= last + slack
+                    });
+                    assert!(
+                        found,
+                        "{name} at δ={delta} missed oracle hit (strand {strand}, ends \
+                         {first}..={last}, distance {dist}) for read {}; reported {} mappings",
+                        read.id,
+                        mappings.len()
+                    );
+                }
             }
         }
     }
