@@ -13,15 +13,25 @@
 //!    of the checked-in adversarial corpus (shared with the prefilter
 //!    crate's regression tests); 0% means the filter silently became a
 //!    no-op.
+//!
+//! Beside the simulated seconds the sweep prints what each mode costs on
+//! the host clock, one thread: reads per second, and the mode's time
+//! above the unfiltered row per candidate it tested (negative when the
+//! filter saves more Myers time than it spends). A read counts with its
+//! fastest of three passes — this is a shared machine. Informational,
+//! never gated.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use repute_bench::gate::Checks;
 use repute_bench::harness::{gold_standard, match_tolerance, run_cell, AccuracyMethod};
 use repute_bench::scenario::{Ablation, ABLATION_CELL};
 use repute_bench::workload::Scale;
 use repute_core::ReputeMapper;
+use repute_genome::DnaSeq;
 use repute_hetsim::profiles;
+use repute_mappers::Mapper;
 use repute_obs::MapMetrics;
 use repute_prefilter::{PrefilterMode, ShdFilter};
 
@@ -65,6 +75,20 @@ fn corpus_shd_rejections() -> (u32, u32) {
     (rejected, negatives)
 }
 
+/// Host seconds of one single-threaded pass over `reads`: the sum over
+/// reads of each read's fastest `map_read` in three passes.
+fn host_seconds(mapper: &ReputeMapper, reads: &[DnaSeq]) -> f64 {
+    let mut fastest = vec![f64::INFINITY; reads.len()];
+    for _ in 0..3 {
+        for (read, floor) in reads.iter().zip(&mut fastest) {
+            let started = Instant::now();
+            std::hint::black_box(mapper.map_read(read));
+            *floor = floor.min(started.elapsed().as_secs_f64());
+        }
+    }
+    fastest.iter().sum()
+}
+
 fn main() {
     let scale = Scale::from_env();
     println!("Pre-alignment filter ablation — SHD + q-gram bins");
@@ -83,13 +107,22 @@ fn main() {
 
     println!("\n[1] mode sweep (n={n}, δ={delta}, {} reads)", reads.len());
     println!(
-        "{:>8} | {:>12} | {:>12} | {:>10} | {:>10} | {:>9} | {:>10}",
-        "mode", "word upd", "filter words", "tested", "rejected", "false acc", "sim T(s)"
+        "{:>8} | {:>12} | {:>12} | {:>10} | {:>10} | {:>9} | {:>10} | {:>12} | {:>13}",
+        "mode",
+        "word upd",
+        "filter words",
+        "tested",
+        "rejected",
+        "false acc",
+        "sim T(s)",
+        "host reads/s",
+        "Δhost µs/test"
     );
-    println!("{}", "-".repeat(88));
+    println!("{}", "-".repeat(119));
     let mut checks = Checks::default();
     let mut baseline: Option<(Vec<Vec<repute_mappers::Mapping>>, u64)> = None;
     let mut both_word_updates = None;
+    let mut none_host_s = 0.0;
     for mode in PrefilterMode::ALL {
         let mapper = ReputeMapper::new(Arc::clone(&w.indexed), base.with_prefilter(mode));
         let outcome = run_cell(
@@ -105,8 +138,16 @@ fn main() {
         for m in &outcome.metrics {
             totals.merge(m);
         }
+        let host_s = host_seconds(&mapper, &reads);
+        let above_none = if mode == PrefilterMode::None {
+            none_host_s = host_s;
+            "-".to_string()
+        } else {
+            let tested = totals.prefilter_tested.max(1) as f64;
+            format!("{:+.3}", (host_s - none_host_s) * 1e6 / tested)
+        };
         println!(
-            "{:>8} | {:>12} | {:>12} | {:>10} | {:>10} | {:>9} | {:>10.4}",
+            "{:>8} | {:>12} | {:>12} | {:>10} | {:>10} | {:>9} | {:>10.4} | {:>12.0} | {:>13}",
             mode.to_string(),
             totals.word_updates,
             totals.prefilter_words,
@@ -114,6 +155,8 @@ fn main() {
             totals.prefilter_rejected,
             totals.prefilter_false_accepts,
             outcome.result.time_s,
+            reads.len() as f64 / host_s,
+            above_none,
         );
         outcome.export_if_requested(&format!("prefilter-{mode}"));
         match &baseline {

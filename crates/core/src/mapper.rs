@@ -32,18 +32,22 @@ pub struct ReputeMapper {
 
 impl ReputeMapper {
     /// Creates a mapper over a preprocessed reference. When the
-    /// configuration enables the q-gram prefilter with non-default
-    /// parameters, the bins are built here — once, at setup time, like
-    /// the rest of the index.
+    /// configuration enables the q-gram prefilter, the bins it probes
+    /// are built here — once, at setup time, like the rest of the index:
+    /// the index's shared default bins on their first use, or private
+    /// ones for non-default parameters.
     pub fn new(indexed: Arc<IndexedReference>, config: ReputeConfig) -> ReputeMapper {
-        let custom_bins =
-            (config.prefilter().uses_qgram() && !config.prefilter_uses_default_bins()).then(|| {
-                QgramBins::build(
-                    indexed.codes(),
-                    config.prefilter_q(),
-                    config.prefilter_bin_width(),
-                )
-            });
+        let uses_qgram = config.prefilter().uses_qgram();
+        let custom_bins = (uses_qgram && !config.prefilter_uses_default_bins()).then(|| {
+            QgramBins::build(
+                indexed.codes(),
+                config.prefilter_q(),
+                config.prefilter_bin_width(),
+            )
+        });
+        if uses_qgram && custom_bins.is_none() {
+            indexed.prefilter_bins();
+        }
         ReputeMapper {
             indexed,
             config,
@@ -97,14 +101,18 @@ impl Mapper for ReputeMapper {
         // output). The chain runs the q-gram bins first — they are far
         // cheaper per candidate than the SHD mask pipeline.
         let shd = ShdFilter::new();
-        let qgram = QgramFilter::new(self.prefilter_bins());
+        let qgram;
         let chain;
         let engine = self.indexed.verify_engine(self.config.delta());
         let engine = match self.config.prefilter() {
             PrefilterMode::None => engine,
             PrefilterMode::Shd => engine.with_prefilter(&shd),
-            PrefilterMode::Qgram => engine.with_prefilter(&qgram),
+            PrefilterMode::Qgram => {
+                qgram = QgramFilter::new(self.prefilter_bins());
+                engine.with_prefilter(&qgram)
+            }
             PrefilterMode::Both => {
+                qgram = QgramFilter::new(self.prefilter_bins());
                 chain = Chain::new(vec![&qgram, &shd]);
                 engine.with_prefilter(&chain)
             }

@@ -1,5 +1,7 @@
 //! The mapper interface shared by every baseline and by REPUTE itself.
 
+use std::sync::OnceLock;
+
 use repute_genome::wire::{read_run, Reader, WireError};
 use repute_genome::{DnaSeq, Strand};
 
@@ -40,13 +42,20 @@ pub struct MapOutput {
 ///
 /// Build it once and share it (e.g. via [`std::sync::Arc`]) across all the
 /// mappers in a comparison — index construction dominates setup time.
+///
+/// The FM-Index is built (or loaded) here. The q-gram hash index and the
+/// prefilter's q-gram bins each have one kind of reader — Hobbes3, and
+/// REPUTE under `--prefilter qgram|both` — so each is built on its first
+/// use, one linear pass, by the mapper that reads it (at construction);
+/// a run that reads neither pays for neither.
 #[derive(Debug, Clone)]
 pub struct IndexedReference {
     seq: DnaSeq,
     codes: Vec<u8>,
     fm: repute_index::FmIndex,
-    qgram: repute_index::QGramIndex,
-    prefilter_bins: repute_prefilter::QgramBins,
+    q: usize,
+    qgram: OnceLock<repute_index::QGramIndex>,
+    prefilter_bins: OnceLock<repute_prefilter::QgramBins>,
     scalar_verify: bool,
 }
 
@@ -63,21 +72,26 @@ impl IndexedReference {
     ///
     /// # Panics
     ///
-    /// Panics under the conditions of [`repute_index::QGramIndex::build`].
+    /// Panics if `q` is 0 or exceeds [`repute_index::QGramIndex::MAX_Q`]
+    /// — here, not when the q-gram index is first asked for.
     pub fn build_with_q(seq: DnaSeq, q: usize) -> IndexedReference {
-        let codes = seq.to_codes();
+        let max_q = repute_index::QGramIndex::MAX_Q;
+        assert!(q > 0 && q <= max_q, "q {q} out of 1..={max_q}");
         // Denser SA sampling than the library default: mapping locates
         // millions of candidate positions, so the memory/locate-speed
         // trade leans toward speed here (the ablation bench sweeps it).
         let fm = repute_index::FmIndex::builder().sa_sample(8).build(&seq);
-        let qgram = repute_index::QGramIndex::build(&seq, q);
-        let prefilter_bins = repute_prefilter::QgramBins::build_default(&codes);
+        IndexedReference::from_parts(seq, fm, q)
+    }
+
+    fn from_parts(seq: DnaSeq, fm: repute_index::FmIndex, q: usize) -> IndexedReference {
         IndexedReference {
+            codes: seq.to_codes(),
             seq,
-            codes,
             fm,
-            qgram,
-            prefilter_bins,
+            q,
+            qgram: OnceLock::new(),
+            prefilter_bins: OnceLock::new(),
             scalar_verify: false,
         }
     }
@@ -118,16 +132,20 @@ impl IndexedReference {
         &self.fm
     }
 
-    /// The q-gram hash index over the reference.
+    /// The q-gram hash index over the reference, built on the first
+    /// call.
     pub fn qgram(&self) -> &repute_index::QGramIndex {
-        &self.qgram
+        self.qgram
+            .get_or_init(|| repute_index::QGramIndex::build(&self.seq, self.q))
     }
 
-    /// The pre-alignment q-gram existence bins (GRIM-style), built with
-    /// the prefilter crate's defaults. Mappers configured with custom
-    /// prefilter parameters build their own bins from [`Self::codes`].
+    /// The pre-alignment q-gram existence bins (GRIM-style) with the
+    /// prefilter crate's defaults, built on the first call. Mappers
+    /// configured with custom prefilter parameters build their own bins
+    /// from [`Self::codes`].
     pub fn prefilter_bins(&self) -> &repute_prefilter::QgramBins {
-        &self.prefilter_bins
+        self.prefilter_bins
+            .get_or_init(|| repute_prefilter::QgramBins::build_default(&self.codes))
     }
 
     /// Reference length in bases.
@@ -142,8 +160,9 @@ impl IndexedReference {
 
     /// Serialises the index to a binary stream: the packed sequence, the
     /// FM-Index (BWT + SA samples), and the q-gram length. The q-gram
-    /// index itself is rebuilt on load (one linear pass — far cheaper
-    /// than the suffix-array construction the FM payload avoids).
+    /// index itself is rebuilt after a load by whoever first asks for it
+    /// (one linear pass — far cheaper than the suffix-array construction
+    /// the FM payload avoids).
     ///
     /// # Errors
     ///
@@ -151,7 +170,7 @@ impl IndexedReference {
     pub fn write_to<W: std::io::Write>(&self, mut out: W) -> std::io::Result<()> {
         out.write_all(b"RPIX")?;
         out.write_all(&1u16.to_le_bytes())?;
-        out.write_all(&(self.qgram.q() as u32).to_le_bytes())?;
+        out.write_all(&(self.q as u32).to_le_bytes())?;
         self.seq.write_packed(&mut out)?;
         self.fm.write_to(&mut out)
     }
@@ -181,17 +200,7 @@ impl IndexedReference {
         if fm.text_len() != seq.len() {
             return Err(WireError::Invalid("FM-Index does not match the stored sequence").into());
         }
-        let codes = seq.to_codes();
-        let qgram = repute_index::QGramIndex::build(&seq, q);
-        let prefilter_bins = repute_prefilter::QgramBins::build_default(&codes);
-        Ok(IndexedReference {
-            seq,
-            codes,
-            fm,
-            qgram,
-            prefilter_bins,
-            scalar_verify: false,
-        })
+        Ok(IndexedReference::from_parts(seq, fm, q))
     }
 }
 

@@ -524,49 +524,66 @@ mod tests {
         // The load-bearing invariant of the SWAR batch path: mappings
         // (values and order), every metric counter, and the returned
         // work must be bit-identical to the scalar per-candidate loop —
-        // across read-length kernels, prefilter on/off, and limits that
-        // force the mid-chunk scalar fallback.
+        // across read-length kernels, every prefilter mode (the chain
+        // reaches its parts through the default `examine_batch`), δ,
+        // and limits that force the mid-chunk scalar fallback.
         let reference = ReferenceBuilder::new(20_000).seed(29).build();
         let codes = reference.to_codes();
         let shd = repute_prefilter::ShdFilter::new();
+        let bins = repute_prefilter::QgramBins::build_default(&codes);
+        let qgram = repute_prefilter::QgramFilter::new(&bins);
+        let chain = repute_prefilter::Chain::new(vec![&qgram, &shd]);
+        let filters: [Option<&dyn PreFilter>; 4] = [None, Some(&shd), Some(&qgram), Some(&chain)];
+        let mut rejected = [0u64; 4];
         for read_len in [50usize, 100, 150] {
-            let read = reference.subseq(5000..5000 + read_len).to_codes();
+            let mut read = reference.subseq(5000..5000 + read_len).to_codes();
+            read[read_len / 2] ^= 1; // one substitution: a hit at distance 1
             let candidates: Vec<u32> = vec![
                 5000, 5, 100, 1000, 2500, 5000, 7000, 9000, 11000, 13000, 17500, 19990,
             ];
-            for limit in [0usize, 1, 2, 3, 5, 100] {
-                for use_filter in [false, true] {
-                    let mut base = VerifyEngine::new(&codes, 4);
-                    if use_filter {
-                        base = base.with_prefilter(&shd);
+            for delta in [3u32, 4, 5, 7] {
+                for limit in [0usize, 1, 2, 3, 5, 100] {
+                    for (f, filter) in filters.iter().enumerate() {
+                        let mut base = VerifyEngine::new(&codes, delta);
+                        if let Some(filter) = filter {
+                            base = base.with_prefilter(*filter);
+                        }
+                        let mut out_b = Vec::new();
+                        let mut met_b = MapMetrics::new();
+                        let work_b = base.verify_metered(
+                            &read,
+                            Strand::Forward,
+                            &candidates,
+                            limit,
+                            &mut out_b,
+                            &mut met_b,
+                        );
+                        let mut out_s = Vec::new();
+                        let mut met_s = MapMetrics::new();
+                        let work_s = base.with_scalar_path().verify_metered(
+                            &read,
+                            Strand::Forward,
+                            &candidates,
+                            limit,
+                            &mut out_s,
+                            &mut met_s,
+                        );
+                        let name = filter.map_or("none", |f| f.name());
+                        let ctx =
+                            format!("read_len={read_len} δ={delta} limit={limit} filter={name}");
+                        assert_eq!(out_b, out_s, "{ctx}: mappings diverge");
+                        assert_eq!(work_b, work_s, "{ctx}: work diverges");
+                        assert_eq!(met_b, met_s, "{ctx}: metrics diverge");
+                        assert_eq!(out_b.len(), limit.min(2), "{ctx}: the two hits at 5000");
+                        rejected[f] += met_b.prefilter_rejected;
                     }
-                    let mut out_b = Vec::new();
-                    let mut met_b = MapMetrics::new();
-                    let work_b = base.verify_metered(
-                        &read,
-                        Strand::Forward,
-                        &candidates,
-                        limit,
-                        &mut out_b,
-                        &mut met_b,
-                    );
-                    let mut out_s = Vec::new();
-                    let mut met_s = MapMetrics::new();
-                    let work_s = base.with_scalar_path().verify_metered(
-                        &read,
-                        Strand::Forward,
-                        &candidates,
-                        limit,
-                        &mut out_s,
-                        &mut met_s,
-                    );
-                    let ctx = format!("read_len={read_len} limit={limit} filter={use_filter}");
-                    assert_eq!(out_b, out_s, "{ctx}: mappings diverge");
-                    assert_eq!(work_b, work_s, "{ctx}: work diverges");
-                    assert_eq!(met_b, met_s, "{ctx}: metrics diverge");
                 }
             }
         }
+        assert!(
+            rejected[0] == 0 && rejected[1..].iter().all(|&r| r > 0),
+            "every filter must reject something: {rejected:?}"
+        );
         // The same switch one level up: a reference marked scalar hands
         // every mapper the oracle engine, and whole mappers agree.
         use crate::{razers3::Razers3Like, IndexedReference, Mapper};

@@ -41,6 +41,9 @@ impl Hobbes3Like {
     /// Creates the mapper with the paper's limit of 1000 locations per
     /// read.
     pub fn new(indexed: Arc<IndexedReference>, delta: u32) -> Hobbes3Like {
+        // The one reader of the q-gram hash index: built here, at
+        // set-up, not under the first read.
+        indexed.qgram();
         Hobbes3Like {
             indexed,
             delta,

@@ -2,48 +2,82 @@
 //!
 //! The SHD filter manipulates masks of one bit per read base. Reads are
 //! a few hundred bases, so masks span a handful of words; every helper
-//! here is a straight-line loop the compiler unrolls — no allocation,
-//! no per-bit work. Bit `i` of a mask lives in word `i / 64`, position
+//! here is a straight-line loop over whole words — no allocation, no
+//! per-bit work. Bit `i` of a mask lives in word `i / 64`, position
 //! `i % 64` (LSB-first, matching the Myers verifier's convention).
 
-/// Shifts `mask` left by one bit (towards higher read positions),
-/// writing into `out`. Bit 0 of the result is `carry_in` (the value
-/// conceptually at position −1).
-pub fn shl1(mask: &[u64], out: &mut [u64], carry_in: bool) {
-    debug_assert_eq!(mask.len(), out.len());
-    let mut carry = u64::from(carry_in);
-    for (o, &w) in out.iter_mut().zip(mask) {
-        *o = (w << 1) | carry;
-        carry = w >> 63;
+use std::ops::Range;
+
+/// Packs 2-bit base codes into two bit-planes: bit `at + i` of `lo` is
+/// bit 0 of `codes[i]`, the same bit of `hi` its bit 1 (higher bits of
+/// a code are ignored). The planes must be zero where the codes land.
+///
+/// Eight bases go in per step: the eight code bytes are read as one
+/// word and a multiply gathers one bit of each into a byte (the
+/// products' bit positions `8i + 7j` never collide, so no carry
+/// disturbs the top byte, where `j = 8 − i` lands byte `i` on bit `i`).
+pub fn pack_planes(codes: &[u8], at: usize, lo: &mut [u64], hi: &mut [u64]) {
+    fn gather(bytes: u64) -> u64 {
+        (bytes & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
+    }
+    let (chunks, rest) = codes.as_chunks::<8>();
+    let mut last = [0u8; 8];
+    last[..rest.len()].copy_from_slice(rest);
+    let whole = chunks.iter().map(|chunk| (chunk, 8));
+    let mut pos = at;
+    for (chunk, len) in whole.chain((!rest.is_empty()).then_some((&last, rest.len()))) {
+        let bytes = u64::from_le_bytes(*chunk);
+        let (word, bit) = (pos / 64, pos % 64);
+        for (plane, bits) in [(&mut *lo, gather(bytes)), (&mut *hi, gather(bytes >> 1))] {
+            plane[word] |= bits << bit;
+            if bit + len > 64 {
+                plane[word + 1] |= bits >> (64 - bit);
+            }
+        }
+        pos += 8;
     }
 }
 
-/// Shifts `mask` right by one bit (towards lower read positions),
-/// writing into `out`. The top bit of the result is `carry_in` (the
-/// value conceptually at position `len`).
-pub fn shr1(mask: &[u64], out: &mut [u64], carry_in: bool) {
-    debug_assert_eq!(mask.len(), out.len());
-    let mut carry = u64::from(carry_in) << 63;
-    for (o, &w) in out.iter_mut().zip(mask).rev() {
-        *o = (w >> 1) | carry;
-        carry = w << 63;
-    }
-}
-
-/// Zeroes every bit at position `len` and above (the padding bits of
-/// the last word).
-pub fn clear_tail(mask: &mut [u64], len: usize) {
-    let tail = len % 64;
-    if tail != 0 {
-        if let Some(last) = mask.last_mut() {
-            *last &= (1u64 << tail) - 1;
+/// Sets the bits of `mask` at the positions in `range`.
+pub fn set_range(mask: &mut [u64], range: Range<usize>) {
+    for (k, word) in mask.iter_mut().enumerate() {
+        let lo = range.start.max(64 * k);
+        let hi = range.end.min(64 * k + 64);
+        if lo < hi {
+            *word |= (u64::MAX >> (64 - (hi - lo))) << (lo - 64 * k);
         }
     }
 }
 
-/// Population count across all words.
-pub fn popcount(mask: &[u64]) -> u32 {
-    mask.iter().map(|w| w.count_ones()).sum()
+/// Bits `at..at + 64` of `plane` as one word — the plane shifted down
+/// by `at`. `plane` must extend one word past the one holding bit `at`.
+pub fn word_at(plane: &[u64], at: usize) -> u64 {
+    let (word, bit) = (at / 64, at % 64);
+    let pair = u128::from(plane[word + 1]) << 64 | u128::from(plane[word]);
+    (pair >> bit) as u64
+}
+
+/// `mask &= mask << 1`, in place: a bit survives only above another set
+/// bit (a 0 enters at bit 0). Applied `n` times, what survives is the
+/// top of every run of more than `n` set bits.
+pub fn and_shl1(mask: &mut [u64]) {
+    let mut carry = 0u64;
+    for w in mask {
+        let shifted = (*w << 1) | carry;
+        carry = *w >> 63;
+        *w &= shifted;
+    }
+}
+
+/// `mask |= mask >> 1`, in place: every set bit also sets the one below
+/// it (a 0 enters at the top).
+pub fn or_shr1(mask: &mut [u64]) {
+    let mut carry = 0u64;
+    for w in mask.iter_mut().rev() {
+        let shifted = (*w >> 1) | carry;
+        carry = *w << 63;
+        *w |= shifted;
+    }
 }
 
 /// Number of maximal runs of consecutive 1-bits in the first `len` bits
@@ -83,13 +117,30 @@ pub fn count_runs(mask: &[u64], len: usize) -> u32 {
 /// can be amended.
 pub fn streak_edit_bound(mask: &[u64], len: usize) -> u64 {
     let mut bound = 0u64;
-    let mut run = 0usize;
-    for i in 0..len {
-        if mask[i / 64] >> (i % 64) & 1 != 0 {
-            run += 1;
-        } else if run > 0 {
-            bound += run_cost(run);
-            run = 0;
+    let mut run = 0u32; // the 1-run that reaches the current position
+    for (k, &word) in mask.iter().enumerate().take(len.div_ceil(64)) {
+        // `w` holds the bits not yet consumed at its bottom, 0s above.
+        let mut left = (len - 64 * k).min(64) as u32;
+        let mut w = word & (u64::MAX >> (64 - left));
+        // Runs come off the bottom whole, a 1-run and a 0-run in turn.
+        loop {
+            let ones = w.trailing_ones();
+            run += ones;
+            if ones == left {
+                break; // reached the top: the run carries into the next word
+            }
+            w >>= ones;
+            left -= ones;
+            if run > 0 {
+                bound += run_cost(run);
+                run = 0;
+            }
+            if w == 0 {
+                break;
+            }
+            let zeros = w.trailing_zeros();
+            w >>= zeros;
+            left -= zeros;
         }
     }
     if run > 0 {
@@ -98,11 +149,11 @@ pub fn streak_edit_bound(mask: &[u64], len: usize) -> u64 {
     bound
 }
 
-fn run_cost(len: usize) -> u64 {
+fn run_cost(len: u32) -> u64 {
     if len <= 2 {
         1
     } else {
-        ((len - 2) as u64).div_ceil(3)
+        u64::from(len - 2).div_ceil(3)
     }
 }
 
@@ -121,29 +172,49 @@ mod tests {
     }
 
     #[test]
+    fn pack_planes_splits_codes_at_any_offset() {
+        let codes: Vec<u8> = (0..75).map(|i| ((i * 7 + i / 5) % 4) as u8).collect();
+        for at in [0usize, 5, 59, 64] {
+            let (mut lo, mut hi) = (vec![0u64; 3], vec![0u64; 3]);
+            pack_planes(&codes, at, &mut lo, &mut hi);
+            let bit = |plane: &[u64], p: usize| (plane[p / 64] >> (p % 64) & 1) as u8;
+            for p in 0..192usize {
+                let code = p.checked_sub(at).and_then(|i| codes.get(i)).copied();
+                assert_eq!(bit(&lo, p), code.map_or(0, |c| c & 1), "lo {p} at {at}");
+                assert_eq!(bit(&hi, p), code.map_or(0, |c| c >> 1), "hi {p} at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn set_range_and_word_at_cross_words() {
+        let mut mask = vec![0u64; 3];
+        set_range(&mut mask, 60..70);
+        assert_eq!(mask, vec![0xF << 60, 0x3F, 0]);
+        assert_eq!(word_at(&mask, 58), 0x3FF << 2);
+        assert_eq!(word_at(&mask, 64), 0x3F);
+        set_range(&mut mask, 0..128);
+        assert_eq!(mask, vec![u64::MAX, u64::MAX, 0]);
+        assert_eq!(word_at(&mask, 127), 1);
+    }
+
+    #[test]
     fn shl1_carries_across_words() {
-        let mask = vec![1u64 << 63, 0];
-        let mut out = vec![0u64; 2];
-        shl1(&mask, &mut out, true);
-        assert_eq!(out, vec![1, 1]);
+        // Bits 62..=64: a run of three across the word boundary.
+        let mut mask = vec![0b11 << 62, 1];
+        and_shl1(&mut mask);
+        assert_eq!(mask, vec![1 << 63, 1]);
+        and_shl1(&mut mask);
+        assert_eq!(mask, vec![0, 1]);
     }
 
     #[test]
     fn shr1_carries_across_words() {
-        let mask = vec![0u64, 1];
-        let mut out = vec![0u64; 2];
-        shr1(&mask, &mut out, true);
-        assert_eq!(out, vec![1u64 << 63, 1u64 << 63]);
-    }
-
-    #[test]
-    fn clear_tail_zeroes_padding_only() {
-        let mut mask = vec![u64::MAX, u64::MAX];
-        clear_tail(&mut mask, 70);
-        assert_eq!(mask, vec![u64::MAX, (1u64 << 6) - 1]);
-        let mut exact = vec![u64::MAX];
-        clear_tail(&mut exact, 64); // multiple of 64: nothing to clear
-        assert_eq!(exact, vec![u64::MAX]);
+        let mut mask = vec![0, 1];
+        or_shr1(&mut mask);
+        assert_eq!(mask, vec![1 << 63, 1]);
+        or_shr1(&mut mask);
+        assert_eq!(mask, vec![0b11 << 62, 1]);
     }
 
     #[test]
@@ -151,7 +222,6 @@ mod tests {
         // 1101110001 → runs {0,1}, {3,4,5}, {9}
         let words = bits_to_words(&[1, 1, 0, 1, 1, 1, 0, 0, 0, 1]);
         assert_eq!(count_runs(&words, 10), 3);
-        assert_eq!(popcount(&words), 6);
     }
 
     #[test]

@@ -111,13 +111,6 @@ impl QgramBins {
         self.bits.len() * 8
     }
 
-    /// Does the q-gram `hash` start in any bin of `lo..=hi`?
-    fn present_in(&self, hash: u64, lo: usize, hi: usize) -> bool {
-        let word = (hash / 64) as usize;
-        let bit = 1u64 << (hash % 64);
-        (lo..=hi).any(|b| self.bits[b * self.words_per_bin + word] & bit != 0)
-    }
-
     /// The inclusive bin range containing every q-gram start of the
     /// window `[start, start + len)`, clamped to the reference.
     fn bin_range(&self, start: usize, len: usize) -> (usize, usize) {
@@ -169,28 +162,32 @@ impl PreFilter for QgramFilter<'_> {
             .bins
             .bin_range(candidate.window_start, candidate.window.len());
         let spans = (hi - lo + 1) as u64;
+        let per_bin = self.bins.words_per_bin;
+        let spanned = &self.bins.bits[lo * per_bin..(hi + 1) * per_bin];
         let mask = (1u64 << (2 * q)) - 1;
-        let mut hash = 0u64;
+        let (head, probed) = candidate.read.split_at(q - 1);
+        let mut hash = head
+            .iter()
+            .fold(0u64, |hash, &code| (hash << 2) | u64::from(code & 3));
         let mut found = 0i64;
         let mut missing = 0i64;
         let mut probes = 0u64;
         let budget = grams - needed; // misses allowed before rejection
-        for (i, &code) in candidate.read.iter().enumerate() {
+        for &code in probed {
             hash = ((hash << 2) | u64::from(code & 3)) & mask;
-            if i + 1 < q {
-                continue;
-            }
+            // Found or missing is a coin flip on exactly the candidates
+            // the filter exists to reject: count both without a branch,
+            // and leave one that is not taken until the last probe.
+            let seen = spanned
+                .chunks_exact(per_bin)
+                .fold(0u64, |seen, bin| seen | bin[(hash / 64) as usize]);
+            let bit = (seen >> (hash % 64) & 1) as i64;
             probes += 1;
-            if self.bins.present_in(hash, lo, hi) {
-                found += 1;
-                if found >= needed {
-                    break; // sound early accept
-                }
-            } else {
-                missing += 1;
-                if missing > budget {
-                    break; // cannot reach the threshold any more
-                }
+            found += bit;
+            missing += 1 - bit;
+            // A sound early accept, or the threshold out of reach.
+            if (found >= needed) | (missing > budget) {
+                break;
             }
         }
         // Cost calibration: one existence probe is a rolling-hash

@@ -6,8 +6,20 @@
 //! match runs (which are overwhelmingly coincidental), ANDing the
 //! masks, and thresholding what survives. This module is the portable
 //! bit-parallel reformulation: masks are `u64` words, one bit per read
-//! base (1 = mismatch), and all mask arithmetic runs through
-//! [`crate::bits`].
+//! base, and all mask arithmetic runs through [`crate::bits`].
+//!
+//! # The kernel
+//!
+//! A base is two bits, so a sequence is two *bit-planes*. The candidate
+//! window is packed once into its two planes plus a third marking the
+//! positions that lie inside it, and the read into its two; the match
+//! mask of one shift is then `!(r_lo ^ w_lo≫t) & !(r_hi ^ w_hi≫t) &
+//! inside≫t`, a few word operations where the hardware has a few gates.
+//! Amendment, the AND into the running mask and the popcount behind the
+//! early accept work on those words as well; only the final streak
+//! bound looks at runs, and takes them off a word whole.
+//! `tests/kernel_oracle.rs` holds verdict and cost equal to the
+//! base-by-base formulation this replaced.
 //!
 //! # Deviations from the hardware formulation — and why
 //!
@@ -44,12 +56,17 @@
 //! *popcount* is already ≤ δ the candidate is accepted without the
 //! streak scan (the bound charges at most 1 per surviving bit).
 
-use crate::bits::{clear_tail, popcount, shl1, shr1, streak_edit_bound};
+use crate::bits::{and_shl1, or_shr1, pack_planes, set_range, streak_edit_bound, word_at};
 use crate::{Candidate, PreFilter, Verdict};
 
 /// Mask words kept on the stack: reads up to `8 × 64 = 512` bases (far
 /// beyond the paper's 100–150bp) run with zero heap allocation.
 const STACK_WORDS: usize = 8;
+
+/// Words per window plane kept on the stack: a 512-base read's
+/// `read + 2δ` window up to δ = 31, laid out δ bits up, with the spare
+/// word [`word_at`] reads past the last shift.
+const STACK_PLANE_WORDS: usize = STACK_WORDS + 2;
 
 /// The SHD filter. Stateless aside from its amendment knob; build once
 /// and share freely across threads.
@@ -94,7 +111,7 @@ impl ShdFilter {
 
     /// Examines raw code slices (the [`PreFilter`] impl delegates
     /// here). `window` is the exact slice the verifier would align
-    /// against; `delta` its error budget.
+    /// against; `delta` its error budget. Codes are 2-bit (`0..=3`).
     pub fn examine_codes(&self, read: &[u8], window: &[u8], delta: u32) -> Verdict {
         let m = read.len();
         let wlen = window.len();
@@ -111,50 +128,125 @@ impl ShdFilter {
             return Verdict::reject(1);
         }
         let words = m.div_ceil(64);
-        let pad = (words * 64 - m) as u32;
-        let delta_i = delta as isize;
+        if delta as usize >= m {
+            // Whatever the bases, the first mask leaves ≤ m ≤ δ
+            // mismatches and the early accept below fires on it. Said
+            // here, so that δ < m bounds the planes by the inputs.
+            return Verdict::accept(2 * words as u64);
+        }
+        let slack = delta as usize;
         // Window offsets a read base can occupy across all ≤ δ-edit
-        // semi-global alignments (see module docs): [−δ, wlen − m + δ].
-        let s_hi = (wlen + delta as usize - m) as isize;
-
-        // Six mask-width working buffers, stack-backed for realistic
-        // read lengths (one heap allocation for the whole call beyond
-        // STACK_WORDS). The inner loop below is allocation-free either
-        // way — amendment ping-pongs between the two scratch buffers
-        // instead of copying the walker out per shift.
-        let mut stack = [[0u64; STACK_WORDS]; 6];
-        let mut heap: Vec<u64> = Vec::new();
-        let [acc, mask, run_end, scratch_a, scratch_b, keep] = if words <= STACK_WORDS {
-            let [a, b, c, d, e, f] = &mut stack;
-            [
-                &mut a[..words],
-                &mut b[..words],
-                &mut c[..words],
-                &mut d[..words],
-                &mut e[..words],
-                &mut f[..words],
-            ]
+        // semi-global alignments (see module docs): s ∈ [−δ, wlen − m + δ].
+        // The window is laid out δ bits up, so that shift s reads it
+        // `t = s + δ ≥ 0` bits down and no shift is negative.
+        let shifts = wlen + 2 * slack - m + 1;
+        let plane_words = words + (shifts - 1) / 64 + 1;
+        // The window, packed once: its two code bit-planes and the plane
+        // of positions inside it. Stack-backed for realistic lengths, as
+        // the masks are; one heap allocation each beyond.
+        let mut stack = [0u64; 3 * STACK_PLANE_WORDS];
+        let mut heap = Vec::new();
+        let planes = if plane_words <= STACK_PLANE_WORDS {
+            &mut stack[..3 * plane_words]
         } else {
-            heap.resize(6 * words, 0u64);
-            let (a, rest) = heap.split_at_mut(words);
-            let (b, rest) = rest.split_at_mut(words);
-            let (c, rest) = rest.split_at_mut(words);
-            let (d, rest) = rest.split_at_mut(words);
-            let (e, f) = rest.split_at_mut(words);
-            [a, b, c, d, e, f]
+            heap.resize(3 * plane_words, 0u64);
+            &mut heap[..]
         };
+        let (lo, rest) = planes.split_at_mut(plane_words);
+        let (hi, inside) = rest.split_at_mut(plane_words);
+        pack_planes(window, slack, lo, hi);
+        set_range(inside, slack..slack + wlen);
+        let window = [&*lo, &*hi, &*inside];
+        // One kernel for every length; up to the stack limit the compiler
+        // is told the mask width, and keeps the masks in registers.
+        match words {
+            1 => self.sweep_on_stack::<1>(read, window, shifts, delta),
+            2 => self.sweep_on_stack::<2>(read, window, shifts, delta),
+            3 => self.sweep_on_stack::<3>(read, window, shifts, delta),
+            4 => self.sweep_on_stack::<4>(read, window, shifts, delta),
+            5 => self.sweep_on_stack::<5>(read, window, shifts, delta),
+            6 => self.sweep_on_stack::<6>(read, window, shifts, delta),
+            7 => self.sweep_on_stack::<7>(read, window, shifts, delta),
+            STACK_WORDS => self.sweep_on_stack::<STACK_WORDS>(read, window, shifts, delta),
+            _ => self.sweep(read, window, shifts, delta, &mut vec![0u64; 4 * words]),
+        }
+    }
+
+    fn sweep_on_stack<const W: usize>(
+        &self,
+        read: &[u8],
+        window: [&[u64]; 3],
+        shifts: usize,
+        delta: u32,
+    ) -> Verdict {
+        self.sweep(
+            read,
+            window,
+            shifts,
+            delta,
+            [[0u64; W]; 4].as_flattened_mut(),
+        )
+    }
+
+    /// Builds, amends and ANDs the masks of shifts `0..shifts` of `read`
+    /// against the packed `window` planes until the early accept fires,
+    /// in four zeroed mask-width buffers cut from `scratch`.
+    ///
+    /// Inlined into each `sweep_on_stack::<W>` on purpose: only there is
+    /// the mask width a constant (1.8× on a 100-base read).
+    #[inline(always)]
+    fn sweep(
+        &self,
+        read: &[u8],
+        window: [&[u64]; 3],
+        shifts: usize,
+        delta: u32,
+        scratch: &mut [u64],
+    ) -> Verdict {
+        let [w_lo, w_hi, inside] = window;
+        let words = scratch.len() / 4;
+        let (r_lo, rest) = scratch.split_at_mut(words);
+        let (r_hi, rest) = rest.split_at_mut(words);
+        let (acc, matches) = rest.split_at_mut(words);
+        pack_planes(read, 0, r_lo, r_hi);
         acc.fill(u64::MAX);
+        // Padding above the read never matches, so it never masquerades
+        // as a match run; `live` is the read's share of the last word.
+        let pad = (words * 64 - read.len()) as u32;
+        let live = u64::MAX >> pad;
+
         let mut masks_built = 0u64;
         let mut accepted_early = false;
-        for s in -delta_i..=s_hi {
-            build_shift_mask(read, window, s, mask);
-            amend_short_runs(mask, self.amend_below, run_end, scratch_a, scratch_b, keep);
-            for (a, &w) in acc.iter_mut().zip(mask.iter()) {
-                *a &= w;
+        for t in 0..shifts {
+            // Match mask of shift t: bit i set when read[i] equals
+            // window[i + t − δ] and that position is inside the window.
+            for (k, word) in matches.iter_mut().enumerate() {
+                let at = 64 * k + t;
+                *word = !(r_lo[k] ^ word_at(w_lo, at))
+                    & !(r_hi[k] ^ word_at(w_hi, at))
+                    & word_at(inside, at);
+            }
+            matches[words - 1] &= live;
+            // Amendment: a match survives only in a run of ≥ amend_below
+            // matches. The classic two-shift trick, generalised — each
+            // `and_shl1` strips the bottom match off every run, leaving
+            // only the tops of the long ones, and each `or_shr1` grows
+            // those back down by the one match the run had lost.
+            for _ in 1..self.amend_below {
+                and_shl1(matches);
+            }
+            for _ in 1..self.amend_below {
+                or_shr1(matches);
+            }
+            // Everything else is a mismatch; AND it into the running mask.
+            let mut mismatches = 0u32;
+            for (a, &kept) in acc.iter_mut().zip(matches.iter()) {
+                *a &= !kept;
+                mismatches += a.count_ones();
             }
             masks_built += 1;
             // Sound early accept: popcount only ever shrinks under AND.
-            if popcount(acc) - pad <= delta {
+            if mismatches - pad <= delta {
                 accepted_early = true;
                 break;
             }
@@ -164,88 +256,11 @@ impl ShdFilter {
         // both are short fixed bundles of 64-lane bitwise ops — plus
         // one final counting pass.
         let cost = (masks_built + 1) * words as u64;
-        if accepted_early {
-            return Verdict::accept(cost);
-        }
-        clear_tail(acc, m);
-        if streak_edit_bound(acc, m) <= u64::from(delta) {
+        if accepted_early || streak_edit_bound(acc, read.len()) <= u64::from(delta) {
             Verdict::accept(cost)
         } else {
             Verdict::reject(cost)
         }
-    }
-}
-
-/// Builds the Hamming mask for diagonal shift `s`: bit `i` is set when
-/// `read[i]` mismatches `window[i + s]` or falls outside the window.
-/// Padding bits past the read length are set (mismatch) so they never
-/// masquerade as match runs.
-fn build_shift_mask(read: &[u8], window: &[u8], s: isize, mask: &mut [u64]) {
-    let m = read.len();
-    mask.fill(0);
-    for (i, &base) in read.iter().enumerate() {
-        let j = i as isize + s;
-        let mismatch = j < 0 || j >= window.len() as isize || window[j as usize] != base;
-        if mismatch {
-            mask[i / 64] |= 1 << (i % 64);
-        }
-    }
-    let tail = m % 64;
-    if tail != 0 {
-        if let Some(last) = mask.last_mut() {
-            *last |= !((1u64 << tail) - 1);
-        }
-    }
-}
-
-/// Flips 0-runs (match runs) shorter than `below` bits to 1s, in
-/// place. `below == 1` is a no-op. The classic two-shift trick,
-/// generalised: a 0 survives only if it belongs to a run of ≥ `below`
-/// consecutive 0s.
-///
-/// The successive shifts of the walker ping-pong between `scratch_a`
-/// and `scratch_b` (shift reads one, writes the other, swap), so the
-/// hot loop performs no allocation and no full-mask copies.
-fn amend_short_runs<'w>(
-    mask: &mut [u64],
-    below: usize,
-    z: &mut [u64],
-    scratch_a: &'w mut [u64],
-    scratch_b: &'w mut [u64],
-    keep: &mut [u64],
-) {
-    if below <= 1 {
-        return;
-    }
-    // z = match positions (out-of-read padding is already a mismatch).
-    for (zw, &w) in z.iter_mut().zip(mask.iter()) {
-        *zw = !w;
-    }
-    // keep starts as "ends of runs ≥ below": AND of z shifted up by
-    // 0..below. `cur` walks the successive shifts of z.
-    keep.copy_from_slice(z);
-    let (mut cur, mut next) = (scratch_a, scratch_b);
-    cur.copy_from_slice(z);
-    for _ in 1..below {
-        shl1(cur, next, false);
-        for (k, &sh) in keep.iter_mut().zip(next.iter()) {
-            *k &= sh;
-        }
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // Smear run ends back over their `below`-wide tails so `keep`
-    // covers every position of every qualifying run.
-    cur.copy_from_slice(keep);
-    for _ in 1..below {
-        shr1(cur, next, false);
-        for (k, &sh) in keep.iter_mut().zip(next.iter()) {
-            *k |= sh;
-        }
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // Matches not kept become mismatches.
-    for (m_w, (&zw, &k)) in mask.iter_mut().zip(z.iter().zip(keep.iter())) {
-        *m_w |= zw & !k;
     }
 }
 

@@ -9,46 +9,8 @@
 use repute_align::verify;
 use repute_prefilter::{Candidate, PreFilter, QgramBins, QgramFilter, ShdFilter};
 
-const CORPUS: &str = include_str!("corpus/adversarial.txt");
-
-struct Entry {
-    name: String,
-    delta: u32,
-    read: Vec<u8>,
-    window: Vec<u8>,
-}
-
-fn codes(s: &str) -> Vec<u8> {
-    s.bytes()
-        .map(|b| match b {
-            b'A' => 0u8,
-            b'C' => 1,
-            b'G' => 2,
-            b'T' => 3,
-            other => panic!("bad corpus base {:?}", other as char),
-        })
-        .collect()
-}
-
-fn entries() -> Vec<Entry> {
-    CORPUS
-        .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|line| {
-            let mut parts = line.split('\t');
-            let name = parts.next().expect("name").to_string();
-            let delta = parts.next().expect("delta").parse().expect("delta int");
-            let read = codes(parts.next().expect("read"));
-            let window = codes(parts.next().expect("window"));
-            Entry {
-                name,
-                delta,
-                read,
-                window,
-            }
-        })
-        .collect()
-}
+mod common;
+use common::{entries, Entry};
 
 /// Lays the corpus windows head-to-tail into one synthetic reference
 /// so the q-gram bins see them as reference regions, returning the

@@ -1,8 +1,8 @@
 //! The filters' load-bearing contract, checked against the verifier:
 //! any candidate window `repute_align::verify` accepts within δ must
-//! survive both pre-alignment filters. Runs with the in-repo PRNG so
-//! it executes in the offline build; `props.rs` carries the
-//! proptest-powered variant behind the `proptest` feature.
+//! survive both pre-alignment filters. Reads and windows come from one
+//! synthetic reference, as the engine cuts them; `props.rs` holds the
+//! same contract over arbitrary reads and windows.
 
 use repute_align::verify;
 use repute_genome::rng::StdRng;

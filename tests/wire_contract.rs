@@ -595,15 +595,18 @@ fn a_bad_index_is_exit_3_and_a_bad_cache_is_a_silent_rebuild() {
     }
 
     // `--index-cache`: every damaged cache is a miss — the run rebuilds,
-    // writes the cold run's SAM and replaces the cache — and asks the
-    // allocator for no more than a cold run does.
+    // writes the cold run's SAM and replaces the cache — and no length
+    // in the damaged bytes sizes an allocation: the decoders' bound,
+    // `64 × cache bytes + 64 KiB`, holds for the whole run (the rebuild
+    // of this 3 kbp reference asks for 24 KB at most, the refused cache
+    // is read whole first).
     let source = format!(
         "--reference {} --index-cache {}",
         fixture.path("ref.fa"),
         fixture.path("ref.rpxc")
     );
     let cache_path = fixture.dir.path("ref.rpxc");
-    let (_, cold_peak) = largest_request_during(|| fixture.map(&source, "miss.sam").expect("miss"));
+    fixture.map(&source, "miss.sam").expect("miss");
     let cache = std::fs::read(&cache_path).expect("cache");
     assert_eq!(
         std::fs::read(fixture.dir.path("miss.sam")).expect("SAM"),
@@ -652,8 +655,9 @@ fn a_bad_index_is_exit_3_and_a_bad_cache_is_a_silent_rebuild() {
     }
     for m in damaged {
         std::fs::write(&cache_path, &m.bytes).expect("write");
-        let (result, peak) = largest_request_during(|| fixture.map(&source, "rebuilt.sam"));
-        result.unwrap_or_else(|e| panic!("cache {}: {e}", m.what));
+        let what = format!("cache {}", m.what);
+        probe(&what, m.bytes.len(), || fixture.map(&source, "rebuilt.sam"))
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(
             std::fs::read(fixture.dir.path("rebuilt.sam")).expect("SAM"),
             cold,
@@ -664,11 +668,6 @@ fn a_bad_index_is_exit_3_and_a_bad_cache_is_a_silent_rebuild() {
             std::fs::read(&cache_path).expect("cache"),
             cache,
             "cache {}",
-            m.what
-        );
-        assert!(
-            peak <= cold_peak,
-            "cache {}: {peak} > {cold_peak} bytes",
             m.what
         );
     }
