@@ -9,8 +9,7 @@ use repute_genome::DnaSeq;
 use repute_hetsim::{EnergyReport, Platform, Share};
 use repute_mappers::razers3::Razers3Like;
 use repute_mappers::{IndexedReference, Mapper, Mapping};
-use repute_obs::json::JsonObject;
-use repute_obs::{MapMetrics, RunReport};
+use repute_obs::{MapMetrics, Record, RunReport};
 
 /// Which of the paper's accuracy methodologies a cell is scored with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,11 +65,8 @@ impl CellOutcome {
             .open(&path)
             .and_then(|file| {
                 let mut out = std::io::BufWriter::new(file);
-                let mut obj = JsonObject::new();
-                obj.str_field("type", "cell");
-                obj.str_field("label", label);
                 use std::io::Write as _;
-                writeln!(out, "{}", obj.finish())?;
+                writeln!(out, "{}", Record::Cell(label.to_string()).encode())?;
                 self.write_json_lines(&mut out)
             });
         if let Err(err) = result {

@@ -1,5 +1,6 @@
 //! `repute map`: options, the flags it shares with `repute serve`, and
-//! the run itself — streaming, simulated on a platform, or checkpointed.
+//! the run itself — one path from reads to SAM and report, mapped read
+//! by read or, under `--platform`, by the simulated executor.
 
 use std::fs::File;
 use std::io::{BufReader, Write};
@@ -11,13 +12,13 @@ use repute_core::{
     write_atomic, Executor, MappingRun, ReputeConfig, ReputeError, ReputeMapper, RunFingerprint,
     Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
 };
-use repute_eval::sam;
+use repute_eval::sam::SamAssembly;
 use repute_genome::fastq::FastqReader;
 use repute_genome::DnaSeq;
 use repute_hetsim::FaultPlan;
 use repute_mappers::multiref::ReferenceSet;
-use repute_mappers::Mapper;
-use repute_obs::{MapMetrics, RunReport, StageTimer};
+use repute_mappers::{Mapper, Mapping};
+use repute_obs::{MapMetrics, Record, RunReport, StageTimer, Summary};
 use repute_prefilter::{qgram, PrefilterMode};
 /// Which mapping strategy `repute map` runs.
 pub use repute_serve::MapperKind as MapperChoice;
@@ -357,87 +358,6 @@ pub(crate) fn write_sam_output(path: Option<&str>, sam: &[u8]) -> Result<(), Rep
     }
 }
 
-/// A run's SAM, assembled in memory and committed in one atomic rename
-/// so an interrupted run never leaves a torn output file behind, with
-/// the counts `repute map` reports.
-struct SamAssembly<'a> {
-    set: &'a ReferenceSet,
-    names: Vec<&'a str>,
-    out: Vec<u8>,
-    reads_mapped: usize,
-    total_mappings: usize,
-    per_read: Vec<Vec<repute_mappers::Mapping>>,
-}
-
-impl<'a> SamAssembly<'a> {
-    /// Starts the SAM with the header of `set`'s records.
-    fn new(set: &'a ReferenceSet) -> Result<SamAssembly<'a>, ReputeError> {
-        let header: Vec<(&str, usize)> = set
-            .records()
-            .iter()
-            .map(|(n, l)| (n.as_str(), *l))
-            .collect();
-        let mut out: Vec<u8> = Vec::new();
-        sam::write_header_multi(&mut out, &header)?;
-        Ok(SamAssembly {
-            set,
-            names: header.iter().map(|(n, _)| *n).collect(),
-            out,
-            reads_mapped: 0,
-            total_mappings: 0,
-            per_read: Vec::new(),
-        })
-    }
-
-    /// Appends one read's record(s): `raw` mappings on the concatenated
-    /// index are resolved to the named records first; `first` carries
-    /// the CIGAR of the first of them under `--cigar`.
-    fn push(
-        &mut self,
-        id: &str,
-        seq: &DnaSeq,
-        raw: &[repute_mappers::Mapping],
-        first: Option<&repute_core::CigarMapping>,
-    ) -> Result<(), ReputeError> {
-        let resolved = self.set.resolve_mappings(seq.len(), raw);
-        if !resolved.is_empty() {
-            self.reads_mapped += 1;
-            self.total_mappings += resolved.len();
-        }
-        self.per_read.push(
-            resolved
-                .iter()
-                .map(|r| repute_mappers::Mapping {
-                    position: r.position,
-                    strand: r.strand,
-                    distance: r.distance,
-                })
-                .collect(),
-        );
-        let cigar = first.map(|d| &d.cigar);
-        sam::write_resolved_record(&mut self.out, &self.names, id, seq, &resolved, cigar)?;
-        Ok(())
-    }
-
-    /// Prints the mapping statistics; returns
-    /// `(reads_mapped, mappings_reported)`.
-    fn print_stats(&self) -> (usize, usize) {
-        let stats =
-            repute_eval::stats::MappingStats::collect(self.per_read.iter().map(|v| v.as_slice()));
-        eprint!("{stats}");
-        (self.reads_mapped, self.total_mappings)
-    }
-}
-
-/// Loads the reference set an option set names.
-fn load_reference(opts: &MapOptions) -> Result<ReferenceSet, ReputeError> {
-    load_reference_set(
-        &opts.reference,
-        opts.index.as_deref(),
-        opts.index_cache.as_deref(),
-    )
-}
-
 /// Loads a FASTQ file whole: read ids and sequences, in file order.
 fn load_reads(path: &str) -> Result<(Vec<String>, Vec<DnaSeq>), ReputeError> {
     let path = Path::new(path);
@@ -452,23 +372,15 @@ fn load_reads(path: &str) -> Result<(Vec<String>, Vec<DnaSeq>), ReputeError> {
     Ok((ids, reads))
 }
 
-/// Prints the §III-D style time/energy summary of a simulated run.
-fn print_simulated_summary(
-    platform: &repute_hetsim::Platform,
-    config: &ReputeConfig,
-    run: &MappingRun,
-) {
-    eprintln!(
-        "simulated on {} ({} schedule): {:.3} s | {:.1} W avg | {:.3} J above idle",
-        platform.name(),
-        config.schedule(),
-        run.simulated_seconds,
-        run.energy.average_power_w,
-        run.energy.energy_j
-    );
-}
-
-/// Runs `repute map`, writing SAM to the configured output.
+/// Runs `repute map`: load, map, SAM, report — one path, whose only
+/// branch is how the reads get mapped. Without `--platform` the FASTQ
+/// streams through the mapper read by read. With one, the whole read
+/// set goes through one [`Executor`] (journaled under `--checkpoint`),
+/// which maps every read once and prices the run on the simulated
+/// devices, and the SAM is assembled from its outputs; a run that fails
+/// there has written no SAM. The SAM is assembled in memory and
+/// committed in one atomic rename either way, so an interrupted run
+/// never leaves a torn output file behind.
 ///
 /// Returns `(reads_mapped, mappings_reported)`.
 ///
@@ -478,86 +390,127 @@ fn print_simulated_summary(
 /// distinct exit code of its [`ReputeError`] class.
 pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
     opts.validate()?;
-    // A valid checkpointed run always names its platform.
-    if let (Some(journal), Some(platform_name)) = (&opts.checkpoint, &opts.platform) {
-        return run_map_checkpointed(opts, journal, platform_name);
-    }
-    // Fail fast on an unknown platform: the simulated replay only runs
-    // after mapping, and a late configuration error must not come after
-    // SAM has already been emitted.
+    // Fail fast on an unknown platform, before any file is opened.
     let platform = opts.platform.as_deref().map(platform_by_name).transpose()?;
     let run_started = std::time::Instant::now();
     let mut timer = StageTimer::new();
     timer.start("load");
-    let set = load_reference(opts)?;
+    let set = load_reference_set(
+        &opts.reference,
+        opts.index.as_deref(),
+        opts.index_cache.as_deref(),
+    )?;
+    // A simulated run plans its batches over the whole read set.
+    let simulated = match platform {
+        Some(platform) => {
+            let (ids, reads) = load_reads(&opts.reads)?;
+            Some((platform, ids, reads))
+        }
+        None => None,
+    };
     timer.stop();
     let config = build_config(opts)?;
     let repute = ReputeMapper::new(Arc::clone(set.indexed()), config);
     let baseline = (opts.mapper != MapperChoice::Repute)
         .then(|| opts.mapper.build(Arc::clone(set.indexed()), config));
 
-    let reads_path = Path::new(&opts.reads);
-    let reads_file = File::open(reads_path).map_err(|e| ReputeError::io_at(reads_path, e))?;
     let mut sam = SamAssembly::new(&set)?;
-    let mut per_read_metrics: Vec<MapMetrics> = Vec::new();
-    timer.start("map");
-    for record in FastqReader::new(BufReader::new(reads_file)) {
-        let record = record?;
-        let mut read_metrics = MapMetrics::new();
-        let (raw, first) = if opts.cigar {
-            // The CIGAR path only backfills the coarse counters
-            // observable from its output (the traceback re-runs the
-            // kernel internally, so full metering would double-count).
-            let (out, detailed) = repute.map_read_with_cigars(&record.seq);
-            read_metrics.candidates_merged += out.candidates;
-            read_metrics.hits += out.mappings.len() as u64;
-            let raw: Vec<_> = detailed.iter().map(|d| d.mapping).collect();
-            (raw, detailed.into_iter().next())
+    let mut per_read: Vec<Vec<Mapping>> = Vec::new();
+    // Appends one read to the SAM and to the closing statistics. Under
+    // `--cigar` its mappings get their traceback first: the positions
+    // are refined to the alignments' starts and the first carries its
+    // CIGAR.
+    let mut emit = |id: &str, seq: &DnaSeq, mappings: &[Mapping]| -> Result<(), ReputeError> {
+        let resolved = if opts.cigar {
+            let detailed = repute.cigars_for(seq, mappings);
+            let refined: Vec<Mapping> = detailed.iter().map(|d| d.mapping).collect();
+            sam.push(id, seq, &refined, detailed.first().map(|d| &d.cigar))?
         } else {
-            let mappings = match &baseline {
-                Some(mapper) => {
-                    mapper
-                        .map_read_metered(&record.seq, &mut read_metrics)
-                        .mappings
-                }
-                None => {
-                    repute
-                        .map_read_metered(&record.seq, &mut read_metrics)
-                        .mappings
-                }
-            };
-            (mappings, None)
+            sam.push(id, seq, mappings, None)?
         };
-        if opts.verbose {
-            eprintln!(
-                "trace {}: {} mappings | {} seeds | {} candidates ({} raw) | {} DP cells | {} word updates",
-                record.id,
-                raw.len(),
-                read_metrics.seeds_selected,
-                read_metrics.candidates_merged,
-                read_metrics.candidates_raw,
-                read_metrics.dp_cells,
-                read_metrics.word_updates,
-            );
+        let mappings = resolved.iter().map(|r| Mapping {
+            position: r.position,
+            strand: r.strand,
+            distance: r.distance,
+        });
+        per_read.push(mappings.collect());
+        Ok(())
+    };
+
+    timer.start("map");
+    let (per_read_metrics, mut report) = match &simulated {
+        None => {
+            let reads_path = Path::new(&opts.reads);
+            let reads_file =
+                File::open(reads_path).map_err(|e| ReputeError::io_at(reads_path, e))?;
+            let mut per_read_metrics: Vec<MapMetrics> = Vec::new();
+            for record in FastqReader::new(BufReader::new(reads_file)) {
+                let record = record?;
+                let mut read_metrics = MapMetrics::new();
+                let mappings = match &baseline {
+                    Some(mapper) => {
+                        mapper
+                            .map_read_metered(&record.seq, &mut read_metrics)
+                            .mappings
+                    }
+                    None => {
+                        repute
+                            .map_read_metered(&record.seq, &mut read_metrics)
+                            .mappings
+                    }
+                };
+                if opts.verbose {
+                    trace_read(&record.id, mappings.len(), &read_metrics);
+                }
+                per_read_metrics.push(read_metrics);
+                emit(&record.id, &record.seq, &mappings)?;
+            }
+            let mut report = RunReport {
+                reads: per_read_metrics.len() as u64,
+                ..RunReport::default()
+            };
+            for m in &per_read_metrics {
+                report.totals.merge(m);
+            }
+            (per_read_metrics, report)
         }
-        per_read_metrics.push(read_metrics);
-        sam.push(&record.id, &record.seq, &raw, first.as_ref())?;
-    }
+        Some((platform, ids, reads)) => {
+            let mapper: &dyn Mapper = baseline.as_deref().unwrap_or(&repute);
+            let (run, metrics, resumed_batches) =
+                map_on_platform(opts, platform, &set, mapper, repute.config(), ids, reads)?;
+            // The executor returns outputs in read order.
+            for (((id, seq), mapped), m) in ids.iter().zip(reads).zip(&run.outputs).zip(&metrics) {
+                if opts.verbose {
+                    trace_read(id, mapped.mappings.len(), m);
+                }
+                emit(id, seq, &mapped.mappings)?;
+            }
+            let mut report = run.report(platform, &metrics);
+            report.resumed_batches = resumed_batches;
+            (metrics, report)
+        }
+    };
     write_sam_output(opts.output.as_deref(), &sam.out)?;
     timer.stop();
-    let counts = sam.print_stats();
+    let stats = repute_eval::stats::MappingStats::collect(per_read.iter().map(|v| v.as_slice()));
+    eprint!("{stats}");
 
-    let sim = match &platform {
-        Some(platform) => {
-            timer.start("simulate");
-            let sim = simulate_platform(platform, opts, &repute, baseline.as_deref());
-            timer.stop();
-            Some(sim?)
-        }
-        None => None,
-    };
-    report_run(opts, &timer, run_started, &per_read_metrics, sim)?;
-    Ok(counts)
+    // Host stage clocks first (load, map), then the simulated stage
+    // breakdown the run report derived from the merged metrics.
+    let mut stages = timer.stages().to_vec();
+    stages.append(&mut report.stages);
+    report.stages = stages;
+    report.wall_seconds = run_started.elapsed().as_secs_f64();
+    report_run(opts, &per_read_metrics, &report)?;
+    Ok((stats.mapped_reads, stats.total_mappings))
+}
+
+/// The per-read line of `--verbose`.
+fn trace_read(id: &str, mappings: usize, m: &MapMetrics) {
+    eprintln!(
+        "trace {id}: {mappings} mappings | {} seeds | {} candidates ({} raw) | {} DP cells | {} word updates",
+        m.seeds_selected, m.candidates_merged, m.candidates_raw, m.dp_cells, m.word_updates,
+    );
 }
 
 /// Resolves a `--platform` name to its simulated device profile.
@@ -581,7 +534,6 @@ pub(crate) fn platform_by_name(name: &str) -> Result<repute_hetsim::Platform, Re
 /// separately by the resumable executor itself).
 fn run_fingerprint(
     opts: &MapOptions,
-    platform_name: &str,
     set: &ReferenceSet,
     ids: &[String],
     reads: &[DnaSeq],
@@ -603,7 +555,7 @@ fn run_fingerprint(
         ScheduleMode::Dynamic => 1,
     });
     cfg.write_u64(opts.mapper as u64);
-    cfg.write(platform_name.as_bytes());
+    cfg.write(opts.platform.as_deref().unwrap_or_default().as_bytes());
 
     let mut wl = Fnv64::new();
     let ref_source = opts.index.as_ref().unwrap_or(&opts.reference);
@@ -623,110 +575,26 @@ fn run_fingerprint(
     Ok(RunFingerprint::new(cfg.finish(), wl.finish()))
 }
 
-/// Runs `repute map --checkpoint`: the platform simulation goes through
-/// the crash-safe resumable executor, which commits every finished batch
-/// to the journal; SAM and telemetry are then assembled from the
-/// (possibly partially replayed) run, bit-identical to an uninterrupted
-/// `--platform` run.
-fn run_map_checkpointed(
+/// Maps `reads` through the heterogeneous platform simulator and prints
+/// the §III-D style time/energy summary. The schedule and host-thread
+/// cap travel in the mapper's config; output is identical across
+/// schedules and — whenever at least one device survives — fault plans,
+/// only the simulated timeline differs. Under `--checkpoint` the
+/// executor commits every finished batch to the journal and replays the
+/// ones a previous, interrupted run committed; the run it returns is
+/// bit-identical to an uninterrupted one.
+///
+/// Returns the run, its per-read records, and the number of batches
+/// replayed from the journal.
+fn map_on_platform(
     opts: &MapOptions,
-    journal: &str,
-    platform_name: &str,
-) -> Result<(usize, usize), ReputeError> {
-    let platform = platform_by_name(platform_name)?;
-    let run_started = std::time::Instant::now();
-    let mut timer = StageTimer::new();
-    timer.start("load");
-    let set = load_reference(opts)?;
-    let (ids, reads) = load_reads(&opts.reads)?;
-    timer.stop();
-
-    let config = build_config(opts)?;
-    let repute = ReputeMapper::new(Arc::clone(set.indexed()), config);
-    let baseline = (opts.mapper != MapperChoice::Repute)
-        .then(|| opts.mapper.build(Arc::clone(set.indexed()), config));
-    let config = repute.config();
-    let schedule = Schedule::for_config(config, &platform, reads.len());
-
-    let fingerprint = run_fingerprint(opts, platform_name, &set, &ids, &reads)?;
-    let journal_path = Path::new(journal);
-    if journal_path.exists() && !opts.resume {
-        return Err(ReputeError::Config(format!(
-            "checkpoint journal {journal:?} already exists; pass --resume to \
-             continue it, or delete it to start over"
-        )));
-    }
-    if !journal_path.exists() && opts.resume {
-        return Err(ReputeError::Config(format!(
-            "cannot resume: checkpoint journal {journal:?} does not exist"
-        )));
-    }
-
-    timer.start("map");
-    let mapper: &dyn Mapper = baseline.as_deref().unwrap_or(&repute);
-    let executor = Executor {
-        host_threads: config.host_threads(),
-        faults: opts.fault_plan.clone().unwrap_or_default(),
-        tracing: opts.trace_out.is_some(),
-        ..Executor::new(schedule)
-    };
-    let outcome = executor.run_journaled(
-        &mapper,
-        &platform,
-        &reads,
-        journal_path,
-        fingerprint,
-        opts.checkpoint_every,
-    )?;
-    timer.stop();
-    write_trace_file(opts, &platform, &outcome.run.trace)?;
-    print_simulated_summary(&platform, config, &outcome.run);
-    if outcome.resumed_batches > 0 {
-        eprintln!(
-            "resumed from checkpoint: {}/{} batch(es) replayed from the journal",
-            outcome.resumed_batches, outcome.total_batches
-        );
-    }
-
-    // Assemble the SAM exactly as the streaming path would have: the
-    // executor returns outputs in read order.
-    let mut sam = SamAssembly::new(&set)?;
-    for ((id, seq), mapped) in ids.iter().zip(&reads).zip(&outcome.run.outputs) {
-        sam.push(id, seq, &mapped.mappings, None)?;
-    }
-    write_sam_output(opts.output.as_deref(), &sam.out)?;
-    let counts = sam.print_stats();
-
-    let mut report = outcome.run.report(&platform, &outcome.metrics);
-    report.resumed_batches = outcome.resumed_batches as u64;
-    report_run(
-        opts,
-        &timer,
-        run_started,
-        &[],
-        Some((report, outcome.metrics)),
-    )?;
-    Ok(counts)
-}
-
-/// Re-runs the mapping through the heterogeneous platform simulator,
-/// prints the §III-D style time/energy summary, and returns the run-level
-/// report with the per-read records of the simulated run.
-fn simulate_platform(
     platform: &repute_hetsim::Platform,
-    opts: &MapOptions,
-    repute: &ReputeMapper,
-    baseline: Option<&dyn Mapper>,
-) -> Result<(RunReport, Vec<MapMetrics>), ReputeError> {
-    // Reload the reads (the SAM pass consumed the reader).
-    let (_, reads) = load_reads(&opts.reads)?;
-    // The schedule and host-thread cap travel in the mapper's config
-    // (`--schedule` / `--host-threads`); output is identical across
-    // schedules, only the simulated timeline differs. A `--fault-plan`
-    // routes through the fault-aware executor: whenever at least one
-    // device survives, the mapping output is still bit-identical.
-    let config = repute.config();
-    let mapper: &dyn Mapper = baseline.unwrap_or(repute);
+    set: &ReferenceSet,
+    mapper: &dyn Mapper,
+    config: &ReputeConfig,
+    ids: &[String],
+    reads: &[DnaSeq],
+) -> Result<(MappingRun, Vec<MapMetrics>, u64), ReputeError> {
     let executor = Executor {
         host_threads: config.host_threads(),
         faults: opts.fault_plan.clone().unwrap_or_default(),
@@ -734,10 +602,47 @@ fn simulate_platform(
         tracing: opts.trace_out.is_some(),
         ..Executor::new(Schedule::for_config(config, platform, reads.len()))
     };
-    let (run, metrics) = executor.run(&mapper, platform, &reads)?;
+    let (run, metrics, resumed) = match &opts.checkpoint {
+        None => {
+            let (run, metrics) = executor.run(&mapper, platform, reads)?;
+            (run, metrics, None)
+        }
+        Some(journal) => {
+            let fingerprint = run_fingerprint(opts, set, ids, reads)?;
+            let journal_path = Path::new(journal);
+            if journal_path.exists() && !opts.resume {
+                return Err(ReputeError::Config(format!(
+                    "checkpoint journal {journal:?} already exists; pass --resume to \
+                     continue it, or delete it to start over"
+                )));
+            }
+            if !journal_path.exists() && opts.resume {
+                return Err(ReputeError::Config(format!(
+                    "cannot resume: checkpoint journal {journal:?} does not exist"
+                )));
+            }
+            let outcome = executor.run_journaled(
+                &mapper,
+                platform,
+                reads,
+                journal_path,
+                fingerprint,
+                opts.checkpoint_every,
+            )?;
+            let resumed = (outcome.resumed_batches, outcome.total_batches);
+            (outcome.run, outcome.metrics, Some(resumed))
+        }
+    };
     write_trace_file(opts, platform, &run.trace)?;
-    print_simulated_summary(platform, config, &run);
-    if !executor.faults.is_empty() {
+    eprintln!(
+        "simulated on {} ({} schedule): {:.3} s | {:.1} W avg | {:.3} J above idle",
+        platform.name(),
+        config.schedule(),
+        run.simulated_seconds,
+        run.energy.average_power_w,
+        run.energy.energy_j
+    );
+    if executor.faults.has_device_events() {
         let faults: u64 = run.fault_counters.iter().map(|c| c.faults).sum();
         let retries: u64 = run.fault_counters.iter().map(|c| c.retries).sum();
         let migrated: u64 = run.fault_counters.iter().map(|c| c.migrated_batches).sum();
@@ -746,84 +651,55 @@ fn simulate_platform(
              {migrated} migrated batch(es) (output unaffected)"
         );
     }
-    Ok((run.report(platform, &metrics), metrics))
+    if let Some((resumed, total)) = resumed.filter(|(resumed, _)| *resumed > 0) {
+        eprintln!("resumed from checkpoint: {resumed}/{total} batch(es) replayed from the journal");
+    }
+    Ok((run, metrics, resumed.map_or(0, |(n, _)| n as u64)))
 }
 
-/// What every run ends with: the full report on stderr under `--verbose`
-/// and the `--metrics-out` JSON-lines file — one `read` record per read,
-/// then the [`RunReport`] records. With a platform simulation the report
-/// and per-read records come from the simulated run (which carries
-/// device timelines and energy); otherwise they are rolled up from the
-/// host mapping pass.
+/// What every run ends with: the `--metrics-out` JSON-lines file — one
+/// `read` record per read, then the [`RunReport`]'s records — and, under
+/// `--verbose`, those same records on stderr as `repute stats` would
+/// render the file.
 fn report_run(
     opts: &MapOptions,
-    timer: &StageTimer,
-    run_started: std::time::Instant,
-    host_metrics: &[MapMetrics],
-    sim: Option<(RunReport, Vec<MapMetrics>)>,
+    per_read: &[MapMetrics],
+    report: &RunReport,
 ) -> Result<(), ReputeError> {
-    if let (true, Some((report, _))) = (opts.verbose, &sim) {
-        eprint!("{}", report.render());
-    }
-    let Some(path) = &opts.metrics_out else {
-        return Ok(());
-    };
-    let (mut report, per_read) = match sim {
-        Some((report, metrics)) => (report, metrics),
-        None => {
-            let mut report = RunReport {
-                reads: host_metrics.len() as u64,
-                ..RunReport::default()
-            };
-            for m in host_metrics {
-                report.totals.merge(m);
-            }
-            (report, host_metrics.to_vec())
+    if let Some(path) = &opts.metrics_out {
+        // Assembled in memory, committed by atomic rename: a crash
+        // mid-write never leaves a half-written telemetry file for
+        // `repute stats`.
+        let mut out: Vec<u8> = Vec::new();
+        for (id, m) in per_read.iter().enumerate() {
+            writeln!(out, "{}", m.to_json_line(id as u64))?;
         }
-    };
-    // Host stage clocks first (load/map/simulate), then whatever stage
-    // breakdown the run report derived from the merged metrics.
-    let mut all_stages = timer.stages().to_vec();
-    all_stages.append(&mut report.stages);
-    report.stages = all_stages;
-    report.wall_seconds = run_started.elapsed().as_secs_f64();
-    // Assembled in memory, committed by atomic rename: a crash mid-write
-    // never leaves a half-written telemetry file for `repute stats`.
-    let mut out: Vec<u8> = Vec::new();
-    for (id, m) in per_read.iter().enumerate() {
-        writeln!(out, "{}", m.to_json_line(id as u64))?;
+        report.write_json_lines(&mut out)?;
+        write_atomic(Path::new(path), &out)?;
+        eprintln!("wrote telemetry to {path:?} (inspect with `repute stats`)");
     }
-    report.write_json_lines(&mut out)?;
-    write_atomic(Path::new(path), &out)?;
-    eprintln!("wrote telemetry to {path:?} (inspect with `repute stats`)");
+    if opts.verbose {
+        let reads = per_read.iter().enumerate();
+        let reads = reads.map(|(id, m)| Record::read(id as u64, m));
+        eprint!("{}", Summary::of(reads.chain(report.records())).render());
+    }
     Ok(())
 }
 
 /// Writes a run's spans to `--trace-out` as Chrome trace JSON (atomic
-/// rename): pid 0 is the scheduler, each device gets its own pid named
-/// after its profile. The writer sorts spans into a canonical order, so
-/// identical runs produce byte-identical files regardless of host-thread
-/// interleaving.
+/// rename) under the platform's process table. The writer sorts spans
+/// into a canonical order, so identical runs produce byte-identical
+/// files regardless of host-thread interleaving.
 fn write_trace_file(
     opts: &MapOptions,
     platform: &repute_hetsim::Platform,
     trace: &[repute_obs::Span],
 ) -> Result<(), ReputeError> {
-    use repute_obs::trace::{device_pid, write_chrome_trace, SCHEDULER_PID};
     let Some(path) = &opts.trace_out else {
         return Ok(());
     };
-    let mut processes = vec![(SCHEDULER_PID, "scheduler".to_string())];
-    for (i, device) in platform.devices().iter().enumerate() {
-        processes.push((
-            device_pid(i),
-            format!("{} [{}]", device.name(), device.kind().as_str()),
-        ));
-    }
-    write_atomic(
-        Path::new(path),
-        write_chrome_trace(&processes, trace).as_bytes(),
-    )?;
+    let text = repute_obs::trace::write_chrome_trace(&platform.trace_processes(), trace);
+    write_atomic(Path::new(path), text.as_bytes())?;
     eprintln!("wrote span trace to {path:?} (open in chrome://tracing, or `repute trace`)");
     Ok(())
 }
@@ -1428,7 +1304,6 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            let checkpointed = extra.contains("--checkpoint");
             let extra = extra.replace("CKPT", &format!("{dir_s}/ckpt.rpj"));
             let opts = parse_map_args(
                 format!(
@@ -1446,11 +1321,9 @@ mod tests {
                 err.to_string().contains("invalid launch distribution"),
                 "{extra:?}: {err}"
             );
-            if checkpointed {
-                // Planning fails before anything is written.
-                assert!(!dir.join(format!("out{i}.sam")).exists(), "{extra:?}");
-                assert!(!dir.join("ckpt.rpj").exists(), "{extra:?}");
-            }
+            // Planning fails before anything is written.
+            assert!(!dir.join(format!("out{i}.sam")).exists(), "{extra:?}");
+            assert!(!dir.join("ckpt.rpj").exists(), "{extra:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

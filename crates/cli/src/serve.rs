@@ -280,58 +280,14 @@ pub fn run_serve(opts: &ServeCliOptions) -> Result<(), ReputeError> {
     if let Some(path) = &opts.trace_out {
         core.write_trace(Path::new(path))?;
     }
-    let c = core.counters();
-    eprintln!(
-        "serve: accepted {} | rejected {} | retry-later {} | quota-exceeded {} | \
-         completed {} ({} replayed) in {} batch(es) | queue high-water {} | simulated {:.6} s",
-        c.accepted,
-        c.rejected,
-        c.retry_later,
-        c.quota_exceeded,
-        c.completed,
-        c.replayed,
-        c.batches,
-        core.queue_depth_high_water(),
-        core.simulated_seconds(),
+    // The closing summary is the telemetry just exported, as `repute
+    // stats` would render it.
+    eprint!(
+        "{}",
+        repute_obs::Summary::of(core.telemetry_records()).render()
     );
-    if c.compactions + c.connection_errors + c.spool_skipped > 0 {
-        eprintln!(
-            "serve: compactions {} | connection errors {} | spool skipped {}",
-            c.compactions, c.connection_errors, c.spool_skipped,
-        );
-    }
-    if c.shed + c.unavailable + c.faults + c.retries + c.migrated > 0 {
-        eprintln!(
-            "serve: shed {} | unavailable {} | faults {} | retries {} | migrated batches {}",
-            c.shed, c.unavailable, c.faults, c.retries, c.migrated,
-        );
-    }
-    let health = core.health();
-    if health.lost_count() > 0 || core.is_unavailable() {
-        eprintln!(
-            "serve: devices live {}/{} ({} lost){}",
-            health.live_count(),
-            health.len(),
-            health.lost_count(),
-            if core.is_unavailable() {
-                " — drained as SERVICE_UNAVAILABLE"
-            } else {
-                ""
-            },
-        );
-    }
-    for report in core.slo_reports() {
-        eprintln!(
-            "slo: tenant {:<16} met {:>5} missed {:>5} hit-rate {:.3}",
-            report.tenant,
-            report.met,
-            report.missed,
-            report.hit_rate(),
-        );
-    }
-    let (n, p50, p90, p99) = core.latency_percentiles();
-    if n > 0 {
-        eprintln!("job latency (simulated): n={n} p50 {p50:.6} p90 {p90:.6} p99 {p99:.6}");
+    if core.is_unavailable() {
+        eprintln!("every simulated device was lost: drained as SERVICE_UNAVAILABLE");
     }
     Ok(())
 }

@@ -4,6 +4,7 @@
 use std::path::Path;
 
 use repute_core::ReputeError;
+use repute_obs::{Record, Summary};
 
 use crate::args::{Cursor, ParseArgsError};
 
@@ -61,8 +62,10 @@ pub fn parse_stats_args<I: IntoIterator<Item = String>>(
 }
 
 /// Pretty-prints a telemetry JSON-lines stream (the inverse of
-/// `--metrics-out`): per-read records are rolled up into totals, run /
-/// stage / device / event / energy records are rendered in file order.
+/// `--metrics-out`): each line is decoded as a [`Record`], merged into a
+/// [`Summary`] — per-read records roll up into totals, service records
+/// pool, run / stage / device / event / energy records keep file order —
+/// and rendered.
 ///
 /// Lenient: malformed lines are skipped and counted, with a trailing
 /// `warning: skipped N malformed line(s)` note — telemetry files are
@@ -76,7 +79,7 @@ pub fn parse_stats_args<I: IntoIterator<Item = String>>(
 /// This lenient form only errors via future I/O-style extensions; today
 /// it always succeeds.
 pub fn render_stats(text: &str) -> Result<String, ReputeError> {
-    render_stats_inner(text, false)
+    render_lines(text, false)
 }
 
 /// Strict variant of [`render_stats`]: any malformed line is an error.
@@ -86,347 +89,28 @@ pub fn render_stats(text: &str) -> Result<String, ReputeError> {
 /// Returns [`ReputeError::InputParse`] naming the first line that fails
 /// to parse.
 pub fn render_stats_strict(text: &str) -> Result<String, ReputeError> {
-    render_stats_inner(text, true)
+    render_lines(text, true)
 }
 
-fn render_stats_inner(text: &str, strict: bool) -> Result<String, ReputeError> {
-    use repute_obs::json::{field, parse_flat_object, JsonValue};
-    use std::fmt::Write as _;
-
-    let get_str = |fields: &[(String, JsonValue)], key: &str| -> String {
-        field(fields, key)
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?")
-            .to_string()
-    };
-    let get_f64 =
-        |fields: &[(String, JsonValue)], key: &str| field(fields, key).and_then(JsonValue::as_f64);
-    let get_u64 =
-        |fields: &[(String, JsonValue)], key: &str| field(fields, key).and_then(JsonValue::as_u64);
-
-    let mut reads = 0u64;
-    let mut sums: Vec<(String, u64)> = Vec::new();
-    let mut body = String::new();
-    let mut skipped = 0u64;
-    let mut latency_header = false;
-    // Service telemetry merges across every input file: per-job records
-    // pool their latency samples, `serve` snapshot counters sum.
-    let mut jobs = 0u64;
-    let mut jobs_replayed = 0u64;
-    let mut job_reads = 0u64;
-    let mut job_mappings = 0u64;
-    let mut job_latency: Vec<f64> = Vec::new();
-    let mut tenants: Vec<(String, u64)> = Vec::new();
-    let mut serve_records = 0u64;
-    let mut serve_sums = [0u64; 15];
-    const SERVE_COUNTERS: [&str; 15] = [
-        "accepted",
-        "rejected",
-        "retry_later",
-        "quota_exceeded",
-        "completed",
-        "replayed",
-        "batches",
-        "compactions",
-        "connection_errors",
-        "spool_skipped",
-        "shed",
-        "unavailable",
-        "faults",
-        "retries",
-        "migrated",
-    ];
-    let mut serve_queue_depth_max = 0u64;
-    let mut serve_simulated = 0.0f64;
-    let mut serve_devices_live: Option<(u64, u64)> = None;
-    // Per-tenant SLO records merge by summation across inputs.
-    let mut slo_rows: Vec<(String, u64, u64)> = Vec::new();
+fn render_lines(text: &str, strict: bool) -> Result<String, ReputeError> {
+    let mut summary = Summary::default();
     for (idx, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let fields = match parse_flat_object(line) {
-            Some(fields) => fields,
+        match Record::decode(line) {
+            Some(record) => summary.add(record),
             None if strict => {
                 return Err(ReputeError::InputParse(format!(
                     "line {}: not a flat JSON object",
                     idx + 1
                 )))
             }
-            None => {
-                skipped += 1;
-                continue;
-            }
-        };
-        let kind = get_str(&fields, "type");
-        match kind.as_str() {
-            "read" => {
-                reads += 1;
-                for (key, value) in &fields {
-                    if key == "type" || key == "id" {
-                        continue;
-                    }
-                    if let Some(n) = value.as_u64() {
-                        match sums.iter_mut().find(|(name, _)| name == key) {
-                            Some((_, sum)) => *sum += n,
-                            None => sums.push((key.clone(), n)),
-                        }
-                    }
-                }
-            }
-            "cell" => {
-                let _ = writeln!(body, "cell {}", get_str(&fields, "label"));
-            }
-            "run" => {
-                let _ = writeln!(
-                    body,
-                    "run: {} reads | simulated {:.6} s | wall {:.3} s",
-                    get_u64(&fields, "reads").unwrap_or(0),
-                    get_f64(&fields, "simulated_seconds").unwrap_or(0.0),
-                    get_f64(&fields, "wall_seconds").unwrap_or(0.0),
-                );
-                // Resumed runs carry the replayed-batch count as
-                // provenance; the per-read totals above already cover the
-                // whole run once, so nothing is double-counted here.
-                let resumed = get_u64(&fields, "resumed_batches").unwrap_or(0);
-                if resumed > 0 {
-                    let _ = writeln!(
-                        body,
-                        "  resumed from checkpoint: {resumed} batch(es) \
-                         replayed from the journal (not re-executed)",
-                    );
-                }
-            }
-            "stage" => {
-                let _ = writeln!(
-                    body,
-                    "  stage {:<24} {:>10.6} s  x{}",
-                    get_str(&fields, "path"),
-                    get_f64(&fields, "seconds").unwrap_or(0.0),
-                    get_u64(&fields, "count").unwrap_or(0),
-                );
-            }
-            "latency" => {
-                // Legacy telemetry files simply have no latency records;
-                // the header appears once, before the first row.
-                if !latency_header {
-                    let _ = writeln!(
-                        body,
-                        "  latency percentiles (simulated seconds)\n  {:<24} {:>8} {:>12} {:>12} {:>12}",
-                        "population", "n", "p50", "p90", "p99",
-                    );
-                    latency_header = true;
-                }
-                let _ = writeln!(
-                    body,
-                    "  {:<24} {:>8} {:>12.9} {:>12.9} {:>12.9}",
-                    get_str(&fields, "stage"),
-                    get_u64(&fields, "count").unwrap_or(0),
-                    get_f64(&fields, "p50_s").unwrap_or(0.0),
-                    get_f64(&fields, "p90_s").unwrap_or(0.0),
-                    get_f64(&fields, "p99_s").unwrap_or(0.0),
-                );
-            }
-            "device" => {
-                let _ = writeln!(
-                    body,
-                    "  device {:<20} {:>3} launches | busy {:.6} s | util {:>5.1}%",
-                    get_str(&fields, "device"),
-                    get_u64(&fields, "launches").unwrap_or(0),
-                    get_f64(&fields, "busy_seconds").unwrap_or(0.0),
-                    get_f64(&fields, "utilization").unwrap_or(0.0) * 100.0,
-                );
-                let faults = get_u64(&fields, "faults").unwrap_or(0);
-                let retries = get_u64(&fields, "retries").unwrap_or(0);
-                let migrated = get_u64(&fields, "migrated_batches").unwrap_or(0);
-                if faults > 0 || retries > 0 || migrated > 0 {
-                    let _ = writeln!(
-                        body,
-                        "    faults {faults} | retries {retries} | migrated batches {migrated}",
-                    );
-                }
-            }
-            "event" => {
-                let _ = writeln!(
-                    body,
-                    "    {:<14} {:>8} items | queued {:.6} start {:.6} end {:.6}",
-                    get_str(&fields, "label"),
-                    get_u64(&fields, "items").unwrap_or(0),
-                    get_f64(&fields, "queued_s").unwrap_or(0.0),
-                    get_f64(&fields, "start_s").unwrap_or(0.0),
-                    get_f64(&fields, "end_s").unwrap_or(0.0),
-                );
-            }
-            "energy" => {
-                let _ = writeln!(
-                    body,
-                    "  energy: {:.3} J above idle | avg {:.1} W (idle {:.1} W) over {:.6} s",
-                    get_f64(&fields, "energy_j").unwrap_or(0.0),
-                    get_f64(&fields, "average_power_w").unwrap_or(0.0),
-                    get_f64(&fields, "idle_power_w").unwrap_or(0.0),
-                    get_f64(&fields, "mapping_seconds").unwrap_or(0.0),
-                );
-            }
-            "job" => {
-                jobs += 1;
-                job_reads += get_u64(&fields, "reads").unwrap_or(0);
-                job_mappings += get_u64(&fields, "mappings").unwrap_or(0);
-                if let Some(latency) = get_f64(&fields, "latency_s") {
-                    job_latency.push(latency);
-                }
-                if matches!(field(&fields, "replayed"), Some(JsonValue::Bool(true))) {
-                    jobs_replayed += 1;
-                }
-                let tenant = get_str(&fields, "tenant");
-                match tenants.iter_mut().find(|(name, _)| *name == tenant) {
-                    Some((_, n)) => *n += 1,
-                    None => tenants.push((tenant, 1)),
-                }
-            }
-            "serve" => {
-                serve_records += 1;
-                for (slot, name) in serve_sums.iter_mut().zip(SERVE_COUNTERS) {
-                    *slot += get_u64(&fields, name).unwrap_or(0);
-                }
-                serve_queue_depth_max =
-                    serve_queue_depth_max.max(get_u64(&fields, "queue_depth_max").unwrap_or(0));
-                serve_simulated += get_f64(&fields, "simulated_seconds").unwrap_or(0.0);
-                // Health is a point-in-time snapshot, not a counter:
-                // the latest record wins instead of summing.
-                if let (Some(live), Some(lost)) = (
-                    get_u64(&fields, "devices_live"),
-                    get_u64(&fields, "devices_lost"),
-                ) {
-                    serve_devices_live = Some((live, lost));
-                }
-            }
-            "slo" => {
-                let tenant = get_str(&fields, "tenant");
-                let met = get_u64(&fields, "met").unwrap_or(0);
-                let missed = get_u64(&fields, "missed").unwrap_or(0);
-                match slo_rows.iter_mut().find(|(name, _, _)| *name == tenant) {
-                    Some((_, m, x)) => {
-                        *m += met;
-                        *x += missed;
-                    }
-                    None => slo_rows.push((tenant, met, missed)),
-                }
-            }
-            other => {
-                let _ = writeln!(body, "({other} record)");
-            }
+            None => summary.skipped += 1,
         }
     }
-
-    let mut out = String::new();
-    if reads > 0 {
-        let _ = writeln!(out, "{reads} read records; totals:");
-        for (name, sum) in &sums {
-            let _ = writeln!(
-                out,
-                "  {name:<18} {sum:>12}  ({:.1}/read)",
-                *sum as f64 / reads as f64
-            );
-        }
-        // Derived prefilter summary. Older telemetry files predate the
-        // prefilter counters; their sums simply lack the fields and the
-        // summary is skipped.
-        let sum_of = |name: &str| sums.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
-        let tested = sum_of("prefilter_tested");
-        if tested > 0 {
-            let rejected = sum_of("prefilter_rejected");
-            let accepted = tested.saturating_sub(rejected);
-            let false_accepts = sum_of("prefilter_false_accepts");
-            let _ = writeln!(
-                out,
-                "  prefilter: {rejected}/{tested} candidates rejected ({:.1}%), \
-                 {false_accepts} false accepts ({:.1}% of accepts)",
-                rejected as f64 / tested as f64 * 100.0,
-                false_accepts as f64 / (accepted.max(1)) as f64 * 100.0,
-            );
-        }
-    }
-    out.push_str(&body);
-    if serve_records > 0 {
-        let _ = writeln!(
-            out,
-            "serve ({serve_records} snapshot(s)): accepted {} | rejected {} | \
-             retry-later {} | quota-exceeded {} | completed {} ({} replayed) | {} batch(es)",
-            serve_sums[0],
-            serve_sums[1],
-            serve_sums[2],
-            serve_sums[3],
-            serve_sums[4],
-            serve_sums[5],
-            serve_sums[6],
-        );
-        let _ = writeln!(
-            out,
-            "  compactions {} | connection errors {} | spool skipped {}",
-            serve_sums[7], serve_sums[8], serve_sums[9],
-        );
-        if serve_sums[10..].iter().any(|&n| n > 0) {
-            let _ = writeln!(
-                out,
-                "  shed {} | unavailable {} | faults {} | retries {} | migrated batches {}",
-                serve_sums[10], serve_sums[11], serve_sums[12], serve_sums[13], serve_sums[14],
-            );
-        }
-        if let Some((live, lost)) = serve_devices_live {
-            if lost > 0 {
-                let _ = writeln!(out, "  devices live {live} ({lost} lost)");
-            }
-        }
-        let _ = writeln!(
-            out,
-            "  queue depth high-water {serve_queue_depth_max} | simulated {serve_simulated:.6} s",
-        );
-    }
-    if !slo_rows.is_empty() {
-        let _ = writeln!(
-            out,
-            "deadline SLO (trailing window):\n  {:<16} {:>6} {:>6} {:>9}",
-            "tenant", "met", "missed", "hit-rate",
-        );
-        slo_rows.sort_by(|a, b| a.0.cmp(&b.0));
-        for (tenant, met, missed) in &slo_rows {
-            let total = met + missed;
-            let rate = if total == 0 {
-                1.0
-            } else {
-                *met as f64 / total as f64
-            };
-            let _ = writeln!(out, "  {tenant:<16} {met:>6} {missed:>6} {rate:>9.3}");
-        }
-    }
-    if jobs > 0 {
-        let _ = writeln!(
-            out,
-            "jobs: {jobs} completed ({jobs_replayed} replayed) | \
-             {job_reads} reads | {job_mappings} mappings",
-        );
-        for (tenant, n) in &tenants {
-            let _ = writeln!(out, "  tenant {tenant:<16} {n:>6} job(s)");
-        }
-        if !job_latency.is_empty() {
-            let samples = repute_obs::Samples::from_values(&job_latency);
-            let (p50, p90, p99) = samples.p50_p90_p99();
-            let _ = writeln!(
-                out,
-                "  job latency (merged, simulated seconds): n={} \
-                 p50 {p50:.9} p90 {p90:.9} p99 {p99:.9}",
-                samples.count(),
-            );
-        }
-    }
-    if out.is_empty() && skipped == 0 {
-        out.push_str("no telemetry records\n");
-    }
-    if skipped > 0 {
-        let _ = writeln!(out, "warning: skipped {skipped} malformed line(s)");
-    }
-    Ok(out)
+    Ok(summary.render())
 }
 
 /// Runs `repute stats`: reads every input file (and every `*.jsonl`

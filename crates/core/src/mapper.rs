@@ -191,12 +191,24 @@ impl ReputeMapper {
     /// [`Mapper::map_read`]; intended for final output, not the hot path.
     pub fn map_read_with_cigars(&self, read: &DnaSeq) -> (MapOutput, Vec<CigarMapping>) {
         let out = self.map_read(read);
+        let detailed = self.cigars_for(read, &out.mappings);
+        (out, detailed)
+    }
+
+    /// The CIGAR string of each of `mappings` — `read`'s reported
+    /// locations, from whichever path mapped it — by a full DP traceback
+    /// in the ±δ window around the location.
+    pub fn cigars_for(
+        &self,
+        read: &DnaSeq,
+        mappings: &[repute_mappers::Mapping],
+    ) -> Vec<CigarMapping> {
         let reference = self.indexed.codes();
         let delta = self.config.delta() as usize;
         let forward = read.to_codes();
         let reverse = read.reverse_complement().to_codes();
-        let mut detailed = Vec::with_capacity(out.mappings.len());
-        for &mapping in &out.mappings {
+        let mut detailed = Vec::with_capacity(mappings.len());
+        for &mapping in mappings {
             let codes = match mapping.strand {
                 repute_genome::Strand::Forward => &forward,
                 repute_genome::Strand::Reverse => &reverse,
@@ -214,7 +226,7 @@ impl ReputeMapper {
                 });
             }
         }
-        (out, detailed)
+        detailed
     }
 }
 

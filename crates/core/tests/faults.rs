@@ -5,9 +5,8 @@
 //! [`FaultPlan`], `Executor::run` returns output hits and
 //! per-read metrics bit-identical to the fault-free run of the same
 //! schedule — faults may change simulated time, timelines and energy,
-//! never mapping results. This suite is always-on and seeded with the
-//! in-repo PRNG; the proptest-shaped variant lives in `fault_props.rs`
-//! behind the non-default `proptest` feature.
+//! never mapping results. This suite runs named plans; `fault_props.rs`
+//! holds the same invariant over arbitrary ones.
 
 use std::sync::Arc;
 

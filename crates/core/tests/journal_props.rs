@@ -1,140 +1,135 @@
-#![cfg(feature = "proptest")]
-//! NOTE: gated behind the non-default `proptest` feature because the
-//! external `proptest` crate cannot be resolved in the offline build
-//! environment. Enabling the feature additionally requires restoring a
-//! `proptest` dev-dependency where registry access exists. The
-//! always-on unit tests in `journal.rs` and the seeded suite in
-//! `resume.rs` cover the same invariants with fixed corpora.
-
-use proptest::prelude::*;
+//! Properties of the checkpoint journal's framed codec over arbitrary
+//! record streams — plain loops over the vendored PRNG with a fixed seed
+//! set (the pattern of `crates/prefilter/tests/props.rs`), so they run
+//! offline and in tier-1. The unit tests in `journal.rs` and the seeded
+//! suite in `resume.rs` cover the same invariants with fixed corpora.
 
 use repute_core::journal::{decode_records, encode_record, BatchRecord};
+use repute_genome::rng::StdRng;
 use repute_genome::Strand;
 use repute_mappers::{MapOutput, Mapping};
 use repute_obs::MapMetrics;
 
-/// Strategy for one batch record over the read range `[lo, lo+reads)`.
-fn arb_record(index: u32, lo: u64, reads: usize) -> impl Strategy<Value = BatchRecord> {
-    let outputs = prop::collection::vec(
-        (
-            prop::collection::vec(
-                (any::<u32>(), any::<u32>(), any::<bool>()).prop_map(
-                    |(position, distance, fwd)| Mapping {
-                        position,
-                        distance,
-                        strand: if fwd {
-                            Strand::Forward
-                        } else {
-                            Strand::Reverse
-                        },
-                    },
-                ),
-                0..4,
-            ),
-            any::<u64>(),
-            any::<u64>(),
-        )
-            .prop_map(|(mappings, work, candidates)| MapOutput {
-                mappings,
-                work,
-                candidates,
-            }),
-        reads..=reads,
-    );
-    let metrics = prop::collection::vec(
-        prop::collection::vec(any::<u64>(), 13).prop_map(|w| MapMetrics {
-            seeds_selected: w[0],
-            fm_extend_ops: w[1],
-            fm_locate_ops: w[2],
-            candidates_raw: w[3],
-            candidates_merged: w[4],
-            dp_cells: w[5],
-            prefilter_tested: w[6],
-            prefilter_rejected: w[7],
-            prefilter_false_accepts: w[8],
-            prefilter_words: w[9],
-            verifications: w[10],
-            word_updates: w[11],
-            hits: w[12],
-        }),
-        reads..=reads,
-    );
-    (outputs, metrics).prop_map(move |(outputs, metrics)| BatchRecord {
+const SEEDS: [u64; 4] = [0x9E37, 0x79B9, 0x7F4A, 0x7C15];
+const CASES_PER_SEED: usize = 64;
+
+/// One batch record over the read range `[lo, lo+reads)`, every field
+/// arbitrary.
+fn arb_record(rng: &mut StdRng, index: u32, lo: u64, reads: usize) -> BatchRecord {
+    let outputs = (0..reads).map(|_| {
+        let mappings = (0..rng.gen_range(0usize..4)).map(|_| Mapping {
+            position: rng.gen(),
+            distance: rng.gen(),
+            strand: if rng.gen() {
+                Strand::Forward
+            } else {
+                Strand::Reverse
+            },
+        });
+        MapOutput {
+            mappings: mappings.collect(),
+            work: rng.gen(),
+            candidates: rng.gen(),
+        }
+    });
+    let outputs = outputs.collect();
+    let metrics = (0..reads).map(|_| MapMetrics {
+        seeds_selected: rng.gen(),
+        fm_extend_ops: rng.gen(),
+        fm_locate_ops: rng.gen(),
+        candidates_raw: rng.gen(),
+        candidates_merged: rng.gen(),
+        dp_cells: rng.gen(),
+        prefilter_tested: rng.gen(),
+        prefilter_rejected: rng.gen(),
+        prefilter_false_accepts: rng.gen(),
+        prefilter_words: rng.gen(),
+        verifications: rng.gen(),
+        word_updates: rng.gen(),
+        hits: rng.gen(),
+    });
+    BatchRecord {
         index,
         lo,
         hi: lo + reads as u64,
         outputs,
-        metrics,
-    })
-}
-
-/// A contiguous stream of records: sizes drawn per batch, indices and
-/// read ranges forming the prefix the journal invariant requires.
-fn arb_stream() -> impl Strategy<Value = Vec<BatchRecord>> {
-    prop::collection::vec(0usize..5, 0..6).prop_flat_map(|sizes| {
-        let mut lo = 0u64;
-        let mut parts = Vec::new();
-        for (i, reads) in sizes.into_iter().enumerate() {
-            parts.push(arb_record(i as u32, lo, reads));
-            lo += reads as u64;
-        }
-        parts
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Any record stream round-trips through the framed codec, consuming
-    /// exactly the bytes it wrote.
-    #[test]
-    fn streams_round_trip(records in arb_stream()) {
-        let mut bytes = Vec::new();
-        for r in &records {
-            bytes.extend_from_slice(&encode_record(r));
-        }
-        let (decoded, consumed) = decode_records(&bytes);
-        prop_assert_eq!(&decoded, &records);
-        prop_assert_eq!(consumed, bytes.len());
+        metrics: metrics.collect(),
     }
+}
 
-    /// Truncation at any byte offset keeps exactly the intact prefix
-    /// records, and the consumed count lands on a record boundary.
-    #[test]
-    fn truncation_keeps_the_intact_prefix(records in arb_stream(), cut_frac in 0.0f64..1.0) {
-        let mut bytes = Vec::new();
-        let mut boundaries = vec![0usize];
-        for r in &records {
-            bytes.extend_from_slice(&encode_record(r));
-            boundaries.push(bytes.len());
+/// A contiguous stream of up to five records of up to four reads each:
+/// indices and read ranges form the prefix the journal invariant
+/// requires. With it, its encoding and the record boundaries in that.
+fn arb_stream(rng: &mut StdRng) -> (Vec<BatchRecord>, Vec<u8>, Vec<usize>) {
+    let mut lo = 0u64;
+    let mut records = Vec::new();
+    let mut bytes = Vec::new();
+    let mut boundaries = vec![0usize];
+    for index in 0..rng.gen_range(0u32..6) {
+        let reads = rng.gen_range(0usize..5);
+        let record = arb_record(rng, index, lo, reads);
+        lo += reads as u64;
+        bytes.extend_from_slice(&encode_record(&record));
+        boundaries.push(bytes.len());
+        records.push(record);
+    }
+    (records, bytes, boundaries)
+}
+
+fn for_each_stream(mut property: impl FnMut(&mut StdRng, Vec<BatchRecord>, Vec<u8>, Vec<usize>)) {
+    for seed in SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..CASES_PER_SEED {
+            let (records, bytes, boundaries) = arb_stream(&mut rng);
+            property(&mut rng, records, bytes, boundaries);
         }
-        let cut = (bytes.len() as f64 * cut_frac) as usize;
+    }
+}
+
+/// Any record stream round-trips through the framed codec, consuming
+/// exactly the bytes it wrote.
+#[test]
+fn streams_round_trip() {
+    for_each_stream(|_, records, bytes, _| {
+        let (decoded, consumed) = decode_records(&bytes);
+        assert_eq!(decoded, records);
+        assert_eq!(consumed, bytes.len());
+    });
+}
+
+/// Truncation at any byte offset keeps exactly the intact prefix
+/// records, and the consumed count lands on a record boundary.
+#[test]
+fn truncation_keeps_the_intact_prefix() {
+    for_each_stream(|rng, records, bytes, boundaries| {
+        let cut = rng.gen_range(0..=bytes.len());
         let (decoded, consumed) = decode_records(&bytes[..cut]);
         let intact = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-        prop_assert_eq!(decoded.len(), intact);
-        prop_assert_eq!(consumed, boundaries[intact]);
-        prop_assert_eq!(&decoded[..], &records[..intact]);
-    }
+        assert_eq!(decoded.len(), intact, "cut at {cut} of {}", bytes.len());
+        assert_eq!(consumed, boundaries[intact]);
+        assert_eq!(decoded[..], records[..intact]);
+    });
+}
 
-    /// A single bit flip anywhere in the tail record is detected: decode
-    /// never returns a record differing from what was written, and every
-    /// record before the flipped one survives.
-    #[test]
-    fn tail_bit_flip_is_detected(records in arb_stream(), byte_frac in 0.0f64..1.0, bit in 0u8..8) {
-        prop_assume!(!records.is_empty());
-        let mut bytes = Vec::new();
-        let mut boundaries = vec![0usize];
-        for r in &records {
-            bytes.extend_from_slice(&encode_record(r));
-            boundaries.push(bytes.len());
+/// A single bit flip anywhere in the tail record is detected: decode
+/// never returns a record differing from what was written, and every
+/// record before the flipped one survives.
+#[test]
+fn tail_bit_flip_is_detected() {
+    for_each_stream(|rng, records, mut bytes, boundaries| {
+        if records.is_empty() {
+            return;
         }
         let last_start = boundaries[boundaries.len() - 2];
-        let tail_len = bytes.len() - last_start;
-        let byte = last_start + ((tail_len as f64 * byte_frac) as usize).min(tail_len - 1);
+        let byte = rng.gen_range(last_start..bytes.len());
+        let bit = rng.gen_range(0u8..8);
         bytes[byte] ^= 1 << bit;
         let (decoded, _) = decode_records(&bytes);
-        let prefix = &records[..records.len() - 1];
         // The corrupt tail is dropped; the prefix survives bit-exact.
-        prop_assert_eq!(&decoded[..], prefix);
-    }
+        assert_eq!(
+            decoded[..],
+            records[..records.len() - 1],
+            "bit {bit} of byte {byte} (tail record starts at {last_start})"
+        );
+    });
 }

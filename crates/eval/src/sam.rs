@@ -10,6 +10,7 @@ use std::io::Write;
 
 use repute_align::Cigar;
 use repute_genome::{DnaSeq, GenomeError, Strand};
+use repute_mappers::multiref::{ReferenceSet, ResolvedMapping};
 use repute_mappers::Mapping;
 
 /// SAM FLAG bit for reverse-strand alignment.
@@ -132,7 +133,7 @@ pub fn write_resolved_record<W: Write>(
     names: &[&str],
     read_name: &str,
     seq: &DnaSeq,
-    mappings: &[repute_mappers::multiref::ResolvedMapping],
+    mappings: &[ResolvedMapping],
     cigar: Option<&Cigar>,
 ) -> Result<(), GenomeError> {
     if mappings.is_empty() {
@@ -171,6 +172,59 @@ pub fn write_resolved_record<W: Write>(
         )?;
     }
     Ok(())
+}
+
+/// A SAM file over a [`ReferenceSet`], assembled in memory: the header
+/// of the set's records, then read after read — mappings on the
+/// concatenated index resolved to the named records, then written. The
+/// one path behind `repute map`'s output and the daemon's per-job SAM
+/// blocks, which is why the two agree byte for byte.
+#[derive(Debug)]
+pub struct SamAssembly<'a> {
+    set: &'a ReferenceSet,
+    names: Vec<&'a str>,
+    /// The SAM text so far.
+    pub out: Vec<u8>,
+}
+
+impl<'a> SamAssembly<'a> {
+    /// Starts the SAM with the header of `set`'s records.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_header_multi`].
+    pub fn new(set: &'a ReferenceSet) -> Result<SamAssembly<'a>, GenomeError> {
+        let header: Vec<(&str, usize)> = set
+            .records()
+            .iter()
+            .map(|(n, l)| (n.as_str(), *l))
+            .collect();
+        let mut out: Vec<u8> = Vec::new();
+        write_header_multi(&mut out, &header)?;
+        Ok(SamAssembly {
+            set,
+            names: header.iter().map(|(n, _)| *n).collect(),
+            out,
+        })
+    }
+
+    /// Appends one read's record(s) and returns its resolved mappings;
+    /// `cigar` describes the first of them (others emit `<len>M`).
+    ///
+    /// # Errors
+    ///
+    /// As [`write_resolved_record`].
+    pub fn push(
+        &mut self,
+        id: &str,
+        seq: &DnaSeq,
+        raw: &[Mapping],
+        cigar: Option<&Cigar>,
+    ) -> Result<Vec<ResolvedMapping>, GenomeError> {
+        let resolved = self.set.resolve_mappings(seq.len(), raw);
+        write_resolved_record(&mut self.out, &self.names, id, seq, &resolved, cigar)?;
+        Ok(resolved)
+    }
 }
 
 #[cfg(test)]

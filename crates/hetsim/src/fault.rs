@@ -404,7 +404,10 @@ impl FaultPlan {
     /// times in `[0, horizon_seconds)` — the generator behind the
     /// randomized recovery tests. Deterministic in `seed`, and device 0
     /// never receives a loss event, so **at least one device always
-    /// survives** (the precondition of the output-invariance property).
+    /// survives** (the precondition of the output-invariance property)
+    /// under a retry budget of two or more: below that, device 0's own
+    /// transients (it gets up to two) can exhaust the budget of one
+    /// launch and escalate to its loss.
     ///
     /// # Panics
     ///

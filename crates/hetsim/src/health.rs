@@ -352,10 +352,9 @@ mod tests {
         assert!(!HealthState::Lost.is_live());
     }
 
-    /// Hand-rolled property test (the workspace is offline, so proptest
-    /// is feature-stubbed): under random observation sequences the
-    /// ladder only ever climbs, fault counts only grow, and the live set
-    /// only shrinks.
+    /// Hand-rolled property test: under random observation sequences
+    /// the ladder only ever climbs, fault counts only grow, and the live
+    /// set only shrinks.
     #[test]
     fn randomized_observations_never_recover() {
         for seed in 0..200u64 {

@@ -12,6 +12,8 @@
 use std::error::Error;
 use std::fmt;
 
+use repute_obs::trace::{device_pid, SCHEDULER_PID};
+
 use crate::device::DeviceProfile;
 use crate::kernel::{run_kernel, Kernel};
 use crate::power::EnergyReport;
@@ -270,6 +272,19 @@ impl Platform {
     /// The platform's devices.
     pub fn devices(&self) -> &[DeviceProfile] {
         &self.devices
+    }
+
+    /// The process table of a Chrome trace of this platform, as
+    /// [`repute_obs::trace::write_chrome_trace`] takes it: pid 0 is the
+    /// scheduler, then one process per device, named
+    /// `"<name> [<kind>]"`.
+    pub fn trace_processes(&self) -> Vec<(u32, String)> {
+        let mut processes = vec![(SCHEDULER_PID, "scheduler".to_string())];
+        for (i, device) in self.devices.iter().enumerate() {
+            let label = format!("{} [{}]", device.name(), device.kind().as_str());
+            processes.push((device_pid(i), label));
+        }
+        processes
     }
 
     /// A distribution that splits `items` across all devices

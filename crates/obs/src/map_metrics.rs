@@ -1,6 +1,6 @@
 //! The per-read metric record threaded through the mapping pipeline.
 
-use crate::json::JsonObject;
+use crate::record::Record;
 
 /// Work performed while mapping one read, broken down by pipeline stage.
 ///
@@ -130,20 +130,9 @@ impl MapMetrics {
             + self.prefilter_words
     }
 
-    /// Serialises the record into `obj` as flat numeric fields.
-    pub fn write_fields(&self, obj: &mut JsonObject) {
-        for (name, value) in self.fields() {
-            obj.u64_field(name, value);
-        }
-    }
-
     /// One JSON-lines record for this read (`{"type":"read","id":...}`).
     pub fn to_json_line(&self, read_id: u64) -> String {
-        let mut obj = JsonObject::new();
-        obj.str_field("type", "read");
-        obj.u64_field("id", read_id);
-        self.write_fields(&mut obj);
-        obj.finish()
+        Record::read(read_id, self).encode()
     }
 }
 

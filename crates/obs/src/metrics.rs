@@ -1,43 +1,6 @@
-//! Counters, histograms, stage timers, and the sink trait they hide
-//! behind.
+//! Gauges, retained samples and the wall-clock stage timer.
 
-use std::sync::Mutex;
 use std::time::Instant;
-
-use crate::map_metrics::MapMetrics;
-
-/// A monotonically increasing event count.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Adds `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one event.
-    pub fn increment(&mut self) {
-        self.add(1);
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Folds another counter in.
-    pub fn merge(&mut self, other: &Counter) {
-        self.value += other.value;
-    }
-}
 
 /// A level that moves both ways — queue depths, in-flight batches —
 /// tracked together with its high-water mark.
@@ -83,132 +46,11 @@ impl Gauge {
     }
 }
 
-/// Number of buckets in a [`Histogram`]: one for zero plus one per power
-/// of two up to 2⁶³.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// A log2-bucketed histogram of `u64` observations.
-///
-/// Bucket 0 holds exact zeros; bucket `i > 0` holds values in
-/// `[2^(i-1), 2^i)`. Recording is two instructions (a `leading_zeros`
-/// and an increment) and never allocates, so it is safe on hot paths.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// The bucket index `value` falls into.
-    pub fn bucket_for(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() as usize
-        }
-    }
-
-    /// Inclusive `(low, high)` bounds of bucket `i`.
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
-        assert!(i < HISTOGRAM_BUCKETS, "bucket {i} out of range");
-        if i == 0 {
-            (0, 0)
-        } else if i == 64 {
-            (1 << 63, u64::MAX)
-        } else {
-            (1 << (i - 1), (1 << i) - 1)
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Histogram::bucket_for(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest observation, 0 if empty.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean observation, 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
-        &self.buckets
-    }
-
-    /// Folds another histogram in.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Upper bound of the smallest bucket whose cumulative count reaches
-    /// quantile `q` (in `[0, 1]`); 0 if the histogram is empty.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if b > 0 && seen >= target.max(1) {
-                return Histogram::bucket_bounds(i).1.min(self.max);
-            }
-        }
-        self.max
-    }
-}
-
 /// Retained samples for exact percentile extraction.
 ///
-/// [`Histogram`] stays lossy (log2 buckets) for unbounded hot-path
-/// counts; `Samples` is the complement for bounded populations — one
-/// value per stage per read, one per batch — where exact p50/p90/p99
-/// are wanted. Percentiles use the nearest-rank definition: for `n`
+/// For bounded populations — one value per stage per read, one per
+/// batch, one per job — where exact p50/p90/p99 are wanted.
+/// Percentiles use the nearest-rank definition: for `n`
 /// samples and quantile `q`, the answer is the `ceil(q·n)`-th smallest
 /// (clamped to `[1, n]`), so every reported percentile is an actual
 /// observed value.
@@ -341,152 +183,6 @@ impl StageTimer {
     }
 }
 
-/// Where instrumented code reports its measurements.
-///
-/// Every method has a no-op default, so a sink only overrides what it
-/// cares about and the disabled path compiles down to nothing. Hot loops
-/// may additionally branch on [`MetricsSink::enabled`] to skip building
-/// arguments.
-pub trait MetricsSink {
-    /// Whether this sink records anything; `false` lets callers skip work.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Reports the finished per-read record.
-    fn record_read(&self, read_id: u64, metrics: &MapMetrics) {
-        let _ = (read_id, metrics);
-    }
-
-    /// Bumps the named counter.
-    fn add(&self, name: &'static str, value: u64) {
-        let _ = (name, value);
-    }
-
-    /// Records one observation into the named histogram.
-    fn observe(&self, name: &'static str, value: u64) {
-        let _ = (name, value);
-    }
-}
-
-/// The disabled sink: every call is a no-op and nothing allocates.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl MetricsSink for NoopSink {}
-
-/// Aggregated state of a [`CollectingSink`].
-#[derive(Debug, Default)]
-pub struct Collected {
-    /// Reads reported via `record_read`.
-    pub reads: u64,
-    /// Sum of every reported [`MapMetrics`] record.
-    pub totals: MapMetrics,
-    /// Named counters, in first-use order.
-    pub counters: Vec<(String, Counter)>,
-    /// Named histograms, in first-use order.
-    pub histograms: Vec<(String, Histogram)>,
-}
-
-impl Collected {
-    fn counter(&mut self, name: &str) -> &mut Counter {
-        let at = match self.counters.iter().position(|(n, _)| n == name) {
-            Some(i) => i,
-            None => {
-                self.counters.push((name.to_string(), Counter::new()));
-                self.counters.len() - 1
-            }
-        };
-        &mut self.counters[at].1
-    }
-
-    fn histogram(&mut self, name: &str) -> &mut Histogram {
-        let at = match self.histograms.iter().position(|(n, _)| n == name) {
-            Some(i) => i,
-            None => {
-                self.histograms.push((name.to_string(), Histogram::new()));
-                self.histograms.len() - 1
-            }
-        };
-        &mut self.histograms[at].1
-    }
-}
-
-/// A thread-safe sink that aggregates everything it is given.
-///
-/// Per-read records are summed into `totals` and fanned into built-in
-/// `*_per_read` histograms so the run report can show distributions, not
-/// just totals.
-#[derive(Debug, Default)]
-pub struct CollectingSink {
-    inner: Mutex<Collected>,
-}
-
-impl CollectingSink {
-    /// An empty sink.
-    pub fn new() -> CollectingSink {
-        CollectingSink::default()
-    }
-
-    /// Consumes the sink, returning everything collected. Poisoned
-    /// locks are tolerated — the collected counts are plain data and
-    /// stay coherent even if a reporting thread panicked.
-    pub fn into_collected(self) -> Collected {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Runs `f` with the collected state (for inspection mid-run).
-    pub fn with<R>(&self, f: impl FnOnce(&Collected) -> R) -> R {
-        f(&self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner))
-    }
-}
-
-impl MetricsSink for CollectingSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record_read(&self, _read_id: u64, metrics: &MapMetrics) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.reads += 1;
-        inner.totals.merge(metrics);
-        inner
-            .histogram("candidates_merged_per_read")
-            .record(metrics.candidates_merged);
-        inner
-            .histogram("dp_cells_per_read")
-            .record(metrics.dp_cells);
-        inner
-            .histogram("word_updates_per_read")
-            .record(metrics.word_updates);
-        inner.histogram("hits_per_read").record(metrics.hits);
-    }
-
-    fn add(&self, name: &'static str, value: u64) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.counter(name).add(value);
-    }
-
-    fn observe(&self, name: &'static str, value: u64) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.histogram(name).record(value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,70 +200,6 @@ mod tests {
         assert_eq!(g.get(), 0);
         g.set(2);
         assert_eq!((g.get(), g.high_water()), (2, 5));
-    }
-
-    #[test]
-    fn counter_add_and_merge() {
-        let mut a = Counter::new();
-        a.increment();
-        a.add(4);
-        let mut b = Counter::new();
-        b.add(10);
-        a.merge(&b);
-        assert_eq!(a.get(), 15);
-    }
-
-    #[test]
-    fn histogram_bucket_edges() {
-        // Zero is its own bucket; powers of two open a new bucket.
-        assert_eq!(Histogram::bucket_for(0), 0);
-        assert_eq!(Histogram::bucket_for(1), 1);
-        assert_eq!(Histogram::bucket_for(2), 2);
-        assert_eq!(Histogram::bucket_for(3), 2);
-        assert_eq!(Histogram::bucket_for(4), 3);
-        assert_eq!(Histogram::bucket_for(7), 3);
-        assert_eq!(Histogram::bucket_for(8), 4);
-        assert_eq!(Histogram::bucket_for(u64::MAX), 64);
-        for i in 0..HISTOGRAM_BUCKETS {
-            let (lo, hi) = Histogram::bucket_bounds(i);
-            assert_eq!(Histogram::bucket_for(lo), i, "low edge of bucket {i}");
-            assert_eq!(Histogram::bucket_for(hi), i, "high edge of bucket {i}");
-        }
-    }
-
-    #[test]
-    fn histogram_record_and_merge() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 3, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1006);
-        assert_eq!(h.max(), 1000);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[2], 2); // 2 and 3
-
-        let mut other = Histogram::new();
-        other.record(3);
-        other.record(1 << 20);
-        h.merge(&other);
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.buckets()[2], 3);
-        assert_eq!(h.buckets()[21], 1);
-        assert_eq!(h.max(), 1 << 20);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new();
-        assert_eq!(h.quantile_upper_bound(0.5), 0);
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        // Median of 1..=100 lands in bucket [64, 127] → capped at max 100.
-        let med = h.quantile_upper_bound(0.5);
-        assert!((63..=100).contains(&med), "median bound {med}");
-        assert_eq!(h.quantile_upper_bound(1.0), 100);
     }
 
     #[test]
@@ -618,8 +250,8 @@ mod tests {
 
     #[test]
     fn samples_percentiles_are_monotone_under_seeded_inputs() {
-        // Always-on seeded variant of the proptest property in
-        // tests/props.rs: p50 ≤ p90 ≤ p99 and each percentile is an
+        // The unit-sized variant of the property in tests/props.rs:
+        // p50 ≤ p90 ≤ p99 and each percentile is an
         // observed value, for a spread of pseudo-random populations.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
@@ -670,40 +302,5 @@ mod tests {
     #[should_panic(expected = "no stage open")]
     fn stage_timer_stop_without_start_panics() {
         StageTimer::new().stop();
-    }
-
-    #[test]
-    fn collecting_sink_aggregates() {
-        let sink = CollectingSink::new();
-        assert!(sink.enabled());
-        let m = MapMetrics {
-            candidates_merged: 3,
-            hits: 1,
-            ..MapMetrics::new()
-        };
-        sink.record_read(0, &m);
-        sink.record_read(1, &m);
-        sink.add("batches", 2);
-        sink.observe("batch_items", 64);
-        let got = sink.into_collected();
-        assert_eq!(got.reads, 2);
-        assert_eq!(got.totals.candidates_merged, 6);
-        assert_eq!(got.counters[0].0, "batches");
-        assert_eq!(got.counters[0].1.get(), 2);
-        let hist = got
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "candidates_merged_per_read")
-            .expect("built-in histogram");
-        assert_eq!(hist.1.count(), 2);
-    }
-
-    #[test]
-    fn noop_sink_is_disabled() {
-        let sink = NoopSink;
-        assert!(!sink.enabled());
-        sink.record_read(0, &MapMetrics::new());
-        sink.add("x", 1);
-        sink.observe("y", 2);
     }
 }

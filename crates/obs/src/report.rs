@@ -1,10 +1,9 @@
 //! Run-level telemetry roll-up and its export formats.
 
-use std::fmt::Write as _;
 use std::io::{self, Write};
 
-use crate::json::{field, parse_flat_object, JsonObject, JsonValue};
 use crate::map_metrics::MapMetrics;
+use crate::record::{DeviceRecord, Record, RunRecord};
 
 /// One simulated kernel launch with OpenCL-style event timestamps.
 ///
@@ -161,242 +160,48 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Renders the human-readable report table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "run report: {} reads", self.reads);
-        let _ = writeln!(
-            out,
-            "  simulated {:.6} s | wall {:.3} s",
-            self.simulated_seconds, self.wall_seconds
-        );
-        if self.resumed_batches > 0 {
-            let _ = writeln!(
-                out,
-                "  resumed from checkpoint: {} batch(es) replayed from the journal",
-                self.resumed_batches
-            );
-        }
-        let _ = writeln!(out, "  pipeline counters (totals across reads):");
-        for (name, value) in self.totals.fields() {
-            let per_read = if self.reads > 0 {
-                value as f64 / self.reads as f64
-            } else {
-                0.0
-            };
-            let _ = writeln!(out, "    {name:<18} {value:>12}  ({per_read:.1}/read)");
-        }
-        if !self.stages.is_empty() {
-            let _ = writeln!(out, "  stages:");
-            for (path, secs, count) in &self.stages {
-                let _ = writeln!(out, "    {path:<24} {secs:>10.6} s  x{count}");
+    /// The report as telemetry records: one `run` record, then `stage`,
+    /// `latency`, `device` (each followed by its `event`s) and `energy`
+    /// records.
+    pub fn records(&self) -> Vec<Record> {
+        let mut records = vec![Record::Run(RunRecord {
+            reads: self.reads,
+            simulated_seconds: self.simulated_seconds,
+            wall_seconds: self.wall_seconds,
+            resumed_batches: self.resumed_batches,
+            totals: self.totals,
+        })];
+        let stages = self.stages.iter().cloned();
+        records.extend(stages.map(|(path, seconds, count)| Record::Stage(path, seconds, count)));
+        records.extend(self.latencies.iter().cloned().map(Record::Latency));
+        for dev in &self.devices {
+            records.push(Record::Device(DeviceRecord {
+                device: dev.device.clone(),
+                launches: dev.events.len() as u64,
+                busy_seconds: dev.busy_seconds(),
+                utilization: dev.utilization(self.simulated_seconds),
+                retries: dev.retries,
+                faults: dev.faults,
+                migrated_batches: dev.migrated_batches,
+            }));
+            for event in &dev.events {
+                records.push(Record::Event(dev.device.clone(), event.clone()));
             }
         }
-        if !self.latencies.is_empty() {
-            let _ = writeln!(out, "  latency percentiles (simulated seconds):");
-            let _ = writeln!(
-                out,
-                "    {:<24} {:>8} {:>12} {:>12} {:>12}",
-                "population", "n", "p50", "p90", "p99"
-            );
-            for lat in &self.latencies {
-                let _ = writeln!(
-                    out,
-                    "    {:<24} {:>8} {:>12.9} {:>12.9} {:>12.9}",
-                    lat.stage, lat.count, lat.p50_seconds, lat.p90_seconds, lat.p99_seconds
-                );
-            }
-        }
-        if !self.devices.is_empty() {
-            let _ = writeln!(out, "  devices:");
-            for dev in &self.devices {
-                let _ = writeln!(
-                    out,
-                    "    {:<16} {:>3} launches | busy {:.6} s | util {:>5.1}%",
-                    dev.device,
-                    dev.events.len(),
-                    dev.busy_seconds(),
-                    dev.utilization(self.simulated_seconds) * 100.0
-                );
-                if dev.faults > 0 || dev.retries > 0 || dev.migrated_batches > 0 {
-                    let _ = writeln!(
-                        out,
-                        "      faults {} | retries {} | migrated batches {}",
-                        dev.faults, dev.retries, dev.migrated_batches
-                    );
-                }
-                for ev in &dev.events {
-                    let _ = writeln!(
-                        out,
-                        "      {:<12} {:>8} items | queued {:.6} start {:.6} end {:.6}",
-                        ev.label, ev.items, ev.queued_seconds, ev.start_seconds, ev.end_seconds
-                    );
-                }
-            }
-        }
-        if let Some(e) = &self.energy {
-            let _ = writeln!(
-                out,
-                "  energy: {:.3} J above idle | avg {:.1} W (idle {:.1} W) over {:.6} s",
-                e.energy_j, e.average_power_w, e.idle_power_w, e.mapping_seconds
-            );
-        }
-        out
+        records.extend(self.energy.map(Record::Energy));
+        records
     }
 
-    /// Writes the report as JSON-lines: one `run` record, then `stage`,
-    /// `latency`, `device`, `event`, and `energy` records.
+    /// Writes [`RunReport::records`] as JSON-lines.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `out`.
     pub fn write_json_lines<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        let mut run = JsonObject::new();
-        run.str_field("type", "run");
-        run.u64_field("reads", self.reads);
-        run.f64_field("simulated_seconds", self.simulated_seconds);
-        run.f64_field("wall_seconds", self.wall_seconds);
-        run.u64_field("resumed_batches", self.resumed_batches);
-        self.totals.write_fields(&mut run);
-        writeln!(out, "{}", run.finish())?;
-
-        for (path, secs, count) in &self.stages {
-            let mut obj = JsonObject::new();
-            obj.str_field("type", "stage");
-            obj.str_field("path", path);
-            obj.f64_field("seconds", *secs);
-            obj.u64_field("count", *count);
-            writeln!(out, "{}", obj.finish())?;
-        }
-        for lat in &self.latencies {
-            let mut obj = JsonObject::new();
-            obj.str_field("type", "latency");
-            obj.str_field("stage", &lat.stage);
-            obj.u64_field("count", lat.count);
-            obj.f64_field("p50_s", lat.p50_seconds);
-            obj.f64_field("p90_s", lat.p90_seconds);
-            obj.f64_field("p99_s", lat.p99_seconds);
-            writeln!(out, "{}", obj.finish())?;
-        }
-        for dev in &self.devices {
-            let mut obj = JsonObject::new();
-            obj.str_field("type", "device");
-            obj.str_field("device", &dev.device);
-            obj.u64_field("launches", dev.events.len() as u64);
-            obj.f64_field("busy_seconds", dev.busy_seconds());
-            obj.f64_field("utilization", dev.utilization(self.simulated_seconds));
-            obj.u64_field("retries", dev.retries);
-            obj.u64_field("faults", dev.faults);
-            obj.u64_field("migrated_batches", dev.migrated_batches);
-            writeln!(out, "{}", obj.finish())?;
-            for ev in &dev.events {
-                let mut obj = JsonObject::new();
-                obj.str_field("type", "event");
-                obj.str_field("device", &dev.device);
-                obj.str_field("label", &ev.label);
-                obj.u64_field("items", ev.items);
-                obj.u64_field("work", ev.work);
-                obj.f64_field("queued_s", ev.queued_seconds);
-                obj.f64_field("submitted_s", ev.submitted_seconds);
-                obj.f64_field("start_s", ev.start_seconds);
-                obj.f64_field("end_s", ev.end_seconds);
-                writeln!(out, "{}", obj.finish())?;
-            }
-        }
-        if let Some(e) = &self.energy {
-            let mut obj = JsonObject::new();
-            obj.str_field("type", "energy");
-            obj.f64_field("mapping_seconds", e.mapping_seconds);
-            obj.f64_field("average_power_w", e.average_power_w);
-            obj.f64_field("idle_power_w", e.idle_power_w);
-            obj.f64_field("energy_j", e.energy_j);
-            writeln!(out, "{}", obj.finish())?;
+        for record in self.records() {
+            writeln!(out, "{}", record.encode())?;
         }
         Ok(())
-    }
-
-    /// Reconstructs a report from its own JSON-lines form (the inverse
-    /// of [`RunReport::write_json_lines`]). Record types this writer
-    /// does not produce (`read`, `cell`, unknown) are skipped, so the
-    /// scanner accepts full telemetry files too. Derived device fields
-    /// (`launches`, `busy_seconds`, `utilization`) are recomputed from
-    /// the events rather than read back. Returns `None` when a line is
-    /// malformed or no `run` record is present.
-    pub fn from_json_lines(text: &str) -> Option<RunReport> {
-        fn u64_of(fields: &[(String, JsonValue)], key: &str) -> Option<u64> {
-            field(fields, key)?.as_u64()
-        }
-        fn f64_of(fields: &[(String, JsonValue)], key: &str) -> Option<f64> {
-            field(fields, key)?.as_f64()
-        }
-        fn str_of<'a>(fields: &'a [(String, JsonValue)], key: &str) -> Option<&'a str> {
-            field(fields, key)?.as_str()
-        }
-
-        let mut report = RunReport::default();
-        let mut saw_run = false;
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let fields = parse_flat_object(line)?;
-            match str_of(&fields, "type")? {
-                "run" => {
-                    saw_run = true;
-                    report.reads = u64_of(&fields, "reads")?;
-                    report.simulated_seconds = f64_of(&fields, "simulated_seconds")?;
-                    report.wall_seconds = f64_of(&fields, "wall_seconds")?;
-                    report.resumed_batches = u64_of(&fields, "resumed_batches").unwrap_or(0);
-                    for (name, value) in &fields {
-                        if let Some(v) = value.as_u64() {
-                            report.totals.set_field(name, v);
-                        }
-                    }
-                }
-                "stage" => report.stages.push((
-                    str_of(&fields, "path")?.to_string(),
-                    f64_of(&fields, "seconds")?,
-                    u64_of(&fields, "count")?,
-                )),
-                "latency" => report.latencies.push(StageLatency {
-                    stage: str_of(&fields, "stage")?.to_string(),
-                    count: u64_of(&fields, "count")?,
-                    p50_seconds: f64_of(&fields, "p50_s")?,
-                    p90_seconds: f64_of(&fields, "p90_s")?,
-                    p99_seconds: f64_of(&fields, "p99_s")?,
-                }),
-                "device" => report.devices.push(DeviceTimeline {
-                    device: str_of(&fields, "device")?.to_string(),
-                    events: Vec::new(),
-                    retries: u64_of(&fields, "retries").unwrap_or(0),
-                    faults: u64_of(&fields, "faults").unwrap_or(0),
-                    migrated_batches: u64_of(&fields, "migrated_batches").unwrap_or(0),
-                }),
-                "event" => {
-                    let event = KernelEvent {
-                        label: str_of(&fields, "label")?.to_string(),
-                        items: u64_of(&fields, "items")?,
-                        work: u64_of(&fields, "work")?,
-                        queued_seconds: f64_of(&fields, "queued_s")?,
-                        submitted_seconds: f64_of(&fields, "submitted_s")?,
-                        start_seconds: f64_of(&fields, "start_s")?,
-                        end_seconds: f64_of(&fields, "end_s")?,
-                    };
-                    report.devices.last_mut()?.events.push(event);
-                }
-                "energy" => {
-                    report.energy = Some(EnergySummary {
-                        mapping_seconds: f64_of(&fields, "mapping_seconds")?,
-                        average_power_w: f64_of(&fields, "average_power_w")?,
-                        idle_power_w: f64_of(&fields, "idle_power_w")?,
-                        energy_j: f64_of(&fields, "energy_j")?,
-                    });
-                }
-                _ => {}
-            }
-        }
-        if saw_run {
-            Some(report)
-        } else {
-            None
-        }
     }
 }
 
@@ -404,6 +209,7 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::json::{field, parse_flat_object};
+    use crate::Summary;
 
     fn sample() -> RunReport {
         RunReport {
@@ -486,11 +292,18 @@ mod tests {
         assert_eq!(dev.events[1].queue_wait_seconds(), 1.0);
     }
 
+    /// The report as `-v` prints it: its records, after one `read`
+    /// record, through the one renderer.
+    fn rendered(report: &RunReport) -> String {
+        let reads = std::iter::once(Record::read(0, &report.totals));
+        Summary::of(reads.chain(report.records())).render()
+    }
+
     #[test]
     fn render_mentions_everything() {
-        let text = sample().render();
+        let text = rendered(&sample());
         for needle in [
-            "2 reads",
+            "run: 2 reads | simulated 2.500000 s | wall 0.010 s",
             "seeds_selected",
             "batch-1",
             "util",
@@ -503,14 +316,24 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+        assert_eq!(text.matches("latency percentiles").count(), 1, "{text}");
         // Fault counters stay silent on a fault-free device, and the
         // resume line stays silent on an uninterrupted run.
         let mut clean = sample();
         clean.resumed_batches = 0;
         let dev = &mut clean.devices[0];
         (dev.retries, dev.faults, dev.migrated_batches) = (0, 0, 0);
-        assert!(!clean.render().contains("faults"));
-        assert!(!clean.render().contains("resumed from checkpoint"));
+        assert!(!rendered(&clean).contains("faults"));
+        assert!(!rendered(&clean).contains("resumed from checkpoint"));
+        // A run that was not simulated shows no simulated clock.
+        let host_only = RunReport {
+            devices: Vec::new(),
+            energy: None,
+            ..sample()
+        };
+        let text = rendered(&host_only);
+        assert!(text.contains("run: 2 reads | wall 0.010 s"), "{text}");
+        assert!(!text.contains("simulated 2.5"), "{text}");
     }
 
     #[test]
@@ -542,31 +365,15 @@ mod tests {
 
     #[test]
     fn json_round_trip_reconstructs_the_report() {
-        // Regression for the full serialize → parse → compare cycle,
-        // including the retries/faults/migrated_batches fault fields
-        // and the resumed_batches provenance counter.
-        let original = sample();
-        let mut buf = Vec::new();
-        original.write_json_lines(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let parsed = RunReport::from_json_lines(&text).expect("round trip parses");
-        assert_eq!(parsed, original);
-        assert_eq!(parsed.devices[0].retries, 1);
-        assert_eq!(parsed.devices[0].faults, 2);
-        assert_eq!(parsed.devices[0].migrated_batches, 3);
-        assert_eq!(parsed.resumed_batches, 4);
-    }
-
-    #[test]
-    fn round_trip_tolerates_read_records_and_requires_a_run_record() {
-        let original = sample();
-        let mut buf = Vec::new();
-        original.write_json_lines(&mut buf).unwrap();
-        let mut text = String::from_utf8(buf).unwrap();
-        // Telemetry files interleave per-read records before the report.
-        text.insert_str(0, &format!("{}\n", MapMetrics::new().to_json_line(0)));
-        assert_eq!(RunReport::from_json_lines(&text).expect("parses"), original);
-        assert!(RunReport::from_json_lines("").is_none());
-        assert!(RunReport::from_json_lines("{\"type\":\"stage\"}").is_none());
+        // Every record of the report decodes back to itself, including
+        // the retries/faults/migrated_batches fault fields and the
+        // resumed_batches provenance counter.
+        let records = sample().records();
+        let decoded: Vec<Record> = records
+            .iter()
+            .map(|r| Record::decode(&r.encode()).expect("own output decodes"))
+            .collect();
+        assert_eq!(decoded, records);
+        assert!(matches!(decoded[0], Record::Run(run) if run.resumed_batches == 4));
     }
 }

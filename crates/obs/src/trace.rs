@@ -11,14 +11,14 @@
 //! Design constraints, in order:
 //!
 //! 1. **Zero-alloc when disabled.** Producers hold an
-//!    `Option<Vec<Span>>` (or a [`TraceSink`] whose `enabled()` is
-//!    false) and skip span construction entirely on the hot path.
+//!    `Option<Vec<Span>>` and skip span construction entirely on the
+//!    hot path.
 //! 2. **Deterministic bytes.** [`write_chrome_trace`] stably sorts
 //!    events by `(pid, tid, begin, name)` using `f64::total_cmp`, so
 //!    two identical runs produce byte-identical files regardless of
 //!    host-thread interleaving.
 //! 3. **Self-describing.** Every span carries a category (the span
-//!    taxonomy in DESIGN.md §12) and an `args` object with batch
+//!    taxonomy in DESIGN.md §7) and an `args` object with batch
 //!    index / read range / fault annotations, so the file is useful
 //!    both in the Chrome UI and to `repute trace`.
 
@@ -113,41 +113,6 @@ impl Span {
     /// Span duration in simulated seconds (never negative).
     pub fn duration_seconds(&self) -> f64 {
         (self.end_seconds - self.begin_seconds).max(0.0)
-    }
-}
-
-/// Destination for spans produced while mapping. The default methods
-/// make a disabled sink free: producers check [`TraceSink::enabled`]
-/// once and skip span construction when it is false.
-pub trait TraceSink {
-    /// Whether spans should be built and emitted at all.
-    fn enabled(&self) -> bool {
-        false
-    }
-    /// Accepts one finished span.
-    fn emit(&mut self, _span: Span) {}
-}
-
-/// Sink that drops everything; `enabled()` is false so producers do
-/// not even build the spans.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopTraceSink;
-
-impl TraceSink for NoopTraceSink {}
-
-/// Sink that retains every span in order of emission.
-#[derive(Debug, Default, Clone)]
-pub struct VecTraceSink {
-    /// Spans emitted so far.
-    pub spans: Vec<Span>,
-}
-
-impl TraceSink for VecTraceSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-    fn emit(&mut self, span: Span) {
-        self.spans.push(span);
     }
 }
 
@@ -486,15 +451,5 @@ mod tests {
     fn summarize_rejects_non_array_input() {
         assert!(summarize_chrome_trace("{\"ph\":\"X\"}").is_none());
         assert!(summarize_chrome_trace("not json").is_none());
-    }
-
-    #[test]
-    fn disabled_sink_reports_disabled() {
-        let sink = NoopTraceSink;
-        assert!(!sink.enabled());
-        let mut vec_sink = VecTraceSink::default();
-        assert!(vec_sink.enabled());
-        vec_sink.emit(Span::instant("x", "fault", SCHEDULER_PID, 0.0));
-        assert_eq!(vec_sink.spans.len(), 1);
     }
 }

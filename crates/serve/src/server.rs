@@ -45,14 +45,16 @@ use repute_core::{
     write_atomic, Executor, MappingRun, ReputeConfig, ReputeError, RunFingerprint, Schedule,
     ScheduleMode, DEFAULT_MAX_RETRIES,
 };
-use repute_eval::sam;
+use repute_eval::sam::SamAssembly;
 use repute_genome::DnaSeq;
 use repute_hetsim::{DeviceHealth, FaultKind, FaultPlan, HealthState, LaunchErrorKind, Platform};
 use repute_mappers::multiref::ReferenceSet;
 use repute_mappers::Mapping;
-use repute_obs::json::JsonObject;
-use repute_obs::trace::{device_pid, write_chrome_trace, SCHEDULER_PID};
-use repute_obs::{Samples, SloReport, SloTracker, Span};
+use repute_obs::trace::{write_chrome_trace, SCHEDULER_PID};
+pub use repute_obs::ServeCounters;
+use repute_obs::{
+    JobRecord, Record, Samples, ServeSnapshot, SloReport, SloTracker, Span, StageLatency,
+};
 use repute_prefilter::{qgram, PrefilterMode};
 
 use crate::admission::{AdmissionQueue, ConfigKey, JobSpec, TenantQuota, DEFAULT_QUEUE_CAPACITY};
@@ -165,74 +167,6 @@ impl Default for ServeOptions {
             quota_window_s: 60.0,
             journal_compact_threshold: 0,
         }
-    }
-}
-
-/// Monotone service counters, exported in the `serve` telemetry record.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeCounters {
-    /// Jobs that passed admission (journaled and queued).
-    pub accepted: u64,
-    /// Jobs permanently refused (over-limit or malformed).
-    pub rejected: u64,
-    /// Jobs bounced by queue backpressure.
-    pub retry_later: u64,
-    /// Jobs refused because the tenant's sliding-window read budget was
-    /// exhausted.
-    pub quota_exceeded: u64,
-    /// Jobs whose batch committed (responses produced).
-    pub completed: u64,
-    /// Completed jobs whose responses were replayed from the journal on
-    /// resume instead of re-executed.
-    pub replayed: u64,
-    /// Scheduler batches committed.
-    pub batches: u64,
-    /// Journal compactions performed.
-    pub compactions: u64,
-    /// Client connections dropped after an I/O or protocol failure (the
-    /// daemon keeps serving).
-    pub connection_errors: u64,
-    /// Spool inputs skipped because a response for them already existed
-    /// (crash-window idempotence).
-    pub spool_skipped: u64,
-    /// Queued jobs shed with `DEADLINE_EXCEEDED` (`--shed-overdue`).
-    pub shed: u64,
-    /// Jobs answered `SERVICE_UNAVAILABLE` (all devices lost).
-    pub unavailable: u64,
-    /// Device faults observed across all committed batches.
-    pub faults: u64,
-    /// Kernel retries across all committed batches.
-    pub retries: u64,
-    /// Batches migrated off a lost device across all committed batches.
-    pub migrated: u64,
-}
-
-/// Telemetry facts of one completed job.
-#[derive(Debug, Clone, PartialEq)]
-struct JobRecord {
-    seq: u64,
-    id: String,
-    tenant: String,
-    reads: u64,
-    mappings: u64,
-    batch: u64,
-    latency_s: f64,
-    replayed: bool,
-}
-
-impl JobRecord {
-    fn to_json_line(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.str_field("type", "job");
-        obj.u64_field("seq", self.seq);
-        obj.str_field("id", &self.id);
-        obj.str_field("tenant", &self.tenant);
-        obj.u64_field("reads", self.reads);
-        obj.u64_field("mappings", self.mappings);
-        obj.u64_field("batch", self.batch);
-        obj.f64_field("latency_s", self.latency_s);
-        obj.bool_field("replayed", self.replayed);
-        obj.finish()
     }
 }
 
@@ -1181,8 +1115,8 @@ impl ServeCore {
         }
     }
 
-    /// Assembles a job's `OK` response — the SAM block uses the same
-    /// header/resolve/record path as `repute map`, so the bytes match
+    /// Assembles a job's `OK` response — the SAM block is a
+    /// [`SamAssembly`], as `repute map`'s output is, so the bytes match
     /// the batch CLI on the same reads and configuration.
     fn job_response(
         &self,
@@ -1191,20 +1125,10 @@ impl ServeCore {
         batch: u64,
         completion: f64,
     ) -> Result<JobResponse, ReputeError> {
-        let names: Vec<&str> = self.set.records().iter().map(|(n, _)| n.as_str()).collect();
-        let header: Vec<(&str, usize)> = self
-            .set
-            .records()
-            .iter()
-            .map(|(n, l)| (n.as_str(), *l))
-            .collect();
-        let mut out: Vec<u8> = Vec::new();
-        sam::write_header_multi(&mut out, &header)?;
+        let mut sam = SamAssembly::new(&self.set)?;
         let mut total_mappings = 0u64;
         for ((read_id, seq), mappings) in job.read_ids.iter().zip(&job.reads).zip(raw) {
-            let resolved = self.set.resolve_mappings(seq.len(), mappings);
-            total_mappings += resolved.len() as u64;
-            sam::write_resolved_record(&mut out, &names, read_id, seq, &resolved, None)?;
+            total_mappings += sam.push(read_id, seq, mappings, None)?.len() as u64;
         }
         Ok(JobResponse {
             id: job.id.clone(),
@@ -1215,7 +1139,7 @@ impl ServeCore {
             mappings: total_mappings,
             batch: Some(batch),
             latency_s: Some(completion - job.arrival_s),
-            sam: Some(String::from_utf8_lossy(&out).into_owned()),
+            sam: Some(String::from_utf8_lossy(&sam.out).into_owned()),
         })
     }
 
@@ -1296,61 +1220,44 @@ impl ServeCore {
         &self.spans
     }
 
-    /// The service telemetry as JSON lines: one `job` record per
+    /// The service telemetry as records: one `job` record per
     /// completed job, the `serve` counter summary, a `latency` record
     /// (`stage: "job"`), and one `slo` record per tenant with deadline
-    /// outcomes in the window — the shapes `repute stats` renders.
+    /// outcomes in the window.
+    pub fn telemetry_records(&self) -> Vec<Record> {
+        let mut records: Vec<Record> = self.jobs.iter().cloned().map(Record::Job).collect();
+        records.push(Record::Serve(ServeSnapshot {
+            counters: self.counters,
+            devices: Some((
+                self.health.live_count() as u64,
+                self.health.lost_count() as u64,
+            )),
+            queue_depth: self.queue_depth(),
+            queue_depth_max: self.queue_depth_high_water(),
+            simulated_seconds: self.sim_clock,
+        }));
+        if !self.latency.is_empty() {
+            let (p50_seconds, p90_seconds, p99_seconds) = self.latency.p50_p90_p99();
+            records.push(Record::Latency(StageLatency {
+                stage: "job".to_string(),
+                count: self.latency.count(),
+                p50_seconds,
+                p90_seconds,
+                p99_seconds,
+            }));
+        }
+        let window_s = self.options.quota_window_s;
+        let slo = self.slo_reports().into_iter();
+        records.extend(slo.map(|report| Record::Slo(report, window_s)));
+        records
+    }
+
+    /// [`ServeCore::telemetry_records`] as JSON lines — what
+    /// `--metrics-out` holds and `repute stats` renders.
     pub fn telemetry_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        for job in &self.jobs {
-            out.extend_from_slice(job.to_json_line().as_bytes());
-            out.push(b'\n');
-        }
-        let mut obj = JsonObject::new();
-        obj.str_field("type", "serve");
-        obj.u64_field("accepted", self.counters.accepted);
-        obj.u64_field("rejected", self.counters.rejected);
-        obj.u64_field("retry_later", self.counters.retry_later);
-        obj.u64_field("quota_exceeded", self.counters.quota_exceeded);
-        obj.u64_field("completed", self.counters.completed);
-        obj.u64_field("replayed", self.counters.replayed);
-        obj.u64_field("batches", self.counters.batches);
-        obj.u64_field("compactions", self.counters.compactions);
-        obj.u64_field("connection_errors", self.counters.connection_errors);
-        obj.u64_field("spool_skipped", self.counters.spool_skipped);
-        obj.u64_field("shed", self.counters.shed);
-        obj.u64_field("unavailable", self.counters.unavailable);
-        obj.u64_field("faults", self.counters.faults);
-        obj.u64_field("retries", self.counters.retries);
-        obj.u64_field("migrated", self.counters.migrated);
-        obj.u64_field("devices_live", self.health.live_count() as u64);
-        obj.u64_field("devices_lost", self.health.lost_count() as u64);
-        obj.u64_field("queue_depth", self.queue_depth());
-        obj.u64_field("queue_depth_max", self.queue_depth_high_water());
-        obj.f64_field("simulated_seconds", self.sim_clock);
-        out.extend_from_slice(obj.finish().as_bytes());
-        out.push(b'\n');
-        if !self.latency.is_empty() {
-            let (p50, p90, p99) = self.latency.p50_p90_p99();
-            let mut lat = JsonObject::new();
-            lat.str_field("type", "latency");
-            lat.str_field("stage", "job");
-            lat.u64_field("count", self.latency.count());
-            lat.f64_field("p50_s", p50);
-            lat.f64_field("p90_s", p90);
-            lat.f64_field("p99_s", p99);
-            out.extend_from_slice(lat.finish().as_bytes());
-            out.push(b'\n');
-        }
-        for report in self.slo_reports() {
-            let mut slo = JsonObject::new();
-            slo.str_field("type", "slo");
-            slo.str_field("tenant", &report.tenant);
-            slo.u64_field("met", report.met);
-            slo.u64_field("missed", report.missed);
-            slo.f64_field("hit_rate", report.hit_rate());
-            slo.f64_field("window_s", self.options.quota_window_s);
-            out.extend_from_slice(slo.finish().as_bytes());
+        for record in self.telemetry_records() {
+            out.extend_from_slice(record.encode().as_bytes());
             out.push(b'\n');
         }
         out
@@ -1375,7 +1282,7 @@ impl ServeCore {
         std::fs::create_dir_all(dir).map_err(|e| ReputeError::io_at(dir, e))?;
         for job in &self.jobs {
             let path = dir.join(format!("job-{:06}.jsonl", job.seq));
-            let mut line = job.to_json_line().into_bytes();
+            let mut line = Record::Job(job.clone()).encode().into_bytes();
             line.push(b'\n');
             write_atomic(&path, &line)?;
         }
@@ -1383,20 +1290,14 @@ impl ServeCore {
     }
 
     /// Writes the collected spans as Chrome-tracing JSON (atomic
-    /// rename), with the same process table as the batch CLI: pid 0 is
-    /// the scheduler, each simulated device gets its own pid.
+    /// rename), under the platform's process table
+    /// ([`Platform::trace_processes`]), as the batch CLI does.
     ///
     /// # Errors
     ///
     /// [`ReputeError::Io`] on filesystem failures.
     pub fn write_trace(&self, path: &Path) -> Result<(), ReputeError> {
-        let mut processes = vec![(SCHEDULER_PID, "scheduler".to_string())];
-        for (i, device) in self.platform.devices().iter().enumerate() {
-            processes.push((
-                device_pid(i),
-                format!("{} [{}]", device.name(), device.kind().as_str()),
-            ));
-        }
+        let processes = self.platform.trace_processes();
         write_atomic(path, write_chrome_trace(&processes, &self.spans).as_bytes())
     }
 }
