@@ -69,6 +69,16 @@ pub struct ReputeConfig {
 /// [`ReputeConfig::with_max_retries`]).
 pub const DEFAULT_MAX_RETRIES: usize = 2;
 
+/// Bytes of device output buffer one read needs when up to
+/// `max_locations` of its locations are reported (position, strand and
+/// distance per slot) — the quantity the OpenCL 1.2 restrictions make
+/// static (§III), and so what the executor's batches and the daemon's
+/// job cap are sized by.
+pub fn output_slot_bytes(max_locations: usize) -> usize {
+    // position u32 + distance u32 + strand u8 (padded)
+    max_locations * 12
+}
+
 impl ReputeConfig {
     /// Creates a configuration for `delta` errors with minimum k-mer
     /// length `s_min` and the paper's default limit of 1000 locations per
@@ -241,12 +251,9 @@ impl ReputeConfig {
         &self.oss
     }
 
-    /// Bytes of device output buffer one read needs (position, strand and
-    /// distance per slot) — the quantity the OpenCL 1.2 restrictions make
-    /// static (§III).
+    /// [`output_slot_bytes`] of this configuration's `max_locations`.
     pub fn output_slot_bytes(&self) -> usize {
-        // position u32 + distance u32 + strand u8 (padded)
-        self.max_locations * 12
+        output_slot_bytes(self.max_locations)
     }
 
     /// Returns `true` if a read of `read_len` bases is mappable under this

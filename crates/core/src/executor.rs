@@ -30,15 +30,15 @@ use std::time::Instant;
 
 use repute_genome::DnaSeq;
 use repute_hetsim::{
-    Buffer, CommandQueue, DeviceRun, Event, FaultCounters, FaultPlan, FnKernel, LaunchError,
-    LaunchErrorKind, Platform, PlatformRun, Share,
+    CommandQueue, DeviceRun, FaultCounters, FaultPlan, LaunchError, LaunchErrorKind, Platform,
+    Share,
 };
 use repute_mappers::{MapOutput, Mapper};
 use repute_obs::json::JsonValue;
 use repute_obs::trace::{device_pid, Span, SCHEDULER_PID};
-use repute_obs::MapMetrics;
+use repute_obs::{KernelEvent, MapMetrics};
 
-use crate::config::{ReputeConfig, ScheduleMode, DEFAULT_MAX_RETRIES};
+use crate::config::{output_slot_bytes, ReputeConfig, ScheduleMode, DEFAULT_MAX_RETRIES};
 use crate::error::ReputeError;
 use crate::journal::{BatchRecord, Fnv64, RunFingerprint, RunJournal};
 use crate::mapping_run::MappingRun;
@@ -270,15 +270,7 @@ impl Executor {
             // The subset IS the platform: no remapping needed.
             return self.run_on(mapper, platform, &faults, reads);
         }
-        let sub_platform = Platform::new(
-            platform.name(),
-            platform.idle_power_w(),
-            subset
-                .iter()
-                .map(|&d| platform.devices()[d].clone())
-                .collect(),
-        );
-        let (mut run, metrics) = self.run_on(mapper, &sub_platform, &faults, reads)?;
+        let (mut run, metrics) = self.run_on(mapper, &platform.subset(subset), &faults, reads)?;
         for dr in &mut run.device_runs {
             dr.device = subset[dr.device];
         }
@@ -319,7 +311,8 @@ impl Executor {
             )));
         }
         let start = Instant::now();
-        let batches = plan_batches(&self.schedule, platform, output_bytes(mapper), reads.len())?;
+        let bytes_per_read = output_slot_bytes(mapper.max_locations());
+        let batches = plan_batches(&self.schedule, platform, bytes_per_read, reads.len())?;
         let (mut outputs, mut metrics) = (Vec::new(), Vec::new());
         execute_batches(mapper, reads, self.host_threads, &mut outputs, &mut metrics);
         let work = Work::of(mapper, reads, &outputs);
@@ -384,7 +377,8 @@ impl Executor {
             ));
         }
         let start = Instant::now();
-        let batches = plan_batches(&self.schedule, platform, output_bytes(mapper), reads.len())?;
+        let bytes_per_read = output_slot_bytes(mapper.max_locations());
+        let batches = plan_batches(&self.schedule, platform, bytes_per_read, reads.len())?;
 
         // The shape hash welds the fingerprint to this exact
         // decomposition, so a journal can only ever be resumed into the
@@ -524,7 +518,8 @@ impl Executor {
             let first = next;
             while let Some(b) = batches.get(next).filter(|b| b.hi <= covered) {
                 let label = format!("d{}-batch-{}", share.device, next - first);
-                work.replay(&mut queue, &label, b, 0)
+                queue
+                    .launch(&label, b.hi - b.lo, work.of_batch(b), work.private_bytes, 0)
                     .expect("launches cannot fail without an armed fault state");
                 let span_index = if global_span_index {
                     next
@@ -566,9 +561,9 @@ impl Executor {
             let start = runs[dev].simulated_seconds;
             let end =
                 start + devices[dev].seconds_for_with_footprint(batch_work, work.private_bytes);
-            let event = Event {
+            let event = KernelEvent {
                 label: format!("d{dev}-batch-{batch_idx}"),
-                items: b.hi - b.lo,
+                items: (b.hi - b.lo) as u64,
                 work: batch_work,
                 queued_seconds: start,
                 submitted_seconds: start,
@@ -578,7 +573,7 @@ impl Executor {
             if self.tracing {
                 placed.trace.push(
                     Span::new(event.label.clone(), "kernel", device_pid(dev), start, end)
-                        .arg_u64("items", event.items as u64)
+                        .arg_u64("items", event.items)
                         .arg_u64("work", event.work),
                 );
                 placed.trace.push(batch_span(batch_idx, b, dev, &event));
@@ -690,10 +685,13 @@ impl Fleet<'_, '_> {
     ) -> Result<bool, LaunchError> {
         let label = format!("d{dev}-batch-{batch_idx}");
         let queue = &mut self.queues[dev];
-        match self
-            .work
-            .replay(queue, &label, b, self.executor.max_retries)
-        {
+        match queue.launch(
+            &label,
+            b.hi - b.lo,
+            self.work.of_batch(b),
+            self.work.private_bytes,
+            self.executor.max_retries,
+        ) {
             Ok(()) => {
                 if let Some(from) = migrated_from {
                     queue.annotate_last(&format!("migrated from d{from}"));
@@ -740,12 +738,6 @@ impl Fleet<'_, '_> {
             from.get_or_insert(dev);
         }
     }
-}
-
-/// Bytes of device output buffer one read needs: `(position, strand,
-/// distance)` for each of the first-n locations.
-fn output_bytes<M: Mapper>(mapper: &M) -> usize {
-    mapper.max_locations() * 12
 }
 
 /// One kernel launch: the contiguous reads `lo..hi` and, under a static
@@ -808,7 +800,7 @@ fn plan_batches(
             }
             for share in shares.iter().filter(|s| s.items > 0) {
                 let device = &devices[share.device];
-                let cap = Buffer::max_items(device, bytes_per_read);
+                let cap = device.max_items(bytes_per_read);
                 if cap == 0 {
                     return Err(too_big(device.name()));
                 }
@@ -874,24 +866,6 @@ impl<'a> Work<'a> {
     fn of_batch(&self, b: &Batch) -> u64 {
         self.outputs[b.lo..b.hi].iter().map(|o| o.work).sum()
     }
-
-    /// Recreates `b`'s launch on `queue` from the per-read work counts
-    /// (no re-execution), so durations match a launch that had mapped
-    /// the reads on the device.
-    fn replay(
-        &self,
-        queue: &mut CommandQueue<'_>,
-        label: &str,
-        b: &Batch,
-        max_retries: usize,
-    ) -> Result<(), LaunchError> {
-        let outs = &self.outputs[b.lo..b.hi];
-        let kernel =
-            FnKernel::new(|i: usize| ((), outs[i].work)).with_private_bytes(self.private_bytes);
-        queue
-            .enqueue_with_retries(label, outs.len(), &kernel, max_retries)
-            .map(|_| ())
-    }
 }
 
 /// Stage 3's result: the per-entry halves of a [`MappingRun`], plus each
@@ -901,7 +875,7 @@ impl<'a> Work<'a> {
 #[derive(Default)]
 struct Placement {
     device_runs: Vec<DeviceRun>,
-    timelines: Vec<Vec<Event>>,
+    timelines: Vec<Vec<KernelEvent>>,
     fault_counters: Vec<FaultCounters>,
     lost_devices: Vec<usize>,
     trace: Vec<Span>,
@@ -932,7 +906,7 @@ impl Placement {
         }
         self.device_runs.push(DeviceRun {
             device: queue.device_index(),
-            items: queue.events().iter().map(|e| e.items).sum(),
+            items: queue.events().iter().map(|e| e.items as usize).sum(),
             work: queue.total_work(),
             simulated_seconds: queue.finish_seconds(),
         });
@@ -945,7 +919,7 @@ impl Placement {
 /// The scheduler-side batch-lifecycle span of a placed batch: it lives
 /// on [`SCHEDULER_PID`], one lane (`tid`) per device, and carries the
 /// batch index, read range, and placement as args.
-fn batch_span(index: usize, b: &Batch, dev: usize, event: &Event) -> Span {
+fn batch_span(index: usize, b: &Batch, dev: usize, event: &KernelEvent) -> Span {
     Span::new(
         format!("batch-{index}"),
         "batch",
@@ -973,21 +947,13 @@ fn assemble(
         .iter()
         .map(|r| r.simulated_seconds)
         .fold(0.0f64, f64::max);
-    let wall_seconds = start.elapsed().as_secs_f64();
-    // Reuse the platform's §III-D meter by assembling an equivalent run.
-    let shadow: PlatformRun<()> = PlatformRun {
-        outputs: vec![],
-        device_runs: placed.device_runs,
-        simulated_seconds,
-        wall_seconds,
-    };
     MappingRun {
         outputs,
-        energy: platform.measure_energy(&shadow),
-        device_runs: shadow.device_runs,
+        energy: platform.measure_energy(&placed.device_runs, simulated_seconds),
+        device_runs: placed.device_runs,
         timelines: placed.timelines,
         simulated_seconds,
-        wall_seconds,
+        wall_seconds: start.elapsed().as_secs_f64(),
         fault_counters: placed.fault_counters,
         lost_devices: placed.lost_devices,
         trace: placed.trace,
@@ -1178,7 +1144,7 @@ mod tests {
                 assert!(e.submitted_seconds <= e.start_seconds);
                 assert!(e.start_seconds <= e.end_seconds);
             }
-            let busy: f64 = events.iter().map(Event::duration_seconds).sum();
+            let busy: f64 = events.iter().map(KernelEvent::duration_seconds).sum();
             assert!((busy - dr.simulated_seconds).abs() < 1e-12);
             assert_eq!(events.iter().map(|e| e.work).sum::<u64>(), dr.work);
         }
@@ -1539,7 +1505,7 @@ mod tests {
             &reads,
         )
         .unwrap();
-        let mut by_batch: Vec<(usize, f64, Vec<Vec<Event>>)> = Vec::new();
+        let mut by_batch: Vec<(usize, f64, Vec<Vec<KernelEvent>>)> = Vec::new();
         for (batch, host_threads) in [(0usize, 0usize), (0, 1), (3, 2), (3, 0), (5, 4)] {
             let (run, metrics) = executor(&Schedule::Dynamic { batch }, host_threads)
                 .run(&mapper, &platform, &reads)

@@ -54,7 +54,7 @@ mod mapper;
 mod mapping_run;
 mod paired;
 
-pub use config::{ReputeConfig, ScheduleMode, DEFAULT_MAX_RETRIES};
+pub use config::{output_slot_bytes, ReputeConfig, ScheduleMode, DEFAULT_MAX_RETRIES};
 pub use error::ReputeError;
 pub use executor::{
     balanced_shares, map_on_platform_with_metrics, Executor, ResumableRun, Schedule,

@@ -1,7 +1,7 @@
 //! What a multi-device launch returns, and its roll-up into a
 //! [`RunReport`].
 
-use repute_hetsim::{DeviceRun, EnergyReport, Event, FaultCounters, Platform};
+use repute_hetsim::{DeviceRun, EnergyReport, FaultCounters, Platform};
 use repute_mappers::engine_costs::{DP_CELL_COST, EXTEND_COST, LOCATE_COST};
 use repute_mappers::MapOutput;
 use repute_obs::{
@@ -18,13 +18,13 @@ pub struct MappingRun {
     /// run without batches.
     pub device_runs: Vec<DeviceRun>,
     /// OpenCL-style profiling events per entry of `device_runs`: one
-    /// [`Event`] per kernel launch (batch), carrying the
+    /// [`KernelEvent`] per kernel launch (batch), carrying the
     /// queued/submitted/start/end timestamps of that device's command
     /// queue. Labels read `d<device>-batch-<index>`; the index counts
     /// within the share where entries are shares and over the whole run
     /// otherwise, so every batch's device attribution is visible in the
     /// timeline.
-    pub timelines: Vec<Vec<Event>>,
+    pub timelines: Vec<Vec<KernelEvent>>,
     /// Simulated completion time: slowest device, batches sequential.
     pub simulated_seconds: f64,
     /// Wall-clock seconds the host spent.
@@ -136,7 +136,7 @@ impl MappingRun {
             .timelines
             .iter()
             .flatten()
-            .map(Event::duration_seconds)
+            .map(KernelEvent::duration_seconds)
             .collect();
         if !batch_seconds.is_empty() {
             latencies.push(latency_row("batch", &batch_seconds));
@@ -152,18 +152,7 @@ impl MappingRun {
                 let counters = self.fault_counters.get(idx).copied().unwrap_or_default();
                 DeviceTimeline {
                     device: format!("{} [{}]", profile.name(), profile.kind().as_str()),
-                    events: events
-                        .iter()
-                        .map(|e| KernelEvent {
-                            label: e.label.clone(),
-                            items: e.items as u64,
-                            work: e.work,
-                            queued_seconds: e.queued_seconds,
-                            submitted_seconds: e.submitted_seconds,
-                            start_seconds: e.start_seconds,
-                            end_seconds: e.end_seconds,
-                        })
-                        .collect(),
+                    events: events.clone(),
                     retries: counters.retries,
                     faults: counters.faults,
                     migrated_batches: counters.migrated_batches,

@@ -158,6 +158,19 @@ impl DeviceProfile {
         self.memory_bytes / 4
     }
 
+    /// Largest number of `item_bytes`-sized records one buffer can hold on
+    /// this device. OpenCL 1.2 "does not permit dynamic memory allocation"
+    /// (§III), so each read's output slots are sized beforehand, and a
+    /// batch larger than this is what makes REPUTE "run the kernel
+    /// multiple times with smaller read sets" (§IV) — the planning
+    /// primitive for batch chunking.
+    pub fn max_items(&self, item_bytes: usize) -> usize {
+        if item_bytes == 0 {
+            return usize::MAX;
+        }
+        self.max_alloc_bytes() / item_bytes
+    }
+
     /// Seconds this device needs for `work` units.
     pub fn seconds_for(&self, work: u64) -> f64 {
         work as f64 / self.throughput
@@ -210,6 +223,13 @@ mod tests {
     #[test]
     fn quarter_ram_rule() {
         assert_eq!(device().max_alloc_bytes(), 4 << 30);
+    }
+
+    #[test]
+    fn max_items_plans_batches() {
+        let d = DeviceProfile::new("t", DeviceKind::Gpu, 1, 1.0, 4096, 1.0);
+        assert_eq!(d.max_items(100), 10);
+        assert_eq!(d.max_items(0), usize::MAX);
     }
 
     #[test]

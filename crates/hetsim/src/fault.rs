@@ -10,7 +10,7 @@
 //! ambient randomness), and a run under the same plan, seed and workload
 //! is bit-reproducible.
 //!
-//! Three fault kinds (the taxonomy DESIGN.md §10 documents):
+//! Three fault kinds (the taxonomy DESIGN.md §13 documents):
 //!
 //! * **Transient** — one kernel launch on the device fails at enqueue;
 //!   the next attempt may succeed. Models driver/queue hiccups. Armed at
@@ -193,7 +193,7 @@ impl FaultPlan {
             .iter()
             .filter(|e| e.kind == FaultKind::HostCrash)
             .map(|e| e.at_seconds)
-            .min_by(|a, b| a.partial_cmp(b).expect("arm times are finite"))
+            .min_by(f64::total_cmp)
     }
 
     /// `true` when the plan carries any *device* fault (anything besides
@@ -466,12 +466,8 @@ impl FaultPlan {
             }
         }
         for state in &mut per_device {
-            state
-                .transients
-                .sort_by(|a, b| a.partial_cmp(b).expect("arm times are finite"));
-            state
-                .degrades
-                .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("arm times are finite"));
+            state.transients.sort_by(f64::total_cmp);
+            state.degrades.sort_by(|a, b| a.0.total_cmp(&b.0));
         }
         FaultState { per_device }
     }

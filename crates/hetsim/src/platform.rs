@@ -1,13 +1,15 @@
-//! Platforms and task-parallel multi-device launches.
+//! Platforms, workload distributions and launch errors.
 //!
 //! "REPUTE distributes the workload on CPU and GPU, as per user
 //! specification, executing the work-items in task-parallel fashion using
 //! [the] OpenCL framework" (§III-B), and "launches the kernels
 //! simultaneously and upon completion it combines the results, thus,
-//! making one of the devices the performance bottleneck" (§IV).
-//! [`Platform::launch`] reproduces exactly that: a contiguous slice of the
-//! work-items per device, simulated completion at the *maximum* of the
-//! per-device simulated times.
+//! making one of the devices the performance bottleneck" (§IV). A
+//! [`Platform`] is the device list such a launch runs on; a [`Share`] is
+//! one device's contiguous slice of the work-items; `repute-core`'s
+//! executor lays the slices on one [`CommandQueue`](crate::CommandQueue)
+//! per device and completes at the *maximum* of the per-device simulated
+//! times.
 
 use std::error::Error;
 use std::fmt;
@@ -15,7 +17,6 @@ use std::fmt;
 use repute_obs::trace::{device_pid, SCHEDULER_PID};
 
 use crate::device::DeviceProfile;
-use crate::kernel::{run_kernel, Kernel};
 use crate::power::EnergyReport;
 
 /// Splits `items` into `weights.len()` integer parts proportional to the
@@ -49,10 +50,7 @@ pub fn apportion(items: usize, weights: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..parts.len()).collect();
     order.sort_by(|&a, &b| {
         let frac = |i: usize| quotas[i] - quotas[i].floor();
-        frac(b)
-            .partial_cmp(&frac(a))
-            .expect("quotas are finite")
-            .then(a.cmp(&b))
+        frac(b).total_cmp(&frac(a)).then(a.cmp(&b))
     });
     for &idx in order.iter().take(items.saturating_sub(assigned)) {
         parts[idx] += 1;
@@ -195,41 +193,6 @@ pub struct DeviceRun {
     pub simulated_seconds: f64,
 }
 
-/// Outcome of a task-parallel launch.
-#[derive(Debug, Clone)]
-pub struct PlatformRun<O> {
-    /// Per-item outputs in global item order.
-    pub outputs: Vec<O>,
-    /// Per-device accounting.
-    pub device_runs: Vec<DeviceRun>,
-    /// Simulated completion time: the slowest device (the barrier the
-    /// paper describes).
-    pub simulated_seconds: f64,
-    /// Wall-clock seconds the host actually spent.
-    pub wall_seconds: f64,
-}
-
-impl<O> PlatformRun<O> {
-    /// Total work units across all devices.
-    pub fn total_work(&self) -> u64 {
-        self.device_runs.iter().map(|r| r.work).sum()
-    }
-
-    /// Per-device utilisation: busy time divided by the run's completion
-    /// time, in `[0, 1]`. The bottleneck device reads 1.0; devices that
-    /// idle at the task-parallel barrier read less — the quantity the
-    /// paper's Fig. 3 sweep is implicitly balancing.
-    pub fn device_utilization(&self) -> Vec<(usize, f64)> {
-        if self.simulated_seconds <= 0.0 {
-            return self.device_runs.iter().map(|r| (r.device, 0.0)).collect();
-        }
-        self.device_runs
-            .iter()
-            .map(|r| (r.device, r.simulated_seconds / self.simulated_seconds))
-            .collect()
-    }
-}
-
 /// A named collection of devices with a shared idle power — one of the
 /// paper's two test systems.
 #[derive(Debug, Clone, PartialEq)]
@@ -309,7 +272,7 @@ impl Platform {
     pub fn max_batch_items(&self, item_bytes: usize) -> usize {
         self.devices
             .iter()
-            .map(|d| crate::Buffer::max_items(d, item_bytes))
+            .map(|d| d.max_items(item_bytes))
             .min()
             .unwrap_or(usize::MAX)
     }
@@ -327,184 +290,37 @@ impl Platform {
         vec![Share { device, items }]
     }
 
-    /// Launches `kernel` task-parallel across the distribution `shares`.
+    /// The platform restricted to the devices at `subset` (indices into
+    /// [`devices`](Platform::devices), in the order given): same name,
+    /// same idle power.
     ///
-    /// Each share receives a contiguous run of work-item indices, in share
-    /// order. Outputs are recombined in global item order.
+    /// # Panics
     ///
-    /// # Errors
-    ///
-    /// Returns [`LaunchError`] if `shares` is empty or references a device
-    /// out of range.
-    pub fn launch<K: Kernel>(
-        &self,
-        shares: &[Share],
-        kernel: &K,
-    ) -> Result<PlatformRun<K::Output>, LaunchError> {
-        if shares.is_empty() {
-            return Err(LaunchError::from_message("no shares supplied"));
-        }
-        for share in shares {
-            if share.device >= self.devices.len() {
-                return Err(LaunchError::from_message(format!(
-                    "device index {} out of range ({} devices)",
-                    share.device,
-                    self.devices.len()
-                )));
-            }
-        }
-        let start = std::time::Instant::now();
-        let mut outputs = Vec::new();
-        let mut device_runs = Vec::with_capacity(shares.len());
-        let mut offset = 0usize;
-        for share in shares {
-            let device = &self.devices[share.device];
-            let base = offset;
-            // Shift the item index so the kernel sees global indices.
-            let shifted = ShiftedKernel {
-                inner: kernel,
-                base,
-            };
-            let run = run_kernel(device, share.items, &shifted);
-            outputs.extend(run.outputs);
-            device_runs.push(DeviceRun {
-                device: share.device,
-                items: share.items,
-                work: run.work,
-                simulated_seconds: run.simulated_seconds,
-            });
-            offset += share.items;
-        }
-        let simulated_seconds = device_runs
-            .iter()
-            .map(|r| r.simulated_seconds)
-            .fold(0.0f64, f64::max);
-        Ok(PlatformRun {
-            outputs,
-            device_runs,
-            simulated_seconds,
-            wall_seconds: start.elapsed().as_secs_f64(),
-        })
+    /// Panics if `subset` is empty or names a device out of range.
+    pub fn subset(&self, subset: &[usize]) -> Platform {
+        Platform::new(
+            self.name.clone(),
+            self.idle_power_w,
+            subset.iter().map(|&d| self.devices[d].clone()).collect(),
+        )
     }
 
-    /// Measures power and energy for a finished run, per the paper's
+    /// Measures power and energy for a finished run — what each device
+    /// did, and the run's simulated completion time — per the paper's
     /// §III-D methodology.
-    pub fn measure_energy<O>(&self, run: &PlatformRun<O>) -> EnergyReport {
-        EnergyReport::measure(self, run)
-    }
-}
-
-struct ShiftedKernel<'a, K> {
-    inner: &'a K,
-    base: usize,
-}
-
-impl<K: Kernel> Kernel for ShiftedKernel<'_, K> {
-    type Output = K::Output;
-
-    fn run_item(&self, index: usize) -> (K::Output, u64) {
-        self.inner.run_item(self.base + index)
-    }
-
-    fn private_bytes(&self) -> usize {
-        self.inner.private_bytes()
+    pub fn measure_energy(
+        &self,
+        device_runs: &[DeviceRun],
+        simulated_seconds: f64,
+    ) -> EnergyReport {
+        EnergyReport::measure(self, device_runs, simulated_seconds)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::FnKernel;
     use crate::profiles;
-
-    #[test]
-    fn outputs_recombine_in_global_order() {
-        let platform = profiles::system1();
-        let kernel = FnKernel::new(|i: usize| (i, 1));
-        let shares = vec![
-            Share {
-                device: 0,
-                items: 30,
-            },
-            Share {
-                device: 1,
-                items: 50,
-            },
-            Share {
-                device: 2,
-                items: 20,
-            },
-        ];
-        let run = platform.launch(&shares, &kernel).unwrap();
-        let expected: Vec<usize> = (0..100).collect();
-        assert_eq!(run.outputs, expected);
-        assert_eq!(run.device_runs.len(), 3);
-        assert_eq!(run.total_work(), 100);
-    }
-
-    #[test]
-    fn bottleneck_device_sets_completion_time() {
-        let platform = profiles::system1();
-        let kernel = FnKernel::new(|_| ((), 1_000_000));
-        // All items on the slower GPU.
-        let run = platform
-            .launch(&platform.single_device_share(1, 100), &kernel)
-            .unwrap();
-        let gpu_time = run.device_runs[0].simulated_seconds;
-        assert!((run.simulated_seconds - gpu_time).abs() < 1e-12);
-
-        // Splitting with the CPU strictly improves completion time.
-        let shares = vec![
-            Share {
-                device: 0,
-                items: 70,
-            },
-            Share {
-                device: 1,
-                items: 30,
-            },
-        ];
-        let split = platform.launch(&shares, &kernel).unwrap();
-        assert!(split.simulated_seconds < run.simulated_seconds);
-        assert_eq!(
-            split.simulated_seconds,
-            split
-                .device_runs
-                .iter()
-                .map(|r| r.simulated_seconds)
-                .fold(0.0, f64::max)
-        );
-    }
-
-    #[test]
-    fn utilization_identifies_the_bottleneck() {
-        let platform = profiles::system1();
-        let kernel = FnKernel::new(|_| ((), 1_000_000));
-        let shares = vec![
-            Share {
-                device: 0,
-                items: 50,
-            },
-            Share {
-                device: 1,
-                items: 50,
-            },
-        ];
-        let run = platform.launch(&shares, &kernel).unwrap();
-        let util = run.device_utilization();
-        // Equal items: the slower GPU is the bottleneck at 1.0; the CPU
-        // idles part of the time.
-        let cpu = util.iter().find(|(d, _)| *d == 0).unwrap().1;
-        let gpu = util.iter().find(|(d, _)| *d == 1).unwrap().1;
-        assert!((gpu - 1.0).abs() < 1e-12);
-        assert!(cpu < 1.0 && cpu > 0.0);
-
-        // Zero-work run: utilisation reads zero.
-        let idle = platform
-            .launch(&platform.even_shares(0), &FnKernel::new(|_| ((), 0)))
-            .unwrap();
-        assert!(idle.device_utilization().iter().all(|&(_, u)| u == 0.0));
-    }
 
     #[test]
     fn even_shares_cover_all_items() {
@@ -566,19 +382,6 @@ mod tests {
             assert_eq!(shares.len(), 1);
             assert_eq!(shares[0].items, items);
         }
-    }
-
-    #[test]
-    fn launch_errors() {
-        let platform = profiles::system2_hikey970();
-        let kernel = FnKernel::new(|i: usize| (i, 1));
-        assert!(platform.launch(&[], &kernel).is_err());
-        let bad = vec![Share {
-            device: 9,
-            items: 1,
-        }];
-        let err = platform.launch(&bad, &kernel).unwrap_err();
-        assert!(err.to_string().contains("out of range"));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! back the paper's formula exactly — `(P − P_idle) × T = E` — an identity
 //! the tests assert.
 
-use crate::platform::{Platform, PlatformRun};
+use crate::platform::{DeviceRun, Platform};
 
 /// A §III-D style power/energy measurement of one mapping run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,9 +29,14 @@ pub struct EnergyReport {
 }
 
 impl EnergyReport {
-    /// Measures a finished run on its platform.
-    pub fn measure<O>(platform: &Platform, run: &PlatformRun<O>) -> EnergyReport {
-        let t = run.simulated_seconds;
+    /// Measures a finished run on its platform: `device_runs` is what
+    /// each device did, `simulated_seconds` the run's completion time.
+    pub fn measure(
+        platform: &Platform,
+        device_runs: &[DeviceRun],
+        simulated_seconds: f64,
+    ) -> EnergyReport {
+        let t = simulated_seconds;
         if t <= 0.0 {
             return EnergyReport {
                 mapping_seconds: 0.0,
@@ -40,8 +45,7 @@ impl EnergyReport {
             };
         }
         // Busy-time-weighted active power.
-        let active_energy: f64 = run
-            .device_runs
+        let active_energy: f64 = device_runs
             .iter()
             .map(|r| platform.devices()[r.device].active_power_w() * r.simulated_seconds)
             .sum();
@@ -56,19 +60,49 @@ impl EnergyReport {
 
 #[cfg(test)]
 mod tests {
-
-    use crate::kernel::FnKernel;
+    use super::*;
     use crate::platform::Share;
     use crate::profiles;
+
+    /// Measures the run in which each share's device works through its
+    /// contiguous items (`work_of_item(i)` units for global item `i`) and
+    /// the slowest device sets the completion time.
+    fn measure(
+        platform: &Platform,
+        shares: &[Share],
+        work_of_item: impl Fn(usize) -> u64,
+    ) -> EnergyReport {
+        let mut next = 0usize;
+        let runs: Vec<DeviceRun> = shares
+            .iter()
+            .map(|share| {
+                let work: u64 = (next..next + share.items).map(&work_of_item).sum();
+                next += share.items;
+                DeviceRun {
+                    device: share.device,
+                    items: share.items,
+                    work,
+                    simulated_seconds: platform.devices()[share.device].seconds_for(work),
+                }
+            })
+            .collect();
+        let bottleneck = runs
+            .iter()
+            .map(|r| r.simulated_seconds)
+            .fold(0.0f64, f64::max);
+        platform.measure_energy(&runs, bottleneck)
+    }
+
+    fn share(device: usize, items: usize) -> Share {
+        Share { device, items }
+    }
 
     #[test]
     fn cpu_only_power_matches_table_iv_row() {
         let platform = profiles::system1();
-        let kernel = FnKernel::new(|_| ((), 1_000_000));
-        let run = platform
-            .launch(&platform.single_device_share(0, 100), &kernel)
-            .unwrap();
-        let report = platform.measure_energy(&run);
+        let report = measure(&platform, &platform.single_device_share(0, 100), |_| {
+            1_000_000
+        });
         // CPU fully busy for the whole run: P = 160 + 194 = 354 W.
         assert!((report.average_power_w - 354.0).abs() < 1e-6);
         assert!(
@@ -80,27 +114,11 @@ mod tests {
     #[test]
     fn heterogeneous_run_draws_more_power_but_can_use_less_energy() {
         let platform = profiles::system1();
-        let kernel = FnKernel::new(|_| ((), 1_000_000));
-        let cpu_only = platform
-            .launch(&platform.single_device_share(0, 200), &kernel)
-            .unwrap();
-        let shares = vec![
-            Share {
-                device: 0,
-                items: 100,
-            },
-            Share {
-                device: 1,
-                items: 50,
-            },
-            Share {
-                device: 2,
-                items: 50,
-            },
-        ];
-        let all = platform.launch(&shares, &kernel).unwrap();
-        let e_cpu = platform.measure_energy(&cpu_only);
-        let e_all = platform.measure_energy(&all);
+        let e_cpu = measure(&platform, &platform.single_device_share(0, 200), |_| {
+            1_000_000
+        });
+        let shares = [share(0, 100), share(1, 50), share(2, 50)];
+        let e_all = measure(&platform, &shares, |_| 1_000_000);
         // The §IV observation: REPUTE-all "uses more power but less
         // energy and is faster".
         assert!(e_all.average_power_w > e_cpu.average_power_w);
@@ -111,13 +129,12 @@ mod tests {
     fn embedded_platform_is_far_more_energy_efficient() {
         let workstation = profiles::system1_cpu_only();
         let hikey = profiles::system2_hikey970();
-        let kernel = FnKernel::new(|_| ((), 10_000_000));
-        let w_run = workstation
-            .launch(&workstation.single_device_share(0, 100), &kernel)
-            .unwrap();
-        let h_run = hikey.launch(&hikey.even_shares(100), &kernel).unwrap();
-        let w = workstation.measure_energy(&w_run);
-        let h = hikey.measure_energy(&h_run);
+        let w = measure(
+            &workstation,
+            &workstation.single_device_share(0, 100),
+            |_| 10_000_000,
+        );
+        let h = measure(&hikey, &hikey.even_shares(100), |_| 10_000_000);
         // The paper's headline: an order of magnitude or more energy
         // saving on the embedded SoC despite longer mapping time.
         assert!(h.mapping_seconds > w.mapping_seconds);
@@ -135,38 +152,14 @@ mod tests {
         for (platform, shares) in [
             (
                 profiles::system1(),
-                vec![
-                    Share {
-                        device: 0,
-                        items: 37,
-                    },
-                    Share {
-                        device: 1,
-                        items: 11,
-                    },
-                    Share {
-                        device: 2,
-                        items: 52,
-                    },
-                ],
+                vec![share(0, 37), share(1, 11), share(2, 52)],
             ),
             (
                 profiles::system2_hikey970(),
-                vec![
-                    Share {
-                        device: 0,
-                        items: 80,
-                    },
-                    Share {
-                        device: 1,
-                        items: 20,
-                    },
-                ],
+                vec![share(0, 80), share(1, 20)],
             ),
         ] {
-            let kernel = FnKernel::new(|i: usize| ((), 1_000_000 + 10_000 * i as u64));
-            let run = platform.launch(&shares, &kernel).unwrap();
-            let report = platform.measure_energy(&run);
+            let report = measure(&platform, &shares, |i| 1_000_000 + 10_000 * i as u64);
             let from_power =
                 (report.average_power_w - platform.idle_power_w()) * report.mapping_seconds;
             assert!(
@@ -182,9 +175,7 @@ mod tests {
     #[test]
     fn empty_run_reports_idle() {
         let platform = profiles::system2_hikey970();
-        let kernel = FnKernel::new(|_| ((), 0));
-        let run = platform.launch(&platform.even_shares(0), &kernel).unwrap();
-        let report = platform.measure_energy(&run);
+        let report = measure(&platform, &platform.even_shares(0), |_| 0);
         assert_eq!(report.energy_j, 0.0);
         assert_eq!(report.average_power_w, 3.5);
     }

@@ -3,24 +3,24 @@
 //! OpenCL hosts drive each device through a command queue and read
 //! per-kernel timing from profiling events (`clGetEventProfilingInfo`
 //! with `CL_PROFILING_COMMAND_QUEUED` / `_SUBMIT` / `_START` / `_END`).
-//! This module models that: kernels enqueued on a [`CommandQueue`] run
-//! back-to-back on the device's simulated timeline — the mechanism behind
-//! REPUTE's "run the kernel multiple times with smaller read sets" when a
-//! batch exceeds the quarter-RAM buffer cap (§III/§IV) — and every launch
-//! leaves an [`Event`] carrying all four timestamps.
+//! This module models that on the simulated clock: a launch on a
+//! [`CommandQueue`] is *priced*, not run — the caller has already counted
+//! the work — and launches occupy the device back-to-back, which is the
+//! mechanism behind REPUTE's "run the kernel multiple times with smaller
+//! read sets" when a batch exceeds the quarter-RAM buffer cap (§III/§IV).
+//! Every launch leaves a [`KernelEvent`] carrying all four timestamps.
 //!
-//! The host-side model: the host enqueues commands back-to-back, each
-//! costing [`CommandQueue::launch_overhead_seconds`] to queue and again to
-//! submit to the device (both default to zero — an infinitely fast host —
-//! so `queued == submitted == start` unless an overhead is configured);
-//! execution then starts as soon as the device is free. The invariant
+//! The host-side model: the host is infinitely fast, so a command is
+//! submitted the moment it is queued (`queued == submitted`) and starts
+//! as soon as the device is free; only retry backoffs
+//! ([`CommandQueue::wait`]) advance the host clock. The invariant
 //! `queued ≤ submitted ≤ start ≤ end` always holds.
 
 use crate::device::DeviceProfile;
 use crate::fault::{DeviceFaultState, FaultCounters};
-use crate::kernel::{run_kernel, Kernel};
 use crate::platform::{LaunchError, LaunchErrorKind};
 use repute_obs::trace::{device_pid, Span};
+use repute_obs::KernelEvent;
 
 /// Base of the exponential simulated backoff between transient-fault
 /// retries: attempt `n` (counted from zero) waits `BASE * 2^n` simulated
@@ -28,71 +28,32 @@ use repute_obs::trace::{device_pid, Span};
 /// wall-clock sleeps.
 pub const BACKOFF_BASE_SECONDS: f64 = 1e-3;
 
-/// Profiling record of one enqueued kernel, mirroring the four OpenCL
-/// event timestamps.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Caller-supplied label.
-    pub label: String,
-    /// Work-items the launch processed.
-    pub items: usize,
-    /// Work units the launch consumed.
-    pub work: u64,
-    /// Host time the command entered the queue
-    /// (`CL_PROFILING_COMMAND_QUEUED`).
-    pub queued_seconds: f64,
-    /// Time the command was handed to the device
-    /// (`CL_PROFILING_COMMAND_SUBMIT`).
-    pub submitted_seconds: f64,
-    /// Simulated queue time at which the kernel started
-    /// (`CL_PROFILING_COMMAND_START`).
-    pub start_seconds: f64,
-    /// Simulated queue time at which the kernel finished
-    /// (`CL_PROFILING_COMMAND_END`).
-    pub end_seconds: f64,
-}
-
-impl Event {
-    /// Simulated duration of the kernel.
-    pub fn duration_seconds(&self) -> f64 {
-        self.end_seconds - self.start_seconds
-    }
-
-    /// Time between enqueue and execution start (host overhead plus
-    /// waiting for the device to drain earlier commands).
-    pub fn queue_wait_seconds(&self) -> f64 {
-        self.start_seconds - self.queued_seconds
-    }
-}
-
 /// An in-order command queue bound to one device.
 ///
 /// # Example
 ///
 /// ```
-/// use repute_hetsim::{profiles, CommandQueue, FnKernel};
+/// use repute_hetsim::{profiles, CommandQueue};
 ///
 /// let cpu = profiles::intel_i7_2600();
 /// let mut queue = CommandQueue::new(&cpu);
-/// let kernel = FnKernel::new(|i: usize| (i, 1_000_000));
-/// let first = queue.enqueue("batch-1", 100, &kernel);
-/// let second = queue.enqueue("batch-2", 50, &kernel);
-/// assert_eq!(first.len(), 100);
-/// assert_eq!(second.len(), 50);
+/// // Two batches whose reads were counted at 1 000 000 work units each.
+/// queue.launch("batch-1", 100, 100_000_000, 0, 0)?;
+/// queue.launch("batch-2", 50, 50_000_000, 0, 0)?;
 /// // In-order semantics: batch-2 starts exactly when batch-1 ends.
 /// let events = queue.events();
 /// assert_eq!(events[1].start_seconds, events[0].end_seconds);
 /// // OpenCL timestamp ordering holds for every event.
 /// assert!(events[1].queued_seconds <= events[1].submitted_seconds);
 /// assert!(events[1].submitted_seconds <= events[1].start_seconds);
+/// # Ok::<(), repute_hetsim::LaunchError>(())
 /// ```
 #[derive(Debug)]
 pub struct CommandQueue<'d> {
     device: &'d DeviceProfile,
-    events: Vec<Event>,
+    events: Vec<KernelEvent>,
     clock_seconds: f64,
     host_clock_seconds: f64,
-    launch_overhead_seconds: f64,
     device_index: usize,
     fault: Option<DeviceFaultState>,
     counters: FaultCounters,
@@ -108,7 +69,6 @@ impl<'d> CommandQueue<'d> {
             events: Vec::new(),
             clock_seconds: 0.0,
             host_clock_seconds: 0.0,
-            launch_overhead_seconds: 0.0,
             device_index: 0,
             fault: None,
             counters: FaultCounters::default(),
@@ -145,13 +105,9 @@ impl<'d> CommandQueue<'d> {
         }
     }
 
-    /// Arms a fault state on this queue: [`try_enqueue`] and
-    /// [`enqueue_with_retries`] consult it at every launch.
-    /// `device_index` identifies the device in the errors this queue
-    /// raises (a bare queue defaults to index 0).
-    ///
-    /// [`try_enqueue`]: CommandQueue::try_enqueue
-    /// [`enqueue_with_retries`]: CommandQueue::enqueue_with_retries
+    /// Arms a fault state on this queue: [`launch`](CommandQueue::launch)
+    /// consults it at every attempt. `device_index` identifies the device
+    /// in the errors this queue raises (a bare queue defaults to index 0).
     pub fn with_fault_state(
         mut self,
         device_index: usize,
@@ -162,151 +118,50 @@ impl<'d> CommandQueue<'d> {
         self
     }
 
-    /// Sets the simulated host cost of queueing one command (charged once
-    /// between `queued` and `submitted`). Real OpenCL launches cost a few
-    /// microseconds; the default of zero keeps the simple back-to-back
-    /// timeline.
-    pub fn with_launch_overhead(mut self, seconds: f64) -> CommandQueue<'d> {
-        assert!(seconds >= 0.0, "launch overhead must be non-negative");
-        self.launch_overhead_seconds = seconds;
-        self
-    }
-
-    /// The configured per-launch host overhead.
-    pub fn launch_overhead_seconds(&self) -> f64 {
-        self.launch_overhead_seconds
-    }
-
     /// The device this queue drives.
     pub fn device(&self) -> &DeviceProfile {
         self.device
     }
 
-    /// Enqueues and executes a kernel over `items` work-items, returning
-    /// its outputs. The kernel occupies the device from the later of the
-    /// current queue clock and its submission time until its simulated
-    /// completion.
+    /// Launches a kernel of `items` work-items whose counted cost is
+    /// `work` units, each item holding `private_bytes` of private memory
+    /// (which sets the device's occupancy): the launch occupies the
+    /// device from the later of the host and device clocks for
+    /// [`DeviceProfile::seconds_for_with_footprint`] simulated seconds,
+    /// and is recorded as one [`KernelEvent`].
     ///
-    /// Infallible: on a queue with no armed fault state this never fails;
-    /// with one armed it panics rather than silently succeed — use
-    /// [`try_enqueue`](CommandQueue::try_enqueue) or
-    /// [`enqueue_with_retries`](CommandQueue::enqueue_with_retries) on
-    /// fault-armed queues.
-    pub fn enqueue<K: Kernel>(
-        &mut self,
-        label: impl Into<String>,
-        items: usize,
-        kernel: &K,
-    ) -> Vec<K::Output> {
-        assert!(
-            self.fault.is_none(),
-            "enqueue on a fault-armed queue; use try_enqueue / enqueue_with_retries"
-        );
-        self.try_enqueue(label, items, kernel)
-            .expect("launches cannot fail without an armed fault state")
-    }
-
-    /// Enqueues and executes a kernel, consulting the armed fault state
-    /// (if any) at the launch's would-be start time.
-    ///
-    /// Fail-stop is modelled at launch granularity: a permanent loss
-    /// rejects every launch *starting* at or after the loss time (kernels
-    /// already running complete); an armed transient fault consumes
-    /// itself and fails this one launch (the host still pays the launch
-    /// overhead); armed degradations stretch the kernel's simulated
-    /// duration by the composed throughput factor.
-    ///
-    /// # Errors
-    ///
-    /// [`LaunchErrorKind::DeviceLost`] or
-    /// [`LaunchErrorKind::TransientFault`] when the fault state says so.
-    pub fn try_enqueue<K: Kernel>(
-        &mut self,
-        label: impl Into<String>,
-        items: usize,
-        kernel: &K,
-    ) -> Result<Vec<K::Output>, LaunchError> {
-        let queued_seconds = self.host_clock_seconds;
-        let submitted_seconds = queued_seconds + self.launch_overhead_seconds;
-        let start_seconds = submitted_seconds.max(self.clock_seconds);
-        let pid = device_pid(self.device_index);
-        if let Some(fault) = &mut self.fault {
-            if fault.is_lost(start_seconds) {
-                if let Some(trace) = &mut self.trace {
-                    trace.push(
-                        Span::instant(label.into(), "fault", pid, start_seconds)
-                            .arg_str("kind", "device-lost"),
-                    );
-                }
-                return Err(self.loss_error());
-            }
-            if fault.take_transient(start_seconds) {
-                // The failed submission still costs host time.
-                self.host_clock_seconds = submitted_seconds;
-                self.counters.faults += 1;
-                if let Some(trace) = &mut self.trace {
-                    trace.push(
-                        Span::instant(label.into(), "fault", pid, start_seconds)
-                            .arg_str("kind", "transient"),
-                    );
-                }
-                return Err(LaunchError::transient(self.device_index));
-            }
-        }
-        let run = run_kernel(self.device, items, kernel);
-        let factor = self
-            .fault
-            .as_ref()
-            .map_or(1.0, |f| f.throughput_factor(start_seconds));
-        self.host_clock_seconds = submitted_seconds;
-        let end_seconds = start_seconds + run.simulated_seconds / factor;
-        let label = label.into();
-        if let Some(trace) = &mut self.trace {
-            trace.push(
-                Span::new(label.clone(), "kernel", pid, start_seconds, end_seconds)
-                    .arg_u64("items", items as u64)
-                    .arg_u64("work", run.work),
-            );
-        }
-        self.events.push(Event {
-            label,
-            items,
-            work: run.work,
-            queued_seconds,
-            submitted_seconds,
-            start_seconds,
-            end_seconds,
-        });
-        self.clock_seconds = end_seconds;
-        Ok(run.outputs)
-    }
-
-    /// Enqueues with bounded retry-on-transient: each transient failure
-    /// waits an exponential simulated backoff
-    /// ([`BACKOFF_BASE_SECONDS`]` * 2^attempt`) and relaunches, up to
-    /// `max_retries` retries. A device whose transients outlast the
+    /// An armed fault state is consulted at each attempt's would-be
+    /// start. Fail-stop is modelled at launch granularity: a permanent
+    /// loss rejects every launch *starting* at or after the loss time
+    /// (kernels already running complete); armed degradations stretch the
+    /// duration by the composed throughput factor; an armed transient
+    /// consumes itself and fails the attempt, which then waits an
+    /// exponential simulated backoff ([`BACKOFF_BASE_SECONDS`]` *
+    /// 2^attempt`) and relaunches, up to `max_retries` retries (the event
+    /// is annotated `[retry xN]`). A device whose transients outlast the
     /// budget is escalated to a permanent loss (killed at the current
     /// queue time) so callers observe a single consistent failure mode.
     ///
     /// # Errors
     ///
     /// [`LaunchErrorKind::DeviceLost`] when the device is (or becomes)
-    /// permanently lost.
-    pub fn enqueue_with_retries<K: Kernel>(
+    /// permanently lost. A queue without a fault state cannot fail.
+    pub fn launch(
         &mut self,
         label: &str,
         items: usize,
-        kernel: &K,
+        work: u64,
+        private_bytes: usize,
         max_retries: usize,
-    ) -> Result<Vec<K::Output>, LaunchError> {
+    ) -> Result<(), LaunchError> {
         let mut attempt = 0usize;
         loop {
-            match self.try_enqueue(label, items, kernel) {
-                Ok(outputs) => {
+            match self.attempt(label, items, work, private_bytes) {
+                Ok(()) => {
                     if attempt > 0 {
                         self.annotate_last(&format!("retry x{attempt}"));
                     }
-                    return Ok(outputs);
+                    return Ok(());
                 }
                 Err(err) => match err.kind() {
                     LaunchErrorKind::TransientFault { .. } if attempt < max_retries => {
@@ -330,7 +185,7 @@ impl<'d> CommandQueue<'d> {
                     }
                     LaunchErrorKind::TransientFault { .. } => {
                         // Retry budget exhausted: escalate to a loss.
-                        let now = self.host_clock_seconds.max(self.clock_seconds);
+                        let now = self.next_start_seconds();
                         if let Some(fault) = &mut self.fault {
                             fault.kill(now);
                         }
@@ -340,6 +195,62 @@ impl<'d> CommandQueue<'d> {
                 },
             }
         }
+    }
+
+    /// One launch attempt: the fault consultation, then the event.
+    fn attempt(
+        &mut self,
+        label: &str,
+        items: usize,
+        work: u64,
+        private_bytes: usize,
+    ) -> Result<(), LaunchError> {
+        let queued_seconds = self.host_clock_seconds;
+        let start_seconds = self.next_start_seconds();
+        let pid = device_pid(self.device_index);
+        let mut factor = 1.0;
+        if let Some(fault) = &mut self.fault {
+            if fault.is_lost(start_seconds) {
+                if let Some(trace) = &mut self.trace {
+                    trace.push(
+                        Span::instant(label.to_string(), "fault", pid, start_seconds)
+                            .arg_str("kind", "device-lost"),
+                    );
+                }
+                return Err(self.loss_error());
+            }
+            if fault.take_transient(start_seconds) {
+                self.counters.faults += 1;
+                if let Some(trace) = &mut self.trace {
+                    trace.push(
+                        Span::instant(label.to_string(), "fault", pid, start_seconds)
+                            .arg_str("kind", "transient"),
+                    );
+                }
+                return Err(LaunchError::transient(self.device_index));
+            }
+            factor = fault.throughput_factor(start_seconds);
+        }
+        let end_seconds =
+            start_seconds + self.device.seconds_for_with_footprint(work, private_bytes) / factor;
+        if let Some(trace) = &mut self.trace {
+            trace.push(
+                Span::new(label.to_string(), "kernel", pid, start_seconds, end_seconds)
+                    .arg_u64("items", items as u64)
+                    .arg_u64("work", work),
+            );
+        }
+        self.events.push(KernelEvent {
+            label: label.to_string(),
+            items: items as u64,
+            work,
+            queued_seconds,
+            submitted_seconds: queued_seconds,
+            start_seconds,
+            end_seconds,
+        });
+        self.clock_seconds = end_seconds;
+        Ok(())
     }
 
     /// Advances the host clock by `seconds` of simulated waiting (the
@@ -400,7 +311,7 @@ impl<'d> CommandQueue<'d> {
     /// `true` when the armed fault state says the device is dead at this
     /// queue's current time (a queue without fault state is never lost).
     pub fn is_lost_now(&self) -> bool {
-        let now = self.host_clock_seconds.max(self.clock_seconds);
+        let now = self.next_start_seconds();
         self.fault.as_ref().is_some_and(|f| f.is_lost(now))
     }
 
@@ -415,12 +326,12 @@ impl<'d> CommandQueue<'d> {
     }
 
     /// Profiling events of every launch so far, in queue order.
-    pub fn events(&self) -> &[Event] {
+    pub fn events(&self) -> &[KernelEvent] {
         &self.events
     }
 
     /// Consumes the queue, returning its events.
-    pub fn into_events(self) -> Vec<Event> {
+    pub fn into_events(self) -> Vec<KernelEvent> {
         self.events
     }
 
@@ -430,111 +341,57 @@ impl<'d> CommandQueue<'d> {
     }
 
     /// The earliest simulated time the next launch could start: the later
-    /// of the host clock (plus launch overhead) and the device clock.
-    /// This is the earliest-free key of the dynamic scheduler — it
-    /// accounts for backoff waits, which advance the host clock only.
+    /// of the host clock and the device clock. This is the earliest-free
+    /// key of the dynamic scheduler — it accounts for backoff waits,
+    /// which advance the host clock only.
     pub fn next_start_seconds(&self) -> f64 {
-        (self.host_clock_seconds + self.launch_overhead_seconds).max(self.clock_seconds)
+        self.host_clock_seconds.max(self.clock_seconds)
     }
 
-    /// Total work enqueued so far.
+    /// Total work launched so far.
     pub fn total_work(&self) -> u64 {
         self.events.iter().map(|e| e.work).sum()
-    }
-
-    /// Seconds the device spent executing kernels (excludes idle gaps
-    /// while waiting for submissions).
-    pub fn busy_seconds(&self) -> f64 {
-        // + 0.0 normalizes the empty sum's -0.0 (std's f64 Sum folds
-        // from the additive identity -0.0): a lost device that never
-        // launched should report plain 0.0.
-        self.events.iter().map(Event::duration_seconds).sum::<f64>() + 0.0
-    }
-
-    /// Busy fraction of the device up to `finish_seconds()`; 1.0 for an
-    /// empty queue's degenerate case is avoided by returning 0.0.
-    pub fn utilization(&self) -> f64 {
-        if self.clock_seconds <= 0.0 {
-            0.0
-        } else {
-            self.busy_seconds() / self.clock_seconds
-        }
-    }
-
-    /// Renders a one-line-per-event timeline (a text Gantt chart), useful
-    /// in examples and debugging output.
-    ///
-    /// Every bar is exactly `width` cells: a zero-duration run (legal
-    /// since zero-reads + zero-shares became a valid empty run) renders
-    /// empty bars instead of dividing by zero, and an event ending
-    /// exactly at the run's total time fills the bar without overflowing
-    /// it.
-    pub fn timeline(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let width = 40usize;
-        let total = self.clock_seconds;
-        for event in &self.events {
-            let (from, to) = if total <= 0.0 {
-                // Zero-duration run: any division by `total` would yield
-                // NaN coordinates; render an empty bar instead.
-                (0, 0)
-            } else {
-                let from = ((event.start_seconds / total * width as f64) as usize).min(width);
-                let to = ((event.end_seconds / total * width as f64) as usize)
-                    .max(from + 1)
-                    .min(width);
-                (from.min(to), to)
-            };
-            let _ = writeln!(
-                out,
-                "{:<12} [{}{}{}] {:.4}s–{:.4}s",
-                event.label,
-                " ".repeat(from),
-                "#".repeat(to - from),
-                " ".repeat(width - to),
-                event.start_seconds,
-                event.end_seconds
-            );
-        }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::FnKernel;
+    use crate::fault::FaultPlan;
     use crate::profiles;
+
+    /// A fault-free launch of `items` work-items costing `per_item` each.
+    fn launch(queue: &mut CommandQueue<'_>, label: &str, items: usize, per_item: u64) {
+        queue
+            .launch(label, items, items as u64 * per_item, 0, 0)
+            .expect("an unarmed queue cannot fail");
+    }
 
     #[test]
     fn launches_run_back_to_back() {
         let cpu = profiles::intel_i7_2600();
         let mut queue = CommandQueue::new(&cpu);
-        let kernel = FnKernel::new(|_| ((), 1_000_000u64));
-        queue.enqueue("a", 10, &kernel);
-        queue.enqueue("b", 20, &kernel);
-        queue.enqueue("c", 5, &kernel);
+        launch(&mut queue, "a", 10, 1_000_000);
+        launch(&mut queue, "b", 20, 1_000_000);
+        launch(&mut queue, "c", 5, 1_000_000);
         let events = queue.events();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].start_seconds, 0.0);
         for pair in events.windows(2) {
             assert_eq!(pair[1].start_seconds, pair[0].end_seconds);
         }
-        let total: f64 = events.iter().map(Event::duration_seconds).sum();
+        // The host is infinitely fast: the device never idles.
+        let total: f64 = events.iter().map(KernelEvent::duration_seconds).sum();
         assert!((queue.finish_seconds() - total).abs() < 1e-12);
         assert_eq!(queue.total_work(), 35_000_000);
-        // With no host overhead the device never idles.
-        assert!((queue.utilization() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn event_timestamps_are_ordered() {
         let cpu = profiles::intel_i7_2600();
         let mut queue = CommandQueue::new(&cpu);
-        let kernel = FnKernel::new(|_| ((), 1_000_000u64));
-        queue.enqueue("a", 10, &kernel);
-        queue.enqueue("b", 10, &kernel);
+        launch(&mut queue, "a", 10, 1_000_000);
+        launch(&mut queue, "b", 10, 1_000_000);
         for event in queue.events() {
             assert!(event.queued_seconds <= event.submitted_seconds);
             assert!(event.submitted_seconds <= event.start_seconds);
@@ -545,61 +402,15 @@ mod tests {
     }
 
     #[test]
-    fn launch_overhead_delays_submission_and_opens_idle_gaps() {
-        let cpu = profiles::intel_i7_2600();
-        let overhead = 1.0;
-        let mut queue = CommandQueue::new(&cpu).with_launch_overhead(overhead);
-        // ~0.23 s of work per launch at the i7's throughput: shorter than
-        // the (deliberately huge) launch overhead, so the device idles
-        // between kernels.
-        let kernel = FnKernel::new(|_| ((), 100_000_000u64));
-        queue.enqueue("a", 4, &kernel);
-        queue.enqueue("b", 4, &kernel);
-        let events = queue.events();
-        assert_eq!(events[0].queued_seconds, 0.0);
-        assert_eq!(events[0].submitted_seconds, overhead);
-        assert_eq!(events[0].start_seconds, overhead);
-        assert_eq!(events[1].queued_seconds, overhead);
-        assert_eq!(events[1].submitted_seconds, 2.0 * overhead);
-        assert!(events[1].start_seconds >= events[0].end_seconds);
-        assert!(queue.utilization() < 1.0);
-        assert!(queue.busy_seconds() < queue.finish_seconds());
-    }
-
-    #[test]
     fn durations_scale_with_device_speed() {
         let cpu = profiles::intel_i7_2600();
         let gpu = profiles::gtx590();
-        let kernel = FnKernel::new(|_| ((), 1_000_000u64));
         let mut qc = CommandQueue::new(&cpu);
         let mut qg = CommandQueue::new(&gpu);
-        qc.enqueue("x", 100, &kernel);
-        qg.enqueue("x", 100, &kernel);
+        launch(&mut qc, "x", 100, 1_000_000);
+        launch(&mut qg, "x", 100, 1_000_000);
         assert!(qg.finish_seconds() > qc.finish_seconds());
         assert_eq!(qc.device().name(), "Intel Core i7-2600");
-    }
-
-    #[test]
-    fn outputs_are_returned_in_order() {
-        let cpu = profiles::intel_i7_2600();
-        let mut queue = CommandQueue::new(&cpu);
-        let kernel = FnKernel::new(|i: usize| (i * 2, 1));
-        let out = queue.enqueue("double", 8, &kernel);
-        assert_eq!(out, vec![0, 2, 4, 6, 8, 10, 12, 14]);
-    }
-
-    #[test]
-    fn timeline_renders_every_event() {
-        let cpu = profiles::intel_i7_2600();
-        let mut queue = CommandQueue::new(&cpu);
-        let kernel = FnKernel::new(|_| ((), 500_000u64));
-        queue.enqueue("first", 10, &kernel);
-        queue.enqueue("second", 10, &kernel);
-        let text = queue.timeline();
-        assert!(text.contains("first"));
-        assert!(text.contains("second"));
-        assert!(text.contains('#'));
-        assert_eq!(text.lines().count(), 2);
     }
 
     #[test]
@@ -608,78 +419,35 @@ mod tests {
         let queue = CommandQueue::new(&cpu);
         assert_eq!(queue.finish_seconds(), 0.0);
         assert!(queue.events().is_empty());
-        assert!(queue.timeline().is_empty());
-        assert_eq!(queue.utilization(), 0.0);
-    }
-
-    /// Regression: a zero-duration run (zero-work kernels keep the clock
-    /// at 0.0) used to divide by `total == 0` producing NaN→`as usize`
-    /// bar coordinates; it must render empty, fixed-width bars.
-    #[test]
-    fn timeline_survives_zero_duration_run() {
-        let cpu = profiles::intel_i7_2600();
-        let mut queue = CommandQueue::new(&cpu);
-        let kernel = FnKernel::new(|_| ((), 0u64));
-        queue.enqueue("noop-a", 0, &kernel);
-        queue.enqueue("noop-b", 3, &kernel);
-        assert_eq!(queue.finish_seconds(), 0.0);
-        let text = queue.timeline();
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            assert!(!line.contains('#'), "zero-duration bars must be empty");
-            let bar = &line[line.find('[').unwrap() + 1..line.find(']').unwrap()];
-            assert_eq!(bar.len(), 40, "bar must keep its fixed width");
-        }
-    }
-
-    /// Regression: a final event ending exactly at `total` could round to
-    /// `to > width` and render a bar longer than the box.
-    #[test]
-    fn timeline_bar_never_exceeds_width() {
-        let cpu = profiles::intel_i7_2600();
-        let mut queue = CommandQueue::new(&cpu);
-        let kernel = FnKernel::new(|_| ((), 1_000_000u64));
-        // Three back-to-back launches: the last ends exactly at
-        // finish_seconds(), the case that used to overflow.
-        queue.enqueue("a", 10, &kernel);
-        queue.enqueue("b", 10, &kernel);
-        queue.enqueue("c", 13, &kernel);
-        let last = queue.events().last().unwrap();
-        assert_eq!(last.end_seconds, queue.finish_seconds());
-        for line in queue.timeline().lines() {
-            let bar = &line[line.find('[').unwrap() + 1..line.find(']').unwrap()];
-            assert_eq!(bar.len(), 40, "bar overflowed: {line:?}");
-        }
+        assert_eq!(queue.total_work(), 0);
     }
 
     #[test]
     fn transient_fault_fails_one_launch_then_recovers() {
-        use crate::fault::FaultPlan;
         let cpu = profiles::intel_i7_2600();
         let state = FaultPlan::new().transient(1, 0.0).state(2).take_device(1);
         let mut queue = CommandQueue::new(&cpu).with_fault_state(1, state);
-        let kernel = FnKernel::new(|i: usize| (i, 1_000u64));
-        let err = queue.try_enqueue("x", 4, &kernel).unwrap_err();
+        let err = queue.attempt("x", 4, 4_000, 0).unwrap_err();
         assert_eq!(err.kind(), &LaunchErrorKind::TransientFault { device: 1 });
         // The transient is consumed: the retry succeeds.
-        let out = queue.try_enqueue("x", 4, &kernel).unwrap();
-        assert_eq!(out, vec![0, 1, 2, 3]);
+        queue.attempt("x", 4, 4_000, 0).unwrap();
         assert_eq!(queue.fault_counters().faults, 1);
         assert_eq!(queue.events().len(), 1);
+        assert_eq!(
+            (queue.events()[0].items, queue.events()[0].work),
+            (4, 4_000)
+        );
     }
 
     #[test]
-    fn enqueue_with_retries_recovers_and_annotates() {
-        use crate::fault::FaultPlan;
+    fn launch_recovers_from_transients_and_annotates() {
         let cpu = profiles::intel_i7_2600();
         let state = FaultPlan::parse("transient:d0@0x2")
             .unwrap()
             .state(1)
             .take_device(0);
         let mut queue = CommandQueue::new(&cpu).with_fault_state(0, state);
-        let kernel = FnKernel::new(|i: usize| (i, 1_000u64));
-        let out = queue.enqueue_with_retries("job", 3, &kernel, 3).unwrap();
-        assert_eq!(out, vec![0, 1, 2]);
+        queue.launch("job", 3, 3_000, 0, 3).unwrap();
         let counters = queue.fault_counters();
         assert_eq!(counters.retries, 2);
         assert_eq!(counters.faults, 2);
@@ -691,17 +459,13 @@ mod tests {
 
     #[test]
     fn exhausted_retries_escalate_to_loss() {
-        use crate::fault::FaultPlan;
         let cpu = profiles::intel_i7_2600();
         let state = FaultPlan::parse("transient:d2@0x5")
             .unwrap()
             .state(3)
             .take_device(2);
         let mut queue = CommandQueue::new(&cpu).with_fault_state(2, state);
-        let kernel = FnKernel::new(|_| ((), 1_000u64));
-        let err = queue
-            .enqueue_with_retries("job", 3, &kernel, 1)
-            .unwrap_err();
+        let err = queue.launch("job", 3, 3_000, 0, 1).unwrap_err();
         assert_eq!(err.kind(), &LaunchErrorKind::DeviceLost { device: 2 });
         assert!(queue.is_lost_now());
         // One retry spent, two transients struck, plus the loss itself.
@@ -709,29 +473,25 @@ mod tests {
         assert_eq!(counters.retries, 1);
         assert_eq!(counters.faults, 3);
         // Future launches stay dead, without recounting the loss.
-        let again = queue
-            .enqueue_with_retries("job", 3, &kernel, 1)
-            .unwrap_err();
+        let again = queue.launch("job", 3, 3_000, 0, 1).unwrap_err();
         assert_eq!(again.kind(), &LaunchErrorKind::DeviceLost { device: 2 });
         assert_eq!(queue.fault_counters().faults, 3);
     }
 
     #[test]
     fn loss_applies_to_launch_starts_only() {
-        use crate::fault::FaultPlan;
         let cpu = profiles::intel_i7_2600();
-        let kernel = FnKernel::new(|_| ((), 1_000_000u64));
         // Find how long one launch takes, then arm a loss mid-first-launch.
         let mut probe = CommandQueue::new(&cpu);
-        probe.enqueue("probe", 10, &kernel);
+        launch(&mut probe, "probe", 10, 1_000_000);
         let one = probe.finish_seconds();
         let state = FaultPlan::new().loss(0, one / 2.0).state(1).take_device(0);
         let mut queue = CommandQueue::new(&cpu).with_fault_state(0, state);
         // First launch starts at 0.0 < loss time: it completes (fail-stop
         // at launch granularity).
-        assert!(queue.try_enqueue("a", 10, &kernel).is_ok());
+        assert!(queue.launch("a", 10, 10_000_000, 0, 0).is_ok());
         // Second launch would start after the loss: rejected.
-        let err = queue.try_enqueue("b", 10, &kernel).unwrap_err();
+        let err = queue.launch("b", 10, 10_000_000, 0, 0).unwrap_err();
         assert_eq!(err.kind(), &LaunchErrorKind::DeviceLost { device: 0 });
         assert_eq!(queue.events().len(), 1);
         assert_eq!(queue.fault_counters().faults, 1);
@@ -739,17 +499,15 @@ mod tests {
 
     #[test]
     fn degradation_stretches_simulated_duration() {
-        use crate::fault::FaultPlan;
         let cpu = profiles::intel_i7_2600();
-        let kernel = FnKernel::new(|_| ((), 1_000_000u64));
         let mut healthy = CommandQueue::new(&cpu);
-        healthy.enqueue("x", 10, &kernel);
+        launch(&mut healthy, "x", 10, 1_000_000);
         let state = FaultPlan::new()
             .degrade(0, 0.0, 0.5)
             .state(1)
             .take_device(0);
         let mut degraded = CommandQueue::new(&cpu).with_fault_state(0, state);
-        degraded.try_enqueue("x", 10, &kernel).unwrap();
+        degraded.launch("x", 10, 10_000_000, 0, 0).unwrap();
         let ratio = degraded.finish_seconds() / healthy.finish_seconds();
         assert!((ratio - 2.0).abs() < 1e-9, "half throughput = double time");
         // Degradation is not an error and not a counted fault.
@@ -757,18 +515,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fault-armed")]
-    fn infallible_enqueue_rejects_armed_queues() {
-        use crate::fault::FaultPlan;
-        let cpu = profiles::intel_i7_2600();
-        let state = FaultPlan::new().state(1).take_device(0);
-        let mut queue = CommandQueue::new(&cpu).with_fault_state(0, state);
-        let _ = queue.enqueue("x", 1, &FnKernel::new(|_| ((), 1u64)));
+    fn private_bytes_set_the_occupancy_the_launch_is_priced_at() {
+        let gpu = profiles::gtx590();
+        let mut queue = CommandQueue::new(&gpu);
+        queue.launch("light", 8, 8_000_000, 0, 0).unwrap();
+        queue.launch("heavy", 8, 8_000_000, 1 << 20, 0).unwrap();
+        let events = queue.events();
+        assert_eq!(
+            events[1].duration_seconds(),
+            gpu.seconds_for_with_footprint(8_000_000, 1 << 20)
+        );
+        assert!(events[1].duration_seconds() > events[0].duration_seconds());
     }
 
     #[test]
     fn tracing_records_kernel_retry_and_fault_spans() {
-        use crate::fault::FaultPlan;
         let cpu = profiles::intel_i7_2600();
         let state = FaultPlan::parse("transient:d0@0x2")
             .unwrap()
@@ -777,8 +538,7 @@ mod tests {
         let mut queue = CommandQueue::new(&cpu)
             .with_fault_state(0, state)
             .with_tracing();
-        let kernel = FnKernel::new(|i: usize| (i, 1_000u64));
-        queue.enqueue_with_retries("job", 3, &kernel, 3).unwrap();
+        queue.launch("job", 3, 3_000, 0, 3).unwrap();
         queue.annotate_last("migrated from d9");
         queue.note_migration();
         let spans = queue.take_trace();
@@ -801,7 +561,7 @@ mod tests {
     fn untraced_queue_yields_no_spans() {
         let cpu = profiles::intel_i7_2600();
         let mut queue = CommandQueue::new(&cpu);
-        queue.enqueue("a", 4, &FnKernel::new(|_| ((), 1_000u64)));
+        launch(&mut queue, "a", 4, 1_000);
         assert!(queue.take_trace().is_empty());
     }
 
@@ -811,7 +571,7 @@ mod tests {
         let mut queue = CommandQueue::new(&cpu);
         // Annotating an empty queue is a no-op.
         queue.annotate_last("nothing");
-        queue.enqueue("batch", 2, &FnKernel::new(|_| ((), 1u64)));
+        launch(&mut queue, "batch", 2, 1);
         queue.annotate_last("migrated from d3");
         assert_eq!(queue.events()[0].label, "batch [migrated from d3]");
         queue.note_migration();

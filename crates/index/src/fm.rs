@@ -8,7 +8,7 @@
 //! backward search in an efficient way to reduce memory accesses", §II-B).
 //!
 //! The BWT is held as 2-bit symbols in cache-line blocks, each carrying
-//! its own rank counts, so one rank reads one line (DESIGN.md §16).
+//! its own rank counts, so one rank reads one line (DESIGN.md §8).
 
 use repute_genome::DnaSeq;
 

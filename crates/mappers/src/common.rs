@@ -206,8 +206,8 @@ impl IndexedReference {
 
 /// A read mapper: reference-preprocessed, ready to map reads.
 ///
-/// Implementations must be `Sync` so the platform simulator can run them
-/// from multiple worker threads.
+/// Implementations must be `Sync`: the executor maps reads from several
+/// host threads.
 pub trait Mapper: Sync {
     /// Short display name, e.g. `"RazerS3"`.
     fn name(&self) -> &str;

@@ -233,9 +233,21 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<Stri
     }
 }
 
-fn parse_value(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<JsonValue> {
+/// Deepest nesting of arrays and objects [`parse_json`] accepts. The
+/// parser recurses once per level and its input comes from sockets and
+/// files, so without a cap a line of `[`s overflows the stack — an abort,
+/// not an error. The deepest document this workspace writes is a Chrome
+/// trace, at depth 4.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses one value; `depth` is how many arrays and objects enclose it.
+fn parse_value(
+    chars: &mut std::iter::Peekable<std::str::Chars>,
+    depth: usize,
+) -> Option<JsonValue> {
     skip_ws(chars);
     match chars.peek()? {
+        '{' | '[' if depth == MAX_DEPTH => None,
         '"' => Some(JsonValue::Str(parse_string(chars)?)),
         '{' => {
             chars.next();
@@ -252,7 +264,7 @@ fn parse_value(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<JsonV
                 if chars.next()? != ':' {
                     return None;
                 }
-                let value = parse_value(chars)?;
+                let value = parse_value(chars, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(chars);
                 match chars.next()? {
@@ -271,7 +283,7 @@ fn parse_value(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<JsonV
                 return Some(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(chars)?);
+                items.push(parse_value(chars, depth + 1)?);
                 skip_ws(chars);
                 match chars.next()? {
                     ',' => continue,
@@ -301,10 +313,11 @@ fn parse_value(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<JsonV
 }
 
 /// Parses one complete JSON document (object, array, or scalar) with no
-/// trailing content. Returns `None` on any syntax error.
+/// trailing content. Returns `None` on any syntax error, and on arrays
+/// and objects nested more than [`MAX_DEPTH`] deep.
 pub fn parse_json(text: &str) -> Option<JsonValue> {
     let mut chars = text.trim().chars().peekable();
-    let value = parse_value(&mut chars)?;
+    let value = parse_value(&mut chars, 0)?;
     skip_ws(&mut chars);
     if chars.next().is_some() {
         return None;
@@ -379,6 +392,23 @@ mod tests {
         }
         assert_eq!(parse_flat_object("{}"), Some(vec![]));
         assert_eq!(parse_flat_object("  { }  "), Some(vec![]));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), (r#"{"a":"#, "}"), (r#"[{"a":"#, "}]")] {
+            let per_unit = open.matches(['[', '{']).count();
+            let at_cap = nest(open, close, MAX_DEPTH / per_unit);
+            assert!(parse_json(&at_cap).is_some(), "{open} at the cap");
+            let over = format!("[{at_cap}]");
+            assert!(parse_json(&over).is_none(), "{open} one past the cap");
+        }
+        // What the cap is for: no recursion, so no stack to overflow.
+        assert!(parse_json(&"[".repeat(1_000_000)).is_none());
+        assert!(parse_json(&r#"{"a":"#.repeat(1_000_000)).is_none());
     }
 
     #[test]

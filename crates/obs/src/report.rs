@@ -134,7 +134,7 @@ pub struct StageLatency {
 /// Derives `PartialEq` so the crash/resume harness can assert a resumed
 /// run's report bit-identical to an uninterrupted one (after zeroing the
 /// host-clock `wall_seconds` and the provenance `resumed_batches`
-/// fields — see DESIGN.md §11).
+/// fields — see DESIGN.md §14).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// Reads mapped.

@@ -18,7 +18,7 @@
 //!    two identical runs produce byte-identical files regardless of
 //!    host-thread interleaving.
 //! 3. **Self-describing.** Every span carries a category (the span
-//!    taxonomy in DESIGN.md §7) and an `args` object with batch
+//!    taxonomy in DESIGN.md §17) and an `args` object with batch
 //!    index / read range / fault annotations, so the file is useful
 //!    both in the Chrome UI and to `repute trace`.
 

@@ -42,8 +42,8 @@ use std::sync::Arc;
 
 use repute_core::journal::Fnv64;
 use repute_core::{
-    write_atomic, Executor, MappingRun, ReputeConfig, ReputeError, RunFingerprint, Schedule,
-    ScheduleMode, DEFAULT_MAX_RETRIES,
+    output_slot_bytes, write_atomic, Executor, MappingRun, ReputeConfig, ReputeError,
+    RunFingerprint, Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
 };
 use repute_eval::sam::SamAssembly;
 use repute_genome::DnaSeq;
@@ -62,10 +62,6 @@ use crate::envelope::{prefilter_code, resolve_reads, JobEnvelope, JobResponse, J
 use crate::journal::{
     BatchRecord, DeviceProvenance, JobJournal, JobResult, Recovered, ShedRecord, StateRecord,
 };
-
-/// Bytes one read's output occupies in a device result buffer (the
-/// executor's `max_locations × 12` convention).
-const BYTES_PER_LOCATION: usize = 12;
 
 /// Admission limits the server pins; per-job overrides must stay inside
 /// them.
@@ -248,7 +244,7 @@ impl ServeCore {
             ));
         }
         let cap = platform
-            .max_batch_items(options.max_locations * BYTES_PER_LOCATION)
+            .max_batch_items(output_slot_bytes(options.max_locations))
             .max(1);
         let max_reads_per_job = options.limits.max_reads_per_job.min(cap);
         let queue = AdmissionQueue::new(options.limits.queue_capacity, &options.tenant_weights);
@@ -752,7 +748,7 @@ impl ServeCore {
             }
             let run = loop {
                 let schedule =
-                    Schedule::for_config(&config, &self.sub_platform(&subset), reads.len());
+                    Schedule::for_config(&config, &self.platform.subset(&subset), reads.len());
                 let executor = Executor {
                     host_threads: threads,
                     faults: plan.clone(),
@@ -977,26 +973,14 @@ impl ServeCore {
             return;
         }
         let cap = self
-            .sub_platform(&live)
-            .max_batch_items(self.options.max_locations * BYTES_PER_LOCATION)
+            .platform
+            .subset(&live)
+            .max_batch_items(output_slot_bytes(self.options.max_locations))
             .max(1);
         self.live_max_reads = self.options.limits.max_reads_per_job.min(cap);
         let total = self.health.len();
         let scaled = (self.options.limits.queue_capacity * live.len()).div_ceil(total);
         self.queue.set_capacity(scaled);
-    }
-
-    /// The sub-platform holding exactly the devices in `subset`
-    /// (ascending global indices).
-    fn sub_platform(&self, subset: &[usize]) -> Platform {
-        Platform::new(
-            self.platform.name(),
-            self.platform.idle_power_w(),
-            subset
-                .iter()
-                .map(|&d| self.platform.devices()[d].clone())
-                .collect(),
-        )
     }
 
     /// Compacts the journal down to a state snapshot plus the still-

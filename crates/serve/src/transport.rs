@@ -104,10 +104,21 @@ impl MuxServer {
         if line.trim().is_empty() {
             return Ok(false);
         }
+        self.on_request(core, conn, line)
+    }
+
+    /// [`on_line`](MuxServer::on_line) for a line known to be a request:
+    /// a blank one is malformed, not skipped.
+    fn on_request(
+        &mut self,
+        core: &mut ServeCore,
+        conn: u64,
+        line: &str,
+    ) -> Result<bool, ReputeError> {
         let slot = match parse_request(line) {
             Err(e) => {
-                core.note_rejected();
-                Slot::Ready(JobResponse::refusal("", JobStatus::Rejected, e.to_string()))
+                self.refuse(core, conn, e.to_string());
+                return Ok(false);
             }
             Ok(Request::Shutdown) => return Ok(true),
             Ok(Request::Job(envelope)) => match core.submit(envelope)? {
@@ -119,6 +130,16 @@ impl MuxServer {
         Ok(false)
     }
 
+    /// Answers `conn`'s next request `REJECTED` with `message`, counted.
+    fn refuse(&mut self, core: &mut ServeCore, conn: u64, message: impl Into<String>) {
+        core.note_rejected();
+        let refusal = JobResponse::refusal("", JobStatus::Rejected, message);
+        self.conns
+            .entry(conn)
+            .or_default()
+            .push(Slot::Ready(refusal));
+    }
+
     /// Handles a connection's clean EOF: drains the core, stashes every
     /// produced response by seq, and returns this connection's response
     /// lines in request order. The connection is forgotten.
@@ -127,15 +148,7 @@ impl MuxServer {
     ///
     /// Batch-execution and journal errors propagate from the drain.
     pub fn on_eof(&mut self, core: &mut ServeCore, conn: u64) -> Result<Vec<String>, ReputeError> {
-        // Refusals carry no seq and are answered at submit time; only
-        // accepted jobs' responses flow through here.
-        for response in core.drain()? {
-            if let Some(seq) = response.seq {
-                if !self.orphaned.remove(&seq) {
-                    self.undelivered.insert(seq, response);
-                }
-            }
-        }
+        self.drain(core)?;
         let slots = self.conns.remove(&conn).unwrap_or_default();
         let mut lines = Vec::with_capacity(slots.len());
         for slot in slots {
@@ -148,6 +161,21 @@ impl MuxServer {
             lines.push(response.to_json_line());
         }
         Ok(lines)
+    }
+
+    /// Runs the core until its queue is empty and stashes every produced
+    /// response by seq.
+    fn drain(&mut self, core: &mut ServeCore) -> Result<(), ReputeError> {
+        // Refusals carry no seq and are answered at submit time; only
+        // accepted jobs' responses flow through here.
+        for response in core.drain()? {
+            if let Some(seq) = response.seq {
+                if !self.orphaned.remove(&seq) {
+                    self.undelivered.insert(seq, response);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Handles a connection failure (read error or undeliverable
@@ -400,6 +428,10 @@ pub fn shutdown_over_socket(socket: &Path) -> Result<(), ReputeError> {
 /// (skipped crash-window leftovers count as processed — their rename is
 /// completed).
 ///
+/// A job file is a connection that sends one line: it goes through a
+/// [`MuxServer`] under its index in the scan, which also gives the
+/// spool the socket's refusals and its response routing.
+///
 /// # Errors
 ///
 /// [`ReputeError::Io`] on directory or file failures; admission and
@@ -415,9 +447,10 @@ pub fn process_spool_once(core: &mut ServeCore, dir: &Path) -> Result<usize, Rep
         }
     }
     files.sort();
-    let mut slots: Vec<(std::path::PathBuf, Slot)> = Vec::new();
+    let mut mux = MuxServer::new();
+    let mut submitted = Vec::new();
     let mut processed = 0usize;
-    for path in &files {
+    for (conn, path) in (0u64..).zip(&files) {
         // Crash-window idempotence: a response written before the crash
         // means the job already ran and committed. Re-submitting it
         // would re-execute admitted work; finish the interrupted
@@ -432,71 +465,30 @@ pub fn process_spool_once(core: &mut ServeCore, dir: &Path) -> Result<usize, Rep
         // masquerading as a file) is that one job's problem, not the
         // scan loop's: it gets a typed rejection response and the
         // daemon keeps serving the rest of the spool.
-        let slot = match std::fs::read_to_string(path) {
-            Err(e) => {
-                core.note_rejected();
-                Slot::Ready(JobResponse::refusal(
-                    "",
-                    JobStatus::Rejected,
-                    format!("unreadable spool job file: {e}"),
-                ))
-            }
+        match std::fs::read_to_string(path) {
+            Err(e) => mux.refuse(core, conn, format!("unreadable spool job file: {e}")),
             Ok(text) => {
                 let mut lines = text.lines().filter(|l| !l.trim().is_empty());
                 let line = lines.next().unwrap_or("");
                 if lines.next().is_some() {
-                    core.note_rejected();
-                    Slot::Ready(JobResponse::refusal(
-                        "",
-                        JobStatus::Rejected,
-                        "spool job files must contain exactly one request line",
-                    ))
-                } else {
-                    match parse_request(line) {
-                        Err(e) => {
-                            core.note_rejected();
-                            Slot::Ready(JobResponse::refusal(
-                                "",
-                                JobStatus::Rejected,
-                                e.to_string(),
-                            ))
-                        }
-                        Ok(Request::Shutdown) => {
-                            core.note_rejected();
-                            Slot::Ready(JobResponse::refusal(
-                                "",
-                                JobStatus::Rejected,
-                                "spool files carry jobs, not control messages",
-                            ))
-                        }
-                        Ok(Request::Job(envelope)) => match core.submit(envelope)? {
-                            Some(refusal) => Slot::Ready(refusal),
-                            None => Slot::Pending(core.last_accepted_seq()),
-                        },
-                    }
+                    let message = "spool job files must contain exactly one request line";
+                    mux.refuse(core, conn, message);
+                } else if mux.on_request(core, conn, line)? {
+                    mux.refuse(core, conn, "spool files carry jobs, not control messages");
                 }
             }
-        };
-        slots.push((path.clone(), slot));
-    }
-    let mut by_seq: HashMap<u64, JobResponse> = HashMap::new();
-    for response in core.drain()? {
-        if let Some(seq) = response.seq {
-            by_seq.insert(seq, response);
         }
+        submitted.push((conn, path));
     }
-    processed += slots.len();
-    for (path, slot) in slots {
-        let response = match slot {
-            Slot::Ready(response) => response,
-            Slot::Pending(seq) => by_seq.remove(&seq).unwrap_or_else(|| {
-                JobResponse::refusal("", JobStatus::Rejected, "response was not produced")
-            }),
-        };
-        let mut bytes = response.to_json_line().into_bytes();
-        bytes.push(b'\n');
-        repute_core::write_atomic(&response_path(&path), &bytes)?;
-        rename_done(&path)?;
+    // One drain for the whole scan, new files or not: it is also what
+    // runs the jobs a resumed journal put back in the queue.
+    mux.drain(core)?;
+    processed += submitted.len();
+    for (conn, path) in submitted {
+        for line in mux.on_eof(core, conn)? {
+            repute_core::write_atomic(&response_path(path), format!("{line}\n").as_bytes())?;
+        }
+        rename_done(path)?;
     }
     Ok(processed)
 }

@@ -11,11 +11,11 @@
 
 use std::sync::Arc;
 
-use repute_core::{map_on_platform_with_metrics, ReputeConfig, ReputeMapper};
+use repute_core::{map_on_platform_with_metrics, Executor, ReputeConfig, ReputeMapper, Schedule};
 use repute_genome::reads::{ErrorProfile, ReadSimulator};
 use repute_genome::synth::ReferenceBuilder;
 use repute_hetsim::{profiles, Share};
-use repute_mappers::{IndexedReference, Mapper};
+use repute_mappers::IndexedReference;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("building workload…");
@@ -74,39 +74,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          shorter mapping time and lower energy — §IV's REPUTE-all observation."
     );
 
-    // Per-device utilisation at the balanced split: the task-parallel
-    // barrier means non-bottleneck devices idle.
+    // Per-device work and utilisation under the dynamic schedule: batches
+    // capped at 30 reads (the quarter-RAM rule of §III makes REPUTE "run
+    // the kernel multiple times with smaller read sets"), each pulled by
+    // the device that frees earliest. The run ends at the task-parallel
+    // barrier, so the devices that finish first idle until it.
     let (run, _) =
-        map_on_platform_with_metrics(&mapper, &platform, &platform.even_shares(total), &reads)?;
-    println!("\nutilisation at the throughput-proportional split:");
-    let shadow = repute_hetsim::PlatformRun::<()> {
-        outputs: vec![],
-        device_runs: run.device_runs.clone(),
-        simulated_seconds: run.simulated_seconds,
-        wall_seconds: run.wall_seconds,
-    };
-    for (device, utilisation) in shadow.device_utilization() {
+        Executor::new(Schedule::Dynamic { batch: 30 }).run(&mapper, &platform, &reads)?;
+    println!("\ndynamic schedule, batches of 30 reads:");
+    for dr in &run.device_runs {
         println!(
-            "  {:<22} {:>5.1}%",
-            platform.devices()[device].name(),
-            utilisation * 100.0
+            "  {:<22} {:>4} reads {:>12} work units {:>5.1}% busy",
+            platform.devices()[dr.device].name(),
+            dr.items,
+            dr.work,
+            100.0 * dr.simulated_seconds / run.simulated_seconds
         );
     }
 
-    // OpenCL-style command queue: chunk one device's share into batches
-    // (the quarter-RAM rule of §III) and show the profiling timeline.
-    let gpu = &platform.devices()[1];
-    let mut queue = repute_hetsim::CommandQueue::new(gpu);
-    for (i, chunk) in reads.chunks(60).take(3).enumerate() {
-        let kernel = repute_hetsim::FnKernel::new(|idx: usize| {
-            let out = mapper.map_read(&chunk[idx]);
-            let work = out.work;
-            (out.mappings.len(), work)
-        });
-        queue.enqueue(format!("batch-{i}"), chunk.len(), &kernel);
+    // OpenCL-style profiling events: one command queue per device.
+    println!("\nbatch timeline:");
+    for event in run.timelines.iter().flatten() {
+        println!(
+            "  {:<12} {:>3} reads  {:.4}s–{:.4}s",
+            event.label, event.items, event.start_seconds, event.end_seconds
+        );
     }
-    println!("\nGPU command-queue timeline (3 batches of 60 reads):");
-    print!("{}", queue.timeline());
-    println!("queue finished at {:.4}s simulated", queue.finish_seconds());
+    println!("run finished at {:.4}s simulated", run.simulated_seconds);
     Ok(())
 }

@@ -17,7 +17,7 @@ use repute_genome::DnaSeq;
 use repute_hetsim::profiles;
 use repute_mappers::multiref::ReferenceSet;
 use repute_serve::transport::{serve_socket, shutdown_over_socket, submit_over_socket, MuxServer};
-use repute_serve::{JobEnvelope, JobResponse, ServeCore, ServeHarness, ServeOptions};
+use repute_serve::{JobEnvelope, JobResponse, JobStatus, ServeCore, ServeHarness, ServeOptions};
 
 fn reference_set() -> ReferenceSet {
     let reference = ReferenceBuilder::new(120_000).seed(9301).build();
@@ -154,6 +154,40 @@ fn interleaved_clients_are_deterministic_and_match_the_single_submitter_run() {
             "seed {seed} not reproducible"
         );
     }
+}
+
+/// A request line of nothing but `[` used to recurse once per bracket in
+/// the JSON parser and overflow the stack of the thread that owns the
+/// core — an abort no handler catches. It is a refusal like any other
+/// garbage, and the next client is served.
+#[test]
+fn a_nesting_bomb_line_is_rejected_and_the_next_client_is_served() {
+    let mut core = ServeCore::new(
+        reference_set(),
+        profiles::system1(),
+        ServeOptions::default(),
+    )
+    .unwrap();
+    let mut mux = MuxServer::new();
+    mux.open(0);
+    let bomb = "[".repeat(200_000);
+    assert!(!mux
+        .on_line(&mut core, 0, &bomb)
+        .expect("a refusal, not an error"));
+    let lines = mux.on_eof(&mut core, 0).expect("drain");
+    assert_eq!(lines.len(), 1);
+    assert!(lines[0].contains("\"REJECTED\""), "{}", lines[0]);
+
+    mux.open(1);
+    let job = client_jobs().remove(0).remove(0);
+    mux.on_line(&mut core, 1, &job.to_json_line())
+        .expect("job line");
+    let lines = mux.on_eof(&mut core, 1).expect("drain");
+    let response = JobResponse::parse(&lines[0]).expect("response line");
+    assert_eq!(response.status, JobStatus::Ok);
+    assert_eq!(response.id, job.id);
+    assert_eq!(core.counters().rejected, 1);
+    assert_eq!(core.counters().completed, 1);
 }
 
 #[test]

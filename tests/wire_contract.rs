@@ -20,10 +20,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
 
-use repute_cli::{parse_map_args, run_index, run_map, IndexOptions};
+use repute_cli::{
+    parse_map_args, render_stats, render_stats_strict, run_index, run_map, IndexOptions,
+};
 use repute_core::journal::{crc32, manifest_path, BatchRecord, Fnv64, RunFingerprint, RunJournal};
-use repute_genome::fasta::{write_fasta, FastaRecord};
-use repute_genome::fastq::{write_fastq, FastqRecord};
+use repute_genome::fasta::{read_fasta, write_fasta, AmbiguityPolicy, FastaRecord};
+use repute_genome::fastq::{read_fastq, write_fastq, FastqRecord};
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::{DnaSeq, Strand};
 use repute_hetsim::{profiles, FaultPlan};
@@ -31,7 +33,7 @@ use repute_mappers::multiref::ReferenceSet;
 use repute_mappers::{IndexedReference, MapOutput, Mapping};
 use repute_obs::MapMetrics;
 use repute_serve::journal::JobJournal;
-use repute_serve::{JobEnvelope, ServeHarness, ServeOptions};
+use repute_serve::{parse_request, JobEnvelope, Request, ServeHarness, ServeOptions};
 
 // ---------------------------------------------------------------------
 // The largest single allocation request of the current thread.
@@ -885,4 +887,109 @@ fn damaged_run_journals_are_a_torn_tail_prefix_or_journal_corrupt() {
     };
     let err = RunJournal::open(&path, &other).expect_err("foreign journal");
     assert_eq!(err.exit_code(), 6, "{err}");
+}
+
+// ---------------------------------------------------------------------
+// The text formats: FASTA, FASTQ and the job-envelope line.
+// ---------------------------------------------------------------------
+
+/// A text decoder's contract on damaged bytes is weaker than a binary
+/// one's — most flips of a base or a name are another valid file — so
+/// the corpus holds what must hold for all of them: `Ok` or the
+/// decoder's error type, no panic, no outsized allocation.
+#[test]
+fn damaged_fasta_and_fastq_are_ok_or_a_genome_error() {
+    // Two records, wrapped lines, a description, one IUPAC code (`R`).
+    let fasta = b">chrA first\nACGTACGTAC\nGTRCGTACGT\nACG\n>chrB\nTTGACCA\nGG\n";
+    assert_eq!(
+        read_fasta(&fasta[..], AmbiguityPolicy::Skip)
+            .expect("valid")
+            .len(),
+        2
+    );
+    for policy in [
+        AmbiguityPolicy::Reject,
+        AmbiguityPolicy::Skip,
+        AmbiguityPolicy::Randomize(16),
+    ] {
+        for m in mutations(fasta) {
+            let what = format!("fasta ({policy:?}) {}", m.what);
+            // `Result<_, GenomeError>`: anything but a panic is typed.
+            let _ = probe(&what, m.bytes.len(), || read_fasta(&m.bytes[..], policy));
+        }
+    }
+
+    let fastq = b"@r0\nACGTACGTAC\n+\nIIIIIIIIII\n@r1 pair\nTTGACCAGG\n+r1\n!!!!#####\n@r2\nGATTACA\n+\nABCDEFG\n";
+    assert_eq!(read_fastq(&fastq[..]).expect("valid").len(), 3);
+    for m in mutations(fastq) {
+        let what = format!("fastq {}", m.what);
+        let _ = probe(&what, m.bytes.len(), || read_fastq(&m.bytes[..]));
+    }
+}
+
+/// One request line as the daemon's reader thread sees it: bytes that
+/// are not UTF-8 fail the line read (`InvalidData` — the connection is
+/// dropped and counted), everything else reaches `parse_request`.
+fn decode_request_bytes(what: &str, bytes: &[u8]) {
+    use std::io::BufRead;
+    for line in bytes.lines() {
+        match line {
+            Err(e) => assert_typed(what, &e),
+            Ok(line) => match parse_request(&line) {
+                Ok(_) => {}
+                Err(e) => assert_eq!(e.exit_code(), 3, "{what}: {e}"),
+            },
+        }
+    }
+}
+
+#[test]
+fn damaged_job_envelopes_are_ok_or_an_input_parse_error() {
+    // Every optional field (`reads_path` excludes the inline `reads`).
+    let envelope = br#"{"id":"j1","tenant":"lab","delta":3,"prefilter":"shd","mapper":"repute","deadline_s":1.5,"priority":2,"reads":[{"id":"r0","seq":"ACGTACGTACGT"},{"id":"r1","seq":"TTGACCAGGA"}]}"#;
+    let Ok(Request::Job(job)) = parse_request(std::str::from_utf8(envelope).expect("ascii")) else {
+        panic!("the valid envelope must parse as a job");
+    };
+    assert_eq!((job.reads.len(), job.priority), (2, 2));
+    assert!(job.delta.is_some() && job.prefilter.is_some() && job.mapper.is_some());
+    assert!(job.deadline_s.is_some() && job.tenant == "lab");
+
+    // The nesting bombs: before `repute_obs::json::MAX_DEPTH` each `[`
+    // was a stack frame, and 40 kB of them aborted the daemon.
+    let bombs = [("[", 200_000), (r#"{"a":"#, 40_000)].map(|(unit, n)| Mutation {
+        what: format!("nesting bomb: {n} × {unit:?}"),
+        bytes: unit.repeat(n).into_bytes(),
+        at: 0,
+        bit: None,
+    });
+    for m in mutations(envelope).chain(bombs) {
+        let what = format!("envelope {}", m.what);
+        probe(&what, m.bytes.len(), || {
+            decode_request_bytes(&what, &m.bytes)
+        });
+    }
+}
+
+/// The acceptance form of the nesting cap: a megabyte of `[` (or of
+/// `{"a":`) on a 2 MiB stack — the size of every thread but `main` — is
+/// a typed error from `parse_request` and a skipped / refused line of
+/// `repute stats`.
+#[test]
+fn a_nesting_bomb_is_a_typed_error_on_a_small_stack() {
+    let outcome = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            for unit in ["[", r#"{"a":"#] {
+                let bomb = unit.repeat(1_000_000);
+                let err = parse_request(&bomb).expect_err("a bomb is not a request");
+                assert_eq!(err.exit_code(), 3, "{err}");
+                let rendered = render_stats(&bomb).expect("lenient never fails");
+                assert!(rendered.contains("skipped 1 malformed line"), "{rendered}");
+                let err = render_stats_strict(&bomb).expect_err("strict refuses");
+                assert_eq!(err.exit_code(), 3, "{err}");
+            }
+        })
+        .expect("spawn")
+        .join();
+    assert!(outcome.is_ok(), "the small-stack thread panicked");
 }
