@@ -10,18 +10,23 @@
 //! full-pipeline invariance: the whole mapper grid is digested twice —
 //! over the indexed reference as built (batch path) and over a copy
 //! marked [`IndexedReference::with_scalar_verify`] (scalar path) — and
-//! the digests must agree.
+//! the digests must agree. The grid has two digests: *mappings* (what
+//! was found: every mapping triple and verified-candidate count) and
+//! *accounting* (what it was charged: work totals, every metric counter,
+//! simulated seconds), so a change that reprices work on purpose can show
+//! that it moved the second and not the first.
 //!
 //! Modes:
 //!
 //! * `--write <path>` — run both stages and write the baseline document
-//!   (corpus shape, wall seconds per path, speedup, work total, grid
-//!   digest).
+//!   (corpus shape, wall seconds per path, speedup, work total, the two
+//!   grid digests).
 //! * `--check <path>` — re-run fresh and fail (exit 1) when the
 //!   committed document is malformed, claims a speedup below
 //!   [`MIN_COMMITTED_SPEEDUP`], disagrees with the fresh deterministic
-//!   word total or grid digest, or the fresh speedup falls below
-//!   [`MIN_FRESH_SPEEDUP`] (the looser floor absorbs CI machine noise).
+//!   word total or either grid digest (naming which), or the fresh
+//!   speedup falls below [`MIN_FRESH_SPEEDUP`] (the looser floor absorbs
+//!   CI machine noise).
 //!
 //! The corpus scale is pinned and ignores the `REPUTE_*` environment
 //! overrides: committed numbers are only comparable when every run
@@ -47,7 +52,7 @@ use repute_obs::MapMetrics;
 const GATE: Gate = Gate {
     binary: "verify_kernel",
     schema: "repute-bench-verify-kernel",
-    version: 1,
+    version: 2,
     noun: "verify-kernel",
     smoke: None,
 };
@@ -216,34 +221,58 @@ fn measure_kernel() -> KernelMeasurement {
     }
 }
 
-/// Digests a mapping run: every mapping triple, every metric counter,
-/// and the work totals, folded in read order.
-fn fold_outputs(h: &mut Fnv64, outputs: &[repute_mappers::MapOutput], metrics: &[MapMetrics]) {
-    for out in outputs {
-        h.write_u64(out.mappings.len() as u64);
-        for m in &out.mappings {
-            h.write_u64(u64::from(m.position));
-            h.write_u64(u64::from(m.distance));
-            h.write_u64(u64::from(m.strand == repute_genome::Strand::Reverse));
+/// The two halves of the grid digest, as 16 hex digits each.
+#[derive(Debug, PartialEq, Eq)]
+struct GridDigest {
+    /// What was found: mapping triples and verified-candidate counts.
+    mappings: String,
+    /// What it was charged: work totals, metric counters, simulated
+    /// seconds.
+    accounting: String,
+}
+
+/// The hashers behind a [`GridDigest`].
+struct GridHashers {
+    mappings: Fnv64,
+    accounting: Fnv64,
+}
+
+impl GridHashers {
+    /// Folds a mapping run in read order: the mapping triples and
+    /// candidate counts into one half, the work totals and every metric
+    /// counter into the other.
+    fn fold_outputs(&mut self, outputs: &[repute_mappers::MapOutput], metrics: &[MapMetrics]) {
+        for out in outputs {
+            self.mappings.write_u64(out.mappings.len() as u64);
+            for m in &out.mappings {
+                self.mappings.write_u64(u64::from(m.position));
+                self.mappings.write_u64(u64::from(m.distance));
+                self.mappings
+                    .write_u64(u64::from(m.strand == repute_genome::Strand::Reverse));
+            }
+            self.mappings.write_u64(out.candidates);
+            self.accounting.write_u64(out.work);
         }
-        h.write_u64(out.work);
-        h.write_u64(out.candidates);
-    }
-    for m in metrics {
-        for (_, v) in m.fields() {
-            h.write_u64(v);
+        for m in metrics {
+            for (_, v) in m.fields() {
+                self.accounting.write_u64(v);
+            }
         }
     }
 }
 
 /// The full-pipeline grid digest: REPUTE across schedules and host
 /// thread counts, plus the engine-sharing baseline mappers per read.
-/// Any batch/scalar divergence anywhere in mapping output or work
-/// accounting changes this value. Every mapper takes its verification
-/// engine from `indexed`, which stands in for the workload's own index.
-fn grid_digest(w: &Workload, indexed: &Arc<IndexedReference>) -> u64 {
+/// A batch/scalar divergence anywhere in mapping output changes the
+/// mappings half, one in work accounting the accounting half. Every
+/// mapper takes its verification engine from `indexed`, which stands in
+/// for the workload's own index.
+fn grid_digest(w: &Workload, indexed: &Arc<IndexedReference>) -> GridDigest {
     let platform = profiles::system1();
-    let mut h = Fnv64::standard();
+    let mut h = GridHashers {
+        mappings: Fnv64::standard(),
+        accounting: Fnv64::standard(),
+    };
     for &(read_len, delta) in &[(100usize, 3u32), (150, 5)] {
         let reads = w.read_seqs(read_len);
         let config = ReputeConfig::new(delta, s_min_for(read_len, delta)).expect("valid config");
@@ -260,8 +289,8 @@ fn grid_digest(w: &Workload, indexed: &Arc<IndexedReference>) -> u64 {
                 let (run, metrics) = executor
                     .run(&mapper, &platform, &reads)
                     .expect("grid cell run failed");
-                fold_outputs(&mut h, &run.outputs, &metrics);
-                h.write_u64(run.simulated_seconds.to_bits());
+                h.fold_outputs(&run.outputs, &metrics);
+                h.accounting.write_u64(run.simulated_seconds.to_bits());
             }
         }
         // Baseline mappers share VerifyEngine; digest their raw
@@ -274,14 +303,17 @@ fn grid_digest(w: &Workload, indexed: &Arc<IndexedReference>) -> u64 {
             for read in &reads {
                 let mut metrics = MapMetrics::new();
                 let out = mapper.map_read_metered(read, &mut metrics);
-                fold_outputs(&mut h, std::slice::from_ref(&out), &[metrics]);
+                h.fold_outputs(std::slice::from_ref(&out), &[metrics]);
             }
         }
     }
-    h.finish()
+    GridDigest {
+        mappings: format!("{:016x}", h.mappings.finish()),
+        accounting: format!("{:016x}", h.accounting.finish()),
+    }
 }
 
-fn render_document(k: &KernelMeasurement, digest: u64) -> String {
+fn render_document(k: &KernelMeasurement, digest: &GridDigest) -> String {
     let mut corpus = JsonObject::new();
     corpus.u64_field("reference_len", CORPUS_REF_LEN as u64);
     corpus.u64_field("reads", (READS_PER_LEN * READ_LENS.len()) as u64);
@@ -297,7 +329,8 @@ fn render_document(k: &KernelMeasurement, digest: u64) -> String {
     doc.f64_field("speedup", k.speedup);
     doc.u64_field("baseline_word_updates", k.baseline_words);
     doc.u64_field("batch_word_updates", k.batch_words);
-    doc.str_field("grid_digest", &format!("{digest:016x}"));
+    doc.str_field("mappings_digest", &digest.mappings);
+    doc.str_field("accounting_digest", &digest.accounting);
     let mut text = doc.finish();
     text.push('\n');
     text
@@ -308,7 +341,7 @@ struct Committed {
     speedup: f64,
     baseline_words: u64,
     batch_words: u64,
-    grid_digest: String,
+    grid: GridDigest,
 }
 
 fn validate_document(text: &str) -> Result<Committed, String> {
@@ -330,15 +363,20 @@ fn validate_document(text: &str) -> Result<Committed, String> {
     let batch_words = field(fields, "batch_word_updates")
         .and_then(JsonValue::as_u64)
         .ok_or("missing integer field \"batch_word_updates\"")?;
-    let grid_digest = field(fields, "grid_digest")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing string field \"grid_digest\"")?
-        .to_string();
+    let digest = |key: &str| {
+        field(fields, key)
+            .and_then(JsonValue::as_str)
+            .map(str::to_string)
+            .ok_or(format!("missing string field {key:?}"))
+    };
     Ok(Committed {
         speedup,
         baseline_words,
         batch_words,
-        grid_digest,
+        grid: GridDigest {
+            mappings: digest("mappings_digest")?,
+            accounting: digest("accounting_digest")?,
+        },
     })
 }
 
@@ -369,14 +407,21 @@ fn main() {
     );
     let w = Workload::generate(Scale::tiny());
     println!("digesting mapper grid (batch path, in process)…");
+    let print = |digest: &GridDigest| {
+        println!("  mappings-digest:   {}", digest.mappings);
+        println!("  accounting-digest: {}", digest.accounting);
+    };
     let batch_digest = grid_digest(&w, &w.indexed);
-    println!("  grid-digest: {batch_digest:016x}");
+    print(&batch_digest);
     println!("digesting mapper grid (scalar path, in process)…");
     let scalar = IndexedReference::clone(&w.indexed).with_scalar_verify();
     let scalar_digest = grid_digest(&w, &Arc::new(scalar));
-    println!("  grid-digest: {scalar_digest:016x}");
-    if batch_digest != scalar_digest {
-        fail("batch and scalar pipelines produced different grids");
+    print(&scalar_digest);
+    if batch_digest.mappings != scalar_digest.mappings {
+        fail("batch and scalar pipelines produced different mappings");
+    }
+    if batch_digest.accounting != scalar_digest.accounting {
+        fail("batch and scalar pipelines map alike but account for their work differently");
     }
     println!("grid invariance OK: batch and scalar pipelines agree bit for bit");
 
@@ -388,7 +433,11 @@ fn main() {
                 k.speedup
             ));
         }
-        GATE.write(&path, &render_document(&k, batch_digest), validate_document);
+        GATE.write(
+            &path,
+            &render_document(&k, &batch_digest),
+            validate_document,
+        );
         return;
     }
 
@@ -414,12 +463,26 @@ fn main() {
             k.batch_words, committed.batch_words
         ));
     }
-    let fresh_digest = format!("{batch_digest:016x}");
-    if committed.grid_digest != fresh_digest {
+    let same_mappings = committed.grid.mappings == batch_digest.mappings;
+    if !same_mappings {
         checks.fail(&format!(
-            "fresh grid digest {fresh_digest} != committed {} (mapping output \
-             changed — regenerate with --write)",
-            committed.grid_digest
+            "fresh mappings digest {} != committed {} (mapping output changed: a \
+             reported location, distance, strand or candidate count)",
+            batch_digest.mappings, committed.grid.mappings
+        ));
+    }
+    if committed.grid.accounting != batch_digest.accounting {
+        checks.fail(&format!(
+            "fresh accounting digest {} != committed {} (a work total, metric counter \
+             or simulated second changed{} — regenerate with --write if the repricing \
+             is meant)",
+            batch_digest.accounting,
+            committed.grid.accounting,
+            if same_mappings {
+                "; the mappings did not"
+            } else {
+                ""
+            }
         ));
     }
     if k.speedup < MIN_FRESH_SPEEDUP {

@@ -4,9 +4,13 @@
 //! `(d, p)` pairs. Backward search extends patterns to the *left*, so for
 //! a fixed end `p` every start `d` is one [`repute_index::FmIndex::extend_left`]
 //! away from `d + 1` — the "efficient way" of using backward search the
-//! paper credits for reduced memory accesses (§II-B). Columns stop as soon
-//! as the interval empties: every longer seed ending at `p` then has
-//! exactly zero occurrences, no further index work needed.
+//! paper credits for reduced memory accesses (§II-B). No seed is shorter
+//! than `s_min`, so a column's first bases are unconditional: they come
+//! from the index's k-mer interval table
+//! ([`repute_index::FmIndex::search_start`]) in one lookup, and only the
+//! bases after them are extended one by one. Columns stop as soon as the
+//! interval empties: every longer seed ending at `p` then has exactly
+//! zero occurrences, no further index work needed.
 
 use repute_index::{FmIndex, Interval};
 
@@ -40,7 +44,7 @@ struct Column {
 struct Live {
     /// The column's seeds end here.
     end: usize,
-    /// Extensions the column may take before it is cut off.
+    /// The seed length the column is cut off at.
     depth: usize,
     interval: Interval,
 }
@@ -82,10 +86,14 @@ impl FreqTable {
     /// exploration-space optimisation; the DP-table shrinkage is the
     /// memory half.
     ///
-    /// All live columns advance in lockstep, one base per round, so the
-    /// rank lookups of a round are independent of each other and overlap
-    /// in the pipeline; each column still takes exactly the extensions it
-    /// would take alone.
+    /// Every live column starts with one table lookup over the last bases
+    /// of its shortest seed (none when `s_min` is shorter than the table's
+    /// k-mers: the column then starts at the full interval), and from
+    /// there all of them advance in lockstep, one base a round. The index
+    /// reads of a round are independent of each other and overlap in the
+    /// pipeline; each column still takes exactly the lookup and the
+    /// extensions it would take alone, and [`FreqTable::extend_ops`]
+    /// counts a lookup as one extension.
     ///
     /// # Panics
     ///
@@ -101,6 +109,9 @@ impl FreqTable {
         let mut columns = vec![Column::default(); n - s_min + 1];
         let mut live = Vec::with_capacity(columns.len());
         let mut slots = 0usize;
+        // Bases every live column's interval spans: what a lookup covers
+        // of a shortest seed, the same for all of them.
+        let mut len = 0;
         for end in s_min..=n {
             // A dead column is never probed and keeps no slots; a live
             // one can reach at least `s_min`.
@@ -108,26 +119,25 @@ impl FreqTable {
                 let depth = depth_limit.min(s_min + MAX_EXTRA);
                 columns[end - s_min].first = slots as u32;
                 slots += depth + 1 - s_min;
+                let (interval, covered) = fm.search_start(&read[end - s_min..end]);
+                len = covered;
                 live.push(Live {
                     end,
                     depth,
-                    interval: fm.full_interval(),
+                    interval,
                 });
             }
         }
         let mut entries = vec![fm.full_interval(); slots];
-        let mut extend_ops = 0u64;
-        // A round extends every live column by one base, to length `len`.
-        // The first `s_min` rounds establish the shortest seed; after
-        // that a column keeps extending while occurrences remain and its
-        // depth bound is not reached, and is capped when it reaches the
-        // bound alive short of the read's start.
-        let mut len = 0;
+        let mut extend_ops = if len > 0 { live.len() as u64 } else { 0 };
+        // A round settles every live column at length `len` and extends
+        // the ones that go on by one base. A column is dropped when its
+        // interval empties; from `s_min` on its intervals are recorded,
+        // and it keeps extending while occurrences remain and its depth
+        // bound is not reached, capped when it reaches the bound alive
+        // short of the read's start.
         while !live.is_empty() {
-            len += 1;
-            extend_ops += live.len() as u64;
             live.retain_mut(|col| {
-                col.interval = fm.extend_left(col.interval, read[col.end - len]);
                 if col.interval.is_empty() {
                     return false;
                 }
@@ -137,8 +147,14 @@ impl FreqTable {
                     column.len += 1;
                 }
                 column.capped = len == col.depth && col.end > len;
-                len < col.depth
+                if len == col.depth {
+                    return false;
+                }
+                col.interval = fm.extend_left(col.interval, read[col.end - len - 1]);
+                true
             });
+            extend_ops += live.len() as u64;
+            len += 1;
         }
         FreqTable {
             columns,

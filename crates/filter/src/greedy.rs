@@ -4,14 +4,15 @@
 //! examines k-mers serially" with a variable-length k-mer selection
 //! criterion, making locally greedy choices instead of examining the whole
 //! read (§I). This selector reproduces that strategy: walking from the
-//! read's right end, each seed grows leftward one base at a time — each
-//! step one cheap FM left-extension — until its occurrence count drops to
-//! the target threshold or the space reserved for the remaining seeds is
-//! reached.
+//! read's right end, each seed starts at the index's k-mer table (one
+//! lookup for the first bases of its mandatory `s_min`) and grows leftward
+//! one base at a time — each step one cheap FM left-extension — until its
+//! occurrence count drops to the target threshold or the space reserved
+//! for the remaining seeds is reached.
 
 use repute_index::FmIndex;
 
-use crate::seed::{Seed, SeedSelection, SelectionStats};
+use crate::seed::{search_start, Seed, SeedSelection, SelectionStats};
 
 /// The serial greedy selector.
 ///
@@ -88,8 +89,8 @@ impl GreedySelector {
             let start_limit = reserve; // seed may grow down to here
             let (start, interval) = if remaining == 0 {
                 // Last (leftmost) seed absorbs the rest of the read.
-                let mut interval = fm.full_interval();
-                let mut d = end;
+                let (mut interval, covered) = search_start(fm, &read[..end], &mut extend_ops);
+                let mut d = end - covered;
                 while d > 0 && !interval.is_empty() {
                     d -= 1;
                     interval = fm.extend_left(interval, read[d]);
@@ -97,9 +98,10 @@ impl GreedySelector {
                 }
                 (0, interval)
             } else {
-                let mut interval = fm.full_interval();
-                let mut d = end;
                 // Mandatory growth to s_min.
+                let (mut interval, covered) =
+                    search_start(fm, &read[end - self.s_min..end], &mut extend_ops);
+                let mut d = end - covered;
                 while d > end - self.s_min {
                     d -= 1;
                     interval = fm.extend_left(interval, read[d]);

@@ -8,7 +8,7 @@
 
 use repute_index::FmIndex;
 
-use crate::seed::{Seed, SeedSelection, SelectionStats};
+use crate::seed::{search_start, Seed, SeedSelection, SelectionStats};
 
 /// Splits `read_len` into `parts` contiguous near-equal ranges.
 ///
@@ -46,7 +46,8 @@ pub fn uniform_partition(read_len: usize, parts: usize) -> Vec<(usize, usize)> {
 
 /// The uniform (equal-length) seed selector.
 ///
-/// Counts each of the δ+1 equal k-mers with one FM backward search. This
+/// Counts each of the δ+1 equal k-mers with one FM backward search
+/// (started at the index's k-mer table). This
 /// is what a pigeonhole mapper does with no seed-selection smarts; the DP
 /// and heuristic selectors are measured against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,13 +80,14 @@ impl UniformSelector {
         let seeds = ranges
             .into_iter()
             .map(|(start, len)| {
-                let mut interval = fm.full_interval();
-                for &c in read[start..start + len].iter().rev() {
-                    interval = fm.extend_left(interval, c);
-                    extend_ops += 1;
+                let seed = &read[start..start + len];
+                let (mut interval, covered) = search_start(fm, seed, &mut extend_ops);
+                for &c in seed[..len - covered].iter().rev() {
                     if interval.is_empty() {
                         break;
                     }
+                    interval = fm.extend_left(interval, c);
+                    extend_ops += 1;
                 }
                 let interval = (!interval.is_empty()).then_some(interval);
                 Seed {

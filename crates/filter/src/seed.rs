@@ -30,6 +30,19 @@ impl Seed {
     }
 }
 
+/// Starts the search for `pattern` at the index's k-mer table
+/// ([`FmIndex::search_start`]), counting the lookup into `extend_ops` as
+/// one extension. Returns the interval and the bases it covers.
+pub(crate) fn search_start(
+    fm: &FmIndex,
+    pattern: &[u8],
+    extend_ops: &mut u64,
+) -> (Interval, usize) {
+    let (interval, covered) = fm.search_start(pattern);
+    *extend_ops += u64::from(covered > 0);
+    (interval, covered)
+}
+
 /// Cost accounting for a selection call, in substrate operations.
 ///
 /// These are the quantities the heterogeneous platform simulator converts
@@ -37,7 +50,8 @@ impl Seed {
 /// argument is about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SelectionStats {
-    /// FM-Index left-extension operations performed.
+    /// FM-Index left-extension operations performed; a k-mer table
+    /// lookup counts as one.
     pub extend_ops: u64,
     /// Dynamic-programming cells evaluated.
     pub dp_cells: u64,

@@ -16,7 +16,7 @@
 use repute_index::FmIndex;
 
 use crate::pigeonhole::uniform_partition;
-use crate::seed::{Seed, SeedSelection, SelectionStats};
+use crate::seed::{search_start, Seed, SeedSelection, SelectionStats};
 
 /// The serial per-section selector.
 ///
@@ -73,7 +73,9 @@ impl SegmentedSelector {
     /// Selects one seed per section of `read`.
     ///
     /// Seeds are anchored at their section's right edge and grow leftward
-    /// (each step a cheap FM left-extension), never beyond the section.
+    /// (one k-mer table lookup, then each step a cheap FM left-extension),
+    /// never beyond the section. A seed that does not occur is reported
+    /// as far as its search went before the interval emptied.
     ///
     /// # Panics
     ///
@@ -91,17 +93,16 @@ impl SegmentedSelector {
             .into_iter()
             .map(|(section_start, section_len)| {
                 let section_end = section_start + section_len;
-                let mut interval = fm.full_interval();
-                let mut d = section_end;
                 // Mandatory growth to s_min (section_len ≥ s_min holds by
-                // the feasibility assertion).
-                while d > section_end - self.s_min {
+                // the feasibility assertion), its first bases from the
+                // k-mer table.
+                let mandatory = &read[section_end - self.s_min..section_end];
+                let (mut interval, covered) = search_start(fm, mandatory, &mut extend_ops);
+                let mut d = section_end - covered;
+                while d > section_end - self.s_min && !interval.is_empty() {
                     d -= 1;
                     interval = fm.extend_left(interval, read[d]);
                     extend_ops += 1;
-                    if interval.is_empty() {
-                        break;
-                    }
                 }
                 // Serial growth, confined to the section.
                 while interval.width() > self.threshold && d > section_start {

@@ -8,7 +8,10 @@
 //! backward search in an efficient way to reduce memory accesses", §II-B).
 //!
 //! The BWT is held as 2-bit symbols in cache-line blocks, each carrying
-//! its own rank counts, so one rank reads one line (DESIGN.md §8).
+//! its own rank counts, so one rank reads one line (DESIGN.md §8). The
+//! first bases of every search come from a k-mer interval table derived
+//! from those blocks ([`FmIndex::search_start`]): one lookup instead of
+//! `k` dependent extensions.
 
 use repute_genome::DnaSeq;
 
@@ -88,12 +91,14 @@ pub struct FmFootprint {
     pub sa_bytes: usize,
     /// Sample-marking bit vector.
     pub mark_bytes: usize,
+    /// The k-mer interval table (8 bytes for each of its `4^k` entries).
+    pub kmer_bytes: usize,
 }
 
 impl FmFootprint {
     /// Total bytes across all components.
     pub fn total(&self) -> usize {
-        self.bwt_bytes + self.occ_bytes + self.sa_bytes + self.mark_bytes
+        self.bwt_bytes + self.occ_bytes + self.sa_bytes + self.mark_bytes + self.kmer_bytes
     }
 }
 
@@ -105,6 +110,21 @@ const HALF_WORDS: usize = 3;
 const BLOCK_ROWS: usize = 2 * HALF_WORDS * WORD_ROWS;
 /// The low bit of every 2-bit field.
 const FIELD_LOW: u64 = 0x5555_5555_5555_5555;
+
+/// Bases one lookup of the k-mer interval table resolves in an index
+/// over `text_len` bases: `⌊log₄ text_len⌋`, at most 8.
+///
+/// Eight is where the table stops paying (EXPERIMENTS.md, "Host clock —
+/// the k-mer interval table"): `4^8` intervals are 512 KiB and stay in
+/// L2, `4^10` are 8 MB and every lookup misses it. Below `4^8` bases the
+/// table holds no more entries than the text has bases: at 8 bytes an
+/// entry that is at most 8 bytes a base and at most 512 KiB — many times
+/// the rest of a small index (512 KiB beside 38 KiB at 65 536 bases and
+/// the default sampling), a fifth of a 4 Mbp one.
+fn kmer_len_for(text_len: usize) -> usize {
+    const MAX_KMER_LEN: usize = 8;
+    (text_len.max(1).ilog2() as usize / 2).min(MAX_KMER_LEN)
+}
 
 /// Bit `i` of the field-low bits set iff symbol `i` of `word` is `code`.
 #[inline(always)]
@@ -210,6 +230,10 @@ pub struct FmIndex {
     sa_samples: Vec<u32>,
     sa_sample: usize,
     text_len: usize,
+    /// Entry `x` is the interval [`FmIndex::kmer_len`] extensions over the
+    /// k-mer `x` (2 bits a base, first base most significant) end in —
+    /// empty where the k-mer does not occur. `4^kmer_len` entries.
+    kmers: Vec<Interval>,
 }
 
 impl FmIndex {
@@ -264,8 +288,9 @@ impl FmIndex {
     }
 
     /// Lays `symbols` (2-bit codes, 32 per word, the sentinel as `A`)
-    /// out in blocks and counts them — the one place rank counts come
-    /// from, for a fresh build and a loaded stream alike.
+    /// out in blocks, counts them and derives the k-mer interval table
+    /// from the counts — the one place either comes from, for a fresh
+    /// build and a loaded stream alike.
     fn from_parts(
         text_len: usize,
         sentinel_row: u32,
@@ -302,7 +327,7 @@ impl FmIndex {
         for code in 1..4 {
             first[code] = first[code - 1] + running[code - 1];
         }
-        FmIndex {
+        let mut fm = FmIndex {
             blocks,
             sentinel_row,
             first,
@@ -310,7 +335,47 @@ impl FmIndex {
             sa_samples,
             sa_sample,
             text_len,
+            kmers: Vec::new(),
+        };
+        fm.kmers = fm.derive_kmers();
+        fm
+    }
+
+    /// The k-mer interval table, level by level: the intervals of the
+    /// `(i + 1)`-mers `c·P` are one extension by `c` of the `i`-mers `P`.
+    /// A row's block is read once for all four `c`, and within a level
+    /// the `P` come in row order and mostly abut, so the ranks at one
+    /// interval's end are reused as the next one's start.
+    fn derive_kmers(&self) -> Vec<Interval> {
+        let mut table = vec![self.full_interval(); 1 << (2 * self.kmer_len())];
+        // The last row ranks were taken at, and where an extension by
+        // each base lands from there.
+        let mut last = None;
+        let mut extended = |row: u32| match last {
+            Some((at, landing)) if at == row => landing,
+            _ => {
+                let block = &self.blocks[row as usize / BLOCK_ROWS];
+                let landing = [0, 1, 2, 3]
+                    .map(|code| self.first[usize::from(code)] + self.occ_in(block, code, row));
+                last = Some((row, landing));
+                landing
+            }
+        };
+        for level in 0..self.kmer_len() {
+            // `table[..known]` holds the level; `c·P` lands at
+            // `c * known + P`, which for base 0 is the entry just read.
+            let known = 1usize << (2 * level);
+            for p in 0..known {
+                let (lo, hi) = (extended(table[p].lo), extended(table[p].hi));
+                for code in 0..4 {
+                    table[code * known + p] = Interval {
+                        lo: lo[code],
+                        hi: hi[code],
+                    };
+                }
+            }
         }
+        table
     }
 
     /// Length of the indexed reference in bases.
@@ -318,12 +383,49 @@ impl FmIndex {
         self.text_len
     }
 
-    /// The interval covering every suffix (the backward-search start state).
+    /// The interval covering every suffix: the state a backward search
+    /// stepped by hand with [`FmIndex::extend_left`] starts from. Searches
+    /// start at [`FmIndex::search_start`]; this one stays as the plain
+    /// oracle it is held against.
     pub fn full_interval(&self) -> Interval {
         Interval {
             lo: 0,
             hi: self.text_len as u32 + 1,
         }
+    }
+
+    /// Bases one lookup of the k-mer interval table resolves:
+    /// `⌊log₄ text_len⌋`, at most 8.
+    pub fn kmer_len(&self) -> usize {
+        kmer_len_for(self.text_len)
+    }
+
+    /// Starts a backward search for `pattern` with one table lookup.
+    ///
+    /// Returns the interval of the pattern's last [`FmIndex::kmer_len`]
+    /// bases — exactly what that many [`FmIndex::extend_left`] steps over
+    /// them from [`FmIndex::full_interval`] end in, empty when the k-mer
+    /// does not occur — and the number of bases it covers; the caller
+    /// extends by the rest of the pattern. A pattern shorter than the
+    /// table's k-mers starts at the full interval with no base covered.
+    ///
+    /// A simulated device is charged one extension for the lookup: one
+    /// dependent index access, where an extension is two rank reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of the covered codes exceeds 3.
+    #[inline]
+    pub fn search_start(&self, pattern: &[u8]) -> (Interval, usize) {
+        let covered = self.kmer_len();
+        let Some(at) = pattern.len().checked_sub(covered) else {
+            return (self.full_interval(), 0);
+        };
+        let (kmer, seen) = pattern[at..].iter().fold((0, 0), |(kmer, seen), &code| {
+            (kmer << 2 | usize::from(code), seen | code)
+        });
+        assert!(seen <= 3, "base code out of range in {:?}", &pattern[at..]);
+        (self.kmers[kmer], covered)
     }
 
     /// Rank of base `code` among the BWT rows strictly before `row`, read
@@ -377,14 +479,14 @@ impl FmIndex {
     ///
     /// Panics if any code exceeds 3.
     pub fn interval(&self, pattern: &[u8]) -> Option<Interval> {
-        let mut interval = self.full_interval();
-        for &code in pattern.iter().rev() {
-            interval = self.extend_left(interval, code);
+        let (mut interval, covered) = self.search_start(pattern);
+        for &code in pattern[..pattern.len() - covered].iter().rev() {
             if interval.is_empty() {
                 return None;
             }
+            interval = self.extend_left(interval, code);
         }
-        Some(interval)
+        (!interval.is_empty()).then_some(interval)
     }
 
     /// Number of occurrences of a pattern in the reference.
@@ -458,6 +560,7 @@ impl FmIndex {
             occ_bytes: self.blocks.len() * std::mem::size_of::<[u32; 4]>(),
             sa_bytes: self.sa_samples.len() * 4,
             mark_bytes: self.sampled_rows.heap_bytes(),
+            kmer_bytes: self.kmers.len() * std::mem::size_of::<Interval>(),
         }
     }
 }

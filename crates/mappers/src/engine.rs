@@ -17,7 +17,9 @@ use crate::common::Mapping;
 
 /// Work units charged per FM-Index left-extension: two rank queries, each
 /// a checkpoint load plus a BWT scan — cache-missing, memory-bound work,
-/// far heavier than one register-resident bit-vector update.
+/// far heavier than one register-resident bit-vector update. A lookup in
+/// the index's k-mer interval table is counted as one extension too: one
+/// dependent memory access for two, so the charge errs against the table.
 pub const EXTEND_COST: u64 = 24;
 
 /// Work units charged per DP cell of a filtration dynamic program (one

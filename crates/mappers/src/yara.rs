@@ -75,55 +75,58 @@ impl YaraLike {
     }
 
     /// Searches `seed` with up to one mismatch, returning all match
-    /// intervals and the FM extensions spent.
+    /// intervals and the index operations spent (a k-mer table lookup
+    /// counts as one extension).
     fn one_mismatch_intervals(fm: &FmIndex, seed: &[u8]) -> (Vec<Interval>, u64) {
         let k = seed.len();
-        let mut ops = 0u64;
-        // suffix_iv[i] = interval of seed[i..] (suffix_iv[k] = full range).
-        let mut suffix_iv: Vec<Option<Interval>> = vec![None; k + 1];
-        suffix_iv[k] = Some(fm.full_interval());
-        for i in (0..k).rev() {
-            match suffix_iv[i + 1] {
-                Some(iv) if !iv.is_empty() => {
-                    let next = fm.extend_left(iv, seed[i]);
-                    ops += 1;
-                    suffix_iv[i] = (!next.is_empty()).then_some(next);
-                }
-                _ => break,
-            }
+        // The table resolves the seed's last bases, `seed[table_at..]`.
+        let (start, covered) = fm.search_start(seed);
+        let table_at = k - covered;
+        let mut ops = u64::from(covered > 0);
+        // suffix_iv[i] = interval of seed[i..], for the suffixes at least
+        // as long as the table's k-mers (suffix_iv[k] = full range when
+        // the table covers nothing).
+        let mut suffix_iv: Vec<Option<Interval>> = vec![None; table_at + 1];
+        suffix_iv[table_at] = (!start.is_empty()).then_some(start);
+        for i in (0..table_at).rev() {
+            let Some(iv) = suffix_iv[i + 1] else { break };
+            let next = fm.extend_left(iv, seed[i]);
+            ops += 1;
+            suffix_iv[i] = (!next.is_empty()).then_some(next);
         }
         let mut intervals = Vec::new();
         if let Some(exact) = suffix_iv[0] {
             intervals.push(exact);
         }
         // One substitution at position i: exact suffix seed[i+1..], a
-        // substituted base, then exact prefix seed[..i].
+        // substituted base, then exact prefix seed[..i]. Inside the
+        // table's k-mer the substituted k-mer is looked up whole.
+        let mut probe = seed.to_vec();
         for i in (0..k).rev() {
-            let Some(tail) = suffix_iv[i + 1] else {
-                continue;
-            };
             for b in 0..4u8 {
                 if b == seed[i] {
                     continue;
                 }
-                let mut iv = fm.extend_left(tail, b);
+                let (mut iv, from) = if i >= table_at {
+                    probe[i] = b;
+                    (fm.search_start(&probe).0, table_at)
+                } else {
+                    let Some(tail) = suffix_iv[i + 1] else { break };
+                    (fm.extend_left(tail, b), i)
+                };
                 ops += 1;
-                if iv.is_empty() {
-                    continue;
-                }
-                let mut alive = true;
-                for j in (0..i).rev() {
-                    iv = fm.extend_left(iv, seed[j]);
-                    ops += 1;
+                for j in (0..from).rev() {
                     if iv.is_empty() {
-                        alive = false;
                         break;
                     }
+                    iv = fm.extend_left(iv, seed[j]);
+                    ops += 1;
                 }
-                if alive {
+                if !iv.is_empty() {
                     intervals.push(iv);
                 }
             }
+            probe[i] = seed[i];
         }
         (intervals, ops)
     }
