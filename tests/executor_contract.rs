@@ -19,6 +19,7 @@
 //! On a mismatch the test prints the whole computed table in source
 //! form, so a deliberate change is one copy-paste.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -29,7 +30,9 @@ use repute_core::{
 use repute_genome::reads::ReadSimulator;
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::{DnaSeq, Strand};
-use repute_hetsim::{profiles, DeviceKind, DeviceProfile, FaultPlan, LaunchError, Platform};
+use repute_hetsim::{
+    profiles, DeviceKind, DeviceProfile, FaultCounters, FaultPlan, LaunchError, Platform,
+};
 use repute_mappers::{IndexedReference, Mapper};
 use repute_obs::trace::{device_pid, write_chrome_trace, SCHEDULER_PID};
 use repute_obs::MapMetrics;
@@ -179,7 +182,7 @@ fn fault_plans(makespan: f64) -> [(&'static str, FaultPlan, usize); 4] {
 // Digests.
 // ---------------------------------------------------------------------
 
-fn digest_results(h: &mut Fnv64, run: &MappingRun, metrics: &[MapMetrics], platform: &Platform) {
+fn digest_reads(h: &mut Fnv64, run: &MappingRun, metrics: &[MapMetrics]) {
     for out in &run.outputs {
         h.write_u64(out.mappings.len() as u64);
         for m in &out.mappings {
@@ -193,6 +196,10 @@ fn digest_results(h: &mut Fnv64, run: &MappingRun, metrics: &[MapMetrics], platf
     for (i, m) in metrics.iter().enumerate() {
         h.write(m.to_json_line(i as u64).as_bytes());
     }
+}
+
+fn digest_results(h: &mut Fnv64, run: &MappingRun, metrics: &[MapMetrics], platform: &Platform) {
+    digest_reads(h, run, metrics);
     let mut report = run.report(platform, metrics);
     report.wall_seconds = 0.0;
     let mut lines = Vec::new();
@@ -226,19 +233,67 @@ fn digest_trace(h: &mut Fnv64, run: &MappingRun, platform: &Platform) {
     h.write(write_chrome_trace(&processes, &run.trace).as_bytes());
 }
 
+/// The numbers of a run, free of how they are grouped and labelled:
+/// what [`digest_results`] hashes minus entry grouping, labels,
+/// `queued` / `submitted` stamps and span names. Idle entries are
+/// dropped, entries of one device folded, devices ascending.
+fn digest_numbers(h: &mut Fnv64, run: &MappingRun, metrics: &[MapMetrics]) {
+    digest_reads(h, run, metrics);
+    h.write_u64(run.simulated_seconds.to_bits());
+    h.write_u64(run.energy.energy_j.to_bits());
+    h.write_u64(run.energy.average_power_w.to_bits());
+    let mut devices: BTreeMap<usize, (u64, u64, f64)> = BTreeMap::new();
+    let mut events = Vec::new();
+    for (dr, timeline) in run.device_runs.iter().zip(&run.timelines) {
+        if timeline.is_empty() {
+            continue;
+        }
+        let folded = devices.entry(dr.device).or_insert((0, 0, 0.0));
+        folded.0 += dr.items as u64;
+        folded.1 += dr.work;
+        folded.2 = folded.2.max(dr.simulated_seconds);
+        for e in timeline {
+            let (start, end) = (e.start_seconds.to_bits(), e.end_seconds.to_bits());
+            events.push([dr.device as u64, e.items, e.work, start, end]);
+        }
+    }
+    for (device, (items, work, finish)) in devices {
+        for word in [device as u64, items, work, finish.to_bits()] {
+            h.write_u64(word);
+        }
+    }
+    events.sort_unstable();
+    for word in events.iter().flatten() {
+        h.write_u64(*word);
+    }
+    let sum = |of: fn(&FaultCounters) -> u64| run.fault_counters.iter().map(of).sum::<u64>();
+    h.write_u64(sum(|c| c.faults));
+    h.write_u64(sum(|c| c.retries));
+    h.write_u64(sum(|c| c.migrated_batches));
+    h.write_u64(run.lost_devices.len() as u64);
+    for &d in &run.lost_devices {
+        h.write_u64(d as u64);
+    }
+}
+
+/// `[everything, numbers only]` of one scheduled cell.
 fn digest_run(
     outcome: &Result<(MappingRun, Vec<MapMetrics>), LaunchError>,
     platform: &Platform,
-) -> u64 {
-    let mut h = Fnv64::new();
+) -> [u64; 2] {
+    let (mut all, mut numbers) = (Fnv64::new(), Fnv64::new());
     match outcome {
         Ok((run, metrics)) => {
-            digest_results(&mut h, run, metrics, platform);
-            digest_trace(&mut h, run, platform);
+            digest_results(&mut all, run, metrics, platform);
+            digest_trace(&mut all, run, platform);
+            digest_numbers(&mut numbers, run, metrics);
         }
-        Err(e) => h.write(e.to_string().as_bytes()),
+        Err(e) => {
+            all.write(e.to_string().as_bytes());
+            numbers.write(e.to_string().as_bytes());
+        }
     }
-    h.finish()
+    [all.finish(), numbers.finish()]
 }
 
 /// Compares against the committed table as a whole; a mismatch prints
@@ -274,7 +329,7 @@ fn scheduled_grid_is_byte_pinned() {
     let (mapper, reads) = workload();
     let system1 = profiles::system1();
     let tiny = tiny_platform(&mapper);
-    let mut computed = Vec::new();
+    let (mut computed, mut numbers) = (Vec::new(), Vec::new());
     for (sched_name, on_tiny, schedule_of) in SCHEDULES {
         let platform = if on_tiny { &tiny } else { &system1 };
         for (subset_name, subset) in SUBSETS {
@@ -318,10 +373,12 @@ fn scheduled_grid_is_byte_pinned() {
                     digest_results(&mut b, plain, plain_metrics, platform);
                     assert_eq!(a.finish(), b.finish(), "{name}: tracing changed the run");
                 }
-                computed.push((name, digest));
+                computed.push((name.clone(), digest[0]));
+                numbers.push((name, digest[1]));
             }
         }
     }
+    assert_pinned("NUMBERS (first 32 rows)", &numbers, &NUMBERS[..32]);
     assert_pinned("SCHEDULED", &computed, SCHEDULED);
 }
 
@@ -350,24 +407,33 @@ impl Drop for TempJournal {
     }
 }
 
+/// `[everything, numbers only]` of one journaled step.
 fn digest_journaled(
     outcome: &Result<ResumableRun, ReputeError>,
     platform: &Platform,
     journal: &Path,
-) -> u64 {
-    let mut h = Fnv64::new();
+) -> [u64; 2] {
+    let (mut all, mut numbers) = (Fnv64::new(), Fnv64::new());
     match outcome {
         Ok(done) => {
-            digest_results(&mut h, &done.run, &done.metrics, platform);
-            digest_trace(&mut h, &done.run, platform);
+            digest_results(&mut all, &done.run, &done.metrics, platform);
+            digest_trace(&mut all, &done.run, platform);
+            digest_numbers(&mut numbers, &done.run, &done.metrics);
+        }
+        Err(e) => {
+            all.write(e.to_string().as_bytes());
+            numbers.write(e.to_string().as_bytes());
+        }
+    }
+    for h in [&mut all, &mut numbers] {
+        if let Ok(done) = outcome {
             h.write_u64(done.resumed_batches as u64);
             h.write_u64(done.total_batches as u64);
         }
-        Err(e) => h.write(e.to_string().as_bytes()),
+        h.write(&std::fs::read(journal).expect("journal exists"));
+        h.write(&std::fs::read(manifest_path(journal)).expect("manifest exists"));
     }
-    h.write(&std::fs::read(journal).expect("journal exists"));
-    h.write(&std::fs::read(manifest_path(journal)).expect("manifest exists"));
-    h.finish()
+    [all.finish(), numbers.finish()]
 }
 
 #[test]
@@ -376,7 +442,7 @@ fn journaled_runs_are_byte_pinned() {
     let system1 = profiles::system1();
     let tiny = tiny_platform(&mapper);
     let full: &[usize] = &[0, 1, 2];
-    let mut computed = Vec::new();
+    let (mut computed, mut numbers) = (Vec::new(), Vec::new());
     for (sched_name, on_tiny, schedule_of) in SCHEDULES {
         let platform = if on_tiny { &tiny } else { &system1 };
         let schedule = schedule_of(platform, reads.len());
@@ -429,9 +495,11 @@ fn journaled_runs_are_byte_pinned() {
             .iter()
             .zip(&per_thread_count[0])
         {
-            computed.push((format!("{sched_name}/{step}"), *digest));
+            computed.push((format!("{sched_name}/{step}"), digest[0]));
+            numbers.push((format!("{sched_name}/{step}"), digest[1]));
         }
     }
+    assert_pinned("NUMBERS (last 12 rows)", &numbers, &NUMBERS[32..]);
     assert_pinned("JOURNALED", &computed, JOURNALED);
 }
 
@@ -483,4 +551,56 @@ const JOURNALED: &[(&str, u64)] = &[
     ("dynamic-7/straight", 0x9ace1a11b9aa9b8a),
     ("dynamic-7/crashed", 0xacf562db5d434093),
     ("dynamic-7/resumed", 0x5967a35d6698244c),
+];
+
+/// The numbers alone ([`digest_numbers`]), 32 scheduled cells then 12
+/// journaled ones. Generated at the commit before stage 3 became one
+/// routine (PR 22): a change to how a run *reports* — grouping, labels,
+/// stamps, span names — moves the tables above and must leave this one
+/// alone. If this one moves, a number moved.
+const NUMBERS: &[(&str, u64)] = &[
+    ("static-even/none/full", 0xe860b170356e435f),
+    ("static-even/transient/full", 0x8b5bee21e31d820e),
+    ("static-even/loss/full", 0xf9e24af8356d78bc),
+    ("static-even/no-retries/full", 0x7b65ffc4e6d4d478),
+    ("static-even/none/sub02", 0x617ed44517f1293f),
+    ("static-even/transient/sub02", 0x093e8f1f3ac30acb),
+    ("static-even/loss/sub02", 0x68451bf29adfda9c),
+    ("static-even/no-retries/sub02", 0x968fea3a9bfbf565),
+    ("static-tiny/none/full", 0xfde1f3e786a4c649),
+    ("static-tiny/transient/full", 0x3afd2b40b116ae4a),
+    ("static-tiny/loss/full", 0xbd51e60779a017c3),
+    ("static-tiny/no-retries/full", 0xee6eb72c97b0abc0),
+    ("static-tiny/none/sub02", 0xb9b63c5f96d832c1),
+    ("static-tiny/transient/sub02", 0xbdd1983dc8ecdb17),
+    ("static-tiny/loss/sub02", 0x59e1f2faef64fa97),
+    ("static-tiny/no-retries/sub02", 0xadf847ecac9099f6),
+    ("dynamic-auto/none/full", 0x5e7aa43414647464),
+    ("dynamic-auto/transient/full", 0x3ead228e7f957007),
+    ("dynamic-auto/loss/full", 0x75d7f170a6cc29ee),
+    ("dynamic-auto/no-retries/full", 0x064ccc0ce28b7040),
+    ("dynamic-auto/none/sub02", 0x7cfc37bec5dbd307),
+    ("dynamic-auto/transient/sub02", 0x7a03014b1b61f4ad),
+    ("dynamic-auto/loss/sub02", 0x0be0e3018d6e85ba),
+    ("dynamic-auto/no-retries/sub02", 0x251ad6746bfe5efb),
+    ("dynamic-7/none/full", 0xe24eff99d397b97a),
+    ("dynamic-7/transient/full", 0xda64d5447e1f4529),
+    ("dynamic-7/loss/full", 0xb1ecc1ae6ad741af),
+    ("dynamic-7/no-retries/full", 0xae917e246805ada3),
+    ("dynamic-7/none/sub02", 0x681e2c7448231278),
+    ("dynamic-7/transient/sub02", 0x8b78cad258d7dcbc),
+    ("dynamic-7/loss/sub02", 0x4ae853f295b9eb87),
+    ("dynamic-7/no-retries/sub02", 0x738cd9a2038bb378),
+    ("static-even/straight", 0x8bb9d0ff42251e67),
+    ("static-even/crashed", 0x5c4b3b5ed26983bd),
+    ("static-even/resumed", 0x35fc88add55fdf18),
+    ("static-tiny/straight", 0x35afc08de4e6f2ca),
+    ("static-tiny/crashed", 0xe5c52aae23dde8ad),
+    ("static-tiny/resumed", 0xcd271018fcf7095d),
+    ("dynamic-auto/straight", 0xc5b487503612d837),
+    ("dynamic-auto/crashed", 0xf7ccbc81f063527b),
+    ("dynamic-auto/resumed", 0x5a8068c9334b6778),
+    ("dynamic-7/straight", 0xc784c63f1281390b),
+    ("dynamic-7/crashed", 0xacf562db5d434093),
+    ("dynamic-7/resumed", 0x7f835e18cfb4f928),
 ];
