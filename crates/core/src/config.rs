@@ -136,9 +136,9 @@ impl ReputeConfig {
     }
 
     /// Caps the host threads the executor may use; `0` (the default)
-    /// lets the executor decide — one thread per share in static mode,
-    /// one per host core in dynamic mode. `1` forces the sequential
-    /// host of earlier releases.
+    /// lets the executor decide — one per host core, never more than
+    /// there are reads, under either schedule (reads are mapped one job
+    /// each, whatever the batches). `1` maps on the caller's thread.
     pub fn with_host_threads(mut self, host_threads: usize) -> ReputeConfig {
         self.host_threads = host_threads;
         self

@@ -11,11 +11,11 @@
 //! 2. **execute** — every read is mapped on the host, in parallel.
 //!    Outputs, metrics and work counts do not depend on which device is
 //!    later charged for a read, so nothing below can change them;
-//! 3. **place** — the batches are laid on the devices' simulated
-//!    timelines from the work counts alone: in share order under a
-//!    static schedule, earliest-free-device-first (ties to the lower
-//!    index) under a dynamic one, and through fault-armed command queues
-//!    with retry and failover under a [`FaultPlan`].
+//! 3. **place** — the batches are laid, from the work counts alone, on
+//!    one command queue per device armed with the [`FaultPlan`]: a batch
+//!    goes to the device its share names, or, when it has none or that
+//!    device has died, to the surviving device that frees earliest (ties
+//!    to the lower index). An empty plan is the fault-free case.
 //!
 //! Placement is sequential arithmetic over the counts of stage 2, so
 //! `simulated_seconds`, timelines, energy and traces are the same for
@@ -172,8 +172,10 @@ pub struct Executor {
     /// Faults to inject, in the platform's device indices. Transient
     /// launch failures are retried with exponential simulated backoff,
     /// batches of a lost device fail over to the survivors
-    /// earliest-free-first, degraded devices run slower. A journaled run
-    /// accepts host-crash events only.
+    /// earliest-free-first, degraded devices run slower. The empty plan
+    /// (the default) arms nothing and goes through the same placement, so
+    /// an event that never fires changes nothing a run reports. A
+    /// journaled run accepts host-crash events only.
     pub faults: FaultPlan,
     /// Retries per launch before a transient fault is escalated to the
     /// loss of its device (see
@@ -184,11 +186,11 @@ pub struct Executor {
     /// block for running independent batches concurrently on disjoint
     /// device groups. Static shares then name *positions in the subset*;
     /// the fault plan stays in platform indices and is projected
-    /// ([`FaultPlan::for_subset`]). Everything returned refers to
-    /// platform indices again (`device_runs[i].device`,
-    /// [`MappingRun::lost_devices`], trace lanes), except timeline
-    /// labels, which keep their subset-local `d<i>-` prefix. `None` is
-    /// the whole platform.
+    /// ([`FaultPlan::for_subset`]). The run reports one entry per device
+    /// of the subset, and everything returned refers to platform indices
+    /// again (`device_runs[i].device`, [`MappingRun::lost_devices`],
+    /// trace lanes), except timeline labels, which keep their
+    /// subset-local `d<i>-` prefix. `None` is the whole platform.
     pub subset: Option<Vec<usize>>,
     /// Record a [`Span`] per kernel launch, batch lifecycle, fault, retry,
     /// migration and checkpoint into [`MappingRun::trace`]. A disabled
@@ -316,7 +318,7 @@ impl Executor {
         let (mut outputs, mut metrics) = (Vec::new(), Vec::new());
         execute_batches(mapper, reads, self.host_threads, &mut outputs, &mut metrics);
         let work = Work::of(mapper, reads, &outputs);
-        let placed = self.place(platform, faults, &batches, &work, false)?;
+        let placed = self.place(platform, faults, &batches, &work)?;
         Ok((assemble(platform, start, outputs, placed), metrics))
     }
 
@@ -408,7 +410,7 @@ impl Executor {
 
         execute_batches(mapper, reads, self.host_threads, &mut outputs, &mut metrics);
         let work = Work::of(mapper, reads, &outputs);
-        let mut placed = self.place(platform, &FaultPlan::new(), &batches, &work, true)?;
+        let mut placed = self.place(platform, &FaultPlan::new(), &batches, &work)?;
 
         // Commit each batch durably, in batch order. The simulated crash
         // fires at the first batch whose completion exceeds the crash
@@ -461,158 +463,37 @@ impl Executor {
         })
     }
 
-    /// Stage 3 — lays `batches` on the simulated timelines. The three
-    /// routines differ in what a run reports, not only in how they place:
-    ///
-    /// * a fault-free static run has one timeline per *share*, its
-    ///   launches labelled with the batch's index within the share;
-    /// * a fault-free dynamic run has one timeline per *device*, labels
-    ///   carry the global batch index, and every launch is stamped
-    ///   `queued = submitted = start` (the batch leaves the shared queue
-    ///   when its device frees);
-    /// * a fault-armed run of either schedule replays through one armed
-    ///   [`CommandQueue`] per device: one timeline per device, global
-    ///   labels, `queued` on the host clock.
-    ///
-    /// A run without batches reports no devices at all — except the
-    /// unjournaled fault-free static run, which still lists one idle
-    /// entry per share.
+    /// Stage 3 — lays `batches` on one command queue per device of
+    /// `platform`, each armed with its part of `faults` (nothing, for the
+    /// empty plan). Static batches go to the device their share names;
+    /// dynamic batches, and then in batch order the static ones whose
+    /// device died, go to the earliest-free survivor.
     fn place(
         &self,
         platform: &Platform,
         faults: &FaultPlan,
         batches: &[Batch],
         work: &Work<'_>,
-        journaled: bool,
     ) -> Result<Placement, LaunchError> {
-        match &self.schedule {
-            Schedule::Static(shares) if faults.is_empty() && !(journaled && batches.is_empty()) => {
-                Ok(self.place_static(platform, shares, batches, work, journaled))
-            }
-            _ if batches.is_empty() => Ok(Placement::default()),
-            Schedule::Dynamic { .. } if faults.is_empty() => {
-                Ok(self.place_dynamic(platform, batches, work))
-            }
-            _ => self.place_faulted(platform, faults, batches, work),
-        }
-    }
-
-    /// Replays each share's batches back to back on a command queue of
-    /// its own, whose clock starts at zero (kernels "launch
-    /// simultaneously", §IV). Batch-lifecycle spans carry the index
-    /// within the share; a journaled run numbers them globally, like its
-    /// checkpoint spans.
-    fn place_static(
-        &self,
-        platform: &Platform,
-        shares: &[Share],
-        batches: &[Batch],
-        work: &Work<'_>,
-        global_span_index: bool,
-    ) -> Placement {
-        let mut placed = Placement::default();
-        let (mut next, mut covered) = (0usize, 0usize);
-        for share in shares {
-            covered += share.items;
-            let mut queue = self.queue(platform, share.device);
-            let first = next;
-            while let Some(b) = batches.get(next).filter(|b| b.hi <= covered) {
-                let label = format!("d{}-batch-{}", share.device, next - first);
-                queue
-                    .launch(&label, b.hi - b.lo, work.of_batch(b), work.private_bytes, 0)
-                    .expect("launches cannot fail without an armed fault state");
-                let span_index = if global_span_index {
-                    next
-                } else {
-                    next - first
-                };
-                placed.note_batch(&queue, span_index, b, self.tracing);
-                next += 1;
-            }
-            placed.retire(queue, false);
-        }
-        placed
-    }
-
-    /// The event-driven simulated-time scheduler: batches leave the
-    /// shared queue in order, each pulled by the device that frees
-    /// earliest (ties to the lower device index).
-    fn place_dynamic(&self, platform: &Platform, batches: &[Batch], work: &Work<'_>) -> Placement {
         let devices = platform.devices();
-        let mut placed = Placement::default();
-        placed.timelines.resize(devices.len(), Vec::new());
-        let mut runs: Vec<DeviceRun> = (0..devices.len())
-            .map(|device| DeviceRun {
-                device,
-                items: 0,
-                work: 0,
-                simulated_seconds: 0.0,
-            })
-            .collect();
-        for (batch_idx, b) in batches.iter().enumerate() {
-            let dev = (1..devices.len()).fold(0, |best, d| {
-                if runs[d].simulated_seconds < runs[best].simulated_seconds {
-                    d
-                } else {
-                    best
-                }
-            });
-            let batch_work = work.of_batch(b);
-            let start = runs[dev].simulated_seconds;
-            let end =
-                start + devices[dev].seconds_for_with_footprint(batch_work, work.private_bytes);
-            let event = KernelEvent {
-                label: format!("d{dev}-batch-{batch_idx}"),
-                items: (b.hi - b.lo) as u64,
-                work: batch_work,
-                queued_seconds: start,
-                submitted_seconds: start,
-                start_seconds: start,
-                end_seconds: end,
-            };
+        let mut state = faults.state(devices.len());
+        let queues = devices.iter().enumerate().map(|(d, device)| {
+            let queue = CommandQueue::new(device).with_fault_state(d, state.take_device(d));
             if self.tracing {
-                placed.trace.push(
-                    Span::new(event.label.clone(), "kernel", device_pid(dev), start, end)
-                        .arg_u64("items", event.items)
-                        .arg_u64("work", event.work),
-                );
-                placed.trace.push(batch_span(batch_idx, b, dev, &event));
+                queue.with_tracing()
+            } else {
+                queue
             }
-            placed.batch_ends.push(end);
-            placed.timelines[dev].push(event);
-            runs[dev].items += b.hi - b.lo;
-            runs[dev].work += batch_work;
-            runs[dev].simulated_seconds = end;
-        }
-        placed.fault_counters = vec![FaultCounters::default(); devices.len()];
-        placed.device_runs = runs;
-        placed
-    }
-
-    /// Replays against one fault-armed command queue per device. Static
-    /// batches go to the device their share names; dynamic batches, and
-    /// then in batch order the static ones whose device died, go to the
-    /// earliest-free survivor.
-    fn place_faulted(
-        &self,
-        platform: &Platform,
-        faults: &FaultPlan,
-        batches: &[Batch],
-        work: &Work<'_>,
-    ) -> Result<Placement, LaunchError> {
-        let n_dev = platform.devices().len();
-        let mut state = faults.state(n_dev);
+        });
         let mut fleet = Fleet {
             executor: self,
             work,
-            queues: (0..n_dev)
-                .map(|d| {
-                    self.queue(platform, d)
-                        .with_fault_state(d, state.take_device(d))
-                })
-                .collect(),
-            dead: vec![false; n_dev],
-            placed: Placement::default(),
+            queues: queues.collect(),
+            dead: vec![false; devices.len()],
+            placed: Placement {
+                batch_ends: vec![0.0; batches.len()],
+                ..Placement::default()
+            },
         };
         let last_read = batches.last().map_or(0, |b| b.hi);
 
@@ -650,16 +531,6 @@ impl Executor {
             placed.retire(queue, dead);
         }
         Ok(placed)
-    }
-
-    /// A command queue on device `d` of `platform`, tracing if the run is.
-    fn queue<'p>(&self, platform: &'p Platform, d: usize) -> CommandQueue<'p> {
-        let queue = CommandQueue::new(&platform.devices()[d]).with_device_index(d);
-        if self.tracing {
-            queue.with_tracing()
-        } else {
-            queue
-        }
     }
 }
 
@@ -868,10 +739,9 @@ impl<'a> Work<'a> {
     }
 }
 
-/// Stage 3's result: the per-entry halves of a [`MappingRun`], plus each
-/// batch's simulated completion in placement order — batch order for the
-/// fault-free routines, whose journaled runs fire the host crash against
-/// this clock.
+/// Stage 3's result: the per-device halves of a [`MappingRun`], plus each
+/// batch's simulated completion, indexed by batch — the clock a journaled
+/// run fires the host crash against.
 #[derive(Default)]
 struct Placement {
     device_runs: Vec<DeviceRun>,
@@ -884,18 +754,12 @@ struct Placement {
 
 impl Placement {
     /// Records the batch `queue` just launched.
-    fn note_batch(
-        &mut self,
-        queue: &CommandQueue<'_>,
-        span_index: usize,
-        b: &Batch,
-        tracing: bool,
-    ) {
+    fn note_batch(&mut self, queue: &CommandQueue<'_>, batch_idx: usize, b: &Batch, tracing: bool) {
         let event = queue.events().last().expect("a launch records an event");
-        self.batch_ends.push(event.end_seconds);
+        self.batch_ends[batch_idx] = event.end_seconds;
         if tracing {
             self.trace
-                .push(batch_span(span_index, b, queue.device_index(), event));
+                .push(batch_span(batch_idx, b, queue.device_index(), event));
         }
     }
 
@@ -1127,7 +991,7 @@ mod tests {
         let (run, metrics) =
             map_on_platform_with_metrics(&mapper, &platform, &shares, &reads).unwrap();
         assert_eq!(metrics.len(), reads.len());
-        assert_eq!(run.timelines.len(), shares.len());
+        assert_eq!(run.timelines.len(), platform.devices().len());
         // Every per-read record decomposes that read's work scalar.
         for (m, out) in metrics.iter().zip(&run.outputs) {
             assert_eq!(
@@ -1136,7 +1000,7 @@ mod tests {
             );
         }
         // Timeline invariants: ordered timestamps, and (with zero launch
-        // overhead) busy time and work adding up to the share accounting.
+        // overhead) busy time and work adding up to the device accounting.
         for (dr, events) in run.device_runs.iter().zip(&run.timelines) {
             assert!(!events.is_empty());
             for e in events {
@@ -1151,7 +1015,7 @@ mod tests {
         // The roll-up folds totals and energy consistently.
         let report = run.report(&platform, &metrics);
         assert_eq!(report.reads, reads.len() as u64);
-        assert_eq!(report.devices.len(), shares.len());
+        assert_eq!(report.devices.len(), platform.devices().len());
         let mut totals = repute_obs::MapMetrics::new();
         for m in &metrics {
             totals.merge(m);
@@ -1237,13 +1101,49 @@ mod tests {
             .run(&mapper, &platform, &[])
             .expect("empty dynamic run");
         assert!(dyn_run.outputs.is_empty() && dyn_metrics.is_empty());
-        assert_eq!(dyn_run.energy.energy_j, 0.0);
+        assert_eq!(dyn_run.energy, run.energy);
+        // Either way every device is listed, idle.
+        for run in [&run, &dyn_run] {
+            let listed: Vec<usize> = run.device_runs.iter().map(|r| r.device).collect();
+            assert_eq!(listed, [0, 1, 2]);
+            assert!(run.device_runs.iter().all(|r| r.items == 0 && r.work == 0));
+            assert_eq!(run.timelines, vec![Vec::new(); 3]);
+            assert_eq!(run.fault_counters, vec![FaultCounters::default(); 3]);
+        }
+    }
+
+    #[test]
+    fn shares_naming_one_device_run_back_to_back_on_its_queue() {
+        let (mapper, reads) = setup();
+        let platform = profiles::system1();
+        let share = |device, items| Share { device, items };
+        let split = [share(1, 10), share(0, 6), share(1, 8)];
+        let (run, _) = map_on_platform_with_metrics(&mapper, &platform, &split, &reads).unwrap();
+        // One timeline for device 1, holding both its shares' launches.
+        assert_eq!(run.timelines.len(), 3);
+        let gpu = &run.timelines[1];
+        assert_eq!(
+            gpu.iter().map(|e| e.label.as_str()).collect::<Vec<_>>(),
+            ["d1-batch-0", "d1-batch-2"]
+        );
+        assert_eq!((gpu[0].items, gpu[1].items), (10, 8));
+        assert_eq!(gpu[0].start_seconds, 0.0);
+        assert_eq!(gpu[1].start_seconds, gpu[0].end_seconds);
+        assert!(run.timelines[2].is_empty());
+        // The device's time is the sum of its batch times; it is the
+        // bottleneck here.
+        let busy: f64 = gpu.iter().map(KernelEvent::duration_seconds).sum();
+        assert_eq!(run.device_runs[1].simulated_seconds, gpu[1].end_seconds);
+        assert!((busy - gpu[1].end_seconds).abs() < 1e-12);
+        assert_eq!(run.simulated_seconds, gpu[1].end_seconds);
+        assert_eq!(run.device_runs[1].items, 18);
     }
 
     #[test]
     fn many_small_shares_preserve_order() {
         // One read per share, round-robin over devices: exercises the
         // prefix-sum offsets and the thread pool with jobs ≫ devices.
+        // Each device's eight shares land on its one timeline.
         let (mapper, reads) = setup();
         let platform = profiles::system1();
         let shares: Vec<Share> = (0..reads.len())
@@ -1256,6 +1156,8 @@ mod tests {
         for (read, out) in reads.iter().zip(&run.outputs) {
             assert_eq!(mapper.map_read(read).mappings, out.mappings);
         }
+        let per_device: Vec<usize> = run.timelines.iter().map(Vec::len).collect();
+        assert_eq!(per_device, [8, 8, 8]);
     }
 
     #[test]

@@ -13,17 +13,22 @@ use repute_obs::{
 pub struct MappingRun {
     /// Per-read outputs, in read order.
     pub outputs: Vec<MapOutput>,
-    /// Per-device accounting: one entry per share for a fault-free static
-    /// schedule, one per device otherwise (batches folded in); none for a
-    /// run without batches.
+    /// Per-device accounting, its batches folded in. `device_runs`,
+    /// `timelines` and `fault_counters` follow one rule for every run —
+    /// either schedule, any fault plan, journaled or not, zero reads too:
+    /// one entry per device of the platform the run was given (of the
+    /// [`subset`](crate::Executor::subset), when there is one), in device
+    /// order, a device that took no batch included with zero work and an
+    /// empty timeline.
     pub device_runs: Vec<DeviceRun>,
     /// OpenCL-style profiling events per entry of `device_runs`: one
-    /// [`KernelEvent`] per kernel launch (batch), carrying the
-    /// queued/submitted/start/end timestamps of that device's command
-    /// queue. Labels read `d<device>-batch-<index>`; the index counts
-    /// within the share where entries are shares and over the whole run
-    /// otherwise, so every batch's device attribution is visible in the
-    /// timeline.
+    /// [`KernelEvent`] per kernel launch (batch), in launch order,
+    /// carrying the queued/submitted/start/end timestamps of that
+    /// device's command queue — `queued` is the queue's host clock, 0
+    /// until a retry backoff advances it. Labels read
+    /// `d<device>-batch-<i>`, `i` the batch's index over the whole run
+    /// (the `i` of its `batch-<i>` and `checkpoint` spans), followed by
+    /// ` [retry xN]` and ` [migrated from dK]` where they apply.
     pub timelines: Vec<Vec<KernelEvent>>,
     /// Simulated completion time: slowest device, batches sequential.
     pub simulated_seconds: f64,
@@ -31,8 +36,8 @@ pub struct MappingRun {
     pub wall_seconds: f64,
     /// §III-D power/energy measurement of the run.
     pub energy: EnergyReport,
-    /// Per-entry fault accounting, parallel to `device_runs` (all zero
-    /// on a fault-free run).
+    /// Per-device fault accounting, parallel to `device_runs` (all zero
+    /// when no fault fired).
     pub fault_counters: Vec<FaultCounters>,
     /// Devices that were permanently lost by the end of the run
     /// (ascending indices into the platform's device list; always empty

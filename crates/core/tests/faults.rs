@@ -324,26 +324,57 @@ fn sole_device_loss_names_the_tail_range() {
     assert_eq!(range.end, reads.len());
 }
 
-/// An empty plan is the identity: bit-identical to the default executor,
-/// including simulated time and zeroed counters.
+/// A plan that never fires is no plan: the empty plan, and plans whose
+/// one event arms long after the run has ended, report exactly what the
+/// default executor does — under both schedules, traced, on the whole
+/// platform and on a two-device subset, down to the telemetry bytes.
 #[test]
 fn empty_plan_is_identity() {
     let (mapper, reads) = setup();
     let platform = quad_platform();
-    for schedule in schedules(&platform, reads.len()) {
-        let (a, am) = executor(&schedule, 1)
-            .run(&mapper, &platform, &reads)
-            .unwrap();
-        let explicit = Executor {
-            faults: FaultPlan::new(),
-            max_retries: 2,
-            ..executor(&schedule, 1)
-        };
-        let (b, bm) = explicit.run(&mapper, &platform, &reads).unwrap();
-        assert_same_outputs(&b.outputs, &a.outputs, &bm, &am, "identity");
-        assert_eq!(b.simulated_seconds, a.simulated_seconds);
-        assert_eq!(b.timelines, a.timelines);
-        assert!(b.fault_counters.iter().all(|c| c.is_zero()));
+    let report_bytes = |run: &repute_core::MappingRun, metrics: &[MapMetrics]| {
+        let mut report = run.report(&platform, metrics);
+        report.wall_seconds = 0.0;
+        let mut bytes = Vec::new();
+        report.write_json_lines(&mut bytes).expect("in-memory");
+        bytes
+    };
+    for subset in [None, Some(vec![0, 1])] {
+        let devices = subset
+            .as_ref()
+            .map_or(platform.clone(), |s| platform.subset(s));
+        for schedule in schedules(&devices, reads.len()) {
+            let plain = Executor {
+                subset: subset.clone(),
+                tracing: true,
+                ..executor(&schedule, 1)
+            };
+            let (a, am) = plain.run(&mapper, &platform, &reads).unwrap();
+            assert!(a.fault_counters.iter().all(|c| c.is_zero()));
+            for plan in [
+                FaultPlan::new(),
+                FaultPlan::new().degrade(0, 1e6, 0.5),
+                FaultPlan::new().loss(1, 1e6),
+                FaultPlan::new().transient(0, 1e6),
+            ] {
+                let context = format!("{subset:?} {schedule:?} {plan:?}");
+                let armed = Executor {
+                    faults: plan,
+                    max_retries: 2,
+                    ..plain.clone()
+                };
+                let (b, bm) = armed.run(&mapper, &platform, &reads).unwrap();
+                assert_same_outputs(&b.outputs, &a.outputs, &bm, &am, &context);
+                assert_eq!(b.simulated_seconds, a.simulated_seconds, "{context}");
+                assert_eq!(b.device_runs, a.device_runs, "{context}");
+                assert_eq!(b.timelines, a.timelines, "{context}");
+                assert_eq!(b.fault_counters, a.fault_counters, "{context}");
+                assert_eq!(b.lost_devices, a.lost_devices, "{context}");
+                assert_eq!(b.energy, a.energy, "{context}");
+                assert_eq!(b.trace, a.trace, "{context}");
+                assert_eq!(report_bytes(&b, &bm), report_bytes(&a, &am), "{context}");
+            }
+        }
     }
 }
 

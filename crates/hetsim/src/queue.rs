@@ -89,14 +89,6 @@ impl<'d> CommandQueue<'d> {
         self
     }
 
-    /// Sets the device index used for fault errors *and* trace process
-    /// ids without arming a fault state (share queues under a static
-    /// schedule have no faults but still need correct span pids).
-    pub fn with_device_index(mut self, device_index: usize) -> CommandQueue<'d> {
-        self.device_index = device_index;
-        self
-    }
-
     /// Drains the spans recorded so far (empty when tracing is off).
     pub fn take_trace(&mut self) -> Vec<Span> {
         match &mut self.trace {
@@ -106,8 +98,10 @@ impl<'d> CommandQueue<'d> {
     }
 
     /// Arms a fault state on this queue: [`launch`](CommandQueue::launch)
-    /// consults it at every attempt. `device_index` identifies the device
-    /// in the errors this queue raises (a bare queue defaults to index 0).
+    /// consults it at every attempt. The state of a device no event names
+    /// changes no launch. `device_index` identifies the device in the
+    /// errors this queue raises and in its spans' process ids (a bare
+    /// queue is device 0).
     pub fn with_fault_state(
         mut self,
         device_index: usize,

@@ -44,10 +44,9 @@ impl KernelEvent {
 /// Kernel timeline of one device over a run.
 ///
 /// Event labels carry per-batch device attribution: the multi-device
-/// executor names each launch `d{device}-batch-{index}`, where the index
-/// is per-share under a static schedule and the *global* batch index
-/// under a dynamic one — so a dynamically scheduled run shows exactly
-/// which device pulled which slice of the read set.
+/// executor names each launch `d{device}-batch-{index}`, the index
+/// counting batches over the whole run under either schedule — so a run
+/// shows exactly which device took which slice of the read set.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DeviceTimeline {
     /// Device name (e.g. `"intel-hd-620"`).

@@ -36,7 +36,7 @@
 //! resume during a fault episode reconstructs health — and therefore
 //! scheduling — bit-identically.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -805,29 +805,21 @@ impl ServeCore {
             let batch_index = base + ordinal as u64;
             let completion = start + run.simulated_seconds;
             max_makespan = max_makespan.max(run.simulated_seconds);
-            let mut provenance: BTreeMap<u32, DeviceProvenance> = BTreeMap::new();
-            for (dr, fc) in run.device_runs.iter().zip(&run.fault_counters) {
-                if fc.is_zero() {
-                    continue;
-                }
-                let entry = provenance
-                    .entry(dr.device as u32)
-                    .or_insert(DeviceProvenance {
-                        device: dr.device as u32,
-                        faults: 0,
-                        retries: 0,
-                        migrated: 0,
-                    });
-                entry.faults += fc.faults;
-                entry.retries += fc.retries;
-                entry.migrated += fc.migrated_batches;
-            }
+            // One entry per device, ascending: provenance is the faulted ones.
+            let provenance = (run.device_runs.iter().zip(&run.fault_counters))
+                .filter(|(_, fc)| !fc.is_zero())
+                .map(|(dr, fc)| DeviceProvenance {
+                    device: dr.device as u32,
+                    faults: fc.faults,
+                    retries: fc.retries,
+                    migrated: fc.migrated_batches,
+                });
             let mut record = BatchRecord {
                 batch: batch_index,
                 completion_s: completion,
                 jobs: Vec::with_capacity(jobs.len()),
                 lost: run.lost_devices.iter().map(|&d| d as u32).collect(),
-                provenance: provenance.into_values().collect(),
+                provenance: provenance.collect(),
             };
             let mut offset = 0usize;
             for job in jobs {

@@ -15,9 +15,17 @@
 //! tie on them — which device takes a batch; every cell's mappings,
 //! other per-read counters, batch set, fault counters and lost devices
 //! were compared equal to the parent's before the tables were replaced.
+//! Then stage 3 became one routine (PR 22): the 8 `*/none/*` cells and
+//! the 8 journaled `straight` / `resumed` ones moved — fault-free runs
+//! took the entry grouping, run-wide batch labels and `queued` stamps the
+//! other 28 cells already had — and no number did: a third table,
+//! `NUMBERS`, hashes each cell without grouping, labels, stamps and span
+//! names, was generated at the parent and passed unedited. It stays, for
+//! the next change that means to move a label and not a number.
 //!
 //! On a mismatch the test prints the whole computed table in source
-//! form, so a deliberate change is one copy-paste.
+//! form, so a deliberate change is one copy-paste. `NUMBERS` is checked
+//! first: if it fails, what moved is a number, not how it is reported.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -504,53 +512,53 @@ fn journaled_runs_are_byte_pinned() {
 }
 
 const SCHEDULED: &[(&str, u64)] = &[
-    ("static-even/none/full", 0x545a9d2bbe093484),
+    ("static-even/none/full", 0xaae09254797a2952),
     ("static-even/transient/full", 0x7a88428add199930),
     ("static-even/loss/full", 0x7761995a81bea5d1),
     ("static-even/no-retries/full", 0x5fb582ba264ffffc),
-    ("static-even/none/sub02", 0x562797231c815901),
+    ("static-even/none/sub02", 0xab1520ef7da18aa9),
     ("static-even/transient/sub02", 0x11e75eaee965273e),
     ("static-even/loss/sub02", 0x79e216834759d140),
     ("static-even/no-retries/sub02", 0xb14110452aed201b),
-    ("static-tiny/none/full", 0x444c489108cf4db1),
+    ("static-tiny/none/full", 0x266d329e0fdc6c3f),
     ("static-tiny/transient/full", 0x0f17271bfb70fd7d),
     ("static-tiny/loss/full", 0x8b244381d7c41677),
     ("static-tiny/no-retries/full", 0x49fbceb1d5fa0298),
-    ("static-tiny/none/sub02", 0x574339cae5a8d1e4),
+    ("static-tiny/none/sub02", 0xcda0c3d8461d5256),
     ("static-tiny/transient/sub02", 0xb2e805d8d75b5135),
     ("static-tiny/loss/sub02", 0xe40ee25ccab0b995),
     ("static-tiny/no-retries/sub02", 0x01c77f7c839ded33),
-    ("dynamic-auto/none/full", 0xf92a8c2bf16bea74),
+    ("dynamic-auto/none/full", 0xe7d9062e45c6beaf),
     ("dynamic-auto/transient/full", 0xea3ed25802527413),
     ("dynamic-auto/loss/full", 0x3c2182d2e6422a84),
     ("dynamic-auto/no-retries/full", 0xe6b7dcaed8d7700c),
-    ("dynamic-auto/none/sub02", 0x8616918589937301),
+    ("dynamic-auto/none/sub02", 0xb4769222abb0c64b),
     ("dynamic-auto/transient/sub02", 0x60c87cde4868cbfa),
     ("dynamic-auto/loss/sub02", 0x53a203a863b7963f),
     ("dynamic-auto/no-retries/sub02", 0x6b2d26189f93f446),
-    ("dynamic-7/none/full", 0xb6955fda3b937218),
+    ("dynamic-7/none/full", 0x668a5bec0fcc30e3),
     ("dynamic-7/transient/full", 0xd4c3d7001486b677),
     ("dynamic-7/loss/full", 0xcdd0ab9ba494d9cb),
     ("dynamic-7/no-retries/full", 0xad1ebaa04ef7718c),
-    ("dynamic-7/none/sub02", 0xc177668ec5a6270e),
+    ("dynamic-7/none/sub02", 0x528622f8f69f09e4),
     ("dynamic-7/transient/sub02", 0x39ebf0ea9a68875e),
     ("dynamic-7/loss/sub02", 0xdf3727cb786e79e5),
     ("dynamic-7/no-retries/sub02", 0xb6620342dafaa4c3),
 ];
 
 const JOURNALED: &[(&str, u64)] = &[
-    ("static-even/straight", 0x0c9a4b3d7baebbc9),
+    ("static-even/straight", 0x94f51c676f713063),
     ("static-even/crashed", 0x5c4b3b5ed26983bd),
-    ("static-even/resumed", 0x8a8a9bedc2b963d3),
-    ("static-tiny/straight", 0x69ced3dca6558cd2),
+    ("static-even/resumed", 0x85eaf6d435d03adb),
+    ("static-tiny/straight", 0x61fce8c67520d5c2),
     ("static-tiny/crashed", 0xe5c52aae23dde8ad),
-    ("static-tiny/resumed", 0xd5a697d649535494),
-    ("dynamic-auto/straight", 0x06144f48d5faae75),
+    ("static-tiny/resumed", 0x9b49263823a0258c),
+    ("dynamic-auto/straight", 0xcf1538878d16c280),
     ("dynamic-auto/crashed", 0xf7ccbc81f063527b),
-    ("dynamic-auto/resumed", 0xd028e1b9b447d595),
-    ("dynamic-7/straight", 0x9ace1a11b9aa9b8a),
+    ("dynamic-auto/resumed", 0x3706ac449da508e0),
+    ("dynamic-7/straight", 0xfed41722fddd1d8d),
     ("dynamic-7/crashed", 0xacf562db5d434093),
-    ("dynamic-7/resumed", 0x5967a35d6698244c),
+    ("dynamic-7/resumed", 0x6e35154f7b827749),
 ];
 
 /// The numbers alone ([`digest_numbers`]), 32 scheduled cells then 12

@@ -19,7 +19,11 @@
 //! once, when the k-mer interval table cut the extension count (PR 21):
 //! compared field by field with the parent's bytes, only `fm_extend_ops`
 //! and what the simulated clock derives from it (`work`, seconds,
-//! latencies, power and energy) had moved.
+//! latencies, power and energy) had moved. The digest of (c) moved once
+//! more when stage 3 became one routine (PR 22): two labels,
+//! `d1-batch-0` → `d1-batch-1` and `d2-batch-0` → `d2-batch-2` (the
+//! index now counts over the run, not within the share), and no other
+//! byte.
 
 #![cfg(unix)]
 
@@ -346,7 +350,7 @@ fn simulated_run_metrics_file_is_pinned() {
     );
     assert_eq!(
         h.finish(),
-        0x077d_46f9_5a3f_96e0,
+        0x1ce2_c979_6466_07fd,
         "--platform --metrics-out bytes changed: 0x{:016x}",
         h.finish()
     );
