@@ -806,7 +806,10 @@ impl ServeCore {
             let completion = start + run.simulated_seconds;
             max_makespan = max_makespan.max(run.simulated_seconds);
             // One entry per device, ascending: provenance is the faulted ones.
-            let provenance = (run.device_runs.iter().zip(&run.fault_counters))
+            let provenance = run
+                .device_runs
+                .iter()
+                .zip(&run.fault_counters)
                 .filter(|(_, fc)| !fc.is_zero())
                 .map(|(dr, fc)| DeviceProvenance {
                     device: dr.device as u32,

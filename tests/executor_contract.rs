@@ -9,7 +9,7 @@
 //! attribution, the Chrome trace, and for journaled runs the journal
 //! and manifest bytes. The digests were generated at the commit before
 //! the executors were merged into one and must only change with a
-//! deliberate change to what a run reports. There has been one: the
+//! deliberate change to what a run reports. There have been two. The
 //! k-mer interval table (PR 21) cut `fm_extend_ops`, and with it work,
 //! simulated seconds, joules and — where the dynamic scheduler breaks a
 //! tie on them — which device takes a batch; every cell's mappings,
@@ -297,8 +297,9 @@ fn digest_run(
             digest_numbers(&mut numbers, run, metrics);
         }
         Err(e) => {
-            all.write(e.to_string().as_bytes());
-            numbers.write(e.to_string().as_bytes());
+            for h in [&mut all, &mut numbers] {
+                h.write(e.to_string().as_bytes());
+            }
         }
     }
     [all.finish(), numbers.finish()]
@@ -422,24 +423,23 @@ fn digest_journaled(
     journal: &Path,
 ) -> [u64; 2] {
     let (mut all, mut numbers) = (Fnv64::new(), Fnv64::new());
-    match outcome {
-        Ok(done) => {
-            digest_results(&mut all, &done.run, &done.metrics, platform);
-            digest_trace(&mut all, &done.run, platform);
-            digest_numbers(&mut numbers, &done.run, &done.metrics);
-        }
-        Err(e) => {
-            all.write(e.to_string().as_bytes());
-            numbers.write(e.to_string().as_bytes());
-        }
+    if let Ok(done) = outcome {
+        digest_results(&mut all, &done.run, &done.metrics, platform);
+        digest_trace(&mut all, &done.run, platform);
+        digest_numbers(&mut numbers, &done.run, &done.metrics);
     }
+    let journal_bytes = std::fs::read(journal).expect("journal exists");
+    let manifest_bytes = std::fs::read(manifest_path(journal)).expect("manifest exists");
     for h in [&mut all, &mut numbers] {
-        if let Ok(done) = outcome {
-            h.write_u64(done.resumed_batches as u64);
-            h.write_u64(done.total_batches as u64);
+        match outcome {
+            Ok(done) => {
+                h.write_u64(done.resumed_batches as u64);
+                h.write_u64(done.total_batches as u64);
+            }
+            Err(e) => h.write(e.to_string().as_bytes()),
         }
-        h.write(&std::fs::read(journal).expect("journal exists"));
-        h.write(&std::fs::read(manifest_path(journal)).expect("manifest exists"));
+        h.write(&journal_bytes);
+        h.write(&manifest_bytes);
     }
     [all.finish(), numbers.finish()]
 }
