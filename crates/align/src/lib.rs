@@ -31,12 +31,10 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod banded;
 pub mod batch;
 pub mod block;
 mod cigar;
 pub mod dp;
-pub mod gotoh;
 pub mod myers;
 mod verify;
 

@@ -127,34 +127,6 @@ pub fn search(masks: &PatternMasks, text: &[u8], max_distance: u32) -> Option<My
     best
 }
 
-/// Convenience wrapper: best semi-global distance of `pattern` in `text`,
-/// or `None` if it exceeds `max_distance`.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`PatternMasks::new`].
-pub fn distance(pattern: &[u8], text: &[u8], max_distance: u32) -> Option<u32> {
-    let masks = PatternMasks::new(pattern);
-    search(&masks, text, max_distance).map(|h| h.distance)
-}
-
-/// Like [`search`], recording the scan into a [`repute_obs::MapMetrics`]
-/// record: one verification, one bit-vector word update per text column
-/// (the single-word kernel advances exactly one word per character), and a
-/// hit when an occurrence within `max_distance` exists.
-pub fn search_metered(
-    masks: &PatternMasks,
-    text: &[u8],
-    max_distance: u32,
-    metrics: &mut repute_obs::MapMetrics,
-) -> Option<MyersHit> {
-    metrics.verifications += 1;
-    metrics.word_updates += text.len() as u64;
-    let hit = search(masks, text, max_distance);
-    metrics.hits += u64::from(hit.is_some());
-    hit
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,13 +170,6 @@ mod tests {
             assert_eq!(got.distance, expected.distance, "m={m} n={n}");
             assert_eq!(got.end, expected.end, "m={m} n={n} leftmost end");
         }
-    }
-
-    #[test]
-    fn distance_convenience() {
-        assert_eq!(distance(&[0, 1, 2, 3], &[0, 1, 2, 3], 0), Some(0));
-        assert_eq!(distance(&[0, 1, 2, 3], &[0, 1, 3, 3], 1), Some(1));
-        assert_eq!(distance(&[0, 1, 2, 3], &[2; 4], 1), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! REPUTE configuration.
 
-use repute_filter::oss::{Exploration, InvalidParamsError, OssParams};
+use repute_filter::oss::{InvalidParamsError, OssParams};
 use repute_prefilter::{qgram, PrefilterMode};
 
 /// Scheduling policy of the multi-device executor (see
@@ -60,7 +60,6 @@ pub struct ReputeConfig {
     prefilter_q: usize,
     prefilter_bin_width: usize,
     schedule: ScheduleMode,
-    dynamic_batch: usize,
     host_threads: usize,
     max_retries: usize,
 }
@@ -96,7 +95,6 @@ impl ReputeConfig {
             prefilter_q: qgram::DEFAULT_Q,
             prefilter_bin_width: qgram::DEFAULT_BIN_WIDTH,
             schedule: ScheduleMode::Static,
-            dynamic_batch: 0,
             host_threads: 0,
             max_retries: DEFAULT_MAX_RETRIES,
         })
@@ -126,15 +124,6 @@ impl ReputeConfig {
         self
     }
 
-    /// Overrides the dynamic scheduler's batch size in reads; `0` (the
-    /// default) sizes batches automatically — see
-    /// [`crate::Schedule::Dynamic`]. Only consulted when the schedule
-    /// mode is dynamic.
-    pub fn with_dynamic_batch(mut self, batch: usize) -> ReputeConfig {
-        self.dynamic_batch = batch;
-        self
-    }
-
     /// Caps the host threads the executor may use; `0` (the default)
     /// lets the executor decide — one per host core, never more than
     /// there are reads, under either schedule (reads are mapped one job
@@ -147,11 +136,6 @@ impl ReputeConfig {
     /// The selected multi-device scheduling policy.
     pub fn schedule(&self) -> ScheduleMode {
         self.schedule
-    }
-
-    /// The dynamic scheduler's batch size (`0` = automatic).
-    pub fn dynamic_batch(&self) -> usize {
-        self.dynamic_batch
     }
 
     /// The executor's host-thread cap (`0` = automatic).
@@ -167,14 +151,6 @@ impl ReputeConfig {
     pub fn with_max_locations(mut self, limit: usize) -> ReputeConfig {
         assert!(limit > 0, "location limit must be positive");
         self.max_locations = limit;
-        self
-    }
-
-    /// Switches the DP exploration space (see
-    /// [`repute_filter::oss::Exploration`]); the default is the paper's
-    /// restricted space.
-    pub fn with_exploration(mut self, exploration: Exploration) -> ReputeConfig {
-        self.oss = self.oss.exploration(exploration);
         self
     }
 
@@ -354,16 +330,13 @@ mod tests {
     fn schedule_knobs_default_off_and_round_trip() {
         let config = ReputeConfig::new(5, 12).unwrap();
         assert_eq!(config.schedule(), ScheduleMode::Static);
-        assert_eq!(config.dynamic_batch(), 0);
         assert_eq!(config.host_threads(), 0);
         assert_eq!(config.max_retries(), DEFAULT_MAX_RETRIES);
         let tuned = config
             .with_schedule(ScheduleMode::Dynamic)
-            .with_dynamic_batch(64)
             .with_host_threads(2)
             .with_max_retries(5);
         assert_eq!(tuned.schedule(), ScheduleMode::Dynamic);
-        assert_eq!(tuned.dynamic_batch(), 64);
         assert_eq!(tuned.host_threads(), 2);
         assert_eq!(tuned.max_retries(), 5);
     }

@@ -73,13 +73,11 @@ pub enum Schedule {
 impl Schedule {
     /// The schedule a [`ReputeConfig`] selects for mapping `items` reads
     /// on `platform`: throughput-proportional static shares, or dynamic
-    /// batching with the configured batch size.
+    /// batching at the automatic batch size.
     pub fn for_config(config: &ReputeConfig, platform: &Platform, items: usize) -> Schedule {
         match config.schedule() {
             ScheduleMode::Static => Schedule::Static(platform.even_shares(items)),
-            ScheduleMode::Dynamic => Schedule::Dynamic {
-                batch: config.dynamic_batch(),
-            },
+            ScheduleMode::Dynamic => Schedule::Dynamic { batch: 0 },
         }
     }
 }
@@ -1513,12 +1511,10 @@ mod tests {
             }
             other => panic!("default mode must be static, got {other:?}"),
         }
-        let dynamic = config
-            .with_schedule(ScheduleMode::Dynamic)
-            .with_dynamic_batch(7);
+        let dynamic = config.with_schedule(ScheduleMode::Dynamic);
         assert_eq!(
             Schedule::for_config(&dynamic, &platform, 30),
-            Schedule::Dynamic { batch: 7 }
+            Schedule::Dynamic { batch: 0 }
         );
     }
 }

@@ -52,7 +52,6 @@ pub mod executor;
 pub mod journal;
 mod mapper;
 mod mapping_run;
-mod paired;
 
 pub use config::{output_slot_bytes, ReputeConfig, ScheduleMode, DEFAULT_MAX_RETRIES};
 pub use error::ReputeError;
@@ -63,4 +62,3 @@ pub use executor::{
 pub use journal::{write_atomic, RunFingerprint, RunJournal};
 pub use mapper::{CigarMapping, ReputeMapper};
 pub use mapping_run::MappingRun;
-pub use paired::{PairMapping, PairOutcome, PairedMapper};

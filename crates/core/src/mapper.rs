@@ -184,20 +184,12 @@ pub struct CigarMapping {
 }
 
 impl ReputeMapper {
-    /// Maps a read and additionally computes the CIGAR string of every
-    /// reported location via a full DP traceback (§IV extension).
+    /// The CIGAR string of each of `mappings` — `read`'s reported
+    /// locations, from whichever path mapped it — by a full DP traceback
+    /// in the ±δ window around the location (§IV extension).
     ///
     /// Costs O(read · window) per reported mapping on top of
     /// [`Mapper::map_read`]; intended for final output, not the hot path.
-    pub fn map_read_with_cigars(&self, read: &DnaSeq) -> (MapOutput, Vec<CigarMapping>) {
-        let out = self.map_read(read);
-        let detailed = self.cigars_for(read, &out.mappings);
-        (out, detailed)
-    }
-
-    /// The CIGAR string of each of `mappings` — `read`'s reported
-    /// locations, from whichever path mapped it — by a full DP traceback
-    /// in the ±δ window around the location.
     pub fn cigars_for(
         &self,
         read: &DnaSeq,
@@ -355,7 +347,8 @@ mod tests {
             .seed(211)
             .simulate(m.indexed().seq());
         for read in &reads {
-            let (out, detailed) = m.map_read_with_cigars(&read.seq);
+            let out = m.map_read_metered(&read.seq, &mut MapMetrics::new());
+            let detailed = m.cigars_for(&read.seq, &out.mappings);
             assert_eq!(out.mappings.len(), detailed.len());
             for (plain, rich) in out.mappings.iter().zip(&detailed) {
                 assert_eq!(rich.cigar.edit_distance(), plain.distance);
@@ -370,7 +363,8 @@ mod tests {
     fn cigar_of_exact_read_is_all_matches() {
         let m = mapper(3, 15);
         let read = m.indexed().seq().subseq(30_000..30_100);
-        let (_, detailed) = m.map_read_with_cigars(&read);
+        let out = m.map_read_metered(&read, &mut MapMetrics::new());
+        let detailed = m.cigars_for(&read, &out.mappings);
         let exact = detailed
             .iter()
             .find(|d| d.mapping.position == 30_000)

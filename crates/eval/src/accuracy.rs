@@ -141,52 +141,6 @@ pub fn any_best_accuracy(gold: &GoldStandard, results: &[Vec<Mapping>], toleranc
     }
 }
 
-/// Rabema *all-best* accuracy: the percentage of gold-mapped reads for
-/// which `results` reports **every** best-stratum gold location (within
-/// `tolerance` bases). Stricter than [`any_best_accuracy`], looser than
-/// [`all_locations_accuracy`] — the third Rabema scenario, provided as an
-/// extension beyond the two the paper uses.
-///
-/// Returns 100.0 when the gold standard maps no read.
-///
-/// # Panics
-///
-/// Panics if `results.len() != gold.len()`.
-pub fn all_best_accuracy(gold: &GoldStandard, results: &[Vec<Mapping>], tolerance: u32) -> f64 {
-    assert_eq!(
-        results.len(),
-        gold.len(),
-        "result set covers {} reads, gold standard {}",
-        results.len(),
-        gold.len()
-    );
-    let mut mapped = 0usize;
-    let mut hit = 0usize;
-    for (gold_maps, got) in gold.per_read.iter().zip(results) {
-        if gold_maps.is_empty() {
-            continue;
-        }
-        mapped += 1;
-        let best = gold_maps
-            .iter()
-            .map(|m| m.distance)
-            .min()
-            .expect("non-empty");
-        let all = gold_maps
-            .iter()
-            .filter(|g| g.distance == best)
-            .all(|g| got.iter().any(|m| matches(g, m, tolerance)));
-        if all {
-            hit += 1;
-        }
-    }
-    if mapped == 0 {
-        100.0
-    } else {
-        hit as f64 * 100.0 / mapped as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,30 +228,6 @@ mod tests {
     fn mismatched_lengths_rejected() {
         let gold = gold_two_reads();
         let _ = all_locations_accuracy(&gold, &[], 0);
-    }
-
-    #[test]
-    fn all_best_sits_between_any_best_and_all_locations() {
-        // Gold: two co-optimal locations and one suboptimal.
-        let gold = GoldStandard::new(vec![vec![
-            m(100, Strand::Forward, 0),
-            m(400, Strand::Forward, 0),
-            m(800, Strand::Forward, 3),
-        ]]);
-        // Reports one of the two best locations only.
-        let one_best = vec![vec![m(100, Strand::Forward, 0)]];
-        assert_eq!(any_best_accuracy(&gold, &one_best, 0), 100.0);
-        assert_eq!(all_best_accuracy(&gold, &one_best, 0), 0.0);
-        // Reports both best locations.
-        let both_best = vec![vec![m(100, Strand::Forward, 0), m(400, Strand::Forward, 0)]];
-        assert_eq!(all_best_accuracy(&gold, &both_best, 0), 100.0);
-        assert!((all_locations_accuracy(&gold, &both_best, 0) - 200.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn all_best_vacuous_cases() {
-        let gold = GoldStandard::new(vec![vec![], vec![]]);
-        assert_eq!(all_best_accuracy(&gold, &[vec![], vec![]], 0), 100.0);
     }
 
     #[test]

@@ -1,13 +1,9 @@
 //! Experiment records and the plain-text table renderer.
 //!
 //! The bench binaries print tables shaped like the paper's: one row per
-//! mapper, one `T(s) / A(%)` column pair per `(read length, δ)` cell. The
-//! types serialise to JSON through `repute-obs`'s hand-rolled writer so
-//! results can be archived and diffed between runs.
+//! mapper, one `T(s) / A(%)` column pair per `(read length, δ)` cell.
 
 use std::fmt;
-
-use repute_obs::json::JsonObject;
 
 /// One measured cell: a mapper on one `(read length, δ)` configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,35 +95,6 @@ impl Table {
             })
             .collect()
     }
-
-    /// Serialises the table as JSON-lines: one `table` record, then one
-    /// `cell` record per measured cell (missing cells are omitted). Uses
-    /// the same hand-rolled writer as the telemetry exports, so archived
-    /// results and metrics files share one format.
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        let mut header = JsonObject::new();
-        header.str_field("type", "table");
-        header.str_field("title", &self.title);
-        header.u64_field("columns", self.columns.len() as u64);
-        header.u64_field("rows", self.rows.len() as u64);
-        out.push_str(&header.finish());
-        out.push('\n');
-        for row in &self.rows {
-            for (col, cell) in self.columns.iter().zip(&row.cells) {
-                let Some(c) = cell else { continue };
-                let mut obj = JsonObject::new();
-                obj.str_field("type", "cell");
-                obj.str_field("mapper", &row.mapper);
-                obj.str_field("column", col);
-                obj.f64_field("time_s", c.time_s);
-                obj.f64_field("accuracy_pct", c.accuracy_pct);
-                out.push_str(&obj.finish());
-                out.push('\n');
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -216,28 +183,5 @@ mod tests {
         assert!((ratios[0].unwrap() - 26.7 / 7.49).abs() < 1e-9);
         assert_eq!(ratios[1], None); // RazerS3's second cell is missing
         assert_eq!(t.speedups("nope", "REPUTE"), vec![None, None]);
-    }
-
-    #[test]
-    fn tables_serialise_to_json_lines() {
-        let text = sample().to_json_lines();
-        let lines: Vec<&str> = text.lines().collect();
-        // Header plus one record per present cell (RazerS3's second is
-        // None).
-        assert_eq!(lines.len(), 1 + 3);
-        let header = repute_obs::json::parse_flat_object(lines[0]).expect("header parses");
-        assert_eq!(
-            repute_obs::json::field(&header, "title").unwrap().as_str(),
-            Some("Demo")
-        );
-        let cell = repute_obs::json::parse_flat_object(lines[1]).expect("cell parses");
-        assert_eq!(
-            repute_obs::json::field(&cell, "mapper").unwrap().as_str(),
-            Some("REPUTE")
-        );
-        assert_eq!(
-            repute_obs::json::field(&cell, "time_s").unwrap().as_f64(),
-            Some(7.49)
-        );
     }
 }

@@ -6,18 +6,17 @@
 //!   Rabema-style *any-best* comparison (§III-B/C);
 //! * [`sam`] — SAM-format output (a §IV future-work item of the paper,
 //!   implemented here as an extension);
-//! * [`experiment`] — result records, serialisable experiment
-//!   configurations and the plain-text table renderer used by the bench
-//!   binaries.
+//! * [`experiment`] — result records and the plain-text table renderer
+//!   used by the bench binaries;
+//! * [`stats`] — the end-of-run summary the `repute` CLI prints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accuracy;
-pub mod coverage;
 pub mod experiment;
 pub mod sam;
 pub mod stats;
 
-pub use accuracy::{all_best_accuracy, all_locations_accuracy, any_best_accuracy, GoldStandard};
+pub use accuracy::{all_locations_accuracy, any_best_accuracy, GoldStandard};
 pub use experiment::{CellResult, Table, TableRow};

@@ -62,11 +62,6 @@ impl GreedySelector {
         self
     }
 
-    /// The error budget δ.
-    pub fn delta(&self) -> u32 {
-        self.delta
-    }
-
     /// Greedily partitions `read` into δ+1 seeds.
     ///
     /// # Panics

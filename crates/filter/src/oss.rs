@@ -119,11 +119,6 @@ impl OssParams {
         self.s_min
     }
 
-    /// The configured exploration space.
-    pub fn exploration_mode(&self) -> Exploration {
-        self.exploration
-    }
-
     /// Enables or disables the Optimal Seed Solver's early divider
     /// termination and zero-cost early leave (both exact; on by default —
     /// the paper "retained all the optimizations proposed in" OSS).
@@ -260,11 +255,6 @@ impl OssSolver {
     /// Creates a solver with the given parameters.
     pub fn new(params: OssParams) -> OssSolver {
         OssSolver { params }
-    }
-
-    /// The solver's parameters.
-    pub fn params(&self) -> &OssParams {
-        &self.params
     }
 
     /// Selects the optimal δ+1 seed partition for `read`.

@@ -60,17 +60,6 @@ pub struct SelectionStats {
     pub peak_bytes: usize,
 }
 
-impl SelectionStats {
-    /// Sums two stats records (used when accumulating over reads).
-    pub fn merged(self, other: SelectionStats) -> SelectionStats {
-        SelectionStats {
-            extend_ops: self.extend_ops + other.extend_ops,
-            dp_cells: self.dp_cells + other.dp_cells,
-            peak_bytes: self.peak_bytes.max(other.peak_bytes),
-        }
-    }
-}
-
 /// A complete seed selection for one read.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SeedSelection {
@@ -180,24 +169,6 @@ mod tests {
         assert!(!gap.is_valid_partition(25, 5));
 
         assert!(!SeedSelection::default().is_valid_partition(0, 0));
-    }
-
-    #[test]
-    fn stats_merge() {
-        let a = SelectionStats {
-            extend_ops: 3,
-            dp_cells: 10,
-            peak_bytes: 100,
-        };
-        let b = SelectionStats {
-            extend_ops: 4,
-            dp_cells: 5,
-            peak_bytes: 200,
-        };
-        let m = a.merged(b);
-        assert_eq!(m.extend_ops, 7);
-        assert_eq!(m.dp_cells, 15);
-        assert_eq!(m.peak_bytes, 200);
     }
 
     #[test]

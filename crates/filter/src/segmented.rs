@@ -65,11 +65,6 @@ impl SegmentedSelector {
         self
     }
 
-    /// The error budget δ.
-    pub fn delta(&self) -> u32 {
-        self.delta
-    }
-
     /// Selects one seed per section of `read`.
     ///
     /// Seeds are anchored at their section's right edge and grow leftward

@@ -40,19 +40,6 @@ impl FastqRecord {
             quality,
         }
     }
-
-    /// Mean Phred score of the record, or 0.0 when empty.
-    pub fn mean_quality(&self) -> f64 {
-        if self.quality.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = self
-            .quality
-            .iter()
-            .map(|&q| u64::from(q - QUALITY_MIN))
-            .sum();
-        sum as f64 / self.quality.len() as f64
-    }
 }
 
 /// Streaming FASTQ reader over any [`BufRead`] source.
@@ -280,18 +267,6 @@ mod tests {
         write_fastq(&mut buf, &recs).unwrap();
         let back = read_fastq(buf.as_slice()).unwrap();
         assert_eq!(back, recs);
-    }
-
-    #[test]
-    fn mean_quality() {
-        let rec = FastqRecord::with_uniform_quality("x", "ACGT".parse().unwrap(), 30);
-        assert!((rec.mean_quality() - 30.0).abs() < 1e-9);
-        let empty = FastqRecord {
-            id: "e".into(),
-            seq: DnaSeq::new(),
-            quality: vec![],
-        };
-        assert_eq!(empty.mean_quality(), 0.0);
     }
 
     #[test]

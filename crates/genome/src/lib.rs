@@ -37,7 +37,6 @@ mod seq;
 
 pub mod fasta;
 pub mod fastq;
-pub mod iupac;
 pub mod reads;
 pub mod rng;
 pub mod synth;

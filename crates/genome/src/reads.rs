@@ -165,11 +165,6 @@ impl ReadSimulator {
         self
     }
 
-    /// Read length this simulator produces.
-    pub fn read_len(&self) -> usize {
-        self.read_len
-    }
-
     /// Samples the read set from `reference`.
     ///
     /// # Panics

@@ -52,11 +52,6 @@ impl DnaSeq {
         }
     }
 
-    /// Builds a sequence from a slice of bases.
-    pub fn from_bases(bases: &[Base]) -> DnaSeq {
-        bases.iter().copied().collect()
-    }
-
     /// Builds a sequence from raw 2-bit codes.
     ///
     /// # Errors
@@ -183,11 +178,6 @@ impl DnaSeq {
             .filter(|b| matches!(b, Base::C | Base::G))
             .count();
         gc as f64 / self.len as f64
-    }
-
-    /// Approximate heap footprint of the packed representation, in bytes.
-    pub fn packed_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
     }
 
     /// Writes the sequence in its packed 2-bit form (length header plus
@@ -409,12 +399,6 @@ mod tests {
         let mut ext = DnaSeq::new();
         ext.extend(seq.iter());
         assert_eq!(ext, seq);
-    }
-
-    #[test]
-    fn packed_footprint_is_quarter_byte_per_base() {
-        let seq: DnaSeq = std::iter::repeat_n(Base::A, 64).collect();
-        assert_eq!(seq.packed_bytes(), 16);
     }
 
     #[test]

@@ -528,7 +528,8 @@ impl DeviceFaultState {
     }
 
     /// Unconsumed transient faults armed at or before `at_seconds`.
-    pub fn pending_transients(&self, at_seconds: f64) -> usize {
+    #[cfg(test)]
+    fn pending_transients(&self, at_seconds: f64) -> usize {
         self.transients[self.next_transient..]
             .iter()
             .filter(|&&t| t <= at_seconds)
@@ -565,16 +566,6 @@ pub struct FaultState {
 }
 
 impl FaultState {
-    /// Number of devices tracked.
-    pub fn len(&self) -> usize {
-        self.per_device.len()
-    }
-
-    /// `true` when no devices are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.per_device.is_empty()
-    }
-
     /// Immutable view of one device's fault state.
     pub fn device(&self, index: usize) -> &DeviceFaultState {
         &self.per_device[index]

@@ -101,11 +101,6 @@ impl BiFmIndex {
         &self.fwd
     }
 
-    /// Length of the indexed reference.
-    pub fn text_len(&self) -> usize {
-        self.fwd.text_len()
-    }
-
     /// The interval pair of the empty pattern.
     pub fn init(&self) -> BiInterval {
         BiInterval {

@@ -138,11 +138,6 @@ impl<'a> VerifyEngine<'a> {
         self
     }
 
-    /// The error budget δ.
-    pub fn delta(&self) -> u32 {
-        self.delta
-    }
-
     /// Verifies merged candidate diagonals for `read` on `strand`,
     /// appending accepted mappings to `out` until `limit` total mappings.
     ///

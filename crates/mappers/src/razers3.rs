@@ -74,11 +74,6 @@ impl Razers3Like {
         self
     }
 
-    /// The error budget δ.
-    pub fn delta(&self) -> u32 {
-        self.delta
-    }
-
     /// The q-gram lemma threshold for a read of `n` bases: a window with
     /// ≤ δ errors shares at least `n + 1 − q·(δ+1)` q-grams with the read
     /// (clamped to 1 to stay sensitive for short reads).

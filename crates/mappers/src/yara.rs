@@ -69,11 +69,6 @@ impl YaraLike {
         self
     }
 
-    /// The error budget δ.
-    pub fn delta(&self) -> u32 {
-        self.delta
-    }
-
     /// Searches `seed` with up to one mismatch, returning all match
     /// intervals and the index operations spent (a k-mer table lookup
     /// counts as one extension).

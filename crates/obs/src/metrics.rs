@@ -172,7 +172,8 @@ impl StageTimer {
     }
 
     /// Depth of currently open stages.
-    pub fn open_depth(&self) -> usize {
+    #[cfg(test)]
+    fn open_depth(&self) -> usize {
         self.stack.len()
     }
 

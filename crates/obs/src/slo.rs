@@ -55,21 +55,11 @@ impl SloTracker {
         }
     }
 
-    /// The configured window length, in simulated seconds.
-    pub fn window_s(&self) -> f64 {
-        self.window_s
-    }
-
     /// Records one deadline outcome at simulated time `at_s`: `met` is
     /// whether the job was answered by its deadline (a shed job records
     /// `false`).
     pub fn record(&mut self, tenant: &str, at_s: f64, met: bool) {
         self.outcomes.push((tenant.to_string(), at_s, met));
-    }
-
-    /// True when no outcomes have ever been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
     }
 
     /// Per-tenant reports over the window trailing `now`, tenant

@@ -98,12 +98,6 @@ impl Span {
         self
     }
 
-    /// Attaches a float annotation.
-    pub fn arg_f64(mut self, key: impl Into<String>, value: f64) -> Span {
-        self.args.push((key.into(), JsonValue::Num(value)));
-        self
-    }
-
     /// Attaches a string annotation.
     pub fn arg_str(mut self, key: impl Into<String>, value: impl Into<String>) -> Span {
         self.args.push((key.into(), JsonValue::Str(value.into())));

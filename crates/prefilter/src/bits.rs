@@ -80,28 +80,6 @@ pub fn or_shr1(mask: &mut [u64]) {
     }
 }
 
-/// Number of maximal runs of consecutive 1-bits in the first `len` bits
-/// (a run starts wherever a 1 has a 0 — or the mask boundary — below it).
-pub fn count_runs(mask: &[u64], len: usize) -> u32 {
-    let mut runs = 0u32;
-    let mut prev_top = 0u64; // bit `w*64 - 1`, seen from word w
-    for (w, &word) in mask.iter().enumerate() {
-        if w * 64 >= len {
-            break;
-        }
-        let mut m = word;
-        let tail = len - w * 64;
-        if tail < 64 {
-            m &= (1u64 << tail) - 1;
-        }
-        // Run starts: 1-bits whose predecessor bit is 0.
-        let starts = m & !((m << 1) | prev_top);
-        runs += starts.count_ones();
-        prev_top = word >> 63;
-    }
-    runs
-}
-
 /// Sound lower bound on the edits a ≤ δ alignment needs to explain the
 /// surviving 1-bits of an amended-AND mask: each maximal 1-run of
 /// length `ℓ` contributes `max(1, ⌈(ℓ−2)/3⌉)`.
@@ -218,24 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn count_runs_counts_maximal_streaks() {
-        // 1101110001 → runs {0,1}, {3,4,5}, {9}
-        let words = bits_to_words(&[1, 1, 0, 1, 1, 1, 0, 0, 0, 1]);
-        assert_eq!(count_runs(&words, 10), 3);
-    }
-
-    #[test]
-    fn count_runs_spans_word_boundary() {
-        // A single run crossing bits 62..=65 must count once.
-        let words = bits_to_words(
-            &(0..70)
-                .map(|i| u8::from((62..=65).contains(&i)))
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(count_runs(&words, 70), 1);
-    }
-
-    #[test]
     fn streak_edit_bound_charges_per_run() {
         // Runs: {0,1} (len 2 → 1), {5..=12} (len 8 → 2)
         let bits: Vec<u8> = (0..20)
@@ -250,13 +210,5 @@ mod tests {
         assert_eq!(streak_edit_bound(&five, 6), 1);
         let six = bits_to_words(&[1, 1, 1, 1, 1, 1, 0]);
         assert_eq!(streak_edit_bound(&six, 7), 2);
-    }
-
-    #[test]
-    fn count_runs_respects_len() {
-        let words = vec![u64::MAX; 2];
-        assert_eq!(count_runs(&words, 128), 1);
-        assert_eq!(count_runs(&words, 10), 1);
-        assert_eq!(count_runs(&words, 0), 0);
     }
 }

@@ -136,11 +136,6 @@ impl<'a> Chain<'a> {
         Chain { parts }
     }
 
-    /// Number of chained filters.
-    pub fn len(&self) -> usize {
-        self.parts.len()
-    }
-
     /// `true` when the chain has no filters (accepts everything at
     /// zero cost).
     pub fn is_empty(&self) -> bool {
@@ -191,7 +186,8 @@ impl PrefilterMode {
     ];
 
     /// `true` when the mode runs the SHD filter.
-    pub fn uses_shd(self) -> bool {
+    #[cfg(test)]
+    fn uses_shd(self) -> bool {
         matches!(self, PrefilterMode::Shd | PrefilterMode::Both)
     }
 

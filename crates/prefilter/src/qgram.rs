@@ -137,11 +137,6 @@ impl<'a> QgramFilter<'a> {
     pub fn new(bins: &'a QgramBins) -> QgramFilter<'a> {
         QgramFilter { bins }
     }
-
-    /// The underlying bins.
-    pub fn bins(&self) -> &'a QgramBins {
-        self.bins
-    }
 }
 
 impl PreFilter for QgramFilter<'_> {

@@ -366,21 +366,6 @@ impl TenantQuota {
         }
     }
 
-    /// True when no tenant has a budget (the gate is a no-op).
-    pub fn is_disabled(&self) -> bool {
-        self.budgets.is_empty()
-    }
-
-    /// The configured window length (simulated seconds).
-    pub fn window_s(&self) -> f64 {
-        self.window_s
-    }
-
-    /// The configured budget table.
-    pub fn budgets(&self) -> &[(String, u64)] {
-        &self.budgets
-    }
-
     fn budget_of(&self, tenant: &str) -> Option<u64> {
         self.budgets
             .iter()

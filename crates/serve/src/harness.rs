@@ -9,7 +9,7 @@
 //! which executes the next scheduler batch but "loses power" before the
 //! batch commit, leaving the journal exactly as a real crash would.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use repute_core::ReputeError;
 use repute_hetsim::Platform;
@@ -21,7 +21,6 @@ use crate::server::{ServeCore, ServeCounters, ServeOptions};
 /// An in-process daemon for tests and benches (see the module docs).
 pub struct ServeHarness {
     core: ServeCore,
-    journal: Option<PathBuf>,
 }
 
 impl ServeHarness {
@@ -37,7 +36,6 @@ impl ServeHarness {
     ) -> Result<ServeHarness, ReputeError> {
         Ok(ServeHarness {
             core: ServeCore::new(set, platform, options)?,
-            journal: None,
         })
     }
 
@@ -60,13 +58,7 @@ impl ServeHarness {
     ) -> Result<(ServeHarness, Vec<JobResponse>), ReputeError> {
         let mut core = ServeCore::new(set, platform, options)?;
         let replayed = core.attach_journal(path, resume)?;
-        Ok((
-            ServeHarness {
-                core,
-                journal: Some(path.to_path_buf()),
-            },
-            replayed,
-        ))
+        Ok((ServeHarness { core }, replayed))
     }
 
     /// Submits one job envelope. `None` means accepted (the response
@@ -126,11 +118,6 @@ impl ServeHarness {
     pub fn crash_mid_batch(mut self) -> Result<Vec<String>, ReputeError> {
         let responses = self.core.run_batch_impl(false)?;
         Ok(responses.into_iter().map(|r| r.id).collect())
-    }
-
-    /// The journal path this harness was built with, if any.
-    pub fn journal_path(&self) -> Option<&Path> {
-        self.journal.as_deref()
     }
 
     /// Read access to the core for counters, telemetry, and traces.

@@ -1150,12 +1150,6 @@ impl ServeCore {
         self.unavailable
     }
 
-    /// The per-job read cap currently enforced (shrinks and grows with
-    /// the surviving devices' quarter-RAM cap).
-    pub fn live_max_reads(&self) -> usize {
-        self.live_max_reads
-    }
-
     /// Per-tenant deadline SLO reports over the sliding quota window
     /// ending now, tenant name-sorted.
     pub fn slo_reports(&self) -> Vec<SloReport> {
@@ -1191,12 +1185,6 @@ impl ServeCore {
     pub fn latency_percentiles(&self) -> (u64, f64, f64, f64) {
         let (p50, p90, p99) = self.latency.p50_p90_p99();
         (self.latency.count(), p50, p90, p99)
-    }
-
-    /// Every trace span collected so far (batch spans shifted onto the
-    /// daemon clock, plus one `job` span per completed job).
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
     }
 
     /// The service telemetry as records: one `job` record per

@@ -35,7 +35,7 @@ pub use repute_mappers as mappers;
 
 /// The types most mapping programs start with.
 pub mod prelude {
-    pub use repute_core::{PairOutcome, PairedMapper, ReputeConfig, ReputeMapper};
+    pub use repute_core::{ReputeConfig, ReputeMapper};
     pub use repute_genome::fasta::{read_fasta, AmbiguityPolicy};
     pub use repute_genome::fastq::read_fastq;
     pub use repute_genome::reads::{ErrorProfile, ReadSimulator};

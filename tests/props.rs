@@ -3,7 +3,7 @@
 //! offline and in tier-1 (the pattern of
 //! `crates/prefilter/tests/props.rs`).
 
-use repute_align::{banded, block, dp, myers, verify};
+use repute_align::{block, dp, myers, verify};
 use repute_filter::freq::FreqTable;
 use repute_filter::oss::{OssParams, OssSolver};
 use repute_genome::rng::StdRng;
@@ -172,18 +172,6 @@ fn bidirectional_extension_matches_plain_backward_search() {
         }
         assert_eq!(Some(iv.fwd), bi.forward().interval(&pattern), "{case}");
         assert_eq!(iv.fwd.width(), iv.rev.width(), "{case}");
-    });
-}
-
-#[test]
-fn banded_distance_agrees_with_full_dp() {
-    for_each_case(CASES_PER_SEED, |rng, case| {
-        let a = codes(rng, 0..80);
-        let b = codes(rng, 0..80);
-        let k = rng.gen_range(0u32..12);
-        let exact = dp::edit_distance(&a, &b);
-        let expected = (exact <= k).then_some(exact);
-        assert_eq!(banded::banded_distance(&a, &b, k), expected, "{case}");
     });
 }
 
