@@ -15,13 +15,21 @@ use std::str::FromStr;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseArgsError {
     message: String,
+    help: bool,
 }
 
 impl ParseArgsError {
     pub(crate) fn new(message: impl Into<String>) -> ParseArgsError {
         ParseArgsError {
             message: message.into(),
+            help: false,
         }
+    }
+
+    /// Whether the line asked for `--help` / `-h`: not a mistake, so
+    /// the binary prints the usage on stdout and exits 0.
+    pub fn is_help_request(&self) -> bool {
+        self.help
     }
 }
 
@@ -62,9 +70,10 @@ impl Cursor {
     /// Moves to the next argument; `false` at the end of the line.
     pub(crate) fn advance(&mut self) -> Result<bool, ParseArgsError> {
         match self.args.next() {
-            Some(arg) if arg == "--help" || arg == "-h" => {
-                Err(ParseArgsError::new("help requested"))
-            }
+            Some(arg) if arg == "--help" || arg == "-h" => Err(ParseArgsError {
+                help: true,
+                ..ParseArgsError::new("help requested")
+            }),
             Some(arg) => {
                 self.seen.push(std::mem::replace(&mut self.flag, arg));
                 Ok(true)
@@ -183,8 +192,9 @@ MAP OPTIONS:
                              | dynamic (devices greedily pull batches)
                              [default: static]
     --host-threads <n>       cap the executor's host threads (1 = the
-                             sequential host of earlier releases)
-                             [default: automatic]
+                             sequential host of earlier releases), with
+                             --platform; the plain path is
+                             single-threaded [default: automatic]
     --fault-plan <spec>      inject faults into the platform simulation
                              (requires --platform); comma-separated
                              events: loss:d<dev>@<t> |

@@ -19,6 +19,10 @@ fn dispatch<O>(
 ) -> ExitCode {
     let opts = match parsed {
         Ok(opts) => opts,
+        Err(err) if err.is_help_request() => {
+            println!("{}", repute_cli::USAGE);
+            return ExitCode::SUCCESS;
+        }
         Err(err) => {
             eprintln!("{err}");
             return ExitCode::from(EXIT_USAGE);

@@ -2,19 +2,18 @@
 
 use std::sync::Arc;
 
-use repute_filter::freq::FreqTable;
 use repute_filter::oss::OssSolver;
 use repute_genome::DnaSeq;
-use repute_mappers::{CandidateSet, IndexedReference, MapOutput, Mapper};
+use repute_mappers::{
+    map_read_with, select_and_locate, IndexedReference, MapOutput, Mapper, Report,
+};
 use repute_obs::MapMetrics;
 use repute_prefilter::{Chain, PrefilterMode, QgramBins, QgramFilter, ShdFilter};
 
-use repute_mappers::engine_costs::{DP_CELL_COST, EXTEND_COST, LOCATE_COST};
+use crate::config::ReputeConfig;
 
 /// Cap on located occurrences per seed (pathological repeats only).
 const PER_SEED_LOCATE_CAP: usize = 20_000;
-
-use crate::config::ReputeConfig;
 
 /// The REPUTE mapper: DP filtration + bit-vector verification, fused into
 /// one per-read kernel with a fixed memory footprint.
@@ -117,58 +116,20 @@ impl Mapper for ReputeMapper {
                 engine.with_prefilter(&chain)
             }
         };
-        let solver = OssSolver::new(*self.config.oss_params());
-        let mut out = MapOutput::default();
-        let strands = [
-            (repute_genome::Strand::Forward, read.to_codes()),
-            (
-                repute_genome::Strand::Reverse,
-                read.reverse_complement().to_codes(),
-            ),
-        ];
-        for (strand, codes) in strands {
-            if !self.config.feasible_for(codes.len()) {
-                continue; // read too short for δ+1 seeds of S_min
-            }
+        let selector = OssSolver::new(*self.config.oss_params());
+        map_read_with(
+            read,
+            &engine,
+            Report::FirstN,
+            self.config.max_locations(),
+            metrics,
             // Filtration: frequency table + DP partition (the paper's
-            // §II-B kernel).
-            let table = FreqTable::build(fm, &codes, self.config.oss_params());
-            table.record_metrics(metrics);
-            let outcome = solver.select(&codes, &table);
-            outcome.record_metrics(metrics);
-            out.work +=
-                outcome.stats.extend_ops * EXTEND_COST + outcome.stats.dp_cells * DP_CELL_COST;
-            // Candidate generation from the optimal seeds.
-            let mut candidates = CandidateSet::new();
-            for seed in &outcome.selection.seeds {
-                if let Some(interval) = seed.interval {
-                    let positions = fm.locate(interval, PER_SEED_LOCATE_CAP);
-                    out.work += positions.len() as u64 * LOCATE_COST;
-                    metrics.fm_locate_ops += positions.len() as u64;
-                    metrics.candidates_raw += positions.len() as u64;
-                    for pos in positions {
-                        // Capped seeds anchor their interval at a suffix.
-                        candidates.add(pos, seed.anchor);
-                    }
-                }
-            }
-            let merged = candidates.into_merged(CandidateSet::merge_gap(self.config.delta()));
-            out.candidates += merged.len() as u64;
-            metrics.candidates_merged += merged.len() as u64;
-            // Verification (first-n output slots).
-            out.work += engine.verify_metered(
-                &codes,
-                strand,
-                &merged,
-                self.config.max_locations(),
-                &mut out.mappings,
-                metrics,
-            );
-            if out.mappings.len() >= self.config.max_locations() {
-                break;
-            }
-        }
-        out
+            // §II-B kernel), skipped on a read too short for δ+1 seeds of
+            // S_min. Capped seeds anchor their interval at a suffix.
+            select_and_locate(&selector, fm, PER_SEED_LOCATE_CAP, |n| {
+                self.config.feasible_for(n)
+            }),
+        )
     }
 }
 
@@ -229,6 +190,7 @@ mod tests {
     use repute_genome::synth::ReferenceBuilder;
     use repute_genome::Strand;
     use repute_mappers::coral::CoralLike;
+    use repute_mappers::engine_costs::{DP_CELL_COST, EXTEND_COST, LOCATE_COST};
 
     fn indexed() -> Arc<IndexedReference> {
         Arc::new(IndexedReference::build(

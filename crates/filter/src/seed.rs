@@ -94,11 +94,14 @@ impl SeedSelection {
 
 /// A pluggable seed-selection strategy.
 ///
-/// Unifies the crate's selectors behind one signature so mappers and
-/// benches can swap strategies generically. Strategies that precompute a
-/// frequency table (the DP solvers) build it internally here; callers on
-/// the hot path that want to reuse a table should use the concrete types
-/// directly.
+/// Unifies the crate's selectors behind one signature: the seeding step
+/// `repute_mappers::select_and_locate` is generic over it, and REPUTE
+/// ([`OssSolver`](crate::oss::OssSolver)), CORAL
+/// ([`SegmentedSelector`](crate::segmented::SegmentedSelector)) and GEM
+/// ([`GreedySelector`](crate::greedy::GreedySelector)) are that one
+/// per-read pipeline instantiated with their selector. Strategies that
+/// precompute a frequency table (the DP solvers) build it internally
+/// here; its extensions are the `extend_ops` of the returned stats.
 ///
 /// # Example
 ///

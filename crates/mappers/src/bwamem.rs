@@ -11,9 +11,10 @@ use std::sync::Arc;
 
 use repute_genome::DnaSeq;
 use repute_index::BiFmIndex;
+use repute_obs::MapMetrics;
 
-use crate::common::{IndexedReference, MapOutput, Mapper, Mapping};
-use crate::engine::{strand_codes, CandidateSet, EXTEND_COST, LOCATE_COST};
+use crate::common::{IndexedReference, MapOutput, Mapper};
+use crate::engine::{locate_into, map_read_with, Report, EXTEND_COST};
 
 /// Rank-query pairs per bidirectional extension step (four left
 /// extensions probe the width of every symbol).
@@ -86,35 +87,31 @@ impl Mapper for BwaMemLike {
     }
 
     fn map_read(&self, read: &DnaSeq) -> MapOutput {
+        let fm = self.bi.forward();
         let budget = Self::internal_budget(read.len());
-        let engine = self.indexed.verify_engine(budget);
-        let mut out = MapOutput::default();
-        let mut all: Vec<Mapping> = Vec::new();
-        for (strand, codes) in strand_codes(read) {
-            let mut candidates = CandidateSet::new();
-            // True super-maximal exact matches via the bidirectional index.
-            let (smems, steps) = self.bi.smems(&codes, MIN_SEED_LEN);
-            out.work += steps * BI_STEP_COST;
-            for smem in &smems {
-                let positions = self.bi.forward().locate(smem.interval, PER_SEED_LOCATE_CAP);
-                out.work += positions.len() as u64 * LOCATE_COST;
-                for pos in positions {
-                    candidates.add(pos, smem.start);
+        map_read_with(
+            read,
+            &self.indexed.verify_engine(budget),
+            Report::BestStratum,
+            self.max_locations,
+            &mut MapMetrics::new(),
+            |codes, set, metrics| {
+                // True super-maximal exact matches via the bidirectional index.
+                let (smems, steps) = self.bi.smems(codes, MIN_SEED_LEN);
+                let mut work = steps * BI_STEP_COST;
+                for smem in &smems {
+                    work += locate_into(
+                        fm,
+                        smem.interval,
+                        PER_SEED_LOCATE_CAP,
+                        smem.start,
+                        set,
+                        metrics,
+                    );
                 }
-            }
-            let merged = candidates.into_merged(CandidateSet::merge_gap(budget));
-            out.candidates += merged.len() as u64;
-            out.work += engine.verify(&codes, strand, &merged, usize::MAX, &mut all);
-        }
-        // Best-mapper: report every location in the best stratum.
-        if let Some(best) = all.iter().map(|m| m.distance).min() {
-            out.mappings = all
-                .into_iter()
-                .filter(|m| m.distance == best)
-                .take(self.max_locations)
-                .collect();
-        }
-        out
+                Some(work)
+            },
+        )
     }
 }
 

@@ -15,9 +15,10 @@ use std::sync::Arc;
 
 use repute_filter::segmented::SegmentedSelector;
 use repute_genome::DnaSeq;
+use repute_obs::MapMetrics;
 
 use crate::common::{IndexedReference, MapOutput, Mapper};
-use crate::engine::{strand_codes, CandidateSet, EXTEND_COST, LOCATE_COST};
+use crate::engine::{map_read_with, select_and_locate, Report};
 
 /// Cap on located occurrences per seed (pathological repeats only).
 const PER_SEED_LOCATE_CAP: usize = 20_000;
@@ -42,7 +43,6 @@ pub struct CoralLike {
     indexed: Arc<IndexedReference>,
     delta: u32,
     s_min: usize,
-    threshold: u32,
     max_locations: usize,
 }
 
@@ -59,7 +59,6 @@ impl CoralLike {
             indexed,
             delta,
             s_min: 12,
-            threshold: Self::DEFAULT_THRESHOLD,
             max_locations: 1000,
         }
     }
@@ -103,39 +102,17 @@ impl Mapper for CoralLike {
 
     fn map_read(&self, read: &DnaSeq) -> MapOutput {
         let fm = self.indexed.fm();
-        let engine = self.indexed.verify_engine(self.delta);
-        let selector = SegmentedSelector::new(self.delta, self.s_min).threshold(self.threshold);
-        let mut out = MapOutput::default();
-        for (strand, codes) in strand_codes(read) {
-            if codes.len() < (self.delta as usize + 1) * self.s_min {
-                continue;
-            }
-            let (selection, stats) = selector.select(&codes, fm);
-            out.work += stats.extend_ops * EXTEND_COST;
-            let mut candidates = CandidateSet::new();
-            for seed in &selection.seeds {
-                if let Some(interval) = seed.interval {
-                    let positions = fm.locate(interval, PER_SEED_LOCATE_CAP);
-                    out.work += positions.len() as u64 * LOCATE_COST;
-                    for pos in positions {
-                        candidates.add(pos, seed.anchor);
-                    }
-                }
-            }
-            let merged = candidates.into_merged(CandidateSet::merge_gap(self.delta));
-            out.candidates += merged.len() as u64;
-            out.work += engine.verify(
-                &codes,
-                strand,
-                &merged,
-                self.max_locations,
-                &mut out.mappings,
-            );
-            if out.mappings.len() >= self.max_locations {
-                break;
-            }
-        }
-        out
+        let selector =
+            SegmentedSelector::new(self.delta, self.s_min).threshold(Self::DEFAULT_THRESHOLD);
+        let min_len = (self.delta as usize + 1) * self.s_min;
+        map_read_with(
+            read,
+            &self.indexed.verify_engine(self.delta),
+            Report::FirstN,
+            self.max_locations,
+            &mut MapMetrics::new(),
+            select_and_locate(&selector, fm, PER_SEED_LOCATE_CAP, |n| n >= min_len),
+        )
     }
 }
 

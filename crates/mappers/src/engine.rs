@@ -1,19 +1,23 @@
-//! Shared candidate-verification machinery.
+//! The per-read pipeline and its candidate-verification machinery.
 //!
-//! Every pigeonhole mapper ends the same way: project each seed hit onto a
-//! read-start diagonal, merge nearby candidates, cut a reference window
-//! around each and run the Myers verifier. This engine centralises that
-//! flow — and its work accounting — so the mappers differ only in *how
-//! they choose seeds*, which is exactly the axis the paper compares.
+//! Every pigeonhole mapper runs the same stages on a read: for each
+//! strand, choose seeds, locate them onto read-start diagonals, merge
+//! nearby candidates, cut a reference window around each, run the Myers
+//! verifier, and report the first n mappings or the best stratum.
+//! [`map_read_with`] is those stages — and their work accounting —
+//! written once, so the mappers differ only in *how they choose seeds*,
+//! which is exactly the axis the paper compares.
 
 use repute_align::{
     verify_metered, verify_with, BatchVerifier, CandidateBatch, ReadMasks, VerifyScratch, LANES,
 };
+use repute_filter::SeedSelector;
 use repute_genome::{DnaSeq, Strand};
+use repute_index::{FmIndex, Interval};
 use repute_obs::MapMetrics;
 use repute_prefilter::{Candidate, PreFilter, Verdict};
 
-use crate::common::Mapping;
+use crate::common::{MapOutput, Mapping};
 
 /// Work units charged per FM-Index left-extension: two rank queries, each
 /// a checkpoint load plus a BWT scan — cache-missing, memory-bound work,
@@ -139,27 +143,13 @@ impl<'a> VerifyEngine<'a> {
     }
 
     /// Verifies merged candidate diagonals for `read` on `strand`,
-    /// appending accepted mappings to `out` until `limit` total mappings.
+    /// appending accepted mappings to `out` until `limit` total mappings,
+    /// and recording one verification, its word updates, and any accepted
+    /// hit per candidate into `metrics`.
     ///
     /// Returns the bit-vector work consumed. The window around each
     /// candidate spans `read_len + 2δ` bases, the standard slack for up to
     /// δ indels on either side.
-    pub fn verify(
-        &self,
-        read: &[u8],
-        strand: Strand,
-        candidates: &[u32],
-        limit: usize,
-        out: &mut Vec<Mapping>,
-    ) -> u64 {
-        let mut scratch = MapMetrics::new();
-        self.verify_metered(read, strand, candidates, limit, out, &mut scratch)
-    }
-
-    /// Like [`VerifyEngine::verify`], additionally recording one
-    /// verification, its word updates, and any accepted hit per candidate
-    /// into `metrics`. Returns the same work value `verify` would, so
-    /// metered callers keep the exact `MapOutput.work` arithmetic.
     ///
     /// The batch path builds the read's [`ReadMasks`] once, gathers the
     /// candidates into a structure-of-arrays [`CandidateBatch`], runs
@@ -445,10 +435,133 @@ pub fn strand_codes(read: &DnaSeq) -> [(Strand, Vec<u8>); 2] {
     ]
 }
 
+/// What a mapper reports of the mappings it verified.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Report {
+    /// The first `max_locations` accepted, in verification order
+    /// (§III's *first-n*): verification stops at the limit, and a
+    /// forward strand that fills it leaves the reverse strand unseeded.
+    FirstN,
+    /// Every candidate of both strands is verified; the mappings at the
+    /// minimum distance are kept, at most `max_locations` of them.
+    BestStratum,
+}
+
+/// Locates up to `cap` occurrences of `interval` into `set`, each
+/// anchored `anchor` bases into the read, counting them into
+/// `fm_locate_ops` and `candidates_raw`. Returns the work:
+/// [`LOCATE_COST`] per position.
+pub fn locate_into(
+    fm: &FmIndex,
+    interval: Interval,
+    cap: usize,
+    anchor: usize,
+    set: &mut CandidateSet,
+    metrics: &mut MapMetrics,
+) -> u64 {
+    let positions = fm.locate(interval, cap);
+    let located = positions.len() as u64;
+    metrics.fm_locate_ops += located;
+    metrics.candidates_raw += located;
+    for pos in positions {
+        set.add(pos, anchor);
+    }
+    located * LOCATE_COST
+}
+
+/// The seeding step of a mapper that is a [`SeedSelector`] (REPUTE,
+/// CORAL, GEM): on a strand whose length is `feasible`, selects the
+/// seeds and locates each one that occurs, at its anchor and under
+/// `cap`. The selector's extensions, DP cells and seed count go into
+/// the metrics; the work is that of selection and location.
+pub fn select_and_locate<'a, S: SeedSelector>(
+    selector: &'a S,
+    fm: &'a FmIndex,
+    cap: usize,
+    feasible: impl Fn(usize) -> bool + 'a,
+) -> impl FnMut(&[u8], &mut CandidateSet, &mut MapMetrics) -> Option<u64> + 'a {
+    move |codes, set, metrics| {
+        if !feasible(codes.len()) {
+            return None;
+        }
+        let (selection, stats) = selector.select_seeds(codes, fm);
+        metrics.fm_extend_ops += stats.extend_ops;
+        metrics.dp_cells += stats.dp_cells;
+        metrics.seeds_selected += selection.seeds.len() as u64;
+        let mut work = stats.extend_ops * EXTEND_COST + stats.dp_cells * DP_CELL_COST;
+        for seed in &selection.seeds {
+            if let Some(interval) = seed.interval {
+                work += locate_into(fm, interval, cap, seed.anchor, set, metrics);
+            }
+        }
+        Some(work)
+    }
+}
+
+/// Maps one read: the stages every pigeonhole mapper shares, around the
+/// one it does not.
+///
+/// For each strand, `seed` fills a [`CandidateSet`] from the strand's
+/// codes and returns the work it spent — or `None` when the strand
+/// cannot host the mapper's seeds, which skips it at no cost. The set
+/// is merged with the gap of `engine`'s δ, counted into
+/// [`MapOutput::candidates`], and verified into the output; `report`
+/// decides where verification stops and what is kept.
+pub fn map_read_with(
+    read: &DnaSeq,
+    engine: &VerifyEngine<'_>,
+    report: Report,
+    max_locations: usize,
+    metrics: &mut MapMetrics,
+    mut seed: impl FnMut(&[u8], &mut CandidateSet, &mut MapMetrics) -> Option<u64>,
+) -> MapOutput {
+    let limit = match report {
+        Report::FirstN => max_locations,
+        Report::BestStratum => usize::MAX,
+    };
+    let mut out = MapOutput::default();
+    for (strand, codes) in strand_codes(read) {
+        let mut candidates = CandidateSet::new();
+        let Some(seed_work) = seed(&codes, &mut candidates, metrics) else {
+            continue;
+        };
+        let merged = candidates.into_merged(CandidateSet::merge_gap(engine.delta));
+        out.candidates += merged.len() as u64;
+        metrics.candidates_merged += merged.len() as u64;
+        out.work += seed_work
+            + engine.verify_metered(&codes, strand, &merged, limit, &mut out.mappings, metrics);
+        if out.mappings.len() >= limit {
+            break;
+        }
+    }
+    if report == Report::BestStratum {
+        if let Some(best) = out.mappings.iter().map(|m| m.distance).min() {
+            out.mappings.retain(|m| m.distance == best);
+            out.mappings.truncate(max_locations);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use repute_genome::synth::ReferenceBuilder;
+
+    impl VerifyEngine<'_> {
+        /// [`VerifyEngine::verify_metered`] with a scratch record.
+        fn verify(
+            &self,
+            read: &[u8],
+            strand: Strand,
+            candidates: &[u32],
+            limit: usize,
+            out: &mut Vec<Mapping>,
+        ) -> u64 {
+            let mut scratch = MapMetrics::new();
+            self.verify_metered(read, strand, candidates, limit, out, &mut scratch)
+        }
+    }
 
     #[test]
     fn candidate_merging() {
@@ -614,6 +727,173 @@ mod tests {
         let mut out = Vec::new();
         engine.verify(&read, Strand::Forward, &[250, 290], 10, &mut out);
         assert!(out.iter().any(|m| m.position == 250));
+    }
+
+    /// A 10 kbp reference holding the read of 4000..4100 again at 7000
+    /// with one substitution, and its reverse complement at 2000.
+    fn planted() -> (Vec<u8>, DnaSeq) {
+        let reference = ReferenceBuilder::new(10_000).seed(23).build();
+        let read = reference.subseq(4000..4100);
+        let mut codes = reference.to_codes();
+        codes[7000..7100].copy_from_slice(&read.to_codes());
+        codes[7050] ^= 1;
+        codes[2000..2100].copy_from_slice(&read.reverse_complement().to_codes());
+        (codes, read)
+    }
+
+    /// A seeding step that proposes the three planted sites plus one
+    /// site of noise for 7 work units, counting its calls.
+    fn stub(
+        calls: &mut u32,
+    ) -> impl FnMut(&[u8], &mut CandidateSet, &mut MapMetrics) -> Option<u64> + '_ {
+        move |_, set, _| {
+            *calls += 1;
+            for site in [7000, 4000, 9000, 2000] {
+                set.add(site, 0);
+            }
+            Some(7)
+        }
+    }
+
+    fn hit(position: u32, strand: Strand, distance: u32) -> Mapping {
+        Mapping {
+            position,
+            strand,
+            distance,
+        }
+    }
+
+    #[test]
+    fn first_n_stops_at_the_limit_and_leaves_the_reverse_strand_unseeded() {
+        let (codes, read) = planted();
+        let engine = VerifyEngine::new(&codes, 3);
+        for (limit, strands_seeded, expected) in [
+            (1, 1, vec![hit(4000, Strand::Forward, 0)]),
+            (
+                2,
+                1,
+                vec![hit(4000, Strand::Forward, 0), hit(7000, Strand::Forward, 1)],
+            ),
+            (
+                3,
+                2,
+                vec![
+                    hit(4000, Strand::Forward, 0),
+                    hit(7000, Strand::Forward, 1),
+                    hit(2000, Strand::Reverse, 0),
+                ],
+            ),
+        ] {
+            let mut calls = 0;
+            let mut metrics = MapMetrics::new();
+            let out = map_read_with(
+                &read,
+                &engine,
+                Report::FirstN,
+                limit,
+                &mut metrics,
+                stub(&mut calls),
+            );
+            assert_eq!(out.mappings, expected, "limit {limit}");
+            assert_eq!(calls, strands_seeded, "limit {limit}");
+            assert_eq!(out.candidates, 4 * u64::from(strands_seeded));
+            assert_eq!(metrics.candidates_merged, out.candidates);
+            assert_eq!(
+                out.work,
+                7 * u64::from(strands_seeded) + metrics.word_updates
+            );
+        }
+    }
+
+    #[test]
+    fn best_stratum_verifies_both_strands_and_keeps_the_minimum_distance() {
+        let (codes, read) = planted();
+        let engine = VerifyEngine::new(&codes, 3);
+        for (limit, expected) in [
+            (1, vec![hit(4000, Strand::Forward, 0)]),
+            (
+                100,
+                vec![hit(4000, Strand::Forward, 0), hit(2000, Strand::Reverse, 0)],
+            ),
+        ] {
+            let mut calls = 0;
+            let mut metrics = MapMetrics::new();
+            let out = map_read_with(
+                &read,
+                &engine,
+                Report::BestStratum,
+                limit,
+                &mut metrics,
+                stub(&mut calls),
+            );
+            assert_eq!(out.mappings, expected, "limit {limit}");
+            assert_eq!(calls, 2);
+            assert_eq!((out.candidates, metrics.verifications), (8, 8));
+            assert_eq!(metrics.hits, 3, "the distance-1 site was verified too");
+        }
+    }
+
+    #[test]
+    fn an_infeasible_strand_costs_nothing() {
+        let (codes, read) = planted();
+        let engine = VerifyEngine::new(&codes, 3);
+        let mut metrics = MapMetrics::new();
+        let never = |_: &[u8], _: &mut CandidateSet, _: &mut MapMetrics| None;
+        for report in [Report::FirstN, Report::BestStratum] {
+            let out = map_read_with(&read, &engine, report, 100, &mut metrics, never);
+            assert_eq!(out, MapOutput::default());
+            assert_eq!(metrics, MapMetrics::new());
+        }
+        // Skipping the forward strand alone leaves the reverse one mapped.
+        let mut calls = 0;
+        let mut seed = stub(&mut calls);
+        let mut forward = true;
+        let out = map_read_with(
+            &read,
+            &engine,
+            Report::FirstN,
+            100,
+            &mut metrics,
+            |codes, set, metrics| {
+                let skip = std::mem::take(&mut forward);
+                (!skip).then(|| seed(codes, set, metrics)).flatten()
+            },
+        );
+        assert_eq!(out.mappings, vec![hit(2000, Strand::Reverse, 0)]);
+        assert_eq!(out.candidates, 4);
+        assert_eq!(out.work, 7 + metrics.word_updates);
+    }
+
+    #[test]
+    fn locate_charges_per_position_and_respects_its_cap() {
+        let reference = ReferenceBuilder::new(10_000).seed(23).build();
+        let indexed = crate::IndexedReference::build(reference);
+        let fm = indexed.fm();
+        let interval = fm.interval(&indexed.codes()[4000..4005]).expect("occurs");
+        let width = u64::from(interval.width());
+        assert!(width > 3);
+        for (cap, located) in [(usize::MAX, width), (3, 3), (0, 0)] {
+            let mut set = CandidateSet::new();
+            let mut metrics = MapMetrics::new();
+            let work = locate_into(fm, interval, cap, 2, &mut set, &mut metrics);
+            assert_eq!(work, located * LOCATE_COST);
+            assert_eq!(set.len() as u64, located);
+            let expected = MapMetrics {
+                fm_locate_ops: located,
+                candidates_raw: located,
+                ..MapMetrics::new()
+            };
+            assert_eq!(metrics, expected, "no other counter moves");
+            // Each candidate is the located position less the anchor.
+            let mut diagonals: Vec<u32> = fm
+                .locate(interval, cap)
+                .iter()
+                .map(|p| p.saturating_sub(2))
+                .collect();
+            diagonals.sort_unstable();
+            diagonals.dedup();
+            assert_eq!(set.into_merged(0), diagonals);
+        }
     }
 
     #[test]

@@ -13,9 +13,10 @@ use std::sync::Arc;
 
 use repute_filter::greedy::GreedySelector;
 use repute_genome::DnaSeq;
+use repute_obs::MapMetrics;
 
-use crate::common::{IndexedReference, MapOutput, Mapper, Mapping};
-use crate::engine::{strand_codes, CandidateSet, EXTEND_COST, LOCATE_COST};
+use crate::common::{IndexedReference, MapOutput, Mapper};
+use crate::engine::{map_read_with, select_and_locate, Report};
 
 /// Adaptive frequency threshold at which a seed stops growing.
 const ADAPTIVE_THRESHOLD: u32 = 20;
@@ -84,39 +85,17 @@ impl Mapper for GemLike {
 
     fn map_read(&self, read: &DnaSeq) -> MapOutput {
         let fm = self.indexed.fm();
-        let engine = self.indexed.verify_engine(self.delta);
         let selector = GreedySelector::new(self.delta, self.s_min).threshold(ADAPTIVE_THRESHOLD);
-        let mut out = MapOutput::default();
-        let mut all: Vec<Mapping> = Vec::new();
-        for (strand, codes) in strand_codes(read) {
-            if codes.len() < (self.delta as usize + 1) * self.s_min {
-                continue;
-            }
-            let (selection, stats) = selector.select(&codes, fm);
-            out.work += stats.extend_ops * EXTEND_COST;
-            let mut candidates = CandidateSet::new();
-            for seed in &selection.seeds {
-                if let Some(interval) = seed.interval {
-                    // The sensitivity trade: frequent seeds are sampled.
-                    let positions = fm.locate(interval, PER_SEED_LOCATE_CAP);
-                    out.work += positions.len() as u64 * LOCATE_COST;
-                    for pos in positions {
-                        candidates.add(pos, seed.start);
-                    }
-                }
-            }
-            let merged = candidates.into_merged(CandidateSet::merge_gap(self.delta));
-            out.candidates += merged.len() as u64;
-            out.work += engine.verify(&codes, strand, &merged, usize::MAX, &mut all);
-        }
-        if let Some(best) = all.iter().map(|m| m.distance).min() {
-            out.mappings = all
-                .into_iter()
-                .filter(|m| m.distance == best)
-                .take(self.max_locations)
-                .collect();
-        }
-        out
+        let min_len = (self.delta as usize + 1) * self.s_min;
+        map_read_with(
+            read,
+            &self.indexed.verify_engine(self.delta),
+            Report::BestStratum,
+            self.max_locations,
+            &mut MapMetrics::new(),
+            // The sensitivity trade: frequent seeds are sampled.
+            select_and_locate(&selector, fm, PER_SEED_LOCATE_CAP, |n| n >= min_len),
+        )
     }
 }
 

@@ -11,9 +11,10 @@
 use std::sync::Arc;
 
 use repute_genome::DnaSeq;
+use repute_obs::MapMetrics;
 
 use crate::common::{IndexedReference, MapOutput, Mapper};
-use crate::engine::{strand_codes, CandidateSet};
+use crate::engine::{map_read_with, Report, DP_CELL_COST};
 
 /// The Hobbes3-style all-mapper.
 ///
@@ -132,41 +133,32 @@ impl Mapper for Hobbes3Like {
     fn map_read(&self, read: &DnaSeq) -> MapOutput {
         let qgram = self.indexed.qgram();
         let q = qgram.q();
-        let engine = self.indexed.verify_engine(self.delta);
-        let mut out = MapOutput::default();
-        for (strand, codes) in strand_codes(read) {
-            if codes.len() < (self.delta as usize + 1) * q {
-                continue; // read too short for this δ — report nothing
-            }
-            // One count lookup per read position (one hash-probe each).
-            let counts: Vec<u32> = (0..=codes.len() - q)
-                .map(|i| qgram.count(&codes[i..i + q]))
-                .collect();
-            out.work += counts.len() as u64 * 4;
-            let (positions, dp_cells) = self.choose_signatures(&counts);
-            out.work += dp_cells * crate::engine::DP_CELL_COST;
-            let mut candidates = CandidateSet::new();
-            for &pos in &positions {
-                let gram = &codes[pos..pos + q];
-                for &ref_pos in qgram.positions(gram) {
-                    candidates.add(ref_pos, pos);
+        map_read_with(
+            read,
+            &self.indexed.verify_engine(self.delta),
+            Report::FirstN,
+            self.max_locations,
+            &mut MapMetrics::new(),
+            |codes, set, _| {
+                if codes.len() < (self.delta as usize + 1) * q {
+                    return None; // read too short for this δ — report nothing
                 }
-                out.work += u64::from(qgram.count(gram)); // position-list scan
-            }
-            let merged = candidates.into_merged(CandidateSet::merge_gap(self.delta));
-            out.candidates += merged.len() as u64;
-            out.work += engine.verify(
-                &codes,
-                strand,
-                &merged,
-                self.max_locations,
-                &mut out.mappings,
-            );
-            if out.mappings.len() >= self.max_locations {
-                break;
-            }
-        }
-        out
+                // One count lookup per read position (one hash-probe each).
+                let counts: Vec<u32> = (0..=codes.len() - q)
+                    .map(|i| qgram.count(&codes[i..i + q]))
+                    .collect();
+                let (positions, dp_cells) = self.choose_signatures(&counts);
+                let mut work = counts.len() as u64 * 4 + dp_cells * DP_CELL_COST;
+                for &pos in &positions {
+                    let gram = &codes[pos..pos + q];
+                    for &ref_pos in qgram.positions(gram) {
+                        set.add(ref_pos, pos);
+                    }
+                    work += u64::from(qgram.count(gram)); // position-list scan
+                }
+                Some(work)
+            },
+        )
     }
 }
 

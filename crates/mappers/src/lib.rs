@@ -18,7 +18,9 @@
 //!
 //! All mappers implement the common [`Mapper`] trait, map both strands,
 //! and report the substrate work they performed so the platform simulator
-//! can convert algorithm runs into device seconds.
+//! can convert algorithm runs into device seconds. All but RazerS3 — and
+//! REPUTE itself, in `repute-core` — are [`map_read_with`], the per-read
+//! pipeline, instantiated with their seeding step.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +38,9 @@ pub mod razers3;
 pub mod yara;
 
 pub use common::{IndexedReference, MapOutput, Mapper, Mapping};
-pub use engine::{CandidateSet, VerifyEngine};
+pub use engine::{
+    locate_into, map_read_with, select_and_locate, CandidateSet, Report, VerifyEngine,
+};
 
 /// Work-unit cost constants shared by every mapper implementation (and by
 /// `repute-core`'s REPUTE kernel), in the platform simulator's currency.

@@ -18,9 +18,10 @@ use std::sync::Arc;
 use repute_filter::pigeonhole::uniform_partition;
 use repute_genome::DnaSeq;
 use repute_index::{FmIndex, Interval};
+use repute_obs::MapMetrics;
 
-use crate::common::{IndexedReference, MapOutput, Mapper, Mapping};
-use crate::engine::{strand_codes, CandidateSet, EXTEND_COST, LOCATE_COST};
+use crate::common::{IndexedReference, MapOutput, Mapper};
+use crate::engine::{locate_into, map_read_with, Report, EXTEND_COST};
 
 /// Cap on located occurrences per seed interval.
 const PER_INTERVAL_LOCATE_CAP: usize = 2_000;
@@ -138,41 +139,30 @@ impl Mapper for YaraLike {
 
     fn map_read(&self, read: &DnaSeq) -> MapOutput {
         let fm = self.indexed.fm();
-        let engine = self.indexed.verify_engine(self.delta);
         // ⌈(δ+1)/2⌉ pieces, each allowed one mismatch, cover δ errors.
         let pieces = (self.delta as usize + 2) / 2;
-        let mut out = MapOutput::default();
-        let mut all: Vec<Mapping> = Vec::new();
-        for (strand, codes) in strand_codes(read) {
-            if codes.len() < pieces {
-                continue;
-            }
-            let mut candidates = CandidateSet::new();
-            for (start, len) in uniform_partition(codes.len(), pieces) {
-                let seed = &codes[start..start + len];
-                let (intervals, ops) = Self::one_mismatch_intervals(fm, seed);
-                out.work += ops * EXTEND_COST;
-                for iv in intervals {
-                    let positions = fm.locate(iv, PER_INTERVAL_LOCATE_CAP);
-                    out.work += positions.len() as u64 * LOCATE_COST;
-                    for pos in positions {
-                        candidates.add(pos, start);
+        map_read_with(
+            read,
+            &self.indexed.verify_engine(self.delta),
+            Report::BestStratum,
+            self.max_locations,
+            &mut MapMetrics::new(),
+            |codes, set, metrics| {
+                if codes.len() < pieces {
+                    return None;
+                }
+                let mut work = 0;
+                for (start, len) in uniform_partition(codes.len(), pieces) {
+                    let (intervals, ops) =
+                        Self::one_mismatch_intervals(fm, &codes[start..start + len]);
+                    work += ops * EXTEND_COST;
+                    for iv in intervals {
+                        work += locate_into(fm, iv, PER_INTERVAL_LOCATE_CAP, start, set, metrics);
                     }
                 }
-            }
-            let merged = candidates.into_merged(CandidateSet::merge_gap(self.delta));
-            out.candidates += merged.len() as u64;
-            out.work += engine.verify(&codes, strand, &merged, usize::MAX, &mut all);
-        }
-        // Best-stratum filter: report only minimum-distance mappings.
-        if let Some(best) = all.iter().map(|m| m.distance).min() {
-            out.mappings = all
-                .into_iter()
-                .filter(|m| m.distance == best)
-                .take(self.max_locations)
-                .collect();
-        }
-        out
+                Some(work)
+            },
+        )
     }
 }
 
