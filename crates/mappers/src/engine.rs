@@ -855,8 +855,11 @@ mod tests {
             100,
             &mut metrics,
             |codes, set, metrics| {
-                let skip = std::mem::take(&mut forward);
-                (!skip).then(|| seed(codes, set, metrics)).flatten()
+                if std::mem::take(&mut forward) {
+                    None
+                } else {
+                    seed(codes, set, metrics)
+                }
             },
         );
         assert_eq!(out.mappings, vec![hit(2000, Strand::Reverse, 0)]);

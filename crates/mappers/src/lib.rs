@@ -38,9 +38,7 @@ pub mod razers3;
 pub mod yara;
 
 pub use common::{IndexedReference, MapOutput, Mapper, Mapping};
-pub use engine::{
-    locate_into, map_read_with, select_and_locate, CandidateSet, Report, VerifyEngine,
-};
+pub use engine::{map_read_with, select_and_locate, CandidateSet, Report, VerifyEngine};
 
 /// Work-unit cost constants shared by every mapper implementation (and by
 /// `repute-core`'s REPUTE kernel), in the platform simulator's currency.
