@@ -1276,6 +1276,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The identity a checkpointed run is resumed under, for one fixed
+    /// configuration — generated before `ReputeConfig` learnt to fold it,
+    /// so a journal written then still resumes now.
+    #[test]
+    fn checkpoint_fingerprint_is_pinned() {
+        let dir = std::env::temp_dir().join("repute-cli-fingerprint-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let dir_s = dir.to_string_lossy().into_owned();
+        run_simulate(&SimulateOptions {
+            out_dir: dir_s.clone(),
+            length: 30_000,
+            reads: 8,
+            read_len: 100,
+            seed: 47,
+            profile: "err012100".into(),
+        })
+        .unwrap();
+        let opts = parse_map_args(args(&format!(
+            "--reference {dir_s}/reference.fa --reads {dir_s}/reads.fq --delta 4 --s-min 14 \
+             --max-locations 50 --prefilter both --platform system1 --schedule dynamic \
+             --checkpoint {dir_s}/ckpt.rpj"
+        )))
+        .unwrap();
+        let set = load_reference_set(&opts.reference, None, None).unwrap();
+        let (ids, reads) = load_reads(&opts.reads).unwrap();
+        let fingerprint = run_fingerprint(&opts, &set, &ids, &reads).unwrap();
+        assert_eq!(
+            fingerprint.render(),
+            "055d0eecbe42cd00.4a1e74164785e789.0000000000000000"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// One read's output (40 M locations × 12 bytes) exceeds the GTX
     /// 590's quarter-RAM cap: a configuration error under every way of
     /// simulating, where the static planner used to panic.
