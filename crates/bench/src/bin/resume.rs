@@ -98,7 +98,7 @@ fn main() {
         let gold_path = dir.join(format!("gold-{sched_name}.rpj"));
         clear_journal(&gold_path);
         let gold = executor
-            .run_journaled(&mapper, &platform, &reads, &gold_path, fingerprint, 1)
+            .run_journaled(&mapper, &platform, &reads, &gold_path, fingerprint)
             .expect("uninterrupted journaled run");
         let (plain, plain_metrics) = executor.run(&mapper, &platform, &reads).expect("plain run");
         if gold.run.outputs != plain.outputs || gold.metrics != plain_metrics {
@@ -121,7 +121,7 @@ fn main() {
                 faults: FaultPlan::new().host_crash(crash_t),
                 ..executor.clone()
             };
-            let crashed = crashing.run_journaled(&mapper, &platform, &reads, &path, fingerprint, 1);
+            let crashed = crashing.run_journaled(&mapper, &platform, &reads, &path, fingerprint);
             let committed = match crashed {
                 Err(ReputeError::Interrupted { committed, .. }) => committed,
                 Err(e) => {
@@ -137,7 +137,7 @@ fn main() {
                 }
             };
             let resumed =
-                match executor.run_journaled(&mapper, &platform, &reads, &path, fingerprint, 1) {
+                match executor.run_journaled(&mapper, &platform, &reads, &path, fingerprint) {
                     Ok(r) => r,
                     Err(e) => {
                         checks.fail(&format!("{sched_name} trial {trial}: resume failed: {e}"));

@@ -181,10 +181,6 @@ MAP OPTIONS:
     --prefilter <mode>       pre-alignment filtration before Myers
                              verification (repute mapper only):
                              none | shd | qgram | both [default: none]
-    --prefilter-q <n>        q-gram length of the bin prefilter
-                             [default: 5, max 8]
-    --prefilter-bin <n>      reference bin width (bases) of the bin
-                             prefilter [default: 512]
     --platform <name>        also report simulated time/energy on
                              system1 | system1-cpu | hikey970
     --schedule <mode>        multi-device scheduling of the platform
@@ -212,8 +208,6 @@ MAP OPTIONS:
                              uninterrupted one
     --resume                 replay the completed batches of an existing
                              checkpoint journal and finish the rest
-    --checkpoint-every <n>   manifest commit cadence of the checkpointed
-                             run, in batches [default: 1]
     --metrics-out <path>     write per-read and run-level telemetry as
                              JSON-lines (inspect with `repute stats`)
     --trace-out <path>       write the simulated run's spans as Chrome
@@ -271,7 +265,7 @@ SERVE OPTIONS:
     --metrics-dir <dir>      per-job telemetry spool (one *.jsonl per
                              job; inspect with `repute stats --dir`)
     plus the map options: --index, --index-cache, --platform [default:
-    system1], --delta, --s-min, --max-locations, --prefilter[-q|-bin],
+    system1], --delta, --s-min, --max-locations, --prefilter,
     --schedule [default: dynamic], --host-threads, --metrics-out,
     --trace-out
 
@@ -312,8 +306,7 @@ mod tests {
     use super::USAGE;
     use std::collections::BTreeSet;
 
-    /// Every `--flag` in `text`; `--prefilter[-q|-bin]` also names
-    /// `--prefilter-q` and `--prefilter-bin`.
+    /// Every `--flag` in `text`.
     fn flags(text: &str) -> BTreeSet<String> {
         let mut found = BTreeSet::new();
         for (at, _) in text.match_indices("--") {
@@ -329,10 +322,6 @@ mod tests {
                 continue;
             }
             found.insert(flag.to_string());
-            if let Some(suffixes) = rest[end..].strip_prefix('[') {
-                let suffixes = &suffixes[..suffixes.find(']').unwrap()];
-                found.extend(suffixes.split('|').map(|s| format!("{flag}{s}")));
-            }
         }
         found
     }
@@ -401,7 +390,7 @@ mod tests {
             assert_eq!(accepted(parse), documented, "repute {cmd}");
         }
         // The tokenizer sees what the test thinks it sees.
-        assert!(documented("serve").contains("--prefilter-bin"));
+        assert!(documented("serve").contains("--schedule"));
         assert!(documented("simulate").contains("--profile"));
         assert!(documented("trace").is_empty());
     }

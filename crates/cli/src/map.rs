@@ -19,7 +19,7 @@ use repute_hetsim::FaultPlan;
 use repute_mappers::multiref::ReferenceSet;
 use repute_mappers::{Mapper, Mapping};
 use repute_obs::{MapMetrics, Record, RunReport, StageTimer, Summary};
-use repute_prefilter::{qgram, PrefilterMode};
+use repute_prefilter::PrefilterMode;
 /// Which mapping strategy `repute map` runs.
 pub use repute_serve::MapperKind as MapperChoice;
 
@@ -56,10 +56,6 @@ pub struct MapOptions {
     /// Pre-alignment filter stage of the repute mapper (sound: changes
     /// cost only, never output).
     pub prefilter: PrefilterMode,
-    /// Q-gram length of the bin prefilter.
-    pub prefilter_q: usize,
-    /// Reference bin width (bases) of the bin prefilter.
-    pub prefilter_bin: usize,
     /// Simulated platform to report time/energy for (`system1`,
     /// `system1-cpu`, `hikey970`); `None` skips the simulation report.
     pub platform: Option<String>,
@@ -90,8 +86,6 @@ pub struct MapOptions {
     /// Replay the completed batches of an existing checkpoint journal
     /// instead of starting over.
     pub resume: bool,
-    /// Manifest commit cadence of the checkpointed run, in batches.
-    pub checkpoint_every: usize,
 }
 
 impl Default for MapOptions {
@@ -108,8 +102,6 @@ impl Default for MapOptions {
             cigar: false,
             mapper: MapperChoice::default(),
             prefilter: PrefilterMode::None,
-            prefilter_q: qgram::DEFAULT_Q,
-            prefilter_bin: qgram::DEFAULT_BIN_WIDTH,
             platform: None,
             schedule: ScheduleMode::Static,
             host_threads: 0,
@@ -120,7 +112,6 @@ impl Default for MapOptions {
             verbose: false,
             checkpoint: None,
             resume: false,
-            checkpoint_every: 1,
         }
     }
 }
@@ -175,8 +166,6 @@ pub(crate) struct MappingFlags<'a> {
     pub(crate) s_min: &'a mut usize,
     pub(crate) max_locations: &'a mut usize,
     pub(crate) prefilter: &'a mut PrefilterMode,
-    pub(crate) prefilter_q: &'a mut usize,
-    pub(crate) prefilter_bin: &'a mut usize,
     pub(crate) schedule: &'a mut ScheduleMode,
     pub(crate) host_threads: &'a mut usize,
     pub(crate) max_retries: &'a mut usize,
@@ -198,13 +187,6 @@ impl MappingFlags<'_> {
             "--s-min" => *self.s_min = cur.integer()?,
             "--max-locations" => *self.max_locations = cur.positive()?,
             "--prefilter" => *self.prefilter = cur.explained(str::parse)?,
-            "--prefilter-q" => {
-                *self.prefilter_q = cur.integer()?;
-                if !(1..=qgram::MAX_Q).contains(self.prefilter_q) {
-                    return Err(cur.fail(format_args!("must be in 1..={}", qgram::MAX_Q)));
-                }
-            }
-            "--prefilter-bin" => *self.prefilter_bin = cur.positive()?,
             "--schedule" => {
                 let mode = cur.value()?;
                 *self.schedule = ScheduleMode::parse(&mode).ok_or_else(|| {
@@ -262,8 +244,6 @@ pub fn parse_map_args<I: IntoIterator<Item = String>>(
         s_min: &mut opts.s_min,
         max_locations: &mut opts.max_locations,
         prefilter: &mut opts.prefilter,
-        prefilter_q: &mut opts.prefilter_q,
-        prefilter_bin: &mut opts.prefilter_bin,
         schedule: &mut opts.schedule,
         host_threads: &mut opts.host_threads,
         max_retries: &mut opts.max_retries,
@@ -284,7 +264,6 @@ pub fn parse_map_args<I: IntoIterator<Item = String>>(
             "--platform" => opts.platform = Some(cur.value()?),
             "--checkpoint" => opts.checkpoint = Some(cur.value()?),
             "--resume" => opts.resume = true,
-            "--checkpoint-every" => opts.checkpoint_every = cur.positive()?,
             "-v" | "--verbose" | "--trace" => opts.verbose = true,
             _ => return Err(cur.unknown()),
         }
@@ -304,11 +283,6 @@ pub fn parse_map_args<I: IntoIterator<Item = String>>(
     opts.validate()?;
     if opts.resume && opts.checkpoint.is_none() {
         return Err(ParseArgsError::new("--resume requires --checkpoint"));
-    }
-    if cur.saw("--checkpoint-every") && opts.checkpoint.is_none() {
-        return Err(ParseArgsError::new(
-            "--checkpoint-every requires --checkpoint",
-        ));
     }
     let crash = opts.fault_plan.as_ref().and_then(FaultPlan::host_crash_at);
     if crash.is_some() && opts.checkpoint.is_none() {
@@ -337,11 +311,7 @@ fn build_config(opts: &MapOptions) -> Result<ReputeConfig, ReputeError> {
     Ok(ReputeConfig::new(opts.delta, opts.s_min)
         .map_err(|e| ReputeError::Config(e.to_string()))?
         .with_max_locations(opts.max_locations)
-        .with_prefilter(opts.prefilter)
-        .with_prefilter_qgram(opts.prefilter_q, opts.prefilter_bin)
-        .with_schedule(opts.schedule)
-        .with_host_threads(opts.host_threads)
-        .with_max_retries(opts.max_retries))
+        .with_prefilter(opts.prefilter))
 }
 
 /// Routes assembled SAM bytes to their destination: an atomic
@@ -477,7 +447,7 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
         Some((platform, ids, reads)) => {
             let mapper: &dyn Mapper = baseline.as_deref().unwrap_or(&repute);
             let (run, metrics, resumed_batches) =
-                map_on_platform(opts, platform, &set, mapper, repute.config(), ids, reads)?;
+                map_on_platform(opts, platform, &set, mapper, ids, reads)?;
             // The executor returns outputs in read order.
             for (((id, seq), mapped), m) in ids.iter().zip(reads).zip(&run.outputs).zip(&metrics) {
                 if opts.verbose {
@@ -539,21 +509,8 @@ fn run_fingerprint(
     reads: &[DnaSeq],
 ) -> Result<RunFingerprint, ReputeError> {
     let mut cfg = Fnv64::new();
-    cfg.write_u64(u64::from(opts.delta));
-    cfg.write_u64(opts.s_min as u64);
-    cfg.write_u64(opts.max_locations as u64);
-    cfg.write_u64(match opts.prefilter {
-        PrefilterMode::None => 0,
-        PrefilterMode::Shd => 1,
-        PrefilterMode::Qgram => 2,
-        PrefilterMode::Both => 3,
-    });
-    cfg.write_u64(opts.prefilter_q as u64);
-    cfg.write_u64(opts.prefilter_bin as u64);
-    cfg.write_u64(match opts.schedule {
-        ScheduleMode::Static => 0,
-        ScheduleMode::Dynamic => 1,
-    });
+    build_config(opts)?.fold_identity(&mut cfg);
+    cfg.write_u64(opts.schedule as u64);
     cfg.write_u64(opts.mapper as u64);
     cfg.write(opts.platform.as_deref().unwrap_or_default().as_bytes());
 
@@ -576,10 +533,10 @@ fn run_fingerprint(
 }
 
 /// Maps `reads` through the heterogeneous platform simulator and prints
-/// the §III-D style time/energy summary. The schedule and host-thread
-/// cap travel in the mapper's config; output is identical across
-/// schedules and — whenever at least one device survives — fault plans,
-/// only the simulated timeline differs. Under `--checkpoint` the
+/// the §III-D style time/energy summary. The schedule, host-thread cap
+/// and retry budget go from `opts` onto the [`Executor`]; output is
+/// identical across schedules and — whenever at least one device
+/// survives — fault plans, only the simulated timeline differs. Under `--checkpoint` the
 /// executor commits every finished batch to the journal and replays the
 /// ones a previous, interrupted run committed; the run it returns is
 /// bit-identical to an uninterrupted one.
@@ -591,16 +548,15 @@ fn map_on_platform(
     platform: &repute_hetsim::Platform,
     set: &ReferenceSet,
     mapper: &dyn Mapper,
-    config: &ReputeConfig,
     ids: &[String],
     reads: &[DnaSeq],
 ) -> Result<(MappingRun, Vec<MapMetrics>, u64), ReputeError> {
     let executor = Executor {
-        host_threads: config.host_threads(),
+        host_threads: opts.host_threads,
         faults: opts.fault_plan.clone().unwrap_or_default(),
-        max_retries: config.max_retries(),
+        max_retries: opts.max_retries,
         tracing: opts.trace_out.is_some(),
-        ..Executor::new(Schedule::for_config(config, platform, reads.len()))
+        ..Executor::new(Schedule::for_mode(opts.schedule, platform, reads.len()))
     };
     let (run, metrics, resumed) = match &opts.checkpoint {
         None => {
@@ -621,14 +577,8 @@ fn map_on_platform(
                     "cannot resume: checkpoint journal {journal:?} does not exist"
                 )));
             }
-            let outcome = executor.run_journaled(
-                &mapper,
-                platform,
-                reads,
-                journal_path,
-                fingerprint,
-                opts.checkpoint_every,
-            )?;
+            let outcome =
+                executor.run_journaled(&mapper, platform, reads, journal_path, fingerprint)?;
             let resumed = (outcome.resumed_batches, outcome.total_batches);
             (outcome.run, outcome.metrics, Some(resumed))
         }
@@ -637,7 +587,7 @@ fn map_on_platform(
     eprintln!(
         "simulated on {} ({} schedule): {:.3} s | {:.1} W avg | {:.3} J above idle",
         platform.name(),
-        config.schedule(),
+        opts.schedule,
         run.simulated_seconds,
         run.energy.average_power_w,
         run.energy.energy_j
@@ -795,8 +745,6 @@ mod tests {
             cigar: true,
             mapper: MapperChoice::Repute,
             prefilter: PrefilterMode::None,
-            prefilter_q: qgram::DEFAULT_Q,
-            prefilter_bin: qgram::DEFAULT_BIN_WIDTH,
             platform: None,
             schedule: ScheduleMode::Static,
             host_threads: 0,
@@ -807,7 +755,6 @@ mod tests {
             verbose: false,
             checkpoint: None,
             resume: false,
-            checkpoint_every: 1,
         };
         let (mapped, mappings) = run_map(&opts).unwrap();
         assert_eq!(mapped, 5);
@@ -838,22 +785,13 @@ mod tests {
 
     #[test]
     fn prefilter_flags_parse_and_validate() {
-        let opts = parse_map_args(args(
-            "--reference r.fa --reads q.fq --prefilter both --prefilter-q 4 --prefilter-bin 256",
-        ))
-        .unwrap();
+        let opts = parse_map_args(args("--reference r.fa --reads q.fq --prefilter both")).unwrap();
         assert_eq!(opts.prefilter, PrefilterMode::Both);
-        assert_eq!(opts.prefilter_q, 4);
-        assert_eq!(opts.prefilter_bin, 256);
-        // Defaults: filtration off, crate-default q-gram parameters.
+        // Default: filtration off.
         let opts = parse_map_args(args("--reference r.fa --reads q.fq")).unwrap();
         assert_eq!(opts.prefilter, PrefilterMode::None);
-        assert_eq!(opts.prefilter_q, qgram::DEFAULT_Q);
-        assert_eq!(opts.prefilter_bin, qgram::DEFAULT_BIN_WIDTH);
-        // Bad mode, out-of-range q, zero bin width.
+        // Bad mode.
         assert!(parse_map_args(args("--reference r.fa --reads q.fq --prefilter fast")).is_err());
-        assert!(parse_map_args(args("--reference r.fa --reads q.fq --prefilter-q 9")).is_err());
-        assert!(parse_map_args(args("--reference r.fa --reads q.fq --prefilter-bin 0")).is_err());
         // The prefilter stage lives inside the repute pipeline only.
         assert!(parse_map_args(args(
             "--reference r.fa --reads q.fq --mapper coral --prefilter shd"
@@ -1152,12 +1090,10 @@ mod tests {
     #[test]
     fn checkpoint_flags_parse_and_validate() {
         let opts = parse_map_args(args(
-            "--reference r.fa --reads q.fq --platform system1 \
-             --checkpoint j.rpj --checkpoint-every 3",
+            "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj",
         ))
         .unwrap();
         assert_eq!(opts.checkpoint.as_deref(), Some("j.rpj"));
-        assert_eq!(opts.checkpoint_every, 3);
         assert!(!opts.resume);
         let opts = parse_map_args(args(
             "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --resume",
@@ -1167,19 +1103,10 @@ mod tests {
         // Defaults.
         let opts = parse_map_args(args("--reference r.fa --reads q.fq")).unwrap();
         assert_eq!(opts.checkpoint, None);
-        assert_eq!(opts.checkpoint_every, 1);
         // The journal is batch-granular over the simulated schedule.
         assert!(parse_map_args(args("--reference r.fa --reads q.fq --checkpoint j.rpj")).is_err());
-        // --resume / --checkpoint-every ride on --checkpoint.
+        // --resume rides on --checkpoint.
         assert!(parse_map_args(args("--reference r.fa --reads q.fq --resume")).is_err());
-        assert!(
-            parse_map_args(args("--reference r.fa --reads q.fq --checkpoint-every 2")).is_err()
-        );
-        assert!(parse_map_args(args(
-            "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj \
-             --checkpoint-every 0"
-        ))
-        .is_err());
         // CIGAR traceback is per-read; the journal is per-batch.
         assert!(parse_map_args(args(
             "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --cigar"

@@ -113,8 +113,6 @@ pub fn parse_serve_args<I: IntoIterator<Item = String>>(
         s_min: &mut opts.serve.s_min,
         max_locations: &mut opts.serve.max_locations,
         prefilter: &mut opts.serve.prefilter,
-        prefilter_q: &mut opts.serve.prefilter_q,
-        prefilter_bin: &mut opts.serve.prefilter_bin,
         schedule: &mut opts.serve.schedule,
         host_threads: &mut opts.serve.host_threads,
         max_retries: &mut opts.serve.max_retries,

@@ -1,21 +1,25 @@
-//! REPUTE configuration.
+//! REPUTE configuration: what a read's mappings depend on
+//! ([`ReputeConfig`]), and beside it the schedule modes and retry
+//! default of the run settings an [`Executor`](crate::Executor) carries.
 
 use repute_filter::oss::{InvalidParamsError, OssParams};
+use repute_genome::wire::Fnv64;
 use repute_prefilter::{qgram, PrefilterMode};
 
 /// Scheduling policy of the multi-device executor (see
 /// [`crate::Schedule`] for the full semantics). Both policies produce
 /// byte-identical mapping output; they differ only in how simulated
-/// device time is spent.
+/// device time is spent. The discriminants are the stable codes run
+/// fingerprints store (`mode as u64`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScheduleMode {
     /// Fixed contiguous per-device shares — the paper's user-specified
     /// distribution (and this crate's historical behaviour).
     #[default]
-    Static,
+    Static = 0,
     /// Devices greedily pull quarter-RAM-capped batches from a shared
     /// queue, balancing skewed per-read work automatically.
-    Dynamic,
+    Dynamic = 1,
 }
 
 impl ScheduleMode {
@@ -38,6 +42,10 @@ impl std::fmt::Display for ScheduleMode {
     }
 }
 
+/// Default retry budget for transient kernel-launch faults (see
+/// [`Executor::max_retries`](crate::Executor::max_retries)).
+pub const DEFAULT_MAX_RETRIES: usize = 2;
+
 /// Configuration of a [`crate::ReputeMapper`].
 ///
 /// # Example
@@ -57,16 +65,7 @@ pub struct ReputeConfig {
     oss: OssParams,
     max_locations: usize,
     prefilter: PrefilterMode,
-    prefilter_q: usize,
-    prefilter_bin_width: usize,
-    schedule: ScheduleMode,
-    host_threads: usize,
-    max_retries: usize,
 }
-
-/// Default retry budget for transient kernel-launch faults (see
-/// [`ReputeConfig::with_max_retries`]).
-pub const DEFAULT_MAX_RETRIES: usize = 2;
 
 /// Bytes of device output buffer one read needs when up to
 /// `max_locations` of its locations are reported (position, strand and
@@ -92,55 +91,7 @@ impl ReputeConfig {
             oss: OssParams::new(delta, s_min)?,
             max_locations: 1000,
             prefilter: PrefilterMode::None,
-            prefilter_q: qgram::DEFAULT_Q,
-            prefilter_bin_width: qgram::DEFAULT_BIN_WIDTH,
-            schedule: ScheduleMode::Static,
-            host_threads: 0,
-            max_retries: DEFAULT_MAX_RETRIES,
         })
-    }
-
-    /// Sets the retry budget for transient kernel-launch faults: a launch
-    /// failing transiently is retried after an exponential simulated
-    /// backoff up to this many times before the executor escalates the
-    /// device to a permanent loss and fails its batches over to the
-    /// surviving devices. `0` disables retries (every transient fault
-    /// escalates immediately). Only consulted when a fault plan is
-    /// active. The default is [`DEFAULT_MAX_RETRIES`].
-    pub fn with_max_retries(mut self, max_retries: usize) -> ReputeConfig {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// The transient-fault retry budget.
-    pub fn max_retries(&self) -> usize {
-        self.max_retries
-    }
-
-    /// Selects the multi-device scheduling policy; the default is
-    /// [`ScheduleMode::Static`] (the paper's user-specified shares).
-    pub fn with_schedule(mut self, schedule: ScheduleMode) -> ReputeConfig {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Caps the host threads the executor may use; `0` (the default)
-    /// lets the executor decide — one per host core, never more than
-    /// there are reads, under either schedule (reads are mapped one job
-    /// each, whatever the batches). `1` maps on the caller's thread.
-    pub fn with_host_threads(mut self, host_threads: usize) -> ReputeConfig {
-        self.host_threads = host_threads;
-        self
-    }
-
-    /// The selected multi-device scheduling policy.
-    pub fn schedule(&self) -> ScheduleMode {
-        self.schedule
-    }
-
-    /// The executor's host-thread cap (`0` = automatic).
-    pub fn host_threads(&self) -> usize {
-        self.host_threads
     }
 
     /// Overrides the *first-n* output-slot limit per read.
@@ -157,31 +108,11 @@ impl ReputeConfig {
     /// Selects the pre-alignment filter stage (see
     /// [`repute_prefilter::PrefilterMode`]); the default is
     /// [`PrefilterMode::None`]. Filters are sound, so this changes
-    /// mapping cost only, never mapping output.
+    /// mapping cost only, never mapping output. The q-gram bins it may
+    /// probe are the index's, at the prefilter crate's
+    /// [`qgram::DEFAULT_Q`] and [`qgram::DEFAULT_BIN_WIDTH`].
     pub fn with_prefilter(mut self, mode: PrefilterMode) -> ReputeConfig {
         self.prefilter = mode;
-        self
-    }
-
-    /// Overrides the q-gram bin filter's parameters (gram length `q`
-    /// and reference bin width in bases). Only consulted when the
-    /// prefilter mode uses q-gram bins; non-default values make the
-    /// mapper build its own bins instead of sharing the index's.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the conditions of
-    /// [`repute_prefilter::QgramBins::build`]: `q` outside
-    /// `1..=`[`qgram::MAX_Q`] or a zero bin width.
-    pub fn with_prefilter_qgram(mut self, q: usize, bin_width: usize) -> ReputeConfig {
-        assert!(
-            (1..=qgram::MAX_Q).contains(&q),
-            "prefilter q must be in 1..={}",
-            qgram::MAX_Q
-        );
-        assert!(bin_width > 0, "prefilter bin width must be positive");
-        self.prefilter_q = q;
-        self.prefilter_bin_width = bin_width;
         self
     }
 
@@ -190,21 +121,19 @@ impl ReputeConfig {
         self.prefilter
     }
 
-    /// The q-gram length of the bin filter.
-    pub fn prefilter_q(&self) -> usize {
-        self.prefilter_q
-    }
-
-    /// The reference bin width (bases) of the bin filter.
-    pub fn prefilter_bin_width(&self) -> usize {
-        self.prefilter_bin_width
-    }
-
-    /// `true` when the q-gram bin parameters match the prefilter
-    /// crate's defaults — i.e. the bins prebuilt by
-    /// [`repute_mappers::IndexedReference`] can be shared as-is.
-    pub fn prefilter_uses_default_bins(&self) -> bool {
-        self.prefilter_q == qgram::DEFAULT_Q && self.prefilter_bin_width == qgram::DEFAULT_BIN_WIDTH
+    /// Folds what decides this configuration's mappings and their cost
+    /// into `h`: δ, `S_min`, the slot count, the prefilter code, and the
+    /// q-gram length and bin width of the bins the prefilter probes —
+    /// constants now, still folded so a journal written while they were
+    /// settable resumes. Every run fingerprint writes these words through
+    /// here.
+    pub fn fold_identity(&self, h: &mut Fnv64) {
+        h.write_u64(u64::from(self.delta()));
+        h.write_u64(self.s_min() as u64);
+        h.write_u64(self.max_locations as u64);
+        h.write_u64(self.prefilter as u64);
+        h.write_u64(qgram::DEFAULT_Q as u64);
+        h.write_u64(qgram::DEFAULT_BIN_WIDTH as u64);
     }
 
     /// The error budget δ.
@@ -310,35 +239,8 @@ mod tests {
     fn prefilter_knobs_default_off_and_round_trip() {
         let config = ReputeConfig::new(5, 12).unwrap();
         assert_eq!(config.prefilter(), PrefilterMode::None);
-        assert!(config.prefilter_uses_default_bins());
-        let tuned = config
-            .with_prefilter(PrefilterMode::Both)
-            .with_prefilter_qgram(4, 128);
+        let tuned = config.with_prefilter(PrefilterMode::Both);
         assert_eq!(tuned.prefilter(), PrefilterMode::Both);
-        assert_eq!(tuned.prefilter_q(), 4);
-        assert_eq!(tuned.prefilter_bin_width(), 128);
-        assert!(!tuned.prefilter_uses_default_bins());
-    }
-
-    #[test]
-    #[should_panic(expected = "bin width")]
-    fn zero_bin_width_rejected() {
-        let _ = ReputeConfig::new(3, 12).unwrap().with_prefilter_qgram(5, 0);
-    }
-
-    #[test]
-    fn schedule_knobs_default_off_and_round_trip() {
-        let config = ReputeConfig::new(5, 12).unwrap();
-        assert_eq!(config.schedule(), ScheduleMode::Static);
-        assert_eq!(config.host_threads(), 0);
-        assert_eq!(config.max_retries(), DEFAULT_MAX_RETRIES);
-        let tuned = config
-            .with_schedule(ScheduleMode::Dynamic)
-            .with_host_threads(2)
-            .with_max_retries(5);
-        assert_eq!(tuned.schedule(), ScheduleMode::Dynamic);
-        assert_eq!(tuned.host_threads(), 2);
-        assert_eq!(tuned.max_retries(), 5);
     }
 
     #[test]

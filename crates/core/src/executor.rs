@@ -38,7 +38,7 @@ use repute_obs::json::JsonValue;
 use repute_obs::trace::{device_pid, Span, SCHEDULER_PID};
 use repute_obs::{KernelEvent, MapMetrics};
 
-use crate::config::{output_slot_bytes, ReputeConfig, ScheduleMode, DEFAULT_MAX_RETRIES};
+use crate::config::{output_slot_bytes, ScheduleMode, DEFAULT_MAX_RETRIES};
 use crate::error::ReputeError;
 use crate::journal::{BatchRecord, Fnv64, RunFingerprint, RunJournal};
 use crate::mapping_run::MappingRun;
@@ -71,11 +71,11 @@ pub enum Schedule {
 }
 
 impl Schedule {
-    /// The schedule a [`ReputeConfig`] selects for mapping `items` reads
-    /// on `platform`: throughput-proportional static shares, or dynamic
+    /// The schedule `mode` selects for mapping `items` reads on
+    /// `platform`: throughput-proportional static shares, or dynamic
     /// batching at the automatic batch size.
-    pub fn for_config(config: &ReputeConfig, platform: &Platform, items: usize) -> Schedule {
-        match config.schedule() {
+    pub fn for_mode(mode: ScheduleMode, platform: &Platform, items: usize) -> Schedule {
+        match mode {
             ScheduleMode::Static => Schedule::Static(platform.even_shares(items)),
             ScheduleMode::Dynamic => Schedule::Dynamic { batch: 0 },
         }
@@ -164,8 +164,10 @@ pub fn map_on_platform_with_metrics<M: Mapper>(
 pub struct Executor {
     /// How reads are distributed over devices.
     pub schedule: Schedule,
-    /// Host threads mapping reads ([`AUTO_HOST_THREADS`] lets the
-    /// executor decide).
+    /// Host threads mapping reads: [`AUTO_HOST_THREADS`] lets the
+    /// executor decide — one per host core, never more than there are
+    /// reads, under either schedule (reads are mapped one job each,
+    /// whatever the batches); `1` maps on the caller's thread.
     pub host_threads: usize,
     /// Faults to inject, in the platform's device indices. Transient
     /// launch failures are retried with exponential simulated backoff,
@@ -176,8 +178,11 @@ pub struct Executor {
     /// journaled run accepts host-crash events only.
     pub faults: FaultPlan,
     /// Retries per launch before a transient fault is escalated to the
-    /// loss of its device (see
-    /// [`ReputeConfig::max_retries`](crate::ReputeConfig::max_retries)).
+    /// loss of its device: a launch failing transiently is retried after
+    /// an exponential simulated backoff up to this many times, then its
+    /// device is lost and its batches fail over to the survivors. `0`
+    /// escalates every transient fault at once. Only consulted when a
+    /// fault plan is armed; [`DEFAULT_MAX_RETRIES`] by default.
     pub max_retries: usize,
     /// Run on these devices only (strictly ascending platform indices),
     /// on a simulated clock of their own starting at zero — the building
@@ -321,8 +326,8 @@ impl Executor {
     }
 
     /// [`run`](Executor::run) with batch-granular crash safety: each
-    /// completed batch is appended to the journal at `journal_path` (the
-    /// sidecar manifest refreshed every `checkpoint_every` commits), and
+    /// completed batch is appended to the journal at `journal_path` (and
+    /// the sidecar manifest refreshed after it), and
     /// a journal already there for the *same* run — validated against
     /// `fingerprint` plus the batch decomposition — is replayed instead
     /// of recomputed. The result equals the unjournaled run's in every
@@ -362,7 +367,6 @@ impl Executor {
         reads: &[DnaSeq],
         journal_path: &Path,
         fingerprint: RunFingerprint,
-        checkpoint_every: usize,
     ) -> Result<ResumableRun, ReputeError> {
         if self.faults.has_device_events() {
             return Err(ReputeError::Config(
@@ -415,7 +419,6 @@ impl Executor {
         // time, exactly like a host process dying mid-run: the journal
         // keeps its contiguous durable prefix, nothing else.
         let crash_at = self.faults.host_crash_at();
-        let checkpoint_every = checkpoint_every.max(1);
         let total = batches.len() as u64;
         for (idx, b) in batches.iter().enumerate().skip(resumed_batches) {
             let done_at = placed.batch_ends[idx];
@@ -447,9 +450,7 @@ impl Executor {
                     .arg_u64("hi", b.hi as u64),
                 );
             }
-            if (idx + 1 - resumed_batches) % checkpoint_every == 0 {
-                journal.commit_manifest(total, false)?;
-            }
+            journal.commit_manifest(total, false)?;
         }
         journal.commit_manifest(total, true)?;
 
@@ -1361,7 +1362,6 @@ mod tests {
                     &reads,
                     &journal,
                     RunFingerprint::new(1, 2),
-                    1,
                 )
                 .unwrap_err();
             assert!(matches!(err, ReputeError::Config(_)), "{err:?}");
@@ -1502,18 +1502,16 @@ mod tests {
     }
 
     #[test]
-    fn schedule_for_config_follows_the_mode() {
+    fn schedule_for_mode_follows_the_mode() {
         let platform = profiles::system1();
-        let config = ReputeConfig::new(3, 15).unwrap();
-        match Schedule::for_config(&config, &platform, 30) {
+        match Schedule::for_mode(ScheduleMode::Static, &platform, 30) {
             Schedule::Static(shares) => {
                 assert_eq!(shares.iter().map(|s| s.items).sum::<usize>(), 30);
             }
-            other => panic!("default mode must be static, got {other:?}"),
+            other => panic!("static mode must give shares, got {other:?}"),
         }
-        let dynamic = config.with_schedule(ScheduleMode::Dynamic);
         assert_eq!(
-            Schedule::for_config(&dynamic, &platform, 30),
+            Schedule::for_mode(ScheduleMode::Dynamic, &platform, 30),
             Schedule::Dynamic { batch: 0 }
         );
     }

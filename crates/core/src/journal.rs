@@ -11,7 +11,7 @@
 //!   as durable. A crash mid-append leaves at most one torn tail record,
 //!   which recovery truncates.
 //! * The **sidecar manifest** (`<journal>.manifest`) is rewritten via the
-//!   write→flush→rename atomic-replace idiom every few commits. It
+//!   write→flush→rename atomic-replace idiom after every commit. It
 //!   carries the fingerprint and the durable record count — a watermark:
 //!   recovery refuses to drop records *below* it (that would be silent
 //!   data corruption, not a torn write).
@@ -47,8 +47,8 @@ pub use repute_genome::wire::{crc32, Fnv64};
 /// The identity of a run, for refusing mismatched resumes.
 ///
 /// * `config` — every mapping parameter that can change output or
-///   schedule (δ, S_min, location limit, prefilter settings, schedule
-///   mode and batch size, mapper choice, platform name);
+///   schedule (`ReputeConfig::fold_identity`, then schedule mode,
+///   mapper choice, platform name);
 /// * `workload` — the reference and read content;
 /// * `shape` — the derived batch decomposition (read count, batch
 ///   boundaries, share ownership), computed by the resumable executor.

@@ -8,7 +8,7 @@ use repute_mappers::{
     map_read_with, select_and_locate, IndexedReference, MapOutput, Mapper, Report,
 };
 use repute_obs::MapMetrics;
-use repute_prefilter::{Chain, PrefilterMode, QgramBins, QgramFilter, ShdFilter};
+use repute_prefilter::{Chain, PrefilterMode, QgramFilter, ShdFilter};
 
 use crate::config::ReputeConfig;
 
@@ -23,35 +23,18 @@ const PER_SEED_LOCATE_CAP: usize = 20_000;
 pub struct ReputeMapper {
     indexed: Arc<IndexedReference>,
     config: ReputeConfig,
-    /// Q-gram bins for non-default prefilter parameters; `None` means
-    /// the mode doesn't probe bins or the index's shared default bins
-    /// serve.
-    custom_bins: Option<QgramBins>,
 }
 
 impl ReputeMapper {
     /// Creates a mapper over a preprocessed reference. When the
-    /// configuration enables the q-gram prefilter, the bins it probes
-    /// are built here — once, at setup time, like the rest of the index:
-    /// the index's shared default bins on their first use, or private
-    /// ones for non-default parameters.
+    /// configuration enables the q-gram prefilter, the index's shared
+    /// bins are built here on their first use — once, at setup time,
+    /// like the rest of the index.
     pub fn new(indexed: Arc<IndexedReference>, config: ReputeConfig) -> ReputeMapper {
-        let uses_qgram = config.prefilter().uses_qgram();
-        let custom_bins = (uses_qgram && !config.prefilter_uses_default_bins()).then(|| {
-            QgramBins::build(
-                indexed.codes(),
-                config.prefilter_q(),
-                config.prefilter_bin_width(),
-            )
-        });
-        if uses_qgram && custom_bins.is_none() {
+        if config.prefilter().uses_qgram() {
             indexed.prefilter_bins();
         }
-        ReputeMapper {
-            indexed,
-            config,
-            custom_bins,
-        }
+        ReputeMapper { indexed, config }
     }
 
     /// The mapper's configuration.
@@ -62,14 +45,6 @@ impl ReputeMapper {
     /// The preprocessed reference this mapper maps against.
     pub fn indexed(&self) -> &Arc<IndexedReference> {
         &self.indexed
-    }
-
-    /// The q-gram bins the prefilter probes (custom if configured,
-    /// otherwise the index's shared defaults).
-    fn prefilter_bins(&self) -> &QgramBins {
-        self.custom_bins
-            .as_ref()
-            .unwrap_or_else(|| self.indexed.prefilter_bins())
     }
 }
 
@@ -86,14 +61,6 @@ impl Mapper for ReputeMapper {
         self.config.kernel_footprint_bytes(read_len)
     }
 
-    fn map_read(&self, read: &DnaSeq) -> MapOutput {
-        // One code path: the unmetered entry point runs the instrumented
-        // kernel with a scratch record, so telemetry can never drift from
-        // the work the mapper actually performs.
-        let mut scratch = MapMetrics::new();
-        self.map_read_metered(read, &mut scratch)
-    }
-
     fn map_read_metered(&self, read: &DnaSeq, metrics: &mut MapMetrics) -> MapOutput {
         let fm = self.indexed.fm();
         // Pre-alignment filtration stage (sound: affects cost, never
@@ -107,11 +74,11 @@ impl Mapper for ReputeMapper {
             PrefilterMode::None => engine,
             PrefilterMode::Shd => engine.with_prefilter(&shd),
             PrefilterMode::Qgram => {
-                qgram = QgramFilter::new(self.prefilter_bins());
+                qgram = QgramFilter::new(self.indexed.prefilter_bins());
                 engine.with_prefilter(&qgram)
             }
             PrefilterMode::Both => {
-                qgram = QgramFilter::new(self.prefilter_bins());
+                qgram = QgramFilter::new(self.indexed.prefilter_bins());
                 chain = Chain::new(vec![&qgram, &shd]);
                 engine.with_prefilter(&chain)
             }
@@ -391,36 +358,6 @@ mod tests {
             none.word_updates
         );
         assert!(both.prefilter_rejected > 0, "no candidate was rejected");
-    }
-
-    #[test]
-    fn custom_qgram_parameters_build_private_bins() {
-        let indexed = indexed();
-        let config = ReputeConfig::new(5, 12)
-            .unwrap()
-            .with_prefilter(PrefilterMode::Qgram)
-            .with_prefilter_qgram(4, 128);
-        let mapper = ReputeMapper::new(Arc::clone(&indexed), config);
-        assert_eq!(mapper.prefilter_bins().q(), 4);
-        assert_eq!(mapper.prefilter_bins().bin_width(), 128);
-        // Default parameters share the index's prebuilt bins.
-        let default = ReputeMapper::new(
-            Arc::clone(&indexed),
-            ReputeConfig::new(5, 12)
-                .unwrap()
-                .with_prefilter(PrefilterMode::Qgram),
-        );
-        assert!(std::ptr::eq(
-            default.prefilter_bins(),
-            indexed.prefilter_bins()
-        ));
-        // And the custom mapper still maps correctly.
-        let read = indexed.seq().subseq(10_000..10_100);
-        assert!(mapper
-            .map_read(&read)
-            .mappings
-            .iter()
-            .any(|h| h.position == 10_000));
     }
 
     #[test]

@@ -95,7 +95,7 @@ fn fresh_run_matches_the_plain_run() {
             .unwrap();
         let path = journal_path(&format!("fresh-{idx}"));
         let outcome = executor(&schedule, 1)
-            .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+            .run_journaled(&mapper, &platform, &reads, &path, fp())
             .unwrap();
         assert_eq!(outcome.resumed_batches, 0);
         assert!(outcome.total_batches > 0);
@@ -130,7 +130,7 @@ fn crash_then_resume_is_bit_identical() {
                 faults: crash_plan.clone(),
                 ..executor(&schedule, 1)
             }
-            .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+            .run_journaled(&mapper, &platform, &reads, &path, fp())
             .expect_err("the crash must interrupt the run");
             let ReputeError::Interrupted {
                 committed, total, ..
@@ -143,7 +143,7 @@ fn crash_then_resume_is_bit_identical() {
 
             // Resume without the crash event: completes bit-identically.
             let outcome = executor(&schedule, AUTO_HOST_THREADS)
-                .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+                .run_journaled(&mapper, &platform, &reads, &path, fp())
                 .unwrap();
             assert_eq!(outcome.resumed_batches, *committed);
             assert_eq!(outcome.total_batches, *total);
@@ -175,7 +175,7 @@ fn repeated_crashes_make_monotone_progress() {
             faults: plan.clone(),
             ..executor(&schedule, 1)
         }
-        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp())
         .expect_err("crash");
         let ReputeError::Interrupted { committed, .. } = err else {
             panic!("expected Interrupted");
@@ -188,7 +188,7 @@ fn repeated_crashes_make_monotone_progress() {
     }
     assert!(last_committed > 0, "late crashes must have journaled work");
     let outcome = executor(&schedule, 1)
-        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp())
         .unwrap();
     assert_eq!(outcome.resumed_batches, last_committed);
     assert_eq!(outcome.run.outputs, baseline.outputs);
@@ -212,10 +212,10 @@ fn work_identity_holds_on_resumed_runs() {
         faults: plan.clone(),
         ..executor(&schedule, 1)
     }
-    .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+    .run_journaled(&mapper, &platform, &reads, &path, fp())
     .expect_err("crash");
     let outcome = executor(&schedule, 1)
-        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp())
         .unwrap();
     assert!(outcome.resumed_batches > 0, "something must replay");
     for (i, (out, m)) in outcome.run.outputs.iter().zip(&outcome.metrics).enumerate() {
@@ -237,14 +237,14 @@ fn mismatched_fingerprint_is_refused() {
     let schedule = Schedule::Dynamic { batch: 4 };
     let path = journal_path("mismatch");
     executor(&schedule, 1)
-        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp())
         .unwrap();
     for other in [
         RunFingerprint::new(0x9999, 0x5678), // different config
         RunFingerprint::new(0x1234, 0x9999), // different workload
     ] {
         let err = executor(&schedule, 1)
-            .run_journaled(&mapper, &platform, &reads, &path, other, 1)
+            .run_journaled(&mapper, &platform, &reads, &path, other)
             .expect_err("the journal belongs to a different run");
         assert!(
             matches!(err, ReputeError::ResumeMismatch(_)),
@@ -254,7 +254,7 @@ fn mismatched_fingerprint_is_refused() {
     }
     // A schedule change shifts the shape hash — also a mismatch.
     let err = executor(&Schedule::Dynamic { batch: 7 }, 1)
-        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp())
         .expect_err("different batch decomposition");
     assert!(matches!(err, ReputeError::ResumeMismatch(_)), "{err:?}");
     cleanup(&path);
@@ -269,14 +269,14 @@ fn corruption_below_watermark_is_refused() {
     let schedule = Schedule::Dynamic { batch: 4 };
     let path = journal_path("corrupt");
     executor(&schedule, 1)
-        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp())
         .unwrap();
     let mut bytes = fs::read(&path).unwrap();
     let flip_at = journal::JOURNAL_HEADER_LEN + 10;
     bytes[flip_at] ^= 0x40;
     fs::write(&path, &bytes).unwrap();
     let err = executor(&schedule, 1)
-        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp())
         .expect_err("a durable record was corrupted");
     assert!(
         matches!(err, ReputeError::JournalCorrupt(_)),
@@ -302,14 +302,14 @@ fn torn_tail_is_truncated_and_resume_completes() {
         faults: plan.clone(),
         ..executor(&schedule, 1)
     }
-    .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+    .run_journaled(&mapper, &platform, &reads, &path, fp())
     .expect_err("crash");
     // Simulate dying mid-append: garbage half-frame at the tail.
     let mut f = OpenOptions::new().append(true).open(&path).unwrap();
     f.write_all(&[0x55; 23]).unwrap();
     drop(f);
     let outcome = executor(&schedule, 1)
-        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp())
         .unwrap();
     assert_eq!(outcome.run.outputs, baseline.outputs);
     assert_eq!(outcome.metrics, baseline_metrics);
@@ -328,7 +328,7 @@ fn device_faults_are_rejected_in_checkpointed_runs() {
         faults: plan.clone(),
         ..executor(&Schedule::Dynamic { batch: 4 }, 1)
     }
-    .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+    .run_journaled(&mapper, &platform, &reads, &path, fp())
     .expect_err("device faults are not resumable");
     assert!(matches!(err, ReputeError::Config(_)), "{err:?}");
     assert_eq!(err.exit_code(), 2);
@@ -345,10 +345,10 @@ fn completed_journal_resume_is_idempotent() {
     let schedule = Schedule::Dynamic { batch: 4 };
     let path = journal_path("idempotent");
     let first = executor(&schedule, 1)
-        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp())
         .unwrap();
     let second = executor(&schedule, 1)
-        .run_journaled(&mapper, &platform, &reads, &path, fp(), 1)
+        .run_journaled(&mapper, &platform, &reads, &path, fp())
         .unwrap();
     assert_eq!(second.resumed_batches, second.total_batches);
     assert_eq!(second.run.outputs, first.run.outputs);
@@ -365,7 +365,7 @@ fn empty_read_set_completes_with_empty_journal() {
     let platform = quad_platform();
     let path = journal_path("empty");
     let outcome = executor(&Schedule::Dynamic { batch: 4 }, 1)
-        .run_journaled(&mapper, &platform, &[], &path, fp(), 1)
+        .run_journaled(&mapper, &platform, &[], &path, fp())
         .unwrap();
     assert_eq!(outcome.total_batches, 0);
     assert!(outcome.run.outputs.is_empty());

@@ -96,12 +96,10 @@ impl fmt::Display for HealthState {
 pub struct DeviceHealth {
     states: Vec<HealthState>,
     faults: Vec<u64>,
-    quarantine_after: u64,
 }
 
 impl DeviceHealth {
-    /// A registry of `devices` healthy devices with the default
-    /// quarantine threshold.
+    /// A registry of `devices` healthy devices.
     ///
     /// # Panics
     ///
@@ -112,15 +110,7 @@ impl DeviceHealth {
         DeviceHealth {
             states: vec![HealthState::Healthy; devices],
             faults: vec![0; devices],
-            quarantine_after: DEFAULT_QUARANTINE_FAULTS,
         }
-    }
-
-    /// Overrides the transient-fault count at which a device is
-    /// quarantined (`0` disables quarantining entirely).
-    pub fn with_quarantine_after(mut self, faults: u64) -> DeviceHealth {
-        self.quarantine_after = faults;
-        self
     }
 
     /// Number of devices tracked.
@@ -153,14 +143,14 @@ impl DeviceHealth {
 
     /// Records `count` transient faults striking device `index`: the
     /// device becomes at least Degraded, and Quarantined once its
-    /// cumulative count reaches the threshold.
+    /// cumulative count reaches [`DEFAULT_QUARANTINE_FAULTS`].
     pub fn observe_faults(&mut self, index: usize, count: u64) {
         if count == 0 {
             return;
         }
         self.faults[index] += count;
         self.escalate(index, HealthState::Degraded);
-        if self.quarantine_after > 0 && self.faults[index] >= self.quarantine_after {
+        if self.faults[index] >= DEFAULT_QUARANTINE_FAULTS {
             self.escalate(index, HealthState::Quarantined);
         }
     }
@@ -259,14 +249,14 @@ mod tests {
 
     #[test]
     fn faults_accumulate_into_quarantine() {
-        let mut h = DeviceHealth::new(1).with_quarantine_after(3);
-        h.observe_faults(0, 1);
-        assert_eq!(h.state(0), HealthState::Degraded);
-        h.observe_faults(0, 1);
-        assert_eq!(h.state(0), HealthState::Degraded);
+        let mut h = DeviceHealth::new(1);
+        for _ in 1..DEFAULT_QUARANTINE_FAULTS {
+            h.observe_faults(0, 1);
+            assert_eq!(h.state(0), HealthState::Degraded);
+        }
         h.observe_faults(0, 1);
         assert_eq!(h.state(0), HealthState::Quarantined);
-        assert_eq!(h.faults(0), 3);
+        assert_eq!(h.faults(0), DEFAULT_QUARANTINE_FAULTS);
         // Quarantined devices are not live but not lost either.
         assert_eq!(h.live_count(), 0);
         assert_eq!(h.lost_count(), 0);
@@ -275,10 +265,6 @@ mod tests {
         let mut fresh = DeviceHealth::new(1);
         fresh.observe_faults(0, 0);
         assert_eq!(fresh.state(0), HealthState::Healthy);
-        // Threshold 0 disables quarantine.
-        let mut lax = DeviceHealth::new(1).with_quarantine_after(0);
-        lax.observe_faults(0, 100);
-        assert_eq!(lax.state(0), HealthState::Degraded);
     }
 
     #[test]
@@ -367,7 +353,7 @@ mod tests {
                 z ^ (z >> 31)
             };
             let devices = 1 + (next() % 4) as usize;
-            let mut h = DeviceHealth::new(devices).with_quarantine_after(1 + next() % 5);
+            let mut h = DeviceHealth::new(devices);
             for _ in 0..32 {
                 let d = (next() % devices as u64) as usize;
                 let before = h.state(d);

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use repute_genome::{DnaSeq, Strand};
+use repute_obs::MapMetrics;
 
 use crate::common::{IndexedReference, MapOutput, Mapper, Mapping};
 use crate::engine::strand_codes;
@@ -130,13 +131,15 @@ impl Mapper for BruteForceMapper {
         self.max_locations
     }
 
-    fn map_read(&self, read: &DnaSeq) -> MapOutput {
+    fn map_read_metered(&self, read: &DnaSeq, metrics: &mut MapMetrics) -> MapOutput {
         let mut out = MapOutput::default();
         for (strand, codes) in strand_codes(read) {
             out.work += self.scan(&codes, strand, &mut out.mappings);
         }
         out.candidates = out.mappings.len() as u64;
         out.mappings.truncate(self.max_locations);
+        metrics.candidates_merged += out.candidates;
+        metrics.hits += out.mappings.len() as u64;
         out
     }
 }

@@ -86,7 +86,7 @@ impl Mapper for BwaMemLike {
         self.max_locations
     }
 
-    fn map_read(&self, read: &DnaSeq) -> MapOutput {
+    fn map_read_metered(&self, read: &DnaSeq, metrics: &mut MapMetrics) -> MapOutput {
         let fm = self.bi.forward();
         let budget = Self::internal_budget(read.len());
         map_read_with(
@@ -94,7 +94,7 @@ impl Mapper for BwaMemLike {
             &self.indexed.verify_engine(budget),
             Report::BestStratum,
             self.max_locations,
-            &mut MapMetrics::new(),
+            metrics,
             |codes, set, metrics| {
                 // True super-maximal exact matches via the bidirectional index.
                 let (smems, steps) = self.bi.smems(codes, MIN_SEED_LEN);

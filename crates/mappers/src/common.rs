@@ -212,21 +212,14 @@ pub trait Mapper: Sync {
     /// Short display name, e.g. `"RazerS3"`.
     fn name(&self) -> &str;
 
-    /// Maps one read against both strands of the reference.
-    fn map_read(&self, read: &DnaSeq) -> MapOutput;
+    /// Maps one read against both strands of the reference, adding what
+    /// each stage did to `metrics` — the one mapping method a mapper
+    /// writes, so its telemetry is the work it performed.
+    fn map_read_metered(&self, read: &DnaSeq, metrics: &mut repute_obs::MapMetrics) -> MapOutput;
 
-    /// Maps one read, recording per-stage telemetry into `metrics`.
-    ///
-    /// The default implementation runs [`Mapper::map_read`] and backfills
-    /// the coarse counters observable from its output — candidate windows
-    /// verified and accepted hits — so every baseline participates in
-    /// run-level reports. Mappers with instrumented internals (REPUTE)
-    /// override this with the full per-stage decomposition.
-    fn map_read_metered(&self, read: &DnaSeq, metrics: &mut repute_obs::MapMetrics) -> MapOutput {
-        let out = self.map_read(read);
-        metrics.candidates_merged += out.candidates;
-        metrics.hits += out.mappings.len() as u64;
-        out
+    /// [`Mapper::map_read_metered`] into a scratch record.
+    fn map_read(&self, read: &DnaSeq) -> MapOutput {
+        self.map_read_metered(read, &mut repute_obs::MapMetrics::new())
     }
 
     /// The output-slot limit per read (the *first-n* restriction of §III).
@@ -246,10 +239,6 @@ pub trait Mapper: Sync {
 impl<M: Mapper + ?Sized> Mapper for &M {
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn map_read(&self, read: &DnaSeq) -> MapOutput {
-        (**self).map_read(read)
     }
 
     fn map_read_metered(&self, read: &DnaSeq, metrics: &mut repute_obs::MapMetrics) -> MapOutput {

@@ -100,7 +100,7 @@ impl Mapper for CoralLike {
         self.max_locations
     }
 
-    fn map_read(&self, read: &DnaSeq) -> MapOutput {
+    fn map_read_metered(&self, read: &DnaSeq, metrics: &mut MapMetrics) -> MapOutput {
         let fm = self.indexed.fm();
         let selector =
             SegmentedSelector::new(self.delta, self.s_min).threshold(Self::DEFAULT_THRESHOLD);
@@ -110,7 +110,7 @@ impl Mapper for CoralLike {
             &self.indexed.verify_engine(self.delta),
             Report::FirstN,
             self.max_locations,
-            &mut MapMetrics::new(),
+            metrics,
             select_and_locate(&selector, fm, PER_SEED_LOCATE_CAP, |n| n >= min_len),
         )
     }

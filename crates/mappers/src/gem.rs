@@ -83,7 +83,7 @@ impl Mapper for GemLike {
         self.max_locations
     }
 
-    fn map_read(&self, read: &DnaSeq) -> MapOutput {
+    fn map_read_metered(&self, read: &DnaSeq, metrics: &mut MapMetrics) -> MapOutput {
         let fm = self.indexed.fm();
         let selector = GreedySelector::new(self.delta, self.s_min).threshold(ADAPTIVE_THRESHOLD);
         let min_len = (self.delta as usize + 1) * self.s_min;
@@ -92,7 +92,7 @@ impl Mapper for GemLike {
             &self.indexed.verify_engine(self.delta),
             Report::BestStratum,
             self.max_locations,
-            &mut MapMetrics::new(),
+            metrics,
             // The sensitivity trade: frequent seeds are sampled.
             select_and_locate(&selector, fm, PER_SEED_LOCATE_CAP, |n| n >= min_len),
         )

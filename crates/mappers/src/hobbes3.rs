@@ -130,7 +130,7 @@ impl Mapper for Hobbes3Like {
         self.max_locations
     }
 
-    fn map_read(&self, read: &DnaSeq) -> MapOutput {
+    fn map_read_metered(&self, read: &DnaSeq, metrics: &mut MapMetrics) -> MapOutput {
         let qgram = self.indexed.qgram();
         let q = qgram.q();
         map_read_with(
@@ -138,7 +138,7 @@ impl Mapper for Hobbes3Like {
             &self.indexed.verify_engine(self.delta),
             Report::FirstN,
             self.max_locations,
-            &mut MapMetrics::new(),
+            metrics,
             |codes, set, _| {
                 if codes.len() < (self.delta as usize + 1) * q {
                     return None; // read too short for this δ — report nothing

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use repute_genome::DnaSeq;
 use repute_index::QGramIndex;
+use repute_obs::MapMetrics;
 
 use crate::common::{IndexedReference, MapOutput, Mapper};
 use crate::engine::strand_codes;
@@ -96,7 +97,7 @@ impl Mapper for Razers3Like {
         self.max_locations
     }
 
-    fn map_read(&self, read: &DnaSeq) -> MapOutput {
+    fn map_read_metered(&self, read: &DnaSeq, metrics: &mut MapMetrics) -> MapOutput {
         let qgram = &self.swift;
         let q = qgram.q();
         let engine = self.indexed.verify_engine(self.delta);
@@ -152,6 +153,9 @@ impl Mapper for Razers3Like {
                 break;
             }
         }
+        // Bands are not diagonals: only the counts its output shows.
+        metrics.candidates_merged += out.candidates;
+        metrics.hits += out.mappings.len() as u64;
         out
     }
 }

@@ -137,7 +137,7 @@ impl Mapper for YaraLike {
         self.max_locations
     }
 
-    fn map_read(&self, read: &DnaSeq) -> MapOutput {
+    fn map_read_metered(&self, read: &DnaSeq, metrics: &mut MapMetrics) -> MapOutput {
         let fm = self.indexed.fm();
         // ⌈(δ+1)/2⌉ pieces, each allowed one mismatch, cover δ errors.
         let pieces = (self.delta as usize + 2) / 2;
@@ -146,7 +146,7 @@ impl Mapper for YaraLike {
             &self.indexed.verify_engine(self.delta),
             Report::BestStratum,
             self.max_locations,
-            &mut MapMetrics::new(),
+            metrics,
             |codes, set, metrics| {
                 if codes.len() < pieces {
                     return None;

@@ -162,28 +162,37 @@ impl PreFilter for Chain<'_> {
 }
 
 /// Which pre-alignment filters to run, as selected by `--prefilter`.
+///
+/// The discriminants are the stable codes journals and run fingerprints
+/// store (`mode as u8`); [`PrefilterMode::from_code`] reads them back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrefilterMode {
     /// No filtration: every merged candidate is verified (the seed
     /// pipeline's behaviour, and the default).
     #[default]
-    None,
+    None = 0,
     /// Shifted Hamming Distance only.
-    Shd,
+    Shd = 1,
     /// Q-gram bin existence only.
-    Qgram,
+    Qgram = 2,
     /// Q-gram bins first (cheaper), then SHD on survivors.
-    Both,
+    Both = 3,
 }
 
 impl PrefilterMode {
-    /// All modes, in ablation-sweep order.
+    /// All modes, in ablation-sweep order — which is code order.
     pub const ALL: [PrefilterMode; 4] = [
         PrefilterMode::None,
         PrefilterMode::Shd,
         PrefilterMode::Qgram,
         PrefilterMode::Both,
     ];
+
+    /// The mode whose code (`mode as u8`) is `code`; `None` for a code
+    /// no mode has.
+    pub fn from_code(code: u8) -> Option<PrefilterMode> {
+        PrefilterMode::ALL.get(usize::from(code)).copied()
+    }
 
     /// `true` when the mode runs the SHD filter.
     #[cfg(test)]
@@ -305,6 +314,11 @@ mod tests {
             assert_eq!(mode.to_string().parse::<PrefilterMode>(), Ok(mode));
         }
         assert!("fast".parse::<PrefilterMode>().is_err());
+        for (code, mode) in PrefilterMode::ALL.into_iter().enumerate() {
+            assert_eq!(mode as usize, code);
+            assert_eq!(PrefilterMode::from_code(mode as u8), Some(mode));
+        }
+        assert_eq!(PrefilterMode::from_code(4), None);
         assert!(PrefilterMode::Both.uses_shd() && PrefilterMode::Both.uses_qgram());
         assert!(!PrefilterMode::None.uses_shd() && !PrefilterMode::None.uses_qgram());
         assert_eq!(PrefilterMode::default(), PrefilterMode::None);

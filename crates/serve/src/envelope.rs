@@ -139,27 +139,6 @@ impl FromStr for MapperKind {
     }
 }
 
-/// Stable one-byte code of a prefilter mode for the job journal.
-pub fn prefilter_code(mode: PrefilterMode) -> u8 {
-    match mode {
-        PrefilterMode::None => 0,
-        PrefilterMode::Shd => 1,
-        PrefilterMode::Qgram => 2,
-        PrefilterMode::Both => 3,
-    }
-}
-
-/// Inverse of [`prefilter_code`].
-pub fn prefilter_from_code(code: u8) -> Option<PrefilterMode> {
-    Some(match code {
-        0 => PrefilterMode::None,
-        1 => PrefilterMode::Shd,
-        2 => PrefilterMode::Qgram,
-        3 => PrefilterMode::Both,
-        _ => return None,
-    })
-}
-
 /// One parsed job envelope, reads not yet resolved: inline reads are
 /// already sequences, a `reads_path` still points at a FASTQ file the
 /// transport resolves before admission.
@@ -725,15 +704,10 @@ mod tests {
             assert_eq!(MapperKind::from_code(kind.code()), Some(kind));
             assert_eq!(kind.as_str().parse::<MapperKind>().ok(), Some(kind));
         }
-        for mode in [
-            PrefilterMode::None,
-            PrefilterMode::Shd,
-            PrefilterMode::Qgram,
-            PrefilterMode::Both,
-        ] {
-            assert_eq!(prefilter_from_code(prefilter_code(mode)), Some(mode));
+        for mode in PrefilterMode::ALL {
+            assert_eq!(PrefilterMode::from_code(mode as u8), Some(mode));
         }
         assert_eq!(MapperKind::from_code(200), None);
-        assert_eq!(prefilter_from_code(9), None);
+        assert_eq!(PrefilterMode::from_code(9), None);
     }
 }

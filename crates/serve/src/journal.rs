@@ -58,9 +58,10 @@ use repute_genome::wire::{
 };
 use repute_genome::{DnaSeq, Strand};
 use repute_mappers::Mapping;
+use repute_prefilter::PrefilterMode;
 
 use crate::admission::{ConfigKey, JobSpec};
-use crate::envelope::{prefilter_code, prefilter_from_code, MapperKind};
+use crate::envelope::MapperKind;
 
 /// Magic prefix of a serve journal file (v3: fault provenance in batch
 /// records, Shed frames, health ladder + shed counter in State frames).
@@ -181,7 +182,7 @@ fn encode_accepted(job: &JobSpec) -> Vec<u8> {
     }
     put_u32(&mut out, job.priority);
     put_u32(&mut out, job.key.delta);
-    out.push(prefilter_code(job.key.prefilter));
+    out.push(job.key.prefilter as u8);
     out.push(job.key.mapper.code());
     put_str(&mut out, &job.id);
     put_str(&mut out, &job.tenant);
@@ -207,7 +208,7 @@ fn decode_accepted(cur: &mut Reader<'_>) -> Result<JobSpec, WireError> {
     };
     let priority = cur.u32()?;
     let delta = cur.u32()?;
-    let prefilter = prefilter_from_code(cur.u8()?).ok_or(WireError::Invalid(
+    let prefilter = PrefilterMode::from_code(cur.u8()?).ok_or(WireError::Invalid(
         "unknown prefilter code in accepted record",
     ))?;
     let mapper = MapperKind::from_code(cur.u8()?)
@@ -541,7 +542,6 @@ impl JobJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repute_prefilter::PrefilterMode;
 
     fn fp() -> RunFingerprint {
         RunFingerprint {

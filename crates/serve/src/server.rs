@@ -55,10 +55,10 @@ pub use repute_obs::ServeCounters;
 use repute_obs::{
     JobRecord, Record, Samples, ServeSnapshot, SloReport, SloTracker, Span, StageLatency,
 };
-use repute_prefilter::{qgram, PrefilterMode};
+use repute_prefilter::PrefilterMode;
 
 use crate::admission::{AdmissionQueue, ConfigKey, JobSpec, TenantQuota, DEFAULT_QUEUE_CAPACITY};
-use crate::envelope::{prefilter_code, resolve_reads, JobEnvelope, JobResponse, JobStatus};
+use crate::envelope::{resolve_reads, JobEnvelope, JobResponse, JobStatus};
 use crate::journal::{
     BatchRecord, DeviceProvenance, JobJournal, JobResult, Recovered, ShedRecord, StateRecord,
 };
@@ -102,10 +102,6 @@ pub struct ServeOptions {
     pub max_locations: usize,
     /// Default prefilter mode for jobs without an override.
     pub prefilter: PrefilterMode,
-    /// Q-gram length of the bin prefilter.
-    pub prefilter_q: usize,
-    /// Reference bin width (bases) of the bin prefilter.
-    pub prefilter_bin: usize,
     /// Multi-device scheduling policy of every batch.
     pub schedule: ScheduleMode,
     /// Host-thread cap of the executor (`0` = automatic).
@@ -148,8 +144,6 @@ impl Default for ServeOptions {
             s_min: 12,
             max_locations: 100,
             prefilter: PrefilterMode::None,
-            prefilter_q: qgram::DEFAULT_Q,
-            prefilter_bin: qgram::DEFAULT_BIN_WIDTH,
             schedule: ScheduleMode::Dynamic,
             host_threads: 0,
             max_retries: DEFAULT_MAX_RETRIES,
@@ -171,6 +165,19 @@ impl Default for ServeOptions {
 /// byte-identical.
 const UNAVAILABLE_REASON: &str = "every simulated device has been lost; the daemon is draining";
 
+/// The mapping configuration of a batch: the job key's δ and prefilter
+/// over the server-pinned `S_min` and slot count.
+fn batch_config(
+    options: &ServeOptions,
+    delta: u32,
+    prefilter: PrefilterMode,
+) -> Result<ReputeConfig, ReputeError> {
+    Ok(ReputeConfig::new(delta, options.s_min)
+        .map_err(|e| ReputeError::Config(e.to_string()))?
+        .with_max_locations(options.max_locations)
+        .with_prefilter(prefilter))
+}
+
 /// The refusal text of a shed job (also used by resume replay — the
 /// strings must match byte-for-byte for response-union identity).
 fn shed_reason(deadline_s: f64, at_s: f64) -> String {
@@ -182,6 +189,8 @@ pub struct ServeCore {
     set: ReferenceSet,
     platform: Platform,
     options: ServeOptions,
+    /// The mapping configuration of a job without overrides.
+    config: ReputeConfig,
     /// Configured per-job read cap (full platform; journal identity).
     max_reads_per_job: usize,
     /// Live per-job read cap, re-clamped as devices are lost.
@@ -220,8 +229,7 @@ impl ServeCore {
     ) -> Result<ServeCore, ReputeError> {
         // Fail fast: the default config must be constructible, or every
         // default-config job would die at batch time.
-        ReputeConfig::new(options.delta, options.s_min)
-            .map_err(|e| ReputeError::Config(e.to_string()))?;
+        let config = batch_config(&options, options.delta, options.prefilter)?;
         if options.delta > options.limits.max_delta {
             return Err(ReputeError::Config(format!(
                 "default delta {} exceeds --max-delta {}",
@@ -255,6 +263,7 @@ impl ServeCore {
             set,
             platform,
             options,
+            config,
             max_reads_per_job,
             live_max_reads: max_reads_per_job,
             health,
@@ -290,16 +299,8 @@ impl ServeCore {
     pub fn fingerprint(&self) -> RunFingerprint {
         let mut cfg = Fnv64::new();
         cfg.write(self.platform.name().as_bytes());
-        cfg.write_u64(u64::from(self.options.delta));
-        cfg.write_u64(self.options.s_min as u64);
-        cfg.write_u64(self.options.max_locations as u64);
-        cfg.write_u64(u64::from(prefilter_code(self.options.prefilter)));
-        cfg.write_u64(self.options.prefilter_q as u64);
-        cfg.write_u64(self.options.prefilter_bin as u64);
-        cfg.write_u64(match self.options.schedule {
-            ScheduleMode::Static => 0,
-            ScheduleMode::Dynamic => 1,
-        });
+        self.config.fold_identity(&mut cfg);
+        cfg.write_u64(self.options.schedule as u64);
         cfg.write_u64(self.options.host_threads as u64);
         cfg.write_u64(self.options.max_retries as u64);
         cfg.write_u64(u64::from(self.options.limits.max_delta));
@@ -730,8 +731,7 @@ impl ServeCore {
             }
             let key = jobs[0].key;
             let reads: Vec<DnaSeq> = jobs.iter().flat_map(|j| j.reads.iter().cloned()).collect();
-            let config = self.batch_config(key)?;
-            let threads = config.host_threads();
+            let config = batch_config(&self.options, key.delta, key.prefilter)?;
             let mapper = key.mapper.build(Arc::clone(self.set.indexed()), config);
             let mapper = mapper.as_ref();
             let plan = self.options.fault_plan.rebased(start);
@@ -747,10 +747,10 @@ impl ServeCore {
                 subset = self.health.live();
             }
             let run = loop {
-                let schedule =
-                    Schedule::for_config(&config, &self.platform.subset(&subset), reads.len());
+                let subplatform = self.platform.subset(&subset);
+                let schedule = Schedule::for_mode(self.options.schedule, &subplatform, reads.len());
                 let executor = Executor {
-                    host_threads: threads,
+                    host_threads: self.options.host_threads,
                     faults: plan.clone(),
                     max_retries: self.options.max_retries,
                     subset: Some(subset.clone()),
@@ -1120,17 +1120,6 @@ impl ServeCore {
             latency_s: Some(completion - job.arrival_s),
             sam: Some(String::from_utf8_lossy(&sam.out).into_owned()),
         })
-    }
-
-    fn batch_config(&self, key: ConfigKey) -> Result<ReputeConfig, ReputeError> {
-        Ok(ReputeConfig::new(key.delta, self.options.s_min)
-            .map_err(|e| ReputeError::Config(e.to_string()))?
-            .with_max_locations(self.options.max_locations)
-            .with_prefilter(key.prefilter)
-            .with_prefilter_qgram(self.options.prefilter_q, self.options.prefilter_bin)
-            .with_schedule(self.options.schedule)
-            .with_host_threads(self.options.host_threads)
-            .with_max_retries(self.options.max_retries))
     }
 
     /// Monotone service counters.

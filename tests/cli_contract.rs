@@ -62,8 +62,6 @@ fn project_map(o: &MapOptions) -> Fields {
         ("cigar", show(&o.cigar)),
         ("mapper", show(&o.mapper)),
         ("prefilter", show(&o.prefilter)),
-        ("prefilter_q", show(&o.prefilter_q)),
-        ("prefilter_bin", show(&o.prefilter_bin)),
         ("platform", show(&o.platform)),
         ("schedule", show(&o.schedule)),
         ("host_threads", show(&o.host_threads)),
@@ -74,7 +72,6 @@ fn project_map(o: &MapOptions) -> Fields {
         ("verbose", show(&o.verbose)),
         ("checkpoint", show(&o.checkpoint)),
         ("resume", show(&o.resume)),
-        ("checkpoint_every", show(&o.checkpoint_every)),
     ]
 }
 
@@ -115,8 +112,6 @@ fn project_serve(o: &ServeCliOptions) -> Fields {
         ("s_min", show(&serve.s_min)),
         ("max_locations", show(&serve.max_locations)),
         ("prefilter", show(&serve.prefilter)),
-        ("prefilter_q", show(&serve.prefilter_q)),
-        ("prefilter_bin", show(&serve.prefilter_bin)),
         ("schedule", show(&serve.schedule)),
         ("host_threads", show(&serve.host_threads)),
         // No plan and an empty plan are the same daemon.
@@ -319,19 +314,21 @@ fn defaults_and_usage_text_are_pinned() {
 // The pinned tables (generated at the parent commit).
 // ---------------------------------------------------------------------
 
-/// Moved twice, each time by one sentence of help text and no flag: the
-/// SERVE OPTIONS section came to name `--index` and `--platform`, which
+/// Moved twice by one sentence of help text and no flag: the SERVE
+/// OPTIONS section came to name `--index` and `--platform`, which
 /// `repute serve` always took (`0xee7e_e0e1_ce59_cd9f` →
 /// `0xab9c_9b39_8d4c_e7a9`), and `--host-threads` came to say that it
-/// works with `--platform` only.
-const USAGE_FNV64: u64 = 0x1b6c_3936_4b75_633f;
+/// works with `--platform` only (→ `0x1b6c_3936_4b75_633f`). Then by
+/// three flags: `--prefilter-q`, `--prefilter-bin` and
+/// `--checkpoint-every` became constants.
+const USAGE_FNV64: u64 = 0xa479_bbb3_7b68_57b4;
 
 /// `(subcommand, "", every projected field of its `Default`)`.
 const DEFAULTS: &[(&str, &str, &str)] = &[
-    ("map", "", "reference=\"\"; index=None; index_cache=None; reads=\"\"; delta=5; s_min=12; max_locations=100; output=None; cigar=false; mapper=Repute; prefilter=None; prefilter_q=5; prefilter_bin=512; platform=None; schedule=Static; host_threads=0; fault_plan=None; max_retries=2; metrics_out=None; trace_out=None; verbose=false; checkpoint=None; resume=false; checkpoint_every=1"),
+    ("map", "", "reference=\"\"; index=None; index_cache=None; reads=\"\"; delta=5; s_min=12; max_locations=100; output=None; cigar=false; mapper=Repute; prefilter=None; platform=None; schedule=Static; host_threads=0; fault_plan=None; max_retries=2; metrics_out=None; trace_out=None; verbose=false; checkpoint=None; resume=false"),
     ("index", "", "reference=\"\"; output=\"\""),
     ("simulate", "", "out_dir=\"\"; length=1000000; reads=10000; read_len=100; seed=42; profile=\"err012100\""),
-    ("serve", "", "reference=\"\"; index=None; index_cache=None; platform=\"system1\"; socket=None; spool=None; once=false; journal=None; resume=false; delta=5; s_min=12; max_locations=100; prefilter=None; prefilter_q=5; prefilter_bin=512; schedule=Dynamic; host_threads=0; fault_plan=[]; max_retries=2; shed_overdue=false; serial_batches=false; queue_capacity=64; max_reads_per_job=None; max_delta=16; tenant_weights=[]; tenant_quotas=[]; quota_window_s=60.0; journal_compact_threshold=0; metrics_out=None; metrics_dir=None; trace_out=None"),
+    ("serve", "", "reference=\"\"; index=None; index_cache=None; platform=\"system1\"; socket=None; spool=None; once=false; journal=None; resume=false; delta=5; s_min=12; max_locations=100; prefilter=None; schedule=Dynamic; host_threads=0; fault_plan=[]; max_retries=2; shed_overdue=false; serial_batches=false; queue_capacity=64; max_reads_per_job=None; max_delta=16; tenant_weights=[]; tenant_quotas=[]; quota_window_s=60.0; journal_compact_threshold=0; metrics_out=None; metrics_dir=None; trace_out=None"),
     ("submit", "", "socket=\"\"; reads=None; id=None; tenant=None; delta=None; prefilter=None; mapper=None; deadline=None; priority=None; output=None; retry=0; retry_base_ms=100; shutdown=false"),
 ];
 
@@ -354,8 +351,6 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("map", "--output", "--output expects a value"),
     ("map", "--mapper", "--mapper expects a value"),
     ("map", "--prefilter", "--prefilter expects a value"),
-    ("map", "--prefilter-q", "--prefilter-q expects a value"),
-    ("map", "--prefilter-bin", "--prefilter-bin expects a value"),
     ("map", "--platform", "--platform expects a value"),
     ("map", "--schedule", "--schedule expects a value"),
     ("map", "--host-threads", "--host-threads expects a value"),
@@ -364,23 +359,15 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("map", "--metrics-out", "--metrics-out expects a value"),
     ("map", "--trace-out", "--trace-out expects a value"),
     ("map", "--checkpoint", "--checkpoint expects a value"),
-    ("map", "--checkpoint-every", "--checkpoint-every expects a value"),
     // --- map: value type and range.
     ("map", "--delta x", "--delta expects an integer"),
     ("map", "--delta -1", "--delta expects an integer"),
     ("map", "--s-min x", "--s-min expects an integer"),
     ("map", "--max-locations x", "--max-locations expects an integer"),
     ("map", "--max-locations 0", "--max-locations must be positive"),
-    ("map", "--prefilter-q x", "--prefilter-q expects an integer"),
-    ("map", "--prefilter-q 0", "--prefilter-q must be in 1..=8"),
-    ("map", "--prefilter-q 9", "--prefilter-q must be in 1..=8"),
-    ("map", "--prefilter-bin x", "--prefilter-bin expects an integer"),
-    ("map", "--prefilter-bin 0", "--prefilter-bin must be positive"),
     ("map", "--host-threads x", "--host-threads expects an integer"),
     ("map", "--host-threads 0", "--host-threads must be positive (omit the flag for automatic)"),
     ("map", "--max-retries x", "--max-retries expects an integer"),
-    ("map", "--checkpoint-every x", "--checkpoint-every expects an integer"),
-    ("map", "--checkpoint-every 0", "--checkpoint-every must be positive"),
     ("map", "--mapper nope", "unknown mapper \"nope\" (repute, coral, razers3, hobbes3, yara, gem, bwa-mem)"),
     ("map", "--prefilter fast", "--prefilter: unknown prefilter mode \"fast\" (expected none, shd, qgram or both)"),
     ("map", "--schedule greedy", "unknown schedule \"greedy\" (static, dynamic)"),
@@ -392,7 +379,6 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("map", "--reference r.fa --reads q.fq --trace-out t.json", "--trace-out requires --platform (spans live on the simulated timeline)"),
     ("map", "--reference r.fa --reads q.fq --checkpoint j.rpj", "--checkpoint requires --platform (the journal is batch-granular over the simulated schedule)"),
     ("map", "--reference r.fa --reads q.fq --resume", "--resume requires --checkpoint"),
-    ("map", "--reference r.fa --reads q.fq --checkpoint-every 2", "--checkpoint-every requires --checkpoint"),
     ("map", "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --cigar", "--cigar is incompatible with --checkpoint (CIGAR traceback is per-read, the journal is per-batch)"),
     ("map", "--reference r.fa --reads q.fq --platform system1 --fault-plan crash:@0.5", "crash:@<t> events require --checkpoint (only a journaled run can survive a host crash)"),
     ("map", "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --fault-plan loss:d0@0.1", "checkpointed runs accept crash:@<t> fault events only (device faults would make the journaled timeline irreproducible)"),
@@ -417,8 +403,6 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("map", "--fault-plan loss:d0@0 --trace-out t.json --checkpoint j.rpj", "--fault-plan requires --platform (faults live in the simulation)"),
     ("map", "--trace-out t.json --checkpoint j.rpj", "--trace-out requires --platform (spans live on the simulated timeline)"),
     ("map", "--checkpoint j.rpj --resume --cigar", "--checkpoint requires --platform (the journal is batch-granular over the simulated schedule)"),
-    ("map", "--resume --checkpoint-every 2", "--resume requires --checkpoint"),
-    ("map", "--checkpoint-every 2 --mapper gem --cigar", "--checkpoint-every requires --checkpoint"),
     ("map", "--platform system1 --checkpoint j.rpj --cigar --mapper gem", "--cigar is incompatible with --checkpoint (CIGAR traceback is per-read, the journal is per-batch)"),
     ("map", "--platform system1 --checkpoint j.rpj --cigar --fault-plan loss:d0@1", "--cigar is incompatible with --checkpoint (CIGAR traceback is per-read, the journal is per-batch)"),
     ("map", "--platform system1 --fault-plan crash:@1,loss:d0@1", "crash:@<t> events require --checkpoint (only a journaled run can survive a host crash)"),
@@ -480,8 +464,6 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("serve", "--s-min", "--s-min expects a value"),
     ("serve", "--max-locations", "--max-locations expects a value"),
     ("serve", "--prefilter", "--prefilter expects a value"),
-    ("serve", "--prefilter-q", "--prefilter-q expects a value"),
-    ("serve", "--prefilter-bin", "--prefilter-bin expects a value"),
     ("serve", "--schedule", "--schedule expects a value"),
     ("serve", "--host-threads", "--host-threads expects a value"),
     ("serve", "--fault-plan", "--fault-plan expects a value"),
@@ -502,10 +484,6 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("serve", "--max-locations x", "--max-locations expects an integer"),
     ("serve", "--max-locations 0", "--max-locations must be positive"),
     ("serve", "--prefilter fast", "--prefilter: unknown prefilter mode \"fast\" (expected none, shd, qgram or both)"),
-    ("serve", "--prefilter-q x", "--prefilter-q expects an integer"),
-    ("serve", "--prefilter-q 9", "--prefilter-q must be in 1..=8"),
-    ("serve", "--prefilter-bin x", "--prefilter-bin expects an integer"),
-    ("serve", "--prefilter-bin 0", "--prefilter-bin must be positive"),
     ("serve", "--schedule greedy", "unknown schedule \"greedy\" (static, dynamic)"),
     ("serve", "--host-threads x", "--host-threads expects an integer"),
     ("serve", "--host-threads 0", "--host-threads must be positive (omit the flag for automatic)"),
@@ -625,7 +603,7 @@ const ACCEPTED: &[(&str, &str, &str)] = &[
     ("map", "--reference r.fa --reads q.fq --mapper coral", "reference=\"r.fa\"; reads=\"q.fq\"; mapper=Coral"),
     ("map", "--reference r.fa --reads q.fq --mapper BWA-MEM", "reference=\"r.fa\"; reads=\"q.fq\"; mapper=BwaMem"),
     ("map", "--reference r.fa --reads q.fq --mapper bwamem --delta 0 --s-min 0", "reference=\"r.fa\"; reads=\"q.fq\"; delta=0; s_min=0; mapper=BwaMem"),
-    ("map", "--reference r.fa --reads q.fq --prefilter both --prefilter-q 8 --prefilter-bin 256", "reference=\"r.fa\"; reads=\"q.fq\"; prefilter=Both; prefilter_q=8; prefilter_bin=256"),
+    ("map", "--reference r.fa --reads q.fq --prefilter both", "reference=\"r.fa\"; reads=\"q.fq\"; prefilter=Both"),
     ("map", "--reference r.fa --reads q.fq --prefilter none --mapper gem", "reference=\"r.fa\"; reads=\"q.fq\"; mapper=Gem"),
     ("map", "--reference r.fa --reads q.fq --schedule dynamic --host-threads 3", "reference=\"r.fa\"; reads=\"q.fq\"; schedule=Dynamic; host_threads=3"),
     ("map", "--reference r.fa --reads q.fq --platform hikey970 --schedule static", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"hikey970\")"),
@@ -634,8 +612,6 @@ const ACCEPTED: &[(&str, &str, &str)] = &[
     ("map", "--reference r.fa --reads q.fq --platform system1 --fault-plan slow:d1@0x0.5;correlated:d0+d2@1 --max-retries 0", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"system1\"); fault_plan=[Degrade { factor: 0.5 }:d1@0,Loss:d0@1,Loss:d2@1]; max_retries=0"),
     ("map", "--reference r.fa --reads q.fq --platform system1 --fault-plan ,", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"system1\"); fault_plan=[]"),
     ("map", "--reference r.fa --reads q.fq --platform system1 --trace-out t.json", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"system1\"); trace_out=Some(\"t.json\")"),
-    ("map", "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --checkpoint-every 3", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"system1\"); checkpoint=Some(\"j.rpj\"); checkpoint_every=3"),
-    ("map", "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --checkpoint-every 1", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"system1\"); checkpoint=Some(\"j.rpj\")"),
     ("map", "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --resume", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"system1\"); checkpoint=Some(\"j.rpj\"); resume=true"),
     ("map", "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --fault-plan crash:@0.5", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"system1\"); fault_plan=[HostCrash:d0@0.5]; checkpoint=Some(\"j.rpj\")"),
     ("map", "--reference r.fa --reads q.fq --delta 3 --delta 4 --reads other.fq", "reference=\"r.fa\"; reads=\"other.fq\"; delta=4"),
@@ -654,7 +630,7 @@ const ACCEPTED: &[(&str, &str, &str)] = &[
     ("serve", "--reference r.fa --spool jobs --once", "reference=\"r.fa\"; spool=Some(\"jobs\"); once=true"),
     ("serve", "--index i.rpx --spool jobs", "index=Some(\"i.rpx\"); spool=Some(\"jobs\")"),
     ("serve", "--reference r.fa --index-cache c.rpxc --socket s.sock --platform hikey970", "reference=\"r.fa\"; index_cache=Some(\"c.rpxc\"); platform=\"hikey970\"; socket=Some(\"s.sock\")"),
-    ("serve", "--reference r.fa --socket s.sock --delta 4 --s-min 14 --max-locations 50 --prefilter both --prefilter-q 4 --prefilter-bin 256", "reference=\"r.fa\"; socket=Some(\"s.sock\"); delta=4; s_min=14; max_locations=50; prefilter=Both; prefilter_q=4; prefilter_bin=256"),
+    ("serve", "--reference r.fa --socket s.sock --delta 4 --s-min 14 --max-locations 50 --prefilter both", "reference=\"r.fa\"; socket=Some(\"s.sock\"); delta=4; s_min=14; max_locations=50; prefilter=Both"),
     ("serve", "--reference r.fa --socket s.sock --schedule static --host-threads 2 --max-retries 5", "reference=\"r.fa\"; socket=Some(\"s.sock\"); schedule=Static; host_threads=2; max_retries=5"),
     ("serve", "--reference r.fa --socket s.sock --queue-capacity 8 --max-reads-per-job 7 --max-delta 9", "reference=\"r.fa\"; socket=Some(\"s.sock\"); queue_capacity=8; max_reads_per_job=Some(7); max_delta=9"),
     ("serve", "--reference r.fa --spool jobs --once --tenant-weight acme=3 --tenant-weight lab=0.5", "reference=\"r.fa\"; spool=Some(\"jobs\"); once=true; tenant_weights=[(\"acme\", 3.0), (\"lab\", 0.5)]"),

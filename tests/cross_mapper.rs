@@ -245,16 +245,19 @@ fn digest_mapper(h: &mut Fnv64, mapper: &dyn Mapper, reads: &[DnaSeq]) {
 
 /// One digest per mapper over δ ∈ {3, 5} × `max_locations` ∈ {1, 100}
 /// of [`pinned_workload`], generated before the per-read pipeline was
-/// written once (PR 24) and held unedited across it. A mismatch prints
-/// the computed table in source form.
+/// written once (PR 24) and held unedited across it. The CORAL, GEM,
+/// Yara, BWA-MEM and Hobbes3 rows moved once, on purpose, when those
+/// mappers began filling the caller's `MapMetrics` (PR 25); their
+/// mappings, `candidates` and `work` did not. A mismatch prints the
+/// computed table in source form.
 const MAPPER_DIGESTS: &[(&str, u64)] = &[
     ("REPUTE", 0x3f6a5a54656aa940),
     ("REPUTE/prefilter-both", 0x4bc8f0862992ed99),
-    ("CORAL", 0xcef8ef78addd0e71),
-    ("GEM", 0x6d52243da4873c88),
-    ("Yara", 0x2a2438dca648a16c),
-    ("BWA-MEM", 0x1cf1165141ba8c95),
-    ("Hobbes3", 0xda4bd7d602bd6344),
+    ("CORAL", 0xe25fc1407092c17a),
+    ("GEM", 0x261d81bd58091e21),
+    ("Yara", 0x301414071f958adc),
+    ("BWA-MEM", 0x5ab52a57a5782b8d),
+    ("Hobbes3", 0x55c0c03704f30bcf),
     ("RazerS3", 0x1d4112202d1b8ab6),
 ];
 

@@ -92,7 +92,7 @@ fn run_journaled(
         ..cell.executor()
     };
     let fingerprint = RunFingerprint::new(0xC0FF_EE00, 0x5EED_0001);
-    executor.run_journaled(mapper, cell.platform, reads, journal, fingerprint, 2)
+    executor.run_journaled(mapper, cell.platform, reads, journal, fingerprint)
 }
 
 // ---------------------------------------------------------------------

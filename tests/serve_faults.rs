@@ -446,7 +446,7 @@ fn device_health_ladder_is_monotone_under_random_event_storms() {
     let mut state = 0x0DE5_EED5_1234_u64;
     for round in 0..200 {
         let devices = 1 + (splitmix64(&mut state) % 6) as usize;
-        let mut health = DeviceHealth::new(devices).with_quarantine_after(3);
+        let mut health = DeviceHealth::new(devices);
         let mut prev: Vec<u8> = vec![HealthState::Healthy.code(); devices];
         let mut prev_faults: Vec<u64> = vec![0; devices];
         for _ in 0..40 {
@@ -479,7 +479,7 @@ fn device_health_ladder_is_monotone_under_random_event_storms() {
             assert_eq!(health.none_live(), live.is_empty());
             // Snapshot/restore round-trips the whole ladder.
             let snapshot = health.snapshot();
-            let mut restored = DeviceHealth::new(devices).with_quarantine_after(3);
+            let mut restored = DeviceHealth::new(devices);
             for (i, &(state, faults)) in snapshot.iter().enumerate() {
                 restored.restore(i, state, faults);
             }
