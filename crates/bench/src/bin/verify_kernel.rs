@@ -54,7 +54,6 @@ const GATE: Gate = Gate {
     schema: "repute-bench-verify-kernel",
     version: 2,
     noun: "verify-kernel",
-    smoke: None,
 };
 /// The committed baseline must record at least this speedup — the
 /// acceptance bar of the batch-kernel change itself.
@@ -349,11 +348,7 @@ fn validate_document(text: &str) -> Result<Committed, String> {
     field(fields, "corpus")
         .and_then(JsonValue::as_obj)
         .ok_or("missing object field \"corpus\"")?;
-    gate::require(
-        fields,
-        &[],
-        &["baseline_seconds", "batch_seconds", "speedup"],
-    )?;
+    gate::require_numbers(fields, &["baseline_seconds", "batch_seconds", "speedup"])?;
     let speedup = field(fields, "speedup")
         .and_then(JsonValue::as_f64)
         .unwrap_or(0.0);
@@ -381,7 +376,7 @@ fn validate_document(text: &str) -> Result<Committed, String> {
 }
 
 fn main() {
-    let (mode, path) = GATE.mode().expect("a mode is required");
+    let (mode, path) = GATE.mode();
     println!(
         "Verification kernel benchmark — schema {} v{}",
         GATE.schema, GATE.version

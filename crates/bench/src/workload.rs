@@ -40,9 +40,9 @@ impl Scale {
         }
     }
 
-    /// A small scale for unit tests, and the pinned scale of the
-    /// `trajectory` and `verify_kernel` baselines (`BENCH_pr6.json`,
-    /// `BENCH_pr8.json`): changing it means regenerating both.
+    /// A small scale for tests, and the pinned scale of the
+    /// `verify_kernel` baseline (`BENCH_pr8.json`): changing it means
+    /// regenerating that file.
     pub fn tiny() -> Scale {
         Scale {
             reference_len: 60_000,

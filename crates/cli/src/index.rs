@@ -287,7 +287,8 @@ mod tests {
         use repute_genome::fastq::{write_fastq, FastqRecord};
         use repute_genome::synth::ReferenceBuilder;
 
-        let dir = std::env::temp_dir().join("repute-cli-index-test");
+        let dir =
+            std::env::temp_dir().join(format!("repute-cli-index-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let chr_a = ReferenceBuilder::new(60_000).seed(15).build();
         let chr_b = ReferenceBuilder::new(40_000).seed(16).build();
@@ -358,7 +359,10 @@ mod tests {
         use repute_genome::fastq::{write_fastq, FastqRecord};
         use repute_genome::synth::ReferenceBuilder;
 
-        let dir = std::env::temp_dir().join("repute-cli-index-cache-test");
+        let dir = std::env::temp_dir().join(format!(
+            "repute-cli-index-cache-test-{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let reference = ReferenceBuilder::new(50_000).seed(21).build();
         let ref_path = dir.join("ref.fa");
@@ -473,7 +477,8 @@ mod tests {
 
     #[test]
     fn simulate_then_map_end_to_end() {
-        let dir = std::env::temp_dir().join("repute-cli-simulate-test");
+        let dir =
+            std::env::temp_dir().join(format!("repute-cli-simulate-test-{}", std::process::id()));
         let dir_s = dir.to_string_lossy().into_owned();
         run_simulate(&SimulateOptions {
             out_dir: dir_s.clone(),

@@ -708,7 +708,7 @@ mod tests {
         use repute_genome::fastq::{write_fastq, FastqRecord};
         use repute_genome::synth::ReferenceBuilder;
 
-        let dir = std::env::temp_dir().join("repute-cli-test");
+        let dir = std::env::temp_dir().join(format!("repute-cli-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let reference = ReferenceBuilder::new(100_000).seed(5).build();
         let ref_path = dir.join("ref.fa");
@@ -801,7 +801,8 @@ mod tests {
 
     #[test]
     fn prefiltered_map_run_matches_plain_and_reports_counters() {
-        let dir = std::env::temp_dir().join("repute-cli-prefilter-test");
+        let dir =
+            std::env::temp_dir().join(format!("repute-cli-prefilter-test-{}", std::process::id()));
         let dir_s = dir.to_string_lossy().into_owned();
         run_simulate(&SimulateOptions {
             out_dir: dir_s.clone(),
@@ -878,7 +879,8 @@ mod tests {
 
     #[test]
     fn dynamic_schedule_run_matches_static_sam_output() {
-        let dir = std::env::temp_dir().join("repute-cli-schedule-test");
+        let dir =
+            std::env::temp_dir().join(format!("repute-cli-schedule-test-{}", std::process::id()));
         let dir_s = dir.to_string_lossy().into_owned();
         run_simulate(&SimulateOptions {
             out_dir: dir_s.clone(),
@@ -970,7 +972,8 @@ mod tests {
 
     #[test]
     fn faulted_platform_run_matches_fault_free_sam_output() {
-        let dir = std::env::temp_dir().join("repute-cli-fault-test");
+        let dir =
+            std::env::temp_dir().join(format!("repute-cli-fault-test-{}", std::process::id()));
         let dir_s = dir.to_string_lossy().into_owned();
         run_simulate(&SimulateOptions {
             out_dir: dir_s.clone(),
@@ -1009,7 +1012,8 @@ mod tests {
 
     #[test]
     fn metrics_out_round_trips_through_stats() {
-        let dir = std::env::temp_dir().join("repute-cli-metrics-test");
+        let dir =
+            std::env::temp_dir().join(format!("repute-cli-metrics-test-{}", std::process::id()));
         let dir_s = dir.to_string_lossy().into_owned();
         run_simulate(&SimulateOptions {
             out_dir: dir_s.clone(),
@@ -1133,7 +1137,8 @@ mod tests {
 
     #[test]
     fn checkpointed_run_crashes_resumes_and_matches_plain_output() {
-        let dir = std::env::temp_dir().join("repute-cli-checkpoint-test");
+        let dir =
+            std::env::temp_dir().join(format!("repute-cli-checkpoint-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let dir_s = dir.to_string_lossy().into_owned();
         run_simulate(&SimulateOptions {
@@ -1208,7 +1213,10 @@ mod tests {
     /// so a journal written then still resumes now.
     #[test]
     fn checkpoint_fingerprint_is_pinned() {
-        let dir = std::env::temp_dir().join("repute-cli-fingerprint-test");
+        let dir = std::env::temp_dir().join(format!(
+            "repute-cli-fingerprint-test-{}",
+            std::process::id()
+        ));
         std::fs::remove_dir_all(&dir).ok();
         let dir_s = dir.to_string_lossy().into_owned();
         run_simulate(&SimulateOptions {
@@ -1241,7 +1249,8 @@ mod tests {
     /// simulating, where the static planner used to panic.
     #[test]
     fn a_read_too_big_for_a_device_exits_with_a_configuration_error() {
-        let dir = std::env::temp_dir().join("repute-cli-too-big-test");
+        let dir =
+            std::env::temp_dir().join(format!("repute-cli-too-big-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let dir_s = dir.to_string_lossy().into_owned();
         run_simulate(&SimulateOptions {
@@ -1305,7 +1314,8 @@ mod tests {
 
     #[test]
     fn trace_out_is_deterministic_valid_and_summarizable() {
-        let dir = std::env::temp_dir().join("repute-cli-trace-test");
+        let dir =
+            std::env::temp_dir().join(format!("repute-cli-trace-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let dir_s = dir.to_string_lossy().into_owned();
         run_simulate(&SimulateOptions {
@@ -1389,7 +1399,10 @@ mod tests {
 
     #[test]
     fn checkpointed_metrics_surface_resumed_batches_in_stats() {
-        let dir = std::env::temp_dir().join("repute-cli-checkpoint-stats-test");
+        let dir = std::env::temp_dir().join(format!(
+            "repute-cli-checkpoint-stats-test-{}",
+            std::process::id()
+        ));
         std::fs::remove_dir_all(&dir).ok();
         let dir_s = dir.to_string_lossy().into_owned();
         run_simulate(&SimulateOptions {
@@ -1445,7 +1458,7 @@ mod tests {
     }
 
     /// `run_map` is called with options structs built in code
-    /// (`benchmark/`, `serve_smoke`), which no parser has judged:
+    /// (`benchmark/`, the tests), which no parser has judged:
     /// `validate` gives them the parser's answer to the same flags.
     #[test]
     fn validate_rejects_a_built_struct_exactly_as_the_parser_rejects_the_flags() {

@@ -371,7 +371,8 @@ mod tests {
 
     #[test]
     fn stats_renders_latency_percentile_table() {
-        let dir = std::env::temp_dir().join("repute-cli-latency-test");
+        let dir =
+            std::env::temp_dir().join(format!("repute-cli-latency-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let dir_s = dir.to_string_lossy().into_owned();
         run_simulate(&SimulateOptions {

@@ -222,6 +222,8 @@ fn transient_faults_retry_without_changing_output() {
         let faults: u64 = run.fault_counters.iter().map(|c| c.faults).sum();
         assert_eq!(faults, 4, "all four armed transients strike");
         assert_eq!(retries, 4, "each strike costs one retry");
+        let migrated: u64 = run.fault_counters.iter().map(|c| c.migrated_batches).sum();
+        assert_eq!(migrated, 0, "a storm inside the budget migrates nothing");
         assert!(
             run.timelines
                 .iter()
@@ -236,6 +238,45 @@ fn transient_faults_retry_without_changing_output() {
         if matches!(schedule, Schedule::Static(_)) {
             assert!(run.simulated_seconds >= baseline.simulated_seconds - 1e-12);
         }
+    }
+}
+
+/// Graceful degradation: killing the top k of the four devices at t = 0
+/// (device 0 always survives) leaves hits and metrics unchanged, and the
+/// makespan never shrinks as k grows — under both schedules.
+#[test]
+fn killing_more_devices_never_shortens_the_makespan() {
+    let (mapper, reads) = setup();
+    let platform = quad_platform();
+    for schedule in schedules(&platform, reads.len()) {
+        let (baseline, baseline_metrics) = executor(&schedule, 1)
+            .run(&mapper, &platform, &reads)
+            .unwrap();
+        let mut curve = Vec::new();
+        for k in 0..4 {
+            let plan = (4 - k..4).fold(FaultPlan::new(), |plan, d| plan.loss(d, 0.0));
+            let (run, metrics) = Executor {
+                faults: plan,
+                max_retries: 2,
+                ..executor(&schedule, 1)
+            }
+            .run(&mapper, &platform, &reads)
+            .expect("device 0 survives");
+            let context = format!("{k} dead, {schedule:?}");
+            assert_same_outputs(
+                &run.outputs,
+                &baseline.outputs,
+                &metrics,
+                &baseline_metrics,
+                &context,
+            );
+            assert_eq!(run.lost_devices.len(), k, "{context}");
+            curve.push(run.simulated_seconds);
+        }
+        assert!(
+            curve.windows(2).all(|w| w[0] <= w[1]) && curve[0] < curve[3],
+            "{schedule:?}: makespan by dead devices {curve:?}"
+        );
     }
 }
 

@@ -5,7 +5,7 @@
 //! and after any number of simulated host crashes — while corrupted or
 //! mismatched journals surface as typed [`ReputeError`] variants, never
 //! panics. The process-kill variant (real `SIGKILL` against the CLI)
-//! lives in `bench --bin resume`.
+//! is `crates/cli/tests/kill_resume.rs`.
 
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;

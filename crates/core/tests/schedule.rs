@@ -136,6 +136,42 @@ fn dynamic_schedule_on_tiny_devices_matches_single_device_rerun() {
     }
 }
 
+/// Dynamic batch pulling finishes strictly before even static shares on
+/// a skewed read set — the heaviest read over the first quarter, the
+/// lightest over the rest, so even shares pin every heavy read on
+/// device 0 — and both schedules report the same mappings.
+#[test]
+fn dynamic_beats_static_even_shares_on_a_skewed_read_set() {
+    let (mapper, reads) = setup();
+    let work: Vec<u64> = reads.iter().map(|r| mapper.map_read(r).work).collect();
+    let heavy = (0..reads.len()).max_by_key(|&i| work[i]).unwrap();
+    let light = (0..reads.len()).min_by_key(|&i| work[i]).unwrap();
+    assert!(work[heavy] > work[light], "no per-read work skew");
+    let q = reads.len() / 4;
+    let skewed: Vec<DnaSeq> = std::iter::repeat_n(&reads[heavy], q)
+        .chain(std::iter::repeat_n(&reads[light], 3 * q))
+        .cloned()
+        .collect();
+    let platform = Platform::new("quad", 10.0, vec![profiles::intel_i7_2600(); 4]);
+    let run = |schedule: Schedule| {
+        executor(&schedule, 1)
+            .run(&mapper, &platform, &skewed)
+            .unwrap()
+            .0
+    };
+    let even = run(Schedule::Static(platform.even_shares(skewed.len())));
+    let dynamic = run(Schedule::Dynamic { batch: 0 });
+    assert!(
+        dynamic.simulated_seconds < even.simulated_seconds,
+        "dynamic {} s vs static even shares {} s",
+        dynamic.simulated_seconds,
+        even.simulated_seconds
+    );
+    for (a, b) in dynamic.outputs.iter().zip(&even.outputs) {
+        assert_eq!(a.mappings, b.mappings);
+    }
+}
+
 #[test]
 fn empty_read_set_is_a_valid_empty_run_in_both_modes() {
     let (mapper, _) = setup();

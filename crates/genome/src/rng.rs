@@ -57,7 +57,7 @@ impl StdRng {
     }
 
     /// The next 64 raw bits of the stream.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -72,7 +72,7 @@ impl StdRng {
         result
     }
 
-    /// The next 32 raw bits (upper half of [`StdRng::next_u64`]).
+    /// The next 32 raw bits (the upper half of the next 64).
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }

@@ -1,10 +1,10 @@
 //! Regression corpus of adversarial windows — long homopolymers,
 //! tandem repeats, low-complexity reads — checked in at
-//! `tests/corpus/adversarial.txt` and shared with the bench ablation
-//! binary. Two invariants: every oracle-verifiable entry passes both
-//! filters (zero false negatives even on pathological sequence), and
-//! the SHD filter keeps nonzero rejection power over the corpus (the
-//! CI canary against the filter silently degenerating to a no-op).
+//! `tests/corpus/adversarial.txt`. Two invariants: every
+//! oracle-verifiable entry passes both filters (zero false negatives
+//! even on pathological sequence), and the SHD filter keeps nonzero
+//! rejection power over the corpus (the canary against the filter
+//! silently degenerating to a no-op).
 
 use repute_align::verify;
 use repute_prefilter::{Candidate, PreFilter, QgramBins, QgramFilter, ShdFilter};

@@ -1158,22 +1158,10 @@ impl ServeCore {
         self.queue.len() as u64
     }
 
-    /// Deepest the admission queue ever got.
-    pub fn queue_depth_high_water(&self) -> u64 {
-        self.queue.depth().high_water()
-    }
-
     /// The simulated clock: every committed round advances it by its
     /// slowest group's makespan.
     pub fn simulated_seconds(&self) -> f64 {
         self.sim_clock
-    }
-
-    /// `(count, p50, p90, p99)` of per-job admission-to-completion
-    /// latency, in simulated seconds.
-    pub fn latency_percentiles(&self) -> (u64, f64, f64, f64) {
-        let (p50, p90, p99) = self.latency.p50_p90_p99();
-        (self.latency.count(), p50, p90, p99)
     }
 
     /// The service telemetry as records: one `job` record per
@@ -1189,7 +1177,7 @@ impl ServeCore {
                 self.health.lost_count() as u64,
             )),
             queue_depth: self.queue_depth(),
-            queue_depth_max: self.queue_depth_high_water(),
+            queue_depth_max: self.queue.depth().high_water(),
             simulated_seconds: self.sim_clock,
         }));
         if !self.latency.is_empty() {

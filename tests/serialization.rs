@@ -14,7 +14,7 @@ use repute_mappers::multiref::ReferenceSet;
 use repute_mappers::{IndexedReference, Mapper};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("repute-serial-{tag}"));
+    let dir = std::env::temp_dir().join(format!("repute-serial-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
 }

@@ -1,16 +1,20 @@
 //! Multi-client hardening: the daemon's behavior is a pure function of
 //! the connection-event order (fixed-seed interleaving test over
 //! [`MuxServer`]), per-job SAM output does not depend on how clients
-//! interleave, and a misbehaving client — mid-line disconnect, garbage
-//! bytes — is dropped and counted instead of terminating the daemon.
+//! interleave and is what batch `repute map` writes for the same reads,
+//! and a misbehaving client — mid-line disconnect, garbage bytes — is
+//! dropped and counted instead of terminating the daemon.
 
 #![cfg(unix)]
 
 use std::collections::HashMap;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use repute_cli::{run_map, MapOptions};
+use repute_genome::fasta::{write_fasta, FastaRecord};
+use repute_genome::fastq::{write_fastq, FastqRecord};
 use repute_genome::rng::StdRng;
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::DnaSeq;
@@ -73,6 +77,39 @@ fn reference_sam() -> HashMap<String, String> {
         .collect()
 }
 
+/// Per-job SAM bytes of batch `repute map` over each job's reads at the
+/// job's δ, with files under `dir` (the index built once, then cached).
+fn batch_map_sam(dir: &Path) -> HashMap<String, String> {
+    let reference = ReferenceBuilder::new(120_000).seed(9301).build();
+    let mut fasta = Vec::new();
+    write_fasta(&mut fasta, &[FastaRecord::new("chrC", reference)], 70).expect("fasta");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    std::fs::write(path("reference.fa"), fasta).expect("write reference");
+    let mut sam = HashMap::new();
+    for job in client_jobs().into_iter().flatten() {
+        let records: Vec<FastqRecord> = job
+            .reads
+            .iter()
+            .map(|(id, seq)| FastqRecord::with_uniform_quality(id.clone(), seq.clone(), 40))
+            .collect();
+        let mut fastq = Vec::new();
+        write_fastq(&mut fastq, &records).expect("fastq");
+        std::fs::write(path(&format!("{}.fq", job.id)), fastq).expect("write reads");
+        let output = path(&format!("{}.sam", job.id));
+        run_map(&MapOptions {
+            reference: path("reference.fa"),
+            index_cache: Some(path("reference.rpxc")),
+            reads: path(&format!("{}.fq", job.id)),
+            delta: job.delta.unwrap_or(5),
+            output: Some(output.clone()),
+            ..MapOptions::default()
+        })
+        .expect("batch map");
+        sam.insert(job.id, std::fs::read_to_string(output).expect("SAM"));
+    }
+    sam
+}
+
 /// Replays one seeded interleaving of the three clients' events through
 /// [`MuxServer`] and returns each connection's response lines.
 fn run_interleaving(seed: u64) -> Vec<Vec<String>> {
@@ -126,6 +163,14 @@ fn run_interleaving(seed: u64) -> Vec<Vec<String>> {
 fn interleaved_clients_are_deterministic_and_match_the_single_submitter_run() {
     let expected = reference_sam();
     assert_eq!(expected.len(), 6);
+    let dir = std::env::temp_dir().join(format!("repute-serve-batch-map-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let batch = batch_map_sam(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        expected, batch,
+        "the daemon must answer what `repute map` writes"
+    );
 
     for seed in [1u64, 7, 42, 1234] {
         let lines = run_interleaving(seed);
@@ -192,7 +237,10 @@ fn a_nesting_bomb_line_is_rejected_and_the_next_client_is_served() {
 
 #[test]
 fn bad_clients_are_dropped_and_the_daemon_keeps_serving() {
-    let dir = std::env::temp_dir().join("repute-serve-badclient-test");
+    let dir = std::env::temp_dir().join(format!(
+        "repute-serve-badclient-test-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).ok();
     let socket: PathBuf = dir.join("serve.sock");
     std::fs::remove_file(&socket).ok();
@@ -276,7 +324,10 @@ fn bad_clients_are_dropped_and_the_daemon_keeps_serving() {
 
 #[test]
 fn three_concurrent_socket_clients_get_byte_identical_sam() {
-    let dir = std::env::temp_dir().join("repute-serve-concurrent-test");
+    let dir = std::env::temp_dir().join(format!(
+        "repute-serve-concurrent-test-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).ok();
     let socket: PathBuf = dir.join("serve.sock");
     std::fs::remove_file(&socket).ok();

@@ -6,13 +6,18 @@
 //! with typed `SERVICE_UNAVAILABLE` responses and exits, overdue queued
 //! jobs are shed with `DEADLINE_EXCEEDED` when `--shed-overdue` is on,
 //! and the device-health ladder / shrinking admission bounds hold under
-//! seeded random event storms.
+//! seeded random event storms. Beside those, what the service's own
+//! policies may and may not move: concurrent rounds beat serial ones in
+//! simulated seconds with the same SAM, admission refusals are typed
+//! and counted, and EDF reorders batches without touching a byte of
+//! SAM — each scenario's `--metrics-out` bytes pinned.
 
 #![cfg(unix)]
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 
+use repute_core::journal::Fnv64;
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::DnaSeq;
 use repute_hetsim::{profiles, DeviceHealth, FaultPlan, HealthState};
@@ -21,7 +26,7 @@ use repute_prefilter::PrefilterMode;
 use repute_serve::transport::{serve_socket, shutdown_over_socket, submit_over_socket};
 use repute_serve::{
     AdmissionQueue, ConfigKey, JobEnvelope, JobResponse, JobSpec, JobStatus, MapperKind, ServeCore,
-    ServeHarness, ServeOptions,
+    ServeHarness, ServeLimits, ServeOptions,
 };
 
 fn reference_set() -> ReferenceSet {
@@ -58,28 +63,274 @@ fn two_losses() -> FaultPlan {
     FaultPlan::new().loss(1, 1.0e-4).loss(2, 1.2e-4)
 }
 
+/// A fresh harness over `set` that accepts every one of `jobs` and
+/// drains; returns it with its responses.
+fn serve_all(
+    set: &ReferenceSet,
+    options: ServeOptions,
+    jobs: &[JobEnvelope],
+) -> (ServeHarness, Vec<JobResponse>) {
+    let mut harness = ServeHarness::new(set.clone(), profiles::system1(), options).unwrap();
+    for job in jobs {
+        let refusal = harness.submit(job.clone()).expect("journal I/O");
+        assert!(refusal.is_none(), "{} refused: {refusal:?}", job.id);
+    }
+    let responses = harness.drain().expect("drain");
+    (harness, responses)
+}
+
+/// Per-job SAM bytes, by job id.
+fn sam_by_id(responses: &[JobResponse]) -> HashMap<String, String> {
+    responses
+        .iter()
+        .map(|r| {
+            let sam = r.sam.clone().expect("completed jobs carry SAM");
+            (r.id.clone(), sam)
+        })
+        .collect()
+}
+
 /// Per-job SAM bytes of the fault-free single-submitter run.
 fn fault_free_sam() -> HashMap<String, String> {
-    let mut harness = ServeHarness::new(
-        reference_set(),
-        profiles::system1(),
-        ServeOptions::default(),
-    )
-    .unwrap();
-    for job in jobs() {
-        assert!(harness.submit(job).expect("journal I/O").is_none());
+    sam_by_id(&serve_all(&reference_set(), ServeOptions::default(), &jobs()).1)
+}
+
+/// Compares the FNV-64 of each harness's `--metrics-out` bytes (job
+/// records, counters, queue high-water, simulated clock, job latency
+/// percentiles, SLO rows) with `pinned`; a mismatch prints the computed
+/// table in source form.
+fn assert_telemetry_pinned(name: &str, computed: &[(&str, &ServeHarness)], pinned: &[(&str, u64)]) {
+    let computed: Vec<(&str, u64)> = computed
+        .iter()
+        .map(|&(run, harness)| {
+            let mut h = Fnv64::new();
+            h.write(&harness.core().telemetry_bytes());
+            (run, h.finish())
+        })
+        .collect();
+    if computed != pinned {
+        let mut table = format!("const {name}: &[(&str, u64)] = &[\n");
+        for (run, digest) in &computed {
+            table.push_str(&format!("    (\"{run}\", 0x{digest:016x}),\n"));
+        }
+        panic!("serve telemetry changed; computed table:\n{table}];");
     }
-    harness
-        .drain()
-        .expect("fault-free drain")
+}
+
+/// Three tenants × six single-read jobs cycling δ ∈ {3..8}: many
+/// configuration groups, each far too small to fill the fleet — where
+/// concurrent rounds on disjoint device subsets pay.
+fn small_jobs() -> Vec<JobEnvelope> {
+    let reference = ReferenceBuilder::new(120_000).seed(8801).build();
+    let mut jobs = Vec::new();
+    for (t, tenant) in ["acme", "lab", "edge"].into_iter().enumerate() {
+        for j in 0..6 {
+            let n = t * 6 + j;
+            let start = 1_000 + n * 3_000;
+            let read = vec![(
+                format!("{tenant}-{j}-r"),
+                reference.subseq(start..start + 100),
+            )];
+            jobs.push(
+                JobEnvelope::new(format!("{tenant}-{j}"), read)
+                    .with_tenant(tenant)
+                    .with_delta(3 + (n % 6) as u32),
+            );
+        }
+    }
+    jobs
+}
+
+fn acme_weighted() -> ServeOptions {
+    ServeOptions {
+        tenant_weights: vec![("acme".to_string(), 2.0)],
+        ..ServeOptions::default()
+    }
+}
+
+const CONCURRENCY: &[(&str, u64)] = &[
+    ("serial", 0x63d0006cba19dd87),
+    ("concurrent", 0x239807fac76bb1c5),
+];
+
+#[test]
+fn concurrent_rounds_beat_serial_rounds_and_map_the_same() {
+    let set = reference_set();
+    let jobs = small_jobs();
+    let serial_options = ServeOptions {
+        concurrent_batches: false,
+        ..acme_weighted()
+    };
+    let (serial, serial_responses) = serve_all(&set, serial_options, &jobs);
+    let (concurrent, concurrent_responses) = serve_all(&set, acme_weighted(), &jobs);
+    assert_eq!(
+        sam_by_id(&concurrent_responses),
+        sam_by_id(&serial_responses),
+        "concurrent rounds must move timing only"
+    );
+    let serial_s = serial.core().simulated_seconds();
+    let concurrent_s = concurrent.core().simulated_seconds();
+    assert!(
+        concurrent_s < serial_s,
+        "concurrent rounds took {concurrent_s} s, serial ones {serial_s} s"
+    );
+    assert_telemetry_pinned(
+        "CONCURRENCY",
+        &[("serial", &serial), ("concurrent", &concurrent)],
+        CONCURRENCY,
+    );
+}
+
+const DEGRADATION: &[(&str, u64)] = &[
+    ("lost-0", 0xd96124f7eb0f8219),
+    ("lost-1", 0x4d79714f6dd450c8),
+    ("lost-2", 0xca4349fbb7135f7f),
+];
+
+/// The degradation curve: `small_jobs` plus a last-submitted deadline
+/// job on a fleet that loses its top k devices at once mid-serve.
+/// Every job completes with the SAM of the healthy fleet; the deadline
+/// is met on the healthy fleet; only timing moves.
+#[test]
+fn losing_devices_mid_serve_moves_latency_not_sam() {
+    let reference = ReferenceBuilder::new(120_000).seed(8801).build();
+    let set = reference_set();
+    let mut jobs = small_jobs();
+    jobs.push(
+        JobEnvelope::new(
+            "lab-urgent",
+            vec![("urgent-r".to_string(), reference.subseq(58_000..58_100))],
+        )
+        .with_tenant("lab")
+        .with_delta(4)
+        .with_deadline(0.001)
+        .with_priority(7),
+    );
+    let mut runs = Vec::new();
+    for k in 0..3 {
+        let doomed: Vec<usize> = (3 - k..3).collect();
+        let options = ServeOptions {
+            fault_plan: FaultPlan::new().correlated(&doomed, 1.0e-4),
+            ..acme_weighted()
+        };
+        let (harness, responses) = serve_all(&set, options, &jobs);
+        assert!(
+            responses.iter().all(|r| r.status == JobStatus::Ok),
+            "k={k}: {responses:?}"
+        );
+        assert_eq!(harness.core().health().lost_count(), k);
+        assert!(!harness.core().is_unavailable(), "k={k}");
+        let sam = sam_by_id(&responses);
+        if let Some((_, healthy)) = runs.first() {
+            assert_eq!(&sam, healthy, "{k} device(s) lost changed the SAM");
+        }
+        runs.push((harness, sam));
+    }
+    let slo = runs[0].0.core().slo_reports();
+    let lab = slo.iter().find(|r| r.tenant == "lab").expect("lab SLO row");
+    assert_eq!((lab.met, lab.missed), (1, 0), "a healthy fleet meets it");
+    let [lost0, lost1, lost2] = [0, 1, 2].map(|k| &runs[k].0);
+    assert_telemetry_pinned(
+        "DEGRADATION",
+        &[("lost-0", lost0), ("lost-1", lost1), ("lost-2", lost2)],
+        DEGRADATION,
+    );
+}
+
+const ADMISSION: &[(&str, u64)] = &[("admission", 0x0f7b0af225cfaffc)];
+
+/// Admission answers inline and typed: a job over the per-job read
+/// limit is `REJECTED`, a tenant past its read quota is told
+/// `QUOTA_EXCEEDED`, and every submission lands in exactly one counter.
+/// Scheduling policy moves order, not bytes: the tight-deadline job
+/// submitted last runs in the first batch (EDF before fair queuing),
+/// and every job's SAM equals a default-options run's.
+#[test]
+fn admission_refuses_typed_and_scheduling_never_reaches_the_sam() {
+    let reference = ReferenceBuilder::new(120_000).seed(8801).build();
+    let set = reference_set();
+    let reads = |name: &str, start: usize, n: usize| -> Vec<(String, DnaSeq)> {
+        (0..n)
+            .map(|i| {
+                let at = start + 700 * i;
+                (format!("{name}-r{i}"), reference.subseq(at..at + 100))
+            })
+            .collect()
+    };
+    let mut jobs = Vec::new();
+    for (t, tenant) in ["acme", "lab", "edge"].into_iter().enumerate() {
+        for j in 0..3 {
+            let n = t * 3 + j;
+            let id = format!("{tenant}-{j}");
+            jobs.push(
+                JobEnvelope::new(id.clone(), reads(&id, 1_000 + n * 5_000, 4))
+                    .with_tenant(tenant)
+                    .with_delta(if n % 2 == 0 { 3 } else { 5 }),
+            );
+        }
+    }
+    jobs.push(
+        JobEnvelope::new("lab-urgent", reads("lab-urgent", 48_000, 4))
+            .with_tenant("lab")
+            .with_delta(4)
+            .with_deadline(0.001)
+            .with_priority(7),
+    );
+    jobs.push(JobEnvelope::new("too-big", reads("too-big", 60_000, 17)).with_tenant("acme"));
+    let options = ServeOptions {
+        limits: ServeLimits {
+            max_reads_per_job: 16,
+            ..ServeLimits::default()
+        },
+        tenant_weights: vec![("acme".to_string(), 2.0), ("lab".to_string(), 1.0)],
+        // Two of edge's three 4-read jobs fit the window.
+        tenant_quotas: vec![("edge".to_string(), 8)],
+        ..ServeOptions::default()
+    };
+    let mut harness = ServeHarness::new(set.clone(), profiles::system1(), options).unwrap();
+    let mut refused = Vec::new();
+    for job in &jobs {
+        if let Some(refusal) = harness.submit(job.clone()).expect("no journal") {
+            refused.push((refusal.id, refusal.status));
+        }
+    }
+    assert_eq!(
+        refused,
+        [
+            ("edge-2".to_string(), JobStatus::QuotaExceeded),
+            ("too-big".to_string(), JobStatus::Rejected)
+        ]
+    );
+    let responses = harness.drain().expect("drain");
+    assert!(responses.iter().all(|r| r.status == JobStatus::Ok));
+    let c = harness.counters();
+    assert_eq!(
+        c.accepted + c.rejected + c.retry_later + c.quota_exceeded,
+        jobs.len() as u64,
+        "every submission is counted once"
+    );
+    assert_eq!((c.accepted, c.completed), (9, 9));
+    assert_eq!(responses.len(), 9);
+    assert_eq!(harness.core().queue_depth(), 0);
+    let first = responses.iter().filter_map(|r| r.batch).min();
+    let urgent = responses.iter().find(|r| r.id == "lab-urgent");
+    assert_eq!(urgent.and_then(|r| r.batch), first, "EDF runs it first");
+
+    let accepted: Vec<JobEnvelope> = jobs
         .into_iter()
-        .map(|r| (r.id.clone(), r.sam.expect("completed jobs carry SAM")))
-        .collect()
+        .filter(|j| !refused.iter().any(|(id, _)| *id == j.id))
+        .collect();
+    let (_, plain) = serve_all(&set, ServeOptions::default(), &accepted);
+    assert_eq!(sam_by_id(&responses), sam_by_id(&plain));
+    assert_telemetry_pinned("ADMISSION", &[("admission", &harness)], ADMISSION);
 }
 
 #[test]
 fn device_loss_mid_serve_keeps_sam_bit_identical_over_a_socket() {
-    let dir = std::env::temp_dir().join("repute-serve-faults-socket-test");
+    let dir = std::env::temp_dir().join(format!(
+        "repute-serve-faults-socket-test-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).ok();
     let socket: PathBuf = dir.join("serve.sock");
     std::fs::remove_file(&socket).ok();
@@ -158,22 +409,13 @@ fn device_loss_mid_serve_keeps_sam_bit_identical_over_a_socket() {
 }
 
 fn faulted_lines(host_threads: usize) -> Vec<(String, String)> {
-    let mut harness = ServeHarness::new(
-        reference_set(),
-        profiles::system1(),
-        ServeOptions {
-            fault_plan: two_losses(),
-            host_threads,
-            ..ServeOptions::default()
-        },
-    )
-    .unwrap();
-    for job in jobs() {
-        assert!(harness.submit(job).expect("journal I/O").is_none());
-    }
-    let mut lines: Vec<(String, String)> = harness
-        .drain()
-        .expect("faulted drain")
+    let options = ServeOptions {
+        fault_plan: two_losses(),
+        host_threads,
+        ..ServeOptions::default()
+    };
+    let mut lines: Vec<(String, String)> = serve_all(&reference_set(), options, &jobs())
+        .1
         .iter()
         .map(|r| (r.id.clone(), r.to_json_line()))
         .collect();
@@ -195,7 +437,10 @@ fn faulted_runs_are_deterministic_across_host_threads() {
 
 #[test]
 fn crash_resume_during_a_fault_episode_is_bit_identical() {
-    let dir = std::env::temp_dir().join("repute-serve-faults-resume-test");
+    let dir = std::env::temp_dir().join(format!(
+        "repute-serve-faults-resume-test-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).ok();
     let options = || ServeOptions {
         fault_plan: FaultPlan::new().transient(0, 1.0e-5).loss(2, 1.0e-4),
@@ -277,7 +522,10 @@ fn crash_resume_during_a_fault_episode_is_bit_identical() {
 
 #[test]
 fn all_devices_lost_drains_service_unavailable_and_exits() {
-    let dir = std::env::temp_dir().join("repute-serve-faults-unavailable-test");
+    let dir = std::env::temp_dir().join(format!(
+        "repute-serve-faults-unavailable-test-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).ok();
     let socket: PathBuf = dir.join("serve.sock");
     std::fs::remove_file(&socket).ok();

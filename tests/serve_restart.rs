@@ -75,7 +75,8 @@ fn by_id(responses: &[JobResponse]) -> Vec<(String, String)> {
 
 #[test]
 fn resume_after_mid_batch_crash_is_bit_identical_to_uninterrupted() {
-    let dir = std::env::temp_dir().join("repute-serve-restart-test");
+    let dir =
+        std::env::temp_dir().join(format!("repute-serve-restart-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).ok();
     let platform = profiles::system1();
 
@@ -154,7 +155,10 @@ fn resume_after_mid_batch_crash_is_bit_identical_to_uninterrupted() {
 
 #[test]
 fn resume_from_a_compacted_journal_is_bit_identical() {
-    let dir = std::env::temp_dir().join("repute-serve-compaction-test");
+    let dir = std::env::temp_dir().join(format!(
+        "repute-serve-compaction-test-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).ok();
     let platform = profiles::system1();
 
@@ -246,12 +250,27 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
     assert_eq!(resumed.counters().batches, clean_batches);
     assert_eq!(resumed.counters().completed, 6);
 
+    // Drained, nothing is live: the compacted journal is the header and
+    // one state snapshot, a fraction of the append-only one.
+    plain.drain().expect("control drain");
+    let control_size = std::fs::metadata(&control).expect("control journal").len();
+    let compacted_size = std::fs::metadata(&journal)
+        .expect("compacted journal")
+        .len();
+    assert!(
+        compacted_size * 2 < control_size,
+        "drained: compacted journal {compacted_size} B vs append-only {control_size} B"
+    );
+
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn second_resume_with_different_options_is_refused() {
-    let dir = std::env::temp_dir().join("repute-serve-restart-mismatch-test");
+    let dir = std::env::temp_dir().join(format!(
+        "repute-serve-restart-mismatch-test-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).ok();
     let journal = dir.join("serve.journal");
     std::fs::remove_file(&journal).ok();
