@@ -31,7 +31,7 @@ use repute_cli::{
 use repute_core::journal::{crc32, manifest_path, BatchRecord, Fnv64, RunFingerprint, RunJournal};
 use repute_genome::fasta::{read_fasta, write_fasta, AmbiguityPolicy, FastaRecord};
 use repute_genome::fastq::{read_fastq, write_fastq, FastqRecord};
-use repute_genome::synth::ReferenceBuilder;
+use repute_genome::synth::{random_sequence, ReferenceBuilder, RepeatFamily};
 use repute_genome::{DnaSeq, Strand};
 use repute_hetsim::{profiles, FaultPlan};
 use repute_mappers::multiref::ReferenceSet;
@@ -286,6 +286,49 @@ impl IndexFixture {
     }
 }
 
+/// The bytes `repute index` writes for one 300 kbp record made to drive
+/// the suffix sort deep: the benchmark's chr21-like repeat families, a
+/// 300-base unit planted exactly 100 times, an `(AC)ⁿ` tandem and a long
+/// run of `A`s. Its SA-IS recursion goes four levels below the text; the
+/// 3 kbp fixture above stops after two.
+fn deep_index(dir: &TempDir) -> Vec<u8> {
+    const LEN: usize = 280_000;
+    let family = |unit_len, per: usize, divergence| RepeatFamily {
+        unit_len,
+        copies: LEN / per,
+        divergence,
+    };
+    let mut codes = ReferenceBuilder::new(LEN)
+        .seed(1631)
+        .repeat_families(vec![
+            family(300, 1_100, 0.12),
+            family(2_000, 12_000, 0.18),
+            family(300, 2_600, 0.015),
+            family(80, 1_200, 0.01),
+            family(1_500, 40_000, 0.008),
+        ])
+        .build()
+        .to_codes();
+    let unit = random_sequence(300, 1632).to_codes();
+    for copy in 0..100 {
+        let at = copy * (LEN / 100) + 7 * copy;
+        codes[at..at + unit.len()].copy_from_slice(&unit);
+    }
+    codes.extend((0..10_000).map(|i| (i % 2) as u8));
+    codes.extend(std::iter::repeat_n(0, 10_000));
+    let seq = DnaSeq::from_codes(&codes).expect("codes are bases");
+    let mut fasta = Vec::new();
+    write_fasta(&mut fasta, &[FastaRecord::new("chrDeep", seq)], 70).expect("fasta");
+    std::fs::write(dir.path("deep.fa"), fasta).expect("write fasta");
+    let output = dir.path("deep.rpx");
+    run_index(&IndexOptions {
+        reference: dir.path("deep.fa").to_string_lossy().into_owned(),
+        output: output.to_string_lossy().into_owned(),
+    })
+    .expect("repute index");
+    std::fs::read(output).expect("index file")
+}
+
 // ---------------------------------------------------------------------
 // The pins.
 // ---------------------------------------------------------------------
@@ -359,6 +402,7 @@ fn serve_journal_index_and_cache_bytes_are_pinned() {
         ("serve/drained".to_string(), fnv(&serve.drained)),
         ("index/rpx".to_string(), fnv(&index)),
         ("index/cache".to_string(), fnv(&cache)),
+        ("index/rpx-deep".to_string(), fnv(&deep_index(&dir))),
         (
             "fnv64/text".to_string(),
             fnv(b"REPUTE: an OpenCL based read mapping tool"),
@@ -373,6 +417,7 @@ const PINNED: &[(&str, u64)] = &[
     ("serve/drained", 0x42ce3be889b08004),
     ("index/rpx", 0xcfc1ab6a4b6bc7a5),
     ("index/cache", 0xadf92596d6a0ee6b),
+    ("index/rpx-deep", 0x7555d9253bd644a7),
     ("fnv64/text", 0xe3b599bd23891f47),
 ];
 
