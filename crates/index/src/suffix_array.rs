@@ -3,6 +3,10 @@
 //! SA-IS (Nong, Zhang & Chan, 2009) builds the suffix array in O(n) time,
 //! which keeps preprocessing practical even on the embedded profile — the
 //! paper's HiKey970 has 6 GB of RAM, so index build cost matters there.
+//! This one sorts in place, in the `u32` array it returns: besides that
+//! array it allocates only the L/S types as bits and one bucket array per
+//! level, and the recursion sorts the reduced string into the head of the
+//! same array (DESIGN.md §8).
 
 use repute_genome::DnaSeq;
 
@@ -52,19 +56,11 @@ impl SuffixArray {
             codes.len() < (u32::MAX - 2) as usize,
             "text too long for 32-bit suffix array"
         );
-        if codes.is_empty() {
-            return SuffixArray { positions: vec![] };
+        if let Some(c) = codes.iter().find(|&&c| c > 3) {
+            panic!("base code {c} out of range");
         }
-        // Shift codes to 1..=4 and append the unique sentinel 0.
-        let mut s: Vec<u32> = Vec::with_capacity(codes.len() + 1);
-        for &c in codes {
-            assert!(c <= 3, "base code {c} out of range");
-            s.push(u32::from(c) + 1);
-        }
-        s.push(0);
-        let sa = sais(&s, 5);
-        // Drop the sentinel suffix (always first).
-        let positions = sa[1..].iter().map(|&p| p as u32).collect();
+        let mut positions = vec![0; codes.len()];
+        sais(codes, &mut positions, 4);
         SuffixArray { positions }
     }
 
@@ -92,138 +88,207 @@ pub fn naive_suffix_array(codes: &[u8]) -> Vec<u32> {
     idx
 }
 
-/// Core SA-IS over a text whose last element is the unique smallest symbol.
-fn sais(s: &[u32], sigma: usize) -> Vec<usize> {
-    let n = s.len();
-    if n == 1 {
-        return vec![0];
-    }
-    if n == 2 {
-        return vec![1, 0]; // s[1] is the sentinel
-    }
+/// An empty slot. Texts stay below `u32::MAX - 2` symbols, so every
+/// position and name is below it, and `slot - 1` of an empty slot or of
+/// position 0 wraps to past the end of the text.
+const EMPTY: u32 = u32::MAX;
 
-    // 1. L/S classification. is_s[i] == true means suffix i is S-type.
-    let mut is_s = vec![false; n];
-    is_s[n - 1] = true;
-    for i in (0..n - 1).rev() {
-        is_s[i] = s[i] < s[i + 1] || (s[i] == s[i + 1] && is_s[i + 1]);
-    }
-    let is_lms = |i: usize| i > 0 && is_s[i] && !is_s[i - 1];
-
-    // Bucket sizes per symbol.
-    let mut bucket = vec![0usize; sigma];
-    for &c in s {
-        bucket[c as usize] += 1;
-    }
-    let bucket_heads = |bucket: &[usize]| {
-        let mut heads = vec![0usize; sigma];
-        let mut sum = 0;
-        for c in 0..sigma {
-            heads[c] = sum;
-            sum += bucket[c];
-        }
-        heads
-    };
-    let bucket_tails = |bucket: &[usize]| {
-        let mut tails = vec![0usize; sigma];
-        let mut sum = 0;
-        for c in 0..sigma {
-            sum += bucket[c];
-            tails[c] = sum;
-        }
-        tails
-    };
-
-    const EMPTY: usize = usize::MAX;
-    let induce = |lms: &[usize]| -> Vec<usize> {
-        let mut sa = vec![EMPTY; n];
-        // Place LMS suffixes at bucket tails in the given order (reversed so
-        // the last-placed ends up first within the bucket).
-        let mut tails = bucket_tails(&bucket);
-        for &p in lms.iter().rev() {
-            let c = s[p] as usize;
-            tails[c] -= 1;
-            sa[tails[c]] = p;
-        }
-        // Induce L-type from the left.
-        let mut heads = bucket_heads(&bucket);
-        for i in 0..n {
-            let p = sa[i];
-            if p != EMPTY && p > 0 && !is_s[p - 1] {
-                let c = s[p - 1] as usize;
-                sa[heads[c]] = p - 1;
-                heads[c] += 1;
-            }
-        }
-        // Induce S-type from the right.
-        let mut tails = bucket_tails(&bucket);
-        for i in (0..n).rev() {
-            let p = sa[i];
-            if p != EMPTY && p > 0 && is_s[p - 1] {
-                let c = s[p - 1] as usize;
-                tails[c] -= 1;
-                sa[tails[c]] = p - 1;
-            }
-        }
-        sa
-    };
-
-    // 2. First induced sort from unsorted LMS positions.
-    let lms_positions: Vec<usize> = (1..n).filter(|&i| is_lms(i)).collect();
-    let sa = induce(&lms_positions);
-
-    // 3. Name LMS substrings in SA order.
-    let lms_in_order: Vec<usize> = sa.iter().copied().filter(|&p| is_lms(p)).collect();
-    let mut names = vec![EMPTY; n];
-    let mut current = 0usize;
-    let mut prev: Option<usize> = None;
-    for &p in &lms_in_order {
-        if let Some(q) = prev {
-            if !lms_substring_eq(s, &is_s, q, p) {
-                current += 1;
-            }
-        }
-        names[p] = current;
-        prev = Some(p);
-    }
-    let name_count = current + 1;
-
-    // 4. Build the reduced problem in text order of LMS positions.
-    let reduced: Vec<u32> = lms_positions.iter().map(|&p| names[p] as u32).collect();
-    let lms_sorted: Vec<usize> = if name_count == reduced.len() {
-        // All names unique: order directly.
-        let mut order = vec![0usize; reduced.len()];
-        for (i, &name) in reduced.iter().enumerate() {
-            order[name as usize] = lms_positions[i];
-        }
-        order
-    } else {
-        let sub_sa = sais(&reduced, name_count);
-        sub_sa.iter().map(|&i| lms_positions[i]).collect()
-    };
-
-    // 5. Final induced sort with correctly ordered LMS suffixes.
-    induce(&lms_sorted)
+/// A text symbol: a base code at the top level, the name of an LMS
+/// substring below it.
+trait Symbol: Copy + Ord {
+    fn index(self) -> usize;
 }
 
-/// Compares the LMS substrings starting at `a` and `b` for equality.
-fn lms_substring_eq(s: &[u32], is_s: &[bool], a: usize, b: usize) -> bool {
-    let n = s.len();
-    let is_lms = |i: usize| i > 0 && is_s[i] && !is_s[i - 1];
-    let mut i = 0usize;
+impl Symbol for u8 {
+    fn index(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl Symbol for u32 {
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// Writes the suffix array of `text` into `sa` (one entry per symbol).
+/// Symbols are in `0..k`, and the text ends in an implicit sentinel
+/// smaller than all of them: the last suffix is L-type, and the
+/// sentinel's own suffix is left out.
+fn sais<T: Symbol>(text: &[T], sa: &mut [u32], k: usize) {
+    let n = text.len();
+    assert_eq!(sa.len(), n, "one slot per suffix");
+    if n == 0 {
+        return;
+    }
+    let types = Types::classify(text);
+
+    // 1. Sort the LMS substrings: seed each LMS suffix at its bucket's
+    //    tail, then induce.
+    sa.fill(EMPTY);
+    {
+        let starts = bucket_starts(text, k);
+        let mut cursor = starts[1..].to_vec();
+        for i in (1..n).filter(|&i| types.is_lms(i)) {
+            let c = text[i].index();
+            cursor[c] -= 1;
+            sa[cursor[c] as usize] = i as u32;
+        }
+        induce(text, &types, sa, &starts, &mut cursor);
+    }
+
+    // 2. Compact the sorted LMS suffixes into sa[..m] and name their
+    //    substrings. No two LMS positions are adjacent, so m ≤ n/2 and
+    //    the name of position p fits at m + p/2 without a collision.
+    let mut m = 0;
+    for i in 0..n {
+        let p = sa[i] as usize;
+        if types.is_lms(p) {
+            sa[m] = p as u32;
+            m += 1;
+        }
+    }
+    sa[m..].fill(EMPTY);
+    let mut names = 0;
+    let mut prev: Option<usize> = None;
+    for i in 0..m {
+        let p = sa[i] as usize;
+        if prev.is_none_or(|q| !lms_substrings_equal(text, &types, q, p)) {
+            names += 1;
+        }
+        prev = Some(p);
+        sa[m + p / 2] = names - 1;
+    }
+    // The reduced string — the names in text order — packed into the
+    // tail; the head holds its suffix array next.
+    let mut to = n;
+    for from in (m..n).rev() {
+        if sa[from] != EMPTY {
+            to -= 1;
+            sa[to] = sa[from];
+        }
+    }
+    let (head, reduced) = sa.split_at_mut(n - m);
+    let sorted = &mut head[..m];
+    if (names as usize) < m {
+        sais(&*reduced, sorted, names as usize);
+    } else {
+        // Every name is unique: it is its suffix's rank.
+        for (i, &name) in reduced.iter().enumerate() {
+            sorted[name as usize] = i as u32;
+        }
+    }
+
+    // 3. Map the reduced suffix array back to LMS positions, seed those
+    //    at their buckets' tails (largest first, so none overwrites one
+    //    not yet moved) and induce the whole array.
+    for (slot, p) in reduced.iter_mut().zip((1..n).filter(|&i| types.is_lms(i))) {
+        *slot = p as u32;
+    }
+    for rank in sorted.iter_mut() {
+        *rank = reduced[*rank as usize];
+    }
+    sa[m..].fill(EMPTY);
+    let starts = bucket_starts(text, k);
+    let mut cursor = starts[1..].to_vec();
+    for i in (0..m).rev() {
+        let p = std::mem::replace(&mut sa[i], EMPTY);
+        let c = text[p as usize].index();
+        cursor[c] -= 1;
+        sa[cursor[c] as usize] = p;
+    }
+    induce(text, &types, sa, &starts, &mut cursor);
+}
+
+/// `starts[c]..starts[c + 1]` is the bucket of the suffixes that begin
+/// with symbol `c`.
+fn bucket_starts<T: Symbol>(text: &[T], k: usize) -> Vec<u32> {
+    let mut starts = vec![0u32; k + 1];
+    for &c in text {
+        starts[c.index() + 1] += 1;
+    }
+    for c in 0..k {
+        starts[c + 1] += starts[c];
+    }
+    starts
+}
+
+/// Induces the L-type suffixes left to right from the sentinel and the
+/// S-type suffixes seeded in `sa`, then the S-type suffixes right to
+/// left from the L-type ones.
+fn induce<T: Symbol>(
+    text: &[T],
+    types: &Types,
+    sa: &mut [u32],
+    starts: &[u32],
+    cursor: &mut [u32],
+) {
+    let n = text.len();
+    cursor.copy_from_slice(&starts[..cursor.len()]);
+    // The sentinel's suffix sorts first, and its predecessor is L-type.
+    let last = text[n - 1].index();
+    sa[cursor[last] as usize] = (n - 1) as u32;
+    cursor[last] += 1;
+    for i in 0..n {
+        let j = sa[i].wrapping_sub(1) as usize;
+        if j < n && !types.is_s(j) {
+            let c = text[j].index();
+            sa[cursor[c] as usize] = j as u32;
+            cursor[c] += 1;
+        }
+    }
+    cursor.copy_from_slice(&starts[1..]);
+    for i in (0..n).rev() {
+        let j = sa[i].wrapping_sub(1) as usize;
+        if j < n && types.is_s(j) {
+            let c = text[j].index();
+            cursor[c] -= 1;
+            sa[cursor[c] as usize] = j as u32;
+        }
+    }
+}
+
+/// Compares the LMS substrings starting at `a` and `b`.
+fn lms_substrings_equal<T: Symbol>(text: &[T], types: &Types, a: usize, b: usize) -> bool {
+    let n = text.len();
+    let mut d = 0;
     loop {
-        let pa = a + i;
-        let pb = b + i;
-        if pa >= n || pb >= n {
+        let (x, y) = (a + d, b + d);
+        // The last LMS substring ends in the sentinel, which is unique.
+        if x == n || y == n || text[x] != text[y] || types.is_s(x) != types.is_s(y) {
             return false;
         }
-        if s[pa] != s[pb] || is_s[pa] != is_s[pb] {
-            return false;
+        if d > 0 && types.is_lms(x) {
+            // Equal symbols and types so far: `y` ends its substring too.
+            return true;
         }
-        if i > 0 && (is_lms(pa) || is_lms(pb)) {
-            return is_lms(pa) && is_lms(pb);
+        d += 1;
+    }
+}
+
+/// The L/S type of every suffix, one bit each: set for S-type.
+struct Types(Vec<u64>);
+
+impl Types {
+    fn classify<T: Symbol>(text: &[T]) -> Types {
+        let n = text.len();
+        let mut bits = vec![0u64; n.div_ceil(64)];
+        // The last suffix is L-type: the sentinel after it is smaller.
+        let mut s_type = false;
+        for i in (0..n.saturating_sub(1)).rev() {
+            s_type = text[i] < text[i + 1] || (text[i] == text[i + 1] && s_type);
+            bits[i / 64] |= u64::from(s_type) << (i % 64);
         }
-        i += 1;
+        Types(bits)
+    }
+
+    fn is_s(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// An S-type suffix right after an L-type one.
+    fn is_lms(&self, i: usize) -> bool {
+        i > 0 && self.is_s(i) && !self.is_s(i - 1)
     }
 }
 
@@ -240,6 +305,15 @@ mod tests {
             sa.positions(),
             naive_suffix_array(&codes).as_slice(),
             "text {text:?}"
+        );
+    }
+
+    fn check_codes(codes: &[u8], what: &str) {
+        assert_eq!(
+            SuffixArray::from_codes(codes).positions(),
+            naive_suffix_array(codes).as_slice(),
+            "{what}, length {}",
+            codes.len()
         );
     }
 
@@ -276,6 +350,87 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn matches_naive_at_every_length_to_300() {
+        let mut rng = StdRng::seed_from_u64(300);
+        for len in 1..=300 {
+            let random: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4)).collect();
+            check_codes(&random, "random");
+            check_codes(&vec![0; len], "all A");
+        }
+    }
+
+    #[test]
+    fn matches_naive_on_periodic_and_aperiodic_words() {
+        let periodic = |unit: &[u8], len: usize| -> Vec<u8> {
+            unit.iter().copied().cycle().take(len).collect()
+        };
+        // Fibonacci word over {A, C}: f(n) = f(n-1) f(n-2).
+        let (mut fib, mut prev) = (vec![0u8], vec![1u8]);
+        while fib.len() < 2_000 {
+            let next = [fib.as_slice(), prev.as_slice()].concat();
+            prev = std::mem::replace(&mut fib, next);
+        }
+        // Thue–Morse over {A, T}: base code 3 where the index has odd parity.
+        let thue_morse: Vec<u8> = (0..2_048u32)
+            .map(|i| 3 * (i.count_ones() % 2) as u8)
+            .collect();
+        for len in [1, 2, 3, 10, 99, 100, 511, 1_000, 2_000] {
+            check_codes(&periodic(&[0, 1], len), "(AC)^n");
+            check_codes(&periodic(&[0, 1, 2], len), "(ACG)^n");
+            check_codes(&fib[..len], "Fibonacci");
+            check_codes(&thue_morse[..len], "Thue-Morse");
+        }
+    }
+
+    #[test]
+    fn matches_naive_on_the_sentinel_row_texts() {
+        // `C A^k T^m`, the texts that put the FM-index's sentinel on the
+        // first, middle and last row of a 192-row rank block.
+        for sentinel_row in [1, 96, 191, 192, 192 + 96, 2 * 192 - 1, 2 * 192] {
+            let mut codes = vec![1u8];
+            codes.extend(std::iter::repeat_n(0, sentinel_row - 1));
+            codes.extend(std::iter::repeat_n(3, 3 * 192 - codes.len()));
+            check_codes(&codes, "C A^k T^m");
+        }
+    }
+
+    #[test]
+    fn matches_naive_across_the_word_edges_of_the_type_bits() {
+        let edges = [63, 64, 65, 127, 128, 129];
+        let mut rng = StdRng::seed_from_u64(64);
+        for len in edges {
+            let random: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4)).collect();
+            check_codes(&random, "random");
+            // Types that change exactly at a bit-word edge: a descending
+            // run (L-type) meeting an ascending one (S-type).
+            for cut in edges.into_iter().filter(|&cut| cut < len) {
+                let mut codes = vec![3u8; cut];
+                codes.extend((cut..len).map(|i| (i % 4) as u8));
+                check_codes(&codes, &format!("T^{cut} then (ACGT)^n"));
+                let mut codes = vec![0u8; cut];
+                codes.extend(std::iter::repeat_n(3, len - cut));
+                check_codes(&codes, &format!("A^{cut} T^m"));
+            }
+        }
+    }
+
+    #[test]
+    fn matches_naive_on_a_planted_unit_with_substitutions() {
+        // 206 copies of one 97-base unit with a dozen substitutions: the
+        // exact copies between them recurse four levels deep, where the
+        // LMS substrings are all distinct and the names-are-ranks
+        // shortcut ends the recursion.
+        let mut rng = StdRng::seed_from_u64(97);
+        let unit: Vec<u8> = (0..97).map(|_| rng.gen_range(0..4)).collect();
+        let mut codes: Vec<u8> = unit.iter().copied().cycle().take(20_000).collect();
+        for _ in 0..12 {
+            let at = rng.gen_range(0..codes.len());
+            codes[at] = (codes[at] + rng.gen_range(1..4)) % 4;
+        }
+        check_codes(&codes, "planted unit");
     }
 
     #[test]
