@@ -124,7 +124,7 @@ fn sais<T: Symbol>(text: &[T], sa: &mut [u32], k: usize) {
     let types = Types::classify(text);
 
     // 1. Sort the LMS substrings: seed each LMS suffix at its bucket's
-    //    tail, then induce.
+    //    tail, then induce. The buckets are freed before the recursion.
     sa.fill(EMPTY);
     {
         let starts = bucket_starts(text, k);
