@@ -3,16 +3,17 @@
 //! by read or, under `--platform`, by the simulated executor.
 
 use std::fs::File;
-use std::io::{BufReader, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 use repute_core::journal::Fnv64;
 use repute_core::{
-    write_atomic, Executor, MappingRun, ReputeConfig, ReputeError, ReputeMapper, RunFingerprint,
-    Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
+    write_atomic, AtomicFile, Executor, MappingRun, ReputeConfig, ReputeError, ReputeMapper,
+    RunFingerprint, Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
 };
 use repute_eval::sam::SamAssembly;
+use repute_eval::stats::MappingStats;
 use repute_genome::fastq::FastqReader;
 use repute_genome::DnaSeq;
 use repute_hetsim::FaultPlan;
@@ -317,13 +318,48 @@ fn build_config(opts: &MapOptions) -> Result<ReputeConfig, ReputeError> {
 /// Routes assembled SAM bytes to their destination: an atomic
 /// write-then-rename for a file path, a plain stream for stdout.
 pub(crate) fn write_sam_output(path: Option<&str>, sam: &[u8]) -> Result<(), ReputeError> {
-    match path {
-        Some(p) => write_atomic(Path::new(p), sam),
-        None => {
-            let mut out = std::io::stdout().lock();
-            out.write_all(sam)?;
-            out.flush()?;
-            Ok(())
+    let mut out = Output::open(path)?;
+    out.write_all(sam)?;
+    out.finish()
+}
+
+/// Where a text output goes as it is produced: stdout (buffered, flushed
+/// at the end), or a file path written through an [`AtomicFile`], which
+/// puts it in place only when [`Output::finish`] commits it — a run that
+/// fails on the way leaves neither the file nor its `.tmp`.
+enum Output {
+    Stdout(BufWriter<std::io::StdoutLock<'static>>),
+    File(AtomicFile),
+}
+
+impl Output {
+    fn open(path: Option<&str>) -> Result<Output, ReputeError> {
+        Ok(match path {
+            Some(p) => Output::File(AtomicFile::create(Path::new(p))?),
+            None => Output::Stdout(BufWriter::with_capacity(1 << 16, std::io::stdout().lock())),
+        })
+    }
+
+    fn finish(self) -> Result<(), ReputeError> {
+        match self {
+            Output::Stdout(mut out) => Ok(out.flush()?),
+            Output::File(file) => file.commit(),
+        }
+    }
+}
+
+impl Write for Output {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            Output::Stdout(out) => out.write(buf),
+            Output::File(file) => file.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self {
+            Output::Stdout(out) => out.flush(),
+            Output::File(file) => file.flush(),
         }
     }
 }
@@ -342,15 +378,84 @@ fn load_reads(path: &str) -> Result<(Vec<String>, Vec<DnaSeq>), ReputeError> {
     Ok((ids, reads))
 }
 
+/// Everything a run writes for a read, written when the read is emitted,
+/// so nothing grows with the read count: the SAM rows, the closing
+/// statistics, the run totals, the `--metrics-out` read record and the
+/// `-v` trace line and summary.
+struct Emitter<'a> {
+    opts: &'a MapOptions,
+    repute: &'a ReputeMapper,
+    sam: SamAssembly<'a, Output>,
+    stats: MappingStats,
+    totals: MapMetrics,
+    reads: u64,
+    metrics_out: Option<AtomicFile>,
+    summary: Option<Summary>,
+}
+
+impl<'a> Emitter<'a> {
+    /// Opens the outputs and writes the SAM header.
+    fn open(
+        opts: &'a MapOptions,
+        set: &'a ReferenceSet,
+        repute: &'a ReputeMapper,
+    ) -> Result<Emitter<'a>, ReputeError> {
+        let metrics_out = opts.metrics_out.as_deref().map(Path::new);
+        Ok(Emitter {
+            opts,
+            repute,
+            sam: SamAssembly::with_sink(set, Output::open(opts.output.as_deref())?)?,
+            stats: MappingStats::default(),
+            totals: MapMetrics::new(),
+            reads: 0,
+            metrics_out: metrics_out.map(AtomicFile::create).transpose()?,
+            summary: opts.verbose.then(Summary::default),
+        })
+    }
+
+    /// Emits one read. Under `--cigar` its mappings get their traceback
+    /// first: the positions are refined to the alignments' starts and
+    /// the first carries its CIGAR.
+    fn read(
+        &mut self,
+        id: &str,
+        seq: &DnaSeq,
+        mappings: &[Mapping],
+        metrics: &MapMetrics,
+    ) -> Result<(), ReputeError> {
+        let resolved = if self.opts.cigar {
+            let detailed = self.repute.cigars_for(seq, mappings);
+            let refined: Vec<Mapping> = detailed.iter().map(|d| d.mapping).collect();
+            self.sam
+                .push(id, seq, &refined, detailed.first().map(|d| &d.cigar))?
+        } else {
+            self.sam.push(id, seq, mappings, None)?
+        };
+        self.stats.add_read(resolved.iter().map(|r| r.distance));
+        self.totals.merge(metrics);
+        if let Some(out) = &mut self.metrics_out {
+            writeln!(out, "{}", metrics.to_json_line(self.reads))?;
+        }
+        if let Some(summary) = &mut self.summary {
+            trace_read(id, mappings.len(), metrics);
+            summary.add(Record::read(self.reads, metrics));
+        }
+        self.reads += 1;
+        Ok(())
+    }
+}
+
 /// Runs `repute map`: load, map, SAM, report — one path, whose only
 /// branch is how the reads get mapped. Without `--platform` the FASTQ
-/// streams through the mapper read by read. With one, the whole read
-/// set goes through one [`Executor`] (journaled under `--checkpoint`),
-/// which maps every read once and prices the run on the simulated
-/// devices, and the SAM is assembled from its outputs; a run that fails
-/// there has written no SAM. The SAM is assembled in memory and
-/// committed in one atomic rename either way, so an interrupted run
-/// never leaves a torn output file behind.
+/// streams through the mapper read by read, and each read's SAM rows and
+/// `--metrics-out` record are written as it is mapped: memory does not
+/// grow with the read count. With one, the whole read set goes through
+/// one [`Executor`] (journaled under `--checkpoint`), which maps every
+/// read once and prices the run on the simulated devices, and the SAM is
+/// written from its outputs; a run that fails there has written no SAM.
+/// A file output goes to `<output>.tmp` and is renamed into place when
+/// the run succeeds (removed when it fails), so an interrupted run never
+/// leaves a torn output file behind; stdout gets the rows as they come.
 ///
 /// Returns `(reads_mapped, mappings_reported)`.
 ///
@@ -383,86 +488,52 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
     let repute = ReputeMapper::new(Arc::clone(set.indexed()), config);
     let baseline = (opts.mapper != MapperChoice::Repute)
         .then(|| opts.mapper.build(Arc::clone(set.indexed()), config));
-
-    let mut sam = SamAssembly::new(&set)?;
-    let mut per_read: Vec<Vec<Mapping>> = Vec::new();
-    // Appends one read to the SAM and to the closing statistics. Under
-    // `--cigar` its mappings get their traceback first: the positions
-    // are refined to the alignments' starts and the first carries its
-    // CIGAR.
-    let mut emit = |id: &str, seq: &DnaSeq, mappings: &[Mapping]| -> Result<(), ReputeError> {
-        let resolved = if opts.cigar {
-            let detailed = repute.cigars_for(seq, mappings);
-            let refined: Vec<Mapping> = detailed.iter().map(|d| d.mapping).collect();
-            sam.push(id, seq, &refined, detailed.first().map(|d| &d.cigar))?
-        } else {
-            sam.push(id, seq, mappings, None)?
-        };
-        let mappings = resolved.iter().map(|r| Mapping {
-            position: r.position,
-            strand: r.strand,
-            distance: r.distance,
-        });
-        per_read.push(mappings.collect());
-        Ok(())
-    };
+    let mapper: &dyn Mapper = baseline.as_deref().unwrap_or(&repute);
 
     timer.start("map");
-    let (per_read_metrics, mut report) = match &simulated {
+    let (emitter, mut report) = match &simulated {
         None => {
             let reads_path = Path::new(&opts.reads);
             let reads_file =
                 File::open(reads_path).map_err(|e| ReputeError::io_at(reads_path, e))?;
-            let mut per_read_metrics: Vec<MapMetrics> = Vec::new();
+            let mut emitter = Emitter::open(opts, &set, &repute)?;
             for record in FastqReader::new(BufReader::new(reads_file)) {
                 let record = record?;
                 let mut read_metrics = MapMetrics::new();
-                let mappings = match &baseline {
-                    Some(mapper) => {
-                        mapper
-                            .map_read_metered(&record.seq, &mut read_metrics)
-                            .mappings
-                    }
-                    None => {
-                        repute
-                            .map_read_metered(&record.seq, &mut read_metrics)
-                            .mappings
-                    }
-                };
-                if opts.verbose {
-                    trace_read(&record.id, mappings.len(), &read_metrics);
-                }
-                per_read_metrics.push(read_metrics);
-                emit(&record.id, &record.seq, &mappings)?;
+                let mappings = mapper
+                    .map_read_metered(&record.seq, &mut read_metrics)
+                    .mappings;
+                emitter.read(&record.id, &record.seq, &mappings, &read_metrics)?;
             }
-            let mut report = RunReport {
-                reads: per_read_metrics.len() as u64,
+            let report = RunReport {
+                reads: emitter.reads,
+                totals: emitter.totals,
                 ..RunReport::default()
             };
-            for m in &per_read_metrics {
-                report.totals.merge(m);
-            }
-            (per_read_metrics, report)
+            (emitter, report)
         }
         Some((platform, ids, reads)) => {
-            let mapper: &dyn Mapper = baseline.as_deref().unwrap_or(&repute);
             let (run, metrics, resumed_batches) =
                 map_on_platform(opts, platform, &set, mapper, ids, reads)?;
+            let mut emitter = Emitter::open(opts, &set, &repute)?;
             // The executor returns outputs in read order.
             for (((id, seq), mapped), m) in ids.iter().zip(reads).zip(&run.outputs).zip(&metrics) {
-                if opts.verbose {
-                    trace_read(id, mapped.mappings.len(), m);
-                }
-                emit(id, seq, &mapped.mappings)?;
+                emitter.read(id, seq, &mapped.mappings, m)?;
             }
             let mut report = run.report(platform, &metrics);
             report.resumed_batches = resumed_batches;
-            (metrics, report)
+            (emitter, report)
         }
     };
-    write_sam_output(opts.output.as_deref(), &sam.out)?;
+    let Emitter {
+        sam,
+        stats,
+        metrics_out,
+        summary,
+        ..
+    } = emitter;
+    sam.out.finish()?;
     timer.stop();
-    let stats = repute_eval::stats::MappingStats::collect(per_read.iter().map(|v| v.as_slice()));
     eprint!("{stats}");
 
     // Host stage clocks first (load, map), then the simulated stage
@@ -471,7 +542,20 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
     stages.append(&mut report.stages);
     report.stages = stages;
     report.wall_seconds = run_started.elapsed().as_secs_f64();
-    report_run(opts, &per_read_metrics, &report)?;
+    // The run's records close `--metrics-out`, after one `read` record
+    // per read, and the `-v` summary renders the same records on stderr
+    // as `repute stats` would render the file.
+    if let (Some(mut out), Some(path)) = (metrics_out, &opts.metrics_out) {
+        report.write_json_lines(&mut out)?;
+        out.commit()?;
+        eprintln!("wrote telemetry to {path:?} (inspect with `repute stats`)");
+    }
+    if let Some(mut summary) = summary {
+        for record in report.records() {
+            summary.add(record);
+        }
+        eprint!("{}", summary.render());
+    }
     Ok((stats.mapped_reads, stats.total_mappings))
 }
 
@@ -605,35 +689,6 @@ fn map_on_platform(
         eprintln!("resumed from checkpoint: {resumed}/{total} batch(es) replayed from the journal");
     }
     Ok((run, metrics, resumed.map_or(0, |(n, _)| n as u64)))
-}
-
-/// What every run ends with: the `--metrics-out` JSON-lines file — one
-/// `read` record per read, then the [`RunReport`]'s records — and, under
-/// `--verbose`, those same records on stderr as `repute stats` would
-/// render the file.
-fn report_run(
-    opts: &MapOptions,
-    per_read: &[MapMetrics],
-    report: &RunReport,
-) -> Result<(), ReputeError> {
-    if let Some(path) = &opts.metrics_out {
-        // Assembled in memory, committed by atomic rename: a crash
-        // mid-write never leaves a half-written telemetry file for
-        // `repute stats`.
-        let mut out: Vec<u8> = Vec::new();
-        for (id, m) in per_read.iter().enumerate() {
-            writeln!(out, "{}", m.to_json_line(id as u64))?;
-        }
-        report.write_json_lines(&mut out)?;
-        write_atomic(Path::new(path), &out)?;
-        eprintln!("wrote telemetry to {path:?} (inspect with `repute stats`)");
-    }
-    if opts.verbose {
-        let reads = per_read.iter().enumerate();
-        let reads = reads.map(|(id, m)| Record::read(id as u64, m));
-        eprint!("{}", Summary::of(reads.chain(report.records())).render());
-    }
-    Ok(())
 }
 
 /// Writes a run's spans to `--trace-out` as Chrome trace JSON (atomic
@@ -1178,8 +1233,10 @@ mod tests {
         let err = run_map(&crashed).unwrap_err();
         assert_eq!(err.exit_code(), 8, "{err}");
         assert!(matches!(err, ReputeError::Interrupted { .. }));
-        // The atomic SAM write never ran: no torn output file.
+        // The SAM was never committed: no torn output file, and no
+        // temp file left behind either.
         assert!(!dir.join("crashed.sam").exists());
+        assert!(!dir.join("crashed.sam.tmp").exists());
 
         // Re-running without --resume refuses the existing journal.
         let mut resumed = parse("", "resumed.sam");
@@ -1292,6 +1349,7 @@ mod tests {
             );
             // Planning fails before anything is written.
             assert!(!dir.join(format!("out{i}.sam")).exists(), "{extra:?}");
+            assert!(!dir.join(format!("out{i}.sam.tmp")).exists(), "{extra:?}");
             assert!(!dir.join("ckpt.rpj").exists(), "{extra:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1446,6 +1504,12 @@ mod tests {
             "missing resume provenance in:\n{rendered}"
         );
         assert!(rendered.contains("20 read records"), "{rendered}");
+        for committed in ["out.sam", "m.jsonl"] {
+            assert!(
+                !dir.join(format!("{committed}.tmp")).exists(),
+                "{committed}"
+            );
+        }
 
         // An unresumed telemetry file renders without the provenance line.
         std::fs::remove_file(dir.join("ckpt.rpj")).unwrap();

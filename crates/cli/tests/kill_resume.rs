@@ -116,6 +116,11 @@ fn a_checkpointed_run_killed_again_and_again_resumes_to_the_same_bytes() {
         }
     }
 
+    // Whatever a killed attempt left in `.tmp` files, the finishing one
+    // truncated and renamed into place.
+    for output in ["killed.sam", "killed.jsonl"] {
+        assert!(!Path::new(&dir.path(&format!("{output}.tmp"))).exists());
+    }
     let sam = |run: &str| std::fs::read(dir.path(&format!("{run}.sam"))).expect("SAM written");
     assert_eq!(sam("killed"), sam("uninterrupted"));
     assert_eq!(

@@ -117,16 +117,78 @@ impl RunFingerprint {
 ///
 /// Returns [`ReputeError::Io`] naming the path on any filesystem error.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ReputeError> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let io_err = |e| ReputeError::io_at(path, e);
-    let mut file = File::create(&tmp).map_err(io_err)?;
-    file.write_all(bytes).map_err(io_err)?;
-    file.sync_all().map_err(io_err)?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(io_err)?;
-    Ok(())
+    let mut file = AtomicFile::create(path)?;
+    file.write_all(bytes)
+        .map_err(|e| ReputeError::io_at(path, e))?;
+    file.commit()
+}
+
+/// A file written while it is produced and put in place only whole:
+/// the bytes go to the sibling `<path>.tmp` (buffered), and
+/// [`AtomicFile::commit`] syncs it to disk and renames it over `path`.
+/// Dropped without a commit — a run that failed on the way — it removes
+/// the temp file, so `path` keeps its old content (or stays absent) and
+/// no `.tmp` is left behind.
+#[derive(Debug)]
+pub struct AtomicFile {
+    file: std::io::BufWriter<File>,
+    tmp: PathBuf,
+    path: PathBuf,
+    committed: bool,
+}
+
+impl AtomicFile {
+    /// Creates (truncates) `<path>.tmp`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReputeError::Io`] naming `path` when the temp file
+    /// cannot be created.
+    pub fn create(path: &Path) -> Result<AtomicFile, ReputeError> {
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let file = File::create(&tmp).map_err(|e| ReputeError::io_at(path, e))?;
+        Ok(AtomicFile {
+            file: std::io::BufWriter::with_capacity(1 << 16, file),
+            tmp,
+            path: path.to_path_buf(),
+            committed: false,
+        })
+    }
+
+    /// Flushes and syncs the temp file, then renames it over the target.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReputeError::Io`] naming the target on any filesystem
+    /// error; the temp file is removed then.
+    pub fn commit(mut self) -> Result<(), ReputeError> {
+        let io_err = |e| ReputeError::io_at(&self.path, e);
+        self.file.flush().map_err(io_err)?;
+        self.file.get_ref().sync_all().map_err(io_err)?;
+        fs::rename(&self.tmp, &self.path).map_err(io_err)?;
+        self.committed = true;
+        Ok(())
+    }
+}
+
+impl std::io::Write for AtomicFile {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl Drop for AtomicFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            let _ = fs::remove_file(&self.tmp);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -684,6 +746,19 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), b"first");
         write_atomic(&path, b"second").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"second");
+        assert!(!path.with_extension("txt.tmp").exists());
+        // Written as produced, put in place only on commit; dropped
+        // without one, the old content stays and no temp file is left.
+        let mut file = AtomicFile::create(&path).unwrap();
+        file.write_all(b"third").unwrap();
+        assert!(path.with_extension("txt.tmp").exists());
+        drop(file);
+        assert_eq!(fs::read(&path).unwrap(), b"second");
+        assert!(!path.with_extension("txt.tmp").exists());
+        let mut file = AtomicFile::create(&path).unwrap();
+        file.write_all(b"fourth").unwrap();
+        file.commit().unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"fourth");
         assert!(!path.with_extension("txt.tmp").exists());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -59,6 +59,6 @@ pub use executor::{
     balanced_shares, map_on_platform_with_metrics, Executor, ResumableRun, Schedule,
     AUTO_HOST_THREADS,
 };
-pub use journal::{write_atomic, RunFingerprint, RunJournal};
+pub use journal::{write_atomic, AtomicFile, RunFingerprint, RunJournal};
 pub use mapper::{CigarMapping, ReputeMapper};
 pub use mapping_run::MappingRun;

@@ -123,10 +123,11 @@ impl ReputeMapper {
         read: &DnaSeq,
         mappings: &[repute_mappers::Mapping],
     ) -> Vec<CigarMapping> {
-        let reference = self.indexed.codes();
+        let reference = self.indexed.seq();
         let delta = self.config.delta() as usize;
         let forward = read.to_codes();
         let reverse = read.reverse_complement().to_codes();
+        let mut window = Vec::new();
         let mut detailed = Vec::with_capacity(mappings.len());
         for &mapping in mappings {
             let codes = match mapping.strand {
@@ -135,8 +136,9 @@ impl ReputeMapper {
             };
             let start = (mapping.position as usize).saturating_sub(delta);
             let end = (mapping.position as usize + codes.len() + delta).min(reference.len());
-            let window = &reference[start..end];
-            if let Some(alignment) = repute_align::dp::semi_global_with_cigar(codes, window) {
+            window.clear();
+            reference.unpack_into(start..end, &mut window);
+            if let Some(alignment) = repute_align::dp::semi_global_with_cigar(codes, &window) {
                 detailed.push(CigarMapping {
                     mapping: repute_mappers::Mapping {
                         position: (start + alignment.start) as u32,

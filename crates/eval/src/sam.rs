@@ -174,32 +174,43 @@ pub fn write_resolved_record<W: Write>(
     Ok(())
 }
 
-/// A SAM file over a [`ReferenceSet`], assembled in memory: the header
+/// A SAM file over a [`ReferenceSet`], written into a sink: the header
 /// of the set's records, then read after read — mappings on the
 /// concatenated index resolved to the named records, then written. The
-/// one path behind `repute map`'s output and the daemon's per-job SAM
-/// blocks, which is why the two agree byte for byte.
+/// one path behind `repute map`'s output (streamed to a file or stdout
+/// as it is produced) and the daemon's per-job SAM blocks (assembled in
+/// a `Vec<u8>`), which is why the two agree byte for byte.
 #[derive(Debug)]
-pub struct SamAssembly<'a> {
+pub struct SamAssembly<'a, W: Write = Vec<u8>> {
     set: &'a ReferenceSet,
     names: Vec<&'a str>,
-    /// The SAM text so far.
-    pub out: Vec<u8>,
+    /// The sink the SAM text goes to.
+    pub out: W,
 }
 
 impl<'a> SamAssembly<'a> {
-    /// Starts the SAM with the header of `set`'s records.
+    /// Starts the SAM in memory with the header of `set`'s records.
     ///
     /// # Errors
     ///
     /// As [`write_header_multi`].
     pub fn new(set: &'a ReferenceSet) -> Result<SamAssembly<'a>, GenomeError> {
+        SamAssembly::with_sink(set, Vec::new())
+    }
+}
+
+impl<'a, W: Write> SamAssembly<'a, W> {
+    /// Starts the SAM in `out` with the header of `set`'s records.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_header_multi`].
+    pub fn with_sink(set: &'a ReferenceSet, mut out: W) -> Result<SamAssembly<'a, W>, GenomeError> {
         let header: Vec<(&str, usize)> = set
             .records()
             .iter()
             .map(|(n, l)| (n.as_str(), *l))
             .collect();
-        let mut out: Vec<u8> = Vec::new();
         write_header_multi(&mut out, &header)?;
         Ok(SamAssembly {
             set,

@@ -6,26 +6,17 @@
 
 use std::fmt;
 
-use repute_mappers::Mapping;
-
-/// Aggregate statistics over a mapping run.
+/// Aggregate statistics over a mapping run, kept read by read.
 ///
 /// # Example
 ///
 /// ```
 /// use repute_eval::stats::MappingStats;
-/// use repute_genome::Strand;
-/// use repute_mappers::Mapping;
 ///
-/// let per_read = vec![
-///     vec![Mapping { position: 10, strand: Strand::Forward, distance: 0 }],
-///     vec![],
-///     vec![
-///         Mapping { position: 5, strand: Strand::Forward, distance: 2 },
-///         Mapping { position: 99, strand: Strand::Reverse, distance: 2 },
-///     ],
-/// ];
-/// let stats = MappingStats::collect(per_read.iter().map(|v| v.as_slice()));
+/// let mut stats = MappingStats::default();
+/// stats.add_read([0].into_iter()); // one mapping at distance 0
+/// stats.add_read([].into_iter()); // unmapped
+/// stats.add_read([2, 2].into_iter()); // two mappings at distance 2
 /// assert_eq!(stats.reads, 3);
 /// assert_eq!(stats.mapped_reads, 2);
 /// assert_eq!(stats.multi_mapped_reads, 1);
@@ -46,30 +37,22 @@ pub struct MappingStats {
 }
 
 impl MappingStats {
-    /// Collects statistics from per-read mapping slices.
-    pub fn collect<'a, I>(per_read: I) -> MappingStats
-    where
-        I: IntoIterator<Item = &'a [Mapping]>,
-    {
-        let mut stats = MappingStats::default();
-        for mappings in per_read {
-            stats.reads += 1;
-            if !mappings.is_empty() {
-                stats.mapped_reads += 1;
+    /// Adds one read, given the edit distance of each of its mappings —
+    /// how a streaming run keeps its statistics without keeping its
+    /// mappings.
+    pub fn add_read(&mut self, distances: impl ExactSizeIterator<Item = u32>) {
+        let mappings = distances.len();
+        self.reads += 1;
+        self.mapped_reads += usize::from(mappings > 0);
+        self.multi_mapped_reads += usize::from(mappings > 1);
+        self.total_mappings += mappings;
+        for d in distances {
+            let d = d as usize;
+            if self.distance_histogram.len() <= d {
+                self.distance_histogram.resize(d + 1, 0);
             }
-            if mappings.len() > 1 {
-                stats.multi_mapped_reads += 1;
-            }
-            stats.total_mappings += mappings.len();
-            for m in mappings {
-                let d = m.distance as usize;
-                if stats.distance_histogram.len() <= d {
-                    stats.distance_histogram.resize(d + 1, 0);
-                }
-                stats.distance_histogram[d] += 1;
-            }
+            self.distance_histogram[d] += 1;
         }
-        stats
     }
 
     /// Fraction of reads with at least one mapping, in `[0, 1]`
@@ -120,20 +103,19 @@ impl fmt::Display for MappingStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repute_genome::Strand;
 
-    fn m(distance: u32) -> Mapping {
-        Mapping {
-            position: 0,
-            strand: Strand::Forward,
-            distance,
+    /// The statistics of reads given as their mappings' distances.
+    fn collect(per_read: &[&[u32]]) -> MappingStats {
+        let mut stats = MappingStats::default();
+        for distances in per_read {
+            stats.add_read(distances.iter().copied());
         }
+        stats
     }
 
     #[test]
     fn collects_counts_and_histogram() {
-        let per_read = [vec![m(0), m(2), m(2)], vec![], vec![m(1)], vec![m(5)]];
-        let stats = MappingStats::collect(per_read.iter().map(|v| v.as_slice()));
+        let stats = collect(&[&[0, 2, 2], &[], &[1], &[5]]);
         assert_eq!(stats.reads, 4);
         assert_eq!(stats.mapped_reads, 3);
         assert_eq!(stats.multi_mapped_reads, 1);
@@ -144,7 +126,7 @@ mod tests {
 
     #[test]
     fn empty_run() {
-        let stats = MappingStats::collect(std::iter::empty());
+        let stats = collect(&[]);
         assert_eq!(stats.reads, 0);
         assert_eq!(stats.mapping_rate(), 0.0);
         assert_eq!(stats.mean_multiplicity(), 0.0);
@@ -152,8 +134,7 @@ mod tests {
 
     #[test]
     fn display_mentions_key_numbers() {
-        let per_read = [vec![m(0)], vec![m(3)]];
-        let stats = MappingStats::collect(per_read.iter().map(|v| v.as_slice()));
+        let stats = collect(&[&[0], &[3]]);
         let text = stats.to_string();
         assert!(text.contains("mapped: 2 (100.0%)"));
         assert!(text.contains("0:1"));

@@ -7,7 +7,7 @@ use std::str::FromStr;
 
 use crate::alphabet::Base;
 use crate::error::GenomeError;
-use crate::wire::{read_run, Reader};
+use crate::wire::{le_u64s, read_pieces, read_run, reserve_within, Reader};
 
 const BASES_PER_WORD: usize = 32;
 
@@ -138,7 +138,57 @@ impl DnaSeq {
     /// The flat `Vec<u8>` form is what the index and alignment kernels
     /// consume; it trades 4× memory for O(1) unchecked-free access.
     pub fn to_codes(&self) -> Vec<u8> {
-        (0..self.len).map(|i| self.code(i)).collect()
+        let mut codes = Vec::new();
+        self.unpack_into(0..self.len, &mut codes);
+        codes
+    }
+
+    /// Appends the 2-bit codes of the bases in `range` to `out`.
+    ///
+    /// From any start, the next 32 bases are read as one word (across a
+    /// word edge where they straddle one) and go out eight at a time:
+    /// their 16 bits spread into eight bytes by three shift-and-mask
+    /// rounds. The last word's bases past the range are cut off again,
+    /// so no base goes on its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds or decreasing.
+    pub fn unpack_into(&self, range: Range<usize>, out: &mut Vec<u8>) {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "unpack range {range:?} out of bounds for length {}",
+            self.len
+        );
+        let end = out.len() + range.len();
+        out.reserve(range.len().next_multiple_of(BASES_PER_WORD));
+        for start in range.step_by(BASES_PER_WORD) {
+            let fields = self.word_from(start);
+            let mut bytes = [0u8; BASES_PER_WORD];
+            for (step, eight) in bytes.chunks_exact_mut(8).enumerate() {
+                eight.copy_from_slice(&spread_eight((fields >> (16 * step)) as u16).to_le_bytes());
+            }
+            out.extend_from_slice(&bytes);
+        }
+        out.truncate(end);
+    }
+
+    /// The 64 bits of the 32 bases from `index` on (those past the last
+    /// word read as `A`).
+    #[inline]
+    fn word_from(&self, index: usize) -> u64 {
+        let (word, shift) = (index / BASES_PER_WORD, (index % BASES_PER_WORD) * 2);
+        let next = self.words.get(word + 1).map_or(0, |&w| u128::from(w) << 64);
+        ((next | u128::from(self.words[word])) >> shift) as u64
+    }
+
+    /// The 2-bit codes of the whole sequence, in order, without
+    /// unpacking it into memory.
+    pub fn codes(&self) -> impl ExactSizeIterator<Item = u8> + '_ {
+        (0..self.len).map(|i| {
+            let (word, shift) = (i / BASES_PER_WORD, (i % BASES_PER_WORD) * 2);
+            ((self.words[word] >> shift) & 0b11) as u8
+        })
     }
 
     /// Copies the half-open range `range` into a new sequence.
@@ -210,17 +260,27 @@ impl DnaSeq {
                 format!("implausible packed sequence length {len}"),
             ));
         }
-        // In pieces: the reference is never held a second time as bytes.
-        let mut words = Vec::new();
+        // In pieces, straight into the words: the reference is never held
+        // a second time as bytes, and the words grow as they arrive.
         let len = len as usize;
-        let mut left = len.div_ceil(BASES_PER_WORD);
-        while left > 0 {
-            let piece = left.min(1 << 13);
-            words.extend(Reader::new(&read_run(&mut input, 8 * piece as u64)?).u64s(piece)?);
-            left -= piece;
-        }
+        let count = len.div_ceil(BASES_PER_WORD);
+        let mut words = Vec::new();
+        read_pieces(&mut input, 8 * count as u64, |piece| {
+            reserve_within(&mut words, piece.len() / 8, count);
+            words.extend(le_u64s(piece));
+        })?;
         Ok(DnaSeq { words, len })
     }
+}
+
+/// Eight 2-bit fields (field `i` at bits `2i..2i + 2`) spread one to a
+/// byte: field `i` lands at bits `8i..8i + 2`.
+#[inline]
+fn spread_eight(fields: u16) -> u64 {
+    let x = u64::from(fields);
+    let x = (x | x << 24) & 0x0000_00FF_0000_00FF;
+    let x = (x | x << 12) & 0x000F_000F_000F_000F;
+    (x | x << 6) & 0x0303_0303_0303_0303
 }
 
 impl fmt::Debug for DnaSeq {
@@ -379,6 +439,40 @@ mod tests {
         assert_eq!(codes, vec![3, 2, 1, 0]);
         assert_eq!(DnaSeq::from_codes(&codes).unwrap(), seq);
         assert!(DnaSeq::from_codes(&[0, 4]).is_err());
+    }
+
+    #[test]
+    fn unpack_into_matches_base_by_base_at_every_edge() {
+        // Starts 0..70 and lengths 0..200 cross every 8-base step edge
+        // and every 32-base word edge, from each phase of both.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let seq: DnaSeq = (0..300)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                Base::from_code((state >> 11) as u8 & 3)
+            })
+            .collect();
+        let oracle: Vec<u8> = (0..seq.len()).map(|i| seq.code(i)).collect();
+        assert_eq!(seq.to_codes(), oracle);
+        assert!(seq.codes().eq(oracle.iter().copied()));
+        let mut out = vec![9];
+        for start in 0..70 {
+            for len in 0..200 {
+                out.truncate(1);
+                seq.unpack_into(start..start + len, &mut out);
+                assert_eq!(out[0], 9, "unpack_into appends");
+                assert_eq!(&out[1..], &oracle[start..start + len], "{start}..+{len}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn unpack_into_panics_past_end() {
+        let seq: DnaSeq = "ACGT".parse().unwrap();
+        seq.unpack_into(2..5, &mut Vec::new());
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   smallest encoding of one item, checked *before* anything is
 //!   allocated for it ([`Reader::count`], [`Reader::items`]);
 //! * a run whose length came from input is read from a stream by
-//!   growth ([`read_run`]): a forged length costs what the stream
-//!   holds, not what it claims.
+//!   growth ([`read_run`]), or in bounded pieces straight into the
+//!   decoder's own arrays ([`read_pieces`], [`reserve_within`]): a
+//!   forged length costs what the stream holds, not what it claims.
 //!
 //! The journals share a frame codec on top: checksummed header, frames,
 //! a durable append handle ([`FrameLog`]). [`frames`] reports *why* it
@@ -201,18 +202,6 @@ impl<'a> Reader<'a> {
         self.array().map(u64::from_le_bytes)
     }
 
-    /// `n` `u32`s; nothing is allocated unless the bytes are there.
-    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, WireError> {
-        let raw = self.bytes(n.checked_mul(4).ok_or(WireError::Truncated)?)?;
-        raw.chunks_exact(4).map(|w| Reader::new(w).u32()).collect()
-    }
-
-    /// `n` `u64`s; nothing is allocated unless the bytes are there.
-    pub fn u64s(&mut self, n: usize) -> Result<Vec<u64>, WireError> {
-        let raw = self.bytes(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
-        raw.chunks_exact(8).map(|w| Reader::new(w).u64()).collect()
-    }
-
     /// A `[len u32][bytes]` string, as [`put_str`] writes it.
     pub fn string(&mut self) -> Result<String, WireError> {
         let len = self.u32()? as usize;
@@ -270,6 +259,69 @@ pub fn read_run<R: Read>(input: R, len: u64) -> io::Result<Vec<u8>> {
         return Err(WireError::Truncated.into());
     }
     Ok(run)
+}
+
+/// The most bytes [`read_pieces`] hands over at once: 64 KiB, a whole
+/// number of items of every size a decoder reads in pieces (4 and 8).
+pub const PIECE_BYTES: usize = 1 << 16;
+
+/// Reads exactly `len` bytes from a stream, where `len` came from the
+/// stream itself, handing them to `piece` in order, [`PIECE_BYTES`] at a
+/// time (the last piece may be shorter) — so a decoder can put a large
+/// array straight where it belongs instead of holding its bytes first.
+/// One buffer of at most [`PIECE_BYTES`] is all this allocates. A stream
+/// that ends early is [`io::ErrorKind::UnexpectedEof`], and the piece it
+/// ends in is not handed over.
+pub fn read_pieces<R: Read>(
+    mut input: R,
+    len: u64,
+    mut piece: impl FnMut(&[u8]),
+) -> io::Result<()> {
+    let mut buf = vec![0u8; len.min(PIECE_BYTES as u64) as usize];
+    let mut left = len;
+    while left > 0 {
+        let n = left.min(PIECE_BYTES as u64) as usize;
+        input
+            .read_exact(&mut buf[..n])
+            .map_err(|e| match e.kind() {
+                io::ErrorKind::UnexpectedEof => WireError::Truncated.into(),
+                _ => e,
+            })?;
+        piece(&buf[..n]);
+        left -= n as u64;
+    }
+    Ok(())
+}
+
+/// Makes room in `items` for `more` items, the total growing at most to
+/// `cap` — a count the stream claimed — and otherwise by doubling: a
+/// decoder that trusts no count still allocates only for items that have
+/// arrived, and ends with an array of exactly the claimed size.
+pub fn reserve_within<T>(items: &mut Vec<T>, more: usize, cap: usize) {
+    let wanted = items.len() + more;
+    if items.capacity() >= wanted {
+        return;
+    }
+    let total = (items.capacity() * 2).min(cap).max(wanted);
+    items.reserve_exact(total - items.len());
+}
+
+/// The little-endian `u64`s of `bytes` (a whole number of them).
+pub fn le_u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks_exact(8).map(|w| {
+        let mut word = [0; 8];
+        word.copy_from_slice(w);
+        u64::from_le_bytes(word)
+    })
+}
+
+/// The little-endian `u32`s of `bytes` (a whole number of them).
+pub fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(|w| {
+        let mut word = [0; 4];
+        word.copy_from_slice(w);
+        u32::from_le_bytes(word)
+    })
 }
 
 /// Length of a journal header: magic, three fingerprint words, CRC32 of
@@ -462,12 +514,6 @@ mod tests {
         let r = Reader::new(&out);
         assert_eq!(r.bounded(u64::MAX, 1), refused);
         assert_eq!(r.bounded(16, 1), Ok(16));
-        assert_eq!(
-            Reader::new(&out).u64s(usize::MAX),
-            Err(WireError::Truncated)
-        );
-        assert_eq!(Reader::new(&out).u32s(5), Err(WireError::Truncated));
-        assert_eq!(Reader::new(&out).u32s(4).map(|v| v.len()), Ok(4));
     }
 
     #[test]
@@ -475,6 +521,37 @@ mod tests {
         assert_eq!(read_run(&b"abcdef"[..], 4).expect("run"), b"abcd");
         let err = read_run(&b"abc"[..], u64::MAX).expect_err("short");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn pieces_arrive_in_order_and_arrays_grow_to_their_claim() {
+        let bytes: Vec<u8> = (0..3 * PIECE_BYTES + 24).map(|i| i as u8).collect();
+        let mut seen = Vec::new();
+        let mut sizes = Vec::new();
+        read_pieces(bytes.as_slice(), bytes.len() as u64, |p| {
+            sizes.push(p.len());
+            seen.extend_from_slice(p);
+        })
+        .expect("whole");
+        assert_eq!(seen, bytes);
+        assert_eq!(sizes, [PIECE_BYTES, PIECE_BYTES, PIECE_BYTES, 24]);
+        let mut handed = 0;
+        let err =
+            read_pieces(&bytes[..PIECE_BYTES + 1], u64::MAX, |_| handed += 1).expect_err("short");
+        assert_eq!((err.kind(), handed), (io::ErrorKind::UnexpectedEof, 1));
+
+        let words: Vec<u64> = le_u64s(&bytes[..PIECE_BYTES]).collect();
+        let mut grown: Vec<u64> = Vec::new();
+        for chunk in words.chunks(1000) {
+            reserve_within(&mut grown, chunk.len(), words.len());
+            grown.extend_from_slice(chunk);
+        }
+        assert_eq!(grown, words);
+        assert_eq!(grown.capacity(), words.len(), "exactly the claim");
+        assert_eq!(
+            le_u32s(&[1, 0, 0, 0, 2, 1, 0, 0]).collect::<Vec<_>>(),
+            [1, 258]
+        );
     }
 
     #[test]

@@ -126,6 +126,12 @@ fn kmer_len_for(text_len: usize) -> usize {
     (text_len.max(1).ilog2() as usize / 2).min(MAX_KMER_LEN)
 }
 
+/// Rank blocks an index over `n_rows` BWT rows holds: one more than the
+/// full ones, so the row one past the end has a block too.
+fn block_count(n_rows: usize) -> usize {
+    n_rows / BLOCK_ROWS + 1
+}
+
 /// Bit `i` of the field-low bits set iff symbol `i` of `word` is `code`.
 #[inline(always)]
 fn matches(word: u64, code: u8) -> u64 {
@@ -153,6 +159,12 @@ struct Block {
 }
 
 impl Block {
+    /// A block of `A`s with no counts yet.
+    const EMPTY: Block = Block {
+        counts: [0; 4],
+        words: [0; 2 * HALF_WORDS],
+    };
+
     /// Stored symbols equal to `code` before row `offset` of this block,
     /// counted from the start of the BWT. Branch-free: the word masks
     /// come from `offset` by arithmetic, so no trip count depends on it.
@@ -251,11 +263,12 @@ impl FmIndex {
         let codes = reference.to_codes();
         let sa = SuffixArray::from_codes(&codes);
         let n_rows = codes.len() + 1;
-        let mut symbols = vec![0u64; n_rows.div_ceil(WORD_ROWS)];
+        let mut blocks = vec![Block::EMPTY; block_count(n_rows)];
         let mut marks = vec![0u64; n_rows.div_ceil(64)];
         let mut sa_samples = Vec::with_capacity(codes.len() / config.sa_sample + 1);
         let mut put = |row: usize, code: u8| {
-            symbols[row / WORD_ROWS] |= u64::from(code) << (2 * (row % WORD_ROWS));
+            let (block, offset) = (&mut blocks[row / BLOCK_ROWS], row % BLOCK_ROWS);
+            block.words[offset / WORD_ROWS] |= u64::from(code) << (2 * (offset % WORD_ROWS));
         };
         // Row 0 is the sentinel suffix: its BWT symbol is the last text
         // base (the sentinel itself for the empty text) and it is never
@@ -280,44 +293,35 @@ impl FmIndex {
         FmIndex::from_parts(
             codes.len(),
             sentinel_row as u32,
-            &symbols,
+            blocks,
             sampled_rows,
             sa_samples,
             config.sa_sample,
         )
     }
 
-    /// Lays `symbols` (2-bit codes, 32 per word, the sentinel as `A`)
-    /// out in blocks, counts them and derives the k-mer interval table
-    /// from the counts — the one place either comes from, for a fresh
-    /// build and a loaded stream alike.
+    /// Counts the symbols of `blocks` (the BWT laid out 192 rows a
+    /// block, [`block_count`] of them, the sentinel and the padding as
+    /// `A`) into each block's middle counts, and derives the k-mer
+    /// interval table from the counts — the one place either comes from,
+    /// for a fresh build and a loaded stream alike.
     fn from_parts(
         text_len: usize,
         sentinel_row: u32,
-        symbols: &[u64],
+        mut blocks: Vec<Block>,
         sampled_rows: RankBitVec,
         sa_samples: Vec<u32>,
         sa_sample: usize,
     ) -> FmIndex {
-        let n_rows = text_len + 1;
-        let mut blocks = vec![
-            Block {
-                counts: [0; 4],
-                words: [0; 2 * HALF_WORDS],
-            };
-            n_rows / BLOCK_ROWS + 1
-        ];
+        debug_assert_eq!(blocks.len(), block_count(text_len + 1));
         let mut running = [0u32; 4];
-        let mut words = symbols.iter().copied();
         for block in &mut blocks {
             for j in 0..2 * HALF_WORDS {
                 if j == HALF_WORDS {
                     block.counts = running;
                 }
-                let word = words.next().unwrap_or(0);
-                block.words[j] = word;
                 for (code, count) in running.iter_mut().enumerate() {
-                    *count += matches(word, code as u8).count_ones();
+                    *count += matches(block.words[j], code as u8).count_ones();
                 }
             }
         }

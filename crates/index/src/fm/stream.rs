@@ -12,19 +12,26 @@
 //!
 //! All little-endian, read through `repute_genome::wire`. Rank counts
 //! are not stored: they are recomputed from the symbols on load, never
-//! trusted from a file.
+//! trusted from a file. A load reads the payload in bounded pieces
+//! straight into the index's arrays — the BWT words into their rank
+//! blocks — checksumming the same bytes as they pass, so nothing is held
+//! twice and nothing is sized from the header before its bytes arrive.
 
 use std::io::{Error, ErrorKind, Read, Write};
 
-use repute_genome::wire::{put_u32, put_u64, read_run, Fnv64, Reader};
+use repute_genome::wire::{
+    le_u32s, le_u64s, put_u32, put_u64, read_pieces, read_run, reserve_within, Fnv64, Reader,
+};
 
-use super::{FmIndex, WORD_ROWS};
+use super::{block_count, Block, FmIndex, BLOCK_ROWS, WORD_ROWS};
 use crate::bitvec::RankBitVec;
 
 /// Version of the stream [`FmIndex::write_to`] writes.
 const STREAM_VERSION: u16 = 2;
 /// Bytes before the BWT words.
 const HEADER_LEN: usize = 42;
+/// BWT words in one rank block.
+const BLOCK_WORDS: usize = BLOCK_ROWS / WORD_ROWS;
 
 impl FmIndex {
     /// Serialises the index to a binary stream (the `repute` CLI's
@@ -69,7 +76,28 @@ impl FmIndex {
     /// Returns [`std::io::ErrorKind::InvalidData`] on a bad magic,
     /// version, checksum or inconsistent payload, and propagates I/O
     /// errors from `input` (a `&mut` reader is accepted).
-    pub fn read_from<R: Read>(mut input: R) -> std::io::Result<FmIndex> {
+    pub fn read_from<R: Read>(input: R) -> std::io::Result<FmIndex> {
+        FmIndex::read_stream(input, None)
+    }
+
+    /// [`FmIndex::read_from`] for the index of a text whose `text_len`
+    /// bases were read already — the packed sequence an `RPIX` stream
+    /// stores before its FM-Index. A stream over another length is
+    /// refused before its payload is read. With the length known, the
+    /// rank blocks are allocated once, at their final size (a third of a
+    /// byte a base, beside the quarter byte a base that arrived): grown
+    /// instead, the cache-line-aligned blocks would be copied at every
+    /// step, and the freed copies would leave the allocator's heap
+    /// holding a second BWT's worth of pages.
+    ///
+    /// # Errors
+    ///
+    /// As [`FmIndex::read_from`].
+    pub fn read_for_text<R: Read>(input: R, text_len: usize) -> std::io::Result<FmIndex> {
+        FmIndex::read_stream(input, Some(text_len))
+    }
+
+    fn read_stream<R: Read>(mut input: R, known_len: Option<usize>) -> std::io::Result<FmIndex> {
         fn bad(msg: impl Into<String>) -> Error {
             Error::new(ErrorKind::InvalidData, msg.into())
         }
@@ -106,24 +134,55 @@ impl FmIndex {
         }
         let n_rows = n_rows as usize;
         let sample_count = sample_count as usize;
-        // Payload and trailer in one read, freed before the index is
-        // laid out.
+        // In pieces, straight into the final arrays, each growing only as
+        // its bytes arrive; the BWT words go into their rank blocks.
         let symbol_words = n_rows.div_ceil(WORD_ROWS);
         let mark_words = n_rows.div_ceil(64);
-        let payload_len = 8 * (symbol_words + mark_words) + 4 * sample_count;
-        let body = read_run(&mut input, payload_len as u64 + 8)?;
-        trailer.write(&body[..payload_len]);
-        let mut r = Reader::new(&body);
-        let symbols = r.u64s(symbol_words)?;
-        let marks = r.u64s(mark_words)?;
-        let sa_samples = r.u32s(sample_count)?;
-        if r.u64()? != trailer.finish() {
+        let blocks_needed = block_count(n_rows);
+        let mut blocks: Vec<Block> = Vec::new();
+        if let Some(len) = known_len {
+            if len != n_rows - 1 {
+                return Err(bad("FM-Index does not match the stored sequence"));
+            }
+            blocks.reserve_exact(blocks_needed);
+        }
+        let mut placed = 0usize;
+        read_pieces(&mut input, 8 * symbol_words as u64, |piece| {
+            trailer.write(piece);
+            let words = piece.len() / 8;
+            let more = (placed + words).div_ceil(BLOCK_WORDS) - blocks.len();
+            reserve_within(&mut blocks, more, blocks_needed);
+            for word in le_u64s(piece) {
+                if placed.is_multiple_of(BLOCK_WORDS) {
+                    blocks.push(Block::EMPTY);
+                }
+                blocks[placed / BLOCK_WORDS].words[placed % BLOCK_WORDS] = word;
+                placed += 1;
+            }
+        })?;
+        let mut marks = Vec::new();
+        read_pieces(&mut input, 8 * mark_words as u64, |piece| {
+            trailer.write(piece);
+            reserve_within(&mut marks, piece.len() / 8, mark_words);
+            marks.extend(le_u64s(piece));
+        })?;
+        let mut sa_samples = Vec::new();
+        read_pieces(&mut input, 4 * sample_count as u64, |piece| {
+            trailer.write(piece);
+            reserve_within(&mut sa_samples, piece.len() / 4, sample_count);
+            sa_samples.extend(le_u32s(piece));
+        })?;
+        if Reader::new(&read_run(&mut input, 8)?).u64()? != trailer.finish() {
             return Err(bad("FM-Index stream checksum mismatch"));
         }
-        drop(body);
+        blocks.resize(blocks_needed, Block::EMPTY);
 
         // The sentinel and the padding after the last row are stored as A.
-        let stored = |row: usize| symbols[row / WORD_ROWS] >> (2 * (row % WORD_ROWS));
+        let stored = |row: usize| {
+            let block = &blocks[row / BLOCK_ROWS];
+            let offset = row % BLOCK_ROWS;
+            block.words[offset / WORD_ROWS] >> (2 * (offset % WORD_ROWS))
+        };
         if stored(sentinel_row as usize) & 3 != 0
             || (!n_rows.is_multiple_of(WORD_ROWS) && stored(n_rows) != 0)
         {
@@ -139,7 +198,7 @@ impl FmIndex {
         Ok(FmIndex::from_parts(
             n_rows - 1,
             sentinel_row as u32,
-            &symbols,
+            blocks,
             RankBitVec::from_words(marks, n_rows),
             sa_samples,
             sa_sample,

@@ -43,15 +43,17 @@ pub struct MapOutput {
 /// Build it once and share it (e.g. via [`std::sync::Arc`]) across all the
 /// mappers in a comparison — index construction dominates setup time.
 ///
-/// The FM-Index is built (or loaded) here. The q-gram hash index and the
-/// prefilter's q-gram bins each have one kind of reader — Hobbes3, and
-/// REPUTE under `--prefilter qgram|both` — so each is built on its first
-/// use, one linear pass, by the mapper that reads it (at construction);
-/// a run that reads neither pays for neither.
+/// The FM-Index is built (or loaded) here, and the reference is held
+/// once, packed at 2 bits a base: verification unpacks each window as it
+/// reaches it. The q-gram hash index, the prefilter's q-gram bins and
+/// the flat one-byte-a-base codes each have few readers — Hobbes3;
+/// REPUTE under `--prefilter qgram|both`; the brute-force oracle and
+/// tests — so each is built on its first use, one linear pass, by the
+/// code that reads it; a run that reads none pays for none.
 #[derive(Debug, Clone)]
 pub struct IndexedReference {
     seq: DnaSeq,
-    codes: Vec<u8>,
+    codes: OnceLock<Vec<u8>>,
     fm: repute_index::FmIndex,
     q: usize,
     qgram: OnceLock<repute_index::QGramIndex>,
@@ -86,7 +88,7 @@ impl IndexedReference {
 
     fn from_parts(seq: DnaSeq, fm: repute_index::FmIndex, q: usize) -> IndexedReference {
         IndexedReference {
-            codes: seq.to_codes(),
+            codes: OnceLock::new(),
             seq,
             fm,
             q,
@@ -97,9 +99,10 @@ impl IndexedReference {
     }
 
     /// The verification engine of every mapper over this reference:
-    /// error budget δ, no pre-alignment filter, the batch SWAR kernels.
+    /// error budget δ, no pre-alignment filter, the batch SWAR kernels,
+    /// windows unpacked from the packed sequence.
     pub fn verify_engine(&self, delta: u32) -> VerifyEngine<'_> {
-        let engine = VerifyEngine::new(&self.codes, delta);
+        let engine = VerifyEngine::packed(&self.seq, delta);
         if self.scalar_verify {
             engine.with_scalar_path()
         } else {
@@ -122,9 +125,12 @@ impl IndexedReference {
         &self.seq
     }
 
-    /// The reference as flat 2-bit codes.
+    /// The reference as flat 2-bit codes, one byte a base, unpacked on
+    /// the first call and kept: four times the packed sequence, for the
+    /// callers that want one flat slice (the brute-force oracle, the
+    /// benchmark's verify-only replay, tests). No mapper path calls it.
     pub fn codes(&self) -> &[u8] {
-        &self.codes
+        self.codes.get_or_init(|| self.seq.to_codes())
     }
 
     /// The FM-Index over the reference.
@@ -140,22 +146,24 @@ impl IndexedReference {
     }
 
     /// The pre-alignment q-gram existence bins (GRIM-style) with the
-    /// prefilter crate's defaults, built on the first call. Mappers
-    /// configured with custom prefilter parameters build their own bins
-    /// from [`Self::codes`].
+    /// prefilter crate's defaults (q 5, width 512 — the only bins any
+    /// mapper uses), built on the first call in one pass over the packed
+    /// sequence. `repute_core::ReputeMapper` asks for them at
+    /// construction under `--prefilter qgram|both`, so the pass is set-up
+    /// time; [`Self::codes`] is not involved.
     pub fn prefilter_bins(&self) -> &repute_prefilter::QgramBins {
         self.prefilter_bins
-            .get_or_init(|| repute_prefilter::QgramBins::build_default(&self.codes))
+            .get_or_init(|| repute_prefilter::QgramBins::build_default(self.seq.codes()))
     }
 
     /// Reference length in bases.
     pub fn len(&self) -> usize {
-        self.codes.len()
+        self.seq.len()
     }
 
     /// Returns `true` for an empty reference (never, in practice).
     pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
+        self.seq.is_empty()
     }
 
     /// Serialises the index to a binary stream: the packed sequence, the
@@ -196,10 +204,7 @@ impl IndexedReference {
             return Err(WireError::Invalid("q-gram length out of range").into());
         }
         let seq = DnaSeq::read_packed(&mut input)?;
-        let fm = repute_index::FmIndex::read_from(&mut input)?;
-        if fm.text_len() != seq.len() {
-            return Err(WireError::Invalid("FM-Index does not match the stored sequence").into());
-        }
+        let fm = repute_index::FmIndex::read_for_text(&mut input, seq.len())?;
         Ok(IndexedReference::from_parts(seq, fm, q))
     }
 }

@@ -8,6 +8,8 @@
 //! written once, so the mappers differ only in *how they choose seeds*,
 //! which is exactly the axis the paper compares.
 
+use std::ops::Range;
+
 use repute_align::{
     verify_metered, verify_with, BatchVerifier, CandidateBatch, ReadMasks, VerifyScratch, LANES,
 };
@@ -99,21 +101,115 @@ impl CandidateSet {
     }
 }
 
+/// Where a [`VerifyEngine`] reads its reference windows from.
+#[derive(Debug, Clone, Copy)]
+enum Reference<'a> {
+    /// The 2-bit packed sequence, the one copy an
+    /// [`IndexedReference`](crate::IndexedReference) holds: a window is
+    /// unpacked into the engine's slab when it is verified.
+    Packed(&'a DnaSeq),
+    /// Flat codes, one byte a base: windows are borrowed in place.
+    Flat(&'a [u8]),
+}
+
+impl<'a> Reference<'a> {
+    fn len(self) -> usize {
+        match self {
+            Reference::Packed(seq) => seq.len(),
+            Reference::Flat(codes) => codes.len(),
+        }
+    }
+
+    /// A slab for `lanes` windows of up to `window` bases each, sized up
+    /// front and reused for every chunk of a call; empty for flat codes,
+    /// which lend their windows.
+    fn slab(self, lanes: usize, window: usize) -> Vec<u8> {
+        match self {
+            Reference::Packed(_) => Vec::with_capacity(lanes * window),
+            Reference::Flat(_) => Vec::new(),
+        }
+    }
+
+    /// The window `range` of the reference: borrowed from flat codes, or
+    /// unpacked into `slab` (cleared first) from the packed sequence.
+    fn window<'s>(self, range: Range<usize>, slab: &'s mut Vec<u8>) -> &'s [u8]
+    where
+        'a: 's,
+    {
+        match self {
+            Reference::Flat(codes) => &codes[range],
+            Reference::Packed(seq) => {
+                slab.clear();
+                seq.unpack_into(range, slab);
+                slab
+            }
+        }
+    }
+
+    /// The windows of candidates `ids` of `batch`, in order, into the
+    /// front of `out`: borrowed from flat codes, or unpacked one after
+    /// another into `slab` (cleared first) from the packed sequence.
+    fn windows<'s>(
+        self,
+        batch: &CandidateBatch,
+        ids: Range<usize>,
+        slab: &'s mut Vec<u8>,
+        out: &mut [&'s [u8]; LANES],
+    ) where
+        'a: 's,
+    {
+        match self {
+            Reference::Flat(codes) => {
+                for (lane, i) in ids.enumerate() {
+                    out[lane] = batch.window(codes, i);
+                }
+            }
+            Reference::Packed(seq) => {
+                slab.clear();
+                for i in ids.clone() {
+                    seq.unpack_into(batch.start(i)..batch.end(i), slab);
+                }
+                let slab: &'s [u8] = slab;
+                let mut at = 0;
+                for (lane, i) in ids.enumerate() {
+                    let len = batch.end(i) - batch.start(i);
+                    out[lane] = &slab[at..at + len];
+                    at += len;
+                }
+            }
+        }
+    }
+}
+
 /// The verification half of a mapper.
 #[derive(Debug, Clone, Copy)]
 pub struct VerifyEngine<'a> {
-    reference: &'a [u8],
+    reference: Reference<'a>,
     delta: u32,
     prefilter: Option<&'a dyn PreFilter>,
     scalar: bool,
 }
 
 impl<'a> VerifyEngine<'a> {
-    /// Creates an engine over the reference's 2-bit codes with error
-    /// budget δ and no pre-alignment filter. Verification runs the
-    /// batch SWAR kernels unless [`VerifyEngine::with_scalar_path`]
-    /// selects the scalar oracle path.
+    /// Creates an engine over flat 2-bit codes, one byte a base, with
+    /// error budget δ and no pre-alignment filter: windows are borrowed
+    /// from `reference`. Verification runs the batch SWAR kernels unless
+    /// [`VerifyEngine::with_scalar_path`] selects the scalar oracle path.
     pub fn new(reference: &'a [u8], delta: u32) -> VerifyEngine<'a> {
+        VerifyEngine::over(Reference::Flat(reference), delta)
+    }
+
+    /// [`VerifyEngine::new`] over the packed sequence itself, the engine
+    /// every mapper gets from an
+    /// [`IndexedReference`](crate::IndexedReference): each window is
+    /// unpacked into a reused slab when its chunk of candidates is
+    /// verified, so the reference is held once, at 2 bits a base.
+    /// Output and metrics are identical to the flat engine's.
+    pub fn packed(reference: &'a DnaSeq, delta: u32) -> VerifyEngine<'a> {
+        VerifyEngine::over(Reference::Packed(reference), delta)
+    }
+
+    fn over(reference: Reference<'a>, delta: u32) -> VerifyEngine<'a> {
         VerifyEngine {
             reference,
             delta,
@@ -154,7 +250,9 @@ impl<'a> VerifyEngine<'a> {
     /// The batch path builds the read's [`ReadMasks`] once, gathers the
     /// candidates into a structure-of-arrays [`CandidateBatch`], runs
     /// the prefilter over whole chunks, and verifies survivors
-    /// [`LANES`] at a time through the SWAR kernels. Everything it
+    /// [`LANES`] at a time through the SWAR kernels. A chunk's windows
+    /// are materialised only when it is reached: a first-n limit often
+    /// stops verification early. Everything it
     /// reports — mappings, their order, every metric counter, the
     /// returned work — is bit-identical to the scalar path: a chunk is
     /// only batched when the remaining output capacity covers all of
@@ -188,10 +286,10 @@ impl<'a> VerifyEngine<'a> {
         let masks = ReadMasks::new(read);
         let mut scratch = VerifyScratch::new();
         let mut verifier = BatchVerifier::new();
-        let mut chunk_candidates: Vec<Candidate<'_>> = Vec::with_capacity(LANES);
+        let mut slab = self
+            .reference
+            .slab(LANES, read.len() + 2 * self.delta as usize);
         let mut verdicts: Vec<Verdict> = Vec::with_capacity(LANES);
-        let mut lanes: Vec<&[u8]> = Vec::with_capacity(LANES);
-        let mut lane_ids: Vec<usize> = Vec::with_capacity(LANES);
         let mut results = Vec::with_capacity(LANES);
         let mut work = 0u64;
         let mut i = 0;
@@ -204,32 +302,47 @@ impl<'a> VerifyEngine<'a> {
                 // The scalar loop could stop mid-chunk here (each
                 // candidate appends at most one mapping); finish one
                 // candidate at a time to keep the cut-off identical.
-                work +=
-                    self.verify_one(read, &masks, &mut scratch, &batch, i, strand, out, metrics);
+                work += self.verify_one(
+                    read,
+                    &masks,
+                    &mut scratch,
+                    &mut slab,
+                    &batch,
+                    i,
+                    strand,
+                    out,
+                    metrics,
+                );
                 i += 1;
                 continue;
             }
-            lanes.clear();
-            lane_ids.clear();
+            let mut windows: [&[u8]; LANES] = [&[]; LANES];
+            self.reference
+                .windows(&batch, i..i + chunk, &mut slab, &mut windows);
+            let mut lanes: [&[u8]; LANES] = [&[]; LANES];
+            let mut lane_ids = [0usize; LANES];
+            let mut used = 0;
             if let Some(filter) = self.prefilter {
-                chunk_candidates.clear();
-                for j in i..i + chunk {
-                    chunk_candidates.push(Candidate {
-                        read,
-                        window: batch.window(self.reference, j),
-                        window_start: batch.start(j),
-                        delta: self.delta,
-                    });
+                let mut chunk_candidates = [Candidate {
+                    read,
+                    window: &[],
+                    window_start: 0,
+                    delta: self.delta,
+                }; LANES];
+                for (j, candidate) in chunk_candidates[..chunk].iter_mut().enumerate() {
+                    candidate.window = windows[j];
+                    candidate.window_start = batch.start(i + j);
                 }
                 verdicts.clear();
-                filter.examine_batch(&chunk_candidates, &mut verdicts);
+                filter.examine_batch(&chunk_candidates[..chunk], &mut verdicts);
                 for (j, verdict) in verdicts.iter().enumerate() {
                     metrics.prefilter_tested += 1;
                     metrics.prefilter_words += verdict.cost_words;
                     work += verdict.cost_words;
                     if verdict.accept {
-                        lanes.push(batch.window(self.reference, i + j));
-                        lane_ids.push(i + j);
+                        lanes[used] = windows[j];
+                        lane_ids[used] = i + j;
+                        used += 1;
                     } else {
                         // Sound filters only reject unverifiable
                         // windows: every rejection is a true reject.
@@ -237,14 +350,15 @@ impl<'a> VerifyEngine<'a> {
                     }
                 }
             } else {
-                for j in i..i + chunk {
-                    lanes.push(batch.window(self.reference, j));
-                    lane_ids.push(j);
+                lanes = windows;
+                for (j, id) in lane_ids[..chunk].iter_mut().enumerate() {
+                    *id = i + j;
                 }
+                used = chunk;
             }
-            if !lanes.is_empty() {
+            if used > 0 {
                 results.clear();
-                verifier.verify_lanes(&masks, &lanes, self.delta, &mut results);
+                verifier.verify_lanes(&masks, &lanes[..used], self.delta, &mut results);
                 for (l, (hit, cost)) in results.iter().enumerate() {
                     metrics.verifications += 1;
                     metrics.word_updates += cost.word_updates;
@@ -275,6 +389,7 @@ impl<'a> VerifyEngine<'a> {
         read: &[u8],
         masks: &ReadMasks,
         scratch: &mut VerifyScratch,
+        slab: &mut Vec<u8>,
         batch: &CandidateBatch,
         i: usize,
         strand: Strand,
@@ -282,7 +397,7 @@ impl<'a> VerifyEngine<'a> {
         metrics: &mut MapMetrics,
     ) -> u64 {
         let mut work = 0u64;
-        let window = batch.window(self.reference, i);
+        let window = self.reference.window(batch.start(i)..batch.end(i), slab);
         let mut filtered = false;
         if let Some(filter) = self.prefilter {
             let verdict = filter.examine(&Candidate {
@@ -330,6 +445,7 @@ impl<'a> VerifyEngine<'a> {
     ) -> u64 {
         let mut work = 0u64;
         let n = self.reference.len();
+        let mut slab = self.reference.slab(1, read.len() + 2 * self.delta as usize);
         for &diag in candidates {
             if out.len() >= limit {
                 break;
@@ -339,7 +455,7 @@ impl<'a> VerifyEngine<'a> {
             if start >= end {
                 continue;
             }
-            let window = &self.reference[start..end];
+            let window = self.reference.window(start..end, &mut slab);
             let mut filtered = false;
             if let Some(filter) = self.prefilter {
                 let verdict = filter.examine(&Candidate {
@@ -401,6 +517,7 @@ impl VerifyEngine<'_> {
         // Masks built once per read, reused across every band window.
         let masks = ReadMasks::new(read);
         let mut scratch = VerifyScratch::new();
+        let mut slab = self.reference.slab(1, band + read.len() + 2 * delta);
         for &band_start in band_starts {
             if out.len() >= limit {
                 break;
@@ -410,7 +527,7 @@ impl VerifyEngine<'_> {
             if start >= end {
                 continue;
             }
-            let window = &self.reference[start..end];
+            let window = self.reference.window(start..end, &mut slab);
             let (hit, cost) = verify_with(&masks, window, self.delta, &mut scratch);
             work += cost.word_updates;
             if let Some(v) = hit {
@@ -636,7 +753,10 @@ mod tests {
         // work must be bit-identical to the scalar per-candidate loop —
         // across read-length kernels, every prefilter mode (the chain
         // reaches its parts through the default `examine_batch`), δ,
-        // and limits that force the mid-chunk scalar fallback.
+        // and limits that force the mid-chunk scalar fallback. Both
+        // reference arms take part, batch and scalar: windows unpacked
+        // from the packed sequence and windows borrowed from flat codes,
+        // all held to the flat scalar loop.
         let reference = ReferenceBuilder::new(20_000).seed(29).build();
         let codes = reference.to_codes();
         let shd = repute_prefilter::ShdFilter::new();
@@ -654,38 +774,44 @@ mod tests {
             for delta in [3u32, 4, 5, 7] {
                 for limit in [0usize, 1, 2, 3, 5, 100] {
                     for (f, filter) in filters.iter().enumerate() {
-                        let mut base = VerifyEngine::new(&codes, delta);
-                        if let Some(filter) = filter {
-                            base = base.with_prefilter(*filter);
+                        fn with<'a>(
+                            engine: VerifyEngine<'a>,
+                            filter: Option<&'a dyn PreFilter>,
+                        ) -> VerifyEngine<'a> {
+                            filter.map_or(engine, |filter| engine.with_prefilter(filter))
                         }
-                        let mut out_b = Vec::new();
-                        let mut met_b = MapMetrics::new();
-                        let work_b = base.verify_metered(
-                            &read,
-                            Strand::Forward,
-                            &candidates,
-                            limit,
-                            &mut out_b,
-                            &mut met_b,
-                        );
-                        let mut out_s = Vec::new();
-                        let mut met_s = MapMetrics::new();
-                        let work_s = base.with_scalar_path().verify_metered(
-                            &read,
-                            Strand::Forward,
-                            &candidates,
-                            limit,
-                            &mut out_s,
-                            &mut met_s,
-                        );
+                        let run = |engine: VerifyEngine<'_>| {
+                            let mut out = Vec::new();
+                            let mut metrics = MapMetrics::new();
+                            let work = engine.verify_metered(
+                                &read,
+                                Strand::Forward,
+                                &candidates,
+                                limit,
+                                &mut out,
+                                &mut metrics,
+                            );
+                            (out, work, metrics)
+                        };
+                        let flat = with(VerifyEngine::new(&codes, delta), *filter);
+                        let packed = with(VerifyEngine::packed(&reference, delta), *filter);
+                        let (out_s, work_s, met_s) = run(flat.with_scalar_path());
                         let name = filter.map_or("none", |f| f.name());
-                        let ctx =
-                            format!("read_len={read_len} δ={delta} limit={limit} filter={name}");
-                        assert_eq!(out_b, out_s, "{ctx}: mappings diverge");
-                        assert_eq!(work_b, work_s, "{ctx}: work diverges");
-                        assert_eq!(met_b, met_s, "{ctx}: metrics diverge");
-                        assert_eq!(out_b.len(), limit.min(2), "{ctx}: the two hits at 5000");
-                        rejected[f] += met_b.prefilter_rejected;
+                        for (arm, engine) in [
+                            ("flat batch", flat),
+                            ("packed batch", packed),
+                            ("packed scalar", packed.with_scalar_path()),
+                        ] {
+                            let ctx = format!(
+                                "{arm} read_len={read_len} δ={delta} limit={limit} filter={name}"
+                            );
+                            let (out, work, metrics) = run(engine);
+                            assert_eq!(out, out_s, "{ctx}: mappings diverge");
+                            assert_eq!(work, work_s, "{ctx}: work diverges");
+                            assert_eq!(metrics, met_s, "{ctx}: metrics diverge");
+                        }
+                        assert_eq!(out_s.len(), limit.min(2), "the two hits at 5000");
+                        rejected[f] += met_s.prefilter_rejected;
                     }
                 }
             }

@@ -23,6 +23,8 @@
 //! window's bins and its existence bit is set: zero false negatives by
 //! construction.
 
+use std::borrow::Borrow;
+
 use crate::{Candidate, PreFilter, Verdict};
 
 /// Default q-gram length. 4^5 = 1024 bits (16 words) per bin keeps the
@@ -54,27 +56,36 @@ pub struct QgramBins {
 
 impl QgramBins {
     /// Builds the bins with the default q and bin width.
-    pub fn build_default(codes: &[u8]) -> QgramBins {
+    pub fn build_default<C: Borrow<u8>>(
+        codes: impl IntoIterator<Item = C, IntoIter: ExactSizeIterator>,
+    ) -> QgramBins {
         QgramBins::build(codes, DEFAULT_Q, DEFAULT_BIN_WIDTH)
     }
 
-    /// Builds the bins: bit `h` of bin `b` is set iff the q-gram with
-    /// 2-bit code `h` *starts* at some reference position in
-    /// `[b·width, (b+1)·width)`.
+    /// Builds the bins in one pass over the reference's 2-bit codes — a
+    /// flat slice, or the codes of a packed sequence as they are read:
+    /// bit `h` of bin `b` is set iff the q-gram with 2-bit code `h`
+    /// *starts* at some reference position in `[b·width, (b+1)·width)`.
     ///
     /// # Panics
     ///
     /// Panics if `q` is 0 or exceeds [`MAX_Q`], or if `bin_width` is 0.
-    pub fn build(codes: &[u8], q: usize, bin_width: usize) -> QgramBins {
+    pub fn build<C: Borrow<u8>>(
+        codes: impl IntoIterator<Item = C, IntoIter: ExactSizeIterator>,
+        q: usize,
+        bin_width: usize,
+    ) -> QgramBins {
         assert!((1..=MAX_Q).contains(&q), "q must be in 1..={MAX_Q}");
         assert!(bin_width > 0, "bin width must be positive");
+        let codes = codes.into_iter();
+        let ref_len = codes.len();
         let words_per_bin = (1usize << (2 * q)).div_ceil(64);
-        let bins = codes.len().div_ceil(bin_width).max(1);
+        let bins = ref_len.div_ceil(bin_width).max(1);
         let mut bits = vec![0u64; bins * words_per_bin];
         let mask = (1u64 << (2 * q)) - 1;
         let mut hash = 0u64;
-        for (i, &code) in codes.iter().enumerate() {
-            hash = ((hash << 2) | u64::from(code & 3)) & mask;
+        for (i, code) in codes.enumerate() {
+            hash = ((hash << 2) | u64::from(code.borrow() & 3)) & mask;
             if i + 1 >= q {
                 let start = i + 1 - q;
                 let bin = start / bin_width;
@@ -85,7 +96,7 @@ impl QgramBins {
         QgramBins {
             q,
             bin_width,
-            ref_len: codes.len(),
+            ref_len,
             words_per_bin,
             bits,
         }
