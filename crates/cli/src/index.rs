@@ -5,10 +5,9 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::path::Path;
 
-use repute_core::journal::Fnv64;
 use repute_core::{write_atomic, ReputeError};
 use repute_genome::fasta::{read_fasta, AmbiguityPolicy};
-use repute_genome::wire::{put_u64, read_run, Reader};
+use repute_genome::wire::{put_u64, read_run, word_hash, Reader};
 use repute_mappers::multiref::ReferenceSet;
 
 use crate::args::{Cursor, ParseArgsError};
@@ -215,17 +214,16 @@ pub(crate) fn load_reference_set(
     Ok(set)
 }
 
-/// Magic prefix of an `--index-cache` file; followed by the FNV-64
-/// fingerprint of the reference FASTA bytes (little-endian) and the
-/// serialized [`ReferenceSet`].
+/// Magic prefix of an `--index-cache` file; followed by the fingerprint
+/// of the reference FASTA bytes (little-endian) and the serialized
+/// [`ReferenceSet`].
 const INDEX_CACHE_MAGIC: &[u8; 4] = b"RPXC";
 
-/// FNV-64 over the raw reference FASTA bytes — the validity condition of
-/// a cached index.
+/// The word-parallel checksum of the raw reference FASTA bytes — the
+/// validity condition of a cached index, computed on every run that
+/// names a cache.
 fn index_cache_fingerprint(source: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(source);
-    h.finish()
+    word_hash(source)
 }
 
 /// Loads a cached index when the magic and fingerprint match `source`.
@@ -439,27 +437,45 @@ mod tests {
             &mut forged,
             index_cache_fingerprint(&std::fs::read(&ref_path).unwrap()),
         );
-        forged.extend_from_slice(b"RPST\x01\x00\xFF\xFF\xFF\xFF");
+        forged.extend_from_slice(b"RPST\x02\x00\xFF\xFF\xFF\xFF");
         std::fs::write(&cache_path, &forged).unwrap();
         map_with_cache(&out_b);
         assert_eq!(std::fs::read(&out_b).unwrap(), cold);
         assert!(std::fs::read(&cache_path).unwrap().len() > forged.len());
 
-        // So is a cache from before the FM stream's version 2, while a
-        // prebuilt `--index` of that age is a typed error that says so.
-        let mut old = rebuilt;
-        let fm_at = old.windows(4).position(|w| w == b"RPFM").unwrap();
-        old[fm_at + 4] = 1;
-        std::fs::write(&cache_path, &old).unwrap();
-        map_with_cache(&out_b);
-        assert_eq!(std::fs::read(&cache_path).unwrap()[fm_at + 4], 2);
+        // So is a cache of an older format: one fingerprinted with
+        // byte-serial FNV-1a, and one with each stream's last version
+        // patched in (`RPST` 1, `RPIX` 1, `RPFM` 2) — each rebuilt and
+        // rewritten, with the same SAM — while a prebuilt `--index` of
+        // that age is a typed error that says what to run.
+        let mut fnv = repute_core::journal::Fnv64::new();
+        fnv.write(&std::fs::read(&ref_path).unwrap());
+        let mut olds = vec![(rebuilt.clone(), None)];
+        olds[0].0[4..12].copy_from_slice(&fnv.finish().to_le_bytes());
+        let rpix_at = rebuilt.windows(4).position(|w| w == b"RPIX").unwrap();
+        let fm_at = rebuilt.windows(4).position(|w| w == b"RPFM").unwrap();
+        for (at, version) in [(16, 1), (rpix_at + 4, 1), (fm_at + 4, 2)] {
+            let mut old = rebuilt.clone();
+            old[at] = version;
+            olds.push((old, Some(version)));
+        }
         let index_path = dir.join("old.rpx");
-        std::fs::write(&index_path, &old[12..]).unwrap();
-        let err = load_reference_set("", Some(&index_path.to_string_lossy()), None).unwrap_err();
-        assert!(
-            matches!(&err, ReputeError::InputParse(m) if m.contains("version 1") && m.contains("repute index")),
-            "{err}"
-        );
+        for (old, version) in olds {
+            std::fs::write(&cache_path, &old).unwrap();
+            map_with_cache(&out_b);
+            assert_eq!(std::fs::read(&out_b).unwrap(), cold);
+            assert_eq!(std::fs::read(&cache_path).unwrap(), rebuilt);
+            let Some(version) = version else { continue };
+            std::fs::write(&index_path, &old[12..]).unwrap();
+            let err =
+                load_reference_set("", Some(&index_path.to_string_lossy()), None).unwrap_err();
+            let named = format!("version {version} is not supported");
+            assert!(
+                matches!(&err, ReputeError::InputParse(m) if m.contains(&named) && m.contains("repute index")),
+                "{err}"
+            );
+            assert_eq!(err.exit_code(), 3);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,7 +7,7 @@ use std::str::FromStr;
 
 use crate::alphabet::Base;
 use crate::error::GenomeError;
-use crate::wire::{le_u64s, read_pieces, read_run, reserve_within, Reader};
+use crate::wire::{le_u64s, read_pieces, read_run, reserve_within, write_pieces, Reader};
 
 const BASES_PER_WORD: usize = 32;
 
@@ -239,10 +239,7 @@ impl DnaSeq {
     /// Propagates I/O errors from `out` (a `&mut` writer is accepted).
     pub fn write_packed<W: std::io::Write>(&self, mut out: W) -> std::io::Result<()> {
         out.write_all(&(self.len as u64).to_le_bytes())?;
-        for word in &self.words {
-            out.write_all(&word.to_le_bytes())?;
-        }
-        Ok(())
+        write_pieces(out, self.words.iter().map(|w| w.to_le_bytes()))
     }
 
     /// Reads a sequence previously written by [`DnaSeq::write_packed`].

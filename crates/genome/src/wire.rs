@@ -13,6 +13,9 @@
 //!   decoder's own arrays ([`read_pieces`], [`reserve_within`]): a
 //!   forged length costs what the stream holds, not what it claims.
 //!
+//! A prebuilt index is checksummed by [`WordHash`] trailers computed as
+//! the bytes stream through a [`Hashed`] reader or writer.
+//!
 //! The journals share a frame codec on top: checksummed header, frames,
 //! a durable append handle ([`FrameLog`]). [`frames`] reports *why* it
 //! stopped; what a [`Stop`] means — torn tail or corruption — is each
@@ -56,10 +59,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// FNV-1a 64-bit streaming hasher — the fingerprint currency.
 ///
-/// Two multipliers are frozen in files and digests, so both stay:
-/// [`Fnv64::new`] multiplies by 2⁴⁸ + 0x1b3 (run and journal
-/// fingerprints, the `RPXC` fingerprint, every pinned test digest),
-/// [`Fnv64::standard`] by the FNV prime 2⁴⁰ + 0x1b3 (`RPFM` trailer).
+/// One dependent multiply per byte: fine for fingerprints over
+/// configuration and reads, too slow for megabytes of index (that is
+/// [`WordHash`]). Two multipliers are frozen in files and digests, so
+/// both stay: [`Fnv64::new`] multiplies by 2⁴⁸ + 0x1b3 (run and journal
+/// fingerprints, every pinned test digest), [`Fnv64::standard`] by the
+/// FNV prime 2⁴⁰ + 0x1b3 (the `BENCH_pr8.json` digests).
 #[derive(Debug, Clone)]
 pub struct Fnv64 {
     hash: u64,
@@ -104,6 +109,198 @@ impl Fnv64 {
     pub fn finish(&self) -> u64 {
         self.hash
     }
+}
+
+/// Lane multipliers: XXH64's first two primes.
+const WORD_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const WORD_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+/// Lanes, and bytes in one stripe of a word each.
+const LANES: usize = 4;
+const STRIPE: usize = 8 * LANES;
+
+/// One lane step, XXH64's round. For a fixed lane it is a bijection of
+/// the word, and for a fixed word a bijection of the lane.
+#[inline(always)]
+fn word_round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(WORD_P2))
+        .rotate_left(31)
+        .wrapping_mul(WORD_P1)
+}
+
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// The word-parallel checksum behind every index trailer (`RPFM`, and
+/// the one over `RPST` + `RPIX` + packed reference) and the `RPXC`
+/// fingerprint of a reference FASTA.
+///
+/// Word `k` of the input (bytes `8k..8k + 8`, little-endian) goes into
+/// lane `k mod 4` through XXH64's round; the four lanes depend on each
+/// other only at the end, so a core runs them side by side and the
+/// speed is the multiplier's throughput, not its latency (FNV-1a waits
+/// one multiply per byte). A last partial word is zero-padded into its
+/// lane, and [`WordHash::finish`] folds the byte count and then the
+/// four lanes, in order, into one word with the same round. Every step
+/// is a bijection of what changed, so a change confined to one word of
+/// an input of a given length always changes the result. How the input
+/// is split across [`WordHash::write`] calls does not matter.
+#[derive(Debug, Clone)]
+pub struct WordHash {
+    lanes: [u64; LANES],
+    /// Bytes of an unfinished stripe.
+    held: [u8; STRIPE],
+    held_len: usize,
+    total: u64,
+}
+
+impl Default for WordHash {
+    fn default() -> WordHash {
+        WordHash::new()
+    }
+}
+
+impl WordHash {
+    /// A fresh hasher (XXH64's lane seeds for seed 0).
+    pub fn new() -> WordHash {
+        WordHash {
+            lanes: [
+                WORD_P1.wrapping_add(WORD_P2),
+                WORD_P2,
+                0,
+                WORD_P1.wrapping_neg(),
+            ],
+            held: [0; STRIPE],
+            held_len: 0,
+            total: 0,
+        }
+    }
+
+    /// Folds raw bytes into the hash.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.held_len > 0 {
+            let take = (STRIPE - self.held_len).min(bytes.len());
+            self.held[self.held_len..self.held_len + take].copy_from_slice(&bytes[..take]);
+            self.held_len += take;
+            bytes = &bytes[take..];
+            if self.held_len < STRIPE {
+                return;
+            }
+            let stripe = self.held;
+            self.stripes(&stripe);
+            self.held_len = 0;
+        }
+        let whole = bytes.len() - bytes.len() % STRIPE;
+        self.stripes(&bytes[..whole]);
+        let rest = &bytes[whole..];
+        self.held[..rest.len()].copy_from_slice(rest);
+        self.held_len = rest.len();
+    }
+
+    /// Whole stripes, each lane kept in a register across them.
+    fn stripes(&mut self, bytes: &[u8]) {
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for stripe in bytes.chunks_exact(STRIPE) {
+            a = word_round(a, le_word(&stripe[..8]));
+            b = word_round(b, le_word(&stripe[8..16]));
+            c = word_round(c, le_word(&stripe[16..24]));
+            d = word_round(d, le_word(&stripe[24..]));
+        }
+        self.lanes = [a, b, c, d];
+    }
+
+    /// The checksum of every byte written so far.
+    pub fn finish(&self) -> u64 {
+        let mut lanes = self.lanes;
+        for (lane, word) in lanes.iter_mut().zip(self.held[..self.held_len].chunks(8)) {
+            *lane = word_round(*lane, le_word(word));
+        }
+        lanes.into_iter().fold(self.total, word_round)
+    }
+}
+
+/// [`WordHash`] of `bytes`.
+pub fn word_hash(bytes: &[u8]) -> u64 {
+    let mut h = WordHash::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// A reader or writer that folds every byte passing through it into a
+/// [`WordHash`], so a trailer is computed as the stream goes and nothing
+/// is held to compute it. [`Hashed::put_trailer`] and
+/// [`Hashed::check_trailer`] end the covered span.
+#[derive(Debug)]
+pub struct Hashed<T> {
+    inner: T,
+    hash: WordHash,
+}
+
+impl<T> Hashed<T> {
+    /// Starts a covered span at the current position of `inner`.
+    pub fn new(inner: T) -> Hashed<T> {
+        Hashed {
+            inner,
+            hash: WordHash::new(),
+        }
+    }
+}
+
+impl<W: Write> Hashed<W> {
+    /// Writes the checksum of the span (`u64`, not itself covered) and
+    /// hands back the writer.
+    pub fn put_trailer(mut self) -> io::Result<W> {
+        self.inner.write_all(&self.hash.finish().to_le_bytes())?;
+        Ok(self.inner)
+    }
+}
+
+impl<R: Read> Hashed<R> {
+    /// Reads the trailer [`Hashed::put_trailer`] wrote and hands back the
+    /// reader if it matches the bytes read; `Invalid(what)` if not.
+    pub fn check_trailer(mut self, what: &'static str) -> io::Result<R> {
+        let stored = Reader::new(&read_run(&mut self.inner, 8)?).u64()?;
+        if stored != self.hash.finish() {
+            return Err(WireError::Invalid(what).into());
+        }
+        Ok(self.inner)
+    }
+}
+
+impl<R: Read> Read for Hashed<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.hash.write(&buf[..n]);
+        Ok(n)
+    }
+}
+
+impl<W: Write> Write for Hashed<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.hash.write(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// The error every prebuilt-index stream (`RPST`, `RPIX`, `RPFM`) gives
+/// for a version it does not read: `InvalidData`, saying what to run.
+pub fn stale_index(what: &str, found: u16, reads: u16) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{what} version {found} is not supported (this build reads version {reads}); \
+             rebuild the index with `repute index`"
+        ),
+    )
 }
 
 /// Appends `v`, little-endian.
@@ -293,6 +490,24 @@ pub fn read_pieces<R: Read>(
     Ok(())
 }
 
+/// The writing side of [`read_pieces`]: writes each item's bytes in
+/// order, [`PIECE_BYTES`] at a time, so a large array streams out without
+/// being copied whole into bytes first.
+pub fn write_pieces<W: Write, const N: usize>(
+    mut out: W,
+    items: impl Iterator<Item = [u8; N]>,
+) -> io::Result<()> {
+    let mut piece = Vec::with_capacity(PIECE_BYTES);
+    for item in items {
+        if piece.len() + N > PIECE_BYTES {
+            out.write_all(&piece)?;
+            piece.clear();
+        }
+        piece.extend_from_slice(&item);
+    }
+    out.write_all(&piece)
+}
+
 /// Makes room in `items` for `more` items, the total growing at most to
 /// `cap` — a count the stream claimed — and otherwise by doubling: a
 /// decoder that trusts no count still allocates only for items that have
@@ -476,6 +691,129 @@ mod tests {
         assert_ne!(h.finish(), 0xaf63_dc4c_8601_ec8c);
     }
 
+    fn random_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = crate::rng::StdRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.gen::<u8>()).collect()
+    }
+
+    #[test]
+    fn word_hash_does_not_depend_on_how_the_input_is_split() {
+        let mut rng = crate::rng::StdRng::seed_from_u64(31);
+        for len in [0, 1, 7, 8, 31, 32, 33, 100, 4096, 3 * PIECE_BYTES + 13] {
+            let bytes = random_bytes(len, len as u64);
+            let whole = word_hash(&bytes);
+            for _ in 0..20 {
+                let mut h = WordHash::new();
+                let mut at = 0;
+                while at < len {
+                    // Empty, sub-word, sub-stripe and long pieces alike.
+                    let n = match rng.gen_range(0..4u32) {
+                        0 => 0,
+                        1 => rng.gen_range(1..8usize),
+                        2 => rng.gen_range(1..40usize),
+                        _ => rng.gen_range(1..PIECE_BYTES),
+                    };
+                    let end = (at + n).min(len);
+                    h.write(&bytes[at..end]);
+                    at = end;
+                }
+                h.write(&[]);
+                assert_eq!(h.finish(), whole, "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_word_hash() {
+        let bytes = random_bytes(4096, 4096);
+        let whole = word_hash(&bytes);
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(word_hash(&flipped), whole, "bit {bit}");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        // The zero-padded tail word too.
+        let short = &bytes[..4093];
+        let mut flipped = short.to_vec();
+        for bit in 4088 * 8..short.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(word_hash(&flipped), word_hash(short), "tail bit {bit}");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn appended_zeros_change_the_word_hash() {
+        for len in [0, 5, 8, 31, 32, 4096] {
+            let bytes = random_bytes(len, 7);
+            let mut seen = vec![word_hash(&bytes)];
+            let mut longer = bytes.clone();
+            for _ in 0..8 {
+                longer.push(0);
+                seen.push(word_hash(&longer));
+            }
+            for _ in 0..8 {
+                longer.extend_from_slice(&[0; 8]);
+                seen.push(word_hash(&longer));
+            }
+            let count = seen.len();
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen.len(), count, "len {len}: zeros left the hash alone");
+        }
+    }
+
+    #[test]
+    fn word_hash_is_pinned() {
+        // Also what an independent re-implementation computes.
+        assert_eq!(word_hash(b""), 0x7b8a_1f9e_82fc_1d69);
+        assert_eq!(
+            word_hash(b"REPUTE: an OpenCL based read mapping tool for embedded genomics"),
+            0x187a_6176_3e0c_9d9e
+        );
+        let mut two = WordHash::new();
+        two.write(b"REPUTE: an OpenCL based ");
+        two.write(b"read mapping tool for embedded genomics");
+        assert_eq!(
+            two.finish(),
+            word_hash(b"REPUTE: an OpenCL based read mapping tool for embedded genomics")
+        );
+    }
+
+    #[test]
+    fn hashed_streams_cover_what_passes_and_check_their_trailer() {
+        let bytes = random_bytes(1000, 5);
+        let mut out = Hashed::new(Vec::new());
+        out.write_all(&bytes[..3]).expect("write");
+        write_pieces(&mut out, le_u64s(&bytes[3..995]).map(u64::to_le_bytes)).expect("pieces");
+        let mut file = out.put_trailer().expect("trailer");
+        assert_eq!(file[..file.len() - 8], bytes[..995]);
+        assert_eq!(
+            file[file.len() - 8..],
+            word_hash(&file[..file.len() - 8]).to_le_bytes()
+        );
+        file.extend_from_slice(b"rest");
+
+        let mut input = Hashed::new(file.as_slice());
+        assert_eq!(read_run(&mut input, 995).expect("run"), &file[..995]);
+        let rest = input.check_trailer("trailer").expect("intact");
+        assert_eq!(rest, b"rest");
+
+        file[500] ^= 4;
+        let mut input = Hashed::new(file.as_slice());
+        read_run(&mut input, 995).expect("run");
+        let err = input
+            .check_trailer("damaged span")
+            .expect_err("flipped bit");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "damaged span");
+
+        let err = stale_index("FM-Index stream", 2, 3);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 2") && err.to_string().contains("repute index"));
+    }
+
     #[test]
     fn reader_refuses_instead_of_slicing_past_the_end() {
         let mut out = Vec::new();
@@ -539,6 +877,9 @@ mod tests {
         let err =
             read_pieces(&bytes[..PIECE_BYTES + 1], u64::MAX, |_| handed += 1).expect_err("short");
         assert_eq!((err.kind(), handed), (io::ErrorKind::UnexpectedEof, 1));
+        let mut written = Vec::new();
+        write_pieces(&mut written, le_u32s(&bytes).map(u32::to_le_bytes)).expect("write");
+        assert_eq!(written, bytes);
 
         let words: Vec<u64> = le_u64s(&bytes[..PIECE_BYTES]).collect();
         let mut grown: Vec<u64> = Vec::new();

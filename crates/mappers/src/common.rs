@@ -1,11 +1,16 @@
 //! The mapper interface shared by every baseline and by REPUTE itself.
 
+use std::io::Write;
 use std::sync::OnceLock;
 
-use repute_genome::wire::{read_run, Reader, WireError};
+use repute_genome::wire::{read_run, stale_index, Hashed, Reader, WireError};
 use repute_genome::{DnaSeq, Strand};
 
 use crate::engine::VerifyEngine;
+
+/// Version of the `RPIX` stream [`IndexedReference::write_to`] writes:
+/// 2 put the header and packed reference under a checksum.
+const INDEX_VERSION: u16 = 2;
 
 /// One reported mapping location.
 ///
@@ -166,21 +171,33 @@ impl IndexedReference {
         self.seq.is_empty()
     }
 
-    /// Serialises the index to a binary stream: the packed sequence, the
-    /// FM-Index (BWT + SA samples), and the q-gram length. The q-gram
-    /// index itself is rebuilt after a load by whoever first asks for it
-    /// (one linear pass — far cheaper than the suffix-array construction
-    /// the FM payload avoids).
+    /// Serialises the index to a binary stream: `RPIX`, the q-gram
+    /// length and the packed sequence under one [`wire::WordHash`]
+    /// trailer, then the FM-Index (BWT + SA samples, its own trailer).
+    /// The q-gram index itself is rebuilt after a load by whoever first
+    /// asks for it (one linear pass — far cheaper than the suffix-array
+    /// construction the FM payload avoids).
+    ///
+    /// [`wire::WordHash`]: repute_genome::wire::WordHash
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `out` (a `&mut` writer is accepted).
-    pub fn write_to<W: std::io::Write>(&self, mut out: W) -> std::io::Result<()> {
+    pub fn write_to<W: std::io::Write>(&self, out: W) -> std::io::Result<()> {
+        self.write_covered(Hashed::new(out))
+    }
+
+    /// [`IndexedReference::write_to`] into a span whose trailer already
+    /// covers the bytes before it (the `RPST` record table).
+    pub(crate) fn write_covered<W: std::io::Write>(
+        &self,
+        mut out: Hashed<W>,
+    ) -> std::io::Result<()> {
         out.write_all(b"RPIX")?;
-        out.write_all(&1u16.to_le_bytes())?;
+        out.write_all(&INDEX_VERSION.to_le_bytes())?;
         out.write_all(&(self.q as u32).to_le_bytes())?;
         self.seq.write_packed(&mut out)?;
-        self.fm.write_to(&mut out)
+        self.fm.write_to(out.put_trailer()?)
     }
 
     /// Deserialises an index written by [`IndexedReference::write_to`].
@@ -188,22 +205,35 @@ impl IndexedReference {
     /// # Errors
     ///
     /// Returns [`std::io::ErrorKind::InvalidData`] on a bad magic,
-    /// version, or payload mismatch, and propagates I/O errors from
-    /// `input` (a `&mut` reader is accepted).
-    pub fn read_from<R: std::io::Read>(mut input: R) -> std::io::Result<IndexedReference> {
+    /// version, checksum or payload mismatch, and propagates I/O errors
+    /// from `input` (a `&mut` reader is accepted).
+    pub fn read_from<R: std::io::Read>(input: R) -> std::io::Result<IndexedReference> {
+        IndexedReference::read_covered(Hashed::new(input))
+    }
+
+    /// [`IndexedReference::read_from`] inside a span whose trailer also
+    /// covers the bytes read before (the `RPST` record table). The
+    /// trailer is checked before any `RPFM` byte is read.
+    pub(crate) fn read_covered<R: std::io::Read>(
+        mut input: Hashed<R>,
+    ) -> std::io::Result<IndexedReference> {
         let head = read_run(&mut input, 10)?;
         let mut r = Reader::new(&head);
         if r.bytes(4)? != b"RPIX" {
             return Err(WireError::Invalid("not a repute index stream (bad magic)").into());
         }
-        if r.u16()? != 1 {
-            return Err(WireError::Invalid("unsupported index format version").into());
+        let version = r.u16()?;
+        if version != INDEX_VERSION {
+            return Err(stale_index("repute index stream", version, INDEX_VERSION));
         }
         let q = r.u32()? as usize;
         if !(1..=repute_index::QGramIndex::MAX_Q).contains(&q) {
             return Err(WireError::Invalid("q-gram length out of range").into());
         }
         let seq = DnaSeq::read_packed(&mut input)?;
+        let mut input = input.check_trailer(
+            "index checksum mismatch (record table, index header or packed reference)",
+        )?;
         let fm = repute_index::FmIndex::read_for_text(&mut input, seq.len())?;
         Ok(IndexedReference::from_parts(seq, fm, q))
     }

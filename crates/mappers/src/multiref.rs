@@ -7,12 +7,17 @@
 //! alignments that straddle a record boundary (an artefact of
 //! concatenation, not a real mapping location).
 
+use std::io::Write;
 use std::sync::Arc;
 
-use repute_genome::wire::{read_run, Reader, WireError};
+use repute_genome::wire::{read_run, stale_index, Hashed, Reader, WireError};
 use repute_genome::{DnaSeq, Strand};
 
 use crate::common::{IndexedReference, Mapping};
+
+/// Version of the `RPST` stream [`ReferenceSet::write_to`] writes: 2 put
+/// the record table under the checksum of the index behind it.
+const SET_VERSION: u16 = 2;
 
 /// A mapping resolved against a named record of a [`ReferenceSet`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,14 +152,16 @@ impl ReferenceSet {
 
 impl ReferenceSet {
     /// Serialises the set: record table plus the shared index
-    /// ([`IndexedReference::write_to`]).
+    /// ([`IndexedReference::write_to`]), the table under the index's
+    /// first trailer.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `out` (a `&mut` writer is accepted).
-    pub fn write_to<W: std::io::Write>(&self, mut out: W) -> std::io::Result<()> {
+    pub fn write_to<W: std::io::Write>(&self, out: W) -> std::io::Result<()> {
+        let mut out = Hashed::new(out);
         out.write_all(b"RPST")?;
-        out.write_all(&1u16.to_le_bytes())?;
+        out.write_all(&SET_VERSION.to_le_bytes())?;
         out.write_all(&(self.records.len() as u32).to_le_bytes())?;
         for (name, len) in &self.records {
             let bytes = name.as_bytes();
@@ -162,7 +169,7 @@ impl ReferenceSet {
             out.write_all(bytes)?;
             out.write_all(&(*len as u64).to_le_bytes())?;
         }
-        self.indexed.write_to(&mut out)
+        self.indexed.write_covered(out)
     }
 
     /// Deserialises a set written by [`ReferenceSet::write_to`].
@@ -170,15 +177,17 @@ impl ReferenceSet {
     /// # Errors
     ///
     /// Returns [`std::io::ErrorKind::InvalidData`] on a bad magic,
-    /// version, or payload mismatch, and propagates I/O errors.
-    pub fn read_from<R: std::io::Read>(mut input: R) -> std::io::Result<ReferenceSet> {
+    /// version, checksum or payload mismatch, and propagates I/O errors.
+    pub fn read_from<R: std::io::Read>(input: R) -> std::io::Result<ReferenceSet> {
+        let mut input = Hashed::new(input);
         let head = read_run(&mut input, 10)?;
         let mut r = Reader::new(&head);
         if r.bytes(4)? != b"RPST" {
             return Err(WireError::Invalid("not a reference-set stream (bad magic)").into());
         }
-        if r.u16()? != 1 {
-            return Err(WireError::Invalid("unsupported reference-set format version").into());
+        let version = r.u16()?;
+        if version != SET_VERSION {
+            return Err(stale_index("reference-set stream", version, SET_VERSION));
         }
         let count = r.u32()?;
         if count == 0 {
@@ -203,7 +212,7 @@ impl ReferenceSet {
             records.push((name, len as usize));
         }
         offsets.push(cursor);
-        let indexed = IndexedReference::read_from(&mut input)?;
+        let indexed = IndexedReference::read_covered(input)?;
         if indexed.len() != cursor as usize {
             return Err(
                 WireError::Invalid("record table does not match the indexed sequence").into(),

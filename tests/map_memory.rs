@@ -172,7 +172,7 @@ fn index_loads_in_place_and_map_memory_does_not_grow_with_reads() {
     // error, and memory for what arrived, not for what was claimed.
     let rows = u64::from(u32::MAX);
     let mut forged = b"RPFM".to_vec();
-    forged.extend_from_slice(&2u16.to_le_bytes());
+    forged.extend_from_slice(&3u16.to_le_bytes());
     forged.extend_from_slice(&8u32.to_le_bytes());
     for field in [rows - 1, rows, 0, 0] {
         forged.extend_from_slice(&field.to_le_bytes());

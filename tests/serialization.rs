@@ -43,7 +43,7 @@ fn damaged_fm_streams_are_typed_errors() {
     let mut good = Vec::new();
     fm.write_to(&mut good).expect("write");
     assert!(FmIndex::read_from(good.as_slice()).is_ok());
-    // The trailing FNV-64 covers every byte, so no single flipped bit
+    // The trailing checksum covers every byte, so no single flipped bit
     // can yield an index at all, let alone one that answers differently.
     for cut in 0..good.len() {
         let err = FmIndex::read_from(&good[..cut]).expect_err("truncated stream");

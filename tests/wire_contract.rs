@@ -12,7 +12,12 @@
 //! count (PR 21): decoded frame by frame beside the parent's, the
 //! journals differ in simulated-clock values (`sim_clock`, `arrival_s`,
 //! `at_s`, `completion_s`, one deadline) and nothing else. The table is
-//! derived on load, so the `index/*` pins did not move.
+//! derived on load, so the `index/*` pins did not move. The three
+//! `index/*` pins were regenerated once, for index format v3 (a trailer
+//! over `RPST` + `RPIX` + packed reference, the `RPFM` trailer moved from
+//! byte-serial FNV-1a to `wire::WordHash`, the cache fingerprint too):
+//! each file's `RPFM` payload, from behind its version to its trailer,
+//! is byte-identical to the one before.
 //!
 //! **Corpus.** Every truncation and every single-bit flip of a small
 //! valid instance of each format goes through its decoder, which must
@@ -32,6 +37,7 @@ use repute_core::journal::{crc32, manifest_path, BatchRecord, Fnv64, RunFingerpr
 use repute_genome::fasta::{read_fasta, write_fasta, AmbiguityPolicy, FastaRecord};
 use repute_genome::fastq::{read_fastq, write_fastq, FastqRecord};
 use repute_genome::synth::{random_sequence, ReferenceBuilder, RepeatFamily};
+use repute_genome::wire::word_hash;
 use repute_genome::{DnaSeq, Strand};
 use repute_hetsim::{profiles, FaultPlan};
 use repute_mappers::multiref::ReferenceSet;
@@ -375,24 +381,22 @@ fn serve_journal_index_and_cache_bytes_are_pinned() {
     assert_eq!(&cache[..4], b"RPXC");
     assert_eq!(cache[12..], index[..], "a cache is a prefix plus the index");
 
-    // The parent commit had two FNV-1a 64 folds and they are not the
-    // same function: the `RPFM` trailer multiplies by the FNV prime
-    // 2^40 + 0x1b3, the `Fnv64` behind every fingerprint and digest by
-    // 2^48 + 0x1b3. Both are frozen in files, so both are pinned.
-    let trailer_at = index.len() - 8;
+    // Two trailers, each the word checksum of the bytes since the last:
+    // `RPST` + `RPIX` + the packed reference, then the `RPFM` stream.
     let fm_at = index
         .windows(4)
         .position(|w| w == b"RPFM")
         .expect("RPFM stream");
-    let standard = index[fm_at..trailer_at]
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
-            (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        });
+    let trailer_at = index.len() - 8;
+    assert_eq!(
+        index[fm_at - 8..fm_at],
+        word_hash(&index[..fm_at - 8]).to_le_bytes(),
+        "the index trailer covers every byte before it"
+    );
     assert_eq!(
         index[trailer_at..],
-        standard.to_le_bytes(),
-        "the RPFM trailer is standard FNV-1a 64 of the stream before it"
+        word_hash(&index[fm_at..trailer_at]).to_le_bytes(),
+        "the RPFM trailer covers the stream before it"
     );
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
 
@@ -415,9 +419,9 @@ const PINNED: &[(&str, u64)] = &[
     ("serve/appended", 0x037ba654b9897644),
     ("serve/compacted", 0xff425151bc4ff68c),
     ("serve/drained", 0x42ce3be889b08004),
-    ("index/rpx", 0xcfc1ab6a4b6bc7a5),
-    ("index/cache", 0xadf92596d6a0ee6b),
-    ("index/rpx-deep", 0x7555d9253bd644a7),
+    ("index/rpx", 0xaa6b3c467b33b04b),
+    ("index/cache", 0xe7d5f9f62adfbdb0),
+    ("index/rpx-deep", 0x76a52470d0e66136),
     ("fnv64/text", 0xe3b599bd23891f47),
 ];
 
@@ -484,15 +488,13 @@ fn assert_typed(what: &str, err: &std::io::Error) {
     );
 }
 
-/// A valid `RPST` → `RPIX` → packed sequence → `RPFM` stream over two
-/// records, with where each unchecksummed field sits. The record table
-/// is written here by hand (with `q` = 4, so that an accepted decode
-/// stays inside the allocation bound too — `ReferenceSet::build` would
-/// pin `q` = 10 and a 4 MiB table).
+/// A valid `RPST` → `RPIX` → packed sequence → trailer → `RPFM` stream
+/// over two records, with where the packed words sit. Everything before
+/// `RPFM` is written here by hand, trailer included (with `q` = 4, so
+/// that an accepted decode stays inside the allocation bound too —
+/// `ReferenceSet::build` would pin `q` = 10 and a 4 MiB table).
 struct IndexStream {
     bytes: Vec<u8>,
-    names: [std::ops::Range<usize>; 2],
-    q_at: usize,
     words: std::ops::Range<usize>,
 }
 
@@ -501,69 +503,46 @@ fn index_stream() -> IndexStream {
     let chr_b = ReferenceBuilder::new(300).seed(1622).build();
     let mut concat = chr_a.clone();
     concat.extend(chr_b.iter());
-    let mut bytes = b"RPST\x01\x00\x02\x00\x00\x00".to_vec();
+    let mut bytes = b"RPST\x02\x00\x02\x00\x00\x00".to_vec();
     for (name, seq) in [("chrA", &chr_a), ("chrB", &chr_b)] {
         bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
         bytes.extend_from_slice(name.as_bytes());
         bytes.extend_from_slice(&(seq.len() as u64).to_le_bytes());
     }
-    let rpix = bytes.len();
-    IndexedReference::build_with_q(concat.clone(), 4)
-        .write_to(&mut bytes)
-        .expect("write");
-    let words = rpix + 18..rpix + 18 + 8 * concat.len().div_ceil(32);
-    assert_eq!(&bytes[rpix..rpix + 4], b"RPIX");
-    assert_eq!(bytes[rpix + 6..rpix + 10], 4u32.to_le_bytes());
-    assert_eq!(&bytes[words.end..words.end + 4], b"RPFM");
+    bytes.extend_from_slice(b"RPIX\x02\x00\x04\x00\x00\x00");
+    concat.write_packed(&mut bytes).expect("write");
+    let words = bytes.len() - 8 * concat.len().div_ceil(32)..bytes.len();
+    // One trailer over every byte so far.
+    bytes.extend_from_slice(&word_hash(&bytes).to_le_bytes());
+    let indexed = IndexedReference::build_with_q(concat.clone(), 4);
+    indexed.fm().write_to(&mut bytes).expect("write");
+    assert_eq!(&bytes[words.end + 8..words.end + 12], b"RPFM");
 
     // What `ReferenceSet::write_to` writes, byte for byte.
     let set = ReferenceSet::read_from(&bytes[..]).expect("valid stream");
     let mut rewritten = Vec::new();
     set.write_to(&mut rewritten).expect("write");
     assert_eq!(rewritten, bytes);
-    IndexStream {
-        bytes,
-        names: [14..18, 30..34],
-        q_at: rpix + 6,
-        words,
-    }
+    IndexStream { bytes, words }
 }
 
 #[test]
-fn damaged_index_streams_are_typed_errors_or_the_known_unchecksummed_flips() {
+fn every_truncation_and_bit_flip_of_an_index_stream_is_a_typed_error() {
     let stream = index_stream();
+    // Every byte sits under one trailer — the record table, `q` and the
+    // packed reference words under the one before `RPFM`, the FM-index
+    // under its own — so nothing damaged decodes.
     let mut accepted = Vec::new();
     for m in mutations(&stream.bytes) {
         let result = probe(&m.what, m.bytes.len(), || {
             ReferenceSet::read_from(&m.bytes[..])
         });
-        match (result, m.bit) {
-            (Ok(_), Some(bit)) => accepted.push((m.at, bit)),
-            (Ok(_), None) => panic!("{}: a truncated stream decoded", m.what),
-            (Err(e), _) => assert_typed(&m.what, &e),
+        match result {
+            Ok(_) => accepted.push(m.what),
+            Err(e) => assert_typed(&m.what, &e),
         }
     }
-
-    // The open gap (ROADMAP item 1): the record names, `q` and the
-    // packed reference words carry no checksum, so exactly these flips
-    // decode — the last group into a reference that disagrees with its
-    // own FM-Index. Everything else in the file is refused.
-    let mut expected = Vec::new();
-    for name in &stream.names {
-        // An ASCII byte stays valid UTF-8 unless its top bit is set.
-        expected.extend(name.clone().flat_map(|at| (0..7).map(move |bit| (at, bit))));
-    }
-    // q = 4 may become 5 or 6; 0 and anything above 11 is refused.
-    expected.extend([(stream.q_at, 0), (stream.q_at, 1)]);
-    expected.extend(
-        stream
-            .words
-            .clone()
-            .flat_map(|at| (0..8).map(move |bit| (at, bit))),
-    );
-    accepted.sort_unstable();
-    expected.sort_unstable();
-    assert_eq!(accepted, expected, "the set of accepted bit flips moved");
+    assert_eq!(accepted, Vec::<String>::new(), "damaged streams decoded");
 }
 
 #[test]
@@ -623,6 +602,40 @@ fn forged_lengths_in_index_streams_are_refused_before_allocating() {
 }
 
 #[test]
+fn old_index_versions_are_refused_naming_repute_index() {
+    let fixture = IndexFixture::new("old-versions");
+    let index = fixture.index("ref.rpx");
+    let rpix_at = index.windows(4).position(|w| w == b"RPIX").expect("RPIX");
+    let fm_at = index.windows(4).position(|w| w == b"RPFM").expect("RPFM");
+    // The last version of each stream before every byte had a checksum.
+    for (stream, at, old) in [
+        ("RPST", 4, 1u16),
+        ("RPIX", rpix_at + 4, 1),
+        ("RPFM", fm_at + 4, 2),
+    ] {
+        let mut bytes = index.clone();
+        bytes[at..at + 2].copy_from_slice(&old.to_le_bytes());
+        let err = ReferenceSet::read_from(&bytes[..]).expect_err(stream);
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{stream}: {err}"
+        );
+        let message = err.to_string();
+        assert!(
+            message.contains(&format!("version {old} is not supported"))
+                && message.contains("repute index"),
+            "{stream}: {message}"
+        );
+        std::fs::write(fixture.dir.path("old.rpx"), &bytes).expect("write");
+        let err = fixture
+            .map(&format!("--index {}", fixture.path("old.rpx")), "old.sam")
+            .expect_err(stream);
+        assert_eq!(err.exit_code(), 3, "{stream}: {err}");
+    }
+}
+
+#[test]
 fn a_bad_index_is_exit_3_and_a_bad_cache_is_a_silent_rebuild() {
     let fixture = IndexFixture::new("cli");
     let index = fixture.index("ref.rpx");
@@ -634,7 +647,7 @@ fn a_bad_index_is_exit_3_and_a_bad_cache_is_a_silent_rebuild() {
     // `--index`: decodes to nonsense (InvalidData) or ends early
     // (UnexpectedEof) — either way bad input, exit 3, not "I/O error".
     let bad_indexes: [(&str, &[u8]); 3] = [
-        ("forged count", b"RPST\x01\x00\xFF\xFF\xFF\xFF"),
+        ("forged count", b"RPST\x02\x00\xFF\xFF\xFF\xFF"),
         ("cut short", &index[..index.len() / 2]),
         ("not an index", b"@HD\tVN:1.6\n"),
     ];
@@ -682,7 +695,7 @@ fn a_bad_index_is_exit_3_and_a_bad_cache_is_a_silent_rebuild() {
         .collect();
     let forged: Vec<u8> = cache[..12]
         .iter()
-        .chain(b"RPST\x01\x00\xFF\xFF\xFF\xFF")
+        .chain(b"RPST\x02\x00\xFF\xFF\xFF\xFF")
         .copied()
         .collect();
     for (what, bytes) in [
