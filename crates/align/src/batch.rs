@@ -4,10 +4,13 @@
 //! single serial dependency chain: each column's `pv`/`mv` update waits
 //! on the previous column's. A read's candidate windows, however, are
 //! completely independent of each other, so this module advances
-//! [`LANES`] of them in lockstep inside one loop body — four independent
-//! dependency chains that a superscalar core can overlap, the software
-//! analogue of the work-item batching the paper's OpenCL kernels get
-//! from the GPU for free.
+//! [`LANES`] of them in lockstep — the software analogue of the
+//! work-item batching the paper's OpenCL kernels get from the GPU for
+//! free. The blocked kernel's block step is written lane-wise over
+//! fixed-size arrays (`advance_lanes`), so each statement is one
+//! operation on every lane's `u64` and compiles to packed SSE2 / NEON
+//! instructions, two lanes per instruction, with no `unsafe` and no
+//! target-specific code.
 //!
 //! Layout follows the structure-of-arrays discipline throughout:
 //!
@@ -35,36 +38,49 @@ use crate::verify::{ReadMasks, Verification, VerifyCost};
 const WORD: usize = 64;
 
 /// Number of candidate windows a batch kernel pass advances in lockstep.
-pub const LANES: usize = 4;
+pub const LANES: usize = 8;
 
 /// Sentinel distance meaning "no end position within budget found yet";
 /// real scores never exceed the read length, far below this.
 const NO_HIT: u32 = u32::MAX;
 
-/// Branchless [`crate::block::advance_block`]: bit-identical outputs,
-/// with the horizontal deltas folded in arithmetically instead of via
-/// data-dependent branches. The scalar kernel's `hin`/top-bit branches
-/// follow the window content, so on the batch kernels' mix of accepting
-/// and rejecting windows they mispredict constantly; here every delta is
-/// a mask-and-or. Equality holds because `ph & mh == 0` (the `pv`/`mv`
-/// disjointness invariant makes the two top-bit cases exclusive) and
-/// `hin ∈ {−1, 0, +1}` makes the two low-bit injections exclusive.
-#[inline]
-fn advance_block_branchless(pv: &mut u64, mv: &mut u64, eq: u64, hin: i32) -> (i32, u64, u64) {
-    debug_assert!((-1..=1).contains(&hin), "hin out of range");
-    let hin_neg = ((hin >> 31) & 1) as u64; // 1 iff hin < 0
-    let hin_pos = ((-hin >> 31) & 1) as u64; // 1 iff hin > 0
-    let eq = eq | hin_neg;
-    let xv = eq | *mv;
-    let xh = (((eq & *pv).wrapping_add(*pv)) ^ *pv) | eq;
-    let ph = *mv | !(xh | *pv);
-    let mh = *pv & xh;
-    let hout = ((ph >> (WORD - 1)) & 1) as i32 - ((mh >> (WORD - 1)) & 1) as i32;
-    let ph_shift = (ph << 1) | hin_pos;
-    let mh_shift = (mh << 1) | hin_neg;
-    *pv = mh_shift | !(xv | ph_shift);
-    *mv = ph_shift & xv;
-    (hout, ph, mh)
+/// One column step of one block for every lane: Hyyrö's
+/// [`crate::block::advance_block`], statement by statement across a
+/// fixed-size array of lanes, so that each statement is one operation on
+/// `L` independent `u64` words — the shape the compiler turns into packed
+/// SSE2 / NEON instructions.
+///
+/// The horizontal delta entering and leaving the block is carried as two
+/// one-bit words, `hp` for +1 and `hn` for −1 (never both, since
+/// `ph & mh == 0`), which fold into the recurrence as plain ors instead
+/// of data-dependent branches. On return they hold the delta leaving the
+/// block bottom; the pre-shift `(ph, mh)` vectors are returned for the
+/// score step of the last active block.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // every statement is one op over the lanes
+fn advance_lanes<const L: usize>(
+    pv: &mut [u64; L],
+    mv: &mut [u64; L],
+    eq: &[u64; L],
+    hp: &mut [u64; L],
+    hn: &mut [u64; L],
+) -> ([u64; L], [u64; L]) {
+    let mut ph = [0u64; L];
+    let mut mh = [0u64; L];
+    for l in 0..L {
+        let eq = eq[l] | hn[l];
+        let xv = eq | mv[l];
+        let xh = (((eq & pv[l]).wrapping_add(pv[l])) ^ pv[l]) | eq;
+        ph[l] = mv[l] | !(xh | pv[l]);
+        mh[l] = pv[l] & xh;
+        let ph_shift = (ph[l] << 1) | hp[l];
+        let mh_shift = (mh[l] << 1) | hn[l];
+        pv[l] = mh_shift | !(xv | ph_shift);
+        mv[l] = ph_shift & xv;
+        hp[l] = ph[l] >> (WORD - 1);
+        hn[l] = mh[l] >> (WORD - 1);
+    }
+    (ph, mh)
 }
 
 /// A structure-of-arrays buffer of candidate locations for one read.
@@ -175,104 +191,137 @@ impl BatchVerifier {
             "lane count {} outside 1..={LANES}",
             windows.len()
         );
-        match masks {
-            ReadMasks::Short(m) => short_lanes(m, windows, max_distance, out),
-            ReadMasks::Blocked(m) => {
-                blocked_lanes(&mut self.pv, &mut self.mv, m, windows, max_distance, out);
-            }
+        // One const-lane-count instantiation per lane count, so the
+        // per-lane loops fully unroll and the lane state lives in
+        // registers.
+        macro_rules! lanes {
+            ($($w:ident),+) => {{
+                let windows = &[$($w),+];
+                match masks {
+                    ReadMasks::Short(m) => short_lanes(m, windows, max_distance, out),
+                    ReadMasks::Blocked(m) => {
+                        blocked_lanes(&mut self.pv, &mut self.mv, m, windows, max_distance, out)
+                    }
+                }
+            }};
+        }
+        match *windows {
+            [a] => lanes!(a),
+            [a, b] => lanes!(a, b),
+            [a, b, c] => lanes!(a, b, c),
+            [a, b, c, d] => lanes!(a, b, c, d),
+            [a, b, c, d, e] => lanes!(a, b, c, d, e),
+            [a, b, c, d, e, f] => lanes!(a, b, c, d, e, f),
+            [a, b, c, d, e, f, g] => lanes!(a, b, c, d, e, f, g),
+            [a, b, c, d, e, f, g, h] => lanes!(a, b, c, d, e, f, g, h),
+            _ => unreachable!("verify_lanes admits 1..={LANES} windows"),
         }
     }
+}
+
+/// The bottom row's score step at the end of DP column `j` (`ph`/`mh`
+/// the last block's pre-shift delta vectors, `last_mask` its bottom
+/// row), and the leftmost best end within budget so far. `ph & mh == 0`
+/// keeps the two cases exclusive, exactly as the scalar if/else chain.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn score_step(
+    score: &mut u32,
+    best_d: &mut u32,
+    best_e: &mut usize,
+    ph: u64,
+    mh: u64,
+    last_mask: u64,
+    max_distance: u32,
+    j: usize,
+) {
+    *score = score
+        .wrapping_add(u32::from(ph & last_mask != 0))
+        .wrapping_sub(u32::from(mh & last_mask != 0));
+    if *score <= max_distance && *score < *best_d {
+        *best_d = *score;
+        *best_e = j + 1;
+    }
+}
+
+/// One lane's `(hit, cost)`, as [`crate::verify_with`] reports it.
+fn lane_result(
+    best_d: u32,
+    best_e: usize,
+    word_updates: u64,
+) -> (Option<Verification>, VerifyCost) {
+    let hit = (best_d != NO_HIT).then_some(Verification {
+        distance: best_d,
+        end: best_e,
+    });
+    (hit, VerifyCost { word_updates })
 }
 
 /// Multi-lane single-word kernel: the [`crate::myers::search`] recurrence
-/// with the per-lane state held in fixed arrays. Unused lanes idle on
-/// zeroed state and are never emitted.
+/// with the lanes' words in fixed arrays. A pattern of one word is a
+/// pattern of one block with no carry entering it, so each column step
+/// is one [`advance_lanes`] with `hp = hn = 0`; each lane's tail takes
+/// the rest of its columns alone.
 #[allow(clippy::needless_range_loop)] // lanes and columns advance in lockstep
-fn short_lanes(
+fn short_lanes<const L: usize>(
     masks: &PatternMasks,
-    windows: &[&[u8]],
+    windows: &[&[u8]; L],
     max_distance: u32,
     out: &mut Vec<(Option<Verification>, VerifyCost)>,
 ) {
-    let lanes = windows.len();
     let m = masks.len();
-    let high = 1u64 << (m - 1);
+    let last_mask = 1u64 << (m - 1);
     let peq = masks.peq();
-    let mut pv = [!0u64; LANES];
-    let mut mv = [0u64; LANES];
-    let mut score = [m as u32; LANES];
-    let mut best_d = [NO_HIT; LANES];
-    let mut best_e = [0usize; LANES];
-    if (m as u32) <= max_distance {
-        best_d = [m as u32; LANES];
-    }
+    let mut pv = [!0u64; L];
+    let mut mv = [0u64; L];
+    let mut score = [m as u32; L];
+    let mut best_d = [if m as u32 <= max_distance {
+        m as u32
+    } else {
+        NO_HIT
+    }; L];
+    let mut best_e = [0usize; L];
     let min_len = windows.iter().map(|w| w.len()).min().unwrap_or(0);
-    macro_rules! step {
-        ($l:expr, $j:expr) => {{
-            let l = $l;
-            let c = windows[l][$j];
-            debug_assert!(c <= 3, "base code out of range");
-            let eq = peq[(c & 3) as usize];
-            let xv = eq | mv[l];
-            let xh = (((eq & pv[l]).wrapping_add(pv[l])) ^ pv[l]) | eq;
-            let ph = mv[l] | !(xh | pv[l]);
-            let mh = pv[l] & xh;
-            score[l] = score[l]
-                .wrapping_add(u32::from(ph & high != 0))
-                .wrapping_sub(u32::from(mh & high != 0));
-            let ph = ph << 1;
-            let mh = mh << 1;
-            pv[l] = mh | !(xv | ph);
-            mv[l] = ph & xv;
-            if score[l] <= max_distance && score[l] < best_d[l] {
-                best_d[l] = score[l];
-                best_e[l] = $j + 1;
-            }
-        }};
-    }
-    // Lockstep over the shared prefix: four independent chains per body.
     for j in 0..min_len {
-        for l in 0..lanes {
-            step!(l, j);
+        let mut eq = [0u64; L];
+        for l in 0..L {
+            let c = windows[l][j];
+            debug_assert!(c <= 3, "base code out of range");
+            eq[l] = peq[(c & 3) as usize];
+        }
+        let (ph, mh) = advance_lanes(&mut pv, &mut mv, &eq, &mut [0; L], &mut [0; L]);
+        for l in 0..L {
+            score_step(
+                &mut score[l],
+                &mut best_d[l],
+                &mut best_e[l],
+                ph[l],
+                mh[l],
+                last_mask,
+                max_distance,
+                j,
+            );
         }
     }
-    // Per-lane scalar tails for the remaining columns.
-    for l in 0..lanes {
+    for l in 0..L {
+        let (mut pv, mut mv) = ([pv[l]], [mv[l]]);
         for j in min_len..windows[l].len() {
-            step!(l, j);
+            let c = windows[l][j];
+            debug_assert!(c <= 3, "base code out of range");
+            let eq = [peq[(c & 3) as usize]];
+            let (ph, mh) = advance_lanes(&mut pv, &mut mv, &eq, &mut [0], &mut [0]);
+            score_step(
+                &mut score[l],
+                &mut best_d[l],
+                &mut best_e[l],
+                ph[0],
+                mh[0],
+                last_mask,
+                max_distance,
+                j,
+            );
         }
-    }
-    for l in 0..lanes {
-        let hit = (best_d[l] != NO_HIT).then_some(Verification {
-            distance: best_d[l],
-            end: best_e[l],
-        });
-        let cost = VerifyCost {
-            word_updates: windows[l].len() as u64,
-        };
-        out.push((hit, cost));
-    }
-}
-
-/// Dispatches the blocked kernel to a const-lane-count instantiation so
-/// the per-lane loops fully unroll and the lane state lives in
-/// registers. `verify_lanes` guarantees 1..=[`LANES`] windows.
-fn blocked_lanes(
-    pv_arena: &mut WordArena,
-    mv_arena: &mut WordArena,
-    masks: &BlockMasks,
-    windows: &[&[u8]],
-    max_distance: u32,
-    out: &mut Vec<(Option<Verification>, VerifyCost)>,
-) {
-    match *windows {
-        [a] => blocked_lanes_n::<1>(pv_arena, mv_arena, masks, &[a], max_distance, out),
-        [a, b] => blocked_lanes_n::<2>(pv_arena, mv_arena, masks, &[a, b], max_distance, out),
-        [a, b, c] => blocked_lanes_n::<3>(pv_arena, mv_arena, masks, &[a, b, c], max_distance, out),
-        [a, b, c, d] => {
-            blocked_lanes_n::<4>(pv_arena, mv_arena, masks, &[a, b, c, d], max_distance, out);
-        }
-        _ => unreachable!("verify_lanes admits 1..={LANES} windows"),
+        out.push(lane_result(best_d[l], best_e[l], windows[l].len() as u64));
     }
 }
 
@@ -280,10 +329,11 @@ fn blocked_lanes(
 /// recurrence over lane-interleaved slabs (`slab[b * L + l]` is block
 /// `b` of lane `l`). The band width `active` is shared by all lanes
 /// over the lockstep prefix (it depends only on the column index and
-/// `max_distance`); each lane's tail continues the band formula alone
-/// on its strided slab words.
+/// `max_distance`), so each block step there is one [`advance_lanes`]
+/// over all `L` lanes; each lane's tail continues the band formula alone
+/// on its strided slab words, one lane at a time.
 #[allow(clippy::needless_range_loop)] // lanes, blocks and columns advance in lockstep
-fn blocked_lanes_n<const L: usize>(
+fn blocked_lanes<const L: usize>(
     pv_arena: &mut WordArena,
     mv_arena: &mut WordArena,
     masks: &BlockMasks,
@@ -307,6 +357,41 @@ fn blocked_lanes_n<const L: usize>(
     if (m as u32) <= max_distance {
         best_d = [m as u32; L];
     }
+    // The end of column `j` for lane `l`: charge the band, then either
+    // the score step of the bottom row (last block active) or the border
+    // step of the last active block's bottom row (`hp`/`hn` its carry).
+    macro_rules! end_column {
+        ($l:expr, $j:expr, $active:expr, $ph:expr, $mh:expr, $hp:expr, $hn:expr) => {{
+            let l = $l;
+            updates[l] += $active as u64;
+            if $active == blocks {
+                score_step(
+                    &mut score[l],
+                    &mut best_d[l],
+                    &mut best_e[l],
+                    $ph,
+                    $mh,
+                    last_mask,
+                    max_distance,
+                    $j,
+                );
+            } else {
+                border[l] = border[l].wrapping_add($hp as u32).wrapping_sub($hn as u32);
+            }
+        }};
+    }
+    // Growing lane `l`'s band to `active` blocks: the new last block's
+    // bottom row starts from its virgin `+1` per row.
+    macro_rules! grow {
+        ($l:expr, $active:expr) => {{
+            let l = $l;
+            if $active == blocks {
+                score[l] = border[l] + (m - ($active - 1) * WORD) as u32;
+            } else {
+                border[l] += WORD as u32;
+            }
+        }};
+    }
     let min_len = windows.iter().map(|w| w.len()).min().unwrap_or(0);
     // Lockstep over the shared prefix.
     for j in 0..min_len {
@@ -314,11 +399,7 @@ fn blocked_lanes_n<const L: usize>(
         while active < needed {
             active += 1;
             for l in 0..L {
-                if active == blocks {
-                    score[l] = border[l] + (m - (active - 1) * WORD) as u32;
-                } else {
-                    border[l] += WORD as u32;
-                }
+                grow!(l, active);
             }
         }
         // Hoist each lane's eq row once per column: one slice borrow per
@@ -329,46 +410,26 @@ fn blocked_lanes_n<const L: usize>(
             debug_assert!(c <= 3, "base code out of range");
             eqs[l] = &peq[(c & 3) as usize][..active];
         }
-        let mut hin = [0i32; L];
-        let mut last_ph = [0u64; L];
-        let mut last_mh = [0u64; L];
-        // All blocks but the last, then the last one peeled so only it
-        // pays for capturing the bottom-row delta vectors.
-        for b in 0..active - 1 {
-            let row = b * L;
+        let mut hp = [0u64; L];
+        let mut hn = [0u64; L];
+        let mut ph = [0u64; L];
+        let mut mh = [0u64; L];
+        for b in 0..active {
+            let words = b * L..(b + 1) * L;
+            let mut pvb = [0u64; L];
+            let mut mvb = [0u64; L];
+            pvb.copy_from_slice(&pv[words.clone()]);
+            mvb.copy_from_slice(&mv[words.clone()]);
+            let mut eq = [0u64; L];
             for l in 0..L {
-                let (hout, _, _) =
-                    advance_block_branchless(&mut pv[row + l], &mut mv[row + l], eqs[l][b], hin[l]);
-                hin[l] = hout;
+                eq[l] = eqs[l][b];
             }
-        }
-        let row = (active - 1) * L;
-        for l in 0..L {
-            let (hout, ph, mh) = advance_block_branchless(
-                &mut pv[row + l],
-                &mut mv[row + l],
-                eqs[l][active - 1],
-                hin[l],
-            );
-            hin[l] = hout;
-            last_ph[l] = ph;
-            last_mh[l] = mh;
+            (ph, mh) = advance_lanes(&mut pvb, &mut mvb, &eq, &mut hp, &mut hn);
+            pv[words.clone()].copy_from_slice(&pvb);
+            mv[words].copy_from_slice(&mvb);
         }
         for l in 0..L {
-            updates[l] += active as u64;
-            if active == blocks {
-                // Branchless score step; `ph & mh == 0` keeps the two
-                // cases exclusive, exactly as the scalar if/else chain.
-                score[l] = score[l]
-                    .wrapping_add(u32::from(last_ph[l] & last_mask != 0))
-                    .wrapping_sub(u32::from(last_mh[l] & last_mask != 0));
-                if score[l] <= max_distance && score[l] < best_d[l] {
-                    best_d[l] = score[l];
-                    best_e[l] = j + 1;
-                }
-            } else {
-                border[l] = border[l].wrapping_add_signed(hin[l]);
-            }
+            end_column!(l, j, active, ph[l], mh[l], hp[l], hn[l]);
         }
     }
     // Per-lane tails: each lane keeps advancing its own slab stripe,
@@ -379,46 +440,26 @@ fn blocked_lanes_n<const L: usize>(
             let needed = band_blocks(blocks, k, j + 1);
             while lane_active < needed {
                 lane_active += 1;
-                if lane_active == blocks {
-                    score[l] = border[l] + (m - (lane_active - 1) * WORD) as u32;
-                } else {
-                    border[l] += WORD as u32;
-                }
+                grow!(l, lane_active);
             }
             let c = windows[l][j];
             debug_assert!(c <= 3, "base code out of range");
             let eq_row = &peq[(c & 3) as usize][..lane_active];
-            let mut hin = 0i32;
-            for (b, &eq) in eq_row[..lane_active - 1].iter().enumerate() {
+            let mut hp = [0u64];
+            let mut hn = [0u64];
+            let mut ph = [0u64];
+            let mut mh = [0u64];
+            for (b, &eq) in eq_row.iter().enumerate() {
                 let idx = b * L + l;
-                let (hout, _, _) = advance_block_branchless(&mut pv[idx], &mut mv[idx], eq, hin);
-                hin = hout;
+                let mut pvb = [pv[idx]];
+                let mut mvb = [mv[idx]];
+                (ph, mh) = advance_lanes(&mut pvb, &mut mvb, &[eq], &mut hp, &mut hn);
+                [pv[idx]] = pvb;
+                [mv[idx]] = mvb;
             }
-            let idx = (lane_active - 1) * L + l;
-            let (hout, last_ph, last_mh) =
-                advance_block_branchless(&mut pv[idx], &mut mv[idx], eq_row[lane_active - 1], hin);
-            let hin = hout;
-            updates[l] += lane_active as u64;
-            if lane_active == blocks {
-                score[l] = score[l]
-                    .wrapping_add(u32::from(last_ph & last_mask != 0))
-                    .wrapping_sub(u32::from(last_mh & last_mask != 0));
-                if score[l] <= max_distance && score[l] < best_d[l] {
-                    best_d[l] = score[l];
-                    best_e[l] = j + 1;
-                }
-            } else {
-                border[l] = border[l].wrapping_add_signed(hin);
-            }
+            end_column!(l, j, lane_active, ph[0], mh[0], hp[0], hn[0]);
         }
-        let hit = (best_d[l] != NO_HIT).then_some(Verification {
-            distance: best_d[l],
-            end: best_e[l],
-        });
-        let cost = VerifyCost {
-            word_updates: updates[l],
-        };
-        out.push((hit, cost));
+        out.push(lane_result(best_d[l], best_e[l], updates[l]));
     }
 }
 
@@ -470,6 +511,50 @@ mod tests {
                     for (l, w) in refs.iter().enumerate() {
                         let expected = verify_with(&masks, w, k, &mut scratch);
                         assert_eq!(got[l], expected, "m={m} lanes={lanes} k={k} lane={l}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unequal_window_lengths_run_their_tails_exactly() {
+        // One call's windows end at different columns, so every lane but
+        // the shortest finishes in its own tail; the lengths straddle the
+        // band's growth points (columns 59 and 123 for m = 150, k = 5)
+        // and the tails must grow the band on their own.
+        let mut rng = StdRng::seed_from_u64(73);
+        let lengths = [0usize, 10, 58, 60, 124, 131, 160, 200];
+        let mut verifier = BatchVerifier::new();
+        let mut scratch = VerifyScratch::new();
+        for m in [40usize, 100, 150] {
+            let read = random_seq(&mut rng, m);
+            let masks = ReadMasks::new(&read);
+            for lanes in 1..=LANES {
+                for reversed in [false, true] {
+                    let windows: Vec<Vec<u8>> = (0..lanes)
+                        .map(|l| {
+                            let len =
+                                lengths[if reversed { lanes - 1 - l } else { l } % lengths.len()];
+                            let mut w = random_seq(&mut rng, len);
+                            // Plant the read, lightly mutated, where it fits.
+                            if len >= m + 2 {
+                                w[2..2 + m].copy_from_slice(&read);
+                                w[2 + m / 2] = (w[2 + m / 2] + 1) % 4;
+                            }
+                            w
+                        })
+                        .collect();
+                    let refs: Vec<&[u8]> = windows.iter().map(|w| w.as_slice()).collect();
+                    let mut got = Vec::new();
+                    verifier.verify_lanes(&masks, &refs, 5, &mut got);
+                    assert_eq!(got.len(), lanes);
+                    for (l, w) in refs.iter().enumerate() {
+                        assert_eq!(
+                            got[l],
+                            verify_with(&masks, w, 5, &mut scratch),
+                            "m={m} lanes={lanes} reversed={reversed} lane={l}"
+                        );
                     }
                 }
             }
@@ -536,6 +621,6 @@ mod tests {
         let masks = ReadMasks::new(&read);
         let w: &[u8] = &[0, 1, 2];
         let mut out = Vec::new();
-        BatchVerifier::new().verify_lanes(&masks, &[w; 5], 1, &mut out);
+        BatchVerifier::new().verify_lanes(&masks, &[w; LANES + 1], 1, &mut out);
     }
 }

@@ -1,6 +1,7 @@
 //! Fixed regression corpus for the batch SWAR kernels: candidate counts
-//! 1–7 chunked the way the verification engine chunks them (full
-//! [`LANES`]-wide groups, then the 1–3 lane remainder), for both the
+//! 1 to `2 × LANES + 1` chunked the way the verification engine chunks
+//! them (full [`LANES`]-wide groups, then every remainder from 1 to
+//! `LANES − 1` lanes), for both the
 //! single-word and the blocked kernel, differentially against the
 //! scalar oracle. Deterministic by construction — no RNG — so any
 //! divergence bisects cleanly.
@@ -53,11 +54,11 @@ fn lane_remainders_1_through_7_match_scalar() {
     for (at, m) in [(64usize, 48usize), (256, 100), (512, 150)] {
         let r = read(&reference, at, m);
         let masks = ReadMasks::new(&r);
-        for total in 1usize..=7 {
+        for total in 1usize..=2 * LANES + 1 {
             let windows: Vec<Vec<u8>> = (0..total).map(|c| window(&reference, at, m, c)).collect();
             let mut got: Vec<(Option<Verification>, VerifyCost)> = Vec::new();
             // Chunk exactly like the engine: LANES at a time, remainder
-            // last (total=7 → 4+3, total=5 → 4+1, ...).
+            // last (with 8 lanes, total=17 → 8+8+1, total=13 → 8+5, ...).
             for chunk in windows.chunks(LANES) {
                 let refs: Vec<&[u8]> = chunk.iter().map(|w| w.as_slice()).collect();
                 verifier.verify_lanes(&masks, &refs, 5, &mut got);

@@ -40,6 +40,34 @@ struct Column {
     capped: bool,
 }
 
+/// One column's filled intervals, borrowed from a [`FreqTable`]: slot
+/// `i` is the seed of length `s_min + i` ending at the column's end.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnView<'t> {
+    filled: &'t [Interval],
+    capped: bool,
+}
+
+impl ColumnView<'_> {
+    /// FM interval of the column's seed of length `s_min + extra`, `None`
+    /// when it does not occur; past a capped column's depth, the deepest
+    /// entry's (see [`FreqTable::interval`]).
+    #[inline]
+    pub(crate) fn interval(&self, extra: usize) -> Option<Interval> {
+        match self.filled.get(extra) {
+            Some(&iv) => Some(iv),
+            None if self.capped => self.filled.last().copied(),
+            None => None,
+        }
+    }
+
+    /// Occurrence count of the column's seed of length `s_min + extra`.
+    #[inline]
+    pub(crate) fn count(&self, extra: usize) -> u32 {
+        self.interval(extra).map_or(0, Interval::width)
+    }
+}
+
 /// A column still being extended by [`FreqTable::build`].
 struct Live {
     /// The column's seeds end here.
@@ -227,12 +255,20 @@ impl FreqTable {
             len >= s_min,
             "seed length {len} below the table's minimum {s_min}"
         );
-        let column = &self.columns[end - s_min];
-        let filled = &self.entries[column.first as usize..][..column.len as usize];
-        match filled.get(len - s_min) {
-            Some(&iv) => Some(iv),
-            None if column.capped => filled.last().copied(),
-            None => None,
+        self.column(end).interval(len - s_min)
+    }
+
+    /// The column of seeds ending at `end`, for callers that read many
+    /// seeds of one column (the DP's inner loop over dividers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end` is below `s_min` or above the read length.
+    pub(crate) fn column(&self, end: usize) -> ColumnView<'_> {
+        let column = &self.columns[end - self.s_min()];
+        ColumnView {
+            filled: &self.entries[column.first as usize..][..column.len as usize],
+            capped: column.capped,
         }
     }
 

@@ -350,6 +350,8 @@ impl OssSolver {
             for pl in lo..=hi {
                 let mut best = COST_CAP;
                 let mut best_d = 0usize;
+                // Every new seed `[d .. pl]` ends at `pl`: one column.
+                let column = table.column(pl);
                 // Divider d splits prefix pl into [.. d] (t seeds) and
                 // [d .. pl] (the new seed, ≥ s_min long), scanned from the
                 // longest first section down.
@@ -363,7 +365,9 @@ impl OssSolver {
                     if left >= best {
                         continue; // cannot improve: the new seed costs ≥ 0
                     }
-                    let cost = left.saturating_add(table.count(d, pl)).min(COST_CAP);
+                    let cost = left
+                        .saturating_add(column.count(pl - d - s_min))
+                        .min(COST_CAP);
                     if cost < best {
                         best = cost;
                         best_d = d;
