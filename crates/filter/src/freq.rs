@@ -11,6 +11,13 @@
 //! bases after them are extended one by one. Columns stop as soon as the
 //! interval empties: every longer seed ending at `p` then has exactly
 //! zero occurrences, no further index work needed.
+//!
+//! Neighbouring columns share their tails. The seeds `read[d..p]` and
+//! `read[d..p + 1]` start at the same base, and extending either to
+//! `d - 1` depends on nothing but its interval and `read[d - 1]`, so once
+//! the two intervals are equal every longer seed of column `p + 1` has
+//! exactly column `p`'s interval: the column stops ranking and copies the
+//! rest.
 
 use repute_index::{FmIndex, Interval};
 
@@ -38,6 +45,9 @@ struct Column {
     /// entry approximates them.
     len: u32,
     capped: bool,
+    /// The column's last ranked slot equals its left neighbour's slot for
+    /// the same start; the slots after it are copies of the neighbour's.
+    shares: bool,
 }
 
 /// One column's filled intervals, borrowed from a [`FreqTable`]: slot
@@ -102,6 +112,39 @@ pub struct FreqTable {
     read_len: usize,
     params: OssParams,
     extend_ops: u64,
+    ranked_ops: u64,
+}
+
+/// The longest seed the table keeps for the column ending at `end`, or
+/// `None` when the DP never probes it.
+fn column_depth(params: &OssParams, end: usize, read_len: usize) -> Option<usize> {
+    let cap = params.s_min() + MAX_EXTRA;
+    params
+        .max_seed_len_at(end, read_len)
+        .map(|depth| depth.min(cap))
+}
+
+/// The interval a finished round left in `columns[slot]` for the seed
+/// `s_min + extra` long, `None` if none was settled there. A sharing
+/// column's slots past its last ranked one are its neighbour's, one
+/// base shorter, and are not filled in yet: they are read through it.
+fn settled(
+    columns: &[Column],
+    entries: &[Interval],
+    mut slot: usize,
+    mut extra: usize,
+) -> Option<Interval> {
+    loop {
+        let column = columns[slot];
+        if extra < column.len as usize {
+            return Some(entries[column.first as usize + extra]);
+        }
+        if !column.shares {
+            return None;
+        }
+        slot -= 1;
+        extra -= 1;
+    }
 }
 
 impl FreqTable {
@@ -119,9 +162,16 @@ impl FreqTable {
     /// k-mers: the column then starts at the full interval), and from
     /// there all of them advance in lockstep, one base a round. The index
     /// reads of a round are independent of each other and overlap in the
-    /// pipeline; each column still takes exactly the lookup and the
-    /// extensions it would take alone, and [`FreqTable::extend_ops`]
-    /// counts a lookup as one extension.
+    /// pipeline. A column whose interval at some start equals its left
+    /// neighbour's for the same start leaves the round: from there on its
+    /// intervals are the neighbour's, one slot on (the module docs), and
+    /// they are copied once every round is done, in end order so that
+    /// chains of sharing columns resolve. The neighbour always reaches far
+    /// enough: [`OssParams::max_seed_len_at`] grows by at most one base
+    /// from one column to the next. Every interval is the one the column
+    /// would have found alone; [`FreqTable::ranked_ops`] counts the index
+    /// operations actually made, [`FreqTable::extend_ops`] the ones the
+    /// columns would have made alone.
     ///
     /// # Panics
     ///
@@ -143,8 +193,7 @@ impl FreqTable {
         for end in s_min..=n {
             // A dead column is never probed and keeps no slots; a live
             // one can reach at least `s_min`.
-            if let Some(depth_limit) = params.max_seed_len_at(end, n) {
-                let depth = depth_limit.min(s_min + MAX_EXTRA);
+            if let Some(depth) = column_depth(params, end, n) {
                 columns[end - s_min].first = slots as u32;
                 slots += depth + 1 - s_min;
                 let (interval, covered) = fm.search_start(&read[end - s_min..end]);
@@ -157,32 +206,73 @@ impl FreqTable {
             }
         }
         let mut entries = vec![fm.full_interval(); slots];
-        let mut extend_ops = if len > 0 { live.len() as u64 } else { 0 };
+        let mut ranked_ops = if len > 0 { live.len() as u64 } else { 0 };
         // A round settles every live column at length `len` and extends
         // the ones that go on by one base. A column is dropped when its
         // interval empties; from `s_min` on its intervals are recorded,
         // and it keeps extending while occurrences remain and its depth
         // bound is not reached, capped when it reaches the bound alive
-        // short of the read's start.
+        // short of the read's start. A column whose interval equals its
+        // left neighbour's for the same start stops too: the rest of its
+        // intervals are the neighbour's, one slot on, filled in below.
         while !live.is_empty() {
             live.retain_mut(|col| {
                 if col.interval.is_empty() {
                     return false;
                 }
-                let column = &mut columns[col.end - s_min];
+                let slot = col.end - s_min;
                 if len >= s_min {
+                    let column = &mut columns[slot];
                     entries[(column.first + column.len) as usize] = col.interval;
                     column.len += 1;
                 }
-                column.capped = len == col.depth && col.end > len;
                 if len == col.depth {
+                    columns[slot].capped = col.end > len;
+                    return false;
+                }
+                // The neighbour's seed from the same start is one base
+                // shorter, and was settled a round ago.
+                if len > s_min
+                    && slot > 0
+                    && settled(&columns, &entries, slot - 1, len - 1 - s_min) == Some(col.interval)
+                {
+                    columns[slot].shares = true;
                     return false;
                 }
                 col.interval = fm.extend_left(col.interval, read[col.end - len - 1]);
                 true
             });
-            extend_ops += live.len() as u64;
+            ranked_ops += live.len() as u64;
             len += 1;
+        }
+        // In end order, so a neighbour's own shared tail is in place
+        // before it is copied.
+        let mut extend_ops = ranked_ops;
+        for slot in 1..columns.len() {
+            let Column {
+                first, len, shares, ..
+            } = columns[slot];
+            if !shares {
+                continue;
+            }
+            let end = slot + s_min;
+            let left = columns[slot - 1];
+            let depth = column_depth(params, end, n).expect("a sharing column is live");
+            debug_assert!(column_depth(params, end - 1, n).is_some_and(|d| d + 1 >= depth));
+            // The last ranked slot `len - 1` matched the neighbour's slot
+            // `len - 2`; the rest follow it until either column's end.
+            let from = (left.first + len - 1) as usize;
+            let to = left.first as usize + (left.len as usize).min(depth - s_min);
+            entries.copy_within(from..to, (first + len) as usize);
+            let filled = len + (to - from) as u32;
+            let longest = s_min + filled as usize - 1;
+            let column = &mut columns[slot];
+            column.len = filled;
+            column.capped = longest == depth && end > depth;
+            // Alone, the column would have extended to its depth, or one
+            // base past its longest seed to find the interval empty.
+            let stepped = if longest == depth { depth } else { longest + 1 };
+            extend_ops += (stepped - (s_min + len as usize - 1)) as u64;
         }
         FreqTable {
             columns,
@@ -190,6 +280,7 @@ impl FreqTable {
             read_len: n,
             params: *params,
             extend_ops,
+            ranked_ops,
         }
     }
 
@@ -209,9 +300,22 @@ impl FreqTable {
         self.read_len
     }
 
-    /// FM-Index extension operations spent building the table.
+    /// FM-Index operations the table's columns take when each is built
+    /// alone: per live column one k-mer lookup (when `s_min` covers the
+    /// index's k-mers) and one `extend_left` per further base, up to the
+    /// extension that empties its interval or to its depth. This is the
+    /// work the per-read metrics and the simulated device are charged
+    /// for; a sharing column counts the extensions its copied tail stands
+    /// for.
     pub fn extend_ops(&self) -> u64 {
         self.extend_ops
+    }
+
+    /// FM-Index operations [`FreqTable::build`] actually performed:
+    /// lookups plus `extend_left` calls. At most
+    /// [`FreqTable::extend_ops`]; the difference is the shared tails.
+    pub fn ranked_ops(&self) -> u64 {
+        self.ranked_ops
     }
 
     /// Records the table's index work into a per-read metric record. The
