@@ -6,7 +6,8 @@
 //! `render_stats_strict` output held verbatim. (b) The FNV-64 of
 //! `ServeCore::telemetry_bytes()` and of the per-job file set for one
 //! fixed daemon scenario. (c) The FNV-64 of a `--platform system1`
-//! `--metrics-out` file with the host wall clock zeroed.
+//! `--metrics-out` file with the host wall clock zeroed, and (d) of a
+//! faulted, dynamic, two-thread run's `--trace-out` and `--metrics-out`.
 //! `tests/executor_contract.rs` already hashes `to_json_line` and
 //! `write_json_lines`; together these are the byte oracle for the
 //! telemetry schema in `repute-obs`.
@@ -316,12 +317,89 @@ fn simulated_run_metrics_file_is_pinned() {
     let text = std::fs::read_to_string(dir.join("m.jsonl")).expect("written");
     std::fs::remove_dir_all(&dir).ok();
 
-    // The host wall clock is the only thing in the file that differs
-    // between two runs: the `run` record's `wall_seconds` and the host
-    // stages (the paths without a `/`; `map/*` rows are simulated). The
-    // commit this was generated at also wrote a third host stage,
-    // `simulate` — the second mapping pass the one run path no longer
-    // makes — which is left out of the digest.
+    let (digest, kinds) = metrics_digest(&text);
+    assert_eq!(
+        kinds,
+        [
+            "read", "run", "stage", "latency", "device", "event", "device", "event", "device",
+            "event", "energy"
+        ],
+    );
+    assert_eq!(
+        digest, 0x1ce2_c979_6466_07fd,
+        "--platform --metrics-out bytes changed: 0x{digest:016x}"
+    );
+}
+
+/// A second simulated run, on the paths the first leaves out: the
+/// dynamic schedule, two host threads, a fault plan whose events fire (a
+/// device retried, a device lost from the start, its batches migrated)
+/// and `--trace-out`. Its trace bytes and its `--metrics-out` file with
+/// the host wall clock zeroed are pinned.
+#[test]
+fn faulted_dynamic_run_trace_and_metrics_are_pinned() {
+    let dir = std::env::temp_dir().join(format!(
+        "repute-stats-contract-faulted-{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let dir_s = dir.to_string_lossy().into_owned();
+    run_simulate(&SimulateOptions {
+        out_dir: dir_s.clone(),
+        length: 60_000,
+        reads: 40,
+        read_len: 100,
+        seed: 59,
+        profile: "err012100".into(),
+    })
+    .expect("dataset");
+    let opts = parse_map_args(
+        format!(
+            "--reference {dir_s}/reference.fa --reads {dir_s}/reads.fq --delta 5 \
+             --platform system1 --schedule dynamic --host-threads 2 \
+             --fault-plan transient:d1@0x2,loss:d2@0 --max-retries 3 \
+             --output {dir_s}/out.sam --trace-out {dir_s}/t.json --metrics-out {dir_s}/m.jsonl"
+        )
+        .split_whitespace()
+        .map(String::from),
+    )
+    .expect("valid flags");
+    run_map(&opts).expect("maps");
+    let trace = std::fs::read(dir.join("t.json")).expect("trace written");
+    let text = std::fs::read_to_string(dir.join("m.jsonl")).expect("metrics written");
+    std::fs::remove_dir_all(&dir).ok();
+
+    // The plan's events fired: a retried launch, a lost device, a batch
+    // migrated off it.
+    let trace_text = String::from_utf8_lossy(&trace);
+    for needle in ["\"cat\":\"retry\"", "\"cat\":\"fault\"", "migrated from d2"] {
+        assert!(trace_text.contains(needle), "missing {needle}");
+    }
+    let mut h = Fnv64::new();
+    h.write(&trace);
+    assert_eq!(
+        h.finish(),
+        0xde8a_353a_bcb0_58ef,
+        "--trace-out bytes changed: 0x{:016x}",
+        h.finish()
+    );
+    let (digest, _) = metrics_digest(&text);
+    assert_eq!(
+        digest, 0x768e_15dc_497c_e8c6,
+        "faulted --metrics-out bytes changed: 0x{digest:016x}"
+    );
+}
+
+/// The FNV-64 of a `--metrics-out` file with the host wall clock zeroed,
+/// and its record kinds in file order, a run of one kind listed once.
+///
+/// The host wall clock is the only thing in the file that differs
+/// between two runs: the `run` record's `wall_seconds` and the host
+/// stages (the paths without a `/`; `map/*` rows are simulated). The
+/// commit the first pin was generated at also wrote a third host stage,
+/// `simulate` — the second mapping pass the one run path no longer
+/// makes — which is left out of the digest.
+fn metrics_digest(text: &str) -> (u64, Vec<&str>) {
     let mut h = Fnv64::new();
     let mut kinds = Vec::new();
     for line in text.lines() {
@@ -341,17 +419,5 @@ fn simulated_run_metrics_file_is_pinned() {
         h.write(line.as_bytes());
         h.write(b"\n");
     }
-    assert_eq!(
-        kinds,
-        [
-            "read", "run", "stage", "latency", "device", "event", "device", "event", "device",
-            "event", "energy"
-        ],
-    );
-    assert_eq!(
-        h.finish(),
-        0x1ce2_c979_6466_07fd,
-        "--platform --metrics-out bytes changed: 0x{:016x}",
-        h.finish()
-    );
+    (h.finish(), kinds)
 }
