@@ -187,10 +187,9 @@ MAP OPTIONS:
                              simulation: static (fixed per-device shares)
                              | dynamic (devices greedily pull batches)
                              [default: static]
-    --host-threads <n>       cap the executor's host threads (1 = the
-                             sequential host of earlier releases), with
-                             --platform; the plain path is
-                             single-threaded [default: automatic]
+    --host-threads <n>       cap the host threads that map reads (1 =
+                             the sequential host of earlier releases)
+                             [default: automatic]
     --fault-plan <spec>      inject faults into the platform simulation
                              (requires --platform); comma-separated
                              events: loss:d<dev>@<t> |

@@ -1,12 +1,14 @@
 //! `repute map`: options, the flags it shares with `repute serve`, and
-//! the run itself — one path from reads to SAM and report, mapped read
-//! by read or, under `--platform`, by the simulated executor.
+//! the run itself — one streamed loop from reads to SAM and report,
+//! mapping a chunk of reads at a time on the host threads and, under
+//! `--platform`, pricing the run on the simulated devices at the end.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
+use repute_core::executor::execute_batches;
 use repute_core::journal::Fnv64;
 use repute_core::{
     write_atomic, AtomicFile, Executor, MappingRun, ReputeConfig, ReputeError, ReputeMapper,
@@ -126,33 +128,39 @@ impl MapOptions {
     ///
     /// Returns the [`ParseArgsError`] the equivalent flags would get.
     pub fn validate(&self) -> Result<(), ParseArgsError> {
-        if self.checkpoint.is_none() {
-            return Ok(());
-        }
-        if self.platform.is_none() {
-            return Err(ParseArgsError::new(
-                "--checkpoint requires --platform (the journal is batch-granular \
-                 over the simulated schedule)",
-            ));
-        }
-        if self.cigar {
-            return Err(ParseArgsError::new(
-                "--cigar is incompatible with --checkpoint (CIGAR traceback is \
-                 per-read, the journal is per-batch)",
-            ));
-        }
-        if self
-            .fault_plan
-            .as_ref()
-            .is_some_and(FaultPlan::has_device_events)
+        let crash = self.fault_plan.as_ref().and_then(FaultPlan::host_crash_at);
+        let broken = if self.fault_plan.is_some() && self.platform.is_none() {
+            "--fault-plan requires --platform (faults live in the simulation)"
+        } else if self.trace_out.is_some() && self.platform.is_none() {
+            "--trace-out requires --platform (spans live on the simulated timeline)"
+        } else if self.checkpoint.is_some() && self.platform.is_none() {
+            "--checkpoint requires --platform (the journal is batch-granular \
+             over the simulated schedule)"
+        } else if self.checkpoint.is_some() && self.cigar {
+            "--cigar is incompatible with --checkpoint (CIGAR traceback is \
+             per-read, the journal is per-batch)"
+        } else if self.checkpoint.is_some()
+            && self
+                .fault_plan
+                .as_ref()
+                .is_some_and(FaultPlan::has_device_events)
         {
-            return Err(ParseArgsError::new(
-                "checkpointed runs accept crash:@<t> fault events only \
-                 (device faults would make the journaled timeline \
-                 irreproducible)",
-            ));
-        }
-        Ok(())
+            "checkpointed runs accept crash:@<t> fault events only \
+             (device faults would make the journaled timeline \
+             irreproducible)"
+        } else if self.resume && self.checkpoint.is_none() {
+            "--resume requires --checkpoint"
+        } else if crash.is_some() && self.checkpoint.is_none() {
+            "crash:@<t> events require --checkpoint (only a journaled \
+             run can survive a host crash)"
+        } else if self.cigar && self.mapper != MapperChoice::Repute {
+            "--cigar requires the repute mapper"
+        } else if self.prefilter != PrefilterMode::None && self.mapper != MapperChoice::Repute {
+            "--prefilter requires the repute mapper"
+        } else {
+            return Ok(());
+        };
+        Err(ParseArgsError::new(broken))
     }
 }
 
@@ -271,35 +279,7 @@ pub fn parse_map_args<I: IntoIterator<Item = String>>(
     }
     let (fault_plan, reference_rules) = shared.finish(&cur);
     opts.fault_plan = fault_plan;
-    if opts.fault_plan.is_some() && opts.platform.is_none() {
-        return Err(ParseArgsError::new(
-            "--fault-plan requires --platform (faults live in the simulation)",
-        ));
-    }
-    if opts.trace_out.is_some() && opts.platform.is_none() {
-        return Err(ParseArgsError::new(
-            "--trace-out requires --platform (spans live on the simulated timeline)",
-        ));
-    }
     opts.validate()?;
-    if opts.resume && opts.checkpoint.is_none() {
-        return Err(ParseArgsError::new("--resume requires --checkpoint"));
-    }
-    let crash = opts.fault_plan.as_ref().and_then(FaultPlan::host_crash_at);
-    if crash.is_some() && opts.checkpoint.is_none() {
-        return Err(ParseArgsError::new(
-            "crash:@<t> events require --checkpoint (only a journaled \
-             run can survive a host crash)",
-        ));
-    }
-    if opts.cigar && opts.mapper != MapperChoice::Repute {
-        return Err(ParseArgsError::new("--cigar requires the repute mapper"));
-    }
-    if opts.prefilter != PrefilterMode::None && opts.mapper != MapperChoice::Repute {
-        return Err(ParseArgsError::new(
-            "--prefilter requires the repute mapper",
-        ));
-    }
     reference_rules?;
     if !cur.saw("--reads") {
         return Err(ParseArgsError::new("--reads is required"));
@@ -445,17 +425,28 @@ impl<'a> Emitter<'a> {
     }
 }
 
-/// Runs `repute map`: load, map, SAM, report — one path, whose only
-/// branch is how the reads get mapped. Without `--platform` the FASTQ
-/// streams through the mapper read by read, and each read's SAM rows and
-/// `--metrics-out` record are written as it is mapped: memory does not
-/// grow with the read count. With one, the whole read set goes through
-/// one [`Executor`] (journaled under `--checkpoint`), which maps every
-/// read once and prices the run on the simulated devices, and the SAM is
-/// written from its outputs; a run that fails there has written no SAM.
-/// A file output goes to `<output>.tmp` and is renamed into place when
-/// the run succeeds (removed when it fails), so an interrupted run never
-/// leaves a torn output file behind; stdout gets the rows as they come.
+/// Reads per pass of the mapping loop: enough to keep the host threads
+/// busy, few enough that a chunk's reads and outputs stay a small part of
+/// the run's memory.
+const CHUNK_READS: usize = 64;
+
+/// Runs `repute map`: load, map, SAM, report. Without `--checkpoint`
+/// every run is one streamed loop (`map_stream`): the FASTQ is read a
+/// chunk at a time, each chunk is mapped on the host threads, and each
+/// read's SAM rows and `--metrics-out` record are written in read order
+/// as its chunk is done, so memory does not grow with the read count.
+/// Under `--platform` the loop also keeps each read's work count and
+/// metrics record, and the run is priced on the simulated devices once
+/// the stream ends. The errors that depend only on the options (an
+/// unknown platform or fault-plan device, an output slot larger than a
+/// device's quarter-RAM cap) fail before the first read is mapped; a run
+/// that loses every device fails after the stream, when the rows on
+/// stdout are already written. With `--checkpoint` the whole read set
+/// goes through one journaled [`Executor`] run, and the SAM is written
+/// from its outputs once it has succeeded. A file output goes to
+/// `<output>.tmp` and is renamed into place when the run succeeds
+/// (removed when it fails), so a failed or interrupted run never leaves
+/// a torn output file behind.
 ///
 /// Returns `(reads_mapped, mappings_reported)`.
 ///
@@ -475,13 +466,10 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
         opts.index.as_deref(),
         opts.index_cache.as_deref(),
     )?;
-    // A simulated run plans its batches over the whole read set.
-    let simulated = match platform {
-        Some(platform) => {
-            let (ids, reads) = load_reads(&opts.reads)?;
-            Some((platform, ids, reads))
-        }
-        None => None,
+    // A journaled run plans its batches over the whole read set.
+    let journaled = match (&platform, &opts.checkpoint) {
+        (Some(_), Some(journal)) => Some((journal, load_reads(&opts.reads)?)),
+        _ => None,
     };
     timer.stop();
     let config = build_config(opts)?;
@@ -491,39 +479,20 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
     let mapper: &dyn Mapper = baseline.as_deref().unwrap_or(&repute);
 
     timer.start("map");
-    let (emitter, mut report) = match &simulated {
-        None => {
-            let reads_path = Path::new(&opts.reads);
-            let reads_file =
-                File::open(reads_path).map_err(|e| ReputeError::io_at(reads_path, e))?;
-            let mut emitter = Emitter::open(opts, &set, &repute)?;
-            for record in FastqReader::new(BufReader::new(reads_file)) {
-                let record = record?;
-                let mut read_metrics = MapMetrics::new();
-                let mappings = mapper
-                    .map_read_metered(&record.seq, &mut read_metrics)
-                    .mappings;
-                emitter.read(&record.id, &record.seq, &mappings, &read_metrics)?;
-            }
-            let report = RunReport {
-                reads: emitter.reads,
-                totals: emitter.totals,
-                ..RunReport::default()
-            };
-            (emitter, report)
-        }
-        Some((platform, ids, reads)) => {
+    let (emitter, mut report) = match (&platform, journaled) {
+        (Some(platform), Some((journal, (ids, reads)))) => {
             let (run, metrics, resumed_batches) =
-                map_on_platform(opts, platform, &set, mapper, ids, reads)?;
+                map_journaled(opts, platform, &set, mapper, journal, &ids, &reads)?;
             let mut emitter = Emitter::open(opts, &set, &repute)?;
             // The executor returns outputs in read order.
-            for (((id, seq), mapped), m) in ids.iter().zip(reads).zip(&run.outputs).zip(&metrics) {
+            for (((id, seq), mapped), m) in ids.iter().zip(&reads).zip(&run.outputs).zip(&metrics) {
                 emitter.read(id, seq, &mapped.mappings, m)?;
             }
             let mut report = run.report(platform, &metrics);
             report.resumed_batches = resumed_batches;
             (emitter, report)
         }
+        (platform, _) => map_stream(opts, &set, &repute, mapper, platform.as_ref())?,
     };
     let Emitter {
         sam,
@@ -557,6 +526,85 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
         eprint!("{}", summary.render());
     }
     Ok((stats.mapped_reads, stats.total_mappings))
+}
+
+/// The one mapping loop: reads the FASTQ [`CHUNK_READS`] records at a
+/// time, maps each chunk on the host threads ([`execute_batches`]) and
+/// emits its reads in order. Under `--platform` it keeps each read's
+/// work count and [`MapMetrics`] and nothing else, and prices the run
+/// once the stream ends. A malformed record ends the stream with its
+/// error once the reads before it are emitted.
+fn map_stream<'a>(
+    opts: &'a MapOptions,
+    set: &'a ReferenceSet,
+    repute: &'a ReputeMapper,
+    mapper: &dyn Mapper,
+    platform: Option<&repute_hetsim::Platform>,
+) -> Result<(Emitter<'a>, RunReport), ReputeError> {
+    if let Some(platform) = platform {
+        executor(opts, platform, 0).preflight(&mapper, platform)?;
+    }
+    let reads_path = Path::new(&opts.reads);
+    let reads_file = File::open(reads_path).map_err(|e| ReputeError::io_at(reads_path, e))?;
+    let mut records = FastqReader::new(BufReader::new(reads_file));
+    let mut emitter = Emitter::open(opts, set, repute)?;
+    let (mut ids, mut seqs) = (Vec::new(), Vec::new());
+    let (mut outputs, mut metrics) = (Vec::new(), Vec::new());
+    let (mut work, mut per_read, mut max_read_len) = (Vec::new(), Vec::new(), 0);
+    loop {
+        ids.clear();
+        seqs.clear();
+        let mut ended = None;
+        while ended.is_none() && seqs.len() < CHUNK_READS {
+            match records.next() {
+                Some(Ok(record)) => {
+                    ids.push(record.id);
+                    seqs.push(record.seq);
+                }
+                Some(Err(e)) => ended = Some(Err(e)),
+                None => ended = Some(Ok(())),
+            }
+        }
+        outputs.clear();
+        metrics.clear();
+        execute_batches(
+            &mapper,
+            &seqs,
+            opts.host_threads,
+            &mut outputs,
+            &mut metrics,
+        );
+        for (((id, seq), mapped), m) in ids.iter().zip(&seqs).zip(&outputs).zip(&metrics) {
+            emitter.read(id, seq, &mapped.mappings, m)?;
+        }
+        if platform.is_some() {
+            work.extend(outputs.iter().map(|o| o.work));
+            per_read.extend_from_slice(&metrics);
+            max_read_len = seqs.iter().map(DnaSeq::len).fold(max_read_len, usize::max);
+        }
+        if let Some(ended) = ended {
+            ended?;
+            break;
+        }
+    }
+    let report = match platform {
+        None => RunReport {
+            reads: emitter.reads,
+            totals: emitter.totals,
+            ..RunReport::default()
+        },
+        Some(platform) => {
+            let run = executor(opts, platform, work.len()).price(
+                &mapper,
+                platform,
+                &work,
+                max_read_len,
+            )?;
+            announce_priced(opts, platform, &run)?;
+            run.report(platform, &per_read)
+        }
+    };
+    Ok((emitter, report))
 }
 
 /// The per-read line of `--verbose`.
@@ -616,57 +664,75 @@ fn run_fingerprint(
     Ok(RunFingerprint::new(cfg.finish(), wl.finish()))
 }
 
-/// Maps `reads` through the heterogeneous platform simulator and prints
-/// the §III-D style time/energy summary. The schedule, host-thread cap
-/// and retry budget go from `opts` onto the [`Executor`]; output is
-/// identical across schedules and — whenever at least one device
-/// survives — fault plans, only the simulated timeline differs. Under `--checkpoint` the
-/// executor commits every finished batch to the journal and replays the
-/// ones a previous, interrupted run committed; the run it returns is
-/// bit-identical to an uninterrupted one.
-///
-/// Returns the run, its per-read records, and the number of batches
-/// replayed from the journal.
-fn map_on_platform(
-    opts: &MapOptions,
-    platform: &repute_hetsim::Platform,
-    set: &ReferenceSet,
-    mapper: &dyn Mapper,
-    ids: &[String],
-    reads: &[DnaSeq],
-) -> Result<(MappingRun, Vec<MapMetrics>, u64), ReputeError> {
-    let executor = Executor {
+/// The executor `opts` configure for a run of `reads` reads on
+/// `platform`: the schedule, host-thread cap, fault plan, retry budget
+/// and tracing.
+fn executor(opts: &MapOptions, platform: &repute_hetsim::Platform, reads: usize) -> Executor {
+    Executor {
         host_threads: opts.host_threads,
         faults: opts.fault_plan.clone().unwrap_or_default(),
         max_retries: opts.max_retries,
         tracing: opts.trace_out.is_some(),
-        ..Executor::new(Schedule::for_mode(opts.schedule, platform, reads.len()))
-    };
-    let (run, metrics, resumed) = match &opts.checkpoint {
-        None => {
-            let (run, metrics) = executor.run(&mapper, platform, reads)?;
-            (run, metrics, None)
-        }
-        Some(journal) => {
-            let fingerprint = run_fingerprint(opts, set, ids, reads)?;
-            let journal_path = Path::new(journal);
-            if journal_path.exists() && !opts.resume {
-                return Err(ReputeError::Config(format!(
-                    "checkpoint journal {journal:?} already exists; pass --resume to \
-                     continue it, or delete it to start over"
-                )));
-            }
-            if !journal_path.exists() && opts.resume {
-                return Err(ReputeError::Config(format!(
-                    "cannot resume: checkpoint journal {journal:?} does not exist"
-                )));
-            }
-            let outcome =
-                executor.run_journaled(&mapper, platform, reads, journal_path, fingerprint)?;
-            let resumed = (outcome.resumed_batches, outcome.total_batches);
-            (outcome.run, outcome.metrics, Some(resumed))
-        }
-    };
+        ..Executor::new(Schedule::for_mode(opts.schedule, platform, reads))
+    }
+}
+
+/// Maps `reads` through one journaled [`Executor`] run: every finished
+/// batch is committed to the checkpoint `journal`, and the ones a
+/// previous, interrupted run committed are replayed; the run it returns
+/// is bit-identical to an uninterrupted one.
+///
+/// Returns the run, its per-read records, and the number of batches
+/// replayed from the journal.
+fn map_journaled(
+    opts: &MapOptions,
+    platform: &repute_hetsim::Platform,
+    set: &ReferenceSet,
+    mapper: &dyn Mapper,
+    journal: &str,
+    ids: &[String],
+    reads: &[DnaSeq],
+) -> Result<(MappingRun, Vec<MapMetrics>, u64), ReputeError> {
+    let fingerprint = run_fingerprint(opts, set, ids, reads)?;
+    let journal_path = Path::new(journal);
+    if journal_path.exists() && !opts.resume {
+        return Err(ReputeError::Config(format!(
+            "checkpoint journal {journal:?} already exists; pass --resume to \
+             continue it, or delete it to start over"
+        )));
+    }
+    if !journal_path.exists() && opts.resume {
+        return Err(ReputeError::Config(format!(
+            "cannot resume: checkpoint journal {journal:?} does not exist"
+        )));
+    }
+    let outcome = executor(opts, platform, reads.len()).run_journaled(
+        &mapper,
+        platform,
+        reads,
+        journal_path,
+        fingerprint,
+    )?;
+    announce_priced(opts, platform, &outcome.run)?;
+    if outcome.resumed_batches > 0 {
+        eprintln!(
+            "resumed from checkpoint: {}/{} batch(es) replayed from the journal",
+            outcome.resumed_batches, outcome.total_batches
+        );
+    }
+    Ok((outcome.run, outcome.metrics, outcome.resumed_batches as u64))
+}
+
+/// Writes a priced run's `--trace-out` file and prints the §III-D style
+/// time/energy summary, with the fault tally when the plan has device
+/// events. Output is identical across schedules and — whenever at least
+/// one device survives — fault plans; only the simulated timeline
+/// differs.
+fn announce_priced(
+    opts: &MapOptions,
+    platform: &repute_hetsim::Platform,
+    run: &MappingRun,
+) -> Result<(), ReputeError> {
     write_trace_file(opts, platform, &run.trace)?;
     eprintln!(
         "simulated on {} ({} schedule): {:.3} s | {:.1} W avg | {:.3} J above idle",
@@ -676,7 +742,11 @@ fn map_on_platform(
         run.energy.average_power_w,
         run.energy.energy_j
     );
-    if executor.faults.has_device_events() {
+    if opts
+        .fault_plan
+        .as_ref()
+        .is_some_and(FaultPlan::has_device_events)
+    {
         let faults: u64 = run.fault_counters.iter().map(|c| c.faults).sum();
         let retries: u64 = run.fault_counters.iter().map(|c| c.retries).sum();
         let migrated: u64 = run.fault_counters.iter().map(|c| c.migrated_batches).sum();
@@ -685,10 +755,7 @@ fn map_on_platform(
              {migrated} migrated batch(es) (output unaffected)"
         );
     }
-    if let Some((resumed, total)) = resumed.filter(|(resumed, _)| *resumed > 0) {
-        eprintln!("resumed from checkpoint: {resumed}/{total} batch(es) replayed from the journal");
-    }
-    Ok((run, metrics, resumed.map_or(0, |(n, _)| n as u64)))
+    Ok(())
 }
 
 /// Writes a run's spans to `--trace-out` as Chrome trace JSON (atomic
@@ -1355,6 +1422,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A fault plan naming a device the platform lacks fails before a
+    /// read is mapped; one that loses every device fails once the stream
+    /// has ended, with the device-loss class, and leaves no file.
+    #[test]
+    fn losing_every_device_fails_after_the_stream_and_leaves_no_file() {
+        let dir =
+            std::env::temp_dir().join(format!("repute-cli-all-lost-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let dir_s = dir.to_string_lossy().into_owned();
+        run_simulate(&SimulateOptions {
+            out_dir: dir_s.clone(),
+            length: 30_000,
+            reads: 70,
+            read_len: 100,
+            seed: 61,
+            profile: "err012100".into(),
+        })
+        .unwrap();
+        for (plan, code) in [("loss:d5@0", 2), ("loss:d0@0,loss:d1@0,loss:d2@0", 7)] {
+            let opts = parse_map_args(args(&format!(
+                "--reference {dir_s}/reference.fa --reads {dir_s}/reads.fq --platform system1 \
+                 --fault-plan {plan} --output {dir_s}/out.sam --metrics-out {dir_s}/m.jsonl"
+            )))
+            .unwrap();
+            let err = run_map(&opts).unwrap_err();
+            assert_eq!(err.exit_code(), code, "{plan}: {err}");
+            for name in ["out.sam", "out.sam.tmp", "m.jsonl", "m.jsonl.tmp"] {
+                assert!(!dir.join(name).exists(), "{plan}: {name} left behind");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn trace_out_flag_parses_and_requires_platform() {
         let opts = parse_map_args(args(
@@ -1537,6 +1637,51 @@ mod tests {
             ..base.clone()
         };
         let cases = [
+            (
+                "--fault-plan loss:d0@0.1",
+                MapOptions {
+                    fault_plan: Some(FaultPlan::new().loss(0, 0.1)),
+                    ..base.clone()
+                },
+            ),
+            (
+                "--trace-out t.json",
+                MapOptions {
+                    trace_out: Some("t.json".into()),
+                    ..base.clone()
+                },
+            ),
+            (
+                "--resume",
+                MapOptions {
+                    resume: true,
+                    ..base.clone()
+                },
+            ),
+            (
+                "--platform system1 --fault-plan crash:@1",
+                MapOptions {
+                    platform: Some("system1".into()),
+                    fault_plan: Some(FaultPlan::new().host_crash(1.0)),
+                    ..base.clone()
+                },
+            ),
+            (
+                "--mapper coral --cigar",
+                MapOptions {
+                    mapper: MapperChoice::Coral,
+                    cigar: true,
+                    ..base.clone()
+                },
+            ),
+            (
+                "--mapper coral --prefilter both",
+                MapOptions {
+                    mapper: MapperChoice::Coral,
+                    prefilter: PrefilterMode::Both,
+                    ..base.clone()
+                },
+            ),
             (
                 "--checkpoint j.rpj",
                 MapOptions {

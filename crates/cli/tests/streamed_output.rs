@@ -128,3 +128,69 @@ fn stdout_and_output_get_the_same_bytes_and_a_failed_run_leaves_no_file() {
         assert!(!dir.exists(name), "{name} left behind");
     }
 }
+
+/// The `read` records of a `--metrics-out` file, in file order.
+fn read_records(path: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("telemetry written");
+    text.lines()
+        .filter(|line| line.starts_with("{\"type\":\"read\""))
+        .map(String::from)
+        .collect()
+}
+
+#[test]
+fn every_host_thread_count_writes_the_same_bytes_plain_and_priced() {
+    let dir = TempDir::new("host-threads");
+    // More reads than one chunk of the mapping loop, the last chunk short.
+    run_simulate(&SimulateOptions {
+        out_dir: dir.path(""),
+        length: 60_000,
+        reads: 150,
+        read_len: 100,
+        seed: 79,
+        profile: "err012100".into(),
+    })
+    .expect("dataset");
+
+    let mut sams = Vec::new();
+    let mut reads = Vec::new();
+    let mut traces = Vec::new();
+    for threads in ["1", "2", "4"] {
+        for priced in [false, true] {
+            let tag = format!("{threads}{}", if priced { "p" } else { "" });
+            let (sam, trace) = (format!("{tag}.sam"), format!("{tag}.json"));
+            let (sam_path, trace_path) = (dir.path(&sam), dir.path(&trace));
+            let mut extra = vec!["--host-threads", threads, "--output", &sam_path];
+            if priced {
+                extra.extend([
+                    "--platform",
+                    "system1",
+                    "--schedule",
+                    "dynamic",
+                    "--trace-out",
+                    &trace_path,
+                ]);
+            }
+            let run = repute_map(&dir, "reads.fq", &format!("{tag}.jsonl"), &extra);
+            assert!(run.status.success(), "{tag}: {run:?}");
+            sams.push((tag.clone(), std::fs::read(&sam_path).expect("SAM written")));
+            reads.push((
+                tag.clone(),
+                read_records(&dir.path(&format!("{tag}.jsonl"))),
+            ));
+            if priced {
+                traces.push((tag, std::fs::read(&trace_path).expect("trace written")));
+            }
+        }
+    }
+    assert_eq!(reads[0].1.len(), 150);
+    for (tag, sam) in &sams[1..] {
+        assert!(*sam == sams[0].1, "{tag}: SAM differs from {}", sams[0].0);
+    }
+    for (tag, records) in &reads[1..] {
+        assert!(*records == reads[0].1, "{tag}: read records differ");
+    }
+    for (tag, trace) in &traces[1..] {
+        assert!(*trace == traces[0].1, "{tag}: trace differs");
+    }
+}

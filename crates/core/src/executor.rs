@@ -17,6 +17,11 @@
 //!    device has died, to the surviving device that frees earliest (ties
 //!    to the lower index). An empty plan is the fault-free case.
 //!
+//! [`Executor::run`] is stage 2 ([`execute_batches`]) followed by
+//! [`Executor::price`], stages 1 and 3 over the work counts alone, so a
+//! caller that maps its reads a chunk at a time through stage 2 keeps
+//! one `u64` per read and prices the run at the end.
+//!
 //! Placement is sequential arithmetic over the counts of stage 2, so
 //! `simulated_seconds`, timelines, energy and traces are the same for
 //! every host-thread count; and because a batch's results do not depend
@@ -24,6 +29,7 @@
 //! replays some batches from disk and computes the rest equals the run
 //! that computed them all — wall clock aside.
 
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -234,48 +240,72 @@ impl Executor {
 
     /// Maps `reads` with `mapper` on `platform`, returning the run and
     /// the per-read [`MapMetrics`] records (in read order) that
-    /// [`MappingRun::report`] takes.
+    /// [`MappingRun::report`] takes: stage 2 ([`execute_batches`]), then
+    /// [`price`](Executor::price) over the work counts it returns.
     ///
     /// # Errors
     ///
-    /// An invalid-distribution [`LaunchError`] when static shares are
-    /// missing, name an unknown device or do not cover exactly
-    /// `reads.len()` items; when one read's output exceeds a device's
-    /// quarter-RAM cap; when the fault plan names a device the platform
-    /// does not have; or when `subset` is empty, unsorted, repeats a
-    /// device or names an unknown one.
-    /// [`LaunchErrorKind::AllDevicesLost`], naming the unmapped read
-    /// range, when no device survives the plan. An empty read set (with
-    /// or without shares) is a valid, zero-energy run.
+    /// Those of [`price`](Executor::price), raised once the reads are
+    /// mapped. An empty read set (with or without shares) is a valid,
+    /// zero-energy run.
     pub fn run<M: Mapper>(
         &self,
         mapper: &M,
         platform: &Platform,
         reads: &[DnaSeq],
     ) -> Result<(MappingRun, Vec<MapMetrics>), LaunchError> {
-        let Some(subset) = self.subset.as_deref() else {
-            return self.run_on(mapper, platform, &self.faults, reads);
+        let start = Instant::now();
+        let (mut outputs, mut metrics) = (Vec::new(), Vec::new());
+        execute_batches(mapper, reads, self.host_threads, &mut outputs, &mut metrics);
+        let work: Vec<u64> = outputs.iter().map(|o| o.work).collect();
+        let max_read_len = reads.iter().map(DnaSeq::len).max().unwrap_or(0);
+        let mut run = self.price(mapper, platform, &work, max_read_len)?;
+        run.outputs = outputs;
+        run.wall_seconds = start.elapsed().as_secs_f64();
+        Ok((run, metrics))
+    }
+
+    /// Stages 1 and 3 from work counts alone: plans `work.len()` reads
+    /// into batches and places them on `platform`, read `i` costing
+    /// `work[i]` and the kernel's private memory sized for reads of
+    /// `max_read_len` bases. The run it returns has every field but
+    /// [`outputs`](MappingRun::outputs), which stays empty, and its
+    /// `wall_seconds` is the placement's alone. A caller that streams its
+    /// reads through [`execute_batches`] keeps one `u64` per read and
+    /// prices the run once the stream ends.
+    ///
+    /// # Errors
+    ///
+    /// An invalid-distribution [`LaunchError`] when static shares are
+    /// missing, name an unknown device or do not cover exactly
+    /// `work.len()` items; when one read's output exceeds a device's
+    /// quarter-RAM cap; when the fault plan names a device the platform
+    /// does not have; or when `subset` is empty, unsorted, repeats a
+    /// device or names an unknown one.
+    /// [`LaunchErrorKind::AllDevicesLost`], naming the unplaced read
+    /// range, when no device survives the plan.
+    pub fn price<M: Mapper>(
+        &self,
+        mapper: &M,
+        platform: &Platform,
+        work: &[u64],
+        max_read_len: usize,
+    ) -> Result<MappingRun, LaunchError> {
+        let work = Work {
+            per_read: Cow::Borrowed(work),
+            private_bytes: mapper.kernel_private_bytes(max_read_len),
         };
-        let n_dev = platform.devices().len();
-        if subset.is_empty() {
-            return Err(LaunchError::from_message("device subset is empty"));
-        }
-        if !subset.windows(2).all(|w| w[0] < w[1]) {
-            return Err(LaunchError::from_message(format!(
-                "device subset {subset:?} must be strictly ascending"
-            )));
-        }
-        if subset[subset.len() - 1] >= n_dev {
-            return Err(LaunchError::from_message(format!(
-                "device subset {subset:?} names a device out of range ({n_dev} devices)"
-            )));
-        }
+        let bytes_per_read = output_slot_bytes(mapper.max_locations());
+        let Some(subset) = self.subset.as_deref() else {
+            return self.price_on(platform, &self.faults, bytes_per_read, &work);
+        };
+        check_subset(subset, platform.devices().len())?;
         let faults = self.faults.for_subset(subset);
-        if subset.len() == n_dev {
+        if subset.len() == platform.devices().len() {
             // The subset IS the platform: no remapping needed.
-            return self.run_on(mapper, platform, &faults, reads);
+            return self.price_on(platform, &faults, bytes_per_read, &work);
         }
-        let (mut run, metrics) = self.run_on(mapper, &platform.subset(subset), &faults, reads)?;
+        let mut run = self.price_on(&platform.subset(subset), &faults, bytes_per_read, &work)?;
         for dr in &mut run.device_runs {
             dr.device = subset[dr.device];
         }
@@ -297,32 +327,57 @@ impl Executor {
                 span.pid = device_pid(global);
             }
         }
-        Ok((run, metrics))
+        Ok(run)
     }
 
-    /// plan → execute → place → assemble, on exactly `platform` with
-    /// `faults` already in its device indices.
-    fn run_on<M: Mapper>(
+    /// The errors of [`price`](Executor::price) that depend on no read:
+    /// a bad `subset`, a fault plan naming a device the run's platform
+    /// does not have, and a device of it that cannot hold one read's
+    /// output. A caller that streams its reads makes these checks before
+    /// the first; `price` makes them again, the last only for the devices
+    /// a batch lands on.
+    ///
+    /// # Errors
+    ///
+    /// An invalid-distribution [`LaunchError`], as `price` raises it.
+    pub fn preflight<M: Mapper>(&self, mapper: &M, platform: &Platform) -> Result<(), LaunchError> {
+        let bytes_per_read = output_slot_bytes(mapper.max_locations());
+        let smallest = match self.subset.as_deref() {
+            Some(subset) => {
+                check_subset(subset, platform.devices().len())?;
+                check_fault_devices(&self.faults.for_subset(subset), subset.len())?;
+                platform.subset(subset).max_batch_items(bytes_per_read)
+            }
+            None => {
+                check_fault_devices(&self.faults, platform.devices().len())?;
+                platform.max_batch_items(bytes_per_read)
+            }
+        };
+        if smallest == 0 {
+            return Err(too_big(bytes_per_read, "the smallest device"));
+        }
+        Ok(())
+    }
+
+    /// plan → place → assemble, on exactly `platform` with `faults`
+    /// already in its device indices.
+    fn price_on(
         &self,
-        mapper: &M,
         platform: &Platform,
         faults: &FaultPlan,
-        reads: &[DnaSeq],
-    ) -> Result<(MappingRun, Vec<MapMetrics>), LaunchError> {
-        let n_dev = platform.devices().len();
-        if let Some(max_dev) = faults.max_device().filter(|&d| d >= n_dev) {
-            return Err(LaunchError::from_message(format!(
-                "fault plan names device {max_dev} but the platform has only {n_dev} devices"
-            )));
-        }
+        bytes_per_read: usize,
+        work: &Work<'_>,
+    ) -> Result<MappingRun, LaunchError> {
+        check_fault_devices(faults, platform.devices().len())?;
         let start = Instant::now();
-        let bytes_per_read = output_slot_bytes(mapper.max_locations());
-        let batches = plan_batches(&self.schedule, platform, bytes_per_read, reads.len())?;
-        let (mut outputs, mut metrics) = (Vec::new(), Vec::new());
-        execute_batches(mapper, reads, self.host_threads, &mut outputs, &mut metrics);
-        let work = Work::of(mapper, reads, &outputs);
-        let placed = self.place(platform, faults, &batches, &work)?;
-        Ok((assemble(platform, start, outputs, placed), metrics))
+        let batches = plan_batches(
+            &self.schedule,
+            platform,
+            bytes_per_read,
+            work.per_read.len(),
+        )?;
+        let placed = self.place(platform, faults, &batches, work)?;
+        Ok(assemble(platform, start, Vec::new(), placed))
     }
 
     /// [`run`](Executor::run) with batch-granular crash safety: each
@@ -610,6 +665,42 @@ impl Fleet<'_, '_> {
     }
 }
 
+/// A device subset must be non-empty, strictly ascending and within the
+/// platform's `n_dev` devices.
+fn check_subset(subset: &[usize], n_dev: usize) -> Result<(), LaunchError> {
+    if subset.is_empty() {
+        return Err(LaunchError::from_message("device subset is empty"));
+    }
+    if !subset.windows(2).all(|w| w[0] < w[1]) {
+        return Err(LaunchError::from_message(format!(
+            "device subset {subset:?} must be strictly ascending"
+        )));
+    }
+    if subset[subset.len() - 1] >= n_dev {
+        return Err(LaunchError::from_message(format!(
+            "device subset {subset:?} names a device out of range ({n_dev} devices)"
+        )));
+    }
+    Ok(())
+}
+
+/// A fault plan may name only the `n_dev` devices of the run's platform.
+fn check_fault_devices(faults: &FaultPlan, n_dev: usize) -> Result<(), LaunchError> {
+    match faults.max_device().filter(|&d| d >= n_dev) {
+        Some(max_dev) => Err(LaunchError::from_message(format!(
+            "fault plan names device {max_dev} but the platform has only {n_dev} devices"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// The error of a read whose output slot no batch on `device` can hold.
+fn too_big(bytes_per_read: usize, device: &str) -> LaunchError {
+    LaunchError::from_message(format!(
+        "one read's output ({bytes_per_read} bytes) exceeds the quarter-RAM cap of {device}"
+    ))
+}
+
 /// One kernel launch: the contiguous reads `lo..hi` and, under a static
 /// schedule, the device the user's distribution assigned them to (`None`
 /// in dynamic mode — the scheduler places the batch).
@@ -632,11 +723,6 @@ fn plan_batches(
     n_reads: usize,
 ) -> Result<Vec<Batch>, LaunchError> {
     let devices = platform.devices();
-    let too_big = |device: &str| {
-        LaunchError::from_message(format!(
-            "one read's output ({bytes_per_read} bytes) exceeds the quarter-RAM cap of {device}"
-        ))
-    };
     let mut batches = Vec::new();
     let mut cut = |items: usize, max_batch: usize, owner: Option<usize>| {
         let end = batches.last().map_or(0, |b: &Batch| b.hi) + items;
@@ -672,7 +758,7 @@ fn plan_batches(
                 let device = &devices[share.device];
                 let cap = device.max_items(bytes_per_read);
                 if cap == 0 {
-                    return Err(too_big(device.name()));
+                    return Err(too_big(bytes_per_read, device.name()));
                 }
                 cut(share.items, cap, Some(share.device));
             }
@@ -680,7 +766,7 @@ fn plan_batches(
         Schedule::Dynamic { batch } if n_reads > 0 => {
             let cap = platform.max_batch_items(bytes_per_read);
             if cap == 0 {
-                return Err(too_big("the smallest device"));
+                return Err(too_big(bytes_per_read, "the smallest device"));
             }
             let auto = n_reads.div_ceil(DYNAMIC_BATCHES_PER_DEVICE * devices.len());
             let wanted = if *batch == 0 { auto } else { *batch };
@@ -693,9 +779,11 @@ fn plan_batches(
 
 /// Stage 2 — maps every read not already in `outputs` (a journaled run
 /// arrives with the reads of its committed batches filled in), appending
-/// in read order. One job per read, so host threads stay balanced
-/// whatever the batch shape; the batches only matter to stage 3.
-fn execute_batches<M: Mapper>(
+/// in read order, on `host_threads` host threads as
+/// [`Executor::host_threads`] reads it. One job per read, so host threads
+/// stay balanced whatever the batch shape; the batches only matter to
+/// stage 3. Outputs and metrics are the same for every thread count.
+pub fn execute_batches<M: Mapper>(
     mapper: &M,
     reads: &[DnaSeq],
     host_threads: usize,
@@ -720,21 +808,21 @@ fn execute_batches<M: Mapper>(
 /// What stage 3 knows about stage 2: each read's work count and the
 /// kernel's private-memory footprint (which sets GPU occupancy).
 struct Work<'a> {
-    outputs: &'a [MapOutput],
+    per_read: Cow<'a, [u64]>,
     private_bytes: usize,
 }
 
-impl<'a> Work<'a> {
-    fn of<M: Mapper>(mapper: &M, reads: &[DnaSeq], outputs: &'a [MapOutput]) -> Work<'a> {
+impl Work<'_> {
+    fn of<M: Mapper>(mapper: &M, reads: &[DnaSeq], outputs: &[MapOutput]) -> Work<'static> {
         let max_read_len = reads.iter().map(DnaSeq::len).max().unwrap_or(0);
         Work {
-            outputs,
+            per_read: outputs.iter().map(|o| o.work).collect(),
             private_bytes: mapper.kernel_private_bytes(max_read_len),
         }
     }
 
     fn of_batch(&self, b: &Batch) -> u64 {
-        self.outputs[b.lo..b.hi].iter().map(|o| o.work).sum()
+        self.per_read[b.lo..b.hi].iter().sum()
     }
 }
 

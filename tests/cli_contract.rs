@@ -320,8 +320,10 @@ fn defaults_and_usage_text_are_pinned() {
 /// `0xab9c_9b39_8d4c_e7a9`), and `--host-threads` came to say that it
 /// works with `--platform` only (→ `0x1b6c_3936_4b75_633f`). Then by
 /// three flags: `--prefilter-q`, `--prefilter-bin` and
-/// `--checkpoint-every` became constants.
-const USAGE_FNV64: u64 = 0xa479_bbb3_7b68_57b4;
+/// `--checkpoint-every` became constants (→ `0xa479_bbb3_7b68_57b4`).
+/// Then by one sentence again: `--host-threads` came to work on every
+/// run, no longer with `--platform` only.
+const USAGE_FNV64: u64 = 0xa5f8_0a5d_ea27_f485;
 
 /// `(subcommand, "", every projected field of its `Default`)`.
 const DEFAULTS: &[(&str, &str, &str)] = &[

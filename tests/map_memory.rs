@@ -1,6 +1,7 @@
 //! The heap `repute map --index` needs: the index loaded in place, at a
 //! few bytes per base of reference, and nothing that grows with the read
-//! count.
+//! count — but for the work count and metrics record per read that a
+//! `--platform` run keeps to price the run at the end.
 //!
 //! A counting global allocator tracks the bytes live and the most ever
 //! live at once (the same allocator as `tests/index_memory.rs`). The
@@ -17,6 +18,7 @@ use repute_genome::reads::{ErrorProfile, ReadSimulator};
 use repute_genome::synth::ReferenceBuilder;
 use repute_index::FmIndex;
 use repute_mappers::multiref::ReferenceSet;
+use repute_obs::MapMetrics;
 
 struct PeakAlloc;
 
@@ -90,13 +92,15 @@ impl Drop for TempDir {
     }
 }
 
-/// `repute map --index <index> --reads <reads> --output <out>`, with the
-/// most bytes live at once during the run.
-fn map_peak(index: &str, reads: &str, out: &str) -> usize {
+/// `repute map --index <index> --reads <reads> --output <out>`, on
+/// `platform` when one is named, with the most bytes live at once during
+/// the run.
+fn map_peak(index: &str, reads: &str, out: &str, platform: Option<&str>) -> usize {
     let opts = MapOptions {
         index: Some(index.into()),
         reads: reads.into(),
         output: Some(out.into()),
+        platform: platform.map(String::from),
         ..MapOptions::default()
     };
     let (result, peak) = peak_heap_during(|| run_map(&opts));
@@ -140,8 +144,9 @@ fn index_loads_in_place_and_map_memory_does_not_grow_with_reads() {
         per_base(load_peak)
     );
 
-    // The map: the same 50 reads ten times over, then a hundred times.
-    let mut peaks = Vec::new();
+    // The map: the same 50 reads ten times over, then a hundred times,
+    // plain and under `--platform system1`.
+    let (mut peaks, mut platform_peaks) = (Vec::new(), Vec::new());
     for copies in [10, 100] {
         let records: Vec<FastqRecord> = (0..copies)
             .flat_map(|copy| {
@@ -156,8 +161,14 @@ fn index_loads_in_place_and_map_memory_does_not_grow_with_reads() {
         std::fs::write(&reads_path, fastq).expect("reads written");
         drop(records);
         let out = dir.path(&format!("out{copies}.sam"));
-        peaks.push(map_peak(&index, &reads_path, &out));
+        peaks.push(map_peak(&index, &reads_path, &out, None));
         assert!(!Path::new(&format!("{out}.tmp")).exists());
+        let priced = dir.path(&format!("priced{copies}.sam"));
+        platform_peaks.push(map_peak(&index, &reads_path, &priced, Some("system1")));
+        assert_eq!(
+            std::fs::read(&out).expect("plain SAM"),
+            std::fs::read(&priced).expect("priced SAM")
+        );
     }
     eprintln!(
         "repute map --index: peak {} heap bytes over 500 reads, {} over 5 000",
@@ -166,6 +177,20 @@ fn index_loads_in_place_and_map_memory_does_not_grow_with_reads() {
     assert!(
         peaks[0].abs_diff(peaks[1]) <= 64 << 10,
         "peak heap grew with the read count: {peaks:?}"
+    );
+    // A `--platform` run keeps a work count and a metrics record per read
+    // and nothing else: 4 500 more reads may add those, three times over
+    // for a `Vec`'s doubling, which the allocator above counts as a fresh
+    // block beside the old one.
+    let kept = 3 * 4_500 * (std::mem::size_of::<MapMetrics>() + std::mem::size_of::<u64>());
+    eprintln!(
+        "repute map --index --platform system1: peak {} heap bytes over 500 reads, {} over \
+         5 000 (growth bound {kept})",
+        platform_peaks[0], platform_peaks[1]
+    );
+    assert!(
+        platform_peaks[1].saturating_sub(platform_peaks[0]) <= kept,
+        "--platform peak heap grew by more than the per-read records: {platform_peaks:?}"
     );
 
     // A forged FM header claiming 4 G rows, then 1 KiB of body: a typed
