@@ -1,6 +1,7 @@
 //! `repute map` writes its SAM and `--metrics-out` as it maps: to stdout
-//! as each read is mapped, or to `<output>.tmp`, renamed into place when
-//! the run succeeds and removed when it fails.
+//! as each chunk of reads is mapped, or to `<output>.tmp`, renamed into
+//! place when the run succeeds and removed when it fails — the same
+//! bytes for every host-thread count.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};

@@ -1442,6 +1442,10 @@ mod tests {
                 let err = executor.run(&mapper, &platform, &reads).unwrap_err();
                 assert_eq!(err.kind(), &LaunchErrorKind::InvalidDistribution);
                 assert!(err.to_string().contains("quarter-RAM cap"), "{err}");
+                // …and before a read is mapped, for a caller that streams.
+                let err = executor.preflight(&mapper, &platform).unwrap_err();
+                assert_eq!(err.kind(), &LaunchErrorKind::InvalidDistribution);
+                assert!(err.to_string().contains("quarter-RAM cap"), "{err}");
             }
             let err = plain
                 .run_journaled(
