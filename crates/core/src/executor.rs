@@ -295,17 +295,13 @@ impl Executor {
             per_read: Cow::Borrowed(work),
             private_bytes: mapper.kernel_private_bytes(max_read_len),
         };
+        let (on, faults) = self.projected(platform)?;
         let bytes_per_read = output_slot_bytes(mapper.max_locations());
-        let Some(subset) = self.subset.as_deref() else {
-            return self.price_on(platform, &self.faults, bytes_per_read, &work);
+        let mut run = self.price_on(&on, &faults, bytes_per_read, &work)?;
+        // A proper subset ran in its own device indices: map them back.
+        let (Some(subset), Cow::Owned(_)) = (self.subset.as_deref(), on) else {
+            return Ok(run);
         };
-        check_subset(subset, platform.devices().len())?;
-        let faults = self.faults.for_subset(subset);
-        if subset.len() == platform.devices().len() {
-            // The subset IS the platform: no remapping needed.
-            return self.price_on(platform, &faults, bytes_per_read, &work);
-        }
-        let mut run = self.price_on(&platform.subset(subset), &faults, bytes_per_read, &work)?;
         for dr in &mut run.device_runs {
             dr.device = subset[dr.device];
         }
@@ -341,22 +337,32 @@ impl Executor {
     ///
     /// An invalid-distribution [`LaunchError`], as `price` raises it.
     pub fn preflight<M: Mapper>(&self, mapper: &M, platform: &Platform) -> Result<(), LaunchError> {
+        let (on, faults) = self.projected(platform)?;
+        check_fault_devices(&faults, on.devices().len())?;
         let bytes_per_read = output_slot_bytes(mapper.max_locations());
-        let smallest = match self.subset.as_deref() {
-            Some(subset) => {
-                check_subset(subset, platform.devices().len())?;
-                check_fault_devices(&self.faults.for_subset(subset), subset.len())?;
-                platform.subset(subset).max_batch_items(bytes_per_read)
-            }
-            None => {
-                check_fault_devices(&self.faults, platform.devices().len())?;
-                platform.max_batch_items(bytes_per_read)
-            }
-        };
-        if smallest == 0 {
+        if on.max_batch_items(bytes_per_read) == 0 {
             return Err(too_big(bytes_per_read, "the smallest device"));
         }
         Ok(())
+    }
+
+    /// The platform a run places on and its fault plan in that
+    /// platform's device indices: `platform` and the plan as they are,
+    /// or the `subset` of it (borrowed when the subset is the whole
+    /// platform) with the plan projected onto it.
+    fn projected<'p>(
+        &'p self,
+        platform: &'p Platform,
+    ) -> Result<(Cow<'p, Platform>, Cow<'p, FaultPlan>), LaunchError> {
+        let Some(subset) = self.subset.as_deref() else {
+            return Ok((Cow::Borrowed(platform), Cow::Borrowed(&self.faults)));
+        };
+        check_subset(subset, platform.devices().len())?;
+        let faults = Cow::Owned(self.faults.for_subset(subset));
+        if subset.len() == platform.devices().len() {
+            return Ok((Cow::Borrowed(platform), faults));
+        }
+        Ok((Cow::Owned(platform.subset(subset)), faults))
     }
 
     /// plan → place → assemble, on exactly `platform` with `faults`
