@@ -195,3 +195,92 @@ fn every_host_thread_count_writes_the_same_bytes_plain_and_priced() {
         assert!(*trace == traces[0].1, "{tag}: trace differs");
     }
 }
+
+/// The `--metrics-out` records that do not carry the host wall clock or
+/// the resume count: per read, per device, per batch event, energy.
+fn deterministic_records(path: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("telemetry written");
+    text.lines()
+        .filter(|line| {
+            ["read", "device", "event", "energy"]
+                .iter()
+                .any(|kind| line.starts_with(&format!("{{\"type\":\"{kind}\"")))
+        })
+        .map(String::from)
+        .collect()
+}
+
+/// A `--trace-out` file's events, one per line, less those of the
+/// `checkpoint` category, and how many of those there were.
+fn trace_without_checkpoints(path: &str) -> (Vec<String>, usize) {
+    let text = std::fs::read_to_string(path).expect("trace written");
+    let events: Vec<&str> = text.lines().map(|l| l.trim_end_matches(',')).collect();
+    let kept: Vec<String> = events
+        .iter()
+        .filter(|e| !e.contains("\"cat\":\"checkpoint\""))
+        .map(|e| e.to_string())
+        .collect();
+    let dropped = events.len() - kept.len();
+    (kept, dropped)
+}
+
+#[test]
+fn a_checkpointed_run_never_interrupted_writes_what_the_plain_run_writes() {
+    let dir = TempDir::new("checkpoint-oracle");
+    run_simulate(&SimulateOptions {
+        out_dir: dir.path(""),
+        length: 60_000,
+        reads: 150,
+        read_len: 100,
+        seed: 83,
+        profile: "err012100".into(),
+    })
+    .expect("dataset");
+    for schedule in ["static", "dynamic"] {
+        for threads in ["1", "2"] {
+            let mut runs = Vec::new();
+            for checkpoint in [false, true] {
+                let tag = format!("{schedule}{threads}{}", if checkpoint { "c" } else { "" });
+                let (sam, trace) = (
+                    dir.path(&format!("{tag}.sam")),
+                    dir.path(&format!("{tag}.json")),
+                );
+                let journal = dir.path(&format!("{tag}.ckpt"));
+                let mut extra = vec![
+                    "--platform",
+                    "system1",
+                    "--schedule",
+                    schedule,
+                    "--host-threads",
+                    threads,
+                    "--output",
+                    &sam,
+                    "--trace-out",
+                    &trace,
+                ];
+                if checkpoint {
+                    extra.extend(["--checkpoint", &journal]);
+                }
+                let run = repute_map(&dir, "reads.fq", &format!("{tag}.jsonl"), &extra);
+                assert!(run.status.success(), "{tag}: {run:?}");
+                runs.push((
+                    tag.clone(),
+                    std::fs::read(&sam).expect("SAM written"),
+                    deterministic_records(&dir.path(&format!("{tag}.jsonl"))),
+                    trace_without_checkpoints(&trace),
+                ));
+            }
+            let (plain, checkpointed) = (&runs[0], &runs[1]);
+            let tag = &checkpointed.0;
+            assert!(plain.1 == checkpointed.1, "{tag}: SAM differs");
+            let reads = plain
+                .2
+                .iter()
+                .filter(|l| l.starts_with("{\"type\":\"read\""))
+                .count();
+            assert_eq!(reads, 150, "{tag}");
+            assert!(plain.2 == checkpointed.2, "{tag}: telemetry records differ");
+            assert!(plain.3 .0 == checkpointed.3 .0, "{tag}: trace differs");
+        }
+    }
+}
