@@ -190,23 +190,22 @@ MAP OPTIONS:
     --host-threads <n>       cap the host threads that map reads (1 =
                              the sequential host of earlier releases)
                              [default: automatic]
-    --fault-plan <spec>      inject faults into the platform simulation
-                             (requires --platform); comma-separated
-                             events: loss:d<dev>@<t> |
+    --fault-plan <spec>      inject device faults into the platform
+                             simulation (requires --platform);
+                             comma-separated events: loss:d<dev>@<t> |
                              transient:d<dev>@<t>[x<count>] |
                              slow:d<dev>@<t>x<factor> |
-                             correlated:d<a>+d<b>+...@<t> |
-                             crash:@<t> (host crash; requires
-                             --checkpoint)  (times are simulated seconds)
+                             correlated:d<a>+d<b>+...@<t>  (times are
+                             simulated seconds)
     --max-retries <n>        transient-fault retry budget per launch of
                              the simulation [default: 2]
-    --checkpoint <path>      crash-safe run journal (requires
-                             --platform): every finished batch is
-                             committed durably; an interrupted run is
-                             continued with --resume, bit-identical to an
-                             uninterrupted one
-    --resume                 replay the completed batches of an existing
-                             checkpoint journal and finish the rest
+    --checkpoint <path>      survive a crash (requires --output): every
+                             1024 reads the outputs are synced and their
+                             lengths committed to <path>; an interrupted
+                             run is continued with --resume, to the
+                             bytes of an uninterrupted one
+    --resume                 cut the outputs back to what the checkpoint
+                             committed, skip those reads, finish the rest
     --metrics-out <path>     write per-read and run-level telemetry as
                              JSON-lines (inspect with `repute stats`)
     --trace-out <path>       write the simulated run's spans as Chrome
@@ -250,8 +249,7 @@ SERVE OPTIONS:
                              --journal; 0 disables) [default: 0]
     --fault-plan <spec>      inject device faults into the daemon's
                              simulated platform (loss: | transient: |
-                             slow: | correlated: events; crash:@<t> is
-                             rejected — use --journal/--resume); lost
+                             slow: | correlated: events); lost
                              devices shrink the queue bound and read
                              cap, all-lost drains SERVICE_UNAVAILABLE
     --max-retries <n>        transient-fault retry budget of every
@@ -297,8 +295,7 @@ TRACE OPTIONS:
 
 EXIT CODES:
     0 success | 2 configuration | 3 input parse | 4 i/o
-    5 journal corrupt | 6 resume mismatch | 7 device loss
-    8 interrupted by a simulated host crash (continue with --resume)";
+    5 journal corrupt | 6 resume mismatch | 7 device loss";
 
 #[cfg(test)]
 mod tests {

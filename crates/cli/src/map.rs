@@ -1,26 +1,30 @@
 //! `repute map`: options, the flags it shares with `repute serve`, and
 //! the run itself — one streamed loop from reads to SAM and report,
-//! mapping a chunk of reads at a time on the host threads and, under
-//! `--platform`, pricing the run on the simulated devices at the end.
+//! mapping a chunk of reads at a time on the host threads, committing a
+//! prefix of what it wrote under `--checkpoint` and, under `--platform`,
+//! pricing the run on the simulated devices at the end.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
-use std::path::Path;
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use repute_core::executor::execute_batches;
-use repute_core::journal::Fnv64;
+use repute_core::journal::{
+    self, decode_work_record, put_work_record, tmp_path, Fnv64, WORK_RECORD_BYTES,
+};
 use repute_core::{
-    write_atomic, AtomicFile, Executor, MappingRun, ReputeConfig, ReputeError, ReputeMapper,
-    RunFingerprint, Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
+    write_atomic, AtomicFile, Checkpoint, Executor, MappingRun, ReputeConfig, ReputeError,
+    ReputeMapper, RunFingerprint, Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
 };
 use repute_eval::sam::SamAssembly;
 use repute_eval::stats::MappingStats;
 use repute_genome::fastq::FastqReader;
+use repute_genome::wire::word_hash_of;
 use repute_genome::DnaSeq;
 use repute_hetsim::FaultPlan;
 use repute_mappers::multiref::ReferenceSet;
-use repute_mappers::{Mapper, Mapping};
+use repute_mappers::{MapOutput, Mapper, Mapping};
 use repute_obs::{MapMetrics, Record, RunReport, StageTimer, Summary};
 use repute_prefilter::PrefilterMode;
 /// Which mapping strategy `repute map` runs.
@@ -66,8 +70,8 @@ pub struct MapOptions {
     pub schedule: ScheduleMode,
     /// Host-thread cap of the task-parallel executor (`0` = automatic).
     pub host_threads: usize,
-    /// Fault-injection plan for the platform simulation (parsed from
-    /// the [`FaultPlan::parse`] spec syntax, e.g.
+    /// Device-fault plan for the platform simulation (parsed from the
+    /// [`FaultPlan::parse`] spec syntax, e.g.
     /// `"transient:d0@0.1,loss:d2@0.5"`); requires `--platform`.
     pub fault_plan: Option<FaultPlan>,
     /// Transient-fault retry budget per launch of the simulation.
@@ -82,12 +86,12 @@ pub struct MapOptions {
     pub trace_out: Option<String>,
     /// Per-read trace lines and the full run report on stderr.
     pub verbose: bool,
-    /// Path of the crash-safe checkpoint journal (requires
-    /// `--platform`); the run commits every finished batch durably and
-    /// can be continued with `--resume` after an interruption.
+    /// Path of the checkpoint manifest (requires `--output`): every
+    /// 1 024 reads the run syncs what it has written and records how
+    /// much, so `--resume` can continue it after an interruption.
     pub checkpoint: Option<String>,
-    /// Replay the completed batches of an existing checkpoint journal
-    /// instead of starting over.
+    /// Continue the run an existing checkpoint describes instead of
+    /// starting over.
     pub resume: bool,
 }
 
@@ -128,31 +132,15 @@ impl MapOptions {
     ///
     /// Returns the [`ParseArgsError`] the equivalent flags would get.
     pub fn validate(&self) -> Result<(), ParseArgsError> {
-        let crash = self.fault_plan.as_ref().and_then(FaultPlan::host_crash_at);
         let broken = if self.fault_plan.is_some() && self.platform.is_none() {
             "--fault-plan requires --platform (faults live in the simulation)"
         } else if self.trace_out.is_some() && self.platform.is_none() {
             "--trace-out requires --platform (spans live on the simulated timeline)"
-        } else if self.checkpoint.is_some() && self.platform.is_none() {
-            "--checkpoint requires --platform (the journal is batch-granular \
-             over the simulated schedule)"
-        } else if self.checkpoint.is_some() && self.cigar {
-            "--cigar is incompatible with --checkpoint (CIGAR traceback is \
-             per-read, the journal is per-batch)"
-        } else if self.checkpoint.is_some()
-            && self
-                .fault_plan
-                .as_ref()
-                .is_some_and(FaultPlan::has_device_events)
-        {
-            "checkpointed runs accept crash:@<t> fault events only \
-             (device faults would make the journaled timeline \
-             irreproducible)"
         } else if self.resume && self.checkpoint.is_none() {
             "--resume requires --checkpoint"
-        } else if crash.is_some() && self.checkpoint.is_none() {
-            "crash:@<t> events require --checkpoint (only a journaled \
-             run can survive a host crash)"
+        } else if self.checkpoint.is_some() && self.output.is_none() {
+            "--checkpoint requires --output (stdout cannot be cut back to \
+             a committed prefix)"
         } else if self.cigar && self.mapper != MapperChoice::Repute {
             "--cigar requires the repute mapper"
         } else if self.prefilter != PrefilterMode::None && self.mapper != MapperChoice::Repute {
@@ -320,6 +308,16 @@ impl Output {
         })
     }
 
+    /// A file output flushed, for a checkpoint to sync and record.
+    fn flushed(&mut self) -> Result<(File, u64), ReputeError> {
+        match self {
+            Output::File(file) => file.flushed(),
+            Output::Stdout(_) => Err(ReputeError::Config(
+                "--checkpoint requires --output".to_string(),
+            )),
+        }
+    }
+
     fn finish(self) -> Result<(), ReputeError> {
         match self {
             Output::Stdout(mut out) => Ok(out.flush()?),
@@ -344,20 +342,6 @@ impl Write for Output {
     }
 }
 
-/// Loads a FASTQ file whole: read ids and sequences, in file order.
-fn load_reads(path: &str) -> Result<(Vec<String>, Vec<DnaSeq>), ReputeError> {
-    let path = Path::new(path);
-    let file = File::open(path).map_err(|e| ReputeError::io_at(path, e))?;
-    let mut ids = Vec::new();
-    let mut reads = Vec::new();
-    for record in FastqReader::new(BufReader::new(file)) {
-        let record = record?;
-        ids.push(record.id);
-        reads.push(record.seq);
-    }
-    Ok((ids, reads))
-}
-
 /// Everything a run writes for a read, written when the read is emitted,
 /// so nothing grows with the read count: the SAM rows, the closing
 /// statistics, the run totals, the `--metrics-out` read record and the
@@ -374,23 +358,65 @@ struct Emitter<'a> {
 }
 
 impl<'a> Emitter<'a> {
-    /// Opens the outputs and writes the SAM header.
+    /// Opens the outputs and writes the SAM header. Under `--checkpoint`
+    /// the files keep their `.tmp` if the run stops.
     fn open(
         opts: &'a MapOptions,
         set: &'a ReferenceSet,
         repute: &'a ReputeMapper,
     ) -> Result<Emitter<'a>, ReputeError> {
-        let metrics_out = opts.metrics_out.as_deref().map(Path::new);
+        let mut out = Output::open(opts.output.as_deref())?;
+        let mut metrics_out = opts
+            .metrics_out
+            .as_deref()
+            .map(|p| AtomicFile::create(Path::new(p)))
+            .transpose()?;
+        if opts.checkpoint.is_some() {
+            if let Output::File(file) = out {
+                out = Output::File(file.checkpointed());
+            }
+            metrics_out = metrics_out.map(AtomicFile::checkpointed);
+        }
+        let sam = SamAssembly::with_sink(set, out)?;
+        Ok(Emitter::over(opts, repute, sam, metrics_out))
+    }
+
+    /// Goes on from the outputs a checkpoint committed: `sam` and
+    /// `metrics_out` reopened at their committed lengths, and the totals
+    /// over the `checkpoint.reads` reads they hold.
+    fn resume(
+        opts: &'a MapOptions,
+        set: &'a ReferenceSet,
+        repute: &'a ReputeMapper,
+        sam: AtomicFile,
+        metrics_out: Option<AtomicFile>,
+        checkpoint: &Checkpoint,
+    ) -> Result<Emitter<'a>, ReputeError> {
+        let sam = SamAssembly::continuing(set, Output::File(sam));
         Ok(Emitter {
+            stats: stats_from_words(&checkpoint.counters)?,
+            totals: checkpoint.totals,
+            reads: checkpoint.reads,
+            ..Emitter::over(opts, repute, sam, metrics_out)
+        })
+    }
+
+    fn over(
+        opts: &'a MapOptions,
+        repute: &'a ReputeMapper,
+        sam: SamAssembly<'a, Output>,
+        metrics_out: Option<AtomicFile>,
+    ) -> Emitter<'a> {
+        Emitter {
             opts,
             repute,
-            sam: SamAssembly::with_sink(set, Output::open(opts.output.as_deref())?)?,
+            sam,
             stats: MappingStats::default(),
             totals: MapMetrics::new(),
             reads: 0,
-            metrics_out: metrics_out.map(AtomicFile::create).transpose()?,
+            metrics_out,
             summary: opts.verbose.then(Summary::default),
-        })
+        }
     }
 
     /// Emits one read. Under `--cigar` its mappings get their traceback
@@ -430,23 +456,29 @@ impl<'a> Emitter<'a> {
 /// the run's memory.
 const CHUNK_READS: usize = 64;
 
-/// Runs `repute map`: load, map, SAM, report. Without `--checkpoint`
-/// every run is one streamed loop (`map_stream`): the FASTQ is read a
-/// chunk at a time, each chunk is mapped on the host threads, and each
-/// read's SAM rows and `--metrics-out` record are written in read order
-/// as its chunk is done, so memory does not grow with the read count.
-/// Under `--platform` the loop also keeps each read's work count and
-/// metrics record, and the run is priced on the simulated devices once
-/// the stream ends. The errors that depend only on the options (an
-/// unknown platform or fault-plan device, an output slot larger than a
-/// device's quarter-RAM cap) fail before the first read is mapped; a run
-/// that loses every device fails after the stream, when the rows on
-/// stdout are already written. With `--checkpoint` the whole read set
-/// goes through one journaled [`Executor`] run, and the SAM is written
-/// from its outputs once it has succeeded. A file output goes to
-/// `<output>.tmp` and is renamed into place when the run succeeds
-/// (removed when it fails), so a failed or interrupted run never leaves
-/// a torn output file behind.
+/// Reads between two checkpoint commits: sixteen chunks. The loop waits
+/// only for a commit's flushes, not its syncs (`Checkpointing::commit`):
+/// 0.3% of a 1 M-read run's wall time on a VM disk, where waiting for the
+/// syncs too cost 3.6% (EXPERIMENTS.md).
+const COMMIT_READS: u64 = 1024;
+
+/// Runs `repute map`: load, map, SAM, report. Every run is one streamed
+/// loop (`map_stream`): the FASTQ is read a chunk at a time, each chunk is
+/// mapped on the host threads, and each read's SAM rows and
+/// `--metrics-out` record are written in read order as its chunk is done,
+/// so memory does not grow with the read count. Under `--platform` the
+/// loop also keeps each read's work count and metrics record, and the run
+/// is priced on the simulated devices once the stream ends. The errors
+/// that depend only on the options (an unknown platform or fault-plan
+/// device, an output slot larger than a device's quarter-RAM cap) fail
+/// before any file is opened; a run that loses every device fails after
+/// the stream, when the rows on stdout are already written. A file output
+/// goes to `<output>.tmp` and is renamed into place when the run succeeds
+/// (removed when it fails), so a failed or interrupted run never leaves a
+/// torn output file behind. Under `--checkpoint` a failed run keeps its
+/// `.tmp` files instead, and every 1 024 reads the loop records
+/// how much of them is done (`Checkpointing`), for `--resume` to go on
+/// from.
 ///
 /// Returns `(reads_mapped, mappings_reported)`.
 ///
@@ -466,44 +498,35 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
         opts.index.as_deref(),
         opts.index_cache.as_deref(),
     )?;
-    // A journaled run plans its batches over the whole read set.
-    let journaled = match (&platform, &opts.checkpoint) {
-        (Some(_), Some(journal)) => Some((journal, load_reads(&opts.reads)?)),
-        _ => None,
-    };
     timer.stop();
     let config = build_config(opts)?;
     let repute = ReputeMapper::new(Arc::clone(set.indexed()), config);
     let baseline = (opts.mapper != MapperChoice::Repute)
         .then(|| opts.mapper.build(Arc::clone(set.indexed()), config));
     let mapper: &dyn Mapper = baseline.as_deref().unwrap_or(&repute);
+    if let Some(platform) = &platform {
+        executor(opts, platform, 0).preflight(&mapper, platform)?;
+    }
+    let mut checkpoint = opts
+        .checkpoint
+        .as_deref()
+        .map(|path| Checkpointing::open(opts, Path::new(path)))
+        .transpose()?;
+    if let Some(done) = checkpoint.as_ref().and_then(Checkpointing::completed) {
+        return finish_completed(opts, done);
+    }
 
     timer.start("map");
-    let (emitter, mut report) = match (&platform, journaled) {
-        (Some(platform), Some((journal, (ids, reads)))) => {
-            let (run, metrics, resumed_batches) =
-                map_journaled(opts, platform, &set, mapper, journal, &ids, &reads)?;
-            let mut emitter = Emitter::open(opts, &set, &repute)?;
-            // The executor returns outputs in read order.
-            for (((id, seq), mapped), m) in ids.iter().zip(&reads).zip(&run.outputs).zip(&metrics) {
-                emitter.read(id, seq, &mapped.mappings, m)?;
-            }
-            let mut report = run.report(platform, &metrics);
-            report.resumed_batches = resumed_batches;
-            (emitter, report)
-        }
-        (platform, _) => map_stream(opts, &set, &repute, mapper, platform.as_ref())?,
-    };
-    let Emitter {
-        sam,
-        stats,
-        metrics_out,
-        summary,
-        ..
-    } = emitter;
-    sam.out.finish()?;
+    let (mut emitter, mut report) = map_stream(
+        opts,
+        &set,
+        &repute,
+        mapper,
+        platform.as_ref(),
+        checkpoint.as_mut(),
+    )?;
     timer.stop();
-    eprint!("{stats}");
+    eprint!("{}", emitter.stats);
 
     // Host stage clocks first (load, map), then the simulated stage
     // breakdown the run report derived from the merged metrics.
@@ -514,10 +537,26 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
     // The run's records close `--metrics-out`, after one `read` record
     // per read, and the `-v` summary renders the same records on stderr
     // as `repute stats` would render the file.
-    if let (Some(mut out), Some(path)) = (metrics_out, &opts.metrics_out) {
-        report.write_json_lines(&mut out)?;
+    if let Some(out) = &mut emitter.metrics_out {
+        report.write_json_lines(out)?;
+    }
+    if let Some(checkpoint) = &mut checkpoint {
+        checkpoint.commit(&mut emitter, true)?;
+    }
+    let Emitter {
+        sam,
+        stats,
+        metrics_out,
+        summary,
+        ..
+    } = emitter;
+    sam.out.finish()?;
+    if let (Some(out), Some(path)) = (metrics_out, &opts.metrics_out) {
         out.commit()?;
         eprintln!("wrote telemetry to {path:?} (inspect with `repute stats`)");
+    }
+    if let Some(checkpoint) = checkpoint {
+        checkpoint.finish()?;
     }
     if let Some(mut summary) = summary {
         for record in report.records() {
@@ -528,29 +567,47 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
     Ok((stats.mapped_reads, stats.total_mappings))
 }
 
+/// What a `--platform` run keeps of each read to price the run once the
+/// stream ends: its work count and metrics record, and the longest read.
+#[derive(Default)]
+struct Priced {
+    work: Vec<u64>,
+    metrics: Vec<MapMetrics>,
+    max_read_len: usize,
+}
+
 /// The one mapping loop: reads the FASTQ [`CHUNK_READS`] records at a
 /// time, maps each chunk on the host threads ([`execute_batches`]) and
-/// emits its reads in order. Under `--platform` it keeps each read's
-/// work count and [`MapMetrics`] and nothing else, and prices the run
-/// once the stream ends. A malformed record ends the stream with its
-/// error once the reads before it are emitted.
+/// emits its reads in order, committing `checkpoint` every
+/// [`COMMIT_READS`] reads and at the end. A resumed run skips the reads
+/// its checkpoint holds. Under `--platform` it keeps each read's work
+/// count and [`MapMetrics`] and nothing else, and prices the run once
+/// the stream ends. A malformed record ends the stream with its error
+/// once the reads before it are emitted.
 fn map_stream<'a>(
     opts: &'a MapOptions,
     set: &'a ReferenceSet,
     repute: &'a ReputeMapper,
     mapper: &dyn Mapper,
     platform: Option<&repute_hetsim::Platform>,
+    mut checkpoint: Option<&mut Checkpointing>,
 ) -> Result<(Emitter<'a>, RunReport), ReputeError> {
-    if let Some(platform) = platform {
-        executor(opts, platform, 0).preflight(&mapper, platform)?;
-    }
     let reads_path = Path::new(&opts.reads);
     let reads_file = File::open(reads_path).map_err(|e| ReputeError::io_at(reads_path, e))?;
     let mut records = FastqReader::new(BufReader::new(reads_file));
-    let mut emitter = Emitter::open(opts, set, repute)?;
+    let mut priced = Priced::default();
+    let mut emitter = match checkpoint.as_deref_mut() {
+        Some(checkpoint) => checkpoint.start(opts, set, repute, platform.is_some(), &mut priced)?,
+        None => Emitter::open(opts, set, repute)?,
+    };
+    // The reads a resumed checkpoint holds (the fingerprint has the
+    // reads file's hash, so they are there).
+    let resumed = emitter.reads;
+    for record in records.by_ref().take(resumed as usize) {
+        priced.max_read_len = priced.max_read_len.max(record?.seq.len());
+    }
     let (mut ids, mut seqs) = (Vec::new(), Vec::new());
     let (mut outputs, mut metrics) = (Vec::new(), Vec::new());
-    let (mut work, mut per_read, mut max_read_len) = (Vec::new(), Vec::new(), 0);
     loop {
         ids.clear();
         seqs.clear();
@@ -578,33 +635,338 @@ fn map_stream<'a>(
             emitter.read(id, seq, &mapped.mappings, m)?;
         }
         if platform.is_some() {
-            work.extend(outputs.iter().map(|o| o.work));
-            per_read.extend_from_slice(&metrics);
-            max_read_len = seqs.iter().map(DnaSeq::len).fold(max_read_len, usize::max);
+            priced.work.extend(outputs.iter().map(|o| o.work));
+            priced.metrics.extend_from_slice(&metrics);
+            priced.max_read_len = seqs
+                .iter()
+                .map(DnaSeq::len)
+                .fold(priced.max_read_len, usize::max);
+        }
+        if let Some(checkpoint) = checkpoint.as_deref_mut() {
+            checkpoint.keep(&outputs, &metrics)?;
+            if emitter.reads >= checkpoint.committed + COMMIT_READS {
+                checkpoint.commit(&mut emitter, false)?;
+            }
         }
         if let Some(ended) = ended {
             ended?;
             break;
         }
     }
-    let report = match platform {
+    if let Some(checkpoint) = checkpoint.filter(|c| c.committed < emitter.reads) {
+        checkpoint.commit(&mut emitter, false)?;
+    }
+    let mut report = match platform {
         None => RunReport {
             reads: emitter.reads,
             totals: emitter.totals,
             ..RunReport::default()
         },
         Some(platform) => {
-            let run = executor(opts, platform, work.len()).price(
+            let run = executor(opts, platform, priced.work.len()).price(
                 &mapper,
                 platform,
-                &work,
-                max_read_len,
+                &priced.work,
+                priced.max_read_len,
             )?;
             announce_priced(opts, platform, &run)?;
-            run.report(platform, &per_read)
+            run.report(platform, &priced.metrics)
         }
     };
+    report.resumed_batches = resumed.div_ceil(CHUNK_READS as u64);
     Ok((emitter, report))
+}
+
+/// A `--checkpoint` run's manifest, identity and sidecar.
+///
+/// A commit syncs the SAM `.tmp`, the `--metrics-out` `.tmp` and, under
+/// `--platform`, the sidecar `<checkpoint>.work` (each read's work count
+/// and metrics record, [`WORK_RECORD_BYTES`] a read, which pricing needs
+/// for the reads a resume skips), then atomically rewrites the manifest
+/// at `<checkpoint>` with their lengths, the reads done and the
+/// [`Emitter`]'s totals. A resume cuts each file back to its committed
+/// length, reloads the sidecar and the totals, and skips that many FASTQ
+/// records; the SAM is a function of read order alone, so the resumed
+/// run writes the bytes of one never interrupted.
+struct Checkpointing {
+    path: PathBuf,
+    fingerprint: RunFingerprint,
+    /// The manifest `--resume` found, until the stream starts from it.
+    resumed: Option<Checkpoint>,
+    sidecar: Option<BufWriter<File>>,
+    /// Sidecar records of the chunk being kept.
+    records: Vec<u8>,
+    /// Reads the last commit covered.
+    committed: u64,
+    /// The commit whose syncs and manifest are being written.
+    pending: Option<std::thread::JoinHandle<Result<(), ReputeError>>>,
+}
+
+impl Checkpointing {
+    /// Fingerprints the run and, under `--resume`, loads its checkpoint;
+    /// creates nothing.
+    fn open(opts: &MapOptions, path: &Path) -> Result<Checkpointing, ReputeError> {
+        let fingerprint = run_fingerprint(opts)?;
+        let resumed = match (path.exists(), opts.resume) {
+            (true, false) => {
+                return Err(ReputeError::Config(format!(
+                    "checkpoint {path:?} already exists; pass --resume to continue it, or \
+                     delete it to start over"
+                )))
+            }
+            (false, true) => {
+                return Err(ReputeError::Config(format!(
+                    "cannot resume: checkpoint {path:?} does not exist"
+                )))
+            }
+            (true, true) => Some(Checkpoint::load(path, &fingerprint)?),
+            (false, false) => None,
+        };
+        Ok(Checkpointing {
+            path: path.to_path_buf(),
+            fingerprint,
+            resumed,
+            sidecar: None,
+            records: Vec::new(),
+            committed: 0,
+            pending: None,
+        })
+    }
+
+    /// The checkpoint of a run that had written everything, if that is
+    /// what `--resume` found.
+    fn completed(&self) -> Option<&Checkpoint> {
+        self.resumed.as_ref().filter(|c| c.complete)
+    }
+
+    /// Opens the outputs: fresh, with a first commit over the SAM header,
+    /// or reopened at the lengths the resumed checkpoint committed, with
+    /// `priced` reloaded from the sidecar.
+    fn start<'a>(
+        &mut self,
+        opts: &'a MapOptions,
+        set: &'a ReferenceSet,
+        repute: &'a ReputeMapper,
+        priced_run: bool,
+        priced: &mut Priced,
+    ) -> Result<Emitter<'a>, ReputeError> {
+        let sidecar = priced_run.then(|| sidecar_path(&self.path));
+        let Some(resumed) = self.resumed.take() else {
+            let mut emitter = Emitter::open(opts, set, repute)?;
+            if let Some(path) = &sidecar {
+                let file = File::create(path).map_err(|e| ReputeError::io_at(path, e))?;
+                self.sidecar = Some(BufWriter::with_capacity(1 << 16, file));
+            }
+            self.commit(&mut emitter, false)?;
+            return Ok(emitter);
+        };
+        let (Some(output), metrics_out) = (&opts.output, &opts.metrics_out) else {
+            return Err(ReputeError::Config(
+                "--checkpoint requires --output".to_string(),
+            ));
+        };
+        let files: Vec<PathBuf> = [Some(tmp_path(Path::new(output)))]
+            .into_iter()
+            .chain([
+                metrics_out.as_ref().map(|p| tmp_path(Path::new(p))),
+                sidecar.clone(),
+            ])
+            .flatten()
+            .collect();
+        let corrupt = |what: String| {
+            ReputeError::JournalCorrupt(format!("checkpoint {}: {what}", self.path.display()))
+        };
+        if resumed.lengths.len() != files.len() {
+            return Err(corrupt(format!(
+                "it records {} file(s) but this run writes {}",
+                resumed.lengths.len(),
+                files.len()
+            )));
+        }
+        // Every file is checked before any is cut back.
+        for (file, &len) in files.iter().zip(&resumed.lengths) {
+            journal::check_prefix(file, len)?;
+        }
+        let mut lengths = resumed.lengths.iter().copied();
+        let mut next_len = || lengths.next().unwrap_or_default();
+        let sam = AtomicFile::reopen(Path::new(output), next_len())?;
+        let metrics = match metrics_out {
+            Some(path) => Some(AtomicFile::reopen(Path::new(path), next_len())?),
+            None => None,
+        };
+        if let Some(path) = &sidecar {
+            let len = next_len();
+            if len != resumed.reads * WORK_RECORD_BYTES as u64 {
+                return Err(corrupt(format!(
+                    "its sidecar holds {len} bytes for {} reads",
+                    resumed.reads
+                )));
+            }
+            let file = File::open(path).map_err(|e| ReputeError::io_at(path, e))?;
+            let mut input = BufReader::new(file.take(len));
+            let mut record = [0; WORK_RECORD_BYTES];
+            for _ in 0..resumed.reads {
+                input
+                    .read_exact(&mut record)
+                    .map_err(|e| ReputeError::io_at(path, e))?;
+                let (work, metrics) = decode_work_record(&record);
+                priced.work.push(work);
+                priced.metrics.push(metrics);
+            }
+            let file = journal::reopen_at(path, len)?;
+            self.sidecar = Some(BufWriter::with_capacity(1 << 16, file));
+        }
+        self.committed = resumed.reads;
+        eprintln!(
+            "resumed from checkpoint: {} read(s) committed, {} chunk(s) skipped",
+            resumed.reads,
+            resumed.reads.div_ceil(CHUNK_READS as u64)
+        );
+        Emitter::resume(opts, set, repute, sam, metrics, &resumed)
+    }
+
+    /// Appends a chunk's work counts and metrics records to the sidecar.
+    fn keep(&mut self, outputs: &[MapOutput], metrics: &[MapMetrics]) -> Result<(), ReputeError> {
+        let Some(sidecar) = &mut self.sidecar else {
+            return Ok(());
+        };
+        self.records.clear();
+        for (out, m) in outputs.iter().zip(metrics) {
+            put_work_record(&mut self.records, out.work, m);
+        }
+        let path = &self.path;
+        sidecar
+            .write_all(&self.records)
+            .map_err(|e| ReputeError::io_at(path, e))
+    }
+
+    /// One commit: flush every file, then sync them and replace the
+    /// manifest on a thread of its own, so that the loop maps on
+    /// meanwhile (a sync waits on the disk for milliseconds). A commit
+    /// waits for the one before it, and a `complete` one is waited for.
+    fn commit(&mut self, emitter: &mut Emitter<'_>, complete: bool) -> Result<(), ReputeError> {
+        self.wait()?;
+        let mut files = vec![emitter.sam.out.flushed()?];
+        if let Some(out) = &mut emitter.metrics_out {
+            files.push(out.flushed()?);
+        }
+        if let Some(sidecar) = &mut self.sidecar {
+            let path = &self.path;
+            files.push(journal::flushed(sidecar).map_err(|e| ReputeError::io_at(path, e))?);
+        }
+        let checkpoint = Checkpoint {
+            fingerprint: self.fingerprint,
+            reads: emitter.reads,
+            lengths: files.iter().map(|&(_, len)| len).collect(),
+            counters: stats_words(&emitter.stats),
+            totals: emitter.totals,
+            complete,
+        };
+        let path = self.path.clone();
+        self.pending = Some(std::thread::spawn(move || {
+            for (file, _) in &files {
+                file.sync_data().map_err(|e| ReputeError::io_at(&path, e))?;
+            }
+            checkpoint.commit(&path)
+        }));
+        self.committed = emitter.reads;
+        if complete {
+            self.wait()?;
+        }
+        Ok(())
+    }
+
+    /// Waits for the commit in flight, if there is one.
+    fn wait(&mut self) -> Result<(), ReputeError> {
+        let Some(commit) = self.pending.take() else {
+            return Ok(());
+        };
+        commit.join().unwrap_or_else(|_| {
+            Err(ReputeError::io_at(
+                &self.path,
+                std::io::Error::other("the commit thread panicked"),
+            ))
+        })
+    }
+
+    /// After the outputs are in place: the sidecar is not needed again.
+    fn finish(self) -> Result<(), ReputeError> {
+        let path = sidecar_path(&self.path);
+        drop(self);
+        remove_if_present(&path)
+    }
+}
+
+impl Drop for Checkpointing {
+    /// A commit begun is finished, even by a run that fails meanwhile.
+    fn drop(&mut self) {
+        let _ = self.wait();
+    }
+}
+
+/// The sidecar of the checkpoint at `checkpoint`: `<checkpoint>.work`.
+fn sidecar_path(checkpoint: &Path) -> PathBuf {
+    let mut path = checkpoint.as_os_str().to_os_string();
+    path.push(".work");
+    PathBuf::from(path)
+}
+
+/// A run's mapping statistics as the counters a checkpoint records.
+fn stats_words(stats: &MappingStats) -> Vec<u64> {
+    let counts = [
+        stats.reads,
+        stats.mapped_reads,
+        stats.multi_mapped_reads,
+        stats.total_mappings,
+    ];
+    counts
+        .iter()
+        .chain(&stats.distance_histogram)
+        .map(|&n| n as u64)
+        .collect()
+}
+
+/// A run's mapping statistics from the counters its checkpoint recorded.
+fn stats_from_words(words: &[u64]) -> Result<MappingStats, ReputeError> {
+    let words: Vec<usize> = words.iter().map(|&w| w as usize).collect();
+    let [reads, mapped_reads, multi_mapped_reads, total_mappings, ref histogram @ ..] = words[..]
+    else {
+        return Err(ReputeError::JournalCorrupt(
+            "checkpoint holds too few mapping counters".to_string(),
+        ));
+    };
+    Ok(MappingStats {
+        reads,
+        mapped_reads,
+        multi_mapped_reads,
+        total_mappings,
+        distance_histogram: histogram.to_vec(),
+    })
+}
+
+/// `--resume` of a run whose checkpoint says it had written everything:
+/// only the renames a crash may have cut short are left, so resuming a
+/// finished run changes nothing.
+fn finish_completed(opts: &MapOptions, done: &Checkpoint) -> Result<(usize, usize), ReputeError> {
+    for path in [&opts.output, &opts.metrics_out].into_iter().flatten() {
+        let (tmp, path) = (tmp_path(Path::new(path)), Path::new(path));
+        if tmp.exists() {
+            std::fs::rename(&tmp, path).map_err(|e| ReputeError::io_at(path, e))?;
+        }
+    }
+    if let Some(checkpoint) = &opts.checkpoint {
+        remove_if_present(&sidecar_path(Path::new(checkpoint)))?;
+        eprintln!("checkpoint {checkpoint:?} is complete: nothing left to map");
+    }
+    let stats = stats_from_words(&done.counters)?;
+    Ok((stats.mapped_reads, stats.total_mappings))
+}
+
+fn remove_if_present(path: &Path) -> Result<(), ReputeError> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(ReputeError::io_at(path, e)),
+        _ => Ok(()),
+    }
 }
 
 /// The per-read line of `--verbose`.
@@ -626,40 +988,35 @@ pub(crate) fn platform_by_name(name: &str) -> Result<repute_hetsim::Platform, Re
     }
 }
 
-/// The config/workload identity of a checkpointed run.
+/// The identity of a checkpointed run, which `--resume` must match.
 ///
-/// The config half folds every option that can change mapping output or
-/// batch shape; the workload half folds the reference source bytes, the
-/// indexed record table, and every read id and sequence. A `--resume`
-/// under any difference is refused with [`ReputeError::ResumeMismatch`]
-/// before any mapping work happens (the batch *shape* is fingerprinted
-/// separately by the resumable executor itself).
-fn run_fingerprint(
-    opts: &MapOptions,
-    set: &ReferenceSet,
-    ids: &[String],
-    reads: &[DnaSeq],
-) -> Result<RunFingerprint, ReputeError> {
+/// The config half folds every option that can change a byte of any
+/// output (not `--host-threads`, `-v` or the output paths); the workload
+/// half hashes the reference source (the FASTA or `--index` file) and
+/// the reads file, streamed through [`word_hash_of`]. A `--resume` under
+/// any difference is refused with [`ReputeError::ResumeMismatch`] before
+/// any mapping work happens.
+fn run_fingerprint(opts: &MapOptions) -> Result<RunFingerprint, ReputeError> {
     let mut cfg = Fnv64::new();
     build_config(opts)?.fold_identity(&mut cfg);
     cfg.write_u64(opts.schedule as u64);
     cfg.write_u64(opts.mapper as u64);
     cfg.write(opts.platform.as_deref().unwrap_or_default().as_bytes());
+    let plan = opts.fault_plan.clone().unwrap_or_default();
+    for word in plan.identity_words() {
+        cfg.write_u64(word);
+    }
+    cfg.write_u64(opts.max_retries as u64);
+    cfg.write_u64(u64::from(opts.cigar));
+    cfg.write_u64(u64::from(opts.metrics_out.is_some()));
 
     let mut wl = Fnv64::new();
-    let ref_source = opts.index.as_ref().unwrap_or(&opts.reference);
-    let source_path = Path::new(ref_source.as_str());
-    let source_bytes =
-        std::fs::read(source_path).map_err(|e| ReputeError::io_at(source_path, e))?;
-    wl.write(&source_bytes);
-    for (name, len) in set.records() {
-        wl.write(name.as_bytes());
-        wl.write_u64(*len as u64);
-    }
-    wl.write_u64(reads.len() as u64);
-    for (id, seq) in ids.iter().zip(reads) {
-        wl.write(id.as_bytes());
-        wl.write(seq.to_string().as_bytes());
+    for source in [opts.index.as_ref().unwrap_or(&opts.reference), &opts.reads] {
+        let path = Path::new(source.as_str());
+        let hash = File::open(path)
+            .and_then(|file| word_hash_of(BufReader::new(file)))
+            .map_err(|e| ReputeError::io_at(path, e))?;
+        wl.write_u64(hash);
     }
     Ok(RunFingerprint::new(cfg.finish(), wl.finish()))
 }
@@ -675,52 +1032,6 @@ fn executor(opts: &MapOptions, platform: &repute_hetsim::Platform, reads: usize)
         tracing: opts.trace_out.is_some(),
         ..Executor::new(Schedule::for_mode(opts.schedule, platform, reads))
     }
-}
-
-/// Maps `reads` through one journaled [`Executor`] run: every finished
-/// batch is committed to the checkpoint `journal`, and the ones a
-/// previous, interrupted run committed are replayed; the run it returns
-/// is bit-identical to an uninterrupted one.
-///
-/// Returns the run, its per-read records, and the number of batches
-/// replayed from the journal.
-fn map_journaled(
-    opts: &MapOptions,
-    platform: &repute_hetsim::Platform,
-    set: &ReferenceSet,
-    mapper: &dyn Mapper,
-    journal: &str,
-    ids: &[String],
-    reads: &[DnaSeq],
-) -> Result<(MappingRun, Vec<MapMetrics>, u64), ReputeError> {
-    let fingerprint = run_fingerprint(opts, set, ids, reads)?;
-    let journal_path = Path::new(journal);
-    if journal_path.exists() && !opts.resume {
-        return Err(ReputeError::Config(format!(
-            "checkpoint journal {journal:?} already exists; pass --resume to \
-             continue it, or delete it to start over"
-        )));
-    }
-    if !journal_path.exists() && opts.resume {
-        return Err(ReputeError::Config(format!(
-            "cannot resume: checkpoint journal {journal:?} does not exist"
-        )));
-    }
-    let outcome = executor(opts, platform, reads.len()).run_journaled(
-        &mapper,
-        platform,
-        reads,
-        journal_path,
-        fingerprint,
-    )?;
-    announce_priced(opts, platform, &outcome.run)?;
-    if outcome.resumed_batches > 0 {
-        eprintln!(
-            "resumed from checkpoint: {}/{} batch(es) replayed from the journal",
-            outcome.resumed_batches, outcome.total_batches
-        );
-    }
-    Ok((outcome.run, outcome.metrics, outcome.resumed_batches as u64))
 }
 
 /// Writes a priced run's `--trace-out` file and prints the §III-D style
@@ -742,11 +1053,7 @@ fn announce_priced(
         run.energy.average_power_w,
         run.energy.energy_j
     );
-    if opts
-        .fault_plan
-        .as_ref()
-        .is_some_and(FaultPlan::has_device_events)
-    {
+    if opts.fault_plan.as_ref().is_some_and(|p| !p.is_empty()) {
         let faults: u64 = run.fault_counters.iter().map(|c| c.faults).sum();
         let retries: u64 = run.fault_counters.iter().map(|c| c.retries).sum();
         let migrated: u64 = run.fault_counters.iter().map(|c| c.migrated_batches).sum();
@@ -1216,125 +1523,38 @@ mod tests {
     #[test]
     fn checkpoint_flags_parse_and_validate() {
         let opts = parse_map_args(args(
-            "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj",
+            "--reference r.fa --reads q.fq --output o.sam --checkpoint j.ckpt",
         ))
         .unwrap();
-        assert_eq!(opts.checkpoint.as_deref(), Some("j.rpj"));
+        assert_eq!(opts.checkpoint.as_deref(), Some("j.ckpt"));
         assert!(!opts.resume);
         let opts = parse_map_args(args(
-            "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --resume",
+            "--reference r.fa --reads q.fq --output o.sam --checkpoint j.ckpt --resume",
         ))
         .unwrap();
         assert!(opts.resume);
         // Defaults.
         let opts = parse_map_args(args("--reference r.fa --reads q.fq")).unwrap();
         assert_eq!(opts.checkpoint, None);
-        // The journal is batch-granular over the simulated schedule.
-        assert!(parse_map_args(args("--reference r.fa --reads q.fq --checkpoint j.rpj")).is_err());
+        // A checkpoint commits a prefix of a file, which stdout is not.
+        assert!(parse_map_args(args("--reference r.fa --reads q.fq --checkpoint j.ckpt")).is_err());
         // --resume rides on --checkpoint.
         assert!(parse_map_args(args("--reference r.fa --reads q.fq --resume")).is_err());
-        // CIGAR traceback is per-read; the journal is per-batch.
+        // CIGARs, a platform and its device faults all ride along.
         assert!(parse_map_args(args(
-            "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --cigar"
+            "--reference r.fa --reads q.fq --output o.sam --checkpoint j.ckpt --cigar \
+             --platform system1 --fault-plan loss:d0@0.1"
         ))
-        .is_err());
-        // Host-crash events require a journal to crash into…
+        .is_ok());
+        // The simulated host crash is gone.
         assert!(parse_map_args(args(
             "--reference r.fa --reads q.fq --platform system1 --fault-plan crash:@0.5"
         ))
         .is_err());
-        // …and device faults cannot mix with a checkpointed run.
-        assert!(parse_map_args(args(
-            "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj \
-             --fault-plan loss:d0@0.1"
-        ))
-        .is_err());
-        // The valid combination parses.
-        assert!(parse_map_args(args(
-            "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj \
-             --fault-plan crash:@0.5"
-        ))
-        .is_ok());
-    }
-
-    #[test]
-    fn checkpointed_run_crashes_resumes_and_matches_plain_output() {
-        let dir =
-            std::env::temp_dir().join(format!("repute-cli-checkpoint-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let dir_s = dir.to_string_lossy().into_owned();
-        run_simulate(&SimulateOptions {
-            out_dir: dir_s.clone(),
-            length: 60_000,
-            reads: 24,
-            read_len: 100,
-            seed: 37,
-            profile: "err012100".into(),
-        })
-        .unwrap();
-        let parse = |extra: &str, sam: &str| {
-            parse_map_args(
-                format!(
-                    "--reference {dir_s}/reference.fa --reads {dir_s}/reads.fq --delta 5 \
-                     --platform system1 --schedule dynamic --output {dir_s}/{sam} {extra}"
-                )
-                .split_whitespace()
-                .map(String::from),
-            )
-            .unwrap()
-        };
-
-        // Ground truth: the same run without a checkpoint.
-        let plain_counts = run_map(&parse("", "plain.sam")).unwrap();
-
-        // A crash early in the simulated timeline leaves a partial
-        // journal and the distinct `Interrupted` failure class.
-        let crashed = parse(
-            "--checkpoint ckpt.rpj --fault-plan crash:@0.000001",
-            "crashed.sam",
-        );
-        let crashed = MapOptions {
-            checkpoint: Some(dir.join("ckpt.rpj").to_string_lossy().into_owned()),
-            ..crashed
-        };
-        let err = run_map(&crashed).unwrap_err();
-        assert_eq!(err.exit_code(), 8, "{err}");
-        assert!(matches!(err, ReputeError::Interrupted { .. }));
-        // The SAM was never committed: no torn output file, and no
-        // temp file left behind either.
-        assert!(!dir.join("crashed.sam").exists());
-        assert!(!dir.join("crashed.sam.tmp").exists());
-
-        // Re-running without --resume refuses the existing journal.
-        let mut resumed = parse("", "resumed.sam");
-        resumed.checkpoint = Some(dir.join("ckpt.rpj").to_string_lossy().into_owned());
-        let err = run_map(&resumed).unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
-
-        // Resuming (without the crash event) finishes the run and the
-        // SAM is byte-identical to the uncheckpointed one.
-        resumed.resume = true;
-        let resumed_counts = run_map(&resumed).unwrap();
-        assert_eq!(resumed_counts, plain_counts);
-        assert_eq!(
-            std::fs::read(dir.join("plain.sam")).unwrap(),
-            std::fs::read(dir.join("resumed.sam")).unwrap()
-        );
-
-        // A resume under a different configuration is refused with the
-        // resume-mismatch class before any mapping work happens.
-        let mut mismatched = resumed.clone();
-        mismatched.delta = 4;
-        let err = run_map(&mismatched).unwrap_err();
-        assert_eq!(err.exit_code(), 6, "{err}");
-        assert!(matches!(err, ReputeError::ResumeMismatch(_)));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The identity a checkpointed run is resumed under, for one fixed
-    /// configuration — generated before `ReputeConfig` learnt to fold it,
-    /// so a journal written then still resumes now.
+    /// configuration and dataset.
     #[test]
     fn checkpoint_fingerprint_is_pinned() {
         let dir = std::env::temp_dir().join(format!(
@@ -1355,16 +1575,172 @@ mod tests {
         let opts = parse_map_args(args(&format!(
             "--reference {dir_s}/reference.fa --reads {dir_s}/reads.fq --delta 4 --s-min 14 \
              --max-locations 50 --prefilter both --platform system1 --schedule dynamic \
-             --checkpoint {dir_s}/ckpt.rpj"
+             --output {dir_s}/out.sam --checkpoint {dir_s}/ckpt"
         )))
         .unwrap();
-        let set = load_reference_set(&opts.reference, None, None).unwrap();
-        let (ids, reads) = load_reads(&opts.reads).unwrap();
-        let fingerprint = run_fingerprint(&opts, &set, &ids, &reads).unwrap();
+        let fingerprint = run_fingerprint(&opts).unwrap();
         assert_eq!(
             fingerprint.render(),
-            "055d0eecbe42cd00.4a1e74164785e789.0000000000000000"
+            "91453f3f0bbd21c2.ab2882a582501a08.0000000000000000"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Leaves the files a checkpointed run leaves when it dies right
+    /// after its commit at `k` reads: the loop's own commit code over the
+    /// first `k` reads (the commit at 0 is the one every fresh run makes).
+    fn crash_after_commit(opts: &MapOptions, k: usize) {
+        let platform = opts.platform.is_some();
+        let set = load_reference_set(&opts.reference, None, None).unwrap();
+        let repute = ReputeMapper::new(Arc::clone(set.indexed()), build_config(opts).unwrap());
+        let path = Path::new(opts.checkpoint.as_deref().unwrap());
+        let mut checkpoint = Checkpointing::open(opts, path).unwrap();
+        let mut priced = Priced::default();
+        let mut emitter = checkpoint
+            .start(opts, &set, &repute, platform, &mut priced)
+            .unwrap();
+        let reads = File::open(&opts.reads).unwrap();
+        let records: Vec<_> = FastqReader::new(BufReader::new(reads))
+            .take(k)
+            .map(Result::unwrap)
+            .collect();
+        let seqs: Vec<DnaSeq> = records.iter().map(|r| r.seq.clone()).collect();
+        let (mut outputs, mut metrics) = (Vec::new(), Vec::new());
+        execute_batches(&repute, &seqs, 1, &mut outputs, &mut metrics);
+        for ((record, out), m) in records.iter().zip(&outputs).zip(&metrics) {
+            emitter
+                .read(&record.id, &record.seq, &out.mappings, m)
+                .unwrap();
+        }
+        checkpoint.keep(&outputs, &metrics).unwrap();
+        if k > 0 {
+            checkpoint.commit(&mut emitter, false).unwrap();
+        }
+    }
+
+    /// A `--metrics-out` file's `run` record with its wall clock and its
+    /// resume count blanked, and that count.
+    fn run_record(path: &Path) -> (String, u64) {
+        let text = std::fs::read_to_string(path).unwrap();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("{\"type\":\"run\""))
+            .unwrap();
+        let mut resumed = 0;
+        let fields: Vec<String> = line
+            .split(',')
+            .map(|field| match field.split_once(':') {
+                Some(("\"wall_seconds\"", _)) => "\"wall_seconds\":_".to_string(),
+                Some(("\"resumed_batches\"", n)) => {
+                    resumed = n.parse().unwrap();
+                    "\"resumed_batches\":_".to_string()
+                }
+                _ => field.to_string(),
+            })
+            .collect();
+        (fields.join(","), resumed)
+    }
+
+    /// A run resumed from the state a crash leaves after each commit —
+    /// the one before the first read, and two after 1 024-read stretches
+    /// — with torn bytes after every committed prefix writes the bytes
+    /// of a run never interrupted: SAM, `read` records, the `run` record
+    /// but for its wall clock and its resume count, and the trace.
+    #[test]
+    fn resume_after_every_commit_point_matches_the_uninterrupted_run() {
+        let dir =
+            std::env::temp_dir().join(format!("repute-cli-commit-points-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let dir_s = dir.to_string_lossy().into_owned();
+        run_simulate(&SimulateOptions {
+            out_dir: dir_s.clone(),
+            length: 60_000,
+            reads: 2_500,
+            read_len: 100,
+            seed: 89,
+            profile: "err012100".into(),
+        })
+        .unwrap();
+        let file = |name: &str| dir.join(name);
+        let read_records = |name: &str| {
+            let text = std::fs::read_to_string(file(name)).unwrap();
+            let reads: Vec<String> = text
+                .lines()
+                .filter(|l| l.starts_with("{\"type\":\"read\""))
+                .map(String::from)
+                .collect();
+            reads
+        };
+        let passes = [
+            "",
+            "--platform system1 --schedule dynamic --trace-out TRACE",
+        ];
+        for (pass, priced) in passes.into_iter().enumerate() {
+            let opts = |tag: &str| {
+                let priced = priced.replace("TRACE", &format!("{dir_s}/{tag}.json"));
+                parse_map_args(args(&format!(
+                    "--reference {dir_s}/reference.fa --reads {dir_s}/reads.fq --delta 5 \
+                     --output {dir_s}/{tag}.sam --metrics-out {dir_s}/{tag}.jsonl {priced}"
+                )))
+                .unwrap()
+            };
+            let plain = format!("plain{pass}");
+            run_map(&opts(&plain)).unwrap();
+            let plain_run = run_record(&file(&format!("{plain}.jsonl")));
+            assert_eq!(plain_run.1, 0);
+            for k in [0, 1_024, 2_048] {
+                let tag = format!("{pass}k{k}");
+                let checkpointed = MapOptions {
+                    checkpoint: Some(format!("{dir_s}/{tag}.ckpt")),
+                    ..opts(&tag)
+                };
+                crash_after_commit(&checkpointed, k);
+                let mut torn = vec![format!("{tag}.sam.tmp"), format!("{tag}.jsonl.tmp")];
+                if !priced.is_empty() {
+                    torn.push(format!("{tag}.ckpt.work"));
+                }
+                for name in &torn {
+                    let mut f = std::fs::OpenOptions::new()
+                        .append(true)
+                        .open(file(name))
+                        .unwrap();
+                    f.write_all(b"torn\xff\x00 tail").unwrap();
+                }
+                run_map(&MapOptions {
+                    resume: true,
+                    ..checkpointed
+                })
+                .unwrap();
+                let what = format!("{priced:?} resumed at {k}");
+                assert!(
+                    std::fs::read(file(&format!("{tag}.sam"))).unwrap()
+                        == std::fs::read(file(&format!("{plain}.sam"))).unwrap(),
+                    "{what}: SAM differs"
+                );
+                assert!(
+                    read_records(&format!("{tag}.jsonl"))
+                        == read_records(&format!("{plain}.jsonl")),
+                    "{what}: read records differ"
+                );
+                let (run, resumed) = run_record(&file(&format!("{tag}.jsonl")));
+                assert_eq!(run, plain_run.0, "{what}");
+                assert_eq!(resumed, k as u64 / 64, "{what}");
+                let stats =
+                    render_stats(&std::fs::read_to_string(file(&format!("{tag}.jsonl"))).unwrap())
+                        .unwrap();
+                assert_eq!(stats.contains("resumed from checkpoint:"), k > 0, "{what}");
+                if !priced.is_empty() {
+                    assert_eq!(
+                        std::fs::read(file(&format!("{tag}.json"))).unwrap(),
+                        std::fs::read(file(&format!("{plain}.json"))).unwrap(),
+                        "{what}: trace differs"
+                    );
+                }
+                for name in &torn {
+                    assert!(!file(name).exists(), "{what}: {name} left behind");
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1542,82 +1918,15 @@ mod tests {
             "{faulted}"
         );
 
-        // A checkpointed run traces the journal commits.
+        // A checkpoint commits on the host, off the simulated timeline.
         let ckpt = run(
-            &format!("--schedule dynamic --checkpoint {dir_s}/t.rpj"),
+            &format!("--schedule dynamic --checkpoint {dir_s}/t.ckpt"),
             "c.json",
         );
-        let ckpt = String::from_utf8(ckpt).unwrap();
-        assert!(ckpt.contains("\"cat\":\"checkpoint\""), "{ckpt}");
+        assert_eq!(ckpt, text.as_bytes());
 
         // Garbage is rejected with the input-parse class.
         assert!(render_trace_summary("{\"not\":\"an array\"}").is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpointed_metrics_surface_resumed_batches_in_stats() {
-        let dir = std::env::temp_dir().join(format!(
-            "repute-cli-checkpoint-stats-test-{}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let dir_s = dir.to_string_lossy().into_owned();
-        run_simulate(&SimulateOptions {
-            out_dir: dir_s.clone(),
-            length: 60_000,
-            reads: 20,
-            read_len: 100,
-            seed: 41,
-            profile: "err012100".into(),
-        })
-        .unwrap();
-        let parse = |extra: &str| {
-            parse_map_args(
-                format!(
-                    "--reference {dir_s}/reference.fa --reads {dir_s}/reads.fq --delta 5 \
-                     --platform system1 --schedule dynamic --output {dir_s}/out.sam \
-                     --checkpoint {dir_s}/ckpt.rpj --metrics-out {dir_s}/m.jsonl {extra}"
-                )
-                .split_whitespace()
-                .map(String::from),
-            )
-            .unwrap()
-        };
-        // Complete a checkpointed run, then resume its finished journal:
-        // every batch replays, so the provenance counter is nonzero.
-        run_map(&parse("")).unwrap();
-        run_map(&parse("--resume")).unwrap();
-
-        // The run record carries the replayed-batch count; per-read
-        // records cover the whole run exactly once (no double-counting).
-        let text = std::fs::read_to_string(dir.join("m.jsonl")).unwrap();
-        let read_lines = text
-            .lines()
-            .filter(|l| l.contains("\"type\":\"read\""))
-            .count();
-        assert_eq!(read_lines, 20);
-        assert!(text.contains("\"resumed_batches\":"), "{text}");
-        let rendered = render_stats(&text).unwrap();
-        assert!(
-            rendered.contains("resumed from checkpoint:") && rendered.contains("replayed"),
-            "missing resume provenance in:\n{rendered}"
-        );
-        assert!(rendered.contains("20 read records"), "{rendered}");
-        for committed in ["out.sam", "m.jsonl"] {
-            assert!(
-                !dir.join(format!("{committed}.tmp")).exists(),
-                "{committed}"
-            );
-        }
-
-        // An unresumed telemetry file renders without the provenance line.
-        std::fs::remove_file(dir.join("ckpt.rpj")).unwrap();
-        std::fs::remove_file(dir.join("ckpt.rpj.manifest")).unwrap();
-        run_map(&parse("")).unwrap();
-        let fresh = render_stats(&std::fs::read_to_string(dir.join("m.jsonl")).unwrap()).unwrap();
-        assert!(!fresh.contains("resumed from checkpoint:"), "{fresh}");
-
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1632,8 +1941,8 @@ mod tests {
             ..MapOptions::default()
         };
         let checkpointed = MapOptions {
-            checkpoint: Some("j.rpj".into()),
-            platform: Some("system1".into()),
+            checkpoint: Some("j.ckpt".into()),
+            output: Some("o.sam".into()),
             ..base.clone()
         };
         let cases = [
@@ -1659,14 +1968,6 @@ mod tests {
                 },
             ),
             (
-                "--platform system1 --fault-plan crash:@1",
-                MapOptions {
-                    platform: Some("system1".into()),
-                    fault_plan: Some(FaultPlan::new().host_crash(1.0)),
-                    ..base.clone()
-                },
-            ),
-            (
                 "--mapper coral --cigar",
                 MapOptions {
                     mapper: MapperChoice::Coral,
@@ -1683,23 +1984,9 @@ mod tests {
                 },
             ),
             (
-                "--checkpoint j.rpj",
+                "--checkpoint j.ckpt",
                 MapOptions {
-                    platform: None,
-                    ..checkpointed.clone()
-                },
-            ),
-            (
-                "--platform system1 --checkpoint j.rpj --cigar",
-                MapOptions {
-                    cigar: true,
-                    ..checkpointed.clone()
-                },
-            ),
-            (
-                "--platform system1 --checkpoint j.rpj --fault-plan crash:@1,loss:d0@0.1",
-                MapOptions {
-                    fault_plan: Some(FaultPlan::new().host_crash(1.0).loss(0, 0.1)),
+                    output: None,
                     ..checkpointed.clone()
                 },
             ),
@@ -1721,7 +2008,9 @@ mod tests {
             base,
             checkpointed.clone(),
             MapOptions {
-                fault_plan: Some(FaultPlan::new().host_crash(1.0)),
+                platform: Some("system1".into()),
+                fault_plan: Some(FaultPlan::new().loss(0, 0.1)),
+                cigar: true,
                 ..checkpointed
             },
         ] {

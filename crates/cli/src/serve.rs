@@ -6,7 +6,6 @@
 use std::path::Path;
 
 use repute_core::ReputeError;
-use repute_hetsim::FaultPlan;
 use repute_serve::ServeOptions;
 
 use crate::args::{Cursor, ParseArgsError};
@@ -124,16 +123,6 @@ pub fn parse_serve_args<I: IntoIterator<Item = String>>(
     let mut cur = Cursor::new(args);
     while cur.advance()? {
         if shared.accept(&mut cur)? {
-            let crash = shared
-                .fault_plan
-                .as_ref()
-                .and_then(FaultPlan::host_crash_at);
-            if crash.is_some() {
-                return Err(ParseArgsError::new(
-                    "serve accepts device fault events only (crash-resume \
-                     is --journal/--resume territory, not crash:@<t>)",
-                ));
-            }
             continue;
         }
         match cur.flag() {

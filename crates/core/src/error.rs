@@ -1,12 +1,11 @@
 //! The typed error taxonomy of the mapper's user-facing surfaces.
 //!
 //! Every failure a run can hit — bad configuration, malformed input,
-//! filesystem trouble, a corrupt or mismatched checkpoint journal, the
-//! platform losing every device, a simulated host crash — maps to one
+//! filesystem trouble, a corrupt or mismatched checkpoint or journal,
+//! the platform losing every device — maps to one
 //! [`ReputeError`] variant, and every variant maps to a distinct process
 //! exit code ([`ReputeError::exit_code`]). The CLI threads this type
-//! through all of its subcommands so that scripts (and the crash/resume
-//! bench harness) can react to *what* failed without string-matching
+//! through all of its subcommands so that scripts can react to *what* failed without string-matching
 //! stderr, and so that no user-facing path panics.
 
 use std::error::Error;
@@ -31,26 +30,16 @@ pub enum ReputeError {
         /// The underlying error.
         source: io::Error,
     },
-    /// A checkpoint journal failed validation: bad magic, a checksum
-    /// mismatch below the manifest watermark, or an internally
-    /// inconsistent record (exit code 5).
+    /// A checkpoint or journal failed validation: bad magic, a checksum
+    /// mismatch, a file shorter than its checkpoint committed, or an
+    /// internally inconsistent record (exit code 5).
     JournalCorrupt(String),
-    /// A journal was written by a different run: its config/workload
-    /// fingerprint does not match the resume attempt (exit code 6).
+    /// A checkpoint or journal was written by a different run: its
+    /// config/workload fingerprint does not match the resume attempt
+    /// (exit code 6).
     ResumeMismatch(String),
     /// The simulated platform lost devices beyond recovery (exit code 7).
     DeviceLoss(String),
-    /// A simulated host crash stopped the run mid-journal; the journal
-    /// holds `committed` of `total` batches and can be resumed (exit
-    /// code 8).
-    Interrupted {
-        /// Simulated seconds at which the crash armed.
-        at_seconds: f64,
-        /// Batches durably committed to the journal before the crash.
-        committed: usize,
-        /// Total batches of the run.
-        total: usize,
-    },
 }
 
 impl ReputeError {
@@ -63,7 +52,6 @@ impl ReputeError {
             ReputeError::JournalCorrupt(_) => 5,
             ReputeError::ResumeMismatch(_) => 6,
             ReputeError::DeviceLoss(_) => 7,
-            ReputeError::Interrupted { .. } => 8,
         }
     }
 
@@ -85,15 +73,6 @@ impl fmt::Display for ReputeError {
             ReputeError::JournalCorrupt(msg) => write!(f, "journal corrupt: {msg}"),
             ReputeError::ResumeMismatch(msg) => write!(f, "resume mismatch: {msg}"),
             ReputeError::DeviceLoss(msg) => write!(f, "device loss: {msg}"),
-            ReputeError::Interrupted {
-                at_seconds,
-                committed,
-                total,
-            } => write!(
-                f,
-                "run interrupted by simulated host crash at {at_seconds:.6} s: \
-                 {committed}/{total} batches journaled (resume with --resume)"
-            ),
         }
     }
 }
@@ -153,11 +132,6 @@ mod tests {
             ReputeError::JournalCorrupt("j".into()),
             ReputeError::ResumeMismatch("r".into()),
             ReputeError::DeviceLoss("d".into()),
-            ReputeError::Interrupted {
-                at_seconds: 1.0,
-                committed: 1,
-                total: 2,
-            },
         ];
         let mut codes: Vec<u8> = errs.iter().map(ReputeError::exit_code).collect();
         assert!(codes.iter().all(|&c| c >= 2), "0/1 are reserved: {codes:?}");
@@ -189,12 +163,8 @@ mod tests {
         assert!(ReputeError::JournalCorrupt("x".into())
             .to_string()
             .starts_with("journal corrupt"));
-        let interrupted = ReputeError::Interrupted {
-            at_seconds: 0.5,
-            committed: 3,
-            total: 8,
-        };
-        let text = interrupted.to_string();
-        assert!(text.contains("3/8") && text.contains("--resume"), "{text}");
+        assert!(ReputeError::ResumeMismatch("x".into())
+            .to_string()
+            .starts_with("resume mismatch"));
     }
 }

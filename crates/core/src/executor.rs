@@ -24,13 +24,9 @@
 //!
 //! Placement is sequential arithmetic over the counts of stage 2, so
 //! `simulated_seconds`, timelines, energy and traces are the same for
-//! every host-thread count; and because a batch's results do not depend
-//! on when it ran, a journaled run ([`Executor::run_journaled`]) that
-//! replays some batches from disk and computes the rest equals the run
-//! that computed them all — wall clock aside.
+//! every host-thread count.
 
 use std::borrow::Cow;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -45,8 +41,6 @@ use repute_obs::trace::{device_pid, Span, SCHEDULER_PID};
 use repute_obs::{KernelEvent, MapMetrics};
 
 use crate::config::{output_slot_bytes, ScheduleMode, DEFAULT_MAX_RETRIES};
-use crate::error::ReputeError;
-use crate::journal::{BatchRecord, Fnv64, RunFingerprint, RunJournal};
 use crate::mapping_run::MappingRun;
 
 /// `host_threads` value meaning "let the executor decide": one thread
@@ -180,8 +174,7 @@ pub struct Executor {
     /// batches of a lost device fail over to the survivors
     /// earliest-free-first, degraded devices run slower. The empty plan
     /// (the default) arms nothing and goes through the same placement, so
-    /// an event that never fires changes nothing a run reports. A
-    /// journaled run accepts host-crash events only.
+    /// an event that never fires changes nothing a run reports.
     pub faults: FaultPlan,
     /// Retries per launch before a transient fault is escalated to the
     /// loss of its device: a launch failing transiently is retried after
@@ -201,26 +194,11 @@ pub struct Executor {
     /// trace lanes), except timeline labels, which keep their
     /// subset-local `d<i>-` prefix. `None` is the whole platform.
     pub subset: Option<Vec<usize>>,
-    /// Record a [`Span`] per kernel launch, batch lifecycle, fault, retry,
-    /// migration and checkpoint into [`MappingRun::trace`]. A disabled
+    /// Record a [`Span`] per kernel launch, batch lifecycle, fault, retry
+    /// and migration into [`MappingRun::trace`]. A disabled
     /// run builds no spans at all, and tracing never changes anything
     /// else.
     pub tracing: bool,
-}
-
-/// Outcome of a journaled mapping run.
-#[derive(Debug)]
-pub struct ResumableRun {
-    /// The mapping run, identical to what [`Executor::run`] returns for
-    /// the same inputs (wall clock aside).
-    pub run: MappingRun,
-    /// Per-read metric records in read order, identical to the
-    /// uninterrupted run's.
-    pub metrics: Vec<MapMetrics>,
-    /// Batches replayed from the journal instead of recomputed.
-    pub resumed_batches: usize,
-    /// Total batches of the run.
-    pub total_batches: usize,
 }
 
 impl Executor {
@@ -386,143 +364,6 @@ impl Executor {
         Ok(assemble(platform, start, Vec::new(), placed))
     }
 
-    /// [`run`](Executor::run) with batch-granular crash safety: each
-    /// completed batch is appended to the journal at `journal_path` (and
-    /// the sidecar manifest refreshed after it), and
-    /// a journal already there for the *same* run — validated against
-    /// `fingerprint` plus the batch decomposition — is replayed instead
-    /// of recomputed. The result equals the unjournaled run's in every
-    /// output, metric, timeline and joule, however often the run was
-    /// interrupted; a traced run adds a `checkpoint` instant span at the
-    /// simulated completion of each batch it committed itself.
-    ///
-    /// `fingerprint` carries the caller's config and workload hashes; the
-    /// shape component is stamped here once the batches are known, so
-    /// *any* change that alters the decomposition (platform, schedule,
-    /// read count, mapper output size) also invalidates old journals.
-    ///
-    /// `faults` may carry **only** host-crash events
-    /// ([`FaultPlan::host_crash`]): when armed, the run stops at the
-    /// first batch (in batch order) whose simulated completion exceeds
-    /// the crash time, commits the manifest, and returns
-    /// [`ReputeError::Interrupted`] — the simulated analogue of
-    /// `kill -9`. Resume by calling again without the crash event.
-    /// Failover placement depends on the fault history, which is exactly
-    /// what a resume-deterministic journal cannot admit.
-    ///
-    /// # Errors
-    ///
-    /// * [`ReputeError::Config`] — an invalid distribution, device fault
-    ///   events in `faults`, or a `subset` (journaled runs take the whole
-    ///   platform);
-    /// * [`ReputeError::ResumeMismatch`] — the journal belongs to a
-    ///   different run;
-    /// * [`ReputeError::JournalCorrupt`] — the journal or manifest fails
-    ///   validation below the durable watermark;
-    /// * [`ReputeError::Interrupted`] — the simulated host crash fired;
-    /// * [`ReputeError::Io`] — filesystem failures.
-    pub fn run_journaled<M: Mapper>(
-        &self,
-        mapper: &M,
-        platform: &Platform,
-        reads: &[DnaSeq],
-        journal_path: &Path,
-        fingerprint: RunFingerprint,
-    ) -> Result<ResumableRun, ReputeError> {
-        if self.faults.has_device_events() {
-            return Err(ReputeError::Config(
-                "checkpointed runs accept only host-crash fault events (crash:@<t>); \
-                 device faults make placement history-dependent and are not resumable"
-                    .to_string(),
-            ));
-        }
-        if self.subset.is_some() {
-            return Err(ReputeError::Config(
-                "checkpointed runs map on the whole platform, not a device subset".to_string(),
-            ));
-        }
-        let start = Instant::now();
-        let bytes_per_read = output_slot_bytes(mapper.max_locations());
-        let batches = plan_batches(&self.schedule, platform, bytes_per_read, reads.len())?;
-
-        // The shape hash welds the fingerprint to this exact
-        // decomposition, so a journal can only ever be resumed into the
-        // identical batch structure.
-        let n_dev = platform.devices().len();
-        let fingerprint = stamp_shape(fingerprint, &self.schedule, n_dev, reads.len(), &batches);
-        let (mut journal, records) = RunJournal::open(journal_path, &fingerprint)?;
-        if records.len() > batches.len() {
-            return Err(ReputeError::JournalCorrupt(format!(
-                "journal holds {} records but the run has only {} batches",
-                records.len(),
-                batches.len()
-            )));
-        }
-        let resumed_batches = records.len();
-        let (mut outputs, mut metrics) = (Vec::new(), Vec::new());
-        for (i, (rec, b)) in records.into_iter().zip(&batches).enumerate() {
-            if rec.lo != b.lo as u64 || rec.hi != b.hi as u64 {
-                return Err(ReputeError::JournalCorrupt(format!(
-                    "journal record {i} covers reads {}..{} but the plan expects {}..{}",
-                    rec.lo, rec.hi, b.lo, b.hi
-                )));
-            }
-            outputs.extend(rec.outputs);
-            metrics.extend(rec.metrics);
-        }
-
-        execute_batches(mapper, reads, self.host_threads, &mut outputs, &mut metrics);
-        let work = Work::of(mapper, reads, &outputs);
-        let mut placed = self.place(platform, &FaultPlan::new(), &batches, &work)?;
-
-        // Commit each batch durably, in batch order. The simulated crash
-        // fires at the first batch whose completion exceeds the crash
-        // time, exactly like a host process dying mid-run: the journal
-        // keeps its contiguous durable prefix, nothing else.
-        let crash_at = self.faults.host_crash_at();
-        let total = batches.len() as u64;
-        for (idx, b) in batches.iter().enumerate().skip(resumed_batches) {
-            let done_at = placed.batch_ends[idx];
-            if let Some(t) = crash_at.filter(|&t| done_at > t) {
-                journal.commit_manifest(total, false)?;
-                return Err(ReputeError::Interrupted {
-                    at_seconds: t,
-                    committed: journal.records() as usize,
-                    total: batches.len(),
-                });
-            }
-            journal.append(&BatchRecord {
-                index: idx as u32,
-                lo: b.lo as u64,
-                hi: b.hi as u64,
-                outputs: outputs[b.lo..b.hi].to_vec(),
-                metrics: metrics[b.lo..b.hi].to_vec(),
-            })?;
-            if self.tracing {
-                placed.trace.push(
-                    Span::instant(
-                        "checkpoint".to_string(),
-                        "checkpoint",
-                        SCHEDULER_PID,
-                        done_at,
-                    )
-                    .arg_u64("batch", idx as u64)
-                    .arg_u64("lo", b.lo as u64)
-                    .arg_u64("hi", b.hi as u64),
-                );
-            }
-            journal.commit_manifest(total, false)?;
-        }
-        journal.commit_manifest(total, true)?;
-
-        Ok(ResumableRun {
-            run: assemble(platform, start, outputs, placed),
-            metrics,
-            resumed_batches,
-            total_batches: batches.len(),
-        })
-    }
-
     /// Stage 3 — lays `batches` on one command queue per device of
     /// `platform`, each armed with its part of `faults` (nothing, for the
     /// empty plan). Static batches go to the device their share names;
@@ -550,10 +391,7 @@ impl Executor {
             work,
             queues: queues.collect(),
             dead: vec![false; devices.len()],
-            placed: Placement {
-                batch_ends: vec![0.0; batches.len()],
-                ..Placement::default()
-            },
+            placed: Placement::default(),
         };
         let last_read = batches.last().map_or(0, |b| b.hi);
 
@@ -783,9 +621,8 @@ fn plan_batches(
     Ok(batches)
 }
 
-/// Stage 2 — maps every read not already in `outputs` (a journaled run
-/// arrives with the reads of its committed batches filled in), appending
-/// in read order, on `host_threads` host threads as
+/// Stage 2 — maps every read of `reads`, appending to `outputs` and
+/// `metrics` in read order, on `host_threads` host threads as
 /// [`Executor::host_threads`] reads it. One job per read, so host threads
 /// stay balanced whatever the batch shape; the batches only matter to
 /// stage 3. Outputs and metrics are the same for every thread count.
@@ -796,12 +633,11 @@ pub fn execute_batches<M: Mapper>(
     outputs: &mut Vec<MapOutput>,
     metrics: &mut Vec<MapMetrics>,
 ) {
-    let todo = &reads[outputs.len()..];
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = worker_count(host_threads, host, todo.len());
-    let mapped = run_jobs(todo.len(), workers, |i| {
+    let workers = worker_count(host_threads, host, reads.len());
+    let mapped = run_jobs(reads.len(), workers, |i| {
         let mut m = MapMetrics::new();
-        (mapper.map_read_metered(&todo[i], &mut m), m)
+        (mapper.map_read_metered(&reads[i], &mut m), m)
     });
     outputs.reserve(mapped.len());
     metrics.reserve(mapped.len());
@@ -819,22 +655,12 @@ struct Work<'a> {
 }
 
 impl Work<'_> {
-    fn of<M: Mapper>(mapper: &M, reads: &[DnaSeq], outputs: &[MapOutput]) -> Work<'static> {
-        let max_read_len = reads.iter().map(DnaSeq::len).max().unwrap_or(0);
-        Work {
-            per_read: outputs.iter().map(|o| o.work).collect(),
-            private_bytes: mapper.kernel_private_bytes(max_read_len),
-        }
-    }
-
     fn of_batch(&self, b: &Batch) -> u64 {
         self.per_read[b.lo..b.hi].iter().sum()
     }
 }
 
-/// Stage 3's result: the per-device halves of a [`MappingRun`], plus each
-/// batch's simulated completion, indexed by batch — the clock a journaled
-/// run fires the host crash against.
+/// Stage 3's result: the per-device halves of a [`MappingRun`].
 #[derive(Default)]
 struct Placement {
     device_runs: Vec<DeviceRun>,
@@ -842,15 +668,13 @@ struct Placement {
     fault_counters: Vec<FaultCounters>,
     lost_devices: Vec<usize>,
     trace: Vec<Span>,
-    batch_ends: Vec<f64>,
 }
 
 impl Placement {
     /// Records the batch `queue` just launched.
     fn note_batch(&mut self, queue: &CommandQueue<'_>, batch_idx: usize, b: &Batch, tracing: bool) {
-        let event = queue.events().last().expect("a launch records an event");
-        self.batch_ends[batch_idx] = event.end_seconds;
         if tracing {
+            let event = queue.events().last().expect("a launch records an event");
             self.trace
                 .push(batch_span(batch_idx, b, queue.device_index(), event));
         }
@@ -915,39 +739,6 @@ fn assemble(
         lost_devices: placed.lost_devices,
         trace: placed.trace,
     }
-}
-
-/// Stamps the batch decomposition into the fingerprint: device count,
-/// read count, schedule kind, and every batch boundary (plus the shares
-/// under a static schedule).
-fn stamp_shape(
-    mut fingerprint: RunFingerprint,
-    schedule: &Schedule,
-    n_dev: usize,
-    n_reads: usize,
-    batches: &[Batch],
-) -> RunFingerprint {
-    let mut h = Fnv64::new();
-    h.write_u64(n_dev as u64);
-    h.write_u64(n_reads as u64);
-    match schedule {
-        Schedule::Static(shares) => {
-            h.write_u64(0);
-            h.write_u64(shares.len() as u64);
-            for share in shares {
-                h.write_u64(share.device as u64);
-                h.write_u64(share.items as u64);
-            }
-        }
-        Schedule::Dynamic { .. } => h.write_u64(1),
-    }
-    h.write_u64(batches.len() as u64);
-    for b in batches {
-        h.write_u64(b.lo as u64);
-        h.write_u64(b.hi as u64);
-    }
-    fingerprint.shape = h.finish();
-    fingerprint
 }
 
 /// Resolves a `host_threads` request against a job count: `auto` is what
@@ -1416,8 +1207,7 @@ mod tests {
     }
 
     /// A read whose output no device can hold is a typed error under
-    /// every way of launching — never a panic, and never a journal left
-    /// behind.
+    /// every way of launching — never a panic.
     #[test]
     fn a_read_too_big_for_a_device_is_a_typed_error_on_every_path() {
         let (mapper, reads) = setup();
@@ -1431,10 +1221,6 @@ mod tests {
             1.0,
         );
         let platform = Platform::new("small-sys", 1.0, vec![small]);
-        let journal = std::env::temp_dir().join(format!(
-            "repute-executor-too-big-{}.journal",
-            std::process::id()
-        ));
         for schedule in [
             Schedule::Static(platform.single_device_share(0, reads.len())),
             Schedule::Dynamic { batch: 0 },
@@ -1453,18 +1239,6 @@ mod tests {
                 assert_eq!(err.kind(), &LaunchErrorKind::InvalidDistribution);
                 assert!(err.to_string().contains("quarter-RAM cap"), "{err}");
             }
-            let err = plain
-                .run_journaled(
-                    &mapper,
-                    &platform,
-                    &reads,
-                    &journal,
-                    RunFingerprint::new(1, 2),
-                )
-                .unwrap_err();
-            assert!(matches!(err, ReputeError::Config(_)), "{err:?}");
-            assert!(err.to_string().contains("quarter-RAM cap"), "{err}");
-            assert!(!journal.exists(), "planning fails before the journal opens");
         }
     }
 

@@ -1,73 +1,69 @@
-//! Crash-safe run journal: batch-granular checkpointing for long runs.
+//! Crash safety on disk: the identity of a run ([`RunFingerprint`]),
+//! files put in place only whole ([`AtomicFile`], [`write_atomic`]), and
+//! the checkpoint of a streamed mapping run ([`Checkpoint`]).
 //!
-//! Long mapping runs on embedded SoCs die to power loss and `kill -9`;
-//! the journal bounds the cost of a host crash to at most one batch of
-//! work. The design is write-ahead-log shaped:
+//! A streamed run writes each of its outputs from the front, in read
+//! order, so what it has done is a prefix of every file. A checkpoint
+//! commit syncs each file and then atomically replaces a small manifest:
+//! the run's fingerprint, the reads done, the byte length of each file
+//! and the run's running totals, under one CRC32. A crash leaves every
+//! file at least as long as the last manifest says; a resume cuts each
+//! back to that length ([`AtomicFile::reopen`]) and carries on. A run
+//! priced on a simulated platform also keeps a sidecar of each read's
+//! work count and metrics record ([`put_work_record`],
+//! [`decode_work_record`]), [`WORK_RECORD_BYTES`] a read.
 //!
-//! * The **journal file** starts with a fixed header (magic + the run's
-//!   [`RunFingerprint`], CRC-protected) followed by length-prefixed,
-//!   CRC32-checksummed records — one per completed batch, appended in
-//!   global batch order and flushed (`sync_data`) before the batch counts
-//!   as durable. A crash mid-append leaves at most one torn tail record,
-//!   which recovery truncates.
-//! * The **sidecar manifest** (`<journal>.manifest`) is rewritten via the
-//!   write→flush→rename atomic-replace idiom after every commit. It
-//!   carries the fingerprint and the durable record count — a watermark:
-//!   recovery refuses to drop records *below* it (that would be silent
-//!   data corruption, not a torn write).
-//!
-//! Record payloads serialise everything phase 1 of the two-phase executor
-//! produces for a batch: per-read mappings, work and candidate counts
-//! ([`MapOutput`]) plus the full per-read [`MapMetrics`] record — enough
-//! to replay the batch without re-executing it, bit-identically.
-//!
-//! The framing itself — header, frames, checksums, the bounded reader,
-//! the append handle — is [`repute_genome::wire`]; this module owns the
-//! record layout and the recovery policy.
+//! The daemon's job journal (`repute_serve::journal`) opens with the same
+//! [`RunFingerprint`] header.
 
-use std::fs::{self, File};
-use std::io::Write as _;
+use std::fs::{self, File, OpenOptions};
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use repute_genome::wire::{self, put_u32, put_u64, FrameLog, Reader, WireError};
-use repute_genome::Strand;
-use repute_mappers::{MapOutput, Mapping};
+use repute_genome::wire::{self, put_u32, put_u64, Reader, WireError};
 use repute_obs::MapMetrics;
 
 use crate::error::ReputeError;
 
-/// Journal file magic: identifies the format and its version.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"RPJRNL01";
-
-/// Fixed journal header length: magic + three fingerprint words + CRC32.
-pub const JOURNAL_HEADER_LEN: usize = wire::HEADER_LEN;
-
 pub use repute_genome::wire::{crc32, Fnv64};
+
+/// Checkpoint manifest magic: identifies the format and its version.
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RPCKPT01";
+
+/// The magic of the batch journal `--checkpoint` wrote before it
+/// checkpointed the stream: such a file is refused by name.
+const BATCH_JOURNAL_MAGIC: [u8; 8] = *b"RPJRNL01";
+
+/// The largest manifest [`Checkpoint::load`] reads: a few file lengths,
+/// a few counters and a histogram take a few hundred bytes.
+const MAX_MANIFEST_BYTES: u64 = 1 << 16;
+
+/// Sidecar bytes per read: its work count, then the thirteen
+/// [`MapMetrics`] words in [`MapMetrics::fields`] order, little-endian.
+pub const WORK_RECORD_BYTES: usize = 8 * 14;
 
 /// The identity of a run, for refusing mismatched resumes.
 ///
-/// * `config` — every mapping parameter that can change output or
-///   schedule (`ReputeConfig::fold_identity`, then schedule mode,
-///   mapper choice, platform name);
+/// * `config` — every option that can change a byte of the run's
+///   outputs;
 /// * `workload` — the reference and read content;
-/// * `shape` — the derived batch decomposition (read count, batch
-///   boundaries, share ownership), computed by the resumable executor.
+/// * `shape` — a third word for the caller's use (zero for both users
+///   today).
 ///
-/// A journal whose stored fingerprint differs in any component is a
-/// [`ReputeError::ResumeMismatch`], never silently reused.
+/// A checkpoint or journal whose stored fingerprint differs in any
+/// component is a [`ReputeError::ResumeMismatch`], never silently reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunFingerprint {
     /// Hash of the run configuration.
     pub config: u64,
     /// Hash of the reference and read content.
     pub workload: u64,
-    /// Hash of the batch decomposition (filled by the executor).
+    /// A third identity word; zero unless a caller sets it.
     pub shape: u64,
 }
 
 impl RunFingerprint {
-    /// A fingerprint with the config/workload components; `shape` is
-    /// stamped by the resumable executor once the batch plan is known.
+    /// A fingerprint with the config/workload components and `shape` 0.
     pub fn new(config: u64, workload: u64) -> RunFingerprint {
         RunFingerprint {
             config,
@@ -76,7 +72,7 @@ impl RunFingerprint {
         }
     }
 
-    /// Hex rendering used by the manifest and in mismatch messages.
+    /// Hex rendering used in mismatch messages.
     pub fn render(&self) -> String {
         format!(
             "{:016x}.{:016x}.{:016x}",
@@ -85,7 +81,7 @@ impl RunFingerprint {
     }
 
     /// The 36-byte journal header carrying this fingerprint behind
-    /// `magic` (both journals open with one).
+    /// `magic`.
     pub fn header(&self, magic: &[u8; 8]) -> Vec<u8> {
         let mut header = Vec::with_capacity(wire::HEADER_LEN);
         wire::put_header(&mut header, magic, [self.config, self.workload, self.shape]);
@@ -111,7 +107,7 @@ impl RunFingerprint {
 /// Writes `bytes` to `path` atomically: a sibling temp file is written,
 /// flushed to disk, then renamed over the target. Readers observe either
 /// the old content or the new, never a torn mix — the idiom behind the
-/// journal manifest, `--metrics-out`, and file-bound SAM output.
+/// checkpoint manifest, `--trace-out`, and index caches.
 ///
 /// # Errors
 ///
@@ -123,18 +119,28 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ReputeError> {
     file.commit()
 }
 
+/// The sibling temp file an [`AtomicFile`] for `path` writes:
+/// `<path>.tmp`.
+pub fn tmp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
+}
+
 /// A file written while it is produced and put in place only whole:
 /// the bytes go to the sibling `<path>.tmp` (buffered), and
 /// [`AtomicFile::commit`] syncs it to disk and renames it over `path`.
 /// Dropped without a commit — a run that failed on the way — it removes
 /// the temp file, so `path` keeps its old content (or stays absent) and
-/// no `.tmp` is left behind.
+/// no `.tmp` is left behind; unless it is part of a checkpoint
+/// ([`AtomicFile::checkpointed`], [`AtomicFile::reopen`]), whose `.tmp`
+/// stays for a resume.
 #[derive(Debug)]
 pub struct AtomicFile {
     file: std::io::BufWriter<File>,
     tmp: PathBuf,
     path: PathBuf,
-    committed: bool,
+    remove_on_drop: bool,
 }
 
 impl AtomicFile {
@@ -145,16 +151,52 @@ impl AtomicFile {
     /// Returns [`ReputeError::Io`] naming `path` when the temp file
     /// cannot be created.
     pub fn create(path: &Path) -> Result<AtomicFile, ReputeError> {
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
+        let tmp = tmp_path(path);
         let file = File::create(&tmp).map_err(|e| ReputeError::io_at(path, e))?;
-        Ok(AtomicFile {
+        Ok(AtomicFile::over(file, tmp, path))
+    }
+
+    /// Reopens the `<path>.tmp` a checkpointed run left, cut back to the
+    /// `len` bytes its last commit recorded, to be written on from there.
+    /// The file stays checkpointed.
+    ///
+    /// # Errors
+    ///
+    /// [`ReputeError::JournalCorrupt`] when the temp file is missing or
+    /// shorter than `len` ([`check_prefix`]); [`ReputeError::Io`] on any
+    /// other filesystem error.
+    pub fn reopen(path: &Path, len: u64) -> Result<AtomicFile, ReputeError> {
+        let tmp = tmp_path(path);
+        let file = reopen_at(&tmp, len)?;
+        Ok(AtomicFile::over(file, tmp, path).checkpointed())
+    }
+
+    fn over(file: File, tmp: PathBuf, path: &Path) -> AtomicFile {
+        AtomicFile {
             file: std::io::BufWriter::with_capacity(1 << 16, file),
             tmp,
             path: path.to_path_buf(),
-            committed: false,
-        })
+            remove_on_drop: true,
+        }
+    }
+
+    /// Makes this file part of a checkpoint: dropped without a commit,
+    /// its `.tmp` stays for a resume to [`reopen`](AtomicFile::reopen).
+    pub fn checkpointed(mut self) -> AtomicFile {
+        self.remove_on_drop = false;
+        self
+    }
+
+    /// Flushes the buffered bytes into the temp file and returns a second
+    /// handle on it and its length: what a checkpoint commit syncs and
+    /// records.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReputeError::Io`] naming the target on any filesystem
+    /// error.
+    pub fn flushed(&mut self) -> Result<(File, u64), ReputeError> {
+        flushed(&mut self.file).map_err(|e| ReputeError::io_at(&self.path, e))
     }
 
     /// Flushes and syncs the temp file, then renames it over the target.
@@ -162,13 +204,13 @@ impl AtomicFile {
     /// # Errors
     ///
     /// Returns [`ReputeError::Io`] naming the target on any filesystem
-    /// error; the temp file is removed then.
+    /// error; the temp file is removed then, unless it is checkpointed.
     pub fn commit(mut self) -> Result<(), ReputeError> {
         let io_err = |e| ReputeError::io_at(&self.path, e);
         self.file.flush().map_err(io_err)?;
         self.file.get_ref().sync_all().map_err(io_err)?;
         fs::rename(&self.tmp, &self.path).map_err(io_err)?;
-        self.committed = true;
+        self.remove_on_drop = false;
         Ok(())
     }
 }
@@ -185,397 +227,269 @@ impl std::io::Write for AtomicFile {
 
 impl Drop for AtomicFile {
     fn drop(&mut self) {
-        if !self.committed {
+        if self.remove_on_drop {
             let _ = fs::remove_file(&self.tmp);
         }
     }
 }
 
+/// Flushes `file` and returns a second handle on it and its length.
+///
+/// # Errors
+///
+/// Any error of the three steps.
+pub fn flushed(file: &mut std::io::BufWriter<File>) -> std::io::Result<(File, u64)> {
+    file.flush()?;
+    let file = file.get_ref();
+    Ok((file.try_clone()?, file.metadata()?.len()))
+}
+
+/// Checks that `file` holds at least the `len` bytes a checkpoint
+/// committed — what a resume checks of every file before it cuts any.
+///
+/// # Errors
+///
+/// [`ReputeError::JournalCorrupt`] naming the file when it is missing or
+/// shorter; [`ReputeError::Io`] when it cannot be inspected.
+pub fn check_prefix(file: &Path, len: u64) -> Result<(), ReputeError> {
+    let held = match fs::metadata(file) {
+        Ok(meta) => meta.len(),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Err(ReputeError::JournalCorrupt(format!(
+                "{} is missing, but the checkpoint committed {len} bytes of it",
+                file.display()
+            )))
+        }
+        Err(e) => return Err(ReputeError::io_at(file, e)),
+    };
+    if held < len {
+        return Err(ReputeError::JournalCorrupt(format!(
+            "{} holds {held} bytes, but the checkpoint committed {len}",
+            file.display()
+        )));
+    }
+    Ok(())
+}
+
+/// Opens `file` for writing at its committed length `len`: checked by
+/// [`check_prefix`], cut back to `len`, positioned at its end.
+///
+/// # Errors
+///
+/// Those of [`check_prefix`], and [`ReputeError::Io`].
+pub fn reopen_at(file: &Path, len: u64) -> Result<File, ReputeError> {
+    check_prefix(file, len)?;
+    let io_err = |e| ReputeError::io_at(file, e);
+    let mut handle = OpenOptions::new().write(true).open(file).map_err(io_err)?;
+    handle.set_len(len).map_err(io_err)?;
+    handle.seek(SeekFrom::End(0)).map_err(io_err)?;
+    Ok(handle)
+}
+
 // ---------------------------------------------------------------------
-// Record codec.
+// The checkpoint manifest and its sidecar.
 // ---------------------------------------------------------------------
 
-/// One journaled batch: its global index, read range, and the phase-1
-/// results (per-read outputs and metric records).
+/// What a checkpointed run has durably done: the manifest one commit
+/// writes.
+///
+/// Layout, little-endian: [`CHECKPOINT_MAGIC`]; the fingerprint's three
+/// words; `reads` (u64); `complete` (u8); `lengths` and `counters`, each
+/// a `u32` count and that many u64s; the thirteen `totals` words in
+/// [`MapMetrics::fields`] order; a CRC32 of every byte before it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchRecord {
-    /// Global batch index (records are appended in index order, so the
-    /// journal always holds a prefix of the batch list).
-    pub index: u32,
-    /// First read of the batch (global read order, inclusive).
-    pub lo: u64,
-    /// One past the last read of the batch.
-    pub hi: u64,
-    /// Per-read mapping outputs, in read order within the batch.
-    pub outputs: Vec<MapOutput>,
-    /// Per-read metric records, parallel to `outputs`.
-    pub metrics: Vec<MapMetrics>,
+pub struct Checkpoint {
+    /// The run this checkpoint belongs to.
+    pub fingerprint: RunFingerprint,
+    /// Reads whose outputs the committed prefixes hold.
+    pub reads: u64,
+    /// The committed byte length of each checkpointed file, in the order
+    /// the run opens them.
+    pub lengths: Vec<u64>,
+    /// The caller's running counters over those reads (for `repute map`,
+    /// its mapping statistics).
+    pub counters: Vec<u64>,
+    /// The per-read metrics records summed over those reads.
+    pub totals: MapMetrics,
+    /// The run had written everything: only renames were left.
+    pub complete: bool,
 }
 
-fn encode_payload(record: &BatchRecord) -> Vec<u8> {
-    let reads = (record.hi - record.lo) as usize;
-    assert_eq!(record.outputs.len(), reads, "outputs must cover the batch");
-    assert_eq!(record.metrics.len(), reads, "metrics must cover the batch");
-    let mut payload = Vec::with_capacity(32 + reads * 128);
-    put_u32(&mut payload, record.index);
-    put_u64(&mut payload, record.lo);
-    put_u64(&mut payload, record.hi);
-    for (out, m) in record.outputs.iter().zip(&record.metrics) {
-        put_u32(&mut payload, out.mappings.len() as u32);
-        for mapping in &out.mappings {
-            put_u32(&mut payload, mapping.position);
-            put_u32(&mut payload, mapping.distance);
-            payload.push(match mapping.strand {
-                Strand::Forward => 0,
-                Strand::Reverse => 1,
-            });
+impl Checkpoint {
+    /// The manifest's bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let words = 4 + self.lengths.len() + self.counters.len() + 13;
+        let mut out = Vec::with_capacity(8 + 8 * words + 1 + 8 + 4);
+        out.extend_from_slice(&CHECKPOINT_MAGIC);
+        let fp = &self.fingerprint;
+        for word in [fp.config, fp.workload, fp.shape, self.reads] {
+            put_u64(&mut out, word);
         }
-        put_u64(&mut payload, out.work);
-        put_u64(&mut payload, out.candidates);
-        // The thirteen counters, in `MapMetrics::fields` order.
-        for (_, word) in m.fields() {
-            put_u64(&mut payload, word);
+        out.push(u8::from(self.complete));
+        for list in [&self.lengths, &self.counters] {
+            put_u32(&mut out, list.len() as u32);
+            for &word in list {
+                put_u64(&mut out, word);
+            }
         }
+        for (_, word) in self.totals.fields() {
+            put_u64(&mut out, word);
+        }
+        let crc = crc32(&out);
+        put_u32(&mut out, crc);
+        out
     }
-    payload
-}
 
-/// Encodes one batch record as a framed journal entry:
-/// `[payload_len: u32][payload][crc32(payload): u32]`, all little-endian.
-///
-/// # Panics
-///
-/// Panics if `outputs`/`metrics` lengths disagree with `hi − lo` — that
-/// is an executor bug, not an I/O condition.
-pub fn encode_record(record: &BatchRecord) -> Vec<u8> {
-    let payload = encode_payload(record);
-    let mut framed = Vec::with_capacity(payload.len() + 8);
-    wire::put_frame(&mut framed, &payload);
-    framed
-}
-
-fn decode_payload(payload: &[u8]) -> Result<BatchRecord, WireError> {
-    let mut r = Reader::new(payload);
-    let index = r.u32()?;
-    let lo = r.u64()?;
-    let hi = r.u64()?;
-    let span = hi
-        .checked_sub(lo)
-        .ok_or(WireError::Invalid("batch range ends before it starts"))?;
-    // Per read: mapping count, work, candidates, thirteen metric words.
-    let reads = r.bounded(span, 4 + 16 + 13 * 8)?;
-    let mut outputs = Vec::with_capacity(reads);
-    let mut metrics = Vec::with_capacity(reads);
-    for _ in 0..reads {
-        // A mapping is position + distance + strand: nine bytes.
-        let mappings = r.items(9, |r| {
-            let position = r.u32()?;
-            let distance = r.u32()?;
-            let strand = match r.u8()? {
-                0 => Strand::Forward,
-                1 => Strand::Reverse,
-                _ => return Err(WireError::Invalid("unknown strand code")),
-            };
-            Ok(Mapping {
-                position,
-                strand,
-                distance,
-            })
-        })?;
-        let work = r.u64()?;
-        let candidates = r.u64()?;
-        outputs.push(MapOutput {
-            mappings,
-            work,
-            candidates,
-        });
-        let mut m = MapMetrics::new();
-        for (name, _) in m.fields() {
-            m.set_field(name, r.u64()?);
+    /// Decodes a manifest, or says why not: a wrong magic (the old batch
+    /// journal's named), a checksum that does not match, or fields that
+    /// do not parse.
+    ///
+    /// # Errors
+    ///
+    /// The [`WireError`] of the first check that fails.
+    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, WireError> {
+        if bytes.starts_with(&BATCH_JOURNAL_MAGIC) {
+            return Err(WireError::Invalid(
+                "this is a batch journal (RPJRNL01) from an older repute, which cannot be \
+                 resumed: delete it and start the run over",
+            ));
         }
-        metrics.push(m);
-    }
-    r.finish()?; // trailing garbage inside a CRC-valid frame
-    Ok(BatchRecord {
-        index,
-        lo,
-        hi,
-        outputs,
-        metrics,
-    })
-}
-
-/// Decodes a stream of framed records, stopping at the first frame that
-/// is truncated, fails its CRC, or does not parse. Returns the intact
-/// prefix records and the number of bytes they occupy — the torn-tail
-/// recovery primitive: everything past the returned offset is dropped.
-pub fn decode_records(bytes: &[u8]) -> (Vec<BatchRecord>, usize) {
-    let mut records = Vec::new();
-    let mut consumed = 0;
-    for payload in wire::frames(bytes).0 {
-        let Ok(record) = decode_payload(payload) else {
-            break;
+        let mut r = Reader::new(bytes);
+        if r.bytes(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
+            return Err(WireError::Invalid("not a checkpoint manifest (bad magic)"));
+        }
+        let body = bytes.len().checked_sub(4).ok_or(WireError::Truncated)?;
+        let stored = Reader::new(&bytes[body..]).u32()?;
+        if body < CHECKPOINT_MAGIC.len() || crc32(&bytes[..body]) != stored {
+            return Err(WireError::Invalid("checksum mismatch"));
+        }
+        let mut r = Reader::new(&bytes[CHECKPOINT_MAGIC.len()..body]);
+        let fingerprint = RunFingerprint {
+            config: r.u64()?,
+            workload: r.u64()?,
+            shape: r.u64()?,
         };
-        records.push(record);
-        consumed += wire::frame_len(payload);
-    }
-    (records, consumed)
-}
-
-// ---------------------------------------------------------------------
-// The journal file and its manifest.
-// ---------------------------------------------------------------------
-
-/// The manifest path of a journal: `<journal>.manifest`.
-pub fn manifest_path(journal: &Path) -> PathBuf {
-    let mut p = journal.as_os_str().to_os_string();
-    p.push(".manifest");
-    PathBuf::from(p)
-}
-
-/// A parsed sidecar manifest.
-#[derive(Debug, Clone, PartialEq)]
-struct Manifest {
-    fingerprint: String,
-    batches: u64,
-    records: u64,
-    complete: bool,
-}
-
-impl Manifest {
-    fn render(fingerprint: &RunFingerprint, batches: u64, records: u64, complete: bool) -> String {
-        let mut body = String::new();
-        body.push_str("repute-journal v1\n");
-        body.push_str(&format!("fingerprint {}\n", fingerprint.render()));
-        body.push_str(&format!("batches {batches}\n"));
-        body.push_str(&format!("records {records}\n"));
-        body.push_str(&format!("complete {}\n", u8::from(complete)));
-        let crc = crc32(body.as_bytes());
-        body.push_str(&format!("crc {crc:08x}\n"));
-        body
-    }
-
-    fn parse(text: &str) -> Result<Manifest, String> {
-        let crc_line_start = text
-            .rfind("crc ")
-            .ok_or_else(|| "missing crc line".to_string())?;
-        let body = &text[..crc_line_start];
-        let stored = text[crc_line_start..]
-            .trim_start_matches("crc ")
-            .trim()
-            .to_string();
-        let computed = format!("{:08x}", crc32(body.as_bytes()));
-        if stored != computed {
-            return Err(format!("manifest crc {stored} != computed {computed}"));
+        let reads = r.u64()?;
+        let complete = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(WireError::Invalid("the complete flag is neither 0 nor 1")),
+        };
+        let lengths = r.items(8, Reader::u64)?;
+        let counters = r.items(8, Reader::u64)?;
+        let mut totals = MapMetrics::new();
+        for (name, _) in MapMetrics::new().fields() {
+            totals.set_field(name, r.u64()?);
         }
-        // The body is CRC-checked and holds each key once.
-        let field = |key: &str| body.lines().find_map(|line| line.strip_prefix(key));
-        let number = |key: &str| field(key).and_then(|v| v.trim().parse::<u64>().ok());
-        Ok(Manifest {
-            fingerprint: field("fingerprint ")
-                .ok_or("missing fingerprint")?
-                .trim()
-                .to_string(),
-            batches: number("batches ").ok_or("missing batches")?,
-            records: number("records ").ok_or("missing records")?,
-            complete: field("complete ").ok_or("missing complete flag")?.trim() == "1",
+        r.finish()?;
+        Ok(Checkpoint {
+            fingerprint,
+            reads,
+            lengths,
+            counters,
+            totals,
+            complete,
         })
     }
-}
 
-/// An open run journal: an append handle plus the durable-record count.
-#[derive(Debug)]
-pub struct RunJournal {
-    path: PathBuf,
-    log: FrameLog,
-    fingerprint: RunFingerprint,
-    records: u64,
-}
-
-impl RunJournal {
-    /// Opens (or creates) the journal at `path` for a run identified by
-    /// `fingerprint`, replaying any durable records.
-    ///
-    /// Recovery semantics:
-    /// * a torn tail record (truncated frame, failed CRC, unparseable
-    ///   payload **above** the manifest watermark) is truncated away;
-    /// * intact records must form a prefix of the batch list (indices
-    ///   `0, 1, 2, …`) — anything else is [`ReputeError::JournalCorrupt`];
-    /// * fewer intact records than the manifest's durable watermark is
-    ///   [`ReputeError::JournalCorrupt`] (that data was promised);
-    /// * a fingerprint mismatch in the header or manifest is
-    ///   [`ReputeError::ResumeMismatch`].
+    /// Writes this checkpoint to `path` atomically: one commit.
     ///
     /// # Errors
     ///
-    /// [`ReputeError::Io`] on filesystem failures, plus the corruption
-    /// and mismatch classes above.
-    pub fn open(
-        path: &Path,
-        fingerprint: &RunFingerprint,
-    ) -> Result<(RunJournal, Vec<BatchRecord>), ReputeError> {
+    /// Those of [`write_atomic`].
+    pub fn commit(&self, path: &Path) -> Result<(), ReputeError> {
+        write_atomic(path, &self.encode())
+    }
+
+    /// Reads the checkpoint at `path` for a resume of the run
+    /// `fingerprint` identifies.
+    ///
+    /// # Errors
+    ///
+    /// [`ReputeError::Io`] when the file cannot be read;
+    /// [`ReputeError::JournalCorrupt`] when it does not decode (damage,
+    /// or the old batch journal); [`ReputeError::ResumeMismatch`] when
+    /// it belongs to another run.
+    pub fn load(path: &Path, fingerprint: &RunFingerprint) -> Result<Checkpoint, ReputeError> {
         let io_err = |e| ReputeError::io_at(path, e);
-        let manifest = Self::load_manifest(path)?;
-        if let Some(m) = &manifest {
-            if m.fingerprint != fingerprint.render() {
-                return Err(ReputeError::ResumeMismatch(format!(
-                    "manifest fingerprint {} does not match this run's {} \
-                     (different config, inputs, or schedule)",
-                    m.fingerprint,
-                    fingerprint.render()
-                )));
-            }
+        let mut bytes = Vec::new();
+        File::open(path)
+            .and_then(|f| f.take(MAX_MANIFEST_BYTES + 1).read_to_end(&mut bytes))
+            .map_err(io_err)?;
+        let corrupt = |what: &dyn std::fmt::Display| {
+            ReputeError::JournalCorrupt(format!("checkpoint {}: {what}", path.display()))
+        };
+        if bytes.len() as u64 > MAX_MANIFEST_BYTES {
+            return Err(corrupt(&"larger than any manifest"));
         }
-        let watermark = manifest.as_ref().map_or(0, |m| m.records);
-        let corrupt = |what: String| {
-            ReputeError::JournalCorrupt(format!("journal {}: {what}", path.display()))
-        };
-
-        let bytes = match fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err(e)),
-        };
-        let (log, replayed) = match RunFingerprint::from_header(&bytes, &JOURNAL_MAGIC) {
-            // No file yet, or a crash during the very first header
-            // write: start over — unless records were promised.
-            Err(WireError::Truncated) if watermark == 0 => {
-                let header = fingerprint.header(&JOURNAL_MAGIC);
-                (FrameLog::create(path, &header).map_err(io_err)?, Vec::new())
-            }
-            Err(WireError::Truncated) => {
-                return Err(corrupt(format!(
-                    "missing or shorter than its header, but the manifest promises \
-                     {watermark} durable record(s)"
-                )))
-            }
-            Err(e) => return Err(corrupt(format!("header: {e}"))),
-            Ok(stored) if stored != *fingerprint => {
-                return Err(ReputeError::ResumeMismatch(format!(
-                    "journal was written by run {} but this run is {} \
-                     (different config, inputs, or schedule)",
-                    stored.render(),
-                    fingerprint.render()
-                )))
-            }
-            Ok(_) => {
-                let (records, consumed) = decode_records(&bytes[JOURNAL_HEADER_LEN..]);
-                if (records.len() as u64) < watermark {
-                    return Err(corrupt(format!(
-                        "holds {} intact record(s) but the manifest promises {watermark} — \
-                         a durable record was corrupted",
-                        records.len()
-                    )));
-                }
-                for (i, record) in records.iter().enumerate() {
-                    if record.index as usize != i {
-                        return Err(corrupt(format!(
-                            "record {i} carries batch index {} — records must form a \
-                             batch-order prefix",
-                            record.index
-                        )));
-                    }
-                }
-                // Whatever follows the intact records is a torn tail (the
-                // watermark check has ruled out promised data): dropped.
-                let durable_len = (JOURNAL_HEADER_LEN + consumed) as u64;
-                (FrameLog::open(path, durable_len).map_err(io_err)?, records)
-            }
-        };
-        let journal = RunJournal {
-            path: path.to_path_buf(),
-            log,
-            fingerprint: *fingerprint,
-            records: replayed.len() as u64,
-        };
-        Ok((journal, replayed))
-    }
-
-    fn load_manifest(path: &Path) -> Result<Option<Manifest>, ReputeError> {
-        let mpath = manifest_path(path);
-        if !mpath.exists() {
-            return Ok(None);
+        let checkpoint = Checkpoint::decode(&bytes).map_err(|e| corrupt(&e))?;
+        if checkpoint.fingerprint != *fingerprint {
+            return Err(ReputeError::ResumeMismatch(format!(
+                "checkpoint {} was written by run {} but this run is {} \
+                 (different options, reference or reads)",
+                path.display(),
+                checkpoint.fingerprint.render(),
+                fingerprint.render()
+            )));
         }
-        let bytes = fs::read(&mpath).map_err(|e| ReputeError::io_at(&mpath, e))?;
-        // Damage that breaks the UTF-8 also breaks the CRC line's match.
-        Manifest::parse(&String::from_utf8_lossy(&bytes))
-            .map(Some)
-            .map_err(|reason| {
-                ReputeError::JournalCorrupt(format!(
-                    "manifest {} is malformed: {reason}",
-                    mpath.display()
-                ))
-            })
+        Ok(checkpoint)
     }
+}
 
-    /// Number of durable records currently journaled.
-    pub fn records(&self) -> u64 {
-        self.records
+/// Appends one read's sidecar record: its `work` count, then its
+/// `metrics` words — [`WORK_RECORD_BYTES`] bytes.
+pub fn put_work_record(out: &mut Vec<u8>, work: u64, metrics: &MapMetrics) {
+    put_u64(out, work);
+    for (_, word) in metrics.fields() {
+        put_u64(out, word);
     }
+}
 
-    /// Appends one batch record and flushes it to disk; the batch is
-    /// durable when this returns.
-    ///
-    /// # Errors
-    ///
-    /// [`ReputeError::Io`] on write or sync failure.
-    pub fn append(&mut self, record: &BatchRecord) -> Result<(), ReputeError> {
-        self.log
-            .append(&encode_payload(record))
-            .map_err(|e| ReputeError::io_at(&self.path, e))?;
-        self.records += 1;
-        Ok(())
+/// Decodes one sidecar record, as [`put_work_record`] wrote it: every
+/// [`WORK_RECORD_BYTES`] bytes are some record, so this cannot fail.
+pub fn decode_work_record(bytes: &[u8; WORK_RECORD_BYTES]) -> (u64, MapMetrics) {
+    let mut words = wire::le_u64s(bytes);
+    let mut next = || words.next().unwrap_or_default();
+    let work = next();
+    let mut metrics = MapMetrics::new();
+    for (name, _) in MapMetrics::new().fields() {
+        metrics.set_field(name, next());
     }
-
-    /// Atomically rewrites the sidecar manifest with the current durable
-    /// record count (the recovery watermark).
-    ///
-    /// # Errors
-    ///
-    /// [`ReputeError::Io`] on write or rename failure.
-    pub fn commit_manifest(&self, total_batches: u64, complete: bool) -> Result<(), ReputeError> {
-        let body = Manifest::render(&self.fingerprint, total_batches, self.records, complete);
-        write_atomic(&manifest_path(&self.path), body.as_bytes())
-    }
+    (work, metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs::OpenOptions;
 
-    fn sample_record(index: u32, lo: u64, reads: usize) -> BatchRecord {
-        let outputs: Vec<MapOutput> = (0..reads)
-            .map(|i| MapOutput {
-                mappings: vec![Mapping {
-                    position: (lo as u32) * 100 + i as u32,
-                    strand: if i % 2 == 0 {
-                        Strand::Forward
-                    } else {
-                        Strand::Reverse
-                    },
-                    distance: (i % 4) as u32,
-                }],
-                work: 100 + i as u64,
-                candidates: 3,
-            })
-            .collect();
-        let metrics: Vec<MapMetrics> = (0..reads)
-            .map(|i| MapMetrics {
-                seeds_selected: 4,
-                fm_extend_ops: 10 + i as u64,
-                word_updates: 7,
-                hits: 1,
-                ..MapMetrics::new()
-            })
-            .collect();
-        BatchRecord {
-            index,
-            lo,
-            hi: lo + reads as u64,
-            outputs,
-            metrics,
+    fn metrics(seed: u64) -> MapMetrics {
+        let mut m = MapMetrics::new();
+        for (i, (name, _)) in MapMetrics::new().fields().into_iter().enumerate() {
+            m.set_field(name, seed * 100 + i as u64);
         }
+        m
+    }
+
+    fn checkpoint() -> Checkpoint {
+        Checkpoint {
+            fingerprint: RunFingerprint {
+                config: 0xAB,
+                workload: 0xCD,
+                shape: 0,
+            },
+            reads: 2048,
+            lengths: vec![91_000, 4_100, 2048 * WORK_RECORD_BYTES as u64],
+            counters: vec![2048, 2000, 17, 2100, 1900, 150, 50],
+            totals: metrics(7),
+            complete: false,
+        }
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("repute-journal-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
@@ -585,181 +499,175 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The sidecar's record codec: every field of every record comes
+    /// back, and a record is exactly [`WORK_RECORD_BYTES`] long.
     #[test]
     fn record_codec_round_trips() {
-        let records = vec![
-            sample_record(0, 0, 3),
-            sample_record(1, 3, 1),
-            sample_record(2, 4, 0),
-        ];
+        assert_eq!(
+            WORK_RECORD_BYTES,
+            8 * (1 + MapMetrics::new().fields().len())
+        );
         let mut bytes = Vec::new();
-        for r in &records {
-            bytes.extend_from_slice(&encode_record(r));
+        for seed in 0..3 {
+            put_work_record(&mut bytes, 1000 + seed, &metrics(seed));
         }
-        let (decoded, consumed) = decode_records(&bytes);
-        assert_eq!(decoded, records);
-        assert_eq!(consumed, bytes.len());
+        assert_eq!(bytes.len(), 3 * WORK_RECORD_BYTES);
+        for (seed, record) in bytes.chunks_exact(WORK_RECORD_BYTES).enumerate() {
+            let record = record.try_into().unwrap();
+            assert_eq!(
+                decode_work_record(record),
+                (1000 + seed as u64, metrics(seed as u64))
+            );
+        }
     }
 
     #[test]
-    fn truncation_keeps_intact_prefix() {
-        let records = vec![sample_record(0, 0, 2), sample_record(1, 2, 2)];
-        let mut bytes = Vec::new();
-        let mut boundaries = vec![0usize];
-        for r in &records {
-            bytes.extend_from_slice(&encode_record(r));
-            boundaries.push(bytes.len());
+    fn manifest_round_trips_and_detects_tampering() {
+        for complete in [false, true] {
+            let ck = Checkpoint {
+                complete,
+                ..checkpoint()
+            };
+            assert_eq!(Checkpoint::decode(&ck.encode()), Ok(ck));
         }
-        for cut in 0..bytes.len() {
-            let (decoded, consumed) = decode_records(&bytes[..cut]);
-            let intact = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-            assert_eq!(decoded.len(), intact, "cut at {cut}");
-            assert_eq!(consumed, boundaries[intact], "cut at {cut}");
-            assert_eq!(decoded, records[..intact], "cut at {cut}");
-        }
+        let empty = Checkpoint {
+            reads: 0,
+            lengths: Vec::new(),
+            counters: Vec::new(),
+            totals: MapMetrics::new(),
+            ..checkpoint()
+        };
+        assert_eq!(Checkpoint::decode(&empty.encode()), Ok(empty));
+        // A changed count is caught by the checksum.
+        let mut tampered = checkpoint().encode();
+        tampered[8 * 5 + 1] += 1;
+        assert!(Checkpoint::decode(&tampered).is_err());
+        // The batch journal of older builds is refused by name.
+        let err = Checkpoint::decode(b"RPJRNL01 and the rest of an old journal").unwrap_err();
+        assert!(err.to_string().contains("RPJRNL01"), "{err}");
     }
 
+    /// Every single-bit flip of a manifest, the checksum at its tail
+    /// included, is caught.
     #[test]
     fn single_bit_corruption_of_tail_is_detected() {
-        let records = vec![sample_record(0, 0, 2), sample_record(1, 2, 2)];
-        let mut clean = Vec::new();
-        for r in &records {
-            clean.extend_from_slice(&encode_record(r));
-        }
-        let first_len = encode_record(&records[0]).len();
-        for byte in first_len..clean.len() {
+        let bytes = checkpoint().encode();
+        for at in 0..bytes.len() {
             for bit in 0..8 {
-                let mut corrupt = clean.clone();
-                corrupt[byte] ^= 1 << bit;
-                let (decoded, _) = decode_records(&corrupt);
-                assert_eq!(
-                    decoded,
-                    records[..1],
-                    "flip at byte {byte} bit {bit} must drop the tail and keep the prefix"
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                assert!(
+                    Checkpoint::decode(&flipped).is_err(),
+                    "bit {bit} of byte {at}"
                 );
             }
         }
     }
 
+    /// A commit, a load under the same fingerprint, and a refusal under
+    /// another; a checkpointed file's `.tmp` outlives its handle.
     #[test]
     fn journal_open_append_reopen() {
-        let dir = std::env::temp_dir().join(format!("repute-journal-test-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.journal");
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(manifest_path(&path));
-        let fp = RunFingerprint {
-            config: 1,
-            workload: 2,
-            shape: 3,
-        };
-        {
-            let (mut journal, existing) = RunJournal::open(&path, &fp).unwrap();
-            assert!(existing.is_empty());
-            journal.append(&sample_record(0, 0, 2)).unwrap();
-            journal.append(&sample_record(1, 2, 3)).unwrap();
-            journal.commit_manifest(4, false).unwrap();
-        }
-        // Reopen: both records replay.
-        let (journal, existing) = RunJournal::open(&path, &fp).unwrap();
-        assert_eq!(existing.len(), 2);
-        assert_eq!(journal.records(), 2);
-        assert_eq!(existing[1], sample_record(1, 2, 3));
-        drop(journal);
-
-        // A torn tail (partial third record) is truncated on reopen.
-        let good_len = fs::metadata(&path).unwrap().len();
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        let frame = encode_record(&sample_record(2, 5, 2));
-        f.write_all(&frame[..frame.len() / 2]).unwrap();
-        drop(f);
-        let (_, recovered) = RunJournal::open(&path, &fp).unwrap();
-        assert_eq!(recovered.len(), 2, "torn tail must be dropped");
-        assert_eq!(fs::metadata(&path).unwrap().len(), good_len);
-
-        // A different fingerprint is refused.
+        let dir = temp_dir("open");
+        let path = dir.join("run.ckpt");
+        let ck = checkpoint();
+        ck.commit(&path).unwrap();
+        assert_eq!(Checkpoint::load(&path, &ck.fingerprint).unwrap(), ck);
         let other = RunFingerprint {
             config: 9,
-            workload: 2,
-            shape: 3,
+            ..ck.fingerprint
         };
-        match RunJournal::open(&path, &other) {
-            Err(ReputeError::ResumeMismatch(_)) => {}
+        match Checkpoint::load(&path, &other) {
+            Err(ReputeError::ResumeMismatch(msg)) => assert!(msg.contains("this run is"), "{msg}"),
             other => panic!("expected ResumeMismatch, got {other:?}"),
         }
+        fs::write(&path, b"RPJRNL01").unwrap();
+        match Checkpoint::load(&path, &ck.fingerprint) {
+            Err(e @ ReputeError::JournalCorrupt(_)) => assert_eq!(e.exit_code(), 5),
+            other => panic!("expected JournalCorrupt, got {other:?}"),
+        }
+
+        let out = dir.join("out.sam");
+        let mut file = AtomicFile::create(&out).unwrap().checkpointed();
+        file.write_all(b"header\n").unwrap();
+        assert_eq!(file.flushed().unwrap().1, 7);
+        drop(file);
+        assert_eq!(fs::read(tmp_path(&out)).unwrap(), b"header\n");
+        let mut file = AtomicFile::reopen(&out, 7).unwrap();
+        file.write_all(b"row\n").unwrap();
+        file.commit().unwrap();
+        assert_eq!(fs::read(&out).unwrap(), b"header\nrow\n");
+        assert!(!tmp_path(&out).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Reopening cuts a file back to exactly its committed prefix: bytes
+    /// written after the last commit are gone, and writing goes on from
+    /// there.
+    #[test]
+    fn truncation_keeps_intact_prefix() {
+        let dir = temp_dir("prefix");
+        let out = dir.join("m.jsonl");
+        let mut file = AtomicFile::create(&out).unwrap().checkpointed();
+        file.write_all(b"committed").unwrap();
+        let len = file.flushed().unwrap().1;
+        file.write_all(b" and torn").unwrap();
+        file.flush().unwrap();
+        drop(file);
+        let mut file = AtomicFile::reopen(&out, len).unwrap();
+        assert_eq!(fs::read(tmp_path(&out)).unwrap(), b"committed");
+        file.write_all(b", resumed").unwrap();
+        assert_eq!(file.flushed().unwrap().1, len + 9);
+        drop(file);
+        assert_eq!(fs::read(tmp_path(&out)).unwrap(), b"committed, resumed");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A file shorter than its committed length lost promised bytes:
+    /// corruption, typed, and the file is left as it was.
     #[test]
     fn corruption_below_watermark_is_typed_corrupt() {
-        let dir =
-            std::env::temp_dir().join(format!("repute-journal-corrupt-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.journal");
-        let fp = RunFingerprint {
-            config: 7,
-            workload: 8,
-            shape: 9,
-        };
-        {
-            let (mut journal, _) = RunJournal::open(&path, &fp).unwrap();
-            journal.append(&sample_record(0, 0, 2)).unwrap();
-            journal.append(&sample_record(1, 2, 2)).unwrap();
-            journal.commit_manifest(2, true).unwrap();
-        }
-        // Flip a bit inside the FIRST record — below the watermark.
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[JOURNAL_HEADER_LEN + 12] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-        match RunJournal::open(&path, &fp) {
-            Err(ReputeError::JournalCorrupt(msg)) => {
-                assert!(msg.contains("promises"), "{msg}");
+        let dir = temp_dir("short");
+        let out = dir.join("out.sam");
+        fs::write(tmp_path(&out), b"short").unwrap();
+        for len in [6, 1 << 40] {
+            match AtomicFile::reopen(&out, len) {
+                Err(ReputeError::JournalCorrupt(msg)) => {
+                    assert!(msg.contains("holds 5 bytes"), "{msg}")
+                }
+                other => panic!("expected JournalCorrupt, got {other:?}"),
             }
+        }
+        assert_eq!(fs::read(tmp_path(&out)).unwrap(), b"short");
+        match AtomicFile::reopen(&dir.join("absent.sam"), 0) {
+            Err(ReputeError::JournalCorrupt(msg)) => assert!(msg.contains("missing"), "{msg}"),
             other => panic!("expected JournalCorrupt, got {other:?}"),
         }
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn manifest_round_trips_and_detects_tampering() {
-        let fp = RunFingerprint {
-            config: 0xAB,
-            workload: 0xCD,
-            shape: 0xEF,
-        };
-        let body = Manifest::render(&fp, 10, 7, false);
-        let parsed = Manifest::parse(&body).unwrap();
-        assert_eq!(parsed.fingerprint, fp.render());
-        assert_eq!(parsed.batches, 10);
-        assert_eq!(parsed.records, 7);
-        assert!(!parsed.complete);
-        let tampered = body.replace("records 7", "records 9");
-        assert!(Manifest::parse(&tampered).is_err());
-    }
-
-    #[test]
     fn atomic_write_replaces_content() {
-        let dir = std::env::temp_dir().join(format!("repute-atomic-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("atomic");
         let path = dir.join("target.txt");
         write_atomic(&path, b"first").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"first");
         write_atomic(&path, b"second").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"second");
-        assert!(!path.with_extension("txt.tmp").exists());
+        assert!(!tmp_path(&path).exists());
         // Written as produced, put in place only on commit; dropped
         // without one, the old content stays and no temp file is left.
         let mut file = AtomicFile::create(&path).unwrap();
         file.write_all(b"third").unwrap();
-        assert!(path.with_extension("txt.tmp").exists());
+        assert!(tmp_path(&path).exists());
         drop(file);
         assert_eq!(fs::read(&path).unwrap(), b"second");
-        assert!(!path.with_extension("txt.tmp").exists());
+        assert!(!tmp_path(&path).exists());
         let mut file = AtomicFile::create(&path).unwrap();
         file.write_all(b"fourth").unwrap();
         file.commit().unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"fourth");
-        assert!(!path.with_extension("txt.tmp").exists());
+        assert!(!tmp_path(&path).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

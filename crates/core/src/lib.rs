@@ -18,9 +18,8 @@
 //! devices of a simulated platform ([`repute_hetsim::Platform`]), with
 //! the workload distribution under user control — the experiment behind
 //! the paper's Fig. 3 — and batches chunked so no device buffer exceeds a
-//! quarter of device RAM. The same executor injects device faults and,
-//! through [`Executor::run_journaled`], survives host crashes; see the
-//! [`executor`] module for its three stages.
+//! quarter of device RAM. The same executor injects device faults; see
+//! the [`executor`] module for its three stages.
 //!
 //! # Example
 //!
@@ -56,9 +55,8 @@ mod mapping_run;
 pub use config::{output_slot_bytes, ReputeConfig, ScheduleMode, DEFAULT_MAX_RETRIES};
 pub use error::ReputeError;
 pub use executor::{
-    balanced_shares, map_on_platform_with_metrics, Executor, ResumableRun, Schedule,
-    AUTO_HOST_THREADS,
+    balanced_shares, map_on_platform_with_metrics, Executor, Schedule, AUTO_HOST_THREADS,
 };
-pub use journal::{write_atomic, AtomicFile, RunFingerprint, RunJournal};
+pub use journal::{write_atomic, AtomicFile, Checkpoint, RunFingerprint};
 pub use mapper::{CigarMapping, ReputeMapper};
 pub use mapping_run::MappingRun;

@@ -1,135 +1,135 @@
-//! Properties of the checkpoint journal's framed codec over arbitrary
-//! record streams — plain loops over the vendored PRNG with a fixed seed
-//! set (the pattern of `crates/prefilter/tests/props.rs`), so they run
-//! offline and in tier-1. The unit tests in `journal.rs` and the seeded
-//! suite in `resume.rs` cover the same invariants with fixed corpora.
+//! Properties of the checkpoint codecs over arbitrary values — plain
+//! loops over the vendored PRNG with a fixed seed set (the pattern of
+//! `crates/prefilter/tests/props.rs`), so they run offline and in
+//! tier-1. The unit tests in `journal.rs` cover the same invariants with
+//! fixed values; `tests/wire_contract.rs` takes every truncation and bit
+//! flip of one real manifest.
 
-use repute_core::journal::{decode_records, encode_record, BatchRecord};
+use std::io::Write as _;
+
+use repute_core::journal::{
+    decode_work_record, put_work_record, tmp_path, Checkpoint, RunFingerprint, WORK_RECORD_BYTES,
+};
+use repute_core::AtomicFile;
 use repute_genome::rng::StdRng;
-use repute_genome::Strand;
-use repute_mappers::{MapOutput, Mapping};
 use repute_obs::MapMetrics;
 
 const SEEDS: [u64; 4] = [0x9E37, 0x79B9, 0x7F4A, 0x7C15];
 const CASES_PER_SEED: usize = 64;
 
-/// One batch record over the read range `[lo, lo+reads)`, every field
-/// arbitrary.
-fn arb_record(rng: &mut StdRng, index: u32, lo: u64, reads: usize) -> BatchRecord {
-    let outputs = (0..reads).map(|_| {
-        let mappings = (0..rng.gen_range(0usize..4)).map(|_| Mapping {
-            position: rng.gen(),
-            distance: rng.gen(),
-            strand: if rng.gen() {
-                Strand::Forward
-            } else {
-                Strand::Reverse
-            },
-        });
-        MapOutput {
-            mappings: mappings.collect(),
-            work: rng.gen(),
-            candidates: rng.gen(),
-        }
-    });
-    let outputs = outputs.collect();
-    let metrics = (0..reads).map(|_| MapMetrics {
-        seeds_selected: rng.gen(),
-        fm_extend_ops: rng.gen(),
-        fm_locate_ops: rng.gen(),
-        candidates_raw: rng.gen(),
-        candidates_merged: rng.gen(),
-        dp_cells: rng.gen(),
-        prefilter_tested: rng.gen(),
-        prefilter_rejected: rng.gen(),
-        prefilter_false_accepts: rng.gen(),
-        prefilter_words: rng.gen(),
-        verifications: rng.gen(),
-        word_updates: rng.gen(),
-        hits: rng.gen(),
-    });
-    BatchRecord {
-        index,
-        lo,
-        hi: lo + reads as u64,
-        outputs,
-        metrics: metrics.collect(),
+fn arb_metrics(rng: &mut StdRng) -> MapMetrics {
+    let mut m = MapMetrics::new();
+    for (name, _) in MapMetrics::new().fields() {
+        m.set_field(name, rng.gen());
+    }
+    m
+}
+
+fn arb_words(rng: &mut StdRng, most: usize) -> Vec<u64> {
+    (0..rng.gen_range(0..=most)).map(|_| rng.gen()).collect()
+}
+
+fn arb_checkpoint(rng: &mut StdRng) -> Checkpoint {
+    Checkpoint {
+        fingerprint: RunFingerprint {
+            config: rng.gen(),
+            workload: rng.gen(),
+            shape: rng.gen(),
+        },
+        reads: rng.gen(),
+        lengths: arb_words(rng, 3),
+        counters: arb_words(rng, 12),
+        totals: arb_metrics(rng),
+        complete: rng.gen(),
     }
 }
 
-/// A contiguous stream of up to five records of up to four reads each:
-/// indices and read ranges form the prefix the journal invariant
-/// requires. With it, its encoding and the record boundaries in that.
-fn arb_stream(rng: &mut StdRng) -> (Vec<BatchRecord>, Vec<u8>, Vec<usize>) {
-    let mut lo = 0u64;
-    let mut records = Vec::new();
+/// Up to nine sidecar records, each an arbitrary work count and metrics
+/// record, with their encoding.
+fn arb_records(rng: &mut StdRng) -> (Vec<(u64, MapMetrics)>, Vec<u8>) {
+    let records: Vec<(u64, MapMetrics)> = (0..rng.gen_range(0usize..10))
+        .map(|_| (rng.gen(), arb_metrics(rng)))
+        .collect();
     let mut bytes = Vec::new();
-    let mut boundaries = vec![0usize];
-    for index in 0..rng.gen_range(0u32..6) {
-        let reads = rng.gen_range(0usize..5);
-        let record = arb_record(rng, index, lo, reads);
-        lo += reads as u64;
-        bytes.extend_from_slice(&encode_record(&record));
-        boundaries.push(bytes.len());
-        records.push(record);
+    for (work, m) in &records {
+        put_work_record(&mut bytes, *work, m);
     }
-    (records, bytes, boundaries)
+    (records, bytes)
 }
 
-fn for_each_stream(mut property: impl FnMut(&mut StdRng, Vec<BatchRecord>, Vec<u8>, Vec<usize>)) {
+fn decode_all(bytes: &[u8]) -> Vec<(u64, MapMetrics)> {
+    assert_eq!(bytes.len() % WORK_RECORD_BYTES, 0);
+    bytes
+        .chunks_exact(WORK_RECORD_BYTES)
+        .map(|record| decode_work_record(record.try_into().expect("whole record")))
+        .collect()
+}
+
+fn for_each_case(mut property: impl FnMut(&mut StdRng)) {
     for seed in SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..CASES_PER_SEED {
-            let (records, bytes, boundaries) = arb_stream(&mut rng);
-            property(&mut rng, records, bytes, boundaries);
+            property(&mut rng);
         }
     }
 }
 
-/// Any record stream round-trips through the framed codec, consuming
-/// exactly the bytes it wrote.
+/// Any manifest round-trips through its codec, and any sidecar stream
+/// through the record codec.
 #[test]
 fn streams_round_trip() {
-    for_each_stream(|_, records, bytes, _| {
-        let (decoded, consumed) = decode_records(&bytes);
-        assert_eq!(decoded, records);
-        assert_eq!(consumed, bytes.len());
+    for_each_case(|rng| {
+        let checkpoint = arb_checkpoint(rng);
+        assert_eq!(Checkpoint::decode(&checkpoint.encode()), Ok(checkpoint));
+        let (records, bytes) = arb_records(rng);
+        assert_eq!(bytes.len(), records.len() * WORK_RECORD_BYTES);
+        assert_eq!(decode_all(&bytes), records);
     });
 }
 
-/// Truncation at any byte offset keeps exactly the intact prefix
-/// records, and the consumed count lands on a record boundary.
+/// A sidecar committed after any number of records, then written on
+/// and torn by arbitrary bytes, reopens at its committed length holding
+/// exactly the committed records.
 #[test]
 fn truncation_keeps_the_intact_prefix() {
-    for_each_stream(|rng, records, bytes, boundaries| {
-        let cut = rng.gen_range(0..=bytes.len());
-        let (decoded, consumed) = decode_records(&bytes[..cut]);
-        let intact = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-        assert_eq!(decoded.len(), intact, "cut at {cut} of {}", bytes.len());
-        assert_eq!(consumed, boundaries[intact]);
-        assert_eq!(decoded[..], records[..intact]);
+    let dir = std::env::temp_dir().join(format!("repute-journal-props-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("run.work");
+    for_each_case(|rng| {
+        let (records, bytes) = arb_records(rng);
+        let kept = rng.gen_range(0..=records.len());
+        let mut file = AtomicFile::create(&path).expect("create").checkpointed();
+        file.write_all(&bytes[..kept * WORK_RECORD_BYTES])
+            .expect("write");
+        let (_, committed) = file.flushed().expect("flush");
+        file.write_all(&bytes[kept * WORK_RECORD_BYTES..])
+            .expect("write");
+        let torn: Vec<u8> = (0..rng.gen_range(0usize..200)).map(|_| rng.gen()).collect();
+        file.write_all(&torn).expect("write");
+        drop(file);
+        drop(AtomicFile::reopen(&path, committed).expect("reopen"));
+        let prefix = std::fs::read(tmp_path(&path)).expect("read");
+        assert_eq!(decode_all(&prefix), records[..kept]);
     });
+    std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
-/// A single bit flip anywhere in the tail record is detected: decode
-/// never returns a record differing from what was written, and every
-/// record before the flipped one survives.
+/// A single bit flip anywhere in a manifest, or a cut anywhere in it,
+/// never decodes.
 #[test]
 fn tail_bit_flip_is_detected() {
-    for_each_stream(|rng, records, mut bytes, boundaries| {
-        if records.is_empty() {
-            return;
-        }
-        let last_start = boundaries[boundaries.len() - 2];
-        let byte = rng.gen_range(last_start..bytes.len());
+    for_each_case(|rng| {
+        let bytes = arb_checkpoint(rng).encode();
+        let mut flipped = bytes.clone();
+        let byte = rng.gen_range(0..bytes.len());
         let bit = rng.gen_range(0u8..8);
-        bytes[byte] ^= 1 << bit;
-        let (decoded, _) = decode_records(&bytes);
-        // The corrupt tail is dropped; the prefix survives bit-exact.
-        assert_eq!(
-            decoded[..],
-            records[..records.len() - 1],
-            "bit {bit} of byte {byte} (tail record starts at {last_start})"
+        flipped[byte] ^= 1 << bit;
+        assert!(
+            Checkpoint::decode(&flipped).is_err(),
+            "bit {bit} of byte {byte}"
         );
+        let cut = rng.gen_range(0..bytes.len());
+        assert!(Checkpoint::decode(&bytes[..cut]).is_err(), "cut at {cut}");
     });
 }

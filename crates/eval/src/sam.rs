@@ -212,11 +212,17 @@ impl<'a, W: Write> SamAssembly<'a, W> {
             .map(|(n, l)| (n.as_str(), *l))
             .collect();
         write_header_multi(&mut out, &header)?;
-        Ok(SamAssembly {
+        Ok(SamAssembly::continuing(set, out))
+    }
+
+    /// Goes on with a SAM whose header (and perhaps some records) `out`
+    /// already holds: a resumed run's.
+    pub fn continuing(set: &'a ReferenceSet, out: W) -> SamAssembly<'a, W> {
+        SamAssembly {
             set,
-            names: header.iter().map(|(n, _)| *n).collect(),
+            names: set.records().iter().map(|(n, _)| n.as_str()).collect(),
             out,
-        })
+        }
     }
 
     /// Appends one read's record(s) and returns its resolved mappings;

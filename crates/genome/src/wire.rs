@@ -230,6 +230,21 @@ pub fn word_hash(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// [`WordHash`] of everything `input` yields, read in [`PIECE_BYTES`]
+/// pieces: a file is hashed without being held.
+pub fn word_hash_of<R: Read>(mut input: R) -> io::Result<u64> {
+    let mut h = WordHash::new();
+    let mut piece = vec![0; PIECE_BYTES];
+    loop {
+        match input.read(&mut piece) {
+            Ok(0) => return Ok(h.finish()),
+            Ok(n) => h.write(&piece[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// A reader or writer that folds every byte passing through it into a
 /// [`WordHash`], so a trailer is computed as the stream goes and nothing
 /// is held to compute it. [`Hashed::put_trailer`] and
@@ -720,6 +735,7 @@ mod tests {
                 h.write(&[]);
                 assert_eq!(h.finish(), whole, "len {len}");
             }
+            assert_eq!(word_hash_of(bytes.as_slice()).unwrap(), whole, "len {len}");
         }
     }
 

@@ -46,11 +46,6 @@ pub enum FaultKind {
     },
     /// The device is permanently dead from the arm time on.
     Loss,
-    /// The *host* process dies at the arm time — the whole run stops and
-    /// can only continue from a checkpoint journal. Not tied to any
-    /// device (the event's `device` field is ignored); consumed by the
-    /// resumable executor, ignored by per-device fault state.
-    HostCrash,
 }
 
 /// One fault, armed at a point in simulated time on one device.
@@ -77,7 +72,7 @@ impl fmt::Display for FaultPlanParseError {
             f,
             "invalid fault-plan entry {:?}: {} \
              (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | \
-             slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t> | crash:@<t>)",
+             slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t>)",
             self.entry, self.reason
         )
     }
@@ -177,41 +172,26 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a host-process crash at `at_seconds` of simulated time — the
-    /// simulated `kill -9` the checkpoint/resume machinery recovers from.
-    pub fn host_crash(self, at_seconds: f64) -> FaultPlan {
-        self.with_event(FaultEvent {
-            device: 0, // ignored: the crash takes the whole host
-            at_seconds,
-            kind: FaultKind::HostCrash,
-        })
+    /// The plan as words, for a run's identity: the event count, then
+    /// per event its device, its arm time's bits and its kind (1
+    /// transient, 2 loss, 4 degrade followed by the factor's bits).
+    pub fn identity_words(&self) -> Vec<u64> {
+        let mut words = vec![self.events.len() as u64];
+        for event in &self.events {
+            words.extend([event.device as u64, event.at_seconds.to_bits()]);
+            match event.kind {
+                FaultKind::Transient => words.push(1),
+                FaultKind::Loss => words.push(2),
+                FaultKind::Degrade { factor } => words.extend([4, factor.to_bits()]),
+            }
+        }
+        words
     }
 
-    /// The earliest planned host-crash time, if any.
-    pub fn host_crash_at(&self) -> Option<f64> {
-        self.events
-            .iter()
-            .filter(|e| e.kind == FaultKind::HostCrash)
-            .map(|e| e.at_seconds)
-            .min_by(f64::total_cmp)
-    }
-
-    /// `true` when the plan carries any *device* fault (anything besides
-    /// host crashes) — the events a checkpointed run must reject.
-    pub fn has_device_events(&self) -> bool {
-        self.events.iter().any(|e| e.kind != FaultKind::HostCrash)
-    }
-
-    /// The highest device index any device-level event names (`None` for
-    /// an empty or crash-only plan) — lets callers validate a plan
-    /// against a platform. Host crashes strike the host, not a device,
-    /// so they are skipped.
+    /// The highest device index any event names (`None` for an empty
+    /// plan) — lets callers validate a plan against a platform.
     pub fn max_device(&self) -> Option<usize> {
-        self.events
-            .iter()
-            .filter(|e| e.kind != FaultKind::HostCrash)
-            .map(|e| e.device)
-            .max()
+        self.events.iter().map(|e| e.device).max()
     }
 
     /// Parses a CLI spec: comma- or semicolon-separated entries of
@@ -222,9 +202,7 @@ impl FaultPlan {
     /// * `slow:d<dev>@<t>x<factor>` — throughput multiplied by `factor`
     ///   from `t` on;
     /// * `correlated:d<a>+d<b>+...@<t>` — every listed device dies
-    ///   simultaneously at `t` (rack-style correlated loss);
-    /// * `crash:@<t>` — the host process dies at simulated second `t`
-    ///   (no device index: the crash takes the whole run).
+    ///   simultaneously at `t` (rack-style correlated loss).
     ///
     /// Example: `--fault-plan "loss:d1@0.5,transient:d0@0x2"`.
     ///
@@ -245,19 +223,6 @@ impl FaultPlan {
             let (kind, rest) = entry
                 .split_once(':')
                 .ok_or_else(|| err("missing ':' after the fault kind"))?;
-            if kind == "crash" {
-                let t_str = rest
-                    .strip_prefix('@')
-                    .ok_or_else(|| err("crash takes no device: write crash:@<seconds>"))?;
-                let t: f64 = t_str
-                    .parse()
-                    .map_err(|_| err("arm time must be a number of seconds"))?;
-                if !t.is_finite() || t < 0.0 {
-                    return Err(err("arm time must be finite and non-negative"));
-                }
-                plan = plan.host_crash(t);
-                continue;
-            }
             if kind == "correlated" {
                 let (devs, t_str) = rest
                     .split_once('@')
@@ -353,8 +318,6 @@ impl FaultPlan {
     ///   `at >= origin`. Batch windows tile simulated time, so each
     ///   transient is handed to exactly one batch; one that arms after a
     ///   batch's last launch dissipates, like a hiccup on an idle queue.
-    /// * **HostCrash** events are dropped — a serving daemon models host
-    ///   death through its journal, not through the executor.
     pub fn rebased(&self, origin: f64) -> FaultPlan {
         let mut plan = FaultPlan::new();
         for event in &self.events {
@@ -373,7 +336,6 @@ impl FaultPlan {
                         });
                     }
                 }
-                FaultKind::HostCrash => {}
             }
         }
         plan
@@ -381,15 +343,11 @@ impl FaultPlan {
 
     /// Projects the plan onto a device subset: events for devices in
     /// `subset` are kept with their device index remapped to the position
-    /// within `subset`; events for other devices (and host crashes, which
-    /// have no device) are dropped. This is how a daemon hands a
+    /// within `subset`; events for other devices are dropped. This is how a daemon hands a
     /// fleet-level plan to an executor running on a sub-platform.
     pub fn for_subset(&self, subset: &[usize]) -> FaultPlan {
         let mut plan = FaultPlan::new();
         for event in &self.events {
-            if event.kind == FaultKind::HostCrash {
-                continue;
-            }
             if let Some(local) = subset.iter().position(|&d| d == event.device) {
                 plan = plan.with_event(FaultEvent {
                     device: local,
@@ -460,9 +418,6 @@ impl FaultPlan {
                         None => event.at_seconds,
                     });
                 }
-                // Host crashes take the whole process, not a device; the
-                // resumable executor consumes them before this point.
-                FaultKind::HostCrash => {}
             }
         }
         for state in &mut per_device {
@@ -640,6 +595,7 @@ mod tests {
             "slow:d0@1x0",
             "slow:d0@1x1.5",
             "explode:d0@1",
+            "crash:@0.75",
         ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(
@@ -650,31 +606,6 @@ mod tests {
         // Empty entries are tolerated.
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse(" , ;").unwrap().is_empty());
-    }
-
-    #[test]
-    fn host_crash_parses_and_stays_off_devices() {
-        let plan = FaultPlan::parse("crash:@0.75").unwrap();
-        assert_eq!(plan.host_crash_at(), Some(0.75));
-        assert!(!plan.has_device_events());
-        assert!(!plan.is_empty());
-        // Crash events never count as device events nor reach device state.
-        assert_eq!(plan.max_device(), None);
-        let state = plan.state(2);
-        assert!(!state.device(0).is_lost(99.0));
-        assert!(!state.device(1).is_lost(99.0));
-
-        let mixed = FaultPlan::parse("loss:d1@0.5,crash:@1").unwrap();
-        assert!(mixed.has_device_events());
-        assert_eq!(mixed.max_device(), Some(1));
-        assert_eq!(mixed.host_crash_at(), Some(1.0));
-        // The earliest of several crashes wins.
-        let twice = FaultPlan::new().host_crash(2.0).host_crash(0.5);
-        assert_eq!(twice.host_crash_at(), Some(0.5));
-
-        for bad in ["crash:d0@1", "crash:@-1", "crash:@nan", "crash:1"] {
-            assert!(FaultPlan::parse(bad).is_err(), "{bad}");
-        }
     }
 
     #[test]
@@ -709,23 +640,18 @@ mod tests {
             .loss(1, 2.0)
             .degrade(0, 0.5, 0.5)
             .transient(0, 1.0)
-            .transient(0, 4.0)
-            .host_crash(3.0);
+            .transient(0, 4.0);
         let local = plan.rebased(3.0);
         // Loss before the origin clamps to 0; degrade likewise.
         let state = local.state(2);
         assert_eq!(state.device(1).lost_at(), Some(0.0));
         assert!((state.device(0).throughput_factor(0.0) - 0.5).abs() < 1e-12);
         // The t=1 transient belonged to an earlier window; the t=4 one
-        // lands at local t=1. Host crashes never cross the re-basing.
+        // lands at local t=1.
         assert_eq!(state.device(0).pending_transients(0.5), 0);
         assert_eq!(state.device(0).pending_transients(1.0), 1);
-        assert!(local.host_crash_at().is_none());
-        // Origin 0 is the identity for device events.
-        assert_eq!(
-            plan.rebased(0.0).events().len(),
-            plan.events().len() - 1 // minus the host crash
-        );
+        // Origin 0 is the identity.
+        assert_eq!(plan.rebased(0.0), plan);
     }
 
     #[test]
@@ -733,14 +659,12 @@ mod tests {
         let plan = FaultPlan::new()
             .loss(2, 1.0)
             .transient(0, 0.5)
-            .degrade(1, 0.25, 0.5)
-            .host_crash(9.0);
+            .degrade(1, 0.25, 0.5);
         let sub = plan.for_subset(&[2, 0]);
         assert_eq!(sub.events().len(), 2);
         let state = sub.state(2);
         assert_eq!(state.device(0).lost_at(), Some(1.0)); // was device 2
         assert_eq!(state.device(1).pending_transients(0.5), 1); // was device 0
-        assert!(sub.host_crash_at().is_none());
         assert!(plan.for_subset(&[]).is_empty());
     }
 

@@ -177,7 +177,7 @@ impl DeviceHealth {
     /// losses mark devices Lost, degradations mark them Degraded.
     /// Transients are *not* applied here — they only count once a run
     /// actually absorbs them (the executor reports them through fault
-    /// counters). Out-of-range devices and host crashes are ignored.
+    /// counters). Out-of-range devices are ignored.
     pub fn apply_plan(&mut self, plan: &FaultPlan, up_to_seconds: f64) {
         for event in plan.events() {
             if event.at_seconds > up_to_seconds || event.device >= self.len() {
@@ -186,7 +186,7 @@ impl DeviceHealth {
             match event.kind {
                 FaultKind::Loss => self.observe_loss(event.device),
                 FaultKind::Degrade { .. } => self.observe_degrade(event.device),
-                FaultKind::Transient | FaultKind::HostCrash => {}
+                FaultKind::Transient => {}
             }
         }
     }
@@ -287,8 +287,7 @@ mod tests {
         let plan = FaultPlan::new()
             .loss(1, 2.0)
             .degrade(0, 0.5, 0.5)
-            .transient(2, 0.0)
-            .host_crash(0.0);
+            .transient(2, 0.0);
         let mut h = DeviceHealth::new(3);
         h.apply_plan(&plan, 1.0);
         assert_eq!(h.state(0), HealthState::Degraded);

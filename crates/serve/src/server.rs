@@ -47,7 +47,7 @@ use repute_core::{
 };
 use repute_eval::sam::SamAssembly;
 use repute_genome::DnaSeq;
-use repute_hetsim::{DeviceHealth, FaultKind, FaultPlan, HealthState, LaunchErrorKind, Platform};
+use repute_hetsim::{DeviceHealth, FaultPlan, HealthState, LaunchErrorKind, Platform};
 use repute_mappers::multiref::ReferenceSet;
 use repute_mappers::Mapping;
 use repute_obs::trace::{write_chrome_trace, SCHEDULER_PID};
@@ -109,8 +109,7 @@ pub struct ServeOptions {
     /// Transient-fault retry budget of every batch execution.
     pub max_retries: usize,
     /// Simulated device faults, in daemon simulated time (re-based onto
-    /// each batch window). Host-crash events are refused at
-    /// construction — crashes are the harness's job, not the plan's.
+    /// each batch window).
     pub fault_plan: FaultPlan,
     /// Shed queued jobs whose deadline has already passed with a typed
     /// `DEADLINE_EXCEEDED` instead of mapping them late.
@@ -220,7 +219,7 @@ impl ServeCore {
     ///
     /// [`ReputeError::Config`] when the default δ/`S_min` combination is
     /// invalid, when the fault plan names a device the platform does not
-    /// have or carries a host-crash event, or when the plan loses every
+    /// have, or when the plan loses every
     /// device at time zero (nothing could ever be served).
     pub fn new(
         set: ReferenceSet,
@@ -243,13 +242,6 @@ impl ServeCore {
                     "fault plan names device {max_dev} but the platform has {n_dev} devices"
                 )));
             }
-        }
-        if options.fault_plan.host_crash_at().is_some() {
-            return Err(ReputeError::Config(
-                "host-crash fault events are not supported by serve (the journal models \
-                 crashes; use --resume); use loss/degrade/transient device faults"
-                    .to_string(),
-            ));
         }
         let cap = platform
             .max_batch_items(output_slot_bytes(options.max_locations))
@@ -307,19 +299,8 @@ impl ServeCore {
         cfg.write_u64(self.max_reads_per_job as u64);
         // The fault plan and the degradation switches change batch
         // composition and responses, so they are journal identity.
-        cfg.write_u64(self.options.fault_plan.events().len() as u64);
-        for event in self.options.fault_plan.events() {
-            cfg.write_u64(event.device as u64);
-            cfg.write_u64(event.at_seconds.to_bits());
-            match event.kind {
-                FaultKind::Transient => cfg.write_u64(1),
-                FaultKind::Loss => cfg.write_u64(2),
-                FaultKind::HostCrash => cfg.write_u64(3),
-                FaultKind::Degrade { factor } => {
-                    cfg.write_u64(4);
-                    cfg.write_u64(factor.to_bits());
-                }
-            }
+        for word in self.options.fault_plan.identity_words() {
+            cfg.write_u64(word);
         }
         cfg.write_u64(u64::from(self.options.shed_overdue));
         cfg.write_u64(u64::from(self.options.concurrent_batches));
@@ -950,7 +931,7 @@ impl ServeCore {
     /// Folds the fault plan's already-struck persistent faults into the
     /// health registry and recomputes the live capacity bounds.
     fn observe_plan_faults(&mut self, up_to_seconds: f64) {
-        if !self.options.fault_plan.has_device_events() {
+        if self.options.fault_plan.is_empty() {
             return;
         }
         self.health

@@ -322,8 +322,11 @@ fn defaults_and_usage_text_are_pinned() {
 /// three flags: `--prefilter-q`, `--prefilter-bin` and
 /// `--checkpoint-every` became constants (→ `0xa479_bbb3_7b68_57b4`).
 /// Then by one sentence again: `--host-threads` came to work on every
-/// run, no longer with `--platform` only.
-const USAGE_FNV64: u64 = 0xa5f8_0a5d_ea27_f485;
+/// run, no longer with `--platform` only (→ `0xa5f8_0a5d_ea27_f485`).
+/// Then by `--checkpoint` committing a prefix of the streamed outputs:
+/// its and `--resume`'s help, `crash:@<t>` gone from both `--fault-plan`
+/// entries, and exit code 8 gone.
+const USAGE_FNV64: u64 = 0xb239_6b41_0de3_29a1;
 
 /// `(subcommand, "", every projected field of its `Default`)`.
 const DEFAULTS: &[(&str, &str, &str)] = &[
@@ -373,17 +376,15 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("map", "--mapper nope", "unknown mapper \"nope\" (repute, coral, razers3, hobbes3, yara, gem, bwa-mem)"),
     ("map", "--prefilter fast", "--prefilter: unknown prefilter mode \"fast\" (expected none, shd, qgram or both)"),
     ("map", "--schedule greedy", "unknown schedule \"greedy\" (static, dynamic)"),
-    ("map", "--fault-plan loss:x", "--fault-plan: invalid fault-plan entry \"loss:x\": device must be written d<index> (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t> | crash:@<t>)"),
-    ("map", "--fault-plan slow:d0@0x2", "--fault-plan: invalid fault-plan entry \"slow:d0@0x2\": slow factor must be in (0, 1] (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t> | crash:@<t>)"),
+    ("map", "--fault-plan loss:x", "--fault-plan: invalid fault-plan entry \"loss:x\": device must be written d<index> (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t>)"),
+    ("map", "--fault-plan slow:d0@0x2", "--fault-plan: invalid fault-plan entry \"slow:d0@0x2\": slow factor must be in (0, 1] (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t>)"),
     // --- map: cross-flag rules, in the order they are checked.
     ("map", "--reference r.fa --reads q.fq --fault-plan loss:d0@0.1", "--fault-plan requires --platform (faults live in the simulation)"),
     ("map", "--reference r.fa --reads q.fq --fault-plan ,", "--fault-plan requires --platform (faults live in the simulation)"),
     ("map", "--reference r.fa --reads q.fq --trace-out t.json", "--trace-out requires --platform (spans live on the simulated timeline)"),
-    ("map", "--reference r.fa --reads q.fq --checkpoint j.rpj", "--checkpoint requires --platform (the journal is batch-granular over the simulated schedule)"),
+    ("map", "--reference r.fa --reads q.fq --checkpoint j.rpj", "--checkpoint requires --output (stdout cannot be cut back to a committed prefix)"),
     ("map", "--reference r.fa --reads q.fq --resume", "--resume requires --checkpoint"),
-    ("map", "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --cigar", "--cigar is incompatible with --checkpoint (CIGAR traceback is per-read, the journal is per-batch)"),
-    ("map", "--reference r.fa --reads q.fq --platform system1 --fault-plan crash:@0.5", "crash:@<t> events require --checkpoint (only a journaled run can survive a host crash)"),
-    ("map", "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --fault-plan loss:d0@0.1", "checkpointed runs accept crash:@<t> fault events only (device faults would make the journaled timeline irreproducible)"),
+    ("map", "--reference r.fa --reads q.fq --platform system1 --fault-plan crash:@0.5", "--fault-plan: invalid fault-plan entry \"crash:@0.5\": device must be written d<index> (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t>)"),
     ("map", "--reference r.fa --reads q.fq --mapper gem --cigar", "--cigar requires the repute mapper"),
     ("map", "--reference r.fa --reads q.fq --mapper coral --prefilter shd", "--prefilter requires the repute mapper"),
     ("map", "--reads q.fq", "--reference or --index is required"),
@@ -404,12 +405,10 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("map", "--output --help", "--reference or --index is required"),
     ("map", "--fault-plan loss:d0@0 --trace-out t.json --checkpoint j.rpj", "--fault-plan requires --platform (faults live in the simulation)"),
     ("map", "--trace-out t.json --checkpoint j.rpj", "--trace-out requires --platform (spans live on the simulated timeline)"),
-    ("map", "--checkpoint j.rpj --resume --cigar", "--checkpoint requires --platform (the journal is batch-granular over the simulated schedule)"),
-    ("map", "--platform system1 --checkpoint j.rpj --cigar --mapper gem", "--cigar is incompatible with --checkpoint (CIGAR traceback is per-read, the journal is per-batch)"),
-    ("map", "--platform system1 --checkpoint j.rpj --cigar --fault-plan loss:d0@1", "--cigar is incompatible with --checkpoint (CIGAR traceback is per-read, the journal is per-batch)"),
-    ("map", "--platform system1 --fault-plan crash:@1,loss:d0@1", "crash:@<t> events require --checkpoint (only a journaled run can survive a host crash)"),
-    ("map", "--platform system1 --checkpoint j.rpj --fault-plan crash:@1,loss:d0@1", "checkpointed runs accept crash:@<t> fault events only (device faults would make the journaled timeline irreproducible)"),
-    ("map", "--platform system1 --checkpoint j.rpj --fault-plan loss:d0@1 --mapper gem --cigar", "--cigar is incompatible with --checkpoint (CIGAR traceback is per-read, the journal is per-batch)"),
+    ("map", "--checkpoint j.rpj --resume --cigar", "--checkpoint requires --output (stdout cannot be cut back to a committed prefix)"),
+    ("map", "--platform system1 --checkpoint j.rpj --cigar --mapper gem", "--checkpoint requires --output (stdout cannot be cut back to a committed prefix)"),
+    ("map", "--platform system1 --fault-plan crash:@1,loss:d0@1", "--fault-plan: invalid fault-plan entry \"crash:@1\": device must be written d<index> (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t>)"),
+    ("map", "--platform system1 --output o.sam --checkpoint j.rpj --fault-plan loss:d0@1 --mapper gem --cigar", "--cigar requires the repute mapper"),
     ("map", "--mapper gem --cigar --prefilter shd", "--cigar requires the repute mapper"),
     ("map", "--mapper gem --prefilter shd", "--prefilter requires the repute mapper"),
     ("map", "--reference r.fa --index i.rpx --index-cache c.rpxc", "--reference and --index are mutually exclusive"),
@@ -489,9 +488,9 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("serve", "--schedule greedy", "unknown schedule \"greedy\" (static, dynamic)"),
     ("serve", "--host-threads x", "--host-threads expects an integer"),
     ("serve", "--host-threads 0", "--host-threads must be positive (omit the flag for automatic)"),
-    ("serve", "--fault-plan loss:x", "--fault-plan: invalid fault-plan entry \"loss:x\": device must be written d<index> (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t> | crash:@<t>)"),
-    ("serve", "--fault-plan crash:@1", "serve accepts device fault events only (crash-resume is --journal/--resume territory, not crash:@<t>)"),
-    ("serve", "--fault-plan loss:d0@1,crash:@2", "serve accepts device fault events only (crash-resume is --journal/--resume territory, not crash:@<t>)"),
+    ("serve", "--fault-plan loss:x", "--fault-plan: invalid fault-plan entry \"loss:x\": device must be written d<index> (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t>)"),
+    ("serve", "--fault-plan crash:@1", "--fault-plan: invalid fault-plan entry \"crash:@1\": device must be written d<index> (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t>)"),
+    ("serve", "--fault-plan loss:d0@1,crash:@2", "--fault-plan: invalid fault-plan entry \"crash:@2\": device must be written d<index> (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t>)"),
     ("serve", "--max-retries x", "--max-retries expects an integer"),
     ("serve", "--queue-capacity x", "--queue-capacity expects an integer"),
     ("serve", "--queue-capacity 0", "--queue-capacity must be positive"),
@@ -529,7 +528,7 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("serve", "--reference r.fa --socket s.sock --spool jobs --resume", "--socket and --spool are mutually exclusive"),
     ("serve", "--reference r.fa --socket s.sock --once --resume", "--once requires --spool"),
     ("serve", "--reference r.fa --spool jobs --resume --journal-compact-threshold 8", "--resume requires --journal"),
-    ("serve", "--fault-plan crash:@1 --delta x", "serve accepts device fault events only (crash-resume is --journal/--resume territory, not crash:@<t>)"),
+    ("serve", "--fault-plan crash:@1 --delta x", "--fault-plan: invalid fault-plan entry \"crash:@1\": device must be written d<index> (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t>)"),
     ("serve", "--delta x --fault-plan crash:@1", "--delta expects an integer"),
     ("serve", "--once --queue-capacity 0", "--queue-capacity must be positive"),
     ("serve", "--tenant-weight a=0 --tenant-quota b=0", "--tenant-weight must be positive"),
@@ -614,8 +613,8 @@ const ACCEPTED: &[(&str, &str, &str)] = &[
     ("map", "--reference r.fa --reads q.fq --platform system1 --fault-plan slow:d1@0x0.5;correlated:d0+d2@1 --max-retries 0", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"system1\"); fault_plan=[Degrade { factor: 0.5 }:d1@0,Loss:d0@1,Loss:d2@1]; max_retries=0"),
     ("map", "--reference r.fa --reads q.fq --platform system1 --fault-plan ,", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"system1\"); fault_plan=[]"),
     ("map", "--reference r.fa --reads q.fq --platform system1 --trace-out t.json", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"system1\"); trace_out=Some(\"t.json\")"),
-    ("map", "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --resume", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"system1\"); checkpoint=Some(\"j.rpj\"); resume=true"),
-    ("map", "--reference r.fa --reads q.fq --platform system1 --checkpoint j.rpj --fault-plan crash:@0.5", "reference=\"r.fa\"; reads=\"q.fq\"; platform=Some(\"system1\"); fault_plan=[HostCrash:d0@0.5]; checkpoint=Some(\"j.rpj\")"),
+    ("map", "--reference r.fa --reads q.fq --output o.sam --checkpoint j.rpj --resume", "reference=\"r.fa\"; reads=\"q.fq\"; output=Some(\"o.sam\"); checkpoint=Some(\"j.rpj\"); resume=true"),
+    ("map", "--reference r.fa --reads q.fq --platform system1 --output o.sam --checkpoint j.rpj --cigar --fault-plan loss:d0@0.5", "reference=\"r.fa\"; reads=\"q.fq\"; output=Some(\"o.sam\"); cigar=true; platform=Some(\"system1\"); fault_plan=[Loss:d0@0.5]; checkpoint=Some(\"j.rpj\")"),
     ("map", "--reference r.fa --reads q.fq --delta 3 --delta 4 --reads other.fq", "reference=\"r.fa\"; reads=\"other.fq\"; delta=4"),
     ("map", "--reference \"\" --reads q.fq", "reads=\"q.fq\""),
     ("map", "--reference r.fa --reads q.fq --output --help", "reference=\"r.fa\"; reads=\"q.fq\"; output=Some(\"--help\")"),

@@ -2,12 +2,10 @@
 //!
 //! One fixed workload runs through every executor configuration the
 //! shipped programs can reach — schedule × fault plan × host threads ×
-//! device subset, plus journaled runs straight through and across a
-//! simulated host crash — and each cell is reduced to an FNV-64 over
+//! device subset — and each cell is reduced to an FNV-64 over
 //! everything a run leaves behind: per-read outputs and metrics, the
 //! run report as `--metrics-out` writes it (wall clock zeroed), device
-//! attribution, the Chrome trace, and for journaled runs the journal
-//! and manifest bytes. The digests were generated at the commit before
+//! attribution and the Chrome trace. The digests were generated at the commit before
 //! the executors were merged into one and must only change with a
 //! deliberate change to what a run reports. There have been two. The
 //! k-mer interval table (PR 21) cut `fm_extend_ops`, and with it work,
@@ -21,20 +19,21 @@
 //! other 28 cells already had — and no number did: a third table,
 //! `NUMBERS`, hashes each cell without grouping, labels, stamps and span
 //! names, was generated at the parent and passed unedited. It stays, for
-//! the next change that means to move a label and not a number.
+//! the next change that means to move a label and not a number. A fourth
+//! table, `JOURNALED`, and the 12 journaled rows of `NUMBERS` pinned the
+//! batch journal of `--checkpoint` across a simulated host crash; both
+//! went with that journal, when `--checkpoint` came to commit a prefix of
+//! the streamed outputs instead.
 //!
 //! On a mismatch the test prints the whole computed table in source
 //! form, so a deliberate change is one copy-paste. `NUMBERS` is checked
 //! first: if it fails, what moved is a number, not how it is reported.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use repute_core::journal::{manifest_path, Fnv64, RunFingerprint};
-use repute_core::{
-    Executor, MappingRun, ReputeConfig, ReputeError, ReputeMapper, ResumableRun, Schedule,
-};
+use repute_core::journal::Fnv64;
+use repute_core::{Executor, MappingRun, ReputeConfig, ReputeMapper, Schedule};
 use repute_genome::reads::ReadSimulator;
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::{DnaSeq, Strand};
@@ -46,7 +45,7 @@ use repute_obs::trace::{device_pid, write_chrome_trace, SCHEDULER_PID};
 use repute_obs::MapMetrics;
 
 // ---------------------------------------------------------------------
-// The two calls under contract.
+// The call under contract.
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Copy)]
@@ -79,20 +78,6 @@ fn run(
     reads: &[DnaSeq],
 ) -> Result<(MappingRun, Vec<MapMetrics>), LaunchError> {
     cell.executor().run(mapper, cell.platform, reads)
-}
-
-fn run_journaled(
-    cell: &Cell<'_>,
-    mapper: &ReputeMapper,
-    reads: &[DnaSeq],
-    journal: &Path,
-) -> Result<ResumableRun, ReputeError> {
-    let executor = Executor {
-        subset: None,
-        ..cell.executor()
-    };
-    let fingerprint = RunFingerprint::new(0xC0FF_EE00, 0x5EED_0001);
-    executor.run_journaled(mapper, cell.platform, reads, journal, fingerprint)
 }
 
 // ---------------------------------------------------------------------
@@ -391,126 +376,6 @@ fn scheduled_grid_is_byte_pinned() {
     assert_pinned("SCHEDULED", &computed, SCHEDULED);
 }
 
-/// A journal path of this test's own under the system temp dir.
-struct TempJournal(PathBuf);
-
-impl TempJournal {
-    fn new(tag: &str) -> TempJournal {
-        let journal = TempJournal(std::env::temp_dir().join(format!(
-            "repute-contract-{}-{tag}.journal",
-            std::process::id()
-        )));
-        journal.remove();
-        journal
-    }
-
-    fn remove(&self) {
-        let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(manifest_path(&self.0));
-    }
-}
-
-impl Drop for TempJournal {
-    fn drop(&mut self) {
-        self.remove();
-    }
-}
-
-/// `[everything, numbers only]` of one journaled step.
-fn digest_journaled(
-    outcome: &Result<ResumableRun, ReputeError>,
-    platform: &Platform,
-    journal: &Path,
-) -> [u64; 2] {
-    let (mut all, mut numbers) = (Fnv64::new(), Fnv64::new());
-    if let Ok(done) = outcome {
-        digest_results(&mut all, &done.run, &done.metrics, platform);
-        digest_trace(&mut all, &done.run, platform);
-        digest_numbers(&mut numbers, &done.run, &done.metrics);
-    }
-    let journal_bytes = std::fs::read(journal).expect("journal exists");
-    let manifest_bytes = std::fs::read(manifest_path(journal)).expect("manifest exists");
-    for h in [&mut all, &mut numbers] {
-        match outcome {
-            Ok(done) => {
-                h.write_u64(done.resumed_batches as u64);
-                h.write_u64(done.total_batches as u64);
-            }
-            Err(e) => h.write(e.to_string().as_bytes()),
-        }
-        h.write(&journal_bytes);
-        h.write(&manifest_bytes);
-    }
-    [all.finish(), numbers.finish()]
-}
-
-#[test]
-fn journaled_runs_are_byte_pinned() {
-    let (mapper, reads) = workload();
-    let system1 = profiles::system1();
-    let tiny = tiny_platform(&mapper);
-    let full: &[usize] = &[0, 1, 2];
-    let (mut computed, mut numbers) = (Vec::new(), Vec::new());
-    for (sched_name, on_tiny, schedule_of) in SCHEDULES {
-        let platform = if on_tiny { &tiny } else { &system1 };
-        let schedule = schedule_of(platform, reads.len());
-        let mut per_thread_count = Vec::new();
-        for host_threads in [1usize, 3] {
-            let journal = TempJournal::new(&format!("{sched_name}-{host_threads}"));
-            let none = FaultPlan::new();
-            let clean = Cell {
-                platform,
-                subset: full,
-                schedule: &schedule,
-                host_threads,
-                faults: &none,
-                max_retries: 3,
-                tracing: true,
-            };
-            let straight = run_journaled(&clean, &mapper, &reads, &journal.0);
-            // Batch 0 is the first launch of the first timeline under
-            // every schedule; crashing as it completes leaves it (and
-            // whatever else has finished by then) committed.
-            let first_done =
-                straight.as_ref().expect("straight run").run.timelines[0][0].end_seconds;
-            let mut digests = vec![digest_journaled(&straight, platform, &journal.0)];
-
-            journal.remove();
-            let crash = FaultPlan::new().host_crash(first_done);
-            let crashing = Cell {
-                faults: &crash,
-                ..clean
-            };
-            let crashed = run_journaled(&crashing, &mapper, &reads, &journal.0);
-            assert!(
-                matches!(crashed, Err(ReputeError::Interrupted { .. })),
-                "{sched_name}: the crash must interrupt the run"
-            );
-            digests.push(digest_journaled(&crashed, platform, &journal.0));
-            let resumed = run_journaled(&clean, &mapper, &reads, &journal.0);
-            assert!(
-                resumed.as_ref().expect("resume").resumed_batches > 0,
-                "{sched_name}: the resume must replay journaled batches"
-            );
-            digests.push(digest_journaled(&resumed, platform, &journal.0));
-            per_thread_count.push(digests);
-        }
-        assert_eq!(
-            per_thread_count[0], per_thread_count[1],
-            "{sched_name}: host threads changed a journaled run"
-        );
-        for (step, digest) in ["straight", "crashed", "resumed"]
-            .iter()
-            .zip(&per_thread_count[0])
-        {
-            computed.push((format!("{sched_name}/{step}"), digest[0]));
-            numbers.push((format!("{sched_name}/{step}"), digest[1]));
-        }
-    }
-    assert_pinned("NUMBERS (last 12 rows)", &numbers, &NUMBERS[32..]);
-    assert_pinned("JOURNALED", &computed, JOURNALED);
-}
-
 const SCHEDULED: &[(&str, u64)] = &[
     ("static-even/none/full", 0xaae09254797a2952),
     ("static-even/transient/full", 0x7a88428add199930),
@@ -546,23 +411,8 @@ const SCHEDULED: &[(&str, u64)] = &[
     ("dynamic-7/no-retries/sub02", 0xb6620342dafaa4c3),
 ];
 
-const JOURNALED: &[(&str, u64)] = &[
-    ("static-even/straight", 0x94f51c676f713063),
-    ("static-even/crashed", 0x5c4b3b5ed26983bd),
-    ("static-even/resumed", 0x85eaf6d435d03adb),
-    ("static-tiny/straight", 0x61fce8c67520d5c2),
-    ("static-tiny/crashed", 0xe5c52aae23dde8ad),
-    ("static-tiny/resumed", 0x9b49263823a0258c),
-    ("dynamic-auto/straight", 0xcf1538878d16c280),
-    ("dynamic-auto/crashed", 0xf7ccbc81f063527b),
-    ("dynamic-auto/resumed", 0x3706ac449da508e0),
-    ("dynamic-7/straight", 0xfed41722fddd1d8d),
-    ("dynamic-7/crashed", 0xacf562db5d434093),
-    ("dynamic-7/resumed", 0x6e35154f7b827749),
-];
-
-/// The numbers alone ([`digest_numbers`]), 32 scheduled cells then 12
-/// journaled ones. Generated at the commit before stage 3 became one
+/// The numbers alone ([`digest_numbers`]) of the 32 scheduled cells.
+/// Generated at the commit before stage 3 became one
 /// routine (PR 22): a change to how a run *reports* — grouping, labels,
 /// stamps, span names — moves the tables above and must leave this one
 /// alone. If this one moves, a number moved.
@@ -599,16 +449,4 @@ const NUMBERS: &[(&str, u64)] = &[
     ("dynamic-7/transient/sub02", 0x8b78cad258d7dcbc),
     ("dynamic-7/loss/sub02", 0x4ae853f295b9eb87),
     ("dynamic-7/no-retries/sub02", 0x738cd9a2038bb378),
-    ("static-even/straight", 0x8bb9d0ff42251e67),
-    ("static-even/crashed", 0x5c4b3b5ed26983bd),
-    ("static-even/resumed", 0x35fc88add55fdf18),
-    ("static-tiny/straight", 0x35afc08de4e6f2ca),
-    ("static-tiny/crashed", 0xe5c52aae23dde8ad),
-    ("static-tiny/resumed", 0xcd271018fcf7095d),
-    ("dynamic-auto/straight", 0xc5b487503612d837),
-    ("dynamic-auto/crashed", 0xf7ccbc81f063527b),
-    ("dynamic-auto/resumed", 0x5a8068c9334b6778),
-    ("dynamic-7/straight", 0xc784c63f1281390b),
-    ("dynamic-7/crashed", 0xacf562db5d434093),
-    ("dynamic-7/resumed", 0x7f835e18cfb4f928),
 ];

@@ -1,7 +1,7 @@
 //! The heap `repute map --index` needs: the index loaded in place, at a
 //! few bytes per base of reference, and nothing that grows with the read
-//! count — but for the work count and metrics record per read that a
-//! `--platform` run keeps to price the run at the end.
+//! count, checkpointed or not — but for the work count and metrics record
+//! per read that a `--platform` run keeps to price the run at the end.
 //!
 //! A counting global allocator tracks the bytes live and the most ever
 //! live at once (the same allocator as `tests/index_memory.rs`). The
@@ -93,14 +93,21 @@ impl Drop for TempDir {
 }
 
 /// `repute map --index <index> --reads <reads> --output <out>`, on
-/// `platform` when one is named, with the most bytes live at once during
-/// the run.
-fn map_peak(index: &str, reads: &str, out: &str, platform: Option<&str>) -> usize {
+/// `platform` when one is named and checkpointed to `checkpoint` when one
+/// is, with the most bytes live at once during the run.
+fn map_peak(
+    index: &str,
+    reads: &str,
+    out: &str,
+    platform: Option<&str>,
+    checkpoint: Option<&str>,
+) -> usize {
     let opts = MapOptions {
         index: Some(index.into()),
         reads: reads.into(),
         output: Some(out.into()),
         platform: platform.map(String::from),
+        checkpoint: checkpoint.map(String::from),
         ..MapOptions::default()
     };
     let (result, peak) = peak_heap_during(|| run_map(&opts));
@@ -145,8 +152,9 @@ fn index_loads_in_place_and_map_memory_does_not_grow_with_reads() {
     );
 
     // The map: the same 50 reads ten times over, then a hundred times,
-    // plain and under `--platform system1`.
-    let (mut peaks, mut platform_peaks) = (Vec::new(), Vec::new());
+    // plain, checkpointed and under `--platform system1`.
+    let (mut peaks, mut checkpoint_peaks, mut platform_peaks) =
+        (Vec::new(), Vec::new(), Vec::new());
     for copies in [10, 100] {
         let records: Vec<FastqRecord> = (0..copies)
             .flat_map(|copy| {
@@ -161,10 +169,29 @@ fn index_loads_in_place_and_map_memory_does_not_grow_with_reads() {
         std::fs::write(&reads_path, fastq).expect("reads written");
         drop(records);
         let out = dir.path(&format!("out{copies}.sam"));
-        peaks.push(map_peak(&index, &reads_path, &out, None));
+        peaks.push(map_peak(&index, &reads_path, &out, None, None));
         assert!(!Path::new(&format!("{out}.tmp")).exists());
+        let checkpointed = dir.path(&format!("checkpointed{copies}.sam"));
+        let checkpoint = dir.path(&format!("run{copies}.ckpt"));
+        checkpoint_peaks.push(map_peak(
+            &index,
+            &reads_path,
+            &checkpointed,
+            None,
+            Some(&checkpoint),
+        ));
+        assert_eq!(
+            std::fs::read(&out).expect("plain SAM"),
+            std::fs::read(&checkpointed).expect("checkpointed SAM")
+        );
         let priced = dir.path(&format!("priced{copies}.sam"));
-        platform_peaks.push(map_peak(&index, &reads_path, &priced, Some("system1")));
+        platform_peaks.push(map_peak(
+            &index,
+            &reads_path,
+            &priced,
+            Some("system1"),
+            None,
+        ));
         assert_eq!(
             std::fs::read(&out).expect("plain SAM"),
             std::fs::read(&priced).expect("priced SAM")
@@ -177,6 +204,14 @@ fn index_loads_in_place_and_map_memory_does_not_grow_with_reads() {
     assert!(
         peaks[0].abs_diff(peaks[1]) <= 64 << 10,
         "peak heap grew with the read count: {peaks:?}"
+    );
+    eprintln!(
+        "repute map --index --checkpoint: peak {} heap bytes over 500 reads, {} over 5 000",
+        checkpoint_peaks[0], checkpoint_peaks[1]
+    );
+    assert!(
+        checkpoint_peaks[0].abs_diff(checkpoint_peaks[1]) <= 64 << 10,
+        "checkpointed peak heap grew with the read count: {checkpoint_peaks:?}"
     );
     // A `--platform` run keeps a work count and a metrics record per read
     // and nothing else: 4 500 more reads may add those, three times over

@@ -1,9 +1,8 @@
 //! The on-disk byte contract, pinned, and the decoders' behaviour on
 //! damaged bytes.
 //!
-//! **Pins.** `tests/executor_contract.rs` pins the checkpoint journal
-//! and its manifest; this file pins the other bytes the programs leave
-//! behind — the serve journal (every frame kind, append-only and
+//! **Pins.** This file pins the bytes the programs leave behind — the
+//! serve journal (every frame kind, append-only and
 //! compacted), the `repute index` output and the `--index-cache` file —
 //! as FNV-64 digests generated at the commit before the seven readers
 //! were replaced by `repute_genome::wire`. A mismatch prints the
@@ -21,7 +20,7 @@
 //!
 //! **Corpus.** Every truncation and every single-bit flip of a small
 //! valid instance of each format goes through its decoder, which must
-//! answer with a typed error (or, for the journals, the documented
+//! answer with a typed error (or, for the serve journal, the documented
 //! torn-tail prefix), never panic, and never ask the allocator for more
 //! than a small multiple of the input — measured by the counting
 //! allocator below, per thread, so sibling tests cannot disturb it.
@@ -33,16 +32,15 @@ use std::path::PathBuf;
 use repute_cli::{
     parse_map_args, render_stats, render_stats_strict, run_index, run_map, IndexOptions,
 };
-use repute_core::journal::{crc32, manifest_path, BatchRecord, Fnv64, RunFingerprint, RunJournal};
+use repute_core::journal::{crc32, tmp_path, Checkpoint, Fnv64, RunFingerprint};
 use repute_genome::fasta::{read_fasta, write_fasta, AmbiguityPolicy, FastaRecord};
 use repute_genome::fastq::{read_fastq, write_fastq, FastqRecord};
 use repute_genome::synth::{random_sequence, ReferenceBuilder, RepeatFamily};
 use repute_genome::wire::word_hash;
-use repute_genome::{DnaSeq, Strand};
+use repute_genome::DnaSeq;
 use repute_hetsim::{profiles, FaultPlan};
 use repute_mappers::multiref::ReferenceSet;
-use repute_mappers::{IndexedReference, MapOutput, Mapping};
-use repute_obs::MapMetrics;
+use repute_mappers::IndexedReference;
 use repute_serve::journal::JobJournal;
 use repute_serve::{parse_request, JobEnvelope, Request, ServeHarness, ServeOptions};
 
@@ -839,117 +837,63 @@ fn damaged_serve_journals_are_a_torn_tail_prefix_or_journal_corrupt() {
     assert_eq!(err.exit_code(), 6, "{err}");
 }
 
+/// Every truncation and every single-bit flip of a checkpoint manifest
+/// is refused as corrupt (a flip of a fingerprint word may be a mismatch
+/// instead), and a resume refuses a manifest that promises more bytes
+/// than a `.tmp` holds before it cuts any file back.
 #[test]
-fn damaged_run_journals_are_a_torn_tail_prefix_or_journal_corrupt() {
-    let dir = TempDir::new("core-corpus");
-    let path = dir.path("run.journal");
-    let fingerprint = RunFingerprint {
-        config: 0x16,
-        workload: 0x1616,
-        shape: 0x16_1616,
-    };
-    let record = |index: u32| {
-        let mapping = Mapping {
-            position: 100 * index,
-            strand: if index.is_multiple_of(2) {
-                Strand::Forward
-            } else {
-                Strand::Reverse
-            },
-            distance: index,
+fn damaged_checkpoints_are_journal_corrupt_and_refused_before_any_cut() {
+    let fixture = IndexFixture::new("checkpoint-corpus");
+    let (sam, metrics, ckpt) = (
+        fixture.path("out.sam"),
+        fixture.path("m.jsonl"),
+        fixture.path("run.ckpt"),
+    );
+    let line = format!(
+        "--reference {} --reads {} --delta 3 --s-min 15 --output {sam} --metrics-out {metrics} \
+         --checkpoint {ckpt}",
+        fixture.path("ref.fa"),
+        fixture.path("reads.fq"),
+    );
+    let opts = parse_map_args(line.split_whitespace().map(String::from)).expect("map args");
+    run_map(&opts).expect("checkpointed run");
+    let valid = std::fs::read(&ckpt).expect("manifest");
+    let fingerprint = Checkpoint::decode(&valid).expect("valid").fingerprint;
+    let path = fixture.dir.path("corpus.ckpt");
+    for m in mutations(&valid) {
+        std::fs::write(&path, &m.bytes).expect("write");
+        let len = m.bytes.len();
+        let err = probe(&m.what, len, || Checkpoint::load(&path, &fingerprint))
+            .expect_err("damage must not load");
+        let code = if m.bit.is_some() && (8..32).contains(&m.at) {
+            [5, 6]
+        } else {
+            [5, 5]
         };
-        BatchRecord {
-            index,
-            lo: 2 * u64::from(index),
-            hi: 2 * u64::from(index) + 2,
-            outputs: vec![
-                MapOutput {
-                    mappings: vec![mapping; index as usize],
-                    work: 7,
-                    candidates: 3,
-                },
-                MapOutput {
-                    mappings: vec![mapping],
-                    work: 9,
-                    candidates: 1,
-                },
-            ],
-            metrics: vec![
-                MapMetrics {
-                    hits: u64::from(index),
-                    ..MapMetrics::new()
-                };
-                2
-            ],
-        }
-    };
-    // Three records, the first two under the manifest's watermark.
-    let records: Vec<BatchRecord> = (0..3).map(record).collect();
-    {
-        let (mut journal, _) = RunJournal::open(&path, &fingerprint).expect("fresh journal");
-        journal.append(&records[0]).expect("append");
-        journal.append(&records[1]).expect("append");
-        journal.commit_manifest(3, false).expect("manifest");
-        journal.append(&records[2]).expect("append");
-    }
-    let valid = std::fs::read(&path).expect("journal");
-    let manifest = std::fs::read(manifest_path(&path)).expect("manifest");
-    let starts = frame_starts(&valid);
-    assert_eq!(starts.len(), 4);
-    let open = |journal: &[u8], manifest: &[u8]| {
-        std::fs::write(&path, journal).expect("write");
-        std::fs::write(manifest_path(&path), manifest).expect("write");
-        RunJournal::open(&path, &fingerprint).map(|(_, replayed)| replayed)
-    };
-
-    for m in mutations(&valid).chain(forged_counts(&valid)) {
-        let len = m.bytes.len() + manifest.len();
-        let forged_value = m.bit.is_none() && m.bytes.len() == valid.len();
-        match probe(&m.what, len, || open(&m.bytes, &manifest)) {
-            // Damage at or past the watermark is a torn tail: the two
-            // promised records replay and the file is cut back to them.
-            Ok(replayed) => {
-                if forged_value && replayed.len() == 3 {
-                    continue; // 0xFF bytes inside a value, not a count
-                }
-                assert!(m.at >= starts[2], "{}: promised data was dropped", m.what);
-                assert_eq!(replayed, records[..2], "{}", m.what);
-                let kept = std::fs::metadata(&path).expect("journal").len();
-                assert_eq!(kept as usize, starts[2], "{}", m.what);
-            }
-            // Below it, a record the manifest promised is gone (and a
-            // CRC-valid frame out of batch order is refused anywhere).
-            Err(e) => {
-                assert!(m.at < starts[2] || forged_value, "{}: {e}", m.what);
-                assert_eq!(e.exit_code(), 5, "{}: {e}", m.what);
-            }
-        }
+        assert!(code.contains(&err.exit_code()), "{}: {err}", m.what);
     }
 
-    // A damaged manifest is refused or (damage to the white space after
-    // the CRC) still says what it said; it never makes up a watermark.
-    for m in mutations(&manifest) {
-        let len = valid.len() + m.bytes.len();
-        match probe(&m.what, len, || open(&valid, &m.bytes)) {
-            Ok(replayed) => assert_eq!(replayed, records, "manifest {}", m.what),
-            Err(e) => assert_eq!(e.exit_code(), 5, "manifest {}: {e}", m.what),
-        }
-    }
-
-    // Without a manifest nothing was promised: a file a crash cut inside
-    // its header starts over, and a foreign journal is a mismatch.
-    std::fs::remove_file(manifest_path(&path)).expect("remove");
-    std::fs::write(&path, &valid[..20]).expect("write");
-    let (_, replayed) = RunJournal::open(&path, &fingerprint).expect("starts over");
-    assert!(replayed.is_empty());
-    assert_eq!(std::fs::read(&path).expect("journal"), valid[..36]);
-    std::fs::write(&path, &valid).expect("write");
-    let other = RunFingerprint {
-        config: 0x17,
-        ..fingerprint
-    };
-    let err = RunJournal::open(&path, &other).expect_err("foreign journal");
-    assert_eq!(err.exit_code(), 6, "{err}");
+    // A forged manifest: not complete, the SAM's length within its `.tmp`
+    // and the telemetry's beyond it. The resume refuses it before the
+    // SAM is cut back.
+    let mut forged = Checkpoint::decode(&valid).expect("valid");
+    let (sam, metrics) = (std::path::Path::new(&sam), std::path::Path::new(&metrics));
+    let (sam_tmp, metrics_tmp) = (tmp_path(sam), tmp_path(metrics));
+    std::fs::rename(sam, &sam_tmp).expect("rename");
+    std::fs::rename(metrics, &metrics_tmp).expect("rename");
+    let sam_bytes = std::fs::read(&sam_tmp).expect("SAM");
+    forged.complete = false;
+    forged.lengths = vec![sam_bytes.len() as u64 / 2, u64::MAX];
+    std::fs::write(&ckpt, forged.encode()).expect("write");
+    let resume = parse_map_args(
+        format!("{line} --resume")
+            .split_whitespace()
+            .map(String::from),
+    )
+    .expect("map args");
+    let err = run_map(&resume).expect_err("forged length");
+    assert_eq!(err.exit_code(), 5, "{err}");
+    assert_eq!(std::fs::read(&sam_tmp).expect("SAM"), sam_bytes);
 }
 
 // ---------------------------------------------------------------------
