@@ -281,6 +281,7 @@ fn a_checkpointed_run_never_interrupted_writes_what_the_plain_run_writes() {
             assert_eq!(reads, 150, "{tag}");
             assert!(plain.2 == checkpointed.2, "{tag}: telemetry records differ");
             assert!(plain.3 .0 == checkpointed.3 .0, "{tag}: trace differs");
+            assert_eq!(checkpointed.3 .1, 0, "{tag}: a commit is not a span");
         }
     }
 }
