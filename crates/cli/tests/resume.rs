@@ -98,7 +98,8 @@ fn committed(dir: &TempDir, run: &str) -> Option<Checkpoint> {
 }
 
 /// Starts a checkpointed run of `run` and kills it once its manifest
-/// records a commit past the first read and before the end.
+/// records a commit past the first read and before the end; returns the
+/// manifest the kill left.
 fn kill_after_a_commit(dir: &TempDir, run: &str, extra: &[&str]) -> Checkpoint {
     let ckpt = dir.path(&format!("{run}.ckpt"));
     let mut child = repute_map(dir, run, extra)
@@ -110,10 +111,10 @@ fn kill_after_a_commit(dir: &TempDir, run: &str, extra: &[&str]) -> Checkpoint {
         if let Some(status) = child.try_wait().expect("poll repute") {
             panic!("{run} ended ({status}) before a commit past the first read was seen");
         }
-        if let Some(at) = committed(dir, run).filter(|c| c.reads > 0 && !c.complete) {
+        if committed(dir, run).is_some_and(|c| c.reads > 0 && !c.complete) {
             child.kill().expect("kill repute");
             child.wait().expect("reap repute");
-            return at;
+            return committed(dir, run).expect("the manifest the kill left");
         }
         std::thread::sleep(Duration::from_millis(1));
     }
