@@ -268,7 +268,7 @@ fn repeated_crashes_make_monotone_progress() {
         }
         let mut child = command.spawn().expect("spawn repute");
         if attempt < KILLED_ATTEMPTS {
-            std::thread::sleep(uninterrupted.mul_f64(0.2 + 0.05 * f64::from(attempt)));
+            std::thread::sleep(uninterrupted.mul_f64(0.3 + 0.05 * f64::from(attempt)));
             // An attempt that finished before the kill has exited already.
             let _ = child.kill();
         }
