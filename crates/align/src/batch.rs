@@ -29,9 +29,17 @@
 //! `(Option<Verification>, VerifyCost)` is identical to what
 //! [`crate::verify_with`] returns for that window alone. The scalar
 //! path stays in the tree as the differential oracle.
+//!
+//! Before the blocked kernel, an exact prefix screen (`prefix_screen`)
+//! runs block 0 alone over each window's first `len − (m − 64)` columns
+//! and rejects every window whose row 64 never comes within budget —
+//! most of them, since most candidates miss. A rejected window costs the
+//! host one word per column instead of the whole band, but is charged
+//! the band all the same (`block::band_updates`): the charge is the work
+//! of the modelled kernel, not of the host.
 
 use crate::arena::WordArena;
-use crate::block::{band_blocks, BlockMasks};
+use crate::block::{band_blocks, band_updates, screen_columns, BlockMasks};
 use crate::myers::PatternMasks;
 use crate::verify::{ReadMasks, Verification, VerifyCost};
 
@@ -81,6 +89,49 @@ fn advance_lanes<const L: usize>(
         hn[l] = mh[l] >> (WORD - 1);
     }
     (ph, mh)
+}
+
+/// Calls `$body` with `$w` bound to `$windows` as a fixed-size array
+/// reference: one const-lane-count instantiation per lane count, so the
+/// per-lane loops fully unroll and the lane state lives in registers.
+macro_rules! with_lanes {
+    ($windows:expr, |$w:ident| $body:expr) => {
+        match *$windows {
+            [a] => {
+                let $w = &[a];
+                $body
+            }
+            [a, b] => {
+                let $w = &[a, b];
+                $body
+            }
+            [a, b, c] => {
+                let $w = &[a, b, c];
+                $body
+            }
+            [a, b, c, d] => {
+                let $w = &[a, b, c, d];
+                $body
+            }
+            [a, b, c, d, e] => {
+                let $w = &[a, b, c, d, e];
+                $body
+            }
+            [a, b, c, d, e, f] => {
+                let $w = &[a, b, c, d, e, f];
+                $body
+            }
+            [a, b, c, d, e, f, g] => {
+                let $w = &[a, b, c, d, e, f, g];
+                $body
+            }
+            [a, b, c, d, e, f, g, h] => {
+                let $w = &[a, b, c, d, e, f, g, h];
+                $body
+            }
+            _ => unreachable!("the lane kernels admit 1..={LANES} windows"),
+        }
+    };
 }
 
 /// A structure-of-arrays buffer of candidate locations for one read.
@@ -174,7 +225,8 @@ impl BatchVerifier {
     /// for that window alone — same `(distance, end)`, same
     /// `word_updates` charge (the shared Ukkonen band is a function of
     /// the column and `max_distance` only, so lockstep execution changes
-    /// no lane's banded work).
+    /// no lane's banded work, and a window the prefix screen rejects is
+    /// charged that band in closed form).
     ///
     /// # Panics
     ///
@@ -191,32 +243,117 @@ impl BatchVerifier {
             "lane count {} outside 1..={LANES}",
             windows.len()
         );
-        // One const-lane-count instantiation per lane count, so the
-        // per-lane loops fully unroll and the lane state lives in
-        // registers.
-        macro_rules! lanes {
-            ($($w:ident),+) => {{
-                let windows = &[$($w),+];
-                match masks {
-                    ReadMasks::Short(m) => short_lanes(m, windows, max_distance, out),
-                    ReadMasks::Blocked(m) => {
-                        blocked_lanes(&mut self.pv, &mut self.mv, m, windows, max_distance, out)
-                    }
-                }
-            }};
+        let m = match masks {
+            ReadMasks::Short(m) => {
+                return with_lanes!(windows, |w| short_lanes(m, w, max_distance, out));
+            }
+            ReadMasks::Blocked(m) => m,
+        };
+        let k = max_distance as usize;
+        // Row 64 never scores above 64, so from δ = 64 on the screen
+        // could reject nothing: every lane goes on.
+        let pass = if k >= WORD {
+            !0
+        } else {
+            with_lanes!(windows, |w| prefix_screen(m, w, max_distance))
+        };
+        // Every lane is entered as a miss charged the band the blocked
+        // kernel would sweep; the lanes that passed go through the kernel
+        // in one call, and their results overwrite their entries.
+        let first = out.len();
+        let mut passed: [&[u8]; LANES] = [&[]; LANES];
+        let mut count = 0;
+        for (l, w) in windows.iter().enumerate() {
+            let word_updates = band_updates(m.blocks(), k, w.len());
+            out.push((None, VerifyCost { word_updates }));
+            if pass & (1 << l) != 0 {
+                passed[count] = w;
+                count += 1;
+            }
         }
-        match *windows {
-            [a] => lanes!(a),
-            [a, b] => lanes!(a, b),
-            [a, b, c] => lanes!(a, b, c),
-            [a, b, c, d] => lanes!(a, b, c, d),
-            [a, b, c, d, e] => lanes!(a, b, c, d, e),
-            [a, b, c, d, e, f] => lanes!(a, b, c, d, e, f),
-            [a, b, c, d, e, f, g] => lanes!(a, b, c, d, e, f, g),
-            [a, b, c, d, e, f, g, h] => lanes!(a, b, c, d, e, f, g, h),
-            _ => unreachable!("verify_lanes admits 1..={LANES} windows"),
+        if count == 0 {
+            return;
+        }
+        with_lanes!(&passed[..count], |w| blocked_lanes(
+            &mut self.pv,
+            &mut self.mv,
+            m,
+            w,
+            max_distance,
+            out
+        ));
+        let mut next = first + windows.len();
+        for l in 0..windows.len() {
+            if pass & (1 << l) != 0 {
+                out[first + l] = out[next];
+                next += 1;
+            }
+        }
+        out.truncate(first + windows.len());
+    }
+}
+
+/// The prefix screen: block 0 of the blocked recurrence alone, one
+/// [`advance_lanes`] step per column over each lane's first
+/// [`screen_columns`] columns, keeping each lane's minimum row-64 score.
+/// Returns a mask with bit `l` set when lane `l`'s minimum is within
+/// `max_distance` — the only lanes that can hold a hit (the soundness
+/// argument is at [`screen_columns`]). The lanes screen in lockstep over
+/// their shortest span, then each lane's tail alone.
+#[allow(clippy::needless_range_loop)] // lanes and columns advance in lockstep
+fn prefix_screen<const L: usize>(
+    masks: &BlockMasks,
+    windows: &[&[u8]; L],
+    max_distance: u32,
+) -> u32 {
+    let peq = masks.peq();
+    let peq0 = [peq[0][0], peq[1][0], peq[2][0], peq[3][0]];
+    let columns = windows.map(|w| screen_columns(masks.len(), w.len()));
+    let mut pv = [!0u64; L];
+    let mut mv = [0u64; L];
+    let mut score = [WORD as u32; L];
+    let mut best = [WORD as u32; L];
+    let shared = columns.iter().copied().min().unwrap_or(0);
+    for j in 0..shared {
+        let mut eq = [0u64; L];
+        for l in 0..L {
+            let c = windows[l][j];
+            debug_assert!(c <= 3, "base code out of range");
+            eq[l] = peq0[(c & 3) as usize];
+        }
+        let (mut hp, mut hn) = ([0u64; L], [0u64; L]);
+        advance_lanes(&mut pv, &mut mv, &eq, &mut hp, &mut hn);
+        for l in 0..L {
+            score[l] = score[l]
+                .wrapping_add(hp[l] as u32)
+                .wrapping_sub(hn[l] as u32);
+            best[l] = best[l].min(score[l]);
         }
     }
+    let mut pass = 0;
+    for l in 0..L {
+        let (mut pv, mut mv) = ([pv[l]], [mv[l]]);
+        for j in shared..columns[l] {
+            let c = windows[l][j];
+            debug_assert!(c <= 3, "base code out of range");
+            let (mut hp, mut hn) = ([0u64], [0u64]);
+            advance_lanes(
+                &mut pv,
+                &mut mv,
+                &[peq0[(c & 3) as usize]],
+                &mut hp,
+                &mut hn,
+            );
+            score[l] = score[l]
+                .wrapping_add(hp[0] as u32)
+                .wrapping_sub(hn[0] as u32);
+            best[l] = best[l].min(score[l]);
+        }
+        if best[l] <= max_distance {
+            pass |= 1 << l;
+        }
+    }
+    pass
 }
 
 /// The bottom row's score step at the end of DP column `j` (`ph`/`mh`
@@ -559,6 +696,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn prefix_screen_passes_a_planted_prefix_and_rejects_a_planted_suffix() {
+        let mut rng = StdRng::seed_from_u64(74);
+        let read = random_seq(&mut rng, 150);
+        let masks = BlockMasks::new(&read);
+        let mut noise = |n| random_seq(&mut rng, n);
+        let prefix_only = [noise(20), read[..64].to_vec(), noise(86), noise(20)].concat();
+        let suffix_only = [noise(20), noise(64), read[64..].to_vec(), noise(20)].concat();
+        let (p, s): (&[u8], &[u8]) = (&prefix_only, &suffix_only);
+        assert_eq!(prefix_only.len(), suffix_only.len());
+        // In lockstep, and in the tails an empty lane leaves them.
+        assert_eq!(prefix_screen(&masks, &[p, s], 5), 0b01);
+        assert_eq!(prefix_screen(&masks, &[&[], s, p], 5), 0b100);
     }
 
     #[test]

@@ -167,6 +167,35 @@ pub(crate) fn band_blocks(blocks: usize, k: usize, column: usize) -> usize {
     ((column + k) / WORD + 1).min(blocks)
 }
 
+/// The word updates [`search_with`] records for a text of `columns`
+/// bases: `Σ band_blocks(blocks, k, c)` over columns `c = 1..=columns`,
+/// in closed form. Block `b` is in the band from column
+/// `max(1, 64·b − k)` on, so it is advanced `columns + 1 − that` times.
+pub(crate) fn band_updates(blocks: usize, k: usize, columns: usize) -> u64 {
+    (0..blocks)
+        .map(|b| (columns + 1).saturating_sub((WORD * b).saturating_sub(k).max(1)) as u64)
+        .sum()
+}
+
+/// Number of leading text columns over which the prefix screen tracks
+/// row 64 (the bottom of block 0) for a pattern of `m > 64` bases and a
+/// text of `len` bases.
+///
+/// Soundness of rejecting a text whose row 64 never scores ≤ `k` in
+/// those columns: with a free start in the text, an alignment of the
+/// first `i` pattern bases ending at column `c` contains one of the
+/// first `i − 1` bases ending at column `c − 1` or earlier, so
+/// `cell(i, c) ≥ cell(i − 1, c − 1)` — the fact Ukkonen's cutoff rests
+/// on. Applied `m − 64` times, a hit `cell(m, c) ≤ k` implies
+/// `cell(64, c − (m − 64)) ≤ k`, and `c ≤ len` puts that column within
+/// the first `len − (m − 64)`. Block 0 needs nothing from the blocks
+/// below it (carries only move toward higher rows), so it can run alone
+/// and its row 64 is exact. A text the screen rejects therefore holds
+/// no hit, and one it passes is verified in full.
+pub(crate) fn screen_columns(m: usize, len: usize) -> usize {
+    len.saturating_sub(m - WORD)
+}
+
 /// Semi-global scan with caller-provided working memory.
 ///
 /// Returns the minimum distance ≤ `max_distance` over all text end
@@ -481,6 +510,26 @@ mod tests {
         let expected: u64 = (1..=200u64).map(|col| ((col + 7) / 64 + 1).min(3)).sum();
         assert_eq!(work.word_updates(), expected);
         assert!(work.word_updates() < 200 * 3);
+    }
+
+    #[test]
+    fn band_updates_is_the_recorded_band() {
+        let mut rng = StdRng::seed_from_u64(58);
+        let mut work = BlockWork::default();
+        for m in [65usize, 127, 128, 129, 150, 200, 300] {
+            let masks = BlockMasks::new(&vec![0u8; m]);
+            for k in [0usize, 1, 7, 63, 64, 65, 200] {
+                for n in [0usize, 1, 63, 64, 65, 128, m + 40] {
+                    let text: Vec<u8> = (0..n).map(|_| rng.gen_range(0..4)).collect();
+                    let _ = search_with(&masks, &text, k as u32, &mut work);
+                    assert_eq!(
+                        band_updates(masks.blocks(), k, n),
+                        work.word_updates(),
+                        "m={m} k={k} n={n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

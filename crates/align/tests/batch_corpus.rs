@@ -90,3 +90,106 @@ fn corpus_contains_accepts_and_rejects() {
     assert!(accepts >= 2, "corpus lost its accepting windows");
     assert!(rejects >= 2, "corpus lost its rejecting windows");
 }
+
+/// A deterministic pseudo-random sequence (the high bits of an LCG): no
+/// period a shifted alignment could exploit, unlike [`reference`].
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 62) as u8
+        })
+        .collect()
+}
+
+/// The read `r` with the bases at `positions` substituted.
+fn substituted(r: &[u8], positions: impl Iterator<Item = usize>) -> Vec<u8> {
+    let mut w = r.to_vec();
+    for (i, p) in positions.enumerate() {
+        w[p] = (w[p] + 1 + (i % 3) as u8) % 4;
+    }
+    w
+}
+
+/// Windows around the blocked kernel's prefix screen, which runs the
+/// read's first 64 bases over a window's first `len − (m − 64)` columns
+/// and rejects the window unless they score ≤ δ somewhere there.
+fn screen_windows(r: &[u8], delta: usize, seed: u64) -> Vec<Vec<u8>> {
+    let m = r.len();
+    let cat = |parts: &[&[u8]]| parts.concat();
+    let pad = noise(seed, 20);
+    let mut windows = Vec::new();
+    // The read's copy ends at the window's end with δ substitutions in
+    // its first 64 bases: its prefix first scores ≤ δ (exactly δ) at the
+    // last screened column.
+    if delta < 64 {
+        let copy = substituted(r, (0..delta).map(|i| 2 + i * 56 / delta.max(1)));
+        let w = cat(&[&pad, &copy]);
+        let screened = w.len() - (m - 64);
+        if delta <= 12 {
+            assert!(verify_counting(&r[..64], &w[..screened - 1], delta as u32)
+                .0
+                .is_none());
+            let hit = verify_counting(&r[..64], &w[..screened], delta as u32).0;
+            assert_eq!(
+                hit.map(|h| (h.distance, h.end)),
+                Some((delta as u32, screened))
+            );
+        }
+        windows.push(w);
+    }
+    // The read with δ and with δ + 1 bases deleted, spread evenly:
+    // windows of m − δ and m − δ − 1 bases.
+    for cut in [delta, delta + 1] {
+        let keep = (0..m).filter(|&i| i * cut / m == (i + 1) * cut / m);
+        windows.push(keep.map(|i| r[i]).collect());
+    }
+    // Only the prefix planted (the screen passes, the kernel misses) and
+    // only the suffix planted (the screen rejects).
+    windows.push(cat(&[&pad, &r[..64], &noise(seed + 1, m - 64), &pad]));
+    windows.push(cat(&[&pad, &noise(seed + 2, 64), &r[64..], &pad]));
+    // A true site and a window of noise.
+    windows.push(cat(&[&pad[..delta.min(20)], r, &pad[..delta.min(20)]]));
+    windows.push(noise(seed + 3, m + 2 * delta));
+    windows
+}
+
+#[test]
+fn prefix_screen_boundaries_match_scalar() {
+    let mut verifier = BatchVerifier::new();
+    for m in [65usize, 127, 128, 129, 150, 192, 200] {
+        for delta in [1usize, 5, 12, 63, 64] {
+            let seed = (m * 100 + delta) as u64;
+            let r = noise(seed, m);
+            let masks = ReadMasks::new(&r);
+            let windows = screen_windows(&r, delta, seed);
+            let empty: &[u8] = &[];
+            // The engine's chunking, and chunks led by an empty window,
+            // which leaves every other lane's screen to its own tail.
+            for lead in [None, Some(empty)] {
+                let width = LANES - usize::from(lead.is_some());
+                for chunk in windows.chunks(width) {
+                    let refs: Vec<&[u8]> = lead
+                        .into_iter()
+                        .chain(chunk.iter().map(|w| w.as_slice()))
+                        .collect();
+                    let mut got = Vec::new();
+                    verifier.verify_lanes(&masks, &refs, delta as u32, &mut got);
+                    assert_eq!(got.len(), refs.len());
+                    for (l, w) in refs.iter().enumerate() {
+                        assert_eq!(
+                            got[l],
+                            verify_counting(&r, w, delta as u32),
+                            "m={m} δ={delta} len={} lead={}",
+                            w.len(),
+                            lead.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

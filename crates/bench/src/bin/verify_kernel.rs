@@ -1,7 +1,8 @@
 //! Verification-kernel micro-benchmark and its CI gate (`BENCH_pr8.json`).
 //!
 //! Measures the batch verification stage (Ukkonen-banded kernels,
-//! per-read mask hoisting, [`repute_align::BatchVerifier`] SWAR lanes)
+//! per-read mask hoisting, [`repute_align::BatchVerifier`] SWAR lanes
+//! behind the exact prefix screen)
 //! against the stage it replaced — the unbanded
 //! [`repute_align::block::search_full`] kernel with masks and scratch
 //! rebuilt per candidate — on a pinned synthetic candidate corpus,
@@ -56,13 +57,14 @@ const GATE: Gate = Gate {
     noun: "verify-kernel",
 };
 /// The committed baseline must record at least this speedup — the
-/// acceptance bar of the vectorized lane kernel (eight lanes advanced
-/// as packed words).
-const MIN_COMMITTED_SPEEDUP: f64 = 2.8;
+/// acceptance bar of the prefix-screened lane kernel (the lane kernel
+/// without the screen committed 3.26×).
+const MIN_COMMITTED_SPEEDUP: f64 = 4.5;
 /// A fresh `--check` run must reproduce at least this much of it. The
-/// slack absorbs noisy shared CI machines, yet a lane kernel that loses
-/// its vectorization (1.8–2.0× on the same corpus) fails it.
-const MIN_FRESH_SPEEDUP: f64 = 2.3;
+/// slack absorbs noisy shared CI machines (the screened kernel read
+/// 4.2–7.4× on a 2-vCPU VM), yet the kernel without the prefix screen
+/// (2.7–3.3× in the same sitting) fails it.
+const MIN_FRESH_SPEEDUP: f64 = 3.5;
 /// Timed repetitions per path; the minimum is reported (noise robust).
 const ROUNDS: usize = 7;
 

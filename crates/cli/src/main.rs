@@ -3,7 +3,7 @@
 //! Exit codes follow [`repute_cli::ReputeError::exit_code`]: `0` success,
 //! `2` configuration (including malformed command lines), `3` input
 //! parse, `4` i/o, `5` journal corrupt, `6` resume mismatch, `7` device
-//! loss, `8` interrupted by a simulated host crash (resumable).
+//! loss.
 
 use std::process::ExitCode;
 

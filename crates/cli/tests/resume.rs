@@ -1,9 +1,9 @@
 //! `repute map --checkpoint` end to end: a run killed mid-stream and
 //! continued with `--resume` writes the bytes of a run never killed, and
 //! a checkpoint that cannot be continued is refused with its typed exit
-//! code before any file is touched. The kills are real `SIGKILL`s, sent
-//! once the manifest shows a commit past the first read (or, for the
-//! repeated kills, after growing delays). The commit at every point of a
+//! code before any file is touched. The kills are real `SIGKILL`s, each
+//! sent once the manifest shows a commit past the prefix the attempt
+//! started from. The commit at every point of a
 //! small corpus, built without a process to kill, is
 //! `map::tests::resume_after_every_commit_point_matches_the_uninterrupted_run`.
 
@@ -11,7 +11,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use repute_cli::{run_simulate, SimulateOptions};
 use repute_core::journal::Checkpoint;
@@ -98,20 +98,22 @@ fn committed(dir: &TempDir, run: &str) -> Option<Checkpoint> {
 }
 
 /// Starts a checkpointed run of `run` and kills it once its manifest
-/// records a commit past the first read and before the end; returns the
-/// manifest the kill left.
-fn kill_after_a_commit(dir: &TempDir, run: &str, extra: &[&str]) -> Checkpoint {
+/// records a commit past the first `from` reads and before the end;
+/// returns the manifest the kill left. `from` is the prefix the run's
+/// checkpoint already holds: 0 starts afresh, more resumes.
+fn kill_after_a_commit(dir: &TempDir, run: &str, extra: &[&str], from: u64) -> Checkpoint {
     let ckpt = dir.path(&format!("{run}.ckpt"));
-    let mut child = repute_map(dir, run, extra)
-        .args(["--checkpoint", &ckpt])
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn repute");
+    let mut command = repute_map(dir, run, extra);
+    command.args(["--checkpoint", &ckpt]).stderr(Stdio::null());
+    if from > 0 {
+        command.arg("--resume");
+    }
+    let mut child = command.spawn().expect("spawn repute");
     loop {
         if let Some(status) = child.try_wait().expect("poll repute") {
-            panic!("{run} ended ({status}) before a commit past the first read was seen");
+            panic!("{run} ended ({status}) before a commit past read {from} was seen");
         }
-        if committed(dir, run).is_some_and(|c| c.reads > 0 && !c.complete) {
+        if committed(dir, run).is_some_and(|c| c.reads > from && !c.complete) {
             child.kill().expect("kill repute");
             child.wait().expect("reap repute");
             return committed(dir, run).expect("the manifest the kill left");
@@ -199,7 +201,7 @@ fn crash_then_resume_is_bit_identical() {
     let (clean_trace, killed_trace) = (dir.path("clean.json"), dir.path("killed.json"));
     let clean = output(repute_map(&dir, "clean", &with(&clean_trace)));
     assert!(clean.status.success(), "{clean:?}");
-    let at = kill_after_a_commit(&dir, "killed", &with(&killed_trace));
+    let at = kill_after_a_commit(&dir, "killed", &with(&killed_trace), 0);
     let resumed = checkpointed(&dir, "killed", &with(&killed_trace), true);
     assert!(resumed.status.success(), "{resumed:?}");
     assert_same_run(&dir, "killed", "clean");
@@ -215,7 +217,7 @@ fn crash_then_resume_is_bit_identical() {
 #[test]
 fn work_identity_holds_on_resumed_runs() {
     let dir = TempDir::with_reads("resume-work", 1_500);
-    kill_after_a_commit(&dir, "killed", PRICED);
+    kill_after_a_commit(&dir, "killed", PRICED, 0);
     let resumed = checkpointed(&dir, "killed", PRICED, true);
     assert!(resumed.status.success(), "{resumed:?}");
     let text = String::from_utf8(dir.read("killed.jsonl")).expect("UTF-8");
@@ -244,47 +246,38 @@ fn work_identity_holds_on_resumed_runs() {
     assert_eq!(event_work, read_work);
 }
 
-/// The plain path killed again and again after growing delays over
-/// enough reads for several commits: every attempt resumes from at
-/// least where the last one committed, and the last, never killed,
-/// finishes the run to the bytes of one never killed.
+/// The plain path killed again and again over enough reads for several
+/// commits, each attempt after a commit of its own: every resume starts
+/// from a strictly longer prefix than the one before, and the last,
+/// never killed, finishes the run to the bytes of one never killed.
 #[test]
 fn repeated_crashes_make_monotone_progress() {
-    const KILLED_ATTEMPTS: u32 = 10;
-    let dir = TempDir::with_reads("resume-repeated", 4_200);
-    let started = Instant::now();
+    /// Reads between two commits of a checkpointed run.
+    const COMMIT_READS: u64 = 1_024;
+    const READS: u64 = 4_200;
+    let dir = TempDir::with_reads("resume-repeated", READS as usize);
     let clean = output(repute_map(&dir, "clean", &[]));
     assert!(clean.status.success(), "{clean:?}");
-    let uninterrupted = started.elapsed();
 
-    let ckpt = dir.path("killed.ckpt");
-    let (mut done, mut from_a_prefix) = (0, 0);
-    for attempt in 0..=KILLED_ATTEMPTS {
-        let mut command = repute_map(&dir, "killed", &[]);
-        command.args(["--checkpoint", &ckpt]).stderr(Stdio::null());
-        if Path::new(&ckpt).exists() {
-            command.arg("--resume");
-            from_a_prefix += u32::from(done > 0);
-        }
-        let mut child = command.spawn().expect("spawn repute");
-        if attempt < KILLED_ATTEMPTS {
-            std::thread::sleep(uninterrupted.mul_f64(0.3 + 0.05 * f64::from(attempt)));
-            // An attempt that finished before the kill has exited already.
-            let _ = child.kill();
-        }
-        let status = child.wait().expect("reap repute");
-        if let Some(at) = committed(&dir, "killed") {
-            assert!(at.reads >= done, "attempt {attempt}: {} < {done}", at.reads);
-            done = at.reads;
-        }
-        if let Some(code) = status.code() {
-            assert_eq!(code, 0, "attempt {attempt} failed");
-            break;
-        }
+    // Kill while a commit is left before the end: after 1 024, 2 048,
+    // 3 072 and 4 096 reads.
+    let (mut from, mut kills) = (0, Vec::new());
+    while from + COMMIT_READS < READS {
+        let at = kill_after_a_commit(&dir, "killed", &[], from);
+        assert!(
+            at.reads > from,
+            "resumed from {from}, killed at {}",
+            at.reads
+        );
+        from = at.reads;
+        kills.push(from);
     }
-    eprintln!("{from_a_prefix} attempt(s) resumed from a non-zero prefix");
-    assert!(from_a_prefix > 0, "no kill landed after a commit");
+    eprintln!("killed after the commits of {kills:?} reads");
+    assert_eq!(kills.len(), 4, "one kill per commit: {kills:?}");
+    let last = checkpointed(&dir, "killed", &[], true);
+    assert!(last.status.success(), "{last:?}");
     assert_same_run(&dir, "killed", "clean");
+    assert_eq!(resumed_batches(&dir, "killed.jsonl"), from.div_ceil(64));
 }
 
 /// A resume under other options or other reads is a mismatch (exit 6);
@@ -314,7 +307,7 @@ fn mismatched_fingerprint_is_refused() {
 #[test]
 fn corruption_below_watermark_is_refused() {
     let dir = TempDir::with_reads("resume-corrupt", 1_500);
-    let at = kill_after_a_commit(&dir, "run", &[]);
+    let at = kill_after_a_commit(&dir, "run", &[], 0);
     let sam_tmp = dir.path("run.sam.tmp");
     let cut = at.lengths[0] - 1;
     let file = std::fs::OpenOptions::new()
@@ -342,7 +335,7 @@ fn torn_tail_is_truncated_and_resume_completes() {
     let dir = TempDir::with_reads("resume-torn", 1_500);
     let clean = output(repute_map(&dir, "clean", PRICED));
     assert!(clean.status.success(), "{clean:?}");
-    kill_after_a_commit(&dir, "killed", PRICED);
+    kill_after_a_commit(&dir, "killed", PRICED, 0);
     for name in ["killed.sam.tmp", "killed.jsonl.tmp", "killed.ckpt.work"] {
         let mut bytes = dir.read(name);
         bytes.extend_from_slice(b"\x00torn\xff tail\n");
