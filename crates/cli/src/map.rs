@@ -11,11 +11,11 @@ use std::sync::Arc;
 
 use repute_core::executor::execute_batches;
 use repute_core::journal::{
-    self, decode_work_record, put_work_record, tmp_path, Fnv64, WORK_RECORD_BYTES,
+    self, decode_work_record, tmp_path, work_record, Fnv64, WORK_RECORD_BYTES,
 };
 use repute_core::{
-    write_atomic, AtomicFile, Checkpoint, Executor, MappingRun, ReputeConfig, ReputeError,
-    ReputeMapper, RunFingerprint, Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
+    write_atomic, AtomicFile, Checkpoint, Executor, MappingRun, ReadCharge, ReputeConfig,
+    ReputeError, ReputeMapper, RunFingerprint, Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
 };
 use repute_eval::sam::SamAssembly;
 use repute_eval::stats::MappingStats;
@@ -24,7 +24,7 @@ use repute_genome::wire::word_hash_of;
 use repute_genome::DnaSeq;
 use repute_hetsim::FaultPlan;
 use repute_mappers::multiref::ReferenceSet;
-use repute_mappers::{MapOutput, Mapper, Mapping};
+use repute_mappers::{Mapper, Mapping};
 use repute_obs::{MapMetrics, Record, RunReport, StageTimer, Summary};
 use repute_prefilter::PrefilterMode;
 /// Which mapping strategy `repute map` runs.
@@ -567,12 +567,12 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
     Ok((stats.mapped_reads, stats.total_mappings))
 }
 
-/// What a `--platform` run keeps of each read to price the run once the
-/// stream ends: its work count and metrics record, and the longest read.
+/// What a `--platform` run keeps of each read to price the run and
+/// split its report by stage once the stream ends: its [`ReadCharge`],
+/// and the longest read.
 #[derive(Default)]
 struct Priced {
-    work: Vec<u64>,
-    metrics: Vec<MapMetrics>,
+    charges: Vec<ReadCharge>,
     max_read_len: usize,
 }
 
@@ -580,10 +580,10 @@ struct Priced {
 /// time, maps each chunk on the host threads ([`execute_batches`]) and
 /// emits its reads in order, committing `checkpoint` every
 /// [`COMMIT_READS`] reads and at the end. A resumed run skips the reads
-/// its checkpoint holds. Under `--platform` it keeps each read's work
-/// count and [`MapMetrics`] and nothing else, and prices the run once
-/// the stream ends. A malformed record ends the stream with its error
-/// once the reads before it are emitted.
+/// its checkpoint holds. Under `--platform` it keeps each read's
+/// [`ReadCharge`] and nothing else, and prices the run once the stream
+/// ends. A malformed record ends the stream with its error once the
+/// reads before it are emitted.
 fn map_stream<'a>(
     opts: &'a MapOptions,
     set: &'a ReferenceSet,
@@ -600,11 +600,19 @@ fn map_stream<'a>(
         Some(checkpoint) => checkpoint.start(opts, set, repute, platform.is_some(), &mut priced)?,
         None => Emitter::open(opts, set, repute)?,
     };
-    // The reads a resumed checkpoint holds (the fingerprint has the
-    // reads file's hash, so they are there).
+    // The reads a resumed checkpoint holds: the fingerprint has the
+    // reads file's hash, so only a forged manifest claims more.
     let resumed = emitter.reads;
+    let mut skipped = 0;
     for record in records.by_ref().take(resumed as usize) {
         priced.max_read_len = priced.max_read_len.max(record?.seq.len());
+        skipped += 1;
+    }
+    if skipped < resumed {
+        return Err(ReputeError::JournalCorrupt(format!(
+            "checkpoint records {resumed} reads done, but {} holds {skipped}",
+            reads_path.display()
+        )));
     }
     let (mut ids, mut seqs) = (Vec::new(), Vec::new());
     let (mut outputs, mut metrics) = (Vec::new(), Vec::new());
@@ -634,16 +642,21 @@ fn map_stream<'a>(
         for (((id, seq), mapped), m) in ids.iter().zip(&seqs).zip(&outputs).zip(&metrics) {
             emitter.read(id, seq, &mapped.mappings, m)?;
         }
+        let kept = priced.charges.len();
         if platform.is_some() {
-            priced.work.extend(outputs.iter().map(|o| o.work));
-            priced.metrics.extend_from_slice(&metrics);
+            priced.charges.extend(
+                outputs
+                    .iter()
+                    .zip(&metrics)
+                    .map(|(o, m)| ReadCharge::new(o.work, m)),
+            );
             priced.max_read_len = seqs
                 .iter()
                 .map(DnaSeq::len)
                 .fold(priced.max_read_len, usize::max);
         }
         if let Some(checkpoint) = checkpoint.as_deref_mut() {
-            checkpoint.keep(&outputs, &metrics)?;
+            checkpoint.keep(&priced.charges[kept..])?;
             if emitter.reads >= checkpoint.committed + COMMIT_READS {
                 checkpoint.commit(&mut emitter, false)?;
             }
@@ -663,14 +676,14 @@ fn map_stream<'a>(
             ..RunReport::default()
         },
         Some(platform) => {
-            let run = executor(opts, platform, priced.work.len()).price(
+            let run = executor(opts, platform, priced.charges.len()).price(
                 &mapper,
                 platform,
-                &priced.work,
+                &priced.charges,
                 priced.max_read_len,
             )?;
             announce_priced(opts, platform, &run)?;
-            run.report(platform, &priced.metrics)
+            run.report_charges(platform, emitter.totals, &priced.charges)
         }
     };
     report.resumed_batches = resumed.div_ceil(CHUNK_READS as u64);
@@ -680,22 +693,20 @@ fn map_stream<'a>(
 /// A `--checkpoint` run's manifest, identity and sidecar.
 ///
 /// A commit syncs the SAM `.tmp`, the `--metrics-out` `.tmp` and, under
-/// `--platform`, the sidecar `<checkpoint>.work` (each read's work count
-/// and metrics record, [`WORK_RECORD_BYTES`] a read, which pricing needs
-/// for the reads a resume skips), then atomically rewrites the manifest
-/// at `<checkpoint>` with their lengths, the reads done and the
-/// [`Emitter`]'s totals. A resume cuts each file back to its committed
-/// length, reloads the sidecar and the totals, and skips that many FASTQ
-/// records; the SAM is a function of read order alone, so the resumed
-/// run writes the bytes of one never interrupted.
+/// `--platform`, the sidecar `<checkpoint>.work` (each read's
+/// [`ReadCharge`], [`WORK_RECORD_BYTES`] a read, which pricing and the
+/// report need for the reads a resume skips), then atomically rewrites
+/// the manifest at `<checkpoint>` with their lengths, the reads done and
+/// the [`Emitter`]'s totals. A resume cuts each file back to its
+/// committed length, reloads the sidecar and the totals, and skips that
+/// many FASTQ records; the SAM is a function of read order alone, so the
+/// resumed run writes the bytes of one never interrupted.
 struct Checkpointing {
     path: PathBuf,
     fingerprint: RunFingerprint,
     /// The manifest `--resume` found, until the stream starts from it.
     resumed: Option<Checkpoint>,
     sidecar: Option<BufWriter<File>>,
-    /// Sidecar records of the chunk being kept.
-    records: Vec<u8>,
     /// Reads the last commit covered.
     committed: u64,
     /// The commit whose syncs and manifest are being written.
@@ -727,7 +738,6 @@ impl Checkpointing {
             fingerprint,
             resumed,
             sidecar: None,
-            records: Vec::new(),
             committed: 0,
             pending: None,
         })
@@ -787,6 +797,16 @@ impl Checkpointing {
         for (file, &len) in files.iter().zip(&resumed.lengths) {
             journal::check_prefix(file, len)?;
         }
+        // The sidecar, when the run keeps one, is the last file.
+        let sidecar_len = resumed.lengths.last().copied().unwrap_or_default();
+        if sidecar.is_some()
+            && resumed.reads.checked_mul(WORK_RECORD_BYTES as u64) != Some(sidecar_len)
+        {
+            return Err(corrupt(format!(
+                "its sidecar holds {sidecar_len} bytes for {} reads",
+                resumed.reads
+            )));
+        }
         let mut lengths = resumed.lengths.iter().copied();
         let mut next_len = || lengths.next().unwrap_or_default();
         let sam = AtomicFile::reopen(Path::new(output), next_len())?;
@@ -795,25 +815,16 @@ impl Checkpointing {
             None => None,
         };
         if let Some(path) = &sidecar {
-            let len = next_len();
-            if len != resumed.reads * WORK_RECORD_BYTES as u64 {
-                return Err(corrupt(format!(
-                    "its sidecar holds {len} bytes for {} reads",
-                    resumed.reads
-                )));
-            }
             let file = File::open(path).map_err(|e| ReputeError::io_at(path, e))?;
-            let mut input = BufReader::new(file.take(len));
+            let mut input = BufReader::new(file.take(sidecar_len));
             let mut record = [0; WORK_RECORD_BYTES];
             for _ in 0..resumed.reads {
                 input
                     .read_exact(&mut record)
                     .map_err(|e| ReputeError::io_at(path, e))?;
-                let (work, metrics) = decode_work_record(&record);
-                priced.work.push(work);
-                priced.metrics.push(metrics);
+                priced.charges.push(decode_work_record(&record));
             }
-            let file = journal::reopen_at(path, len)?;
+            let file = journal::reopen_at(path, sidecar_len)?;
             self.sidecar = Some(BufWriter::with_capacity(1 << 16, file));
         }
         self.committed = resumed.reads;
@@ -825,19 +836,15 @@ impl Checkpointing {
         Emitter::resume(opts, set, repute, sam, metrics, &resumed)
     }
 
-    /// Appends a chunk's work counts and metrics records to the sidecar.
-    fn keep(&mut self, outputs: &[MapOutput], metrics: &[MapMetrics]) -> Result<(), ReputeError> {
+    /// Appends a chunk's charges to the sidecar.
+    fn keep(&mut self, charges: &[ReadCharge]) -> Result<(), ReputeError> {
         let Some(sidecar) = &mut self.sidecar else {
             return Ok(());
         };
-        self.records.clear();
-        for (out, m) in outputs.iter().zip(metrics) {
-            put_work_record(&mut self.records, out.work, m);
-        }
-        let path = &self.path;
-        sidecar
-            .write_all(&self.records)
-            .map_err(|e| ReputeError::io_at(path, e))
+        charges
+            .iter()
+            .try_for_each(|charge| sidecar.write_all(&work_record(charge)))
+            .map_err(|e| ReputeError::io_at(&self.path, e))
     }
 
     /// One commit: flush every file, then sync them and replace the
@@ -1592,7 +1599,11 @@ mod tests {
     fn crash_after_commit(opts: &MapOptions, k: usize) {
         let platform = opts.platform.is_some();
         let set = load_reference_set(&opts.reference, None, None).unwrap();
-        let repute = ReputeMapper::new(Arc::clone(set.indexed()), build_config(opts).unwrap());
+        let config = build_config(opts).unwrap();
+        let repute = ReputeMapper::new(Arc::clone(set.indexed()), config);
+        let baseline = (opts.mapper != MapperChoice::Repute)
+            .then(|| opts.mapper.build(Arc::clone(set.indexed()), config));
+        let mapper: &dyn Mapper = baseline.as_deref().unwrap_or(&repute);
         let path = Path::new(opts.checkpoint.as_deref().unwrap());
         let mut checkpoint = Checkpointing::open(opts, path).unwrap();
         let mut priced = Priced::default();
@@ -1606,13 +1617,18 @@ mod tests {
             .collect();
         let seqs: Vec<DnaSeq> = records.iter().map(|r| r.seq.clone()).collect();
         let (mut outputs, mut metrics) = (Vec::new(), Vec::new());
-        execute_batches(&repute, &seqs, 1, &mut outputs, &mut metrics);
+        execute_batches(&mapper, &seqs, 1, &mut outputs, &mut metrics);
         for ((record, out), m) in records.iter().zip(&outputs).zip(&metrics) {
             emitter
                 .read(&record.id, &record.seq, &out.mappings, m)
                 .unwrap();
         }
-        checkpoint.keep(&outputs, &metrics).unwrap();
+        let charges: Vec<ReadCharge> = outputs
+            .iter()
+            .zip(&metrics)
+            .map(|(o, m)| ReadCharge::new(o.work, m))
+            .collect();
+        checkpoint.keep(&charges).unwrap();
         if k > 0 {
             checkpoint.commit(&mut emitter, false).unwrap();
         }
@@ -1645,7 +1661,9 @@ mod tests {
     /// the one before the first read, and two after 1 024-read stretches
     /// — with torn bytes after every committed prefix writes the bytes
     /// of a run never interrupted: SAM, `read` records, the `run` record
-    /// but for its wall clock and its resume count, and the trace.
+    /// but for its wall clock and its resume count, and the trace. Plain,
+    /// priced, and priced under Yara, whose work is not the sum of the
+    /// three stage terms, so the sidecar must carry it.
     #[test]
     fn resume_after_every_commit_point_matches_the_uninterrupted_run() {
         let dir =
@@ -1674,6 +1692,7 @@ mod tests {
         let passes = [
             "",
             "--platform system1 --schedule dynamic --trace-out TRACE",
+            "--mapper yara --platform system1 --schedule dynamic --trace-out TRACE",
         ];
         for (pass, priced) in passes.into_iter().enumerate() {
             let opts = |tag: &str| {

@@ -20,7 +20,7 @@
 //! [`Executor::run`] is stage 2 ([`execute_batches`]) followed by
 //! [`Executor::price`], stages 1 and 3 over the work counts alone, so a
 //! caller that maps its reads a chunk at a time through stage 2 keeps
-//! one `u64` per read and prices the run at the end.
+//! one [`ReadCharge`] per read and prices the run at the end.
 //!
 //! Placement is sequential arithmetic over the counts of stage 2, so
 //! `simulated_seconds`, timelines, energy and traces are the same for
@@ -41,7 +41,7 @@ use repute_obs::trace::{device_pid, Span, SCHEDULER_PID};
 use repute_obs::{KernelEvent, MapMetrics};
 
 use crate::config::{output_slot_bytes, ScheduleMode, DEFAULT_MAX_RETRIES};
-use crate::mapping_run::MappingRun;
+use crate::mapping_run::{MappingRun, ReadCharge};
 
 /// `host_threads` value meaning "let the executor decide": one thread
 /// per host core.
@@ -235,28 +235,33 @@ impl Executor {
         let start = Instant::now();
         let (mut outputs, mut metrics) = (Vec::new(), Vec::new());
         execute_batches(mapper, reads, self.host_threads, &mut outputs, &mut metrics);
-        let work: Vec<u64> = outputs.iter().map(|o| o.work).collect();
+        let charges: Vec<ReadCharge> = outputs
+            .iter()
+            .zip(&metrics)
+            .map(|(o, m)| ReadCharge::new(o.work, m))
+            .collect();
         let max_read_len = reads.iter().map(DnaSeq::len).max().unwrap_or(0);
-        let mut run = self.price(mapper, platform, &work, max_read_len)?;
+        let mut run = self.price(mapper, platform, &charges, max_read_len)?;
         run.outputs = outputs;
         run.wall_seconds = start.elapsed().as_secs_f64();
         Ok((run, metrics))
     }
 
-    /// Stages 1 and 3 from work counts alone: plans `work.len()` reads
+    /// Stages 1 and 3 from work counts alone: plans `charges.len()` reads
     /// into batches and places them on `platform`, read `i` costing
-    /// `work[i]` and the kernel's private memory sized for reads of
-    /// `max_read_len` bases. The run it returns has every field but
+    /// `charges[i].work` and the kernel's private memory sized for reads
+    /// of `max_read_len` bases. The run it returns has every field but
     /// [`outputs`](MappingRun::outputs), which stays empty, and its
     /// `wall_seconds` is the placement's alone. A caller that streams its
-    /// reads through [`execute_batches`] keeps one `u64` per read and
-    /// prices the run once the stream ends.
+    /// reads through [`execute_batches`] keeps one [`ReadCharge`] per
+    /// read, prices the run once the stream ends and hands the same
+    /// charges to [`MappingRun::report_charges`].
     ///
     /// # Errors
     ///
     /// An invalid-distribution [`LaunchError`] when static shares are
     /// missing, name an unknown device or do not cover exactly
-    /// `work.len()` items; when one read's output exceeds a device's
+    /// `charges.len()` items; when one read's output exceeds a device's
     /// quarter-RAM cap; when the fault plan names a device the platform
     /// does not have; or when `subset` is empty, unsorted, repeats a
     /// device or names an unknown one.
@@ -266,11 +271,11 @@ impl Executor {
         &self,
         mapper: &M,
         platform: &Platform,
-        work: &[u64],
+        charges: &[ReadCharge],
         max_read_len: usize,
     ) -> Result<MappingRun, LaunchError> {
         let work = Work {
-            per_read: Cow::Borrowed(work),
+            per_read: charges,
             private_bytes: mapper.kernel_private_bytes(max_read_len),
         };
         let (on, faults) = self.projected(platform)?;
@@ -650,13 +655,13 @@ pub fn execute_batches<M: Mapper>(
 /// What stage 3 knows about stage 2: each read's work count and the
 /// kernel's private-memory footprint (which sets GPU occupancy).
 struct Work<'a> {
-    per_read: Cow<'a, [u64]>,
+    per_read: &'a [ReadCharge],
     private_bytes: usize,
 }
 
 impl Work<'_> {
     fn of_batch(&self, b: &Batch) -> u64 {
-        self.per_read[b.lo..b.hi].iter().sum()
+        self.per_read[b.lo..b.hi].iter().map(|c| c.work).sum()
     }
 }
 

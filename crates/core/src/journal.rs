@@ -10,8 +10,8 @@
 //! file at least as long as the last manifest says; a resume cuts each
 //! back to that length ([`AtomicFile::reopen`]) and carries on. A run
 //! priced on a simulated platform also keeps a sidecar of each read's
-//! work count and metrics record ([`put_work_record`],
-//! [`decode_work_record`]), [`WORK_RECORD_BYTES`] a read.
+//! [`ReadCharge`] ([`work_record`], [`decode_work_record`]),
+//! [`WORK_RECORD_BYTES`] a read.
 //!
 //! The daemon's job journal (`repute_serve::journal`) opens with the same
 //! [`RunFingerprint`] header.
@@ -24,23 +24,36 @@ use repute_genome::wire::{self, put_u32, put_u64, Reader, WireError};
 use repute_obs::MapMetrics;
 
 use crate::error::ReputeError;
+use crate::mapping_run::ReadCharge;
 
 pub use repute_genome::wire::{crc32, Fnv64};
 
 /// Checkpoint manifest magic: identifies the format and its version.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RPCKPT01";
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RPCKPT02";
 
-/// The magic of the batch journal `--checkpoint` wrote before it
-/// checkpointed the stream: such a file is refused by name.
-const BATCH_JOURNAL_MAGIC: [u8; 8] = *b"RPJRNL01";
+/// What older builds left at a checkpoint's path, refused by name: the
+/// batch journal `--checkpoint` wrote before it checkpointed the stream,
+/// and the manifest whose sidecar held a whole metrics record per read.
+const OLDER_FORMATS: [(&[u8; 8], &str); 2] = [
+    (
+        b"RPJRNL01",
+        "this is a batch journal (RPJRNL01) from an older repute, which cannot be resumed: \
+         delete it and start the run over",
+    ),
+    (
+        b"RPCKPT01",
+        "this is a checkpoint (RPCKPT01) from an older repute, which cannot be resumed: \
+         delete it and start the run over",
+    ),
+];
 
 /// The largest manifest [`Checkpoint::load`] reads: a few file lengths,
 /// a few counters and a histogram take a few hundred bytes.
 const MAX_MANIFEST_BYTES: u64 = 1 << 16;
 
-/// Sidecar bytes per read: its work count, then the thirteen
-/// [`MapMetrics`] words in [`MapMetrics::fields`] order, little-endian.
-pub const WORK_RECORD_BYTES: usize = 8 * 14;
+/// Sidecar bytes per read: the four words of its [`ReadCharge`] —
+/// `work`, `filtration`, `prefilter`, `verification` — little-endian.
+pub const WORK_RECORD_BYTES: usize = 8 * 4;
 
 /// The identity of a run, for refusing mismatched resumes.
 ///
@@ -341,18 +354,15 @@ impl Checkpoint {
     }
 
     /// Decodes a manifest, or says why not: a wrong magic (the old batch
-    /// journal's named), a checksum that does not match, or fields that
-    /// do not parse.
+    /// journal's and the old checkpoint's named), a checksum that does
+    /// not match, or fields that do not parse.
     ///
     /// # Errors
     ///
     /// The [`WireError`] of the first check that fails.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, WireError> {
-        if bytes.starts_with(&BATCH_JOURNAL_MAGIC) {
-            return Err(WireError::Invalid(
-                "this is a batch journal (RPJRNL01) from an older repute, which cannot be \
-                 resumed: delete it and start the run over",
-            ));
+        if let Some((_, refusal)) = OLDER_FORMATS.iter().find(|(m, _)| bytes.starts_with(*m)) {
+            return Err(WireError::Invalid(refusal));
         }
         let mut r = Reader::new(bytes);
         if r.bytes(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
@@ -436,26 +446,32 @@ impl Checkpoint {
     }
 }
 
-/// Appends one read's sidecar record: its `work` count, then its
-/// `metrics` words — [`WORK_RECORD_BYTES`] bytes.
-pub fn put_work_record(out: &mut Vec<u8>, work: u64, metrics: &MapMetrics) {
-    put_u64(out, work);
-    for (_, word) in metrics.fields() {
-        put_u64(out, word);
+/// One read's sidecar record: its `charge`'s four words.
+pub fn work_record(charge: &ReadCharge) -> [u8; WORK_RECORD_BYTES] {
+    let words = [
+        charge.work,
+        charge.filtration,
+        charge.prefilter,
+        charge.verification,
+    ];
+    let mut record = [0; WORK_RECORD_BYTES];
+    for (bytes, word) in record.chunks_exact_mut(8).zip(words) {
+        bytes.copy_from_slice(&word.to_le_bytes());
     }
+    record
 }
 
-/// Decodes one sidecar record, as [`put_work_record`] wrote it: every
+/// Decodes one sidecar record, as [`work_record`] wrote it: every
 /// [`WORK_RECORD_BYTES`] bytes are some record, so this cannot fail.
-pub fn decode_work_record(bytes: &[u8; WORK_RECORD_BYTES]) -> (u64, MapMetrics) {
+pub fn decode_work_record(bytes: &[u8; WORK_RECORD_BYTES]) -> ReadCharge {
     let mut words = wire::le_u64s(bytes);
     let mut next = || words.next().unwrap_or_default();
-    let work = next();
-    let mut metrics = MapMetrics::new();
-    for (name, _) in MapMetrics::new().fields() {
-        metrics.set_field(name, next());
+    ReadCharge {
+        work: next(),
+        filtration: next(),
+        prefilter: next(),
+        verification: next(),
     }
-    (work, metrics)
 }
 
 #[cfg(test)]
@@ -500,24 +516,20 @@ mod tests {
     }
 
     /// The sidecar's record codec: every field of every record comes
-    /// back, and a record is exactly [`WORK_RECORD_BYTES`] long.
+    /// back, and a record is exactly [`WORK_RECORD_BYTES`] long, the
+    /// size of a [`ReadCharge`].
     #[test]
     fn record_codec_round_trips() {
-        assert_eq!(
-            WORK_RECORD_BYTES,
-            8 * (1 + MapMetrics::new().fields().len())
-        );
+        assert_eq!(WORK_RECORD_BYTES, std::mem::size_of::<ReadCharge>());
+        let charge = |seed: u64| ReadCharge::new(1000 + seed, &metrics(seed));
         let mut bytes = Vec::new();
         for seed in 0..3 {
-            put_work_record(&mut bytes, 1000 + seed, &metrics(seed));
+            bytes.extend(work_record(&charge(seed)));
         }
         assert_eq!(bytes.len(), 3 * WORK_RECORD_BYTES);
         for (seed, record) in bytes.chunks_exact(WORK_RECORD_BYTES).enumerate() {
             let record = record.try_into().unwrap();
-            assert_eq!(
-                decode_work_record(record),
-                (1000 + seed as u64, metrics(seed as u64))
-            );
+            assert_eq!(decode_work_record(record), charge(seed as u64));
         }
     }
 
@@ -545,6 +557,11 @@ mod tests {
         // The batch journal of older builds is refused by name.
         let err = Checkpoint::decode(b"RPJRNL01 and the rest of an old journal").unwrap_err();
         assert!(err.to_string().contains("RPJRNL01"), "{err}");
+        // So is the checkpoint whose sidecar held whole metrics records.
+        let mut old = checkpoint().encode();
+        old[..8].copy_from_slice(b"RPCKPT01");
+        let err = Checkpoint::decode(&old).unwrap_err();
+        assert!(err.to_string().contains("RPCKPT01"), "{err}");
     }
 
     /// Every single-bit flip of a manifest, the checksum at its tail

@@ -59,4 +59,4 @@ pub use executor::{
 };
 pub use journal::{write_atomic, AtomicFile, Checkpoint, RunFingerprint};
 pub use mapper::{CigarMapping, ReputeMapper};
-pub use mapping_run::MappingRun;
+pub use mapping_run::{MappingRun, ReadCharge};

@@ -15,7 +15,7 @@ pub struct MappingRun {
     pub outputs: Vec<MapOutput>,
     /// Per-device accounting, its batches folded in. `device_runs`,
     /// `timelines` and `fault_counters` follow one rule for every run —
-    /// either schedule, any fault plan, journaled or not, zero reads too:
+    /// either schedule, any fault plan, zero reads too:
     /// one entry per device of the platform the run was given (of the
     /// [`subset`](crate::Executor::subset), when there is one), in device
     /// order, a device that took no batch included with zero work and an
@@ -53,17 +53,44 @@ pub struct MappingRun {
     pub trace: Vec<Span>,
 }
 
-/// The DP-filtration term of the tested work identity `work =
-/// fm_extend·EXTEND + dp_cells·DP + fm_locate·LOCATE + prefilter_words +
-/// word_updates` (seed selection and location); the other two terms are
-/// the pre-alignment filter and Myers verification.
-fn filtration_work(m: &MapMetrics) -> u64 {
-    m.fm_extend_ops * EXTEND_COST + m.dp_cells * DP_CELL_COST + m.fm_locate_ops * LOCATE_COST
+/// What pricing and the report keep of one mapped read: its work count
+/// and the three terms of the work identity `work = fm_extend·EXTEND +
+/// dp_cells·DP + fm_locate·LOCATE + prefilter_words + word_updates` that
+/// the report's stage rows split it into.
+///
+/// `work` is its own word because the identity holds for the REPUTE,
+/// CORAL and GEM pipelines but not for every mapper: RazerS 3, Hobbes 3,
+/// Yara and BWA-MEM charge work that none of the three terms counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadCharge {
+    /// The read's work count, which pricing charges.
+    pub work: u64,
+    /// Seed selection and location: `fm_extend·EXTEND + dp_cells·DP +
+    /// fm_locate·LOCATE`.
+    pub filtration: u64,
+    /// Words the pre-alignment filter read.
+    pub prefilter: u64,
+    /// Myers verification word updates.
+    pub verification: u64,
 }
 
-/// A stage of the report: its path, its work in a metrics record (a
-/// read's or the run's totals), and its activations over the run.
-type StageRow = (&'static str, fn(&MapMetrics) -> u64, u64);
+impl ReadCharge {
+    /// The charge of a read that cost `work` and recorded `metrics`.
+    pub fn new(work: u64, metrics: &MapMetrics) -> ReadCharge {
+        ReadCharge {
+            work,
+            filtration: metrics.fm_extend_ops * EXTEND_COST
+                + metrics.dp_cells * DP_CELL_COST
+                + metrics.fm_locate_ops * LOCATE_COST,
+            prefilter: metrics.prefilter_words,
+            verification: metrics.word_updates,
+        }
+    }
+}
+
+/// A stage of the report: its path, its term of a [`ReadCharge`], and
+/// its activations over the run.
+type StageRow = (&'static str, fn(&ReadCharge) -> u64, u64);
 
 /// Exact p50/p90/p99 of `values` as a latency row.
 fn latency_row(stage: &str, values: &[f64]) -> StageLatency {
@@ -89,38 +116,50 @@ impl MappingRun {
         self.device_runs.iter().map(|r| r.work).sum()
     }
 
-    /// Rolls the run up into a run-level [`RunReport`]: per-read metric
-    /// totals, one kernel timeline per entry of `device_runs`, the §III-D
-    /// energy measurement, and the run's simulated seconds decomposed by
-    /// stage.
-    ///
-    /// Each stage — filtration, the pre-alignment filter when it ran,
-    /// verification — gets the share of `simulated_seconds` its term of
-    /// the work identity has in the total, with its activations (reads,
-    /// candidates tested, verifications) as the count; and a latency row
-    /// of exact percentiles over each read's share of that time. A final
-    /// `"batch"` latency row holds the kernel durations across all device
-    /// timelines. All in simulated time, so the rows are deterministic.
-    ///
-    /// `per_read` is the metric record of every read in read order, as
-    /// [`Executor::run`](crate::Executor::run) returns it; pass an empty
-    /// slice when only the device timelines matter.
+    /// Rolls the run up into a run-level [`RunReport`] from the per-read
+    /// [`MapMetrics`] records in read order, as
+    /// [`Executor::run`](crate::Executor::run) returns them: their totals
+    /// and charges, through [`report_charges`](MappingRun::report_charges).
+    /// Pass an empty slice when only the device timelines matter.
     pub fn report(&self, platform: &Platform, per_read: &[MapMetrics]) -> RunReport {
         let mut totals = MapMetrics::new();
         for m in per_read {
             totals.merge(m);
         }
+        // The report reads the three stage terms of a charge, never its
+        // work.
+        let charges: Vec<ReadCharge> = per_read.iter().map(|m| ReadCharge::new(0, m)).collect();
+        self.report_charges(platform, totals, &charges)
+    }
+
+    /// Rolls the run up into a run-level [`RunReport`]: the metric
+    /// `totals` of its reads, one kernel timeline per entry of
+    /// `device_runs`, the §III-D energy measurement, and the run's
+    /// simulated seconds decomposed by stage.
+    ///
+    /// Each stage — filtration, the pre-alignment filter when it ran,
+    /// verification — gets the share of `simulated_seconds` its term of
+    /// the work identity has in the total, with its activations (reads,
+    /// candidates tested, verifications) as the count; and a latency row
+    /// of exact percentiles over each read's share of that time, from
+    /// that term of its charge in `charges` (one per read, in read
+    /// order). A final `"batch"` latency row holds the kernel durations
+    /// across all device timelines. All in simulated time, so the rows
+    /// are deterministic.
+    pub fn report_charges(
+        &self,
+        platform: &Platform,
+        totals: MapMetrics,
+        charges: &[ReadCharge],
+    ) -> RunReport {
         let mut rows: Vec<StageRow> =
-            vec![("map/filtration", filtration_work, per_read.len() as u64)];
+            vec![("map/filtration", |c| c.filtration, charges.len() as u64)];
         if totals.prefilter_words > 0 {
-            rows.push((
-                "map/prefilter",
-                |m| m.prefilter_words,
-                totals.prefilter_tested,
-            ));
+            rows.push(("map/prefilter", |c| c.prefilter, totals.prefilter_tested));
         }
-        rows.push(("map/verification", |m| m.word_updates, totals.verifications));
-        let total_work: u64 = rows.iter().map(|(_, work_of, _)| work_of(&totals)).sum();
+        rows.push(("map/verification", |c| c.verification, totals.verifications));
+        let total = ReadCharge::new(0, &totals);
+        let total_work: u64 = rows.iter().map(|(_, term, _)| term(&total)).sum();
 
         let mut stages = Vec::new();
         let mut latencies = Vec::new();
@@ -129,11 +168,11 @@ impl MappingRun {
             // divides first: the order of the float operations is part of
             // the report's bytes.
             let scale = self.simulated_seconds / total_work as f64;
-            for (stage, work_of, activations) in rows {
-                let seconds = self.simulated_seconds * work_of(&totals) as f64 / total_work as f64;
+            for (stage, term, activations) in rows {
+                let seconds = self.simulated_seconds * term(&total) as f64 / total_work as f64;
                 stages.push((stage.to_string(), seconds, activations));
                 let per_read_seconds: Vec<f64> =
-                    per_read.iter().map(|m| work_of(m) as f64 * scale).collect();
+                    charges.iter().map(|c| term(c) as f64 * scale).collect();
                 latencies.push(latency_row(stage, &per_read_seconds));
             }
         }
@@ -165,7 +204,7 @@ impl MappingRun {
             })
             .collect();
         RunReport {
-            reads: per_read.len() as u64,
+            reads: charges.len() as u64,
             totals,
             stages,
             latencies,

@@ -8,9 +8,9 @@
 use std::io::Write as _;
 
 use repute_core::journal::{
-    decode_work_record, put_work_record, tmp_path, Checkpoint, RunFingerprint, WORK_RECORD_BYTES,
+    decode_work_record, tmp_path, work_record, Checkpoint, RunFingerprint, WORK_RECORD_BYTES,
 };
-use repute_core::AtomicFile;
+use repute_core::{AtomicFile, ReadCharge};
 use repute_genome::rng::StdRng;
 use repute_obs::MapMetrics;
 
@@ -44,20 +44,25 @@ fn arb_checkpoint(rng: &mut StdRng) -> Checkpoint {
     }
 }
 
-/// Up to nine sidecar records, each an arbitrary work count and metrics
-/// record, with their encoding.
-fn arb_records(rng: &mut StdRng) -> (Vec<(u64, MapMetrics)>, Vec<u8>) {
-    let records: Vec<(u64, MapMetrics)> = (0..rng.gen_range(0usize..10))
-        .map(|_| (rng.gen(), arb_metrics(rng)))
+/// Up to nine sidecar records, each a charge of four arbitrary words,
+/// with their encoding.
+fn arb_records(rng: &mut StdRng) -> (Vec<ReadCharge>, Vec<u8>) {
+    let records: Vec<ReadCharge> = (0..rng.gen_range(0usize..10))
+        .map(|_| ReadCharge {
+            work: rng.gen(),
+            filtration: rng.gen(),
+            prefilter: rng.gen(),
+            verification: rng.gen(),
+        })
         .collect();
     let mut bytes = Vec::new();
-    for (work, m) in &records {
-        put_work_record(&mut bytes, *work, m);
+    for charge in &records {
+        bytes.extend(work_record(charge));
     }
     (records, bytes)
 }
 
-fn decode_all(bytes: &[u8]) -> Vec<(u64, MapMetrics)> {
+fn decode_all(bytes: &[u8]) -> Vec<ReadCharge> {
     assert_eq!(bytes.len() % WORK_RECORD_BYTES, 0);
     bytes
         .chunks_exact(WORK_RECORD_BYTES)

@@ -254,10 +254,11 @@ impl<'a> VerifyEngine<'a> {
     /// are materialised only when it is reached: a first-n limit often
     /// stops verification early. Everything it
     /// reports — mappings, their order, every metric counter, the
-    /// returned work — is bit-identical to the scalar path: a chunk is
-    /// only batched when the remaining output capacity covers all of
-    /// it (so the scalar loop could not have stopped mid-chunk), and
-    /// all metric increments are commutative sums.
+    /// returned work — is bit-identical to the scalar path: each chunk
+    /// is filtered and verified whole, then accounted one candidate at a
+    /// time in candidate order up to where `out` reaches `limit`, where
+    /// the scalar loop stops. Lanes past that point are host work only,
+    /// never charged.
     pub fn verify_metered(
         &self,
         read: &[u8],
@@ -284,7 +285,6 @@ impl<'a> VerifyEngine<'a> {
             return 0;
         }
         let masks = ReadMasks::new(read);
-        let mut scratch = VerifyScratch::new();
         let mut verifier = BatchVerifier::new();
         let mut slab = self
             .reference
@@ -293,35 +293,12 @@ impl<'a> VerifyEngine<'a> {
         let mut results = Vec::with_capacity(LANES);
         let mut work = 0u64;
         let mut i = 0;
-        while i < batch.len() {
-            if out.len() >= limit {
-                break;
-            }
+        while i < batch.len() && out.len() < limit {
             let chunk = LANES.min(batch.len() - i);
-            if limit - out.len() < chunk {
-                // The scalar loop could stop mid-chunk here (each
-                // candidate appends at most one mapping); finish one
-                // candidate at a time to keep the cut-off identical.
-                work += self.verify_one(
-                    read,
-                    &masks,
-                    &mut scratch,
-                    &mut slab,
-                    &batch,
-                    i,
-                    strand,
-                    out,
-                    metrics,
-                );
-                i += 1;
-                continue;
-            }
             let mut windows: [&[u8]; LANES] = [&[]; LANES];
             self.reference
                 .windows(&batch, i..i + chunk, &mut slab, &mut windows);
-            let mut lanes: [&[u8]; LANES] = [&[]; LANES];
-            let mut lane_ids = [0usize; LANES];
-            let mut used = 0;
+            verdicts.clear();
             if let Some(filter) = self.prefilter {
                 let mut chunk_candidates = [Candidate {
                     read,
@@ -333,101 +310,53 @@ impl<'a> VerifyEngine<'a> {
                     candidate.window = windows[j];
                     candidate.window_start = batch.start(i + j);
                 }
-                verdicts.clear();
                 filter.examine_batch(&chunk_candidates[..chunk], &mut verdicts);
-                for (j, verdict) in verdicts.iter().enumerate() {
+            }
+            let accepted = |j: usize| verdicts.get(j).is_none_or(|v| v.accept);
+            let mut lanes: [&[u8]; LANES] = [&[]; LANES];
+            let mut used = 0;
+            for j in (0..chunk).filter(|&j| accepted(j)) {
+                lanes[used] = windows[j];
+                used += 1;
+            }
+            results.clear();
+            if used > 0 {
+                verifier.verify_lanes(&masks, &lanes[..used], self.delta, &mut results);
+            }
+            // Account in candidate order, as the scalar loop does, up to
+            // the limit: lanes verified past it were host work only.
+            let mut verified = results.iter();
+            for j in 0..chunk {
+                if out.len() >= limit {
+                    break;
+                }
+                if let Some(verdict) = verdicts.get(j) {
                     metrics.prefilter_tested += 1;
                     metrics.prefilter_words += verdict.cost_words;
                     work += verdict.cost_words;
-                    if verdict.accept {
-                        lanes[used] = windows[j];
-                        lane_ids[used] = i + j;
-                        used += 1;
-                    } else {
+                    if !verdict.accept {
                         // Sound filters only reject unverifiable
                         // windows: every rejection is a true reject.
                         metrics.prefilter_rejected += 1;
+                        continue;
                     }
                 }
-            } else {
-                lanes = windows;
-                for (j, id) in lane_ids[..chunk].iter_mut().enumerate() {
-                    *id = i + j;
-                }
-                used = chunk;
-            }
-            if used > 0 {
-                results.clear();
-                verifier.verify_lanes(&masks, &lanes[..used], self.delta, &mut results);
-                for (l, (hit, cost)) in results.iter().enumerate() {
-                    metrics.verifications += 1;
-                    metrics.word_updates += cost.word_updates;
-                    metrics.hits += u64::from(hit.is_some());
-                    work += cost.word_updates;
-                    if let Some(v) = hit {
-                        out.push(Mapping {
-                            position: batch.diag(lane_ids[l]) as u32,
-                            strand,
-                            distance: v.distance,
-                        });
-                    } else if self.prefilter.is_some() {
-                        metrics.prefilter_false_accepts += 1;
-                    }
+                let (hit, cost) = verified.next().expect("one result per accepted lane");
+                metrics.verifications += 1;
+                metrics.word_updates += cost.word_updates;
+                metrics.hits += u64::from(hit.is_some());
+                work += cost.word_updates;
+                if let Some(v) = hit {
+                    out.push(Mapping {
+                        position: batch.diag(i + j) as u32,
+                        strand,
+                        distance: v.distance,
+                    });
+                } else if self.prefilter.is_some() {
+                    metrics.prefilter_false_accepts += 1;
                 }
             }
             i += chunk;
-        }
-        work
-    }
-
-    /// Scalar processing of one batched candidate, with the hoisted
-    /// read masks — the same accounting as one iteration of
-    /// [`VerifyEngine::verify_metered_scalar`].
-    #[allow(clippy::too_many_arguments)]
-    fn verify_one(
-        &self,
-        read: &[u8],
-        masks: &ReadMasks,
-        scratch: &mut VerifyScratch,
-        slab: &mut Vec<u8>,
-        batch: &CandidateBatch,
-        i: usize,
-        strand: Strand,
-        out: &mut Vec<Mapping>,
-        metrics: &mut MapMetrics,
-    ) -> u64 {
-        let mut work = 0u64;
-        let window = self.reference.window(batch.start(i)..batch.end(i), slab);
-        let mut filtered = false;
-        if let Some(filter) = self.prefilter {
-            let verdict = filter.examine(&Candidate {
-                read,
-                window,
-                window_start: batch.start(i),
-                delta: self.delta,
-            });
-            metrics.prefilter_tested += 1;
-            metrics.prefilter_words += verdict.cost_words;
-            work += verdict.cost_words;
-            if !verdict.accept {
-                metrics.prefilter_rejected += 1;
-                return work;
-            }
-            filtered = true;
-        }
-        let (hit, cost) = verify_with(masks, window, self.delta, scratch);
-        metrics.verifications += 1;
-        metrics.word_updates += cost.word_updates;
-        metrics.hits += u64::from(hit.is_some());
-        work += cost.word_updates;
-        if let Some(v) = hit {
-            out.push(Mapping {
-                position: batch.diag(i) as u32,
-                strand,
-                distance: v.distance,
-            });
-        } else if filtered {
-            metrics.prefilter_false_accepts += 1;
         }
         work
     }

@@ -1,7 +1,8 @@
 //! The heap `repute map --index` needs: the index loaded in place, at a
 //! few bytes per base of reference, and nothing that grows with the read
-//! count, checkpointed or not — but for the work count and metrics record
-//! per read that a `--platform` run keeps to price the run at the end.
+//! count, checkpointed or not — but for the charge per read that a
+//! `--platform` run keeps to price the run and split its report at the
+//! end.
 //!
 //! A counting global allocator tracks the bytes live and the most ever
 //! live at once (the same allocator as `tests/index_memory.rs`). The
@@ -13,12 +14,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use repute_cli::{run_map, MapOptions};
+use repute_core::ReadCharge;
 use repute_genome::fastq::{write_fastq, FastqRecord};
 use repute_genome::reads::{ErrorProfile, ReadSimulator};
 use repute_genome::synth::ReferenceBuilder;
 use repute_index::FmIndex;
 use repute_mappers::multiref::ReferenceSet;
-use repute_obs::MapMetrics;
 
 struct PeakAlloc;
 
@@ -213,11 +214,11 @@ fn index_loads_in_place_and_map_memory_does_not_grow_with_reads() {
         checkpoint_peaks[0].abs_diff(checkpoint_peaks[1]) <= 64 << 10,
         "checkpointed peak heap grew with the read count: {checkpoint_peaks:?}"
     );
-    // A `--platform` run keeps a work count and a metrics record per read
-    // and nothing else: 4 500 more reads may add those, three times over
-    // for a `Vec`'s doubling, which the allocator above counts as a fresh
-    // block beside the old one.
-    let kept = 3 * 4_500 * (std::mem::size_of::<MapMetrics>() + std::mem::size_of::<u64>());
+    // A `--platform` run keeps a `ReadCharge` per read and nothing else:
+    // 4 500 more reads may add those, three times over for a `Vec`'s
+    // doubling, which the allocator above counts as a fresh block beside
+    // the old one.
+    let kept = 3 * 4_500 * std::mem::size_of::<ReadCharge>();
     eprintln!(
         "repute map --index --platform system1: peak {} heap bytes over 500 reads, {} over \
          5 000 (growth bound {kept})",

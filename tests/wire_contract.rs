@@ -873,27 +873,96 @@ fn damaged_checkpoints_are_journal_corrupt_and_refused_before_any_cut() {
         assert!(code.contains(&err.exit_code()), "{}: {err}", m.what);
     }
 
-    // A forged manifest: not complete, the SAM's length within its `.tmp`
-    // and the telemetry's beyond it. The resume refuses it before the
-    // SAM is cut back.
-    let mut forged = Checkpoint::decode(&valid).expect("valid");
-    let (sam, metrics) = (std::path::Path::new(&sam), std::path::Path::new(&metrics));
-    let (sam_tmp, metrics_tmp) = (tmp_path(sam), tmp_path(metrics));
-    std::fs::rename(sam, &sam_tmp).expect("rename");
-    std::fs::rename(metrics, &metrics_tmp).expect("rename");
-    let sam_bytes = std::fs::read(&sam_tmp).expect("SAM");
+    // Forged manifests, CRC-valid and not complete, each refused before
+    // the SAM is cut back: the SAM's length within its `.tmp` and the
+    // telemetry's beyond it; and, under `--platform`, read counts whose
+    // sidecar would not hold them, one of them past a u64 of bytes.
+    let refused = resume_forged(&fixture, "", |forged| {
+        forged.lengths = vec![forged.lengths[0] / 2, u64::MAX];
+    });
+    assert_eq!(refused.exit_code(), 5, "{refused}");
+    for reads in [u64::MAX / 64, u64::MAX / 16] {
+        let refused = resume_forged(&fixture, "--platform system1", |forged| {
+            forged.reads = reads;
+            forged.lengths[0] /= 2;
+        });
+        assert_eq!(refused.exit_code(), 5, "{reads} reads: {refused}");
+        assert!(refused.to_string().contains("sidecar"), "{refused}");
+    }
+}
+
+/// A manifest that claims more reads than the FASTQ holds — CRC-valid,
+/// every length the file's own — is refused once the resume skips past
+/// the last record, not resumed into a run record that counts reads
+/// never mapped. The cut it makes first is to the whole files, so it
+/// changes no byte.
+#[test]
+fn a_checkpoint_claiming_more_reads_than_the_fastq_is_refused() {
+    let fixture = IndexFixture::new("checkpoint-reads");
+    let refused = resume_forged(&fixture, "", |forged| forged.reads += 1_000_000);
+    assert_eq!(refused.exit_code(), 5, "{refused}");
+    assert!(refused.to_string().contains("holds 2"), "{refused}");
+}
+
+/// Runs `repute map --checkpoint` over `fixture` with `extra` flags to
+/// the end, puts its outputs back as the `.tmp`s of an interrupted run
+/// (under `--platform`, with a 64-byte sidecar), lets `forge` edit the
+/// manifest — not complete, every length the file's own — and resumes:
+/// returns the resume's error, once it is checked that the SAM `.tmp`
+/// kept every byte.
+fn resume_forged(
+    fixture: &IndexFixture,
+    extra: &str,
+    forge: impl FnOnce(&mut Checkpoint),
+) -> repute_core::ReputeError {
+    let (sam, metrics, ckpt) = (
+        fixture.path("forged.sam"),
+        fixture.path("forged.jsonl"),
+        fixture.path("forged.ckpt"),
+    );
+    let line = format!(
+        "--reference {} --reads {} --delta 3 --s-min 15 --output {sam} --metrics-out {metrics} \
+         --checkpoint {ckpt} {extra}",
+        fixture.path("ref.fa"),
+        fixture.path("reads.fq"),
+    );
+    let opts = parse_map_args(line.split_whitespace().map(String::from)).expect("map args");
+    run_map(&opts).expect("checkpointed run");
+    let mut forged = Checkpoint::decode(&std::fs::read(&ckpt).expect("manifest")).expect("valid");
+    let mut files = Vec::new();
+    for path in [&sam, &metrics] {
+        let path = std::path::Path::new(path);
+        std::fs::rename(path, tmp_path(path)).expect("rename");
+        files.push(tmp_path(path));
+    }
+    if !extra.is_empty() {
+        let sidecar = format!("{ckpt}.work");
+        std::fs::write(&sidecar, [0; 64]).expect("sidecar");
+        files.push(sidecar.into());
+    }
     forged.complete = false;
-    forged.lengths = vec![sam_bytes.len() as u64 / 2, u64::MAX];
+    forged.lengths = files
+        .iter()
+        .map(|f| std::fs::metadata(f).expect("file").len())
+        .collect();
+    forge(&mut forged);
     std::fs::write(&ckpt, forged.encode()).expect("write");
+    let sam_bytes = std::fs::read(&files[0]).expect("SAM");
     let resume = parse_map_args(
         format!("{line} --resume")
             .split_whitespace()
             .map(String::from),
     )
     .expect("map args");
-    let err = run_map(&resume).expect_err("forged length");
-    assert_eq!(err.exit_code(), 5, "{err}");
-    assert_eq!(std::fs::read(&sam_tmp).expect("SAM"), sam_bytes);
+    let err = run_map(&resume).expect_err("a forged manifest must be refused");
+    assert!(
+        std::fs::read(&files[0]).expect("SAM") == sam_bytes,
+        "{err}: the SAM was cut"
+    );
+    for file in files.iter().chain([&PathBuf::from(&ckpt)]) {
+        let _ = std::fs::remove_file(file);
+    }
+    err
 }
 
 // ---------------------------------------------------------------------
