@@ -38,7 +38,6 @@ use std::time::Instant;
 
 use repute_align::block::{search_full, BlockMasks, BlockWork};
 use repute_align::{BatchVerifier, ReadMasks, LANES};
-use repute_bench::gate::{self, fail, Checks, Gate, Mode};
 use repute_bench::workload::{s_min_for, Scale, Workload};
 use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule};
 use repute_genome::synth::ReferenceBuilder;
@@ -47,15 +46,14 @@ use repute_hetsim::profiles;
 use repute_mappers::{
     gem::GemLike, hobbes3::Hobbes3Like, razers3::Razers3Like, IndexedReference, Mapper,
 };
-use repute_obs::json::{field, JsonObject, JsonValue};
+use repute_obs::json::{field, parse_json, JsonObject, JsonValue};
 use repute_obs::MapMetrics;
 
-const GATE: Gate = Gate {
-    binary: "verify_kernel",
-    schema: "repute-bench-verify-kernel",
-    version: 2,
-    noun: "verify-kernel",
-};
+/// The baseline document's `schema` field.
+const SCHEMA: &str = "repute-bench-verify-kernel";
+/// The baseline document's `version` field; bump on any key change and
+/// regenerate the baseline.
+const VERSION: u64 = 2;
 /// The committed baseline must record at least this speedup — the
 /// acceptance bar of the prefix-screened lane kernel (the lane kernel
 /// without the screen committed 3.26×).
@@ -76,6 +74,26 @@ const READS_PER_LEN: usize = 250;
 const READ_LENS: [usize; 2] = [100, 150];
 const WINDOWS_PER_READ: usize = 8;
 const CORPUS_DELTA: u32 = 5;
+
+/// Parses the process arguments: `--write <path>` (`true`) or `--check
+/// <path>` (`false`). Anything else prints the usage line and exits 1.
+fn mode() -> (bool, String) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [mode, path] if mode == "--write" => (true, path.clone()),
+        [mode, path] if mode == "--check" => (false, path.clone()),
+        _ => {
+            eprintln!("usage: verify_kernel --write <path> | --check <path>");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Prints `FAIL: <msg>` and exits 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("FAIL: {msg}");
+    std::process::exit(1);
+}
 
 /// One read with the byte ranges of its candidate windows.
 struct CorpusRead {
@@ -324,8 +342,8 @@ fn render_document(k: &KernelMeasurement, digest: &GridDigest) -> String {
     corpus.u64_field("delta", u64::from(CORPUS_DELTA));
     corpus.u64_field("candidates", k.candidates);
     let mut doc = JsonObject::new();
-    doc.str_field("schema", GATE.schema);
-    doc.u64_field("version", GATE.version);
+    doc.str_field("schema", SCHEMA);
+    doc.u64_field("version", VERSION);
     doc.raw_field("corpus", &corpus.finish());
     doc.f64_field("baseline_seconds", k.baseline_seconds);
     doc.f64_field("batch_seconds", k.batch_seconds);
@@ -347,12 +365,36 @@ struct Committed {
     grid: GridDigest,
 }
 
+/// Checks a baseline document — the `schema`/`version` header, then the
+/// fields the check reads — and returns them; `--write` applies it to
+/// the fresh document before it lands on disk.
 fn validate_document(text: &str) -> Result<Committed, String> {
-    let fields = &GATE.header(text)?;
+    let JsonValue::Obj(fields) = parse_json(text).ok_or("not valid JSON")? else {
+        return Err("top level is not an object".into());
+    };
+    let fields = &fields;
+    let schema = field(fields, "schema")
+        .and_then(JsonValue::as_str)
+        .ok_or("missing string field \"schema\"")?;
+    if schema != SCHEMA {
+        return Err(format!("schema is {schema:?}, expected {SCHEMA:?}"));
+    }
+    let version = field(fields, "version")
+        .and_then(JsonValue::as_u64)
+        .ok_or("missing integer field \"version\"")?;
+    if version != VERSION {
+        return Err(format!("schema version is {version}, expected {VERSION}"));
+    }
     field(fields, "corpus")
         .and_then(JsonValue::as_obj)
         .ok_or("missing object field \"corpus\"")?;
-    gate::require_numbers(fields, &["baseline_seconds", "batch_seconds", "speedup"])?;
+    let numbers = ["baseline_seconds", "batch_seconds", "speedup"];
+    if let Some(key) = numbers
+        .iter()
+        .find(|key| field(fields, key).and_then(JsonValue::as_f64).is_none())
+    {
+        return Err(format!("missing numeric field {key:?}"));
+    }
     let speedup = field(fields, "speedup")
         .and_then(JsonValue::as_f64)
         .unwrap_or(0.0);
@@ -380,11 +422,8 @@ fn validate_document(text: &str) -> Result<Committed, String> {
 }
 
 fn main() {
-    let (mode, path) = GATE.mode();
-    println!(
-        "Verification kernel benchmark — schema {} v{}",
-        GATE.schema, GATE.version
-    );
+    let (write, path) = mode();
+    println!("Verification kernel benchmark — schema {SCHEMA} v{VERSION}");
     println!(
         "pinned corpus: {} reads × {} windows, read lens {:?}, δ={}",
         READS_PER_LEN * READ_LENS.len(),
@@ -424,7 +463,7 @@ fn main() {
     }
     println!("grid invariance OK: batch and scalar pipelines agree bit for bit");
 
-    if mode == Mode::Write {
+    if write {
         if k.speedup < MIN_COMMITTED_SPEEDUP {
             fail(&format!(
                 "measured speedup {:.2}× is below the {MIN_COMMITTED_SPEEDUP:.1}× \
@@ -432,31 +471,46 @@ fn main() {
                 k.speedup
             ));
         }
-        GATE.write(
-            &path,
-            &render_document(&k, &batch_digest),
-            validate_document,
-        );
+        let text = render_document(&k, &batch_digest);
+        if let Err(err) = validate_document(&text) {
+            eprintln!("BUG: freshly written document fails its own schema: {err}");
+            std::process::exit(1);
+        }
+        if let Err(err) = std::fs::write(&path, text) {
+            eprintln!("cannot write {path}: {err}");
+            std::process::exit(1);
+        }
+        println!("wrote baseline to {path}");
         return;
     }
 
-    let committed = GATE.read(&path, validate_document);
-    let mut checks = Checks::default();
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|err| {
+        eprintln!("cannot read {path}: {err}");
+        std::process::exit(1);
+    });
+    let committed = validate_document(&text)
+        .unwrap_or_else(|err| fail(&format!("{path} violates the verify-kernel schema: {err}")));
+    // Every failed check is reported before the binary exits.
+    let mut failed = 0u32;
+    let mut check_failed = |msg: &str| {
+        eprintln!("FAIL: {msg}");
+        failed += 1;
+    };
     if committed.speedup < MIN_COMMITTED_SPEEDUP {
-        checks.fail(&format!(
+        check_failed(&format!(
             "committed speedup {:.2}× is below the {MIN_COMMITTED_SPEEDUP:.1}× bar",
             committed.speedup
         ));
     }
     if committed.baseline_words != k.baseline_words {
-        checks.fail(&format!(
+        check_failed(&format!(
             "fresh baseline word total {} != committed {} (corpus or kernel \
              drift — regenerate with --write)",
             k.baseline_words, committed.baseline_words
         ));
     }
     if committed.batch_words != k.batch_words {
-        checks.fail(&format!(
+        check_failed(&format!(
             "fresh batch word total {} != committed {} (band or accounting \
              drift — regenerate with --write)",
             k.batch_words, committed.batch_words
@@ -464,14 +518,14 @@ fn main() {
     }
     let same_mappings = committed.grid.mappings == batch_digest.mappings;
     if !same_mappings {
-        checks.fail(&format!(
+        check_failed(&format!(
             "fresh mappings digest {} != committed {} (mapping output changed: a \
              reported location, distance, strand or candidate count)",
             batch_digest.mappings, committed.grid.mappings
         ));
     }
     if committed.grid.accounting != batch_digest.accounting {
-        checks.fail(&format!(
+        check_failed(&format!(
             "fresh accounting digest {} != committed {} (a work total, metric counter \
              or simulated second changed{} — regenerate with --write if the repricing \
              is meant)",
@@ -485,13 +539,16 @@ fn main() {
         ));
     }
     if k.speedup < MIN_FRESH_SPEEDUP {
-        checks.fail(&format!(
+        check_failed(&format!(
             "fresh speedup {:.2}× fell below the {MIN_FRESH_SPEEDUP:.1}× floor \
              (committed: {:.2}×)",
             k.speedup, committed.speedup
         ));
     }
-    checks.finish("verify-kernel ");
+    if failed > 0 {
+        eprintln!("\n{failed} verify-kernel check(s) failed");
+        std::process::exit(1);
+    }
     println!(
         "\nall verify-kernel checks passed (committed {:.2}×, fresh {:.2}×)",
         committed.speedup, k.speedup

@@ -6,12 +6,13 @@
 //!   artefact's shape claims against its own data ([`paper`]);
 //! * `verify_kernel` times the batch verification kernel against the
 //!   unbanded one and gates it with the committed `BENCH_pr8.json`, the
-//!   one host-clock baseline ([`gate`]).
+//!   one host-clock baseline; its `--write` / `--check` plumbing lives in
+//!   the binary.
 //!
 //! This library holds what they share: the scaled workload (synthetic
-//! chr21 stand-in + simulated read sets), the cell runner that maps a
+//! chr21 stand-in + simulated read sets) and the cell runner that maps a
 //! read set with one mapper on one platform and scores it against the
-//! gold standard, and the baseline gate.
+//! gold standard.
 //!
 //! # Scale
 //!
@@ -26,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gate;
 pub mod harness;
 pub mod paper;
 pub mod workload;

@@ -26,7 +26,6 @@
 //! `simulated_seconds`, timelines, energy and traces are the same for
 //! every host-thread count.
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -36,8 +35,7 @@ use repute_hetsim::{
     Share,
 };
 use repute_mappers::{MapOutput, Mapper};
-use repute_obs::json::JsonValue;
-use repute_obs::trace::{device_pid, Span, SCHEDULER_PID};
+use repute_obs::trace::{Span, SCHEDULER_PID};
 use repute_obs::{KernelEvent, MapMetrics};
 
 use crate::config::{output_slot_bytes, ScheduleMode, DEFAULT_MAX_RETRIES};
@@ -106,8 +104,11 @@ pub fn balanced_shares<M: Mapper>(
         .collect();
     repute_hetsim::apportion(items, &effective)
         .into_iter()
-        .enumerate()
-        .map(|(device, items)| Share { device, items })
+        .zip(platform.devices())
+        .map(|(items, device)| Share {
+            device: device.index(),
+            items,
+        })
         .collect()
 }
 
@@ -126,6 +127,13 @@ pub fn map_on_platform_with_metrics<M: Mapper>(
 
 /// One multi-device launch: how to split the reads, how much of the host
 /// to use, which faults to inject, and whether to record spans.
+///
+/// A run places on exactly the platform it is handed — a whole platform
+/// or a [`Platform::subset`] of one, on a simulated clock of its own
+/// starting at zero — and names every device by its index
+/// ([`DeviceProfile::index`](repute_hetsim::DeviceProfile::index)):
+/// static shares, the fault plan, device runs, lost devices, timeline
+/// labels and trace lanes alike.
 ///
 /// Mapping output and per-read metrics are identical for every setting
 /// of every field; only the simulated schedule (and the host's wall
@@ -169,7 +177,9 @@ pub struct Executor {
     /// reads, under either schedule (reads are mapped one job each,
     /// whatever the batches); `1` maps on the caller's thread.
     pub host_threads: usize,
-    /// Faults to inject, in the platform's device indices. Transient
+    /// Faults to inject, in device indices; it may name any device of the
+    /// root platform, and events for devices the run's platform does not
+    /// hold are ignored. Transient
     /// launch failures are retried with exponential simulated backoff,
     /// batches of a lost device fail over to the survivors
     /// earliest-free-first, degraded devices run slower. The empty plan
@@ -183,17 +193,6 @@ pub struct Executor {
     /// escalates every transient fault at once. Only consulted when a
     /// fault plan is armed; [`DEFAULT_MAX_RETRIES`] by default.
     pub max_retries: usize,
-    /// Run on these devices only (strictly ascending platform indices),
-    /// on a simulated clock of their own starting at zero — the building
-    /// block for running independent batches concurrently on disjoint
-    /// device groups. Static shares then name *positions in the subset*;
-    /// the fault plan stays in platform indices and is projected
-    /// ([`FaultPlan::for_subset`]). The run reports one entry per device
-    /// of the subset, and everything returned refers to platform indices
-    /// again (`device_runs[i].device`, [`MappingRun::lost_devices`],
-    /// trace lanes), except timeline labels, which keep their
-    /// subset-local `d<i>-` prefix. `None` is the whole platform.
-    pub subset: Option<Vec<usize>>,
     /// Record a [`Span`] per kernel launch, batch lifecycle, fault, retry
     /// and migration into [`MappingRun::trace`]. A disabled
     /// run builds no spans at all, and tracing never changes anything
@@ -203,15 +202,14 @@ pub struct Executor {
 
 impl Executor {
     /// An executor for `schedule` with every other field at its default:
-    /// automatic host threads, no faults, the default retry budget, the
-    /// whole platform, no tracing.
+    /// automatic host threads, no faults, the default retry budget, no
+    /// tracing.
     pub fn new(schedule: Schedule) -> Executor {
         Executor {
             schedule,
             host_threads: AUTO_HOST_THREADS,
             faults: FaultPlan::new(),
             max_retries: DEFAULT_MAX_RETRIES,
-            subset: None,
             tracing: false,
         }
     }
@@ -262,9 +260,8 @@ impl Executor {
     /// An invalid-distribution [`LaunchError`] when static shares are
     /// missing, name an unknown device or do not cover exactly
     /// `charges.len()` items; when one read's output exceeds a device's
-    /// quarter-RAM cap; when the fault plan names a device the platform
-    /// does not have; or when `subset` is empty, unsorted, repeats a
-    /// device or names an unknown one.
+    /// quarter-RAM cap; or when the fault plan names a device the root
+    /// platform does not have.
     /// [`LaunchErrorKind::AllDevicesLost`], naming the unplaced read
     /// range, when no device survives the plan.
     pub fn price<M: Mapper>(
@@ -278,40 +275,17 @@ impl Executor {
             per_read: charges,
             private_bytes: mapper.kernel_private_bytes(max_read_len),
         };
-        let (on, faults) = self.projected(platform)?;
+        self.faults.check(platform)?;
+        let start = Instant::now();
         let bytes_per_read = output_slot_bytes(mapper.max_locations());
-        let mut run = self.price_on(&on, &faults, bytes_per_read, &work)?;
-        // A proper subset ran in its own device indices: map them back.
-        let (Some(subset), Cow::Owned(_)) = (self.subset.as_deref(), on) else {
-            return Ok(run);
-        };
-        for dr in &mut run.device_runs {
-            dr.device = subset[dr.device];
-        }
-        for lost in &mut run.lost_devices {
-            *lost = subset[*lost];
-        }
-        for span in &mut run.trace {
-            if span.pid == SCHEDULER_PID {
-                // Batch-lifecycle spans lane on the device's tid.
-                if let Some(&global) = subset.get(span.tid as usize) {
-                    span.tid = global as u32;
-                    for (key, value) in &mut span.args {
-                        if key == "device" {
-                            *value = JsonValue::Num(global as f64);
-                        }
-                    }
-                }
-            } else if let Some(&global) = subset.get((span.pid - device_pid(0)) as usize) {
-                span.pid = device_pid(global);
-            }
-        }
-        Ok(run)
+        let batches = plan_batches(&self.schedule, platform, bytes_per_read, charges.len())?;
+        let placed = self.place(platform, &batches, &work)?;
+        Ok(assemble(platform, start, Vec::new(), placed))
     }
 
     /// The errors of [`price`](Executor::price) that depend on no read:
-    /// a bad `subset`, a fault plan naming a device the run's platform
-    /// does not have, and a device of it that cannot hold one read's
+    /// a fault plan naming a device the root platform does not have, and
+    /// a device of the run's platform that cannot hold one read's
     /// output. A caller that streams its reads makes these checks before
     /// the first; `price` makes them again, the last only for the devices
     /// a batch lands on.
@@ -320,70 +294,29 @@ impl Executor {
     ///
     /// An invalid-distribution [`LaunchError`], as `price` raises it.
     pub fn preflight<M: Mapper>(&self, mapper: &M, platform: &Platform) -> Result<(), LaunchError> {
-        let (on, faults) = self.projected(platform)?;
-        check_fault_devices(&faults, on.devices().len())?;
+        self.faults.check(platform)?;
         let bytes_per_read = output_slot_bytes(mapper.max_locations());
-        if on.max_batch_items(bytes_per_read) == 0 {
+        if platform.max_batch_items(bytes_per_read) == 0 {
             return Err(too_big(bytes_per_read, "the smallest device"));
         }
         Ok(())
     }
 
-    /// The platform a run places on and its fault plan in that
-    /// platform's device indices: `platform` and the plan as they are,
-    /// or the `subset` of it (borrowed when the subset is the whole
-    /// platform) with the plan projected onto it.
-    fn projected<'p>(
-        &'p self,
-        platform: &'p Platform,
-    ) -> Result<(Cow<'p, Platform>, Cow<'p, FaultPlan>), LaunchError> {
-        let Some(subset) = self.subset.as_deref() else {
-            return Ok((Cow::Borrowed(platform), Cow::Borrowed(&self.faults)));
-        };
-        check_subset(subset, platform.devices().len())?;
-        let faults = Cow::Owned(self.faults.for_subset(subset));
-        if subset.len() == platform.devices().len() {
-            return Ok((Cow::Borrowed(platform), faults));
-        }
-        Ok((Cow::Owned(platform.subset(subset)), faults))
-    }
-
-    /// plan → place → assemble, on exactly `platform` with `faults`
-    /// already in its device indices.
-    fn price_on(
-        &self,
-        platform: &Platform,
-        faults: &FaultPlan,
-        bytes_per_read: usize,
-        work: &Work<'_>,
-    ) -> Result<MappingRun, LaunchError> {
-        check_fault_devices(faults, platform.devices().len())?;
-        let start = Instant::now();
-        let batches = plan_batches(
-            &self.schedule,
-            platform,
-            bytes_per_read,
-            work.per_read.len(),
-        )?;
-        let placed = self.place(platform, faults, &batches, work)?;
-        Ok(assemble(platform, start, Vec::new(), placed))
-    }
-
     /// Stage 3 — lays `batches` on one command queue per device of
-    /// `platform`, each armed with its part of `faults` (nothing, for the
-    /// empty plan). Static batches go to the device their share names;
-    /// dynamic batches, and then in batch order the static ones whose
-    /// device died, go to the earliest-free survivor.
+    /// `platform`, each armed with its device's part of the fault plan
+    /// (nothing, for the empty plan). Static batches go to the device
+    /// their share names; dynamic batches, and then in batch order the
+    /// static ones whose device died, go to the earliest-free survivor.
     fn place(
         &self,
         platform: &Platform,
-        faults: &FaultPlan,
         batches: &[Batch],
         work: &Work<'_>,
     ) -> Result<Placement, LaunchError> {
         let devices = platform.devices();
-        let mut state = faults.state(devices.len());
-        let queues = devices.iter().enumerate().map(|(d, device)| {
+        let mut state = self.faults.state(platform.root_devices());
+        let queues = devices.iter().map(|device| {
+            let d = device.index();
             let queue = CommandQueue::new(device).with_fault_state(d, state.take_device(d));
             if self.tracing {
                 queue.with_tracing()
@@ -438,6 +371,8 @@ impl Executor {
 }
 
 /// The fault-armed devices of one run, and what has been placed on them.
+/// A device is named here by its position on the run's platform, and by
+/// its index ([`CommandQueue::device_index`]) in what the run reports.
 struct Fleet<'a, 'p> {
     executor: &'a Executor,
     work: &'a Work<'a>,
@@ -457,8 +392,9 @@ impl Fleet<'_, '_> {
         b: &Batch,
         migrated_from: Option<usize>,
     ) -> Result<bool, LaunchError> {
-        let label = format!("d{dev}-batch-{batch_idx}");
+        let migrated_from = migrated_from.map(|from| self.queues[from].device_index());
         let queue = &mut self.queues[dev];
+        let label = format!("d{}-batch-{batch_idx}", queue.device_index());
         match queue.launch(
             &label,
             b.hi - b.lo,
@@ -514,35 +450,6 @@ impl Fleet<'_, '_> {
     }
 }
 
-/// A device subset must be non-empty, strictly ascending and within the
-/// platform's `n_dev` devices.
-fn check_subset(subset: &[usize], n_dev: usize) -> Result<(), LaunchError> {
-    if subset.is_empty() {
-        return Err(LaunchError::from_message("device subset is empty"));
-    }
-    if !subset.windows(2).all(|w| w[0] < w[1]) {
-        return Err(LaunchError::from_message(format!(
-            "device subset {subset:?} must be strictly ascending"
-        )));
-    }
-    if subset[subset.len() - 1] >= n_dev {
-        return Err(LaunchError::from_message(format!(
-            "device subset {subset:?} names a device out of range ({n_dev} devices)"
-        )));
-    }
-    Ok(())
-}
-
-/// A fault plan may name only the `n_dev` devices of the run's platform.
-fn check_fault_devices(faults: &FaultPlan, n_dev: usize) -> Result<(), LaunchError> {
-    match faults.max_device().filter(|&d| d >= n_dev) {
-        Some(max_dev) => Err(LaunchError::from_message(format!(
-            "fault plan names device {max_dev} but the platform has only {n_dev} devices"
-        ))),
-        None => Ok(()),
-    }
-}
-
 /// The error of a read whose output slot no batch on `device` can hold.
 fn too_big(bytes_per_read: usize, device: &str) -> LaunchError {
     LaunchError::from_message(format!(
@@ -551,8 +458,9 @@ fn too_big(bytes_per_read: usize, device: &str) -> LaunchError {
 }
 
 /// One kernel launch: the contiguous reads `lo..hi` and, under a static
-/// schedule, the device the user's distribution assigned them to (`None`
-/// in dynamic mode — the scheduler places the batch).
+/// schedule, the position on the platform of the device the user's
+/// distribution assigned them to (`None` in dynamic mode — the scheduler
+/// places the batch).
 #[derive(Debug)]
 struct Batch {
     lo: usize,
@@ -590,7 +498,7 @@ fn plan_batches(
             if shares.is_empty() && n_reads > 0 {
                 return Err(LaunchError::from_message("no shares supplied"));
             }
-            if let Some(share) = shares.iter().find(|s| s.device >= devices.len()) {
+            if let Some(share) = shares.iter().find(|s| platform.device(s.device).is_none()) {
                 return Err(LaunchError::from_message(format!(
                     "device index {} out of range ({} devices)",
                     share.device,
@@ -604,12 +512,13 @@ fn plan_batches(
                 )));
             }
             for share in shares.iter().filter(|s| s.items > 0) {
-                let device = &devices[share.device];
-                let cap = device.max_items(bytes_per_read);
+                let owner = devices.iter().position(|d| d.index() == share.device);
+                let owner = owner.expect("every share names a device of the platform");
+                let cap = devices[owner].max_items(bytes_per_read);
                 if cap == 0 {
-                    return Err(too_big(bytes_per_read, device.name()));
+                    return Err(too_big(bytes_per_read, devices[owner].name()));
                 }
-                cut(share.items, cap, Some(share.device));
+                cut(share.items, cap, Some(owner));
             }
         }
         Schedule::Dynamic { batch } if n_reads > 0 => {
@@ -1026,6 +935,38 @@ mod tests {
         assert!((busy - gpu[1].end_seconds).abs() < 1e-12);
         assert_eq!(run.simulated_seconds, gpu[1].end_seconds);
         assert_eq!(run.device_runs[1].items, 18);
+    }
+
+    #[test]
+    fn a_sub_platform_run_names_its_devices_by_platform_index() {
+        let (mapper, reads) = setup();
+        let platform = profiles::system1();
+        let sub = platform.subset(&[0, 2]);
+        let executor = Executor {
+            faults: FaultPlan::new().loss(1, 0.0).transient(2, 0.0),
+            tracing: true,
+            ..executor(&Schedule::Static(sub.even_shares(reads.len())), 1)
+        };
+        let (run, metrics) = executor.run(&mapper, &sub, &reads).unwrap();
+        let listed: Vec<usize> = run.device_runs.iter().map(|r| r.device).collect();
+        assert_eq!(listed, [0, 2]);
+        assert!(run.timelines[1]
+            .iter()
+            .all(|e| e.label.starts_with("d2-batch-")));
+        assert_eq!(run.fault_counters[1].retries, 1, "device 2's transient");
+        assert!(
+            run.lost_devices.is_empty(),
+            "device 1 is not on the sub-platform"
+        );
+        // The root platform and the sub-platform report the same bytes.
+        let bytes = |on: &Platform| {
+            let mut report = run.report(on, &metrics);
+            report.wall_seconds = 0.0;
+            let mut out = Vec::new();
+            report.write_json_lines(&mut out).unwrap();
+            out
+        };
+        assert_eq!(bytes(&platform), bytes(&sub));
     }
 
     #[test]

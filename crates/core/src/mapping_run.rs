@@ -16,17 +16,17 @@ pub struct MappingRun {
     /// Per-device accounting, its batches folded in. `device_runs`,
     /// `timelines` and `fault_counters` follow one rule for every run —
     /// either schedule, any fault plan, zero reads too:
-    /// one entry per device of the platform the run was given (of the
-    /// [`subset`](crate::Executor::subset), when there is one), in device
-    /// order, a device that took no batch included with zero work and an
-    /// empty timeline.
+    /// one entry per device of the platform the run was given, whole or a
+    /// [`Platform::subset`], in ascending index order, a device that took
+    /// no batch included with zero work and an empty timeline.
     pub device_runs: Vec<DeviceRun>,
     /// OpenCL-style profiling events per entry of `device_runs`: one
     /// [`KernelEvent`] per kernel launch (batch), in launch order,
     /// carrying the queued/submitted/start/end timestamps of that
     /// device's command queue — `queued` is the queue's host clock, 0
     /// until a retry backoff advances it. Labels read
-    /// `d<device>-batch-<i>`, `i` the batch's index over the whole run
+    /// `d<device>-batch-<i>`, `device` the device's index and `i` the
+    /// batch's index over the whole run
     /// (the `i` of its `batch-<i>` and `checkpoint` spans), followed by
     /// ` [retry xN]` and ` [migrated from dK]` where they apply.
     pub timelines: Vec<Vec<KernelEvent>>,
@@ -40,8 +40,7 @@ pub struct MappingRun {
     /// when no fault fired).
     pub fault_counters: Vec<FaultCounters>,
     /// Devices that were permanently lost by the end of the run
-    /// (ascending indices into the platform's device list; always empty
-    /// on a fault-free run). Long-lived callers use this to retire
+    /// (ascending device indices; always empty on a fault-free run). Long-lived callers use this to retire
     /// devices from future scheduling — a loss escalated from an
     /// exhausted retry budget is visible only here, not in the plan.
     pub lost_devices: Vec<usize>,
@@ -135,7 +134,9 @@ impl MappingRun {
     /// Rolls the run up into a run-level [`RunReport`]: the metric
     /// `totals` of its reads, one kernel timeline per entry of
     /// `device_runs`, the §III-D energy measurement, and the run's
-    /// simulated seconds decomposed by stage.
+    /// simulated seconds decomposed by stage. Devices are looked up by
+    /// index, so the run's own platform and any platform it is a subset
+    /// of give the same report.
     ///
     /// Each stage — filtration, the pre-alignment filter when it ran,
     /// verification — gets the share of `simulated_seconds` its term of
@@ -192,7 +193,9 @@ impl MappingRun {
             .zip(&self.timelines)
             .enumerate()
             .map(|(idx, (dr, events))| {
-                let profile = &platform.devices()[dr.device];
+                let profile = platform
+                    .device(dr.device)
+                    .expect("the run's devices are on the platform");
                 let counters = self.fault_counters.get(idx).copied().unwrap_or_default();
                 DeviceTimeline {
                     device: format!("{} [{}]", profile.name(), profile.kind().as_str()),

@@ -46,6 +46,8 @@ pub struct DeviceProfile {
     /// Resident work-items per compute unit the device needs to reach
     /// peak throughput (latency hiding). 1 = occupancy-insensitive (CPU).
     latency_hiding: u32,
+    /// See [`DeviceProfile::index`]; set by [`crate::Platform::new`].
+    pub(crate) index: usize,
 }
 
 impl DeviceProfile {
@@ -76,6 +78,7 @@ impl DeviceProfile {
             active_power_w,
             private_memory_bytes: usize::MAX,
             latency_hiding: 1,
+            index: 0,
         }
     }
 
@@ -120,6 +123,15 @@ impl DeviceProfile {
     /// given per-item private footprint.
     pub fn seconds_for_with_footprint(&self, work: u64, private_bytes_per_item: usize) -> f64 {
         work as f64 / (self.throughput * self.occupancy(private_bytes_per_item))
+    }
+
+    /// The device's index on the platform that holds it: its position on
+    /// the platform [`Platform::new`](crate::Platform::new) made, kept by
+    /// every [`Platform::subset`](crate::Platform::subset) of it. Shares,
+    /// device runs, fault plans, labels and trace lanes all name a device
+    /// by this number. A profile no platform holds is device 0.
+    pub fn index(&self) -> usize {
+        self.index
     }
 
     /// Device name, e.g. `"GeForce GTX 590"`.

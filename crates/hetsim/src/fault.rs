@@ -32,6 +32,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::platform::{LaunchError, Platform};
+
 /// What kind of fault a [`FaultEvent`] injects.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
@@ -194,6 +196,23 @@ impl FaultPlan {
         self.events.iter().map(|e| e.device).max()
     }
 
+    /// Checks the plan against `platform`: it may name any device below
+    /// [`Platform::root_devices`], so a subset runs under its root's plan.
+    ///
+    /// # Errors
+    ///
+    /// An invalid-distribution [`LaunchError`] naming the highest index
+    /// beyond that.
+    pub fn check(&self, platform: &Platform) -> Result<(), LaunchError> {
+        let n_dev = platform.root_devices();
+        match self.max_device().filter(|&d| d >= n_dev) {
+            Some(max_dev) => Err(LaunchError::from_message(format!(
+                "fault plan names device {max_dev} but the platform has only {n_dev} devices"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Parses a CLI spec: comma- or semicolon-separated entries of
     ///
     /// * `loss:d<dev>@<t>` — permanent loss at simulated second `t`;
@@ -341,23 +360,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Projects the plan onto a device subset: events for devices in
-    /// `subset` are kept with their device index remapped to the position
-    /// within `subset`; events for other devices are dropped. This is how a daemon hands a
-    /// fleet-level plan to an executor running on a sub-platform.
-    pub fn for_subset(&self, subset: &[usize]) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        for event in &self.events {
-            if let Some(local) = subset.iter().position(|&d| d == event.device) {
-                plan = plan.with_event(FaultEvent {
-                    device: local,
-                    ..*event
-                });
-            }
-        }
-        plan
-    }
-
     /// A seeded pseudo-random plan over `devices` devices with fault
     /// times in `[0, horizon_seconds)` — the generator behind the
     /// randomized recovery tests. Deterministic in `seed`, and device 0
@@ -398,8 +400,11 @@ impl FaultPlan {
     }
 
     /// The runtime view of the plan for a platform of `devices` devices:
-    /// one consumable [`DeviceFaultState`] per device. Events naming
-    /// out-of-range devices are ignored (validate with
+    /// one consumable [`DeviceFaultState`] per device index. Sized by
+    /// [`Platform::root_devices`], it serves every subset of the
+    /// platform: the state of a device a subset does not hold is never
+    /// taken, so its events are ignored. Events naming out-of-range
+    /// devices are ignored too (validate with
     /// [`max_device`](FaultPlan::max_device) first if that should be an
     /// error).
     pub fn state(&self, devices: usize) -> FaultState {
@@ -652,20 +657,6 @@ mod tests {
         assert_eq!(state.device(0).pending_transients(1.0), 1);
         // Origin 0 is the identity.
         assert_eq!(plan.rebased(0.0), plan);
-    }
-
-    #[test]
-    fn for_subset_remaps_and_drops_foreign_devices() {
-        let plan = FaultPlan::new()
-            .loss(2, 1.0)
-            .transient(0, 0.5)
-            .degrade(1, 0.25, 0.5);
-        let sub = plan.for_subset(&[2, 0]);
-        assert_eq!(sub.events().len(), 2);
-        let state = sub.state(2);
-        assert_eq!(state.device(0).lost_at(), Some(1.0)); // was device 2
-        assert_eq!(state.device(1).pending_transients(0.5), 1); // was device 0
-        assert!(plan.for_subset(&[]).is_empty());
     }
 
     #[test]

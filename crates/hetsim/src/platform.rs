@@ -66,7 +66,7 @@ pub fn apportion(items: usize, weights: &[f64]) -> Vec<usize> {
 /// How many work-items one device receives in a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Share {
-    /// Index into [`Platform::devices`].
+    /// The device's index ([`Platform::device`]).
     pub device: usize,
     /// Number of consecutive work-items assigned.
     pub items: usize,
@@ -183,7 +183,7 @@ impl Error for LaunchError {}
 /// What one device did during a launch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceRun {
-    /// Index into [`Platform::devices`].
+    /// The device's index ([`Platform::device`]).
     pub device: usize,
     /// Work-items the device processed.
     pub items: usize,
@@ -194,16 +194,22 @@ pub struct DeviceRun {
 }
 
 /// A named collection of devices with a shared idle power — one of the
-/// paper's two test systems.
+/// paper's two test systems, or a [`subset`](Platform::subset) of one.
+///
+/// Every device has one index, [`DeviceProfile::index`]: its position on
+/// the platform [`Platform::new`] made, kept on every subset of it. The
+/// devices are held in ascending index order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     name: String,
     idle_power_w: f64,
     devices: Vec<DeviceProfile>,
+    /// Device count of the platform `new` made; every index is below it.
+    root_devices: usize,
 }
 
 impl Platform {
-    /// Creates a platform.
+    /// Creates a platform whose device `i` has index `i`.
     ///
     /// # Panics
     ///
@@ -211,13 +217,17 @@ impl Platform {
     pub fn new(
         name: impl Into<String>,
         idle_power_w: f64,
-        devices: Vec<DeviceProfile>,
+        mut devices: Vec<DeviceProfile>,
     ) -> Platform {
         assert!(!devices.is_empty(), "platform needs at least one device");
         assert!(idle_power_w >= 0.0, "idle power cannot be negative");
+        for (i, device) in devices.iter_mut().enumerate() {
+            device.index = i;
+        }
         Platform {
             name: name.into(),
             idle_power_w,
+            root_devices: devices.len(),
             devices,
         }
     }
@@ -232,20 +242,32 @@ impl Platform {
         self.idle_power_w
     }
 
-    /// The platform's devices.
+    /// The platform's devices, in ascending index order.
     pub fn devices(&self) -> &[DeviceProfile] {
         &self.devices
     }
 
+    /// The device with index `index`, if this platform holds it.
+    pub fn device(&self, index: usize) -> Option<&DeviceProfile> {
+        self.devices.iter().find(|d| d.index() == index)
+    }
+
+    /// The device count of the platform [`Platform::new`] made, which
+    /// every subset of it keeps: each device index is below it, and a
+    /// fault plan may name any index below it.
+    pub fn root_devices(&self) -> usize {
+        self.root_devices
+    }
+
     /// The process table of a Chrome trace of this platform, as
     /// [`repute_obs::trace::write_chrome_trace`] takes it: pid 0 is the
-    /// scheduler, then one process per device, named
-    /// `"<name> [<kind>]"`.
+    /// scheduler, then one process per device, its pid from its index,
+    /// named `"<name> [<kind>]"`.
     pub fn trace_processes(&self) -> Vec<(u32, String)> {
         let mut processes = vec![(SCHEDULER_PID, "scheduler".to_string())];
-        for (i, device) in self.devices.iter().enumerate() {
+        for device in &self.devices {
             let label = format!("{} [{}]", device.name(), device.kind().as_str());
-            processes.push((device_pid(i), label));
+            processes.push((device_pid(device.index()), label));
         }
         processes
     }
@@ -259,8 +281,11 @@ impl Platform {
         let weights: Vec<f64> = self.devices.iter().map(DeviceProfile::throughput).collect();
         apportion(items, &weights)
             .into_iter()
-            .enumerate()
-            .map(|(device, items)| Share { device, items })
+            .zip(&self.devices)
+            .map(|(items, device)| Share {
+                device: device.index(),
+                items,
+            })
             .collect()
     }
 
@@ -277,32 +302,45 @@ impl Platform {
             .unwrap_or(usize::MAX)
     }
 
-    /// A distribution that puts every item on one device.
+    /// A distribution that puts every item on the device with index
+    /// `device`.
     ///
     /// # Panics
     ///
-    /// Panics if `device` is out of range.
+    /// Panics if the platform has no device `device`.
     pub fn single_device_share(&self, device: usize, items: usize) -> Vec<Share> {
         assert!(
-            device < self.devices.len(),
+            self.device(device).is_some(),
             "device index {device} out of range"
         );
         vec![Share { device, items }]
     }
 
-    /// The platform restricted to the devices at `subset` (indices into
-    /// [`devices`](Platform::devices), in the order given): same name,
-    /// same idle power.
+    /// The platform restricted to the devices with the given `indices`,
+    /// each keeping its index, in ascending index order: same name, same
+    /// idle power, same [`root_devices`](Platform::root_devices). A subset
+    /// of a subset still names its devices by the root platform's indices.
     ///
     /// # Panics
     ///
-    /// Panics if `subset` is empty or names a device out of range.
-    pub fn subset(&self, subset: &[usize]) -> Platform {
-        Platform::new(
-            self.name.clone(),
-            self.idle_power_w,
-            subset.iter().map(|&d| self.devices[d].clone()).collect(),
-        )
+    /// Panics if `indices` is empty, repeats an index or names a device
+    /// this platform does not hold.
+    pub fn subset(&self, indices: &[usize]) -> Platform {
+        let devices: Vec<DeviceProfile> = self
+            .devices
+            .iter()
+            .filter(|d| indices.contains(&d.index()))
+            .cloned()
+            .collect();
+        assert!(
+            !devices.is_empty() && devices.len() == indices.len(),
+            "device subset {indices:?} is not a set of this platform's devices"
+        );
+        Platform {
+            name: self.name.clone(),
+            devices,
+            ..*self
+        }
     }
 
     /// Measures power and energy for a finished run — what each device
@@ -320,7 +358,7 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiles;
+    use crate::{profiles, CommandQueue, FaultPlan};
 
     #[test]
     fn even_shares_cover_all_items() {
@@ -382,6 +420,92 @@ mod tests {
             assert_eq!(shares.len(), 1);
             assert_eq!(shares[0].items, items);
         }
+    }
+
+    #[test]
+    fn a_subset_of_a_subset_keeps_the_root_indices() {
+        let platform = profiles::system1();
+        let sub = platform.subset(&[0, 2]);
+        let indices = |p: &Platform| {
+            p.devices()
+                .iter()
+                .map(DeviceProfile::index)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(indices(&platform), [0, 1, 2]);
+        assert_eq!(indices(&sub), [0, 2]);
+        assert_eq!(sub.root_devices(), 3);
+        let inner = sub.subset(&[2]);
+        assert_eq!(indices(&inner), [2]);
+        assert_eq!(inner.root_devices(), 3);
+        assert_eq!(
+            (inner.name(), inner.idle_power_w()),
+            (platform.name(), platform.idle_power_w())
+        );
+        // `device` finds a device by its index, on every level.
+        assert_eq!(inner.device(2), platform.device(2));
+        assert_eq!(sub.device(2), platform.device(2));
+        assert!(sub.device(1).is_none() && inner.device(0).is_none());
+        assert!(platform.device(3).is_none());
+        // Shares and trace lanes name the same indices.
+        let shares: Vec<usize> = sub.even_shares(10).iter().map(|s| s.device).collect();
+        assert_eq!(shares, [0, 2]);
+        assert_eq!(
+            inner.single_device_share(2, 4),
+            [Share {
+                device: 2,
+                items: 4
+            }]
+        );
+        let pids: Vec<u32> = inner
+            .trace_processes()
+            .iter()
+            .map(|&(pid, _)| pid)
+            .collect();
+        assert_eq!(pids, [SCHEDULER_PID, device_pid(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "[1] is not a set of this platform's devices")]
+    fn a_subset_names_only_devices_it_holds() {
+        let _ = profiles::system1().subset(&[0, 2]).subset(&[1]);
+    }
+
+    #[test]
+    fn a_subset_holds_its_devices_in_ascending_index_order() {
+        let platform = profiles::system1();
+        assert_eq!(platform.subset(&[2, 0]), platform.subset(&[0, 2]));
+        for bad in [&[][..], &[0, 0], &[0, 3]] {
+            let caught = std::panic::catch_unwind(|| platform.subset(bad));
+            assert!(caught.is_err(), "{bad:?} is not a subset");
+        }
+    }
+
+    #[test]
+    fn a_sub_platform_runs_under_its_root_plan() {
+        let platform = profiles::system1();
+        let sub = platform.subset(&[0, 2]);
+        // Device 1 is not on the sub-platform: its loss is ignored…
+        let plan = FaultPlan::new().loss(1, 0.0).transient(2, 0.0);
+        assert_eq!(plan.check(&sub), Ok(()));
+        let mut state = plan.state(sub.root_devices());
+        for device in sub.devices() {
+            let d = device.index();
+            let mut queue = CommandQueue::new(device).with_fault_state(d, state.take_device(d));
+            queue
+                .launch("b", 1, 1_000, 0, 1)
+                .expect("no device of the subset is lost");
+            let retries = if d == 2 { 1 } else { 0 };
+            assert_eq!(queue.fault_counters().retries, retries, "device {d}");
+        }
+        // …and an index beyond the root platform is refused.
+        let err = FaultPlan::new().loss(3, 0.0).check(&sub).unwrap_err();
+        assert_eq!(err.kind(), &LaunchErrorKind::InvalidDistribution);
+        assert!(
+            err.to_string()
+                .contains("fault plan names device 3 but the platform has only 3 devices"),
+            "{err}"
+        );
     }
 
     #[test]

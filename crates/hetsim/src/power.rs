@@ -30,7 +30,12 @@ pub struct EnergyReport {
 
 impl EnergyReport {
     /// Measures a finished run on its platform: `device_runs` is what
-    /// each device did, `simulated_seconds` the run's completion time.
+    /// each device did, named by index, `simulated_seconds` the run's
+    /// completion time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a device run names a device the platform does not hold.
     pub fn measure(
         platform: &Platform,
         device_runs: &[DeviceRun],
@@ -47,7 +52,15 @@ impl EnergyReport {
         // Busy-time-weighted active power.
         let active_energy: f64 = device_runs
             .iter()
-            .map(|r| platform.devices()[r.device].active_power_w() * r.simulated_seconds)
+            .map(|r| {
+                let device = platform.device(r.device).unwrap_or_else(|| {
+                    panic!(
+                        "device run names device {} the platform does not hold",
+                        r.device
+                    )
+                });
+                device.active_power_w() * r.simulated_seconds
+            })
             .sum();
         let average_power_w = platform.idle_power_w() + active_energy / t;
         EnergyReport {
@@ -82,7 +95,7 @@ mod tests {
                     device: share.device,
                     items: share.items,
                     work,
-                    simulated_seconds: platform.devices()[share.device].seconds_for(work),
+                    simulated_seconds: platform.device(share.device).unwrap().seconds_for(work),
                 }
             })
             .collect();

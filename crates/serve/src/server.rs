@@ -734,11 +734,10 @@ impl ServeCore {
                     host_threads: self.options.host_threads,
                     faults: plan.clone(),
                     max_retries: self.options.max_retries,
-                    subset: Some(subset.clone()),
                     tracing,
                     ..Executor::new(schedule)
                 };
-                match executor.run(&mapper, &self.platform, &reads) {
+                match executor.run(&mapper, &subplatform, &reads) {
                     Ok((run, _metrics)) => break Some(run),
                     Err(e) if matches!(e.kind(), LaunchErrorKind::AllDevicesLost { .. }) => {
                         // The whole subset died mid-run: retire it and

@@ -22,11 +22,13 @@ use repute_genome::synth::ReferenceBuilder;
 use repute_genome::DnaSeq;
 use repute_hetsim::{profiles, DeviceHealth, FaultPlan, HealthState};
 use repute_mappers::multiref::ReferenceSet;
+use repute_obs::json::{parse_json, JsonValue};
+use repute_obs::trace::device_pid;
 use repute_prefilter::PrefilterMode;
 use repute_serve::transport::{serve_socket, shutdown_over_socket, submit_over_socket};
 use repute_serve::{
-    AdmissionQueue, ConfigKey, JobEnvelope, JobResponse, JobSpec, JobStatus, MapperKind, ServeCore,
-    ServeHarness, ServeLimits, ServeOptions,
+    AdmissionQueue, ConfigKey, JobEnvelope, JobJournal, JobResponse, JobSpec, JobStatus,
+    MapperKind, ServeCore, ServeHarness, ServeLimits, ServeOptions,
 };
 
 fn reference_set() -> ReferenceSet {
@@ -433,6 +435,111 @@ fn faulted_runs_are_deterministic_across_host_threads() {
         faulted_lines(4),
         "fault handling must not depend on --host-threads"
     );
+}
+
+/// Concurrent rounds run each configuration group on a sub-platform of
+/// the fleet, and a device there keeps its platform index: in the
+/// daemon's trace every `kernel` span's `d<i>` label names the device of
+/// its own lane, every `batch` span's lane is the device it names, and
+/// every batch frame's provenance and lost devices are platform indices.
+#[test]
+fn concurrent_rounds_name_every_device_by_its_platform_index() {
+    let dir = std::env::temp_dir().join(format!(
+        "repute-serve-faults-index-test-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).ok();
+    let journal = dir.join("serve.journal");
+    std::fs::remove_file(&journal).ok();
+    let options = ServeOptions {
+        tracing: true,
+        fault_plan: FaultPlan::new().transient(2, 0.0).loss(1, 1.0e-4),
+        ..acme_weighted()
+    };
+    let platform = profiles::system1();
+    let n_dev = platform.devices().len();
+    let (mut harness, _) =
+        ServeHarness::with_journal(reference_set(), platform, options, &journal, false)
+            .expect("fresh journal");
+    for job in small_jobs() {
+        assert!(harness.submit(job).expect("journal I/O").is_none());
+    }
+    harness.drain().expect("drain");
+    let trace_path = dir.join("serve.trace.json");
+    harness.core().write_trace(&trace_path).expect("trace");
+    let fingerprint = harness.core().fingerprint();
+    drop(harness);
+
+    let text = std::fs::read_to_string(&trace_path).expect("trace file");
+    let Some(JsonValue::Arr(events)) = parse_json(&text) else {
+        panic!("the trace is a JSON array");
+    };
+    let (mut kernels, mut batches) = (0, 0);
+    for event in &events {
+        let JsonValue::Obj(fields) = event else {
+            panic!("trace events are objects");
+        };
+        let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        let number = |key: &str| field(key).and_then(JsonValue::as_u64).expect("numeric");
+        let name = field("name").and_then(JsonValue::as_str).expect("named");
+        match field("cat").and_then(JsonValue::as_str) {
+            Some("kernel") => {
+                let labelled: u64 = name
+                    .strip_prefix('d')
+                    .and_then(|rest| rest.split('-').next())
+                    .and_then(|i| i.parse().ok())
+                    .unwrap_or_else(|| panic!("kernel span {name:?} has no d<i> label"));
+                let lane = number("pid") - u64::from(device_pid(0));
+                assert_eq!(
+                    labelled, lane,
+                    "kernel span {name:?} on device {lane}'s lane"
+                );
+                kernels += 1;
+            }
+            Some("batch") => {
+                let Some(JsonValue::Obj(args)) = field("args") else {
+                    panic!("batch spans carry args");
+                };
+                let device = args.iter().find(|(k, _)| k == "device");
+                let device = device.and_then(|(_, v)| v.as_u64()).expect("device arg");
+                assert_eq!(device, number("tid"), "batch span {name:?}");
+                assert!(
+                    device < n_dev as u64,
+                    "batch span {name:?} on device {device}"
+                );
+                batches += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(kernels >= small_jobs().len(), "{kernels} kernel spans");
+    assert_eq!(batches, kernels, "one batch span per kernel launch");
+
+    let recovered = JobJournal::open(&journal, &fingerprint)
+        .expect("intact journal")
+        .1;
+    let provenance: Vec<u32> = recovered
+        .batches
+        .iter()
+        .flat_map(|b| b.provenance.iter().map(|p| p.device))
+        .collect();
+    let lost: Vec<u32> = recovered
+        .batches
+        .iter()
+        .flat_map(|b| b.lost.clone())
+        .collect();
+    assert!(
+        provenance.contains(&2),
+        "device 2's transient: {provenance:?}"
+    );
+    assert!(lost.contains(&1), "device 1's loss: {lost:?}");
+    for device in provenance.iter().chain(&lost) {
+        assert!(
+            (*device as usize) < n_dev,
+            "device {device} is not on the fleet"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
