@@ -287,13 +287,14 @@ impl ServeCore {
 
     /// The config/limits identity of this server. A journal written
     /// under a different reference, platform, limit set, fairness
-    /// table, or fault plan is refused on resume.
+    /// table, or fault plan is refused on resume. The host thread count
+    /// is not part of it: responses, journal frames and simulated
+    /// latencies are the same for every `--host-threads`.
     pub fn fingerprint(&self) -> RunFingerprint {
         let mut cfg = Fnv64::new();
         cfg.write(self.platform.name().as_bytes());
         self.config.fold_identity(&mut cfg);
         cfg.write_u64(self.options.schedule as u64);
-        cfg.write_u64(self.options.host_threads as u64);
         cfg.write_u64(self.options.max_retries as u64);
         cfg.write_u64(u64::from(self.options.limits.max_delta));
         cfg.write_u64(self.max_reads_per_job as u64);

@@ -265,6 +265,48 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Responses, journal frames and simulated latencies are the same for
+/// every `--host-threads`, so the thread count is not journal identity:
+/// a journal written on one thread resumes on four, replaying the
+/// committed responses verbatim, and the union equals the uninterrupted
+/// run's.
+#[test]
+fn resume_under_another_host_thread_count_is_bit_identical() {
+    let dir = std::env::temp_dir().join(format!(
+        "repute-serve-restart-threads-test-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).ok();
+    let journal = dir.join("serve.journal");
+    std::fs::remove_file(&journal).ok();
+    let on = |host_threads| ServeOptions {
+        host_threads,
+        ..options()
+    };
+
+    let mut clean = ServeHarness::new(reference_set(), profiles::system1(), on(4)).unwrap();
+    submit_all(&mut clean);
+    let clean_responses = clean.drain().expect("uninterrupted drain");
+
+    let (mut doomed, _) =
+        ServeHarness::with_journal(reference_set(), profiles::system1(), on(1), &journal, false)
+            .unwrap();
+    submit_all(&mut doomed);
+    let committed = doomed.run_batch().expect("first batch commits");
+    assert!(!committed.is_empty());
+    doomed.crash_mid_batch().expect("doomed batch executes");
+
+    let (mut resumed, replayed) =
+        ServeHarness::with_journal(reference_set(), profiles::system1(), on(4), &journal, true)
+            .expect("another thread count resumes the journal");
+    assert_eq!(by_id(&replayed), by_id(&committed));
+    let mut union = replayed;
+    union.extend(resumed.drain().expect("resumed drain"));
+    assert_eq!(by_id(&union), by_id(&clean_responses));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn second_resume_with_different_options_is_refused() {
     let dir = std::env::temp_dir().join(format!(
