@@ -498,12 +498,16 @@ fn plan_batches(
             if shares.is_empty() && n_reads > 0 {
                 return Err(LaunchError::from_message("no shares supplied"));
             }
-            if let Some(share) = shares.iter().find(|s| platform.device(s.device).is_none()) {
-                return Err(LaunchError::from_message(format!(
-                    "device index {} out of range ({} devices)",
-                    share.device,
-                    devices.len()
-                )));
+            let mut owners = Vec::with_capacity(shares.len());
+            for share in shares {
+                let Some(owner) = devices.iter().position(|d| d.index() == share.device) else {
+                    return Err(LaunchError::from_message(format!(
+                        "device index {} out of range ({} devices)",
+                        share.device,
+                        devices.len()
+                    )));
+                };
+                owners.push(owner);
             }
             let covered: usize = shares.iter().map(|s| s.items).sum();
             if covered != n_reads {
@@ -511,9 +515,7 @@ fn plan_batches(
                     "shares cover {covered} items but {n_reads} reads were supplied"
                 )));
             }
-            for share in shares.iter().filter(|s| s.items > 0) {
-                let owner = devices.iter().position(|d| d.index() == share.device);
-                let owner = owner.expect("every share names a device of the platform");
+            for (share, &owner) in shares.iter().zip(&owners).filter(|(s, _)| s.items > 0) {
                 let cap = devices[owner].max_items(bytes_per_read);
                 if cap == 0 {
                     return Err(too_big(bytes_per_read, devices[owner].name()));
