@@ -40,9 +40,10 @@ pub struct MappingRun {
     /// when no fault fired).
     pub fault_counters: Vec<FaultCounters>,
     /// Devices that were permanently lost by the end of the run
-    /// (ascending device indices; always empty on a fault-free run). Long-lived callers use this to retire
-    /// devices from future scheduling — a loss escalated from an
-    /// exhausted retry budget is visible only here, not in the plan.
+    /// (ascending device indices; always empty on a fault-free run).
+    /// Long-lived callers use this to retire devices from future
+    /// scheduling — a loss escalated from an exhausted retry budget is
+    /// visible only here, not in the plan.
     pub lost_devices: Vec<usize>,
     /// Spans recorded when the run was launched with
     /// [`Executor::tracing`](crate::Executor::tracing) set; empty
