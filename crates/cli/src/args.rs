@@ -226,7 +226,7 @@ SERVE OPTIONS:
     --journal <path>         crash-safe job journal: every accepted job
                              and every finished batch is committed
                              durably; restart with --resume to lose at
-                             most one in-flight batch
+                             most one in-flight round
     --resume                 replay a daemon journal: committed job
                              responses are served from the journal,
                              uncommitted jobs are requeued
@@ -257,8 +257,6 @@ SERVE OPTIONS:
     --shed-overdue           shed queued jobs whose deadline already
                              passed with DEADLINE_EXCEEDED instead of
                              running them late
-    --serial-batches         run one batch at a time (disable the
-                             concurrent same-config batch groups)
     --metrics-dir <dir>      per-job telemetry spool (one *.jsonl per
                              job; inspect with `repute stats --dir`)
     plus the map options: --index, --index-cache, --platform [default:

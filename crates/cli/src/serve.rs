@@ -38,9 +38,8 @@ pub struct ServeCliOptions {
     /// Resume from an existing journal instead of starting fresh.
     pub resume: bool,
     /// The daemon core's configuration: mapping defaults, admission
-    /// limits, fairness, fault injection. `--serial-batches` clears
-    /// `concurrent_batches`, an unset `--max-reads-per-job` stays
-    /// `usize::MAX` (the platform's quarter-RAM batch cap), and
+    /// limits, fairness, fault injection. An unset `--max-reads-per-job`
+    /// stays `usize::MAX` (the platform's quarter-RAM batch cap), and
     /// `tracing` follows `trace_out` when the daemon starts.
     pub serve: ServeOptions,
     /// Merged telemetry JSON-lines export path (written at exit, and
@@ -133,7 +132,6 @@ pub fn parse_serve_args<I: IntoIterator<Item = String>>(
             "--journal" => opts.journal = Some(cur.value()?),
             "--resume" => opts.resume = true,
             "--shed-overdue" => opts.serve.shed_overdue = true,
-            "--serial-batches" => opts.serve.concurrent_batches = false,
             "--queue-capacity" => limits.queue_capacity = cur.positive()?,
             "--max-reads-per-job" => limits.max_reads_per_job = cur.positive()?,
             "--max-delta" => limits.max_delta = cur.integer()?,

@@ -316,8 +316,8 @@ impl Executor {
         let devices = platform.devices();
         let mut state = self.faults.state(platform.root_devices());
         let queues = devices.iter().map(|device| {
-            let d = device.index();
-            let queue = CommandQueue::new(device).with_fault_state(d, state.take_device(d));
+            let queue =
+                CommandQueue::new(device).with_fault_state(state.take_device(device.index()));
             if self.tracing {
                 queue.with_tracing()
             } else {
@@ -501,10 +501,11 @@ fn plan_batches(
             let mut owners = Vec::with_capacity(shares.len());
             for share in shares {
                 let Some(owner) = devices.iter().position(|d| d.index() == share.device) else {
+                    let held: Vec<String> = devices.iter().map(|d| d.index().to_string()).collect();
                     return Err(LaunchError::from_message(format!(
-                        "device index {} out of range ({} devices)",
+                        "device index {} is not on this platform (its devices are {})",
                         share.device,
-                        devices.len()
+                        held.join(", ")
                     )));
                 };
                 owners.push(owner);
@@ -1140,6 +1141,21 @@ mod tests {
         assert_eq!((batches[0].lo, batches[3].hi), (0, 20));
         let none = plan_batches(&Schedule::Static(vec![]), &gpu_only, 100, 0).unwrap();
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn a_share_naming_a_device_off_the_sub_platform_names_the_ones_on_it() {
+        let sub = profiles::system1().subset(&[0, 2]);
+        let shares = vec![Share {
+            device: 1,
+            items: 4,
+        }];
+        let err = plan_batches(&Schedule::Static(shares), &sub, 12, 4).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid launch distribution: device index 1 is not on this platform \
+             (its devices are 0, 2)"
+        );
     }
 
     #[test]

@@ -491,7 +491,7 @@ mod tests {
         let mut state = plan.state(sub.root_devices());
         for device in sub.devices() {
             let d = device.index();
-            let mut queue = CommandQueue::new(device).with_fault_state(d, state.take_device(d));
+            let mut queue = CommandQueue::new(device).with_fault_state(state.take_device(d));
             queue
                 .launch("b", 1, 1_000, 0, 1)
                 .expect("no device of the subset is lost");

@@ -54,7 +54,6 @@ pub struct CommandQueue<'d> {
     events: Vec<KernelEvent>,
     clock_seconds: f64,
     host_clock_seconds: f64,
-    device_index: usize,
     fault: Option<DeviceFaultState>,
     counters: FaultCounters,
     loss_counted: bool,
@@ -69,7 +68,6 @@ impl<'d> CommandQueue<'d> {
             events: Vec::new(),
             clock_seconds: 0.0,
             host_clock_seconds: 0.0,
-            device_index: 0,
             fault: None,
             counters: FaultCounters::default(),
             loss_counted: false,
@@ -99,15 +97,8 @@ impl<'d> CommandQueue<'d> {
 
     /// Arms a fault state on this queue: [`launch`](CommandQueue::launch)
     /// consults it at every attempt. The state of a device no event names
-    /// changes no launch. `device_index` identifies the device in the
-    /// errors this queue raises and in its spans' process ids (a bare
-    /// queue is device 0).
-    pub fn with_fault_state(
-        mut self,
-        device_index: usize,
-        state: DeviceFaultState,
-    ) -> CommandQueue<'d> {
-        self.device_index = device_index;
+    /// changes no launch.
+    pub fn with_fault_state(mut self, state: DeviceFaultState) -> CommandQueue<'d> {
         self.fault = Some(state);
         self
     }
@@ -168,7 +159,7 @@ impl<'d> CommandQueue<'d> {
                                 Span::new(
                                     label.to_string(),
                                     "retry",
-                                    device_pid(self.device_index),
+                                    device_pid(self.device.index()),
                                     begin,
                                     begin + backoff,
                                 )
@@ -201,7 +192,7 @@ impl<'d> CommandQueue<'d> {
     ) -> Result<(), LaunchError> {
         let queued_seconds = self.host_clock_seconds;
         let start_seconds = self.next_start_seconds();
-        let pid = device_pid(self.device_index);
+        let pid = device_pid(self.device.index());
         let mut factor = 1.0;
         if let Some(fault) = &mut self.fault {
             if fault.is_lost(start_seconds) {
@@ -221,7 +212,7 @@ impl<'d> CommandQueue<'d> {
                             .arg_str("kind", "transient"),
                     );
                 }
-                return Err(LaunchError::transient(self.device_index));
+                return Err(LaunchError::transient(self.device_index()));
             }
             factor = fault.throughput_factor(start_seconds);
         }
@@ -285,7 +276,7 @@ impl<'d> CommandQueue<'d> {
                 trace.push(Span::instant(
                     name,
                     "migration",
-                    device_pid(self.device_index),
+                    device_pid(self.device.index()),
                     at,
                 ));
             }
@@ -297,9 +288,10 @@ impl<'d> CommandQueue<'d> {
         self.counters
     }
 
-    /// The device index reported in this queue's fault errors.
+    /// The device index this queue's errors and spans name
+    /// ([`DeviceProfile::index`]).
     pub fn device_index(&self) -> usize {
-        self.device_index
+        self.device.index()
     }
 
     /// `true` when the armed fault state says the device is dead at this
@@ -316,7 +308,7 @@ impl<'d> CommandQueue<'d> {
             self.loss_counted = true;
             self.counters.faults += 1;
         }
-        LaunchError::device_lost(self.device_index)
+        LaunchError::device_lost(self.device_index())
     }
 
     /// Profiling events of every launch so far, in queue order.
@@ -418,9 +410,10 @@ mod tests {
 
     #[test]
     fn transient_fault_fails_one_launch_then_recovers() {
-        let cpu = profiles::intel_i7_2600();
+        let mut cpu = profiles::intel_i7_2600();
+        cpu.index = 1;
         let state = FaultPlan::new().transient(1, 0.0).state(2).take_device(1);
-        let mut queue = CommandQueue::new(&cpu).with_fault_state(1, state);
+        let mut queue = CommandQueue::new(&cpu).with_fault_state(state);
         let err = queue.attempt("x", 4, 4_000, 0).unwrap_err();
         assert_eq!(err.kind(), &LaunchErrorKind::TransientFault { device: 1 });
         // The transient is consumed: the retry succeeds.
@@ -440,7 +433,7 @@ mod tests {
             .unwrap()
             .state(1)
             .take_device(0);
-        let mut queue = CommandQueue::new(&cpu).with_fault_state(0, state);
+        let mut queue = CommandQueue::new(&cpu).with_fault_state(state);
         queue.launch("job", 3, 3_000, 0, 3).unwrap();
         let counters = queue.fault_counters();
         assert_eq!(counters.retries, 2);
@@ -453,12 +446,13 @@ mod tests {
 
     #[test]
     fn exhausted_retries_escalate_to_loss() {
-        let cpu = profiles::intel_i7_2600();
+        let mut cpu = profiles::intel_i7_2600();
+        cpu.index = 2;
         let state = FaultPlan::parse("transient:d2@0x5")
             .unwrap()
             .state(3)
             .take_device(2);
-        let mut queue = CommandQueue::new(&cpu).with_fault_state(2, state);
+        let mut queue = CommandQueue::new(&cpu).with_fault_state(state);
         let err = queue.launch("job", 3, 3_000, 0, 1).unwrap_err();
         assert_eq!(err.kind(), &LaunchErrorKind::DeviceLost { device: 2 });
         assert!(queue.is_lost_now());
@@ -480,7 +474,7 @@ mod tests {
         launch(&mut probe, "probe", 10, 1_000_000);
         let one = probe.finish_seconds();
         let state = FaultPlan::new().loss(0, one / 2.0).state(1).take_device(0);
-        let mut queue = CommandQueue::new(&cpu).with_fault_state(0, state);
+        let mut queue = CommandQueue::new(&cpu).with_fault_state(state);
         // First launch starts at 0.0 < loss time: it completes (fail-stop
         // at launch granularity).
         assert!(queue.launch("a", 10, 10_000_000, 0, 0).is_ok());
@@ -500,7 +494,7 @@ mod tests {
             .degrade(0, 0.0, 0.5)
             .state(1)
             .take_device(0);
-        let mut degraded = CommandQueue::new(&cpu).with_fault_state(0, state);
+        let mut degraded = CommandQueue::new(&cpu).with_fault_state(state);
         degraded.launch("x", 10, 10_000_000, 0, 0).unwrap();
         let ratio = degraded.finish_seconds() / healthy.finish_seconds();
         assert!((ratio - 2.0).abs() < 1e-9, "half throughput = double time");
@@ -530,7 +524,7 @@ mod tests {
             .state(1)
             .take_device(0);
         let mut queue = CommandQueue::new(&cpu)
-            .with_fault_state(0, state)
+            .with_fault_state(state)
             .with_tracing();
         queue.launch("job", 3, 3_000, 0, 3).unwrap();
         queue.annotate_last("migrated from d9");

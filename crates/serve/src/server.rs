@@ -10,7 +10,6 @@
 //! devices round-robin into disjoint subsets, and executes the groups
 //! as independent scheduler batches whose simulated timelines overlap
 //! (the clock advances by the slowest group's makespan, not the sum).
-//! `--serial-batches` restores the one-batch-per-call behaviour.
 //!
 //! Per-job output is byte-identical to `repute map` on the same reads
 //! and configuration by construction: mapping happens in the executor's
@@ -114,9 +113,6 @@ pub struct ServeOptions {
     /// Shed queued jobs whose deadline has already passed with a typed
     /// `DEADLINE_EXCEEDED` instead of mapping them late.
     pub shed_overdue: bool,
-    /// Execute independent same-configuration batches concurrently on
-    /// disjoint device subsets (`false` = one batch at a time).
-    pub concurrent_batches: bool,
     /// Collect per-batch and per-job trace spans.
     pub tracing: bool,
     /// Pinned admission limits.
@@ -148,7 +144,6 @@ impl Default for ServeOptions {
             max_retries: DEFAULT_MAX_RETRIES,
             fault_plan: FaultPlan::new(),
             shed_overdue: false,
-            concurrent_batches: true,
             tracing: false,
             limits: ServeLimits::default(),
             tenant_weights: Vec::new(),
@@ -235,14 +230,7 @@ impl ServeCore {
                 options.delta, options.limits.max_delta
             )));
         }
-        let n_dev = platform.devices().len();
-        if let Some(max_dev) = options.fault_plan.max_device() {
-            if max_dev >= n_dev {
-                return Err(ReputeError::Config(format!(
-                    "fault plan names device {max_dev} but the platform has {n_dev} devices"
-                )));
-            }
-        }
+        options.fault_plan.check(&platform)?;
         let cap = platform
             .max_batch_items(output_slot_bytes(options.max_locations))
             .max(1);
@@ -250,7 +238,7 @@ impl ServeCore {
         let queue = AdmissionQueue::new(options.limits.queue_capacity, &options.tenant_weights);
         let quota = TenantQuota::new(options.quota_window_s, &options.tenant_quotas);
         let slo = SloTracker::new(options.quota_window_s);
-        let health = DeviceHealth::new(n_dev);
+        let health = DeviceHealth::new(platform.devices().len());
         let mut core = ServeCore {
             set,
             platform,
@@ -304,7 +292,6 @@ impl ServeCore {
             cfg.write_u64(word);
         }
         cfg.write_u64(u64::from(self.options.shed_overdue));
-        cfg.write_u64(u64::from(self.options.concurrent_batches));
         for (name, weight) in &self.options.tenant_weights {
             cfg.write(name.as_bytes());
             cfg.write_u64(weight.to_bits());
@@ -341,8 +328,10 @@ impl ServeCore {
     ///
     /// [`ReputeError::ResumeMismatch`] for a journal written by a
     /// different server configuration, [`ReputeError::JournalCorrupt`]
-    /// for interior corruption, [`ReputeError::Io`] on filesystem
-    /// failures.
+    /// for interior corruption and for frames this platform cannot hold
+    /// (a device it lacks, an unknown health code, a job with another
+    /// number of mapping lists than reads), [`ReputeError::Io`] on
+    /// filesystem failures.
     pub fn attach_journal(
         &mut self,
         path: &Path,
@@ -376,9 +365,13 @@ impl ServeCore {
                 self.quota.restore(*seq, tenant, *at, *reads);
             }
             for &(device, code, faults) in &state.health {
-                if let Some(hs) = HealthState::from_code(code) {
-                    self.health.restore(device as usize, hs, faults);
-                }
+                let device = self.journaled_device(device)?;
+                let Some(hs) = HealthState::from_code(code) else {
+                    return Err(ReputeError::JournalCorrupt(format!(
+                        "journal state gives device {device} the unknown health code {code}"
+                    )));
+                };
+                self.health.restore(device, hs, faults);
             }
             // Transient-fault totals are recoverable from the health
             // snapshot (both accumulate the same per-device counts);
@@ -428,7 +421,16 @@ impl ServeCore {
             match by_seq.get(&job.seq) {
                 Some((batch, completion, result)) => {
                     // Dispatched and committed before the crash: restore
-                    // the fairness charge and replay the response.
+                    // the fairness charge and replay the response, one
+                    // SAM block per read.
+                    if result.mappings.len() != job.reads.len() {
+                        return Err(ReputeError::JournalCorrupt(format!(
+                            "journal commits {} mapping lists for job {} of {} reads",
+                            result.mappings.len(),
+                            job.seq,
+                            job.reads.len()
+                        )));
+                    }
                     self.queue.restore_served(&job.tenant, job.cost());
                     let response = self.job_response(job, &result.mappings, *batch, *completion)?;
                     self.finish_job(job, response.mappings, *batch, *completion, true);
@@ -459,13 +461,15 @@ impl ServeCore {
         // snapshot restore is order-insensitive).
         for batch in &recovered.batches {
             for p in &batch.provenance {
-                self.health.observe_faults(p.device as usize, p.faults);
+                let device = self.journaled_device(p.device)?;
+                self.health.observe_faults(device, p.faults);
                 self.counters.faults += p.faults;
                 self.counters.retries += p.retries;
                 self.counters.migrated += p.migrated;
             }
             for &device in &batch.lost {
-                self.health.observe_loss(device as usize);
+                let device = self.journaled_device(device)?;
+                self.health.observe_loss(device);
             }
         }
         self.observe_plan_faults(self.sim_clock);
@@ -475,6 +479,18 @@ impl ServeCore {
         self.dead_records = replayed.len() + recovered.batches.len() + recovered.shed.len();
         self.journal = Some(journal);
         Ok(replayed)
+    }
+
+    /// A device index read back from the journal: one the platform lacks
+    /// is corruption, not an index into the health registry.
+    fn journaled_device(&self, device: u32) -> Result<usize, ReputeError> {
+        let n_dev = self.health.len();
+        let index = device as usize;
+        (index < n_dev).then_some(index).ok_or_else(|| {
+            ReputeError::JournalCorrupt(format!(
+                "journal names device {device} but the platform has {n_dev} devices"
+            ))
+        })
     }
 
     /// Submits one job. Returns `Ok(None)` when the job was accepted
@@ -601,10 +617,9 @@ impl ServeCore {
     }
 
     /// Executes (and commits) the next round of scheduler batches — up
-    /// to one per live device in concurrent mode, exactly one in serial
-    /// mode; no-op on an empty queue. Returns the responses of the
-    /// round's jobs, including any typed `DEADLINE_EXCEEDED` /
-    /// `SERVICE_UNAVAILABLE` refusals.
+    /// to one per live device; no-op on an empty queue. Returns the
+    /// responses of the round's jobs, including any typed
+    /// `DEADLINE_EXCEEDED` / `SERVICE_UNAVAILABLE` refusals.
     ///
     /// # Errors
     ///
@@ -628,12 +643,11 @@ impl ServeCore {
     }
 
     /// Fair-dequeues up to one maximal run of same-configuration jobs
-    /// per live device (one in serial mode), partitions the live
-    /// devices round-robin into disjoint subsets, executes the groups
-    /// as independent scheduler batches sharing one start time, and —
-    /// when `commit` is true — journals them in group order, advances
-    /// the clock by the slowest group's makespan, and records
-    /// telemetry. `commit = false` models a crash after the work
+    /// per live device, partitions the live devices round-robin into
+    /// disjoint subsets, executes the groups as independent scheduler
+    /// batches sharing one start time, and — when `commit` is true —
+    /// journals them in group order, advances the clock by the slowest
+    /// group's makespan, and records telemetry. `commit = false` models a crash after the work
     /// started but before the commit: the jobs have left the queue and
     /// nothing is durable, so a resume re-executes exactly this round
     /// (the harness's `crash_mid_batch`).
@@ -654,14 +668,9 @@ impl ServeCore {
         // the surviving devices' quarter-RAM cap, fair-dequeued at the
         // shared start time.
         let live = self.health.live();
-        let max_groups = if self.options.concurrent_batches {
-            live.len()
-        } else {
-            1
-        };
         let cap = self.live_max_reads.max(1);
         let mut groups: Vec<Vec<JobSpec>> = Vec::new();
-        while groups.len() < max_groups {
+        while groups.len() < live.len() {
             let Some(first) = self.queue.pop_fair(now) else {
                 break;
             };
@@ -701,34 +710,38 @@ impl ServeCore {
         // each is host-parallel); their simulated timelines all start at
         // `now` and overlap. Device health evolves as each group's run
         // reports faults, so a loss in group g is visible to group g+1's
-        // retry path but never re-partitions its planned subset.
+        // attempts but never re-partitions its planned subset.
         let start = now;
         let tracing = self.options.tracing;
+        let plan = self.options.fault_plan.rebased(start);
         let mut group_runs: Vec<(Vec<JobSpec>, MappingRun)> = Vec::new();
         let mut doomed: Vec<JobSpec> = Vec::new();
         for (g, jobs) in groups.into_iter().enumerate() {
-            if self.health.none_live() {
-                doomed.extend(jobs);
-                continue;
-            }
             let key = jobs[0].key;
             let reads: Vec<DnaSeq> = jobs.iter().flat_map(|j| j.reads.iter().cloned()).collect();
             let config = batch_config(&self.options, key.delta, key.prefilter)?;
             let mapper = key.mapper.build(Arc::clone(self.set.indexed()), config);
             let mapper = mapper.as_ref();
-            let plan = self.options.fault_plan.rebased(start);
-            // The planned subset, pruned of devices an earlier group's
-            // retry lost; a fully-dead subset falls back to whatever
-            // still lives (documented timeline overlap).
-            let mut subset: Vec<usize> = subsets[g]
-                .iter()
-                .copied()
-                .filter(|&d| self.health.state(d).is_live())
-                .collect();
-            if subset.is_empty() {
-                subset = self.health.live();
-            }
+            // One fallback rule: each attempt runs on the planned devices
+            // that still live, or on every live device when none of them
+            // does (documented timeline overlap); with none live the
+            // group is doomed. A subset that dies mid-run is retired and
+            // the group retried from the same start time.
+            let mut retired: Vec<usize> = Vec::new();
             let run = loop {
+                let planned: Vec<usize> = subsets[g]
+                    .iter()
+                    .copied()
+                    .filter(|&d| self.health.state(d).is_live())
+                    .collect();
+                let subset = if planned.is_empty() {
+                    self.health.live()
+                } else {
+                    planned
+                };
+                if subset.is_empty() {
+                    break None;
+                }
                 let subplatform = self.platform.subset(&subset);
                 let schedule = Schedule::for_mode(self.options.schedule, &subplatform, reads.len());
                 let executor = Executor {
@@ -741,40 +754,36 @@ impl ServeCore {
                 match executor.run(&mapper, &subplatform, &reads) {
                     Ok((run, _metrics)) => break Some(run),
                     Err(e) if matches!(e.kind(), LaunchErrorKind::AllDevicesLost { .. }) => {
-                        // The whole subset died mid-run: retire it and
-                        // retry the group from the same start time on
-                        // the remaining fleet.
                         for &d in &subset {
                             self.health.observe_loss(d);
                         }
                         self.recompute_live_caps();
-                        let survivors = self.health.live();
-                        if survivors.is_empty() {
-                            break None;
-                        }
-                        subset = survivors;
+                        retired.extend(subset);
                     }
                     Err(e) => return Err(e.into()),
                 }
             };
-            match run {
-                Some(run) => {
-                    for (dr, fc) in run.device_runs.iter().zip(&run.fault_counters) {
-                        if fc.faults > 0 {
-                            self.health.observe_faults(dr.device, fc.faults);
-                        }
-                        self.counters.faults += fc.faults;
-                        self.counters.retries += fc.retries;
-                        self.counters.migrated += fc.migrated_batches;
-                    }
-                    for &d in &run.lost_devices {
-                        self.health.observe_loss(d);
-                    }
-                    self.recompute_live_caps();
-                    group_runs.push((jobs, run));
+            let Some(mut run) = run else {
+                doomed.extend(jobs);
+                continue;
+            };
+            // The batch frame names the retired devices among its lost
+            // ones, or a resume would count them live.
+            run.lost_devices.extend(retired);
+            run.lost_devices.sort_unstable();
+            for (dr, fc) in run.device_runs.iter().zip(&run.fault_counters) {
+                if fc.faults > 0 {
+                    self.health.observe_faults(dr.device, fc.faults);
                 }
-                None => doomed.extend(jobs),
+                self.counters.faults += fc.faults;
+                self.counters.retries += fc.retries;
+                self.counters.migrated += fc.migrated_batches;
             }
+            for &d in &run.lost_devices {
+                self.health.observe_loss(d);
+            }
+            self.recompute_live_caps();
+            group_runs.push((jobs, run));
         }
 
         // Commit phase, in group order (deterministic for any

@@ -118,7 +118,6 @@ fn project_serve(o: &ServeCliOptions) -> Fields {
         ("fault_plan", show_plan(Some(&serve.fault_plan))),
         ("max_retries", show(&serve.max_retries)),
         ("shed_overdue", show(&serve.shed_overdue)),
-        ("serial_batches", show(&!serve.concurrent_batches)),
         ("queue_capacity", show(&limits.queue_capacity)),
         ("max_reads_per_job", show(&max_reads_per_job)),
         ("max_delta", show(&limits.max_delta)),
@@ -325,15 +324,17 @@ fn defaults_and_usage_text_are_pinned() {
 /// run, no longer with `--platform` only (→ `0xa5f8_0a5d_ea27_f485`).
 /// Then by `--checkpoint` committing a prefix of the streamed outputs:
 /// its and `--resume`'s help, `crash:@<t>` gone from both `--fault-plan`
-/// entries, and exit code 8 gone.
-const USAGE_FNV64: u64 = 0xb239_6b41_0de3_29a1;
+/// entries, and exit code 8 gone (→ `0xb239_6b41_0de3_29a1`). Then by
+/// the serial round shape going: `--serial-batches` is gone, and
+/// `--journal` loses at most one in-flight round, not batch.
+const USAGE_FNV64: u64 = 0xb90c_5126_e79e_2262;
 
 /// `(subcommand, "", every projected field of its `Default`)`.
 const DEFAULTS: &[(&str, &str, &str)] = &[
     ("map", "", "reference=\"\"; index=None; index_cache=None; reads=\"\"; delta=5; s_min=12; max_locations=100; output=None; cigar=false; mapper=Repute; prefilter=None; platform=None; schedule=Static; host_threads=0; fault_plan=None; max_retries=2; metrics_out=None; trace_out=None; verbose=false; checkpoint=None; resume=false"),
     ("index", "", "reference=\"\"; output=\"\""),
     ("simulate", "", "out_dir=\"\"; length=1000000; reads=10000; read_len=100; seed=42; profile=\"err012100\""),
-    ("serve", "", "reference=\"\"; index=None; index_cache=None; platform=\"system1\"; socket=None; spool=None; once=false; journal=None; resume=false; delta=5; s_min=12; max_locations=100; prefilter=None; schedule=Dynamic; host_threads=0; fault_plan=[]; max_retries=2; shed_overdue=false; serial_batches=false; queue_capacity=64; max_reads_per_job=None; max_delta=16; tenant_weights=[]; tenant_quotas=[]; quota_window_s=60.0; journal_compact_threshold=0; metrics_out=None; metrics_dir=None; trace_out=None"),
+    ("serve", "", "reference=\"\"; index=None; index_cache=None; platform=\"system1\"; socket=None; spool=None; once=false; journal=None; resume=false; delta=5; s_min=12; max_locations=100; prefilter=None; schedule=Dynamic; host_threads=0; fault_plan=[]; max_retries=2; shed_overdue=false; queue_capacity=64; max_reads_per_job=None; max_delta=16; tenant_weights=[]; tenant_quotas=[]; quota_window_s=60.0; journal_compact_threshold=0; metrics_out=None; metrics_dir=None; trace_out=None"),
     ("submit", "", "socket=\"\"; reads=None; id=None; tenant=None; delta=None; prefilter=None; mapper=None; deadline=None; priority=None; output=None; retry=0; retry_base_ms=100; shutdown=false"),
 ];
 
@@ -453,6 +454,7 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("serve", "--checkpoint j.rpj", "unknown option \"--checkpoint\""),
     ("serve", "--cigar", "unknown option \"--cigar\""),
     ("serve", "-v", "unknown option \"-v\""),
+    ("serve", "--reference r.fa --socket s.sock --shed-overdue --serial-batches", "unknown option \"--serial-batches\""),
     // --- serve: a value flag at the end of the line.
     ("serve", "--reference", "--reference expects a value"),
     ("serve", "--index", "--index expects a value"),
@@ -641,7 +643,7 @@ const ACCEPTED: &[(&str, &str, &str)] = &[
     ("serve", "--reference r.fa --socket s.sock --journal j.jnl --journal-compact-threshold 0", "reference=\"r.fa\"; socket=Some(\"s.sock\"); journal=Some(\"j.jnl\")"),
     ("serve", "--reference r.fa --socket s.sock --fault-plan transient:d0@0.1x2,loss:d1@0.5", "reference=\"r.fa\"; socket=Some(\"s.sock\"); fault_plan=[Transient:d0@0.1,Transient:d0@0.1,Loss:d1@0.5]"),
     ("serve", "--reference r.fa --socket s.sock --fault-plan ,", "reference=\"r.fa\"; socket=Some(\"s.sock\")"),
-    ("serve", "--reference r.fa --socket s.sock --shed-overdue --serial-batches", "reference=\"r.fa\"; socket=Some(\"s.sock\"); shed_overdue=true; serial_batches=true"),
+    ("serve", "--reference r.fa --socket s.sock --shed-overdue", "reference=\"r.fa\"; socket=Some(\"s.sock\"); shed_overdue=true"),
     ("serve", "--reference r.fa --socket s.sock --metrics-out m.jsonl --metrics-dir jobs.d --trace-out t.json", "reference=\"r.fa\"; socket=Some(\"s.sock\"); metrics_out=Some(\"m.jsonl\"); metrics_dir=Some(\"jobs.d\"); trace_out=Some(\"t.json\")"),
     ("serve", "--reference \"\" --socket s.sock", "socket=Some(\"s.sock\")"),
     // --- submit.

@@ -7,14 +7,14 @@
 //! jobs are shed with `DEADLINE_EXCEEDED` when `--shed-overdue` is on,
 //! and the device-health ladder / shrinking admission bounds hold under
 //! seeded random event storms. Beside those, what the service's own
-//! policies may and may not move: concurrent rounds beat serial ones in
-//! simulated seconds with the same SAM, admission refusals are typed
+//! policies may and may not move: a concurrent round advances the clock
+//! by its slowest group, not their sum, admission refusals are typed
 //! and counted, and EDF reorders batches without touching a byte of
 //! SAM — each scenario's `--metrics-out` bytes pinned.
 
 #![cfg(unix)]
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 
 use repute_core::journal::Fnv64;
@@ -150,37 +150,36 @@ fn acme_weighted() -> ServeOptions {
     }
 }
 
-const CONCURRENCY: &[(&str, u64)] = &[
-    ("serial", 0x63d0006cba19dd87),
-    ("concurrent", 0x239807fac76bb1c5),
-];
+const CONCURRENCY: &[(&str, u64)] = &[("concurrent", 0x239807fac76bb1c5)];
 
+/// The groups of a round overlap in simulated time: the first round of
+/// `small_jobs` holds several groups, all starting at zero, and moves
+/// the clock by the largest latency among them, less than their sum.
 #[test]
-fn concurrent_rounds_beat_serial_rounds_and_map_the_same() {
-    let set = reference_set();
-    let jobs = small_jobs();
-    let serial_options = ServeOptions {
-        concurrent_batches: false,
-        ..acme_weighted()
-    };
-    let (serial, serial_responses) = serve_all(&set, serial_options, &jobs);
-    let (concurrent, concurrent_responses) = serve_all(&set, acme_weighted(), &jobs);
-    assert_eq!(
-        sam_by_id(&concurrent_responses),
-        sam_by_id(&serial_responses),
-        "concurrent rounds must move timing only"
-    );
-    let serial_s = serial.core().simulated_seconds();
-    let concurrent_s = concurrent.core().simulated_seconds();
+fn a_concurrent_round_advances_the_clock_by_its_slowest_group() {
+    let mut concurrent =
+        ServeHarness::new(reference_set(), profiles::system1(), acme_weighted()).unwrap();
+    for job in small_jobs() {
+        assert!(concurrent.submit(job).expect("journal I/O").is_none());
+    }
+    let round = concurrent.run_batch().expect("first round");
+    let mut group_latency: BTreeMap<u64, f64> = BTreeMap::new();
+    for response in &round {
+        let batch = response.batch.expect("completed jobs name their batch");
+        let latency = response.latency_s.expect("completed jobs carry a latency");
+        group_latency.insert(batch, latency);
+    }
     assert!(
-        concurrent_s < serial_s,
-        "concurrent rounds took {concurrent_s} s, serial ones {serial_s} s"
+        group_latency.len() >= 2,
+        "the first round holds {} group(s)",
+        group_latency.len()
     );
-    assert_telemetry_pinned(
-        "CONCURRENCY",
-        &[("serial", &serial), ("concurrent", &concurrent)],
-        CONCURRENCY,
-    );
+    let slowest = group_latency.values().copied().fold(0.0, f64::max);
+    let sum: f64 = group_latency.values().sum();
+    assert_eq!(concurrent.core().simulated_seconds(), slowest);
+    assert!(slowest < sum, "slowest group {slowest} s, sum {sum} s");
+    concurrent.drain().expect("drain");
+    assert_telemetry_pinned("CONCURRENCY", &[("concurrent", &concurrent)], CONCURRENCY);
 }
 
 const DEGRADATION: &[(&str, u64)] = &[
@@ -717,6 +716,25 @@ fn all_devices_lost_drains_service_unavailable_and_exits() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The daemon checks its fault plan by the plan's own rule: the same
+/// message as `FaultPlan::check`, a configuration error (exit 2).
+#[test]
+fn a_fault_plan_naming_a_device_past_the_platform_is_refused_by_the_plan_rule() {
+    let plan = FaultPlan::parse("loss:d3@0").expect("valid spec");
+    let rule = plan
+        .check(&profiles::system1())
+        .expect_err("system1 has devices 0..3");
+    let options = ServeOptions {
+        fault_plan: plan,
+        ..ServeOptions::default()
+    };
+    let err = ServeCore::new(reference_set(), profiles::system1(), options)
+        .err()
+        .expect("the plan names device 3");
+    assert_eq!(err.exit_code(), 2);
+    assert_eq!(err.to_string(), format!("configuration error: {rule}"));
+}
+
 #[test]
 fn overdue_queued_jobs_are_shed_with_deadline_exceeded() {
     let run = |shed_overdue: bool| -> (Vec<JobResponse>, ServeHarness) {
@@ -725,10 +743,6 @@ fn overdue_queued_jobs_are_shed_with_deadline_exceeded() {
             profiles::system1(),
             ServeOptions {
                 shed_overdue,
-                // Serial rounds: the second job must sit queued while
-                // the first one's batch advances the clock past its
-                // deadline.
-                concurrent_batches: false,
                 ..ServeOptions::default()
             },
         )
@@ -737,25 +751,37 @@ fn overdue_queued_jobs_are_shed_with_deadline_exceeded() {
         let read = |name: &str, start: usize| -> Vec<(String, DnaSeq)> {
             vec![(name.to_string(), reference.subseq(start..start + 100))]
         };
-        // Earliest-deadline-first runs `urgent` first; `late` holds a
-        // deadline far tighter than `urgent`'s batch makespan, so by the
-        // time the scheduler reaches it the deadline has passed.
+        // Earliest-deadline-first fills the first round with `urgent` and
+        // two jobs of their own δ, one group per device of the three;
+        // `late` holds a deadline far tighter than that round's
+        // makespan, so by the time the scheduler reaches it the deadline
+        // has passed.
         let urgent = JobEnvelope::new("urgent", read("ru", 10_000))
             .with_tenant("acme")
             .with_deadline(1.0e-12);
+        let fillers = [(4, 30_000), (6, 40_000)].map(|(delta, start)| {
+            JobEnvelope::new(
+                format!("urgent-{delta}"),
+                read(&format!("rw{delta}"), start),
+            )
+            .with_tenant("acme")
+            .with_delta(delta)
+            .with_deadline(1.0e-12)
+        });
         let late = JobEnvelope::new("late", read("rv", 20_000))
             .with_tenant("lab")
             .with_delta(3)
             .with_deadline(1.0e-9);
-        assert!(harness.submit(urgent).expect("journal I/O").is_none());
-        assert!(harness.submit(late).expect("journal I/O").is_none());
+        for job in [urgent].into_iter().chain(fillers).chain([late]) {
+            assert!(harness.submit(job).expect("journal I/O").is_none());
+        }
         let responses = harness.drain().expect("drain");
         (responses, harness)
     };
 
     // Shedding on: `late` is refused with a typed DEADLINE_EXCEEDED.
     let (responses, harness) = run(true);
-    assert_eq!(responses.len(), 2);
+    assert_eq!(responses.len(), 4);
     let late = responses.iter().find(|r| r.id == "late").expect("late");
     assert_eq!(late.status, JobStatus::DeadlineExceeded);
     assert!(

@@ -1,24 +1,30 @@
 //! Daemon crash-and-resume integration: a `repute serve` core that dies
-//! mid-batch loses at most that one in-flight batch, and after
+//! mid-round loses at most that one in-flight round, and after
 //! `--resume` the union of job responses is bit-identical to an
 //! uninterrupted run.
 
 use std::path::PathBuf;
 
+use repute_core::ReputeError;
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::DnaSeq;
-use repute_hetsim::profiles;
+use repute_hetsim::{profiles, FaultPlan};
 use repute_mappers::multiref::ReferenceSet;
-use repute_serve::{JobEnvelope, JobResponse, ServeHarness, ServeOptions};
+use repute_prefilter::PrefilterMode;
+use repute_serve::journal::DeviceProvenance;
+use repute_serve::{
+    BatchRecord, ConfigKey, JobEnvelope, JobJournal, JobResponse, JobResult, JobSpec, MapperKind,
+    ServeHarness, ServeOptions, StateRecord,
+};
 
 fn reference_set() -> ReferenceSet {
     let reference = ReferenceBuilder::new(120_000).seed(7201).build();
     ReferenceSet::build(vec![("chrS".to_string(), reference)])
 }
 
-/// Six jobs from three tenants with two distinct per-job δ overrides, so
-/// the coalescer must form several batches (jobs only share a batch when
-/// their effective configuration matches).
+/// Six jobs from three tenants, each with a δ of its own: no two share a
+/// batch, and a round holds one group per device of system1's three, so
+/// the queue drains in two rounds of three batches.
 fn jobs() -> Vec<JobEnvelope> {
     let reference = ReferenceBuilder::new(120_000).seed(7201).build();
     let read = |start: usize| -> Vec<(String, DnaSeq)> {
@@ -30,29 +36,25 @@ fn jobs() -> Vec<JobEnvelope> {
             .with_delta(3),
         JobEnvelope::new("acme-2", read(20_000))
             .with_tenant("acme")
-            .with_delta(5),
+            .with_delta(4),
         JobEnvelope::new("lab-1", read(30_000))
             .with_tenant("lab")
-            .with_delta(3),
+            .with_delta(5),
         JobEnvelope::new("lab-2", read(40_000))
             .with_tenant("lab")
-            .with_delta(5),
+            .with_delta(6),
         JobEnvelope::new("edge-1", read(50_000))
             .with_tenant("edge")
-            .with_delta(3),
+            .with_delta(7),
         JobEnvelope::new("edge-2", read(60_000))
             .with_tenant("edge")
-            .with_delta(5),
+            .with_delta(8),
     ]
 }
 
 fn options() -> ServeOptions {
     ServeOptions {
         tenant_weights: vec![("acme".to_string(), 2.0)],
-        // One batch per round: these tests aim the crash window at
-        // exactly one in-flight batch (concurrent rounds would execute
-        // both config groups before the crash).
-        concurrent_batches: false,
         ..ServeOptions::default()
     }
 }
@@ -86,12 +88,9 @@ fn resume_after_mid_batch_crash_is_bit_identical_to_uninterrupted() {
     let clean_responses = clean.drain().expect("uninterrupted drain");
     assert_eq!(clean_responses.len(), 6);
     let clean_batches = clean.counters().batches;
-    assert!(
-        clean_batches >= 2,
-        "mixed deltas must split batches, got {clean_batches}"
-    );
+    assert_eq!(clean_batches, 6, "six deltas, six batches");
 
-    // Journaled run: commit one batch, then lose power inside the next.
+    // Journaled run: commit one round, then lose power inside the next.
     let journal: PathBuf = dir.join("serve.journal");
     std::fs::remove_file(&journal).ok();
     let (mut doomed, replayed) = ServeHarness::with_journal(
@@ -104,19 +103,19 @@ fn resume_after_mid_batch_crash_is_bit_identical_to_uninterrupted() {
     .unwrap();
     assert!(replayed.is_empty(), "a fresh journal replays nothing");
     submit_all(&mut doomed);
-    let committed = doomed.run_batch().expect("first batch commits");
-    assert!(!committed.is_empty());
-    let lost_ids = doomed.crash_mid_batch().expect("doomed batch executes");
-    assert!(!lost_ids.is_empty(), "the crash must catch a live batch");
+    let committed = doomed.run_batch().expect("first round commits");
+    assert_eq!(committed.len(), 3, "one group per device");
+    let lost_ids = doomed.crash_mid_batch().expect("doomed round executes");
+    assert_eq!(lost_ids.len(), 3, "the crash must catch a live round");
 
     // Restart from the journal: committed responses replay verbatim,
-    // everything else (including the lost batch) re-executes.
+    // everything else (including the lost round) re-executes.
     let (mut resumed, replayed) =
         ServeHarness::with_journal(reference_set(), platform, options(), &journal, true).unwrap();
     assert_eq!(
         by_id(&replayed),
         by_id(&committed),
-        "replayed responses must be bit-identical to the committed batch"
+        "replayed responses must be bit-identical to the committed round"
     );
     assert_eq!(resumed.counters().replayed as usize, replayed.len());
     let reexecuted = resumed.drain().expect("resumed drain");
@@ -128,8 +127,8 @@ fn resume_after_mid_batch_crash_is_bit_identical_to_uninterrupted() {
     assert_eq!(union.len(), 6, "no job lost, none answered twice");
     assert_eq!(by_id(&union), by_id(&clean_responses));
 
-    // "At most one batch re-executed": the crashed batch's jobs are the
-    // only previously-executed work in the resumed drain, and the
+    // "At most one in-flight round re-executed": the crashed round's jobs
+    // are the only previously-executed work in the resumed drain, and the
     // resumed run ends with the same batch count as the clean run.
     for id in &lost_ids {
         assert!(
@@ -145,7 +144,7 @@ fn resume_after_mid_batch_crash_is_bit_identical_to_uninterrupted() {
     assert_eq!(
         rerun_of_executed.len(),
         lost_ids.len(),
-        "only the single in-flight batch repeats work"
+        "only the single in-flight round repeats work"
     );
     assert_eq!(resumed.counters().batches, clean_batches);
     assert_eq!(resumed.counters().completed, 6);
@@ -168,7 +167,7 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
     let clean_responses = clean.drain().expect("uninterrupted drain");
     let clean_batches = clean.counters().batches;
 
-    // Control journal: same submissions and one committed batch, no
+    // Control journal: same submissions and one committed round, no
     // compaction — the size bound the compacted journal must beat.
     let control = dir.join("control.journal");
     std::fs::remove_file(&control).ok();
@@ -183,11 +182,11 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
     )
     .unwrap();
     submit_all(&mut plain);
-    plain.run_batch().expect("control batch commits");
+    plain.run_batch().expect("control round commits");
     let control_size = std::fs::metadata(&control).expect("control journal").len();
 
     // Compacting journal: threshold 1 compacts right after the first
-    // batch commit, so the file holds only the header, one state
+    // round commits, so the file holds only the header, one state
     // snapshot, and the still-queued accepted records.
     let journal: PathBuf = dir.join("serve.journal");
     std::fs::remove_file(&journal).ok();
@@ -201,12 +200,13 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
     .unwrap();
     assert!(replayed.is_empty());
     submit_all(&mut doomed);
-    let committed = doomed.run_batch().expect("first batch commits");
+    let committed = doomed.run_batch().expect("first round commits");
     assert!(!committed.is_empty());
+    let committed_batches = doomed.counters().batches;
     assert_eq!(
         doomed.counters().compactions,
         1,
-        "threshold 1 compacts per commit"
+        "threshold 1 compacts per round"
     );
     let compacted_size = std::fs::metadata(&journal)
         .expect("compacted journal")
@@ -216,12 +216,12 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
         "compacted journal ({compacted_size} B) must be smaller than the \
          append-only control ({control_size} B)"
     );
-    let lost_ids = doomed.crash_mid_batch().expect("doomed batch executes");
+    let lost_ids = doomed.crash_mid_batch().expect("doomed round executes");
     assert!(!lost_ids.is_empty());
 
-    // Resume from the compacted journal: the committed batch's records
+    // Resume from the compacted journal: the committed round's records
     // were compacted away (its responses were already delivered), the
-    // live jobs — including the lost in-flight batch — re-execute, and
+    // live jobs — including the lost in-flight round — re-execute, and
     // the union is bit-identical to the uninterrupted run.
     let (mut resumed, replayed) =
         ServeHarness::with_journal(reference_set(), platform, compacting, &journal, true).unwrap();
@@ -235,7 +235,7 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
         committed.len(),
         "state snapshot restores counters"
     );
-    assert_eq!(counters.batches, 1);
+    assert_eq!(counters.batches, committed_batches);
     let reexecuted = resumed.drain().expect("resumed drain");
     for id in &lost_ids {
         assert!(
@@ -292,9 +292,9 @@ fn resume_under_another_host_thread_count_is_bit_identical() {
         ServeHarness::with_journal(reference_set(), profiles::system1(), on(1), &journal, false)
             .unwrap();
     submit_all(&mut doomed);
-    let committed = doomed.run_batch().expect("first batch commits");
+    let committed = doomed.run_batch().expect("first round commits");
     assert!(!committed.is_empty());
-    doomed.crash_mid_batch().expect("doomed batch executes");
+    doomed.crash_mid_batch().expect("doomed round executes");
 
     let (mut resumed, replayed) =
         ServeHarness::with_journal(reference_set(), profiles::system1(), on(4), &journal, true)
@@ -336,9 +336,207 @@ fn second_resume_with_different_options_is_refused() {
             .err()
             .expect("mismatched fingerprint is refused");
     assert!(
-        matches!(err, repute_core::ReputeError::ResumeMismatch(_)),
+        matches!(err, ReputeError::ResumeMismatch(_)),
         "expected ResumeMismatch, got {err:?}"
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One accepted three-read job, as a journal writes it.
+fn forged_job() -> JobSpec {
+    let reference = ReferenceBuilder::new(120_000).seed(7201).build();
+    let reads: Vec<DnaSeq> = (0..3)
+        .map(|i| reference.subseq(10_000 + 200 * i..10_100 + 200 * i))
+        .collect();
+    JobSpec {
+        seq: 0,
+        id: "forged".to_string(),
+        tenant: "acme".to_string(),
+        key: ConfigKey {
+            delta: 5,
+            prefilter: PrefilterMode::None,
+            mapper: MapperKind::default(),
+        },
+        arrival_s: 0.0,
+        deadline_s: None,
+        priority: 0,
+        read_ids: (0..3).map(|i| format!("forged/{i}")).collect(),
+        reads,
+    }
+}
+
+/// A committed batch of `forged_job` with `lists` per-read mapping lists.
+fn forged_batch(lists: usize, lost: Vec<u32>, provenance: Vec<DeviceProvenance>) -> BatchRecord {
+    BatchRecord {
+        batch: 0,
+        completion_s: 1.0e-4,
+        jobs: vec![JobResult {
+            seq: 0,
+            mappings: vec![Vec::new(); lists],
+        }],
+        lost,
+        provenance,
+    }
+}
+
+/// Writes a journal under this daemon's fingerprint through the
+/// journal's own writers — `forged_job` accepted, then `frames` — and
+/// resumes system1 from it.
+fn resume_forged(tag: &str, frames: impl FnOnce(&mut JobJournal)) -> Result<(), ReputeError> {
+    let dir =
+        std::env::temp_dir().join(format!("repute-serve-forged-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).ok();
+    let path = dir.join("serve.journal");
+    let fingerprint = ServeHarness::new(reference_set(), profiles::system1(), options())
+        .unwrap()
+        .core()
+        .fingerprint();
+    let mut journal = JobJournal::create(&path, &fingerprint).expect("fresh journal");
+    journal.record_accepted(&forged_job()).expect("append");
+    frames(&mut journal);
+    drop(journal);
+    let resumed =
+        ServeHarness::with_journal(reference_set(), profiles::system1(), options(), &path, true);
+    std::fs::remove_dir_all(&dir).ok();
+    resumed.map(|_| ())
+}
+
+fn assert_journal_corrupt(what: &str, resumed: Result<(), ReputeError>) {
+    match resumed {
+        Err(err) => assert!(
+            matches!(err, ReputeError::JournalCorrupt(_)) && err.exit_code() == 5,
+            "{what}: expected JournalCorrupt, got {err:?}"
+        ),
+        Ok(()) => panic!("{what}: the forged journal resumed"),
+    }
+}
+
+#[test]
+fn resume_refuses_a_journal_naming_a_device_the_platform_lacks() {
+    // The control: the same frames on a device system1 has resume.
+    resume_forged("device-ok", |journal| {
+        journal
+            .record_batch(&forged_batch(3, vec![2], Vec::new()))
+            .expect("append");
+    })
+    .expect("device 2 is on system1");
+    let lost = resume_forged("lost", |journal| {
+        journal
+            .record_batch(&forged_batch(3, vec![7], Vec::new()))
+            .expect("append");
+    });
+    assert_journal_corrupt("lost device 7", lost);
+    let provenance = DeviceProvenance {
+        device: 7,
+        faults: 1,
+        retries: 1,
+        migrated: 0,
+    };
+    let faulted = resume_forged("provenance", |journal| {
+        journal
+            .record_batch(&forged_batch(3, Vec::new(), vec![provenance]))
+            .expect("append");
+    });
+    assert_journal_corrupt("provenance device 7", faulted);
+    let fingerprint = ServeHarness::new(reference_set(), profiles::system1(), options())
+        .unwrap()
+        .core()
+        .fingerprint();
+    let state = resume_forged("state-device", |journal| {
+        let state = StateRecord {
+            health: vec![(7, 0, 0)],
+            ..StateRecord::default()
+        };
+        journal
+            .compact(&fingerprint, &state, &[&forged_job()])
+            .expect("compact");
+    });
+    assert_journal_corrupt("state device 7", state);
+}
+
+#[test]
+fn resume_refuses_an_unknown_health_code() {
+    let fingerprint = ServeHarness::new(reference_set(), profiles::system1(), options())
+        .unwrap()
+        .core()
+        .fingerprint();
+    let resumed = resume_forged("health-code", |journal| {
+        let state = StateRecord {
+            health: vec![(0, 9, 0)],
+            ..StateRecord::default()
+        };
+        journal
+            .compact(&fingerprint, &state, &[&forged_job()])
+            .expect("compact");
+    });
+    assert_journal_corrupt("health code 9", resumed);
+}
+
+#[test]
+fn resume_refuses_a_job_with_fewer_mapping_lists_than_reads() {
+    let resumed = resume_forged("mapping-lists", |journal| {
+        journal
+            .record_batch(&forged_batch(1, Vec::new(), Vec::new()))
+            .expect("append");
+    });
+    assert_journal_corrupt("one mapping list for three reads", resumed);
+}
+
+/// A group whose whole planned subset dies mid-run (here device 2,
+/// killed by transients beyond the retry budget) is retried on the
+/// survivors; its batch frame names device 2 lost, so a resume counts
+/// it dead too and schedules the rest exactly as the uninterrupted run.
+#[test]
+fn resume_after_a_group_loses_its_whole_subset_is_bit_identical() {
+    let dir = std::env::temp_dir().join(format!(
+        "repute-serve-restart-retired-test-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).ok();
+    let journal = dir.join("serve.journal");
+    std::fs::remove_file(&journal).ok();
+    let options = ServeOptions {
+        fault_plan: FaultPlan::parse("transient:d2@0x5").expect("valid spec"),
+        ..options()
+    };
+
+    let mut clean = ServeHarness::new(reference_set(), profiles::system1(), options.clone())
+        .expect("valid options");
+    submit_all(&mut clean);
+    let clean_responses = clean.drain().expect("uninterrupted drain");
+    assert_eq!(clean.core().health().lost_count(), 1);
+
+    let (mut doomed, _) = ServeHarness::with_journal(
+        reference_set(),
+        profiles::system1(),
+        options.clone(),
+        &journal,
+        false,
+    )
+    .expect("fresh journal");
+    submit_all(&mut doomed);
+    let committed = doomed.run_batch().expect("first round commits");
+    assert_eq!(committed.len(), 3, "one group per device");
+    assert_eq!(doomed.core().health().lost_count(), 1, "device 2 retired");
+    doomed.crash_mid_batch().expect("doomed round executes");
+
+    let (mut resumed, replayed) = ServeHarness::with_journal(
+        reference_set(),
+        profiles::system1(),
+        options,
+        &journal,
+        true,
+    )
+    .expect("resume");
+    assert_eq!(
+        resumed.core().health().lost_count(),
+        1,
+        "device 2 stays lost"
+    );
+    let mut union = replayed;
+    union.extend(resumed.drain().expect("resumed drain"));
+    assert_eq!(by_id(&union), by_id(&clean_responses));
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -24,7 +24,9 @@
 //! more when stage 3 became one routine (PR 22): two labels,
 //! `d1-batch-0` → `d1-batch-1` and `d2-batch-0` → `d2-batch-2` (the
 //! index now counts over the run, not within the share), and no other
-//! byte.
+//! byte. The two digests of (b) moved when the daemon lost its serial
+//! round shape: the scenario gained two first-round jobs so that `late`
+//! still waits a round, and its rounds became concurrent.
 
 #![cfg(unix)]
 
@@ -176,10 +178,10 @@ fn every_record_kind_renders_verbatim() {
 // (b) The daemon's telemetry bytes.
 // ---------------------------------------------------------------------
 
-/// Three tenants; three deadline jobs, of which the earliest runs first
-/// and finishes late, the next is shed while it waits, and the loosest
-/// is met; a device lost under the first batch. Serial rounds, so the
-/// order of everything is fixed.
+/// Three tenants; five deadline jobs, of which the three earliest fill
+/// the first round (one group per device, each of its own δ) and finish
+/// late, the next is shed while it waits, and the loosest is met; a
+/// device lost under the first round.
 fn served() -> ServeHarness {
     let reference = ReferenceBuilder::new(120_000).seed(8801).build();
     let read = |name: &str, start: usize| -> Vec<(String, DnaSeq)> {
@@ -190,7 +192,6 @@ fn served() -> ServeHarness {
         profiles::system1(),
         ServeOptions {
             shed_overdue: true,
-            concurrent_batches: false,
             fault_plan: FaultPlan::new().loss(1, 1.0e-9),
             ..ServeOptions::default()
         },
@@ -199,6 +200,14 @@ fn served() -> ServeHarness {
     let jobs = [
         JobEnvelope::new("urgent", read("ru", 10_000))
             .with_tenant("acme")
+            .with_deadline(1.0e-12),
+        JobEnvelope::new("edge-0", read("rf", 50_000))
+            .with_tenant("edge")
+            .with_delta(4)
+            .with_deadline(1.0e-12),
+        JobEnvelope::new("lab-0", read("rg", 60_000))
+            .with_tenant("lab")
+            .with_delta(6)
             .with_deadline(1.0e-12),
         JobEnvelope::new("late", read("rv", 20_000))
             .with_tenant("lab")
@@ -225,7 +234,7 @@ fn served() -> ServeHarness {
     assert_eq!(status("urgent"), JobStatus::Ok);
     assert_eq!(status("late"), JobStatus::DeadlineExceeded);
     let counters = harness.counters();
-    assert_eq!((counters.completed, counters.shed), (3, 1));
+    assert_eq!((counters.completed, counters.shed), (5, 1));
     assert_eq!(harness.core().health().lost_count(), 1);
     harness
 }
@@ -245,7 +254,7 @@ fn daemon_telemetry_bytes_are_pinned() {
     h.write(&bytes);
     assert_eq!(
         h.finish(),
-        0x6a38_3f05_ac06_eb89,
+        0xaf58_e2f6_ea9b_2d98,
         "--metrics-out bytes changed: 0x{:016x}\n{text}",
         h.finish()
     );
@@ -267,10 +276,10 @@ fn daemon_telemetry_bytes_are_pinned() {
         h.write(&std::fs::read(dir.join(name)).expect("just written"));
     }
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(names.len(), 3);
+    assert_eq!(names.len(), 5);
     assert_eq!(
         h.finish(),
-        0x9311_9c9f_13dd_b3b0,
+        0x1dd2_91eb_a0ba_c3f6,
         "--metrics-dir file set changed: 0x{:016x} {names:?}",
         h.finish()
     );

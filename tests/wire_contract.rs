@@ -14,7 +14,11 @@
 //! derived on load, so the `index/*` pins did not move. They moved a
 //! second time when the daemon's fingerprint stopped folding
 //! `--host-threads`: each journal differs from the parent's in the
-//! header's config word and its CRC alone. The three
+//! header's config word and its CRC alone. They moved a third time
+//! when the daemon lost its serial round shape: the header's config
+//! word lost a switch, and the scenario became concurrent rounds, two
+//! more jobs ahead of `late` and a fault plan that strikes device 1
+//! under one group. The three
 //! `index/*` pins were regenerated once, for index format v3 (a trailer
 //! over `RPST` + `RPIX` + packed reference, the `RPFM` trailer moved from
 //! byte-serial FNV-1a to `wire::WordHash`, the cache fingerprint too):
@@ -157,10 +161,10 @@ fn serve_reference() -> DnaSeq {
 fn serve_options() -> ServeOptions {
     ServeOptions {
         shed_overdue: true,
-        // Serial rounds: `late` must sit queued while `urgent`'s batch
-        // moves the clock past its deadline.
-        concurrent_batches: false,
-        fault_plan: FaultPlan::new().transient(0, 0.0).loss(2, 2.0e-5),
+        // Device 1 retries a transient, then dies under the last launch
+        // of its group: that group's BatchDone holds `lost` and
+        // provenance both.
+        fault_plan: FaultPlan::new().transient(1, 0.0).loss(1, 1.4e-3),
         ..ServeOptions::default()
     }
 }
@@ -197,10 +201,21 @@ fn serve_journals(dir: &TempDir) -> ServeJournals {
     let accept = |harness: &mut ServeHarness, job: JobEnvelope| {
         assert!(harness.submit(job).expect("journal I/O").is_none());
     };
+    // `urgent` and two jobs of their own δ fill the first round, one
+    // group per device: `late` sits queued while that round moves the
+    // clock past its deadline.
     accept(
         &mut harness,
         serve_job(&reference, "urgent", "acme", 1_000).with_deadline(1.0e-12),
     );
+    for (id, delta, start) in [("urgent-4", 4, 6_000), ("urgent-6", 6, 7_000)] {
+        accept(
+            &mut harness,
+            serve_job(&reference, id, "edge", start)
+                .with_delta(delta)
+                .with_deadline(1.0e-12),
+        );
+    }
     accept(
         &mut harness,
         serve_job(&reference, "late", "lab", 2_000)
@@ -417,9 +432,9 @@ fn serve_journal_index_and_cache_bytes_are_pinned() {
 }
 
 const PINNED: &[(&str, u64)] = &[
-    ("serve/appended", 0x6f938e2dcfe9e3f0),
-    ("serve/compacted", 0x33b949313554a240),
-    ("serve/drained", 0x1fbdd49114af4b98),
+    ("serve/appended", 0xbe34b5ce5ff18995),
+    ("serve/compacted", 0x14af9278b53049cb),
+    ("serve/drained", 0x2f20a2d6ec09d843),
     ("index/rpx", 0xaa6b3c467b33b04b),
     ("index/cache", 0xe7d5f9f62adfbdb0),
     ("index/rpx-deep", 0x76a52470d0e66136),
