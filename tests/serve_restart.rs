@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use repute_core::ReputeError;
+use repute_core::{ReputeError, RunFingerprint};
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::DnaSeq;
 use repute_hetsim::{profiles, FaultPlan};
@@ -383,7 +383,10 @@ fn forged_batch(lists: usize, lost: Vec<u32>, provenance: Vec<DeviceProvenance>)
 /// Writes a journal under this daemon's fingerprint through the
 /// journal's own writers — `forged_job` accepted, then `frames` — and
 /// resumes system1 from it.
-fn resume_forged(tag: &str, frames: impl FnOnce(&mut JobJournal)) -> Result<(), ReputeError> {
+fn resume_forged(
+    tag: &str,
+    frames: impl FnOnce(&mut JobJournal, &RunFingerprint),
+) -> Result<(), ReputeError> {
     let dir =
         std::env::temp_dir().join(format!("repute-serve-forged-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).ok();
@@ -394,12 +397,28 @@ fn resume_forged(tag: &str, frames: impl FnOnce(&mut JobJournal)) -> Result<(), 
         .fingerprint();
     let mut journal = JobJournal::create(&path, &fingerprint).expect("fresh journal");
     journal.record_accepted(&forged_job()).expect("append");
-    frames(&mut journal);
+    frames(&mut journal, &fingerprint);
     drop(journal);
     let resumed =
         ServeHarness::with_journal(reference_set(), profiles::system1(), options(), &path, true);
     std::fs::remove_dir_all(&dir).ok();
     resumed.map(|_| ())
+}
+
+/// Compacts `journal` to a State frame holding `health` and the
+/// still-queued `forged_job`.
+fn compact_with_health(
+    journal: &mut JobJournal,
+    fingerprint: &RunFingerprint,
+    health: Vec<(u32, u8, u64)>,
+) {
+    let state = StateRecord {
+        health,
+        ..StateRecord::default()
+    };
+    journal
+        .compact(fingerprint, &state, &[&forged_job()])
+        .expect("compact");
 }
 
 fn assert_journal_corrupt(what: &str, resumed: Result<(), ReputeError>) {
@@ -412,20 +431,25 @@ fn assert_journal_corrupt(what: &str, resumed: Result<(), ReputeError>) {
     }
 }
 
+/// A forger that appends one batch frame of `forged_job`.
+fn batch_frame(
+    lists: usize,
+    lost: Vec<u32>,
+    provenance: Vec<DeviceProvenance>,
+) -> impl FnOnce(&mut JobJournal, &RunFingerprint) {
+    move |journal, _| {
+        journal
+            .record_batch(&forged_batch(lists, lost, provenance))
+            .expect("append");
+    }
+}
+
 #[test]
 fn resume_refuses_a_journal_naming_a_device_the_platform_lacks() {
-    // The control: the same frames on a device system1 has resume.
-    resume_forged("device-ok", |journal| {
-        journal
-            .record_batch(&forged_batch(3, vec![2], Vec::new()))
-            .expect("append");
-    })
-    .expect("device 2 is on system1");
-    let lost = resume_forged("lost", |journal| {
-        journal
-            .record_batch(&forged_batch(3, vec![7], Vec::new()))
-            .expect("append");
-    });
+    // The control: the same frame on a device system1 has resumes.
+    resume_forged("device-ok", batch_frame(3, vec![2], Vec::new()))
+        .expect("device 2 is on system1");
+    let lost = resume_forged("lost", batch_frame(3, vec![7], Vec::new()));
     assert_journal_corrupt("lost device 7", lost);
     let provenance = DeviceProvenance {
         device: 7,
@@ -433,53 +457,25 @@ fn resume_refuses_a_journal_naming_a_device_the_platform_lacks() {
         retries: 1,
         migrated: 0,
     };
-    let faulted = resume_forged("provenance", |journal| {
-        journal
-            .record_batch(&forged_batch(3, Vec::new(), vec![provenance]))
-            .expect("append");
-    });
+    let faulted = resume_forged("provenance", batch_frame(3, Vec::new(), vec![provenance]));
     assert_journal_corrupt("provenance device 7", faulted);
-    let fingerprint = ServeHarness::new(reference_set(), profiles::system1(), options())
-        .unwrap()
-        .core()
-        .fingerprint();
-    let state = resume_forged("state-device", |journal| {
-        let state = StateRecord {
-            health: vec![(7, 0, 0)],
-            ..StateRecord::default()
-        };
-        journal
-            .compact(&fingerprint, &state, &[&forged_job()])
-            .expect("compact");
+    let state = resume_forged("state-device", |journal, fingerprint| {
+        compact_with_health(journal, fingerprint, vec![(7, 0, 0)]);
     });
     assert_journal_corrupt("state device 7", state);
 }
 
 #[test]
 fn resume_refuses_an_unknown_health_code() {
-    let fingerprint = ServeHarness::new(reference_set(), profiles::system1(), options())
-        .unwrap()
-        .core()
-        .fingerprint();
-    let resumed = resume_forged("health-code", |journal| {
-        let state = StateRecord {
-            health: vec![(0, 9, 0)],
-            ..StateRecord::default()
-        };
-        journal
-            .compact(&fingerprint, &state, &[&forged_job()])
-            .expect("compact");
+    let resumed = resume_forged("health-code", |journal, fingerprint| {
+        compact_with_health(journal, fingerprint, vec![(0, 9, 0)]);
     });
     assert_journal_corrupt("health code 9", resumed);
 }
 
 #[test]
 fn resume_refuses_a_job_with_fewer_mapping_lists_than_reads() {
-    let resumed = resume_forged("mapping-lists", |journal| {
-        journal
-            .record_batch(&forged_batch(1, Vec::new(), Vec::new()))
-            .expect("append");
-    });
+    let resumed = resume_forged("mapping-lists", batch_frame(1, Vec::new(), Vec::new()));
     assert_journal_corrupt("one mapping list for three reads", resumed);
 }
 
