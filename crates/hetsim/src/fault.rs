@@ -332,31 +332,31 @@ impl FaultPlan {
     ///   kept, armed at `max(at - origin, 0)` (a device dead or throttled
     ///   before the batch starts is dead or throttled from its local
     ///   `t = 0`).
-    /// * **Transient** is a one-shot: it is delivered to the batch whose
+    /// * **Transient** is a one-shot: it is delivered to the round whose
     ///   window it falls in, i.e. kept (at `at - origin`) only when
-    ///   `at >= origin`. Batch windows tile simulated time, so each
-    ///   transient is handed to exactly one batch; one that arms after a
-    ///   batch's last launch dissipates, like a hiccup on an idle queue.
+    ///   `at >= origin`. Round windows tile simulated time, and within a
+    ///   round a device is planned for one batch only; a batch that falls
+    ///   back onto devices it was not planned for runs under
+    ///   [`without_transients`](FaultPlan::without_transients). So each
+    ///   transient is handed to exactly one batch, the one whose planned
+    ///   devices hold it; one that arms after that batch's last launch
+    ///   dissipates, like a hiccup on an idle queue.
     pub fn rebased(&self, origin: f64) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        for event in &self.events {
-            match event.kind {
-                FaultKind::Loss | FaultKind::Degrade { .. } => {
-                    plan = plan.with_event(FaultEvent {
-                        at_seconds: (event.at_seconds - origin).max(0.0),
-                        ..*event
-                    });
-                }
-                FaultKind::Transient => {
-                    if event.at_seconds >= origin {
-                        plan = plan.with_event(FaultEvent {
-                            at_seconds: event.at_seconds - origin,
-                            ..*event
-                        });
-                    }
-                }
-            }
+        let mut plan = self.clone();
+        plan.events
+            .retain(|e| e.kind != FaultKind::Transient || e.at_seconds >= origin);
+        for event in &mut plan.events {
+            event.at_seconds = (event.at_seconds - origin).max(0.0);
         }
+        plan
+    }
+
+    /// The plan with its transient events left out: the persistent
+    /// faults a batch meets on devices it was not planned for, whose
+    /// transients belong to the batch planned there.
+    pub fn without_transients(&self) -> FaultPlan {
+        let mut plan = self.clone();
+        plan.events.retain(|e| e.kind != FaultKind::Transient);
         plan
     }
 
@@ -655,6 +655,11 @@ mod tests {
         // lands at local t=1.
         assert_eq!(state.device(0).pending_transients(0.5), 0);
         assert_eq!(state.device(0).pending_transients(1.0), 1);
+        // A batch off its planned devices keeps the persistent faults only.
+        assert_eq!(
+            local.without_transients(),
+            FaultPlan::new().loss(1, 0.0).degrade(0, 0.0, 0.5)
+        );
         // Origin 0 is the identity.
         assert_eq!(plan.rebased(0.0), plan);
     }

@@ -54,7 +54,7 @@ pub struct CommandQueue<'d> {
     events: Vec<KernelEvent>,
     clock_seconds: f64,
     host_clock_seconds: f64,
-    fault: Option<DeviceFaultState>,
+    fault: DeviceFaultState,
     counters: FaultCounters,
     loss_counted: bool,
     trace: Option<Vec<Span>>,
@@ -68,7 +68,7 @@ impl<'d> CommandQueue<'d> {
             events: Vec::new(),
             clock_seconds: 0.0,
             host_clock_seconds: 0.0,
-            fault: None,
+            fault: DeviceFaultState::default(),
             counters: FaultCounters::default(),
             loss_counted: false,
             trace: None,
@@ -96,10 +96,10 @@ impl<'d> CommandQueue<'d> {
     }
 
     /// Arms a fault state on this queue: [`launch`](CommandQueue::launch)
-    /// consults it at every attempt. The state of a device no event names
-    /// changes no launch.
+    /// consults it at every attempt. A new queue holds the default state,
+    /// which arms nothing, as does the state of a device no event names.
     pub fn with_fault_state(mut self, state: DeviceFaultState) -> CommandQueue<'d> {
-        self.fault = Some(state);
+        self.fault = state;
         self
     }
 
@@ -115,7 +115,7 @@ impl<'d> CommandQueue<'d> {
     /// [`DeviceProfile::seconds_for_with_footprint`] simulated seconds,
     /// and is recorded as one [`KernelEvent`].
     ///
-    /// An armed fault state is consulted at each attempt's would-be
+    /// The queue's fault state is consulted at each attempt's would-be
     /// start. Fail-stop is modelled at launch granularity: a permanent
     /// loss rejects every launch *starting* at or after the loss time
     /// (kernels already running complete); armed degradations stretch the
@@ -130,7 +130,7 @@ impl<'d> CommandQueue<'d> {
     /// # Errors
     ///
     /// [`LaunchErrorKind::DeviceLost`] when the device is (or becomes)
-    /// permanently lost. A queue without a fault state cannot fail.
+    /// permanently lost. A queue that arms no fault cannot fail.
     pub fn launch(
         &mut self,
         label: &str,
@@ -171,9 +171,7 @@ impl<'d> CommandQueue<'d> {
                     LaunchErrorKind::TransientFault { .. } => {
                         // Retry budget exhausted: escalate to a loss.
                         let now = self.next_start_seconds();
-                        if let Some(fault) = &mut self.fault {
-                            fault.kill(now);
-                        }
+                        self.fault.kill(now);
                         return Err(self.loss_error());
                     }
                     _ => return Err(err),
@@ -193,29 +191,26 @@ impl<'d> CommandQueue<'d> {
         let queued_seconds = self.host_clock_seconds;
         let start_seconds = self.next_start_seconds();
         let pid = device_pid(self.device.index());
-        let mut factor = 1.0;
-        if let Some(fault) = &mut self.fault {
-            if fault.is_lost(start_seconds) {
-                if let Some(trace) = &mut self.trace {
-                    trace.push(
-                        Span::instant(label.to_string(), "fault", pid, start_seconds)
-                            .arg_str("kind", "device-lost"),
-                    );
-                }
-                return Err(self.loss_error());
+        if self.fault.is_lost(start_seconds) {
+            if let Some(trace) = &mut self.trace {
+                trace.push(
+                    Span::instant(label.to_string(), "fault", pid, start_seconds)
+                        .arg_str("kind", "device-lost"),
+                );
             }
-            if fault.take_transient(start_seconds) {
-                self.counters.faults += 1;
-                if let Some(trace) = &mut self.trace {
-                    trace.push(
-                        Span::instant(label.to_string(), "fault", pid, start_seconds)
-                            .arg_str("kind", "transient"),
-                    );
-                }
-                return Err(LaunchError::transient(self.device_index()));
-            }
-            factor = fault.throughput_factor(start_seconds);
+            return Err(self.loss_error());
         }
+        if self.fault.take_transient(start_seconds) {
+            self.counters.faults += 1;
+            if let Some(trace) = &mut self.trace {
+                trace.push(
+                    Span::instant(label.to_string(), "fault", pid, start_seconds)
+                        .arg_str("kind", "transient"),
+                );
+            }
+            return Err(LaunchError::transient(self.device_index()));
+        }
+        let factor = self.fault.throughput_factor(start_seconds);
         let end_seconds =
             start_seconds + self.device.seconds_for_with_footprint(work, private_bytes) / factor;
         if let Some(trace) = &mut self.trace {
@@ -294,11 +289,10 @@ impl<'d> CommandQueue<'d> {
         self.device.index()
     }
 
-    /// `true` when the armed fault state says the device is dead at this
-    /// queue's current time (a queue without fault state is never lost).
+    /// `true` when the fault state says the device is dead at this
+    /// queue's current time (the default state never is).
     pub fn is_lost_now(&self) -> bool {
-        let now = self.next_start_seconds();
-        self.fault.as_ref().is_some_and(|f| f.is_lost(now))
+        self.fault.is_lost(self.next_start_seconds())
     }
 
     /// Builds a device-lost error, counting the loss as a fault exactly

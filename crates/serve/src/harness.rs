@@ -6,8 +6,9 @@
 //! The harness speaks the wire format — requests go in as JSON lines,
 //! responses come back as [`JobResponse`] values — and adds the one
 //! thing a live daemon cannot offer a test: [`ServeHarness::crash_mid_batch`],
-//! which executes the next scheduler batch but "loses power" before the
-//! batch commit, leaving the journal exactly as a real crash would.
+//! which detaches the journal and then runs the next round as the daemon
+//! does, so the journal is left exactly as a crash before the round's
+//! commit would leave it.
 
 use std::path::Path;
 
@@ -87,7 +88,8 @@ impl ServeHarness {
         }
     }
 
-    /// Executes one scheduler batch (no-op on an empty queue).
+    /// Executes and commits one round of scheduler batches (no-op on an
+    /// empty queue) — [`ServeCore::run_batch`].
     ///
     /// # Errors
     ///
@@ -105,18 +107,19 @@ impl ServeHarness {
         self.core.drain()
     }
 
-    /// Executes the next batch but crashes before the commit: no
-    /// journal record, no clock advance, no telemetry — exactly the
-    /// window a real power loss could hit. The harness is consumed
-    /// (the daemon is dead); build a new one with
+    /// Crashes in the next round, before its commit: the core's journal
+    /// is dropped, then the round runs as [`ServeHarness::run_batch`]
+    /// runs it, so the journal keeps what the round started with. The
+    /// harness is consumed (the daemon is dead); build a new one with
     /// [`ServeHarness::with_journal`] and `resume = true` to restart.
-    /// Returns the job ids the lost batch contained.
+    /// Returns the job ids the lost round answered.
     ///
     /// # Errors
     ///
-    /// Propagates executor failures from the doomed batch.
+    /// Propagates executor failures from the doomed round.
     pub fn crash_mid_batch(mut self) -> Result<Vec<String>, ReputeError> {
-        let responses = self.core.run_batch_impl(false)?;
+        self.core.detach_journal();
+        let responses = self.core.run_batch()?;
         Ok(responses.into_iter().map(|r| r.id).collect())
     }
 

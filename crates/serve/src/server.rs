@@ -19,29 +19,30 @@
 //!
 //! # Fault tolerance
 //!
-//! The execution path is the fault-aware executor, armed with the
-//! daemon's `--fault-plan` re-based onto each batch window
-//! ([`FaultPlan::rebased`]). A [`DeviceHealth`] registry tracks every
-//! device down the healthy → degraded → quarantined → lost ladder:
-//! plan losses and retry-budget kill-escalations retire devices from
-//! future scheduling, admission recomputes the queue bound and the
-//! quarter-RAM batch cap from the survivors, and when the last device
-//! dies the daemon turns `SERVICE_UNAVAILABLE`: queued jobs are
-//! answered with a typed refusal and the transport drains and exits
-//! instead of panicking. With `--shed-overdue`, a job whose deadline
-//! expires while still queued is shed with a typed `DEADLINE_EXCEEDED`
-//! (journaled, so a crash-resume replays the same refusals). Batch
-//! records carry per-device fault/retry/migration provenance, so a
-//! resume during a fault episode reconstructs health — and therefore
-//! scheduling — bit-identically.
+//! Each group is mapped once a round; the fault-aware executor only
+//! places its work, under the daemon's `--fault-plan` re-based onto the
+//! round ([`FaultPlan::rebased`]), without transients off its planned
+//! devices. A [`DeviceHealth`] registry tracks every device down the
+//! healthy → degraded → quarantined → lost ladder: plan losses and
+//! retry-budget kill-escalations retire devices from future scheduling,
+//! admission recomputes the queue bound and the quarter-RAM batch cap
+//! from the survivors, and when the last device dies the daemon turns
+//! `SERVICE_UNAVAILABLE`: queued jobs are answered with a typed refusal
+//! and the transport drains and exits instead of panicking. With
+//! `--shed-overdue`, a job whose deadline expires while still queued is
+//! shed with a typed `DEADLINE_EXCEEDED` (journaled, so a crash-resume
+//! replays the same refusals). Batch records carry per-device
+//! fault/retry/migration provenance, so a resume during a fault episode
+//! reconstructs health — and therefore scheduling — bit-identically.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
+use repute_core::executor::execute_batches;
 use repute_core::journal::Fnv64;
 use repute_core::{
-    output_slot_bytes, write_atomic, Executor, MappingRun, ReputeConfig, ReputeError,
+    output_slot_bytes, write_atomic, Executor, MappingRun, ReadCharge, ReputeConfig, ReputeError,
     RunFingerprint, Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
 };
 use repute_eval::sam::SamAssembly;
@@ -108,7 +109,7 @@ pub struct ServeOptions {
     /// Transient-fault retry budget of every batch execution.
     pub max_retries: usize,
     /// Simulated device faults, in daemon simulated time (re-based onto
-    /// each batch window).
+    /// each round).
     pub fault_plan: FaultPlan,
     /// Shed queued jobs whose deadline has already passed with a typed
     /// `DEADLINE_EXCEEDED` instead of mapping them late.
@@ -190,7 +191,6 @@ pub struct ServeCore {
     /// Live per-job read cap, re-clamped as devices are lost.
     live_max_reads: usize,
     health: DeviceHealth,
-    unavailable: bool,
     queue: AdmissionQueue,
     quota: TenantQuota,
     slo: SloTracker,
@@ -213,9 +213,10 @@ impl ServeCore {
     /// # Errors
     ///
     /// [`ReputeError::Config`] when the default δ/`S_min` combination is
-    /// invalid, when the fault plan names a device the platform does not
-    /// have, or when the plan loses every
-    /// device at time zero (nothing could ever be served).
+    /// invalid, when `--max-delta` admits a δ that `S_min` cannot seed,
+    /// when the fault plan names a device the platform does not have, or
+    /// when the plan loses every device at time zero (nothing could ever
+    /// be served).
     pub fn new(
         set: ReferenceSet,
         platform: Platform,
@@ -228,6 +229,15 @@ impl ServeCore {
             return Err(ReputeError::Config(format!(
                 "default delta {} exceeds --max-delta {}",
                 options.delta, options.limits.max_delta
+            )));
+        }
+        // An admitted δ that cannot configure is never answered; the rule
+        // (S_min × (δ + 1) ≤ 65 535) is monotone, so the largest decides.
+        let (max, s_min) = (options.limits.max_delta, options.s_min);
+        if let Err(ReputeError::Config(e)) = batch_config(&options, max, options.prefilter) {
+            let fits = (usize::from(u16::MAX) / s_min).saturating_sub(1);
+            return Err(ReputeError::Config(format!(
+                "--max-delta {max} cannot be served ({e}); the largest delta that fits s_min {s_min} is {fits}"
             )));
         }
         options.fault_plan.check(&platform)?;
@@ -247,7 +257,6 @@ impl ServeCore {
             max_reads_per_job,
             live_max_reads: max_reads_per_job,
             health,
-            unavailable: false,
             queue,
             quota,
             slo,
@@ -507,8 +516,7 @@ impl ServeCore {
         &mut self,
         mut envelope: JobEnvelope,
     ) -> Result<Option<JobResponse>, ReputeError> {
-        if self.unavailable || self.health.none_live() {
-            self.unavailable = true;
+        if self.health.none_live() {
             self.counters.unavailable += 1;
             return Ok(Some(JobResponse::refusal(
                 envelope.id,
@@ -616,52 +624,31 @@ impl ServeCore {
         Ok(None)
     }
 
-    /// Executes (and commits) the next round of scheduler batches — up
-    /// to one per live device; no-op on an empty queue. Returns the
+    /// Executes and commits the next round of scheduler batches — up to
+    /// one per live device; no-op on an empty queue. Returns the
     /// responses of the round's jobs, including any typed
     /// `DEADLINE_EXCEEDED` / `SERVICE_UNAVAILABLE` refusals.
+    ///
+    /// Each group, one maximal same-configuration run per live device, is
+    /// mapped once and placed on its own subset of the live devices from
+    /// the round's start; the groups commit in group order and the clock
+    /// advances by the slowest group's makespan. Without a journal nothing
+    /// is made durable (the harness's `crash_mid_batch`).
     ///
     /// # Errors
     ///
     /// Propagates executor launch failures and journal I/O errors.
     pub fn run_batch(&mut self) -> Result<Vec<JobResponse>, ReputeError> {
-        self.run_batch_impl(true)
-    }
-
-    /// Runs batches until the queue is empty (graceful drain). Returns
-    /// every produced response in completion order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`ServeCore::run_batch`] failure.
-    pub fn drain(&mut self) -> Result<Vec<JobResponse>, ReputeError> {
-        let mut responses = Vec::new();
-        while !self.queue.is_empty() {
-            responses.extend(self.run_batch()?);
-        }
-        Ok(responses)
-    }
-
-    /// Fair-dequeues up to one maximal run of same-configuration jobs
-    /// per live device, partitions the live devices round-robin into
-    /// disjoint subsets, executes the groups as independent scheduler
-    /// batches sharing one start time, and — when `commit` is true —
-    /// journals them in group order, advances the clock by the slowest
-    /// group's makespan, and records telemetry. `commit = false` models a crash after the work
-    /// started but before the commit: the jobs have left the queue and
-    /// nothing is durable, so a resume re-executes exactly this round
-    /// (the harness's `crash_mid_batch`).
-    pub(crate) fn run_batch_impl(&mut self, commit: bool) -> Result<Vec<JobResponse>, ReputeError> {
         let now = self.sim_clock;
         // Plan faults that have already struck retire their devices
         // before dequeue — a lost device must not shape the partition.
         self.observe_plan_faults(now);
-        if self.unavailable || self.health.none_live() {
-            return self.go_unavailable(Vec::new());
+        if self.health.none_live() {
+            return Ok(self.go_unavailable(Vec::new()));
         }
         let mut responses = Vec::new();
         if self.options.shed_overdue {
-            responses.extend(self.shed_overdue_queued(now, commit)?);
+            responses.extend(self.shed_overdue_queued(now)?);
         }
 
         // Group formation: each group is one maximal same-key run under
@@ -706,14 +693,14 @@ impl ServeCore {
             })
             .collect();
 
-        // Execute the groups host-sequentially (phase-1 mapping inside
-        // each is host-parallel); their simulated timelines all start at
-        // `now` and overlap. Device health evolves as each group's run
-        // reports faults, so a loss in group g is visible to group g+1's
-        // attempts but never re-partitions its planned subset.
-        let start = now;
+        // Execute the groups host-sequentially (mapping inside each is
+        // host-parallel); their simulated timelines all start at `now`
+        // and overlap. Device health evolves as each group's run reports
+        // faults, so a loss in group g is visible to group g+1's attempts
+        // but never re-partitions its planned subset.
         let tracing = self.options.tracing;
-        let plan = self.options.fault_plan.rebased(start);
+        let plan = self.options.fault_plan.rebased(now);
+        let fallback_plan = plan.without_transients();
         let mut group_runs: Vec<(Vec<JobSpec>, MappingRun)> = Vec::new();
         let mut doomed: Vec<JobSpec> = Vec::new();
         for (g, jobs) in groups.into_iter().enumerate() {
@@ -722,11 +709,23 @@ impl ServeCore {
             let config = batch_config(&self.options, key.delta, key.prefilter)?;
             let mapper = key.mapper.build(Arc::clone(self.set.indexed()), config);
             let mapper = mapper.as_ref();
+            // A read's mapping does not depend on where it is placed:
+            // map the group once, and let every attempt place its charges.
+            let (mut outputs, mut metrics) = (Vec::new(), Vec::new());
+            let threads = self.options.host_threads;
+            execute_batches(&mapper, &reads, threads, &mut outputs, &mut metrics);
+            let charges: Vec<ReadCharge> = outputs
+                .iter()
+                .zip(&metrics)
+                .map(|(o, m)| ReadCharge::new(o.work, m))
+                .collect();
+            let max_read_len = reads.iter().map(DnaSeq::len).max().unwrap_or(0);
             // One fallback rule: each attempt runs on the planned devices
             // that still live, or on every live device when none of them
-            // does (documented timeline overlap); with none live the
+            // does (documented timeline overlap), without the transients
+            // that belong to the groups planned there; with none live the
             // group is doomed. A subset that dies mid-run is retired and
-            // the group retried from the same start time.
+            // the group placed again from the same start time.
             let mut retired: Vec<usize> = Vec::new();
             let run = loop {
                 let planned: Vec<usize> = subsets[g]
@@ -734,10 +733,10 @@ impl ServeCore {
                     .copied()
                     .filter(|&d| self.health.state(d).is_live())
                     .collect();
-                let subset = if planned.is_empty() {
-                    self.health.live()
+                let (subset, faults) = if planned.is_empty() {
+                    (self.health.live(), &fallback_plan)
                 } else {
-                    planned
+                    (planned, &plan)
                 };
                 if subset.is_empty() {
                     break None;
@@ -745,14 +744,13 @@ impl ServeCore {
                 let subplatform = self.platform.subset(&subset);
                 let schedule = Schedule::for_mode(self.options.schedule, &subplatform, reads.len());
                 let executor = Executor {
-                    host_threads: self.options.host_threads,
-                    faults: plan.clone(),
+                    faults: faults.clone(),
                     max_retries: self.options.max_retries,
                     tracing,
                     ..Executor::new(schedule)
                 };
-                match executor.run(&mapper, &subplatform, &reads) {
-                    Ok((run, _metrics)) => break Some(run),
+                match executor.price(&mapper, &subplatform, &charges, max_read_len) {
+                    Ok(run) => break Some(run),
                     Err(e) if matches!(e.kind(), LaunchErrorKind::AllDevicesLost { .. }) => {
                         for &d in &subset {
                             self.health.observe_loss(d);
@@ -767,6 +765,7 @@ impl ServeCore {
                 doomed.extend(jobs);
                 continue;
             };
+            run.outputs = outputs;
             // The batch frame names the retired devices among its lost
             // ones, or a resume would count them live.
             run.lost_devices.extend(retired);
@@ -793,7 +792,7 @@ impl ServeCore {
         let mut committed_jobs = 0usize;
         for (ordinal, (jobs, run)) in group_runs.iter().enumerate() {
             let batch_index = base + ordinal as u64;
-            let completion = start + run.simulated_seconds;
+            let completion = now + run.simulated_seconds;
             max_makespan = max_makespan.max(run.simulated_seconds);
             // One entry per device, ascending: provenance is the faulted ones.
             let provenance = run
@@ -827,32 +826,28 @@ impl ServeCore {
                     mappings,
                 });
             }
-            if commit {
-                if let Some(journal) = &mut self.journal {
-                    journal.record_batch(&record)?;
-                }
+            if let Some(journal) = &mut self.journal {
+                journal.record_batch(&record)?;
             }
             for (job, result) in jobs.iter().zip(&record.jobs) {
                 let response = self.job_response(job, &result.mappings, batch_index, completion)?;
-                if commit {
-                    self.finish_job(job, response.mappings, batch_index, completion, false);
-                }
+                self.finish_job(job, response.mappings, batch_index, completion, false);
                 responses.push(response);
             }
-            if commit && tracing {
+            if tracing {
                 // Batch spans come out of the executor on a zero-based
                 // clock; shift them onto the daemon's continuous one.
                 for span in &run.trace {
                     let mut span = span.clone();
-                    span.begin_seconds += start;
-                    span.end_seconds += start;
+                    span.begin_seconds += now;
+                    span.end_seconds += now;
                     self.spans.push(span);
                 }
             }
             committed_jobs += jobs.len();
         }
-        if commit && !group_runs.is_empty() {
-            self.sim_clock = start + max_makespan;
+        if !group_runs.is_empty() {
+            self.sim_clock = now + max_makespan;
             self.counters.batches += group_runs.len() as u64;
             // The round's acceptance records and batch frames are now
             // dead weight in the journal.
@@ -864,40 +859,52 @@ impl ServeCore {
             }
         }
         if !doomed.is_empty() || self.health.none_live() {
-            responses.extend(self.go_unavailable(doomed)?);
+            responses.extend(self.go_unavailable(doomed));
         }
         Ok(responses)
+    }
+
+    /// Runs batches until the queue is empty (graceful drain). Returns
+    /// every produced response in completion order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`ServeCore::run_batch`] failure.
+    pub fn drain(&mut self) -> Result<Vec<JobResponse>, ReputeError> {
+        let mut responses = Vec::new();
+        while !self.queue.is_empty() {
+            responses.extend(self.run_batch()?);
+        }
+        Ok(responses)
+    }
+
+    /// Drops the journal, so nothing that follows is made durable (the
+    /// harness's `crash_mid_batch`).
+    pub(crate) fn detach_journal(&mut self) {
+        self.journal = None;
     }
 
     /// Sheds every queued job whose deadline has passed at `now` with a
     /// typed `DEADLINE_EXCEEDED`, journaling the shed commit first so a
     /// crash-resume replays the same refusals.
-    fn shed_overdue_queued(
-        &mut self,
-        now: f64,
-        commit: bool,
-    ) -> Result<Vec<JobResponse>, ReputeError> {
+    fn shed_overdue_queued(&mut self, now: f64) -> Result<Vec<JobResponse>, ReputeError> {
         let overdue = self.queue.take_overdue(now);
         if overdue.is_empty() {
             return Ok(Vec::new());
         }
-        if commit {
-            if let Some(journal) = &mut self.journal {
-                journal.record_shed(&ShedRecord {
-                    at_s: now,
-                    seqs: overdue.iter().map(|j| j.seq).collect(),
-                })?;
-            }
-            // The shed frame and the jobs' acceptance records are dead.
-            self.dead_records += overdue.len() + 1;
+        if let Some(journal) = &mut self.journal {
+            journal.record_shed(&ShedRecord {
+                at_s: now,
+                seqs: overdue.iter().map(|j| j.seq).collect(),
+            })?;
         }
+        // The shed frame and the jobs' acceptance records are dead.
+        self.dead_records += overdue.len() + 1;
         let mut responses = Vec::with_capacity(overdue.len());
         for job in &overdue {
             let deadline = job.deadline_s.unwrap_or(now);
-            if commit {
-                self.counters.shed += 1;
-                self.slo.record(&job.tenant, now, false);
-            }
+            self.counters.shed += 1;
+            self.slo.record(&job.tenant, now, false);
             responses.push(JobResponse::shed(
                 job.id.clone(),
                 job.seq,
@@ -913,28 +920,23 @@ impl ServeCore {
     /// everything still queued are answered with a typed
     /// `SERVICE_UNAVAILABLE`; the transport sees
     /// [`ServeCore::is_unavailable`] and drains instead of panicking.
-    fn go_unavailable(&mut self, doomed: Vec<JobSpec>) -> Result<Vec<JobResponse>, ReputeError> {
-        self.unavailable = true;
-        let mut refused = doomed;
+    fn go_unavailable(&mut self, mut refused: Vec<JobSpec>) -> Vec<JobResponse> {
         while let Some(job) = self.queue.pop_fair(self.sim_clock) {
             refused.push(job);
         }
         refused.sort_by_key(|j| j.seq);
-        let mut responses = Vec::with_capacity(refused.len());
         for job in &refused {
             self.counters.unavailable += 1;
             if job.deadline_s.is_some() {
                 self.slo.record(&job.tenant, self.sim_clock, false);
             }
-            responses.push(JobResponse::shed(
-                job.id.clone(),
-                job.seq,
-                job.reads.len() as u64,
-                JobStatus::ServiceUnavailable,
-                UNAVAILABLE_REASON,
-            ));
         }
-        Ok(responses)
+        let response = |job: JobSpec| {
+            let reads = job.reads.len() as u64;
+            let status = JobStatus::ServiceUnavailable;
+            JobResponse::shed(job.id, job.seq, reads, status, UNAVAILABLE_REASON)
+        };
+        refused.into_iter().map(response).collect()
     }
 
     /// Folds the fault plan's already-struck persistent faults into the
@@ -954,7 +956,6 @@ impl ServeCore {
     fn recompute_live_caps(&mut self) {
         let live = self.health.live();
         if live.is_empty() {
-            self.unavailable = true;
             return;
         }
         let cap = self
@@ -1126,7 +1127,7 @@ impl ServeCore {
     /// daemon answers `SERVICE_UNAVAILABLE` and the transport should
     /// drain and exit.
     pub fn is_unavailable(&self) -> bool {
-        self.unavailable
+        self.health.none_live()
     }
 
     /// Per-tenant deadline SLO reports over the sliding quota window
