@@ -338,7 +338,7 @@ impl Executor {
             match b.owner {
                 None => {
                     if !fleet.launch_on_survivor(batch_idx, b, None)? {
-                        return Err(LaunchError::all_devices_lost(b.lo, last_read));
+                        return Err(fleet.all_lost(b.lo, last_read));
                     }
                 }
                 Some(owner) => {
@@ -353,7 +353,7 @@ impl Executor {
                 let unplaced = orphans[i..].iter().map(|&(idx, _)| &batches[idx]);
                 let lo = unplaced.clone().map(|b| b.lo).min().expect("non-empty");
                 let hi = unplaced.map(|b| b.hi).max().expect("non-empty");
-                return Err(LaunchError::all_devices_lost(lo, hi));
+                return Err(fleet.all_lost(lo, hi));
             }
         }
 
@@ -382,6 +382,15 @@ struct Fleet<'a, 'p> {
 }
 
 impl Fleet<'_, '_> {
+    /// The error that ends a run whose devices all died, leaving reads
+    /// `lo..hi` unplaced; it carries what struck each device, as a
+    /// finished run reports it.
+    fn all_lost(&self, lo: usize, hi: usize) -> LaunchError {
+        let counters = self.queues.iter();
+        let counters = counters.map(|queue| (queue.device_index(), queue.fault_counters()));
+        LaunchError::all_devices_lost(lo, hi).with_fault_counters(counters.collect())
+    }
+
     /// Launches `b` on `dev`, marking it migrated when it had an earlier
     /// home. `Ok(false)` when the device is lost instead — from now on it
     /// counts as dead.

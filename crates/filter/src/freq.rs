@@ -161,12 +161,14 @@ impl FreqTable {
     /// of its shortest seed (none when `s_min` is shorter than the table's
     /// k-mers: the column then starts at the full interval), and from
     /// there all of them advance in lockstep, one base a round. The index
-    /// reads of a round are independent of each other and overlap in the
-    /// pipeline. A column whose interval at some start equals its left
-    /// neighbour's for the same start leaves the round: from there on its
-    /// intervals are the neighbour's, one slot on (the module docs), and
-    /// they are copied once every round is done, in end order so that
-    /// chains of sharing columns resolve. The neighbour always reaches far
+    /// reads of a round are independent of each other: each round first
+    /// touches every live column's rank blocks ([`FmIndex::touch`]) and
+    /// only then ranks, so their cache misses overlap. A column whose
+    /// interval at some start equals its left neighbour's for the same
+    /// start leaves the round: from there on its intervals are the
+    /// neighbour's, one slot on (the module docs), and they are copied
+    /// once every round is done, in end order so that chains of sharing
+    /// columns resolve. The neighbour always reaches far
     /// enough: [`OssParams::max_seed_len_at`] grows by at most one base
     /// from one column to the next. Every interval is the one the column
     /// would have found alone; [`FreqTable::ranked_ops`] counts the index
@@ -216,6 +218,9 @@ impl FreqTable {
         // left neighbour's for the same start stops too: the rest of its
         // intervals are the neighbour's, one slot on, filled in below.
         while !live.is_empty() {
+            // The touch pass: every live column's blocks are loaded before
+            // any is ranked, so the round's misses overlap.
+            fm.touch(live.iter().map(|col| col.interval));
             live.retain_mut(|col| {
                 if col.interval.is_empty() {
                     return false;

@@ -17,6 +17,7 @@ use std::fmt;
 use repute_obs::trace::{device_pid, SCHEDULER_PID};
 
 use crate::device::DeviceProfile;
+use crate::fault::FaultCounters;
 use crate::power::EnergyReport;
 
 /// Splits `items` into `weights.len()` integer parts proportional to the
@@ -106,6 +107,8 @@ pub enum LaunchErrorKind {
 pub struct LaunchError {
     kind: LaunchErrorKind,
     message: String,
+    /// What struck each device of the failed run, by device index.
+    fault_counters: Vec<(usize, FaultCounters)>,
 }
 
 impl LaunchError {
@@ -116,6 +119,7 @@ impl LaunchError {
         LaunchError {
             kind: LaunchErrorKind::InvalidDistribution,
             message: message.into(),
+            fault_counters: Vec::new(),
         }
     }
 
@@ -124,6 +128,7 @@ impl LaunchError {
         LaunchError {
             kind: LaunchErrorKind::TransientFault { device },
             message: String::new(),
+            fault_counters: Vec::new(),
         }
     }
 
@@ -132,6 +137,7 @@ impl LaunchError {
         LaunchError {
             kind: LaunchErrorKind::DeviceLost { device },
             message: String::new(),
+            fault_counters: Vec::new(),
         }
     }
 
@@ -141,7 +147,24 @@ impl LaunchError {
         LaunchError {
             kind: LaunchErrorKind::AllDevicesLost { unmapped: (lo, hi) },
             message: String::new(),
+            fault_counters: Vec::new(),
         }
+    }
+
+    /// The same error, carrying what struck each device of the run it
+    /// ended (device index and counters) — for
+    /// [`LaunchErrorKind::AllDevicesLost`], whose run reports nothing
+    /// else.
+    pub fn with_fault_counters(mut self, counters: Vec<(usize, FaultCounters)>) -> LaunchError {
+        self.fault_counters = counters;
+        self
+    }
+
+    /// What struck each device of the run this error ended, by device
+    /// index; empty unless the error was built
+    /// [`with_fault_counters`](LaunchError::with_fault_counters).
+    pub fn fault_counters(&self) -> &[(usize, FaultCounters)] {
+        &self.fault_counters
     }
 
     /// What went wrong.

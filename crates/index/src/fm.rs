@@ -12,6 +12,15 @@
 //! first bases of every search come from a k-mer interval table derived
 //! from those blocks ([`FmIndex::search_start`]): one lookup instead of
 //! `k` dependent extensions.
+//!
+//! Callers with many independent index reads overlap their cache misses:
+//! a frequency-table round touches every live column's blocks
+//! ([`FmIndex::touch`]) before ranking any of them, and
+//! [`FmIndex::locate_all`] walks a bounded set of rows in lockstep, each
+//! round touching every walk's block before stepping it.
+
+use std::hint::black_box;
+use std::ops::Range;
 
 use repute_genome::DnaSeq;
 
@@ -44,6 +53,14 @@ impl Interval {
     #[inline]
     pub fn is_empty(self) -> bool {
         self.hi <= self.lo
+    }
+
+    /// The rows [`FmIndex::locate`] reports under `limit`: the interval's
+    /// rows in order, the sentinel row 0 left out, at most `limit` of them.
+    pub fn located_rows(self, limit: usize) -> Range<u32> {
+        let lo = self.lo.max(1);
+        let rows = self.hi.saturating_sub(lo);
+        lo..lo + rows.min(u32::try_from(limit).unwrap_or(u32::MAX))
     }
 }
 
@@ -110,6 +127,10 @@ const HALF_WORDS: usize = 3;
 const BLOCK_ROWS: usize = 2 * HALF_WORDS * WORD_ROWS;
 /// The low bit of every 2-bit field.
 const FIELD_LOW: u64 = 0x5555_5555_5555_5555;
+/// Rows [`FmIndex::locate_all`] walks at once: enough independent misses
+/// to keep a core's miss buffers busy, and a fixed 1 KiB of walk state
+/// whatever the intervals' widths.
+const WALKS_IN_FLIGHT: usize = 64;
 
 /// Bases one lookup of the k-mer interval table resolves in an index
 /// over `text_len` bases: `⌊log₄ text_len⌋`, at most 8.
@@ -514,6 +535,36 @@ impl FmIndex {
         self.first[usize::from(code)] + self.occ_in(block, code, row)
     }
 
+    /// The first word of the rank block holding `row`, clamped into the
+    /// index so that any `u32` is a safe load and no branch is taken.
+    #[inline(always)]
+    fn block_word(&self, row: u32) -> u32 {
+        let last = self.blocks.len() - 1;
+        self.blocks[(row as usize / BLOCK_ROWS).min(last)].counts[0]
+    }
+
+    /// Loads the rank blocks an extension of each interval reads, ranking
+    /// nothing: one independent load per end, so a pass over all the
+    /// intervals of a round has their cache misses in flight at once, and
+    /// the extensions that follow find their lines in cache. The loads
+    /// are folded into [`std::hint::black_box`] so that they are made;
+    /// nothing else about the index or its answers changes.
+    #[inline]
+    pub fn touch(&self, intervals: impl IntoIterator<Item = Interval>) {
+        let folded = intervals.into_iter().fold(0, |acc, interval| {
+            acc ^ self.block_word(interval.lo) ^ self.block_word(interval.hi)
+        });
+        black_box(folded);
+    }
+
+    /// The text position of `row` if its suffix is sampled.
+    #[inline]
+    fn sampled_position(&self, row: u32) -> Option<u32> {
+        self.sampled_rows
+            .get(row as usize)
+            .then(|| self.sa_samples[self.sampled_rows.rank1(row as usize)])
+    }
+
     /// Recovers the text position of a single BWT row via the sampled SA.
     ///
     /// # Panics
@@ -528,9 +579,8 @@ impl FmIndex {
         let mut row = row;
         let mut steps = 0u32;
         loop {
-            if self.sampled_rows.get(row as usize) {
-                let idx = self.sampled_rows.rank1(row as usize);
-                return self.sa_samples[idx] + steps;
+            if let Some(position) = self.sampled_position(row) {
+                return position + steps;
             }
             row = self.lf(row);
             steps += 1;
@@ -543,16 +593,80 @@ impl FmIndex {
     /// Positions are returned in row order (not sorted). This mirrors the
     /// paper's *first-n* output restriction: OpenCL 1.2 forbids dynamic
     /// allocation, so REPUTE reports only the first `n` locations per read.
+    /// It is the one-interval case of [`FmIndex::locate_all`].
     pub fn locate(&self, interval: Interval, limit: usize) -> Vec<u32> {
-        let mut out = Vec::with_capacity(interval.width().min(limit as u32) as usize);
-        for row in interval.lo..interval.hi {
-            if out.len() >= limit {
-                break;
+        self.locate_all(std::slice::from_ref(&interval), limit)
+    }
+
+    /// Recovers the text positions of every interval's
+    /// [`Interval::located_rows`] under `limit`: interval after interval,
+    /// each in row order — what [`FmIndex::locate`] returns for each,
+    /// concatenated.
+    ///
+    /// Each row is an LF walk of its own to a sampled row, and no walk
+    /// depends on another. Up to a fixed number of them advance in
+    /// lockstep, one LF step a round; every round first loads each walk's
+    /// rank block and sample-mark word, so their misses overlap, and a
+    /// finished walk's slot takes the next row. Every position is the one
+    /// [`FmIndex::position_of_row`] finds for its row.
+    pub fn locate_all(&self, intervals: &[Interval], limit: usize) -> Vec<u32> {
+        /// One row's walk: where it is, how far it came, and where its
+        /// position goes in the output.
+        #[derive(Clone, Copy, Default)]
+        struct Walk {
+            row: u32,
+            steps: u32,
+            at: usize,
+        }
+        let total = intervals
+            .iter()
+            .map(|interval| interval.located_rows(limit).len())
+            .sum();
+        let mut out = vec![0; total];
+        let mut rows = intervals
+            .iter()
+            .flat_map(|interval| interval.located_rows(limit))
+            .enumerate()
+            .map(|(at, row)| Walk { row, steps: 0, at });
+        let mut walks = [Walk::default(); WALKS_IN_FLIGHT];
+        let mut live = 0;
+        for walk in rows.by_ref().take(WALKS_IN_FLIGHT) {
+            walks[live] = walk;
+            live += 1;
+        }
+        let marks = self.sampled_rows.words();
+        while live > 0 {
+            let folded = walks[..live].iter().fold(0, |acc, walk| {
+                let mark = marks[(walk.row as usize / 64).min(marks.len() - 1)];
+                acc ^ u64::from(self.block_word(walk.row)) ^ mark
+            });
+            black_box(folded);
+            let mut i = 0;
+            while i < live {
+                let walk = &mut walks[i];
+                match self.sampled_position(walk.row) {
+                    Some(position) => {
+                        out[walk.at] = position + walk.steps;
+                        match rows.next() {
+                            Some(next) => *walk = next,
+                            None => {
+                                live -= 1;
+                                walks[i] = walks[live];
+                                continue;
+                            }
+                        }
+                    }
+                    None => {
+                        walk.row = self.lf(walk.row);
+                        walk.steps += 1;
+                        debug_assert!(
+                            walk.steps as usize <= self.sa_sample + 1,
+                            "LF walk too long"
+                        );
+                    }
+                }
+                i += 1;
             }
-            if row == 0 {
-                continue; // sentinel row: matches nothing real
-            }
-            out.push(self.position_of_row(row));
         }
         out
     }

@@ -98,18 +98,14 @@ impl Mapper for BwaMemLike {
             |codes, set, metrics| {
                 // True super-maximal exact matches via the bidirectional index.
                 let (smems, steps) = self.bi.smems(codes, MIN_SEED_LEN);
-                let mut work = steps * BI_STEP_COST;
-                for smem in &smems {
-                    work += locate_into(
-                        fm,
-                        smem.interval,
-                        PER_SEED_LOCATE_CAP,
-                        smem.start,
-                        set,
-                        metrics,
-                    );
-                }
-                Some(work)
+                let seeds: Vec<_> = smems
+                    .iter()
+                    .map(|smem| (smem.interval, smem.start))
+                    .collect();
+                Some(
+                    steps * BI_STEP_COST
+                        + locate_into(fm, &seeds, PER_SEED_LOCATE_CAP, set, metrics),
+                )
             },
         )
     }

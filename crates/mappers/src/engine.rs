@@ -493,33 +493,43 @@ pub enum Report {
     BestStratum,
 }
 
-/// Locates up to `cap` occurrences of `interval` into `set`, each
-/// anchored `anchor` bases into the read, counting them into
+/// Locates up to `cap` occurrences of each seed's interval into `set`,
+/// each anchored at the seed's read offset, counting them into
 /// `fm_locate_ops` and `candidates_raw`. Returns the work:
 /// [`LOCATE_COST`] per position.
+///
+/// A strand's seeds are located in one [`FmIndex::locate_all`], which
+/// walks all their rows in lockstep; the positions are added seed after
+/// seed, each seed's in row order, as one locate per seed would add them.
 pub fn locate_into(
     fm: &FmIndex,
-    interval: Interval,
+    seeds: &[(Interval, usize)],
     cap: usize,
-    anchor: usize,
     set: &mut CandidateSet,
     metrics: &mut MapMetrics,
 ) -> u64 {
-    let positions = fm.locate(interval, cap);
+    let intervals: Vec<Interval> = seeds.iter().map(|&(interval, _)| interval).collect();
+    let positions = fm.locate_all(&intervals, cap);
+    let mut rest = positions.as_slice();
+    for &(interval, anchor) in seeds {
+        let (located, after) = rest.split_at(interval.located_rows(cap).len());
+        for &pos in located {
+            set.add(pos, anchor);
+        }
+        rest = after;
+    }
     let located = positions.len() as u64;
     metrics.fm_locate_ops += located;
     metrics.candidates_raw += located;
-    for pos in positions {
-        set.add(pos, anchor);
-    }
     located * LOCATE_COST
 }
 
 /// The seeding step of a mapper that is a [`SeedSelector`] (REPUTE,
 /// CORAL, GEM): on a strand whose length is `feasible`, selects the
-/// seeds and locates each one that occurs, at its anchor and under
-/// `cap`. The selector's extensions, DP cells and seed count go into
-/// the metrics; the work is that of selection and location.
+/// seeds and locates the ones that occur in one `locate_into`, each
+/// at its anchor and under `cap`. The selector's extensions, DP cells and
+/// seed count go into the metrics; the work is that of selection and
+/// location.
 pub fn select_and_locate<'a, S: SeedSelector>(
     selector: &'a S,
     fm: &'a FmIndex,
@@ -534,13 +544,16 @@ pub fn select_and_locate<'a, S: SeedSelector>(
         metrics.fm_extend_ops += stats.extend_ops;
         metrics.dp_cells += stats.dp_cells;
         metrics.seeds_selected += selection.seeds.len() as u64;
-        let mut work = stats.extend_ops * EXTEND_COST + stats.dp_cells * DP_CELL_COST;
-        for seed in &selection.seeds {
-            if let Some(interval) = seed.interval {
-                work += locate_into(fm, interval, cap, seed.anchor, set, metrics);
-            }
-        }
-        Some(work)
+        let seeds: Vec<(Interval, usize)> = selection
+            .seeds
+            .iter()
+            .filter_map(|seed| Some((seed.interval?, seed.anchor)))
+            .collect();
+        Some(
+            stats.extend_ops * EXTEND_COST
+                + stats.dp_cells * DP_CELL_COST
+                + locate_into(fm, &seeds, cap, set, metrics),
+        )
     }
 }
 
@@ -933,7 +946,7 @@ mod tests {
         for (cap, located) in [(usize::MAX, width), (3, 3), (0, 0)] {
             let mut set = CandidateSet::new();
             let mut metrics = MapMetrics::new();
-            let work = locate_into(fm, interval, cap, 2, &mut set, &mut metrics);
+            let work = locate_into(fm, &[(interval, 2)], cap, &mut set, &mut metrics);
             assert_eq!(work, located * LOCATE_COST);
             assert_eq!(set.len() as u64, located);
             let expected = MapMetrics {

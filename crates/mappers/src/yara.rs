@@ -152,15 +152,14 @@ impl Mapper for YaraLike {
                     return None;
                 }
                 let mut work = 0;
+                let mut seeds = Vec::new();
                 for (start, len) in uniform_partition(codes.len(), pieces) {
                     let (intervals, ops) =
                         Self::one_mismatch_intervals(fm, &codes[start..start + len]);
                     work += ops * EXTEND_COST;
-                    for iv in intervals {
-                        work += locate_into(fm, iv, PER_INTERVAL_LOCATE_CAP, start, set, metrics);
-                    }
+                    seeds.extend(intervals.into_iter().map(|iv| (iv, start)));
                 }
-                Some(work)
+                Some(work + locate_into(fm, &seeds, PER_INTERVAL_LOCATE_CAP, set, metrics))
             },
         )
     }

@@ -73,15 +73,6 @@ impl Samples {
         Samples { sorted }
     }
 
-    /// Records one observation; non-finite values are ignored.
-    pub fn record(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        let at = self.sorted.partition_point(|&x| x < value);
-        self.sorted.insert(at, value);
-    }
-
     /// Number of retained observations.
     pub fn count(&self) -> u64 {
         self.sorted.len() as u64

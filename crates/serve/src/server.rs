@@ -35,7 +35,7 @@
 //! fault/retry/migration provenance, so a resume during a fault episode
 //! reconstructs health — and therefore scheduling — bit-identically.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -47,7 +47,9 @@ use repute_core::{
 };
 use repute_eval::sam::SamAssembly;
 use repute_genome::DnaSeq;
-use repute_hetsim::{DeviceHealth, FaultPlan, HealthState, LaunchErrorKind, Platform};
+use repute_hetsim::{
+    DeviceHealth, FaultCounters, FaultPlan, HealthState, LaunchErrorKind, Platform,
+};
 use repute_mappers::multiref::ReferenceSet;
 use repute_mappers::Mapping;
 use repute_obs::trace::{write_chrome_trace, SCHEDULER_PID};
@@ -199,7 +201,9 @@ pub struct ServeCore {
     sim_clock: f64,
     dead_records: usize,
     counters: ServeCounters,
-    latency: Samples,
+    /// Every finished job's latency, in completion order: a push a job,
+    /// sorted once when telemetry is read.
+    latency: Vec<f64>,
     jobs: Vec<JobRecord>,
     spans: Vec<Span>,
 }
@@ -265,7 +269,7 @@ impl ServeCore {
             sim_clock: 0.0,
             dead_records: 0,
             counters: ServeCounters::default(),
-            latency: Samples::new(),
+            latency: Vec::new(),
             jobs: Vec::new(),
             spans: Vec::new(),
         };
@@ -701,7 +705,8 @@ impl ServeCore {
         let tracing = self.options.tracing;
         let plan = self.options.fault_plan.rebased(now);
         let fallback_plan = plan.without_transients();
-        let mut group_runs: Vec<(Vec<JobSpec>, MappingRun)> = Vec::new();
+        let mut group_runs: Vec<(Vec<JobSpec>, MappingRun, BTreeMap<usize, FaultCounters>)> =
+            Vec::new();
         let mut doomed: Vec<JobSpec> = Vec::new();
         for (g, jobs) in groups.into_iter().enumerate() {
             let key = jobs[0].key;
@@ -725,8 +730,11 @@ impl ServeCore {
             // does (documented timeline overlap), without the transients
             // that belong to the groups planned there; with none live the
             // group is doomed. A subset that dies mid-run is retired and
-            // the group placed again from the same start time.
+            // the group placed again from the same start time. What struck
+            // each device is summed over every attempt, a retired one's
+            // included: its loss is a fault like any other.
             let mut retired: Vec<usize> = Vec::new();
+            let mut struck: BTreeMap<usize, FaultCounters> = BTreeMap::new();
             let run = loop {
                 let planned: Vec<usize> = subsets[g]
                     .iter()
@@ -752,6 +760,9 @@ impl ServeCore {
                 match executor.price(&mapper, &subplatform, &charges, max_read_len) {
                     Ok(run) => break Some(run),
                     Err(e) if matches!(e.kind(), LaunchErrorKind::AllDevicesLost { .. }) => {
+                        for (d, fc) in e.fault_counters() {
+                            struck.entry(*d).or_default().merge(fc);
+                        }
                         for &d in &subset {
                             self.health.observe_loss(d);
                         }
@@ -761,6 +772,19 @@ impl ServeCore {
                     Err(e) => return Err(e.into()),
                 }
             };
+            if let Some(run) = &run {
+                for (dr, fc) in run.device_runs.iter().zip(&run.fault_counters) {
+                    struck.entry(dr.device).or_default().merge(fc);
+                }
+            }
+            for (&device, fc) in &struck {
+                if fc.faults > 0 {
+                    self.health.observe_faults(device, fc.faults);
+                }
+                self.counters.faults += fc.faults;
+                self.counters.retries += fc.retries;
+                self.counters.migrated += fc.migrated_batches;
+            }
             let Some(mut run) = run else {
                 doomed.extend(jobs);
                 continue;
@@ -770,19 +794,11 @@ impl ServeCore {
             // ones, or a resume would count them live.
             run.lost_devices.extend(retired);
             run.lost_devices.sort_unstable();
-            for (dr, fc) in run.device_runs.iter().zip(&run.fault_counters) {
-                if fc.faults > 0 {
-                    self.health.observe_faults(dr.device, fc.faults);
-                }
-                self.counters.faults += fc.faults;
-                self.counters.retries += fc.retries;
-                self.counters.migrated += fc.migrated_batches;
-            }
             for &d in &run.lost_devices {
                 self.health.observe_loss(d);
             }
             self.recompute_live_caps();
-            group_runs.push((jobs, run));
+            group_runs.push((jobs, run, struck));
         }
 
         // Commit phase, in group order (deterministic for any
@@ -790,18 +806,17 @@ impl ServeCore {
         let base = self.counters.batches;
         let mut max_makespan = 0.0f64;
         let mut committed_jobs = 0usize;
-        for (ordinal, (jobs, run)) in group_runs.iter().enumerate() {
+        for (ordinal, (jobs, run, struck)) in group_runs.iter().enumerate() {
             let batch_index = base + ordinal as u64;
             let completion = now + run.simulated_seconds;
             max_makespan = max_makespan.max(run.simulated_seconds);
-            // One entry per device, ascending: provenance is the faulted ones.
-            let provenance = run
-                .device_runs
+            // One entry per device, ascending: provenance is the faulted
+            // ones over every attempt, so a resume re-observes them all.
+            let provenance = struck
                 .iter()
-                .zip(&run.fault_counters)
                 .filter(|(_, fc)| !fc.is_zero())
-                .map(|(dr, fc)| DeviceProvenance {
-                    device: dr.device as u32,
+                .map(|(&device, fc)| DeviceProvenance {
+                    device: device as u32,
                     faults: fc.faults,
                     retries: fc.retries,
                     migrated: fc.migrated_batches,
@@ -1049,7 +1064,7 @@ impl ServeCore {
         replayed: bool,
     ) {
         let latency = completion - job.arrival_s;
-        self.latency.record(latency);
+        self.latency.push(latency);
         self.counters.completed += 1;
         if replayed {
             self.counters.replayed += 1;
@@ -1171,11 +1186,12 @@ impl ServeCore {
             queue_depth_max: self.queue.depth().high_water(),
             simulated_seconds: self.sim_clock,
         }));
-        if !self.latency.is_empty() {
-            let (p50_seconds, p90_seconds, p99_seconds) = self.latency.p50_p90_p99();
+        let latency = Samples::from_values(&self.latency);
+        if !latency.is_empty() {
+            let (p50_seconds, p90_seconds, p99_seconds) = latency.p50_p90_p99();
             records.push(Record::Latency(StageLatency {
                 stage: "job".to_string(),
-                count: self.latency.count(),
+                count: latency.count(),
                 p50_seconds,
                 p90_seconds,
                 p99_seconds,

@@ -519,3 +519,82 @@ fn shared_column_tails_equal_the_column_at_a_time_table_on_tandem_repeats() {
         "no chain of sharing columns reached the cap"
     );
 }
+
+/// The locate oracle: each interval's located rows walked one at a time
+/// with `position_of_row`, interval after interval.
+fn row_at_a_time(fm: &FmIndex, intervals: &[Interval], limit: usize) -> Vec<u32> {
+    let rows = intervals.iter().flat_map(|iv| iv.located_rows(limit));
+    rows.map(|row| fm.position_of_row(row)).collect()
+}
+
+/// Holds `locate_all` to the row-at-a-time oracle, and `locate` to it
+/// one interval at a time, for `intervals` under several limits.
+/// Returns the positions the oracle found under no limit.
+fn assert_locate_matches_the_oracle(fm: &FmIndex, intervals: &[Interval], what: &str) -> usize {
+    let widest = intervals.iter().map(|iv| iv.width() as usize).max();
+    for limit in [0, 1, 3, 64, widest.unwrap_or(0), usize::MAX] {
+        let expected = row_at_a_time(fm, intervals, limit);
+        assert_eq!(
+            fm.locate_all(intervals, limit),
+            expected,
+            "{what}, limit {limit}"
+        );
+        let one_by_one: Vec<u32> = intervals
+            .iter()
+            .flat_map(|&iv| fm.locate(iv, limit))
+            .collect();
+        assert_eq!(one_by_one, expected, "{what}, limit {limit}, one at a time");
+    }
+    row_at_a_time(fm, intervals, usize::MAX).len()
+}
+
+#[test]
+fn lockstep_locate_equals_the_row_at_a_time_walk() {
+    // The walk keeps 64 rows in flight: the sets below hold intervals
+    // wider than that and more rows than that in total, start at the
+    // sentinel row 0, repeat an interval, and hold empty ones.
+    let mut rng = StdRng::seed_from_u64(0x10CA7E);
+    let genomic = ReferenceBuilder::new(20_000).seed(5).build().to_codes();
+    let mut tandem: Vec<u8> = (0..500).map(|_| rng.gen_range(0..4u8)).collect();
+    let unit: Vec<u8> = (0..7).map(|_| rng.gen_range(0..4u8)).collect();
+    tandem.extend((0..3_000).map(|i| unit[i % unit.len()]));
+    tandem.extend((0..500).map(|_| rng.gen_range(0..4u8)).collect::<Vec<_>>());
+    let mut located = 0;
+    for (corpus, codes) in [("genomic", &genomic), ("tandem", &tandem)] {
+        let reference = DnaSeq::from_codes(codes).expect("valid codes");
+        for sa_sample in [1usize, 4, 32, 64] {
+            let fm = FmIndex::builder().sa_sample(sa_sample).build(&reference);
+            let rows = codes.len() as u32 + 1;
+            // Every row at once: the positions are the text's, each once.
+            let full = fm.full_interval();
+            let mut every = fm.locate_all(&[full], usize::MAX);
+            every.sort_unstable();
+            assert!(every.iter().copied().eq(0..codes.len() as u32));
+            for round in 0..20 {
+                let mut intervals: Vec<Interval> = (0..rng.gen_range(1..12))
+                    .map(|_| {
+                        let lo = rng.gen_range(0..rows);
+                        let width = [1, 5, 70, 300][rng.gen_range(0..4)];
+                        let hi = (lo + rng.gen_range(0..=width)).min(rows);
+                        Interval { lo, hi }
+                    })
+                    .collect();
+                intervals.push(Interval {
+                    lo: 0,
+                    hi: rng.gen_range(1..100),
+                });
+                intervals.push(intervals[rng.gen_range(0..intervals.len())]);
+                // Seed intervals of the corpus itself, many rows wide on
+                // the tandem array.
+                for _ in 0..4 {
+                    let len = rng.gen_range(4..14);
+                    let at = rng.gen_range(0..codes.len() - len);
+                    intervals.extend(fm.interval(&codes[at..at + len]));
+                }
+                let what = format!("{corpus} sa_sample {sa_sample} round {round}");
+                located += assert_locate_matches_the_oracle(&fm, &intervals, &what);
+            }
+        }
+    }
+    assert!(located > 10_000, "{located}");
+}

@@ -102,15 +102,25 @@ fn a_transient_strikes_only_the_group_planned_on_its_device() {
     let d0_faults: u64 = frames.iter().filter(|p| p.0 == 0).map(|p| p.1).sum();
     let d0_retries: u64 = frames.iter().filter(|p| p.0 == 0).map(|p| p.2).sum();
     assert_eq!((d0_faults, d0_retries), (1, 1), "{frames:?}");
-    // The run device 2 died in is not committed, so its loss adds no
-    // fault.
+    // The run device 2 died in is not committed, but its loss is a fault
+    // all the same: the fallen-back group's frame carries it.
     let d2_faults: u64 = frames.iter().filter(|p| p.0 == 2).map(|p| p.1).sum();
-    assert_eq!(
-        d2_faults, 0,
-        "the retired subset's run reports nothing: {frames:?}"
-    );
-    assert_eq!(harness.counters().faults, 1);
+    assert_eq!(d2_faults, 1, "the retired subset's loss: {frames:?}");
+    assert_eq!(harness.counters().faults, 2);
     assert_eq!(harness.counters().retries, 1);
+    // A resume re-observes both from the journal.
+    drop(harness);
+    let (resumed, _) = ServeHarness::with_journal(
+        reference_set(),
+        profiles::system1(),
+        faulted_options(),
+        &journal,
+        true,
+    )
+    .expect("resume");
+    assert_eq!(resumed.counters().faults, 2);
+    assert_eq!(resumed.counters().retries, 1);
+    assert_eq!(resumed.core().health().lost_count(), 1);
     std::fs::remove_dir_all(journal.parent().expect("scratch dir")).ok();
 }
 
