@@ -27,6 +27,7 @@
 //! every host-thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use repute_genome::DnaSeq;
@@ -559,8 +560,7 @@ pub fn execute_batches<M: Mapper>(
     outputs: &mut Vec<MapOutput>,
     metrics: &mut Vec<MapMetrics>,
 ) {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = worker_count(host_threads, host, reads.len());
+    let workers = worker_count(host_threads, host_parallelism(), reads.len());
     let mapped = run_jobs(reads.len(), workers, |i| {
         let mut m = MapMetrics::new();
         (mapper.map_read_metered(&reads[i], &mut m), m)
@@ -665,6 +665,15 @@ fn assemble(
         lost_devices: placed.lost_devices,
         trace: placed.trace,
     }
+}
+
+/// The host's core count, asked of the OS once per process: std reads
+/// the cgroup files again on every call (≈ 7 µs), and
+/// [`execute_batches`] runs once per daemon round and per 64-read chunk
+/// of `repute map`.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Resolves a `host_threads` request against a job count: `auto` is what

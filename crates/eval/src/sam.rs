@@ -12,6 +12,7 @@ use repute_align::Cigar;
 use repute_genome::{DnaSeq, GenomeError, Strand};
 use repute_mappers::multiref::{ReferenceSet, ResolvedMapping};
 use repute_mappers::Mapping;
+use repute_obs::json::Decimal;
 
 /// SAM FLAG bit for reverse-strand alignment.
 const FLAG_REVERSE: u16 = 0x10;
@@ -56,62 +57,65 @@ pub fn write_header_multi<W: Write>(
     mut out: W,
     references: &[(&str, usize)],
 ) -> Result<(), GenomeError> {
-    writeln!(out, "@HD\tVN:1.6\tSO:unknown")?;
+    out.write_all(b"@HD\tVN:1.6\tSO:unknown\n")?;
     for (name, len) in references {
-        writeln!(out, "@SQ\tSN:{name}\tLN:{len}")?;
+        for piece in [
+            b"@SQ\tSN:",
+            name.as_bytes(),
+            b"\tLN:",
+            Decimal::new(*len as u64).as_bytes(),
+            b"\n",
+        ] {
+            out.write_all(piece)?;
+        }
     }
-    writeln!(out, "@PG\tID:repute\tPN:repute\tVN:0.1.0")?;
+    out.write_all(b"@PG\tID:repute\tPN:repute\tVN:0.1.0\n")?;
     Ok(())
 }
 
-/// Writes one read's records (or an unmapped record when it has none).
+/// The header of a SAM over `set`'s records: what
+/// [`SamAssembly::with_sink`] writes first, as bytes a caller that
+/// starts many SAMs over one set builds once.
+pub fn header_bytes(set: &ReferenceSet) -> Vec<u8> {
+    let references: Vec<(&str, usize)> = set
+        .records()
+        .iter()
+        .map(|(n, l)| (n.as_str(), *l))
+        .collect();
+    let mut out = Vec::new();
+    write_header_multi(&mut out, &references).expect("writing to memory cannot fail");
+    out
+}
+
+/// Writes one read's records (or an unmapped record when it has none)
+/// against a single reference, through [`write_resolved_record`].
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `out`.
 pub fn write_record<W: Write>(
-    mut out: W,
+    out: W,
     reference_name: &str,
     record: &SamRecord<'_>,
 ) -> Result<(), GenomeError> {
-    if record.mappings.is_empty() {
-        writeln!(
-            out,
-            "{}\t{}\t*\t0\t0\t*\t*\t0\t0\t{}\t*",
-            record.name, FLAG_UNMAPPED, record.seq
-        )?;
-        return Ok(());
-    }
-    for (i, m) in record.mappings.iter().enumerate() {
-        let mut flag = 0u16;
-        if m.strand == Strand::Reverse {
-            flag |= FLAG_REVERSE;
-        }
-        if i > 0 {
-            flag |= FLAG_SECONDARY;
-        }
-        let cigar = match (i, record.cigar) {
-            (0, Some(c)) => c.to_string(),
-            _ => format!("{}M", record.seq.len()),
-        };
-        // SAM stores the sequence on the reference's forward strand.
-        let seq = match m.strand {
-            Strand::Forward => record.seq.to_string(),
-            Strand::Reverse => record.seq.reverse_complement().to_string(),
-        };
-        writeln!(
-            out,
-            "{}\t{}\t{}\t{}\t255\t{}\t*\t0\t0\t{}\t*\tNM:i:{}",
-            record.name,
-            flag,
-            reference_name,
-            m.position + 1, // SAM is 1-based
-            cigar,
-            seq,
-            m.distance
-        )?;
-    }
-    Ok(())
+    let resolved: Vec<ResolvedMapping> = record
+        .mappings
+        .iter()
+        .map(|m| ResolvedMapping {
+            record: 0,
+            position: m.position,
+            strand: m.strand,
+            distance: m.distance,
+        })
+        .collect();
+    write_resolved_record(
+        out,
+        &[reference_name],
+        record.name,
+        record.seq,
+        &resolved,
+        record.cigar,
+    )
 }
 
 /// Writes one read's records against a multi-sequence reference, using
@@ -129,20 +133,49 @@ pub fn write_record<W: Write>(
 ///
 /// Panics if a mapping's record index is outside `names`.
 pub fn write_resolved_record<W: Write>(
-    mut out: W,
+    out: W,
     names: &[&str],
     read_name: &str,
     seq: &DnaSeq,
     mappings: &[ResolvedMapping],
     cigar: Option<&Cigar>,
 ) -> Result<(), GenomeError> {
+    write_lines(out, |record| names[record], read_name, seq, mappings, cigar)
+}
+
+/// The one SAM record writer: `name_of(i)` is the name of record `i`.
+///
+/// A line is byte slices written whole. What every line of the read
+/// shares is rendered once: its text, forward and (when a mapping is on
+/// the reverse strand) reverse-complemented, since SAM stores the
+/// sequence on the reference's forward strand; the `<len>M` CIGAR of a
+/// line without its own; the primary's CIGAR.
+fn write_lines<'n, W: Write>(
+    mut out: W,
+    name_of: impl Fn(usize) -> &'n str,
+    read_name: &str,
+    seq: &DnaSeq,
+    mappings: &[ResolvedMapping],
+    cigar: Option<&Cigar>,
+) -> Result<(), GenomeError> {
+    let len = seq.len();
+    let mut text = Vec::with_capacity(2 * len);
+    seq.ascii_into(&mut text);
     if mappings.is_empty() {
-        writeln!(
-            out,
-            "{read_name}\t{FLAG_UNMAPPED}\t*\t0\t0\t*\t*\t0\t0\t{seq}\t*"
-        )?;
+        for piece in [
+            read_name.as_bytes(),
+            b"\t",
+            Decimal::new(u64::from(FLAG_UNMAPPED)).as_bytes(),
+            b"\t*\t0\t0\t*\t*\t0\t0\t",
+            &text,
+            b"\t*\n",
+        ] {
+            out.write_all(piece)?;
+        }
         return Ok(());
     }
+    let read_len = Decimal::new(len as u64);
+    let primary_cigar = cigar.map(Cigar::to_string);
     for (i, m) in mappings.iter().enumerate() {
         let mut flag = 0u16;
         if m.strand == Strand::Reverse {
@@ -151,27 +184,50 @@ pub fn write_resolved_record<W: Write>(
         if i > 0 {
             flag |= FLAG_SECONDARY;
         }
-        let cigar_text = match (i, cigar) {
-            (0, Some(c)) => c.to_string(),
-            _ => format!("{}M", seq.len()),
+        let (cigar_text, cigar_op): (&[u8], &[u8]) = match (i, &primary_cigar) {
+            (0, Some(c)) => (c.as_bytes(), b""),
+            _ => (read_len.as_bytes(), b"M"),
         };
+        if m.strand == Strand::Reverse && text.len() == len {
+            for at in (0..len).rev() {
+                text.push(complement(text[at]));
+            }
+        }
         let seq_text = match m.strand {
-            Strand::Forward => seq.to_string(),
-            Strand::Reverse => seq.reverse_complement().to_string(),
+            Strand::Forward => &text[..len],
+            Strand::Reverse => &text[len..],
         };
-        writeln!(
-            out,
-            "{}\t{}\t{}\t{}\t255\t{}\t*\t0\t0\t{}\t*\tNM:i:{}",
-            read_name,
-            flag,
-            names[m.record],
-            m.position + 1,
+        for piece in [
+            read_name.as_bytes(),
+            b"\t",
+            Decimal::new(u64::from(flag)).as_bytes(),
+            b"\t",
+            name_of(m.record).as_bytes(),
+            b"\t",
+            Decimal::new(u64::from(m.position) + 1).as_bytes(), // SAM is 1-based
+            b"\t255\t",
             cigar_text,
+            cigar_op,
+            b"\t*\t0\t0\t",
             seq_text,
-            m.distance
-        )?;
+            b"\t*\tNM:i:",
+            Decimal::new(u64::from(m.distance)).as_bytes(),
+            b"\n",
+        ] {
+            out.write_all(piece)?;
+        }
     }
     Ok(())
+}
+
+/// The letter of the complementary base.
+fn complement(letter: u8) -> u8 {
+    match letter {
+        b'A' => b'T',
+        b'C' => b'G',
+        b'G' => b'C',
+        _ => b'A',
+    }
 }
 
 /// A SAM file over a [`ReferenceSet`], written into a sink: the header
@@ -179,24 +235,13 @@ pub fn write_resolved_record<W: Write>(
 /// concatenated index resolved to the named records, then written. The
 /// one path behind `repute map`'s output (streamed to a file or stdout
 /// as it is produced) and the daemon's per-job SAM blocks (assembled in
-/// a `Vec<u8>`), which is why the two agree byte for byte.
+/// a `Vec<u8>` that starts as the [`header_bytes`] the daemon built
+/// once), which is why the two agree byte for byte.
 #[derive(Debug)]
-pub struct SamAssembly<'a, W: Write = Vec<u8>> {
+pub struct SamAssembly<'a, W: Write> {
     set: &'a ReferenceSet,
-    names: Vec<&'a str>,
     /// The sink the SAM text goes to.
     pub out: W,
-}
-
-impl<'a> SamAssembly<'a> {
-    /// Starts the SAM in memory with the header of `set`'s records.
-    ///
-    /// # Errors
-    ///
-    /// As [`write_header_multi`].
-    pub fn new(set: &'a ReferenceSet) -> Result<SamAssembly<'a>, GenomeError> {
-        SamAssembly::with_sink(set, Vec::new())
-    }
 }
 
 impl<'a, W: Write> SamAssembly<'a, W> {
@@ -206,23 +251,14 @@ impl<'a, W: Write> SamAssembly<'a, W> {
     ///
     /// As [`write_header_multi`].
     pub fn with_sink(set: &'a ReferenceSet, mut out: W) -> Result<SamAssembly<'a, W>, GenomeError> {
-        let header: Vec<(&str, usize)> = set
-            .records()
-            .iter()
-            .map(|(n, l)| (n.as_str(), *l))
-            .collect();
-        write_header_multi(&mut out, &header)?;
+        out.write_all(&header_bytes(set))?;
         Ok(SamAssembly::continuing(set, out))
     }
 
     /// Goes on with a SAM whose header (and perhaps some records) `out`
-    /// already holds: a resumed run's.
+    /// already holds: a resumed run's, or a daemon job's.
     pub fn continuing(set: &'a ReferenceSet, out: W) -> SamAssembly<'a, W> {
-        SamAssembly {
-            set,
-            names: set.records().iter().map(|(n, _)| n.as_str()).collect(),
-            out,
-        }
+        SamAssembly { set, out }
     }
 
     /// Appends one read's record(s) and returns its resolved mappings;
@@ -238,8 +274,10 @@ impl<'a, W: Write> SamAssembly<'a, W> {
         raw: &[Mapping],
         cigar: Option<&Cigar>,
     ) -> Result<Vec<ResolvedMapping>, GenomeError> {
-        let resolved = self.set.resolve_mappings(seq.len(), raw);
-        write_resolved_record(&mut self.out, &self.names, id, seq, &resolved, cigar)?;
+        let set = self.set;
+        let resolved = set.resolve_mappings(seq.len(), raw);
+        let name_of = |record: usize| set.records()[record].0.as_str();
+        write_lines(&mut self.out, name_of, id, seq, &resolved, cigar)?;
         Ok(resolved)
     }
 }

@@ -155,6 +155,20 @@ impl DnaSeq {
     ///
     /// Panics if the range is out of bounds or decreasing.
     pub fn unpack_into(&self, range: Range<usize>, out: &mut Vec<u8>) {
+        self.spread_into(range, out, |codes| codes);
+    }
+
+    /// Appends the sequence's text (`A`, `C`, `G`, `T`) to `out`: the
+    /// bytes [`Display`](fmt::Display) writes, eight bases a step as in
+    /// [`DnaSeq::unpack_into`], each code turned into its letter by
+    /// arithmetic on the whole eight-byte word.
+    pub fn ascii_into(&self, out: &mut Vec<u8>) {
+        self.spread_into(0..self.len, out, ascii_eight);
+    }
+
+    /// The loop of [`DnaSeq::unpack_into`], with `map` applied to each
+    /// eight-byte group of codes before it goes out.
+    fn spread_into(&self, range: Range<usize>, out: &mut Vec<u8>, map: impl Fn(u64) -> u64) {
         assert!(
             range.start <= range.end && range.end <= self.len,
             "unpack range {range:?} out of bounds for length {}",
@@ -166,7 +180,8 @@ impl DnaSeq {
             let fields = self.word_from(start);
             let mut bytes = [0u8; BASES_PER_WORD];
             for (step, eight) in bytes.chunks_exact_mut(8).enumerate() {
-                eight.copy_from_slice(&spread_eight((fields >> (16 * step)) as u16).to_le_bytes());
+                let codes = spread_eight((fields >> (16 * step)) as u16);
+                eight.copy_from_slice(&map(codes).to_le_bytes());
             }
             out.extend_from_slice(&bytes);
         }
@@ -280,6 +295,36 @@ fn spread_eight(fields: u16) -> u64 {
     (x | x << 6) & 0x0303_0303_0303_0303
 }
 
+/// Eight codes, one to a byte as [`spread_eight`] leaves them, turned
+/// into their letters. With `lo` and `hi` a code's two bits, `A` 65,
+/// `C` 67, `G` 71 and `T` 84 are `65 + 2·lo + 6·hi + 11·lo·hi`; no byte
+/// exceeds 84, so none carries into the next.
+#[inline]
+fn ascii_eight(codes: u64) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let lo = codes & ONES;
+    let hi = (codes >> 1) & ONES;
+    ONES * u64::from(b'A') + 2 * lo + 6 * hi + 11 * (lo & hi)
+}
+
+/// The 2-bit code of each byte `A`, `C`, `G`, `T` in either case, and
+/// [`NOT_A_BASE`] for every other byte.
+const CODE_OF_BYTE: [u8; 256] = {
+    let mut table = [NOT_A_BASE; 256];
+    let mut code = 0;
+    while code < 4 {
+        let upper = b"ACGT"[code];
+        table[upper as usize] = code as u8;
+        table[upper.to_ascii_lowercase() as usize] = code as u8;
+        code += 1;
+    }
+    table
+};
+
+/// [`CODE_OF_BYTE`]'s mark for a byte that is no base: any bit above
+/// the two of a code.
+const NOT_A_BASE: u8 = 4;
+
 impl fmt::Debug for DnaSeq {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         const PREVIEW: usize = 48;
@@ -296,22 +341,40 @@ impl fmt::Debug for DnaSeq {
 
 impl fmt::Display for DnaSeq {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in self.iter() {
-            write!(f, "{b}")?;
-        }
-        Ok(())
+        let mut text = Vec::new();
+        self.ascii_into(&mut text);
+        f.write_str(std::str::from_utf8(&text).expect("bases are ASCII letters"))
     }
 }
 
 impl FromStr for DnaSeq {
     type Err = GenomeError;
 
+    /// Packs 32 bases per word: each byte is looked up in a 256-entry
+    /// table and shifted into place, and a word whose bytes are all
+    /// bases is pushed whole. On the first word holding any other byte,
+    /// the error is [`Base::from_char`]'s for the first character it
+    /// rejects.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut seq = DnaSeq::with_capacity(s.len());
-        for c in s.chars() {
-            seq.push(Base::from_char(c)?);
+        let bytes = s.as_bytes();
+        let mut words = Vec::with_capacity(bytes.len().div_ceil(BASES_PER_WORD));
+        for chunk in bytes.chunks(BASES_PER_WORD) {
+            let (mut word, mut marks) = (0u64, 0u8);
+            for (i, &byte) in chunk.iter().enumerate() {
+                let code = CODE_OF_BYTE[usize::from(byte)];
+                marks |= code;
+                word |= u64::from(code & 0b11) << (2 * i);
+            }
+            if marks & NOT_A_BASE != 0 {
+                let first_bad = s.chars().map(Base::from_char).find_map(Result::err);
+                return Err(first_bad.expect("a byte that is no base is in no base's character"));
+            }
+            words.push(word);
         }
-        Ok(seq)
+        Ok(DnaSeq {
+            words,
+            len: bytes.len(),
+        })
     }
 }
 

@@ -22,7 +22,7 @@
 //!    index / read range / fault annotations, so the file is useful
 //!    both in the Chrome UI and to `repute trace`.
 
-use crate::json::{escape_into, format_f64, parse_json, JsonValue};
+use crate::json::{escape_into, parse_json, push_f64, JsonValue};
 
 /// Trace process id reserved for scheduler/host-side spans (batch
 /// lifecycle, checkpoint writes). Devices get [`device_pid`].
@@ -130,7 +130,7 @@ fn write_value(out: &mut String, value: &JsonValue) {
     match value {
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Num(n) => out.push_str(&format_f64(*n)),
+        JsonValue::Num(n) => push_f64(out, *n),
         JsonValue::Str(s) => {
             out.push('"');
             escape_into(out, s);
@@ -192,9 +192,9 @@ pub fn write_chrome_trace(processes: &[(u32, String)], spans: &[Span]) -> String
         out.push_str(",\"tid\":");
         out.push_str(&span.tid.to_string());
         out.push_str(",\"ts\":");
-        out.push_str(&format_f64(span.begin_seconds * MICROS_PER_SECOND));
+        push_f64(&mut out, span.begin_seconds * MICROS_PER_SECOND);
         out.push_str(",\"dur\":");
-        out.push_str(&format_f64(span.duration_seconds() * MICROS_PER_SECOND));
+        push_f64(&mut out, span.duration_seconds() * MICROS_PER_SECOND);
         out.push_str(",\"args\":");
         write_args(&mut out, &span.args);
         out.push('}');

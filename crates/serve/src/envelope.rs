@@ -506,7 +506,9 @@ impl JobResponse {
 
     /// Serializes the response as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut obj = JsonObject::new();
+        // The fields, and the SAM with an escape every few bytes.
+        let sam_bytes = self.sam.as_ref().map_or(0, |sam| sam.len() + sam.len() / 8);
+        let mut obj = JsonObject::with_capacity(160 + sam_bytes);
         obj.str_field("type", "response");
         obj.str_field("id", &self.id);
         obj.str_field("status", self.status.as_str());

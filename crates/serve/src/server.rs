@@ -45,7 +45,7 @@ use repute_core::{
     output_slot_bytes, write_atomic, Executor, MappingRun, ReadCharge, ReputeConfig, ReputeError,
     RunFingerprint, Schedule, ScheduleMode, DEFAULT_MAX_RETRIES,
 };
-use repute_eval::sam::SamAssembly;
+use repute_eval::sam::{self, SamAssembly};
 use repute_genome::DnaSeq;
 use repute_hetsim::{
     DeviceHealth, FaultCounters, FaultPlan, HealthState, LaunchErrorKind, Platform,
@@ -184,6 +184,9 @@ fn shed_reason(deadline_s: f64, at_s: f64) -> String {
 /// The mapping-as-a-service core (see the module docs).
 pub struct ServeCore {
     set: ReferenceSet,
+    /// The SAM header of `set`'s records, which every `OK` response's
+    /// SAM block starts with: built once, copied into each.
+    sam_header: Vec<u8>,
     platform: Platform,
     options: ServeOptions,
     /// The mapping configuration of a job without overrides.
@@ -254,6 +257,7 @@ impl ServeCore {
         let slo = SloTracker::new(options.quota_window_s);
         let health = DeviceHealth::new(platform.devices().len());
         let mut core = ServeCore {
+            sam_header: sam::header_bytes(&set),
             set,
             platform,
             options,
@@ -1110,7 +1114,11 @@ impl ServeCore {
         batch: u64,
         completion: f64,
     ) -> Result<JobResponse, ReputeError> {
-        let mut sam = SamAssembly::new(&self.set)?;
+        // Room for the header and one line a read, most jobs' whole block.
+        let line_bytes: usize = job.reads.iter().map(|r| 2 * r.len() + 64).sum();
+        let mut block = Vec::with_capacity(self.sam_header.len() + line_bytes);
+        block.extend_from_slice(&self.sam_header);
+        let mut sam = SamAssembly::continuing(&self.set, block);
         let mut total_mappings = 0u64;
         for ((read_id, seq), mappings) in job.read_ids.iter().zip(&job.reads).zip(raw) {
             total_mappings += sam.push(read_id, seq, mappings, None)?.len() as u64;
@@ -1124,7 +1132,7 @@ impl ServeCore {
             mappings: total_mappings,
             batch: Some(batch),
             latency_s: Some(completion - job.arrival_s),
-            sam: Some(String::from_utf8_lossy(&sam.out).into_owned()),
+            sam: Some(String::from_utf8(sam.out).expect("SAM text is written from str and ASCII")),
         })
     }
 
