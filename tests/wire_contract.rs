@@ -105,15 +105,29 @@ fn largest_request_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
 // Fixtures.
 // ---------------------------------------------------------------------
 
-/// A directory of this test's own under the system temp dir, removed on
-/// drop.
+/// A directory of this test's own, removed on drop.
+///
+/// The journal corpus reopens a damaged file thousands of times, and
+/// every torn tail it finds is cut back and synced (`FrameLog::open`).
+/// On a disk-backed temp dir each of those syncs waits for the device
+/// (on an ext4 mounted `discard`, a discard and a flush, tens of ms),
+/// which turns a one-second corpus into half an hour. So the directory
+/// lives on the RAM-backed `/dev/shm` where the platform has one (and
+/// lets us write there), under the system temp dir otherwise; the bytes
+/// checked are the same.
 struct TempDir(PathBuf);
 
 impl TempDir {
     fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("repute-wire-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
+        let name = format!("repute-wire-{}-{tag}", std::process::id());
+        let dir = [PathBuf::from("/dev/shm"), std::env::temp_dir()]
+            .into_iter()
+            .map(|root| root.join(&name))
+            .find(|dir| {
+                let _ = std::fs::remove_dir_all(dir);
+                std::fs::create_dir_all(dir).is_ok()
+            })
+            .expect("temp dir");
         TempDir(dir)
     }
 
