@@ -26,7 +26,9 @@ use repute_genome::DnaSeq;
 
 use crate::bitvec::RankBitVec;
 use crate::suffix_array::SuffixArray;
+use packed::PackedFields;
 
+mod packed;
 mod stream;
 
 /// A half-open range of rows in the Burrows–Wheeler matrix.
@@ -104,7 +106,8 @@ pub struct FmFootprint {
     pub bwt_bytes: usize,
     /// Occ rank counts (16 bytes of every rank block).
     pub occ_bytes: usize,
-    /// Sampled suffix-array entries.
+    /// Sampled suffix-array entries, packed at the bits their largest
+    /// quotient by the sampling rate needs.
     pub sa_bytes: usize,
     /// Sample-marking bit vector.
     pub mark_bytes: usize,
@@ -145,6 +148,13 @@ const WALKS_IN_FLIGHT: usize = 64;
 fn kmer_len_for(text_len: usize) -> usize {
     const MAX_KMER_LEN: usize = 8;
     (text_len.max(1).ilog2() as usize / 2).min(MAX_KMER_LEN)
+}
+
+/// Bits one packed SA sample takes in an index over `text_len` bases
+/// sampled every `sa_sample` positions: `⌈log₂(text_len / sa_sample + 1)⌉`,
+/// at least one — 20 at 8 Mbp and rate 8, 23 at chr21's 40 Mbp.
+fn sample_width(text_len: usize, sa_sample: usize) -> u32 {
+    PackedFields::width_for(text_len / sa_sample)
 }
 
 /// Rank blocks an index over `n_rows` BWT rows holds: one more than the
@@ -259,8 +269,10 @@ pub struct FmIndex {
     first: [u32; 4],
     /// Marks BWT rows whose suffix position is sampled.
     sampled_rows: RankBitVec,
-    /// Suffix positions for marked rows, in row order.
-    sa_samples: Vec<u32>,
+    /// Suffix positions for marked rows, in row order, each divided by
+    /// `sa_sample` (every sampled position is a multiple of it) and
+    /// packed at [`sample_width`] bits.
+    sa_samples: PackedFields,
     sa_sample: usize,
     text_len: usize,
     /// Entry `x` is the interval [`FmIndex::kmer_len`] extensions over the
@@ -286,7 +298,10 @@ impl FmIndex {
         let n_rows = codes.len() + 1;
         let mut blocks = vec![Block::EMPTY; block_count(n_rows)];
         let mut marks = vec![0u64; n_rows.div_ceil(64)];
-        let mut sa_samples = Vec::with_capacity(codes.len() / config.sa_sample + 1);
+        let mut sa_samples = PackedFields::with_capacity(
+            sample_width(codes.len(), config.sa_sample),
+            codes.len().div_ceil(config.sa_sample),
+        );
         let mut put = |row: usize, code: u8| {
             let (block, offset) = (&mut blocks[row / BLOCK_ROWS], row % BLOCK_ROWS);
             block.words[offset / WORD_ROWS] |= u64::from(code) << (2 * (offset % WORD_ROWS));
@@ -307,7 +322,7 @@ impl FmIndex {
             }
             if (p as usize).is_multiple_of(config.sa_sample) {
                 marks[row / 64] |= 1 << (row % 64);
-                sa_samples.push(p);
+                sa_samples.push((p as usize / config.sa_sample) as u32);
             }
         }
         let sampled_rows = RankBitVec::from_words(marks, n_rows);
@@ -331,7 +346,7 @@ impl FmIndex {
         sentinel_row: u32,
         mut blocks: Vec<Block>,
         sampled_rows: RankBitVec,
-        sa_samples: Vec<u32>,
+        sa_samples: PackedFields,
         sa_sample: usize,
     ) -> FmIndex {
         debug_assert_eq!(blocks.len(), block_count(text_len + 1));
@@ -557,12 +572,14 @@ impl FmIndex {
         black_box(folded);
     }
 
-    /// The text position of `row` if its suffix is sampled.
+    /// The text position of `row` if its suffix is sampled: one packed
+    /// field, multiplied back by the sampling rate.
     #[inline]
     fn sampled_position(&self, row: u32) -> Option<u32> {
-        self.sampled_rows
-            .get(row as usize)
-            .then(|| self.sa_samples[self.sampled_rows.rank1(row as usize)])
+        self.sampled_rows.get(row as usize).then(|| {
+            let quotient = self.sa_samples.get(self.sampled_rows.rank1(row as usize));
+            (quotient as usize * self.sa_sample) as u32
+        })
     }
 
     /// Recovers the text position of a single BWT row via the sampled SA.
@@ -676,7 +693,7 @@ impl FmIndex {
         FmFootprint {
             bwt_bytes: self.blocks.len() * std::mem::size_of::<[u64; 2 * HALF_WORDS]>(),
             occ_bytes: self.blocks.len() * std::mem::size_of::<[u32; 4]>(),
-            sa_bytes: self.sa_samples.len() * 4,
+            sa_bytes: self.sa_samples.heap_bytes(),
             mark_bytes: self.sampled_rows.heap_bytes(),
             kmer_bytes: self.kmers.len() * std::mem::size_of::<Interval>(),
         }

@@ -19,6 +19,12 @@
 //! [`Hashed`] reader that checksums the same bytes as they pass, so
 //! nothing is held twice and nothing is sized from the header before its
 //! bytes arrive. A write streams the arrays out in pieces the same way.
+//!
+//! In memory the samples are packed quotients (positions divided by
+//! `sa_sample`, a few bits each); on disk they stay `u32` positions, so
+//! the format is unchanged. A write expands each field back, and a load
+//! packs each piece as it arrives, refusing any sample that is not a
+//! multiple of the rate or not inside the text.
 
 use std::io::{Error, ErrorKind, Read, Write};
 
@@ -27,7 +33,7 @@ use repute_genome::wire::{
     write_pieces, Hashed, Reader,
 };
 
-use super::{block_count, Block, FmIndex, BLOCK_ROWS, WORD_ROWS};
+use super::{block_count, sample_width, Block, FmIndex, PackedFields, BLOCK_ROWS, WORD_ROWS};
 use crate::bitvec::RankBitVec;
 
 /// Version of the stream [`FmIndex::write_to`] writes.
@@ -67,7 +73,9 @@ impl FmIndex {
             &mut out,
             self.sampled_rows.words().iter().map(|w| w.to_le_bytes()),
         )?;
-        write_pieces(&mut out, self.sa_samples.iter().map(|p| p.to_le_bytes()))?;
+        let positions = (0..self.sa_samples.len())
+            .map(|i| ((self.sa_samples.get(i) as usize * self.sa_sample) as u32).to_le_bytes());
+        write_pieces(&mut out, positions)?;
         out.put_trailer().map(drop)
     }
 
@@ -162,10 +170,28 @@ impl FmIndex {
             reserve_within(&mut marks, piece.len() / 8, mark_words);
             marks.extend(le_u64s(piece));
         })?;
-        let mut sa_samples = Vec::new();
+        // Packed as they arrive; a sample outside the text or off the
+        // rate is remembered, and refused once the trailer holds.
+        let text_len = n_rows - 1;
+        let mut sa_samples = PackedFields::with_capacity(sample_width(text_len, sa_sample), 0);
+        let mut stray = false;
+        // A power-of-two rate (the mapper's 8) divides by a shift.
+        let shift = sa_sample.trailing_zeros();
+        let quotient = |p: usize| {
+            if sa_sample == 1 << shift {
+                p >> shift
+            } else {
+                p / sa_sample
+            }
+        };
         read_pieces(&mut input, 4 * sample_count as u64, |piece| {
-            reserve_within(&mut sa_samples, piece.len() / 4, sample_count);
-            sa_samples.extend(le_u32s(piece));
+            sa_samples.reserve_within(piece.len() / 4, sample_count);
+            for p in le_u32s(piece) {
+                let p = (p as usize).min(text_len);
+                let q = quotient(p);
+                stray |= p == text_len || q * sa_sample != p;
+                sa_samples.push(q as u32);
+            }
         })?;
         input.check_trailer("FM-Index stream checksum mismatch")?;
         blocks.resize(blocks_needed, Block::EMPTY);
@@ -185,11 +211,13 @@ impl FmIndex {
             return Err(bad("sampled rows must be strictly increasing and in range"));
         }
         let marked: u64 = marks.iter().map(|w| u64::from(w.count_ones())).sum();
-        if marked != sample_count as u64 || sa_samples.iter().any(|&p| p as usize >= n_rows - 1) {
-            return Err(bad("SA samples do not match the sampled rows or the text"));
+        if marked != sample_count as u64 || stray {
+            return Err(bad(
+                "SA samples do not match the sampled rows, the text or the sampling rate",
+            ));
         }
         Ok(FmIndex::from_parts(
-            n_rows - 1,
+            text_len,
             sentinel_row as u32,
             blocks,
             RankBitVec::from_words(marks, n_rows),

@@ -598,3 +598,69 @@ fn lockstep_locate_equals_the_row_at_a_time_walk() {
     }
     assert!(located > 10_000, "{located}");
 }
+
+/// A text of `len` random bases.
+fn random_codes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.gen_range(0..4u8)).collect()
+}
+
+#[test]
+fn packed_sa_samples_locate_every_row_at_every_field_width() {
+    // The samples are held as `position / sa_sample`, packed at the bit
+    // length of `text_len / sa_sample`: texts of `2^k · rate` bases and
+    // one either side step the field width from one bit up, at every
+    // rate, so fields start and end at every offset of their words.
+    // Texts up to 32 kbp reach 16 bits at rate 1; the wider fields of a
+    // larger text are the packed array's own unit test, 1 to 32 bits.
+    let mut rng = StdRng::seed_from_u64(0x5A_9ACC);
+    let mut widths = std::collections::BTreeSet::new();
+    for rate in [1usize, 4, 8, 32, 64] {
+        let mut lens = std::collections::BTreeSet::new();
+        for k in 0..=16 {
+            let edge = (1usize << k) * rate;
+            lens.extend(
+                [edge - 1, edge, edge + 1]
+                    .into_iter()
+                    .filter(|&n| n <= 32_769),
+            );
+        }
+        for len in lens {
+            let codes = random_codes(&mut rng, len);
+            let fm = FmIndex::builder()
+                .sa_sample(rate)
+                .build(&DnaSeq::from_codes(&codes).expect("valid codes"));
+            let width = (usize::BITS - (len / rate).leading_zeros()).max(1) as usize;
+            let samples = len.div_ceil(rate);
+            assert_eq!(
+                fm.footprint().sa_bytes,
+                8 * (samples * width / 64 + 2),
+                "rate {rate} len {len}: {samples} fields of {width} bits"
+            );
+            widths.insert(width);
+
+            // Row r + 1 holds the r-th smallest suffix.
+            let mut naive: Vec<u32> = (0..len as u32).collect();
+            naive.sort_unstable_by(|&a, &b| codes[a as usize..].cmp(&codes[b as usize..]));
+            let rows: Vec<u32> = (1..=len as u32)
+                .map(|row| fm.position_of_row(row))
+                .collect();
+            assert_eq!(rows, naive, "rate {rate} len {len}: position_of_row");
+            let full = [fm.full_interval()];
+            assert_eq!(
+                fm.locate_all(&full, usize::MAX),
+                naive,
+                "rate {rate} len {len}: locate_all"
+            );
+            let mut bytes = Vec::new();
+            fm.write_to(&mut bytes).expect("write");
+            let back = FmIndex::read_from(bytes.as_slice()).expect("read back");
+            assert_eq!(back.footprint(), fm.footprint(), "rate {rate} len {len}");
+            assert_eq!(
+                back.locate_all(&full, usize::MAX),
+                naive,
+                "rate {rate} len {len}: locate_all after a round trip"
+            );
+        }
+    }
+    assert!(widths.iter().copied().eq(1..=16), "{widths:?}");
+}

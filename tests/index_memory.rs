@@ -1,9 +1,11 @@
-//! The heap an index build needs, per base of reference.
+//! The heap an index build needs, and the FM-index a mapper keeps, per
+//! base of reference.
 //!
 //! A counting global allocator tracks the bytes live and the most ever
 //! live at once. The paper's embedded target has 6 GB for a 40 Mbp
 //! chromosome, so the suffix sort and the whole `ReferenceSet` build are
-//! held to a few bytes per base above what was live when they started.
+//! held to a few bytes per base above what was live when they started,
+//! and the FM-index a loaded index holds to under a byte and a half.
 //! The counters are process-wide (an index build may free on another
 //! thread than it allocated on), which is why this file holds one test.
 
@@ -82,5 +84,19 @@ fn suffix_sort_and_reference_set_build_fit_in_a_few_bytes_per_base() {
     assert!(
         set_bytes <= 10.0,
         "ReferenceSet::build peaks at {set_bytes:.2} B/base"
+    );
+
+    // What `repute map --index` keeps: a third of a byte a base of rank
+    // blocks, the sample marks, the k-mer table, and the SA samples
+    // packed at 17 bits each (1.49 bytes a base with a `u32` a sample).
+    let mut bytes = Vec::new();
+    set.write_to(&mut bytes).expect("write");
+    drop(set);
+    let loaded = ReferenceSet::read_from(bytes.as_slice()).expect("read back");
+    let fm_bytes = per_base(loaded.indexed().fm().footprint().total());
+    eprintln!("loaded FM-index per base: {fm_bytes:.3}");
+    assert!(
+        fm_bytes <= 1.35,
+        "the loaded FM-index holds {fm_bytes:.3} B/base"
     );
 }

@@ -666,6 +666,49 @@ fn old_index_versions_are_refused_naming_repute_index() {
 }
 
 #[test]
+fn an_sa_sample_off_the_sampling_rate_is_refused_and_exit_3() {
+    // The loader keeps each sample as its quotient by the rate, so a
+    // sample that is no multiple of it cannot be held. Forged here: one
+    // sample + 1, still inside the text, under a recomputed trailer, so
+    // nothing but the rate check stands between it and a wrong locate.
+    let fixture = IndexFixture::new("forged-sample");
+    let mut index = fixture.index("ref.rpx");
+    let fm_at = index.windows(4).position(|w| w == b"RPFM").expect("RPFM");
+    let field = |at: usize, len: usize| {
+        let mut word = [0u8; 8];
+        word[..len].copy_from_slice(&index[fm_at + at..fm_at + at + len]);
+        u64::from_le_bytes(word) as usize
+    };
+    let (rate, text_len, rows, samples) = (field(6, 4), field(10, 8), field(18, 8), field(34, 8));
+    assert_eq!((rate, rows), (8, text_len + 1));
+    let samples_at = fm_at + 42 + 8 * rows.div_ceil(32) + 8 * rows.div_ceil(64);
+    let trailer_at = index.len() - 8;
+    assert_eq!(samples_at + 4 * samples, trailer_at);
+    let sample = (0..samples)
+        .map(|i| samples_at + 4 * i)
+        .find(|&at| {
+            let p = u32::from_le_bytes(index[at..at + 4].try_into().expect("4 bytes"));
+            (p as usize) + 1 < text_len
+        })
+        .expect("a sample before the last base");
+    index[sample] += 1;
+    let trailer = word_hash(&index[fm_at..trailer_at]).to_le_bytes();
+    index[trailer_at..].copy_from_slice(&trailer);
+
+    let err = ReferenceSet::read_from(&index[..]).expect_err("a sample off the rate");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("sampling rate"), "{err}");
+    std::fs::write(fixture.dir.path("forged.rpx"), &index).expect("write");
+    let err = fixture
+        .map(
+            &format!("--index {}", fixture.path("forged.rpx")),
+            "forged.sam",
+        )
+        .expect_err("a sample off the rate");
+    assert_eq!(err.exit_code(), 3, "{err}");
+}
+
+#[test]
 fn a_bad_index_is_exit_3_and_a_bad_cache_is_a_silent_rebuild() {
     let fixture = IndexFixture::new("cli");
     let index = fixture.index("ref.rpx");
