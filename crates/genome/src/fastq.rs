@@ -2,7 +2,6 @@
 
 use std::io::{BufRead, Write};
 
-use crate::alphabet::Base;
 use crate::error::GenomeError;
 use crate::seq::DnaSeq;
 
@@ -118,14 +117,8 @@ impl<R: BufRead> FastqReader<R> {
         if seq_line.is_empty() {
             return Err(self.format_err(format!("record {id:?} has an empty sequence")));
         }
-        let mut seq = DnaSeq::with_capacity(seq_line.len());
-        for c in seq_line.chars() {
-            match Base::from_char(c) {
-                Ok(b) => seq.push(b),
-                Err(_) if c.is_ascii_alphabetic() => seq.push(Base::A),
-                Err(_) => return Err(self.format_err(format!("invalid base {c:?}"))),
-            }
-        }
+        let seq = DnaSeq::from_read_text(&seq_line)
+            .map_err(|c| self.format_err(format!("invalid base {c:?}")))?;
 
         let plus = self
             .read_line()?
@@ -267,6 +260,79 @@ mod tests {
         write_fastq(&mut buf, &recs).unwrap();
         let back = read_fastq(buf.as_slice()).unwrap();
         assert_eq!(back, recs);
+    }
+
+    /// The sequence-line loop the word-at-a-time packing replaced: one
+    /// character at a time, other ASCII letters as `A`, the first
+    /// non-letter an error. `line` is as `read_line` leaves it.
+    fn per_character(line: &str) -> Result<DnaSeq, String> {
+        if line.is_empty() {
+            return Err("record \"r\" has an empty sequence".to_string());
+        }
+        let mut seq = DnaSeq::with_capacity(line.len());
+        for c in line.chars() {
+            match crate::alphabet::Base::from_char(c) {
+                Ok(b) => seq.push(b),
+                Err(_) if c.is_ascii_alphabetic() => seq.push(crate::alphabet::Base::A),
+                Err(_) => return Err(format!("invalid base {c:?}")),
+            }
+        }
+        Ok(seq)
+    }
+
+    #[test]
+    fn sequence_lines_pack_as_the_per_character_loop_did() {
+        let corpus = [
+            "ACGTACGTNNNNacgtnRYKMacgtACGTTTGGCCAAacgtacgtacgtACGTNacgtACGTACGTACGTAC",
+            "acgtacgtacgtacgtacgtacgtacgtacgtA",
+            "NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNN",
+            "ACGT\r",
+            "ACG\rTACGTACGTACGTACGTACGTACGTACGTACG",
+            "ACGTACGTACGTACGTACGTACGTACGTACGé",
+            "ACGTACGT😀ACGTacgt",
+            "ACGT-ACGT ACGT1",
+            "",
+        ];
+        let edits = [
+            'A', 'c', 'g', 'T', 'N', 'n', 'R', 'y', '\r', '-', ' ', '1', '.', 'é', '😀',
+        ];
+        let mut lines: Vec<String> = Vec::new();
+        for line in corpus {
+            let chars: Vec<char> = line.chars().collect();
+            for end in 0..=chars.len() {
+                lines.push(chars[..end].iter().collect());
+            }
+            for at in 0..=chars.len() {
+                for &edit in &edits {
+                    let mut inserted = chars.clone();
+                    inserted.insert(at, edit);
+                    lines.push(inserted.into_iter().collect());
+                    if at < chars.len() {
+                        let mut replaced = chars.clone();
+                        replaced[at] = edit;
+                        lines.push(replaced.into_iter().collect());
+                    }
+                }
+            }
+        }
+        let mut refused = 0;
+        for line in &lines {
+            let kept = line.trim_end_matches(['\n', '\r']);
+            let quality = "I".repeat(kept.chars().count());
+            let document = format!("@r\n{line}\n+\n{quality}\n");
+            let got = match read_fastq(document.as_bytes()) {
+                Ok(records) => Ok(records[0].seq.clone()),
+                Err(GenomeError::Format { line: 2, message }) => Err(message),
+                Err(other) => panic!("{line:?}: {other}"),
+            };
+            let expected = per_character(kept);
+            refused += usize::from(expected.is_err());
+            assert_eq!(got, expected, "{line:?}");
+        }
+        assert!(
+            refused > 1_000 && lines.len() - refused > 1_000,
+            "{refused}"
+        );
     }
 
     #[test]

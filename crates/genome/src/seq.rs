@@ -350,32 +350,59 @@ impl fmt::Display for DnaSeq {
 impl FromStr for DnaSeq {
     type Err = GenomeError;
 
-    /// Packs 32 bases per word: each byte is looked up in a 256-entry
-    /// table and shifted into place, and a word whose bytes are all
-    /// bases is pushed whole. On the first word holding any other byte,
-    /// the error is [`Base::from_char`]'s for the first character it
-    /// rejects.
+    /// Packs 32 bases per word ([`pack_text`]). On the first character
+    /// that is no base, the error is [`Base::from_char`]'s for it.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let bytes = s.as_bytes();
-        let mut words = Vec::with_capacity(bytes.len().div_ceil(BASES_PER_WORD));
-        for chunk in bytes.chunks(BASES_PER_WORD) {
-            let (mut word, mut marks) = (0u64, 0u8);
-            for (i, &byte) in chunk.iter().enumerate() {
-                let code = CODE_OF_BYTE[usize::from(byte)];
-                marks |= code;
-                word |= u64::from(code & 0b11) << (2 * i);
-            }
-            if marks & NOT_A_BASE != 0 {
-                let first_bad = s.chars().map(Base::from_char).find_map(Result::err);
-                return Err(first_bad.expect("a byte that is no base is in no base's character"));
-            }
-            words.push(word);
-        }
-        Ok(DnaSeq {
-            words,
-            len: bytes.len(),
-        })
+        pack_text(s, false).map_err(GenomeError::ParseBase)
     }
+}
+
+impl DnaSeq {
+    /// Packs a read's sequence line the way [`FromStr`] packs bases, but
+    /// reads every other ASCII letter (`N`, the IUPAC codes) as `A`
+    /// (see [`crate::fastq::FastqRecord::seq`]). Returns the first
+    /// character that is no letter as the error.
+    pub(crate) fn from_read_text(s: &str) -> Result<DnaSeq, char> {
+        pack_text(s, true)
+    }
+}
+
+/// Packs `s` 32 bases per word: each byte is looked up in
+/// [`CODE_OF_BYTE`] and shifted into place, and a word whose bytes are
+/// all bases is pushed whole. A word holding any other byte is checked
+/// byte by byte: with `letters_as_a` an ASCII letter stays the `A` its
+/// zero code bits packed; the first byte that is refused — every byte
+/// before it is ASCII, so it starts a character — is returned as that
+/// character.
+fn pack_text(s: &str, letters_as_a: bool) -> Result<DnaSeq, char> {
+    let bytes = s.as_bytes();
+    let mut words = Vec::with_capacity(bytes.len().div_ceil(BASES_PER_WORD));
+    for (w, chunk) in bytes.chunks(BASES_PER_WORD).enumerate() {
+        let (mut word, mut marks) = (0u64, 0u8);
+        for (i, &byte) in chunk.iter().enumerate() {
+            let code = CODE_OF_BYTE[usize::from(byte)];
+            marks |= code;
+            word |= u64::from(code & 0b11) << (2 * i);
+        }
+        if marks & NOT_A_BASE != 0 {
+            let refused = chunk.iter().position(|&byte| {
+                CODE_OF_BYTE[usize::from(byte)] & NOT_A_BASE != 0
+                    && !(letters_as_a && byte.is_ascii_alphabetic())
+            });
+            if let Some(i) = refused {
+                let at = w * BASES_PER_WORD + i;
+                return Err(s[at..]
+                    .chars()
+                    .next()
+                    .expect("a refused byte starts a character"));
+            }
+        }
+        words.push(word);
+    }
+    Ok(DnaSeq {
+        words,
+        len: bytes.len(),
+    })
 }
 
 impl FromIterator<Base> for DnaSeq {
