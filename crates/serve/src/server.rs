@@ -810,7 +810,7 @@ impl ServeCore {
         let base = self.counters.batches;
         let mut max_makespan = 0.0f64;
         let mut committed_jobs = 0usize;
-        for (ordinal, (jobs, run, struck)) in group_runs.iter().enumerate() {
+        for (ordinal, (jobs, run, struck)) in group_runs.iter_mut().enumerate() {
             let batch_index = base + ordinal as u64;
             let completion = now + run.simulated_seconds;
             max_makespan = max_makespan.max(run.simulated_seconds);
@@ -832,12 +832,14 @@ impl ServeCore {
                 lost: run.lost_devices.iter().map(|&d| d as u32).collect(),
                 provenance: provenance.collect(),
             };
+            // The record takes each read's mappings: the run is done with
+            // them.
             let mut offset = 0usize;
-            for job in jobs {
+            for job in jobs.iter() {
                 let n = job.reads.len();
                 let mappings: Vec<Vec<Mapping>> = run.outputs[offset..offset + n]
-                    .iter()
-                    .map(|o| o.mappings.clone())
+                    .iter_mut()
+                    .map(|o| std::mem::take(&mut o.mappings))
                     .collect();
                 offset += n;
                 record.jobs.push(JobResult {
