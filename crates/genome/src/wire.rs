@@ -546,7 +546,7 @@ pub fn le_u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
 }
 
 /// The little-endian `u32`s of `bytes` (a whole number of them).
-pub fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+pub fn le_u32s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + '_ {
     bytes.chunks_exact(4).map(|w| {
         let mut word = [0; 4];
         word.copy_from_slice(w);

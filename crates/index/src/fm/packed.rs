@@ -61,23 +61,39 @@ impl PackedFields {
     }
 
     /// Appends `value`, which must fit the field width.
-    #[inline]
     pub(super) fn push(&mut self, value: u32) {
-        debug_assert!(
-            u64::from(value) >> self.width == 0,
-            "{value} exceeds {} bits",
-            self.width
-        );
-        let bit = self.len * self.width as usize;
-        let (at, shift) = (bit / WORD_BITS, bit % WORD_BITS);
-        let pair = u128::from(value) << shift;
-        self.words[at] |= pair as u64;
-        self.words[at + 1] |= (pair >> WORD_BITS) as u64;
-        // A field that reaches the end of its word moves the window on.
-        if shift + self.width as usize >= WORD_BITS {
-            self.words.push(0);
+        self.extend(std::iter::once(value));
+    }
+
+    /// Appends every value of `values`, each of which must fit the field
+    /// width. The words are sized for all of them first; the fields are
+    /// gathered in a register and each word is stored once it is full.
+    pub(super) fn extend(&mut self, values: impl ExactSizeIterator<Item = u32>) {
+        let width = self.width as usize;
+        let bit = self.len * width;
+        self.len += values.len();
+        self.words.resize(words_for(self.width, self.len), 0);
+        let (mut at, mut fill) = (bit / WORD_BITS, bit % WORD_BITS);
+        let words = &mut self.words[..];
+        let mut word = words[at];
+        for value in values {
+            debug_assert!(
+                value >> (width - 1) >> 1 == 0,
+                "{value} exceeds {width} bits"
+            );
+            let value = u64::from(value);
+            word |= value << fill;
+            fill += width;
+            if fill >= WORD_BITS {
+                words[at] = word;
+                at += 1;
+                fill -= WORD_BITS;
+                // The bits that did not fit; none when the field ended
+                // the word (`value >> width` is 0).
+                word = value >> (width - fill);
+            }
         }
-        self.len += 1;
+        words[at] = word;
     }
 
     /// Field `index`: one window over the two words it may span.
@@ -123,6 +139,30 @@ mod tests {
             for (i, &v) in values.iter().enumerate() {
                 assert_eq!(fields.get(i), v, "width {width} field {i}");
             }
+        }
+    }
+
+    #[test]
+    fn extending_in_runs_packs_what_one_at_a_time_packs() {
+        for width in 1..=32u32 {
+            let mask = u32::MAX >> (32 - width);
+            let values: Vec<u32> = (0..300u32)
+                .map(|i| i.wrapping_mul(0x85EB_CA6B).rotate_left(i) & mask)
+                .collect();
+            let mut pushed = PackedFields::with_capacity(width, 0);
+            let mut extended = PackedFields::with_capacity(width, 0);
+            let mut at = 0;
+            for (i, &v) in values.iter().enumerate() {
+                pushed.push(v);
+                // Runs of 0, 1, 2, … values, so runs start at every offset.
+                if i + 1 - at == at % 7 || i + 1 == values.len() {
+                    extended.extend(values[at..=i].iter().copied());
+                    extended.extend([].into_iter());
+                    at = i + 1;
+                }
+                assert_eq!(extended.len(), at);
+            }
+            assert_eq!(extended, pushed, "width {width}");
         }
     }
 

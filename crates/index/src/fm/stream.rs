@@ -170,27 +170,32 @@ impl FmIndex {
             reserve_within(&mut marks, piece.len() / 8, mark_words);
             marks.extend(le_u64s(piece));
         })?;
-        // Packed as they arrive; a sample outside the text or off the
-        // rate is remembered, and refused once the trailer holds.
+        // Checked, then packed, piece by piece as they arrive; a sample
+        // outside the text or off the rate is remembered, nothing more is
+        // packed, and the stream is refused once the trailer holds.
         let text_len = n_rows - 1;
         let mut sa_samples = PackedFields::with_capacity(sample_width(text_len, sa_sample), 0);
         let mut stray = false;
-        // A power-of-two rate (the mapper's 8) divides by a shift.
-        let shift = sa_sample.trailing_zeros();
-        let quotient = |p: usize| {
-            if sa_sample == 1 << shift {
-                p >> shift
-            } else {
-                p / sa_sample
-            }
-        };
+        // `sa_sample` came from a `u32`; a power of two (the mapper's 8)
+        // is a mask and a shift, not a division.
+        let (rate, end) = (sa_sample as u32, text_len as u32);
+        let shift = rate.trailing_zeros();
+        let pow2 = rate.is_power_of_two();
         read_pieces(&mut input, 4 * sample_count as u64, |piece| {
+            let positions = || le_u32s(piece);
+            stray |= if pow2 {
+                positions().fold(false, |bad, p| bad | (p >= end) | (p & (rate - 1) != 0))
+            } else {
+                positions().fold(false, |bad, p| bad | (p >= end) | (p % rate != 0))
+            };
+            if stray {
+                return;
+            }
             sa_samples.reserve_within(piece.len() / 4, sample_count);
-            for p in le_u32s(piece) {
-                let p = (p as usize).min(text_len);
-                let q = quotient(p);
-                stray |= p == text_len || q * sa_sample != p;
-                sa_samples.push(q as u32);
+            if pow2 {
+                sa_samples.extend(positions().map(|p| p >> shift));
+            } else {
+                sa_samples.extend(positions().map(|p| p / rate));
             }
         })?;
         input.check_trailer("FM-Index stream checksum mismatch")?;
