@@ -350,8 +350,9 @@ impl fmt::Display for DnaSeq {
 impl FromStr for DnaSeq {
     type Err = GenomeError;
 
-    /// Packs 32 bases per word ([`pack_text`]). On the first character
-    /// that is no base, the error is [`Base::from_char`]'s for it.
+    /// Packs 32 bases per word through a 256-entry byte table. On the
+    /// first character that is no base, the error is
+    /// [`Base::from_char`]'s for it.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         pack_text(s, false).map_err(GenomeError::ParseBase)
     }
