@@ -170,33 +170,29 @@ impl FmIndex {
             reserve_within(&mut marks, piece.len() / 8, mark_words);
             marks.extend(le_u64s(piece));
         })?;
-        // Checked, then packed, piece by piece as they arrive; a sample
-        // outside the text or off the rate is remembered, nothing more is
-        // packed, and the stream is refused once the trailer holds.
+        // Checked and packed piece by piece as they arrive; a piece with
+        // a sample outside the text or off the rate is packed masked to
+        // the field width, nothing more is packed, and the stream is
+        // refused once the trailer holds.
         let text_len = n_rows - 1;
-        let mut sa_samples = PackedFields::with_capacity(sample_width(text_len, sa_sample), 0);
+        let width = sample_width(text_len, sa_sample);
+        let mut sa_samples = PackedFields::with_capacity(width, 0);
         let mut stray = false;
-        // `sa_sample` came from a `u32`; a power of two (the mapper's 8)
-        // is a mask and a shift, not a division.
-        let (rate, end) = (sa_sample as u32, text_len as u32);
-        let shift = rate.trailing_zeros();
-        let pow2 = rate.is_power_of_two();
+        // `sa_sample` came from a `u32`.
+        let (rate, end) = (ExactDivisor::new(sa_sample as u32), text_len as u32);
+        let field = u32::MAX >> (32 - width);
         read_pieces(&mut input, 4 * sample_count as u64, |piece| {
-            let positions = || le_u32s(piece);
-            stray |= if pow2 {
-                positions().fold(false, |bad, p| bad | (p >= end) | (p & (rate - 1) != 0))
-            } else {
-                positions().fold(false, |bad, p| bad | (p >= end) | (p % rate != 0))
-            };
             if stray {
                 return;
             }
             sa_samples.reserve_within(piece.len() / 4, sample_count);
-            if pow2 {
-                sa_samples.extend(positions().map(|p| p >> shift));
-            } else {
-                sa_samples.extend(positions().map(|p| p / rate));
-            }
+            let mut off = false;
+            sa_samples.extend(le_u32s(piece).map(|p| {
+                let q = rate.quotient(p);
+                off |= (q > rate.max) | (p >= end);
+                q & field
+            }));
+            stray = off;
         })?;
         input.check_trailer("FM-Index stream checksum mismatch")?;
         blocks.resize(blocks_needed, Block::EMPTY);
@@ -229,5 +225,81 @@ impl FmIndex {
             sa_samples,
             sa_sample,
         ))
+    }
+}
+
+/// Exact division by a fixed rate: a multiply and a rotate a value,
+/// where a hardware division a sample cost the 8 Mbp load about 1.2 ms.
+///
+/// With `rate = odd · 2^k`, `p ↦ (p · odd⁻¹ mod 2^32) rotated right by k`
+/// is a bijection of `u32` that sends each multiple `q · rate` to `q`.
+/// The multiples are the `max + 1` values with `q ≤ max = u32::MAX /
+/// rate`, so they fill `0..=max` and every other value lands above it.
+struct ExactDivisor {
+    odd_inverse: u32,
+    shift: u32,
+    /// The largest quotient of a `u32` by the rate.
+    max: u32,
+}
+
+impl ExactDivisor {
+    /// The divisor for `rate`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is 0.
+    fn new(rate: u32) -> ExactDivisor {
+        let shift = rate.trailing_zeros();
+        let odd = rate >> shift;
+        // `odd · odd ≡ 1 (mod 8)`; each Newton step doubles the bits
+        // that are right: 3 → 6 → 12 → 24 → 48.
+        let mut odd_inverse = odd;
+        for _ in 0..4 {
+            odd_inverse =
+                odd_inverse.wrapping_mul(2u32.wrapping_sub(odd.wrapping_mul(odd_inverse)));
+        }
+        ExactDivisor {
+            odd_inverse,
+            shift,
+            max: u32::MAX / rate,
+        }
+    }
+
+    /// `p / rate` when `rate` divides `p`, otherwise a value above `max`.
+    #[inline]
+    fn quotient(&self, p: u32) -> u32 {
+        p.wrapping_mul(self.odd_inverse).rotate_right(self.shift)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ExactDivisor;
+
+    #[test]
+    fn exact_division_finds_every_multiple_and_only_those() {
+        let rates = (1..=64).chain([96, 100, 1_000, 65_536, 3 << 20, u32::MAX - 1, u32::MAX]);
+        for rate in rates {
+            let div = ExactDivisor::new(rate);
+            assert_eq!(div.max, u32::MAX / rate);
+            // Either side of 0, of the rate and of the last multiple,
+            // wrapping past both ends of `u32`, and a spread of the rest.
+            let last = div.max * rate;
+            let near = |m: u32| {
+                (0..=2 * rate.min(40)).map(move |d| m.wrapping_sub(rate.min(40)).wrapping_add(d))
+            };
+            let probes = near(0)
+                .chain(near(last))
+                .chain(near(rate))
+                .chain((0..2_000u32).map(|i| i.wrapping_mul(0x9E37_79B9)));
+            for p in probes {
+                let q = div.quotient(p);
+                if p % rate == 0 {
+                    assert_eq!(q, p / rate, "rate {rate} p {p}");
+                } else {
+                    assert!(q > div.max, "rate {rate} p {p} gave {q}");
+                }
+            }
+        }
     }
 }

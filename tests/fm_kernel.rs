@@ -609,12 +609,14 @@ fn packed_sa_samples_locate_every_row_at_every_field_width() {
     // The samples are held as `position / sa_sample`, packed at the bit
     // length of `text_len / sa_sample`: texts of `2^k · rate` bases and
     // one either side step the field width from one bit up, at every
-    // rate, so fields start and end at every offset of their words.
+    // rate, so fields start and end at every offset of their words. The
+    // rates that are no power of two (3, 5, 12) load through the same
+    // exact division as the others.
     // Texts up to 32 kbp reach 16 bits at rate 1; the wider fields of a
     // larger text are the packed array's own unit test, 1 to 32 bits.
     let mut rng = StdRng::seed_from_u64(0x5A_9ACC);
     let mut widths = std::collections::BTreeSet::new();
-    for rate in [1usize, 4, 8, 32, 64] {
+    for rate in [1usize, 3, 4, 5, 8, 12, 32, 64] {
         let mut lens = std::collections::BTreeSet::new();
         for k in 0..=16 {
             let edge = (1usize << k) * rate;

@@ -88,7 +88,7 @@ fn suffix_sort_and_reference_set_build_fit_in_a_few_bytes_per_base() {
 
     // What `repute map --index` keeps: a third of a byte a base of rank
     // blocks, the sample marks, the k-mer table, and the SA samples
-    // packed at 17 bits each (1.49 bytes a base with a `u32` a sample).
+    // packed at 17 bits each.
     let mut bytes = Vec::new();
     set.write_to(&mut bytes).expect("write");
     drop(set);

@@ -709,6 +709,54 @@ fn an_sa_sample_off_the_sampling_rate_is_refused_and_exit_3() {
 }
 
 #[test]
+fn forged_sa_samples_are_refused_at_every_kind_of_rate() {
+    // The same forge as above on a bare `RPFM` stream, at rates that are
+    // and are not powers of two: a sample + 1 (off the rate, inside the
+    // text), a sample moved to the text's end and one to the first
+    // multiple of the rate past it (on the rate, outside the text), each
+    // under a recomputed trailer. The stream as written loads and
+    // locates as before.
+    let text = random_sequence(3_001, 0x0FF_5A3E);
+    let text_len = text.len();
+    for rate in [1usize, 2, 3, 5, 8, 12] {
+        let fm = repute_index::FmIndex::builder()
+            .sa_sample(rate)
+            .build(&text);
+        let mut stream = Vec::new();
+        fm.write_to(&mut stream).expect("write");
+        let rows = text_len + 1;
+        let samples_at = 42 + 8 * rows.div_ceil(32) + 8 * rows.div_ceil(64);
+        let trailer_at = stream.len() - 8;
+        let back = repute_index::FmIndex::read_from(&stream[..]).expect("as written");
+        assert_eq!(back.footprint(), fm.footprint(), "rate {rate}");
+        let full = [fm.full_interval()];
+        assert_eq!(
+            back.locate_all(&full, usize::MAX),
+            fm.locate_all(&full, usize::MAX),
+            "rate {rate}"
+        );
+        let at = samples_at + 4 * ((trailer_at - samples_at) / 8);
+        let sample = u32::from_le_bytes(stream[at..at + 4].try_into().expect("4 bytes"));
+        assert!((sample as usize) + 1 < text_len, "rate {rate}: {sample}");
+        let past_end = text_len.next_multiple_of(rate) as u32;
+        let mut forges = vec![("at the end", text_len as u32), ("past the end", past_end)];
+        if rate > 1 {
+            forges.push(("off the rate", sample + 1));
+        }
+        for (what, forged) in forges {
+            let mut bytes = stream.clone();
+            bytes[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+            let trailer = word_hash(&bytes[..trailer_at]).to_le_bytes();
+            bytes[trailer_at..].copy_from_slice(&trailer);
+            let err = repute_index::FmIndex::read_from(&bytes[..])
+                .expect_err(&format!("rate {rate}: a sample {what}"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("sampling rate"), "{err}");
+        }
+    }
+}
+
+#[test]
 fn a_bad_index_is_exit_3_and_a_bad_cache_is_a_silent_rebuild() {
     let fixture = IndexFixture::new("cli");
     let index = fixture.index("ref.rpx");
