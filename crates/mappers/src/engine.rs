@@ -152,9 +152,9 @@ impl<'a> Reference<'a> {
     fn windows<'s>(
         self,
         batch: &CandidateBatch,
-        ids: Range<usize>,
+        ids: impl Iterator<Item = usize> + Clone,
         slab: &'s mut Vec<u8>,
-        out: &mut [&'s [u8]; LANES],
+        out: &mut [&'s [u8]],
     ) where
         'a: 's,
     {
@@ -180,6 +180,10 @@ impl<'a> Reference<'a> {
         }
     }
 }
+
+/// Candidates a pre-alignment filter examines in one call: four lanes'
+/// worth, so that the survivors of a group mostly fill whole lanes.
+const GROUP: usize = 4 * LANES;
 
 /// The verification half of a mapper.
 #[derive(Debug, Clone, Copy)]
@@ -248,17 +252,21 @@ impl<'a> VerifyEngine<'a> {
     /// δ indels on either side.
     ///
     /// The batch path builds the read's [`ReadMasks`] once, gathers the
-    /// candidates into a structure-of-arrays [`CandidateBatch`], runs
-    /// the prefilter over whole chunks, and verifies survivors
-    /// [`LANES`] at a time through the SWAR kernels. A chunk's windows
-    /// are materialised only when it is reached: a first-n limit often
-    /// stops verification early. Everything it
-    /// reports — mappings, their order, every metric counter, the
-    /// returned work — is bit-identical to the scalar path: each chunk
-    /// is filtered and verified whole, then accounted one candidate at a
-    /// time in candidate order up to where `out` reaches `limit`, where
-    /// the scalar loop stops. Lanes past that point are host work only,
-    /// never charged.
+    /// candidates into a structure-of-arrays [`CandidateBatch`] and
+    /// verifies them [`LANES`] at a time through the SWAR kernels. With
+    /// a prefilter installed, the filter examines groups of 32
+    /// candidates in one call and the survivors queue up for the lanes:
+    /// `verify_lanes` runs on full lanes only, but for the read's last
+    /// ones. Without one, every candidate survives, in chunks of
+    /// [`LANES`]. Windows are materialised only when their group or lane
+    /// is reached: a first-n limit often stops verification early.
+    /// Everything it reports — mappings, their order, every metric
+    /// counter, the returned work — is bit-identical to the scalar path:
+    /// each time lanes are verified, the candidates up to the last of
+    /// them are accounted one at a time in candidate order up to where
+    /// `out` reaches `limit`, where the scalar loop stops. Candidates
+    /// filtered or verified past that point are host work only, never
+    /// charged.
     pub fn verify_metered(
         &self,
         read: &[u8],
@@ -286,77 +294,98 @@ impl<'a> VerifyEngine<'a> {
         }
         let masks = ReadMasks::new(read);
         let mut verifier = BatchVerifier::new();
-        let mut slab = self
-            .reference
-            .slab(LANES, read.len() + 2 * self.delta as usize);
-        let mut verdicts: Vec<Verdict> = Vec::with_capacity(LANES);
+        let window = read.len() + 2 * self.delta as usize;
+        let mut slab = self.reference.slab(LANES, window);
+        let (group, mut group_slab) = match self.prefilter {
+            Some(_) => (GROUP, self.reference.slab(GROUP, window)),
+            None => (LANES, Vec::new()),
+        };
+        // One verdict per candidate examined so far, in candidate order.
+        let mut verdicts: Vec<Verdict> = Vec::new();
         let mut results = Vec::with_capacity(LANES);
+        // The survivors waiting for a lane, and the first candidate not
+        // accounted yet.
+        let (mut queue, mut queued) = ([0usize; LANES], 0);
+        let mut next = 0;
         let mut work = 0u64;
         let mut i = 0;
         while i < batch.len() && out.len() < limit {
-            let chunk = LANES.min(batch.len() - i);
-            let mut windows: [&[u8]; LANES] = [&[]; LANES];
-            self.reference
-                .windows(&batch, i..i + chunk, &mut slab, &mut windows);
-            verdicts.clear();
+            let end = batch.len().min(i + group);
             if let Some(filter) = self.prefilter {
-                let mut chunk_candidates = [Candidate {
+                let mut windows: [&[u8]; GROUP] = [&[]; GROUP];
+                self.reference
+                    .windows(&batch, i..end, &mut group_slab, &mut windows);
+                let mut group_candidates = [Candidate {
                     read,
                     window: &[],
                     window_start: 0,
                     delta: self.delta,
-                }; LANES];
-                for (j, candidate) in chunk_candidates[..chunk].iter_mut().enumerate() {
+                }; GROUP];
+                for (j, candidate) in group_candidates[..end - i].iter_mut().enumerate() {
                     candidate.window = windows[j];
                     candidate.window_start = batch.start(i + j);
                 }
-                filter.examine_batch(&chunk_candidates[..chunk], &mut verdicts);
+                filter.examine_batch(&group_candidates[..end - i], &mut verdicts);
             }
-            let accepted = |j: usize| verdicts.get(j).is_none_or(|v| v.accept);
-            let mut lanes: [&[u8]; LANES] = [&[]; LANES];
-            let mut used = 0;
-            for j in (0..chunk).filter(|&j| accepted(j)) {
-                lanes[used] = windows[j];
-                used += 1;
-            }
-            results.clear();
-            if used > 0 {
-                verifier.verify_lanes(&masks, &lanes[..used], self.delta, &mut results);
-            }
-            // Account in candidate order, as the scalar loop does, up to
-            // the limit: lanes verified past it were host work only.
-            let mut verified = results.iter();
-            for j in 0..chunk {
-                if out.len() >= limit {
-                    break;
+            for j in i..end {
+                if verdicts.get(j).is_none_or(|v| v.accept) {
+                    queue[queued] = j;
+                    queued += 1;
                 }
-                if let Some(verdict) = verdicts.get(j) {
-                    metrics.prefilter_tested += 1;
-                    metrics.prefilter_words += verdict.cost_words;
-                    work += verdict.cost_words;
-                    if !verdict.accept {
-                        // Sound filters only reject unverifiable
-                        // windows: every rejection is a true reject.
-                        metrics.prefilter_rejected += 1;
-                        continue;
+                if queued < LANES && j + 1 < batch.len() {
+                    continue;
+                }
+                let lanes = &queue[..std::mem::take(&mut queued)];
+                results.clear();
+                if !lanes.is_empty() {
+                    let mut windows: [&[u8]; LANES] = [&[]; LANES];
+                    self.reference
+                        .windows(&batch, lanes.iter().copied(), &mut slab, &mut windows);
+                    verifier.verify_lanes(
+                        &masks,
+                        &windows[..lanes.len()],
+                        self.delta,
+                        &mut results,
+                    );
+                }
+                // Account in candidate order, as the scalar loop does, up
+                // to the limit: lanes verified past it were host work only.
+                let mut verified = results.iter();
+                for c in std::mem::replace(&mut next, j + 1)..=j {
+                    if out.len() >= limit {
+                        return work;
+                    }
+                    if let Some(verdict) = verdicts.get(c) {
+                        metrics.prefilter_tested += 1;
+                        metrics.prefilter_words += verdict.cost_words;
+                        work += verdict.cost_words;
+                        if !verdict.accept {
+                            // Sound filters only reject unverifiable
+                            // windows: every rejection is a true reject.
+                            metrics.prefilter_rejected += 1;
+                            continue;
+                        }
+                    }
+                    let (hit, cost) = verified.next().expect("one result per accepted lane");
+                    metrics.verifications += 1;
+                    metrics.word_updates += cost.word_updates;
+                    metrics.hits += u64::from(hit.is_some());
+                    work += cost.word_updates;
+                    if let Some(v) = hit {
+                        out.push(Mapping {
+                            position: batch.diag(c) as u32,
+                            strand,
+                            distance: v.distance,
+                        });
+                    } else if self.prefilter.is_some() {
+                        metrics.prefilter_false_accepts += 1;
                     }
                 }
-                let (hit, cost) = verified.next().expect("one result per accepted lane");
-                metrics.verifications += 1;
-                metrics.word_updates += cost.word_updates;
-                metrics.hits += u64::from(hit.is_some());
-                work += cost.word_updates;
-                if let Some(v) = hit {
-                    out.push(Mapping {
-                        position: batch.diag(i + j) as u32,
-                        strand,
-                        distance: v.distance,
-                    });
-                } else if self.prefilter.is_some() {
-                    metrics.prefilter_false_accepts += 1;
+                if out.len() >= limit {
+                    return work;
                 }
             }
-            i += chunk;
+            i = end;
         }
         work
     }
@@ -694,8 +723,8 @@ mod tests {
         // (values and order), every metric counter, and the returned
         // work must be bit-identical to the scalar per-candidate loop —
         // across read-length kernels, every prefilter mode (the chain
-        // reaches its parts through the default `examine_batch`), δ,
-        // and limits that force the mid-chunk scalar fallback. Both
+        // hands its parts whole batches), δ, and limits that stop
+        // verification mid-chunk. Both
         // reference arms take part, batch and scalar: windows unpacked
         // from the packed sequence and windows borrowed from flat codes,
         // all held to the flat scalar loop.
@@ -773,6 +802,75 @@ mod tests {
         let out_s = Razers3Like::new(std::sync::Arc::new(scalar), 4).map_read(&read);
         assert!(!out_b.mappings.is_empty());
         assert_eq!(out_b, out_s);
+    }
+
+    #[test]
+    fn grouped_filtering_matches_scalar_at_every_limit() {
+        // A read's candidates run past three filter groups, hits scattered
+        // among decoys, so that every first-n limit stops the accounting
+        // at another place: inside a group of 32, inside a lane of 8
+        // survivors, at a group's edge, or never. Every mode, both
+        // reference arms, held to the flat scalar loop.
+        let reference = ReferenceBuilder::new(20_000).seed(31).build();
+        let codes = reference.to_codes();
+        let shd = repute_prefilter::ShdFilter::new();
+        let bins = repute_prefilter::QgramBins::build_default(&codes);
+        let qgram = repute_prefilter::QgramFilter::new(&bins);
+        let chain = repute_prefilter::Chain::new(vec![&qgram, &shd]);
+        let filters: [Option<&dyn PreFilter>; 4] = [None, Some(&shd), Some(&qgram), Some(&chain)];
+        // Hits at candidates 3, 10, 17, …: every seventh, the true site or
+        // a diagonal beside it; decoys between, some of them overlapping
+        // the site, where the filters pass windows that do not verify.
+        let candidates: Vec<u32> = (0..100u32)
+            .map(|k| match k % 7 {
+                3 => 7000 + k % 3,
+                5 => 7000 + 20 + k,
+                _ => k * 7919 % 19_000,
+            })
+            .collect();
+        let mut rejected = [0u64; 4];
+        for read_len in [100usize, 150] {
+            let mut read = reference.subseq(7000..7000 + read_len).to_codes();
+            read[read_len / 3] ^= 2;
+            for delta in [3u32, 5] {
+                for limit in (0..=16).chain([100]) {
+                    for (f, filter) in filters.iter().enumerate() {
+                        let run = |engine: VerifyEngine<'_>| {
+                            let engine = filter.map_or(engine, |f| engine.with_prefilter(f));
+                            let mut out = Vec::new();
+                            let mut metrics = MapMetrics::new();
+                            let work = engine.verify_metered(
+                                &read,
+                                Strand::Reverse,
+                                &candidates,
+                                limit,
+                                &mut out,
+                                &mut metrics,
+                            );
+                            (out, work, metrics)
+                        };
+                        let expected = run(VerifyEngine::new(&codes, delta).with_scalar_path());
+                        let name = filter.map_or("none", |f| f.name());
+                        for (arm, engine) in [
+                            ("flat", VerifyEngine::new(&codes, delta)),
+                            ("packed", VerifyEngine::packed(&reference, delta)),
+                        ] {
+                            assert_eq!(
+                                run(engine),
+                                expected,
+                                "{arm} read_len={read_len} δ={delta} limit={limit} filter={name}"
+                            );
+                        }
+                        assert_eq!(expected.0.len(), limit.min(14), "{name}: the planted hits");
+                        rejected[f] += expected.2.prefilter_rejected;
+                    }
+                }
+            }
+        }
+        assert!(
+            rejected[0] == 0 && rejected[1..].iter().all(|&r| r > 0),
+            "every filter must reject something: {rejected:?}"
+        );
     }
 
     #[test]

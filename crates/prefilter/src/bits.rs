@@ -4,19 +4,52 @@
 //! a few hundred bases, so masks span a handful of words; every helper
 //! here is a straight-line loop over whole words — no allocation, no
 //! per-bit work. Bit `i` of a mask lives in word `i / 64`, position
-//! `i % 64` (LSB-first, matching the Myers verifier's convention).
+//! `i % 64` (LSB-first, matching the Myers verifier's convention). The
+//! SHD kernel sweeps [`LANES`] windows at once, so its masks are words
+//! of lanes, [`LaneWord`]s, and the shifts run in every lane.
 
 use std::ops::Range;
+
+/// Masks one SHD sweep builds in lockstep, each in its lane of a
+/// [`LaneWord`].
+pub const LANES: usize = 8;
+
+/// One mask word of every lane.
+pub type LaneWord = [u64; LANES];
 
 /// Packs 2-bit base codes into two bit-planes: bit `at + i` of `lo` is
 /// bit 0 of `codes[i]`, the same bit of `hi` its bit 1 (higher bits of
 /// a code are ignored). The planes must be zero where the codes land.
+pub fn pack_planes(codes: &[u8], at: usize, lo: &mut [u64], hi: &mut [u64]) {
+    pack_with(codes, at, |word, low, high| {
+        lo[word] |= low;
+        hi[word] |= high;
+    });
+}
+
+/// [`pack_planes`] into lane `lane` of planes of lane words.
+pub fn pack_lane_planes(
+    codes: &[u8],
+    at: usize,
+    lo: &mut [LaneWord],
+    hi: &mut [LaneWord],
+    lane: usize,
+) {
+    pack_with(codes, at, |word, low, high| {
+        lo[word][lane] |= low;
+        hi[word][lane] |= high;
+    });
+}
+
+/// The loop of the packers: ORs `(low, high)`, the bits of both planes,
+/// into word `word` through `put`.
 ///
 /// Eight bases go in per step: the eight code bytes are read as one
 /// word and a multiply gathers one bit of each into a byte (the
 /// products' bit positions `8i + 7j` never collide, so no carry
 /// disturbs the top byte, where `j = 8 − i` lands byte `i` on bit `i`).
-pub fn pack_planes(codes: &[u8], at: usize, lo: &mut [u64], hi: &mut [u64]) {
+#[inline(always)]
+fn pack_with(codes: &[u8], at: usize, mut put: impl FnMut(usize, u64, u64)) {
     fn gather(bytes: u64) -> u64 {
         (bytes & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
     }
@@ -28,55 +61,55 @@ pub fn pack_planes(codes: &[u8], at: usize, lo: &mut [u64], hi: &mut [u64]) {
     for (chunk, len) in whole.chain((!rest.is_empty()).then_some((&last, rest.len()))) {
         let bytes = u64::from_le_bytes(*chunk);
         let (word, bit) = (pos / 64, pos % 64);
-        for (plane, bits) in [(&mut *lo, gather(bytes)), (&mut *hi, gather(bytes >> 1))] {
-            plane[word] |= bits << bit;
-            if bit + len > 64 {
-                plane[word + 1] |= bits >> (64 - bit);
-            }
+        let (low, high) = (gather(bytes), gather(bytes >> 1));
+        put(word, low << bit, high << bit);
+        if bit + len > 64 {
+            put(word + 1, low >> (64 - bit), high >> (64 - bit));
         }
         pos += 8;
     }
 }
 
-/// Sets the bits of `mask` at the positions in `range`.
-pub fn set_range(mask: &mut [u64], range: Range<usize>) {
+/// Sets the bits at the positions in `range` in lane `lane` of `mask`.
+pub fn set_range(mask: &mut [LaneWord], lane: usize, range: Range<usize>) {
     for (k, word) in mask.iter_mut().enumerate() {
         let lo = range.start.max(64 * k);
         let hi = range.end.min(64 * k + 64);
         if lo < hi {
-            *word |= (u64::MAX >> (64 - (hi - lo))) << (lo - 64 * k);
+            word[lane] |= (u64::MAX >> (64 - (hi - lo))) << (lo - 64 * k);
         }
     }
 }
 
-/// Bits `at..at + 64` of `plane` as one word — the plane shifted down
-/// by `at`. `plane` must extend one word past the one holding bit `at`.
-pub fn word_at(plane: &[u64], at: usize) -> u64 {
-    let (word, bit) = (at / 64, at % 64);
-    let pair = u128::from(plane[word + 1]) << 64 | u128::from(plane[word]);
-    (pair >> bit) as u64
+/// Bits `bit..bit + 64` of the two-word string `lo`, `hi` (`bit < 64`):
+/// `lo` shifted down by `bit`, the bottom of `hi` filling in above.
+#[inline(always)]
+pub fn word_at(lo: u64, hi: u64, bit: u32) -> u64 {
+    lo >> bit | (hi << 1) << (63 - bit)
 }
 
-/// `mask &= mask << 1`, in place: a bit survives only above another set
-/// bit (a 0 enters at bit 0). Applied `n` times, what survives is the
-/// top of every run of more than `n` set bits.
-pub fn and_shl1(mask: &mut [u64]) {
-    let mut carry = 0u64;
+/// `mask &= mask << 1` in every lane (of however many), in place: a bit survives only
+/// above another set bit (a 0 enters at bit 0). Applied `n` times, what
+/// survives is the top of every run of more than `n` set bits.
+#[inline(always)]
+pub fn and_shl1<const N: usize>(mask: &mut [[u64; N]]) {
+    let mut below = [0u64; N];
     for w in mask {
-        let shifted = (*w << 1) | carry;
-        carry = *w >> 63;
-        *w &= shifted;
+        let word = *w;
+        *w = std::array::from_fn(|l| word[l] & (word[l] << 1 | below[l] >> 63));
+        below = word;
     }
 }
 
-/// `mask |= mask >> 1`, in place: every set bit also sets the one below
-/// it (a 0 enters at the top).
-pub fn or_shr1(mask: &mut [u64]) {
-    let mut carry = 0u64;
+/// `mask |= mask >> 1` in every lane (of however many), in place: every set bit also sets
+/// the one below it (a 0 enters at the top).
+#[inline(always)]
+pub fn or_shr1<const N: usize>(mask: &mut [[u64; N]]) {
+    let mut above = [0u64; N];
     for w in mask.iter_mut().rev() {
-        let shifted = (*w >> 1) | carry;
-        carry = *w << 63;
-        *w |= shifted;
+        let word = *w;
+        *w = std::array::from_fn(|l| word[l] | word[l] >> 1 | above[l] << 63);
+        above = word;
     }
 }
 
@@ -161,38 +194,69 @@ mod tests {
                 assert_eq!(bit(&lo, p), code.map_or(0, |c| c & 1), "lo {p} at {at}");
                 assert_eq!(bit(&hi, p), code.map_or(0, |c| c >> 1), "hi {p} at {at}");
             }
+            let (mut lane_lo, mut lane_hi) = (vec![[0u64; LANES]; 3], vec![[0u64; LANES]; 3]);
+            pack_lane_planes(&codes, at, &mut lane_lo, &mut lane_hi, 3);
+            assert_eq!(
+                (lane(&lane_lo, 3), lane(&lane_hi, 3)),
+                (lo, hi),
+                "lane at {at}"
+            );
+            assert_eq!(lane(&lane_lo, 2), [0; 3]);
         }
     }
 
     #[test]
     fn set_range_and_word_at_cross_words() {
-        let mut mask = vec![0u64; 3];
-        set_range(&mut mask, 60..70);
-        assert_eq!(mask, vec![0xF << 60, 0x3F, 0]);
-        assert_eq!(word_at(&mask, 58), 0x3FF << 2);
-        assert_eq!(word_at(&mask, 64), 0x3F);
-        set_range(&mut mask, 0..128);
-        assert_eq!(mask, vec![u64::MAX, u64::MAX, 0]);
-        assert_eq!(word_at(&mask, 127), 1);
+        let mut mask = vec![[0u64; LANES]; 3];
+        set_range(&mut mask, 5, 60..70);
+        assert_eq!(lane(&mask, 5), [0xF << 60, 0x3F, 0]);
+        assert_eq!(lane(&mask, 4), [0; 3]);
+        let words = lane(&mask, 5);
+        assert_eq!(word_at(words[0], words[1], 58), 0x3FF << 2);
+        assert_eq!(word_at(words[1], words[2], 0), 0x3F);
+        set_range(&mut mask, 5, 0..128);
+        assert_eq!(lane(&mask, 5), [u64::MAX, u64::MAX, 0]);
+        assert_eq!(word_at(u64::MAX, 0, 63), 1);
+    }
+
+    /// `words` in lane 1, their complements in lane 6, the other lanes 0.
+    fn in_lanes(words: &[u64]) -> Vec<LaneWord> {
+        words
+            .iter()
+            .map(|&w| {
+                let mut lanes = [0; LANES];
+                (lanes[1], lanes[6]) = (w, !w);
+                lanes
+            })
+            .collect()
+    }
+
+    /// Lane `l` of every word of `mask`.
+    fn lane(mask: &[LaneWord], l: usize) -> Vec<u64> {
+        mask.iter().map(|w| w[l]).collect()
     }
 
     #[test]
     fn shl1_carries_across_words() {
         // Bits 62..=64: a run of three across the word boundary.
-        let mut mask = vec![0b11 << 62, 1];
+        let mut mask = in_lanes(&[0b11 << 62, 1]);
         and_shl1(&mut mask);
-        assert_eq!(mask, vec![1 << 63, 1]);
+        assert_eq!(lane(&mask, 1), [1 << 63, 1]);
+        assert_eq!(lane(&mask, 6), [!(0b11 << 62) & !1, !3]);
+        assert_eq!(lane(&mask, 0), [0, 0]);
         and_shl1(&mut mask);
-        assert_eq!(mask, vec![0, 1]);
+        assert_eq!(lane(&mask, 1), [0, 1]);
     }
 
     #[test]
     fn shr1_carries_across_words() {
-        let mut mask = vec![0, 1];
+        let mut mask = in_lanes(&[0, 1]);
         or_shr1(&mut mask);
-        assert_eq!(mask, vec![1 << 63, 1]);
+        assert_eq!(lane(&mask, 1), [1 << 63, 1]);
+        assert_eq!(lane(&mask, 6), [u64::MAX; 2]);
         or_shr1(&mut mask);
-        assert_eq!(mask, vec![0b11 << 62, 1]);
+        assert_eq!(lane(&mask, 1), [0b11 << 62, 1]);
+        assert_eq!(lane(&mask, 0), [0, 0]);
     }
 
     #[test]

@@ -102,15 +102,15 @@ pub trait PreFilter: fmt::Debug + Sync {
     /// Examines one candidate.
     fn examine(&self, candidate: &Candidate<'_>) -> Verdict;
 
-    /// Examines a contiguous batch of candidates (all windows of one
-    /// read, in the engine's structure-of-arrays candidate buffer),
-    /// pushing one verdict per candidate onto `verdicts` in input
-    /// order.
+    /// Examines a contiguous batch of candidates (a group of one read's
+    /// windows, as the engine hands them over), pushing one verdict per
+    /// candidate onto `verdicts` in input order. A batch may mix reads.
     ///
-    /// The default delegates to [`PreFilter::examine`] per candidate,
-    /// so every filter keeps identical verdicts and cost accounting on
-    /// both entry points; filters with batch-amortisable setup may
-    /// override.
+    /// The default delegates to [`PreFilter::examine`] per candidate.
+    /// The filters of this crate do the opposite: their kernels run on
+    /// batches — the read's setup done once, windows in lockstep lanes —
+    /// and `examine` is a batch of one, so both entry points give the
+    /// same verdict and cost by construction.
     fn examine_batch(&self, candidates: &[Candidate<'_>], verdicts: &mut Vec<Verdict>) {
         for candidate in candidates {
             verdicts.push(self.examine(candidate));
@@ -145,20 +145,67 @@ impl<'a> Chain<'a> {
 
 impl PreFilter for Chain<'_> {
     fn examine(&self, candidate: &Candidate<'_>) -> Verdict {
-        let mut cost = 0u64;
+        examine_one(self, candidate)
+    }
+
+    /// Each part examines, in one batch, the candidates every part before
+    /// it accepted: a rejected candidate costs what it cost so far.
+    fn examine_batch(&self, candidates: &[Candidate<'_>], verdicts: &mut Vec<Verdict>) {
+        let first = verdicts.len();
+        verdicts.extend(candidates.iter().map(|_| Verdict::accept(0)));
+        let verdicts = &mut verdicts[first..];
+        let mut live: Vec<usize> = (0..candidates.len()).collect();
+        let mut batch = Vec::with_capacity(candidates.len());
+        let mut part_verdicts = Vec::with_capacity(candidates.len());
         for part in &self.parts {
-            let verdict = part.examine(candidate);
-            cost += verdict.cost_words;
-            if !verdict.accept {
-                return Verdict::reject(cost);
+            if live.is_empty() {
+                break;
             }
+            batch.clear();
+            batch.extend(live.iter().map(|&i| candidates[i]));
+            part_verdicts.clear();
+            part.examine_batch(&batch, &mut part_verdicts);
+            let mut part_verdicts = part_verdicts.iter();
+            live.retain(|&i| {
+                let verdict = part_verdicts.next().expect("one verdict per candidate");
+                let cost = verdicts[i].cost_words + verdict.cost_words;
+                verdicts[i] = Verdict {
+                    accept: verdict.accept,
+                    cost_words: cost,
+                };
+                verdict.accept
+            });
         }
-        Verdict::accept(cost)
     }
 
     fn name(&self) -> &'static str {
         "chain"
     }
+}
+
+/// [`PreFilter::examine`] of a filter whose kernel is its
+/// [`PreFilter::examine_batch`]: a batch of one.
+fn examine_one(filter: &impl PreFilter, candidate: &Candidate<'_>) -> Verdict {
+    let mut verdict = Vec::with_capacity(1);
+    filter.examine_batch(std::slice::from_ref(candidate), &mut verdict);
+    verdict[0]
+}
+
+/// The runs of `candidates` that share one read (the same slice), as
+/// index ranges in order: a batch kernel does a read's setup once a run.
+fn read_runs<'c>(
+    candidates: &'c [Candidate<'_>],
+) -> impl Iterator<Item = std::ops::Range<usize>> + 'c {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let read = candidates.get(start)?.read;
+        let len = candidates[start..]
+            .iter()
+            .position(|c| !std::ptr::eq(c.read, read))
+            .unwrap_or(candidates.len() - start);
+        start += len;
+        Some(start - len..start)
+    })
 }
 
 /// Which pre-alignment filters to run, as selected by `--prefilter`.

@@ -114,7 +114,8 @@ impl QgramBins {
 
     /// Number of bins.
     pub fn bins(&self) -> usize {
-        self.bits.len() / self.words_per_bin
+        // A bin is a power of two of words: a shift, not a division.
+        self.bits.len() >> self.words_per_bin.trailing_zeros()
     }
 
     /// Heap bytes held by the bitvectors (an index-size statistic).
@@ -126,10 +127,21 @@ impl QgramBins {
     /// window `[start, start + len)`, clamped to the reference.
     fn bin_range(&self, start: usize, len: usize) -> (usize, usize) {
         let last_bin = self.bins() - 1;
-        let lo = (start / self.bin_width).min(last_bin);
+        let lo = self.bin_of(start).min(last_bin);
         let last_start = (start + len.saturating_sub(self.q)).min(self.ref_len);
-        let hi = (last_start / self.bin_width).min(last_bin);
+        let hi = self.bin_of(last_start).min(last_bin);
         (lo, hi.max(lo))
+    }
+
+    /// The bin of reference position `pos`; a shift when the width is a
+    /// power of two, as the default is, which spares the filter two
+    /// divisions a candidate.
+    fn bin_of(&self, pos: usize) -> usize {
+        if self.bin_width.is_power_of_two() {
+            pos >> self.bin_width.trailing_zeros()
+        } else {
+            pos / self.bin_width
+        }
     }
 }
 
@@ -152,14 +164,64 @@ impl<'a> QgramFilter<'a> {
 
 impl PreFilter for QgramFilter<'_> {
     fn examine(&self, candidate: &Candidate<'_>) -> Verdict {
+        crate::examine_one(self, candidate)
+    }
+
+    /// Hashes each read's grams once, then per candidate gathers the
+    /// found bits of 16 probes at a time without a branch and finds the
+    /// probe the filter stops at — the first that reaches the threshold
+    /// or exceeds the miss budget — from prefix counts of those bits.
+    fn examine_batch(&self, candidates: &[Candidate<'_>], verdicts: &mut Vec<Verdict>) {
         let q = self.bins.q;
-        let m = candidate.read.len();
-        if m < q {
+        let mut grams = Vec::new();
+        for run in crate::read_runs(candidates) {
+            let read = candidates[run.start].read;
+            grams.clear();
+            if read.len() >= q {
+                let mask = (1u64 << (2 * q)) - 1;
+                let (head, probed) = read.split_at(q - 1);
+                let mut hash = head
+                    .iter()
+                    .fold(0u64, |hash, &code| (hash << 2) | u64::from(code & 3));
+                grams.extend(probed.iter().map(|&code| {
+                    hash = ((hash << 2) | u64::from(code & 3)) & mask;
+                    Gram {
+                        word: (hash / 64) as usize,
+                        bit: 1 << (hash % 64),
+                    }
+                }));
+            }
+            for candidate in &candidates[run] {
+                verdicts.push(self.probe(&grams, candidate));
+            }
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "qgram"
+    }
+}
+
+/// One gram of a read: where its existence bit sits in a bin.
+#[derive(Debug, Clone, Copy)]
+struct Gram {
+    /// The bin word holding the bit.
+    word: usize,
+    /// The bit, as a mask.
+    bit: u64,
+}
+
+impl QgramFilter<'_> {
+    /// The verdict on one candidate whose read has the `grams` (none
+    /// when it is shorter than q).
+    fn probe(&self, grams: &[Gram], candidate: &Candidate<'_>) -> Verdict {
+        let q = self.bins.q;
+        if grams.is_empty() {
             // No gram to test; the lemma gives no rejection power.
             return Verdict::accept(1);
         }
-        let grams = (m - q + 1) as i64;
-        let needed = grams - q as i64 * i64::from(candidate.delta);
+        let count = grams.len() as i64;
+        let needed = count - q as i64 * i64::from(candidate.delta);
         if needed <= 0 {
             // Lemma threshold degenerate: every candidate passes.
             return Verdict::accept(1);
@@ -170,47 +232,87 @@ impl PreFilter for QgramFilter<'_> {
         let spans = (hi - lo + 1) as u64;
         let per_bin = self.bins.words_per_bin;
         let spanned = &self.bins.bits[lo * per_bin..(hi + 1) * per_bin];
-        let mask = (1u64 << (2 * q)) - 1;
-        let (head, probed) = candidate.read.split_at(q - 1);
-        let mut hash = head
-            .iter()
-            .fold(0u64, |hash, &code| (hash << 2) | u64::from(code & 3));
-        let mut found = 0i64;
-        let mut missing = 0i64;
-        let mut probes = 0u64;
-        let budget = grams - needed; // misses allowed before rejection
-        for &code in probed {
-            hash = ((hash << 2) | u64::from(code & 3)) & mask;
-            // Found or missing is a coin flip on exactly the candidates
-            // the filter exists to reject: count both without a branch,
-            // and leave one that is not taken until the last probe.
-            let seen = spanned
-                .chunks_exact(per_bin)
-                .fold(0u64, |seen, bin| seen | bin[(hash / 64) as usize]);
-            let bit = (seen >> (hash % 64) & 1) as i64;
-            probes += 1;
-            found += bit;
-            missing += 1 - bit;
-            // A sound early accept, or the threshold out of reach.
-            if (found >= needed) | (missing > budget) {
-                break;
+        let budget = count - needed; // misses allowed before rejection
+        let (mut found, mut probes) = (0i64, 0i64);
+        for block in grams.chunks(BLOCK) {
+            // Bit j: the block's gram j starts in one of the spanned bins.
+            let bits = match spans {
+                1 => gather(block, |word| spanned[word]),
+                2 => {
+                    let (first, second) = spanned.split_at(per_bin);
+                    gather(block, |word| first[word] | second[word])
+                }
+                _ => gather(block, |word| {
+                    spanned
+                        .chunks_exact(per_bin)
+                        .fold(0, |seen, bin| seen | bin[word])
+                }),
+            };
+            let len = block.len() as i64;
+            let hits = i64::from(bits.count_ones());
+            if found + hits < needed && probes - found + len - hits <= budget {
+                found += hits;
+                probes += len;
+                continue;
             }
+            // The filter stops inside this block, at the earlier of the
+            // found bit that reaches the threshold (a sound early accept)
+            // and the missing one that puts it out of reach.
+            let missing = !bits & (u64::MAX >> (64 - len));
+            let reach = nth_set_bit(bits, (needed - found) as u32);
+            let out = nth_set_bit(missing, (budget + 1 - (probes - found)) as u32);
+            let stop = reach.min(out);
+            found += i64::from((bits & (u64::MAX >> (63 - stop))).count_ones());
+            probes += i64::from(stop) + 1;
+            break;
         }
         // Cost calibration: one existence probe is a rolling-hash
         // update plus `spans` masked word reads — charge 8 probes per
         // word-unit of the Myers currency (a word update is itself a
         // dozen-op bundle).
-        let cost = (probes * spans).div_ceil(8).max(1);
+        let cost = (probes as u64 * spans).div_ceil(8).max(1);
         if found >= needed {
             Verdict::accept(cost)
         } else {
             Verdict::reject(cost)
         }
     }
+}
 
-    fn name(&self) -> &'static str {
-        "qgram"
+/// Probes gathered before the filter checks whether it stops: a sixth
+/// of a 100-base read's grams, so that a candidate rejected early is not
+/// probed far past its stop.
+const BLOCK: usize = 16;
+
+/// Bit `j` set when gram `j` of `block` is in the spanned bins, whose
+/// merged word `word` `seen` returns.
+#[inline(always)]
+fn gather(block: &[Gram], seen: impl Fn(usize) -> u64) -> u64 {
+    block.iter().rev().fold(0, |bits, gram| {
+        bits << 1 | u64::from(seen(gram.word) & gram.bit != 0)
+    })
+}
+
+/// The position of the `n`-th (from 1) set bit of `word`, or 64 when it
+/// has fewer than `n`: whole bytes are skipped by their counts first.
+fn nth_set_bit(mut word: u64, mut n: u32) -> u32 {
+    let mut base = 0;
+    loop {
+        let count = (word & 0xFF).count_ones();
+        if n <= count {
+            break;
+        }
+        if word == 0 {
+            return 64;
+        }
+        n -= count;
+        word >>= 8;
+        base += 8;
     }
+    for _ in 1..n {
+        word &= word - 1;
+    }
+    base + word.trailing_zeros()
 }
 
 #[cfg(test)]

@@ -56,7 +56,10 @@
 //! *popcount* is already ≤ δ the candidate is accepted without the
 //! streak scan (the bound charges at most 1 per surviving bit).
 
-use crate::bits::{and_shl1, or_shr1, pack_planes, set_range, streak_edit_bound, word_at};
+use crate::bits::{
+    and_shl1, or_shr1, pack_lane_planes, pack_planes, set_range, streak_edit_bound, word_at,
+    LaneWord, LANES,
+};
 use crate::{Candidate, PreFilter, Verdict};
 
 /// Mask words kept on the stack: reads up to `8 × 64 = 512` bases (far
@@ -65,7 +68,7 @@ const STACK_WORDS: usize = 8;
 
 /// Words per window plane kept on the stack: a 512-base read's
 /// `read + 2δ` window up to δ = 31, laid out δ bits up, with the spare
-/// word [`word_at`] reads past the last shift.
+/// word a shifted read takes past the last shift.
 const STACK_PLANE_WORDS: usize = STACK_WORDS + 2;
 
 /// The SHD filter. Stateless aside from its amendment knob; build once
@@ -109,164 +112,333 @@ impl ShdFilter {
         self
     }
 
-    /// Examines raw code slices (the [`PreFilter`] impl delegates
-    /// here). `window` is the exact slice the verifier would align
-    /// against; `delta` its error budget. Codes are 2-bit (`0..=3`).
+    /// Examines raw code slices: a batch of one. `window` is the exact
+    /// slice the verifier would align against; `delta` its error budget.
+    /// Codes are 2-bit (`0..=3`).
     pub fn examine_codes(&self, read: &[u8], window: &[u8], delta: u32) -> Verdict {
+        self.examine(&Candidate {
+            read,
+            window,
+            window_start: 0,
+            delta,
+        })
+    }
+
+    /// The verdicts on `candidates`, which share `read`, into `out`: the
+    /// ones decided by their lengths at once, the rest [`LANES`] at a
+    /// time through [`ShdFilter::sweep`].
+    fn examine_read(&self, read: &[u8], candidates: &[Candidate<'_>], out: &mut [Verdict]) {
         let m = read.len();
-        let wlen = window.len();
         if m < self.amend_below {
             // Degenerate: amendment could erase a 0-edit whole-read
             // match run, so the streak bound is not sound here. Reads
             // this short carry no signal anyway — accept.
-            return Verdict::accept(u64::from(m > 0));
-        }
-        // A semi-global alignment consumes the whole read, so a read
-        // overhanging the window by more than δ needs > δ deletions:
-        // provably unverifiable, reject at unit cost.
-        if m > wlen + delta as usize {
-            return Verdict::reject(1);
+            out.fill(Verdict::accept(u64::from(m > 0)));
+            return;
         }
         let words = m.div_ceil(64);
-        if delta as usize >= m {
-            // Whatever the bases, the first mask leaves ≤ m ≤ δ
-            // mismatches and the early accept below fires on it. Said
-            // here, so that δ < m bounds the planes by the inputs.
-            return Verdict::accept(2 * words as u64);
-        }
-        let slack = delta as usize;
-        // Window offsets a read base can occupy across all ≤ δ-edit
-        // semi-global alignments (see module docs): s ∈ [−δ, wlen − m + δ].
-        // The window is laid out δ bits up, so that shift s reads it
-        // `t = s + δ ≥ 0` bits down and no shift is negative.
-        let shifts = wlen + 2 * slack - m + 1;
-        let plane_words = words + (shifts - 1) / 64 + 1;
-        // The window, packed once: its two code bit-planes and the plane
-        // of positions inside it. Stack-backed for realistic lengths, as
-        // the masks are; one heap allocation each beyond.
-        let mut stack = [0u64; 3 * STACK_PLANE_WORDS];
+        // The read, packed once into its two bit-planes.
+        let mut stack = [0u64; 2 * STACK_WORDS];
         let mut heap = Vec::new();
-        let planes = if plane_words <= STACK_PLANE_WORDS {
-            &mut stack[..3 * plane_words]
+        let planes = if words <= STACK_WORDS {
+            &mut stack[..2 * words]
         } else {
-            heap.resize(3 * plane_words, 0u64);
+            heap.resize(2 * words, 0u64);
             &mut heap[..]
         };
-        let (lo, rest) = planes.split_at_mut(plane_words);
-        let (hi, inside) = rest.split_at_mut(plane_words);
-        pack_planes(window, slack, lo, hi);
-        set_range(inside, slack..slack + wlen);
-        let window = [&*lo, &*hi, &*inside];
+        let (r_lo, r_hi) = planes.split_at_mut(words);
+        pack_planes(read, 0, r_lo, r_hi);
+        let read_planes = [&*r_lo, &*r_hi];
         // One kernel for every length; up to the stack limit the compiler
         // is told the mask width, and keeps the masks in registers.
         match words {
-            1 => self.sweep_on_stack::<1>(read, window, shifts, delta),
-            2 => self.sweep_on_stack::<2>(read, window, shifts, delta),
-            3 => self.sweep_on_stack::<3>(read, window, shifts, delta),
-            4 => self.sweep_on_stack::<4>(read, window, shifts, delta),
-            5 => self.sweep_on_stack::<5>(read, window, shifts, delta),
-            6 => self.sweep_on_stack::<6>(read, window, shifts, delta),
-            7 => self.sweep_on_stack::<7>(read, window, shifts, delta),
-            STACK_WORDS => self.sweep_on_stack::<STACK_WORDS>(read, window, shifts, delta),
-            _ => self.sweep(read, window, shifts, delta, &mut vec![0u64; 4 * words]),
+            1 => self.lanes::<[LaneWord; 1]>(read_planes, m, candidates, out),
+            2 => self.lanes::<[LaneWord; 2]>(read_planes, m, candidates, out),
+            3 => self.lanes::<[LaneWord; 3]>(read_planes, m, candidates, out),
+            4 => self.lanes::<[LaneWord; 4]>(read_planes, m, candidates, out),
+            5 => self.lanes::<[LaneWord; 5]>(read_planes, m, candidates, out),
+            6 => self.lanes::<[LaneWord; 6]>(read_planes, m, candidates, out),
+            7 => self.lanes::<[LaneWord; 7]>(read_planes, m, candidates, out),
+            STACK_WORDS => self.lanes::<[LaneWord; STACK_WORDS]>(read_planes, m, candidates, out),
+            _ => self.lanes::<Vec<LaneWord>>(read_planes, m, candidates, out),
         }
     }
 
-    fn sweep_on_stack<const W: usize>(
+    /// Decides what the lengths decide, and gathers the other candidates
+    /// into lanes of [`LANES`] for [`ShdFilter::sweep`], whose masks are
+    /// `M`s.
+    fn lanes<M: Masks>(
         &self,
-        read: &[u8],
-        window: [&[u64]; 3],
-        shifts: usize,
-        delta: u32,
-    ) -> Verdict {
-        self.sweep(
-            read,
-            window,
-            shifts,
-            delta,
-            [[0u64; W]; 4].as_flattened_mut(),
-        )
+        read: [&[u64]; 2],
+        m: usize,
+        candidates: &[Candidate<'_>],
+        out: &mut [Verdict],
+    ) {
+        let words = m.div_ceil(64);
+        let mut stack = [[0u64; LANES]; 3 * STACK_PLANE_WORDS];
+        let mut heap = Vec::new();
+        let mut lanes = [0usize; LANES];
+        let mut used = 0;
+        for (i, candidate) in candidates.iter().enumerate() {
+            let (wlen, delta) = (candidate.window.len(), candidate.delta as usize);
+            if m > wlen + delta {
+                // A semi-global alignment consumes the whole read, so a
+                // read overhanging the window by more than δ needs > δ
+                // deletions: provably unverifiable, reject at unit cost.
+                out[i] = Verdict::reject(1);
+            } else if delta >= m {
+                // Whatever the bases, the first mask leaves ≤ m ≤ δ
+                // mismatches and the early accept fires on it. Said here,
+                // so that δ < m bounds the planes by the inputs.
+                out[i] = Verdict::accept(2 * words as u64);
+            } else {
+                lanes[used] = i;
+                used += 1;
+            }
+            if used == LANES || (used > 0 && i + 1 == candidates.len()) {
+                let group = &lanes[..std::mem::take(&mut used)];
+                let planes = pack_windows(m, candidates, group, &mut stack, &mut heap);
+                self.sweep::<M>(read, m, candidates, group, planes, out);
+            }
+        }
     }
 
     /// Builds, amends and ANDs the masks of shifts `0..shifts` of `read`
-    /// against the packed `window` planes until the early accept fires,
-    /// in four zeroed mask-width buffers cut from `scratch`.
+    /// against the packed window planes of the `group` lanes, all lanes
+    /// in lockstep, each until its own early accept fires or its shifts
+    /// run out, then writes each lane's verdict into `out`.
     ///
-    /// Inlined into each `sweep_on_stack::<W>` on purpose: only there is
-    /// the mask width a constant (1.8× on a 100-base read).
+    /// A lane that is done keeps its running mask as it stood — the AND
+    /// of a later shift is masked off for it — and counts no more masks,
+    /// so each lane's verdict and cost are what it would have had alone.
     #[inline(always)]
-    fn sweep(
+    fn sweep<'p, M: Masks>(
         &self,
-        read: &[u8],
-        window: [&[u64]; 3],
-        shifts: usize,
-        delta: u32,
-        scratch: &mut [u64],
-    ) -> Verdict {
-        let [w_lo, w_hi, inside] = window;
-        let words = scratch.len() / 4;
-        let (r_lo, rest) = scratch.split_at_mut(words);
-        let (r_hi, rest) = rest.split_at_mut(words);
-        let (acc, matches) = rest.split_at_mut(words);
-        pack_planes(read, 0, r_lo, r_hi);
-        acc.fill(u64::MAX);
+        read: [&[u64]; 2],
+        m: usize,
+        candidates: &[Candidate<'_>],
+        group: &[usize],
+        planes: &'p [LaneWord],
+        out: &mut [Verdict],
+    ) {
+        let mut acc = M::filled(m.div_ceil(64), u64::MAX);
+        let mut matches = M::filled(m.div_ceil(64), 0);
+        // The mask width, as the compiler sees it: a constant for arrays.
+        let words = acc.words_mut().len();
+        let [r_lo, r_hi] = read.map(|plane| &plane[..words]);
+        let p = planes.len() / 3;
+        let (w_lo, rest) = planes.split_at(p);
+        let (w_hi, inside) = rest.split_at(p);
         // Padding above the read never matches, so it never masquerades
         // as a match run; `live` is the read's share of the last word.
-        let pad = (words * 64 - read.len()) as u32;
+        let pad = (words * 64 - m) as u64;
         let live = u64::MAX >> pad;
-
-        let mut masks_built = 0u64;
-        let mut accepted_early = false;
-        for t in 0..shifts {
-            // Match mask of shift t: bit i set when read[i] equals
-            // window[i + t − δ] and that position is inside the window.
-            for (k, word) in matches.iter_mut().enumerate() {
-                let at = 64 * k + t;
-                *word = !(r_lo[k] ^ word_at(w_lo, at))
-                    & !(r_hi[k] ^ word_at(w_hi, at))
-                    & word_at(inside, at);
-            }
-            matches[words - 1] &= live;
-            // Amendment: a match survives only in a run of ≥ amend_below
-            // matches. The classic two-shift trick, generalised — each
-            // `and_shl1` strips the bottom match off every run, leaving
-            // only the tops of the long ones, and each `or_shr1` grows
-            // those back down by the one match the run had lost.
-            for _ in 1..self.amend_below {
-                and_shl1(matches);
-            }
-            for _ in 1..self.amend_below {
-                or_shr1(matches);
-            }
-            // Everything else is a mismatch; AND it into the running mask.
-            let mut mismatches = 0u32;
-            for (a, &kept) in acc.iter_mut().zip(matches.iter()) {
-                *a &= !kept;
-                mismatches += a.count_ones();
-            }
-            masks_built += 1;
-            // Sound early accept: popcount only ever shrinks under AND.
-            if mismatches - pad <= delta {
-                accepted_early = true;
-                break;
+        // Per lane: its last shift (none for a lane not in use), and the
+        // most mismatches its early accept allows, padding included.
+        let mut last_shift = [u64::MAX; LANES];
+        let mut limit = [0u64; LANES];
+        for (lane, &i) in group.iter().enumerate() {
+            last_shift[lane] = shifts(m, &candidates[i]) as u64 - 1;
+            limit[lane] = pad + u64::from(candidates[i].delta);
+        }
+        let mut built = [0u64; LANES];
+        // All ones in a lane that accepted early.
+        let mut early = [0u64; LANES];
+        // The lanes still sweeping, as a mask word each: all ones while
+        // a lane's running mask takes the next AND.
+        let mut sweeping = [0u64; LANES];
+        sweeping[..group.len()].fill(u64::MAX);
+        let last = group
+            .iter()
+            .map(|&i| shifts(m, &candidates[i]))
+            .max()
+            .unwrap_or(0);
+        // Shifts go 64 to a row of the planes: within one, every lane
+        // reads the same plane words, each shifted down by the same bits.
+        'sweep: for row in 0..last.div_ceil(64) {
+            let rows = |plane: &'p [LaneWord]| &plane[row..row + words + 1];
+            let (w_lo, w_hi, inside) = (rows(w_lo), rows(w_hi), rows(inside));
+            for t in 64 * row..last.min(64 * row + 64) {
+                // Match mask of shift t: bit i set when read[i] equals
+                // window[i + t − δ] and that position is inside the window.
+                let bit = (t % 64) as u32;
+                for (k, kept) in matches.words_mut().iter_mut().enumerate() {
+                    let at = |plane: &[LaneWord]| -> LaneWord {
+                        let (low, high) = (&plane[k], &plane[k + 1]);
+                        std::array::from_fn(|l| word_at(low[l], high[l], bit))
+                    };
+                    let (lo, hi, within) = (at(w_lo), at(w_hi), at(inside));
+                    let (read_lo, read_hi) = (r_lo[k], r_hi[k]);
+                    *kept = std::array::from_fn(|l| {
+                        !(read_lo ^ lo[l]) & !(read_hi ^ hi[l]) & within[l]
+                    });
+                }
+                let matches = matches.words_mut();
+                for kept in &mut matches[words - 1] {
+                    *kept &= live;
+                }
+                // Amendment: a match survives only in a run of ≥
+                // amend_below matches. The classic two-shift trick,
+                // generalised — each `and_shl1` strips the bottom match
+                // off every run, leaving only the tops of the long ones,
+                // and each `or_shr1` grows those back down by the one
+                // match the run had lost.
+                for _ in 1..self.amend_below {
+                    and_shl1(matches);
+                }
+                for _ in 1..self.amend_below {
+                    or_shr1(matches);
+                }
+                // Everything else is a mismatch; AND it into the running
+                // masks of the lanes still sweeping.
+                let mut mismatches = [0u64; LANES];
+                for (a, kept) in acc.words_mut().iter_mut().zip(matches.iter()) {
+                    let word = *a;
+                    *a = std::array::from_fn(|l| word[l] & !(kept[l] & sweeping[l]));
+                    let counts: LaneWord = std::array::from_fn(|l| u64::from(a[l].count_ones()));
+                    mismatches = std::array::from_fn(|l| mismatches[l] + counts[l]);
+                }
+                // A lane counts the mask it took; its early accept is
+                // sound because the popcount only ever shrinks under AND.
+                // A lane that is done keeps a count above its limit, or
+                // has accepted early already: the test needs no guard.
+                // Both tests are a borrow into the top bit, which vector
+                // units without 64-bit compares can take: a count at
+                // most `limit`, and a lane at its last shift.
+                let accepted: LaneWord = std::array::from_fn(|l| {
+                    (limit[l].wrapping_sub(mismatches[l]) >> 63).wrapping_sub(1)
+                });
+                let ends: LaneWord = std::array::from_fn(|l| {
+                    (last_shift[l].wrapping_sub(t as u64).wrapping_sub(1) >> 63).wrapping_neg()
+                });
+                built = std::array::from_fn(|l| built[l] + (sweeping[l] & 1));
+                early = std::array::from_fn(|l| early[l] | accepted[l]);
+                sweeping = std::array::from_fn(|l| sweeping[l] & !(accepted[l] | ends[l]));
+                if sweeping.iter().all(|&lane| lane == 0) {
+                    break 'sweep;
+                }
             }
         }
         // One pipelined pass (XOR-build, amend, AND, count) per mask
         // word is charged one unit of the Myers word-update currency —
         // both are short fixed bundles of 64-lane bitwise ops — plus
         // one final counting pass.
-        let cost = (masks_built + 1) * words as u64;
-        if accepted_early || streak_edit_bound(acc, read.len()) <= u64::from(delta) {
-            Verdict::accept(cost)
+        let acc = acc.words_mut();
+        let mut stack = [0u64; STACK_WORDS];
+        let mut heap = Vec::new();
+        let lane_acc = if words <= STACK_WORDS {
+            &mut stack[..words]
         } else {
-            Verdict::reject(cost)
+            heap.resize(words, 0u64);
+            &mut heap[..]
+        };
+        for (lane, &i) in group.iter().enumerate() {
+            let cost = (built[lane] + 1) * words as u64;
+            for (word, a) in lane_acc.iter_mut().zip(acc.iter()) {
+                *word = a[lane];
+            }
+            out[i] = if early[lane] != 0 || streak_edit_bound(lane_acc, m) <= limit[lane] - pad {
+                Verdict::accept(cost)
+            } else {
+                Verdict::reject(cost)
+            };
         }
     }
 }
 
+/// Mask storage of one sweep: a mask word of every lane for each word of
+/// the read — a fixed array the compiler can keep in registers up to the
+/// stack limit, a vector beyond.
+trait Masks {
+    /// `words` lane words, every lane set to `value`.
+    fn filled(words: usize, value: u64) -> Self;
+    /// The lane words.
+    fn words_mut(&mut self) -> &mut [LaneWord];
+}
+
+impl<const W: usize> Masks for [LaneWord; W] {
+    fn filled(_: usize, value: u64) -> Self {
+        [[value; LANES]; W]
+    }
+
+    fn words_mut(&mut self) -> &mut [LaneWord] {
+        self
+    }
+}
+
+impl Masks for Vec<LaneWord> {
+    fn filled(words: usize, value: u64) -> Self {
+        vec![[value; LANES]; words]
+    }
+
+    fn words_mut(&mut self) -> &mut [LaneWord] {
+        self
+    }
+}
+
+/// Window offsets a read base can occupy across all ≤ δ-edit
+/// semi-global alignments of `candidate` (see module docs): the shifts
+/// `s ∈ [−δ, wlen − m + δ]`, at least one when `m ≤ wlen + δ`.
+fn shifts(m: usize, candidate: &Candidate<'_>) -> usize {
+    candidate.window.len() + 2 * candidate.delta as usize + 1 - m
+}
+
+/// The windows of the `group` lanes, packed into lane words: the two
+/// code bit-planes and the plane of positions inside the window, each
+/// laid out δ bits up, so that shift `s` of the module docs reads it
+/// `t = s + δ ≥ 0` bits down. Stack-backed for realistic lengths; one
+/// heap allocation beyond. Rows `0..p`, `p..2p` and `2p..3p` of the
+/// result are the three planes.
+fn pack_windows<'s>(
+    m: usize,
+    candidates: &[Candidate<'_>],
+    group: &[usize],
+    stack: &'s mut [LaneWord],
+    heap: &'s mut Vec<LaneWord>,
+) -> &'s [LaneWord] {
+    let words = m.div_ceil(64);
+    let plane_words = |c: &Candidate<'_>| words + (shifts(m, c) - 1) / 64 + 1;
+    let p = group
+        .iter()
+        .map(|&i| plane_words(&candidates[i]))
+        .max()
+        .unwrap_or(0);
+    let rows = if 3 * p <= stack.len() {
+        &mut stack[..3 * p]
+    } else {
+        heap.resize(3 * p, [0; LANES]);
+        &mut heap[..]
+    };
+    rows.fill([0; LANES]);
+    let (lo, rest) = rows.split_at_mut(p);
+    let (hi, inside) = rest.split_at_mut(p);
+    for (lane, &i) in group.iter().enumerate() {
+        let candidate = &candidates[i];
+        let slack = candidate.delta as usize;
+        pack_lane_planes(candidate.window, slack, lo, hi, lane);
+        set_range(inside, lane, slack..slack + candidate.window.len());
+    }
+    rows
+}
+
 impl PreFilter for ShdFilter {
     fn examine(&self, candidate: &Candidate<'_>) -> Verdict {
-        self.examine_codes(candidate.read, candidate.window, candidate.delta)
+        crate::examine_one(self, candidate)
+    }
+
+    /// Packs each read's planes once and sweeps its windows [`LANES`] at
+    /// a time.
+    fn examine_batch(&self, candidates: &[Candidate<'_>], verdicts: &mut Vec<Verdict>) {
+        let first = verdicts.len();
+        verdicts.resize(first + candidates.len(), Verdict::reject(0));
+        for run in crate::read_runs(candidates) {
+            let read = candidates[run.start].read;
+            self.examine_read(
+                read,
+                &candidates[run.clone()],
+                &mut verdicts[first + run.start..first + run.end],
+            );
+        }
     }
 
     fn name(&self) -> &'static str {

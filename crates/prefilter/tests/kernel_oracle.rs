@@ -10,11 +10,16 @@
 //! streak bound, the branchy probe loop and the bin builder they probe.
 //! Nothing else in the repository calls it. After touching a kernel in
 //! `src/`, this is the test to run first.
+//!
+//! The kernels are batch kernels — `examine` is a batch of one — so the
+//! last test holds `examine_batch` of each filter and of the `Chain` the
+//! engine runs to the same oracles, over batches of 1 to 32 candidates
+//! that mix reads, lengths, error budgets and window shapes.
 
 use std::fmt::Debug;
 
 use repute_genome::rng::StdRng;
-use repute_prefilter::{Candidate, PreFilter, QgramBins, QgramFilter, ShdFilter, Verdict};
+use repute_prefilter::{Candidate, Chain, PreFilter, QgramBins, QgramFilter, ShdFilter, Verdict};
 
 mod common;
 
@@ -647,4 +652,174 @@ fn qgram_matches_the_branchy_probe_on_verdict_and_cost() {
         "bins per window"
     );
     assert!(last_bin_seen, "no window reached the last bin");
+}
+
+/// One read of a batch: its codes and, when it was cut from the
+/// reference, the position it was cut at.
+struct BatchRead {
+    codes: Vec<u8>,
+    origin: Option<usize>,
+}
+
+/// A read of `m` bases for a batch: a ≤ δ-edit mutant of the reference
+/// — a fifth of them within δ of one of its ends — or unrelated codes.
+fn batch_read(rng: &mut StdRng, reference: &[u8], m: usize, delta: usize) -> BatchRead {
+    let n = reference.len();
+    if rng.gen_range(0u8..4) == 0 {
+        return BatchRead {
+            codes: random_codes(rng, m),
+            origin: None,
+        };
+    }
+    let origin = match rng.gen_range(0u8..10) {
+        0 => rng.gen_range(0..=delta),
+        1 => n - m - rng.gen_range(0..=delta),
+        _ => rng.gen_range(0..=n - m),
+    };
+    let edits = rng.gen_range(0..=delta as u32);
+    let codes = mutant(
+        rng,
+        &reference[origin..origin + m],
+        &reference[origin + m..],
+        edits,
+    );
+    BatchRead {
+        codes,
+        origin: Some(origin),
+    }
+}
+
+/// The window of one candidate of `read`: the engine's `read + 2δ`
+/// around its origin (clamped at the reference ends), a shorter or an
+/// overhanging cut of it, or a window somewhere else.
+fn batch_window(
+    rng: &mut StdRng,
+    reference: &[u8],
+    read: &BatchRead,
+    delta: usize,
+) -> (usize, usize) {
+    let (n, m) = (reference.len(), read.codes.len());
+    let at = match read.origin {
+        Some(origin) if rng.gen_range(0u8..3) != 0 => origin,
+        _ => rng.gen_range(0..=n - m),
+    };
+    let (start, end) = (at.saturating_sub(delta), (at + m + delta).min(n));
+    match rng.gen_range(0u8..8) {
+        0 => (at, end - rng.gen_range(0..=delta.min(end - at))),
+        1 => (
+            at,
+            at + m.saturating_sub(delta + 1 + rng.gen_range(0..3usize)),
+        ),
+        _ => (start, end),
+    }
+}
+
+/// The oracles' verdict on one candidate under each filter: SHD, the
+/// q-gram bins, and the chain of the two that the engine runs.
+fn oracle_verdicts(below: usize, bins: &oracle::Bins, candidate: &Candidate<'_>) -> [Verdict; 3] {
+    let shd = oracle::examine_codes(below, candidate.read, candidate.window, candidate.delta);
+    let qgram = bins.examine(
+        candidate.read,
+        candidate.window_start,
+        candidate.window.len(),
+        candidate.delta,
+    );
+    let chain = if qgram.accept {
+        Verdict {
+            accept: shd.accept,
+            cost_words: qgram.cost_words + shd.cost_words,
+        }
+    } else {
+        qgram
+    };
+    [shd, qgram, chain]
+}
+
+#[test]
+fn batches_match_the_oracles_on_verdict_and_cost() {
+    let mut rng = StdRng::seed_from_u64(0xBA7C);
+    let reference = random_codes(&mut rng, 4_000);
+    let mut tallies: [Tally; 3] = Default::default();
+    let mut lanes_filled = 0u64;
+    for (q, width, trials) in [(5, 512, 384), (4, 128, 128)] {
+        let bins = QgramBins::build(&reference, q, width);
+        let old = oracle::Bins::build(&reference, q, width);
+        let qgram = QgramFilter::new(&bins);
+        for trial in 0..trials {
+            let size = 1 + trial % 32;
+            let below = 1 + trial / 32 % 4;
+            let shd = ShdFilter::new().with_amend_below(below);
+            let chain = Chain::new(vec![&qgram, &shd]);
+            // One to three reads a batch, each of its own length —
+            // 1 to 600 bases, every word boundary among them.
+            let reads: Vec<BatchRead> = (0..1 + trial % 3)
+                .map(|r| {
+                    let m = match (trial + r) % 5 {
+                        0 => rng.gen_range(1usize..=20),
+                        1 => 64 * rng.gen_range(1usize..=9) + rng.gen_range(0usize..3) - 1,
+                        2 => rng.gen_range(480usize..=600),
+                        _ => rng.gen_range(90usize..=160),
+                    };
+                    batch_read(&mut rng, &reference, m, 20)
+                })
+                .collect();
+            let cuts: Vec<(usize, usize, usize, u32)> = (0..size)
+                .map(|_| {
+                    let r = rng.gen_range(0..reads.len());
+                    let delta = DELTAS[rng.gen_range(0..DELTAS.len())];
+                    let (start, end) = batch_window(&mut rng, &reference, &reads[r], 20);
+                    (r, start, end, delta)
+                })
+                .collect();
+            let candidates: Vec<Candidate<'_>> = cuts
+                .iter()
+                .map(|&(r, start, end, delta)| Candidate {
+                    read: &reads[r].codes,
+                    window: &reference[start..end],
+                    window_start: start,
+                    delta,
+                })
+                .collect();
+            let expected: Vec<[Verdict; 3]> = candidates
+                .iter()
+                .map(|c| oracle_verdicts(below, &old, c))
+                .collect();
+            let filters: [&dyn PreFilter; 3] = [&shd, &qgram, &chain];
+            for (f, filter) in filters.into_iter().enumerate() {
+                // Verdicts are appended after what the vector holds.
+                let mut verdicts = vec![Verdict::reject(u64::MAX)];
+                filter.examine_batch(&candidates, &mut verdicts);
+                assert_eq!(
+                    verdicts.len(),
+                    size + 1,
+                    "{}: one verdict each",
+                    filter.name()
+                );
+                assert_eq!(verdicts[0], Verdict::reject(u64::MAX));
+                for (i, (got, want)) in verdicts[1..].iter().zip(&expected).enumerate() {
+                    let c = &candidates[i];
+                    assert_eq!(
+                        *got,
+                        want[f],
+                        "{} q={q} width={width}: candidate {i} of {size}, m={} window={} \
+                         at {} δ={} amend_below={below}",
+                        filter.name(),
+                        c.read.len(),
+                        c.window.len(),
+                        c.window_start,
+                        c.delta
+                    );
+                    tallies[f].record(*got);
+                }
+            }
+            lanes_filled += u64::from(size >= 8 && reads.len() == 1);
+        }
+    }
+    for (tally, name) in tallies.iter().zip(["SHD", "q-gram", "chain"]) {
+        tally.assert_balanced(&format!("{name}, batches"));
+    }
+    assert!(
+        lanes_filled > 100,
+        "too few batches fill a whole lane group"
+    );
 }
