@@ -69,6 +69,8 @@ pub struct FastaReader<R> {
     input: R,
     policy: AmbiguityPolicy,
     line: usize,
+    /// The line last read, without its line break; reused for every line.
+    buf: String,
     pending_header: Option<String>,
     done: bool,
 }
@@ -83,38 +85,42 @@ impl<R: BufRead> FastaReader<R> {
             input,
             policy,
             line: 0,
+            buf: String::new(),
             pending_header: None,
             done: false,
         }
     }
 
-    fn read_line(&mut self) -> Result<Option<String>, GenomeError> {
-        let mut buf = String::new();
-        let n = self.input.read_line(&mut buf)?;
+    /// Reads the next line into `buf`, without its line break; `false`
+    /// at the end of the input.
+    fn read_line(&mut self) -> Result<bool, GenomeError> {
+        self.buf.clear();
+        let n = self.input.read_line(&mut self.buf)?;
         if n == 0 {
-            return Ok(None);
+            return Ok(false);
         }
         self.line += 1;
-        while buf.ends_with('\n') || buf.ends_with('\r') {
-            buf.pop();
+        while self.buf.ends_with('\n') || self.buf.ends_with('\r') {
+            self.buf.pop();
         }
-        Ok(Some(buf))
+        Ok(true)
     }
 
     fn next_record(&mut self) -> Result<Option<FastaRecord>, GenomeError> {
         let header = match self.pending_header.take() {
             Some(h) => h,
             None => loop {
-                match self.read_line()? {
-                    None => return Ok(None),
-                    Some(l) if l.is_empty() => continue,
-                    Some(l) if l.starts_with('>') => break l,
-                    Some(_) => {
-                        return Err(GenomeError::Format {
-                            line: self.line,
-                            message: "expected '>' header before sequence data".into(),
-                        })
-                    }
+                if !self.read_line()? {
+                    return Ok(None);
+                }
+                if self.buf.starts_with('>') {
+                    break std::mem::take(&mut self.buf);
+                }
+                if !self.buf.is_empty() {
+                    return Err(GenomeError::Format {
+                        line: self.line,
+                        message: "expected '>' header before sequence data".into(),
+                    });
                 }
             },
         };
@@ -135,37 +141,38 @@ impl<R: BufRead> FastaReader<R> {
             AmbiguityPolicy::Randomize(seed) => Some(StdRng::seed_from_u64(seed)),
             _ => None,
         };
-        loop {
-            match self.read_line()? {
-                None => break,
-                Some(l) if l.starts_with('>') => {
-                    self.pending_header = Some(l);
-                    break;
-                }
-                Some(l) => {
-                    for c in l.chars().filter(|c| !c.is_whitespace()) {
-                        match Base::from_char(c) {
-                            Ok(b) => seq.push(b),
-                            Err(_) if c.is_ascii_alphabetic() || c == '-' => match self.policy {
-                                AmbiguityPolicy::Reject => {
-                                    return Err(GenomeError::Format {
-                                        line: self.line,
-                                        message: format!("ambiguous base {c:?} (policy: reject)"),
-                                    })
-                                }
-                                AmbiguityPolicy::Skip => {}
-                                AmbiguityPolicy::Randomize(_) => {
-                                    let code = rng.as_mut().expect("rng set").gen_range(0..4u8);
-                                    seq.push(Base::from_code(code));
-                                }
-                            },
-                            Err(_) => {
-                                return Err(GenomeError::Format {
-                                    line: self.line,
-                                    message: format!("invalid character {c:?} in sequence"),
-                                })
-                            }
+        while self.read_line()? {
+            let line = &self.buf;
+            if line.starts_with('>') {
+                self.pending_header = Some(std::mem::take(&mut self.buf));
+                break;
+            }
+            // A line of bases only goes in a word at a time; any other
+            // line base by base, where the policy and the errors apply.
+            if seq.push_bases(line) {
+                continue;
+            }
+            for c in line.chars().filter(|c| !c.is_whitespace()) {
+                match Base::from_char(c) {
+                    Ok(b) => seq.push(b),
+                    Err(_) if c.is_ascii_alphabetic() || c == '-' => match self.policy {
+                        AmbiguityPolicy::Reject => {
+                            return Err(GenomeError::Format {
+                                line: self.line,
+                                message: format!("ambiguous base {c:?} (policy: reject)"),
+                            })
                         }
+                        AmbiguityPolicy::Skip => {}
+                        AmbiguityPolicy::Randomize(_) => {
+                            let code = rng.as_mut().expect("rng set").gen_range(0..4u8);
+                            seq.push(Base::from_code(code));
+                        }
+                    },
+                    Err(_) => {
+                        return Err(GenomeError::Format {
+                            line: self.line,
+                            message: format!("invalid character {c:?} in sequence"),
+                        })
                     }
                 }
             }
@@ -330,5 +337,178 @@ mod tests {
     fn handles_crlf_and_blank_lines() {
         let recs = parse("\n>x\r\nAC\r\nGT\r\n", AmbiguityPolicy::Reject).unwrap();
         assert_eq!(recs[0].seq.to_string(), "ACGT");
+    }
+
+    /// The reader as it stood before lines of bases were packed a word
+    /// at a time: a `String` a line, every character through
+    /// [`Base::from_char`]. The oracle the word-at-a-time reader is held
+    /// to, records and errors alike.
+    struct Oracle<R> {
+        input: R,
+        policy: AmbiguityPolicy,
+        line: usize,
+        pending_header: Option<String>,
+    }
+
+    impl<R: BufRead> Oracle<R> {
+        fn read_line(&mut self) -> Result<Option<String>, GenomeError> {
+            let mut buf = String::new();
+            let n = self.input.read_line(&mut buf)?;
+            if n == 0 {
+                return Ok(None);
+            }
+            self.line += 1;
+            while buf.ends_with('\n') || buf.ends_with('\r') {
+                buf.pop();
+            }
+            Ok(Some(buf))
+        }
+
+        fn next_record(&mut self) -> Result<Option<FastaRecord>, GenomeError> {
+            let header = match self.pending_header.take() {
+                Some(h) => h,
+                None => loop {
+                    match self.read_line()? {
+                        None => return Ok(None),
+                        Some(l) if l.is_empty() => continue,
+                        Some(l) if l.starts_with('>') => break l,
+                        Some(_) => {
+                            return Err(GenomeError::Format {
+                                line: self.line,
+                                message: "expected '>' header before sequence data".into(),
+                            })
+                        }
+                    }
+                },
+            };
+            let body = header[1..].trim();
+            if body.is_empty() {
+                return Err(GenomeError::Format {
+                    line: self.line,
+                    message: "empty FASTA header".into(),
+                });
+            }
+            let (id, description) = match body.split_once(char::is_whitespace) {
+                Some((id, rest)) => (id.to_string(), Some(rest.trim().to_string())),
+                None => (body.to_string(), None),
+            };
+            let mut seq = DnaSeq::new();
+            let mut rng = match self.policy {
+                AmbiguityPolicy::Randomize(seed) => Some(StdRng::seed_from_u64(seed)),
+                _ => None,
+            };
+            loop {
+                match self.read_line()? {
+                    None => break,
+                    Some(l) if l.starts_with('>') => {
+                        self.pending_header = Some(l);
+                        break;
+                    }
+                    Some(l) => {
+                        for c in l.chars().filter(|c| !c.is_whitespace()) {
+                            match Base::from_char(c) {
+                                Ok(b) => seq.push(b),
+                                Err(_) if c.is_ascii_alphabetic() || c == '-' => {
+                                    match self.policy {
+                                        AmbiguityPolicy::Reject => {
+                                            return Err(GenomeError::Format {
+                                                line: self.line,
+                                                message: format!(
+                                                    "ambiguous base {c:?} (policy: reject)"
+                                                ),
+                                            })
+                                        }
+                                        AmbiguityPolicy::Skip => {}
+                                        AmbiguityPolicy::Randomize(_) => {
+                                            let code =
+                                                rng.as_mut().expect("rng set").gen_range(0..4u8);
+                                            seq.push(Base::from_code(code));
+                                        }
+                                    }
+                                }
+                                Err(_) => {
+                                    return Err(GenomeError::Format {
+                                        line: self.line,
+                                        message: format!("invalid character {c:?} in sequence"),
+                                    })
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            if seq.is_empty() {
+                return Err(GenomeError::Format {
+                    line: self.line,
+                    message: format!("record {id:?} has an empty sequence"),
+                });
+            }
+            Ok(Some(FastaRecord {
+                id,
+                description,
+                seq,
+            }))
+        }
+    }
+
+    /// Every record of `data` by the oracle, or its first error as text.
+    fn oracle(data: &str, policy: AmbiguityPolicy) -> Result<Vec<FastaRecord>, String> {
+        let mut reader = Oracle {
+            input: data.as_bytes(),
+            policy,
+            line: 0,
+            pending_header: None,
+        };
+        let mut records = Vec::new();
+        while let Some(record) = reader.next_record().map_err(|e| e.to_string())? {
+            records.push(record);
+        }
+        Ok(records)
+    }
+
+    #[test]
+    fn word_packing_reads_what_the_per_character_loop_read() {
+        // Lines of bases longer and shorter than a word, at many offsets
+        // in the sequence's last word, beside lines with N, lower case,
+        // CR, tab, space and '-'; every prefix, and every insertion and
+        // replacement of one character, a multi-byte one among them.
+        let corpus = ">chr1 first one\nACGTACGTACGTACGTACGTACGTACGTACGTAC\nacgtnACGT\n\
+                      GATTACAgattacaGATTACAgattacaGATTACAgattaca\r\nAC\tGT -A\n\
+                      >chr2\n\nTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTT\n\
+                      CC\nNNNNacgt\n>three\nA\n";
+        let chars: Vec<(usize, char)> = corpus.char_indices().collect();
+        let edits = [
+            'A', 'c', 'N', 'n', '\r', '\t', ' ', '-', 'é', '>', '\n', '1',
+        ];
+        let mut inputs: Vec<String> = Vec::new();
+        for &(at, _) in chars.iter().chain([(corpus.len(), ' ')].iter()) {
+            inputs.push(corpus[..at].to_string());
+            for edit in edits {
+                inputs.push(format!("{}{edit}{}", &corpus[..at], &corpus[at..]));
+            }
+        }
+        for &(at, c) in &chars {
+            for edit in edits {
+                inputs.push(format!(
+                    "{}{edit}{}",
+                    &corpus[..at],
+                    &corpus[at + c.len_utf8()..]
+                ));
+            }
+        }
+        let mut outcomes = [0usize; 2];
+        for input in &inputs {
+            for policy in [
+                AmbiguityPolicy::Reject,
+                AmbiguityPolicy::Skip,
+                AmbiguityPolicy::Randomize(7),
+            ] {
+                let got = read_fasta(input.as_bytes(), policy).map_err(|e| e.to_string());
+                let expected = oracle(input, policy);
+                assert_eq!(got, expected, "{policy:?} on {input:?}");
+                outcomes[usize::from(got.is_ok())] += 1;
+            }
+        }
+        assert!(outcomes.iter().all(|&n| n > 500), "{outcomes:?}");
     }
 }

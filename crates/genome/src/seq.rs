@@ -366,18 +366,58 @@ impl DnaSeq {
     pub(crate) fn from_read_text(s: &str) -> Result<DnaSeq, char> {
         pack_text(s, true)
     }
+
+    /// Appends the bases of `line` a word at a time when every byte of it
+    /// is one of `ACGTacgt`, and returns `true`; otherwise leaves the
+    /// sequence as it was and returns `false`.
+    pub(crate) fn push_bases(&mut self, line: &str) -> bool {
+        let len = self.len;
+        let packed = pack_text_into(self, line, false).is_ok();
+        if !packed {
+            self.len = len;
+            self.words.truncate(len.div_ceil(BASES_PER_WORD));
+            if let Some(last) = self.words.last_mut().filter(|_| len % BASES_PER_WORD != 0) {
+                *last &= u64::MAX >> (64 - 2 * (len % BASES_PER_WORD));
+            }
+        }
+        packed
+    }
+
+    /// Appends the `len ≤ 32` bases of `word` (the bits above them zero)
+    /// at the end, wherever in its last word the sequence ends.
+    fn push_word(&mut self, word: u64, len: usize) {
+        let shift = 2 * (self.len % BASES_PER_WORD);
+        match self.words.last_mut() {
+            Some(last) if shift > 0 => {
+                *last |= word << shift;
+                if shift + 2 * len > 64 {
+                    self.words.push(word >> (64 - shift));
+                }
+            }
+            _ => self.words.push(word),
+        }
+        self.len += len;
+    }
 }
 
-/// Packs `s` 32 bases per word: each byte is looked up in
+/// Packs `s` 32 bases per word into a new sequence ([`pack_text_into`]).
+fn pack_text(s: &str, letters_as_a: bool) -> Result<DnaSeq, char> {
+    let mut seq = DnaSeq::with_capacity(s.len());
+    pack_text_into(&mut seq, s, letters_as_a)?;
+    Ok(seq)
+}
+
+/// Appends `s` to `seq` 32 bases per word: each byte is looked up in
 /// [`CODE_OF_BYTE`] and shifted into place, and a word whose bytes are
 /// all bases is pushed whole. A word holding any other byte is checked
 /// byte by byte: with `letters_as_a` an ASCII letter stays the `A` its
 /// zero code bits packed; the first byte that is refused — every byte
 /// before it is ASCII, so it starts a character — is returned as that
-/// character.
-fn pack_text(s: &str, letters_as_a: bool) -> Result<DnaSeq, char> {
+/// character, with the words before it already appended.
+fn pack_text_into(seq: &mut DnaSeq, s: &str, letters_as_a: bool) -> Result<(), char> {
     let bytes = s.as_bytes();
-    let mut words = Vec::with_capacity(bytes.len().div_ceil(BASES_PER_WORD));
+    let words = (seq.len + bytes.len()).div_ceil(BASES_PER_WORD);
+    seq.words.reserve(words - seq.words.len());
     for (w, chunk) in bytes.chunks(BASES_PER_WORD).enumerate() {
         let (mut word, mut marks) = (0u64, 0u8);
         for (i, &byte) in chunk.iter().enumerate() {
@@ -398,12 +438,9 @@ fn pack_text(s: &str, letters_as_a: bool) -> Result<DnaSeq, char> {
                     .expect("a refused byte starts a character"));
             }
         }
-        words.push(word);
+        seq.push_word(word, chunk.len());
     }
-    Ok(DnaSeq {
-        words,
-        len: bytes.len(),
-    })
+    Ok(())
 }
 
 impl FromIterator<Base> for DnaSeq {

@@ -7,15 +7,19 @@ use repute_genome::wire::reserve_within;
 /// Bits in one storage word.
 const WORD_BITS: usize = 64;
 
+/// Bytes in one storage word.
+const WORD_BYTES: usize = 8;
+
 /// A growable array of `width`-bit fields, `1 ≤ width ≤ 32`.
 ///
 /// Field `i` occupies bits `i·width ..` of the words read as one
-/// little-endian bit string. The words always number
-/// `⌊len·width / 64⌋ + 2`: the word the next field starts in and one
-/// more, so every field, read or written, is one two-word window.
+/// little-endian bit string. The words, kept as their little-endian
+/// bytes, always number `⌊len·width / 64⌋ + 2`: the word the next field
+/// starts in and one more, so the eight bytes from the one any field
+/// starts in are always there, and a field is one unaligned load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct PackedFields {
-    words: Vec<u64>,
+    bytes: Vec<u8>,
     width: u32,
     len: usize,
 }
@@ -37,10 +41,10 @@ impl PackedFields {
             (1..=32).contains(&width),
             "field width {width} out of 1..=32"
         );
-        let mut words = Vec::with_capacity(words_for(width, capacity));
-        words.extend([0, 0]);
+        let mut bytes = Vec::with_capacity(WORD_BYTES * words_for(width, capacity));
+        bytes.resize(2 * WORD_BYTES, 0);
         PackedFields {
-            words,
+            bytes,
             width,
             len: 0,
         }
@@ -55,9 +59,10 @@ impl PackedFields {
     /// `cap` fields need — a count a stream claimed — and otherwise by
     /// doubling ([`reserve_within`]).
     pub(super) fn reserve_within(&mut self, more: usize, cap: usize) {
-        let wanted = words_for(self.width, self.len + more);
-        let more_words = wanted.saturating_sub(self.words.len());
-        reserve_within(&mut self.words, more_words, words_for(self.width, cap));
+        let wanted = WORD_BYTES * words_for(self.width, self.len + more);
+        let more_bytes = wanted.saturating_sub(self.bytes.len());
+        let cap_bytes = WORD_BYTES * words_for(self.width, cap);
+        reserve_within(&mut self.bytes, more_bytes, cap_bytes);
     }
 
     /// Appends `value`, which must fit the field width.
@@ -72,10 +77,10 @@ impl PackedFields {
         let width = self.width as usize;
         let bit = self.len * width;
         self.len += values.len();
-        self.words.resize(words_for(self.width, self.len), 0);
+        self.bytes
+            .resize(WORD_BYTES * words_for(self.width, self.len), 0);
         let (mut at, mut fill) = (bit / WORD_BITS, bit % WORD_BITS);
-        let words = &mut self.words[..];
-        let mut word = words[at];
+        let mut word = self.word(at);
         for value in values {
             debug_assert!(
                 value >> (width - 1) >> 1 == 0,
@@ -85,7 +90,7 @@ impl PackedFields {
             word |= value << fill;
             fill += width;
             if fill >= WORD_BITS {
-                words[at] = word;
+                self.set_word(at, word);
                 at += 1;
                 fill -= WORD_BITS;
                 // The bits that did not fit; none when the field ended
@@ -93,23 +98,62 @@ impl PackedFields {
                 word = value >> (width - fill);
             }
         }
-        words[at] = word;
+        self.set_word(at, word);
     }
 
-    /// Field `index`: one window over the two words it may span.
+    /// Field `index`: the eight bytes from the one it starts in, read as
+    /// one little-endian word and shifted by the bits before it there —
+    /// at most 7, so any field up to 57 bits fits.
     #[inline]
     pub(super) fn get(&self, index: usize) -> u32 {
         debug_assert!(index < self.len, "field {index} of {}", self.len);
         let bit = index * self.width as usize;
-        let (at, shift) = (bit / WORD_BITS, bit % WORD_BITS);
-        let pair = u128::from(self.words[at]) | u128::from(self.words[at + 1]) << WORD_BITS;
+        let at = bit / 8;
+        let bytes: [u8; WORD_BYTES] = self.bytes[at..at + WORD_BYTES]
+            .try_into()
+            .expect("eight bytes");
         let mask = u32::MAX >> (32 - self.width);
-        (pair >> shift) as u32 & mask
+        (u64::from_le_bytes(bytes) >> (bit % 8)) as u32 & mask
+    }
+
+    /// Every field in order, unpacked a word at a time.
+    pub(super) fn iter(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        let width = self.width as usize;
+        let mask = u64::from(u32::MAX >> (32 - self.width));
+        let mut words = self
+            .bytes
+            .chunks_exact(WORD_BYTES)
+            .map(|word| u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        // `word` holds the bits from `fill` on of the word being read.
+        let (mut word, mut fill) = (words.next().unwrap_or(0), 0);
+        (0..self.len).map(move |_| {
+            let mut value = word >> fill;
+            fill += width;
+            if fill >= WORD_BITS {
+                fill -= WORD_BITS;
+                word = words.next().unwrap_or(0);
+                if fill > 0 {
+                    value |= word << (width - fill);
+                }
+            }
+            (value & mask) as u32
+        })
     }
 
     /// Heap bytes of the words.
     pub(super) fn heap_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
+        self.bytes.len()
+    }
+
+    /// Word `at` of the bit string.
+    fn word(&self, at: usize) -> u64 {
+        let bytes = &self.bytes[WORD_BYTES * at..WORD_BYTES * (at + 1)];
+        u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
+    }
+
+    /// Stores word `at` of the bit string.
+    fn set_word(&mut self, at: usize, word: u64) {
+        self.bytes[WORD_BYTES * at..WORD_BYTES * (at + 1)].copy_from_slice(&word.to_le_bytes());
     }
 }
 
@@ -136,6 +180,7 @@ mod tests {
             }
             assert_eq!(fields.len(), values.len());
             assert_eq!(fields.heap_bytes(), 8 * words_for(width, values.len()));
+            assert!(fields.iter().eq(values.iter().copied()), "width {width}");
             for (i, &v) in values.iter().enumerate() {
                 assert_eq!(fields.get(i), v, "width {width} field {i}");
             }
@@ -185,7 +230,7 @@ mod tests {
                 fields.push(chunk * 100 + i);
             }
         }
-        assert_eq!(fields.words.capacity(), words_for(20, 1_000));
+        assert_eq!(fields.bytes.capacity(), 8 * words_for(20, 1_000));
         assert!((0..1_000).all(|i| fields.get(i) == i as u32));
     }
 }

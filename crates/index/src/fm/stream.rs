@@ -73,8 +73,10 @@ impl FmIndex {
             &mut out,
             self.sampled_rows.words().iter().map(|w| w.to_le_bytes()),
         )?;
-        let positions = (0..self.sa_samples.len())
-            .map(|i| ((self.sa_samples.get(i) as usize * self.sa_sample) as u32).to_le_bytes());
+        let positions = self
+            .sa_samples
+            .iter()
+            .map(|quotient| ((quotient as usize * self.sa_sample) as u32).to_le_bytes());
         write_pieces(&mut out, positions)?;
         out.put_trailer().map(drop)
     }

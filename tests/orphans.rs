@@ -3,13 +3,16 @@
 //! so a module is needed only if the product, a bench artefact or the
 //! frozen benchmark reaches it, or if tests hold other code to it. This
 //! test reads the source tree and asks, for each module file of a
-//! library crate: does its name (`<mod>::`) or the name of one of its
-//! top-level `pub` items occur in the non-`#[cfg(test)]` part of some
-//! *other* file under `crates/*/src`, `crates/bench` or `benchmark/src`?
-//! Comment lines do not count, nor do the `mod` / `pub use` lines of a
-//! `lib.rs`, the `src/lib.rs` facade, `tests/` or `examples/`. The
-//! modules kept only as oracles are named in [`ORACLES`], each with the
-//! test that needs it.
+//! library crate: does its name (`<mod>::`) occur in the
+//! non-`#[cfg(test)]` part of some *other* file under `crates/*/src`,
+//! `crates/bench` or `benchmark/src` — or the name of one of its
+//! top-level `pub` items, in such a file that can import it: one of the
+//! module's own crate, or one that names that crate (`repute_<crate>::`)?
+//! An item name in a file that cannot reach the module is some other
+//! thing of the same name. Comment lines do not count, nor do the `mod`
+//! / `pub use` lines of a `lib.rs`, the `src/lib.rs` facade, `tests/` or
+//! `examples/`. The modules kept only as oracles are named in
+//! [`ORACLES`], each with the test that needs it.
 //!
 //! After adding a `pub mod`, run `cargo test --test orphans`.
 
@@ -104,6 +107,16 @@ fn module_of(path: &str) -> Option<String> {
         .then(|| format!("{krate}::{}", module.replace('/', "::")))
 }
 
+/// Can the file at `path`, whose identifiers followed by `::` are
+/// `paths`, import items of library crate `krate`: is it in that crate,
+/// or does it name it?
+fn imports(path: &str, paths: &HashSet<&str>, krate: &str) -> bool {
+    path.strip_prefix("crates/")
+        .and_then(|rest| rest.split_once("/src/"))
+        .is_some_and(|(own, _)| own == krate)
+        || paths.contains(format!("repute_{krate}").as_str())
+}
+
 /// Names of the items declared `pub` at the top level of `code`; of a
 /// file with none — one that only adds `impl` blocks to its parent's
 /// types — the names of its `pub` methods.
@@ -165,9 +178,12 @@ fn orphans(tree: &[(String, String)], oracles: &[(&str, &str)]) -> Vec<String> {
             continue;
         };
         let name = module.rsplit("::").next().expect("a module name");
+        let krate = module.split("::").next().expect("a crate name");
         let items = pub_items(code);
         let reached = tokens.iter().any(|(other, (all, paths))| {
-            other != path && (paths.contains(name) || items.iter().any(|item| all.contains(item)))
+            other != path
+                && (paths.contains(name)
+                    || (imports(other, paths, krate) && items.iter().any(|i| all.contains(i))))
         });
         if reached {
             continue;
@@ -254,6 +270,20 @@ fn the_check_names_an_orphan_and_a_module_only_tests_reach() {
         file("tests/props.rs", "use repute_align::tested::only_tests_call;\n"),
     ];
     assert_eq!(orphans(&tree, &[]), ["align::orphan", "align::tested"]);
+    // A private field named like `tested`'s `pub fn`, in a file that can
+    // import nothing of `align`, is not a call: `tested` stays reported.
+    // The same name in a file that imports `repute_align` reaches it.
+    let mut shadowed = tree.clone();
+    shadowed.push(file(
+        "crates/cli/src/opts.rs",
+        "pub struct Opts {\n    only_tests_call: bool,\n}\n",
+    ));
+    assert_eq!(orphans(&shadowed, &[]), ["align::orphan", "align::tested"]);
+    shadowed.push(file(
+        "crates/cli/src/run.rs",
+        "use repute_align::{only_tests_call};\npub fn go() {\n    only_tests_call();\n}\n",
+    ));
+    assert_eq!(orphans(&shadowed, &[]), ["align::orphan"]);
     // Naming `tested` an oracle, with the test that needs it, excuses it;
     // an entry without a reason, for a module shipped code reaches or for
     // a file that is gone excuses nothing and is itself reported.
