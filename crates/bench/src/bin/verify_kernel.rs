@@ -15,7 +15,13 @@
 //! was found: every mapping triple and verified-candidate count) and
 //! *accounting* (what it was charged: work totals, every metric counter,
 //! simulated seconds), so a change that reprices work on purpose can show
-//! that it moved the second and not the first.
+//! that it moved the second and not the first. A third stage times the
+//! prefilter lane pipeline: the engine's batch path under `--prefilter
+//! both` — the filters handed 32 candidates a call, survivors verified
+//! in full lanes — against its scalar path (per-candidate `examine`, one
+//! window at a time), over every merged candidate of a pinned
+//! repeat-rich read set. Both paths must report the same mappings and
+//! the same accounting, and both digests are pinned too.
 //!
 //! Modes:
 //!
@@ -27,7 +33,9 @@
 //!   [`MIN_COMMITTED_SPEEDUP`], disagrees with the fresh deterministic
 //!   word total or either grid digest (naming which), or the fresh
 //!   speedup falls below [`MIN_FRESH_SPEEDUP`] (the looser floor absorbs
-//!   CI machine noise).
+//!   CI machine noise); likewise for the prefilter stage, whose digests
+//!   must equal the committed ones and whose fresh speedup must reach
+//!   [`MIN_PREFILTER_SPEEDUP`].
 //!
 //! The corpus scale is pinned and ignores the `REPUTE_*` environment
 //! overrides: committed numbers are only comparable when every run
@@ -40,20 +48,24 @@ use repute_align::block::{search_full, BlockMasks, BlockWork};
 use repute_align::{BatchVerifier, ReadMasks, LANES};
 use repute_bench::workload::{s_min_for, Scale, Workload};
 use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule};
+use repute_filter::oss::OssSolver;
 use repute_genome::synth::ReferenceBuilder;
 use repute_genome::wire::Fnv64;
+use repute_genome::Strand;
 use repute_hetsim::profiles;
 use repute_mappers::{
-    gem::GemLike, hobbes3::Hobbes3Like, razers3::Razers3Like, IndexedReference, Mapper,
+    gem::GemLike, hobbes3::Hobbes3Like, razers3::Razers3Like, select_and_locate, CandidateSet,
+    IndexedReference, Mapper, VerifyEngine,
 };
 use repute_obs::json::{field, parse_json, JsonObject, JsonValue};
 use repute_obs::MapMetrics;
+use repute_prefilter::{Chain, QgramFilter, ShdFilter};
 
 /// The baseline document's `schema` field.
 const SCHEMA: &str = "repute-bench-verify-kernel";
 /// The baseline document's `version` field; bump on any key change and
 /// regenerate the baseline.
-const VERSION: u64 = 2;
+const VERSION: u64 = 3;
 /// The committed baseline must record at least this speedup — the
 /// acceptance bar of the prefix-screened lane kernel (the lane kernel
 /// without the screen committed 3.26×).
@@ -65,6 +77,22 @@ const MIN_COMMITTED_SPEEDUP: f64 = 4.5;
 const MIN_FRESH_SPEEDUP: f64 = 3.5;
 /// Timed repetitions per path; the minimum is reported (noise robust).
 const ROUNDS: usize = 7;
+
+/// The prefilter stage's floor on a fresh and a committed speedup of the
+/// batch path over the scalar one. The lane pipeline read 2.97–3.14× on
+/// a 2-vCPU VM; a batch path that hands the filters one candidate at a
+/// time runs the scalar path's kernels and reads about 1×. Both paths run
+/// the same lane kernels, so the ratio does not see a kernel that is
+/// slower on both.
+const MIN_PREFILTER_SPEEDUP: f64 = 2.0;
+
+/// Pinned prefilter corpus: a repeat-rich reference of this length and
+/// this many reads of each length, mapped at [`PREFILTER_DELTA`].
+const PREFILTER_SCALE: Scale = Scale {
+    reference_len: 1_000_000,
+    reads_per_set: 300,
+};
+const PREFILTER_DELTA: u32 = 5;
 
 /// Pinned corpus: reads sliced from a synthetic reference, each
 /// verified against `WINDOWS_PER_READ` candidate windows (true site,
@@ -334,7 +362,145 @@ fn grid_digest(w: &Workload, indexed: &Arc<IndexedReference>) -> GridDigest {
     }
 }
 
-fn render_document(k: &KernelMeasurement, digest: &GridDigest) -> String {
+/// One strand of one read of the prefilter corpus: its codes and its
+/// merged candidate diagonals.
+struct StrandCandidates {
+    strand: Strand,
+    codes: Vec<u8>,
+    diagonals: Vec<u32>,
+}
+
+/// The prefilter stage: wall seconds of each path and the digests both
+/// paths agreed on.
+struct PrefilterMeasurement {
+    scalar_seconds: f64,
+    batch_seconds: f64,
+    speedup: f64,
+    candidates: u64,
+    digest: GridDigest,
+}
+
+/// Every merged candidate of the pinned repeat-rich read set, seeded as
+/// REPUTE seeds them (frequency table + DP partition, located in one
+/// lockstep locate).
+fn prefilter_corpus(w: &Workload, config: &ReputeConfig) -> Vec<StrandCandidates> {
+    let selector = OssSolver::new(*config.oss_params());
+    let mut seed = select_and_locate(&selector, w.indexed.fm(), 20_000, |n| {
+        config.feasible_for(n)
+    });
+    let mut corpus = Vec::new();
+    for read_len in [100, 150] {
+        for read in w.read_seqs(read_len) {
+            let strands = [
+                (Strand::Forward, read.to_codes()),
+                (Strand::Reverse, read.reverse_complement().to_codes()),
+            ];
+            for (strand, codes) in strands {
+                let mut set = CandidateSet::new();
+                if seed(&codes, &mut set, &mut MapMetrics::new()).is_some() {
+                    let diagonals = set.into_merged(CandidateSet::merge_gap(PREFILTER_DELTA));
+                    corpus.push(StrandCandidates {
+                        strand,
+                        codes,
+                        diagonals,
+                    });
+                }
+            }
+        }
+    }
+    corpus
+}
+
+/// Verifies every strand of `corpus` through `engine` up to `limit`
+/// mappings, digesting the mappings into one half and the work and every
+/// metric counter into the other.
+fn prefilter_pass(
+    engine: &VerifyEngine<'_>,
+    corpus: &[StrandCandidates],
+    limit: usize,
+) -> GridDigest {
+    let mut h = GridHashers {
+        mappings: Fnv64::standard(),
+        accounting: Fnv64::standard(),
+    };
+    let mut out = Vec::new();
+    for s in corpus {
+        out.clear();
+        let mut metrics = MapMetrics::new();
+        let work = engine.verify_metered(
+            &s.codes,
+            s.strand,
+            &s.diagonals,
+            limit,
+            &mut out,
+            &mut metrics,
+        );
+        h.mappings.write_u64(out.len() as u64);
+        for m in &out {
+            h.mappings.write_u64(u64::from(m.position));
+            h.mappings.write_u64(u64::from(m.distance));
+            h.mappings.write_u64(u64::from(m.strand == Strand::Reverse));
+        }
+        h.accounting.write_u64(work);
+        for (_, v) in metrics.fields() {
+            h.accounting.write_u64(v);
+        }
+    }
+    GridDigest {
+        mappings: format!("{:016x}", h.mappings.finish()),
+        accounting: format!("{:016x}", h.accounting.finish()),
+    }
+}
+
+/// The prefilter stage: both paths over the pinned corpus, digests
+/// compared (a mismatch fails the run), then best-of-ROUNDS seconds each.
+fn measure_prefilter() -> PrefilterMeasurement {
+    let w = Workload::generate(PREFILTER_SCALE);
+    let config =
+        ReputeConfig::new(PREFILTER_DELTA, s_min_for(100, PREFILTER_DELTA)).expect("valid config");
+    let corpus = prefilter_corpus(&w, &config);
+    let candidates = corpus.iter().map(|s| s.diagonals.len() as u64).sum();
+    let scalar_index = IndexedReference::clone(&w.indexed).with_scalar_verify();
+    let qgram = QgramFilter::new(w.indexed.prefilter_bins());
+    let shd = ShdFilter::new();
+    let chain = Chain::new(vec![&qgram, &shd]);
+    let batch = w
+        .indexed
+        .verify_engine(PREFILTER_DELTA)
+        .with_prefilter(&chain);
+    let scalar = scalar_index
+        .verify_engine(PREFILTER_DELTA)
+        .with_prefilter(&chain);
+    let limit = config.max_locations();
+    let digest = prefilter_pass(&batch, &corpus, limit);
+    let scalar_digest = prefilter_pass(&scalar, &corpus, limit);
+    if digest.mappings != scalar_digest.mappings {
+        fail("prefilter stage: batch and scalar paths produced different mappings");
+    }
+    if digest.accounting != scalar_digest.accounting {
+        fail("prefilter stage: batch and scalar paths map alike but account differently");
+    }
+    let time = |engine: &VerifyEngine<'_>| {
+        let started = Instant::now();
+        let d = prefilter_pass(engine, &corpus, limit);
+        assert_eq!(d, digest, "a timed pass diverged");
+        started.elapsed().as_secs_f64()
+    };
+    let (mut scalar_best, mut batch_best) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ROUNDS {
+        scalar_best = scalar_best.min(time(&scalar));
+        batch_best = batch_best.min(time(&batch));
+    }
+    PrefilterMeasurement {
+        scalar_seconds: scalar_best,
+        batch_seconds: batch_best,
+        speedup: scalar_best / batch_best,
+        candidates,
+        digest,
+    }
+}
+
+fn render_document(k: &KernelMeasurement, digest: &GridDigest, p: &PrefilterMeasurement) -> String {
     let mut corpus = JsonObject::new();
     corpus.u64_field("reference_len", CORPUS_REF_LEN as u64);
     corpus.u64_field("reads", (READS_PER_LEN * READ_LENS.len()) as u64);
@@ -352,6 +518,12 @@ fn render_document(k: &KernelMeasurement, digest: &GridDigest) -> String {
     doc.u64_field("batch_word_updates", k.batch_words);
     doc.str_field("mappings_digest", &digest.mappings);
     doc.str_field("accounting_digest", &digest.accounting);
+    doc.u64_field("prefilter_candidates", p.candidates);
+    doc.f64_field("prefilter_scalar_seconds", p.scalar_seconds);
+    doc.f64_field("prefilter_batch_seconds", p.batch_seconds);
+    doc.f64_field("prefilter_speedup", p.speedup);
+    doc.str_field("prefilter_mappings_digest", &p.digest.mappings);
+    doc.str_field("prefilter_accounting_digest", &p.digest.accounting);
     let mut text = doc.finish();
     text.push('\n');
     text
@@ -363,6 +535,8 @@ struct Committed {
     baseline_words: u64,
     batch_words: u64,
     grid: GridDigest,
+    prefilter_speedup: f64,
+    prefilter: GridDigest,
 }
 
 /// Checks a baseline document — the `schema`/`version` header, then the
@@ -388,7 +562,14 @@ fn validate_document(text: &str) -> Result<Committed, String> {
     field(fields, "corpus")
         .and_then(JsonValue::as_obj)
         .ok_or("missing object field \"corpus\"")?;
-    let numbers = ["baseline_seconds", "batch_seconds", "speedup"];
+    let numbers = [
+        "baseline_seconds",
+        "batch_seconds",
+        "speedup",
+        "prefilter_scalar_seconds",
+        "prefilter_batch_seconds",
+        "prefilter_speedup",
+    ];
     if let Some(key) = numbers
         .iter()
         .find(|key| field(fields, key).and_then(JsonValue::as_f64).is_none())
@@ -417,6 +598,13 @@ fn validate_document(text: &str) -> Result<Committed, String> {
         grid: GridDigest {
             mappings: digest("mappings_digest")?,
             accounting: digest("accounting_digest")?,
+        },
+        prefilter_speedup: field(fields, "prefilter_speedup")
+            .and_then(JsonValue::as_f64)
+            .unwrap_or(0.0),
+        prefilter: GridDigest {
+            mappings: digest("prefilter_mappings_digest")?,
+            accounting: digest("prefilter_accounting_digest")?,
         },
     })
 }
@@ -462,6 +650,16 @@ fn main() {
         fail("batch and scalar pipelines map alike but account for their work differently");
     }
     println!("grid invariance OK: batch and scalar pipelines agree bit for bit");
+    println!("measuring the prefilter lane pipeline under --prefilter both (best of {ROUNDS})…");
+    let p = measure_prefilter();
+    println!(
+        "  scalar {:.6} s | batch {:.6} s | speedup {:.2}× | {} candidate(s)",
+        p.scalar_seconds, p.batch_seconds, p.speedup, p.candidates
+    );
+    println!(
+        "  mappings-digest:   {}\n  accounting-digest: {}",
+        p.digest.mappings, p.digest.accounting
+    );
 
     if write {
         if k.speedup < MIN_COMMITTED_SPEEDUP {
@@ -471,7 +669,14 @@ fn main() {
                 k.speedup
             ));
         }
-        let text = render_document(&k, &batch_digest);
+        if p.speedup < MIN_PREFILTER_SPEEDUP {
+            fail(&format!(
+                "measured prefilter speedup {:.2}× is below the \
+                 {MIN_PREFILTER_SPEEDUP:.1}× bar for a committed baseline",
+                p.speedup
+            ));
+        }
+        let text = render_document(&k, &batch_digest, &p);
         if let Err(err) = validate_document(&text) {
             eprintln!("BUG: freshly written document fails its own schema: {err}");
             std::process::exit(1);
@@ -538,6 +743,29 @@ fn main() {
             }
         ));
     }
+    if committed.prefilter != p.digest {
+        check_failed(&format!(
+            "fresh prefilter digests {}/{} != committed {}/{} (mappings/accounting \
+             of the prefilter stage changed — regenerate with --write if meant)",
+            p.digest.mappings,
+            p.digest.accounting,
+            committed.prefilter.mappings,
+            committed.prefilter.accounting
+        ));
+    }
+    if committed.prefilter_speedup < MIN_PREFILTER_SPEEDUP {
+        check_failed(&format!(
+            "committed prefilter speedup {:.2}× is below the {MIN_PREFILTER_SPEEDUP:.1}× bar",
+            committed.prefilter_speedup
+        ));
+    }
+    if p.speedup < MIN_PREFILTER_SPEEDUP {
+        check_failed(&format!(
+            "fresh prefilter speedup {:.2}× fell below the {MIN_PREFILTER_SPEEDUP:.1}× floor \
+             (committed: {:.2}×)",
+            p.speedup, committed.prefilter_speedup
+        ));
+    }
     if k.speedup < MIN_FRESH_SPEEDUP {
         check_failed(&format!(
             "fresh speedup {:.2}× fell below the {MIN_FRESH_SPEEDUP:.1}× floor \
@@ -550,7 +778,8 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "\nall verify-kernel checks passed (committed {:.2}×, fresh {:.2}×)",
-        committed.speedup, k.speedup
+        "\nall verify-kernel checks passed (committed {:.2}×, fresh {:.2}×; prefilter \
+         committed {:.2}×, fresh {:.2}×)",
+        committed.speedup, k.speedup, committed.prefilter_speedup, p.speedup
     );
 }

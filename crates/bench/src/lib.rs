@@ -5,9 +5,10 @@
 //! * `paper` prints every table and figure of the paper and checks each
 //!   artefact's shape claims against its own data ([`paper`]);
 //! * `verify_kernel` times the batch verification kernel against the
-//!   unbanded one and gates it with the committed `BENCH_pr8.json`, the
-//!   one host-clock baseline; its `--write` / `--check` plumbing lives in
-//!   the binary.
+//!   unbanded one, and the engine's prefilter lane pipeline against its
+//!   scalar path, and gates both with the committed `BENCH_pr8.json`,
+//!   the one host-clock baseline; its `--write` / `--check` plumbing
+//!   lives in the binary.
 //!
 //! This library holds what they share: the scaled workload (synthetic
 //! chr21 stand-in + simulated read sets) and the cell runner that maps a
