@@ -185,6 +185,42 @@ impl<'a> Reference<'a> {
 /// worth, so that the survivors of a group mostly fill whole lanes.
 const GROUP: usize = 4 * LANES;
 
+/// A candidate the filter passed (or, without a filter, any candidate),
+/// queued for a lane.
+#[derive(Debug, Clone, Copy, Default)]
+struct Survivor {
+    /// Its index in the read's candidate batch.
+    candidate: usize,
+    /// The filter's cost for it; `None` without a filter.
+    cost_words: Option<u64>,
+    /// The rejections between it and the survivor before it.
+    before: Rejections,
+}
+
+/// A run of candidates the filter rejected: how many, and their cost.
+#[derive(Debug, Clone, Copy, Default)]
+struct Rejections {
+    count: u64,
+    cost_words: u64,
+}
+
+impl Rejections {
+    fn add(&mut self, cost_words: u64) {
+        self.count += 1;
+        self.cost_words += cost_words;
+    }
+
+    /// Counts the run into `metrics`, returning its work.
+    fn account(self, metrics: &mut MapMetrics) -> u64 {
+        metrics.prefilter_tested += self.count;
+        metrics.prefilter_words += self.cost_words;
+        // Sound filters only reject unverifiable windows: every
+        // rejection is a true reject.
+        metrics.prefilter_rejected += self.count;
+        self.cost_words
+    }
+}
+
 /// The verification half of a mapper.
 #[derive(Debug, Clone, Copy)]
 pub struct VerifyEngine<'a> {
@@ -300,17 +336,23 @@ impl<'a> VerifyEngine<'a> {
             Some(_) => (GROUP, self.reference.slab(GROUP, window)),
             None => (LANES, Vec::new()),
         };
-        // One verdict per candidate examined so far, in candidate order.
-        let mut verdicts: Vec<Verdict> = Vec::new();
+        // The verdicts of the group being queued.
+        let mut verdicts: Vec<Verdict> = Vec::with_capacity(GROUP);
         let mut results = Vec::with_capacity(LANES);
-        // The survivors waiting for a lane, and the first candidate not
-        // accounted yet.
-        let (mut queue, mut queued) = ([0usize; LANES], 0);
-        let mut next = 0;
+        // The survivors waiting for a lane, each with its filter cost and
+        // the rejections — how many, their cost — between it and the
+        // survivor before it; and the rejections since the last survivor.
+        // A run of rejections changes no mapping, so the scalar loop
+        // accounts it whole or not at all: whole when the limit was not
+        // reached before it.
+        let mut queue = [Survivor::default(); LANES];
+        let mut queued = 0;
+        let mut rejected = Rejections::default();
         let mut work = 0u64;
         let mut i = 0;
         while i < batch.len() && out.len() < limit {
             let end = batch.len().min(i + group);
+            verdicts.clear();
             if let Some(filter) = self.prefilter {
                 let mut windows: [&[u8]; GROUP] = [&[]; GROUP];
                 self.reference
@@ -328,19 +370,27 @@ impl<'a> VerifyEngine<'a> {
                 filter.examine_batch(&group_candidates[..end - i], &mut verdicts);
             }
             for j in i..end {
-                if verdicts.get(j).is_none_or(|v| v.accept) {
-                    queue[queued] = j;
-                    queued += 1;
+                match verdicts.get(j - i) {
+                    Some(verdict) if !verdict.accept => rejected.add(verdict.cost_words),
+                    verdict => {
+                        queue[queued] = Survivor {
+                            candidate: j,
+                            cost_words: verdict.map(|v| v.cost_words),
+                            before: std::mem::take(&mut rejected),
+                        };
+                        queued += 1;
+                    }
                 }
-                if queued < LANES && j + 1 < batch.len() {
+                let last = j + 1 == batch.len();
+                if queued < LANES && !last {
                     continue;
                 }
                 let lanes = &queue[..std::mem::take(&mut queued)];
                 results.clear();
                 if !lanes.is_empty() {
                     let mut windows: [&[u8]; LANES] = [&[]; LANES];
-                    self.reference
-                        .windows(&batch, lanes.iter().copied(), &mut slab, &mut windows);
+                    let ids = lanes.iter().map(|s| s.candidate);
+                    self.reference.windows(&batch, ids, &mut slab, &mut windows);
                     verifier.verify_lanes(
                         &masks,
                         &windows[..lanes.len()],
@@ -350,39 +400,35 @@ impl<'a> VerifyEngine<'a> {
                 }
                 // Account in candidate order, as the scalar loop does, up
                 // to the limit: lanes verified past it were host work only.
-                let mut verified = results.iter();
-                for c in std::mem::replace(&mut next, j + 1)..=j {
+                for (survivor, (hit, cost)) in lanes.iter().zip(&results) {
                     if out.len() >= limit {
                         return work;
                     }
-                    if let Some(verdict) = verdicts.get(c) {
+                    work += survivor.before.account(metrics);
+                    if let Some(words) = survivor.cost_words {
                         metrics.prefilter_tested += 1;
-                        metrics.prefilter_words += verdict.cost_words;
-                        work += verdict.cost_words;
-                        if !verdict.accept {
-                            // Sound filters only reject unverifiable
-                            // windows: every rejection is a true reject.
-                            metrics.prefilter_rejected += 1;
-                            continue;
-                        }
+                        metrics.prefilter_words += words;
+                        work += words;
                     }
-                    let (hit, cost) = verified.next().expect("one result per accepted lane");
                     metrics.verifications += 1;
                     metrics.word_updates += cost.word_updates;
                     metrics.hits += u64::from(hit.is_some());
                     work += cost.word_updates;
                     if let Some(v) = hit {
                         out.push(Mapping {
-                            position: batch.diag(c) as u32,
+                            position: batch.diag(survivor.candidate) as u32,
                             strand,
                             distance: v.distance,
                         });
-                    } else if self.prefilter.is_some() {
+                    } else if survivor.cost_words.is_some() {
                         metrics.prefilter_false_accepts += 1;
                     }
                 }
                 if out.len() >= limit {
                     return work;
+                }
+                if last {
+                    work += std::mem::take(&mut rejected).account(metrics);
                 }
             }
             i = end;

@@ -165,16 +165,19 @@ impl PreFilter for Chain<'_> {
             batch.extend(live.iter().map(|&i| candidates[i]));
             part_verdicts.clear();
             part.examine_batch(&batch, &mut part_verdicts);
-            let mut part_verdicts = part_verdicts.iter();
-            live.retain(|&i| {
-                let verdict = part_verdicts.next().expect("one verdict per candidate");
-                let cost = verdicts[i].cost_words + verdict.cost_words;
+            let mut kept = 0;
+            for (n, verdict) in part_verdicts.iter().enumerate() {
+                let i = live[n];
                 verdicts[i] = Verdict {
                     accept: verdict.accept,
-                    cost_words: cost,
+                    cost_words: verdicts[i].cost_words + verdict.cost_words,
                 };
-                verdict.accept
-            });
+                if verdict.accept {
+                    live[kept] = i;
+                    kept += 1;
+                }
+            }
+            live.truncate(kept);
         }
     }
 

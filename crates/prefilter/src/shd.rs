@@ -138,14 +138,8 @@ impl ShdFilter {
         }
         let words = m.div_ceil(64);
         // The read, packed once into its two bit-planes.
-        let mut stack = [0u64; 2 * STACK_WORDS];
-        let mut heap = Vec::new();
-        let planes = if words <= STACK_WORDS {
-            &mut stack[..2 * words]
-        } else {
-            heap.resize(2 * words, 0u64);
-            &mut heap[..]
-        };
+        let (mut stack, mut heap) = ([0u64; 2 * STACK_WORDS], Vec::new());
+        let planes = scratch(&mut stack, &mut heap, 2 * words);
         let (r_lo, r_hi) = planes.split_at_mut(words);
         pack_planes(read, 0, r_lo, r_hi);
         let read_planes = [&*r_lo, &*r_hi];
@@ -324,14 +318,8 @@ impl ShdFilter {
         // both are short fixed bundles of 64-lane bitwise ops — plus
         // one final counting pass.
         let acc = acc.words_mut();
-        let mut stack = [0u64; STACK_WORDS];
-        let mut heap = Vec::new();
-        let lane_acc = if words <= STACK_WORDS {
-            &mut stack[..words]
-        } else {
-            heap.resize(words, 0u64);
-            &mut heap[..]
-        };
+        let (mut stack, mut heap) = ([0u64; STACK_WORDS], Vec::new());
+        let lane_acc = scratch(&mut stack, &mut heap, words);
         for (lane, &i) in group.iter().enumerate() {
             let cost = (built[lane] + 1) * words as u64;
             for (word, a) in lane_acc.iter_mut().zip(acc.iter()) {
@@ -376,6 +364,21 @@ impl Masks for Vec<LaneWord> {
     }
 }
 
+/// The first `len` items of `stack`, or `heap` grown to `len` when the
+/// stack is too short: scratch that allocates only past the stack limit.
+fn scratch<'s, T: Copy + Default>(
+    stack: &'s mut [T],
+    heap: &'s mut Vec<T>,
+    len: usize,
+) -> &'s mut [T] {
+    if len <= stack.len() {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, T::default());
+        heap
+    }
+}
+
 /// Window offsets a read base can occupy across all ≤ δ-edit
 /// semi-global alignments of `candidate` (see module docs): the shifts
 /// `s ∈ [−δ, wlen − m + δ]`, at least one when `m ≤ wlen + δ`.
@@ -403,12 +406,7 @@ fn pack_windows<'s>(
         .map(|&i| plane_words(&candidates[i]))
         .max()
         .unwrap_or(0);
-    let rows = if 3 * p <= stack.len() {
-        &mut stack[..3 * p]
-    } else {
-        heap.resize(3 * p, [0; LANES]);
-        &mut heap[..]
-    };
+    let rows = scratch(stack, heap, 3 * p);
     rows.fill([0; LANES]);
     let (lo, rest) = rows.split_at_mut(p);
     let (hi, inside) = rest.split_at_mut(p);
