@@ -376,8 +376,9 @@ impl DnaSeq {
         if !packed {
             self.len = len;
             self.words.truncate(len.div_ceil(BASES_PER_WORD));
-            if let Some(last) = self.words.last_mut().filter(|_| len % BASES_PER_WORD != 0) {
-                *last &= u64::MAX >> (64 - 2 * (len % BASES_PER_WORD));
+            let tail = len % BASES_PER_WORD;
+            if let Some(last) = self.words.last_mut().filter(|_| tail > 0) {
+                *last &= u64::MAX >> (64 - 2 * tail);
             }
         }
         packed

@@ -88,12 +88,13 @@ pub fn word_at(lo: u64, hi: u64, bit: u32) -> u64 {
     lo >> bit | (hi << 1) << (63 - bit)
 }
 
-/// `mask &= mask << 1` in every lane (of however many), in place: a bit survives only
+/// `mask &= mask << 1` in every lane, in place: a bit survives only
 /// above another set bit (a 0 enters at bit 0). Applied `n` times, what
-/// survives is the top of every run of more than `n` set bits.
+/// survives is the top of every run of more than `n` set bits. Inlined
+/// into the SHD sweep, where the mask width is a constant.
 #[inline(always)]
-pub fn and_shl1<const N: usize>(mask: &mut [[u64; N]]) {
-    let mut below = [0u64; N];
+pub fn and_shl1(mask: &mut [LaneWord]) {
+    let mut below = [0u64; LANES];
     for w in mask {
         let word = *w;
         *w = std::array::from_fn(|l| word[l] & (word[l] << 1 | below[l] >> 63));
@@ -101,11 +102,11 @@ pub fn and_shl1<const N: usize>(mask: &mut [[u64; N]]) {
     }
 }
 
-/// `mask |= mask >> 1` in every lane (of however many), in place: every set bit also sets
-/// the one below it (a 0 enters at the top).
+/// `mask |= mask >> 1` in every lane, in place: every set bit also sets
+/// the one below it (a 0 enters at the top). Inlined like [`and_shl1`].
 #[inline(always)]
-pub fn or_shr1<const N: usize>(mask: &mut [[u64; N]]) {
-    let mut above = [0u64; N];
+pub fn or_shr1(mask: &mut [LaneWord]) {
+    let mut above = [0u64; LANES];
     for w in mask.iter_mut().rev() {
         let word = *w;
         *w = std::array::from_fn(|l| word[l] | word[l] >> 1 | above[l] << 63);
