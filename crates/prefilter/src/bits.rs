@@ -12,7 +12,7 @@ use std::ops::Range;
 
 /// Masks one SHD sweep builds in lockstep, each in its lane of a
 /// [`LaneWord`].
-pub const LANES: usize = 8;
+pub const LANES: usize = 2;
 
 /// One mask word of every lane.
 pub type LaneWord = [u64; LANES];
@@ -196,37 +196,37 @@ mod tests {
                 assert_eq!(bit(&hi, p), code.map_or(0, |c| c >> 1), "hi {p} at {at}");
             }
             let (mut lane_lo, mut lane_hi) = (vec![[0u64; LANES]; 3], vec![[0u64; LANES]; 3]);
-            pack_lane_planes(&codes, at, &mut lane_lo, &mut lane_hi, 3);
+            pack_lane_planes(&codes, at, &mut lane_lo, &mut lane_hi, 1);
             assert_eq!(
-                (lane(&lane_lo, 3), lane(&lane_hi, 3)),
+                (lane(&lane_lo, 1), lane(&lane_hi, 1)),
                 (lo, hi),
                 "lane at {at}"
             );
-            assert_eq!(lane(&lane_lo, 2), [0; 3]);
+            assert_eq!(lane(&lane_lo, 0), [0; 3]);
         }
     }
 
     #[test]
     fn set_range_and_word_at_cross_words() {
         let mut mask = vec![[0u64; LANES]; 3];
-        set_range(&mut mask, 5, 60..70);
-        assert_eq!(lane(&mask, 5), [0xF << 60, 0x3F, 0]);
-        assert_eq!(lane(&mask, 4), [0; 3]);
-        let words = lane(&mask, 5);
+        set_range(&mut mask, 1, 60..70);
+        assert_eq!(lane(&mask, 1), [0xF << 60, 0x3F, 0]);
+        assert_eq!(lane(&mask, 0), [0; 3]);
+        let words = lane(&mask, 1);
         assert_eq!(word_at(words[0], words[1], 58), 0x3FF << 2);
         assert_eq!(word_at(words[1], words[2], 0), 0x3F);
-        set_range(&mut mask, 5, 0..128);
-        assert_eq!(lane(&mask, 5), [u64::MAX, u64::MAX, 0]);
+        set_range(&mut mask, 1, 0..128);
+        assert_eq!(lane(&mask, 1), [u64::MAX, u64::MAX, 0]);
         assert_eq!(word_at(u64::MAX, 0, 63), 1);
     }
 
-    /// `words` in lane 1, their complements in lane 6, the other lanes 0.
+    /// `words` in lane 0, their complements in lane 1, the other lanes 0.
     fn in_lanes(words: &[u64]) -> Vec<LaneWord> {
         words
             .iter()
             .map(|&w| {
                 let mut lanes = [0; LANES];
-                (lanes[1], lanes[6]) = (w, !w);
+                (lanes[0], lanes[1]) = (w, !w);
                 lanes
             })
             .collect()
@@ -242,22 +242,20 @@ mod tests {
         // Bits 62..=64: a run of three across the word boundary.
         let mut mask = in_lanes(&[0b11 << 62, 1]);
         and_shl1(&mut mask);
-        assert_eq!(lane(&mask, 1), [1 << 63, 1]);
-        assert_eq!(lane(&mask, 6), [!(0b11 << 62) & !1, !3]);
-        assert_eq!(lane(&mask, 0), [0, 0]);
+        assert_eq!(lane(&mask, 0), [1 << 63, 1]);
+        assert_eq!(lane(&mask, 1), [!(0b11 << 62) & !1, !3]);
         and_shl1(&mut mask);
-        assert_eq!(lane(&mask, 1), [0, 1]);
+        assert_eq!(lane(&mask, 0), [0, 1]);
     }
 
     #[test]
     fn shr1_carries_across_words() {
         let mut mask = in_lanes(&[0, 1]);
         or_shr1(&mut mask);
-        assert_eq!(lane(&mask, 1), [1 << 63, 1]);
-        assert_eq!(lane(&mask, 6), [u64::MAX; 2]);
+        assert_eq!(lane(&mask, 0), [1 << 63, 1]);
+        assert_eq!(lane(&mask, 1), [u64::MAX; 2]);
         or_shr1(&mut mask);
-        assert_eq!(lane(&mask, 1), [0b11 << 62, 1]);
-        assert_eq!(lane(&mask, 0), [0, 0]);
+        assert_eq!(lane(&mask, 0), [0b11 << 62, 1]);
     }
 
     #[test]

@@ -237,7 +237,11 @@ impl QgramFilter<'_> {
         for block in grams.chunks(BLOCK) {
             // Bit j: the block's gram j starts in one of the spanned bins.
             let bits = match spans {
-                1 => gather(block, |word| spanned[word]),
+                1 => match <&[u64; DEFAULT_WORDS]>::try_from(spanned) {
+                    // The default bin: its words indexed without a bounds check.
+                    Ok(bin) => gather(block, |word| bin[word % DEFAULT_WORDS]),
+                    Err(_) => gather(block, |word| spanned[word]),
+                },
                 2 => {
                     let (first, second) = spanned.split_at(per_bin);
                     gather(block, |word| first[word] | second[word])
@@ -278,6 +282,9 @@ impl QgramFilter<'_> {
         }
     }
 }
+
+/// Words of a bin at the default q.
+const DEFAULT_WORDS: usize = (1 << (2 * DEFAULT_Q)) / 64;
 
 /// Probes gathered before the filter checks whether it stops: a sixth
 /// of a 100-base read's grams, so that a candidate rejected early is not

@@ -137,24 +137,31 @@ impl ShdFilter {
             return;
         }
         let words = m.div_ceil(64);
-        // The read, packed once into its two bit-planes.
+        // The read, packed once into its two bit-planes, then shifted up
+        // by every bit offset a sweep of its windows uses.
         let (mut stack, mut heap) = ([0u64; 2 * STACK_WORDS], Vec::new());
         let planes = scratch(&mut stack, &mut heap, 2 * words);
         let (r_lo, r_hi) = planes.split_at_mut(words);
         pack_planes(read, 0, r_lo, r_hi);
-        let read_planes = [&*r_lo, &*r_hi];
+        let offsets = candidates
+            .iter()
+            .map(|c| shifts(m, c))
+            .max()
+            .unwrap_or(0)
+            .min(64);
+        let shifted = shift_read([r_lo, r_hi], offsets);
         // One kernel for every length; up to the stack limit the compiler
         // is told the mask width, and keeps the masks in registers.
         match words {
-            1 => self.lanes::<[LaneWord; 1]>(read_planes, m, candidates, out),
-            2 => self.lanes::<[LaneWord; 2]>(read_planes, m, candidates, out),
-            3 => self.lanes::<[LaneWord; 3]>(read_planes, m, candidates, out),
-            4 => self.lanes::<[LaneWord; 4]>(read_planes, m, candidates, out),
-            5 => self.lanes::<[LaneWord; 5]>(read_planes, m, candidates, out),
-            6 => self.lanes::<[LaneWord; 6]>(read_planes, m, candidates, out),
-            7 => self.lanes::<[LaneWord; 7]>(read_planes, m, candidates, out),
-            STACK_WORDS => self.lanes::<[LaneWord; STACK_WORDS]>(read_planes, m, candidates, out),
-            _ => self.lanes::<Vec<LaneWord>>(read_planes, m, candidates, out),
+            1 => self.lanes::<[LaneWord; 1]>(&shifted, m, candidates, out),
+            2 => self.lanes::<[LaneWord; 2]>(&shifted, m, candidates, out),
+            3 => self.lanes::<[LaneWord; 3]>(&shifted, m, candidates, out),
+            4 => self.lanes::<[LaneWord; 4]>(&shifted, m, candidates, out),
+            5 => self.lanes::<[LaneWord; 5]>(&shifted, m, candidates, out),
+            6 => self.lanes::<[LaneWord; 6]>(&shifted, m, candidates, out),
+            7 => self.lanes::<[LaneWord; 7]>(&shifted, m, candidates, out),
+            STACK_WORDS => self.lanes::<[LaneWord; STACK_WORDS]>(&shifted, m, candidates, out),
+            _ => self.lanes::<Vec<LaneWord>>(&shifted, m, candidates, out),
         }
     }
 
@@ -163,7 +170,7 @@ impl ShdFilter {
     /// `M`s.
     fn lanes<M: Masks>(
         &self,
-        read: [&[u64]; 2],
+        shifted: &[[LaneWord; 2]],
         m: usize,
         candidates: &[Candidate<'_>],
         out: &mut [Verdict],
@@ -192,23 +199,26 @@ impl ShdFilter {
             if used == LANES || (used > 0 && i + 1 == candidates.len()) {
                 let group = &lanes[..std::mem::take(&mut used)];
                 let planes = pack_windows(m, candidates, group, &mut stack, &mut heap);
-                self.sweep::<M>(read, m, candidates, group, planes, out);
+                self.sweep::<M>(shifted, m, candidates, group, planes, out);
             }
         }
     }
 
-    /// Builds, amends and ANDs the masks of shifts `0..shifts` of `read`
-    /// against the packed window planes of the `group` lanes, all lanes
-    /// in lockstep, each until its own early accept fires or its shifts
-    /// run out, then writes each lane's verdict into `out`.
+    /// Builds, amends and ANDs the masks of shifts `0..shifts` of the
+    /// read (`shifted`, see [`shift_read`]) against the packed window
+    /// planes of the `group` lanes, all lanes in lockstep, each until its
+    /// shifts run out, and writes each lane's verdict into `out`.
     ///
-    /// A lane that is done keeps its running mask as it stood — the AND
-    /// of a later shift is masked off for it — and counts no more masks,
-    /// so each lane's verdict and cost are what it would have had alone.
+    /// The early accept is a count of the running mask, which only falls
+    /// under AND: it is taken once every [`CHECK`] shifts, and a lane
+    /// that passes is traced back to the first shift of that stretch
+    /// whose mask passed, from the masks kept for it. The sweep stops
+    /// when every lane has accepted or run out of shifts, and each lane's
+    /// verdict and cost are what it would have had alone.
     #[inline(always)]
     fn sweep<'p, M: Masks>(
         &self,
-        read: [&[u64]; 2],
+        shifted: &[[LaneWord; 2]],
         m: usize,
         candidates: &[Candidate<'_>],
         group: &[usize],
@@ -217,9 +227,12 @@ impl ShdFilter {
     ) {
         let mut acc = M::filled(m.div_ceil(64), u64::MAX);
         let mut matches = M::filled(m.div_ceil(64), 0);
+        // The running masks of the last CHECK shifts, for the counts.
+        let mut history: [M; CHECK] = std::array::from_fn(|_| M::filled(m.div_ceil(64), 0));
+        // Each lane's running mask as it stood after its last shift.
+        let mut ended = M::filled(m.div_ceil(64), 0);
         // The mask width, as the compiler sees it: a constant for arrays.
         let words = acc.words_mut().len();
-        let [r_lo, r_hi] = read.map(|plane| &plane[..words]);
         let p = planes.len() / 3;
         let (w_lo, rest) = planes.split_at(p);
         let (w_hi, inside) = rest.split_at(p);
@@ -227,45 +240,49 @@ impl ShdFilter {
         // as a match run; `live` is the read's share of the last word.
         let pad = (words * 64 - m) as u64;
         let live = u64::MAX >> pad;
-        // Per lane: its last shift (none for a lane not in use), and the
-        // most mismatches its early accept allows, padding included.
-        let mut last_shift = [u64::MAX; LANES];
-        let mut limit = [0u64; LANES];
+        // Per lane: its shifts, the most mismatches its early accept
+        // allows, padding included, and the masks it had built when that
+        // accept fired (0: not yet). A lane is done once it accepted or
+        // its shifts ran out; a lane not in use is done from the start.
+        let mut count = [0; LANES];
+        let mut limit = [0; LANES];
         for (lane, &i) in group.iter().enumerate() {
-            last_shift[lane] = shifts(m, &candidates[i]) as u64 - 1;
+            count[lane] = shifts(m, &candidates[i]);
             limit[lane] = pad + u64::from(candidates[i].delta);
         }
         let mut built = [0u64; LANES];
-        // All ones in a lane that accepted early.
-        let mut early = [0u64; LANES];
-        // The lanes still sweeping, as a mask word each: all ones while
-        // a lane's running mask takes the next AND.
-        let mut sweeping = [0u64; LANES];
-        sweeping[..group.len()].fill(u64::MAX);
-        let last = group
-            .iter()
-            .map(|&i| shifts(m, &candidates[i]))
-            .max()
-            .unwrap_or(0);
-        // Shifts go 64 to a row of the planes: within one, every lane
-        // reads the same plane words, each shifted down by the same bits.
+        let mut done = [true; LANES];
+        done[..group.len()].fill(false);
+        let last = count.iter().copied().max().unwrap_or(0);
+        // The next count of shifts, short of the group's last, at which
+        // some lane's shifts run out: the mask of that lane is taken
+        // then, since later shifts are ANDed into every lane.
+        let next_end = |after: usize| {
+            count[..group.len()]
+                .iter()
+                .copied()
+                .filter(|&c| c > after && c < last)
+                .min()
+        };
+        let mut end = next_end(0);
         'sweep: for row in 0..last.div_ceil(64) {
+            // Shifts go 64 to a row of the planes: within one, every lane
+            // reads the same plane words.
             let rows = |plane: &'p [LaneWord]| &plane[row..row + words + 1];
             let (w_lo, w_hi, inside) = (rows(w_lo), rows(w_hi), rows(inside));
             for t in 64 * row..last.min(64 * row + 64) {
                 // Match mask of shift t: bit i set when read[i] equals
                 // window[i + t − δ] and that position is inside the window.
-                let bit = (t % 64) as u32;
+                // Window bit i + t is bit `bit` on of the row's words: the
+                // read, shifted up by `bit`, meets the planes where they lie,
+                // and only the match is shifted down.
+                let bit = t % 64;
+                let read = &shifted[bit * (words + 1)..][..words + 1];
+                let mut below = plane_match(read[0], w_lo[0], w_hi[0], inside[0]);
                 for (k, kept) in matches.words_mut().iter_mut().enumerate() {
-                    let at = |plane: &[LaneWord]| -> LaneWord {
-                        let (low, high) = (&plane[k], &plane[k + 1]);
-                        std::array::from_fn(|l| word_at(low[l], high[l], bit))
-                    };
-                    let (lo, hi, within) = (at(w_lo), at(w_hi), at(inside));
-                    let (read_lo, read_hi) = (r_lo[k], r_hi[k]);
-                    *kept = std::array::from_fn(|l| {
-                        !(read_lo ^ lo[l]) & !(read_hi ^ hi[l]) & within[l]
-                    });
+                    let above = plane_match(read[k + 1], w_lo[k + 1], w_hi[k + 1], inside[k + 1]);
+                    *kept = std::array::from_fn(|l| word_at(below[l], above[l], bit as u32));
+                    below = above;
                 }
                 let matches = matches.words_mut();
                 for kept in &mut matches[words - 1] {
@@ -284,31 +301,42 @@ impl ShdFilter {
                     or_shr1(matches);
                 }
                 // Everything else is a mismatch; AND it into the running
-                // masks of the lanes still sweeping.
-                let mut mismatches = [0u64; LANES];
-                for (a, kept) in acc.words_mut().iter_mut().zip(matches.iter()) {
+                // masks, and keep them for the next count.
+                let snapshot = history[t % CHECK].words_mut();
+                for ((a, kept), snap) in acc.words_mut().iter_mut().zip(&*matches).zip(snapshot) {
                     let word = *a;
-                    *a = std::array::from_fn(|l| word[l] & !(kept[l] & sweeping[l]));
-                    let counts: LaneWord = std::array::from_fn(|l| u64::from(a[l].count_ones()));
-                    mismatches = std::array::from_fn(|l| mismatches[l] + counts[l]);
+                    *a = std::array::from_fn(|l| word[l] & !kept[l]);
+                    *snap = *a;
                 }
-                // A lane counts the mask it took; its early accept is
-                // sound because the popcount only ever shrinks under AND.
-                // A lane that is done keeps a count above its limit, or
-                // has accepted early already: the test needs no guard.
-                // Both tests are a borrow into the top bit, which vector
-                // units without 64-bit compares can take: a count at
-                // most `limit`, and a lane at its last shift.
-                let accepted: LaneWord = std::array::from_fn(|l| {
-                    (limit[l].wrapping_sub(mismatches[l]) >> 63).wrapping_sub(1)
-                });
-                let ends: LaneWord = std::array::from_fn(|l| {
-                    (last_shift[l].wrapping_sub(t as u64).wrapping_sub(1) >> 63).wrapping_neg()
-                });
-                built = std::array::from_fn(|l| built[l] + (sweeping[l] & 1));
-                early = std::array::from_fn(|l| early[l] | accepted[l]);
-                sweeping = std::array::from_fn(|l| sweeping[l] & !(accepted[l] | ends[l]));
-                if sweeping.iter().all(|&lane| lane == 0) {
+                let ends = end == Some(t + 1);
+                if t % CHECK != CHECK - 1 && t + 1 != last && !ends {
+                    continue;
+                }
+                // A lane whose count is at most its limit accepted at the
+                // first shift of this stretch whose mask passed: before it,
+                // the count stood above the limit.
+                let counts = mask_counts(acc.words());
+                for lane in 0..group.len() {
+                    if done[lane] {
+                        continue;
+                    }
+                    if counts[lane] <= limit[lane] {
+                        let first = (t - t % CHECK..=t)
+                            .find(|&s| mask_counts(history[s % CHECK].words())[lane] <= limit[lane])
+                            .expect("the mask of shift t passes");
+                        built[lane] = first as u64 + 1;
+                        done[lane] = true;
+                    } else if t + 1 == count[lane] {
+                        for (e, a) in ended.words_mut().iter_mut().zip(acc.words()) {
+                            e[lane] = a[lane];
+                        }
+                        done[lane] = true;
+                    }
+                }
+                if ends {
+                    end = next_end(t + 1);
+                }
+                if done.iter().all(|&d| d) {
                     break 'sweep;
                 }
             }
@@ -316,22 +344,64 @@ impl ShdFilter {
         // One pipelined pass (XOR-build, amend, AND, count) per mask
         // word is charged one unit of the Myers word-update currency —
         // both are short fixed bundles of 64-lane bitwise ops — plus
-        // one final counting pass.
-        let acc = acc.words_mut();
+        // one final counting pass. A lane that never accepted early
+        // built the masks of all its shifts.
+        let ended = ended.words();
         let (mut stack, mut heap) = ([0u64; STACK_WORDS], Vec::new());
         let lane_acc = scratch(&mut stack, &mut heap, words);
         for (lane, &i) in group.iter().enumerate() {
-            let cost = (built[lane] + 1) * words as u64;
-            for (word, a) in lane_acc.iter_mut().zip(acc.iter()) {
-                *word = a[lane];
+            if built[lane] != 0 {
+                out[i] = Verdict::accept((built[lane] + 1) * words as u64);
+                continue;
             }
-            out[i] = if early[lane] != 0 || streak_edit_bound(lane_acc, m) <= limit[lane] - pad {
+            let cost = (count[lane] as u64 + 1) * words as u64;
+            for (word, e) in lane_acc.iter_mut().zip(ended.iter()) {
+                *word = e[lane];
+            }
+            out[i] = if streak_edit_bound(lane_acc, m) <= limit[lane] - pad {
                 Verdict::accept(cost)
             } else {
                 Verdict::reject(cost)
             };
         }
     }
+}
+
+/// Match bits of one word of the planes: inside the window, and where
+/// the shifted read's planes `read` equal the window's.
+#[inline(always)]
+fn plane_match(read: [LaneWord; 2], lo: LaneWord, hi: LaneWord, inside: LaneWord) -> LaneWord {
+    let [r_lo, r_hi] = read;
+    std::array::from_fn(|l| inside[l] & !((r_lo[l] ^ lo[l]) | (r_hi[l] ^ hi[l])))
+}
+
+/// Shifts between two counts of a sweep's running masks.
+const CHECK: usize = 8;
+
+/// The mismatch count of every lane of `mask`.
+#[inline(always)]
+fn mask_counts(mask: &[LaneWord]) -> LaneWord {
+    mask.iter().fold([0; LANES], |counts, word| {
+        std::array::from_fn(|l| counts[l] + u64::from(word[l].count_ones()))
+    })
+}
+
+/// The read's planes `[lo, hi]`, shifted up by each bit offset in
+/// `0..offsets`, every word in every lane: entry `bit · (words + 1) + j`
+/// holds word `j` of both planes shifted up by `bit` (bits shifted out
+/// of the last word land in word `words`).
+fn shift_read(planes: [&[u64]; 2], offsets: usize) -> Vec<[LaneWord; 2]> {
+    let words = planes[0].len();
+    let word = |plane: &[u64], j: usize, bit: u32| {
+        let below = j.checked_sub(1).map_or(0, |j| plane[j]);
+        let here = plane.get(j).copied().unwrap_or(0);
+        here << bit | (below >> 1) >> (63 - bit)
+    };
+    let mut shifted = Vec::with_capacity(offsets * (words + 1));
+    for bit in 0..offsets as u32 {
+        shifted.extend((0..=words).map(|j| planes.map(|plane| [word(plane, j, bit); LANES])));
+    }
+    shifted
 }
 
 /// Mask storage of one sweep: a mask word of every lane for each word of
@@ -341,12 +411,18 @@ trait Masks {
     /// `words` lane words, every lane set to `value`.
     fn filled(words: usize, value: u64) -> Self;
     /// The lane words.
+    fn words(&self) -> &[LaneWord];
+    /// The lane words, to write.
     fn words_mut(&mut self) -> &mut [LaneWord];
 }
 
 impl<const W: usize> Masks for [LaneWord; W] {
     fn filled(_: usize, value: u64) -> Self {
         [[value; LANES]; W]
+    }
+
+    fn words(&self) -> &[LaneWord] {
+        self
     }
 
     fn words_mut(&mut self) -> &mut [LaneWord] {
@@ -357,6 +433,10 @@ impl<const W: usize> Masks for [LaneWord; W] {
 impl Masks for Vec<LaneWord> {
     fn filled(words: usize, value: u64) -> Self {
         vec![[value; LANES]; words]
+    }
+
+    fn words(&self) -> &[LaneWord] {
+        self
     }
 
     fn words_mut(&mut self) -> &mut [LaneWord] {
@@ -381,9 +461,10 @@ fn scratch<'s, T: Copy + Default>(
 
 /// Window offsets a read base can occupy across all ≤ δ-edit
 /// semi-global alignments of `candidate` (see module docs): the shifts
-/// `s ∈ [−δ, wlen − m + δ]`, at least one when `m ≤ wlen + δ`.
+/// `s ∈ [−δ, wlen − m + δ]`, at least one when `m ≤ wlen + δ` (and
+/// none for a read overhanging its window further still).
 fn shifts(m: usize, candidate: &Candidate<'_>) -> usize {
-    candidate.window.len() + 2 * candidate.delta as usize + 1 - m
+    (candidate.window.len() + 2 * candidate.delta as usize + 1).saturating_sub(m)
 }
 
 /// The windows of the `group` lanes, packed into lane words: the two
