@@ -149,35 +149,40 @@ impl PreFilter for Chain<'_> {
     }
 
     /// Each part examines, in one batch, the candidates every part before
-    /// it accepted: a rejected candidate costs what it cost so far.
+    /// it accepted: a rejected candidate costs what it cost so far. The
+    /// first part examines the batch itself, writing its verdicts in
+    /// place; a later part's go after them and are folded in.
     fn examine_batch(&self, candidates: &[Candidate<'_>], verdicts: &mut Vec<Verdict>) {
         let first = verdicts.len();
-        verdicts.extend(candidates.iter().map(|_| Verdict::accept(0)));
-        let verdicts = &mut verdicts[first..];
-        let mut live: Vec<usize> = (0..candidates.len()).collect();
-        let mut batch = Vec::with_capacity(candidates.len());
-        let mut part_verdicts = Vec::with_capacity(candidates.len());
-        for part in &self.parts {
-            if live.is_empty() {
+        let Some((head, rest)) = self.parts.split_first() else {
+            verdicts.extend(candidates.iter().map(|_| Verdict::accept(0)));
+            return;
+        };
+        head.examine_batch(candidates, verdicts);
+        let mut batch = Vec::new();
+        for part in rest {
+            batch.clear();
+            batch.extend(
+                candidates
+                    .iter()
+                    .zip(&verdicts[first..])
+                    .filter(|(_, verdict)| verdict.accept)
+                    .map(|(candidate, _)| *candidate),
+            );
+            if batch.is_empty() {
                 break;
             }
-            batch.clear();
-            batch.extend(live.iter().map(|&i| candidates[i]));
-            part_verdicts.clear();
-            part.examine_batch(&batch, &mut part_verdicts);
-            let mut kept = 0;
-            for (n, verdict) in part_verdicts.iter().enumerate() {
-                let i = live[n];
-                verdicts[i] = Verdict {
-                    accept: verdict.accept,
-                    cost_words: verdicts[i].cost_words + verdict.cost_words,
+            let end = verdicts.len();
+            part.examine_batch(&batch, verdicts);
+            let (group, theirs) = verdicts.split_at_mut(end);
+            let live = group[first..].iter_mut().filter(|verdict| verdict.accept);
+            for (verdict, its) in live.zip(&*theirs) {
+                *verdict = Verdict {
+                    accept: its.accept,
+                    cost_words: verdict.cost_words + its.cost_words,
                 };
-                if verdict.accept {
-                    live[kept] = i;
-                    kept += 1;
-                }
             }
-            live.truncate(kept);
+            verdicts.truncate(end);
         }
     }
 
