@@ -314,7 +314,8 @@ impl ShdFilter {
                 }
                 // A lane whose count is at most its limit accepted at the
                 // first shift of this stretch whose mask passed: before it,
-                // the count stood above the limit.
+                // the count stood above the limit. Shift t's own mask is
+                // the running one, so the search ends by t at the latest.
                 let counts = mask_counts(acc.words());
                 for lane in 0..group.len() {
                     if done[lane] {
@@ -323,7 +324,7 @@ impl ShdFilter {
                     if counts[lane] <= limit[lane] {
                         let first = (t - t % CHECK..=t)
                             .find(|&s| mask_counts(history[s % CHECK].words())[lane] <= limit[lane])
-                            .expect("the mask of shift t passes");
+                            .unwrap_or(t);
                         built[lane] = first as u64 + 1;
                         done[lane] = true;
                     } else if t + 1 == count[lane] {
