@@ -206,15 +206,11 @@ impl ShdFilter {
 
     /// Builds, amends and ANDs the masks of shifts `0..shifts` of the
     /// read (`shifted`, see [`shift_read`]) against the packed window
-    /// planes of the `group` lanes, all lanes in lockstep, each until its
-    /// shifts run out, and writes each lane's verdict into `out`.
-    ///
-    /// The early accept is a count of the running mask, which only falls
-    /// under AND: it is taken once every [`CHECK`] shifts, and a lane
-    /// that passes is traced back to the first shift of that stretch
-    /// whose mask passed, from the masks kept for it. The sweep stops
-    /// when every lane has accepted or run out of shifts, and each lane's
-    /// verdict and cost are what it would have had alone.
+    /// planes of the `group` lanes, all lanes in lockstep, and writes a
+    /// lane's verdict into `out` at the shift that decides it: the first
+    /// whose running mask passes the early accept, or its last. The sweep
+    /// stops when every lane is decided, and each lane's verdict and cost
+    /// are what it would have had alone.
     #[inline(always)]
     fn sweep<'p, M: Masks>(
         &self,
@@ -227,10 +223,6 @@ impl ShdFilter {
     ) {
         let mut acc = M::filled(m.div_ceil(64), u64::MAX);
         let mut matches = M::filled(m.div_ceil(64), 0);
-        // The running masks of the last CHECK shifts, for the counts.
-        let mut history: [M; CHECK] = std::array::from_fn(|_| M::filled(m.div_ceil(64), 0));
-        // Each lane's running mask as it stood after its last shift.
-        let mut ended = M::filled(m.div_ceil(64), 0);
         // The mask width, as the compiler sees it: a constant for arrays.
         let words = acc.words_mut().len();
         let p = planes.len() / 3;
@@ -240,31 +232,20 @@ impl ShdFilter {
         // as a match run; `live` is the read's share of the last word.
         let pad = (words * 64 - m) as u64;
         let live = u64::MAX >> pad;
-        // Per lane: its shifts, the most mismatches its early accept
-        // allows, padding included, and the masks it had built when that
-        // accept fired (0: not yet). A lane is done once it accepted or
-        // its shifts ran out; a lane not in use is done from the start.
+        // Per lane: its shifts and the most mismatches its early accept
+        // allows, padding included. A lane is done once decided; a lane
+        // not in use is done from the start.
         let mut count = [0; LANES];
         let mut limit = [0; LANES];
         for (lane, &i) in group.iter().enumerate() {
             count[lane] = shifts(m, &candidates[i]);
             limit[lane] = pad + u64::from(candidates[i].delta);
         }
-        let mut built = [0u64; LANES];
         let mut done = [true; LANES];
         done[..group.len()].fill(false);
         let last = count.iter().copied().max().unwrap_or(0);
-        // The next count of shifts, short of the group's last, at which
-        // some lane's shifts run out: the mask of that lane is taken
-        // then, since later shifts are ANDed into every lane.
-        let next_end = |after: usize| {
-            count[..group.len()]
-                .iter()
-                .copied()
-                .filter(|&c| c > after && c < last)
-                .min()
-        };
-        let mut end = next_end(0);
+        let (mut stack, mut heap) = ([0u64; STACK_WORDS], Vec::new());
+        let lane_acc = scratch(&mut stack, &mut heap, words);
         'sweep: for row in 0..last.div_ceil(64) {
             // Shifts go 64 to a row of the planes: within one, every lane
             // reads the same plane words.
@@ -301,69 +282,42 @@ impl ShdFilter {
                     or_shr1(matches);
                 }
                 // Everything else is a mismatch; AND it into the running
-                // masks, and keep them for the next count.
-                let snapshot = history[t % CHECK].words_mut();
-                for ((a, kept), snap) in acc.words_mut().iter_mut().zip(&*matches).zip(snapshot) {
+                // masks.
+                for (a, kept) in acc.words_mut().iter_mut().zip(&*matches) {
                     let word = *a;
                     *a = std::array::from_fn(|l| word[l] & !kept[l]);
-                    *snap = *a;
                 }
-                let ends = end == Some(t + 1);
-                if t % CHECK != CHECK - 1 && t + 1 != last && !ends {
-                    continue;
-                }
-                // A lane whose count is at most its limit accepted at the
-                // first shift of this stretch whose mask passed: before it,
-                // the count stood above the limit. Shift t's own mask is
-                // the running one, so the search ends by t at the latest.
+                // One pipelined pass (XOR-build, amend, AND, count) per
+                // mask word is charged one unit of the Myers word-update
+                // currency — both are short fixed bundles of 64-lane
+                // bitwise ops — plus one final counting pass: a lane
+                // decided at shift t built t + 1 masks.
+                let cost = (t as u64 + 2) * words as u64;
                 let counts = mask_counts(acc.words());
-                for lane in 0..group.len() {
+                for (lane, &i) in group.iter().enumerate() {
                     if done[lane] {
                         continue;
                     }
                     if counts[lane] <= limit[lane] {
-                        let first = (t - t % CHECK..=t)
-                            .find(|&s| mask_counts(history[s % CHECK].words())[lane] <= limit[lane])
-                            .unwrap_or(t);
-                        built[lane] = first as u64 + 1;
-                        done[lane] = true;
+                        out[i] = Verdict::accept(cost);
                     } else if t + 1 == count[lane] {
-                        for (e, a) in ended.words_mut().iter_mut().zip(acc.words()) {
-                            e[lane] = a[lane];
+                        for (word, a) in lane_acc.iter_mut().zip(acc.words()) {
+                            *word = a[lane];
                         }
-                        done[lane] = true;
+                        out[i] = if streak_edit_bound(lane_acc, m) <= limit[lane] - pad {
+                            Verdict::accept(cost)
+                        } else {
+                            Verdict::reject(cost)
+                        };
+                    } else {
+                        continue;
                     }
-                }
-                if ends {
-                    end = next_end(t + 1);
+                    done[lane] = true;
                 }
                 if done.iter().all(|&d| d) {
                     break 'sweep;
                 }
             }
-        }
-        // One pipelined pass (XOR-build, amend, AND, count) per mask
-        // word is charged one unit of the Myers word-update currency —
-        // both are short fixed bundles of 64-lane bitwise ops — plus
-        // one final counting pass. A lane that never accepted early
-        // built the masks of all its shifts.
-        let ended = ended.words();
-        let (mut stack, mut heap) = ([0u64; STACK_WORDS], Vec::new());
-        let lane_acc = scratch(&mut stack, &mut heap, words);
-        for (lane, &i) in group.iter().enumerate() {
-            if built[lane] != 0 {
-                out[i] = Verdict::accept((built[lane] + 1) * words as u64);
-                continue;
-            }
-            let cost = (count[lane] as u64 + 1) * words as u64;
-            for (word, e) in lane_acc.iter_mut().zip(ended.iter()) {
-                *word = e[lane];
-            }
-            out[i] = if streak_edit_bound(lane_acc, m) <= limit[lane] - pad {
-                Verdict::accept(cost)
-            } else {
-                Verdict::reject(cost)
-            };
         }
     }
 }
@@ -375,9 +329,6 @@ fn plane_match(read: [LaneWord; 2], lo: LaneWord, hi: LaneWord, inside: LaneWord
     let [r_lo, r_hi] = read;
     std::array::from_fn(|l| inside[l] & !((r_lo[l] ^ lo[l]) | (r_hi[l] ^ hi[l])))
 }
-
-/// Shifts between two counts of a sweep's running masks.
-const CHECK: usize = 8;
 
 /// The mismatch count of every lane of `mask`.
 #[inline(always)]
