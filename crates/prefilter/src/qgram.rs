@@ -48,7 +48,8 @@ pub const MAX_Q: usize = 8;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QgramBins {
     q: usize,
-    bin_width: usize,
+    /// log₂ of the bin width: a position's bin is a shift away.
+    bin_shift: u32,
     ref_len: usize,
     words_per_bin: usize,
     bits: Vec<u64>,
@@ -69,14 +70,19 @@ impl QgramBins {
     ///
     /// # Panics
     ///
-    /// Panics if `q` is 0 or exceeds [`MAX_Q`], or if `bin_width` is 0.
+    /// Panics if `q` is 0 or exceeds [`MAX_Q`], or if `bin_width` is not
+    /// a power of two.
     pub fn build<C: Borrow<u8>>(
         codes: impl IntoIterator<Item = C, IntoIter: ExactSizeIterator>,
         q: usize,
         bin_width: usize,
     ) -> QgramBins {
         assert!((1..=MAX_Q).contains(&q), "q must be in 1..={MAX_Q}");
-        assert!(bin_width > 0, "bin width must be positive");
+        assert!(
+            bin_width.is_power_of_two(),
+            "bin width must be a power of two"
+        );
+        let bin_shift = bin_width.trailing_zeros();
         let codes = codes.into_iter();
         let ref_len = codes.len();
         let words_per_bin = (1usize << (2 * q)).div_ceil(64);
@@ -88,14 +94,14 @@ impl QgramBins {
             hash = ((hash << 2) | u64::from(code.borrow() & 3)) & mask;
             if i + 1 >= q {
                 let start = i + 1 - q;
-                let bin = start / bin_width;
+                let bin = start >> bin_shift;
                 let word = bin * words_per_bin + (hash / 64) as usize;
                 bits[word] |= 1 << (hash % 64);
             }
         }
         QgramBins {
             q,
-            bin_width,
+            bin_shift,
             ref_len,
             words_per_bin,
             bits,
@@ -109,7 +115,7 @@ impl QgramBins {
 
     /// The bin width in bases.
     pub fn bin_width(&self) -> usize {
-        self.bin_width
+        1 << self.bin_shift
     }
 
     /// Number of bins.
@@ -127,21 +133,10 @@ impl QgramBins {
     /// window `[start, start + len)`, clamped to the reference.
     fn bin_range(&self, start: usize, len: usize) -> (usize, usize) {
         let last_bin = self.bins() - 1;
-        let lo = self.bin_of(start).min(last_bin);
+        let lo = (start >> self.bin_shift).min(last_bin);
         let last_start = (start + len.saturating_sub(self.q)).min(self.ref_len);
-        let hi = self.bin_of(last_start).min(last_bin);
+        let hi = (last_start >> self.bin_shift).min(last_bin);
         (lo, hi.max(lo))
-    }
-
-    /// The bin of reference position `pos`; a shift when the width is a
-    /// power of two, as the default is, which spares the filter two
-    /// divisions a candidate.
-    fn bin_of(&self, pos: usize) -> usize {
-        if self.bin_width.is_power_of_two() {
-            pos >> self.bin_width.trailing_zeros()
-        } else {
-            pos / self.bin_width
-        }
     }
 }
 
@@ -376,7 +371,9 @@ mod tests {
         let r = reference();
         assert!(std::panic::catch_unwind(|| QgramBins::build(&r, 0, 512)).is_err());
         assert!(std::panic::catch_unwind(|| QgramBins::build(&r, MAX_Q + 1, 512)).is_err());
-        assert!(std::panic::catch_unwind(|| QgramBins::build(&r, 5, 0)).is_err());
+        for width in [0, 3, 100, 513] {
+            assert!(std::panic::catch_unwind(|| QgramBins::build(&r, 5, width)).is_err());
+        }
     }
 
     #[test]
