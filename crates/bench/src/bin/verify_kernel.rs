@@ -21,7 +21,11 @@
 //! in full lanes — against its scalar path (per-candidate `examine`, one
 //! window at a time), over every merged candidate of a pinned
 //! repeat-rich read set. Both paths must report the same mappings and
-//! the same accounting, and both digests are pinned too.
+//! the same accounting, and both digests are pinned too. The seconds the
+//! batch path spends inside the filters are also set against the same
+//! engine with no filter installed, which runs none of the filter
+//! kernels: a filter kernel that turns slower raises that ratio, though
+//! it slows the scalar path alike.
 //!
 //! Modes:
 //!
@@ -34,13 +38,15 @@
 //!   word total or either grid digest (naming which), or the fresh
 //!   speedup falls below [`MIN_FRESH_SPEEDUP`] (the looser floor absorbs
 //!   CI machine noise); likewise for the prefilter stage, whose digests
-//!   must equal the committed ones and whose fresh speedup must reach
-//!   [`MIN_PREFILTER_SPEEDUP`].
+//!   must equal the committed ones, whose fresh speedup over the scalar
+//!   path must reach [`MIN_PREFILTER_SPEEDUP`] and whose filter seconds
+//!   over the unfiltered engine's must stay within [`MAX_PREFILTER_COST`].
 //!
 //! The corpus scale is pinned and ignores the `REPUTE_*` environment
 //! overrides: committed numbers are only comparable when every run
 //! verifies the identical candidate stream.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,7 +65,7 @@ use repute_mappers::{
 };
 use repute_obs::json::{field, parse_json, JsonObject, JsonValue};
 use repute_obs::MapMetrics;
-use repute_prefilter::{Chain, QgramFilter, ShdFilter};
+use repute_prefilter::{Candidate, Chain, PreFilter, QgramFilter, ShdFilter, Verdict};
 
 /// The baseline document's `schema` field.
 const SCHEMA: &str = "repute-bench-verify-kernel";
@@ -77,14 +83,26 @@ const MIN_COMMITTED_SPEEDUP: f64 = 4.5;
 const MIN_FRESH_SPEEDUP: f64 = 3.5;
 /// Timed repetitions per path; the minimum is reported (noise robust).
 const ROUNDS: usize = 7;
+/// Timed repetitions per path of the prefilter stage, whose passes are
+/// a few hundredths of a second: more of them steady the minimum.
+const PREFILTER_ROUNDS: usize = 15;
 
 /// The prefilter stage's floor on a fresh and a committed speedup of the
-/// batch path over the scalar one. The lane pipeline read 2.97–3.14× on
-/// a 2-vCPU VM; a batch path that hands the filters one candidate at a
-/// time runs the scalar path's kernels and reads about 1×. Both paths run
-/// the same lane kernels, so the ratio does not see a kernel that is
-/// slower on both.
-const MIN_PREFILTER_SPEEDUP: f64 = 2.0;
+/// batch path over the scalar one. It read 2.2–2.8× on a 2-vCPU VM;
+/// a batch path that hands the filters one candidate at a time runs the
+/// scalar path's kernels and reads about 1×. Both paths run the same lane
+/// kernels, so this ratio does not see a kernel that is slower on both:
+/// [`MAX_PREFILTER_COST`] does.
+const MIN_PREFILTER_SPEEDUP: f64 = 1.8;
+
+/// The prefilter stage's ceiling on a fresh and a committed cost: the
+/// seconds the batch path spends in the filters under `--prefilter both`
+/// over the seconds of the engine with no filter that runs right after
+/// it, on the same corpus; the median over the rounds. The unfiltered
+/// engine runs no filter kernel, so a slower kernel raises the cost. It
+/// read 0.77–0.88× on a 2-vCPU VM, and 1.44–1.68× in a copy that runs
+/// every filter kernel twice.
+const MAX_PREFILTER_COST: f64 = 1.1;
 
 /// Pinned prefilter corpus: a repeat-rich reference of this length and
 /// this many reads of each length, mapped at [`PREFILTER_DELTA`].
@@ -370,12 +388,19 @@ struct StrandCandidates {
     diagonals: Vec<u32>,
 }
 
-/// The prefilter stage: wall seconds of each path and the digests both
-/// paths agreed on.
+/// The prefilter stage: wall seconds of each path and of the engine with
+/// no filter, and the digests both paths agreed on.
 struct PrefilterMeasurement {
     scalar_seconds: f64,
     batch_seconds: f64,
+    /// Seconds of the batch pass spent in the filters.
+    filter_seconds: f64,
+    unfiltered_seconds: f64,
+    /// Scalar seconds over batch seconds.
     speedup: f64,
+    /// Filter seconds over unfiltered seconds: the median of the rounds'
+    /// ratios, each of two passes run back to back.
+    cost: f64,
     candidates: u64,
     digest: GridDigest,
 }
@@ -452,8 +477,43 @@ fn prefilter_pass(
     }
 }
 
+/// A filter that adds the wall time of every call it hands `inner` to
+/// `nanos`: the seconds a pass spends in the filters.
+#[derive(Debug)]
+struct TimedFilter<'a> {
+    inner: &'a dyn PreFilter,
+    nanos: AtomicU64,
+}
+
+impl TimedFilter<'_> {
+    fn timed<T>(&self, f: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let value = f();
+        // Read after the single-threaded pass: Relaxed suffices.
+        self.nanos
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        value
+    }
+}
+
+impl PreFilter for TimedFilter<'_> {
+    fn examine(&self, candidate: &Candidate<'_>) -> Verdict {
+        self.timed(|| self.inner.examine(candidate))
+    }
+
+    fn examine_batch(&self, candidates: &[Candidate<'_>], verdicts: &mut Vec<Verdict>) {
+        self.timed(|| self.inner.examine_batch(candidates, verdicts));
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
 /// The prefilter stage: both paths over the pinned corpus, digests
-/// compared (a mismatch fails the run), then best-of-ROUNDS seconds each.
+/// compared (a mismatch fails the run), then best-of-PREFILTER_ROUNDS
+/// seconds each and of the engine with no filter, which must find the
+/// same mappings, and the median cost.
 fn measure_prefilter() -> PrefilterMeasurement {
     let w = Workload::generate(PREFILTER_SCALE);
     let config =
@@ -464,13 +524,18 @@ fn measure_prefilter() -> PrefilterMeasurement {
     let qgram = QgramFilter::new(w.indexed.prefilter_bins());
     let shd = ShdFilter::new();
     let chain = Chain::new(vec![&qgram, &shd]);
+    let timed = TimedFilter {
+        inner: &chain,
+        nanos: AtomicU64::new(0),
+    };
     let batch = w
         .indexed
         .verify_engine(PREFILTER_DELTA)
-        .with_prefilter(&chain);
+        .with_prefilter(&timed);
     let scalar = scalar_index
         .verify_engine(PREFILTER_DELTA)
         .with_prefilter(&chain);
+    let unfiltered = w.indexed.verify_engine(PREFILTER_DELTA);
     let limit = config.max_locations();
     let digest = prefilter_pass(&batch, &corpus, limit);
     let scalar_digest = prefilter_pass(&scalar, &corpus, limit);
@@ -480,21 +545,37 @@ fn measure_prefilter() -> PrefilterMeasurement {
     if digest.accounting != scalar_digest.accounting {
         fail("prefilter stage: batch and scalar paths map alike but account differently");
     }
-    let time = |engine: &VerifyEngine<'_>| {
+    let unfiltered_digest = prefilter_pass(&unfiltered, &corpus, limit);
+    if unfiltered_digest.mappings != digest.mappings {
+        fail("prefilter stage: the filters rejected a candidate the engine with none maps");
+    }
+    let time = |engine: &VerifyEngine<'_>, expected: &GridDigest| {
         let started = Instant::now();
         let d = prefilter_pass(engine, &corpus, limit);
-        assert_eq!(d, digest, "a timed pass diverged");
+        assert_eq!(&d, expected, "a timed pass diverged");
         started.elapsed().as_secs_f64()
     };
-    let (mut scalar_best, mut batch_best) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..ROUNDS {
-        scalar_best = scalar_best.min(time(&scalar));
-        batch_best = batch_best.min(time(&batch));
+    let mut best = [f64::INFINITY; 4];
+    let mut costs = Vec::with_capacity(PREFILTER_ROUNDS);
+    for _ in 0..PREFILTER_ROUNDS {
+        best[0] = best[0].min(time(&scalar, &digest));
+        timed.nanos.store(0, Ordering::Relaxed);
+        best[1] = best[1].min(time(&batch, &digest));
+        let filter = timed.nanos.load(Ordering::Relaxed) as f64 * 1e-9;
+        best[2] = best[2].min(filter);
+        let unfiltered = time(&unfiltered, &unfiltered_digest);
+        best[3] = best[3].min(unfiltered);
+        costs.push(filter / unfiltered);
     }
+    let [scalar_best, batch_best, filter_best, unfiltered_best] = best;
+    costs.sort_by(f64::total_cmp);
     PrefilterMeasurement {
         scalar_seconds: scalar_best,
         batch_seconds: batch_best,
+        filter_seconds: filter_best,
+        unfiltered_seconds: unfiltered_best,
         speedup: scalar_best / batch_best,
+        cost: costs[PREFILTER_ROUNDS / 2],
         candidates,
         digest,
     }
@@ -522,6 +603,9 @@ fn render_document(k: &KernelMeasurement, digest: &GridDigest, p: &PrefilterMeas
     doc.f64_field("prefilter_scalar_seconds", p.scalar_seconds);
     doc.f64_field("prefilter_batch_seconds", p.batch_seconds);
     doc.f64_field("prefilter_speedup", p.speedup);
+    doc.f64_field("prefilter_filter_seconds", p.filter_seconds);
+    doc.f64_field("prefilter_unfiltered_seconds", p.unfiltered_seconds);
+    doc.f64_field("prefilter_cost", p.cost);
     doc.str_field("prefilter_mappings_digest", &p.digest.mappings);
     doc.str_field("prefilter_accounting_digest", &p.digest.accounting);
     let mut text = doc.finish();
@@ -536,6 +620,7 @@ struct Committed {
     batch_words: u64,
     grid: GridDigest,
     prefilter_speedup: f64,
+    prefilter_cost: f64,
     prefilter: GridDigest,
 }
 
@@ -569,6 +654,9 @@ fn validate_document(text: &str) -> Result<Committed, String> {
         "prefilter_scalar_seconds",
         "prefilter_batch_seconds",
         "prefilter_speedup",
+        "prefilter_filter_seconds",
+        "prefilter_unfiltered_seconds",
+        "prefilter_cost",
     ];
     if let Some(key) = numbers
         .iter()
@@ -602,6 +690,9 @@ fn validate_document(text: &str) -> Result<Committed, String> {
         prefilter_speedup: field(fields, "prefilter_speedup")
             .and_then(JsonValue::as_f64)
             .unwrap_or(0.0),
+        prefilter_cost: field(fields, "prefilter_cost")
+            .and_then(JsonValue::as_f64)
+            .unwrap_or(f64::INFINITY),
         prefilter: GridDigest {
             mappings: digest("prefilter_mappings_digest")?,
             accounting: digest("prefilter_accounting_digest")?,
@@ -650,11 +741,15 @@ fn main() {
         fail("batch and scalar pipelines map alike but account for their work differently");
     }
     println!("grid invariance OK: batch and scalar pipelines agree bit for bit");
-    println!("measuring the prefilter lane pipeline under --prefilter both (best of {ROUNDS})…");
+    println!("measuring the prefilter lane pipeline under --prefilter both (best of {PREFILTER_ROUNDS})…");
     let p = measure_prefilter();
     println!(
         "  scalar {:.6} s | batch {:.6} s | speedup {:.2}× | {} candidate(s)",
         p.scalar_seconds, p.batch_seconds, p.speedup, p.candidates
+    );
+    println!(
+        "  batch path in the filters {:.6} s | no filter {:.6} s | cost {:.2}×",
+        p.filter_seconds, p.unfiltered_seconds, p.cost
     );
     println!(
         "  mappings-digest:   {}\n  accounting-digest: {}",
@@ -674,6 +769,13 @@ fn main() {
                 "measured prefilter speedup {:.2}× is below the \
                  {MIN_PREFILTER_SPEEDUP:.1}× bar for a committed baseline",
                 p.speedup
+            ));
+        }
+        if p.cost > MAX_PREFILTER_COST {
+            fail(&format!(
+                "measured prefilter cost {:.2}× is above the \
+                 {MAX_PREFILTER_COST:.1}× bar for a committed baseline",
+                p.cost
             ));
         }
         let text = render_document(&k, &batch_digest, &p);
@@ -766,6 +868,19 @@ fn main() {
             p.speedup, committed.prefilter_speedup
         ));
     }
+    if committed.prefilter_cost > MAX_PREFILTER_COST {
+        check_failed(&format!(
+            "committed prefilter cost {:.2}× is above the {MAX_PREFILTER_COST:.1}× bar",
+            committed.prefilter_cost
+        ));
+    }
+    if p.cost > MAX_PREFILTER_COST {
+        check_failed(&format!(
+            "fresh prefilter cost {:.2}× (filter seconds over the unfiltered engine's) rose above the \
+             {MAX_PREFILTER_COST:.1}× ceiling (committed: {:.2}×): a filter kernel is slower",
+            p.cost, committed.prefilter_cost
+        ));
+    }
     if k.speedup < MIN_FRESH_SPEEDUP {
         check_failed(&format!(
             "fresh speedup {:.2}× fell below the {MIN_FRESH_SPEEDUP:.1}× floor \
@@ -779,7 +894,12 @@ fn main() {
     }
     println!(
         "\nall verify-kernel checks passed (committed {:.2}×, fresh {:.2}×; prefilter \
-         committed {:.2}×, fresh {:.2}×)",
-        committed.speedup, k.speedup, committed.prefilter_speedup, p.speedup
+         committed {:.2}×, fresh {:.2}×; prefilter cost committed {:.2}×, fresh {:.2}×)",
+        committed.speedup,
+        k.speedup,
+        committed.prefilter_speedup,
+        p.speedup,
+        committed.prefilter_cost,
+        p.cost
     );
 }
