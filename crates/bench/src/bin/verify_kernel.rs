@@ -88,7 +88,7 @@ const ROUNDS: usize = 7;
 const PREFILTER_ROUNDS: usize = 15;
 
 /// The prefilter stage's floor on a fresh and a committed speedup of the
-/// batch path over the scalar one. It read 2.2–2.8× on a 2-vCPU VM;
+/// batch path over the scalar one. It read 2.2–2.9× on a 2-vCPU VM;
 /// a batch path that hands the filters one candidate at a time runs the
 /// scalar path's kernels and reads about 1×. Both paths run the same lane
 /// kernels, so this ratio does not see a kernel that is slower on both:
