@@ -17,11 +17,12 @@
 //! simulated seconds), so a change that reprices work on purpose can show
 //! that it moved the second and not the first. A third stage times the
 //! prefilter lane pipeline: the engine's batch path under `--prefilter
-//! both` — the filters handed 32 candidates a call, survivors verified
-//! in full lanes — against its scalar path (per-candidate `examine`, one
-//! window at a time), over every merged candidate of a pinned
-//! repeat-rich read set. Both paths must report the same mappings and
-//! the same accounting, and both digests are pinned too. The seconds the
+//! both` — the filters handed 64 candidates a call, survivors verified
+//! in lanes from the same unpacked windows — against its scalar path
+//! (per-candidate `examine`, one window at a time), over every merged
+//! candidate of a pinned repeat-rich read set. Both paths must report
+//! the same mappings and the same accounting, and both digests are
+//! pinned too. The seconds the
 //! batch path spends inside the filters are also set against the same
 //! engine with no filter installed, which runs none of the filter
 //! kernels: a filter kernel that turns slower raises that ratio, though
@@ -88,7 +89,7 @@ const ROUNDS: usize = 7;
 const PREFILTER_ROUNDS: usize = 15;
 
 /// The prefilter stage's floor on a fresh and a committed speedup of the
-/// batch path over the scalar one. It read 2.2–2.9× on a 2-vCPU VM;
+/// batch path over the scalar one. It read 2.6–2.9× on a 2-vCPU VM;
 /// a batch path that hands the filters one candidate at a time runs the
 /// scalar path's kernels and reads about 1×. Both paths run the same lane
 /// kernels, so this ratio does not see a kernel that is slower on both:
@@ -100,7 +101,7 @@ const MIN_PREFILTER_SPEEDUP: f64 = 1.8;
 /// over the seconds of the engine with no filter that runs right after
 /// it, on the same corpus; the median over the rounds. The unfiltered
 /// engine runs no filter kernel, so a slower kernel raises the cost. It
-/// read 0.77–0.88× on a 2-vCPU VM, and 1.44–1.68× in a copy that runs
+/// read 0.72–0.77× on a 2-vCPU VM, and 1.54–1.60× in a copy that runs
 /// every filter kernel twice.
 const MAX_PREFILTER_COST: f64 = 1.1;
 

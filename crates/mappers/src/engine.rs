@@ -120,12 +120,12 @@ impl<'a> Reference<'a> {
         }
     }
 
-    /// A slab for `lanes` windows of up to `window` bases each, sized up
-    /// front and reused for every chunk of a call; empty for flat codes,
+    /// A slab for `count` windows of up to `window` bases each, sized up
+    /// front and reused for every group of a call; empty for flat codes,
     /// which lend their windows.
-    fn slab(self, lanes: usize, window: usize) -> Vec<u8> {
+    fn slab(self, count: usize, window: usize) -> Vec<u8> {
         match self {
-            Reference::Packed(_) => Vec::with_capacity(lanes * window),
+            Reference::Packed(_) => Vec::with_capacity(count * window),
             Reference::Flat(_) => Vec::new(),
         }
     }
@@ -152,7 +152,7 @@ impl<'a> Reference<'a> {
     fn windows<'s>(
         self,
         batch: &CandidateBatch,
-        ids: impl Iterator<Item = usize> + Clone,
+        ids: Range<usize>,
         slab: &'s mut Vec<u8>,
         out: &mut [&'s [u8]],
     ) where
@@ -181,45 +181,9 @@ impl<'a> Reference<'a> {
     }
 }
 
-/// Candidates a pre-alignment filter examines in one call: four lanes'
+/// Candidates a pre-alignment filter examines in one call: eight lanes'
 /// worth, so that the survivors of a group mostly fill whole lanes.
-const GROUP: usize = 4 * LANES;
-
-/// A candidate the filter passed (or, without a filter, any candidate),
-/// queued for a lane.
-#[derive(Debug, Clone, Copy, Default)]
-struct Survivor {
-    /// Its index in the read's candidate batch.
-    candidate: usize,
-    /// The filter's cost for it; `None` without a filter.
-    cost_words: Option<u64>,
-    /// The rejections between it and the survivor before it.
-    before: Rejections,
-}
-
-/// A run of candidates the filter rejected: how many, and their cost.
-#[derive(Debug, Clone, Copy, Default)]
-struct Rejections {
-    count: u64,
-    cost_words: u64,
-}
-
-impl Rejections {
-    fn add(&mut self, cost_words: u64) {
-        self.count += 1;
-        self.cost_words += cost_words;
-    }
-
-    /// Counts the run into `metrics`, returning its work.
-    fn account(self, metrics: &mut MapMetrics) -> u64 {
-        metrics.prefilter_tested += self.count;
-        metrics.prefilter_words += self.cost_words;
-        // Sound filters only reject unverifiable windows: every
-        // rejection is a true reject.
-        metrics.prefilter_rejected += self.count;
-        self.cost_words
-    }
-}
+const GROUP: usize = 8 * LANES;
 
 /// The verification half of a mapper.
 #[derive(Debug, Clone, Copy)]
@@ -242,7 +206,7 @@ impl<'a> VerifyEngine<'a> {
     /// [`VerifyEngine::new`] over the packed sequence itself, the engine
     /// every mapper gets from an
     /// [`IndexedReference`](crate::IndexedReference): each window is
-    /// unpacked into a reused slab when its chunk of candidates is
+    /// unpacked into a reused slab when its group of candidates is
     /// verified, so the reference is held once, at 2 bits a base.
     /// Output and metrics are identical to the flat engine's.
     pub fn packed(reference: &'a DnaSeq, delta: u32) -> VerifyEngine<'a> {
@@ -288,21 +252,20 @@ impl<'a> VerifyEngine<'a> {
     /// δ indels on either side.
     ///
     /// The batch path builds the read's [`ReadMasks`] once, gathers the
-    /// candidates into a structure-of-arrays [`CandidateBatch`] and
-    /// verifies them [`LANES`] at a time through the SWAR kernels. With
-    /// a prefilter installed, the filter examines groups of 32
-    /// candidates in one call and the survivors queue up for the lanes:
-    /// `verify_lanes` runs on full lanes only, but for the read's last
-    /// ones. Without one, every candidate survives, in chunks of
-    /// [`LANES`]. Windows are materialised only when their group or lane
-    /// is reached: a first-n limit often stops verification early.
-    /// Everything it reports — mappings, their order, every metric
-    /// counter, the returned work — is bit-identical to the scalar path:
-    /// each time lanes are verified, the candidates up to the last of
-    /// them are accounted one at a time in candidate order up to where
-    /// `out` reaches `limit`, where the scalar loop stops. Candidates
-    /// filtered or verified past that point are host work only, never
-    /// charged.
+    /// candidates into a structure-of-arrays [`CandidateBatch`] and takes
+    /// them a group at a time: 64 candidates with a prefilter installed,
+    /// [`LANES`] without one. A group's windows are unpacked once, into
+    /// one slab; the filter examines the whole group in one call; its
+    /// survivors (every candidate, without a filter) are verified from
+    /// that slab through the SWAR kernels, [`LANES`] at a time, the last
+    /// lane partial; then the group's candidates are accounted one at a
+    /// time in candidate order up to where `out` reaches `limit`, where
+    /// the scalar loop stops. So everything it reports — mappings, their
+    /// order, every metric counter, the returned work — is bit-identical
+    /// to the scalar path. A group is reached only while `out` is short
+    /// of `limit`: a first-n limit often stops verification early.
+    /// Candidates filtered or verified past the limit are host work
+    /// only, never charged.
     pub fn verify_metered(
         &self,
         read: &[u8],
@@ -330,108 +293,91 @@ impl<'a> VerifyEngine<'a> {
         }
         let masks = ReadMasks::new(read);
         let mut verifier = BatchVerifier::new();
-        let window = read.len() + 2 * self.delta as usize;
-        let mut slab = self.reference.slab(LANES, window);
-        let (group, mut group_slab) = match self.prefilter {
-            Some(_) => (GROUP, self.reference.slab(GROUP, window)),
-            None => (LANES, Vec::new()),
+        let group = if self.prefilter.is_some() {
+            GROUP
+        } else {
+            LANES
         };
-        // The verdicts of the group being queued.
-        let mut verdicts: Vec<Verdict> = Vec::with_capacity(GROUP);
-        let mut results = Vec::with_capacity(LANES);
-        // The survivors waiting for a lane, each with its filter cost and
-        // the rejections — how many, their cost — between it and the
-        // survivor before it; and the rejections since the last survivor.
-        // A run of rejections changes no mapping, so the scalar loop
-        // accounts it whole or not at all: whole when the limit was not
-        // reached before it.
-        let mut queue = [Survivor::default(); LANES];
-        let mut queued = 0;
-        let mut rejected = Rejections::default();
+        let mut slab = self
+            .reference
+            .slab(group, read.len() + 2 * self.delta as usize);
+        let mut verdicts: Vec<Verdict> = Vec::with_capacity(group);
+        let mut results = Vec::with_capacity(group);
         let mut work = 0u64;
-        let mut i = 0;
-        while i < batch.len() && out.len() < limit {
-            let end = batch.len().min(i + group);
+        for first in (0..batch.len()).step_by(group) {
+            if out.len() >= limit {
+                break;
+            }
+            let ids = first..batch.len().min(first + group);
+            let mut windows: [&[u8]; GROUP] = [&[]; GROUP];
+            self.reference
+                .windows(&batch, ids.clone(), &mut slab, &mut windows);
             verdicts.clear();
             if let Some(filter) = self.prefilter {
-                let mut windows: [&[u8]; GROUP] = [&[]; GROUP];
-                self.reference
-                    .windows(&batch, i..end, &mut group_slab, &mut windows);
                 let mut group_candidates = [Candidate {
                     read,
                     window: &[],
                     window_start: 0,
                     delta: self.delta,
                 }; GROUP];
-                for (j, candidate) in group_candidates[..end - i].iter_mut().enumerate() {
-                    candidate.window = windows[j];
-                    candidate.window_start = batch.start(i + j);
+                for ((candidate, &window), i) in
+                    group_candidates.iter_mut().zip(&windows).zip(ids.clone())
+                {
+                    candidate.window = window;
+                    candidate.window_start = batch.start(i);
                 }
-                filter.examine_batch(&group_candidates[..end - i], &mut verdicts);
+                filter.examine_batch(&group_candidates[..ids.len()], &mut verdicts);
             }
-            for j in i..end {
-                match verdicts.get(j - i) {
-                    Some(verdict) if !verdict.accept => rejected.add(verdict.cost_words),
-                    verdict => {
-                        queue[queued] = Survivor {
-                            candidate: j,
-                            cost_words: verdict.map(|v| v.cost_words),
-                            before: std::mem::take(&mut rejected),
-                        };
-                        queued += 1;
-                    }
+            // The survivors' windows, moved to the front, in order.
+            let mut survivors = 0;
+            for j in 0..ids.len() {
+                if verdicts.get(j).is_none_or(|v| v.accept) {
+                    windows[survivors] = windows[j];
+                    survivors += 1;
                 }
-                let last = j + 1 == batch.len();
-                if queued < LANES && !last {
-                    continue;
-                }
-                let lanes = &queue[..std::mem::take(&mut queued)];
-                results.clear();
-                if !lanes.is_empty() {
-                    let mut windows: [&[u8]; LANES] = [&[]; LANES];
-                    let ids = lanes.iter().map(|s| s.candidate);
-                    self.reference.windows(&batch, ids, &mut slab, &mut windows);
-                    verifier.verify_lanes(
-                        &masks,
-                        &windows[..lanes.len()],
-                        self.delta,
-                        &mut results,
-                    );
-                }
-                // Account in candidate order, as the scalar loop does, up
-                // to the limit: lanes verified past it were host work only.
-                for (survivor, (hit, cost)) in lanes.iter().zip(&results) {
-                    if out.len() >= limit {
-                        return work;
-                    }
-                    work += survivor.before.account(metrics);
-                    if let Some(words) = survivor.cost_words {
-                        metrics.prefilter_tested += 1;
-                        metrics.prefilter_words += words;
-                        work += words;
-                    }
-                    metrics.verifications += 1;
-                    metrics.word_updates += cost.word_updates;
-                    metrics.hits += u64::from(hit.is_some());
-                    work += cost.word_updates;
-                    if let Some(v) = hit {
-                        out.push(Mapping {
-                            position: batch.diag(survivor.candidate) as u32,
-                            strand,
-                            distance: v.distance,
-                        });
-                    } else if survivor.cost_words.is_some() {
-                        metrics.prefilter_false_accepts += 1;
-                    }
-                }
+            }
+            results.clear();
+            for lane in windows[..survivors].chunks(LANES) {
+                verifier.verify_lanes(&masks, lane, self.delta, &mut results);
+            }
+            // Account in candidate order, as the scalar loop does, up to
+            // the limit: what was filtered or verified past it was host
+            // work only.
+            let mut verified = results.iter();
+            for (j, i) in ids.enumerate() {
                 if out.len() >= limit {
                     return work;
                 }
-                if last {
-                    work += std::mem::take(&mut rejected).account(metrics);
+                let verdict = verdicts.get(j);
+                if let Some(v) = verdict {
+                    metrics.prefilter_tested += 1;
+                    metrics.prefilter_words += v.cost_words;
+                    work += v.cost_words;
+                    if !v.accept {
+                        // Sound filters only reject unverifiable windows:
+                        // every rejection is a true reject.
+                        metrics.prefilter_rejected += 1;
+                        continue;
+                    }
+                }
+                // `verify_lanes` pushed one result a survivor, in order.
+                let Some((hit, cost)) = verified.next() else {
+                    break;
+                };
+                metrics.verifications += 1;
+                metrics.word_updates += cost.word_updates;
+                metrics.hits += u64::from(hit.is_some());
+                work += cost.word_updates;
+                if let Some(v) = hit {
+                    out.push(Mapping {
+                        position: batch.diag(i) as u32,
+                        strand,
+                        distance: v.distance,
+                    });
+                } else if verdict.is_some() {
+                    metrics.prefilter_false_accepts += 1;
                 }
             }
-            i = end;
         }
         work
     }
@@ -770,7 +716,7 @@ mod tests {
         // work must be bit-identical to the scalar per-candidate loop —
         // across read-length kernels, every prefilter mode (the chain
         // hands its parts whole batches), δ, and limits that stop
-        // verification mid-chunk. Both
+        // verification mid-group. Both
         // reference arms take part, batch and scalar: windows unpacked
         // from the packed sequence and windows borrowed from flat codes,
         // all held to the flat scalar loop.
@@ -852,11 +798,11 @@ mod tests {
 
     #[test]
     fn grouped_filtering_matches_scalar_at_every_limit() {
-        // A read's candidates run past three filter groups, hits scattered
-        // among decoys, so that every first-n limit stops the accounting
-        // at another place: inside a group of 32, inside a lane of 8
-        // survivors, at a group's edge, or never. Every mode, both
-        // reference arms, held to the flat scalar loop.
+        // A read's candidates run past three full filter groups of 64 and
+        // a partial fourth, hits placed among decoys so that the first-n
+        // limits stop the accounting at the last candidate of a group, at
+        // the first of the next, inside a partial last lane, or never.
+        // Every mode, both reference arms, held to the flat scalar loop.
         let reference = ReferenceBuilder::new(20_000).seed(31).build();
         let codes = reference.to_codes();
         let shd = repute_prefilter::ShdFilter::new();
@@ -864,22 +810,62 @@ mod tests {
         let qgram = repute_prefilter::QgramFilter::new(&bins);
         let chain = repute_prefilter::Chain::new(vec![&qgram, &shd]);
         let filters: [Option<&dyn PreFilter>; 4] = [None, Some(&shd), Some(&qgram), Some(&chain)];
-        // Hits at candidates 3, 10, 17, …: every seventh, the true site or
-        // a diagonal beside it; decoys between, some of them overlapping
-        // the site, where the filters pass windows that do not verify.
-        let candidates: Vec<u32> = (0..100u32)
-            .map(|k| match k % 7 {
-                3 => 7000 + k % 3,
-                5 => 7000 + 20 + k,
-                _ => k * 7919 % 19_000,
+        // The hits, the true site or a diagonal beside it, by group:
+        // - 0..64: every fourth candidate from 3, so 16 survivors (two
+        //   full lanes), the 16th hit the group's last candidate;
+        // - 64..128: nine, the 17th hit the group's first candidate and
+        //   the 25th its last, alone in a partial lane;
+        // - 128..192: five, between decoys that overlap the site, which
+        //   the filters may pass and which do not verify;
+        // - 192..213: two, in a partial lane (with no filter, groups of
+        //   8, the 32nd hit is in the read's partial last group).
+        // Every other candidate is a decoy far from the site whose window
+        // every filter rejects, for either read and δ.
+        let read_of = |read_len: usize| {
+            let mut read = reference.subseq(7000..7000 + read_len).to_codes();
+            read[read_len / 3] ^= 2;
+            read
+        };
+        let rejected_by_all = |pos: u32| {
+            [100usize, 150].into_iter().all(|read_len| {
+                let read = read_of(read_len);
+                [3u32, 5].into_iter().all(|delta| {
+                    let start = pos.saturating_sub(delta) as usize;
+                    let end = (pos as usize + read_len + delta as usize).min(codes.len());
+                    let candidate = Candidate {
+                        read: &read,
+                        window: &codes[start..end],
+                        window_start: start,
+                        delta,
+                    };
+                    filters
+                        .iter()
+                        .flatten()
+                        .all(|f| !f.examine(&candidate).accept)
+                })
+            })
+        };
+        let mut far = (0u32..)
+            .map(|k| k * 7919 % 19_000)
+            .filter(|&pos| !(6_500..7_500).contains(&pos) && rejected_by_all(pos));
+        let hits: Vec<u32> = (3..64)
+            .step_by(4)
+            .chain([64, 70, 76, 82, 88, 94, 100, 106, 127])
+            .chain([130, 140, 150, 160, 170])
+            .chain([200, 210])
+            .collect();
+        let candidates: Vec<u32> = (0..213u32)
+            .map(|k| match k {
+                _ if hits.contains(&k) => 7000 + k % 3,
+                128..192 if k % 10 == 5 => 7000 + 20 + k,
+                _ => far.next().unwrap(),
             })
             .collect();
         let mut rejected = [0u64; 4];
         for read_len in [100usize, 150] {
-            let mut read = reference.subseq(7000..7000 + read_len).to_codes();
-            read[read_len / 3] ^= 2;
+            let read = read_of(read_len);
             for delta in [3u32, 5] {
-                for limit in (0..=16).chain([100]) {
+                for limit in (0..=33).chain([100]) {
                     for (f, filter) in filters.iter().enumerate() {
                         let run = |engine: VerifyEngine<'_>| {
                             let engine = filter.map_or(engine, |f| engine.with_prefilter(f));
@@ -907,7 +893,7 @@ mod tests {
                                 "{arm} read_len={read_len} δ={delta} limit={limit} filter={name}"
                             );
                         }
-                        assert_eq!(expected.0.len(), limit.min(14), "{name}: the planted hits");
+                        assert_eq!(expected.0.len(), limit.min(32), "{name}: the planted hits");
                         rejected[f] += expected.2.prefilter_rejected;
                     }
                 }

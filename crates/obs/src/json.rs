@@ -8,8 +8,6 @@
 //! Chrome-tracing files (see [`crate::trace`]) carry an `args` object
 //! inside every event.
 
-use std::fmt::Write as _;
-
 /// Appends `s` to `out` with JSON string escaping (quotes, backslash,
 /// control characters as `\u00XX` or their short forms). Each run of
 /// bytes that needs no escape goes out with one copy: every byte that
@@ -48,7 +46,7 @@ pub fn escape_into(out: &mut String, s: &str) {
 pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let from = out.len();
-        write!(out, "{v}").expect("writing to a String cannot fail");
+        out.push_str(&v.to_string());
         // `{}` prints integral floats without a point; keep the type
         // obvious to downstream readers.
         if !out[from..].contains(['.', 'e']) {
@@ -85,11 +83,6 @@ impl Decimal {
     /// The digits, most significant first.
     pub fn as_bytes(&self) -> &[u8] {
         &self.digits[self.start..]
-    }
-
-    /// The digits as text.
-    pub fn as_str(&self) -> &str {
-        std::str::from_utf8(self.as_bytes()).expect("digits are ASCII")
     }
 }
 
@@ -153,7 +146,9 @@ impl JsonObject {
     /// Adds an unsigned integer field.
     pub fn u64_field(&mut self, name: &str, value: u64) -> &mut JsonObject {
         self.key(name);
-        self.buf.push_str(Decimal::new(value).as_str());
+        let digits = Decimal::new(value);
+        self.buf
+            .extend(digits.as_bytes().iter().map(|&d| char::from(d)));
         self
     }
 

@@ -13,7 +13,7 @@
 //!
 //! The kernels are batch kernels — `examine` is a batch of one — so the
 //! last test holds `examine_batch` of each filter and of the `Chain` the
-//! engine runs to the same oracles, over batches of 1 to 32 candidates
+//! engine runs to the same oracles, over batches of 1 to 64 candidates
 //! that mix reads, lengths, error budgets and window shapes.
 
 use std::fmt::Debug;
@@ -746,7 +746,7 @@ fn batches_match_the_oracles_on_verdict_and_cost() {
         let old = oracle::Bins::build(&reference, q, width);
         let qgram = QgramFilter::new(&bins);
         for trial in 0..trials {
-            let size = 1 + trial % 32;
+            let size = 1 + trial % 64;
             let below = 1 + trial / 32 % 4;
             let shd = ShdFilter::new().with_amend_below(below);
             let chain = Chain::new(vec![&qgram, &shd]);

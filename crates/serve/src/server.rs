@@ -1125,6 +1125,9 @@ impl ServeCore {
         for ((read_id, seq), mappings) in job.read_ids.iter().zip(&job.reads).zip(raw) {
             total_mappings += sam.push(read_id, seq, mappings, None)?.len() as u64;
         }
+        let sam = String::from_utf8(sam.out).map_err(|e| {
+            ReputeError::InputParse(format!("job {}: SAM block is not UTF-8: {e}", job.id))
+        })?;
         Ok(JobResponse {
             id: job.id.clone(),
             seq: Some(job.seq),
@@ -1134,7 +1137,7 @@ impl ServeCore {
             mappings: total_mappings,
             batch: Some(batch),
             latency_s: Some(completion - job.arrival_s),
-            sam: Some(String::from_utf8(sam.out).expect("SAM text is written from str and ASCII")),
+            sam: Some(sam),
         })
     }
 

@@ -7,6 +7,8 @@
 
 #![cfg(unix)]
 
+mod common;
+
 use std::collections::HashMap;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -260,13 +262,7 @@ fn bad_clients_are_dropped_and_the_daemon_keeps_serving() {
             },
         )
     };
-    // Wait for the bind.
-    for _ in 0..200 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    common::wait_for_daemon(&socket);
 
     // Client 1: disconnects abruptly in the middle of a request line.
     {
@@ -347,12 +343,7 @@ fn three_concurrent_socket_clients_get_byte_identical_sam() {
             },
         )
     };
-    for _ in 0..200 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    common::wait_for_daemon(&socket);
 
     let clients: Vec<_> = client_jobs()
         .into_iter()

@@ -14,6 +14,8 @@
 
 #![cfg(unix)]
 
+mod common;
+
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 
@@ -354,12 +356,7 @@ fn device_loss_mid_serve_keeps_sam_bit_identical_over_a_socket() {
             },
         )
     };
-    for _ in 0..200 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    common::wait_for_daemon(&socket);
 
     // Three concurrent clients, two jobs each.
     let clients: Vec<_> = jobs()
@@ -657,12 +654,7 @@ fn all_devices_lost_drains_service_unavailable_and_exits() {
             },
         )
     };
-    for _ in 0..200 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    common::wait_for_daemon(&socket);
 
     // Four jobs with four distinct configurations: the first round
     // launches one group per live device (three), and in-flight work is
