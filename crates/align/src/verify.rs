@@ -201,7 +201,7 @@ mod tests {
     use repute_genome::rng::StdRng;
 
     #[test]
-    fn dispatches_by_length_and_agrees_with_dp() {
+    fn agrees_with_dp_at_one_two_and_three_blocks() {
         let mut rng = StdRng::seed_from_u64(61);
         for m in [10usize, 64, 65, 100, 150] {
             let read: Vec<u8> = (0..m).map(|_| rng.gen_range(0..4)).collect();
