@@ -1,9 +1,9 @@
 //! Batch SWAR verification: several candidate windows per kernel pass.
 //!
-//! The scalar kernels in [`crate::myers`] and [`crate::block`] are a
-//! single serial dependency chain: each column's `pv`/`mv` update waits
-//! on the previous column's. A read's candidate windows, however, are
-//! completely independent of each other, so this module advances
+//! The scalar kernel of [`crate::block`] is a single serial dependency
+//! chain: each column's `pv`/`mv` update waits on the previous column's.
+//! A read's candidate windows, however, are completely independent of
+//! each other, so this module advances
 //! [`LANES`] of them in lockstep — the software analogue of the
 //! work-item batching the paper's OpenCL kernels get from the GPU for
 //! free. The blocked kernel's block step is written lane-wise over
@@ -22,13 +22,17 @@
 //!   `b` of lane `l` for an `L`-lane call), so the words the lanes
 //!   touch in one block step are adjacent in memory.
 //!
-//! Both kernels replicate the scalar recurrences bit for bit — the same
-//! column order, the same Ukkonen band (shared across lanes, since the
-//! band of `block::band_blocks` depends only on the column and
-//! the error budget), the same work accounting — so every lane's
+//! A read of one block takes `short_lanes`, the recurrence with no
+//! carry and no band; a longer read takes `blocked_lanes`. Both replicate
+//! the scalar kernel bit for bit — the same column order, the same
+//! Ukkonen band (shared across lanes, since the band of
+//! `block::band_blocks` depends only on the column and the error budget),
+//! the same work accounting — so every lane's
 //! `(Option<Verification>, VerifyCost)` is identical to what
 //! [`crate::verify_with`] returns for that window alone. The scalar
-//! path stays in the tree as the differential oracle.
+//! kernel stays the differential oracle. `short_lanes` is kept beside
+//! `blocked_lanes` for speed alone: sending one-block reads through the
+//! blocked form made `repute map` slower on 36–64 bp reads.
 //!
 //! Before the blocked kernel, an exact prefix screen (`prefix_screen`)
 //! runs block 0 alone over each window's first `len − (m − 64)` columns
@@ -40,8 +44,7 @@
 
 use crate::arena::WordArena;
 use crate::block::{band_blocks, band_updates, screen_columns, BlockMasks};
-use crate::myers::PatternMasks;
-use crate::verify::{ReadMasks, Verification, VerifyCost};
+use crate::verify::{Verification, VerifyCost};
 
 const WORD: usize = 64;
 
@@ -217,7 +220,7 @@ impl BatchVerifier {
         BatchVerifier::default()
     }
 
-    /// Verifies up to [`LANES`] windows of the read whose [`ReadMasks`]
+    /// Verifies up to [`LANES`] windows of the read whose [`BlockMasks`]
     /// are given, pushing one `(hit, cost)` pair per window onto `out`
     /// in input order.
     ///
@@ -233,7 +236,7 @@ impl BatchVerifier {
     /// Panics if `windows` is empty or holds more than [`LANES`] entries.
     pub fn verify_lanes(
         &mut self,
-        masks: &ReadMasks,
+        masks: &BlockMasks,
         windows: &[&[u8]],
         max_distance: u32,
         out: &mut Vec<(Option<Verification>, VerifyCost)>,
@@ -243,19 +246,16 @@ impl BatchVerifier {
             "lane count {} outside 1..={LANES}",
             windows.len()
         );
-        let m = match masks {
-            ReadMasks::Short(m) => {
-                return with_lanes!(windows, |w| short_lanes(m, w, max_distance, out));
-            }
-            ReadMasks::Blocked(m) => m,
-        };
+        if masks.blocks() == 1 {
+            return with_lanes!(windows, |w| short_lanes(masks, w, max_distance, out));
+        }
         let k = max_distance as usize;
         // Row 64 never scores above 64, so from δ = 64 on the screen
         // could reject nothing: every lane goes on.
         let pass = if k >= WORD {
             !0
         } else {
-            with_lanes!(windows, |w| prefix_screen(m, w, max_distance))
+            with_lanes!(windows, |w| prefix_screen(masks, w, max_distance))
         };
         // Every lane is entered as a miss charged the band the blocked
         // kernel would sweep; the lanes that passed go through the kernel
@@ -264,7 +264,7 @@ impl BatchVerifier {
         let mut passed: [&[u8]; LANES] = [&[]; LANES];
         let mut count = 0;
         for (l, w) in windows.iter().enumerate() {
-            let word_updates = band_updates(m.blocks(), k, w.len());
+            let word_updates = band_updates(masks.blocks(), k, w.len());
             out.push((None, VerifyCost { word_updates }));
             if pass & (1 << l) != 0 {
                 passed[count] = w;
@@ -277,7 +277,7 @@ impl BatchVerifier {
         with_lanes!(&passed[..count], |w| blocked_lanes(
             &mut self.pv,
             &mut self.mv,
-            m,
+            masks,
             w,
             max_distance,
             out
@@ -306,8 +306,7 @@ fn prefix_screen<const L: usize>(
     windows: &[&[u8]; L],
     max_distance: u32,
 ) -> u32 {
-    let peq = masks.peq();
-    let peq0 = [peq[0][0], peq[1][0], peq[2][0], peq[3][0]];
+    let peq0 = masks.block0();
     let columns = windows.map(|w| screen_columns(masks.len(), w.len()));
     let mut pv = [!0u64; L];
     let mut mv = [0u64; L];
@@ -394,21 +393,22 @@ fn lane_result(
     (hit, VerifyCost { word_updates })
 }
 
-/// Multi-lane single-word kernel: the [`crate::myers::search`] recurrence
-/// with the lanes' words in fixed arrays. A pattern of one word is a
-/// pattern of one block with no carry entering it, so each column step
-/// is one [`advance_lanes`] with `hp = hn = 0`; each lane's tail takes
-/// the rest of its columns alone.
+/// Multi-lane kernel for a read of one block: the
+/// [`crate::block::search_with`] recurrence with the lanes' words in
+/// fixed arrays. One block has no carry entering it and no band to grow,
+/// so each column step is one [`advance_lanes`] with `hp = hn = 0` on
+/// block 0 of the masks; each lane's tail takes the rest of its columns
+/// alone.
 #[allow(clippy::needless_range_loop)] // lanes and columns advance in lockstep
 fn short_lanes<const L: usize>(
-    masks: &PatternMasks,
+    masks: &BlockMasks,
     windows: &[&[u8]; L],
     max_distance: u32,
     out: &mut Vec<(Option<Verification>, VerifyCost)>,
 ) {
     let m = masks.len();
-    let last_mask = 1u64 << (m - 1);
-    let peq = masks.peq();
+    let last_mask = 1u64 << masks.last_bit();
+    let peq = masks.block0();
     let mut pv = [!0u64; L];
     let mut mv = [0u64; L];
     let mut score = [m as u32; L];
@@ -603,7 +603,8 @@ fn blocked_lanes<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{verify_with, VerifyScratch};
+    use crate::block::BlockWork;
+    use crate::verify::verify_with;
     use repute_genome::rng::StdRng;
 
     fn random_seq(rng: &mut StdRng, len: usize) -> Vec<u8> {
@@ -634,19 +635,19 @@ mod tests {
     fn lanes_match_scalar_oracle() {
         let mut rng = StdRng::seed_from_u64(71);
         let mut verifier = BatchVerifier::new();
-        for m in [12usize, 64, 65, 100, 150, 200] {
+        for m in [1usize, 12, 63, 64, 65, 100, 150, 200] {
             for lanes in 1..=LANES {
                 for k in [2u32, 7, 20, m as u32] {
                     let read = random_seq(&mut rng, m);
-                    let masks = ReadMasks::new(&read);
+                    let masks = BlockMasks::new(&read);
                     let windows = random_windows(&mut rng, &read, lanes);
                     let refs: Vec<&[u8]> = windows.iter().map(|w| w.as_slice()).collect();
                     let mut got = Vec::new();
                     verifier.verify_lanes(&masks, &refs, k, &mut got);
                     assert_eq!(got.len(), lanes);
-                    let mut scratch = VerifyScratch::new();
+                    let mut work = BlockWork::default();
                     for (l, w) in refs.iter().enumerate() {
-                        let expected = verify_with(&masks, w, k, &mut scratch);
+                        let expected = verify_with(&masks, w, k, &mut work);
                         assert_eq!(got[l], expected, "m={m} lanes={lanes} k={k} lane={l}");
                     }
                 }
@@ -663,10 +664,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(73);
         let lengths = [0usize, 10, 58, 60, 124, 131, 160, 200];
         let mut verifier = BatchVerifier::new();
-        let mut scratch = VerifyScratch::new();
+        let mut work = BlockWork::default();
         for m in [40usize, 100, 150] {
             let read = random_seq(&mut rng, m);
-            let masks = ReadMasks::new(&read);
+            let masks = BlockMasks::new(&read);
             for lanes in 1..=LANES {
                 for reversed in [false, true] {
                     let windows: Vec<Vec<u8>> = (0..lanes)
@@ -689,7 +690,7 @@ mod tests {
                     for (l, w) in refs.iter().enumerate() {
                         assert_eq!(
                             got[l],
-                            verify_with(&masks, w, 5, &mut scratch),
+                            verify_with(&masks, w, 5, &mut work),
                             "m={m} lanes={lanes} reversed={reversed} lane={l}"
                         );
                     }
@@ -720,18 +721,14 @@ mod tests {
         // Alternate big and small reads so slab reuse crosses sizes.
         for m in [150usize, 30, 200, 65, 100] {
             let read = random_seq(&mut rng, m);
-            let masks = ReadMasks::new(&read);
+            let masks = BlockMasks::new(&read);
             let windows = random_windows(&mut rng, &read, LANES);
             let refs: Vec<&[u8]> = windows.iter().map(|w| w.as_slice()).collect();
             let mut got = Vec::new();
             verifier.verify_lanes(&masks, &refs, 5, &mut got);
-            let mut scratch = VerifyScratch::new();
+            let mut work = BlockWork::default();
             for (l, w) in refs.iter().enumerate() {
-                assert_eq!(
-                    got[l],
-                    verify_with(&masks, w, 5, &mut scratch),
-                    "m={m} l={l}"
-                );
+                assert_eq!(got[l], verify_with(&masks, w, 5, &mut work), "m={m} l={l}");
             }
         }
     }
@@ -739,7 +736,7 @@ mod tests {
     #[test]
     fn empty_windows_cost_nothing_and_miss() {
         let read = vec![0u8; 100];
-        let masks = ReadMasks::new(&read);
+        let masks = BlockMasks::new(&read);
         let mut verifier = BatchVerifier::new();
         let mut got = Vec::new();
         let empty: &[u8] = &[];
@@ -770,7 +767,7 @@ mod tests {
     #[should_panic(expected = "lane count")]
     fn too_many_lanes_rejected() {
         let read = vec![0u8; 10];
-        let masks = ReadMasks::new(&read);
+        let masks = BlockMasks::new(&read);
         let w: &[u8] = &[0, 1, 2];
         let mut out = Vec::new();
         BatchVerifier::new().verify_lanes(&masks, &[w; LANES + 1], 1, &mut out);

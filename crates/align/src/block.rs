@@ -1,11 +1,17 @@
 //! Blocked Myers bit-vector algorithm for patterns of any length.
 //!
-//! Reads in the paper are 100–150 bases, which does not fit the single
-//! 64-bit word of [`crate::myers`]; the blocked extension (Hyyrö 2003)
-//! chains the carry between ⌈m/64⌉ words per text column. The paper's
-//! hardware/software co-design keeps exactly this kernel small enough for
-//! GPU private memory; here the same structure keeps the inner loop
-//! allocation-free.
+//! This is "Myer's bit vector algorithm" from the paper's §II-A: a
+//! semi-global edit-distance scan that processes one text character per
+//! iteration using word-parallel bit operations. Reads in the paper are
+//! 100–150 bases, more than one 64-bit word holds; the blocked extension
+//! (Hyyrö 2003) chains the carry between ⌈m/64⌉ words per text column.
+//! A read of up to 64 bases is one block, with no carry entering it:
+//! Myers' single-word recurrence, step for step, one word a column. The
+//! paper's hardware/software co-design keeps exactly this kernel small
+//! enough for GPU private memory; here the same structure keeps the inner
+//! loop allocation-free.
+
+use crate::verify::Verification;
 
 const WORD: usize = 64;
 
@@ -72,19 +78,15 @@ impl BlockMasks {
         &self.peq
     }
 
+    /// Block 0's match mask of each base: the read's first 64 bases.
+    pub(crate) fn block0(&self) -> [u64; 4] {
+        self.peq.each_ref().map(|p| p[0])
+    }
+
     /// Bit position of the last pattern row within the final block.
     pub(crate) fn last_bit(&self) -> u32 {
         self.last_bit
     }
-}
-
-/// Result of a blocked semi-global scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockHit {
-    /// Best edit distance over all end positions.
-    pub distance: u32,
-    /// Leftmost end position (exclusive) achieving that distance.
-    pub end: usize,
 }
 
 /// Reusable working memory for [`search_with`]; one instance per thread
@@ -193,6 +195,7 @@ pub(crate) fn band_updates(blocks: usize, k: usize, columns: usize) -> u64 {
 /// and its row 64 is exact. A text the screen rejects therefore holds
 /// no hit, and one it passes is verified in full.
 pub(crate) fn screen_columns(m: usize, len: usize) -> usize {
+    debug_assert!(m > WORD, "the prefix screen needs a read of two blocks");
     len.saturating_sub(m - WORD)
 }
 
@@ -206,21 +209,30 @@ pub(crate) fn screen_columns(m: usize, len: usize) -> usize {
 /// `read ≫ 64, δ ≪ 64` verification calls without changing any result.
 /// The number of block updates actually executed is recorded in
 /// `work` ([`BlockWork::word_updates`]).
+///
+/// Block 0 is always in the band and no carry enters it (the free
+/// start's top row is all zeros), so its state stays in registers and
+/// only blocks 1.. live in `work`: a read of one block runs Myers'
+/// single-word recurrence with little more around it than the score
+/// step.
 #[allow(clippy::needless_range_loop)] // per-block state is indexed in lockstep
 pub fn search_with(
     masks: &BlockMasks,
     text: &[u8],
     max_distance: u32,
     work: &mut BlockWork,
-) -> Option<BlockHit> {
+) -> Option<Verification> {
     let blocks = masks.blocks;
     let m = masks.len;
     let k = max_distance as usize;
     work.pv.clear();
-    work.pv.resize(blocks, !0u64);
+    work.pv.resize(blocks - 1, !0u64);
     work.mv.clear();
-    work.mv.resize(blocks, 0u64);
-    work.updates = 0;
+    work.mv.resize(blocks - 1, 0u64);
+    let (pv, mv) = (&mut work.pv[..], &mut work.mv[..]);
+    let (mut pv0, mut mv0) = (!0u64, 0u64);
+    let peq0 = masks.block0();
+    let mut updates = 0u64;
     let last_mask = 1u64 << masks.last_bit;
     // Initially active band at column 0 (cell(i, 0) = i + 1, the virgin
     // state, is exact everywhere, so the initial cut is free).
@@ -231,9 +243,9 @@ pub fn search_with(
     // bottom *pattern* row (bit `last_bit` of the last block).
     let mut border = (active * WORD) as u32;
     let mut score = m as u32;
-    let mut best: Option<BlockHit> = if (m as u32) <= max_distance {
+    let mut best: Option<Verification> = if (m as u32) <= max_distance {
         // m ≤ k forces active == blocks, so `score` is live here.
-        Some(BlockHit {
+        Some(Verification {
             distance: m as u32,
             end: 0,
         })
@@ -242,11 +254,11 @@ pub fn search_with(
     };
     for (j, &c) in text.iter().enumerate() {
         debug_assert!(c <= 3, "base code out of range");
-        // Grow the band before producing column j + 1: newly activated
-        // blocks start from their virgin state, whose represented values
-        // continue the border with +1 per row.
-        let needed = band_blocks(blocks, k, j + 1);
-        while active < needed {
+        // Grow the band, until every block is in, before producing
+        // column j + 1: newly activated blocks start from their virgin
+        // state, whose represented values continue the border with +1
+        // per row.
+        while active < blocks && active < band_blocks(blocks, k, j + 1) {
             active += 1;
             if active == blocks {
                 score = border + (m - (active - 1) * WORD) as u32;
@@ -254,19 +266,13 @@ pub fn search_with(
                 border += WORD as u32;
             }
         }
-        let peq = &masks.peq[(c & 3) as usize];
-        let mut hin = 0i32; // free start: top row is all zeros
-        let mut last_ph = 0u64;
-        let mut last_mh = 0u64;
-        for b in 0..active {
-            let (hout, ph, mh) = advance_block(&mut work.pv[b], &mut work.mv[b], peq[b], hin);
-            hin = hout;
-            if b + 1 == active {
-                last_ph = ph;
-                last_mh = mh;
-            }
+        let code = (c & 3) as usize;
+        let (mut hin, mut last_ph, mut last_mh) = advance_block(&mut pv0, &mut mv0, peq0[code], 0);
+        let peq = &masks.peq[code];
+        for b in 1..active {
+            (hin, last_ph, last_mh) = advance_block(&mut pv[b - 1], &mut mv[b - 1], peq[b], hin);
         }
-        work.updates += active as u64;
+        updates += active as u64;
         if active == blocks {
             if last_ph & last_mask != 0 {
                 score += 1;
@@ -274,7 +280,7 @@ pub fn search_with(
                 score -= 1;
             }
             if score <= max_distance && best.is_none_or(|b| score < b.distance) {
-                best = Some(BlockHit {
+                best = Some(Verification {
                     distance: score,
                     end: j + 1,
                 });
@@ -284,13 +290,14 @@ pub fn search_with(
             border = border.wrapping_add_signed(hin);
         }
     }
+    work.updates = updates;
     best
 }
 
 /// Semi-global scan allocating its own working memory.
 ///
 /// See [`search_with`] for reuse across calls.
-pub fn search(masks: &BlockMasks, text: &[u8], max_distance: u32) -> Option<BlockHit> {
+pub fn search(masks: &BlockMasks, text: &[u8], max_distance: u32) -> Option<Verification> {
     let mut work = BlockWork::default();
     search_with(masks, text, max_distance, &mut work)
 }
@@ -307,7 +314,7 @@ pub fn search_full(
     text: &[u8],
     max_distance: u32,
     work: &mut BlockWork,
-) -> Option<BlockHit> {
+) -> Option<Verification> {
     let blocks = masks.blocks;
     let m = masks.len;
     work.pv.clear();
@@ -317,8 +324,8 @@ pub fn search_full(
     work.updates = 0;
     let last_mask = 1u64 << masks.last_bit;
     let mut score = m as u32;
-    let mut best: Option<BlockHit> = if score <= max_distance {
-        Some(BlockHit {
+    let mut best: Option<Verification> = if score <= max_distance {
+        Some(Verification {
             distance: score,
             end: 0,
         })
@@ -346,7 +353,7 @@ pub fn search_full(
             score -= 1;
         }
         if score <= max_distance && best.is_none_or(|b| score < b.distance) {
-            best = Some(BlockHit {
+            best = Some(Verification {
                 distance: score,
                 end: j + 1,
             });
@@ -369,6 +376,36 @@ mod tests {
         let hit = search(&masks, &text, 1).unwrap();
         assert_eq!(hit.distance, 0);
         assert_eq!(hit.end, 6);
+    }
+
+    #[test]
+    fn rejects_beyond_max_distance() {
+        let masks = BlockMasks::new(&[0, 0, 0, 0]);
+        assert!(search(&masks, &[3, 3, 3, 3], 2).is_none());
+        assert!(search(&masks, &[3, 3, 3, 3], 4).is_some());
+    }
+
+    #[test]
+    fn empty_text_costs_full_pattern() {
+        let masks = BlockMasks::new(&[0, 1]);
+        let hit = search(&masks, &[], 2).unwrap();
+        assert_eq!(hit.distance, 2);
+        assert!(search(&masks, &[], 1).is_none());
+    }
+
+    #[test]
+    fn boundary_pattern_length_64() {
+        let pattern: Vec<u8> = (0..64).map(|i| (i % 4) as u8).collect();
+        let mut text = vec![3u8, 3];
+        text.extend_from_slice(&pattern);
+        text.push(0);
+        let masks = BlockMasks::new(&pattern);
+        let mut work = BlockWork::default();
+        let hit = search_with(&masks, &text, 0, &mut work).unwrap();
+        assert_eq!(hit.distance, 0);
+        assert_eq!(hit.end, 66);
+        // One block: one word a column, whatever the budget.
+        assert_eq!(work.word_updates(), text.len() as u64);
     }
 
     #[test]

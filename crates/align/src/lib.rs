@@ -8,9 +8,10 @@
 //! * [`dp`] — a full dynamic-programming reference implementation with
 //!   traceback (the ground truth the bit-vector kernels are tested
 //!   against, and the source of CIGAR strings),
-//! * [`myers`] — Myers' algorithm for patterns up to 64 bases,
-//! * [`block`] — the blocked (multi-word) extension for arbitrary pattern
-//!   lengths (reads of 100–150 bases need two or three words),
+//! * [`block`] — Myers' algorithm, blocked to any pattern length: one
+//!   scalar kernel whether a read fills one 64-bit word or the two or
+//!   three that 100–150 bases need,
+//! * [`batch`] — the same kernel over up to [`LANES`] windows at once,
 //! * [`Cigar`] — alignment descriptions (a paper §IV future-work item),
 //! * [`verify`] — the verification entry point used by every mapper.
 //!
@@ -35,12 +36,8 @@ pub mod batch;
 pub mod block;
 mod cigar;
 pub mod dp;
-pub mod myers;
 mod verify;
 
 pub use batch::{BatchVerifier, CandidateBatch, LANES};
 pub use cigar::{Cigar, CigarOp};
-pub use verify::{
-    verify, verify_counting, verify_metered, verify_with, ReadMasks, Verification, VerifyCost,
-    VerifyScratch,
-};
+pub use verify::{verify, verify_counting, verify_metered, verify_with, Verification, VerifyCost};

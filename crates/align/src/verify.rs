@@ -1,12 +1,11 @@
 //! The verification entry point shared by every mapper.
 //!
-//! Chooses the single-word Myers kernel for short patterns and the blocked
-//! kernel otherwise, and reports the bit-vector work performed so the
-//! heterogeneous platform simulator can convert algorithmic work into
+//! Runs the blocked Myers kernel ([`crate::block::search_with`]) for
+//! reads of every length, and reports the bit-vector work performed so
+//! the heterogeneous platform simulator can convert algorithmic work into
 //! device time.
 
 use crate::block::{self, BlockMasks, BlockWork};
-use crate::myers::{self, PatternMasks};
 
 /// A successful verification of a read against a candidate window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,75 +24,6 @@ pub struct Verification {
 pub struct VerifyCost {
     /// Number of 64-cell word updates executed.
     pub word_updates: u64,
-}
-
-/// Precomputed per-read pattern masks, built **once per read** and
-/// reused across every candidate window the read is verified against.
-///
-/// Wraps the kernel dispatch of [`verify`]: short reads (≤ 64 bases)
-/// carry single-word [`PatternMasks`], longer reads blocked
-/// [`BlockMasks`]. Building either is `O(read)` plus allocations for the
-/// blocked case — work that used to be repeated for every window of the
-/// same read; construct this handle at the top of the per-read loop and
-/// pass it to [`verify_with`] instead.
-#[derive(Debug, Clone)]
-pub enum ReadMasks {
-    /// Single-word masks for reads of up to 64 bases.
-    Short(PatternMasks),
-    /// Blocked masks for longer reads.
-    Blocked(BlockMasks),
-}
-
-impl ReadMasks {
-    /// Builds the masks for a read of 2-bit base codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `read` is empty or contains codes above 3.
-    pub fn new(read: &[u8]) -> ReadMasks {
-        assert!(!read.is_empty(), "read must not be empty");
-        if read.len() <= myers::MAX_PATTERN {
-            ReadMasks::Short(PatternMasks::new(read))
-        } else {
-            ReadMasks::Blocked(BlockMasks::new(read))
-        }
-    }
-
-    /// Read length in bases.
-    pub fn len(&self) -> usize {
-        match self {
-            ReadMasks::Short(m) => m.len(),
-            ReadMasks::Blocked(m) => m.len(),
-        }
-    }
-
-    /// Returns `false` always (reads cannot be empty).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Number of 64-base pattern blocks (1 for the short kernel).
-    pub fn blocks(&self) -> usize {
-        match self {
-            ReadMasks::Short(_) => 1,
-            ReadMasks::Blocked(m) => m.blocks(),
-        }
-    }
-}
-
-/// Reusable scratch for [`verify_with`]: the blocked kernel's working
-/// vectors, allocated once and reused across all of a read's windows
-/// (and across reads — the vectors only grow).
-#[derive(Debug, Clone, Default)]
-pub struct VerifyScratch {
-    work: BlockWork,
-}
-
-impl VerifyScratch {
-    /// An empty scratch.
-    pub fn new() -> VerifyScratch {
-        VerifyScratch::default()
-    }
 }
 
 /// Verifies `read` against `window` within `max_distance` edits
@@ -122,57 +52,41 @@ pub fn verify(read: &[u8], window: &[u8], max_distance: u32) -> Option<Verificat
 ///
 /// Thin wrapper over [`verify_with`] that rebuilds the pattern masks on
 /// every call; hot paths verifying many windows of the same read should
-/// build a [`ReadMasks`] once and call [`verify_with`] directly.
+/// build the read's [`BlockMasks`] once and call [`verify_with`]
+/// directly.
 pub fn verify_counting(
     read: &[u8],
     window: &[u8],
     max_distance: u32,
 ) -> (Option<Verification>, VerifyCost) {
-    let masks = ReadMasks::new(read);
-    let mut scratch = VerifyScratch::new();
-    verify_with(&masks, window, max_distance, &mut scratch)
+    verify_with(
+        &BlockMasks::new(read),
+        window,
+        max_distance,
+        &mut BlockWork::default(),
+    )
 }
 
 /// The masks-accepting verification entry point: verifies the read whose
-/// precomputed [`ReadMasks`] are given against `window`, reusing
-/// `scratch` across calls.
+/// precomputed [`BlockMasks`] are given against `window`, reusing
+/// `work` across calls.
 ///
 /// The reported [`VerifyCost`] is the work the kernel *actually*
-/// executed: one unit per text column for the single-word kernel, and
-/// one unit per `advance_block` step for the blocked kernel — whose
-/// Ukkonen band skips out-of-band blocks, so the charge is generally
-/// below the naive `window × blocks` product. Metered device time and
+/// executed: one unit per `advance_block` step — one a column for a read
+/// of one block, and fewer than `window × blocks` for a longer one,
+/// whose Ukkonen band skips out-of-band blocks. Metered device time and
 /// simulated kernel time therefore agree by construction.
 pub fn verify_with(
-    masks: &ReadMasks,
+    masks: &BlockMasks,
     window: &[u8],
     max_distance: u32,
-    scratch: &mut VerifyScratch,
+    work: &mut BlockWork,
 ) -> (Option<Verification>, VerifyCost) {
-    match masks {
-        ReadMasks::Short(m) => {
-            let cost = VerifyCost {
-                word_updates: window.len() as u64,
-            };
-            let hit = myers::search(m, window, max_distance).map(|h| Verification {
-                distance: h.distance,
-                end: h.end,
-            });
-            (hit, cost)
-        }
-        ReadMasks::Blocked(m) => {
-            let hit = block::search_with(m, window, max_distance, &mut scratch.work).map(|h| {
-                Verification {
-                    distance: h.distance,
-                    end: h.end,
-                }
-            });
-            let cost = VerifyCost {
-                word_updates: scratch.work.word_updates(),
-            };
-            (hit, cost)
-        }
-    }
+    let hit = block::search_with(masks, window, max_distance, work);
+    let cost = VerifyCost {
+        word_updates: work.word_updates(),
+    };
+    (hit, cost)
 }
 
 /// Like [`verify`], recording the call into a [`repute_obs::MapMetrics`]
@@ -236,17 +150,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(63);
         for m in [30usize, 64, 100, 150] {
             let read: Vec<u8> = (0..m).map(|_| rng.gen_range(0..4)).collect();
-            let masks = ReadMasks::new(&read);
+            let masks = BlockMasks::new(&read);
             assert_eq!(masks.len(), m);
             assert_eq!(masks.blocks(), m.div_ceil(64));
             assert!(!masks.is_empty());
-            let mut scratch = VerifyScratch::new();
+            let mut work = BlockWork::default();
             for _ in 0..4 {
                 let n = rng.gen_range(0..=(m + 30));
                 let window: Vec<u8> = (0..n).map(|_| rng.gen_range(0..4)).collect();
                 for k in [3u32, m as u32] {
                     let fresh = verify_counting(&read, &window, k);
-                    let reused = verify_with(&masks, &window, k, &mut scratch);
+                    let reused = verify_with(&masks, &window, k, &mut work);
                     assert_eq!(fresh, reused, "m={m} n={n} k={k}");
                 }
             }

@@ -2,11 +2,12 @@
 //! 1 to `2 × LANES + 1` chunked the way the verification engine chunks
 //! them (full [`LANES`]-wide groups, then every remainder from 1 to
 //! `LANES − 1` lanes), for both the
-//! single-word and the blocked kernel, differentially against the
+//! one-block and the blocked lane kernel, differentially against the
 //! scalar oracle. Deterministic by construction — no RNG — so any
 //! divergence bisects cleanly.
 
-use repute_align::{verify_counting, BatchVerifier, ReadMasks, Verification, VerifyCost, LANES};
+use repute_align::block::BlockMasks;
+use repute_align::{verify_counting, BatchVerifier, Verification, VerifyCost, LANES};
 
 /// A deterministic "reference" long enough to cut windows from.
 fn reference() -> Vec<u8> {
@@ -49,11 +50,11 @@ fn window(reference: &[u8], at: usize, m: usize, c: usize) -> Vec<u8> {
 fn lane_remainders_1_through_7_match_scalar() {
     let reference = reference();
     let mut verifier = BatchVerifier::new();
-    // 48bp exercises the single-word kernel, 100/150bp the blocked one
+    // 48bp exercises the one-block lane kernel, 100/150bp the blocked one
     // (2 and 3 blocks).
     for (at, m) in [(64usize, 48usize), (256, 100), (512, 150)] {
         let r = read(&reference, at, m);
-        let masks = ReadMasks::new(&r);
+        let masks = BlockMasks::new(&r);
         for total in 1usize..=2 * LANES + 1 {
             let windows: Vec<Vec<u8>> = (0..total).map(|c| window(&reference, at, m, c)).collect();
             let mut got: Vec<(Option<Verification>, VerifyCost)> = Vec::new();
@@ -164,7 +165,7 @@ fn prefix_screen_boundaries_match_scalar() {
         for delta in [1usize, 5, 12, 63, 64] {
             let seed = (m * 100 + delta) as u64;
             let r = noise(seed, m);
-            let masks = ReadMasks::new(&r);
+            let masks = BlockMasks::new(&r);
             let windows = screen_windows(&r, delta, seed);
             let empty: &[u8] = &[];
             // The engine's chunking, and chunks led by an empty window,
@@ -244,7 +245,7 @@ fn results_at_every_read_length_are_pinned() {
     let (mut hits, mut total) = (0, 0);
     for m in 1usize..=130 {
         let r = noise(m as u64, m);
-        let masks = ReadMasks::new(&r);
+        let masks = BlockMasks::new(&r);
         for delta in 0usize..=8 {
             let windows: Vec<Vec<u8>> = (0..=m + 2 * delta + 4)
                 .map(|n| pinned_window(&r, delta, n))

@@ -3,7 +3,8 @@
 //! loops over the vendored PRNG with a fixed seed set (the pattern of
 //! `crates/prefilter/tests/props.rs`), so they run offline and in tier-1.
 
-use repute_align::{verify_counting, BatchVerifier, ReadMasks, LANES};
+use repute_align::block::BlockMasks;
+use repute_align::{verify_counting, BatchVerifier, LANES};
 use repute_genome::rng::StdRng;
 
 const SEEDS: [u64; 4] = [0x9E37, 0x79B9, 0x7F4A, 0x7C15];
@@ -26,7 +27,7 @@ fn batch_lanes_match_scalar_oracle() {
             let lanes = rng.gen_range(1..=LANES);
             let windows: Vec<Vec<u8>> = (0..lanes).map(|_| codes(&mut rng, 0..240)).collect();
             let k = rng.gen_range(0u32..24);
-            let masks = ReadMasks::new(&read);
+            let masks = BlockMasks::new(&read);
             let refs: Vec<&[u8]> = windows.iter().map(|w| w.as_slice()).collect();
             let mut got = Vec::new();
             BatchVerifier::new().verify_lanes(&masks, &refs, k, &mut got);
@@ -59,7 +60,7 @@ fn embedded_mutated_reads_are_found_by_both_paths() {
                 copy[p] = (copy[p] + 1 + i % 3) % 4;
             }
             let window = [&flank[..], &copy[..], &flank[..]].concat();
-            let masks = ReadMasks::new(&read);
+            let masks = BlockMasks::new(&read);
             let mut got = Vec::new();
             BatchVerifier::new().verify_lanes(&masks, &[window.as_slice()], k, &mut got);
             assert_eq!(

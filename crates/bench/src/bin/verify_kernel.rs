@@ -52,7 +52,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use repute_align::block::{search_full, BlockMasks, BlockWork};
-use repute_align::{BatchVerifier, ReadMasks, LANES};
+use repute_align::{BatchVerifier, LANES};
 use repute_bench::workload::{s_min_for, Scale, Workload};
 use repute_core::{Executor, ReputeConfig, ReputeMapper, Schedule};
 use repute_filter::oss::OssSolver;
@@ -223,7 +223,7 @@ fn batch_pass(codes: &[u8], corpus: &[CorpusRead], verifier: &mut BatchVerifier)
     let mut results = Vec::with_capacity(LANES);
     let mut lanes: Vec<&[u8]> = Vec::with_capacity(LANES);
     for cr in corpus {
-        let masks = ReadMasks::new(&cr.read);
+        let masks = BlockMasks::new(&cr.read);
         for chunk in cr.windows.chunks(LANES) {
             lanes.clear();
             lanes.extend(chunk.iter().map(|&(s, e)| &codes[s..e]));

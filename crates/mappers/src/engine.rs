@@ -10,9 +10,8 @@
 
 use std::ops::Range;
 
-use repute_align::{
-    verify_metered, verify_with, BatchVerifier, CandidateBatch, ReadMasks, VerifyScratch, LANES,
-};
+use repute_align::block::{BlockMasks, BlockWork};
+use repute_align::{verify_metered, verify_with, BatchVerifier, CandidateBatch, LANES};
 use repute_filter::SeedSelector;
 use repute_genome::{DnaSeq, Strand};
 use repute_index::{FmIndex, Interval};
@@ -251,7 +250,7 @@ impl<'a> VerifyEngine<'a> {
     /// candidate spans `read_len + 2δ` bases, the standard slack for up to
     /// δ indels on either side.
     ///
-    /// The batch path builds the read's [`ReadMasks`] once, gathers the
+    /// The batch path builds the read's [`BlockMasks`] once, gathers the
     /// candidates into a structure-of-arrays [`CandidateBatch`] and takes
     /// them a group at a time: 64 candidates with a prefilter installed,
     /// [`LANES`] without one. A group's windows are unpacked once, into
@@ -291,7 +290,7 @@ impl<'a> VerifyEngine<'a> {
         if batch.is_empty() {
             return 0;
         }
-        let masks = ReadMasks::new(read);
+        let masks = BlockMasks::new(read);
         let mut verifier = BatchVerifier::new();
         let group = if self.prefilter.is_some() {
             GROUP
@@ -465,8 +464,8 @@ impl VerifyEngine<'_> {
             return 0;
         }
         // Masks built once per read, reused across every band window.
-        let masks = ReadMasks::new(read);
-        let mut scratch = VerifyScratch::new();
+        let masks = BlockMasks::new(read);
+        let mut kernel = BlockWork::default();
         let mut slab = self.reference.slab(1, band + read.len() + 2 * delta);
         for &band_start in band_starts {
             if out.len() >= limit {
@@ -478,7 +477,7 @@ impl VerifyEngine<'_> {
                 continue;
             }
             let window = self.reference.window(start..end, &mut slab);
-            let (hit, cost) = verify_with(&masks, window, self.delta, &mut scratch);
+            let (hit, cost) = verify_with(&masks, window, self.delta, &mut kernel);
             work += cost.word_updates;
             if let Some(v) = hit {
                 let position = (start + v.end).saturating_sub(read.len()) as u32;

@@ -22,7 +22,7 @@
 //!    index / read range / fault annotations, so the file is useful
 //!    both in the Chrome UI and to `repute trace`.
 
-use crate::json::{escape_into, parse_json, push_f64, JsonValue};
+use crate::json::{escape_into, field, parse_json, push_f64, JsonValue};
 
 /// Trace process id reserved for scheduler/host-side spans (batch
 /// lifecycle, checkpoint writes). Devices get [`device_pid`].
@@ -246,10 +246,6 @@ pub struct TraceSummary {
     pub categories: Vec<TraceCategorySummary>,
 }
 
-fn obj_field<'a>(fields: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonValue> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
 /// Parses a Chrome-tracing JSON array (as written by
 /// [`write_chrome_trace`]) and rolls it up per process and per
 /// category. Returns `None` when the text is not a JSON array of
@@ -267,30 +263,30 @@ pub fn summarize_chrome_trace(text: &str) -> Option<TraceSummary> {
 
     for event in &events {
         let fields = event.as_obj()?;
-        let ph = obj_field(fields, "ph")
+        let ph = field(fields, "ph")
             .and_then(JsonValue::as_str)
             .unwrap_or("");
-        let pid = obj_field(fields, "pid")
+        let pid = field(fields, "pid")
             .and_then(JsonValue::as_u64)
             .unwrap_or(0) as u32;
         match ph {
             "M" => {
-                let name = obj_field(fields, "args")
+                let name = field(fields, "args")
                     .and_then(JsonValue::as_obj)
-                    .and_then(|args| obj_field(args, "name"))
+                    .and_then(|args| field(args, "name"))
                     .and_then(JsonValue::as_str)
                     .unwrap_or("")
                     .to_string();
                 names.push((pid, name));
             }
             "X" => {
-                let ts = obj_field(fields, "ts")
+                let ts = field(fields, "ts")
                     .and_then(JsonValue::as_f64)
                     .unwrap_or(0.0);
-                let dur = obj_field(fields, "dur")
+                let dur = field(fields, "dur")
                     .and_then(JsonValue::as_f64)
                     .unwrap_or(0.0);
-                let cat = obj_field(fields, "cat")
+                let cat = field(fields, "cat")
                     .and_then(JsonValue::as_str)
                     .unwrap_or("");
                 let seconds = dur / MICROS_PER_SECOND;
@@ -379,9 +375,7 @@ mod tests {
         assert_eq!(items.len(), 7);
         for item in items {
             let fields = item.as_obj().expect("object");
-            let ph = obj_field(fields, "ph")
-                .and_then(JsonValue::as_str)
-                .expect("ph");
+            let ph = field(fields, "ph").and_then(JsonValue::as_str).expect("ph");
             assert!(ph == "M" || ph == "X");
         }
     }
@@ -405,16 +399,13 @@ mod tests {
         let kernel = items
             .iter()
             .filter_map(|i| i.as_obj())
-            .find(|f| obj_field(f, "name").and_then(JsonValue::as_str) == Some("d0-batch-0"))
+            .find(|f| field(f, "name").and_then(JsonValue::as_str) == Some("d0-batch-0"))
             .expect("kernel event present");
-        let args = obj_field(kernel, "args")
+        let args = field(kernel, "args")
             .and_then(JsonValue::as_obj)
             .expect("args");
-        assert_eq!(
-            obj_field(args, "batch").and_then(JsonValue::as_u64),
-            Some(0)
-        );
-        assert_eq!(obj_field(args, "hi").and_then(JsonValue::as_u64), Some(8));
+        assert_eq!(field(args, "batch").and_then(JsonValue::as_u64), Some(0));
+        assert_eq!(field(args, "hi").and_then(JsonValue::as_u64), Some(8));
     }
 
     #[test]

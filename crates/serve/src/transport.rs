@@ -41,10 +41,6 @@ use repute_core::ReputeError;
 use crate::envelope::{parse_request, JobResponse, JobStatus, Request};
 use crate::server::ServeCore;
 
-fn io_at(path: &Path, e: std::io::Error) -> ReputeError {
-    ReputeError::io_at(path, e)
-}
-
 /// One connection slot: either an already-answered refusal or an
 /// accepted job waiting for the response of the given acceptance seq.
 enum Slot {
@@ -287,9 +283,9 @@ fn write_lines(stream: &UnixStream, lines: &[String]) -> std::io::Result<()> {
 /// propagate — the connection is dropped and counted.
 pub fn serve_socket(core: &mut ServeCore, path: &Path) -> Result<(), ReputeError> {
     if path.exists() {
-        std::fs::remove_file(path).map_err(|e| io_at(path, e))?;
+        std::fs::remove_file(path).map_err(|e| ReputeError::io_at(path, e))?;
     }
-    let listener = UnixListener::bind(path).map_err(|e| io_at(path, e))?;
+    let listener = UnixListener::bind(path).map_err(|e| ReputeError::io_at(path, e))?;
     let stop = Arc::new(AtomicBool::new(false));
     let result = serve_socket_loop(core, listener, &stop);
     // Unblock the acceptor (it may be parked in accept) and remove the
@@ -384,21 +380,21 @@ pub fn submit_over_socket(
     socket: &Path,
     lines: &[String],
 ) -> Result<Vec<JobResponse>, ReputeError> {
-    let stream = UnixStream::connect(socket).map_err(|e| io_at(socket, e))?;
+    let stream = UnixStream::connect(socket).map_err(|e| ReputeError::io_at(socket, e))?;
     {
         let mut writer = BufWriter::new(&stream);
         for line in lines {
-            writeln!(writer, "{line}").map_err(|e| io_at(socket, e))?;
+            writeln!(writer, "{line}").map_err(|e| ReputeError::io_at(socket, e))?;
         }
-        writer.flush().map_err(|e| io_at(socket, e))?;
+        writer.flush().map_err(|e| ReputeError::io_at(socket, e))?;
     }
     stream
         .shutdown(std::net::Shutdown::Write)
-        .map_err(|e| io_at(socket, e))?;
+        .map_err(|e| ReputeError::io_at(socket, e))?;
     let reader = BufReader::new(&stream);
     let mut responses = Vec::new();
     for line in reader.lines() {
-        let line = line.map_err(|e| io_at(socket, e))?;
+        let line = line.map_err(|e| ReputeError::io_at(socket, e))?;
         if line.trim().is_empty() {
             continue;
         }
@@ -413,12 +409,12 @@ pub fn submit_over_socket(
 ///
 /// [`ReputeError::Io`] when the socket cannot be reached.
 pub fn shutdown_over_socket(socket: &Path) -> Result<(), ReputeError> {
-    let stream = UnixStream::connect(socket).map_err(|e| io_at(socket, e))?;
+    let stream = UnixStream::connect(socket).map_err(|e| ReputeError::io_at(socket, e))?;
     let mut writer = BufWriter::new(&stream);
     writer
         .write_all(b"{\"op\":\"shutdown\"}\n")
-        .map_err(|e| io_at(socket, e))?;
-    writer.flush().map_err(|e| io_at(socket, e))?;
+        .map_err(|e| ReputeError::io_at(socket, e))?;
+    writer.flush().map_err(|e| ReputeError::io_at(socket, e))?;
     Ok(())
 }
 
@@ -437,10 +433,10 @@ pub fn shutdown_over_socket(socket: &Path) -> Result<(), ReputeError> {
 /// [`ReputeError::Io`] on directory or file failures; admission and
 /// batch errors propagate from the core.
 pub fn process_spool_once(core: &mut ServeCore, dir: &Path) -> Result<usize, ReputeError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| io_at(dir, e))?;
+    let entries = std::fs::read_dir(dir).map_err(|e| ReputeError::io_at(dir, e))?;
     let mut files = Vec::new();
     for entry in entries {
-        let entry = entry.map_err(|e| io_at(dir, e))?;
+        let entry = entry.map_err(|e| ReputeError::io_at(dir, e))?;
         let path = entry.path();
         if path.extension().and_then(|e| e.to_str()) == Some("json") {
             files.push(path);
@@ -502,5 +498,5 @@ fn response_path(path: &Path) -> std::path::PathBuf {
 fn rename_done(path: &Path) -> Result<(), ReputeError> {
     let mut done = path.as_os_str().to_os_string();
     done.push(".done");
-    std::fs::rename(path, std::path::PathBuf::from(done)).map_err(|e| io_at(path, e))
+    std::fs::rename(path, std::path::PathBuf::from(done)).map_err(|e| ReputeError::io_at(path, e))
 }
