@@ -41,3 +41,47 @@ mod verify;
 pub use batch::{BatchVerifier, CandidateBatch, LANES};
 pub use cigar::{Cigar, CigarOp};
 pub use verify::{verify, verify_counting, verify_metered, verify_with, Verification, VerifyCost};
+
+// Myers' single-word case: a read of at most 64 bases fills one word,
+// and `block::search` runs the original one-word recurrence for it.
+// These tests hold that case to the contract the paper's verification
+// stage relies on, through the same entry points the mappers call.
+#[cfg(test)]
+mod myers {
+    mod tests {
+        use crate::block::{self, BlockMasks};
+        use crate::{dp, verify};
+        use repute_genome::rng::StdRng;
+
+        #[test]
+        fn exact_match_inside_text() {
+            let masks = BlockMasks::new(&[0, 1, 2]);
+            let hit = block::search(&masks, &[3, 0, 1, 2, 3], 0).unwrap();
+            assert_eq!(hit.distance, 0);
+            assert_eq!(hit.end, 4);
+        }
+
+        #[test]
+        fn agrees_with_dp_on_random_inputs() {
+            let mut rng = StdRng::seed_from_u64(41);
+            for _ in 0..300 {
+                let m = rng.gen_range(1..=64usize);
+                let n = rng.gen_range(0..=120usize);
+                let pattern: Vec<u8> = (0..m).map(|_| rng.gen_range(0..4)).collect();
+                let text: Vec<u8> = (0..n).map(|_| rng.gen_range(0..4)).collect();
+                let expected = dp::semi_global(&pattern, &text).unwrap();
+                let masks = BlockMasks::new(&pattern);
+                assert_eq!(masks.blocks(), 1, "m={m}");
+                let got = block::search(&masks, &text, m as u32).expect("within m errors always");
+                assert_eq!(got.distance, expected.distance, "m={m} n={n}");
+                assert_eq!(got.end, expected.end, "m={m} n={n} leftmost end");
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "must not be empty")]
+        fn empty_pattern_rejected() {
+            let _ = verify(&[], &[0, 1, 2, 3], 1);
+        }
+    }
+}

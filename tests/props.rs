@@ -119,9 +119,26 @@ fn fm_locate_positions_really_match() {
 }
 
 #[test]
+fn myers_agrees_with_dp() {
+    for_each_case(CASES_PER_SEED, |rng, case| {
+        let pattern = codes(rng, 1..64);
+        let text = codes(rng, 0..100);
+        let expected = dp::semi_global(&pattern, &text).expect("non-empty pattern");
+        let masks = block::BlockMasks::new(&pattern);
+        assert_eq!(masks.blocks(), 1, "{case}");
+        let got = block::search(&masks, &text, pattern.len() as u32).expect("within m");
+        assert_eq!(
+            (got.distance, got.end),
+            (expected.distance, expected.end),
+            "{case}"
+        );
+    });
+}
+
+#[test]
 fn blocked_myers_agrees_with_dp() {
     for_each_case(CASES_PER_SEED, |rng, case| {
-        let pattern = codes(rng, 1..200);
+        let pattern = codes(rng, 64..200);
         let text = codes(rng, 0..250);
         let expected = dp::semi_global(&pattern, &text).expect("non-empty pattern");
         let masks = block::BlockMasks::new(&pattern);
