@@ -160,7 +160,7 @@ USAGE:
     repute serve    --reference <ref.fa> --socket <sock> [OPTIONS]
     repute serve    --reference <ref.fa> --spool <dir> --once [OPTIONS]
     repute submit   --socket <sock> --reads <reads.fq> [OPTIONS]
-    repute stats    <metrics.jsonl> [more.jsonl ...] [--dir <dir>]
+    repute stats    <metrics.jsonl> [more.jsonl ...] [--strict]
     repute trace    <trace.json>
 
 MAP OPTIONS:
@@ -226,7 +226,8 @@ SERVE OPTIONS:
     --journal <path>         crash-safe job journal: every accepted job
                              and every finished batch is committed
                              durably; restart with --resume to lose at
-                             most one in-flight round
+                             most one in-flight round. The journal
+                             compacts itself down to the queued jobs
     --resume                 replay a daemon journal: committed job
                              responses are served from the journal,
                              uncommitted jobs are requeued
@@ -243,10 +244,6 @@ SERVE OPTIONS:
                              (repeatable; unlisted tenants unbudgeted)
     --quota-window <s>       quota window length in simulated seconds
                              [default: 60]
-    --journal-compact-threshold <n>
-                             rewrite the journal down to live records
-                             once n dead records accumulate (requires
-                             --journal; 0 disables) [default: 0]
     --fault-plan <spec>      inject device faults into the daemon's
                              simulated platform (loss: | transient: |
                              slow: | correlated: events); lost
@@ -257,8 +254,6 @@ SERVE OPTIONS:
     --shed-overdue           shed queued jobs whose deadline already
                              passed with DEADLINE_EXCEEDED instead of
                              running them late
-    --metrics-dir <dir>      per-job telemetry spool (one *.jsonl per
-                             job; inspect with `repute stats --dir`)
     plus the map options: --index, --index-cache, --platform [default:
     system1], --delta, --s-min, --max-locations, --prefilter,
     --schedule [default: dynamic], --host-threads, --metrics-out,
@@ -280,9 +275,8 @@ SUBMIT OPTIONS:
     --shutdown               drain the daemon and stop it
 
 STATS OPTIONS:
-    --dir <dir>              also read every *.jsonl file in <dir>
-                             (name-sorted); counters merge and latency
-                             samples pool across all inputs
+    (files)                  counters merge and latency samples pool
+                             across all inputs
     --strict                 error on the first malformed JSON line
                              instead of skipping it with a warning
 

@@ -275,14 +275,6 @@ pub fn parse_map_args<I: IntoIterator<Item = String>>(
     Ok(opts)
 }
 
-/// The mapping configuration an option set selects.
-fn build_config(opts: &MapOptions) -> Result<ReputeConfig, ReputeError> {
-    Ok(ReputeConfig::new(opts.delta, opts.s_min)
-        .map_err(|e| ReputeError::Config(e.to_string()))?
-        .with_max_locations(opts.max_locations)
-        .with_prefilter(opts.prefilter))
-}
-
 /// Routes assembled SAM bytes to their destination: an atomic
 /// write-then-rename for a file path, a plain stream for stdout.
 pub(crate) fn write_sam_output(path: Option<&str>, sam: &[u8]) -> Result<(), ReputeError> {
@@ -353,6 +345,9 @@ struct Emitter<'a> {
     stats: MappingStats,
     totals: MapMetrics,
     reads: u64,
+    /// Reads of this process that REPUTE cannot seed: shorter than
+    /// (δ+1)·`S_min` bases (or past 65 535).
+    infeasible: u64,
     metrics_out: Option<AtomicFile>,
     summary: Option<Summary>,
 }
@@ -414,6 +409,7 @@ impl<'a> Emitter<'a> {
             stats: MappingStats::default(),
             totals: MapMetrics::new(),
             reads: 0,
+            infeasible: 0,
             metrics_out,
             summary: opts.verbose.then(Summary::default),
         }
@@ -439,6 +435,10 @@ impl<'a> Emitter<'a> {
         };
         self.stats.add_read(resolved.iter().map(|r| r.distance));
         self.totals.merge(metrics);
+        let config = self.repute.config();
+        if self.opts.mapper == MapperChoice::Repute && !config.feasible_for(seq.len()) {
+            self.infeasible += 1;
+        }
         if let Some(out) = &mut self.metrics_out {
             writeln!(out, "{}", metrics.to_json_line(self.reads))?;
         }
@@ -499,7 +499,7 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
         opts.index_cache.as_deref(),
     )?;
     timer.stop();
-    let config = build_config(opts)?;
+    let config = ReputeConfig::build(opts.delta, opts.s_min, opts.max_locations, opts.prefilter)?;
     let repute = ReputeMapper::new(Arc::clone(set.indexed()), config);
     let baseline = (opts.mapper != MapperChoice::Repute)
         .then(|| opts.mapper.build(Arc::clone(set.indexed()), config));
@@ -527,6 +527,16 @@ pub fn run_map(opts: &MapOptions) -> Result<(usize, usize), ReputeError> {
     )?;
     timer.stop();
     eprint!("{}", emitter.stats);
+    if emitter.infeasible > 0 {
+        eprintln!(
+            "warning: {} read(s) left unmapped: repute maps reads of \
+             (δ+1)·S_min = {} to 65535 bases at --delta {} and --s-min {}",
+            emitter.infeasible,
+            (config.delta() as usize + 1) * config.s_min(),
+            config.delta(),
+            config.s_min()
+        );
+    }
 
     // Host stage clocks first (load, map), then the simulated stage
     // breakdown the run report derived from the merged metrics.
@@ -1005,7 +1015,8 @@ pub(crate) fn platform_by_name(name: &str) -> Result<repute_hetsim::Platform, Re
 /// any mapping work happens.
 fn run_fingerprint(opts: &MapOptions) -> Result<RunFingerprint, ReputeError> {
     let mut cfg = Fnv64::new();
-    build_config(opts)?.fold_identity(&mut cfg);
+    ReputeConfig::build(opts.delta, opts.s_min, opts.max_locations, opts.prefilter)?
+        .fold_identity(&mut cfg);
     cfg.write_u64(opts.schedule as u64);
     cfg.write_u64(opts.mapper as u64);
     cfg.write(opts.platform.as_deref().unwrap_or_default().as_bytes());
@@ -1599,7 +1610,9 @@ mod tests {
     fn crash_after_commit(opts: &MapOptions, k: usize) {
         let platform = opts.platform.is_some();
         let set = load_reference_set(&opts.reference, None, None).unwrap();
-        let config = build_config(opts).unwrap();
+        let config =
+            ReputeConfig::build(opts.delta, opts.s_min, opts.max_locations, opts.prefilter)
+                .unwrap();
         let repute = ReputeMapper::new(Arc::clone(set.indexed()), config);
         let baseline = (opts.mapper != MapperChoice::Repute)
             .then(|| opts.mapper.build(Arc::clone(set.indexed()), config));

@@ -42,12 +42,9 @@ pub struct ServeCliOptions {
     /// stays `usize::MAX` (the platform's quarter-RAM batch cap), and
     /// `tracing` follows `trace_out` when the daemon starts.
     pub serve: ServeOptions,
-    /// Merged telemetry JSON-lines export path (written at exit, and
-    /// after every spool pass).
+    /// Telemetry JSON-lines export path (written at exit, and after
+    /// every spool pass).
     pub metrics_out: Option<String>,
-    /// Per-job telemetry spool directory (one `*.jsonl` file per job;
-    /// inspect with `repute stats --dir`).
-    pub metrics_dir: Option<String>,
     /// Chrome-trace span export path (enables tracing).
     pub trace_out: Option<String>,
 }
@@ -66,7 +63,6 @@ impl Default for ServeCliOptions {
             resume: false,
             serve: ServeOptions::default(),
             metrics_out: None,
-            metrics_dir: None,
             trace_out: None,
         }
     }
@@ -150,10 +146,6 @@ pub fn parse_serve_args<I: IntoIterator<Item = String>>(
                 }
                 opts.serve.quota_window_s = window;
             }
-            "--journal-compact-threshold" => {
-                opts.serve.journal_compact_threshold = cur.integer()?;
-            }
-            "--metrics-dir" => opts.metrics_dir = Some(cur.value()?),
             _ => return Err(cur.unknown()),
         }
     }
@@ -175,11 +167,6 @@ pub fn parse_serve_args<I: IntoIterator<Item = String>>(
     }
     if opts.resume && opts.journal.is_none() {
         return Err(ParseArgsError::new("--resume requires --journal"));
-    }
-    if opts.serve.journal_compact_threshold > 0 && opts.journal.is_none() {
-        return Err(ParseArgsError::new(
-            "--journal-compact-threshold requires --journal",
-        ));
     }
     Ok(opts)
 }
@@ -234,13 +221,10 @@ pub fn run_serve(opts: &ServeCliOptions) -> Result<(), ReputeError> {
         }
     }
     let export = |core: &repute_serve::ServeCore| -> Result<(), ReputeError> {
-        if let Some(path) = &opts.metrics_out {
-            core.write_telemetry(Path::new(path))?;
+        match &opts.metrics_out {
+            Some(path) => core.write_telemetry(Path::new(path)),
+            None => Ok(()),
         }
-        if let Some(dir) = &opts.metrics_dir {
-            core.write_job_telemetry_dir(Path::new(dir))?;
-        }
-        Ok(())
     };
     if let Some(spool) = &opts.spool {
         let dir = Path::new(spool);
@@ -528,23 +512,17 @@ mod tests {
         assert!(parse_serve_args(args("--reference r.fa --socket s --tenant-weight a=0")).is_err());
         assert!(parse_serve_args(args("--index i.rpx --index-cache c --socket s")).is_err());
 
-        // Quota and compaction flags.
+        // Quota flags.
         let opts = parse_serve_args(args(
             "--reference r.fa --socket s.sock --tenant-quota acme=500 \
-             --quota-window 30 --journal j.jnl --journal-compact-threshold 16",
+             --quota-window 30 --journal j.jnl",
         ))
         .unwrap();
         assert_eq!(opts.serve.tenant_quotas, vec![("acme".to_string(), 500)]);
         assert!((opts.serve.quota_window_s - 30.0).abs() < f64::EPSILON);
-        assert_eq!(opts.serve.journal_compact_threshold, 16);
         assert!(parse_serve_args(args("--reference r.fa --socket s --tenant-quota a=0")).is_err());
         assert!(parse_serve_args(args("--reference r.fa --socket s --tenant-quota a")).is_err());
         assert!(parse_serve_args(args("--reference r.fa --socket s --quota-window -1")).is_err());
-        // The compaction threshold is meaningless without a journal.
-        assert!(parse_serve_args(args(
-            "--reference r.fa --socket s --journal-compact-threshold 8"
-        ))
-        .is_err());
 
         let opts = parse_submit_args(args("--socket s.sock --reads r.fq --tenant acme")).unwrap();
         assert_eq!(opts.tenant.as_deref(), Some("acme"));

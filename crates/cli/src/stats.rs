@@ -16,46 +16,34 @@ pub struct StatsOptions {
     /// `--metrics-out`). Several files are merged: counters are summed
     /// and latency samples pooled before percentiles are taken.
     pub inputs: Vec<String>,
-    /// A spool of per-job JSON-lines files (a daemon's `--metrics-dir`):
-    /// every `*.jsonl` file in the directory is read, name-sorted, as if
-    /// appended to `inputs`.
-    pub dir: Option<String>,
     /// Error on the first malformed line instead of skipping it with a
     /// warning (the lenient default tolerates truncated or mixed files).
     pub strict: bool,
 }
 
-/// Parses `repute stats` arguments: one or more file paths and/or
-/// `--dir`, plus flags.
+/// Parses `repute stats` arguments: one or more file paths, plus flags.
 ///
 /// # Errors
 ///
-/// Returns [`ParseArgsError`] for unknown flags or when neither a path
-/// nor `--dir` is given.
+/// Returns [`ParseArgsError`] for unknown flags or when no path is
+/// given.
 pub fn parse_stats_args<I: IntoIterator<Item = String>>(
     args: I,
 ) -> Result<StatsOptions, ParseArgsError> {
     let mut opts = StatsOptions {
         inputs: Vec::new(),
-        dir: None,
         strict: false,
     };
     let mut cur = Cursor::new(args);
     while cur.advance()? {
         match cur.flag() {
             "--strict" => opts.strict = true,
-            "--dir" => {
-                let dir = cur.value()?;
-                if opts.dir.replace(dir).is_some() {
-                    return Err(cur.fail("given twice"));
-                }
-            }
             _ => opts.inputs.push(cur.positional()?),
         }
     }
-    if opts.inputs.is_empty() && opts.dir.is_none() {
+    if opts.inputs.is_empty() {
         return Err(ParseArgsError::new(
-            "stats expects at least one metrics JSON-lines file (or --dir)",
+            "stats expects at least one metrics JSON-lines file",
         ));
     }
     Ok(opts)
@@ -113,11 +101,10 @@ fn render_lines(text: &str, strict: bool) -> Result<String, ReputeError> {
     Ok(summary.render())
 }
 
-/// Runs `repute stats`: reads every input file (and every `*.jsonl`
-/// file of `--dir`, name-sorted), concatenates them, and pretty-prints
-/// the merged telemetry to stdout. Counters from several files sum and
-/// latency samples pool before percentiles are taken, so a spool of
-/// per-job files renders one coherent summary.
+/// Runs `repute stats`: reads every input file, concatenates them, and
+/// pretty-prints the merged telemetry to stdout. Counters from several
+/// files sum and latency samples pool before percentiles are taken, so
+/// several runs' files render one coherent summary.
 ///
 /// # Errors
 ///
@@ -125,36 +112,12 @@ fn render_lines(text: &str, strict: bool) -> Result<String, ReputeError> {
 /// from [`render_stats_strict`].
 pub fn run_stats(opts: &StatsOptions) -> Result<(), ReputeError> {
     let mut text = String::new();
-    let mut append = |path: &Path| -> Result<(), ReputeError> {
+    for input in &opts.inputs {
+        let path = Path::new(input);
         let chunk = std::fs::read_to_string(path).map_err(|e| ReputeError::io_at(path, e))?;
         text.push_str(&chunk);
         if !chunk.ends_with('\n') {
             text.push('\n');
-        }
-        Ok(())
-    };
-    for input in &opts.inputs {
-        append(Path::new(input))?;
-    }
-    if let Some(dir) = &opts.dir {
-        let dir_path = Path::new(dir);
-        let entries = std::fs::read_dir(dir_path).map_err(|e| ReputeError::io_at(dir_path, e))?;
-        let mut files = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| ReputeError::io_at(dir_path, e))?;
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) == Some("jsonl") {
-                files.push(path);
-            }
-        }
-        files.sort();
-        if files.is_empty() {
-            return Err(ReputeError::InputParse(format!(
-                "--dir {dir:?} contains no *.jsonl telemetry files"
-            )));
-        }
-        for path in &files {
-            append(path)?;
         }
     }
     let rendered = if opts.strict {
@@ -273,7 +236,6 @@ mod tests {
             parse_stats_args(args("m.jsonl")).unwrap(),
             StatsOptions {
                 inputs: vec!["m.jsonl".into()],
-                dir: None,
                 strict: false,
             }
         );
@@ -281,26 +243,15 @@ mod tests {
             parse_stats_args(args("--strict m.jsonl")).unwrap(),
             StatsOptions {
                 inputs: vec!["m.jsonl".into()],
-                dir: None,
                 strict: true,
             }
         );
-        // Several files merge; --dir alone is enough.
+        // Several files merge.
         assert_eq!(
             parse_stats_args(args("a.jsonl b.jsonl")).unwrap().inputs,
             vec!["a.jsonl".to_string(), "b.jsonl".to_string()],
         );
-        assert_eq!(
-            parse_stats_args(args("--dir spool")).unwrap(),
-            StatsOptions {
-                inputs: Vec::new(),
-                dir: Some("spool".into()),
-                strict: false,
-            }
-        );
         assert!(parse_stats_args(args("")).is_err());
-        assert!(parse_stats_args(args("--dir")).is_err());
-        assert!(parse_stats_args(args("--dir a --dir b")).is_err());
         assert!(parse_stats_args(args("--wat m.jsonl")).is_err());
     }
 

@@ -6,6 +6,8 @@ use repute_filter::oss::{InvalidParamsError, OssParams};
 use repute_genome::wire::Fnv64;
 use repute_prefilter::{qgram, PrefilterMode};
 
+use crate::ReputeError;
+
 /// Scheduling policy of the multi-device executor (see
 /// [`crate::Schedule`] for the full semantics). Both policies produce
 /// byte-identical mapping output; they differ only in how simulated
@@ -92,6 +94,32 @@ impl ReputeConfig {
             max_locations: 1000,
             prefilter: PrefilterMode::None,
         })
+    }
+
+    /// The configuration `repute map` and the daemon run with: [`new`]
+    /// with `max_locations` output slots and `prefilter`, invalid seeding
+    /// parameters a [`ReputeError::Config`].
+    ///
+    /// [`new`]: ReputeConfig::new
+    ///
+    /// # Errors
+    ///
+    /// [`ReputeError::Config`] under the conditions of
+    /// [`OssParams::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_locations == 0`.
+    pub fn build(
+        delta: u32,
+        s_min: usize,
+        max_locations: usize,
+        prefilter: PrefilterMode,
+    ) -> Result<ReputeConfig, ReputeError> {
+        Ok(ReputeConfig::new(delta, s_min)
+            .map_err(|e| ReputeError::Config(e.to_string()))?
+            .with_max_locations(max_locations)
+            .with_prefilter(prefilter))
     }
 
     /// Overrides the *first-n* output-slot limit per read.

@@ -2,7 +2,7 @@
 //! cell or the daemon leaves behind, each defined once.
 //!
 //! Every writer (`--metrics-out` of `repute map` and `repute serve`, the
-//! per-job files of `--metrics-dir`, the bench harness) builds
+//! bench harness) builds
 //! [`Record`]s and emits [`Record::encode`]; every reader (`repute
 //! stats`, the `-v` report, the daemon's shutdown summary) goes through
 //! [`Record::decode`] and [`crate::Summary`]. A field name appears in

@@ -71,45 +71,25 @@ const STACK_WORDS: usize = 8;
 /// word a shifted read takes past the last shift.
 const STACK_PLANE_WORDS: usize = STACK_WORDS + 2;
 
-/// The SHD filter. Stateless aside from its amendment knob; build once
-/// and share freely across threads.
-#[derive(Debug, Clone, Copy)]
-pub struct ShdFilter {
-    amend_below: usize,
-}
+/// Match runs shorter than this many bases are amended to mismatches
+/// before the AND — GateKeeper's "short streak" cutoff. Runs of 1–2
+/// matching bases between random sequences occur with probability ~1/4
+/// per base and carry almost no alignment signal. A constant, not a
+/// knob: [`crate::bits::streak_edit_bound`] counts an amended segment as
+/// at most 2 bases, which holds only at a cutoff of 3 or below — at 4,
+/// eight substitutions four bases apart in a 100 bp read at δ 8 (an
+/// 8-edit alignment) lose to a bound above δ.
+const AMEND_BELOW: usize = 3;
 
-impl Default for ShdFilter {
-    fn default() -> ShdFilter {
-        ShdFilter::new()
-    }
-}
+/// The SHD filter. Stateless; build once and share freely across
+/// threads.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ShdFilter;
 
 impl ShdFilter {
-    /// Match runs shorter than this many bases are amended to
-    /// mismatches before the AND — GateKeeper's "short streak" cutoff.
-    /// Runs of 1–2 matching bases between random sequences occur with
-    /// probability ~1/4 per base and carry almost no alignment signal.
-    pub const DEFAULT_AMEND_BELOW: usize = 3;
-
-    /// Creates the filter with the default amendment cutoff.
+    /// Creates the filter.
     pub fn new() -> ShdFilter {
-        ShdFilter {
-            amend_below: Self::DEFAULT_AMEND_BELOW,
-        }
-    }
-
-    /// Overrides the amendment cutoff: match runs shorter than `below`
-    /// bases are treated as mismatches. `below ≤ 1` disables amendment
-    /// (maximum safety margin, minimal rejection power).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `below == 0` (a zero-length run cannot exist; use 1 to
-    /// disable amendment).
-    pub fn with_amend_below(mut self, below: usize) -> ShdFilter {
-        assert!(below > 0, "amendment cutoff must be at least 1");
-        self.amend_below = below;
-        self
+        ShdFilter
     }
 
     /// Examines raw code slices: a batch of one. `window` is the exact
@@ -129,7 +109,7 @@ impl ShdFilter {
     /// time through [`ShdFilter::sweep`].
     fn examine_read(&self, read: &[u8], candidates: &[Candidate<'_>], out: &mut [Verdict]) {
         let m = read.len();
-        if m < self.amend_below {
+        if m < AMEND_BELOW {
             // Degenerate: amendment could erase a 0-edit whole-read
             // match run, so the streak bound is not sound here. Reads
             // this short carry no signal anyway — accept.
@@ -270,15 +250,15 @@ impl ShdFilter {
                     *kept &= live;
                 }
                 // Amendment: a match survives only in a run of ≥
-                // amend_below matches. The classic two-shift trick,
+                // AMEND_BELOW matches. The classic two-shift trick,
                 // generalised — each `and_shl1` strips the bottom match
                 // off every run, leaving only the tops of the long ones,
                 // and each `or_shr1` grows those back down by the one
                 // match the run had lost.
-                for _ in 1..self.amend_below {
+                for _ in 1..AMEND_BELOW {
                     and_shl1(matches);
                 }
-                for _ in 1..self.amend_below {
+                for _ in 1..AMEND_BELOW {
                     or_shr1(matches);
                 }
                 // Everything else is a mismatch; AND it into the running
@@ -573,20 +553,6 @@ mod tests {
             noise[i] = (noise[i] + 1) % 4;
         }
         assert!(!verdict(&noise, &window, 0).accept);
-    }
-
-    #[test]
-    fn amendment_knob_validates() {
-        let f = ShdFilter::new().with_amend_below(1); // amendment off
-        let window: Vec<u8> = (0..80).map(|i| ((i * 13) % 4) as u8).collect();
-        let read = window[2..78].to_vec();
-        assert!(f.examine_codes(&read, &window, 2).accept);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_amendment_cutoff_panics() {
-        let _ = ShdFilter::new().with_amend_below(0);
     }
 
     #[test]

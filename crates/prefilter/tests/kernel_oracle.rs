@@ -8,6 +8,8 @@
 //! below is the pre-PR-18 code, copied verbatim before the kernels were
 //! touched: the per-base mask builder, the slice amendment, the bit-loop
 //! streak bound, the branchy probe loop and the bin builder they probe.
+//! One change since: its amendment cutoff, a parameter then, is the
+//! constant 3 the filter fixes.
 //! Nothing else in the repository calls it. After touching a kernel in
 //! `src/`, this is the test to run first.
 //!
@@ -84,12 +86,14 @@ mod oracle {
         }
     }
 
-    /// `ShdFilter::examine_codes` as it stood, `self.amend_below` made
-    /// a parameter.
-    pub fn examine_codes(amend_below: usize, read: &[u8], window: &[u8], delta: u32) -> Verdict {
+    /// The amendment cutoff, a constant of the filter now.
+    const AMEND_BELOW: usize = 3;
+
+    /// `ShdFilter::examine_codes` as it stood, at its default cutoff.
+    pub fn examine_codes(read: &[u8], window: &[u8], delta: u32) -> Verdict {
         let m = read.len();
         let wlen = window.len();
-        if m < amend_below {
+        if m < AMEND_BELOW {
             return Verdict::accept(u64::from(m > 0));
         }
         if m > wlen + delta as usize {
@@ -126,7 +130,7 @@ mod oracle {
         let mut accepted_early = false;
         for s in -delta_i..=s_hi {
             build_shift_mask(read, window, s, mask);
-            amend_short_runs(mask, amend_below, run_end, scratch_a, scratch_b, keep);
+            amend_short_runs(mask, AMEND_BELOW, run_end, scratch_a, scratch_b, keep);
             for (a, &w) in acc.iter_mut().zip(mask.iter()) {
                 *a &= w;
             }
@@ -422,15 +426,13 @@ impl Tally {
 const DELTAS: [u32; 11] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 20];
 
 /// The new SHD kernel against the old on one input: verdict and cost.
-fn shd_both(below: usize, read: &[u8], window: &[u8], delta: u32, what: &dyn Debug) -> Verdict {
-    let expected = oracle::examine_codes(below, read, window, delta);
-    let got = ShdFilter::new()
-        .with_amend_below(below)
-        .examine_codes(read, window, delta);
+fn shd_both(read: &[u8], window: &[u8], delta: u32, what: &dyn Debug) -> Verdict {
+    let expected = oracle::examine_codes(read, window, delta);
+    let got = ShdFilter::new().examine_codes(read, window, delta);
     assert_eq!(
         got,
         expected,
-        "{what:?}: m={} window={} δ={delta} amend_below={below}",
+        "{what:?}: m={} window={} δ={delta}",
         read.len(),
         window.len()
     );
@@ -439,14 +441,14 @@ fn shd_both(below: usize, read: &[u8], window: &[u8], delta: u32, what: &dyn Deb
 
 /// An arbitrary read of `m` bases against an arbitrary window of `wlen`,
 /// which holds a copy of the read in half the cases where it can.
-fn shd_arbitrary(rng: &mut StdRng, m: usize, wlen: usize, delta: u32, below: usize) -> Verdict {
+fn shd_arbitrary(rng: &mut StdRng, m: usize, wlen: usize, delta: u32) -> Verdict {
     let read = random_codes(rng, m);
     let mut window = random_codes(rng, wlen);
     if wlen >= m && rng.gen::<bool>() {
         let at = rng.gen_range(0..=wlen - m);
         window[at..at + m].copy_from_slice(&read);
     }
-    shd_both(below, &read, &window, delta, &"arbitrary")
+    shd_both(&read, &window, delta, &"arbitrary")
 }
 
 /// One SHD comparison: a read of `m` bases — a ≤ δ-edit mutant of the
@@ -456,7 +458,6 @@ struct ShdCase {
     m: usize,
     delta: u32,
     shape: Shape,
-    below: usize,
     planted: bool,
 }
 
@@ -465,7 +466,6 @@ fn shd_case(rng: &mut StdRng, reference: &[u8], case: ShdCase) -> Verdict {
         m,
         delta,
         shape,
-        below,
         planted,
     } = case;
     let (pos, start, end) = cut_window(rng, reference, m, delta as usize, shape);
@@ -476,7 +476,7 @@ fn shd_case(rng: &mut StdRng, reference: &[u8], case: ShdCase) -> Verdict {
     } else {
         random_codes(rng, m)
     };
-    shd_both(below, &read, window, delta, &case)
+    shd_both(&read, window, delta, &case)
 }
 
 #[test]
@@ -486,25 +486,21 @@ fn shd_matches_the_per_base_kernel_on_verdict_and_cost() {
     let mut tally = Tally::default();
     for m in 1..=600usize {
         // Every 64-bit word boundary and the 512-base stack limit get
-        // the whole shape × cutoff grid; other lengths rotate through it.
+        // every shape; other lengths rotate through them.
         let boundary = matches!(m % 64, 63 | 0 | 1) || (510..=514).contains(&m);
         for (d, &delta) in DELTAS.iter().enumerate() {
             for planted in [true, false] {
                 let turn = m + d + usize::from(planted);
-                let grid: Vec<(Shape, usize)> = if boundary {
-                    SHAPES
-                        .iter()
-                        .flat_map(|&shape| (1..=4).map(move |below| (shape, below)))
-                        .collect()
+                let shapes = if boundary {
+                    &SHAPES[..]
                 } else {
-                    vec![(SHAPES[turn % 4], 1 + (turn / 4) % 4)]
+                    &SHAPES[turn % 4..=turn % 4]
                 };
-                for (shape, below) in grid {
+                for &shape in shapes {
                     let case = ShdCase {
                         m,
                         delta,
                         shape,
-                        below,
                         planted,
                     };
                     tally.record(shd_case(&mut rng, &reference, case));
@@ -524,8 +520,8 @@ fn shd_matches_on_windows_far_longer_than_the_read() {
     let mut tally = Tally::default();
     for _ in 0..300 {
         let (m, wlen) = (rng.gen_range(1usize..=200), rng.gen_range(0usize..=900));
-        let (delta, below) = (rng.gen_range(0u32..=8), rng.gen_range(1usize..=4));
-        tally.record(shd_arbitrary(&mut rng, m, wlen, delta, below));
+        let delta = rng.gen_range(0u32..=8);
+        tally.record(shd_arbitrary(&mut rng, m, wlen, delta));
     }
     tally.assert_balanced("SHD, long windows");
 }
@@ -539,8 +535,7 @@ fn shd_matches_at_every_window_length_around_a_word_boundary() {
     for m in [1usize, 63, 64, 65] {
         for wlen in 0..=200usize {
             for delta in 0..=6u32 {
-                let below = 1 + (wlen + m) % 4;
-                tally.record(shd_arbitrary(&mut rng, m, wlen, delta, below));
+                tally.record(shd_arbitrary(&mut rng, m, wlen, delta));
             }
         }
     }
@@ -571,10 +566,8 @@ fn both_kernels_match_on_the_adversarial_corpus() {
         }
     }
     for e in &entries {
-        for below in 1..=4 {
-            for delta in [e.delta, 0, 2, 9] {
-                shd_both(below, &e.read, &e.window, delta, &e.name);
-            }
+        for delta in [e.delta, 0, 2, 9] {
+            shd_both(&e.read, &e.window, delta, &e.name);
         }
     }
 }
@@ -716,8 +709,8 @@ fn batch_window(
 
 /// The oracles' verdict on one candidate under each filter: SHD, the
 /// q-gram bins, and the chain of the two that the engine runs.
-fn oracle_verdicts(below: usize, bins: &oracle::Bins, candidate: &Candidate<'_>) -> [Verdict; 3] {
-    let shd = oracle::examine_codes(below, candidate.read, candidate.window, candidate.delta);
+fn oracle_verdicts(bins: &oracle::Bins, candidate: &Candidate<'_>) -> [Verdict; 3] {
+    let shd = oracle::examine_codes(candidate.read, candidate.window, candidate.delta);
     let qgram = bins.examine(
         candidate.read,
         candidate.window_start,
@@ -745,11 +738,10 @@ fn batches_match_the_oracles_on_verdict_and_cost() {
         let bins = QgramBins::build(&reference, q, width);
         let old = oracle::Bins::build(&reference, q, width);
         let qgram = QgramFilter::new(&bins);
+        let shd = ShdFilter::new();
+        let chain = Chain::new(vec![&qgram, &shd]);
         for trial in 0..trials {
             let size = 1 + trial % 64;
-            let below = 1 + trial / 32 % 4;
-            let shd = ShdFilter::new().with_amend_below(below);
-            let chain = Chain::new(vec![&qgram, &shd]);
             // One to three reads a batch, each of its own length —
             // 1 to 600 bases, every word boundary among them.
             let reads: Vec<BatchRead> = (0..1 + trial % 3)
@@ -782,7 +774,7 @@ fn batches_match_the_oracles_on_verdict_and_cost() {
                 .collect();
             let expected: Vec<[Verdict; 3]> = candidates
                 .iter()
-                .map(|c| oracle_verdicts(below, &old, c))
+                .map(|c| oracle_verdicts(&old, c))
                 .collect();
             let filters: [&dyn PreFilter; 3] = [&shd, &qgram, &chain];
             for (f, filter) in filters.into_iter().enumerate() {
@@ -802,7 +794,7 @@ fn batches_match_the_oracles_on_verdict_and_cost() {
                         *got,
                         want[f],
                         "{} q={q} width={width}: candidate {i} of {size}, m={} window={} \
-                         at {} δ={} amend_below={below}",
+                         at {} δ={}",
                         filter.name(),
                         c.read.len(),
                         c.window.len(),

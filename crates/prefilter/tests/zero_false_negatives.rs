@@ -168,3 +168,46 @@ fn shd_accepts_every_planted_offset_with_indel_drift() {
         }
     }
 }
+
+#[test]
+fn shd_accepts_substitutions_four_bases_apart() {
+    // Eight substitutions four bases apart leave 3-base match runs
+    // between them, which the cutoff of 3 keeps. When the cutoff was a
+    // knob, 4 amended those runs away, the merged streaks cost more
+    // than δ under the streak bound, and 12 of these 200 verifiable
+    // windows were rejected (cutoffs 1 to 3 rejected none).
+    let codes = reference_codes();
+    let bins = QgramBins::build_default(&codes);
+    let shd = ShdFilter::new();
+    let qgram = QgramFilter::new(&bins);
+    let (delta, m) = (8u32, 100usize);
+    let slack = delta as usize;
+    for i in 0..200usize {
+        let pos = slack + 40 * i;
+        let window = &codes[pos - slack..pos + m + slack];
+        let mut read = codes[pos..pos + m].to_vec();
+        let first = i * 7 % (m - 28);
+        for k in 0..8 {
+            let at = first + 4 * k;
+            read[at] = (read[at] + 1 + (i % 3) as u8) % 4;
+        }
+        assert!(
+            verify(&read, window, delta).is_some(),
+            "window {i}: the verifier rejected eight substitutions at δ={delta}"
+        );
+        assert!(
+            shd.examine_codes(&read, window, delta).accept,
+            "window {i}: SHD false negative, substitutions from {first} four apart"
+        );
+        let candidate = Candidate {
+            read: &read,
+            window,
+            window_start: pos - slack,
+            delta,
+        };
+        assert!(
+            qgram.examine(&candidate).accept,
+            "window {i}: q-gram false negative, substitutions from {first} four apart"
+        );
+    }
+}

@@ -51,4 +51,4 @@ pub use envelope::{
 };
 pub use harness::ServeHarness;
 pub use journal::{BatchRecord, JobJournal, JobResult, Recovered, StateRecord};
-pub use server::{ServeCore, ServeCounters, ServeLimits, ServeOptions};
+pub use server::{ServeCore, ServeCounters, ServeLimits, ServeOptions, COMPACT_FLOOR};

@@ -128,11 +128,6 @@ pub struct ServeOptions {
     /// Length of the quota sliding window, in simulated seconds (also
     /// the SLO hit-rate window).
     pub quota_window_s: f64,
-    /// Compact the journal once this many dead records accumulate
-    /// (committed batches, shed commits, and their acceptance records);
-    /// `0` disables compaction. Not part of the resume fingerprint — it
-    /// is safe to change across restarts.
-    pub journal_compact_threshold: usize,
 }
 
 impl Default for ServeOptions {
@@ -152,28 +147,25 @@ impl Default for ServeOptions {
             tenant_weights: Vec::new(),
             tenant_quotas: Vec::new(),
             quota_window_s: 60.0,
-            journal_compact_threshold: 0,
         }
     }
 }
+
+/// The fewest dead journal records (committed batches, shed commits and
+/// their jobs' acceptance records) that make a round compact the
+/// journal. A round compacts once they number `max(COMPACT_FLOOR,
+/// queued jobs)`, so the journal holds O(queued + `COMPACT_FLOOR`)
+/// records, and a compaction, which rewrites the queued jobs' records,
+/// copies at most one record per dead record appended since the last.
+/// One compaction costs about three `sync_data` appends; 64 dead records
+/// spread it to about 5% of their appends (EXPERIMENTS.md, journal
+/// compaction floor).
+pub const COMPACT_FLOOR: usize = 64;
 
 /// The refusal text of every `SERVICE_UNAVAILABLE` response — one
 /// constant so live refusals and resume-era refusals stay
 /// byte-identical.
 const UNAVAILABLE_REASON: &str = "every simulated device has been lost; the daemon is draining";
-
-/// The mapping configuration of a batch: the job key's δ and prefilter
-/// over the server-pinned `S_min` and slot count.
-fn batch_config(
-    options: &ServeOptions,
-    delta: u32,
-    prefilter: PrefilterMode,
-) -> Result<ReputeConfig, ReputeError> {
-    Ok(ReputeConfig::new(delta, options.s_min)
-        .map_err(|e| ReputeError::Config(e.to_string()))?
-        .with_max_locations(options.max_locations)
-        .with_prefilter(prefilter))
-}
 
 /// The refusal text of a shed job (also used by resume replay — the
 /// strings must match byte-for-byte for response-union identity).
@@ -231,7 +223,8 @@ impl ServeCore {
     ) -> Result<ServeCore, ReputeError> {
         // Fail fast: the default config must be constructible, or every
         // default-config job would die at batch time.
-        let config = batch_config(&options, options.delta, options.prefilter)?;
+        let (s_min, slots) = (options.s_min, options.max_locations);
+        let config = ReputeConfig::build(options.delta, s_min, slots, options.prefilter)?;
         if options.delta > options.limits.max_delta {
             return Err(ReputeError::Config(format!(
                 "default delta {} exceeds --max-delta {}",
@@ -240,8 +233,10 @@ impl ServeCore {
         }
         // An admitted δ that cannot configure is never answered; the rule
         // (S_min × (δ + 1) ≤ 65 535) is monotone, so the largest decides.
-        let (max, s_min) = (options.limits.max_delta, options.s_min);
-        if let Err(ReputeError::Config(e)) = batch_config(&options, max, options.prefilter) {
+        let max = options.limits.max_delta;
+        if let Err(ReputeError::Config(e)) =
+            ReputeConfig::build(max, s_min, slots, options.prefilter)
+        {
             let fits = (usize::from(u16::MAX) / s_min).saturating_sub(1);
             return Err(ReputeError::Config(format!(
                 "--max-delta {max} cannot be served ({e}); the largest delta that fits s_min {s_min} is {fits}"
@@ -314,8 +309,7 @@ impl ServeCore {
             cfg.write_u64(weight.to_bits());
         }
         // Quota budgets change which jobs get admitted, so they are part
-        // of the journal identity (the compaction threshold is not: it
-        // only changes *when* dead bytes are dropped, never a response).
+        // of the journal identity.
         cfg.write_u64(self.options.quota_window_s.to_bits());
         for (name, budget) in &self.options.tenant_quotas {
             cfg.write(name.as_bytes());
@@ -715,7 +709,10 @@ impl ServeCore {
         for (g, jobs) in groups.into_iter().enumerate() {
             let key = jobs[0].key;
             let reads: Vec<DnaSeq> = jobs.iter().flat_map(|j| j.reads.iter().cloned()).collect();
-            let config = batch_config(&self.options, key.delta, key.prefilter)?;
+            // A job key's δ and prefilter over the server-pinned `S_min`
+            // and slot count.
+            let (s_min, slots) = (self.options.s_min, self.options.max_locations);
+            let config = ReputeConfig::build(key.delta, s_min, slots, key.prefilter)?;
             let mapper = key.mapper.build(Arc::clone(self.set.indexed()), config);
             let mapper = mapper.as_ref();
             // A read's mapping does not depend on where it is placed:
@@ -873,9 +870,7 @@ impl ServeCore {
             // The round's acceptance records and batch frames are now
             // dead weight in the journal.
             self.dead_records += committed_jobs + group_runs.len();
-            if self.options.journal_compact_threshold > 0
-                && self.dead_records >= self.options.journal_compact_threshold
-            {
+            if self.journal.is_some() && self.dead_records >= COMPACT_FLOOR.max(self.queue.len()) {
                 self.compact_journal()?;
             }
         }
@@ -1234,23 +1229,6 @@ impl ServeCore {
     /// [`ReputeError::Io`] on filesystem failures.
     pub fn write_telemetry(&self, path: &Path) -> Result<(), ReputeError> {
         write_atomic(path, &self.telemetry_bytes())
-    }
-
-    /// Writes one `job-<seq>.jsonl` file per completed job into `dir`
-    /// (creating it), the spool shape `repute stats --dir` merges.
-    ///
-    /// # Errors
-    ///
-    /// [`ReputeError::Io`] on filesystem failures.
-    pub fn write_job_telemetry_dir(&self, dir: &Path) -> Result<(), ReputeError> {
-        std::fs::create_dir_all(dir).map_err(|e| ReputeError::io_at(dir, e))?;
-        for job in &self.jobs {
-            let path = dir.join(format!("job-{:06}.jsonl", job.seq));
-            let mut line = Record::Job(job.clone()).encode().into_bytes();
-            line.push(b'\n');
-            write_atomic(&path, &line)?;
-        }
-        Ok(())
     }
 
     /// Writes the collected spans as Chrome-tracing JSON (atomic

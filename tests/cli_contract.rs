@@ -124,12 +124,7 @@ fn project_serve(o: &ServeCliOptions) -> Fields {
         ("tenant_weights", show(&serve.tenant_weights)),
         ("tenant_quotas", show(&serve.tenant_quotas)),
         ("quota_window_s", show(&serve.quota_window_s)),
-        (
-            "journal_compact_threshold",
-            show(&serve.journal_compact_threshold),
-        ),
         ("metrics_out", show(&o.metrics_out)),
-        ("metrics_dir", show(&o.metrics_dir)),
         ("trace_out", show(&o.trace_out)),
     ]
 }
@@ -153,11 +148,7 @@ fn project_submit(o: &SubmitOptions) -> Fields {
 }
 
 fn project_stats(o: &StatsOptions) -> Fields {
-    vec![
-        ("inputs", show(&o.inputs)),
-        ("dir", show(&o.dir)),
-        ("strict", show(&o.strict)),
-    ]
+    vec![("inputs", show(&o.inputs)), ("strict", show(&o.strict))]
 }
 
 fn project_trace(o: &TraceOptions) -> Fields {
@@ -326,15 +317,19 @@ fn defaults_and_usage_text_are_pinned() {
 /// its and `--resume`'s help, `crash:@<t>` gone from both `--fault-plan`
 /// entries, and exit code 8 gone (→ `0xb239_6b41_0de3_29a1`). Then by
 /// the serial round shape going: `--serial-batches` is gone, and
-/// `--journal` loses at most one in-flight round, not batch.
-const USAGE_FNV64: u64 = 0xb90c_5126_e79e_2262;
+/// `--journal` loses at most one in-flight round, not batch (→
+/// `0xb90c_5126_e79e_2262`). Then by three flags: the journal came to
+/// compact itself (its threshold flag gone, `--journal` saying so), the
+/// daemon's per-job telemetry spool went, and with it the `stats` flag
+/// that read it, the stats synopsis naming `--strict` instead.
+const USAGE_FNV64: u64 = 0x6350_8e1c_131a_f41c;
 
 /// `(subcommand, "", every projected field of its `Default`)`.
 const DEFAULTS: &[(&str, &str, &str)] = &[
     ("map", "", "reference=\"\"; index=None; index_cache=None; reads=\"\"; delta=5; s_min=12; max_locations=100; output=None; cigar=false; mapper=Repute; prefilter=None; platform=None; schedule=Static; host_threads=0; fault_plan=None; max_retries=2; metrics_out=None; trace_out=None; verbose=false; checkpoint=None; resume=false"),
     ("index", "", "reference=\"\"; output=\"\""),
     ("simulate", "", "out_dir=\"\"; length=1000000; reads=10000; read_len=100; seed=42; profile=\"err012100\""),
-    ("serve", "", "reference=\"\"; index=None; index_cache=None; platform=\"system1\"; socket=None; spool=None; once=false; journal=None; resume=false; delta=5; s_min=12; max_locations=100; prefilter=None; schedule=Dynamic; host_threads=0; fault_plan=[]; max_retries=2; shed_overdue=false; queue_capacity=64; max_reads_per_job=None; max_delta=16; tenant_weights=[]; tenant_quotas=[]; quota_window_s=60.0; journal_compact_threshold=0; metrics_out=None; metrics_dir=None; trace_out=None"),
+    ("serve", "", "reference=\"\"; index=None; index_cache=None; platform=\"system1\"; socket=None; spool=None; once=false; journal=None; resume=false; delta=5; s_min=12; max_locations=100; prefilter=None; schedule=Dynamic; host_threads=0; fault_plan=[]; max_retries=2; shed_overdue=false; queue_capacity=64; max_reads_per_job=None; max_delta=16; tenant_weights=[]; tenant_quotas=[]; quota_window_s=60.0; metrics_out=None; trace_out=None"),
     ("submit", "", "socket=\"\"; reads=None; id=None; tenant=None; delta=None; prefilter=None; mapper=None; deadline=None; priority=None; output=None; retry=0; retry_base_ms=100; shutdown=false"),
 ];
 
@@ -477,9 +472,7 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("serve", "--tenant-weight", "--tenant-weight expects a value"),
     ("serve", "--tenant-quota", "--tenant-quota expects a value"),
     ("serve", "--quota-window", "--quota-window expects a value"),
-    ("serve", "--journal-compact-threshold", "--journal-compact-threshold expects a value"),
     ("serve", "--metrics-out", "--metrics-out expects a value"),
-    ("serve", "--metrics-dir", "--metrics-dir expects a value"),
     ("serve", "--trace-out", "--trace-out expects a value"),
     // --- serve: value type and range.
     ("serve", "--delta x", "--delta expects an integer"),
@@ -511,7 +504,6 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("serve", "--quota-window 0", "--quota-window must be positive"),
     ("serve", "--quota-window -1", "--quota-window must be positive"),
     ("serve", "--quota-window inf", "--quota-window must be positive"),
-    ("serve", "--journal-compact-threshold x", "--journal-compact-threshold expects an integer"),
     // --- serve: cross-flag rules, in the order they are checked.
     ("serve", "--socket s.sock", "--reference or --index is required"),
     ("serve", "", "--reference or --index is required"),
@@ -521,7 +513,6 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("serve", "--reference r.fa --socket s.sock --spool jobs", "--socket and --spool are mutually exclusive"),
     ("serve", "--reference r.fa --socket s.sock --once", "--once requires --spool"),
     ("serve", "--reference r.fa --socket s.sock --resume", "--resume requires --journal"),
-    ("serve", "--reference r.fa --socket s.sock --journal-compact-threshold 8", "--journal-compact-threshold requires --journal"),
     // --- serve: precedence.
     ("serve", "--socket s.sock --once", "--reference or --index is required"),
     ("serve", "--reference r.fa --index i.rpx --index-cache c.rpxc", "--reference and --index are mutually exclusive"),
@@ -529,7 +520,6 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("serve", "--reference r.fa --once", "serve needs a transport: --socket <path> or --spool <dir>"),
     ("serve", "--reference r.fa --socket s.sock --spool jobs --resume", "--socket and --spool are mutually exclusive"),
     ("serve", "--reference r.fa --socket s.sock --once --resume", "--once requires --spool"),
-    ("serve", "--reference r.fa --spool jobs --resume --journal-compact-threshold 8", "--resume requires --journal"),
     ("serve", "--fault-plan crash:@1 --delta x", "--fault-plan: invalid fault-plan entry \"crash:@1\": device must be written d<index> (expected loss:d<dev>@<t> | transient:d<dev>@<t>[x<count>] | slow:d<dev>@<t>x<factor> | correlated:d<a>+d<b>+...@<t>)"),
     ("serve", "--delta x --fault-plan crash:@1", "--delta expects an integer"),
     ("serve", "--once --queue-capacity 0", "--queue-capacity must be positive"),
@@ -571,16 +561,13 @@ const REJECTED: &[(&str, &str, &str)] = &[
     // --- stats.
     ("stats", "--help", "help requested"),
     ("stats", "-h", "help requested"),
-    ("stats", "", "stats expects at least one metrics JSON-lines file (or --dir)"),
-    ("stats", "--strict", "stats expects at least one metrics JSON-lines file (or --dir)"),
+    ("stats", "", "stats expects at least one metrics JSON-lines file"),
+    ("stats", "--strict", "stats expects at least one metrics JSON-lines file"),
     ("stats", "--wat m.jsonl", "unknown option \"--wat\""),
     ("stats", "m.jsonl --wat", "unknown option \"--wat\""),
     ("stats", "-x", "unknown option \"-x\""),
-    ("stats", "--dir", "--dir expects a value"),
-    ("stats", "--dir a --dir b", "--dir given twice"),
-    ("stats", "--dir a --dir", "--dir expects a value"),
-    ("stats", "--dir a --dir b --wat", "--dir given twice"),
-    ("stats", "--wat --dir a --dir b", "unknown option \"--wat\""),
+    // A spool is a shell glob now: `repute stats dir/*.jsonl`.
+    ("stats", "--dir spool", "unknown option \"--dir\""),
     // --- trace.
     ("trace", "--help", "help requested"),
     ("trace", "-h", "help requested"),
@@ -638,13 +625,12 @@ const ACCEPTED: &[(&str, &str, &str)] = &[
     ("serve", "--reference r.fa --socket s.sock --queue-capacity 8 --max-reads-per-job 7 --max-delta 9", "reference=\"r.fa\"; socket=Some(\"s.sock\"); queue_capacity=8; max_reads_per_job=Some(7); max_delta=9"),
     ("serve", "--reference r.fa --spool jobs --once --tenant-weight acme=3 --tenant-weight lab=0.5", "reference=\"r.fa\"; spool=Some(\"jobs\"); once=true; tenant_weights=[(\"acme\", 3.0), (\"lab\", 0.5)]"),
     ("serve", "--reference r.fa --socket s.sock --tenant-quota acme=500 --tenant-quota lab=9 --quota-window 30", "reference=\"r.fa\"; socket=Some(\"s.sock\"); tenant_quotas=[(\"acme\", 500), (\"lab\", 9)]; quota_window_s=30.0"),
-    ("serve", "--reference r.fa --socket s.sock --journal j.jnl --journal-compact-threshold 16", "reference=\"r.fa\"; socket=Some(\"s.sock\"); journal=Some(\"j.jnl\"); journal_compact_threshold=16"),
     ("serve", "--reference r.fa --socket s.sock --journal j.jnl --resume", "reference=\"r.fa\"; socket=Some(\"s.sock\"); journal=Some(\"j.jnl\"); resume=true"),
-    ("serve", "--reference r.fa --socket s.sock --journal j.jnl --journal-compact-threshold 0", "reference=\"r.fa\"; socket=Some(\"s.sock\"); journal=Some(\"j.jnl\")"),
+    ("serve", "--reference r.fa --socket s.sock --journal j.jnl", "reference=\"r.fa\"; socket=Some(\"s.sock\"); journal=Some(\"j.jnl\")"),
     ("serve", "--reference r.fa --socket s.sock --fault-plan transient:d0@0.1x2,loss:d1@0.5", "reference=\"r.fa\"; socket=Some(\"s.sock\"); fault_plan=[Transient:d0@0.1,Transient:d0@0.1,Loss:d1@0.5]"),
     ("serve", "--reference r.fa --socket s.sock --fault-plan ,", "reference=\"r.fa\"; socket=Some(\"s.sock\")"),
     ("serve", "--reference r.fa --socket s.sock --shed-overdue", "reference=\"r.fa\"; socket=Some(\"s.sock\"); shed_overdue=true"),
-    ("serve", "--reference r.fa --socket s.sock --metrics-out m.jsonl --metrics-dir jobs.d --trace-out t.json", "reference=\"r.fa\"; socket=Some(\"s.sock\"); metrics_out=Some(\"m.jsonl\"); metrics_dir=Some(\"jobs.d\"); trace_out=Some(\"t.json\")"),
+    ("serve", "--reference r.fa --socket s.sock --metrics-out m.jsonl --trace-out t.json", "reference=\"r.fa\"; socket=Some(\"s.sock\"); metrics_out=Some(\"m.jsonl\"); trace_out=Some(\"t.json\")"),
     ("serve", "--reference \"\" --socket s.sock", "socket=Some(\"s.sock\")"),
     // --- submit.
     ("submit", "--socket s.sock --reads r.fq", "socket=\"s.sock\"; reads=Some(\"r.fq\")"),
@@ -656,11 +642,10 @@ const ACCEPTED: &[(&str, &str, &str)] = &[
     ("submit", "--socket s.sock --reads r.fq --deadline 0 --retry 3 --retry-base-ms 250", "socket=\"s.sock\"; reads=Some(\"r.fq\"); deadline=Some(0.0); retry=3; retry_base_ms=250"),
     ("submit", "--socket \"\" --reads r.fq", "reads=Some(\"r.fq\")"),
     // --- stats.
-    ("stats", "m.jsonl", "inputs=[\"m.jsonl\"]; dir=None; strict=false"),
-    ("stats", "--strict m.jsonl", "inputs=[\"m.jsonl\"]; dir=None; strict=true"),
-    ("stats", "a.jsonl b.jsonl", "inputs=[\"a.jsonl\", \"b.jsonl\"]; dir=None; strict=false"),
-    ("stats", "--dir spool", "inputs=[]; dir=Some(\"spool\"); strict=false"),
-    ("stats", "a.jsonl --dir spool --strict b.jsonl", "inputs=[\"a.jsonl\", \"b.jsonl\"]; dir=Some(\"spool\"); strict=true"),
+    ("stats", "m.jsonl", "inputs=[\"m.jsonl\"]; strict=false"),
+    ("stats", "--strict m.jsonl", "inputs=[\"m.jsonl\"]; strict=true"),
+    ("stats", "a.jsonl b.jsonl", "inputs=[\"a.jsonl\", \"b.jsonl\"]; strict=false"),
+    ("stats", "a.jsonl --strict b.jsonl", "inputs=[\"a.jsonl\", \"b.jsonl\"]; strict=true"),
     // --- trace.
     ("trace", "t.json", "input=\"t.json\""),
 ];

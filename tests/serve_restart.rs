@@ -14,7 +14,7 @@ use repute_prefilter::PrefilterMode;
 use repute_serve::journal::DeviceProvenance;
 use repute_serve::{
     BatchRecord, ConfigKey, JobEnvelope, JobJournal, JobResponse, JobResult, JobSpec, MapperKind,
-    ServeHarness, ServeOptions, StateRecord,
+    ServeHarness, ServeOptions, StateRecord, COMPACT_FLOOR,
 };
 
 fn reference_set() -> ReferenceSet {
@@ -171,8 +171,6 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
     // compaction — the size bound the compacted journal must beat.
     let control = dir.join("control.journal");
     std::fs::remove_file(&control).ok();
-    let mut compacting = options();
-    compacting.journal_compact_threshold = 1;
     let (mut plain, _) = ServeHarness::with_journal(
         reference_set(),
         platform.clone(),
@@ -185,15 +183,15 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
     plain.run_batch().expect("control round commits");
     let control_size = std::fs::metadata(&control).expect("control journal").len();
 
-    // Compacting journal: threshold 1 compacts right after the first
-    // round commits, so the file holds only the header, one state
-    // snapshot, and the still-queued accepted records.
+    // Compacting journal: compacted right after the first round
+    // commits, so the file holds only the header, one state snapshot,
+    // and the still-queued accepted records.
     let journal: PathBuf = dir.join("serve.journal");
     std::fs::remove_file(&journal).ok();
     let (mut doomed, replayed) = ServeHarness::with_journal(
         reference_set(),
         platform.clone(),
-        compacting.clone(),
+        options(),
         &journal,
         false,
     )
@@ -205,9 +203,11 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
     let committed_batches = doomed.counters().batches;
     assert_eq!(
         doomed.counters().compactions,
-        1,
-        "threshold 1 compacts per round"
+        0,
+        "one round's dead records are below the floor"
     );
+    assert!(doomed.core_mut().compact_journal().expect("compaction"));
+    assert_eq!(doomed.counters().compactions, 1);
     let compacted_size = std::fs::metadata(&journal)
         .expect("compacted journal")
         .len();
@@ -224,7 +224,7 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
     // live jobs — including the lost in-flight round — re-execute, and
     // the union is bit-identical to the uninterrupted run.
     let (mut resumed, replayed) =
-        ServeHarness::with_journal(reference_set(), platform, compacting, &journal, true).unwrap();
+        ServeHarness::with_journal(reference_set(), platform, options(), &journal, true).unwrap();
     assert!(
         replayed.is_empty(),
         "a compacted journal carries no committed batches to replay"
@@ -250,8 +250,9 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
     assert_eq!(resumed.counters().batches, clean_batches);
     assert_eq!(resumed.counters().completed, 6);
 
-    // Drained, nothing is live: the compacted journal is the header and
-    // one state snapshot, a fraction of the append-only one.
+    // Drained, nothing is live: compacted, the journal is the header
+    // and one state snapshot, a fraction of the append-only one.
+    assert!(resumed.core_mut().compact_journal().expect("compaction"));
     plain.drain().expect("control drain");
     let control_size = std::fs::metadata(&control).expect("control journal").len();
     let compacted_size = std::fs::metadata(&journal)
@@ -261,6 +262,96 @@ fn resume_from_a_compacted_journal_is_bit_identical() {
         compacted_size * 2 < control_size,
         "drained: compacted journal {compacted_size} B vs append-only {control_size} B"
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A one-read job of tenant `acme`, read `i` of a walk along the
+/// reference.
+fn walk_job(reference: &DnaSeq, i: usize) -> JobEnvelope {
+    let start = 1_000 + 500 * i;
+    let read = vec![(format!("w{i:04}"), reference.subseq(start..start + 100))];
+    JobEnvelope::new(format!("walk-{i:04}"), read).with_tenant("acme")
+}
+
+/// A long-lived daemon under default options compacts its own journal:
+/// one-job rounds pile up four floors' worth of dead records, the
+/// journal never grows past what its first compaction cycle reached,
+/// and a resume from it answers the jobs still queued at the crash
+/// byte for byte as the uninterrupted daemon does.
+#[test]
+fn a_default_daemon_compacts_its_journal_and_resumes_bit_identically() {
+    let dir = std::env::temp_dir().join(format!(
+        "repute-serve-self-compaction-test-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).ok();
+    let journal = dir.join("serve.journal");
+    std::fs::remove_file(&journal).ok();
+    let reference = ReferenceBuilder::new(120_000).seed(7201).build();
+    // Each one-job round leaves two dead records: the job's acceptance
+    // and its batch frame. Four floors and a half: the crash comes
+    // mid-cycle, with committed rounds behind the last compaction.
+    let rounds = 2 * COMPACT_FLOOR + COMPACT_FLOOR / 4;
+    let queued = 3;
+
+    let mut clean = ServeHarness::new(reference_set(), profiles::system1(), options()).unwrap();
+    let (mut doomed, _) = ServeHarness::with_journal(
+        reference_set(),
+        profiles::system1(),
+        options(),
+        &journal,
+        false,
+    )
+    .unwrap();
+    let mut sizes = Vec::with_capacity(rounds);
+    for i in 0..rounds {
+        for harness in [&mut clean, &mut doomed] {
+            assert!(harness.submit(walk_job(&reference, i)).unwrap().is_none());
+            assert_eq!(harness.run_batch().unwrap().len(), 1);
+        }
+        sizes.push(std::fs::metadata(&journal).expect("journal").len());
+    }
+    let compactions = doomed.counters().compactions;
+    assert!(
+        compactions >= 3,
+        "{compactions} compactions in {rounds} rounds"
+    );
+    // Between two compactions at most COMPACT_FLOOR / 2 rounds append
+    // to the compacted journal (the smallest size seen), whatever the
+    // round count; append-only, the last round's would be the largest.
+    let compacted = sizes.iter().min().copied().unwrap();
+    let largest_round = sizes.windows(2).map(|w| w[1].saturating_sub(w[0])).max();
+    let bound = compacted + (COMPACT_FLOOR / 2) as u64 * largest_round.unwrap();
+    let largest = sizes.iter().max().copied().unwrap();
+    assert!(
+        largest <= bound,
+        "journal of {largest} B past the bound of {bound} B: {sizes:?}"
+    );
+
+    // Jobs still queued when the daemon dies.
+    for i in rounds..rounds + queued {
+        assert!(clean.submit(walk_job(&reference, i)).unwrap().is_none());
+        assert!(doomed.submit(walk_job(&reference, i)).unwrap().is_none());
+    }
+    let clean_responses = clean.drain().expect("uninterrupted drain");
+    drop(doomed);
+    let (mut resumed, replayed) = ServeHarness::with_journal(
+        reference_set(),
+        profiles::system1(),
+        options(),
+        &journal,
+        true,
+    )
+    .unwrap();
+    // Only the rounds since the last compaction are still on file.
+    assert_eq!(replayed.len(), COMPACT_FLOOR / 4);
+    let resumed_responses = resumed.drain().expect("resumed drain");
+    assert_eq!(resumed_responses.len(), queued);
+    assert_eq!(by_id(&resumed_responses), by_id(&clean_responses));
+    let (after, uninterrupted) = (resumed.counters(), clean.counters());
+    assert_eq!(after.completed, uninterrupted.completed);
+    assert_eq!(after.batches, uninterrupted.batches);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,8 +4,7 @@
 //! (a) One hand-written telemetry text holding every record kind — and
 //! every legacy shape a reader still meets — with the `render_stats` /
 //! `render_stats_strict` output held verbatim. (b) The FNV-64 of
-//! `ServeCore::telemetry_bytes()` and of the per-job file set for one
-//! fixed daemon scenario. (c) The FNV-64 of a `--platform system1`
+//! `ServeCore::telemetry_bytes()` for one fixed daemon scenario. (c) The FNV-64 of a `--platform system1`
 //! `--metrics-out` file with the host wall clock zeroed, and (d) of a
 //! faulted, dynamic, two-thread run's `--trace-out` and `--metrics-out`.
 //! `tests/executor_contract.rs` already hashes `to_json_line` and
@@ -26,7 +25,9 @@
 //! index now counts over the run, not within the share), and no other
 //! byte. The two digests of (b) moved when the daemon lost its serial
 //! round shape: the scenario gained two first-round jobs so that `late`
-//! still waits a round, and its rounds became concurrent.
+//! still waits a round, and its rounds became concurrent. (b) also
+//! pinned the daemon's per-job telemetry spool until that option went:
+//! its files held the `job` records of `--metrics-out`, nothing more.
 
 #![cfg(unix)]
 
@@ -256,31 +257,6 @@ fn daemon_telemetry_bytes_are_pinned() {
         h.finish(),
         0xaf58_e2f6_ea9b_2d98,
         "--metrics-out bytes changed: 0x{:016x}\n{text}",
-        h.finish()
-    );
-
-    let dir = std::env::temp_dir().join(format!("repute-stats-contract-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    harness
-        .core()
-        .write_job_telemetry_dir(&dir)
-        .expect("temp dir is writable");
-    let mut names: Vec<String> = std::fs::read_dir(&dir)
-        .expect("just written")
-        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-        .collect();
-    names.sort();
-    let mut h = Fnv64::new();
-    for name in &names {
-        h.write(name.as_bytes());
-        h.write(&std::fs::read(dir.join(name)).expect("just written"));
-    }
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(names.len(), 5);
-    assert_eq!(
-        h.finish(),
-        0x1dd2_91eb_a0ba_c3f6,
-        "--metrics-dir file set changed: 0x{:016x} {names:?}",
         h.finish()
     );
 }
