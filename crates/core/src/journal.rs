@@ -212,7 +212,8 @@ impl AtomicFile {
         flushed(&mut self.file).map_err(|e| ReputeError::io_at(&self.path, e))
     }
 
-    /// Flushes and syncs the temp file, then renames it over the target.
+    /// Flushes and syncs the temp file, renames it over the target, and
+    /// syncs the directory that holds the rename.
     ///
     /// # Errors
     ///
@@ -224,8 +225,26 @@ impl AtomicFile {
         self.file.get_ref().sync_all().map_err(io_err)?;
         fs::rename(&self.tmp, &self.path).map_err(io_err)?;
         self.remove_on_drop = false;
-        Ok(())
+        sync_dir_of(&self.path).map_err(io_err)
     }
+}
+
+/// Syncs the directory entry of `path`: a rename is durable only once
+/// its directory is. A compacted serve journal takes its appends in the
+/// renamed file, so a rename lost in a crash would lose them too.
+#[cfg(unix)]
+fn sync_dir_of(path: &Path) -> std::io::Result<()> {
+    let dir = path
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
+}
+
+/// Directories cannot be opened as files here; the rename stands as is.
+#[cfg(not(unix))]
+fn sync_dir_of(_path: &Path) -> std::io::Result<()> {
+    Ok(())
 }
 
 impl std::io::Write for AtomicFile {

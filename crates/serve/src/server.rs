@@ -157,9 +157,9 @@ impl Default for ServeOptions {
 /// queued jobs)`, so the journal holds O(queued + `COMPACT_FLOOR`)
 /// records, and a compaction, which rewrites the queued jobs' records,
 /// copies at most one record per dead record appended since the last.
-/// One compaction costs about three `sync_data` appends; 64 dead records
-/// spread it to about 5% of their appends (EXPERIMENTS.md, journal
-/// compaction floor).
+/// One compaction costs three to four `sync_data` appends; 64 dead
+/// records spread it to 4–8% of their appends (EXPERIMENTS.md, the
+/// journal compacts itself).
 pub const COMPACT_FLOOR: usize = 64;
 
 /// The refusal text of every `SERVICE_UNAVAILABLE` response — one
