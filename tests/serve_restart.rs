@@ -276,7 +276,7 @@ fn walk_job(reference: &DnaSeq, i: usize) -> JobEnvelope {
 
 /// A long-lived daemon under default options compacts its own journal:
 /// one-job rounds pile up four floors' worth of dead records, the
-/// journal never grows past what its first compaction cycle reached,
+/// journal stays within a bound set by the floor, not the round count,
 /// and a resume from it answers the jobs still queued at the crash
 /// byte for byte as the uninterrupted daemon does.
 #[test]
